@@ -7,7 +7,7 @@
 // (shadows built, commit never reached), a group-commit round that
 // injects the failure at a pseudorandom PM-write inside a multi-root
 // Batch.Commit, and a sharded round that injects it inside a
-// cross-shard ShardedBatch — while shadows build on the shard regions,
+// cross-shard Batch — while shadows build on the shard regions,
 // between the shard manifest's intent and commit-point fences, or
 // mid-way through the per-shard redo swaps — and checks the batch
 // recovers all-or-nothing across every shard.
@@ -272,11 +272,10 @@ func shardRound(seed uint64, ops, shards int, verbose bool) error {
 	if err != nil {
 		return err
 	}
-	ss := db.Sharded()
 	maps := make([]*core.Map, shards)
 	wantMaps := make([]map[string]string, shards)
 	for i := range maps {
-		m, err := ss.Shard(i).Map(fmt.Sprintf("fuzz-%d", i))
+		m, err := db.Shard(i).Map(fmt.Sprintf("fuzz-%d", i))
 		if err != nil {
 			return err
 		}
@@ -287,7 +286,7 @@ func shardRound(seed uint64, ops, shards int, verbose bool) error {
 	committed := int(seed % uint64(ops))
 	const batchLen = 2 // ops per shard per batch
 	for i := 0; i < committed; i += batchLen * shards {
-		b := ss.NewBatch()
+		b := db.Batch()
 		for si := 0; si < shards; si++ {
 			for j := 0; j < batchLen; j++ {
 				k, v := key(i+si*batchLen+j), key((i+si*batchLen+j)*3)
@@ -297,12 +296,12 @@ func shardRound(seed uint64, ops, shards int, verbose bool) error {
 		}
 		b.Commit()
 	}
-	ss.Sync()
+	db.Sync()
 
 	// The interrupted cross-shard batch: two updates per shard.
-	tr := pmem.NewMultiCrashCountdown(ss.Regions().Devices(), 1+int(seed*31%600), pmem.CrashEvictRandom, seed)
+	tr := pmem.NewMultiCrashCountdown(db.Regions().Devices(), 1+int(seed*31%600), pmem.CrashEvictRandom, seed)
 	tr.Install()
-	b := ss.NewBatch()
+	b := db.Batch()
 	wantMapsFull := make([]map[string]string, shards)
 	for si := range wantMapsFull {
 		wantMapsFull[si] = make(map[string]string, len(wantMaps[si])+2)
@@ -319,18 +318,17 @@ func shardRound(seed uint64, ops, shards int, verbose bool) error {
 	tr.Uninstall()
 	imgs := tr.Images()
 	if imgs == nil {
-		imgs = ss.CrashImages(pmem.CrashEvictRandom, seed)
+		imgs = db.CrashImages(pmem.CrashEvictRandom, seed)
 	}
 
 	db2, info, err := core.Open(cfg, core.WithExistingImages(imgs))
 	if err != nil {
 		return fmt.Errorf("recovery: %w", err)
 	}
-	ss2 := db2.Sharded()
 	maps2 := make([]*core.Map, shards)
 	inShard := make([]bool, shards)
 	for si := range maps2 {
-		m, err := ss2.Shard(si).Map(fmt.Sprintf("fuzz-%d", si))
+		m, err := db2.Shard(si).Map(fmt.Sprintf("fuzz-%d", si))
 		if err != nil {
 			return err
 		}
@@ -352,7 +350,7 @@ func shardRound(seed uint64, ops, shards int, verbose bool) error {
 		}
 	}
 	// The recovered store must keep committing cross-shard batches.
-	nb := ss2.NewBatch()
+	nb := db2.Batch()
 	for si, m := range maps2 {
 		nb.MapSet(m, key(424242+si), []byte("post-recovery"))
 	}

@@ -40,7 +40,7 @@ import (
 // writes a persistent batch record — the (cell, new version) pairs plus
 // a checksum — makes it durable with the shadows, sets a committed flag
 // (the batch's atomic commit point, one 8-byte write), and only then
-// overwrites the root cells. OpenStore replays a committed record whose
+// overwrites the root cells. A recovering Open replays a committed record whose
 // checksum validates, so a crash anywhere inside publication recovers
 // either every root swap or none of them; a crash before the commit
 // point recovers none, and the batch's shadows are swept as leaks.
@@ -152,159 +152,203 @@ func recoverBatchRecord(dev pmem.Backend, rec pmem.Addr) bool {
 // cur itself.
 type batchOp struct {
 	ds    Datastructure
-	apply func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr
+	apply rootOp
 }
 
-// Batch accumulates updates for one group commit. A Batch is not safe
-// for concurrent use; goroutines build their own batches and the commit
-// layer interleaves them. Commit (or CommitAsync) consumes the batch,
-// leaving it empty for reuse.
+// Batch accumulates updates for one group commit, across any number of
+// roots and — built by DB.Batch — any number of shards. Ops are kept in
+// submission order and routed by their handle's owning store at commit:
+// a batch confined to one shard commits through that shard's 1-fence
+// (one root) or 3-fence (batch record) path, and one spanning shards
+// commits atomically through the shard manifest (sharded.go). A Batch
+// is not safe for concurrent use; goroutines build their own batches and
+// the commit layer interleaves them. Commit (or CommitAsync) consumes
+// the batch, leaving it empty for reuse.
 type Batch struct {
-	st  *Store
-	ops []batchOp
+	shards []*Store // the stores an op may land on
+	db     *DB      // the manifest path; nil for a Store.NewBatch batch
+	ops    []batchOp
+	shard  int // the one shard every queued op landed on, or -1 once they span
 }
 
-// NewBatch returns an empty batch bound to this store handle.
-func (s *Store) NewBatch() *Batch { return &Batch{st: s} }
+// NewBatch returns an empty batch confined to this store handle.
+func (s *Store) NewBatch() *Batch { return &Batch{shards: []*Store{s}} }
 
 // Len returns the number of operations accumulated.
 func (b *Batch) Len() int { return len(b.ops) }
 
-func (b *Batch) addOp(op batchOp) {
-	if op.ds.location().parent != nil {
-		panic(fmt.Sprintf("core: batched update of parent-bound %q (batches require root-bound datastructures; use CommitSiblings)", op.ds.Name()))
+// shardOf resolves the index of the store owning a datastructure.
+func (b *Batch) shardOf(ds Datastructure) int {
+	sh := ds.store().sh
+	for i, s := range b.shards {
+		if s.sh == sh {
+			return i
+		}
 	}
-	b.ops = append(b.ops, op)
+	panic(fmt.Sprintf("core: datastructure %q does not belong to this sharded store", ds.Name()))
 }
 
-// The op builders below are shared with ShardedBatch (sharded.go),
-// which routes the same deferred updates across shard stores.
-
-func mapSetOp(m *Map, key, val []byte) batchOp {
-	k, v := slices.Clone(key), slices.Clone(val)
-	return batchOp{ds: m, apply: func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, _ := funcds.MapAt(s.heap, cur).WithEdit(ed).Set(k, v)
-		return next.Addr()
-	}}
+// addOp queues one deferred update of ds.
+func (b *Batch) addOp(ds Datastructure, apply rootOp) {
+	if ds.location().parent != nil {
+		panic(fmt.Sprintf("core: batched update of parent-bound %q (batches require root-bound datastructures; use CommitSiblings)", ds.Name()))
+	}
+	if si := b.shardOf(ds); len(b.ops) == 0 {
+		b.shard = si
+	} else if si != b.shard {
+		b.shard = -1
+	}
+	b.ops = append(b.ops, batchOp{ds: ds, apply: apply})
 }
 
-func mapDeleteOp(m *Map, key []byte) batchOp {
-	k := slices.Clone(key)
-	return batchOp{ds: m, apply: func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, _ := funcds.MapAt(s.heap, cur).WithEdit(ed).Delete(k)
-		return next.Addr()
-	}}
+// take empties the batch, returning its ops and the shard they all
+// landed on (-1 when they span shards; an empty batch counts as shard
+// 0's).
+func (b *Batch) take() ([]batchOp, int) {
+	ops, shard := b.ops, b.shard
+	b.ops, b.shard = nil, 0
+	return ops, shard
 }
 
-func setInsertOp(st *Set, key []byte) batchOp {
-	k := slices.Clone(key)
-	return batchOp{ds: st, apply: func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, _ := funcds.SetDSAt(s.heap, cur).WithEdit(ed).Insert(k)
-		return next.Addr()
-	}}
-}
-
-func setDeleteOp(st *Set, key []byte) batchOp {
-	k := slices.Clone(key)
-	return batchOp{ds: st, apply: func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, _ := funcds.SetDSAt(s.heap, cur).WithEdit(ed).Delete(k)
-		return next.Addr()
-	}}
-}
-
-func vectorPushOp(v *Vector, val uint64) batchOp {
-	return batchOp{ds: v, apply: func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		return funcds.VectorAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
-	}}
-}
-
-func vectorUpdateOp(v *Vector, i uint64, val uint64) batchOp {
-	return batchOp{ds: v, apply: func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		return funcds.VectorAt(s.heap, cur).WithEdit(ed).Update(i, val).Addr()
-	}}
-}
-
-func stackPushOp(st *Stack, val uint64) batchOp {
-	return batchOp{ds: st, apply: func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		return funcds.StackAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
-	}}
-}
-
-func stackPopOp(st *Stack) batchOp {
-	return batchOp{ds: st, apply: func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, _, _ := funcds.StackAt(s.heap, cur).WithEdit(ed).Pop()
-		return next.Addr()
-	}}
-}
-
-func queueEnqueueOp(q *Queue, val uint64) batchOp {
-	return batchOp{ds: q, apply: func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		return funcds.QueueAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
-	}}
-}
-
-func queueDequeueOp(q *Queue) batchOp {
-	return batchOp{ds: q, apply: func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, _, _ := funcds.QueueAt(s.heap, cur).WithEdit(ed).Pop()
-		return next.Addr()
-	}}
+// split partitions ops by owning shard, keeping submission order.
+func (b *Batch) split(ops []batchOp) [][]batchOp {
+	per := make([][]batchOp, len(b.shards))
+	for _, op := range ops {
+		si := b.shardOf(op.ds)
+		per[si] = append(per[si], op)
+	}
+	return per
 }
 
 // MapSet queues binding key to val in m. Key and value are copied, so
 // the caller may reuse its buffers immediately.
-func (b *Batch) MapSet(m *Map, key, val []byte) { b.addOp(mapSetOp(m, key, val)) }
+func (b *Batch) MapSet(m *Map, key, val []byte) {
+	k, v := slices.Clone(key), slices.Clone(val)
+	b.addOp(m, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		next, _ := funcds.MapAt(s.heap, cur).WithEdit(ed).Set(k, v)
+		return next.Addr()
+	})
+}
 
 // MapDelete queues removing key from m.
-func (b *Batch) MapDelete(m *Map, key []byte) { b.addOp(mapDeleteOp(m, key)) }
+func (b *Batch) MapDelete(m *Map, key []byte) {
+	k := slices.Clone(key)
+	b.addOp(m, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		next, _ := funcds.MapAt(s.heap, cur).WithEdit(ed).Delete(k)
+		return next.Addr()
+	})
+}
 
 // SetInsert queues adding key to st.
-func (b *Batch) SetInsert(st *Set, key []byte) { b.addOp(setInsertOp(st, key)) }
+func (b *Batch) SetInsert(st *Set, key []byte) {
+	k := slices.Clone(key)
+	b.addOp(st, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		next, _ := funcds.SetDSAt(s.heap, cur).WithEdit(ed).Insert(k)
+		return next.Addr()
+	})
+}
 
 // SetDelete queues removing key from st.
-func (b *Batch) SetDelete(st *Set, key []byte) { b.addOp(setDeleteOp(st, key)) }
+func (b *Batch) SetDelete(st *Set, key []byte) {
+	k := slices.Clone(key)
+	b.addOp(st, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		next, _ := funcds.SetDSAt(s.heap, cur).WithEdit(ed).Delete(k)
+		return next.Addr()
+	})
+}
 
 // VectorPush queues appending val to v.
-func (b *Batch) VectorPush(v *Vector, val uint64) { b.addOp(vectorPushOp(v, val)) }
+func (b *Batch) VectorPush(v *Vector, val uint64) {
+	b.addOp(v, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		return funcds.VectorAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
+	})
+}
 
 // VectorUpdate queues replacing element i of v with val.
-func (b *Batch) VectorUpdate(v *Vector, i uint64, val uint64) { b.addOp(vectorUpdateOp(v, i, val)) }
+func (b *Batch) VectorUpdate(v *Vector, i uint64, val uint64) {
+	b.addOp(v, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		return funcds.VectorAt(s.heap, cur).WithEdit(ed).Update(i, val).Addr()
+	})
+}
 
 // StackPush queues pushing val onto st.
-func (b *Batch) StackPush(st *Stack, val uint64) { b.addOp(stackPushOp(st, val)) }
+func (b *Batch) StackPush(st *Stack, val uint64) {
+	b.addOp(st, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		return funcds.StackAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
+	})
+}
 
 // StackPop queues removing the top element of st (no-op on empty).
-func (b *Batch) StackPop(st *Stack) { b.addOp(stackPopOp(st)) }
+func (b *Batch) StackPop(st *Stack) {
+	b.addOp(st, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		next, _, _ := funcds.StackAt(s.heap, cur).WithEdit(ed).Pop()
+		return next.Addr()
+	})
+}
 
 // QueueEnqueue queues appending val at the tail of q.
-func (b *Batch) QueueEnqueue(q *Queue, val uint64) { b.addOp(queueEnqueueOp(q, val)) }
+func (b *Batch) QueueEnqueue(q *Queue, val uint64) {
+	b.addOp(q, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		return funcds.QueueAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
+	})
+}
 
 // QueueDequeue queues removing the head element of q (no-op on empty).
-func (b *Batch) QueueDequeue(q *Queue) { b.addOp(queueDequeueOp(q)) }
+func (b *Batch) QueueDequeue(q *Queue) {
+	b.addOp(q, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		next, _, _ := funcds.QueueAt(s.heap, cur).WithEdit(ed).Pop()
+		return next.Addr()
+	})
+}
 
 // Commit applies every queued operation and publishes the results under
 // one shared fence epoch, leaving the batch empty. Like a Basic-interface
 // FASE, the final root-pointer swap's durability rides on the next fence
 // (Sync forces it); the batch is nonetheless crash-atomic — recovery sees
-// all of it or none of it.
+// all of it or none of it, on every shard it touched.
 func (b *Batch) Commit() {
-	ops := b.ops
-	b.ops = nil
-	b.st.commitBatch(ops)
+	ops, shard := b.take()
+	if shard >= 0 {
+		b.shards[shard].commitBatch(ops)
+		return
+	}
+	b.db.commitCross(b.split(ops))
 }
 
-// CommitAsync submits the batch to the store's background committer and
-// returns a ticket that resolves when the batch is durable. Without a
-// running committer it degrades to a synchronous Commit plus one fence.
-// On a closed store the batch is dropped and the ticket resolves
+// CommitAsync publishes the batch and returns a ticket that resolves
+// when it is durable. A batch confined to one shard rides that shard's
+// background committer, coalescing with other goroutines' submissions
+// into shared fence epochs (without a running committer it degrades to a
+// synchronous Commit plus one fence); a cross-shard batch publishes
+// synchronously through the shard manifest and the ticket resolves on
+// return. On a closed store the batch is dropped and the ticket resolves
 // immediately with ErrStoreClosed.
 func (b *Batch) CommitAsync() *Ticket {
-	ops := b.ops
-	b.ops = nil
-	return b.st.commitAsyncOps(ops)
+	ops, shard := b.take()
+	if shard >= 0 {
+		return b.shards[shard].commitAsyncOps(ops)
+	}
+	if b.db.sh.closed.Load() {
+		return failedTicket(ErrStoreClosed)
+	}
+	per := b.split(ops)
+	b.db.commitCross(per)
+	// The manifest path fences each involved shard after its redo swaps,
+	// but a batch that collapsed to one shard's local publication leaves
+	// its final swap riding the next fence — settle each involved shard
+	// so the ticket's durability contract holds in every case.
+	for si, ops := range per {
+		if len(ops) > 0 {
+			b.shards[si].heap.Fence()
+		}
+	}
+	t := &Ticket{done: make(chan struct{})}
+	close(t.done)
+	return t
 }
 
-// commitAsyncOps routes deferred ops through the background committer
-// (shared with ShardedBatch.CommitAsync for single-shard submissions).
+// commitAsyncOps routes one shard's deferred ops through its background
+// committer.
 func (s *Store) commitAsyncOps(ops []batchOp) *Ticket {
 	t := &Ticket{done: make(chan struct{})}
 	c := &s.sh.com
@@ -341,7 +385,7 @@ type rootChange struct {
 
 // preparedBatch is an applied-but-unpublished batch on one store: root
 // commit mutexes held, shadow chains built and sealed, publication
-// pending. The single-store commit path publishes locally
+// pending. The single-shard commit path publishes locally
 // (publishLocal); the cross-shard path (sharded.go) publishes several
 // prepared batches through one shard manifest. Either way the caller
 // must call finish afterwards to retire superseded versions, adopt the

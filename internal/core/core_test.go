@@ -4,9 +4,20 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/pmem"
 	"github.com/mod-ds/mod/internal/trace"
 )
+
+// openStore recovers the single heap already on dev through the front
+// door, for tests that drive one per-heap engine directly.
+func openStore(dev pmem.Backend) (*Store, alloc.RecoveryStats, error) {
+	db, info, err := Open(pmem.Config{}, WithDevices(dev), WithAttach())
+	if err != nil {
+		return nil, info.Stats, err
+	}
+	return db.Store(), info.Stats, nil
+}
 
 func newTestStore(t testing.TB) *Store {
 	t.Helper()

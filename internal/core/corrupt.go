@@ -36,7 +36,7 @@ import (
 // found under, and the detailed cause (usually an *alloc.BlockError).
 // Test with errors.Is(err, ErrCorrupted).
 type CorruptionError struct {
-	Shard int
+	Shard int // region index: a shard, or the shard count for the metadata region
 	Slot  int // root slot, or -1 when the damage is not root-specific
 	Err   error
 }
@@ -114,29 +114,6 @@ func verifyHeap(heap *alloc.Heap, shard int, salvage bool) (damaged []DamagedRoo
 	return damaged, skip
 }
 
-// guardImageOpen runs an open-from-images and converts any failure —
-// a panic from recovery walking a truncated or scrambled image into
-// out-of-range addresses, malformed block headers, or poisoned lines,
-// or a clean recovery error on such an image — into a wrapped
-// ErrCorrupted, so a damaged image fails the Open with a typed error
-// instead of crashing the process. The original cause stays reachable
-// through errors.Is/As.
-func guardImageOpen(open func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			inner, ok := r.(error)
-			if !ok {
-				inner = fmt.Errorf("%v", r)
-			}
-			err = &CorruptionError{Shard: 0, Slot: -1, Err: fmt.Errorf("open from image: %w", inner)}
-		}
-	}()
-	if oerr := open(); oerr != nil {
-		return &CorruptionError{Shard: 0, Slot: -1, Err: fmt.Errorf("open from image: %w", oerr)}
-	}
-	return nil
-}
-
 // verifyBindLazy funnels a root's header block through the lazy
 // post-recovery check at bind time. Structure headers are read through
 // raw field loads, not the verified node-read funnels, so without this
@@ -199,16 +176,6 @@ func (s *Store) Quarantined() map[int]error {
 	return out
 }
 
-// quarantineDamage installs the unsalvaged entries of a damage report
-// into the owning stores' quarantine sets.
-func quarantineDamage(stores []*Store, damaged []DamagedRoot) {
-	for _, d := range damaged {
-		if !d.Salvaged {
-			stores[d.Shard].quarantine(d.Slot, d.Err)
-		}
-	}
-}
-
 // scrubStore re-verifies every claimed root of one live store,
 // quarantining new damage. The reclamation epoch is pinned around each
 // root's walk so a concurrent commit cannot recycle the version under
@@ -246,11 +213,8 @@ func scrubStore(s *Store, shard int, pace time.Duration) []DamagedRoot {
 // verification again without double-reporting to the quarantine set.
 func (db *DB) Scrub(pace time.Duration) []DamagedRoot {
 	var damaged []DamagedRoot
-	if db.store != nil {
-		return scrubStore(db.store, 0, pace)
-	}
-	for i := 0; i < db.sharded.ShardCount(); i++ {
-		damaged = append(damaged, scrubStore(db.sharded.Shard(i), i, pace)...)
+	for i, s := range db.shards {
+		damaged = append(damaged, scrubStore(s, i, pace)...)
 	}
 	return damaged
 }

@@ -36,15 +36,14 @@ func cmTrials() int {
 }
 
 // cmOpen opens a damaged single-heap device with verification and
-// salvage, converting recovery panics (scrambled block chains, poisoned
-// lines) into errors the way the public image-open path does.
-func cmOpen(dev *pmem.Device) (s *Store, damaged []DamagedRoot, err error) {
-	err = guardImageOpen(func() error {
-		var oerr error
-		s, _, damaged, oerr = openStoreVerify(dev, verifyConfig{verify: true, salvage: true})
-		return oerr
-	})
-	return
+// salvage; Open converts recovery panics (scrambled block chains,
+// poisoned lines) into errors.
+func cmOpen(dev *pmem.Device) (*Store, []DamagedRoot, error) {
+	db, info, err := Open(pmem.Config{}, WithDevices(dev), WithAttach(), WithSalvage())
+	if err != nil {
+		return nil, nil, err
+	}
+	return db.Store(), info.Damaged, nil
 }
 
 // cmPlan builds one deterministic fault plan of the given class aimed at
@@ -306,10 +305,7 @@ func TestCorruptionShardedDegradedOpen(t *testing.T) {
 		}
 		st := st
 		t.Run(st.name, func(t *testing.T) {
-			ss, err := newShardedStore(cfg, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ss := openShards(t, cfg, 2)
 			ops := st.bind(t, ss.Shard(0), "mx")
 			marker, err := ss.Shard(1).Map("mx-marker")
 			if err != nil {
@@ -359,10 +355,11 @@ func TestCorruptionShardedDegradedOpen(t *testing.T) {
 			}
 			plan.ApplyToImage(imgs[0], nil)
 
-			ss2, _, damaged, err := openShardedVerify(cfg, imgs, verifyConfig{verify: true, salvage: true})
+			ss2, info, err := Open(cfg, WithExistingImages(imgs), WithSalvage())
 			if err != nil {
 				t.Fatalf("degraded open failed entirely: %v", err)
 			}
+			damaged := info.Damaged
 			if len(damaged) == 0 {
 				t.Fatal("flipped root payload bit went undetected")
 			}

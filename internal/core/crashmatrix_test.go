@@ -29,10 +29,9 @@ const (
 
 // matrixOps drives one structure through the sweep.
 type matrixOps struct {
-	basic  func(i int)                  // apply op i as its own Basic FASE
-	batch  func(b *Batch, i int)        // queue op i into a single-store batch
-	sbatch func(b *ShardedBatch, i int) // queue op i into a cross-shard batch
-	dump   func() []string              // canonical full state
+	basic func(i int)            // apply op i as its own Basic FASE
+	batch func(b Batcher, i int) // queue op i into a (single- or cross-shard) batch
+	dump  func() []string        // canonical full state
 }
 
 type matrixStructure struct {
@@ -50,9 +49,8 @@ func matrixStructures() []matrixStructure {
 				t.Fatal(err)
 			}
 			return matrixOps{
-				basic:  func(i int) { v.Push(mxVal(i)) },
-				batch:  func(b *Batch, i int) { b.VectorPush(v, mxVal(i)) },
-				sbatch: func(b *ShardedBatch, i int) { b.VectorPush(v, mxVal(i)) },
+				basic: func(i int) { v.Push(mxVal(i)) },
+				batch: func(b Batcher, i int) { b.VectorPush(v, mxVal(i)) },
 				dump: func() []string {
 					n := v.Len()
 					out := make([]string, n)
@@ -71,9 +69,8 @@ func matrixStructures() []matrixStructure {
 			key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
 			val := func(i int) []byte { return []byte(fmt.Sprintf("v%03d", i*3)) }
 			return matrixOps{
-				basic:  func(i int) { m.Set(key(i), val(i)) },
-				batch:  func(b *Batch, i int) { b.MapSet(m, key(i), val(i)) },
-				sbatch: func(b *ShardedBatch, i int) { b.MapSet(m, key(i), val(i)) },
+				basic: func(i int) { m.Set(key(i), val(i)) },
+				batch: func(b Batcher, i int) { b.MapSet(m, key(i), val(i)) },
 				dump: func() []string {
 					var out []string
 					m.Range(func(k, v []byte) bool {
@@ -92,9 +89,8 @@ func matrixStructures() []matrixStructure {
 			}
 			key := func(i int) []byte { return []byte(fmt.Sprintf("m%03d", i)) }
 			return matrixOps{
-				basic:  func(i int) { st.Insert(key(i)) },
-				batch:  func(b *Batch, i int) { b.SetInsert(st, key(i)) },
-				sbatch: func(b *ShardedBatch, i int) { b.SetInsert(st, key(i)) },
+				basic: func(i int) { st.Insert(key(i)) },
+				batch: func(b Batcher, i int) { b.SetInsert(st, key(i)) },
 				dump: func() []string {
 					var out []string
 					st.Range(func(k []byte) bool {
@@ -112,9 +108,8 @@ func matrixStructures() []matrixStructure {
 				t.Fatal(err)
 			}
 			return matrixOps{
-				basic:  func(i int) { st.Push(mxVal(i)) },
-				batch:  func(b *Batch, i int) { b.StackPush(st, mxVal(i)) },
-				sbatch: func(b *ShardedBatch, i int) { b.StackPush(st, mxVal(i)) },
+				basic: func(i int) { st.Push(mxVal(i)) },
+				batch: func(b Batcher, i int) { b.StackPush(st, mxVal(i)) },
 				dump: func() []string {
 					snap := st.Snapshot()
 					defer snap.Close()
@@ -133,9 +128,8 @@ func matrixStructures() []matrixStructure {
 				t.Fatal(err)
 			}
 			return matrixOps{
-				basic:  func(i int) { q.Enqueue(mxVal(i)) },
-				batch:  func(b *Batch, i int) { b.QueueEnqueue(q, mxVal(i)) },
-				sbatch: func(b *ShardedBatch, i int) { b.QueueEnqueue(q, mxVal(i)) },
+				basic: func(i int) { q.Enqueue(mxVal(i)) },
+				batch: func(b Batcher, i int) { b.QueueEnqueue(q, mxVal(i)) },
 				dump: func() []string {
 					snap := q.Snapshot()
 					defer snap.Close()
@@ -160,9 +154,8 @@ func matrixStructures() []matrixStructure {
 				t.Fatal(err)
 			}
 			return matrixOps{
-				basic:  func(i int) { v.Push(mxVal(i)) },
-				batch:  func(b *Batch, i int) { b.VectorPush(v, mxVal(i)) },
-				sbatch: func(b *ShardedBatch, i int) { b.VectorPush(v, mxVal(i)) },
+				basic: func(i int) { v.Push(mxVal(i)) },
+				batch: func(b Batcher, i int) { b.VectorPush(v, mxVal(i)) },
 				dump: func() []string {
 					n := v.Len()
 					out := make([]string, n)
@@ -182,9 +175,8 @@ func matrixStructures() []matrixStructure {
 			key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
 			val := func(i int) []byte { return []byte(fmt.Sprintf("v%03d", i*3)) }
 			return matrixOps{
-				basic:  func(i int) { m.Set(key(i), val(i)) },
-				batch:  func(b *Batch, i int) { b.MapSet(m, key(i), val(i)) },
-				sbatch: func(b *ShardedBatch, i int) { b.MapSet(m, key(i), val(i)) },
+				basic: func(i int) { m.Set(key(i), val(i)) },
+				batch: func(b Batcher, i int) { b.MapSet(m, key(i), val(i)) },
 				dump: func() []string {
 					var out []string
 					m.Range(func(k, v []byte) bool {
@@ -204,9 +196,8 @@ func matrixStructures() []matrixStructure {
 			}
 			key := func(i int) []byte { return []byte(fmt.Sprintf("m%03d", i)) }
 			return matrixOps{
-				basic:  func(i int) { st.Insert(key(i)) },
-				batch:  func(b *Batch, i int) { b.SetInsert(st, key(i)) },
-				sbatch: func(b *ShardedBatch, i int) { b.SetInsert(st, key(i)) },
+				basic: func(i int) { st.Insert(key(i)) },
+				batch: func(b Batcher, i int) { b.SetInsert(st, key(i)) },
 				dump: func() []string {
 					var out []string
 					st.Range(func(k []byte) bool {
@@ -225,9 +216,8 @@ func matrixStructures() []matrixStructure {
 				t.Fatal(err)
 			}
 			return matrixOps{
-				basic:  func(i int) { st.Push(mxVal(i)) },
-				batch:  func(b *Batch, i int) { b.StackPush(st, mxVal(i)) },
-				sbatch: func(b *ShardedBatch, i int) { b.StackPush(st, mxVal(i)) },
+				basic: func(i int) { st.Push(mxVal(i)) },
+				batch: func(b Batcher, i int) { b.StackPush(st, mxVal(i)) },
 				dump: func() []string {
 					snap := st.Snapshot()
 					defer snap.Close()
@@ -247,9 +237,8 @@ func matrixStructures() []matrixStructure {
 				t.Fatal(err)
 			}
 			return matrixOps{
-				basic:  func(i int) { q.Enqueue(mxVal(i)) },
-				batch:  func(b *Batch, i int) { b.QueueEnqueue(q, mxVal(i)) },
-				sbatch: func(b *ShardedBatch, i int) { b.QueueEnqueue(q, mxVal(i)) },
+				basic: func(i int) { q.Enqueue(mxVal(i)) },
+				batch: func(b Batcher, i int) { b.QueueEnqueue(q, mxVal(i)) },
 				dump: func() []string {
 					snap := q.Snapshot()
 					defer snap.Close()
@@ -412,11 +401,8 @@ func TestCrashMatrixCrossShard(t *testing.T) {
 	cfg.TrackDurable = true
 	for _, st := range matrixStructures() {
 		t.Run(st.name+"/cross", func(t *testing.T) {
-			build := func() (*ShardedStore, matrixOps, *Map) {
-				ss, err := newShardedStore(cfg, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
+			build := func() (*DB, matrixOps, *Map) {
+				ss := openShards(t, cfg, 2)
 				ops := st.bind(t, ss.Shard(0), "mx")
 				marker, err := ss.Shard(1).Map("mx-marker")
 				if err != nil {
@@ -428,10 +414,10 @@ func TestCrashMatrixCrossShard(t *testing.T) {
 				ss.Sync()
 				return ss, ops, marker
 			}
-			probe := func(ss *ShardedStore, ops matrixOps, marker *Map) {
-				b := ss.NewBatch()
+			probe := func(ss *DB, ops matrixOps, marker *Map) {
+				b := ss.Batch()
 				for i := mxPrefix; i < mxPrefix+mxProbe; i++ {
-					ops.sbatch(b, i)
+					ops.batch(b, i)
 				}
 				b.MapSet(marker, mxMarkerKey, []byte("present"))
 				b.Commit()
@@ -457,7 +443,7 @@ func TestCrashMatrixCrossShard(t *testing.T) {
 				if imgs == nil {
 					t.Fatalf("inj %d/%d: countdown never expired", inj, totalWrites)
 				}
-				ss2, _, err := openShardedStore(cfg, imgs)
+				ss2, _, err := Open(cfg, WithExistingImages(imgs))
 				if err != nil {
 					t.Fatalf("inj %d: recovery: %v", inj, err)
 				}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/mod-ds/mod/internal/alloc"
@@ -9,20 +11,18 @@ import (
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
-// Unified open API. NewStore/OpenStore/NewShardedStore/OpenShardedStore
-// grew up as four divergent entrypoints with incompatible signatures;
-// anything generic — a server, an app, a test — had to care whether its
-// store was sharded before it could bind a root. Open collapses them
-// into one constructor configured by functional options, and the KV
-// interface is the store-shape-agnostic surface both Store and
-// ShardedStore (and the DB wrapper) satisfy: bind roots, batch, commit
-// asynchronously, sync, close, read stats. cmd/modserver is written
-// against KV and runs unchanged over one heap or sixteen.
+// The front door (DESIGN.md §11). Open is the only constructor and DB
+// the only store shape: S independent per-heap engines (*Store) plus,
+// when S > 1, the metadata region of the cross-shard manifest
+// (sharded.go). A single heap is simply S = 1 — no manifest phase, no
+// metadata region — so WithShards(1) and no option build the same store
+// through the same code.
 
-// KV is the store-shape-agnostic interface over a MOD store: named-root
+// KV is the seam internal/server is written against, so its tests can
+// interpose a fake (flakyKV) between the server and the store: named-root
 // binding for the five structures, group-commit batching, durability
-// draining, shutdown, and device counters. *Store, *ShardedStore, and
-// *DB all satisfy it.
+// draining, shutdown, and device counters. *DB is the one production
+// implementer.
 type KV interface {
 	// Map binds (creating on first use) a recoverable map under a named
 	// root; Set, Vector, Stack, and Queue bind the other structures.
@@ -47,10 +47,10 @@ type KV interface {
 	ForkKV() KV
 }
 
-// Batcher is the common surface of *Batch and *ShardedBatch: deferred
-// updates accumulated for one group commit, published synchronously
-// (Commit) or through the background committer (CommitAsync). A Batcher
-// is not safe for concurrent use.
+// Batcher is the batch half of the KV seam, implemented by *Batch:
+// deferred updates accumulated for one group commit, published
+// synchronously (Commit) or through the background committer
+// (CommitAsync). A Batcher is not safe for concurrent use.
 type Batcher interface {
 	MapSet(m *Map, key, val []byte)
 	MapDelete(m *Map, key []byte)
@@ -70,24 +70,9 @@ type Batcher interface {
 	CommitAsync() *Ticket
 }
 
-// Batch returns an empty group-commit batch as a Batcher.
-func (s *Store) Batch() Batcher { return s.NewBatch() }
-
-// Batch returns an empty cross-shard batch as a Batcher.
-func (ss *ShardedStore) Batch() Batcher { return ss.NewBatch() }
-
-// ForkKV derives a per-goroutine handle (see Fork) as a KV.
-func (s *Store) ForkKV() KV { return s.Fork() }
-
-// ForkKV derives a per-goroutine handle set (see Fork) as a KV.
-func (ss *ShardedStore) ForkKV() KV { return ss.Fork() }
-
 var (
-	_ KV      = (*Store)(nil)
-	_ KV      = (*ShardedStore)(nil)
 	_ KV      = (*DB)(nil)
 	_ Batcher = (*Batch)(nil)
-	_ Batcher = (*ShardedBatch)(nil)
 )
 
 // options collects the Open configuration.
@@ -111,11 +96,9 @@ type options struct {
 type Option func(*options)
 
 // WithShards partitions the store across n fully independent heap
-// regions (plus a small cross-shard metadata region). Without this
-// option Open builds a single-heap store with no metadata region and
-// exactly the plain Store's fence economy; WithShards(1) is a genuine
-// one-shard ShardedStore (metadata region included), which is what a
-// shard-count sweep's baseline point wants.
+// regions, plus — when n > 1 — a small metadata region for the
+// cross-shard manifest. WithShards(1) is the default single heap: a
+// manifest needs two shards, so one shard carries no metadata region.
 func WithShards(n int) Option {
 	return func(o *options) {
 		o.shards = n
@@ -142,14 +125,15 @@ func WithNodeCache() Option { return func(o *options) { o.nodeCache = true } }
 
 // WithExistingImages reopens a store from post-crash region images
 // instead of formatting a fresh one: a single image reopens a
-// single-heap store, and S+1 images (shards in order, metadata last —
-// the layout DB.CrashImages produces) reopen a sharded store.
+// single-heap store, and S+1 images (S >= 2 shards in order, metadata
+// last — the layout DB.CrashImages produces) reopen a sharded store.
 func WithExistingImages(imgs [][]byte) Option { return func(o *options) { o.images = imgs } }
 
 // WithDevices builds the store over caller-supplied backends instead of
 // fresh simulator devices from cfg: one backend gives a single-heap
-// store, and N+1 backends give N shards plus the cross-shard metadata
-// region (last, matching the WithExistingImages layout). This is how a
+// store, and N+1 backends give N >= 2 shards plus the cross-shard
+// metadata region (last, matching the WithExistingImages layout); two
+// backends are no valid layout (ErrShardCount). This is how a
 // store lands on a real medium — pass mmapdev devices and the identical
 // stack runs over a file. The devices are formatted; combine with
 // WithAttach to recover what is already on them instead. Mutually
@@ -224,25 +208,38 @@ type RecoveryInfo struct {
 	Damaged []DamagedRoot
 }
 
-// DB is the handle Open returns: a KV over either a single-heap Store
-// or a ShardedStore, with option-aware binders (WithSelective routes
-// Map/Set/... to the Selective* flavors). Exactly one of Store() and
-// Sharded() is non-nil, for callers that need the concrete API
-// (Composition-interface commits, explicit shard placement, trace
-// checking).
+// dbShared is the cross-shard state common to all handles of one DB:
+// the manifest lock serializing cross-shard commits, the manifest
+// sequence counter, and the closed flag.
+type dbShared struct {
+	mu     sync.Mutex
+	seq    uint64 // last manifest sequence number; guarded by mu
+	closed atomic.Bool
+}
+
+// DB is the handle Open returns, and the only store shape: S per-heap
+// engines with root names routed across them by hash (ShardFor), plus
+// the cross-shard manifest's metadata region when S > 1. Its binders are
+// option-aware (WithSelective routes Map/Set/... to the Selective*
+// flavors). Derive one handle per goroutine with Fork; handles share all
+// store state but carry their own clocks. The per-heap API —
+// Composition-interface commits, parents, trace checking — is reached
+// through Shard (or Store on a single heap).
 type DB struct {
-	kv        KV // the wrapped *Store or *ShardedStore
-	store     *Store
-	sharded   *ShardedStore
+	shards    []*Store
+	meta      pmem.Backend  // manifest region; nil on a single heap
+	regions   *pmem.Regions // the shard regions in order, then meta
+	sh        *dbShared
 	selective bool
 }
 
-// Open formats (or, with WithExistingImages, recovers) a MOD store and
-// returns it wrapped as a DB. The zero option set gives a single-heap
-// store on a fresh device built from cfg; WithShards(n) partitions it;
-// WithExistingImages reopens a crashed one, with the recovery reported
-// in the RecoveryInfo. The returned DB (and any nil DB from a failed
-// open) is safe to Close and Sync in all cases.
+// Open formats (or, with WithExistingImages or WithAttach, recovers) a
+// MOD store. The zero option set gives a single-heap store on a fresh
+// device built from cfg; WithShards(n) partitions it; a recovered open
+// reports what it found in the RecoveryInfo. Whatever the options, Open
+// is one pipeline: resolve the region backends, then format or attach
+// them. The returned DB (and any nil DB from a failed open) is safe to
+// Close and Sync in all cases.
 func Open(cfg pmem.Config, opts ...Option) (*DB, RecoveryInfo, error) {
 	var o options
 	for _, opt := range opts {
@@ -252,311 +249,223 @@ func Open(cfg pmem.Config, opts ...Option) (*DB, RecoveryInfo, error) {
 	if o.shardsSet && o.shards < 1 {
 		return nil, info, fmt.Errorf("core: open with %d shards: %w", o.shards, ErrShardCount)
 	}
-	if o.checkpointEvery > 0 {
-		funcds.SetCheckpointEvery(uint64(o.checkpointEvery))
-	}
 	if len(o.devices) > 0 && o.images != nil {
 		return nil, info, fmt.Errorf("core: WithDevices and WithExistingImages are mutually exclusive")
 	}
 	if o.attach && len(o.devices) == 0 {
 		return nil, info, fmt.Errorf("core: WithAttach requires WithDevices")
 	}
-	db := &DB{selective: o.selective}
+	if o.checkpointEvery > 0 {
+		funcds.SetCheckpointEvery(uint64(o.checkpointEvery))
+	}
+
+	// Resolve the region backends: the caller's, one per image, or fresh
+	// from cfg. Shard regions come first, in order; with two or more
+	// shards the manifest's metadata region follows.
+	regions, attach := o.devices, o.attach
 	switch {
-	case len(o.devices) > 0:
-		if err := openDevices(db, &info, &o); err != nil {
-			return nil, info, err
+	case len(regions) > 0:
+	case o.images != nil:
+		attach = true
+		for i, img := range o.images {
+			rc := cfg
+			if i > 0 && i == len(o.images)-1 {
+				rc = metaConfig(cfg)
+			}
+			regions = append(regions, pmem.NewFromImage(rc, img))
 		}
-	case o.images == nil && o.shards == 0:
-		s, err := newStore(pmem.New(cfg))
-		if err != nil {
-			return nil, info, err
-		}
-		db.store = s
-	case o.images == nil:
-		ss, err := newShardedStore(cfg, o.shards)
-		if err != nil {
-			return nil, info, err
-		}
-		db.sharded = ss
-	case len(o.images) == 1:
-		if o.shards > 1 {
-			return nil, info, fmt.Errorf("core: open with %d shards from a single image: %w", o.shards, ErrShardCount)
-		}
-		vc := verifyConfig{verify: o.verify, salvage: o.salvage}
-		var (
-			s       *Store
-			rs      alloc.RecoveryStats
-			damaged []DamagedRoot
-		)
-		err := guardImageOpen(func() error {
-			var oerr error
-			s, rs, damaged, oerr = openStoreVerify(pmem.NewFromImage(cfg, o.images[0]), vc)
-			return oerr
-		})
-		if err != nil {
-			return nil, info, err
-		}
-		db.store = s
-		info = RecoveryInfo{Recovered: true, Stats: rs, PerShard: []alloc.RecoveryStats{rs}, Damaged: damaged}
 	default:
-		if want := len(o.images) - 1; o.shards != 0 && o.shards != want {
-			return nil, info, fmt.Errorf("core: open with %d shards from %d images (want %d shards): %w",
-				o.shards, len(o.images), want, ErrShardCount)
+		for i := 0; i < max(o.shards, 1); i++ {
+			regions = append(regions, pmem.New(cfg))
 		}
+		if o.shards > 1 {
+			regions = append(regions, pmem.New(metaConfig(cfg)))
+		}
+	}
+	// One region is a single heap; S >= 2 shards take S+1, the last
+	// being the manifest's. Two regions are no layout at all: a manifest
+	// needs two shards.
+	shardRegions, meta := regions, pmem.Backend(nil)
+	if n := len(regions); n > 2 {
+		shardRegions, meta = regions[:n-1], regions[n-1]
+	}
+	if len(regions) == 0 || len(regions) == 2 || (o.shards != 0 && o.shards != len(shardRegions)) {
+		return nil, info, fmt.Errorf("core: open with %d shards over %d regions (want 1 region, or S >= 2 shard regions plus metadata): %w",
+			o.shards, len(regions), ErrShardCount)
+	}
+
+	db := &DB{meta: meta, regions: pmem.NewRegions(regions...), sh: &dbShared{}, selective: o.selective}
+	var err error
+	if attach {
 		vc := verifyConfig{verify: o.verify, salvage: o.salvage}
-		var (
-			ss      *ShardedStore
-			srs     ShardedRecoveryStats
-			damaged []DamagedRoot
-		)
-		err := guardImageOpen(func() error {
-			var oerr error
-			ss, srs, damaged, oerr = openShardedVerify(cfg, o.images, vc)
-			return oerr
-		})
-		if err != nil {
-			return nil, info, err
-		}
-		db.sharded = ss
-		info = RecoveryInfo{
-			Recovered:        true,
-			Stats:            srs.Total(),
-			PerShard:         srs.PerShard,
-			ManifestReplayed: srs.ManifestReplayed,
-			Damaged:          damaged,
-		}
-	}
-	if db.store != nil {
-		db.kv = db.store
+		db.shards, info, err = attachRegions(shardRegions, meta, vc)
 	} else {
-		db.kv = db.sharded
+		db.shards, err = formatRegions(shardRegions, meta)
 	}
-	if o.nodeCache {
-		db.EnableNodeCache()
+	if err != nil {
+		return nil, RecoveryInfo{}, err
 	}
-	if o.committer {
-		if db.store != nil {
-			db.store.StartGroupCommitter(o.committerMaxOps)
-		} else {
-			db.sharded.StartGroupCommitters(o.committerMaxOps)
+	for _, s := range db.shards {
+		if o.nodeCache {
+			s.EnableNodeCache()
 		}
-	}
-	if o.committerLinger > 0 {
-		db.SetCommitterLinger(o.committerLinger)
+		if o.committer {
+			s.StartGroupCommitter(o.committerMaxOps)
+		}
+		if o.committerLinger > 0 {
+			s.SetCommitterLinger(o.committerLinger)
+		}
 	}
 	return db, info, nil
 }
 
-// openDevices handles the WithDevices arm of Open: format or attach,
-// single-heap or sharded, over the caller's backends.
-func openDevices(db *DB, info *RecoveryInfo, o *options) error {
-	n := len(o.devices)
-	if want := n - 1; o.shards != 0 && o.shards != want {
-		return fmt.Errorf("core: open with %d shards over %d devices (want %d shards plus metadata): %w",
-			o.shards, n, want, ErrShardCount)
+// Store returns the sole shard's per-heap engine, or nil when the DB
+// has more than one shard (use Shard).
+func (db *DB) Store() *Store {
+	if len(db.shards) > 1 {
+		return nil
 	}
-	vc := verifyConfig{verify: o.verify, salvage: o.salvage}
-	switch {
-	case !o.attach && n == 1:
-		s, err := newStore(o.devices[0])
-		if err != nil {
-			return err
-		}
-		db.store = s
-	case !o.attach:
-		ss, err := newShardedDevices(o.devices[:n-1], o.devices[n-1])
-		if err != nil {
-			return err
-		}
-		db.sharded = ss
-	case n == 1:
-		var (
-			s       *Store
-			rs      alloc.RecoveryStats
-			damaged []DamagedRoot
-		)
-		err := guardImageOpen(func() error {
-			var oerr error
-			s, rs, damaged, oerr = openStoreVerify(o.devices[0], vc)
-			return oerr
-		})
-		if err != nil {
-			return err
-		}
-		db.store = s
-		*info = RecoveryInfo{Recovered: true, Stats: rs, PerShard: []alloc.RecoveryStats{rs}, Damaged: damaged}
-	default:
-		var (
-			ss      *ShardedStore
-			srs     ShardedRecoveryStats
-			damaged []DamagedRoot
-		)
-		err := guardImageOpen(func() error {
-			var oerr error
-			ss, srs, damaged, oerr = openShardedDevices(o.devices[:n-1], o.devices[n-1], vc)
-			return oerr
-		})
-		if err != nil {
-			return err
-		}
-		db.sharded = ss
-		*info = RecoveryInfo{
-			Recovered:        true,
-			Stats:            srs.Total(),
-			PerShard:         srs.PerShard,
-			ManifestReplayed: srs.ManifestReplayed,
-			Damaged:          damaged,
-		}
-	}
-	return nil
+	return db.shards[0]
 }
-
-// SetCommitterLinger sets the settle-fence collection window on every
-// committer (see Store.SetCommitterLinger).
-func (db *DB) SetCommitterLinger(d time.Duration) {
-	if db.store != nil {
-		db.store.SetCommitterLinger(d)
-		return
-	}
-	db.sharded.SetCommitterLinger(d)
-}
-
-// Store returns the wrapped single-heap store, or nil for a sharded DB.
-func (db *DB) Store() *Store { return db.store }
-
-// Sharded returns the wrapped sharded store, or nil for a single-heap
-// DB.
-func (db *DB) Sharded() *ShardedStore { return db.sharded }
 
 // ShardCount returns the number of heap regions (1 for a single-heap
 // store).
-func (db *DB) ShardCount() int {
-	if db.sharded != nil {
-		return db.sharded.ShardCount()
+func (db *DB) ShardCount() int { return len(db.shards) }
+
+// Shard returns the store handle of shard i, for explicit placement
+// (binding a root on a chosen shard rather than by name hash) and for
+// the per-heap API.
+func (db *DB) Shard(i int) *Store { return db.shards[i] }
+
+// ShardFor returns the shard index a root name routes to: fnv1a over
+// the name, modulo the shard count.
+func (db *DB) ShardFor(name string) int {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
 	}
-	return 1
+	return int(h % uint64(len(db.shards)))
 }
 
-// Fork derives a DB handle with per-goroutine clocks, sharing all store
-// state.
+// Regions returns the store's device regions: the shard regions in
+// shard order, then (with two or more shards) the metadata region.
+func (db *DB) Regions() *pmem.Regions { return db.regions }
+
+// Fork derives a DB handle whose per-shard device and heap handles
+// carry fresh per-goroutine clocks, sharing all store state.
 func (db *DB) Fork() *DB {
-	out := &DB{selective: db.selective}
-	if db.store != nil {
-		out.store = db.store.Fork()
-		out.kv = out.store
-	} else {
-		out.sharded = db.sharded.Fork()
-		out.kv = out.sharded
+	out := *db
+	out.shards = make([]*Store, len(db.shards))
+	for i, s := range db.shards {
+		out.shards[i] = s.Fork()
 	}
-	return out
+	if db.meta != nil {
+		out.meta = db.meta.Fork()
+	}
+	return &out
 }
 
 // ForkKV derives a per-goroutine handle as a KV.
 func (db *DB) ForkKV() KV { return db.Fork() }
 
-// Map binds (creating on first use) a recoverable map — the selectively
-// persisted flavor when the DB was opened WithSelective.
+// Map binds (creating on first use) a recoverable map on the shard the
+// name routes to — the selectively persisted flavor when the DB was
+// opened WithSelective.
 func (db *DB) Map(name string) (*Map, error) {
+	s := db.shards[db.ShardFor(name)]
 	if db.selective {
-		if db.store != nil {
-			return db.store.SelectiveMap(name)
-		}
-		return db.sharded.SelectiveMap(name)
+		return s.SelectiveMap(name)
 	}
-	return db.kv.Map(name)
+	return s.Map(name)
 }
 
 // Set binds a recoverable set (selective flavor under WithSelective).
 func (db *DB) Set(name string) (*Set, error) {
+	s := db.shards[db.ShardFor(name)]
 	if db.selective {
-		if db.store != nil {
-			return db.store.SelectiveSet(name)
-		}
-		return db.sharded.SelectiveSet(name)
+		return s.SelectiveSet(name)
 	}
-	return db.kv.Set(name)
+	return s.Set(name)
 }
 
 // Vector binds a recoverable vector (selective flavor under
 // WithSelective).
 func (db *DB) Vector(name string) (*Vector, error) {
+	s := db.shards[db.ShardFor(name)]
 	if db.selective {
-		if db.store != nil {
-			return db.store.SelectiveVector(name)
-		}
-		return db.sharded.SelectiveVector(name)
+		return s.SelectiveVector(name)
 	}
-	return db.kv.Vector(name)
+	return s.Vector(name)
 }
 
 // Stack binds a recoverable stack (selective flavor under
 // WithSelective).
 func (db *DB) Stack(name string) (*Stack, error) {
+	s := db.shards[db.ShardFor(name)]
 	if db.selective {
-		if db.store != nil {
-			return db.store.SelectiveStack(name)
-		}
-		return db.sharded.SelectiveStack(name)
+		return s.SelectiveStack(name)
 	}
-	return db.kv.Stack(name)
+	return s.Stack(name)
 }
 
 // Queue binds a recoverable queue (selective flavor under
 // WithSelective).
 func (db *DB) Queue(name string) (*Queue, error) {
+	s := db.shards[db.ShardFor(name)]
 	if db.selective {
-		if db.store != nil {
-			return db.store.SelectiveQueue(name)
-		}
-		return db.sharded.SelectiveQueue(name)
+		return s.SelectiveQueue(name)
 	}
-	return db.kv.Queue(name)
+	return s.Queue(name)
 }
 
-// Batch returns an empty group-commit batch.
-func (db *DB) Batch() Batcher { return db.kv.Batch() }
+// Batch returns an empty group-commit batch over this handle's shards.
+func (db *DB) Batch() Batcher { return &Batch{shards: db.shards, db: db} }
 
-// Sync drains every outstanding commit and fences. Nil-safe, so a
-// deferred Sync after a failed Open is harmless.
+// Sync makes everything committed so far durable on every shard —
+// draining the background committers first — and reclaims retired
+// blocks shard by shard. On a closed store Sync is a no-op: Close
+// already fenced everything. Nil-safe, so a deferred Sync after a failed
+// Open is harmless.
 func (db *DB) Sync() {
-	if db == nil {
+	if db == nil || db.sh.closed.Load() {
 		return
 	}
-	db.kv.Sync()
+	for _, s := range db.shards {
+		s.Sync()
+	}
+	if db.meta != nil {
+		db.meta.Sfence() // defense in depth; manifest retirement is fenced inline
+	}
 }
 
-// Close shuts the store down. Idempotent and nil-safe, so a deferred
-// Close after a failed Open is harmless.
+// Close drains and stops every shard's background committer, fences each
+// shard (and the metadata region), and marks the store closed:
+// subsequent binds return ErrStoreClosed, and CommitAsync tickets resolve
+// with ErrStoreClosed instead of hanging. Idempotent and nil-safe, so a
+// deferred Close after a failed Open is harmless.
 func (db *DB) Close() error {
-	if db == nil {
+	if db == nil || !db.sh.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	return db.kv.Close()
+	for _, s := range db.shards {
+		s.Close()
+	}
+	if db.meta != nil {
+		db.meta.Sfence()
+	}
+	return nil
 }
 
-// Stats returns the aggregate device counters (summed across regions
-// for a sharded DB).
-func (db *DB) Stats() pmem.Stats { return db.kv.Stats() }
-
-// EnableNodeCache turns on the DRAM node cache on every heap.
-func (db *DB) EnableNodeCache() {
-	if db.store != nil {
-		db.store.EnableNodeCache()
-		return
-	}
-	for i := 0; i < db.sharded.ShardCount(); i++ {
-		db.sharded.Shard(i).EnableNodeCache()
-	}
-}
+// Stats returns the device counters summed across every region: the
+// exact counter-wise sum of the per-region stats, a property the test
+// suite pins.
+func (db *DB) Stats() pmem.Stats { return db.regions.Stats() }
 
 // CrashImages returns post-power-failure images of every region, in the
-// layout WithExistingImages expects: one image for a single-heap DB,
-// shard images in order plus the metadata region for a sharded DB.
-// Requires Config.TrackDurable.
+// layout WithExistingImages expects: one image for a single heap, shard
+// images in order plus the metadata region otherwise. Requires
+// Config.TrackDurable.
 func (db *DB) CrashImages(policy pmem.CrashPolicy, seed uint64) [][]byte {
-	if db.store != nil {
-		return [][]byte{db.store.Device().CrashImage(policy, seed)}
-	}
-	return db.sharded.CrashImages(policy, seed)
+	return db.regions.CrashImages(policy, seed)
 }

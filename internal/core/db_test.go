@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/mod-ds/mod/internal/pmem"
@@ -24,8 +25,8 @@ func TestOpenSingleRoundtrip(t *testing.T) {
 	if info.Recovered {
 		t.Fatal("fresh open reported Recovered")
 	}
-	if db.Store() == nil || db.Sharded() != nil || db.ShardCount() != 1 {
-		t.Fatal("single open did not wrap a plain Store")
+	if db.Store() == nil || db.Store() != db.Shard(0) || db.ShardCount() != 1 {
+		t.Fatal("single open is not a one-shard DB")
 	}
 	m, err := db.Map("users")
 	if err != nil {
@@ -65,8 +66,8 @@ func TestOpenShardedRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if db.Sharded() == nil || db.ShardCount() != 4 {
-		t.Fatal("sharded open did not wrap a ShardedStore")
+	if db.Store() != nil || db.ShardCount() != 4 || db.Regions().Len() != 5 {
+		t.Fatal("sharded open is not a 4-shard DB with a metadata region")
 	}
 	maps := make([]*Map, 8)
 	for i := range maps {
@@ -254,35 +255,20 @@ func TestCloseIdempotent(t *testing.T) {
 	db.Sync()
 }
 
-// TestKVInterface drives the same workload through every KV
-// implementation to pin the interface contract.
+// TestKVInterface drives the same workload through the KV seam over
+// each DB layout, to pin the interface contract.
 func TestKVInterface(t *testing.T) {
-	open := map[string]func(t *testing.T) KV{
-		"store": func(t *testing.T) KV {
-			db, _, err := Open(dbConfig())
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			return db.Store()
-		},
-		"sharded": func(t *testing.T) KV {
-			db, _, err := Open(dbConfig(), WithShards(2))
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			return db.Sharded()
-		},
-		"db": func(t *testing.T) KV {
-			db, _, err := Open(dbConfig(), WithShards(2))
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			return db
-		},
-	}
-	for name, mk := range open {
+	for name, opts := range map[string][]Option{
+		"store":   nil,
+		"sharded": {WithShards(2)},
+		"db":      {WithShards(2), WithCommitter(0)},
+	} {
 		t.Run(name, func(t *testing.T) {
-			kv := mk(t)
+			db, _, err := Open(dbConfig(), opts...)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			var kv KV = db
 			defer kv.Close()
 			w := kv.ForkKV()
 			m, err := w.Map("m")
@@ -315,5 +301,167 @@ func TestKVInterface(t *testing.T) {
 				t.Fatal("stats not wired")
 			}
 		})
+	}
+}
+
+// TestSingleShardEquivalence pins that a single heap is the S=1 case of
+// the one store shape: Open(cfg) and Open(cfg, WithShards(1)) run the
+// same seeded op sequence to identical device counters, carry no
+// metadata region, and reopen from a one-image CrashImages.
+func TestSingleShardEquivalence(t *testing.T) {
+	run := func(opts ...Option) (pmem.Stats, [][]byte) {
+		db, _, err := Open(dbConfig(), opts...)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		defer db.Close()
+		if db.ShardCount() != 1 || db.Regions().Len() != 1 || db.Store() == nil {
+			t.Fatalf("%d shards over %d regions, want a lone heap", db.ShardCount(), db.Regions().Len())
+		}
+		m, err := db.Map("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := db.Vector("v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := db.Queue("q")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 40; i++ {
+			m.Set(sKey(rng.Intn(16)), sKey(rng.Int()))
+			v.Push(rng.Uint64())
+		}
+		b := db.Batch()
+		for i := 0; i < 6; i++ {
+			b.MapSet(m, sKey(100+i), sKey(i))
+			b.VectorUpdate(v, uint64(i), rng.Uint64())
+			b.QueueEnqueue(q, uint64(i))
+		}
+		b.Commit() // three roots: the batch-record path
+		if err := db.Store().CommitUnrelated(
+			Update{DS: v, Shadows: []Version{v.PurePush(1)}},
+			Update{DS: q, Shadows: []Version{q.PureEnqueue(2)}},
+		); err != nil {
+			t.Fatal(err)
+		}
+		db.Sync()
+		return db.Stats(), db.CrashImages(pmem.CrashFencedOnly, 3)
+	}
+	plain, imgs := run()
+	one, _ := run(WithShards(1))
+	if plain.Fences != one.Fences || plain.Flushes != one.Flushes || plain.BytesWritten != one.BytesWritten ||
+		plain.Writes != one.Writes || plain.Reads != one.Reads || plain.TotalNs != one.TotalNs {
+		t.Fatalf("WithShards(1) diverges from the default open:\n%+v\n%+v", plain, one)
+	}
+	if len(imgs) != 1 {
+		t.Fatalf("CrashImages returned %d images, want 1", len(imgs))
+	}
+	db2, info, err := Open(dbConfig(), WithExistingImages(imgs), WithShards(1))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db2.Close()
+	if !info.Recovered || len(info.PerShard) != 1 || info.ManifestReplayed {
+		t.Fatalf("reopen info = %+v", info)
+	}
+	q2, err := db2.Queue("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q2.Len() != 7 {
+		t.Fatalf("recovered queue has %d entries, want 7", q2.Len())
+	}
+}
+
+// TestBatchForeignHandlePanics pins that a batch refuses a handle bound
+// through another DB instead of applying its op against the wrong heap.
+func TestBatchForeignHandlePanics(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		db, _, err := Open(dbConfig(), WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, _, err := Open(dbConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		foreign, err := other.Map("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string]Batcher{"db": db.Batch(), "store": db.Shard(0).NewBatch()} {
+			func() {
+				defer func() {
+					want := `core: datastructure "m" does not belong to this sharded store`
+					if r := recover(); r != want {
+						t.Errorf("shards=%d %s batch: recovered %v, want %q", shards, name, r, want)
+					}
+				}()
+				b.MapSet(foreign, []byte("k"), []byte("v"))
+			}()
+		}
+		db.Close()
+		other.Close()
+	}
+}
+
+// TestOpenShardedAttachDeadLine is the regression test for a crash the
+// sharded attach used to take the whole process down with: a dead line
+// in a shard's live data panics inside that shard's recovery goroutine,
+// where only a recover on the same goroutine can turn it into the typed
+// error the single-heap attach always returned.
+func TestOpenShardedAttachDeadLine(t *testing.T) {
+	cfg := dbConfig()
+	devs := []pmem.Backend{pmem.New(cfg), pmem.New(cfg), pmem.New(metaConfig(cfg))}
+	db, _, err := Open(cfg, WithDevices(devs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		m, err := db.Shard(i).Map("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 2000; k++ { // enough to push the commit log and batch record into the lower half
+			m.Set(sKey(k), sKey(k*3))
+		}
+	}
+	db.Close()
+
+	lo, hi := db.Shard(1).Heap().DataBounds()
+	dev := devs[1].(*pmem.Device)
+	for a := lo + (hi-lo)/2; a < hi; a += pmem.LineSize {
+		dev.MarkLineDead(a)
+	}
+	_, _, err = Open(cfg, WithDevices(devs...), WithAttach())
+	var cerr *CorruptionError
+	if !errors.Is(err, ErrCorrupted) || !errors.As(err, &cerr) || cerr.Shard != 1 {
+		t.Fatalf("attach over a dead line in shard 1: %v, want ErrCorrupted with Shard == 1", err)
+	}
+}
+
+// TestOpenMissingBatchRecord pins that every attachable heap carries a
+// batch record (heap layout v4 formats one): an image whose record root
+// is gone is damaged, not an older layout to upgrade in place.
+func TestOpenMissingBatchRecord(t *testing.T) {
+	cfg := dbConfig()
+	dev := pmem.New(cfg)
+	db, _, err := Open(cfg, WithDevices(dev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := db.Store().Heap()
+	slot, err := heap.RootSlot(batchLogRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap.SetRoot(slot, pmem.Nil)
+	db.Close()
+	if _, _, err := Open(cfg, WithDevices(dev), WithAttach()); !errors.Is(err, ErrCorrupted) {
+		t.Fatalf("attach without a batch record: %v, want ErrCorrupted", err)
 	}
 }

@@ -23,9 +23,10 @@ var (
 	// with it instead of hanging.
 	ErrStoreClosed = errors.New("store is closed")
 
-	// ErrShardCount is returned for an invalid shard count (< 1), or
-	// when reopening a sharded store from an image set whose region
-	// count contradicts the requested shard count.
+	// ErrShardCount is returned for an invalid shard count (< 1), for a
+	// region set that is no layout (none, or one shard plus metadata: a
+	// single heap is 1 region, S >= 2 shards are S+1), and when the
+	// region count contradicts the requested shard count.
 	ErrShardCount = errors.New("invalid shard count")
 
 	// ErrCorrupted is returned (wrapped, usually inside a

@@ -303,10 +303,7 @@ func TestSelectiveShardedParallelRebuild(t *testing.T) {
 	const shards = 4
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
-	ss, err := newShardedStore(cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := openShards(t, cfg, shards)
 	for i := 0; i < shards; i++ {
 		ss.Shard(i).EnableNodeCache()
 		m, err := ss.Shard(i).SelectiveMap("m")
@@ -320,7 +317,7 @@ func TestSelectiveShardedParallelRebuild(t *testing.T) {
 	ss.Sync()
 
 	imgs := ss.CrashImages(pmem.CrashEvictRandom, 1234)
-	ss2, rs, err := openShardedStore(cfg, imgs)
+	ss2, rs, err := Open(cfg, WithExistingImages(imgs))
 	if err != nil {
 		t.Fatalf("sharded recovery: %v", err)
 	}
@@ -341,7 +338,7 @@ func TestSelectiveShardedParallelRebuild(t *testing.T) {
 				t.Fatalf("shard %d key %d: %q,%v", i, j, v, ok)
 			}
 		}
-		if st := ss2.ShardStats(i); st.RecoveryNs <= 0 {
+		if st := ss2.Shard(i).Stats(); st.RecoveryNs <= 0 {
 			t.Fatalf("shard %d: RecoveryNs = %v, want > 0", i, st.RecoveryNs)
 		}
 	}

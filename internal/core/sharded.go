@@ -2,37 +2,36 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
-// Sharded store (DESIGN.md §9). A single MOD heap serializes three
-// things through one arena: allocation (the bump pointer and free
-// lists), commit ordering (every FASE's fence drains one device-wide
-// inflight set), and recovery (one reachability scan). ShardedStore
-// partitions the root namespace across S fully independent stores —
-// each with its own pmem.Device region, its own heap, open-run table,
-// epoch reclaimer, commit log, batch record, and background committer —
-// so unrelated FASEs on different shards never share a fence, never
-// contend on an allocator lock, and recover in parallel.
+// Sharding (DESIGN.md §9). A single MOD heap serializes three things
+// through one arena: allocation (the bump pointer and free lists),
+// commit ordering (every FASE's fence drains one device-wide inflight
+// set), and recovery (one reachability scan). A DB with S > 1 partitions
+// the root namespace across S fully independent stores — each with its
+// own pmem.Device region, its own heap, open-run table, epoch reclaimer,
+// commit log, batch record, and background committer — so unrelated
+// FASEs on different shards never share a fence, never contend on an
+// allocator lock, and recover in parallel.
 //
 // Root names route to shards by hash (ShardFor); a handle bound through
-// the sharded store is an ordinary single-store handle on its shard, so
-// single-shard operations keep today's cost exactly: a Basic update is
-// one FASE with one fence, a single-shard batch commits through its
-// shard's 1-fence (single root) or 3-fence (batch record) path.
+// the DB is an ordinary single-store handle on its shard, so
+// single-shard operations cost exactly what they cost on one heap: a
+// Basic update is one FASE with one fence, a single-shard batch commits
+// through its shard's 1-fence (single root) or 3-fence (batch record)
+// path. This file holds what exists only because there can be more than
+// one heap: formatting and attaching a region set, and the manifest.
 //
 // # Cross-shard atomicity: the shard manifest
 //
-// A ShardedBatch whose updates span shards cannot ride any one shard's
-// batch record — each record orders only its own device. Instead the
-// store commits through a two-phase checksummed manifest in a small
-// dedicated metadata region:
+// A Batch whose updates span shards cannot ride any one shard's batch
+// record — each record orders only its own device. Instead the store
+// commits through a two-phase checksummed manifest in a small dedicated
+// metadata region (present only when S > 1):
 //
 //	phase 0  apply: each involved shard prepares its updates (shadow
 //	         chains built and sealed under its root locks) and fences,
@@ -52,7 +51,7 @@ import (
 //	         left committed-but-retired could otherwise be replayed
 //	         after its roots had durably moved on, rolling them back.
 //
-// OpenShardedStore replays a committed manifest before any shard's
+// A recovering Open replays a committed manifest before any shard's
 // reachability scan: a crash before the commit point recovers none of
 // the batch (the shadows are swept as leaks), a crash at or after it
 // recovers all of it. A cross-shard commit touching k shards costs
@@ -81,26 +80,6 @@ const (
 // can change, by the capacity of the metadata region.
 const MaxManifestEntries = (metaRegionBytes - int(manifestBase) - manifestHdrSize) / manifestEntrySize
 
-// shardedShared is the cross-shard state common to all handles of one
-// sharded store: the manifest lock serializing cross-shard commits, the
-// manifest sequence counter, and the closed flag.
-type shardedShared struct {
-	mu     sync.Mutex
-	seq    uint64 // last manifest sequence number; guarded by mu
-	closed atomic.Bool
-}
-
-// ShardedStore is a handle onto a persistent store partitioned across
-// independent per-shard heaps. Derive one handle per goroutine with
-// Fork; handles share all store state but carry their own clocks.
-type ShardedStore struct {
-	shards   []*Store
-	meta     pmem.Backend
-	regions  *pmem.Regions
-	sh       *shardedShared
-	byShared map[*storeShared]int // shard store identity -> shard index
-}
-
 // metaConfig derives the metadata region's device configuration.
 func metaConfig(cfg pmem.Config) pmem.Config {
 	cfg.Size = metaRegionBytes
@@ -108,51 +87,10 @@ func metaConfig(cfg pmem.Config) pmem.Config {
 	return cfg
 }
 
-func newSharded(stores []*Store, meta pmem.Backend) *ShardedStore {
-	devs := make([]pmem.Backend, 0, len(stores)+1)
-	byShared := make(map[*storeShared]int, len(stores))
-	for i, s := range stores {
-		devs = append(devs, s.Device())
-		byShared[s.sh] = i
-	}
-	devs = append(devs, meta)
-	return &ShardedStore{
-		shards:   stores,
-		meta:     meta,
-		regions:  pmem.NewRegions(devs...),
-		sh:       &shardedShared{},
-		byShared: byShared,
-	}
-}
-
-// newShardedStore formats shards independent device regions of cfg.Size
-// bytes each, plus a small metadata region, and returns the empty store.
-// External callers go through Open with WithShards; the wrapped sharded
-// store stays reachable via DB.Sharded.
-func newShardedStore(cfg pmem.Config, shards int) (*ShardedStore, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("core: shard count %d < 1: %w", shards, ErrShardCount)
-	}
-	stores := make([]*Store, shards)
-	for i := range stores {
-		s, err := newStore(pmem.New(cfg))
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		stores[i] = s
-	}
-	meta := pmem.New(metaConfig(cfg))
-	formatShardMeta(meta, shards)
-	return newSharded(stores, meta), nil
-}
-
-// newShardedDevices formats a sharded store over caller-supplied
-// backends — one region per shard plus the metadata region — the
-// WithDevices path that puts each shard on its own mmap'd file.
-func newShardedDevices(devs []pmem.Backend, meta pmem.Backend) (*ShardedStore, error) {
-	if len(devs) < 1 {
-		return nil, fmt.Errorf("core: shard count %d < 1: %w", len(devs), ErrShardCount)
-	}
+// formatRegions formats one fresh store per shard region and, when there
+// is a metadata region, stamps it (fenced) with the magic and shard
+// count.
+func formatRegions(devs []pmem.Backend, meta pmem.Backend) ([]*Store, error) {
 	stores := make([]*Store, len(devs))
 	for i, d := range devs {
 		s, err := newStore(d)
@@ -161,39 +99,13 @@ func newShardedDevices(devs []pmem.Backend, meta pmem.Backend) (*ShardedStore, e
 		}
 		stores[i] = s
 	}
-	formatShardMeta(meta, len(devs))
-	return newSharded(stores, meta), nil
-}
-
-// formatShardMeta writes and fences the metadata region's magic and
-// shard count.
-func formatShardMeta(meta pmem.Backend, shards int) {
-	meta.WriteU64(0, shardMagic)
-	meta.WriteU64(8, uint64(shards))
-	meta.FlushRange(0, 16)
-	meta.Sfence()
-}
-
-// ShardedRecoveryStats reports a sharded store's post-crash recovery.
-type ShardedRecoveryStats struct {
-	// PerShard holds each shard's recovery stats, in shard order.
-	PerShard []alloc.RecoveryStats
-	// ManifestReplayed reports whether a committed cross-shard manifest
-	// was found and its root swaps re-executed.
-	ManifestReplayed bool
-}
-
-// Total returns the recovery stats summed across shards.
-func (rs ShardedRecoveryStats) Total() alloc.RecoveryStats {
-	var t alloc.RecoveryStats
-	for _, s := range rs.PerShard {
-		t.LiveBlocks += s.LiveBlocks
-		t.LiveBytes += s.LiveBytes
-		t.LeakedBlocks += s.LeakedBlocks
-		t.LeakedBytes += s.LeakedBytes
-		t.Roots += s.Roots
+	if meta != nil {
+		meta.WriteU64(0, shardMagic)
+		meta.WriteU64(8, uint64(len(devs)))
+		meta.FlushRange(0, 16)
+		meta.Sfence()
 	}
-	return t
+	return stores, nil
 }
 
 // manifestEntry is one decoded manifest triple.
@@ -240,487 +152,164 @@ func readManifest(meta pmem.Backend) (entries []manifestEntry, dirty bool) {
 	return entries, true
 }
 
-// openShardedStore attaches to a previously formatted sharded store from
-// per-region crash images (shard regions in order, metadata region
-// last — the layout CrashImages produces). It replays a committed
-// cross-shard manifest all-or-nothing, then recovers every shard's heap
-// in parallel goroutines: total recovery time is the slowest shard's
-// reachability scan, not the sum. External callers go through Open with
-// WithExistingImages, which recovers the same way and reports the
-// result in a RecoveryInfo.
-func openShardedStore(cfg pmem.Config, images [][]byte) (*ShardedStore, ShardedRecoveryStats, error) {
-	ss, rs, _, err := openShardedVerify(cfg, images, verifyConfig{})
-	return ss, rs, err
+// guardRegion runs one region's share of an attach and converts any
+// failure — a panic from recovery walking a truncated or scrambled
+// image into out-of-range addresses, malformed block headers, or dead
+// lines, or a clean recovery error on such an image — into a
+// *CorruptionError naming the region (a shard index, or the shard count
+// for the metadata region), so a damaged region fails the Open with a
+// typed error instead of crashing the process. It must run on the
+// goroutine doing the work: a recover cannot see another goroutine's
+// panic. The original cause stays reachable through errors.Is/As.
+func guardRegion(region int, step func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var ok bool
+			if err, ok = r.(error); !ok {
+				err = fmt.Errorf("%v", r)
+			}
+		}
+		if err != nil {
+			err = &CorruptionError{Shard: region, Slot: -1, Err: fmt.Errorf("attach: %w", err)}
+		}
+	}()
+	return step()
 }
 
-// openShardedVerify is openShardedStore with the corruption-resilience
-// phases wired in (corrupt.go): it constructs one simulator device per
-// region image and hands them to the device-based open.
-func openShardedVerify(cfg pmem.Config, images [][]byte, vc verifyConfig) (*ShardedStore, ShardedRecoveryStats, []DamagedRoot, error) {
-	if len(images) < 2 {
-		return nil, ShardedRecoveryStats{}, nil, fmt.Errorf("core: sharded store needs at least 1 shard image + metadata image, got %d", len(images))
-	}
-	shards := len(images) - 1
-	meta := pmem.NewFromImage(metaConfig(cfg), images[shards])
-	devs := make([]pmem.Backend, shards)
-	for i := 0; i < shards; i++ {
-		devs[i] = pmem.NewFromImage(cfg, images[i])
-	}
-	return openShardedDevices(devs, meta, vc)
-}
-
-// openShardedDevices attaches to a previously formatted sharded store
-// whose shard regions (and metadata region) are already open as
-// backends — images on the simulator, mmap'd files on mmapdev. Each
-// shard verifies (and optionally salvages) its roots between its
-// reachability scan and its selective rebuild, in per-shard goroutines,
-// so degraded opens keep the parallel-recovery property. Damage is
-// reported per shard; unsalvaged roots are quarantined on their shard's
-// store.
-func openShardedDevices(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) (*ShardedStore, ShardedRecoveryStats, []DamagedRoot, error) {
-	var rs ShardedRecoveryStats
+// attachRegions recovers the store already present on a region set —
+// crash images on the simulator, mmap'd files on mmapdev. It replays a
+// committed cross-shard manifest all-or-nothing, then recovers the
+// shards in parallel, each on the goroutine guarding it — reachability
+// scan, verification (eager when asked, else lazy on-read checks are
+// armed), selective rebuild — so total recovery time is the slowest
+// shard's, not the sum, degraded opens included. A single heap is the
+// same pipeline with one shard, no manifest phase and no goroutine. Damage is reported per shard; unsalvaged roots are
+// quarantined on their shard's store.
+func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*Store, RecoveryInfo, error) {
 	shards := len(devs)
-	if got := meta.ReadU64(0); got != shardMagic {
-		return nil, rs, nil, fmt.Errorf("core: bad shard metadata magic %#x", got)
-	}
-	if got := meta.ReadU64(8); got != uint64(shards) {
-		return nil, rs, nil, fmt.Errorf("core: store has %d shards, got %d shard regions", got, shards)
-	}
+	info := RecoveryInfo{Recovered: true, PerShard: make([]alloc.RecoveryStats, shards)}
 
 	// Phase 0: attach each shard — replay its own batch record and
 	// commit log, cheap work that must precede reachability.
-	atts := make([]*storeAttachment, shards)
-	heaps := make([]*alloc.Heap, shards)
-	for i := 0; i < shards; i++ {
-		a, err := attachStore(devs[i])
-		if err != nil {
-			return nil, rs, nil, fmt.Errorf("core: shard %d: %w", i, err)
+	stores := make([]*Store, shards)
+	for i, d := range devs {
+		if err := guardRegion(i, func() (err error) {
+			stores[i], err = attachStore(d)
+			return err
+		}); err != nil {
+			return nil, info, err
 		}
-		atts[i] = a
-		heaps[i] = a.heap
 	}
 
 	// Phase 1: replay a committed manifest before any reachability scan,
 	// so every shard's recovery traces the post-batch roots. The redo
 	// writes are idempotent 8-byte swaps; they are fenced per shard
 	// before the status clears, so a second crash replays again.
-	entries, dirty := readManifest(meta)
-	if len(entries) > 0 {
-		touched := make(map[int]bool)
-		for _, e := range entries {
-			if e.shard < 0 || e.shard >= shards {
-				return nil, rs, nil, fmt.Errorf("core: manifest entry names shard %d of %d", e.shard, shards)
+	var dirty bool
+	if meta != nil {
+		if err := guardRegion(shards, func() error {
+			if got := meta.ReadU64(0); got != shardMagic {
+				return fmt.Errorf("core: bad shard metadata magic %#x", got)
 			}
-			devs[e.shard].WriteAddr(e.cell, e.final)
-			devs[e.shard].Clwb(e.cell)
-			touched[e.shard] = true
+			if got := meta.ReadU64(8); got != uint64(shards) {
+				return fmt.Errorf("core: store has %d shards, got %d shard regions", got, shards)
+			}
+			var entries []manifestEntry
+			entries, dirty = readManifest(meta)
+			touched := make(map[int]bool)
+			for _, e := range entries {
+				if e.shard < 0 || e.shard >= shards {
+					return fmt.Errorf("core: manifest entry names shard %d of %d", e.shard, shards)
+				}
+				devs[e.shard].WriteAddr(e.cell, e.final)
+				devs[e.shard].Clwb(e.cell)
+				touched[e.shard] = true
+			}
+			for i := range touched {
+				devs[i].Sfence()
+			}
+			info.ManifestReplayed = len(entries) > 0
+			return nil
+		}); err != nil {
+			return nil, info, err
 		}
-		for i := range touched {
-			devs[i].Sfence()
-		}
-		rs.ManifestReplayed = true
 	}
 
-	// Phase 2: parallel reachability recovery, one goroutine per shard.
-	starts := make([]float64, shards)
-	for i, d := range devs {
-		starts[i] = d.LocalNs()
+	// Phase 2: every shard under its own guard, in parallel — shard 0 on
+	// the calling goroutine, one goroutine more per further shard, so a
+	// single heap recovers with no handoff to another goroutine (whose
+	// thread and fresh stack would make the open's wall time vary).
+	errs := make([]error, shards)
+	damage := make([][]DamagedRoot, shards)
+	recoverShard := func(i int) {
+		errs[i] = guardRegion(i, func() (err error) {
+			info.PerShard[i], damage[i], err = stores[i].recoverHeap(i, vc)
+			return err
+		})
 	}
-	stats, err := alloc.RecoverAll(heaps)
-	rs.PerShard = stats
-	if err != nil {
-		return nil, rs, nil, err
-	}
-
-	// Phase 2.5: verify/salvage (when asked) and rebuild selective
-	// navigation, in parallel like the reachability scan — each shard
-	// verifies and replays its own roots on its own heap, so degraded
-	// opens keep total recovery time at the slowest shard's. Without
-	// eager verification each shard arms lazy on-read checks instead.
-	rebuildErrs := make([]error, shards)
-	perShardDamage := make([][]DamagedRoot, shards)
 	var wg sync.WaitGroup
-	for i := range heaps {
+	for i := 1; i < shards; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			var skip map[int]bool
-			if vc.verify {
-				perShardDamage[i], skip = verifyHeap(heaps[i], i, vc.salvage)
-			}
-			replayed, rerr := rebuildSelectiveRoots(heaps[i], skip)
-			rebuildErrs[i] = rerr
-			if !vc.verify {
-				heaps[i].ArmLazyVerify()
-			}
-			devs[i].NoteRecovery(replayed, devs[i].LocalNs()-starts[i])
-		}(i)
+			recoverShard(i)
+		}()
 	}
+	recoverShard(0)
 	wg.Wait()
-	var damaged []DamagedRoot
-	for _, d := range perShardDamage {
-		damaged = append(damaged, d...)
-	}
-	for i, rerr := range rebuildErrs {
-		if rerr != nil {
-			return nil, rs, damaged, fmt.Errorf("core: shard %d: %w", i, rerr)
-		}
-	}
-
-	// Phase 3: build the handles and retire the manifest.
-	stores := make([]*Store, shards)
-	for i, a := range atts {
-		s, err := a.finishOpen()
+	for _, err := range errs {
 		if err != nil {
-			return nil, rs, damaged, fmt.Errorf("core: shard %d: %w", i, err)
+			return nil, info, err
 		}
-		stores[i] = s
 	}
-	quarantineDamage(stores, damaged)
+	for i, rs := range info.PerShard {
+		info.Stats.LiveBlocks += rs.LiveBlocks
+		info.Stats.LiveBytes += rs.LiveBytes
+		info.Stats.LeakedBlocks += rs.LeakedBlocks
+		info.Stats.LeakedBytes += rs.LeakedBytes
+		info.Stats.Roots += rs.Roots
+		info.Stats.VolatileBlocks += rs.VolatileBlocks
+		info.Damaged = append(info.Damaged, damage[i]...)
+	}
+
+	// Phase 3: quarantine what verification could not salvage and
+	// retire the manifest.
+	for _, d := range info.Damaged {
+		if !d.Salvaged {
+			stores[d.Shard].quarantine(d.Slot, d.Err)
+		}
+	}
 	if dirty {
-		meta.WriteU64(manifestBase, manifestStatusIdle)
-		meta.Clwb(manifestBase)
-		meta.Sfence()
-	}
-	return newSharded(stores, meta), rs, damaged, nil
-}
-
-// Fork returns a new handle set onto the same sharded store whose
-// per-shard device and heap handles carry fresh per-goroutine clocks.
-func (ss *ShardedStore) Fork() *ShardedStore {
-	shards := make([]*Store, len(ss.shards))
-	for i, s := range ss.shards {
-		shards[i] = s.Fork()
-	}
-	return &ShardedStore{
-		shards:   shards,
-		meta:     ss.meta.Fork(),
-		regions:  ss.regions,
-		sh:       ss.sh,
-		byShared: ss.byShared,
-	}
-}
-
-// ShardCount returns the number of shards.
-func (ss *ShardedStore) ShardCount() int { return len(ss.shards) }
-
-// Shard returns the store handle of shard i, for explicit placement
-// (binding a root on a chosen shard rather than by name hash).
-func (ss *ShardedStore) Shard(i int) *Store { return ss.shards[i] }
-
-// Meta returns the metadata region's device handle.
-func (ss *ShardedStore) Meta() pmem.Backend { return ss.meta }
-
-// Regions returns the store's device regions: the shard regions in
-// shard order, then the metadata region.
-func (ss *ShardedStore) Regions() *pmem.Regions { return ss.regions }
-
-// hashRoot is fnv1a over the root name, the shard routing hash.
-func hashRoot(name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// ShardFor returns the shard index a root name routes to.
-func (ss *ShardedStore) ShardFor(name string) int {
-	return int(hashRoot(name) % uint64(len(ss.shards)))
-}
-
-// StoreFor returns the shard store a root name routes to.
-func (ss *ShardedStore) StoreFor(name string) *Store {
-	return ss.shards[ss.ShardFor(name)]
-}
-
-// Map binds (creating on first use) a recoverable map under a named
-// root on the shard the name routes to.
-func (ss *ShardedStore) Map(name string) (*Map, error) { return ss.StoreFor(name).Map(name) }
-
-// Set binds a recoverable set on the shard the name routes to.
-func (ss *ShardedStore) Set(name string) (*Set, error) { return ss.StoreFor(name).Set(name) }
-
-// Vector binds a recoverable vector on the shard the name routes to.
-func (ss *ShardedStore) Vector(name string) (*Vector, error) { return ss.StoreFor(name).Vector(name) }
-
-// Stack binds a recoverable stack on the shard the name routes to.
-func (ss *ShardedStore) Stack(name string) (*Stack, error) { return ss.StoreFor(name).Stack(name) }
-
-// Queue binds a recoverable queue on the shard the name routes to.
-func (ss *ShardedStore) Queue(name string) (*Queue, error) { return ss.StoreFor(name).Queue(name) }
-
-// SelectiveMap binds a selectively persisted map (DESIGN.md §10) on the
-// shard the name routes to.
-func (ss *ShardedStore) SelectiveMap(name string) (*Map, error) {
-	return ss.StoreFor(name).SelectiveMap(name)
-}
-
-// SelectiveSet binds a selectively persisted set on the shard the name
-// routes to.
-func (ss *ShardedStore) SelectiveSet(name string) (*Set, error) {
-	return ss.StoreFor(name).SelectiveSet(name)
-}
-
-// SelectiveVector binds a selectively persisted vector on the shard the
-// name routes to.
-func (ss *ShardedStore) SelectiveVector(name string) (*Vector, error) {
-	return ss.StoreFor(name).SelectiveVector(name)
-}
-
-// SelectiveStack binds a selectively persisted stack on the shard the
-// name routes to.
-func (ss *ShardedStore) SelectiveStack(name string) (*Stack, error) {
-	return ss.StoreFor(name).SelectiveStack(name)
-}
-
-// SelectiveQueue binds a selectively persisted queue on the shard the
-// name routes to.
-func (ss *ShardedStore) SelectiveQueue(name string) (*Queue, error) {
-	return ss.StoreFor(name).SelectiveQueue(name)
-}
-
-// Sync makes everything committed so far durable on every shard and
-// reclaims retired blocks shard by shard. On a closed store Sync is a
-// no-op: Close already fenced everything.
-func (ss *ShardedStore) Sync() {
-	if ss == nil || ss.sh.closed.Load() {
-		return
-	}
-	for _, s := range ss.shards {
-		s.Sync()
-	}
-	ss.meta.Sfence() // defense in depth; manifest retirement is fenced inline
-}
-
-// Closed reports whether Close has been called on any handle of this
-// sharded store.
-func (ss *ShardedStore) Closed() bool { return ss.sh.closed.Load() }
-
-// Close drains and stops every shard's background committer, fences each
-// shard and the metadata region, and marks the store closed: subsequent
-// binds return ErrStoreClosed, and CommitAsync tickets resolve with
-// ErrStoreClosed instead of hanging. Idempotent, and safe on a store
-// whose open failed partway.
-func (ss *ShardedStore) Close() error {
-	if ss == nil || !ss.sh.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	for _, s := range ss.shards {
-		s.Close()
-	}
-	ss.meta.Sfence()
-	return nil
-}
-
-// StartGroupCommitters launches one background group committer per
-// shard. Batches submitted on different shards coalesce into separate
-// fence epochs on their own devices, so shards never share a fence.
-func (ss *ShardedStore) StartGroupCommitters(maxOps int) {
-	for _, s := range ss.shards {
-		s.StartGroupCommitter(maxOps)
-	}
-}
-
-// StopGroupCommitters drains and stops every shard's committer.
-func (ss *ShardedStore) StopGroupCommitters() {
-	for _, s := range ss.shards {
-		s.StopGroupCommitter()
-	}
-}
-
-// SetCommitterLinger sets every shard committer's settle-fence
-// collection window (see Store.SetCommitterLinger).
-func (ss *ShardedStore) SetCommitterLinger(d time.Duration) {
-	for _, s := range ss.shards {
-		s.SetCommitterLinger(d)
-	}
-}
-
-// SetMutexCommit switches every shard's Basic-interface updates between
-// the legacy per-root-mutex commit path (true) and the two-tier
-// optimistic path (false, the default). See Store.SetMutexCommit.
-func (ss *ShardedStore) SetMutexCommit(on bool) {
-	for _, s := range ss.shards {
-		s.SetMutexCommit(on)
-	}
-}
-
-// CommitStats returns the commit-tier counters summed across shards.
-func (ss *ShardedStore) CommitStats() CommitStats {
-	var t CommitStats
-	for _, s := range ss.shards {
-		c := s.CommitStats()
-		t.FastWins += c.FastWins
-		t.FastAborts += c.FastAborts
-		t.FastLosses += c.FastLosses
-		t.Combines += c.Combines
-		t.CombineRetries += c.CombineRetries
-		t.CombinedOps += c.CombinedOps
-		t.LockedCommits += c.LockedCommits
-	}
-	return t
-}
-
-// Stats returns the aggregate device counters across every region
-// (shards plus metadata). Per-region breakdowns are available through
-// ShardStats and MetaStats; the aggregate is their exact counter-wise
-// sum, a property the test suite pins.
-func (ss *ShardedStore) Stats() pmem.Stats { return ss.regions.Stats() }
-
-// ShardStats returns shard i's device counters.
-func (ss *ShardedStore) ShardStats(i int) pmem.Stats { return ss.shards[i].Device().Stats() }
-
-// MetaStats returns the metadata region's device counters.
-func (ss *ShardedStore) MetaStats() pmem.Stats { return ss.meta.Stats() }
-
-// CrashImages returns post-power-failure images of every region (shards
-// in order, metadata last), the input OpenShardedStore expects.
-func (ss *ShardedStore) CrashImages(policy pmem.CrashPolicy, seed uint64) [][]byte {
-	return ss.regions.CrashImages(policy, seed)
-}
-
-// shardOf resolves the shard index owning a datastructure's store.
-func (ss *ShardedStore) shardOf(ds Datastructure) int {
-	if i, ok := ss.byShared[ds.store().sh]; ok {
-		return i
-	}
-	panic(fmt.Sprintf("core: datastructure %q does not belong to this sharded store", ds.Name()))
-}
-
-// ShardedBatch accumulates updates for one commit across any number of
-// shards. Updates that land on a single shard commit through that
-// shard's ordinary group-commit paths (1 fence single-root, 3 fences
-// multi-root); updates spanning shards commit atomically through the
-// shard manifest. A ShardedBatch is not safe for concurrent use.
-type ShardedBatch struct {
-	ss  *ShardedStore
-	per map[int][]batchOp // shard index -> ops, submission order kept
-	n   int
-}
-
-// NewBatch returns an empty cross-shard batch bound to this handle.
-func (ss *ShardedStore) NewBatch() *ShardedBatch { return &ShardedBatch{ss: ss} }
-
-// Len returns the number of operations accumulated.
-func (b *ShardedBatch) Len() int { return b.n }
-
-func (b *ShardedBatch) addOp(op batchOp) {
-	if op.ds.location().parent != nil {
-		panic(fmt.Sprintf("core: batched update of parent-bound %q (batches require root-bound datastructures)", op.ds.Name()))
-	}
-	si := b.ss.shardOf(op.ds)
-	if b.per == nil {
-		b.per = make(map[int][]batchOp)
-	}
-	b.per[si] = append(b.per[si], op)
-	b.n++
-}
-
-// MapSet queues binding key to val in m. Key and value are copied.
-func (b *ShardedBatch) MapSet(m *Map, key, val []byte) { b.addOp(mapSetOp(m, key, val)) }
-
-// MapDelete queues removing key from m.
-func (b *ShardedBatch) MapDelete(m *Map, key []byte) { b.addOp(mapDeleteOp(m, key)) }
-
-// SetInsert queues adding key to st.
-func (b *ShardedBatch) SetInsert(st *Set, key []byte) { b.addOp(setInsertOp(st, key)) }
-
-// SetDelete queues removing key from st.
-func (b *ShardedBatch) SetDelete(st *Set, key []byte) { b.addOp(setDeleteOp(st, key)) }
-
-// VectorPush queues appending val to v.
-func (b *ShardedBatch) VectorPush(v *Vector, val uint64) { b.addOp(vectorPushOp(v, val)) }
-
-// VectorUpdate queues replacing element i of v with val.
-func (b *ShardedBatch) VectorUpdate(v *Vector, i uint64, val uint64) {
-	b.addOp(vectorUpdateOp(v, i, val))
-}
-
-// StackPush queues pushing val onto st.
-func (b *ShardedBatch) StackPush(st *Stack, val uint64) { b.addOp(stackPushOp(st, val)) }
-
-// StackPop queues removing the top element of st (no-op on empty).
-func (b *ShardedBatch) StackPop(st *Stack) { b.addOp(stackPopOp(st)) }
-
-// QueueEnqueue queues appending val at the tail of q.
-func (b *ShardedBatch) QueueEnqueue(q *Queue, val uint64) { b.addOp(queueEnqueueOp(q, val)) }
-
-// QueueDequeue queues removing the head element of q (no-op on empty).
-func (b *ShardedBatch) QueueDequeue(q *Queue) { b.addOp(queueDequeueOp(q)) }
-
-// Commit applies every queued operation and publishes the results,
-// leaving the batch empty. Single-shard batches keep their shard's
-// usual fence economy; cross-shard batches are made crash-atomic by the
-// shard manifest — recovery sees all of the batch or none of it.
-func (b *ShardedBatch) Commit() {
-	per := b.per
-	b.per = nil
-	b.n = 0
-	b.ss.commitSharded(per)
-}
-
-// CommitAsync publishes the batch and returns a ticket that resolves
-// when it is durable. A batch confined to one shard rides that shard's
-// background committer, coalescing with other goroutines' submissions
-// into shared fence epochs; a cross-shard batch publishes synchronously
-// through the shard manifest and the ticket resolves on return. On a
-// closed store the batch is dropped and the ticket resolves immediately
-// with ErrStoreClosed.
-func (b *ShardedBatch) CommitAsync() *Ticket {
-	per := b.per
-	b.per = nil
-	b.n = 0
-	if b.ss.sh.closed.Load() {
-		return failedTicket(ErrStoreClosed)
-	}
-	if len(per) == 1 {
-		for si, ops := range per {
-			return b.ss.shards[si].commitAsyncOps(ops)
+		if err := guardRegion(shards, func() error {
+			meta.WriteU64(manifestBase, manifestStatusIdle)
+			meta.Clwb(manifestBase)
+			meta.Sfence()
+			return nil
+		}); err != nil {
+			return nil, info, err
 		}
 	}
-	b.ss.commitSharded(per)
-	// The manifest path fences each involved shard after its redo swaps,
-	// but a batch that collapsed to one shard's local publication leaves
-	// its final swap riding the next fence — settle each involved shard
-	// so the ticket's durability contract holds in every case.
-	for si := range per {
-		b.ss.shards[si].heap.Fence()
-	}
-	t := &Ticket{done: make(chan struct{})}
-	close(t.done)
-	return t
+	return stores, info, nil
 }
 
-// commitSharded is the cross-shard group-commit step. Shards are
-// prepared in ascending index order (and each shard locks its roots in
-// ascending slot order), so overlapping cross-shard commits cannot
+// commitCross is the cross-shard group-commit step: per holds each
+// shard's ops in submission order, at least two shards non-empty. Shards
+// are prepared in ascending index order (and each shard locks its roots
+// in ascending slot order), so overlapping cross-shard commits cannot
 // deadlock; the manifest lock then serializes publication.
-func (ss *ShardedStore) commitSharded(per map[int][]batchOp) {
-	order := make([]int, 0, len(per))
-	for si, ops := range per {
-		if len(ops) > 0 {
-			order = append(order, si)
-		}
-	}
-	if len(order) == 0 {
-		return
-	}
-	sort.Ints(order)
-	if len(order) == 1 {
-		// Everything on one shard: the shard's own publication paths
-		// already give batch atomicity at 1 or 3 fences.
-		ss.shards[order[0]].commitBatch(per[order[0]])
-		return
-	}
-
+func (db *DB) commitCross(per [][]batchOp) {
 	// Phase 0: apply on every involved shard. Each prepare holds its
 	// shard's root locks until finish, and seals its edit so all shadow
 	// lines are inflight on the shard's device.
-	preps := make([]*preparedBatch, len(order))
-	for i, si := range order {
-		preps[i] = ss.shards[si].prepareBatch(per[si])
+	var (
+		order []int
+		preps []*preparedBatch
+	)
+	for si, ops := range per {
+		if len(ops) > 0 {
+			order = append(order, si)
+			preps = append(preps, db.shards[si].prepareBatch(ops))
+		}
 	}
 	var entries []manifestEntry
 	changed := make([]bool, len(order))
@@ -773,10 +362,10 @@ func (ss *ShardedStore) commitSharded(per map[int][]batchOp) {
 				p.s.clearCrown(crown)
 			}
 		}
-		meta := ss.meta
-		ss.sh.mu.Lock()
-		ss.sh.seq++ // serialized by the manifest lock; 0 is reserved for idle
-		seq := ss.sh.seq
+		meta := db.meta
+		db.sh.mu.Lock()
+		db.sh.seq++ // serialized by the manifest lock; 0 is reserved for idle
+		seq := db.sh.seq
 		words := make([]uint64, 0, 2+3*len(entries))
 		words = append(words, seq, uint64(len(entries)))
 		for i, e := range entries {
@@ -819,7 +408,7 @@ func (ss *ShardedStore) commitSharded(per map[int][]batchOp) {
 		meta.WriteU64(manifestBase, manifestStatusIdle)
 		meta.Clwb(manifestBase)
 		meta.Sfence()
-		ss.sh.mu.Unlock()
+		db.sh.mu.Unlock()
 	}
 
 	for _, p := range preps {

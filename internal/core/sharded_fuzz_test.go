@@ -31,10 +31,7 @@ func FuzzShardRouting(f *testing.F) {
 	f.Fuzz(func(t *testing.T, name string, shards uint8) {
 		s := int(shards)%8 + 1
 		cfg := pmem.DefaultConfig(1 << 20)
-		ss, err := newShardedStore(cfg, s)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ss := openShards(t, cfg, s)
 		si := ss.ShardFor(name)
 		if si < 0 || si >= s {
 			t.Fatalf("ShardFor(%q) = %d with %d shards", name, si, s)
@@ -93,10 +90,7 @@ func FuzzBatchManifest(f *testing.F) {
 		shards := int(shardsRaw)%3 + 2 // 2..4
 		cfg := pmem.DefaultConfig(2 << 20)
 		cfg.TrackDurable = true
-		ss, err := newShardedStore(cfg, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ss := openShards(t, cfg, shards)
 		maps := make([]*Map, shards)
 		for i := range maps {
 			m, err := ss.Shard(i).Map(fmt.Sprintf("fz-%d", i))
@@ -111,7 +105,7 @@ func FuzzBatchManifest(f *testing.F) {
 		// The probed batch: each data byte is one op, routed by value.
 		tr := pmem.NewMultiCrashCountdown(ss.Regions().Devices(), int(crashAfter)%1024+1, pmem.CrashEvictRandom, uint64(crashAfter)+uint64(len(data)))
 		tr.Install()
-		b := ss.NewBatch()
+		b := ss.Batch()
 		touched := map[int]bool{}
 		for i, by := range data {
 			si := int(by) % shards
@@ -125,7 +119,7 @@ func FuzzBatchManifest(f *testing.F) {
 			imgs = ss.CrashImages(pmem.CrashEvictRandom, uint64(crashAfter))
 		}
 
-		ss2, _, err := openShardedStore(cfg, imgs)
+		ss2, _, err := Open(cfg, WithExistingImages(imgs))
 		if err != nil {
 			t.Fatalf("recovery: %v", err)
 		}

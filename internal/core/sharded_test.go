@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,16 +10,25 @@ import (
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
-func newTestSharded(t testing.TB, shards int) *ShardedStore {
+func newTestSharded(t testing.TB, shards int) *DB {
 	t.Helper()
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
-	ss, err := newShardedStore(cfg, shards)
+	return openShards(t, cfg, shards)
+}
+
+// openShards formats a fresh DB with the given shard count.
+func openShards(t testing.TB, cfg pmem.Config, shards int, opts ...Option) *DB {
+	t.Helper()
+	db, _, err := Open(cfg, append(opts, WithShards(shards))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ss
+	return db
 }
+
+// metaStats returns the metadata region's device counters.
+func metaStats(db *DB) pmem.Stats { return db.Regions().Device(db.ShardCount()).Stats() }
 
 func sKey(i int) []byte {
 	b := make([]byte, 8)
@@ -77,16 +87,16 @@ func TestShardedSingleShardFences(t *testing.T) {
 	ss.Sync()
 	base := make([]pmem.Stats, ss.ShardCount())
 	for i := range base {
-		base[i] = ss.ShardStats(i)
+		base[i] = ss.Shard(i).Stats()
 	}
-	metaBase := ss.MetaStats()
+	metaBase := metaStats(ss)
 
 	const ops = 50
 	for i := 0; i < ops; i++ {
 		m.Set(sKey(i), sKey(i*7))
 	}
 	for i := 0; i < ss.ShardCount(); i++ {
-		d := ss.ShardStats(i).Sub(base[i])
+		d := ss.Shard(i).Stats().Sub(base[i])
 		want := uint64(0)
 		if i == owner {
 			want = ops
@@ -95,34 +105,33 @@ func TestShardedSingleShardFences(t *testing.T) {
 			t.Errorf("shard %d: %d fences for %d ops, want %d", i, d.Fences, ops, want)
 		}
 	}
-	if d := ss.MetaStats().Sub(metaBase); d.Fences != 0 || d.Writes != 0 {
+	if d := metaStats(ss).Sub(metaBase); d.Fences != 0 || d.Writes != 0 {
 		t.Errorf("metadata region touched by single-shard ops: %+v", d)
 	}
 }
 
-// TestShardedBatchSingleShardDelegates checks a ShardedBatch whose ops
-// land on one shard uses that shard's 1-fence publication, not the
-// manifest.
-func TestShardedBatchSingleShardDelegates(t *testing.T) {
+// TestShardedSingleShardBatchDelegates checks a DB batch whose ops land
+// on one shard uses that shard's 1-fence publication, not the manifest.
+func TestShardedSingleShardBatchDelegates(t *testing.T) {
 	ss := newTestSharded(t, 2)
 	m, err := ss.Map("one-shard")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ss.Sync()
-	metaBase := ss.MetaStats()
-	ownerBase := ss.ShardStats(ss.ShardFor("one-shard"))
+	metaBase := metaStats(ss)
+	ownerBase := ss.Shard(ss.ShardFor("one-shard")).Stats()
 
-	b := ss.NewBatch()
+	b := ss.Batch()
 	for i := 0; i < 16; i++ {
 		b.MapSet(m, sKey(i), sKey(i))
 	}
 	b.Commit()
 
-	if d := ss.MetaStats().Sub(metaBase); d.Writes != 0 {
+	if d := metaStats(ss).Sub(metaBase); d.Writes != 0 {
 		t.Errorf("single-shard batch wrote the manifest: %+v", d)
 	}
-	if d := ss.ShardStats(ss.ShardFor("one-shard")).Sub(ownerBase); d.Fences != 1 {
+	if d := ss.Shard(ss.ShardFor("one-shard")).Stats().Sub(ownerBase); d.Fences != 1 {
 		t.Errorf("single-shard 16-op batch used %d fences, want 1", d.Fences)
 	}
 	if got := int(m.Len()); got != 16 {
@@ -131,7 +140,7 @@ func TestShardedBatchSingleShardDelegates(t *testing.T) {
 }
 
 // bindOnShards returns one map per shard, bound by explicit placement.
-func bindOnShards(t testing.TB, ss *ShardedStore) []*Map {
+func bindOnShards(t testing.TB, ss *DB) []*Map {
 	t.Helper()
 	maps := make([]*Map, ss.ShardCount())
 	for i := range maps {
@@ -154,7 +163,7 @@ func TestShardedCrossShardBatch(t *testing.T) {
 
 	const rounds = 10
 	for r := 0; r < rounds; r++ {
-		b := ss.NewBatch()
+		b := ss.Batch()
 		for si, m := range maps {
 			b.MapSet(m, sKey(r), sKey(r*10+si))
 		}
@@ -193,12 +202,12 @@ func TestShardedStatsSumProperty(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		maps[i%3].Set(sKey(i), sKey(i))
 	}
-	b := ss.NewBatch()
+	b := ss.Batch()
 	for i := 0; i < 8; i++ {
 		b.MapSet(maps[0], sKey(100+i), sKey(i))
 	}
 	b.Commit() // single shard
-	cross := ss.NewBatch()
+	cross := ss.Batch()
 	for i := 0; i < 6; i++ {
 		cross.MapSet(maps[i%3], sKey(200+i), sKey(i))
 	}
@@ -208,9 +217,9 @@ func TestShardedStatsSumProperty(t *testing.T) {
 	agg := ss.Stats()
 	var sum pmem.Stats
 	for i := 0; i < ss.ShardCount(); i++ {
-		sum = sum.Add(ss.ShardStats(i))
+		sum = sum.Add(ss.Shard(i).Stats())
 	}
-	sum = sum.Add(ss.MetaStats())
+	sum = sum.Add(metaStats(ss))
 
 	type pair struct {
 		name     string
@@ -255,10 +264,7 @@ func TestShardedStatsSumProperty(t *testing.T) {
 func TestShardedCleanReopen(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
-	ss, err := newShardedStore(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := openShards(t, cfg, 4)
 	maps := bindOnShards(t, ss)
 	for i := 0; i < 30; i++ {
 		maps[i%4].Set(sKey(i), sKey(i*3))
@@ -266,7 +272,7 @@ func TestShardedCleanReopen(t *testing.T) {
 	ss.Sync()
 
 	imgs := ss.CrashImages(pmem.CrashFencedOnly, 1)
-	ss2, rs, err := openShardedStore(cfg, imgs)
+	ss2, rs, err := Open(cfg, WithExistingImages(imgs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +282,7 @@ func TestShardedCleanReopen(t *testing.T) {
 	if rs.ManifestReplayed {
 		t.Error("clean image replayed a manifest")
 	}
-	if rs.Total().Roots == 0 {
+	if rs.Stats.Roots == 0 {
 		t.Error("recovery found no roots")
 	}
 	maps2 := bindOnShards(t, ss2)
@@ -287,7 +293,7 @@ func TestShardedCleanReopen(t *testing.T) {
 		}
 	}
 	// The reopened store must keep committing, including cross-shard.
-	b := ss2.NewBatch()
+	b := ss2.Batch()
 	for si, m := range maps2 {
 		b.MapSet(m, sKey(1000+si), sKey(si))
 	}
@@ -309,11 +315,8 @@ func TestShardedMidManifestCrashSweep(t *testing.T) {
 	cfg.TrackDurable = true
 
 	// Dry run: count the PM writes one cross-shard commit performs.
-	prep := func() (*ShardedStore, []*Map) {
-		ss, err := newShardedStore(cfg, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
+	prep := func() (*DB, []*Map) {
+		ss := openShards(t, cfg, shards)
 		maps := bindOnShards(t, ss)
 		for i := 0; i < 6; i++ {
 			maps[i%shards].Set(sKey(i), sKey(i*3))
@@ -321,8 +324,8 @@ func TestShardedMidManifestCrashSweep(t *testing.T) {
 		ss.Sync()
 		return ss, maps
 	}
-	commit := func(ss *ShardedStore, maps []*Map) {
-		b := ss.NewBatch()
+	commit := func(ss *DB, maps []*Map) {
+		b := ss.Batch()
 		for si, m := range maps {
 			b.MapSet(m, sKey(500+si), sKey(si*11))
 		}
@@ -350,7 +353,7 @@ func TestShardedMidManifestCrashSweep(t *testing.T) {
 		if imgs == nil {
 			t.Fatalf("inj %d: countdown never expired (%d writes)", inj, totalWrites)
 		}
-		ss2, rs, err := openShardedStore(cfg, imgs)
+		ss2, rs, err := Open(cfg, WithExistingImages(imgs))
 		if err != nil {
 			t.Fatalf("inj %d: recovery: %v", inj, err)
 		}
@@ -373,7 +376,7 @@ func TestShardedMidManifestCrashSweep(t *testing.T) {
 			}
 		}
 		// And the recovered store must still commit cross-shard batches.
-		b := ss2.NewBatch()
+		b := ss2.Batch()
 		for si, m := range maps2 {
 			b.MapSet(m, sKey(900+si), sKey(si))
 		}
@@ -399,15 +402,12 @@ func TestShardedMidManifestCrashSweep(t *testing.T) {
 func TestShardedManifestRetirementDurable(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
-	ss, err := newShardedStore(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := openShards(t, cfg, 2)
 	maps := bindOnShards(t, ss)
 	ss.Sync()
 
 	// A completed cross-shard batch writes key "a" = "old" on shard 0.
-	b := ss.NewBatch()
+	b := ss.Batch()
 	b.MapSet(maps[0], []byte("a"), []byte("old"))
 	b.MapSet(maps[1], []byte("b"), []byte("old"))
 	b.Commit()
@@ -419,7 +419,7 @@ func TestShardedManifestRetirementDurable(t *testing.T) {
 	ss.Shard(0).Sync()
 
 	imgs := ss.CrashImages(pmem.CrashFencedOnly, 1)
-	ss2, rs, err := openShardedStore(cfg, imgs)
+	ss2, rs, err := Open(cfg, WithExistingImages(imgs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,8 +439,10 @@ func TestShardedManifestRetirementDurable(t *testing.T) {
 func TestShardedConcurrentWriters(t *testing.T) {
 	ss := newTestSharded(t, 4)
 	maps := bindOnShards(t, ss)
-	ss.StartGroupCommitters(0)
-	defer ss.StopGroupCommitters()
+	for i := 0; i < ss.ShardCount(); i++ {
+		ss.Shard(i).StartGroupCommitter(0)
+		defer ss.Shard(i).StopGroupCommitter()
+	}
 
 	const writers = 4
 	const ops = 80
@@ -458,7 +460,7 @@ func TestShardedConcurrentWriters(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				m.Set(sKey(w*1000+i), sKey(i))
 				if i%16 == 15 {
-					b := h.NewBatch()
+					b := h.Batch()
 					for si := 0; si < h.ShardCount(); si++ {
 						mm, err := h.Shard(si).Map(fmt.Sprintf("xmap-%d", si))
 						if err != nil {
@@ -484,23 +486,24 @@ func TestShardedConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestOpenShardedStoreRejectsBadInput checks shape validation.
-func TestOpenShardedStoreRejectsBadInput(t *testing.T) {
+// TestOpenShardedRejectsBadInput checks shape validation.
+func TestOpenShardedRejectsBadInput(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
-	ss, err := newShardedStore(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := openShards(t, cfg, 2)
 	ss.Sync()
 	imgs := ss.CrashImages(pmem.CrashFencedOnly, 1)
-	if _, _, err := openShardedStore(cfg, imgs[:1]); err == nil {
-		t.Error("open with too few images must fail")
+	if _, _, err := Open(cfg, WithExistingImages(imgs[:1]), WithShards(2)); !errors.Is(err, ErrShardCount) {
+		t.Errorf("open with too few images: %v, want ErrShardCount", err)
 	}
-	if _, _, err := openShardedStore(cfg, [][]byte{imgs[0], imgs[1], imgs[0], imgs[2]}); err == nil {
+	if _, _, err := Open(cfg, WithExistingImages([][]byte{imgs[0], imgs[1], imgs[0], imgs[2]})); err == nil {
 		t.Error("open with wrong shard count must fail")
 	}
-	if _, _, err := openShardedStore(cfg, [][]byte{imgs[0], imgs[1]}); err == nil {
+	if _, _, err := Open(cfg, WithExistingImages([][]byte{imgs[0], imgs[1], imgs[0]})); err == nil {
 		t.Error("open with a shard image as metadata must fail")
+	}
+	// One shard plus metadata is no layout: a manifest needs two shards.
+	if _, _, err := Open(cfg, WithExistingImages([][]byte{imgs[0], imgs[2]})); !errors.Is(err, ErrShardCount) {
+		t.Errorf("open with 1 shard + metadata: %v, want ErrShardCount", err)
 	}
 }

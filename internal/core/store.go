@@ -107,9 +107,8 @@ type Store struct {
 	sh       *storeShared
 }
 
-// newStore formats dev and returns an empty store. External callers go
-// through Open (optionally with WithDevices to supply the backend); the
-// wrapped single-heap store stays reachable via DB.Store.
+// newStore formats dev and returns an empty store. Callers outside the
+// package go through Open, which formats one store per shard region.
 func newStore(dev pmem.Backend) (*Store, error) {
 	heap := alloc.Format(dev)
 	registerWalkers(heap)
@@ -143,112 +142,74 @@ func newBatchRecord(dev pmem.Backend, heap *alloc.Heap) (pmem.Addr, error) {
 	return rec, nil
 }
 
-// storeAttachment carries a store between the phases of an open: the
-// cheap replay of the durable commit machinery (attachStore), the
-// expensive reachability recovery (heap.Recover, which a sharded open
-// runs in parallel across shards), and the final handle construction
-// (finishOpen).
-type storeAttachment struct {
-	dev     pmem.Backend
-	heap    *alloc.Heap
-	logAddr pmem.Addr
-	rec     pmem.Addr
-}
-
 // attachStore opens the heap on dev and replays the durable commit
 // machinery: a group commit interrupted mid-publication (all-or-nothing:
 // a committed batch record completes every root swap; an uncommitted one
 // is discarded) and an interrupted CommitUnrelated transaction, both
 // before reachability tracing so recovery sees the final roots. The
-// reachability scan itself is left to the caller.
-func attachStore(dev pmem.Backend) (*storeAttachment, error) {
+// returned handle is not usable until recoverHeap has rebuilt the heap's
+// volatile state; Open runs a manifest replay between the two.
+func attachStore(dev pmem.Backend) (*Store, error) {
 	heap, err := alloc.Open(dev)
 	if err != nil {
 		return nil, err
 	}
 	registerWalkers(heap)
-	slot, err := heap.RootSlot(commitLogRoot)
+	// Every attachable heap (layout v4) was formatted with both anchors.
+	anchor := func(name string) (pmem.Addr, error) {
+		slot, err := heap.RootSlot(name)
+		if err != nil {
+			return pmem.Nil, err
+		}
+		addr := heap.Root(slot)
+		if addr == pmem.Nil {
+			return pmem.Nil, fmt.Errorf("core: store has no %s root: %w", name, ErrCorrupted)
+		}
+		return addr, nil
+	}
+	logAddr, err := anchor(commitLogRoot)
 	if err != nil {
 		return nil, err
 	}
-	logAddr := heap.Root(slot)
-	if logAddr == pmem.Nil {
-		return nil, fmt.Errorf("core: store has no commit log root")
+	rec, err := anchor(batchLogRoot)
+	if err != nil {
+		return nil, err
 	}
-	rec := pmem.Nil
-	if recSlot, err := heap.RootSlot(batchLogRoot); err == nil {
-		rec = heap.Root(recSlot)
-	}
-	if rec != pmem.Nil {
-		recoverBatchRecord(dev, rec)
-	}
+	recoverBatchRecord(dev, rec)
 	stm.Recover(dev, logAddr)
-	return &storeAttachment{dev: dev, heap: heap, logAddr: logAddr, rec: rec}, nil
+	tx := stm.Attach(dev, heap, stm.ModeV15, logAddr, stm.DefaultLogSize)
+	return &Store{dev: dev, heap: heap, tx: tx, batchRec: rec, sh: &storeShared{}}, nil
 }
 
-// finishOpen builds the Store handle once recovery has rebuilt the
-// heap's volatile state, creating the batch record if the image
-// predates group commit.
-func (a *storeAttachment) finishOpen() (*Store, error) {
-	if a.rec == pmem.Nil {
-		rec, err := newBatchRecord(a.dev, a.heap)
-		if err != nil {
-			return nil, err
-		}
-		a.dev.Sfence()
-		a.rec = rec
-	}
-	tx := stm.Attach(a.dev, a.heap, stm.ModeV15, a.logAddr, stm.DefaultLogSize)
-	return &Store{dev: a.dev, heap: a.heap, tx: tx, batchRec: a.rec, sh: &storeShared{}}, nil
-}
-
-// openStore attaches to a previously formatted device, rolling back any
-// interrupted commit transaction and garbage-collecting unreachable blocks
-// (recovery per §5.3). The reported stats include leak reclamation counts.
-// External callers go through Open with WithExistingImages (or
-// WithDevices plus WithAttach), which recovers the same way and reports
-// the result in a RecoveryInfo.
-func openStore(dev pmem.Backend) (*Store, alloc.RecoveryStats, error) {
-	s, rs, _, err := openStoreVerify(dev, verifyConfig{})
-	return s, rs, err
-}
-
-// openStoreVerify is OpenStore with the corruption-resilience phases
-// wired in (corrupt.go): verification runs after the reachability scan
-// and before selective navigation is rebuilt, so replay never runs over
-// a record chain that no longer verifies; without eager verification
-// the heap arms lazy on-read checks instead.
-func openStoreVerify(dev pmem.Backend, vc verifyConfig) (*Store, alloc.RecoveryStats, []DamagedRoot, error) {
-	a, err := attachStore(dev)
+// recoverHeap is the expensive half of attaching a store (recovery per
+// §5.3): the reachability scan that rolls the heap back to its roots and
+// garbage-collects unreachable blocks, then the corruption-resilience
+// phases (corrupt.go) — verification runs after the scan and before
+// selective navigation is rebuilt, so replay never runs over a record
+// chain that no longer verifies; without eager verification the heap
+// arms lazy on-read checks instead. shard labels the damage report.
+func (s *Store) recoverHeap(shard int, vc verifyConfig) (alloc.RecoveryStats, []DamagedRoot, error) {
+	start := s.dev.LocalNs()
+	rs, err := s.heap.Recover()
 	if err != nil {
-		return nil, alloc.RecoveryStats{}, nil, err
-	}
-	start := dev.LocalNs()
-	rs, err := a.heap.Recover()
-	if err != nil {
-		return nil, rs, nil, err
+		return rs, nil, err
 	}
 	var (
 		damaged []DamagedRoot
 		skip    map[int]bool
 	)
 	if vc.verify {
-		damaged, skip = verifyHeap(a.heap, 0, vc.salvage)
+		damaged, skip = verifyHeap(s.heap, shard, vc.salvage)
 	}
-	replayed, err := rebuildSelectiveRoots(a.heap, skip)
+	replayed, err := rebuildSelectiveRoots(s.heap, skip)
 	if err != nil {
-		return nil, rs, damaged, err
+		return rs, damaged, err
 	}
 	if !vc.verify {
-		a.heap.ArmLazyVerify()
+		s.heap.ArmLazyVerify()
 	}
-	dev.NoteRecovery(replayed, dev.LocalNs()-start)
-	s, err := a.finishOpen()
-	if err != nil {
-		return nil, rs, damaged, err
-	}
-	quarantineDamage([]*Store{s}, damaged)
-	return s, rs, damaged, nil
+	s.dev.NoteRecovery(replayed, s.dev.LocalNs()-start)
+	return rs, damaged, nil
 }
 
 func registerWalkers(heap *alloc.Heap) {

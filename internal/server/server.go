@@ -39,7 +39,7 @@ func RootIndex(key []byte, roots int) int {
 
 // Config configures a Server.
 type Config struct {
-	// KV is the store to serve; any core.KV (Store, ShardedStore, DB).
+	// KV is the store to serve: a *core.DB, or a test fake wrapping one.
 	KV core.KV
 	// Roots is the number of map roots to spread keys across
 	// (DefaultRoots when zero).

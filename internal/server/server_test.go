@@ -359,11 +359,10 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	}
 	res := <-resCh
 
-	if db.Store() != nil && !db.Store().Closed() {
-		t.Fatal("store not closed after shutdown")
-	}
-	if db.Sharded() != nil && !db.Sharded().Closed() {
-		t.Fatal("sharded store not closed after shutdown")
+	for i := 0; i < db.ShardCount(); i++ {
+		if !db.Shard(i).Closed() {
+			t.Fatalf("shard %d not closed after shutdown", i)
+		}
 	}
 	if res.Ops == 0 {
 		t.Fatal("no load reached the server")

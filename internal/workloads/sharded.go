@@ -8,8 +8,8 @@ import (
 )
 
 // Sharded throughput workload. A fixed budget of map updates is spread
-// over W writers whose roots are placed round-robin on S shards of a
-// core.ShardedStore. Because each shard is its own pmem region with its
+// over W writers whose roots are placed round-robin on the S shards of a
+// core.DB. Because each shard is its own pmem region with its
 // own fence machinery, work on different shards is genuinely parallel;
 // work on one shard serializes through its root commit mutexes exactly
 // as a real deployment would.
@@ -127,14 +127,13 @@ func RunSharded(cfg ShardedConfig) (ShardedResult, error) {
 		return ShardedResult{}, err
 	}
 	defer db.Close()
-	ss := db.Sharded()
 
 	// Writer w's map lives on shard w%S by explicit placement, so the
 	// op budget spreads evenly regardless of name hashes.
 	maps := make([]*core.Map, cfg.Writers)
 	r := rng{state: cfg.Seed}
 	for w := range maps {
-		m, err := ss.Shard(w % cfg.Shards).Map(shardedMapName(w))
+		m, err := db.Shard(w % cfg.Shards).Map(shardedMapName(w))
 		if err != nil {
 			return ShardedResult{}, err
 		}
@@ -143,16 +142,16 @@ func RunSharded(cfg ShardedConfig) (ShardedResult, error) {
 		}
 		maps[w] = m
 	}
-	ss.Sync()
+	db.Sync()
 
-	regions := ss.Regions()
+	regions := db.Regions()
 	clockBase := make([]float64, regions.Len())
 	for i := range clockBase {
 		clockBase[i] = regions.Device(i).Clock()
 	}
-	statsBase := ss.Stats()
+	statsBase := db.Stats()
 
-	runWriter := func(h *core.ShardedStore, w int, m, next *core.Map) error {
+	runWriter := func(h *core.DB, w int, m, next *core.Map) error {
 		r := rng{state: cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(w+1))}
 		ops := cfg.Ops / cfg.Writers
 		if w == 0 {
@@ -166,7 +165,7 @@ func RunSharded(cfg ShardedConfig) (ShardedResult, error) {
 				m.Set(key(), val())
 			}
 		case cfg.CrossShard:
-			b := h.NewBatch()
+			b := h.Batch()
 			for i := 0; i < ops; i++ {
 				if i%2 == 0 {
 					b.MapSet(m, key(), val())
@@ -179,7 +178,7 @@ func RunSharded(cfg ShardedConfig) (ShardedResult, error) {
 			}
 			b.Commit()
 		default:
-			b := h.NewBatch()
+			b := h.Batch()
 			for i := 0; i < ops; i++ {
 				b.MapSet(m, key(), val())
 				if b.Len() >= cfg.BatchSize {
@@ -195,7 +194,7 @@ func RunSharded(cfg ShardedConfig) (ShardedResult, error) {
 		errs := make(chan error, cfg.Writers)
 		for w := 0; w < cfg.Writers; w++ {
 			go func(w int) {
-				h := ss.Fork()
+				h := db.Fork()
 				m, err := h.Shard(w % cfg.Shards).Map(shardedMapName(w))
 				if err != nil {
 					errs <- err
@@ -218,7 +217,7 @@ func RunSharded(cfg ShardedConfig) (ShardedResult, error) {
 	} else {
 		for w := 0; w < cfg.Writers; w++ {
 			next := maps[(w+1)%cfg.Writers]
-			if err := runWriter(ss, w, maps[w], next); err != nil {
+			if err := runWriter(db, w, maps[w], next); err != nil {
 				return ShardedResult{}, err
 			}
 		}
@@ -243,7 +242,7 @@ func RunSharded(cfg ShardedConfig) (ShardedResult, error) {
 			res.ShardBusyNs = append(res.ShardBusyNs, d)
 		}
 	}
-	ds := ss.Stats().Sub(statsBase)
+	ds := db.Stats().Sub(statsBase)
 	res.Fences = ds.Fences
 	res.Flushes = ds.Flushes
 	res.FencesPerOp = float64(ds.Fences) / float64(cfg.Ops)
@@ -251,6 +250,6 @@ func RunSharded(cfg ShardedConfig) (ShardedResult, error) {
 	res.ElapsedNs = elapsed
 	res.BusyNs = busy
 	res.OpsPerSec = perSec(cfg.Ops, elapsed)
-	ss.Sync()
+	db.Sync()
 	return res, nil
 }

@@ -20,8 +20,10 @@
 // store across independent heaps, mod.WithCommitter(0) starts the
 // background group committer, mod.WithSelective(0) selects the
 // selectively persisted structure flavors, mod.WithNodeCache() caches
-// committed nodes in DRAM. The returned DB satisfies the KV interface,
-// as do Store and ShardedStore directly.
+// committed nodes in DRAM. The returned DB is the one store shape: a
+// single heap is its one-shard case (DB.Store reaches the per-heap
+// engine; DB.Shard(i) on a partitioned store), and DB.Batch commits
+// atomically across roots and shards.
 //
 // # Basic vs Composition interfaces
 //
@@ -70,21 +72,19 @@ type DeviceConfig = pmem.Config
 // Addr is a persistent address (byte offset into the device arena).
 type Addr = pmem.Addr
 
-// Store is a persistent heap hosting MOD datastructures, located across
-// process lifetimes by named roots.
+// Store is one persistent heap hosting MOD datastructures — a DB's
+// per-shard engine — located across process lifetimes by named roots.
 type Store = core.Store
 
-// ShardedStore partitions a store across independent heap regions.
-type ShardedStore = core.ShardedStore
-
-// DB is the handle Open returns, wrapping a Store or ShardedStore.
+// DB is the handle Open returns: one or more Store shards behind one
+// set of binders, with cross-shard atomic batches.
 type DB = core.DB
 
-// KV is the store-shape-agnostic interface satisfied by Store,
-// ShardedStore, and DB.
+// KV is the interface DB satisfies, the seam serving layers fake in
+// tests.
 type KV = core.KV
 
-// Batcher is the common group-commit batch interface.
+// Batcher is the group-commit batch interface DB.Batch returns.
 type Batcher = core.Batcher
 
 // Ticket tracks one asynchronous commit's durability.
@@ -188,7 +188,8 @@ func Open(cfg DeviceConfig, opts ...Option) (*DB, RecoveryInfo, error) {
 	return core.Open(cfg, opts...)
 }
 
-// WithShards partitions the store across n independent heap regions.
+// WithShards partitions the store across n independent heap regions
+// (1, the default, is a single heap).
 func WithShards(n int) Option { return core.WithShards(n) }
 
 // WithSelective selects the selectively persisted structure flavors;
@@ -221,7 +222,7 @@ func WithVerify() Option { return core.WithVerify() }
 func WithSalvage() Option { return core.WithSalvage() }
 
 // WithDevices builds the store over caller-supplied backends (one for a
-// single-heap store, N+1 for N shards plus metadata) instead of fresh
+// single-heap store, N+1 for N >= 2 shards plus metadata) instead of fresh
 // simulator devices — e.g. mmapdev devices over a real file.
 func WithDevices(devs ...pmem.Backend) Option { return core.WithDevices(devs...) }
 
