@@ -15,8 +15,9 @@
 // allocations from interrupted FASEs.
 //
 // Reclamation. Reference counts live in volatile memory and are rebuilt on
-// recovery, as §5.3 prescribes; they are atomic, so concurrent writers can
-// retain and release shared subtrees without locks. A block whose count
+// recovery, as §5.3 prescribes; they are atomic cells of an address-indexed
+// table (table.go), so concurrent writers can retain and release shared
+// subtrees without locks or lookups. A block whose count
 // reaches zero is retired rather than freed, and becomes reusable only
 // once two conditions hold (see epoch.go):
 //
@@ -130,7 +131,7 @@ type heapShared struct {
 	end  pmem.Addr
 	free map[uint32][]pmem.Addr // stride -> header addrs
 
-	refs    *sync.Map // payload addr -> *atomic.Int32
+	blocks  blockTable // reference counts and taint bits by payload address
 	walkers [256]Walker
 
 	// runSlots mirrors the open-run table. A sealed slot's persistent
@@ -151,11 +152,9 @@ type heapShared struct {
 	// (cache.go); nil until EnableNodeCache.
 	cache atomic.Pointer[nodeCache]
 
-	// taint is the set of recovered-but-unverified checksummed blocks
-	// consumed by lazy on-read verification (verify.go); taintCount gives
-	// readers a one-atomic fast path once it drains.
-	taintMu    sync.Mutex
-	taint      map[pmem.Addr]struct{}
+	// taintCount is the number of recovered-but-unverified blocks still
+	// carrying slotTaint (verify.go); it gives readers a one-atomic fast
+	// path once lazy verification drains.
 	taintCount atomic.Int64
 
 	stats Stats // Quarantine filled from ebr on read
@@ -212,9 +211,9 @@ func Open(dev pmem.Backend) (*Heap, error) {
 
 func newHeap(dev pmem.Backend) *Heap {
 	sh := &heapShared{
-		end:  pmem.Addr(dev.Size()),
-		free: make(map[uint32][]pmem.Addr),
-		refs: &sync.Map{},
+		end:    pmem.Addr(dev.Size()),
+		free:   make(map[uint32][]pmem.Addr),
+		blocks: newBlockTable(pmem.Addr(dev.Size())),
 	}
 	return &Heap{dev: dev, sh: sh}
 }
@@ -360,11 +359,11 @@ func (h *Heap) alloc(size int, tag uint8, volatile, flushHdr bool) pmem.Addr {
 	if list := sh.free[stride]; len(list) > 0 {
 		hdr = list[len(list)-1]
 		sh.free[stride] = list[:len(list)-1]
-		sh.mu.Unlock()
 	} else {
 		hdr = h.bumpLocked(stride)
-		sh.mu.Unlock()
 	}
+	sh.noteAllocLocked(stride)
+	sh.mu.Unlock()
 	// Announce the allocation before touching the block so trace checking
 	// sees the header write as part of the new block.
 	if t := h.dev.Tracer(); t != nil {
@@ -382,27 +381,25 @@ func (h *Heap) alloc(size int, tag uint8, volatile, flushHdr bool) pmem.Addr {
 	if flushHdr {
 		h.dev.FlushRange(hdr, headerSize)
 	}
-	return h.registerBlock(hdr, stride)
+	return h.registerBlock(hdr)
 }
 
-// registerBlock creates the volatile tracking state for a freshly
-// allocated block — reference count 1 and counter updates — and returns
-// its payload address.
-func (h *Heap) registerBlock(hdr pmem.Addr, stride uint32) pmem.Addr {
-	sh := h.sh
-	payload := hdr + headerSize
-	cnt := &atomic.Int32{}
-	cnt.Store(1)
-	sh.refs.Store(payload, cnt)
-	sh.mu.Lock()
+// registerBlock starts tracking a freshly allocated block at reference
+// count 1 and returns its payload address.
+func (h *Heap) registerBlock(hdr pmem.Addr) pmem.Addr {
+	h.sh.blocks.install(hdr + headerSize).Store(slotFresh)
+	return hdr + headerSize
+}
+
+// noteAllocLocked counts one allocation of stride bytes. Caller holds mu —
+// the critical section that popped the free list or bumped.
+func (sh *heapShared) noteAllocLocked(stride uint32) {
 	sh.stats.Allocs++
 	sh.stats.LiveBytes += uint64(stride)
 	sh.stats.CumBytes += uint64(stride)
 	if sh.stats.LiveBytes > sh.stats.HighWater {
 		sh.stats.HighWater = sh.stats.LiveBytes
 	}
-	sh.mu.Unlock()
-	return payload
 }
 
 // bumpLocked claims stride bytes at the top of the heap and persists the
@@ -523,18 +520,10 @@ func (h *Heap) Tag(payload pmem.Addr) uint8 {
 	return tag
 }
 
-// refCounter returns the atomic reference counter for payload, or nil.
-func (h *Heap) refCounter(payload pmem.Addr) *atomic.Int32 {
-	if c, ok := h.sh.refs.Load(payload); ok {
-		return c.(*atomic.Int32)
-	}
-	return nil
-}
-
 // RefCount returns the current reference count of the block (0 if unknown).
 func (h *Heap) RefCount(payload pmem.Addr) int32 {
-	if c := h.refCounter(payload); c != nil {
-		return c.Load()
+	if s := h.sh.blocks.tracked(payload); s != nil {
+		return s.Load()&slotCount - 1
 	}
 	return 0
 }
@@ -546,11 +535,11 @@ func (h *Heap) Retain(payload pmem.Addr) {
 	if payload == pmem.Nil {
 		return
 	}
-	c := h.refCounter(payload)
-	if c == nil {
+	s := h.sh.blocks.tracked(payload)
+	if s == nil {
 		panic(fmt.Sprintf("alloc: retain of untracked block %#x", uint64(payload)))
 	}
-	c.Add(1)
+	s.Add(1)
 }
 
 // Release decrements the reference count; at zero the block and every
@@ -568,22 +557,24 @@ func (h *Heap) Release(payload pmem.Addr) {
 	if payload == pmem.Nil || h.DisableReclaim {
 		return
 	}
-	if h.decRef(payload) {
+	if h.decRef(payload, "release") {
 		h.retireCascade(payload)
 	}
 }
 
-// decRef drops one reference and reports whether the count hit zero.
-func (h *Heap) decRef(payload pmem.Addr) bool {
-	c := h.refCounter(payload)
-	if c == nil {
-		panic(fmt.Sprintf("alloc: release of untracked block %#x", uint64(payload)))
+// decRef drops one reference and reports whether the count hit zero; op
+// names the caller in the panic raised for an untracked or dead block.
+func (h *Heap) decRef(payload pmem.Addr, op string) bool {
+	s := h.sh.blocks.tracked(payload)
+	if s == nil {
+		panic(fmt.Sprintf("alloc: %s of untracked block %#x", op, uint64(payload)))
 	}
-	n := c.Add(-1)
-	if n < 0 {
-		panic(fmt.Sprintf("alloc: release of dead block %#x", uint64(payload)))
+	n := s.Add(-1) & slotCount
+	if n == 0 {
+		s.Add(1) // keep the dead block tracked, as a plain counter would
+		panic(fmt.Sprintf("alloc: %s of dead block %#x", op, uint64(payload)))
 	}
-	return n == 0
+	return n == 1
 }
 
 // ReleaseBatch releases every address in one pass, collecting all
@@ -602,7 +593,7 @@ func (h *Heap) ReleaseBatch(addrs []pmem.Addr) {
 		if payload == pmem.Nil {
 			continue
 		}
-		if h.decRef(payload) {
+		if h.decRef(payload, "release") {
 			dead = h.collectCascade(payload, dead)
 		}
 	}
@@ -650,6 +641,11 @@ func (h *Heap) retireCascade(payload pmem.Addr) {
 func (h *Heap) collectCascade(payload pmem.Addr, dead []pmem.Addr) []pmem.Addr {
 	sh := h.sh
 	stack := []pmem.Addr{payload}
+	drop := func(child pmem.Addr) { // one closure for the whole cascade
+		if child != pmem.Nil && h.decRef(child, "cascade release") {
+			stack = append(stack, child)
+		}
+	}
 	for len(stack) > 0 {
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -659,22 +655,7 @@ func (h *Heap) collectCascade(payload pmem.Addr, dead []pmem.Addr) []pmem.Addr {
 		}
 		dead = append(dead, a)
 		if w := sh.walkers[tag]; w != nil {
-			w(h, a, func(child pmem.Addr) {
-				if child == pmem.Nil {
-					return
-				}
-				c := h.refCounter(child)
-				if c == nil {
-					panic(fmt.Sprintf("alloc: cascade release of untracked block %#x", uint64(child)))
-				}
-				n := c.Add(-1)
-				if n < 0 {
-					panic(fmt.Sprintf("alloc: cascade release of dead block %#x", uint64(child)))
-				}
-				if n == 0 {
-					stack = append(stack, child)
-				}
-			})
+			w(h, a, drop)
 		}
 	}
 	return dead
@@ -689,7 +670,11 @@ func (h *Heap) freeBlock(r retiredBlock) {
 	if c := sh.cache.Load(); c != nil {
 		c.invalidate(r.addr)
 	}
-	sh.refs.Delete(r.addr)
+	// Untrack before the block can be popped off a free list: a racing
+	// allocation's registerBlock must never be overwritten by this clear.
+	if sh.blocks.slot(r.addr).Swap(0)&slotTaint != 0 {
+		sh.taintCount.Add(-1)
+	}
 	sh.mu.Lock()
 	sh.free[stride] = append(sh.free[stride], r.addr-headerSize)
 	sh.stats.Frees++

@@ -155,6 +155,7 @@ func (e *Edit) alloc(size int, tag uint8, volatile bool) pmem.Addr {
 	if list := sh.free[stride]; len(list) > 0 {
 		hdr := list[len(list)-1]
 		sh.free[stride] = list[:len(list)-1]
+		sh.noteAllocLocked(stride)
 		sh.mu.Unlock()
 		e.extra[hdr+headerSize] = struct{}{}
 		return e.finishAlloc(hdr, stride, tag, volatile)
@@ -167,6 +168,7 @@ func (e *Edit) alloc(size int, tag uint8, volatile bool) pmem.Addr {
 			hdr := r.cur
 			r.cur += pmem.Addr(stride)
 			r.lastHdr = hdr
+			sh.noteAllocLocked(stride)
 			sh.mu.Unlock()
 			return e.finishAlloc(hdr, stride, tag, volatile)
 		}
@@ -210,6 +212,7 @@ func (e *Edit) alloc(size int, tag uint8, volatile bool) pmem.Addr {
 		start: start, end: start + pmem.Addr(runSize),
 		cur: start + pmem.Addr(stride), lastHdr: start, slot: slot,
 	})
+	sh.noteAllocLocked(stride)
 	sh.mu.Unlock()
 	return e.finishAlloc(start, stride, tag, volatile)
 }
@@ -261,7 +264,7 @@ func (e *Edit) finishAlloc(hdr pmem.Addr, stride uint32, tag uint8, volatile boo
 	// rewrites it for every durable node registered via RecordNode.
 	h.dev.WriteU64(hdr+8, 0)
 	e.fs.Add(hdr, headerSize)
-	return h.registerBlock(hdr, stride)
+	return h.registerBlock(hdr)
 }
 
 // Owns reports whether the block at payload was allocated inside this

@@ -184,7 +184,7 @@ func (eb *ebrState) processDeferred(h *Heap, budget int) (used int, epochWaiting
 	eb.mu.Unlock()
 	fence := h.dev.FenceSeq()
 	for _, d := range ready {
-		if !h.decRef(d.addr) {
+		if !h.decRef(d.addr, "release") {
 			continue
 		}
 		dead := h.collectCascade(d.addr, nil)

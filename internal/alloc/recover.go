@@ -2,8 +2,6 @@ package alloc
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/mod-ds/mod/internal/pmem"
 )
@@ -27,7 +25,8 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 
 	sh := h.sh
 	h.resetCache()
-	sh.refs = &sync.Map{}
+	sh.blocks = newBlockTable(sh.end)
+	sh.taintCount.Store(0)
 	sh.free = make(map[uint32][]pmem.Addr)
 	sh.ebr.mu.Lock()
 	sh.ebr.retired = sh.ebr.retired[:0]
@@ -64,12 +63,13 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 		hdr    pmem.Addr
 		stride uint32
 		tag    uint8
-		marked bool
+		refs   int32 // reachable parents (pass 2); 0 = unmarked
 		wasAll bool
 		vol    bool
 	}
+	// While recovery runs, a genuine block's table slot holds its index
+	// in blocks plus one; pass 3 replaces it with the rebuilt count.
 	var blocks []blockInfo
-	index := make(map[pmem.Addr]int) // payload -> blocks index
 	addr := pmem.Addr(heapBase)
 	for addr+headerSize <= sh.top {
 		raw := h.dev.ReadU64(addr)
@@ -116,8 +116,8 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 			h.dev.Sfence()
 			break
 		}
-		index[addr+headerSize] = len(blocks)
 		blocks = append(blocks, blockInfo{hdr: addr, stride: stride, tag: tag, wasAll: allocated, vol: raw&hdrVolatileBit != 0})
+		sh.blocks.install(addr + headerSize).Store(int32(len(blocks)))
 		addr += pmem.Addr(stride)
 	}
 	// The table is consumed: no edit survives a crash. Synthesized headers
@@ -143,29 +143,32 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 	// it — but their payloads are zeroed so every later walker sees an
 	// empty node, and their children are left unmarked for the sweep
 	// (DESIGN.md §10).
-	var stack []pmem.Addr
+	var stack []*blockInfo
 	visit := func(payload pmem.Addr) error {
 		if payload == pmem.Nil {
 			return nil
 		}
-		bi, ok := index[payload]
-		if !ok {
+		s := sh.blocks.slot(payload)
+		if s == nil || s.Load() == 0 {
 			return fmt.Errorf("alloc: recovery found pointer to non-block address %#x", uint64(payload))
 		}
-		cnt, _ := sh.refs.LoadOrStore(payload, &atomic.Int32{})
-		cnt.(*atomic.Int32).Add(1)
-		if !blocks[bi].marked {
-			blocks[bi].marked = true
-			if blocks[bi].vol {
+		b := &blocks[s.Load()-1]
+		if b.refs++; b.refs == 1 {
+			if b.vol {
 				rs.VolatileBlocks++
-				h.dev.Zero(payload, int(blocks[bi].stride)-headerSize)
+				h.dev.Zero(payload, int(b.stride)-headerSize)
 			} else {
-				stack = append(stack, payload)
+				stack = append(stack, b)
 			}
 		}
 		return nil
 	}
 	var walkErr error
+	visitChild := func(child pmem.Addr) {
+		if walkErr == nil {
+			walkErr = visit(child)
+		}
+	}
 	for slot := 0; slot < RootSlots; slot++ {
 		if h.dev.ReadU64(rootEntryAddr(slot)) == 0 {
 			continue
@@ -180,15 +183,10 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 		}
 	}
 	for len(stack) > 0 {
-		payload := stack[len(stack)-1]
+		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		tag := blocks[index[payload]].tag
-		if w := sh.walkers[tag]; w != nil {
-			w(h, payload, func(child pmem.Addr) {
-				if walkErr == nil {
-					walkErr = visit(child)
-				}
-			})
+		if w := sh.walkers[b.tag]; w != nil {
+			w(h, b.hdr+headerSize, visitChild)
 			if walkErr != nil {
 				return rs, walkErr
 			}
@@ -196,14 +194,18 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 	}
 
 	// Pass 3: sweep. Unmarked blocks — whether leaked by an interrupted
-	// FASE or freed before the crash — return to the free lists.
+	// FASE or freed before the crash — return to the free lists, untracked.
 	for _, b := range blocks {
-		if b.marked {
+		// install, not slot: a synthesized dead-run remainder was never indexed.
+		s := sh.blocks.install(b.hdr + headerSize)
+		if b.refs > 0 {
+			s.Store(b.refs + 1)
 			rs.LiveBlocks++
 			rs.LiveBytes += uint64(b.stride)
 			sh.stats.LiveBytes += uint64(b.stride)
 			continue
 		}
+		s.Store(0)
 		sh.free[b.stride] = append(sh.free[b.stride], b.hdr)
 		if b.wasAll {
 			rs.LeakedBlocks++

@@ -197,15 +197,15 @@ func (h *Heap) VerifyRoots() map[int]error {
 	return damaged
 }
 
-// ArmLazyVerify taints every checksummed allocated block in the heap so
-// the first post-recovery read of each one re-verifies it (VerifyOnRead).
+// ArmLazyVerify taints every checksummed live block in the heap so the
+// first post-recovery read of each one re-verifies it (VerifyOnRead).
 // The scan is a linear chain walk — no pointer chasing, so it is safe to
 // run on a heap that was recovered without eager verification. Call once
 // after Recover, before the heap serves reads.
 func (h *Heap) ArmLazyVerify() {
 	defer h.dev.BeginRecovery()()
 	sh := h.sh
-	taint := make(map[pmem.Addr]struct{})
+	var tainted int64
 	addr := pmem.Addr(heapBase)
 	for addr+headerSize <= sh.top {
 		raw := h.dev.Bytes(addr, headerSize)
@@ -214,34 +214,40 @@ func (h *Heap) ArmLazyVerify() {
 			break // recovery already normalized the chain; stop at damage
 		}
 		if allocated && leU64(raw[8:])&hdrHasCRC != 0 {
-			taint[addr+headerSize] = struct{}{}
+			if s := sh.blocks.tracked(addr + headerSize); s != nil && s.Load()&slotTaint == 0 {
+				s.Add(slotTaint)
+				tainted++
+			}
 		}
 		addr += pmem.Addr(stride)
 	}
-	sh.taintMu.Lock()
-	sh.taint = taint
-	sh.taintMu.Unlock()
-	sh.taintCount.Store(int64(len(taint)))
+	sh.taintCount.Add(tainted)
 }
 
 // VerifyOnRead checks the block at payload if it is tainted (recovered
 // but not yet re-verified), clearing the taint on success and panicking
 // with a *CorruptionPanic on mismatch. The fast path — no tainted blocks
-// remain, the steady state — is one atomic load. Hooked into the shared
+// remain, the steady state — is one atomic load; while some remain, an
+// untainted block costs one more, and the CAS that clears the bit elects
+// exactly one of any racing readers to verify. Hooked into the shared
 // node-read and blob-read funnels.
 func (h *Heap) VerifyOnRead(payload pmem.Addr) {
 	sh := h.sh
 	if sh.taintCount.Load() == 0 {
 		return
 	}
-	sh.taintMu.Lock()
-	_, tainted := sh.taint[payload]
-	if tainted {
-		delete(sh.taint, payload)
-	}
-	sh.taintMu.Unlock()
-	if !tainted {
+	s := sh.blocks.slot(payload)
+	if s == nil {
 		return
+	}
+	for {
+		v := s.Load()
+		if v&slotTaint == 0 {
+			return
+		}
+		if s.CompareAndSwap(v, v&^slotTaint) {
+			break
+		}
 	}
 	sh.taintCount.Add(-1)
 	if _, _, _, berr := h.verifyNode(payload); berr != nil {

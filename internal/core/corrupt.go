@@ -127,7 +127,7 @@ func (s *Store) verifyBindLazy(name string, slot int, root pmem.Addr) (err error
 			if !ok {
 				panic(r)
 			}
-			cerr := &CorruptionError{Shard: 0, Slot: slot, Err: cp}
+			cerr := &CorruptionError{Shard: s.sh.shard, Slot: slot, Err: cp}
 			s.quarantine(slot, cerr)
 			err = fmt.Errorf("core: binding %q: %w", name, cerr)
 		}
@@ -181,7 +181,7 @@ func (s *Store) Quarantined() map[int]error {
 // root's walk so a concurrent commit cannot recycle the version under
 // the verifier; pace sleeps between roots bound the scrub's read
 // amplification against foreground traffic.
-func scrubStore(s *Store, shard int, pace time.Duration) []DamagedRoot {
+func scrubStore(s *Store, pace time.Duration) []DamagedRoot {
 	var damaged []DamagedRoot
 	first := true
 	for slot := 0; slot < alloc.RootSlots; slot++ {
@@ -198,9 +198,9 @@ func scrubStore(s *Store, shard int, pace time.Duration) []DamagedRoot {
 		if verr == nil {
 			continue
 		}
-		cerr := &CorruptionError{Shard: shard, Slot: slot, Err: verr}
+		cerr := &CorruptionError{Shard: s.sh.shard, Slot: slot, Err: verr}
 		s.quarantine(slot, cerr)
-		damaged = append(damaged, DamagedRoot{Shard: shard, Slot: slot, Err: cerr})
+		damaged = append(damaged, DamagedRoot{Shard: s.sh.shard, Slot: slot, Err: cerr})
 	}
 	return damaged
 }
@@ -213,8 +213,8 @@ func scrubStore(s *Store, shard int, pace time.Duration) []DamagedRoot {
 // verification again without double-reporting to the quarantine set.
 func (db *DB) Scrub(pace time.Duration) []DamagedRoot {
 	var damaged []DamagedRoot
-	for i, s := range db.shards {
-		damaged = append(damaged, scrubStore(s, i, pace)...)
+	for _, s := range db.shards {
+		damaged = append(damaged, scrubStore(s, pace)...)
 	}
 	return damaged
 }

@@ -149,6 +149,48 @@ func TestOpenLazyVerifyDetectsHeaderDamage(t *testing.T) {
 	}
 }
 
+// TestOpenLazyVerifyReportsShard: the bind-time lazy check names the
+// shard the damaged root lives on, not shard 0.
+func TestOpenLazyVerifyReportsShard(t *testing.T) {
+	cfg := pmem.DefaultConfig(1 << 20)
+	cfg.TrackDurable = true // for CrashImages
+	db, _, err := Open(cfg, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := "mx0"
+	for i := 1; db.ShardFor(name) != 1; i++ {
+		name = fmt.Sprintf("mx%d", i)
+	}
+	m, err := db.Map(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Set([]byte("k"), []byte("v"))
+	db.Sync()
+	imgs := db.CrashImages(pmem.CrashFencedOnly, 0)
+	corruptStoredCRC(t, db.Shard(1), name, imgs[1])
+
+	db2, info, err := Open(cfg, WithExistingImages(imgs))
+	if err != nil {
+		t.Fatalf("lazy open: %v", err)
+	}
+	if len(info.Damaged) != 0 {
+		t.Fatalf("lazy open reported damage eagerly: %+v", info.Damaged)
+	}
+	_, err = db2.Map(name)
+	var cerr *CorruptionError
+	if !errors.As(err, &cerr) || !errors.Is(err, ErrCorrupted) {
+		t.Fatalf("bind to damaged header: %v, want a *CorruptionError wrapping ErrCorrupted", err)
+	}
+	if cerr.Shard != 1 {
+		t.Fatalf("CorruptionError.Shard = %d, want 1 (%v)", cerr.Shard, cerr)
+	}
+	if q := db2.Shard(1).Quarantined(); len(q) != 1 {
+		t.Fatalf("shard 1 Quarantined() = %v", q)
+	}
+}
+
 // TestScrubFindsDamage: a lazily opened store with a damaged root is
 // scrubbed in the background; the scrub quarantines the root so later
 // binds fail typed instead of panicking mid-read.

@@ -97,6 +97,7 @@ func formatRegions(devs []pmem.Backend, meta pmem.Backend) ([]*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", i, err)
 		}
+		s.sh.shard = i
 		stores[i] = s
 	}
 	if meta != nil {
@@ -194,7 +195,7 @@ func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*
 	stores := make([]*Store, shards)
 	for i, d := range devs {
 		if err := guardRegion(i, func() (err error) {
-			stores[i], err = attachStore(d)
+			stores[i], err = attachStore(d, i)
 			return err
 		}); err != nil {
 			return nil, info, err
@@ -243,7 +244,7 @@ func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*
 	damage := make([][]DamagedRoot, shards)
 	recoverShard := func(i int) {
 		errs[i] = guardRegion(i, func() (err error) {
-			info.PerShard[i], damage[i], err = stores[i].recoverHeap(i, vc)
+			info.PerShard[i], damage[i], err = stores[i].recoverHeap(vc)
 			return err
 		})
 	}

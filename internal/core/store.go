@@ -75,6 +75,7 @@ const commitLogRoot = "__mod_commitlog"
 // commit-path counters (optimistic.go), and the closed flag every handle
 // observes.
 type storeShared struct {
+	shard    int // index among the DB's shards; labels corruption reports
 	rootMu   [alloc.RootSlots]sync.Mutex
 	txMu     sync.Mutex
 	batchSeq uint64 // last batch-record sequence number; guarded by txMu
@@ -148,8 +149,9 @@ func newBatchRecord(dev pmem.Backend, heap *alloc.Heap) (pmem.Addr, error) {
 // is discarded) and an interrupted CommitUnrelated transaction, both
 // before reachability tracing so recovery sees the final roots. The
 // returned handle is not usable until recoverHeap has rebuilt the heap's
-// volatile state; Open runs a manifest replay between the two.
-func attachStore(dev pmem.Backend) (*Store, error) {
+// volatile state; Open runs a manifest replay between the two. shard is
+// the store's index among the DB's shards.
+func attachStore(dev pmem.Backend, shard int) (*Store, error) {
 	heap, err := alloc.Open(dev)
 	if err != nil {
 		return nil, err
@@ -178,7 +180,7 @@ func attachStore(dev pmem.Backend) (*Store, error) {
 	recoverBatchRecord(dev, rec)
 	stm.Recover(dev, logAddr)
 	tx := stm.Attach(dev, heap, stm.ModeV15, logAddr, stm.DefaultLogSize)
-	return &Store{dev: dev, heap: heap, tx: tx, batchRec: rec, sh: &storeShared{}}, nil
+	return &Store{dev: dev, heap: heap, tx: tx, batchRec: rec, sh: &storeShared{shard: shard}}, nil
 }
 
 // recoverHeap is the expensive half of attaching a store (recovery per
@@ -187,8 +189,8 @@ func attachStore(dev pmem.Backend) (*Store, error) {
 // phases (corrupt.go) — verification runs after the scan and before
 // selective navigation is rebuilt, so replay never runs over a record
 // chain that no longer verifies; without eager verification the heap
-// arms lazy on-read checks instead. shard labels the damage report.
-func (s *Store) recoverHeap(shard int, vc verifyConfig) (alloc.RecoveryStats, []DamagedRoot, error) {
+// arms lazy on-read checks instead.
+func (s *Store) recoverHeap(vc verifyConfig) (alloc.RecoveryStats, []DamagedRoot, error) {
 	start := s.dev.LocalNs()
 	rs, err := s.heap.Recover()
 	if err != nil {
@@ -199,7 +201,7 @@ func (s *Store) recoverHeap(shard int, vc verifyConfig) (alloc.RecoveryStats, []
 		skip    map[int]bool
 	)
 	if vc.verify {
-		damaged, skip = verifyHeap(s.heap, shard, vc.salvage)
+		damaged, skip = verifyHeap(s.heap, s.sh.shard, vc.salvage)
 	}
 	replayed, err := rebuildSelectiveRoots(s.heap, skip)
 	if err != nil {
