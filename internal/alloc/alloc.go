@@ -36,7 +36,6 @@
 package alloc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -94,8 +93,9 @@ var strides = []uint32{24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 2
 // Walker enumerates the child pointers of a node so the heap can trace
 // reachability and cascade reference-count releases. It receives the
 // payload address and must invoke visit for every non-nil child payload
-// address stored in the node.
-type Walker func(h *Heap, addr pmem.Addr, visit func(child pmem.Addr))
+// address stored in the node. sc is the walk's node-image buffer, for
+// walkers that read a node in bulk; it is never nil.
+type Walker func(h *Heap, addr pmem.Addr, sc *Scratch, visit func(child pmem.Addr))
 
 // Stats reports allocator activity.
 type Stats struct {
@@ -129,7 +129,7 @@ type heapShared struct {
 	mu   sync.Mutex
 	top  pmem.Addr // volatile mirror of the persistent bump pointer
 	end  pmem.Addr
-	free map[uint32][]pmem.Addr // stride -> header addrs
+	free map[uint32][]pmem.Addr // stride -> header addrs (LIFO)
 
 	blocks  blockTable // reference counts and taint bits by payload address
 	walkers [256]Walker
@@ -168,6 +168,13 @@ type heapShared struct {
 type Heap struct {
 	dev pmem.Backend
 	sh  *heapShared
+
+	// Per-handle reusable working state, parked here between uses and
+	// taken with an atomic swap so goroutines sharing the handle never
+	// share one: the edit the last FASE sealed (edit.go) and the buffers
+	// of the last retire cascade.
+	spareEdit    atomic.Pointer[Edit]
+	spareCascade atomic.Pointer[cascade]
 
 	// DisableReclaim makes Release a no-op so every version is retained;
 	// used by the Table 3 experiment to measure multi-version growth.
@@ -314,12 +321,15 @@ func unpackCheck(v uint64) (n int, crc uint32, has bool) {
 // so it opens its own recovery bracket around the raw view.
 func (h *Heap) nodeCRC(hdr pmem.Addr, n int) uint32 {
 	defer h.dev.BeginRecovery()()
-	var pre [12]byte
 	raw := h.dev.Bytes(hdr, headerSize+n)
-	copy(pre[:8], raw[:8])
-	binary.LittleEndian.PutUint32(pre[8:], uint32(n))
-	crc := crc32.Update(0, crcTable, pre[:])
-	return crc32.Update(crc, crcTable, raw[headerSize:])
+	crc := crc32.Update(0, crcTable, raw[:8])
+	// The four length bytes, bytewise: a slice of a local handed to
+	// crc32.Update would escape and cost an allocation per node sealed.
+	crc = ^crc
+	for i, v := 0, uint32(n); i < 4; i, v = i+1, v>>8 {
+		crc = crcTable[byte(crc)^byte(v)] ^ crc>>8
+	}
+	return crc32.Update(^crc, crcTable, raw[headerSize:])
 }
 
 // Alloc returns the payload address of a new block of at least size bytes,
@@ -355,11 +365,8 @@ func (h *Heap) alloc(size int, tag uint8, volatile, flushHdr bool) pmem.Addr {
 	stride := strideFor(size)
 	sh := h.sh
 	sh.mu.Lock()
-	var hdr pmem.Addr
-	if list := sh.free[stride]; len(list) > 0 {
-		hdr = list[len(list)-1]
-		sh.free[stride] = list[:len(list)-1]
-	} else {
+	hdr, ok := sh.popFreeLocked(stride)
+	if !ok {
 		hdr = h.bumpLocked(stride)
 	}
 	sh.noteAllocLocked(stride)
@@ -389,6 +396,23 @@ func (h *Heap) alloc(size int, tag uint8, volatile, flushHdr bool) pmem.Addr {
 func (h *Heap) registerBlock(hdr pmem.Addr) pmem.Addr {
 	h.sh.blocks.install(hdr + headerSize).Store(slotFresh)
 	return hdr + headerSize
+}
+
+// popFreeLocked takes the most recently freed block of exactly stride
+// bytes off the free lists. Caller holds mu.
+func (sh *heapShared) popFreeLocked(stride uint32) (hdr pmem.Addr, ok bool) {
+	list := sh.free[stride]
+	if len(list) == 0 {
+		return pmem.Nil, false
+	}
+	sh.free[stride] = list[:len(list)-1]
+	return list[len(list)-1], true
+}
+
+// pushFreeLocked files the free block at hdr under its stride. Caller
+// holds mu.
+func (sh *heapShared) pushFreeLocked(stride uint32, hdr pmem.Addr) {
+	sh.free[stride] = append(sh.free[stride], hdr)
 }
 
 // noteAllocLocked counts one allocation of stride bytes. Caller holds mu —
@@ -588,18 +612,19 @@ func (h *Heap) ReleaseBatch(addrs []pmem.Addr) {
 		return
 	}
 	fence := h.dev.FenceSeq()
-	var dead []pmem.Addr
+	c := h.takeCascade()
 	for _, payload := range addrs {
 		if payload == pmem.Nil {
 			continue
 		}
 		if h.decRef(payload, "release") {
-			dead = h.collectCascade(payload, dead)
+			c.collect(payload)
 		}
 	}
-	if len(dead) > 0 {
-		h.sh.ebr.retireBatch(dead, fence)
+	if len(c.dead) > 0 {
+		h.sh.ebr.retireBatch(c.dead, fence)
 	}
+	h.putCascade(c)
 }
 
 // ReleaseDeferred schedules a release of the block at payload addr to
@@ -633,32 +658,62 @@ func (h *Heap) ReleaseDeferred(payload pmem.Addr) {
 // concurrent fence on another handle could reclaim and recycle a block
 // this cascade is still reading child pointers from.
 func (h *Heap) retireCascade(payload pmem.Addr) {
-	h.sh.ebr.retireBatch(h.collectCascade(payload, nil), h.dev.FenceSeq())
+	c := h.takeCascade()
+	c.collect(payload)
+	h.sh.ebr.retireBatch(c.dead, h.dev.FenceSeq())
+	h.putCascade(c)
 }
 
-// collectCascade appends payload and every block reachable only through
-// it to dead, dropping child reference counts along the way.
-func (h *Heap) collectCascade(payload pmem.Addr, dead []pmem.Addr) []pmem.Addr {
-	sh := h.sh
-	stack := []pmem.Addr{payload}
-	drop := func(child pmem.Addr) { // one closure for the whole cascade
+// cascade is the working state of retire cascades on one handle: the
+// walk stack, the dead list being collected and the walkers' node-image
+// buffer. A handle parks it between cascades so a steady-state release
+// allocates nothing.
+type cascade struct {
+	h     *Heap
+	stack []pmem.Addr
+	dead  []pmem.Addr
+	sc    Scratch
+	drop  func(child pmem.Addr) // the walkers' visit function, bound once
+}
+
+// takeCascade returns the handle's parked cascade state, or fresh state
+// when it is in use (a goroutine sharing the handle).
+func (h *Heap) takeCascade() *cascade {
+	if c := h.spareCascade.Swap(nil); c != nil {
+		return c
+	}
+	c := &cascade{h: h}
+	c.drop = func(child pmem.Addr) {
 		if child != pmem.Nil && h.decRef(child, "cascade release") {
-			stack = append(stack, child)
+			c.stack = append(c.stack, child)
 		}
 	}
-	for len(stack) > 0 {
-		a := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	return c
+}
+
+// putCascade parks c for the handle's next cascade.
+func (h *Heap) putCascade(c *cascade) {
+	c.dead = c.dead[:0]
+	h.spareCascade.Store(c)
+}
+
+// collect appends payload and every block reachable only through it to
+// c.dead, dropping child reference counts along the way.
+func (c *cascade) collect(payload pmem.Addr) {
+	h := c.h
+	c.stack = append(c.stack[:0], payload)
+	for len(c.stack) > 0 {
+		a := c.stack[len(c.stack)-1]
+		c.stack = c.stack[:len(c.stack)-1]
 		stride, tag := h.header(a)
 		if t := h.dev.Tracer(); t != nil {
 			t.Free(a-headerSize, uint64(stride))
 		}
-		dead = append(dead, a)
-		if w := sh.walkers[tag]; w != nil {
-			w(h, a, drop)
+		c.dead = append(c.dead, a)
+		if w := h.sh.walkers[tag]; w != nil {
+			w(h, a, &c.sc, c.drop)
 		}
 	}
-	return dead
 }
 
 // freeBlock returns a retired block to the free lists. Reference counts
@@ -676,7 +731,7 @@ func (h *Heap) freeBlock(r retiredBlock) {
 		sh.taintCount.Add(-1)
 	}
 	sh.mu.Lock()
-	sh.free[stride] = append(sh.free[stride], r.addr-headerSize)
+	sh.pushFreeLocked(stride, r.addr-headerSize)
 	sh.stats.Frees++
 	sh.stats.LiveBytes -= uint64(stride)
 	sh.mu.Unlock()

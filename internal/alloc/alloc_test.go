@@ -18,7 +18,7 @@ func newTestHeap(t *testing.T) *Heap {
 const tagPair = 7
 
 func registerPairWalker(h *Heap) {
-	h.RegisterWalker(tagPair, func(h *Heap, addr pmem.Addr, visit func(pmem.Addr)) {
+	h.RegisterWalker(tagPair, func(h *Heap, addr pmem.Addr, _ *Scratch, visit func(pmem.Addr)) {
 		visit(pmem.Addr(h.Device().ReadU64(addr)))
 		visit(pmem.Addr(h.Device().ReadU64(addr + 8)))
 	})

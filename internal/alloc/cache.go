@@ -65,13 +65,14 @@ func (h *Heap) NodeCacheEnabled() bool { return h.sh.cache.Load() != nil }
 // DRAM latency instead of the PM media read a device access would risk.
 // A miss reads the device and populates the cache. Nodes owned by ed
 // (still being mutated in place this FASE) bypass the cache, as does
-// everything when the cache is disabled. The returned slice is shared
-// and must not be mutated.
-func (h *Heap) ReadCached(a pmem.Addr, n int, ed *Edit) []byte {
+// everything when the cache is disabled; those reads land in sc. The
+// returned slice is shared — with the cache, or with sc's next user —
+// and must be decoded before the next read and never mutated.
+func (h *Heap) ReadCached(a pmem.Addr, n int, ed *Edit, sc *Scratch) []byte {
 	h.VerifyOnRead(a)
 	c := h.sh.cache.Load()
 	if c == nil || (ed != nil && ed.Owns(a)) {
-		buf := make([]byte, n)
+		buf := sc.Bytes(n)
 		h.dev.Read(a, buf)
 		return buf
 	}

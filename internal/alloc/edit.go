@@ -63,6 +63,17 @@ import (
 // request, a small bounded leak in the worst case.
 //
 // An Edit is single-goroutine state, like the FASE it serves.
+//
+// # Reuse
+//
+// A handle keeps the edit its last FASE sealed and BeginEdit hands it out
+// again, so a steady-state FASE allocates nothing for its bookkeeping:
+// the run list, the recycled-block and node sets, the flush set and the
+// node-image scratch all keep their storage (DESIGN.md §8, "Edit reuse
+// and scratch ownership"). Seal empties the edit before parking it —
+// a sealed edit owns nothing and rejects Alloc and Record — and the
+// *Edit a caller still holds after Seal is dead: the handle's next
+// BeginEdit may be the same object, serving another FASE.
 
 // editRunBytes is the default bump-run claim; larger single allocations
 // claim a dedicated run of their own size.
@@ -94,27 +105,63 @@ func (st runSlotState) reusable(fenceNow uint64) bool {
 // through the funcds operations building the FASE's shadow, and Seal
 // before the commit fence. Not safe for concurrent use.
 type Edit struct {
-	h      *Heap
-	fs     *pmem.FlushSet
-	runs   []editRun
-	extra  map[pmem.Addr]struct{} // owned blocks outside runs (free-list reuse, table-full fallback)
-	nodes  map[pmem.Addr]int      // payload -> initialized bytes, for the Seal checksum pass
-	order  []pmem.Addr            // nodes in registration order (deterministic PM-write order)
-	elided uint64
-	sealed bool
+	h       *Heap
+	fs      *pmem.FlushSet
+	runs    []editRun
+	extra   pmem.OrderedSet[pmem.Addr] // owned blocks outside runs (free-list reuse, table-full fallback)
+	nodes   pmem.OrderedSet[pmem.Addr] // payloads awaiting the Seal checksum pass, in registration order (= PM-write order)
+	nodeLen []int                      // nodeLen[i]: initialized bytes of nodes.Keys()[i]
+	elided  uint64
+	sealed  bool
+	scratch Scratch
+}
+
+// Scratch is a reusable node-image buffer: the bytes a node is read into
+// before it is decoded, or encoded into before it is written. Slices
+// handed to pmem.Backend's interface methods escape to the Go heap, so an
+// image built on the goroutine stack would cost one allocation per node
+// visited; a Scratch belongs to something that outlives the call — an
+// Edit (Edit.Scratch) or a handle's cascade state — and is grown once.
+// One image is live at a time: decode a node out of the buffer before
+// asking for the next.
+//
+// A nil *Scratch is valid and allocates a fresh buffer per request; that
+// is the path of operations running without an edit.
+type Scratch struct{ buf []byte }
+
+// Bytes returns an n-byte buffer with unspecified contents, valid until
+// the next Bytes call on s.
+func (s *Scratch) Bytes(n int) []byte {
+	if s == nil {
+		return make([]byte, n)
+	}
+	if cap(s.buf) < n {
+		s.buf = make([]byte, max(n, 2*cap(s.buf), 512))
+	}
+	return s.buf[:n]
+}
+
+// Scratch returns the edit's node-image buffer (nil for a nil edit).
+func (e *Edit) Scratch() *Scratch {
+	if e == nil {
+		return nil
+	}
+	return &e.scratch
 }
 
 func runEntryAddr(slot int) pmem.Addr {
 	return pmem.Addr(offRuns + slot*runEntrySize)
 }
 
-// BeginEdit opens an edit context for one FASE on this handle.
+// BeginEdit opens an edit context for one FASE on this handle: the edit
+// the handle's last FASE sealed, reopened, or a fresh one when that edit
+// is still open or was taken by another goroutine sharing the handle.
 func (h *Heap) BeginEdit() *Edit {
-	return &Edit{
-		h: h, fs: pmem.NewFlushSet(h.dev),
-		extra: make(map[pmem.Addr]struct{}),
-		nodes: make(map[pmem.Addr]int),
+	if e := h.spareEdit.Swap(nil); e != nil {
+		e.sealed = false
+		return e
 	}
+	return &Edit{h: h, fs: pmem.NewFlushSet(h.dev)}
 }
 
 // Heap returns the heap this edit allocates from.
@@ -152,12 +199,10 @@ func (e *Edit) alloc(size int, tag uint8, volatile bool) pmem.Addr {
 	// recovery chain walk steps correctly over it even if the rewrite
 	// never persists (stale tag/alloc bits only matter for reachable
 	// blocks, and reachable implies sealed implies the rewrite is durable).
-	if list := sh.free[stride]; len(list) > 0 {
-		hdr := list[len(list)-1]
-		sh.free[stride] = list[:len(list)-1]
+	if hdr, ok := sh.popFreeLocked(stride); ok {
 		sh.noteAllocLocked(stride)
 		sh.mu.Unlock()
-		e.extra[hdr+headerSize] = struct{}{}
+		e.extra.Add(hdr + headerSize)
 		return e.finishAlloc(hdr, stride, tag, volatile)
 	}
 	// Bump path: sub-allocate from this edit's current run, claiming a
@@ -188,7 +233,7 @@ func (e *Edit) alloc(size int, tag uint8, volatile bool) pmem.Addr {
 		// header there would truncate the recovery chain walk.
 		sh.mu.Unlock()
 		payload := h.alloc(size, tag, volatile, true)
-		e.extra[payload] = struct{}{}
+		e.extra.Add(payload)
 		return payload
 	}
 	// A free block large enough to host several allocations can serve as
@@ -280,8 +325,7 @@ func (e *Edit) Owns(payload pmem.Addr) bool {
 			return true
 		}
 	}
-	_, ok := e.extra[payload]
-	return ok
+	return e.extra.Find(payload) >= 0
 }
 
 // Record defers a flush of every line overlapping [addr, addr+n) to the
@@ -304,11 +348,11 @@ func (e *Edit) RecordNode(addr pmem.Addr, n int) {
 		panic("alloc: RecordNode on a sealed edit")
 	}
 	e.fs.Add(addr, n)
-	if old, ok := e.nodes[addr]; !ok {
-		e.nodes[addr] = n
-		e.order = append(e.order, addr)
-	} else if n > old {
-		e.nodes[addr] = n
+	i, added := e.nodes.Add(addr)
+	if added {
+		e.nodeLen = append(e.nodeLen, n)
+	} else if n > e.nodeLen[i] {
+		e.nodeLen[i] = n
 	}
 }
 
@@ -323,7 +367,8 @@ func (e *Edit) CopiesElided() uint64 { return e.elided }
 // the coalesced flush sweep, and marks the run-table slots sealed (their
 // persistent entries remain until a fence-covered reuse or recovery —
 // see the package comment). It must be called before the FASE's commit
-// fence; the edit is dead afterwards. Seal is idempotent.
+// fence; the edit is dead afterwards, and parked on its handle for the
+// next BeginEdit. Seal is idempotent until then.
 func (e *Edit) Seal() {
 	if e.sealed {
 		return
@@ -358,8 +403,8 @@ func (e *Edit) Seal() {
 	// covers, and before the sweep so every checksum word is flushed by
 	// it. Run and free-list nodes' header lines are already in the flush
 	// set; fallback nodes' checksum line is added here.
-	for _, a := range e.order {
-		h.SetChecksum(a, e.nodes[a])
+	for i, a := range e.nodes.Keys() {
+		h.SetChecksum(a, e.nodeLen[i])
 		e.fs.Add(a-headerSize+8, 8)
 	}
 
@@ -371,11 +416,13 @@ func (e *Edit) Seal() {
 	}
 	sh.mu.Unlock()
 	h.dev.NoteCopiesElided(e.elided)
-	e.runs = nil
-	e.extra = nil
-	e.nodes = nil
-	e.order = nil
+	e.runs = e.runs[:0]
+	e.extra.Reset()
+	e.nodes.Reset()
+	e.nodeLen = e.nodeLen[:0]
+	e.elided = 0
 	e.sealed = true
+	h.spareEdit.Store(e)
 }
 
 // capRun covers a sealed run's unused tail [cur, end) with one spanning
@@ -416,7 +463,7 @@ func (e *Edit) capRun(r *editRun) {
 	if rem >= reserveMin && len(sh.reserves) < reserveCap {
 		sh.reserves = append(sh.reserves, reserveRegion{start: r.cur, end: r.end})
 	} else {
-		sh.free[rem] = append(sh.free[rem], r.cur)
+		sh.pushFreeLocked(rem, r.cur)
 	}
 	sh.mu.Unlock()
 }

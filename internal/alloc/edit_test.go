@@ -112,7 +112,7 @@ func TestEditSealedHeapRecovers(t *testing.T) {
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
 	h := Format(dev)
-	h.RegisterWalker(1, func(*Heap, pmem.Addr, func(pmem.Addr)) {})
+	h.RegisterWalker(1, func(*Heap, pmem.Addr, *Scratch, func(pmem.Addr)) {})
 
 	slot, err := h.RootSlot("r")
 	if err != nil {
@@ -137,7 +137,7 @@ func TestEditSealedHeapRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2.RegisterWalker(1, func(*Heap, pmem.Addr, func(pmem.Addr)) {})
+	h2.RegisterWalker(1, func(*Heap, pmem.Addr, *Scratch, func(pmem.Addr)) {})
 	rs, err := h2.Recover()
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -162,7 +162,7 @@ func TestEditCrashMidEditSkipsRun(t *testing.T) {
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
 	h := Format(dev)
-	h.RegisterWalker(1, func(*Heap, pmem.Addr, func(pmem.Addr)) {})
+	h.RegisterWalker(1, func(*Heap, pmem.Addr, *Scratch, func(pmem.Addr)) {})
 
 	slot, err := h.RootSlot("committed")
 	if err != nil {
@@ -192,7 +192,7 @@ func TestEditCrashMidEditSkipsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2.RegisterWalker(1, func(*Heap, pmem.Addr, func(pmem.Addr)) {})
+	h2.RegisterWalker(1, func(*Heap, pmem.Addr, *Scratch, func(pmem.Addr)) {})
 	rs, err := h2.Recover()
 	if err != nil {
 		t.Fatalf("Recover after mid-edit crash: %v", err)
@@ -274,7 +274,7 @@ func TestEditCrashAfterSealBeforeFence(t *testing.T) {
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
 	h := Format(dev)
-	h.RegisterWalker(1, func(*Heap, pmem.Addr, func(pmem.Addr)) {})
+	h.RegisterWalker(1, func(*Heap, pmem.Addr, *Scratch, func(pmem.Addr)) {})
 
 	slot, err := h.RootSlot("committed")
 	if err != nil {
@@ -304,7 +304,7 @@ func TestEditCrashAfterSealBeforeFence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2.RegisterWalker(1, func(*Heap, pmem.Addr, func(pmem.Addr)) {})
+	h2.RegisterWalker(1, func(*Heap, pmem.Addr, *Scratch, func(pmem.Addr)) {})
 	rs, err := h2.Recover()
 	if err != nil {
 		t.Fatalf("Recover after seal-but-unfenced crash: %v", err)

@@ -89,6 +89,7 @@ type ebrState struct {
 	mu       sync.Mutex
 	retired  []retiredBlock
 	deferred []retiredBlock // releases postponed until their epoch grace passes
+	ready    []retiredBlock // processDeferred's batch storage; nil while a batch is being cascaded
 }
 
 // Enter pins the current epoch and returns the guard. The pin is
@@ -168,7 +169,7 @@ func (eb *ebrState) deferRelease(addr pmem.Addr) {
 func (eb *ebrState) processDeferred(h *Heap, budget int) (used int, epochWaiting bool) {
 	e := eb.epoch.Load()
 	eb.mu.Lock()
-	var ready []retiredBlock
+	ready := eb.ready[:0]
 	kept := eb.deferred[:0]
 	for _, d := range eb.deferred {
 		if d.epoch+2 <= e && len(ready) < budget {
@@ -181,20 +182,31 @@ func (eb *ebrState) processDeferred(h *Heap, budget int) (used int, epochWaiting
 		}
 	}
 	eb.deferred = kept
+	if len(ready) == 0 {
+		eb.mu.Unlock()
+		return 0, epochWaiting
+	}
+	eb.ready = nil // ours until handed back below
 	eb.mu.Unlock()
 	fence := h.dev.FenceSeq()
+	c := h.takeCascade()
 	for _, d := range ready {
 		if !h.decRef(d.addr, "release") {
 			continue
 		}
-		dead := h.collectCascade(d.addr, nil)
+		c.dead = c.dead[:0]
+		c.collect(d.addr)
 		ep := eb.epoch.Load()
 		eb.mu.Lock()
-		for _, a := range dead {
+		for _, a := range c.dead {
 			eb.retired = append(eb.retired, retiredBlock{addr: a, epoch: ep, fence: fence})
 		}
 		eb.mu.Unlock()
 	}
+	h.putCascade(c)
+	eb.mu.Lock()
+	eb.ready = ready
+	eb.mu.Unlock()
 	return len(ready), epochWaiting
 }
 

@@ -182,11 +182,12 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 			return rs, err
 		}
 	}
+	var sc Scratch
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if w := sh.walkers[b.tag]; w != nil {
-			w(h, b.hdr+headerSize, visitChild)
+			w(h, b.hdr+headerSize, &sc, visitChild)
 			if walkErr != nil {
 				return rs, walkErr
 			}
@@ -206,7 +207,7 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 			continue
 		}
 		s.Store(0)
-		sh.free[b.stride] = append(sh.free[b.stride], b.hdr)
+		sh.pushFreeLocked(b.stride, b.hdr)
 		if b.wasAll {
 			rs.LeakedBlocks++
 			rs.LeakedBytes += uint64(b.stride)

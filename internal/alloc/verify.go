@@ -147,6 +147,7 @@ func (h *Heap) VerifyRoot(slot int) (err error) {
 	}()
 	visited := make(map[pmem.Addr]struct{})
 	stack := []pmem.Addr{root}
+	var sc Scratch
 	for len(stack) > 0 {
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -171,7 +172,7 @@ func (h *Heap) VerifyRoot(slot int) (err error) {
 		if w == nil {
 			continue
 		}
-		w(h, a, func(child pmem.Addr) {
+		w(h, a, &sc, func(child pmem.Addr) {
 			if child != pmem.Nil {
 				stack = append(stack, child)
 			}

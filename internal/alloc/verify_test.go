@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -58,6 +60,26 @@ func TestSealNodeChecksumRoundtrip(t *testing.T) {
 	h.ResealNode(a)
 	if err := h.VerifyBlock(a); err != nil {
 		t.Fatalf("resealed node fails verification: %v", err)
+	}
+}
+
+// The stored checksum is CRC32-C over header word 0, the covered length
+// as a little-endian u32, and the covered payload — pinned against the
+// library CRC so the on-media format cannot drift with nodeCRC's internals.
+func TestNodeCRCMatchesReference(t *testing.T) {
+	h, dev := verifyHeapFor(t)
+	for _, n := range []int{0, 8, 24, 300, 1 << 16} {
+		a := h.AllocNode(n, 7)
+		for i := 0; i+8 <= n; i += 8 {
+			dev.WriteU64(a+pmem.Addr(i), uint64(i+n)*0x9E3779B97F4A7C15)
+		}
+		raw := rawArena(dev, a-headerSize, headerSize+n)
+		ref := append([]byte(nil), raw[:8]...)
+		ref = binary.LittleEndian.AppendUint32(ref, uint32(n))
+		ref = append(ref, raw[headerSize:]...)
+		if got, want := h.nodeCRC(a-headerSize, n), crc32.Checksum(ref, crc32.MakeTable(crc32.Castagnoli)); got != want {
+			t.Errorf("nodeCRC over %d bytes = %#x, reference %#x", n, got, want)
+		}
 	}
 }
 
@@ -123,7 +145,7 @@ const chainTag = 41
 
 func buildChain(t *testing.T, h *Heap, dev *pmem.Device) (root, child pmem.Addr, slot int) {
 	t.Helper()
-	h.RegisterWalker(chainTag, func(h *Heap, a pmem.Addr, visit func(pmem.Addr)) {
+	h.RegisterWalker(chainTag, func(h *Heap, a pmem.Addr, _ *Scratch, visit func(pmem.Addr)) {
 		visit(pmem.Addr(h.Device().ReadU64(a)))
 	})
 	child = h.AllocNode(24, chainTag)

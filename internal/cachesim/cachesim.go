@@ -47,8 +47,8 @@ func (s Stats) Add(o Stats) Stats {
 // L1 is a set-associative cache over 64-byte line indices.
 type L1 struct {
 	tags  [Sets][Ways]uint64 // line index + 1; 0 = invalid
-	age   [Sets][Ways]uint32 // larger = more recently used
-	tick  uint32
+	age   [Sets][Ways]uint64 // larger = more recently used
+	tick  uint64
 	stats Stats
 }
 

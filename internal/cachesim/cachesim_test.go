@@ -93,3 +93,40 @@ func TestStatsSub(t *testing.T) {
 		t.Fatalf("delta = %+v", d)
 	}
 }
+
+// LRU ages must keep ordering ways correctly when the access counter
+// passes 2^32 — minutes of simulated traffic. A counter that wraps there
+// makes the most recently used lines look oldest, and every set then
+// evicts its hottest way.
+func TestLRUSurvivesTickPassing32Bits(t *testing.T) {
+	const nearWrap = 1<<32 - 4
+
+	c := NewL1()
+	c.tick = nearWrap
+	for w := 0; w < Ways; w++ { // fills one set; the counter passes 2^32 on the way
+		c.Access(uint64(w)*Sets, false)
+	}
+	c.Access(0, false)                 // line 0 is now the most recently used
+	c.Access(uint64(Ways)*Sets, false) // one more conflicting line: evicts the LRU
+	if !c.Contains(0) {
+		t.Error("L1 evicted its most recently used line after the counter passed 2^32")
+	}
+	if c.Contains(Sets) {
+		t.Error("L1 kept its least recently used line after the counter passed 2^32")
+	}
+
+	l := newLevel(L2SizeBytes, L2Ways)
+	l.tick = nearWrap
+	stride := uint64(l.sets)
+	for w := 0; w < l.ways; w++ {
+		l.access(uint64(w) * stride)
+	}
+	l.access(0)
+	l.access(uint64(l.ways) * stride) // evicts the LRU way, which must be line `stride`
+	if !l.access(0) {
+		t.Error("level evicted its most recently used line after the counter passed 2^32")
+	}
+	if l.access(stride) {
+		t.Error("level kept its least recently used line after the counter passed 2^32")
+	}
+}

@@ -1,16 +1,15 @@
 package cachesim
 
-import "sync"
-
 // Hierarchy models the full cache stack of the paper's machine (Table 1:
 // 32 KB L1D, 1 MB L2, 33 MB shared L3). Where an access hits determines
 // the latency the device charges; without the outer levels, every L1 miss
 // would pay the full PM latency and pointer-chasing structures would be
 // overcharged at sub-paper working-set sizes.
 //
-// All levels are inclusive, LRU, write-allocate. A Hierarchy is safe for
-// concurrent use: one internal mutex serializes accesses, modeling a
-// single shared cache stack the way the device serializes the arena.
+// All levels are inclusive, LRU, write-allocate. A Hierarchy is not safe
+// for concurrent use: it models a single shared cache stack, and its one
+// user — the simulated device — touches it only inside the critical
+// section that already serializes the arena.
 
 // Level geometry (bytes, ways) for L2 and L3.
 const (
@@ -36,8 +35,8 @@ type level struct {
 	sets int
 	ways int
 	tags []uint64 // line+1; 0 invalid
-	age  []uint32
-	tick uint32
+	age  []uint64 // larger = more recently used
+	tick uint64
 }
 
 func newLevel(sizeBytes, ways int) *level {
@@ -46,7 +45,7 @@ func newLevel(sizeBytes, ways int) *level {
 		sets: sets,
 		ways: ways,
 		tags: make([]uint64, sets*ways),
-		age:  make([]uint32, sets*ways),
+		age:  make([]uint64, sets*ways),
 	}
 }
 
@@ -106,7 +105,6 @@ func (s HierarchyStats) Add(o HierarchyStats) HierarchyStats {
 
 // Hierarchy is the three-level cache model.
 type Hierarchy struct {
-	mu    sync.Mutex
 	l1    *L1
 	l2    *level
 	l3    *level
@@ -121,8 +119,6 @@ func NewHierarchy() *Hierarchy {
 // Access touches the line and returns the level that served it, filling
 // all nearer levels.
 func (h *Hierarchy) Access(line uint64, write bool) Where {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.l1.Access(line, write) {
 		h.stats.L1Hits++
 		return InL1
@@ -140,15 +136,7 @@ func (h *Hierarchy) Access(line uint64, write bool) Where {
 }
 
 // L1Stats returns the L1D hit/miss counters (the Fig. 11 metric).
-func (h *Hierarchy) L1Stats() Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.l1.Stats()
-}
+func (h *Hierarchy) L1Stats() Stats { return h.l1.Stats() }
 
 // Stats returns per-level counters.
-func (h *Hierarchy) Stats() HierarchyStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stats
-}
+func (h *Hierarchy) Stats() HierarchyStats { return h.stats }

@@ -164,41 +164,70 @@ func TestParallelWritersDistinctRoots(t *testing.T) {
 	}
 }
 
-// TestConcurrentWritersSameRootSerialize checks the per-root commit mutex:
-// Basic-interface writers racing on one root must not lose updates,
-// because each update reloads the committed version under the lock.
+// TestConcurrentWritersSameRootSerialize: Basic-interface writers racing
+// on one root must not lose updates, because each attempt applies against
+// the committed version and publishes with a CAS — whether every writer
+// works through its own forked store handle or all of them share one
+// store handle and one Map handle. Sharing is the harder case for the
+// handle's parked per-FASE state (the reusable edit and cascade buffers
+// of its alloc.Heap): concurrent FASEs must never be handed the same
+// edit. Run under -race.
 func TestConcurrentWritersSameRootSerialize(t *testing.T) {
 	const (
 		writers = 4
 		ops     = 200
 	)
-	s := newTestStore(t)
-	if _, err := s.Map("shared"); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := s.Fork()
-			m, err := st.Map("shared")
+	for _, shared := range []bool{false, true} {
+		name := "forked handles"
+		if shared {
+			name = "one shared handle"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := newTestStore(t)
+			common, err := s.Map("shared")
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			for i := uint64(0); i < ops; i++ {
-				// Disjoint key ranges: a lost update would show as a
-				// missing key.
-				m.Set(key64(uint64(w)*ops+i), key64(i))
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					m := common
+					if !shared {
+						var err error
+						if m, err = s.Fork().Map("shared"); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					for i := uint64(0); i < ops; i++ {
+						// Disjoint key ranges: a lost update would show as a
+						// missing key. Every other key is rewritten at once, so
+						// FASEs also release blocks and run cascades.
+						k := key64(uint64(w)*ops + i)
+						m.Set(k, key64(i))
+						if i%2 == 0 {
+							m.Set(k, key64(i+1))
+						}
+					}
+				}(w)
 			}
-		}(w)
-	}
-	wg.Wait()
-	s.Sync()
-	m, _ := s.Map("shared")
-	if m.Len() != writers*ops {
-		t.Fatalf("shared map has %d entries, want %d (lost updates)", m.Len(), writers*ops)
+			wg.Wait()
+			s.Sync()
+			m, _ := s.Map("shared")
+			if m.Len() != writers*ops {
+				t.Fatalf("shared map has %d entries, want %d (lost updates)", m.Len(), writers*ops)
+			}
+			for w := uint64(0); w < writers; w++ {
+				for i := uint64(0); i < ops; i++ {
+					want := key64(i + (i+1)%2)
+					if got, ok := m.Get(key64(w*ops + i)); !ok || string(got) != string(want) {
+						t.Fatalf("writer %d key %d reads %x, %v; want %x", w, i, got, ok, want)
+					}
+				}
+			}
+		})
 	}
 }
 

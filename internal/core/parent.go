@@ -147,7 +147,7 @@ func (p *Parent) installField(i int, addr pmem.Addr) error {
 	return nil
 }
 
-func walkParent(h *alloc.Heap, a pmem.Addr, visit func(pmem.Addr)) {
+func walkParent(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
 	dev := h.Device()
 	n := dev.ReadU64(a)
 	if n > maxParentFields {

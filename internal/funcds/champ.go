@@ -138,34 +138,81 @@ func (m Map) setHdr(count uint64, newRoot, oldRoot, rec pmem.Addr) Map {
 	return Map{h: m.h, addr: hdr, ed: m.ed}
 }
 
-// readMapNode loads a trie node into volatile form with bulk accesses,
-// served from the DRAM node cache when it is enabled (edit-owned nodes —
-// still mutable this FASE — bypass it).
-func readMapNode(h *alloc.Heap, ed *alloc.Edit, a pmem.Addr) (dataMap, nodeMap uint32, entries []mapEntry, children []pmem.Addr) {
-	hdr := h.ReadCached(a, 8, ed)
-	dataMap = binary.LittleEndian.Uint32(hdr)
-	nodeMap = binary.LittleEndian.Uint32(hdr[4:])
-	d := bits.OnesCount32(dataMap)
-	c := bits.OnesCount32(nodeMap)
-	var body []byte
-	if n := d*16 + c*8; n > 0 {
-		// Re-read the whole node under its block-start key: the cache is
-		// invalidated by payload address on free, so a separate entry keyed
-		// mid-block would survive free-and-reallocate and serve stale bytes.
-		body = h.ReadCached(a, 8+n, ed)[8:]
+// mapNode is a trie node decoded into volatile form. The arrays are
+// fixed-size (a node has at most 32 slots of either kind), so a decoded
+// node is a plain value in its reader's frame: an update mutates the
+// decoded copy and encodes it back out, with no slice to allocate.
+type mapNode struct {
+	dataMap, nodeMap uint32
+	eb               [vecWidth]mapEntry
+	cb               [vecWidth]pmem.Addr
+}
+
+func (n *mapNode) entries() []mapEntry   { return n.eb[:bits.OnesCount32(n.dataMap)] }
+func (n *mapNode) children() []pmem.Addr { return n.cb[:bits.OnesCount32(n.nodeMap)] }
+
+// insertEntry adds e as the di-th entry, under bitmap position bit.
+func (n *mapNode) insertEntry(bit uint32, di int, e mapEntry) {
+	d := len(n.entries())
+	copy(n.eb[di+1:d+1], n.eb[di:d])
+	n.eb[di] = e
+	n.dataMap |= bit
+}
+
+// removeEntry drops the di-th entry, at bitmap position bit.
+func (n *mapNode) removeEntry(bit uint32, di int) {
+	copy(n.eb[di:], n.entries()[di+1:])
+	n.dataMap &^= bit
+}
+
+// insertChild adds c as the ni-th child, under bitmap position bit.
+func (n *mapNode) insertChild(bit uint32, ni int, c pmem.Addr) {
+	k := len(n.children())
+	copy(n.cb[ni+1:k+1], n.cb[ni:k])
+	n.cb[ni] = c
+	n.nodeMap |= bit
+}
+
+// removeChild drops the ni-th child, at bitmap position bit.
+func (n *mapNode) removeChild(bit uint32, ni int) {
+	copy(n.cb[ni:], n.children()[ni+1:])
+	n.nodeMap &^= bit
+}
+
+// readMapNode loads a trie node into n with bulk accesses, served from
+// the DRAM node cache when it is enabled (edit-owned nodes — still
+// mutable this FASE — bypass it).
+func readMapNode(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr, n *mapNode) {
+	hdr := h.ReadCached(a, 8, ed, sc)
+	n.dataMap = binary.LittleEndian.Uint32(hdr)
+	n.nodeMap = binary.LittleEndian.Uint32(hdr[4:])
+	d := bits.OnesCount32(n.dataMap)
+	c := bits.OnesCount32(n.nodeMap)
+	size := d*16 + c*8
+	if size == 0 {
+		return
 	}
-	entries = make([]mapEntry, d)
+	// Re-read the whole node under its block-start key: the cache is
+	// invalidated by payload address on free, so a separate entry keyed
+	// mid-block would survive free-and-reallocate and serve stale bytes.
+	body := h.ReadCached(a, 8+size, ed, sc)[8:]
 	for i := 0; i < d; i++ {
-		entries[i] = mapEntry{
+		n.eb[i] = mapEntry{
 			pmem.Addr(binary.LittleEndian.Uint64(body[i*16:])),
 			pmem.Addr(binary.LittleEndian.Uint64(body[i*16+8:])),
 		}
 	}
-	children = make([]pmem.Addr, c)
 	for i := 0; i < c; i++ {
-		children[i] = pmem.Addr(binary.LittleEndian.Uint64(body[d*16+i*8:]))
+		n.cb[i] = pmem.Addr(binary.LittleEndian.Uint64(body[d*16+i*8:]))
 	}
-	return dataMap, nodeMap, entries, children
+}
+
+// putEntries encodes entries into buf, 16 bytes each.
+func putEntries(buf []byte, entries []mapEntry) {
+	for i, e := range entries {
+		binary.LittleEndian.PutUint64(buf[i*16:], uint64(e.key))
+		binary.LittleEndian.PutUint64(buf[i*16+8:], uint64(e.val))
+	}
 }
 
 // buildMapNode allocates, writes, and flushes a trie node (volatile under
@@ -174,21 +221,22 @@ func readMapNode(h *alloc.Heap, ed *alloc.Edit, a pmem.Addr) (dataMap, nodeMap u
 func buildMapNode(h *alloc.Heap, ed *alloc.Edit, vol bool, dataMap, nodeMap uint32, entries []mapEntry, children []pmem.Addr) pmem.Addr {
 	size := 8 + len(entries)*16 + len(children)*8
 	a := nodeAlloc(h, ed, size, TagMapNode, vol)
-	buf := make([]byte, size)
+	buf := ed.Scratch().Bytes(size)
 	binary.LittleEndian.PutUint32(buf, dataMap)
 	binary.LittleEndian.PutUint32(buf[4:], nodeMap)
-	for i, e := range entries {
-		binary.LittleEndian.PutUint64(buf[8+i*16:], uint64(e.key))
-		binary.LittleEndian.PutUint64(buf[8+i*16+8:], uint64(e.val))
-	}
+	putEntries(buf[8:], entries)
 	base := 8 + len(entries)*16
 	for i, c := range children {
 		binary.LittleEndian.PutUint64(buf[base+i*8:], uint64(c))
 	}
-	dev := h.Device()
-	dev.Write(a, buf)
+	h.Device().Write(a, buf)
 	flushNode(h, ed, a, size, vol)
 	return a
+}
+
+// build encodes the decoded (and possibly mutated) node as a new block.
+func (n *mapNode) build(h *alloc.Heap, ed *alloc.Edit, vol bool) pmem.Addr {
+	return buildMapNode(h, ed, vol, n.dataMap, n.nodeMap, n.entries(), n.children())
 }
 
 // buildCollision allocates, writes, and flushes a collision bucket
@@ -196,34 +244,36 @@ func buildMapNode(h *alloc.Heap, ed *alloc.Edit, vol bool, dataMap, nodeMap uint
 func buildCollision(h *alloc.Heap, ed *alloc.Edit, vol bool, entries []mapEntry) pmem.Addr {
 	size := 8 + len(entries)*16
 	a := nodeAlloc(h, ed, size, TagMapCollision, vol)
-	buf := make([]byte, size)
+	buf := ed.Scratch().Bytes(size)
 	binary.LittleEndian.PutUint32(buf, uint32(len(entries)))
-	for i, e := range entries {
-		binary.LittleEndian.PutUint64(buf[8+i*16:], uint64(e.key))
-		binary.LittleEndian.PutUint64(buf[8+i*16+8:], uint64(e.val))
-	}
-	dev := h.Device()
-	dev.Write(a, buf)
+	binary.LittleEndian.PutUint32(buf[4:], 0)
+	putEntries(buf[8:], entries)
+	h.Device().Write(a, buf)
 	flushNode(h, ed, a, size, vol)
 	return a
 }
 
-func readCollision(h *alloc.Heap, ed *alloc.Edit, a pmem.Addr) []mapEntry {
-	hdr := h.ReadCached(a, 8, ed)
+// collisionInline is the bucket size a reader's frame holds; a larger
+// bucket (more than four keys sharing one 64-bit hash) spills to the Go
+// heap through append.
+const collisionInline = 4
+
+// readCollision appends the bucket's entries to dst and returns it.
+func readCollision(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr, dst []mapEntry) []mapEntry {
+	hdr := h.ReadCached(a, 8, ed, sc)
 	n := int(binary.LittleEndian.Uint32(hdr))
-	entries := make([]mapEntry, n)
 	if n == 0 {
-		return entries
+		return dst
 	}
 	// Whole-node read under the block-start key; see readMapNode.
-	body := h.ReadCached(a, 8+n*16, ed)[8:]
+	body := h.ReadCached(a, 8+n*16, ed, sc)[8:]
 	for i := 0; i < n; i++ {
-		entries[i] = mapEntry{
+		dst = append(dst, mapEntry{
 			pmem.Addr(binary.LittleEndian.Uint64(body[i*16:])),
 			pmem.Addr(binary.LittleEndian.Uint64(body[i*16+8:])),
-		}
+		})
 	}
-	return entries
+	return dst
 }
 
 // retainEntries retains every key and non-nil value in entries except the
@@ -257,12 +307,14 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 		return nil, false
 	}
 	dev := m.h.Device()
+	sc := m.ed.Scratch()
 	hash := hash64(key)
 	shift := uint(0)
 	for {
 		if m.h.Tag(node) == TagMapCollision {
-			for _, e := range readCollision(m.h, m.ed, node) {
-				if blobEqual(m.h, e.key, key) {
+			var cbuf [collisionInline]mapEntry
+			for _, e := range readCollision(m.h, m.ed, sc, node, cbuf[:0]) {
+				if blobEqual(m.h, sc, e.key, key) {
 					if e.val == pmem.Nil {
 						return nil, true
 					}
@@ -279,7 +331,7 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 			di := bits.OnesCount32(dataMap & (bit - 1))
 			off := node + 8 + pmem.Addr(di*16)
 			keyBlob := pmem.Addr(dev.ReadU64(off))
-			if !blobEqual(m.h, keyBlob, key) {
+			if !blobEqual(m.h, sc, keyBlob, key) {
 				return nil, false
 			}
 			valBlob := pmem.Addr(dev.ReadU64(off + 8))
@@ -307,15 +359,21 @@ func (m Map) Contains(key []byte) bool {
 // Set returns a new version with key bound to val, and whether an existing
 // binding was replaced. Pass a nil val for set semantics (no value blob).
 func (m Map) Set(key, val []byte) (Map, bool) {
-	keyBlob := newBlob(m.h, m.ed, key)
+	// The key is boxed only where the trie installs a new entry (keyFor):
+	// replacing a binding reuses the blob already there, so boxing up
+	// front would allocate, write, checksum, flush and free a blob that
+	// is never linked. A selective map does box up front — its record
+	// cell references the key and is created before the insert, so it
+	// holds the blobs even when the trie reuses an existing key blob and
+	// the fresh one is released.
+	keyBlob, rec := pmem.Nil, pmem.Nil
+	if m.sel {
+		keyBlob = newBlob(m.h, m.ed, key)
+	}
 	valBlob := pmem.Nil
 	if val != nil {
 		valBlob = newBlob(m.h, m.ed, val)
 	}
-	// The record cell is created before the insert so it holds references
-	// on the blobs even when the trie reuses an existing key blob and the
-	// fresh one is released.
-	rec := pmem.Nil
 	if m.sel {
 		_, oldRec, _ := readSelExt(m.h, m.addr, mapHdrSize)
 		rec = newRecord(m.h, m.ed, oldRec, RecMapSet, uint64(keyBlob), uint64(valBlob))
@@ -325,7 +383,7 @@ func (m Map) Set(key, val []byte) (Map, bool) {
 	var replaced bool
 	if root == pmem.Nil {
 		hash := hash64(key)
-		newRoot = buildMapNode(m.h, m.ed, m.sel, uint32(1)<<(hash&31), 0, []mapEntry{{keyBlob, valBlob}}, nil)
+		newRoot = buildMapNode(m.h, m.ed, m.sel, uint32(1)<<(hash&31), 0, []mapEntry{{m.keyFor(key, keyBlob), valBlob}}, nil)
 	} else {
 		newRoot, replaced = m.insertRec(root, 0, hash64(key), key, keyBlob, valBlob)
 		if replaced {
@@ -339,109 +397,106 @@ func (m Map) Set(key, val []byte) (Map, bool) {
 	return m.setHdr(count, newRoot, root, rec), replaced
 }
 
-// insertRec returns a new node with the binding applied. keyBlob/valBlob
-// references transfer into the new trie unless replaced is true, in which
-// case the existing key blob was retained instead and the caller must
-// release keyBlob.
+// keyFor returns the blob a new entry for key links: the one boxed up
+// front when there is one, a fresh box otherwise.
+func (m Map) keyFor(key []byte, boxed pmem.Addr) pmem.Addr {
+	if boxed != pmem.Nil {
+		return boxed
+	}
+	return newBlob(m.h, m.ed, key)
+}
+
+// setSlot overwrites one pointer slot of an edit-owned node in place and
+// drops the node's reference to the pointer it displaced.
+func (m Map) setSlot(off pmem.Addr, v, displaced pmem.Addr) {
+	m.h.Device().WriteU64(off, uint64(v))
+	recordEdit(m.ed, off, 8, m.sel)
+	m.h.Release(displaced)
+}
+
+// insertRec returns a new node with the binding applied. keyBlob is the
+// key boxed up front, or Nil to box it on installation (keyFor).
+// keyBlob/valBlob references transfer into the new trie unless replaced
+// is true, in which case the existing key blob was retained instead and
+// the caller must release keyBlob.
 func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, keyBlob, valBlob pmem.Addr) (pmem.Addr, bool) {
-	h := m.h
+	h, sc := m.h, m.ed.Scratch()
 	if h.Tag(node) == TagMapCollision {
-		entries := readCollision(h, m.ed, node)
+		var cbuf [collisionInline]mapEntry
+		entries := readCollision(h, m.ed, sc, node, cbuf[:0])
 		for i, e := range entries {
-			if blobEqual(h, e.key, key) {
+			if blobEqual(h, sc, e.key, key) {
 				if m.ed.Owns(node) {
-					off := node + 8 + pmem.Addr(i*16) + 8
-					h.Device().WriteU64(off, uint64(valBlob))
-					recordEdit(m.ed, off, 8, m.sel)
-					h.Release(e.val)
+					m.setSlot(node+8+pmem.Addr(i*16)+8, valBlob, e.val)
 					return node, true
 				}
-				out := make([]mapEntry, len(entries))
-				copy(out, entries)
-				out[i] = mapEntry{e.key, valBlob}
 				retainEntries(h, entries, i)
 				h.Retain(e.key) // key survives into the new bucket
-				return buildCollision(h, m.ed, m.sel, out), true
+				entries[i].val = valBlob
+				return buildCollision(h, m.ed, m.sel, entries), true
 			}
 		}
-		out := append(append([]mapEntry{}, entries...), mapEntry{keyBlob, valBlob})
 		retainEntries(h, entries, -1)
-		return buildCollision(h, m.ed, m.sel, out), false
+		return buildCollision(h, m.ed, m.sel, append(entries, mapEntry{m.keyFor(key, keyBlob), valBlob})), false
 	}
 
-	dataMap, nodeMap, entries, children := readMapNode(h, m.ed, node)
+	var n mapNode
+	readMapNode(h, m.ed, sc, node, &n)
 	bit := uint32(1) << ((hash >> shift) & 31)
-	di := bits.OnesCount32(dataMap & (bit - 1))
-	ni := bits.OnesCount32(nodeMap & (bit - 1))
+	di := bits.OnesCount32(n.dataMap & (bit - 1))
+	ni := bits.OnesCount32(n.nodeMap & (bit - 1))
 
 	switch {
-	case dataMap&bit != 0:
-		e := entries[di]
-		if blobEqual(h, e.key, key) {
+	case n.dataMap&bit != 0:
+		e := n.eb[di]
+		if blobEqual(h, sc, e.key, key) {
 			if m.ed.Owns(node) {
 				// Same shape: a single in-place value-slot write.
-				off := node + 8 + pmem.Addr(di*16) + 8
-				h.Device().WriteU64(off, uint64(valBlob))
-				recordEdit(m.ed, off, 8, m.sel)
-				h.Release(e.val)
+				m.setSlot(node+8+pmem.Addr(di*16)+8, valBlob, e.val)
 				return node, true
 			}
 			// Replace the value (new node, same shape).
-			out := make([]mapEntry, len(entries))
-			copy(out, entries)
-			out[di] = mapEntry{e.key, valBlob}
-			retainEntries(h, entries, di)
+			retainEntries(h, n.entries(), di)
 			h.Retain(e.key)
-			retainChildren(h, children, -1)
-			return buildMapNode(h, m.ed, m.sel, dataMap, nodeMap, out, children), true
+			retainChildren(h, n.children(), -1)
+			n.eb[di].val = valBlob
+			return n.build(h, m.ed, m.sel), true
 		}
 		// Hash conflict at this level: push both entries one level down.
 		// The node's shape changes, so an owned node is rebuilt too (its
 		// replacement transfers in via the parent's in-place slot write).
-		exHash := hash64(blobBytes(h, e.key))
+		exHash := hash64(blobInto(h, sc, e.key))
 		h.Retain(e.key)
 		if e.val != pmem.Nil {
 			h.Retain(e.val)
 		}
-		sub := m.mergeTwo(shift+vecBits, e, exHash, mapEntry{keyBlob, valBlob}, hash)
-		outE := make([]mapEntry, 0, len(entries)-1)
-		outE = append(outE, entries[:di]...)
-		outE = append(outE, entries[di+1:]...)
-		outC := make([]pmem.Addr, 0, len(children)+1)
-		outC = append(outC, children[:ni]...)
-		outC = append(outC, sub)
-		outC = append(outC, children[ni:]...)
-		retainEntries(h, entries, di)
-		retainChildren(h, children, -1)
-		return buildMapNode(h, m.ed, m.sel, dataMap&^bit, nodeMap|bit, outE, outC), false
+		sub := m.mergeTwo(shift+vecBits, e, exHash, mapEntry{m.keyFor(key, keyBlob), valBlob}, hash)
+		retainEntries(h, n.entries(), di)
+		retainChildren(h, n.children(), -1)
+		n.removeEntry(bit, di)
+		n.insertChild(bit, ni, sub)
+		return n.build(h, m.ed, m.sel), false
 
-	case nodeMap&bit != 0:
-		newChild, replaced := m.insertRec(children[ni], shift+vecBits, hash, key, keyBlob, valBlob)
-		if newChild == children[ni] {
+	case n.nodeMap&bit != 0:
+		child := n.cb[ni]
+		newChild, replaced := m.insertRec(child, shift+vecBits, hash, key, keyBlob, valBlob)
+		if newChild == child {
 			return node, replaced
 		}
 		if m.ed.Owns(node) {
-			off := node + 8 + pmem.Addr(len(entries)*16+ni*8)
-			h.Device().WriteU64(off, uint64(newChild))
-			recordEdit(m.ed, off, 8, m.sel)
-			h.Release(children[ni])
+			m.setSlot(node+8+pmem.Addr(len(n.entries())*16+ni*8), newChild, child)
 			return node, replaced
 		}
-		outC := make([]pmem.Addr, len(children))
-		copy(outC, children)
-		outC[ni] = newChild
-		retainEntries(h, entries, -1)
-		retainChildren(h, children, ni)
-		return buildMapNode(h, m.ed, m.sel, dataMap, nodeMap, entries, outC), replaced
+		retainEntries(h, n.entries(), -1)
+		retainChildren(h, n.children(), ni)
+		n.cb[ni] = newChild
+		return n.build(h, m.ed, m.sel), replaced
 
 	default:
-		outE := make([]mapEntry, 0, len(entries)+1)
-		outE = append(outE, entries[:di]...)
-		outE = append(outE, mapEntry{keyBlob, valBlob})
-		outE = append(outE, entries[di:]...)
-		retainEntries(h, entries, -1)
-		retainChildren(h, children, -1)
-		return buildMapNode(h, m.ed, m.sel, dataMap|bit, nodeMap, outE, children), false
+		retainEntries(h, n.entries(), -1)
+		retainChildren(h, n.children(), -1)
+		n.insertEntry(bit, di, mapEntry{m.keyFor(key, keyBlob), valBlob})
+		return n.build(h, m.ed, m.sel), false
 	}
 }
 
@@ -494,76 +549,67 @@ func (m Map) Delete(key []byte) (Map, bool) {
 // into their parents on deletion (lookup correctness is unaffected; the
 // trie is merely non-canonical afterwards).
 func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pmem.Addr, bool) {
-	h := m.h
+	h, sc := m.h, m.ed.Scratch()
 	if h.Tag(node) == TagMapCollision {
-		entries := readCollision(h, m.ed, node)
+		var cbuf [collisionInline]mapEntry
+		entries := readCollision(h, m.ed, sc, node, cbuf[:0])
 		for i, e := range entries {
-			if blobEqual(h, e.key, key) {
+			if blobEqual(h, sc, e.key, key) {
 				if len(entries) == 1 {
 					return pmem.Nil, true
 				}
-				out := make([]mapEntry, 0, len(entries)-1)
-				out = append(out, entries[:i]...)
-				out = append(out, entries[i+1:]...)
 				retainEntries(h, entries, i)
-				return buildCollision(h, m.ed, m.sel, out), true
+				return buildCollision(h, m.ed, m.sel, append(entries[:i], entries[i+1:]...)), true
 			}
 		}
 		return pmem.Nil, false
 	}
 
-	dataMap, nodeMap, entries, children := readMapNode(h, m.ed, node)
+	var n mapNode
+	readMapNode(h, m.ed, sc, node, &n)
 	bit := uint32(1) << ((hash >> shift) & 31)
-	di := bits.OnesCount32(dataMap & (bit - 1))
-	ni := bits.OnesCount32(nodeMap & (bit - 1))
+	di := bits.OnesCount32(n.dataMap & (bit - 1))
+	ni := bits.OnesCount32(n.nodeMap & (bit - 1))
 
 	switch {
-	case dataMap&bit != 0:
-		if !blobEqual(h, entries[di].key, key) {
+	case n.dataMap&bit != 0:
+		if !blobEqual(h, sc, n.eb[di].key, key) {
 			return pmem.Nil, false
 		}
-		if len(entries) == 1 && len(children) == 0 {
+		if len(n.entries()) == 1 && n.nodeMap == 0 {
 			return pmem.Nil, true
 		}
-		outE := make([]mapEntry, 0, len(entries)-1)
-		outE = append(outE, entries[:di]...)
-		outE = append(outE, entries[di+1:]...)
-		retainEntries(h, entries, di)
-		retainChildren(h, children, -1)
-		return buildMapNode(h, m.ed, m.sel, dataMap&^bit, nodeMap, outE, children), true
+		retainEntries(h, n.entries(), di)
+		retainChildren(h, n.children(), -1)
+		n.removeEntry(bit, di)
+		return n.build(h, m.ed, m.sel), true
 
-	case nodeMap&bit != 0:
-		newChild, removed := m.deleteRec(children[ni], shift+vecBits, hash, key)
+	case n.nodeMap&bit != 0:
+		child := n.cb[ni]
+		newChild, removed := m.deleteRec(child, shift+vecBits, hash, key)
 		if !removed {
 			return pmem.Nil, false
 		}
 		if newChild == pmem.Nil {
-			if len(entries) == 0 && len(children) == 1 {
+			if n.dataMap == 0 && len(n.children()) == 1 {
 				return pmem.Nil, true
 			}
-			outC := make([]pmem.Addr, 0, len(children)-1)
-			outC = append(outC, children[:ni]...)
-			outC = append(outC, children[ni+1:]...)
-			retainEntries(h, entries, -1)
-			retainChildren(h, children, ni)
-			return buildMapNode(h, m.ed, m.sel, dataMap, nodeMap&^bit, entries, outC), true
+			retainEntries(h, n.entries(), -1)
+			retainChildren(h, n.children(), ni)
+			n.removeChild(bit, ni)
+			return n.build(h, m.ed, m.sel), true
 		}
-		if newChild == children[ni] {
+		if newChild == child {
 			return node, true
 		}
 		if m.ed.Owns(node) {
-			off := node + 8 + pmem.Addr(len(entries)*16+ni*8)
-			h.Device().WriteU64(off, uint64(newChild))
-			recordEdit(m.ed, off, 8, m.sel)
-			h.Release(children[ni])
+			m.setSlot(node+8+pmem.Addr(len(n.entries())*16+ni*8), newChild, child)
 			return node, true
 		}
-		outC := make([]pmem.Addr, len(children))
-		copy(outC, children)
-		outC[ni] = newChild
-		retainEntries(h, entries, -1)
-		retainChildren(h, children, ni)
-		return buildMapNode(h, m.ed, m.sel, dataMap, nodeMap, entries, outC), true
+		retainEntries(h, n.entries(), -1)
+		retainChildren(h, n.children(), ni)
+		n.cb[ni] = newChild
+		return n.build(h, m.ed, m.sel), true
 
 	default:
 		return pmem.Nil, false
@@ -583,20 +629,22 @@ func (m Map) Range(f func(key, val []byte) bool) {
 func (m Map) rangeRec(node pmem.Addr, f func(key, val []byte) bool) bool {
 	h := m.h
 	if h.Tag(node) == TagMapCollision {
-		for _, e := range readCollision(h, m.ed, node) {
+		var cbuf [collisionInline]mapEntry
+		for _, e := range readCollision(h, m.ed, m.ed.Scratch(), node, cbuf[:0]) {
 			if !emitEntry(h, e, f) {
 				return false
 			}
 		}
 		return true
 	}
-	_, _, entries, children := readMapNode(h, m.ed, node)
-	for _, e := range entries {
+	var n mapNode
+	readMapNode(h, m.ed, m.ed.Scratch(), node, &n)
+	for _, e := range n.entries() {
 		if !emitEntry(h, e, f) {
 			return false
 		}
 	}
-	for _, c := range children {
+	for _, c := range n.children() {
 		if !m.rangeRec(c, f) {
 			return false
 		}
@@ -612,28 +660,29 @@ func emitEntry(h *alloc.Heap, e mapEntry, f func(key, val []byte) bool) bool {
 	return f(blobBytes(h, e.key), val)
 }
 
-func walkMapHdr(h *alloc.Heap, a pmem.Addr, visit func(pmem.Addr)) {
+func walkMapHdr(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
 	if root := pmem.Addr(h.Device().ReadU64(a + 8)); root != pmem.Nil {
 		visit(root)
 	}
 }
 
-func walkMapNode(h *alloc.Heap, a pmem.Addr, visit func(pmem.Addr)) {
-	dataMap, _, entries, children := readMapNode(h, nil, a)
-	_ = dataMap
-	for _, e := range entries {
+func walkMapNode(h *alloc.Heap, a pmem.Addr, sc *alloc.Scratch, visit func(pmem.Addr)) {
+	var n mapNode
+	readMapNode(h, nil, sc, a, &n)
+	for _, e := range n.entries() {
 		visit(e.key)
 		if e.val != pmem.Nil {
 			visit(e.val)
 		}
 	}
-	for _, c := range children {
+	for _, c := range n.children() {
 		visit(c)
 	}
 }
 
-func walkMapCollision(h *alloc.Heap, a pmem.Addr, visit func(pmem.Addr)) {
-	for _, e := range readCollision(h, nil, a) {
+func walkMapCollision(h *alloc.Heap, a pmem.Addr, sc *alloc.Scratch, visit func(pmem.Addr)) {
+	var cbuf [collisionInline]mapEntry
+	for _, e := range readCollision(h, nil, sc, a, cbuf[:0]) {
 		visit(e.key)
 		if e.val != pmem.Nil {
 			visit(e.val)

@@ -238,7 +238,7 @@ func TestMapCollisionBuckets(t *testing.T) {
 	if replaced {
 		t.Fatal("new key reported replaced")
 	}
-	entries := readCollision(h, nil, col2)
+	entries := readCollision(h, nil, nil, col2, nil)
 	if len(entries) != 3 {
 		t.Fatalf("collision bucket has %d entries, want 3", len(entries))
 	}
@@ -251,8 +251,8 @@ func TestMapCollisionBuckets(t *testing.T) {
 	}
 	h.Release(k2b)
 	found := false
-	for _, e := range readCollision(h, nil, col3) {
-		if blobEqual(h, e.key, []byte("beta")) {
+	for _, e := range readCollision(h, nil, nil, col3, nil) {
+		if blobEqual(h, nil, e.key, []byte("beta")) {
 			found = true
 			if string(blobBytes(h, e.val)) != "4" {
 				t.Fatalf("beta value = %q, want 4", blobBytes(h, e.val))
@@ -267,7 +267,7 @@ func TestMapCollisionBuckets(t *testing.T) {
 	if !removed || col4 == pmem.Nil {
 		t.Fatalf("delete from bucket: removed=%v node=%#x", removed, uint64(col4))
 	}
-	if got := len(readCollision(h, nil, col4)); got != 2 {
+	if got := len(readCollision(h, nil, nil, col4, nil)); got != 2 {
 		t.Fatalf("bucket has %d entries after delete, want 2", got)
 	}
 }
@@ -284,11 +284,12 @@ func TestMapMergeTwoDivergingHashes(t *testing.T) {
 	if h.Tag(sub) != TagMapNode {
 		t.Fatalf("mergeTwo built tag %d, want map node", h.Tag(sub))
 	}
-	dataMap, nodeMap, entries, _ := readMapNode(h, nil, sub)
-	if nodeMap != 0 || dataMap != 0b110 || len(entries) != 2 {
-		t.Fatalf("merged node dataMap=%b nodeMap=%b entries=%d", dataMap, nodeMap, len(entries))
+	var n mapNode
+	readMapNode(h, nil, nil, sub, &n)
+	if n.nodeMap != 0 || n.dataMap != 0b110 {
+		t.Fatalf("merged node dataMap=%b nodeMap=%b", n.dataMap, n.nodeMap)
 	}
-	if !blobEqual(h, entries[0].key, []byte("a")) {
+	if !blobEqual(h, nil, n.eb[0].key, []byte("a")) {
 		t.Fatal("entries not index-ordered")
 	}
 }

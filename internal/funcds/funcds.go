@@ -26,6 +26,8 @@
 package funcds
 
 import (
+	"bytes"
+
 	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/pmem"
 )
@@ -79,7 +81,7 @@ func RegisterWalkers(h *alloc.Heap) {
 	h.RegisterWalker(TagQueueHdrSel, walkSelHdr(walkQueueHdr, queueHdrSize))
 }
 
-func walkNone(*alloc.Heap, pmem.Addr, func(pmem.Addr)) {}
+func walkNone(*alloc.Heap, pmem.Addr, *alloc.Scratch, func(pmem.Addr)) {}
 
 // Edit-context plumbing. Every structure value optionally carries an
 // *alloc.Edit (WithEdit); node constructors allocate through it so the
@@ -87,6 +89,13 @@ func walkNone(*alloc.Heap, pmem.Addr, func(pmem.Addr)) {}
 // its flushes are deferred into the edit's dedup set. With a nil edit the
 // constructors behave exactly as before: allocate eagerly and flush
 // immediately.
+//
+// The edit also lends its node-image buffer (alloc.Scratch, DESIGN.md §8):
+// every bulk Read and Write goes through it, so the bytes that cross the
+// pmem.Backend interface never cost a Go allocation. Decoded nodes are
+// fixed-size values in the frame that reads them — one frame per trie
+// level of a recursive update — and are decoded before the buffer's next
+// use. With a nil edit the buffer is nil and each image is a fresh slice.
 
 // nodeAlloc allocates a node through the edit when one is active. A
 // volatile node (selective persistence, record.go) carries the heap's
@@ -174,22 +183,25 @@ func blobBytes(h *alloc.Heap, a pmem.Addr) []byte {
 	return b
 }
 
-// blobEqual compares the blob at a with b without allocating.
-func blobEqual(h *alloc.Heap, a pmem.Addr, b []byte) bool {
+// blobInto reads the blob's contents into sc; the result is valid until
+// sc's next use.
+func blobInto(h *alloc.Heap, sc *alloc.Scratch, a pmem.Addr) []byte {
+	b := sc.Bytes(blobLen(h, a))
+	h.Device().Read(a+blobHdrSize, b)
+	return b
+}
+
+// blobEqual compares the blob at a with b, reading through sc.
+func blobEqual(h *alloc.Heap, sc *alloc.Scratch, a pmem.Addr, b []byte) bool {
 	if blobLen(h, a) != len(b) {
 		return false
 	}
 	if len(b) == 0 {
 		return true
 	}
-	got := make([]byte, len(b))
+	got := sc.Bytes(len(b))
 	h.Device().Read(a+blobHdrSize, got)
-	for i := range b {
-		if got[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(got, b)
 }
 
 // hash64 is FNV-1a, the hash used to place keys in the CHAMP trie.

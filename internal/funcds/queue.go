@@ -238,7 +238,7 @@ func (q Queue) Elements() []uint64 {
 	return out
 }
 
-func walkQueueHdr(h *alloc.Heap, a pmem.Addr, visit func(pmem.Addr)) {
+func walkQueueHdr(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
 	dev := h.Device()
 	if front := pmem.Addr(dev.ReadU64(a)); front != pmem.Nil {
 		visit(front)

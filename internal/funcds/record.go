@@ -77,11 +77,15 @@ func SetCheckpointEvery(n uint64) uint64 { return checkpointEvery.Swap(n) }
 // EncodeRecord renders a record cell's payload bytes.
 func EncodeRecord(prev pmem.Addr, kind, a, b uint64) []byte {
 	buf := make([]byte, recordSize)
+	putRecord(buf, prev, kind, a, b)
+	return buf
+}
+
+func putRecord(buf []byte, prev pmem.Addr, kind, a, b uint64) {
 	binary.LittleEndian.PutUint64(buf[recOffPrev:], uint64(prev))
 	binary.LittleEndian.PutUint64(buf[recOffKind:], kind)
 	binary.LittleEndian.PutUint64(buf[recOffA:], a)
 	binary.LittleEndian.PutUint64(buf[recOffB:], b)
-	return buf
 }
 
 // DecodeRecord parses a record cell's payload, validating the kind and the
@@ -117,7 +121,9 @@ func DecodeRecord(buf []byte) (prev pmem.Addr, kind, a, b uint64, err error) {
 // transferred into the header's recHead field).
 func newRecord(h *alloc.Heap, ed *alloc.Edit, prev pmem.Addr, kind, a, b uint64) pmem.Addr {
 	r := nodeAlloc(h, ed, recordSize, TagRecord, false)
-	h.Device().Write(r, EncodeRecord(prev, kind, a, b))
+	buf := ed.Scratch().Bytes(recordSize)
+	putRecord(buf, prev, kind, a, b)
+	h.Device().Write(r, buf)
 	flushNode(h, ed, r, recordSize, false)
 	if prev != pmem.Nil {
 		h.Retain(prev)
@@ -146,7 +152,7 @@ func readRecord(h *alloc.Heap, r pmem.Addr) (prev pmem.Addr, kind, a, b uint64) 
 	return prev, kind, a, b
 }
 
-func walkRecord(h *alloc.Heap, r pmem.Addr, visit func(pmem.Addr)) {
+func walkRecord(h *alloc.Heap, r pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
 	dev := h.Device()
 	if prev := pmem.Addr(dev.ReadU64(r + recOffPrev)); prev != pmem.Nil {
 		visit(prev)
@@ -219,9 +225,9 @@ func writeSelExt(h *alloc.Heap, hdr pmem.Addr, base int, ckpt, recHead pmem.Addr
 
 // walkSelHdr visits a selective header's children: the live pointers of
 // the base layout plus the checkpoint clone and the record chain head.
-func walkSelHdr(baseWalk func(*alloc.Heap, pmem.Addr, func(pmem.Addr)), base int) alloc.Walker {
-	return func(h *alloc.Heap, a pmem.Addr, visit func(pmem.Addr)) {
-		baseWalk(h, a, visit)
+func walkSelHdr(baseWalk alloc.Walker, base int) alloc.Walker {
+	return func(h *alloc.Heap, a pmem.Addr, sc *alloc.Scratch, visit func(pmem.Addr)) {
+		baseWalk(h, a, sc, visit)
 		ckpt, recHead, _ := readSelExt(h, a, base)
 		if ckpt != pmem.Nil {
 			visit(ckpt)
@@ -269,7 +275,7 @@ func selAppendRecord(h *alloc.Heap, ed *alloc.Edit, hdr, rec pmem.Addr) pmem.Add
 	}
 	a := nodeAlloc(h, ed, base+selExtSize, tag, false)
 	dev := h.Device()
-	buf := make([]byte, base)
+	buf := ed.Scratch().Bytes(base)
 	dev.Read(hdr, buf)
 	dev.Write(a, buf)
 	writeSelExt(h, a, base, ckpt, rec, recCount+1)
@@ -290,6 +296,7 @@ func selAppendRecord(h *alloc.Heap, ed *alloc.Edit, hdr, rec pmem.Addr) pmem.Add
 // set reachable from the header.
 func volatileCrown(h *alloc.Heap, roots []pmem.Addr) []pmem.Addr {
 	var out []pmem.Addr
+	var sc alloc.Scratch
 	seen := make(map[pmem.Addr]struct{})
 	var rec func(a pmem.Addr)
 	rec = func(a pmem.Addr) {
@@ -303,12 +310,13 @@ func volatileCrown(h *alloc.Heap, roots []pmem.Addr) []pmem.Addr {
 		out = append(out, a)
 		switch h.Tag(a) {
 		case TagMapNode:
-			_, _, _, children := readMapNode(h, nil, a)
-			for _, c := range children {
+			var n mapNode
+			readMapNode(h, nil, &sc, a, &n)
+			for _, c := range n.children() {
 				rec(c)
 			}
 		case TagVecNode:
-			slots := readNode(h, nil, a)
+			slots := readNode(h, nil, &sc, a)
 			for _, c := range slots {
 				rec(pmem.Addr(c))
 			}

@@ -184,13 +184,13 @@ func (s Stack) Elements() []uint64 {
 	return out
 }
 
-func walkStackHdr(h *alloc.Heap, a pmem.Addr, visit func(pmem.Addr)) {
+func walkStackHdr(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
 	if head := pmem.Addr(h.Device().ReadU64(a)); head != pmem.Nil {
 		visit(head)
 	}
 }
 
-func walkListNode(h *alloc.Heap, a pmem.Addr, visit func(pmem.Addr)) {
+func walkListNode(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
 	if next := pmem.Addr(h.Device().ReadU64(a)); next != pmem.Nil {
 		visit(next)
 	}

@@ -181,8 +181,8 @@ func newVecLeaf(h *alloc.Heap, ed *alloc.Edit, vol bool, vals []uint64) pmem.Add
 
 // readNode reads all 32 slots of a node or leaf with one bulk access,
 // served from the DRAM node cache when enabled (edit-owned nodes bypass).
-func readNode(h *alloc.Heap, ed *alloc.Edit, a pmem.Addr) [vecWidth]uint64 {
-	buf := h.ReadCached(a, vecNodeSize, ed)
+func readNode(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr) [vecWidth]uint64 {
+	buf := h.ReadCached(a, vecNodeSize, ed, sc)
 	var out [vecWidth]uint64
 	for i := 0; i < vecWidth; i++ {
 		out[i] = binary.LittleEndian.Uint64(buf[i*8:])
@@ -194,12 +194,11 @@ func readNode(h *alloc.Heap, ed *alloc.Edit, a pmem.Addr) [vecWidth]uint64 {
 // (volatile under selective persistence).
 func writeNode(h *alloc.Heap, ed *alloc.Edit, vol bool, tag uint8, slots [vecWidth]uint64) pmem.Addr {
 	a := nodeAlloc(h, ed, vecNodeSize, tag, vol)
-	var buf [vecNodeSize]byte
+	buf := ed.Scratch().Bytes(vecNodeSize)
 	for i := 0; i < vecWidth; i++ {
 		binary.LittleEndian.PutUint64(buf[i*8:], slots[i])
 	}
-	dev := h.Device()
-	dev.Write(a, buf[:])
+	h.Device().Write(a, buf)
 	flushNode(h, ed, a, vecNodeSize, vol)
 	return a
 }
@@ -208,7 +207,7 @@ func writeNode(h *alloc.Heap, ed *alloc.Edit, vol bool, tag uint8, slots [vecWid
 // All other non-nil children are retained (they gain a parent). The new
 // child's reference is transferred from the caller.
 func copyNodeReplace(h *alloc.Heap, ed *alloc.Edit, vol bool, node pmem.Addr, idx int, child pmem.Addr) pmem.Addr {
-	slots := readNode(h, ed, node)
+	slots := readNode(h, ed, ed.Scratch(), node)
 	for i, c := range slots {
 		if i != idx && c != 0 {
 			h.Retain(pmem.Addr(c))
@@ -272,7 +271,7 @@ func (v Vector) Update(i uint64, val uint64) Vector {
 			}
 			return v
 		}
-		slots := readNode(v.h, v.ed, tail)
+		slots := readNode(v.h, v.ed, v.ed.Scratch(), tail)
 		slots[i&vecMask] = val
 		newTail := writeNode(v.h, v.ed, v.sel, TagVecLeaf, slots)
 		if !v.ed.Owns(v.addr) && root != pmem.Nil {
@@ -300,7 +299,7 @@ func (v Vector) assoc(node pmem.Addr, shift uint32, i uint64, val uint64) pmem.A
 			recordEdit(v.ed, node+pmem.Addr((i&vecMask)*8), 8, v.sel)
 			return node
 		}
-		slots := readNode(v.h, v.ed, node)
+		slots := readNode(v.h, v.ed, v.ed.Scratch(), node)
 		slots[i&vecMask] = val
 		return writeNode(v.h, v.ed, v.sel, TagVecLeaf, slots)
 	}
@@ -354,7 +353,7 @@ func (v Vector) Push(val uint64) Vector {
 			v.h.Retain(tail)
 			return v.setHdr(count+1, shift, root, tail, rec)
 		}
-		slots := readNode(v.h, v.ed, tail)
+		slots := readNode(v.h, v.ed, v.ed.Scratch(), tail)
 		slots[tailLen] = val
 		newTail := writeNode(v.h, v.ed, v.sel, TagVecLeaf, slots)
 		if !v.ed.Owns(v.addr) && root != pmem.Nil {
@@ -469,7 +468,7 @@ func (v Vector) Elements() []uint64 {
 	return out
 }
 
-func walkVecHdr(h *alloc.Heap, a pmem.Addr, visit func(pmem.Addr)) {
+func walkVecHdr(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
 	if root := pmem.Addr(h.Device().ReadU64(a + 16)); root != pmem.Nil {
 		visit(root)
 	}
@@ -478,7 +477,7 @@ func walkVecHdr(h *alloc.Heap, a pmem.Addr, visit func(pmem.Addr)) {
 	}
 }
 
-func walkVecNode(h *alloc.Heap, a pmem.Addr, visit func(pmem.Addr)) {
+func walkVecNode(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
 	dev := h.Device()
 	for i := 0; i < vecWidth; i++ {
 		if c := pmem.Addr(dev.ReadU64(a + pmem.Addr(i*8))); c != pmem.Nil {

@@ -49,52 +49,74 @@ func TestForkCategoryIndependent(t *testing.T) {
 }
 
 // TestConcurrentHandlesRaceFree drives reads, writes, flushes, and fences
-// from several forked handles at once; run with -race. Counter totals
-// must equal the sum of the per-handle work.
+// from several goroutines at once — each through its own forked handle,
+// then all through one shared handle; run with -race. Counter totals must
+// equal the sum of the per-goroutine work, and no time charge may be
+// lost: the clocks are plain sums kept inside the device's critical
+// section, so a shared handle's clock is exactly the aggregate's growth.
 func TestConcurrentHandlesRaceFree(t *testing.T) {
-	d := New(DefaultConfig(4 << 20))
-	const (
-		workers = 8
-		ops     = 500
-	)
-	before := d.Stats()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := d.Fork()
-			addr := Addr(4096 + w*8192)
-			buf := make([]byte, 64)
-			for i := 0; i < ops; i++ {
-				h.Write(addr, buf)
-				h.Read(addr, buf)
-				h.Clwb(addr)
-				if i%50 == 0 {
-					h.Sfence()
+	for _, shared := range []bool{false, true} {
+		name := "forked handles"
+		if shared {
+			name = "one shared handle"
+		}
+		t.Run(name, func(t *testing.T) {
+			d := New(DefaultConfig(4 << 20))
+			const (
+				workers = 8
+				ops     = 500
+			)
+			before := d.Stats()
+			common := d.Fork()
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					h := common
+					if !shared {
+						h = d.Fork()
+					}
+					addr := Addr(4096 + w*8192)
+					buf := make([]byte, 64)
+					for i := 0; i < ops; i++ {
+						h.Write(addr, buf)
+						h.Read(addr, buf)
+						h.Clwb(addr)
+						if i%50 == 0 {
+							h.Sfence()
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if shared {
+				// Every charge went through common: its clock and the
+				// aggregate added the same values in the same order.
+				if got, want := common.LocalNs(), d.Clock()-before.TotalNs; got != want {
+					t.Fatalf("shared handle's clock %.3f != aggregate growth %.3f: a charge was lost", got, want)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	d.Sfence()
-	delta := d.Stats().Sub(before)
-	if delta.Writes != workers*ops || delta.Reads != workers*ops {
-		t.Fatalf("writes=%d reads=%d, want %d each", delta.Writes, delta.Reads, workers*ops)
-	}
-	if delta.Flushes != workers*ops {
-		t.Fatalf("flushes=%d, want %d", delta.Flushes, workers*ops)
-	}
-	if d.DirtyLines() != 0 {
-		t.Fatalf("%d dirty lines after final flush+fence", d.DirtyLines())
-	}
-	// Aggregate time is the sum of every handle's charges: it must be at
-	// least any single handle's critical path and strictly positive.
-	if delta.TotalNs <= 0 {
-		t.Fatal("no aggregate time charged")
-	}
-	sum := delta.CatNs[CatOther] + delta.CatNs[CatFlush] + delta.CatNs[CatLog]
-	if diff := sum - delta.TotalNs; diff > 1e-3 || diff < -1e-3 {
-		t.Fatalf("category sum %.3f != total %.3f", sum, delta.TotalNs)
+			d.Sfence()
+			delta := d.Stats().Sub(before)
+			if delta.Writes != workers*ops || delta.Reads != workers*ops {
+				t.Fatalf("writes=%d reads=%d, want %d each", delta.Writes, delta.Reads, workers*ops)
+			}
+			if delta.Flushes != workers*ops {
+				t.Fatalf("flushes=%d, want %d", delta.Flushes, workers*ops)
+			}
+			if d.DirtyLines() != 0 {
+				t.Fatalf("%d dirty lines after final flush+fence", d.DirtyLines())
+			}
+			// Aggregate time is the sum of every handle's charges: at least
+			// the issue cost of every access, and the categories add up.
+			if min := workers * ops * (2*d.Config().L1HitNs + d.Config().ClwbIssueNs); delta.TotalNs < min {
+				t.Fatalf("aggregate time %.3f below the %.3f the accesses alone cost", delta.TotalNs, min)
+			}
+			sum := delta.CatNs[CatOther] + delta.CatNs[CatFlush] + delta.CatNs[CatLog]
+			if diff := sum - delta.TotalNs; diff > 1e-3 || diff < -1e-3 {
+				t.Fatalf("category sum %.3f != total %.3f", sum, delta.TotalNs)
+			}
+		})
 	}
 }

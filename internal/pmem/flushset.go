@@ -21,12 +21,13 @@ package pmem
 // these flushes, so no recovery path can observe the deferred lines early.
 //
 // A FlushSet is not safe for concurrent use; it belongs to a single FASE
-// on a single handle, like the edit context that owns it.
+// on a single handle, like the edit context that owns it. Flush leaves it
+// empty with its storage kept, so a reused edit records its next FASE
+// without allocating.
 type FlushSet struct {
 	d        Backend
-	set      map[uint64]struct{}
-	order    []uint64
-	recorded uint64 // line records including duplicates
+	lines    OrderedSet[uint64] // distinct line indices, in recording order
+	recorded uint64             // line records including duplicates
 }
 
 // NewFlushSet returns an empty deferred flush set bound to the given
@@ -34,7 +35,7 @@ type FlushSet struct {
 // saved clwb is saved issue time, on mmapdev a saved note is a smaller
 // msync set.
 func NewFlushSet(b Backend) *FlushSet {
-	return &FlushSet{d: b, set: make(map[uint64]struct{})}
+	return &FlushSet{d: b}
 }
 
 // NewFlushSet returns an empty deferred flush set bound to this handle.
@@ -50,29 +51,25 @@ func (f *FlushSet) Add(addr Addr, n int) {
 	last := (uint64(addr) + uint64(n) - 1) >> LineShift
 	for ln := first; ln <= last; ln++ {
 		f.recorded++
-		if _, ok := f.set[ln]; !ok {
-			f.set[ln] = struct{}{}
-			f.order = append(f.order, ln)
-		}
+		f.lines.Add(ln)
 	}
 }
 
 // Pending returns the number of distinct lines awaiting the sweep.
-func (f *FlushSet) Pending() int { return len(f.order) }
+func (f *FlushSet) Pending() int { return f.lines.Len() }
 
 // Flush issues one clwb per recorded line and resets the set, crediting
 // the deduplicated lines to Stats.FlushesSaved. Call it immediately before
 // the FASE's ordering point.
 func (f *FlushSet) Flush() {
-	for _, ln := range f.order {
+	for _, ln := range f.lines.Keys() {
 		f.d.Clwb(Addr(ln << LineShift))
 	}
-	if saved := f.recorded - uint64(len(f.order)); saved > 0 {
+	if saved := f.recorded - uint64(f.lines.Len()); saved > 0 {
 		f.d.NoteFlushesSaved(saved)
 	}
-	f.order = f.order[:0]
+	f.lines.Reset()
 	f.recorded = 0
-	clear(f.set)
 }
 
 // NoteFlushesSaved credits n flushes avoided by deduplication.

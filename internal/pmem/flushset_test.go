@@ -34,6 +34,50 @@ func TestFlushSetDedupesLines(t *testing.T) {
 	}
 }
 
+// lineLog records the line of every clwb, in order.
+type lineLog struct {
+	Tracer
+	lines []uint64
+}
+
+func (l *lineLog) Flush(line uint64) { l.lines = append(l.lines, line) }
+
+// The sweep issues one clwb per distinct line in first-recording order,
+// whether the set stayed under its linear-scan bound or spilled past it,
+// and a reused set starts empty.
+func TestFlushSetOrderAcrossSpill(t *testing.T) {
+	d := New(DefaultConfig(1 << 20))
+	fs := d.NewFlushSet()
+	for _, distinct := range []int{3, 5 * orderedSetSpill, 3} {
+		log := &lineLog{}
+		var want []uint64
+		for pass := 0; pass < 2; pass++ { // second pass: all duplicates
+			for i := 0; i < distinct; i++ {
+				line := uint64((i*37)%distinct + 16)
+				fs.Add(Addr(line<<LineShift)+8, 8)
+				if pass == 0 {
+					want = append(want, line)
+				}
+			}
+		}
+		base := d.Stats()
+		d.SetTracer(log)
+		fs.Flush()
+		d.SetTracer(nil)
+		if len(log.lines) != distinct {
+			t.Fatalf("%d distinct lines: %d clwbs", distinct, len(log.lines))
+		}
+		for i := range want {
+			if log.lines[i] != want[i] {
+				t.Fatalf("%d distinct lines: clwb %d hit line %d, want %d (recording order)", distinct, i, log.lines[i], want[i])
+			}
+		}
+		if st := d.Stats().Sub(base); st.Flushes != uint64(distinct) || st.FlushesSaved != uint64(distinct) {
+			t.Fatalf("%d distinct lines recorded twice: Flushes=%d FlushesSaved=%d", distinct, st.Flushes, st.FlushesSaved)
+		}
+	}
+}
+
 func TestFlushSetDeferredLinesSurviveFenceAfterSweep(t *testing.T) {
 	d := New(Config{Size: 1 << 20, TrackDurable: true,
 		FlushLatencyNs: 353, FlushParallelFrac: 0.82, FlushMaxConcurrency: 32,

@@ -75,10 +75,11 @@ type devState struct {
 		rebuiltNodes atomic.Uint64
 		recoveryNs   atomic.Uint64 // float64 bits
 	}
-	scans  atomic.Int32
-	fences atomic.Uint64 // fence sequence (duplicated from stats for clarity)
-	tracer atomic.Value  // tracerBox
-	opened time.Time
+	scans   atomic.Int32
+	endScan func()        // closes one BeginRecovery bracket; bound once
+	fences  atomic.Uint64 // fence sequence (duplicated from stats for clarity)
+	tracer  atomic.Value  // tracerBox
+	opened  time.Time
 
 	closeOnce sync.Once
 	closeErr  error
@@ -130,6 +131,7 @@ func newDevice(data []byte, path string) *Device {
 		opened: time.Now(),
 	}
 	s.tracer.Store(tracerBox{})
+	s.endScan = func() { s.scans.Add(-1) }
 	return &Device{s: s}
 }
 
@@ -485,7 +487,7 @@ func (d *Device) ReadDRAM(addr pmem.Addr, n int) {
 // views, mirroring the simulator's guard so recovery code is portable.
 func (d *Device) BeginRecovery() func() {
 	d.s.scans.Add(1)
-	return func() { d.s.scans.Add(-1) }
+	return d.s.endScan
 }
 
 // Bytes returns a raw view of [addr, addr+n) for recovery scans inside

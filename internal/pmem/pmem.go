@@ -24,8 +24,9 @@
 // any number of goroutines may access the arena through their own
 // handles. Time, however, is per handle: each handle owns a LocalClock
 // (see clock.go), created by Fork, so a goroutine's simulated time is its
-// own critical path while Clock() reports the atomic aggregate of busy
-// nanoseconds across all handles. The accounting Category is also
+// own critical path while Clock() reports the aggregate of busy
+// nanoseconds across all handles; both are charged inside the critical
+// section the access already holds. The accounting Category is also
 // per-handle state. Handles are cheap; create one per goroutine with
 // Fork rather than sharing one (sharing is race-free but merges the
 // goroutines' timelines).
@@ -283,11 +284,12 @@ type devState struct {
 	dead      bitset // unreadable lines (media faults, fault.go); nil when none
 	deadLines int
 
-	tracer atomic.Value // tracerBox
-	stats  Stats        // counter fields only; times live in agg
-	fences atomic.Uint64
-	scans  atomic.Int32 // open BeginRecovery brackets gating raw Bytes views
-	agg    aggClock
+	tracer  atomic.Value // tracerBox
+	stats   Stats        // counter fields only; times live in agg
+	agg     nsByCat      // busy time across all handles, guarded by mu (clock.go)
+	fences  atomic.Uint64
+	scans   atomic.Int32 // open BeginRecovery brackets gating raw Bytes views
+	endScan func()       // closes one bracket; bound once so BeginRecovery allocates nothing
 }
 
 // Device is a handle onto a simulated persistent memory module. See the
@@ -320,7 +322,8 @@ func New(cfg Config) *Device {
 		s.cache = cachesim.NewHierarchy()
 	}
 	s.tracer.Store(tracerBox{cfg.Tracer})
-	return &Device{s: s, clk: newLocalClock(&s.agg)}
+	s.endScan = func() { s.scans.Add(-1) }
+	return &Device{s: s, clk: newLocalClock(s)}
 }
 
 // NewFromImage creates a device whose initial (durable) contents are img,
@@ -342,7 +345,7 @@ func NewFromImage(cfg Config, img []byte) *Device {
 // goroutine should work through its own forked handle so its simulated
 // time is tracked independently.
 func (d *Device) Fork() Backend {
-	return &Device{s: d.s, clk: newLocalClock(&d.s.agg), cat: d.cat}
+	return &Device{s: d.s, clk: newLocalClock(d.s), cat: d.cat}
 }
 
 // Size returns the arena size in bytes.
@@ -360,7 +363,11 @@ func (d *Device) SetTracer(t Tracer) { d.s.tracer.Store(tracerBox{t}) }
 // Clock returns the aggregate simulated busy time in nanoseconds across
 // all handles since device creation. With a single handle this is the
 // familiar single-threaded simulated clock.
-func (d *Device) Clock() float64 { return d.s.agg.total.load() }
+func (d *Device) Clock() float64 {
+	d.s.mu.Lock()
+	defer d.s.mu.Unlock()
+	return d.s.agg.total
+}
 
 // LocalNs returns the simulated time accumulated on this handle's own
 // clock — the critical path of the goroutine using it.
@@ -382,11 +389,9 @@ func (d *Device) Stats() Stats {
 		s.Cache = d.s.cache.L1Stats()
 		s.CacheLevels = d.s.cache.Stats()
 	}
+	s.TotalNs = d.s.agg.total
+	s.CatNs = d.s.agg.cat
 	d.s.mu.Unlock()
-	s.TotalNs = d.s.agg.total.load()
-	for c := Category(0); c < numCategories; c++ {
-		s.CatNs[c] = d.s.agg.cat[c].load()
-	}
 	return s
 }
 
@@ -453,8 +458,8 @@ func (d *Device) ReadDRAM(addr Addr, n int) {
 		}
 	}
 	s.stats.DRAMReads += last - first + 1
+	d.clk.chargeLocked(d.cat, ns)
 	s.mu.Unlock()
-	d.clk.Charge(d.cat, ns)
 }
 
 // NoteRecovery records a completed post-crash recovery pass: rebuilt
@@ -522,8 +527,8 @@ func (d *Device) Read(addr Addr, p []byte) {
 	copy(p, s.mem[addr:])
 	s.stats.Reads++
 	s.stats.BytesRead += uint64(len(p))
+	d.clk.chargeLocked(d.cat, ns)
 	s.mu.Unlock()
-	d.clk.Charge(d.cat, ns)
 }
 
 // Write stores p at addr, marking the touched lines dirty.
@@ -538,8 +543,8 @@ func (d *Device) Write(addr Addr, p []byte) {
 	copy(s.mem[addr:], p)
 	s.stats.Writes++
 	s.stats.BytesWritten += uint64(len(p))
+	d.clk.chargeLocked(d.cat, ns)
 	s.mu.Unlock()
-	d.clk.Charge(d.cat, ns)
 	if t := d.Tracer(); t != nil {
 		t.Write(addr, len(p))
 	}
@@ -557,8 +562,8 @@ func (d *Device) Zero(addr Addr, n int) {
 	clear(s.mem[addr : addr+Addr(n)])
 	s.stats.Writes++
 	s.stats.BytesWritten += uint64(n)
+	d.clk.chargeLocked(d.cat, ns)
 	s.mu.Unlock()
-	d.clk.Charge(d.cat, ns)
 	if t := d.Tracer(); t != nil {
 		t.Write(addr, n)
 	}
@@ -574,8 +579,8 @@ func (d *Device) ReadU64(addr Addr) uint64 {
 	v := binary.LittleEndian.Uint64(s.mem[addr:])
 	s.stats.Reads++
 	s.stats.BytesRead += 8
+	d.clk.chargeLocked(d.cat, ns)
 	s.mu.Unlock()
-	d.clk.Charge(d.cat, ns)
 	return v
 }
 
@@ -588,8 +593,8 @@ func (d *Device) WriteU64(addr Addr, v uint64) {
 	binary.LittleEndian.PutUint64(s.mem[addr:], v)
 	s.stats.Writes++
 	s.stats.BytesWritten += 8
+	d.clk.chargeLocked(d.cat, ns)
 	s.mu.Unlock()
-	d.clk.Charge(d.cat, ns)
 	if t := d.Tracer(); t != nil {
 		t.Write(addr, 8)
 	}
@@ -630,16 +635,16 @@ func (d *Device) CasAddr(addr, old, v Addr) bool {
 	s.stats.Reads++
 	s.stats.BytesRead += 8
 	if cur != old {
+		d.clk.chargeLocked(d.cat, ns)
 		s.mu.Unlock()
-		d.clk.Charge(d.cat, ns)
 		return false
 	}
 	ns += d.accessLocked(addr, 8, true)
 	binary.LittleEndian.PutUint64(s.mem[addr:], uint64(v))
 	s.stats.Writes++
 	s.stats.BytesWritten += 8
+	d.clk.chargeLocked(d.cat, ns)
 	s.mu.Unlock()
-	d.clk.Charge(d.cat, ns)
 	if t := d.Tracer(); t != nil {
 		t.Write(addr, 8)
 	}
@@ -656,8 +661,8 @@ func (d *Device) ReadU32(addr Addr) uint32 {
 	v := binary.LittleEndian.Uint32(s.mem[addr:])
 	s.stats.Reads++
 	s.stats.BytesRead += 4
+	d.clk.chargeLocked(d.cat, ns)
 	s.mu.Unlock()
-	d.clk.Charge(d.cat, ns)
 	return v
 }
 
@@ -670,8 +675,8 @@ func (d *Device) WriteU32(addr Addr, v uint32) {
 	binary.LittleEndian.PutUint32(s.mem[addr:], v)
 	s.stats.Writes++
 	s.stats.BytesWritten += 4
+	d.clk.chargeLocked(d.cat, ns)
 	s.mu.Unlock()
-	d.clk.Charge(d.cat, ns)
 	if t := d.Tracer(); t != nil {
 		t.Write(addr, 4)
 	}
@@ -686,7 +691,7 @@ func (d *Device) WriteU32(addr Addr, v uint32) {
 // is device-wide.
 func (d *Device) BeginRecovery() func() {
 	d.s.scans.Add(1)
-	return func() { d.s.scans.Add(-1) }
+	return d.s.endScan
 }
 
 // Bytes returns a read-only view of [addr, addr+n) without charging
@@ -731,8 +736,8 @@ func (d *Device) Clwb(addr Addr) {
 		s.infSet.set(ln)
 		s.inflight = append(s.inflight, ln)
 	}
+	d.clk.chargeLocked(CatFlush, s.cfg.ClwbIssueNs)
 	s.mu.Unlock()
-	d.clk.Charge(CatFlush, s.cfg.ClwbIssueNs)
 	if t := d.Tracer(); t != nil {
 		t.Flush(ln)
 	}
@@ -799,8 +804,8 @@ func (d *Device) Sfence() {
 	// a FenceSeq that includes it, or the allocator could tag a retired
 	// block as already fence-covered and free it one fence early.
 	s.fences.Add(1)
+	d.clk.chargeLocked(CatFlush, d.FenceStallNs(n))
 	s.mu.Unlock()
-	d.clk.Charge(CatFlush, d.FenceStallNs(n))
 	if t := d.Tracer(); t != nil {
 		t.Fence(n)
 	}

@@ -2,7 +2,10 @@ package workloads
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/mod-ds/mod/internal/core"
 	"github.com/mod-ds/mod/internal/pmem"
@@ -18,6 +21,15 @@ import (
 // shard commits serialize only per root, adding readers (or writers on
 // distinct shards) adds throughput — the reader-scaling property the MOD
 // commit protocol's immutable versions make possible.
+//
+// Simulated time only means something if the goroutines overlap the way
+// their simulated clocks say they do, so the run is paced (pacer below,
+// DESIGN.md §6). Left to the Go scheduler, with more goroutines than CPUs
+// one of them is always descheduled — nearly always inside a snapshot or
+// a FASE, which pin the reclamation epoch — for as long as a writer's
+// whole simulated run. That writer's blocks are never recycled, every
+// allocation is a cold PM line, and its critical path, the phase's
+// elapsed time, more than doubles: one value or the other, by schedule.
 
 // ConcurrentConfig parameterizes a concurrent run.
 type ConcurrentConfig struct {
@@ -97,6 +109,38 @@ func perSec(ops int, ns float64) float64 {
 	return float64(ops) / (ns / 1e9)
 }
 
+// paceWindowNs is how far ahead of the slowest running goroutine a
+// goroutine may start its next operation: about one single-Set FASE, so
+// writers still overlap in real time and a reader runs a dozen snapshots
+// per commit, as its clock says it should.
+const paceWindowNs = 2000
+
+// pacer holds the simulated clock every goroutine of a run last
+// announced, as Float64bits; +Inf once the goroutine is done. A goroutine
+// that has not started yet reads as 0, so nobody runs ahead of it either.
+type pacer []atomic.Uint64
+
+// wait announces goroutine i's clock and yields until it is within the
+// window. It is called between operations only — outside any snapshot or
+// FASE — so a waiting goroutine holds nothing the others need.
+func (p pacer) wait(i int, now float64) {
+	p[i].Store(math.Float64bits(now))
+	for {
+		slowest := math.Inf(1)
+		for j := range p {
+			if c := math.Float64frombits(p[j].Load()); j != i && c < slowest {
+				slowest = c
+			}
+		}
+		if now <= slowest+paceWindowNs {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+func (p pacer) done(i int) { p[i].Store(math.Float64bits(math.Inf(1))) }
+
 func shardName(i int) string { return fmt.Sprintf("shard-%02d", i) }
 
 // RunConcurrent executes the concurrent workload and returns its
@@ -143,12 +187,15 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 		mu.Unlock()
 	}
 
+	pace := make(pacer, cfg.Writers+cfg.Readers) // writers first, then readers
+
 	// Writers: writer w owns shards w, w+Writers, w+2*Writers, ... so
 	// writers never contend on a root and commits proceed in parallel.
 	for w := 0; w < cfg.Writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer pace.done(w)
 			st := store.Fork()
 			var shards []*core.Map
 			for s := w; s < cfg.Shards; s += cfg.Writers {
@@ -169,6 +216,7 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 			}
 			r := rng{state: cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(w+1))}
 			for i := 0; i < cfg.WriterOps; i++ {
+				pace.wait(w, st.Device().LocalNs())
 				m := shards[int(r.intn(uint64(len(shards))))]
 				key := fmt.Sprintf("key-%06d", r.intn(uint64(cfg.PreloadKeys*2)))
 				val := fmt.Sprintf("val-%016x", r.next())
@@ -188,6 +236,7 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 		wg.Add(1)
 		go func(rd int) {
 			defer wg.Done()
+			defer pace.done(cfg.Writers + rd)
 			st := store.Fork()
 			shards := make([]*core.Map, cfg.Shards)
 			for s := 0; s < cfg.Shards; s++ {
@@ -201,6 +250,7 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 			r := rng{state: cfg.Seed ^ (0xbf58476d1ce4e5b9 * uint64(rd+1))}
 			done := 0
 			for done < cfg.ReaderOps {
+				pace.wait(cfg.Writers+rd, st.Device().LocalNs())
 				m := shards[int(r.intn(uint64(cfg.Shards)))]
 				snap := m.Snapshot()
 				batch := cfg.GetsPerSnapshot
