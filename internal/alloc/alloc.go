@@ -36,6 +36,7 @@
 package alloc
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -70,13 +71,13 @@ const (
 	superblockSize = offRuns + EditRunSlots*runEntrySize // 1184 -> padded
 	heapBase       = (superblockSize + pmem.LineSize - 1) &^ (pmem.LineSize - 1)
 
-	magic   = 0x4d4f442d48454150 // "MOD-HEAP"
-	version = 4                  // 2: open-run table; 3: volatile-node bit; 4: 16-byte header with checksum word
+	magic = 0x4d4f442d48454150 // "MOD-HEAP"
 
-	// minVersion is the oldest heap layout Open still accepts. Version 4
-	// widened the block header from 8 to 16 bytes, which moves every
-	// payload; older images cannot be read under this layout.
-	minVersion = 4
+	// version is the one heap layout Open accepts. 2: open-run table;
+	// 3: volatile-node bit; 4: 16-byte header with checksum word;
+	// 5: 4-byte references inside funcds trie nodes. Every bump so far
+	// moved or re-encoded node payloads, so no older image is readable.
+	version = 5
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word
@@ -182,6 +183,10 @@ type Heap struct {
 	DisableReclaim bool
 }
 
+// ErrHeapVersion is returned (wrapped) by Open for a heap stamped with any
+// layout version other than this build's.
+var ErrHeapVersion = errors.New("unsupported heap layout version")
+
 // Format initializes a fresh heap on dev, overwriting any prior content,
 // and returns it. The superblock is made durable before Format returns.
 func Format(dev pmem.Backend) *Heap {
@@ -205,8 +210,8 @@ func Open(dev pmem.Backend) (*Heap, error) {
 	if dev.ReadU64(offMagic) != magic {
 		return nil, fmt.Errorf("alloc: bad heap magic %#x", dev.ReadU64(offMagic))
 	}
-	if v := dev.ReadU64(offVersion); v < minVersion || v > version {
-		return nil, fmt.Errorf("alloc: unsupported heap version %d", v)
+	if v := dev.ReadU64(offVersion); v != version {
+		return nil, fmt.Errorf("alloc: heap is layout v%d, this build reads v%d: %w", v, version, ErrHeapVersion)
 	}
 	h := newHeap(dev)
 	h.sh.top = pmem.Addr(dev.ReadU64(offBumpTop))
@@ -443,12 +448,18 @@ func (h *Heap) bumpLocked(stride uint32) pmem.Addr {
 	return hdr
 }
 
-// header returns the parsed header of the block owning payload addr.
+// header returns the parsed header of the block owning payload addr. A
+// payload address outside the heap can only have been decoded from a
+// damaged node: it raises the typed corruption panic before the device is
+// touched (whose own range check panics with its lock held).
 func (h *Heap) header(payload pmem.Addr) (stride uint32, tag uint8) {
+	if payload < heapBase+headerSize || payload >= h.sh.end {
+		panic(&CorruptionPanic{Block: BlockError{Addr: payload, Reason: "pointer outside heap"}})
+	}
 	raw := h.dev.ReadU64(payload - headerSize)
 	stride, tag, _, ok := unpackHeader(raw)
 	if !ok {
-		panic(fmt.Sprintf("alloc: corrupt header for payload %#x: %#x", uint64(payload), raw))
+		panic(&CorruptionPanic{Block: BlockError{Addr: payload, Reason: fmt.Sprintf("bad header word %#x", raw)}})
 	}
 	return stride, tag
 }
@@ -562,6 +573,21 @@ func (h *Heap) Retain(payload pmem.Addr) {
 	s := h.sh.blocks.tracked(payload)
 	if s == nil {
 		panic(fmt.Sprintf("alloc: retain of untracked block %#x", uint64(payload)))
+	}
+	s.Add(1)
+}
+
+// RetainRef is Retain for a reference decoded from a node's bytes, where
+// "no block starts there" is damage to the node rather than a caller bug:
+// it raises the typed panic VerifyRef does, before a wild reference is
+// copied into a new node.
+func (h *Heap) RetainRef(payload pmem.Addr) {
+	if payload == pmem.Nil {
+		return
+	}
+	s := h.sh.blocks.tracked(payload)
+	if s == nil {
+		panic(nonBlockRef(payload))
 	}
 	s.Add(1)
 }

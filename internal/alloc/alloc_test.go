@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -41,6 +42,21 @@ func TestOpenRejectsBadMagic(t *testing.T) {
 	dev := pmem.New(pmem.DefaultConfig(1 << 20))
 	if _, err := Open(dev); err == nil {
 		t.Fatal("Open of unformatted device must fail")
+	}
+}
+
+// TestOpenRejectsOtherVersions: exactly one layout is readable. A heap
+// stamped v4 (8-byte node references, the layout before this one) or with
+// a version from the future is refused with ErrHeapVersion and no handle.
+func TestOpenRejectsOtherVersions(t *testing.T) {
+	for _, v := range []uint64{0, version - 1, version + 1} {
+		dev := pmem.New(pmem.DefaultConfig(1 << 20))
+		Format(dev)
+		dev.WriteU64(offVersion, v)
+		h, err := Open(dev)
+		if !errors.Is(err, ErrHeapVersion) || h != nil {
+			t.Errorf("Open of a v%d heap: handle %v, error %v; want nil and ErrHeapVersion", v, h, err)
+		}
 	}
 }
 

@@ -67,9 +67,12 @@ func (h *Heap) NodeCacheEnabled() bool { return h.sh.cache.Load() != nil }
 // (still being mutated in place this FASE) bypass the cache, as does
 // everything when the cache is disabled; those reads land in sc. The
 // returned slice is shared — with the cache, or with sc's next user —
-// and must be decoded before the next read and never mutated.
+// and must be decoded before the next read and never mutated. Every node
+// read descends through here, so this is where the address — usually
+// decoded from a parent node's bytes — is required to be a block's, and
+// the block to pass its lazy post-recovery check (VerifyRef).
 func (h *Heap) ReadCached(a pmem.Addr, n int, ed *Edit, sc *Scratch) []byte {
-	h.VerifyOnRead(a)
+	h.VerifyRef(a)
 	c := h.sh.cache.Load()
 	if c == nil || (ed != nil && ed.Owns(a)) {
 		buf := sc.Bytes(n)

@@ -225,6 +225,25 @@ func (h *Heap) ArmLazyVerify() {
 	sh.taintCount.Add(tainted)
 }
 
+// VerifyRef is VerifyOnRead for an address decoded from a node's bytes —
+// a 4-byte reference (funcds) — rather than handed out by the heap: it
+// first requires that a block start there. A damaged node that carries no
+// checksum (a checkpointed navigation node, DESIGN.md §10) can decode to
+// any 8-aligned address; reading through one that is outside the heap or
+// inside another block would serve that memory as a key or a length, so
+// it raises the same typed panic a checksum mismatch does. The lookup is
+// the block table's arithmetic (table.go), no device access.
+func (h *Heap) VerifyRef(payload pmem.Addr) {
+	if h.sh.blocks.tracked(payload) == nil {
+		panic(nonBlockRef(payload))
+	}
+	h.VerifyOnRead(payload)
+}
+
+func nonBlockRef(payload pmem.Addr) *CorruptionPanic {
+	return &CorruptionPanic{Block: BlockError{Addr: payload, Reason: "reference to a non-block address"}}
+}
+
 // VerifyOnRead checks the block at payload if it is tainted (recovered
 // but not yet re-verified), clearing the taint on success and panicking
 // with a *CorruptionPanic on mismatch. The fast path — no tainted blocks

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -232,6 +233,49 @@ func TestLazyVerifyOnRead(t *testing.T) {
 		}()
 		h.VerifyOnRead(a)
 	}()
+}
+
+// TestVerifyRefRefusesNonBlocks: an address decoded from a damaged node
+// may point anywhere. Outside the heap, inside the superblock, into the
+// middle of a block or at free space it raises the typed corruption panic
+// — from VerifyRef, RetainRef and the header parse behind Tag — and never
+// reaches the device, whose own range check panics with its lock held.
+func TestVerifyRefRefusesNonBlocks(t *testing.T) {
+	h, dev := verifyHeapFor(t)
+	a := h.AllocNode(32, 3)
+	dev.WriteU64(a, 99)
+	h.SealNode(a, 32)
+	h.VerifyRef(a) // a live block passes
+
+	mustCorrupt := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if _, ok := recover().(*CorruptionPanic); !ok {
+				t.Errorf("%s: no *CorruptionPanic", what)
+			}
+		}()
+		f()
+	}
+	_, top := h.DataBounds()
+	size := pmem.Addr(dev.Size())
+	for _, bad := range []pmem.Addr{pmem.Nil, 8, 0x1a0, heapBase, a + 8, a - headerSize, top + headerSize, size, size + 8, 1<<35 - 8} {
+		mustCorrupt(fmt.Sprintf("VerifyRef(%#x)", uint64(bad)), func() { h.VerifyRef(bad) })
+		if bad != pmem.Nil { // RetainRef(Nil) is a no-op, like Retain
+			mustCorrupt(fmt.Sprintf("RetainRef(%#x)", uint64(bad)), func() { h.RetainRef(bad) })
+		}
+	}
+	h.RetainRef(a)
+	h.RetainRef(pmem.Nil)
+	if got := h.RefCount(a); got != 2 {
+		t.Errorf("RetainRef of a live block left its count at %d, want 2", got)
+	}
+	for _, bad := range []pmem.Addr{pmem.Nil, 8, heapBase, size, size + 8, 1<<35 - 8} {
+		mustCorrupt(fmt.Sprintf("Tag(%#x)", uint64(bad)), func() { h.Tag(bad) })
+	}
+	mustCorrupt("Tag of a mid-block address", func() { h.Tag(a + 8) })
+	if h.Tag(a) != 3 {
+		t.Fatal("device unusable after refused references")
+	}
 }
 
 func TestDataBounds(t *testing.T) {

@@ -294,6 +294,12 @@ func Open(cfg pmem.Config, opts ...Option) (*DB, RecoveryInfo, error) {
 			o.shards, len(regions), ErrShardCount)
 	}
 
+	for i, r := range shardRegions {
+		if r.Size() > funcds.MaxHeapBytes {
+			return nil, info, fmt.Errorf("core: shard region %d is %d bytes: %w", i, r.Size(), ErrRegionTooLarge)
+		}
+	}
+
 	db := &DB{meta: meta, regions: pmem.NewRegions(regions...), sh: &dbShared{}, selective: o.selective}
 	var err error
 	if attach {

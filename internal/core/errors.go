@@ -29,6 +29,12 @@ var (
 	// region count contradicts the requested shard count.
 	ErrShardCount = errors.New("invalid shard count")
 
+	// ErrRegionTooLarge is returned by Open for a heap region beyond the
+	// reach of the 4-byte references trie nodes store
+	// (funcds.MaxHeapBytes, 32 GiB): partition a larger store across
+	// regions with WithShards.
+	ErrRegionTooLarge = errors.New("heap region exceeds the 32 GiB reach of a node reference")
+
 	// ErrCorrupted is returned (wrapped, usually inside a
 	// *CorruptionError carrying the damaged root's coordinates) when
 	// media damage is detected: a checksum mismatch, an unreadable line,

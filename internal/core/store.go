@@ -157,7 +157,7 @@ func attachStore(dev pmem.Backend, shard int) (*Store, error) {
 		return nil, err
 	}
 	registerWalkers(heap)
-	// Every attachable heap (layout v4) was formatted with both anchors.
+	// Every attachable heap was formatted with both anchors.
 	anchor := func(name string) (pmem.Addr, error) {
 		slot, err := heap.RootSlot(name)
 		if err != nil {

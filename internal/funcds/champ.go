@@ -15,14 +15,16 @@ import (
 // key/value entries, one for child nodes — so the trie is broad (32-way)
 // but shallow, and an update path-copies only O(log32 n) small nodes.
 //
-// Layouts:
+// Layouts (ref = 4-byte node reference, funcds.go):
 //
 //	header    (TagMapHdr):       [count u64][root u64]
 //	node      (TagMapNode):      [dataMap u32][nodeMap u32]
-//	                             d × [keyBlob u64][valBlob u64]
-//	                             c × [child u64]
-//	collision (TagMapCollision): [n u32][pad u32] n × [keyBlob u64][valBlob u64]
+//	                             d × [keyBlob ref][valBlob ref]
+//	                             c × [child ref]
+//	collision (TagMapCollision): [n u32][pad u32] n × [keyBlob ref][valBlob ref]
 //
+// A bitmap position is an entry or a child, never both, so d+c <= 32: a
+// full 32-child node is 136 bytes and the widest node (32 entries) 264.
 // Keys and values are boxed in Blob blocks; a set stores Nil value slots.
 type Map struct {
 	h    *alloc.Heap
@@ -32,13 +34,28 @@ type Map struct {
 }
 
 const (
-	mapHdrSize = 16
+	mapHdrSize     = 16
+	mapNodeHdrSize = 8           // the two bitmaps, or a collision bucket's count word
+	mapEntrySize   = 2 * refSize // [keyBlob ref][valBlob ref]
 	// collisionShift is the trie depth at which the 64-bit hash is
 	// exhausted and equal-hash keys fall into a collision bucket.
 	collisionShift = 60
 )
 
 type mapEntry struct{ key, val pmem.Addr }
+
+// entryOff and childOff locate the i-th entry, and the i-th child of a
+// node holding d entries, from the node's payload address.
+func entryOff(i int) pmem.Addr    { return mapNodeHdrSize + pmem.Addr(i*mapEntrySize) }
+func childOff(d, i int) pmem.Addr { return entryOff(d) + pmem.Addr(i*refSize) }
+
+// mapNodeSize is the encoded size of a node with d entries and c children
+// (c = 0 for a collision bucket).
+func mapNodeSize(d, c int) int { return int(childOff(d, c)) }
+
+func getEntry(b []byte) mapEntry {
+	return mapEntry{refAddr(binary.LittleEndian.Uint32(b)), refAddr(binary.LittleEndian.Uint32(b[refSize:]))}
+}
 
 // NewMap allocates an empty durable map (flushed, not fenced).
 func NewMap(h *alloc.Heap) Map {
@@ -183,35 +200,32 @@ func (n *mapNode) removeChild(bit uint32, ni int) {
 // the DRAM node cache when it is enabled (edit-owned nodes — still
 // mutable this FASE — bypass it).
 func readMapNode(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr, n *mapNode) {
-	hdr := h.ReadCached(a, 8, ed, sc)
+	hdr := h.ReadCached(a, mapNodeHdrSize, ed, sc)
 	n.dataMap = binary.LittleEndian.Uint32(hdr)
 	n.nodeMap = binary.LittleEndian.Uint32(hdr[4:])
 	d := bits.OnesCount32(n.dataMap)
 	c := bits.OnesCount32(n.nodeMap)
-	size := d*16 + c*8
-	if size == 0 {
+	if d+c == 0 {
 		return
 	}
 	// Re-read the whole node under its block-start key: the cache is
 	// invalidated by payload address on free, so a separate entry keyed
 	// mid-block would survive free-and-reallocate and serve stale bytes.
-	body := h.ReadCached(a, 8+size, ed, sc)[8:]
+	// (The fixed arrays bound a damaged node's bitmaps: d, c <= 32.)
+	node := h.ReadCached(a, mapNodeSize(d, c), ed, sc)
 	for i := 0; i < d; i++ {
-		n.eb[i] = mapEntry{
-			pmem.Addr(binary.LittleEndian.Uint64(body[i*16:])),
-			pmem.Addr(binary.LittleEndian.Uint64(body[i*16+8:])),
-		}
+		n.eb[i] = getEntry(node[entryOff(i):])
 	}
 	for i := 0; i < c; i++ {
-		n.cb[i] = pmem.Addr(binary.LittleEndian.Uint64(body[d*16+i*8:]))
+		n.cb[i] = refAddr(binary.LittleEndian.Uint32(node[childOff(d, i):]))
 	}
 }
 
-// putEntries encodes entries into buf, 16 bytes each.
-func putEntries(buf []byte, entries []mapEntry) {
+// putEntries encodes entries into a node image.
+func putEntries(node []byte, entries []mapEntry) {
 	for i, e := range entries {
-		binary.LittleEndian.PutUint64(buf[i*16:], uint64(e.key))
-		binary.LittleEndian.PutUint64(buf[i*16+8:], uint64(e.val))
+		binary.LittleEndian.PutUint32(node[entryOff(i):], ref32(e.key))
+		binary.LittleEndian.PutUint32(node[entryOff(i)+refSize:], ref32(e.val))
 	}
 }
 
@@ -219,15 +233,14 @@ func putEntries(buf []byte, entries []mapEntry) {
 // selective persistence). Reference transfers are the caller's
 // responsibility.
 func buildMapNode(h *alloc.Heap, ed *alloc.Edit, vol bool, dataMap, nodeMap uint32, entries []mapEntry, children []pmem.Addr) pmem.Addr {
-	size := 8 + len(entries)*16 + len(children)*8
+	size := mapNodeSize(len(entries), len(children))
 	a := nodeAlloc(h, ed, size, TagMapNode, vol)
 	buf := ed.Scratch().Bytes(size)
 	binary.LittleEndian.PutUint32(buf, dataMap)
 	binary.LittleEndian.PutUint32(buf[4:], nodeMap)
-	putEntries(buf[8:], entries)
-	base := 8 + len(entries)*16
+	putEntries(buf, entries)
 	for i, c := range children {
-		binary.LittleEndian.PutUint64(buf[base+i*8:], uint64(c))
+		binary.LittleEndian.PutUint32(buf[childOff(len(entries), i):], ref32(c))
 	}
 	h.Device().Write(a, buf)
 	flushNode(h, ed, a, size, vol)
@@ -242,12 +255,12 @@ func (n *mapNode) build(h *alloc.Heap, ed *alloc.Edit, vol bool) pmem.Addr {
 // buildCollision allocates, writes, and flushes a collision bucket
 // (volatile under selective persistence).
 func buildCollision(h *alloc.Heap, ed *alloc.Edit, vol bool, entries []mapEntry) pmem.Addr {
-	size := 8 + len(entries)*16
+	size := mapNodeSize(len(entries), 0)
 	a := nodeAlloc(h, ed, size, TagMapCollision, vol)
 	buf := ed.Scratch().Bytes(size)
 	binary.LittleEndian.PutUint32(buf, uint32(len(entries)))
 	binary.LittleEndian.PutUint32(buf[4:], 0)
-	putEntries(buf[8:], entries)
+	putEntries(buf, entries)
 	h.Device().Write(a, buf)
 	flushNode(h, ed, a, size, vol)
 	return a
@@ -260,18 +273,15 @@ const collisionInline = 4
 
 // readCollision appends the bucket's entries to dst and returns it.
 func readCollision(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr, dst []mapEntry) []mapEntry {
-	hdr := h.ReadCached(a, 8, ed, sc)
+	hdr := h.ReadCached(a, mapNodeHdrSize, ed, sc)
 	n := int(binary.LittleEndian.Uint32(hdr))
 	if n == 0 {
 		return dst
 	}
 	// Whole-node read under the block-start key; see readMapNode.
-	body := h.ReadCached(a, 8+n*16, ed, sc)[8:]
+	node := h.ReadCached(a, mapNodeSize(n, 0), ed, sc)
 	for i := 0; i < n; i++ {
-		dst = append(dst, mapEntry{
-			pmem.Addr(binary.LittleEndian.Uint64(body[i*16:])),
-			pmem.Addr(binary.LittleEndian.Uint64(body[i*16+8:])),
-		})
+		dst = append(dst, getEntry(node[entryOff(i):]))
 	}
 	return dst
 }
@@ -283,9 +293,9 @@ func retainEntries(h *alloc.Heap, entries []mapEntry, skip int) {
 		if i == skip {
 			continue
 		}
-		h.Retain(e.key)
+		h.RetainRef(e.key)
 		if e.val != pmem.Nil {
-			h.Retain(e.val)
+			h.RetainRef(e.val)
 		}
 	}
 }
@@ -293,14 +303,16 @@ func retainEntries(h *alloc.Heap, entries []mapEntry, skip int) {
 func retainChildren(h *alloc.Heap, children []pmem.Addr, skip int) {
 	for i, c := range children {
 		if i != skip {
-			h.Retain(c)
+			h.RetainRef(c)
 		}
 	}
 }
 
 // Get returns the value stored under key. The descent reads only the
-// node bitmaps and the one relevant slot per level — not the whole node —
-// matching how a real CHAMP lookup touches memory.
+// node bitmaps (one 8-byte word) and the one relevant slot per level — a
+// 4-byte child reference, or an entry's key and value references as one
+// 8-byte word — not the whole node, matching how a real CHAMP lookup
+// touches memory.
 func (m Map) Get(key []byte) ([]byte, bool) {
 	node := m.root()
 	if node == pmem.Nil {
@@ -311,6 +323,10 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 	hash := hash64(key)
 	shift := uint(0)
 	for {
+		// The slot reads below bypass the verified node-read funnel
+		// (ReadCached), so the reference that led here and the node
+		// behind it are checked before anything in it is followed.
+		m.h.VerifyRef(node)
 		if m.h.Tag(node) == TagMapCollision {
 			var cbuf [collisionInline]mapEntry
 			for _, e := range readCollision(m.h, m.ed, sc, node, cbuf[:0]) {
@@ -323,18 +339,17 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 			}
 			return nil, false
 		}
-		dataMap := dev.ReadU32(node)
-		nodeMap := dev.ReadU32(node + 4)
+		maps := dev.ReadU64(node)
+		dataMap, nodeMap := uint32(maps), uint32(maps>>32)
 		bit := uint32(1) << ((hash >> shift) & 31)
 		switch {
 		case dataMap&bit != 0:
 			di := bits.OnesCount32(dataMap & (bit - 1))
-			off := node + 8 + pmem.Addr(di*16)
-			keyBlob := pmem.Addr(dev.ReadU64(off))
-			if !blobEqual(m.h, sc, keyBlob, key) {
+			e := dev.ReadU64(node + entryOff(di))
+			if !blobEqual(m.h, sc, refAddr(uint32(e)), key) {
 				return nil, false
 			}
-			valBlob := pmem.Addr(dev.ReadU64(off + 8))
+			valBlob := refAddr(uint32(e >> 32))
 			if valBlob == pmem.Nil {
 				return nil, true
 			}
@@ -342,7 +357,7 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 		case nodeMap&bit != 0:
 			d := bits.OnesCount32(dataMap)
 			ni := bits.OnesCount32(nodeMap & (bit - 1))
-			node = pmem.Addr(dev.ReadU64(node + 8 + pmem.Addr(d*16+ni*8)))
+			node = refAddr(dev.ReadU32(node + childOff(d, ni)))
 			shift += vecBits
 		default:
 			return nil, false
@@ -359,36 +374,29 @@ func (m Map) Contains(key []byte) bool {
 // Set returns a new version with key bound to val, and whether an existing
 // binding was replaced. Pass a nil val for set semantics (no value blob).
 func (m Map) Set(key, val []byte) (Map, bool) {
-	// The key is boxed only where the trie installs a new entry (keyFor):
-	// replacing a binding reuses the blob already there, so boxing up
-	// front would allocate, write, checksum, flush and free a blob that
-	// is never linked. A selective map does box up front — its record
-	// cell references the key and is created before the insert, so it
-	// holds the blobs even when the trie reuses an existing key blob and
-	// the fresh one is released.
-	keyBlob, rec := pmem.Nil, pmem.Nil
-	if m.sel {
-		keyBlob = newBlob(m.h, m.ed, key)
-	}
+	// The key is boxed only where the trie installs a new entry: replacing
+	// a binding reuses the blob already there, so boxing up front would
+	// allocate, write, checksum, flush and free a blob that is never
+	// linked. A selective map's record cell references whichever key blob
+	// the binding ends up with, so it is created after the insert.
 	valBlob := pmem.Nil
 	if val != nil {
 		valBlob = newBlob(m.h, m.ed, val)
 	}
-	if m.sel {
-		_, oldRec, _ := readSelExt(m.h, m.addr, mapHdrSize)
-		rec = newRecord(m.h, m.ed, oldRec, RecMapSet, uint64(keyBlob), uint64(valBlob))
-	}
 	root := m.root()
-	var newRoot pmem.Addr
+	var newRoot, keyBlob pmem.Addr
 	var replaced bool
 	if root == pmem.Nil {
 		hash := hash64(key)
-		newRoot = buildMapNode(m.h, m.ed, m.sel, uint32(1)<<(hash&31), 0, []mapEntry{{m.keyFor(key, keyBlob), valBlob}}, nil)
+		keyBlob = newBlob(m.h, m.ed, key)
+		newRoot = buildMapNode(m.h, m.ed, m.sel, uint32(1)<<(hash&31), 0, []mapEntry{{keyBlob, valBlob}}, nil)
 	} else {
-		newRoot, replaced = m.insertRec(root, 0, hash64(key), key, keyBlob, valBlob)
-		if replaced {
-			m.h.Release(keyBlob) // existing key blob was reused instead
-		}
+		newRoot, keyBlob, replaced = m.insertRec(root, 0, hash64(key), key, valBlob)
+	}
+	rec := pmem.Nil
+	if m.sel {
+		_, oldRec, _ := readSelExt(m.h, m.addr, mapHdrSize)
+		rec = newRecord(m.h, m.ed, oldRec, RecMapSet, uint64(keyBlob), uint64(valBlob))
 	}
 	count := m.Len()
 	if !replaced {
@@ -397,29 +405,19 @@ func (m Map) Set(key, val []byte) (Map, bool) {
 	return m.setHdr(count, newRoot, root, rec), replaced
 }
 
-// keyFor returns the blob a new entry for key links: the one boxed up
-// front when there is one, a fresh box otherwise.
-func (m Map) keyFor(key []byte, boxed pmem.Addr) pmem.Addr {
-	if boxed != pmem.Nil {
-		return boxed
-	}
-	return newBlob(m.h, m.ed, key)
-}
-
-// setSlot overwrites one pointer slot of an edit-owned node in place and
-// drops the node's reference to the pointer it displaced.
+// setSlot overwrites one reference slot of an edit-owned node in place
+// and drops the node's reference to the block it displaced.
 func (m Map) setSlot(off pmem.Addr, v, displaced pmem.Addr) {
-	m.h.Device().WriteU64(off, uint64(v))
-	recordEdit(m.ed, off, 8, m.sel)
+	m.h.Device().WriteU32(off, ref32(v))
+	recordEdit(m.ed, off, refSize, m.sel)
 	m.h.Release(displaced)
 }
 
-// insertRec returns a new node with the binding applied. keyBlob is the
-// key boxed up front, or Nil to box it on installation (keyFor).
-// keyBlob/valBlob references transfer into the new trie unless replaced
-// is true, in which case the existing key blob was retained instead and
-// the caller must release keyBlob.
-func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, keyBlob, valBlob pmem.Addr) (pmem.Addr, bool) {
+// insertRec returns a new node with the binding applied, the key blob the
+// binding uses — the existing one when replaced is true, otherwise a fresh
+// box now linked in the new trie — and whether a binding was replaced. The
+// valBlob reference transfers into the new trie.
+func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, valBlob pmem.Addr) (pmem.Addr, pmem.Addr, bool) {
 	h, sc := m.h, m.ed.Scratch()
 	if h.Tag(node) == TagMapCollision {
 		var cbuf [collisionInline]mapEntry
@@ -427,17 +425,18 @@ func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, keyB
 		for i, e := range entries {
 			if blobEqual(h, sc, e.key, key) {
 				if m.ed.Owns(node) {
-					m.setSlot(node+8+pmem.Addr(i*16)+8, valBlob, e.val)
-					return node, true
+					m.setSlot(node+entryOff(i)+refSize, valBlob, e.val)
+					return node, e.key, true
 				}
 				retainEntries(h, entries, i)
-				h.Retain(e.key) // key survives into the new bucket
+				h.RetainRef(e.key) // key survives into the new bucket
 				entries[i].val = valBlob
-				return buildCollision(h, m.ed, m.sel, entries), true
+				return buildCollision(h, m.ed, m.sel, entries), e.key, true
 			}
 		}
 		retainEntries(h, entries, -1)
-		return buildCollision(h, m.ed, m.sel, append(entries, mapEntry{m.keyFor(key, keyBlob), valBlob})), false
+		keyBlob := newBlob(h, m.ed, key)
+		return buildCollision(h, m.ed, m.sel, append(entries, mapEntry{keyBlob, valBlob})), keyBlob, false
 	}
 
 	var n mapNode
@@ -452,51 +451,53 @@ func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, keyB
 		if blobEqual(h, sc, e.key, key) {
 			if m.ed.Owns(node) {
 				// Same shape: a single in-place value-slot write.
-				m.setSlot(node+8+pmem.Addr(di*16)+8, valBlob, e.val)
-				return node, true
+				m.setSlot(node+entryOff(di)+refSize, valBlob, e.val)
+				return node, e.key, true
 			}
 			// Replace the value (new node, same shape).
 			retainEntries(h, n.entries(), di)
-			h.Retain(e.key)
+			h.RetainRef(e.key)
 			retainChildren(h, n.children(), -1)
 			n.eb[di].val = valBlob
-			return n.build(h, m.ed, m.sel), true
+			return n.build(h, m.ed, m.sel), e.key, true
 		}
 		// Hash conflict at this level: push both entries one level down.
 		// The node's shape changes, so an owned node is rebuilt too (its
 		// replacement transfers in via the parent's in-place slot write).
 		exHash := hash64(blobInto(h, sc, e.key))
-		h.Retain(e.key)
+		h.RetainRef(e.key)
 		if e.val != pmem.Nil {
-			h.Retain(e.val)
+			h.RetainRef(e.val)
 		}
-		sub := m.mergeTwo(shift+vecBits, e, exHash, mapEntry{m.keyFor(key, keyBlob), valBlob}, hash)
+		keyBlob := newBlob(h, m.ed, key)
+		sub := m.mergeTwo(shift+vecBits, e, exHash, mapEntry{keyBlob, valBlob}, hash)
 		retainEntries(h, n.entries(), di)
 		retainChildren(h, n.children(), -1)
 		n.removeEntry(bit, di)
 		n.insertChild(bit, ni, sub)
-		return n.build(h, m.ed, m.sel), false
+		return n.build(h, m.ed, m.sel), keyBlob, false
 
 	case n.nodeMap&bit != 0:
 		child := n.cb[ni]
-		newChild, replaced := m.insertRec(child, shift+vecBits, hash, key, keyBlob, valBlob)
+		newChild, keyBlob, replaced := m.insertRec(child, shift+vecBits, hash, key, valBlob)
 		if newChild == child {
-			return node, replaced
+			return node, keyBlob, replaced
 		}
 		if m.ed.Owns(node) {
-			m.setSlot(node+8+pmem.Addr(len(n.entries())*16+ni*8), newChild, child)
-			return node, replaced
+			m.setSlot(node+childOff(len(n.entries()), ni), newChild, child)
+			return node, keyBlob, replaced
 		}
 		retainEntries(h, n.entries(), -1)
 		retainChildren(h, n.children(), ni)
 		n.cb[ni] = newChild
-		return n.build(h, m.ed, m.sel), replaced
+		return n.build(h, m.ed, m.sel), keyBlob, replaced
 
 	default:
 		retainEntries(h, n.entries(), -1)
 		retainChildren(h, n.children(), -1)
-		n.insertEntry(bit, di, mapEntry{m.keyFor(key, keyBlob), valBlob})
-		return n.build(h, m.ed, m.sel), false
+		keyBlob := newBlob(h, m.ed, key)
+		n.insertEntry(bit, di, mapEntry{keyBlob, valBlob})
+		return n.build(h, m.ed, m.sel), keyBlob, false
 	}
 }
 
@@ -603,7 +604,7 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pme
 			return node, true
 		}
 		if m.ed.Owns(node) {
-			m.setSlot(node+8+pmem.Addr(len(n.entries())*16+ni*8), newChild, child)
+			m.setSlot(node+childOff(len(n.entries()), ni), newChild, child)
 			return node, true
 		}
 		retainEntries(h, n.entries(), -1)

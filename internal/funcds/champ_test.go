@@ -232,11 +232,13 @@ func TestMapCollisionBuckets(t *testing.T) {
 		t.Fatalf("mergeTwo at max depth built tag %d, want collision", h.Tag(col))
 	}
 	// Insert a third colliding key through insertRec.
-	k3 := newBlob(h, nil, []byte("gamma"))
 	v3 := newBlob(h, nil, []byte("3"))
-	col2, replaced := m.insertRec(col, collisionShift, 0x1234, []byte("gamma"), k3, v3)
+	col2, k3, replaced := m.insertRec(col, collisionShift, 0x1234, []byte("gamma"), v3)
 	if replaced {
 		t.Fatal("new key reported replaced")
+	}
+	if !blobEqual(h, nil, k3, []byte("gamma")) {
+		t.Fatal("new key's blob does not hold the key")
 	}
 	entries := readCollision(h, nil, nil, col2, nil)
 	if len(entries) != 3 {
@@ -244,12 +246,13 @@ func TestMapCollisionBuckets(t *testing.T) {
 	}
 	// Replace within the bucket.
 	v4 := newBlob(h, nil, []byte("4"))
-	k2b := newBlob(h, nil, []byte("beta"))
-	col3, replaced := m.insertRec(col2, collisionShift, 0x1234, []byte("beta"), k2b, v4)
+	col3, kb, replaced := m.insertRec(col2, collisionShift, 0x1234, []byte("beta"), v4)
 	if !replaced {
 		t.Fatal("existing key not reported replaced")
 	}
-	h.Release(k2b)
+	if kb != k2 {
+		t.Fatalf("replace linked key blob %#x, want the existing %#x", uint64(kb), uint64(k2))
+	}
 	found := false
 	for _, e := range readCollision(h, nil, nil, col3, nil) {
 		if blobEqual(h, nil, e.key, []byte("beta")) {

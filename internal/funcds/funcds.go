@@ -27,6 +27,7 @@ package funcds
 
 import (
 	"bytes"
+	"fmt"
 
 	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/pmem"
@@ -82,6 +83,43 @@ func RegisterWalkers(h *alloc.Heap) {
 }
 
 func walkNone(*alloc.Heap, pmem.Addr, *alloc.Scratch, func(pmem.Addr)) {}
+
+// References stored inside trie nodes — CHAMP children and [key,val]
+// entries, collision entries, vector interior children — are 4 bytes
+// (heap layout v5, DESIGN.md §2): the payload address shifted right by
+// three, every payload being 8-aligned, with 0 for Nil. A path copy
+// rewrites an interior node to change one reference, so halving the
+// reference halves the lines that copy flushes. Structure headers, list
+// cells and record cells keep full 8-byte addresses: they are small, and
+// the root cell a commit swaps must stay one failure-atomic 8-byte word.
+const (
+	refSize = 4
+
+	// MaxHeapBytes is the reach of a 4-byte reference, and so the largest
+	// heap region these structures can live in (core.Open refuses a larger
+	// one; shard beyond it).
+	MaxHeapBytes = int64(1) << (32 + 3)
+)
+
+// ref32 encodes a payload address as a node reference. An address it
+// cannot represent was never handed out by a heap of legal size: a bug,
+// not an input.
+func ref32(a pmem.Addr) uint32 {
+	if a&7 != 0 || a >= pmem.Addr(MaxHeapBytes) {
+		panic(fmt.Sprintf("funcds: address %#x is not encodable as a 4-byte reference", uint64(a)))
+	}
+	return uint32(a >> 3)
+}
+
+// refAddr decodes a node reference. Any 32-bit pattern decodes to an
+// 8-aligned address below MaxHeapBytes; whether a block lives there is
+// established where the address is used: alloc.Heap.VerifyRef before
+// every node read (inside ReadCached, and explicitly before a direct slot
+// or blob read), Heap.RetainRef where a path copy carries the reference
+// into a new node, the bounds test behind Heap.Tag, and the recovery and
+// verification walks all refuse an address that is outside the heap or
+// not a block payload.
+func refAddr(r uint32) pmem.Addr { return pmem.Addr(r) << 3 }
 
 // Edit-context plumbing. Every structure value optionally carries an
 // *alloc.Edit (WithEdit); node constructors allocate through it so the
@@ -171,7 +209,7 @@ func newBlob(h *alloc.Heap, ed *alloc.Edit, b []byte) pmem.Addr {
 
 // blobLen returns the length of the blob at a.
 func blobLen(h *alloc.Heap, a pmem.Addr) int {
-	h.VerifyOnRead(a)
+	h.VerifyRef(a)
 	return int(h.Device().ReadU32(a))
 }
 

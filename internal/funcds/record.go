@@ -316,9 +316,8 @@ func volatileCrown(h *alloc.Heap, roots []pmem.Addr) []pmem.Addr {
 				rec(c)
 			}
 		case TagVecNode:
-			slots := readNode(h, nil, &sc, a)
-			for _, c := range slots {
-				rec(pmem.Addr(c))
+			for _, c := range readNode(h, nil, &sc, a) {
+				rec(c)
 			}
 		case TagListNode:
 			rec(pmem.Addr(h.Device().ReadU64(a)))

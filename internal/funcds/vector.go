@@ -25,13 +25,14 @@ import (
 //
 // An update path-copies the O(log32 n) nodes between root and leaf (or
 // just the tail leaf). This is why the paper's Fig. 9 shows MOD losing to
-// PMDK's flat array on vector workloads: several 256-byte nodes are
-// written and flushed per 8-byte element update.
+// PMDK's flat array on vector workloads: a 256-byte leaf and several
+// 128-byte interior nodes are written and flushed per 8-byte element
+// update.
 //
-// Layout:
+// Layout (ref = 4-byte node reference, funcds.go):
 //
 //	header (TagVecHdr):  [count u64][shift u32][pad u32][root u64][tail u64]
-//	node   (TagVecNode): 32 × [child u64]
+//	node   (TagVecNode): 32 × [child ref]
 //	leaf   (TagVecLeaf): 32 × [value u64]
 //
 // Invariants: elements [0, tailOffset) live in the trie (all leaves
@@ -50,7 +51,8 @@ const (
 	vecWidth    = 1 << vecBits // 32
 	vecMask     = vecWidth - 1
 	vecHdrSize  = 32
-	vecNodeSize = vecWidth * 8
+	vecNodeSize = vecWidth * refSize
+	vecLeafSize = vecWidth * 8
 )
 
 // tailOffset returns the index of the first tail element: the largest
@@ -176,45 +178,76 @@ func (v Vector) setHdr(count uint64, shift uint32, root, tail, rec pmem.Addr, re
 func newVecLeaf(h *alloc.Heap, ed *alloc.Edit, vol bool, vals []uint64) pmem.Addr {
 	var slots [vecWidth]uint64
 	copy(slots[:], vals)
-	return writeNode(h, ed, vol, TagVecLeaf, slots)
+	return writeLeaf(h, ed, vol, slots)
 }
 
-// readNode reads all 32 slots of a node or leaf with one bulk access,
-// served from the DRAM node cache when enabled (edit-owned nodes bypass).
-func readNode(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr) [vecWidth]uint64 {
+// readNode decodes the 32 child references of the interior node at a with
+// one bulk access, served from the DRAM node cache when enabled (edit-owned
+// nodes bypass).
+func readNode(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr) [vecWidth]pmem.Addr {
 	buf := h.ReadCached(a, vecNodeSize, ed, sc)
+	var out [vecWidth]pmem.Addr
+	for i := range out {
+		out[i] = refAddr(binary.LittleEndian.Uint32(buf[i*refSize:]))
+	}
+	return out
+}
+
+// readLeaf is readNode for a leaf: 32 values.
+func readLeaf(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr) [vecWidth]uint64 {
+	buf := h.ReadCached(a, vecLeafSize, ed, sc)
 	var out [vecWidth]uint64
-	for i := 0; i < vecWidth; i++ {
+	for i := range out {
 		out[i] = binary.LittleEndian.Uint64(buf[i*8:])
 	}
 	return out
 }
 
-// writeNode allocates a node/leaf with the given slots and flushes it
+// writeNode allocates an interior node over children and flushes it
 // (volatile under selective persistence).
-func writeNode(h *alloc.Heap, ed *alloc.Edit, vol bool, tag uint8, slots [vecWidth]uint64) pmem.Addr {
-	a := nodeAlloc(h, ed, vecNodeSize, tag, vol)
+func writeNode(h *alloc.Heap, ed *alloc.Edit, vol bool, children [vecWidth]pmem.Addr) pmem.Addr {
+	a := nodeAlloc(h, ed, vecNodeSize, TagVecNode, vol)
 	buf := ed.Scratch().Bytes(vecNodeSize)
-	for i := 0; i < vecWidth; i++ {
-		binary.LittleEndian.PutUint64(buf[i*8:], slots[i])
+	for i, c := range children {
+		binary.LittleEndian.PutUint32(buf[i*refSize:], ref32(c))
 	}
 	h.Device().Write(a, buf)
 	flushNode(h, ed, a, vecNodeSize, vol)
 	return a
 }
 
+// writeLeaf is writeNode for a leaf of values.
+func writeLeaf(h *alloc.Heap, ed *alloc.Edit, vol bool, vals [vecWidth]uint64) pmem.Addr {
+	a := nodeAlloc(h, ed, vecLeafSize, TagVecLeaf, vol)
+	buf := ed.Scratch().Bytes(vecLeafSize)
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(buf[i*8:], v)
+	}
+	h.Device().Write(a, buf)
+	flushNode(h, ed, a, vecLeafSize, vol)
+	return a
+}
+
+// childOf reads the idx-th child reference of the interior node at node.
+// The slot read bypasses the verified node-read funnel (ReadCached), so
+// the reference that led here and the block behind it are checked first.
+func childOf(h *alloc.Heap, node pmem.Addr, idx int) pmem.Addr {
+	h.VerifyRef(node)
+	return refAddr(h.Device().ReadU32(node + pmem.Addr(idx*refSize)))
+}
+
 // copyNodeReplace clones an internal node, replacing slot idx with child.
 // All other non-nil children are retained (they gain a parent). The new
 // child's reference is transferred from the caller.
 func copyNodeReplace(h *alloc.Heap, ed *alloc.Edit, vol bool, node pmem.Addr, idx int, child pmem.Addr) pmem.Addr {
-	slots := readNode(h, ed, ed.Scratch(), node)
-	for i, c := range slots {
-		if i != idx && c != 0 {
-			h.Retain(pmem.Addr(c))
+	children := readNode(h, ed, ed.Scratch(), node)
+	for i, c := range children {
+		if i != idx && c != pmem.Nil {
+			h.RetainRef(c)
 		}
 	}
-	slots[idx] = uint64(child)
-	return writeNode(h, ed, vol, TagVecNode, slots)
+	children[idx] = child
+	return writeNode(h, ed, vol, children)
 }
 
 // replaceChild installs child at slot idx of node: a single in-place slot
@@ -222,8 +255,8 @@ func copyNodeReplace(h *alloc.Heap, ed *alloc.Edit, vol bool, node pmem.Addr, id
 // the displaced old child, if any), a path copy otherwise.
 func (v Vector) replaceChild(node pmem.Addr, idx int, child, old pmem.Addr) pmem.Addr {
 	if v.ed.Owns(node) {
-		v.h.Device().WriteU64(node+pmem.Addr(idx*8), uint64(child))
-		recordEdit(v.ed, node+pmem.Addr(idx*8), 8, v.sel)
+		v.h.Device().WriteU32(node+pmem.Addr(idx*refSize), ref32(child))
+		recordEdit(v.ed, node+pmem.Addr(idx*refSize), refSize, v.sel)
 		if old != pmem.Nil {
 			v.h.Release(old)
 		}
@@ -238,15 +271,15 @@ func (v Vector) Get(i uint64) uint64 {
 	if i >= count {
 		panic(fmt.Sprintf("funcds: vector index %d out of range (len %d)", i, count))
 	}
-	dev := v.h.Device()
-	if i >= tailOffset(count) {
-		return dev.ReadU64(tail + pmem.Addr((i&vecMask)*8))
+	node := tail
+	if i < tailOffset(count) {
+		node = root
+		for s := shift; s > 0; s -= vecBits {
+			node = childOf(v.h, node, int((i>>s)&vecMask))
+		}
 	}
-	node := root
-	for s := shift; s > 0; s -= vecBits {
-		node = pmem.Addr(dev.ReadU64(node + pmem.Addr(((i>>s)&vecMask)*8)))
-	}
-	return dev.ReadU64(node + pmem.Addr((i&vecMask)*8))
+	v.h.VerifyRef(node) // direct slot read, as in childOf
+	return v.h.Device().ReadU64(node + pmem.Addr((i&vecMask)*8))
 }
 
 // Update returns a new version with element i replaced by val, copying
@@ -271,9 +304,9 @@ func (v Vector) Update(i uint64, val uint64) Vector {
 			}
 			return v
 		}
-		slots := readNode(v.h, v.ed, v.ed.Scratch(), tail)
+		slots := readLeaf(v.h, v.ed, v.ed.Scratch(), tail)
 		slots[i&vecMask] = val
-		newTail := writeNode(v.h, v.ed, v.sel, TagVecLeaf, slots)
+		newTail := writeLeaf(v.h, v.ed, v.sel, slots)
 		if !v.ed.Owns(v.addr) && root != pmem.Nil {
 			v.h.Retain(root)
 		}
@@ -299,12 +332,12 @@ func (v Vector) assoc(node pmem.Addr, shift uint32, i uint64, val uint64) pmem.A
 			recordEdit(v.ed, node+pmem.Addr((i&vecMask)*8), 8, v.sel)
 			return node
 		}
-		slots := readNode(v.h, v.ed, v.ed.Scratch(), node)
+		slots := readLeaf(v.h, v.ed, v.ed.Scratch(), node)
 		slots[i&vecMask] = val
-		return writeNode(v.h, v.ed, v.sel, TagVecLeaf, slots)
+		return writeLeaf(v.h, v.ed, v.sel, slots)
 	}
 	idx := int((i >> shift) & vecMask)
-	child := pmem.Addr(v.h.Device().ReadU64(node + pmem.Addr(idx*8)))
+	child := childOf(v.h, node, idx)
 	newChild := v.assoc(child, shift-vecBits, i, val)
 	if newChild == child {
 		return node
@@ -353,9 +386,9 @@ func (v Vector) Push(val uint64) Vector {
 			v.h.Retain(tail)
 			return v.setHdr(count+1, shift, root, tail, rec)
 		}
-		slots := readNode(v.h, v.ed, v.ed.Scratch(), tail)
+		slots := readLeaf(v.h, v.ed, v.ed.Scratch(), tail)
 		slots[tailLen] = val
-		newTail := writeNode(v.h, v.ed, v.sel, TagVecLeaf, slots)
+		newTail := writeLeaf(v.h, v.ed, v.sel, slots)
 		if !v.ed.Owns(v.addr) && root != pmem.Nil {
 			v.h.Retain(root)
 		}
@@ -386,10 +419,7 @@ func (v Vector) Push(val uint64) Vector {
 		if !hdrOwned {
 			v.h.Retain(root)
 		}
-		var slots [vecWidth]uint64
-		slots[0] = uint64(root)
-		slots[1] = uint64(v.wrapLeaf(shift, tail))
-		newRoot = writeNode(v.h, v.ed, v.sel, TagVecNode, slots)
+		newRoot = writeNode(v.h, v.ed, v.sel, [vecWidth]pmem.Addr{root, v.wrapLeaf(shift, tail)})
 		newShift = shift + vecBits
 	default:
 		newRoot = v.pushLeaf(root, shift, to, tail)
@@ -430,9 +460,7 @@ func (v Vector) Push(val uint64) Vector {
 func (v Vector) wrapLeaf(level uint32, leaf pmem.Addr) pmem.Addr {
 	node := leaf
 	for s := uint32(0); s < level; s += vecBits {
-		var slots [vecWidth]uint64
-		slots[0] = uint64(node)
-		node = writeNode(v.h, v.ed, v.sel, TagVecNode, slots)
+		node = writeNode(v.h, v.ed, v.sel, [vecWidth]pmem.Addr{node})
 	}
 	return node
 }
@@ -450,7 +478,7 @@ func (v Vector) pushLeaf(node pmem.Addr, shift uint32, to uint64, leaf pmem.Addr
 		// Whole subtree at idx is missing: graft a singleton path.
 		return v.replaceChild(node, idx, v.wrapLeaf(shift-vecBits, leaf), pmem.Nil)
 	}
-	child := pmem.Addr(v.h.Device().ReadU64(node + pmem.Addr(idx*8)))
+	child := childOf(v.h, node, idx)
 	newChild := v.pushLeaf(child, shift-vecBits, to, leaf)
 	if newChild == child {
 		return node
@@ -477,10 +505,9 @@ func walkVecHdr(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Ad
 	}
 }
 
-func walkVecNode(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
-	dev := h.Device()
-	for i := 0; i < vecWidth; i++ {
-		if c := pmem.Addr(dev.ReadU64(a + pmem.Addr(i*8))); c != pmem.Nil {
+func walkVecNode(h *alloc.Heap, a pmem.Addr, sc *alloc.Scratch, visit func(pmem.Addr)) {
+	for _, c := range readNode(h, nil, sc, a) {
+		if c != pmem.Nil {
 			visit(c)
 		}
 	}
