@@ -107,6 +107,8 @@ type Stats struct {
 	HighWater  uint64 // max LiveBytes observed
 	HeapUsed   uint64 // bytes between heap base and bump top
 	Quarantine int    // retired blocks awaiting fence + epoch grace
+	Borrows    int    // path copies still borrowing from their source (borrow.go)
+	Settled    uint64 // path copies that had to count their shared children after all
 }
 
 // RecoveryStats reports what a post-crash Recover pass found.
@@ -132,7 +134,8 @@ type heapShared struct {
 	end  pmem.Addr
 	free map[uint32][]pmem.Addr // stride -> header addrs (LIFO)
 
-	blocks  blockTable // reference counts and taint bits by payload address
+	blocks  blockTable  // reference counts and flag bits by payload address
+	borrows borrowTable // path copies that share their source's references (borrow.go)
 	walkers [256]Walker
 
 	// runSlots mirrors the open-run table. A sealed slot's persistent
@@ -227,6 +230,7 @@ func newHeap(dev pmem.Backend) *Heap {
 		free:   make(map[uint32][]pmem.Addr),
 		blocks: newBlockTable(pmem.Addr(dev.Size())),
 	}
+	sh.borrows.reset()
 	return &Heap{dev: dev, sh: sh}
 }
 
@@ -247,6 +251,10 @@ func (h *Heap) Stats() Stats {
 	s.HeapUsed = uint64(sh.top) - heapBase
 	sh.mu.Unlock()
 	s.Quarantine = sh.ebr.pendingCount()
+	sh.borrows.mu.Lock()
+	s.Borrows = len(sh.borrows.lent)
+	sh.borrows.mu.Unlock()
+	s.Settled = sh.borrows.settled.Load()
 	return s
 }
 
@@ -579,8 +587,8 @@ func (h *Heap) Retain(payload pmem.Addr) {
 
 // RetainRef is Retain for a reference decoded from a node's bytes, where
 // "no block starts there" is damage to the node rather than a caller bug:
-// it raises the typed panic VerifyRef does, before a wild reference is
-// copied into a new node.
+// it raises the typed panic VerifyRef does. Settling a borrowed path copy
+// (borrow.go) takes its references this way.
 func (h *Heap) RetainRef(payload pmem.Addr) {
 	if payload == pmem.Nil {
 		return
@@ -657,12 +665,14 @@ func (h *Heap) ReleaseBatch(addrs []pmem.Addr) {
 // run only after the EBR epoch grace period has passed, instead of
 // decrementing eagerly. Commit paths use it for the root version a
 // publication just replaced: an optimistic writer that pinned the epoch
-// and snapshotted that version lock-free may still be Retaining children
-// out of it, and an eager retire-time cascade could drop a shared child
-// to zero an instant before such a Retain resurrects it (a double
-// retire). Because the deferred decrement waits out the same grace
-// period that protects readers, no builder based on the old version can
-// still be pinned when the cascade finally runs. The cascade stamps its
+// and snapshotted that version lock-free may still be copying nodes out
+// of it — registering a borrow on one, or Retaining its children — and an
+// eager retire-time cascade could drop a shared child to zero an instant
+// before such a Retain resurrects it (a double retire). Because the
+// deferred decrement waits out the same grace period that protects
+// readers, no builder based on the old version can still be pinned when
+// the cascade finally runs — which is also what lets the cascade trust a
+// dying block's borrow flags (borrow.go). The cascade stamps its
 // blocks with the fence sequence at cascade time (see processDeferred),
 // so with no pinned readers the chain is cascaded by one Fence and freed
 // by the next — Drain fences as needed to finish the job in one call.
@@ -693,13 +703,24 @@ func (h *Heap) retireCascade(payload pmem.Addr) {
 // cascade is the working state of retire cascades on one handle: the
 // walk stack, the dead list being collected and the walkers' node-image
 // buffer. A handle parks it between cascades so a steady-state release
-// allocates nothing.
+// allocates nothing. Settling a borrowed path copy (borrow.go) walks a
+// node the same way and uses the same state.
 type cascade struct {
 	h     *Heap
 	stack []pmem.Addr
-	dead  []pmem.Addr
+	dead  []deadBlock
 	sc    Scratch
-	drop  func(child pmem.Addr) // the walkers' visit function, bound once
+	own   [2]pmem.Addr // retainShared: children keep passes over, once each
+	// The walkers' visit functions, bound once: drop releases a dead
+	// node's child, keep retains a settled copy's.
+	drop, keep func(child pmem.Addr)
+}
+
+// deadBlock is a zero-reference block a cascade collected, with the
+// stride its header carried.
+type deadBlock struct {
+	addr   pmem.Addr
+	stride uint32
 }
 
 // takeCascade returns the handle's parked cascade state, or fresh state
@@ -714,6 +735,15 @@ func (h *Heap) takeCascade() *cascade {
 			c.stack = append(c.stack, child)
 		}
 	}
+	c.keep = func(child pmem.Addr) {
+		for i, o := range c.own {
+			if o == child {
+				c.own[i] = pmem.Nil
+				return
+			}
+		}
+		h.RetainRef(child)
+	}
 	return c
 }
 
@@ -724,7 +754,10 @@ func (h *Heap) putCascade(c *cascade) {
 }
 
 // collect appends payload and every block reachable only through it to
-// c.dead, dropping child reference counts along the way.
+// c.dead, dropping child reference counts along the way. A block in a
+// borrow record releases only the children it alone held (borrow.go), in
+// the order its walker would have met them, so the dead list — and with
+// it free-list order — is what walking every node produces.
 func (c *cascade) collect(payload pmem.Addr) {
 	h := c.h
 	c.stack = append(c.stack[:0], payload)
@@ -735,7 +768,11 @@ func (c *cascade) collect(payload pmem.Addr) {
 		if t := h.dev.Tracer(); t != nil {
 			t.Free(a-headerSize, uint64(stride))
 		}
-		c.dead = append(c.dead, a)
+		c.dead = append(c.dead, deadBlock{addr: a, stride: stride})
+		// Unlocked: nothing copies a dead block, so its flags can only clear.
+		if s := h.sh.blocks.slot(a); s.Load()&slotBorrowFlags != 0 && c.releaseOwn(a, s) {
+			continue
+		}
 		if w := h.sh.walkers[tag]; w != nil {
 			w(h, a, &c.sc, c.drop)
 		}
@@ -747,7 +784,7 @@ func (c *cascade) collect(payload pmem.Addr) {
 // Called with the ebr lock held; takes sh.mu for the free lists.
 func (h *Heap) freeBlock(r retiredBlock) {
 	sh := h.sh
-	stride, _ := h.header(r.addr)
+	stride := r.stride
 	if c := sh.cache.Load(); c != nil {
 		c.invalidate(r.addr)
 	}

@@ -446,6 +446,9 @@ func (e *Edit) capRun(r *editRun) {
 		}
 		h.dev.WriteU64(r.lastHdr, packHeader(stride+rem, tag, allocated)|(raw&hdrVolatileBit))
 		e.fs.Add(r.lastHdr, headerSize)
+		if last := r.lastHdr + headerSize; h.RefCount(last) == 0 {
+			sh.ebr.widenRetired(last, stride+rem) // released inside this FASE
+		}
 		sh.mu.Lock()
 		sh.stats.LiveBytes += uint64(rem)
 		sh.stats.CumBytes += uint64(rem)

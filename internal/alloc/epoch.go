@@ -32,11 +32,13 @@ import (
 // advances E freely and the scheme degenerates to the original quarantine:
 // Release then Fence frees the block immediately.
 
-// retiredBlock is one zero-reference block awaiting reclamation.
+// retiredBlock is one zero-reference block awaiting reclamation. A
+// deferred release uses only addr and epoch.
 type retiredBlock struct {
-	addr  pmem.Addr
-	epoch uint64 // global epoch at retirement
-	fence uint64 // device FenceSeq at retirement
+	addr   pmem.Addr
+	epoch  uint64 // global epoch at retirement
+	fence  uint64 // device FenceSeq at retirement
+	stride uint32 // from the header the cascade parsed; see widenRetired
 }
 
 // pinSlot is a registered reader announcement cell. Slots live for the
@@ -119,11 +121,26 @@ func (h *Heap) Enter() *EpochGuard {
 // retireBatch queues zero-reference blocks for reclamation. A cascade is
 // published in one batch, after all its walks completed (see
 // Heap.retireCascade).
-func (eb *ebrState) retireBatch(addrs []pmem.Addr, fence uint64) {
+func (eb *ebrState) retireBatch(dead []deadBlock, fence uint64) {
 	e := eb.epoch.Load()
 	eb.mu.Lock()
-	for _, addr := range addrs {
-		eb.retired = append(eb.retired, retiredBlock{addr: addr, epoch: e, fence: fence})
+	for _, d := range dead {
+		eb.retired = append(eb.retired, retiredBlock{addr: d.addr, epoch: e, fence: fence, stride: d.stride})
+	}
+	eb.mu.Unlock()
+}
+
+// widenRetired records that the retired block at addr now spans stride
+// bytes. Edit.Seal absorbs a run tail too small to carry a header into
+// the run's last block; when that block was released inside its own FASE
+// it is already here, under the stride it had when its cascade ran, and
+// must reach the free lists under the one its header now carries.
+func (eb *ebrState) widenRetired(addr pmem.Addr, stride uint32) {
+	eb.mu.Lock()
+	for i := range eb.retired {
+		if eb.retired[i].addr == addr {
+			eb.retired[i].stride = stride
+		}
 	}
 	eb.mu.Unlock()
 }
@@ -196,12 +213,7 @@ func (eb *ebrState) processDeferred(h *Heap, budget int) (used int, epochWaiting
 		}
 		c.dead = c.dead[:0]
 		c.collect(d.addr)
-		ep := eb.epoch.Load()
-		eb.mu.Lock()
-		for _, a := range c.dead {
-			eb.retired = append(eb.retired, retiredBlock{addr: a, epoch: ep, fence: fence})
-		}
-		eb.mu.Unlock()
+		eb.retireBatch(c.dead, fence)
 	}
 	h.putCascade(c)
 	eb.mu.Lock()

@@ -26,6 +26,7 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 	sh := h.sh
 	h.resetCache()
 	sh.blocks = newBlockTable(sh.end)
+	sh.borrows.reset()
 	sh.taintCount.Store(0)
 	sh.free = make(map[uint32][]pmem.Addr)
 	sh.ebr.mu.Lock()

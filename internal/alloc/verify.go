@@ -234,10 +234,17 @@ func (h *Heap) ArmLazyVerify() {
 // it raises the same typed panic a checksum mismatch does. The lookup is
 // the block table's arithmetic (table.go), no device access.
 func (h *Heap) VerifyRef(payload pmem.Addr) {
+	h.CheckRef(payload)
+	h.VerifyOnRead(payload)
+}
+
+// CheckRef is the first half of VerifyRef alone — a block starts at
+// payload, or the typed panic — for a reference that is carried into a
+// path copy without being read through.
+func (h *Heap) CheckRef(payload pmem.Addr) {
 	if h.sh.blocks.tracked(payload) == nil {
 		panic(nonBlockRef(payload))
 	}
-	h.VerifyOnRead(payload)
 }
 
 func nonBlockRef(payload pmem.Addr) *CorruptionPanic {

@@ -286,26 +286,40 @@ func readCollision(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr
 	return dst
 }
 
-// retainEntries retains every key and non-nil value in entries except the
-// entry at skip (-1 to retain all).
-func retainEntries(h *alloc.Heap, entries []mapEntry, skip int) {
-	for i, e := range entries {
-		if i == skip {
-			continue
-		}
-		h.RetainRef(e.key)
+// checkEntries requires every reference in entries to name a block, as a
+// read through it would (alloc.Heap.CheckRef): a path copy carries the
+// references it does not change into a new node without following them,
+// and a damaged one must not be published a second time.
+func checkEntries(h *alloc.Heap, entries []mapEntry) {
+	for _, e := range entries {
+		h.CheckRef(e.key)
 		if e.val != pmem.Nil {
-			h.RetainRef(e.val)
+			h.CheckRef(e.val)
 		}
 	}
 }
 
-func retainChildren(h *alloc.Heap, children []pmem.Addr, skip int) {
-	for i, c := range children {
-		if i != skip {
-			h.RetainRef(c)
-		}
+// copyOf builds the decoded and since mutated node n as a path copy of
+// the node at src. The copy borrows what it shares with src instead of
+// counting it (alloc/borrow.go): srcOnly are the references n dropped,
+// dstOnly the ones it gained, each in node layout order; the caller's
+// references on dstOnly transfer into the copy.
+func (m Map) copyOf(src pmem.Addr, n *mapNode, srcOnly, dstOnly only) pmem.Addr {
+	checkEntries(m.h, n.entries())
+	for _, c := range n.children() {
+		m.h.CheckRef(c)
 	}
+	dst := n.build(m.h, m.ed, m.sel)
+	m.h.Borrow(src, dst, srcOnly, dstOnly)
+	return dst
+}
+
+// collisionCopyOf is copyOf for a collision bucket.
+func (m Map) collisionCopyOf(src pmem.Addr, entries []mapEntry, srcOnly, dstOnly only) pmem.Addr {
+	checkEntries(m.h, entries)
+	dst := buildCollision(m.h, m.ed, m.sel, entries)
+	m.h.Borrow(src, dst, srcOnly, dstOnly)
+	return dst
 }
 
 // Get returns the value stored under key. The descent reads only the
@@ -405,11 +419,14 @@ func (m Map) Set(key, val []byte) (Map, bool) {
 	return m.setHdr(count, newRoot, root, rec), replaced
 }
 
-// setSlot overwrites one reference slot of an edit-owned node in place
-// and drops the node's reference to the block it displaced.
-func (m Map) setSlot(off pmem.Addr, v, displaced pmem.Addr) {
-	m.h.Device().WriteU32(off, ref32(v))
-	recordEdit(m.ed, off, refSize, m.sel)
+// setSlot overwrites the reference slot at node+off of an edit-owned node
+// in place and drops the node's reference to the block it displaced. A
+// node that borrows from the node it was copied from takes its own
+// references first (alloc.Heap.Settle): the one it displaces may be shared.
+func (m Map) setSlot(node, off pmem.Addr, v, displaced pmem.Addr) {
+	m.h.Settle(node)
+	m.h.Device().WriteU32(node+off, ref32(v))
+	recordEdit(m.ed, node+off, refSize, m.sel)
 	m.h.Release(displaced)
 }
 
@@ -425,18 +442,16 @@ func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, valB
 		for i, e := range entries {
 			if blobEqual(h, sc, e.key, key) {
 				if m.ed.Owns(node) {
-					m.setSlot(node+entryOff(i)+refSize, valBlob, e.val)
+					m.setSlot(node, entryOff(i)+refSize, valBlob, e.val)
 					return node, e.key, true
 				}
-				retainEntries(h, entries, i)
-				h.RetainRef(e.key) // key survives into the new bucket
 				entries[i].val = valBlob
-				return buildCollision(h, m.ed, m.sel, entries), e.key, true
+				return m.collisionCopyOf(node, entries, only{e.val}, only{valBlob}), e.key, true
 			}
 		}
-		retainEntries(h, entries, -1)
 		keyBlob := newBlob(h, m.ed, key)
-		return buildCollision(h, m.ed, m.sel, append(entries, mapEntry{keyBlob, valBlob})), keyBlob, false
+		entries = append(entries, mapEntry{keyBlob, valBlob})
+		return m.collisionCopyOf(node, entries, only{}, only{keyBlob, valBlob}), keyBlob, false
 	}
 
 	var n mapNode
@@ -451,31 +466,26 @@ func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, valB
 		if blobEqual(h, sc, e.key, key) {
 			if m.ed.Owns(node) {
 				// Same shape: a single in-place value-slot write.
-				m.setSlot(node+entryOff(di)+refSize, valBlob, e.val)
+				m.setSlot(node, entryOff(di)+refSize, valBlob, e.val)
 				return node, e.key, true
 			}
 			// Replace the value (new node, same shape).
-			retainEntries(h, n.entries(), di)
-			h.RetainRef(e.key)
-			retainChildren(h, n.children(), -1)
 			n.eb[di].val = valBlob
-			return n.build(h, m.ed, m.sel), e.key, true
+			return m.copyOf(node, &n, only{e.val}, only{valBlob}), e.key, true
 		}
 		// Hash conflict at this level: push both entries one level down.
 		// The node's shape changes, so an owned node is rebuilt too (its
 		// replacement transfers in via the parent's in-place slot write).
+		// The subtree is a new parent of the displaced entry's blobs; the
+		// copy of this node no longer holds them itself.
 		exHash := hash64(blobInto(h, sc, e.key))
 		h.RetainRef(e.key)
-		if e.val != pmem.Nil {
-			h.RetainRef(e.val)
-		}
+		h.RetainRef(e.val)
 		keyBlob := newBlob(h, m.ed, key)
 		sub := m.mergeTwo(shift+vecBits, e, exHash, mapEntry{keyBlob, valBlob}, hash)
-		retainEntries(h, n.entries(), di)
-		retainChildren(h, n.children(), -1)
 		n.removeEntry(bit, di)
 		n.insertChild(bit, ni, sub)
-		return n.build(h, m.ed, m.sel), keyBlob, false
+		return m.copyOf(node, &n, only{e.key, e.val}, only{sub}), keyBlob, false
 
 	case n.nodeMap&bit != 0:
 		child := n.cb[ni]
@@ -484,20 +494,16 @@ func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, valB
 			return node, keyBlob, replaced
 		}
 		if m.ed.Owns(node) {
-			m.setSlot(node+childOff(len(n.entries()), ni), newChild, child)
+			m.setSlot(node, childOff(len(n.entries()), ni), newChild, child)
 			return node, keyBlob, replaced
 		}
-		retainEntries(h, n.entries(), -1)
-		retainChildren(h, n.children(), ni)
 		n.cb[ni] = newChild
-		return n.build(h, m.ed, m.sel), keyBlob, replaced
+		return m.copyOf(node, &n, only{child}, only{newChild}), keyBlob, replaced
 
 	default:
-		retainEntries(h, n.entries(), -1)
-		retainChildren(h, n.children(), -1)
 		keyBlob := newBlob(h, m.ed, key)
 		n.insertEntry(bit, di, mapEntry{keyBlob, valBlob})
-		return n.build(h, m.ed, m.sel), keyBlob, false
+		return m.copyOf(node, &n, only{}, only{keyBlob, valBlob}), keyBlob, false
 	}
 }
 
@@ -559,8 +565,8 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pme
 				if len(entries) == 1 {
 					return pmem.Nil, true
 				}
-				retainEntries(h, entries, i)
-				return buildCollision(h, m.ed, m.sel, append(entries[:i], entries[i+1:]...)), true
+				entries = append(entries[:i], entries[i+1:]...)
+				return m.collisionCopyOf(node, entries, only{e.key, e.val}, only{}), true
 			}
 		}
 		return pmem.Nil, false
@@ -580,10 +586,9 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pme
 		if len(n.entries()) == 1 && n.nodeMap == 0 {
 			return pmem.Nil, true
 		}
-		retainEntries(h, n.entries(), di)
-		retainChildren(h, n.children(), -1)
+		e := n.eb[di]
 		n.removeEntry(bit, di)
-		return n.build(h, m.ed, m.sel), true
+		return m.copyOf(node, &n, only{e.key, e.val}, only{}), true
 
 	case n.nodeMap&bit != 0:
 		child := n.cb[ni]
@@ -595,22 +600,18 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pme
 			if n.dataMap == 0 && len(n.children()) == 1 {
 				return pmem.Nil, true
 			}
-			retainEntries(h, n.entries(), -1)
-			retainChildren(h, n.children(), ni)
 			n.removeChild(bit, ni)
-			return n.build(h, m.ed, m.sel), true
+			return m.copyOf(node, &n, only{child}, only{}), true
 		}
 		if newChild == child {
 			return node, true
 		}
 		if m.ed.Owns(node) {
-			m.setSlot(node+childOff(len(n.entries()), ni), newChild, child)
+			m.setSlot(node, childOff(len(n.entries()), ni), newChild, child)
 			return node, true
 		}
-		retainEntries(h, n.entries(), -1)
-		retainChildren(h, n.children(), ni)
 		n.cb[ni] = newChild
-		return n.build(h, m.ed, m.sel), true
+		return m.copyOf(node, &n, only{child}, only{newChild}), true
 
 	default:
 		return pmem.Nil, false

@@ -12,9 +12,12 @@
 //
 // Every update is a pure function: it returns a new version (shadow) and
 // leaves the original untouched, sharing unmodified subtrees structurally.
-// Reference counts on reused children are maintained through the heap; the
-// returned version owns one reference to its new root, which the caller
-// releases when the version is discarded or superseded.
+// Reference counts are maintained through the heap: a new node counts the
+// children it is given, except that a path copy of a trie node borrows the
+// children it shares with the node it replaces instead of counting them
+// (alloc/borrow.go). The returned version owns one reference to its new
+// root, which the caller releases when the version is discarded or
+// superseded.
 //
 // Purity also makes every update replayable: applying the same operation
 // again against a different base version yields an equivalent new version
@@ -115,11 +118,16 @@ func ref32(a pmem.Addr) uint32 {
 // 8-aligned address below MaxHeapBytes; whether a block lives there is
 // established where the address is used: alloc.Heap.VerifyRef before
 // every node read (inside ReadCached, and explicitly before a direct slot
-// or blob read), Heap.RetainRef where a path copy carries the reference
+// or blob read), Heap.CheckRef where a path copy carries the reference
 // into a new node, the bounds test behind Heap.Tag, and the recovery and
 // verification walks all refuse an address that is outside the heap or
 // not a block payload.
 func refAddr(r uint32) pmem.Addr { return pmem.Addr(r) << 3 }
+
+// only lists the references one side of a path copy holds and the other
+// does not, for alloc.Heap.Borrow: at most an entry's key and value blob,
+// or one child, in node layout order; Nil entries are padding.
+type only = [2]pmem.Addr
 
 // Edit-context plumbing. Every structure value optionally carries an
 // *alloc.Edit (WithEdit); node constructors allocate through it so the

@@ -8,11 +8,11 @@ import (
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
-// Heap layout v5 pins (DESIGN.md §2). These two tests hold the node
-// geometry and the flush budget it buys on the deterministic simulator, so
-// a change that widens a node fails here by name and not only in the
-// BENCH_baseline.json diff. CI's bench job runs them next to the
-// micro-benchmarks.
+// Heap layout v5 pins (DESIGN.md §2). These tests hold the node geometry
+// and the flush and read budgets of one Map.Set on the deterministic
+// simulator, so a change that widens a node — or walks one it need not —
+// fails here by name and not only in the BENCH_baseline.json diff. CI's
+// bench job runs them next to the micro-benchmarks.
 
 // sealedLen is the byte count a sealed node's checksum covers: exactly
 // what its constructor encoded.
@@ -98,18 +98,13 @@ func TestRef32RoundTrip(t *testing.T) {
 	}
 }
 
-// TestMapSetFlushBudget is the lib-map-write shape in miniature: a
+// setExistingCounters is the lib-map-write shape in miniature: a
 // 50,000-key map of 12-byte keys and 64-byte values, then 2,000 FASEs of
-// one Set of an existing key each. The path copy is three interior nodes
-// of up to 32 children; at 4 bytes a reference that is ≈ 14.8 flushed
-// lines per Set here (15.7 through core on lib-map-write, where 8-byte
-// references cost 22.3), under exactly one fence.
-func TestMapSetFlushBudget(t *testing.T) {
-	const (
-		keys       = 50_000
-		sets       = 2_000
-		maxFlushes = 17.0
-	)
+// one Set of an existing key each, committed as core commits them. It
+// returns the device counters of the 2,000 FASEs.
+func setExistingCounters(t *testing.T) (d pmem.Stats, sets int) {
+	const keys = 50_000
+	sets = 2_000
 	h := benchHeap(t)
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
 	val := make([]byte, 64)
@@ -124,7 +119,7 @@ func TestMapSetFlushBudget(t *testing.T) {
 	}
 
 	dev := h.Device()
-	base := dev.Stats()
+	base, settled := dev.Stats(), h.Stats().Settled
 	at := 0
 	for i := 0; i < sets; i++ {
 		at = (at + 7919) % keys
@@ -136,13 +131,43 @@ func TestMapSetFlushBudget(t *testing.T) {
 		}
 		commit(h, ed, &cur, m.Addr())
 	}
-	d := dev.Stats().Sub(base)
-	if d.Fences != sets {
+	d = dev.Stats().Sub(base)
+	if d.Fences != uint64(sets) {
 		t.Errorf("%d fences for %d FASEs, want exactly one each", d.Fences, sets)
 	}
-	perOp := float64(d.Flushes) / sets
-	t.Logf("%.2f flushes and %.0f PM bytes per Set", perOp, float64(d.BytesWritten)/sets)
+	// Versions die in publication order: every record dissolves when its
+	// source does, and no copy ever has to count what it shares.
+	if st := h.Stats(); st.Borrows != 0 || st.Settled != settled {
+		t.Errorf("%d borrow records left and %d copies settled by %d single-Set FASEs, want none", st.Borrows, st.Settled-settled, sets)
+	}
+	return d, sets
+}
+
+// TestMapSetFlushBudget: the path copy is three interior nodes of up to
+// 32 children; at 4 bytes a reference that is ≈ 14.8 flushed lines per Set
+// here (15.7 through core on lib-map-write, where 8-byte references cost
+// 22.3), under exactly one fence.
+func TestMapSetFlushBudget(t *testing.T) {
+	const maxFlushes = 17.0
+	d, sets := setExistingCounters(t)
+	perOp := float64(d.Flushes) / float64(sets)
+	t.Logf("%.2f flushes and %.0f PM bytes per Set", perOp, float64(d.BytesWritten)/float64(sets))
 	if perOp > maxFlushes {
 		t.Errorf("%.2f flushes per Set, budget %.1f", perOp, maxFlushes)
+	}
+}
+
+// TestMapSetReadBudget: PM read calls per Set on the same run. The
+// descent, the node images the copy is built from and one header word per
+// block the old version frees are ≈ 23; walking the superseded nodes to
+// uncount their children, and re-reading each freed block's header for
+// its stride, made it ≈ 37 before path copies borrowed (alloc/borrow.go).
+func TestMapSetReadBudget(t *testing.T) {
+	const maxReads = 30.0
+	d, sets := setExistingCounters(t)
+	perOp := float64(d.Reads) / float64(sets)
+	t.Logf("%.2f PM reads (%.0f bytes) per Set", perOp, float64(d.BytesRead)/float64(sets))
+	if perOp > maxReads {
+		t.Errorf("%.2f PM reads per Set, budget %.1f", perOp, maxReads)
 	}
 }

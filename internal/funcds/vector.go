@@ -236,25 +236,32 @@ func childOf(h *alloc.Heap, node pmem.Addr, idx int) pmem.Addr {
 	return refAddr(h.Device().ReadU32(node + pmem.Addr(idx*refSize)))
 }
 
-// copyNodeReplace clones an internal node, replacing slot idx with child.
-// All other non-nil children are retained (they gain a parent). The new
-// child's reference is transferred from the caller.
+// copyNodeReplace clones an internal node, replacing slot idx with child,
+// whose reference is transferred from the caller. The clone borrows its
+// other children from node instead of counting them (alloc/borrow.go);
+// each must name a block, as a read through it would require.
 func copyNodeReplace(h *alloc.Heap, ed *alloc.Edit, vol bool, node pmem.Addr, idx int, child pmem.Addr) pmem.Addr {
 	children := readNode(h, ed, ed.Scratch(), node)
-	for i, c := range children {
-		if i != idx && c != pmem.Nil {
-			h.RetainRef(c)
+	old := children[idx]
+	children[idx] = child
+	for _, c := range children {
+		if c != pmem.Nil {
+			h.CheckRef(c)
 		}
 	}
-	children[idx] = child
-	return writeNode(h, ed, vol, children)
+	clone := writeNode(h, ed, vol, children)
+	h.Borrow(node, clone, only{old}, only{child})
+	return clone
 }
 
 // replaceChild installs child at slot idx of node: a single in-place slot
 // write when node is edit-owned (releasing the header-held reference to
-// the displaced old child, if any), a path copy otherwise.
+// the displaced old child, if any), a path copy otherwise. A node that
+// still borrows from the one it was cloned from settles first: the child
+// it displaces may be one of the shared ones.
 func (v Vector) replaceChild(node pmem.Addr, idx int, child, old pmem.Addr) pmem.Addr {
 	if v.ed.Owns(node) {
+		v.h.Settle(node)
 		v.h.Device().WriteU32(node+pmem.Addr(idx*refSize), ref32(child))
 		recordEdit(v.ed, node+pmem.Addr(idx*refSize), refSize, v.sel)
 		if old != pmem.Nil {

@@ -23,6 +23,10 @@ const (
 	MaxArgs = 1 << 16
 	// MaxBulkLen bounds one bulk string (key or value).
 	MaxBulkLen = 8 << 20
+	// maxHeaderLine bounds a *N or $N header line, CRLF excluded: the
+	// largest legal one is "$8388608". A peer that never sends LF gets a
+	// protocol error instead of an ever-growing line buffer.
+	maxHeaderLine = 32
 )
 
 // errProtocol wraps malformed-input failures so the connection loop can
@@ -38,9 +42,14 @@ type Command struct {
 	Args [][]byte
 }
 
-// readLine reads one CRLF-terminated line, rejecting bare LF.
+// readLine reads one CRLF-terminated header line of at most
+// maxHeaderLine bytes, rejecting bare LF. The line aliases r's buffer and
+// is valid until the next read.
 func readLine(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadBytes('\n')
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull || len(line) > maxHeaderLine+2 {
+		return nil, fmt.Errorf("%w: header line longer than %d bytes", errProtocol, maxHeaderLine)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -507,7 +507,13 @@ func (s *Server) execMulti(c *Conn) Reply {
 // checkArity validates fixed-arity verbs; returns (errorReply, false)
 // on mismatch.
 func checkArity(name string, cmd Command) (Reply, bool) {
-	want := map[string]int{"GET": 1, "SET": 2, "DEL": 1}[name]
+	var want int
+	switch name {
+	case "GET", "DEL":
+		want = 1
+	case "SET":
+		want = 2
+	}
 	if len(cmd.Args) != want {
 		return ErrorReply("ERR", "wrong number of arguments for '"+name+"'"), false
 	}
