@@ -67,9 +67,10 @@ func main() {
 	fmt.Printf("transfer: checking=%s savings=%s, fences used: %d\n",
 		c, s, dev.Stats().Sub(before).Fences)
 
-	// Fig. 7c / 8d — single updates of unrelated datastructures: a short
-	// pointer transaction installs both root swaps atomically, at the
-	// price of extra ordering points (the uncommon case).
+	// Fig. 7c / 8d — single updates of unrelated datastructures: the
+	// store's redo record installs both root swaps atomically, at the
+	// price of two extra ordering points (the uncommon case; three
+	// fences however many roots).
 	v1, _ := store.Vector("v1")
 	v2, _ := store.Vector("v2")
 	v1.Push(111)

@@ -75,9 +75,11 @@ const (
 
 	// version is the one heap layout Open accepts. 2: open-run table;
 	// 3: volatile-node bit; 4: 16-byte header with checksum word;
-	// 5: 4-byte references inside funcds trie nodes. Every bump so far
-	// moved or re-encoded node payloads, so no older image is readable.
-	version = 5
+	// 5: 4-byte references inside funcds trie nodes; 6: no commit-log
+	// block or root, every multi-root commit rides the batch record
+	// (package core). Every bump so far moved or re-encoded something a
+	// recovery depends on, so no older image is readable.
+	version = 6
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word
@@ -633,32 +635,6 @@ func (h *Heap) decRef(payload pmem.Addr, op string) bool {
 		panic(fmt.Sprintf("alloc: %s of dead block %#x", op, uint64(payload)))
 	}
 	return n == 1
-}
-
-// ReleaseBatch releases every address in one pass, collecting all
-// resulting retire cascades into a single batch tagged with one fence
-// snapshot and published under one epoch-list lock acquisition. A group
-// commit retires a whole fence epoch's worth of superseded versions and
-// intermediate shadows this way: they were all orphaned by the same
-// batch fence, so one fence covers them all (DESIGN.md §7).
-func (h *Heap) ReleaseBatch(addrs []pmem.Addr) {
-	if h.DisableReclaim {
-		return
-	}
-	fence := h.dev.FenceSeq()
-	c := h.takeCascade()
-	for _, payload := range addrs {
-		if payload == pmem.Nil {
-			continue
-		}
-		if h.decRef(payload, "release") {
-			c.collect(payload)
-		}
-	}
-	if len(c.dead) > 0 {
-		h.sh.ebr.retireBatch(c.dead, fence)
-	}
-	h.putCascade(c)
 }
 
 // ReleaseDeferred schedules a release of the block at payload addr to

@@ -109,13 +109,11 @@ func (w *borrowWorld) publish(i int, next pmem.Addr, dispose func(pmem.Addr)) {
 // released now, released after the grace period, or kept (with the
 // contents it must keep reading as) for a random later step.
 func (w *borrowWorld) disposal(keep heldVersion) func(pmem.Addr) {
-	switch w.rng.Intn(4) {
+	switch w.rng.Intn(3) {
 	case 0:
 		return w.h.Release
 	case 1:
 		return w.h.ReleaseDeferred
-	case 2:
-		return func(a pmem.Addr) { w.h.ReleaseBatch([]pmem.Addr{pmem.Nil, a}) }
 	default:
 		return func(a pmem.Addr) {
 			keep.addr = a

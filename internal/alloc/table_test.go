@@ -87,7 +87,7 @@ func (m *tableModel) recoverFrom(roots []pmem.Addr) {
 }
 
 // TestBlockTableMatchesModel drives random Alloc / Edit.Alloc / Retain /
-// Release / ReleaseBatch / Fence / Recover sequences and compares the
+// Release / Fence / Recover sequences and compares the
 // whole table with the reference map after every step.
 func TestBlockTableMatchesModel(t *testing.T) {
 	absorbed := 0
@@ -243,13 +243,10 @@ func runTableModel(t *testing.T, seed int64) (absorbed int) {
 			h.Release(a)
 			m.release(a)
 		case r < 82 && len(handles) > 0:
-			op = "release-batch"
-			batch := []pmem.Addr{pmem.Nil}
+			op = "release-several"
 			for n := 1 + rng.Intn(5); n > 0 && len(handles) > 0; n-- {
-				batch = append(batch, take())
-			}
-			h.ReleaseBatch(batch)
-			for _, a := range batch[1:] {
+				a := take()
+				h.Release(a)
 				m.release(a)
 			}
 		case r < 88 && len(handles) > 0:

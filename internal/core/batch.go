@@ -56,93 +56,39 @@ import (
 // durable under the next group's fence — and an idle committer issues
 // one closing fence.
 
-// batchLogRoot names the root slot anchoring the persistent batch
-// record used for multi-root publication.
+// batchLogRoot names the root slot anchoring the store's redo record
+// (redo.go), through which every multi-root commit on one heap — Batch
+// and CommitUnrelated alike — publishes.
 const batchLogRoot = "__mod_batchlog"
-
-// Batch record layout (payload offsets):
-//
-//	+0   status   (0 idle; a nonzero batch sequence number = committed —
-//	              the 8-byte status write is the atomic commit point)
-//	+8   count    (number of entries)
-//	+16  checksum (fnv1a over the sequence number, count, and entries)
-//	+24  entries: count × {root cell addr u64, new version addr u64}
-//
-// The checksum binds the body to one specific commit: it covers the
-// sequence number that the commit point will write into the status
-// word, so recovery replays only when the durable status, count, and
-// entries all belong to the same batch — independent of how the
-// record's fields straddle cache lines under partial eviction.
-const (
-	batchStatusIdle   = 0
-	batchRecHdrSize   = 24
-	batchRecEntrySize = 16
-)
 
 // MaxBatchRoots is the most distinct roots one batch commit can change,
 // bounded by the capacity of the persistent batch record.
 const MaxBatchRoots = 62
 
-const batchRecSize = batchRecHdrSize + MaxBatchRoots*batchRecEntrySize
+const batchRecSize = redoHdrSize + MaxBatchRoots*16
 
-// batchChecksum hashes the record body (count then the entry words) so
-// recovery can reject a torn record: the checksum is durable before the
-// committed flag, so a record that validates is exactly the one the
-// crashed commit wrote.
-func batchChecksum(words []uint64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
+// record returns this handle's view of the store's batch record.
+func (s *Store) record() redoRecord {
+	return redoRecord{dev: s.dev, base: s.batchRec, max: MaxBatchRoots}
 }
 
-// recoverBatchRecord replays a committed batch record left by a crash
-// mid-publication, completing the batch's root swaps. Run before the
-// reachability scan so recovery traces the post-batch roots. Returns
-// whether a replay happened.
-func recoverBatchRecord(dev pmem.Backend, rec pmem.Addr) bool {
-	seq := dev.ReadU64(rec)
-	if seq == batchStatusIdle {
-		return false
+// replayRecord completes the root swaps of a committed batch record left
+// by a crash mid-publication — idempotent 8-byte writes — and retires it.
+// Run before the reachability scan so recovery traces the post-commit
+// roots.
+func (s *Store) replayRecord() {
+	rec := s.record()
+	entries, dirty := rec.read()
+	if !dirty {
+		return
 	}
-	count := dev.ReadU64(rec + 8)
-	sum := dev.ReadU64(rec + 16)
-	replayed := false
-	if count >= 1 && count <= MaxBatchRoots {
-		words := make([]uint64, 0, 2+2*count)
-		words = append(words, seq, count)
-		for i := uint64(0); i < count; i++ {
-			e := rec + batchRecHdrSize + pmem.Addr(i*batchRecEntrySize)
-			words = append(words, dev.ReadU64(e), dev.ReadU64(e+8))
-		}
-		if batchChecksum(words) == sum {
-			// A validating checksum proves the durable body belongs to
-			// this very status (both were durable before the commit
-			// point could be): redo every root swap — idempotent 8-byte
-			// writes. A mismatch means the status is a stale leftover of
-			// a batch that already completed its swaps, torn against a
-			// later batch's partially durable refill — discard it.
-			for i := uint64(0); i < count; i++ {
-				cell := pmem.Addr(words[2+2*i])
-				val := pmem.Addr(words[3+2*i])
-				dev.WriteAddr(cell, val)
-				dev.Clwb(cell)
-			}
-			replayed = true
-		}
+	for _, e := range entries {
+		s.dev.WriteAddr(e.cell, e.final)
+		s.dev.Clwb(e.cell)
 	}
-	dev.Sfence() // replayed cells durable before the record is retired
-	dev.WriteU64(rec, batchStatusIdle)
-	dev.Clwb(rec)
-	dev.Sfence()
-	return replayed
+	s.dev.Sfence() // replayed cells durable before the record is retired
+	rec.retire()
+	s.dev.Sfence()
 }
 
 // batchOp is one deferred update: applied at commit time against the
@@ -383,20 +329,23 @@ type rootChange struct {
 	old, final pmem.Addr
 }
 
-// preparedBatch is an applied-but-unpublished batch on one store: root
-// commit mutexes held, shadow chains built and sealed, publication
-// pending. The single-shard commit path publishes locally
-// (publishLocal); the cross-shard path (sharded.go) publishes several
-// prepared batches through one shard manifest. Either way the caller
-// must call finish afterwards to retire superseded versions, adopt the
-// new ones, and release the locks.
+// preparedBatch is an applied-but-unpublished multi-root commit on one
+// store: root commit mutexes held, shadow chains built and durable-ready,
+// publication pending. prepareBatch builds one from a Batch's deferred
+// ops, CommitUnrelated (store.go) from the caller's own shadow chains.
+// The single-shard commit path publishes locally (publishLocal); the
+// cross-shard path (sharded.go) publishes several prepared batches
+// through one shard manifest. Either way the caller must call finish
+// afterwards to retire superseded versions, adopt the new ones, and
+// release the locks.
 type preparedBatch struct {
 	s        *Store
-	ops      []batchOp
-	locked   []int
+	ops      []batchOp // their handles adopt the final versions at finish; caller-built ones carry no apply
+	fase     bool      // prepareBatch opened a FASE around the ops; CommitUnrelated runs inside its caller's
+	locked   []int     // ascending
 	changed  []rootChange
 	finals   map[int]pmem.Addr
-	releases []pmem.Addr // intermediate shadows: never published, retired eagerly
+	releases []pmem.Addr // intermediate shadows, never published; per root in chain order
 }
 
 // prepareBatch locks every root the ops touch (ascending slot order, so
@@ -428,7 +377,7 @@ func (s *Store) prepareBatch(ops []batchOp) *preparedBatch {
 
 	s.BeginFASE()
 	ed := s.heap.BeginEdit()
-	p := &preparedBatch{s: s, ops: ops, locked: locked, finals: make(map[int]pmem.Addr, len(slots))}
+	p := &preparedBatch{s: s, ops: ops, fase: true, locked: locked, finals: make(map[int]pmem.Addr, len(slots))}
 	for _, slot := range slots {
 		old := s.heap.Root(slot)
 		cur := old
@@ -470,26 +419,18 @@ func (p *preparedBatch) publishLocal() {
 		s.commitEnd()
 	default:
 		var crown []pmem.Addr
-		for _, c := range p.changed {
-			crown = append(crown, s.maybeCheckpoint(c.final)...)
-		}
-		s.sh.txMu.Lock()
-		s.commitBegin()
-		s.sh.batchSeq++ // serialized by txMu; 0 is reserved for idle
-		seq := s.sh.batchSeq
-		words := make([]uint64, 0, 2+2*len(p.changed))
-		words = append(words, seq, uint64(len(p.changed)))
+		entries := make([]redoEntry, len(p.changed))
 		for i, c := range p.changed {
-			cell := s.heap.RootCellAddr(c.slot)
-			e := s.batchRec + batchRecHdrSize + pmem.Addr(i*batchRecEntrySize)
-			s.dev.WriteU64(e, uint64(cell))
-			s.dev.WriteU64(e+8, uint64(c.final))
-			words = append(words, uint64(cell), uint64(c.final))
+			crown = append(crown, s.maybeCheckpoint(c.final)...)
+			entries[i] = redoEntry{cell: s.heap.RootCellAddr(c.slot), final: c.final}
 		}
-		s.dev.WriteU64(s.batchRec+8, uint64(len(p.changed)))
-		s.dev.WriteU64(s.batchRec+16, batchChecksum(words))
-		s.dev.FlushRange(s.batchRec+8, 16+len(p.changed)*batchRecEntrySize)
-		// Fence A: shadows, record body, and any previous batch's record
+		rec := s.record()
+		s.sh.recMu.Lock()
+		s.commitBegin()
+		s.sh.batchSeq++ // serialized by recMu; 0 is reserved for idle
+		seq := s.sh.batchSeq
+		rec.stage(seq, entries)
+		// Fence A: shadows, record body, and any previous commit's record
 		// retirement are durable. The status word is still idle, so a
 		// crash here recovers none of the batch.
 		s.heap.Fence()
@@ -498,38 +439,46 @@ func (p *preparedBatch) publishLocal() {
 		// before the commit point, so a replayed swap can never point at
 		// a structure whose navigation recovery would zero.
 		s.clearCrown(crown)
-		s.dev.WriteU64(s.batchRec, seq)
-		s.dev.Clwb(s.batchRec)
+		rec.commit(seq)
 		s.dev.Sfence() // fence B: the status write is the commit point
 		for _, c := range p.changed {
 			s.heap.SetRoot(c.slot, c.final)
 		}
 		s.dev.Sfence() // fence C: swaps durable before the record retires
-		s.dev.WriteU64(s.batchRec, batchStatusIdle)
-		s.dev.Clwb(s.batchRec) // durability rides to the next fence
+		rec.retire()   // durability rides to the next fence
 		s.commitEnd()
-		s.sh.txMu.Unlock()
+		s.sh.recMu.Unlock()
 	}
 }
 
-// finish retires every superseded version in one batch, adopts the new
-// versions into the handles, closes the FASE, and releases the root
-// locks. Must run after publication. Replaced root versions release
-// deferred (an optimistic builder may still be retaining out of them);
-// intermediate shadows were never published and retire eagerly.
+// finish retires every superseded version, adopts the new versions into
+// the handles, closes the FASE prepareBatch opened, and releases the root
+// locks. Must run after publication. Every release is deferred — a
+// replaced root version because an optimistic builder may still be
+// retaining out of it, the intermediates behind it in chain order so that
+// each version dies after the one it was copied from (alloc/borrow.go
+// rule a; dying first would settle the published copy).
 func (p *preparedBatch) finish() {
 	s := p.s
-	s.heap.ReleaseBatch(p.releases)
 	for _, c := range p.changed {
 		s.heap.ReleaseDeferred(c.old)
+	}
+	for _, a := range p.releases {
+		s.heap.ReleaseDeferred(a)
 	}
 	for _, op := range p.ops {
 		op.ds.adopt(p.finals[op.ds.location().slot])
 	}
-	s.EndFASE()
-	s.dev.NoteBatch(len(p.ops))
+	if p.fase {
+		s.EndFASE()
+		s.dev.NoteBatch(len(p.ops))
+	}
+	p.unlock()
+}
+
+func (p *preparedBatch) unlock() {
 	for i := len(p.locked) - 1; i >= 0; i-- {
-		s.sh.rootMu[p.locked[i]].Unlock()
+		p.s.sh.rootMu[p.locked[i]].Unlock()
 	}
 }
 

@@ -303,60 +303,24 @@ func TestSnapshotSurvivesReclaim(t *testing.T) {
 	}
 }
 
-// TestCommitUnrelatedCrashAtomicAcrossSeeds interrupts the
-// CommitUnrelated pointer transaction mid-flight and crashes with
-// adversarial line eviction across many seeds; recovery must always roll
-// the transaction back so neither root shows the new version.
+// TestCommitUnrelatedCrashAtomicAcrossSeeds interrupts CommitUnrelated
+// between its record fences and crashes with adversarial line eviction
+// across many seeds — the write in flight (commit point, first root swap,
+// record retirement) lands or not at the seed's whim. Recovery must show
+// both new versions or neither, and both once the commit point was fenced.
 func TestCommitUnrelatedCrashAtomicAcrossSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		cfg := pmem.DefaultConfig(16 << 20)
-		cfg.TrackDurable = true
-		dev := pmem.New(cfg)
-		s, err := newStore(dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1, _ := s.Vector("v1")
-		v2, _ := s.Vector("v2")
-		v1.Push(1)
-		v2.Push(2)
-
-		// Build both shadows, then hand-run the pointer transaction and
-		// crash after the first root write but before commit — the
-		// interruption window of Fig. 8d.
-		s1 := v1.PurePush(10)
-		s2 := v2.PurePush(20)
-		dev.Sfence()
-		tx := s.tx
-		tx.Begin()
-		cell1 := s.heap.RootCellAddr(v1.location().slot)
-		cell2 := s.heap.RootCellAddr(v2.location().slot)
-		tx.Add(cell1, 8)
-		tx.Add(cell2, 8)
-		tx.WriteU64(cell1, uint64(s1.Addr()))
-		_ = s2
-		dev.FlushRange(cell1, 8)
-		img := dev.CrashImage(pmem.CrashEvictRandom, seed)
-
-		dev2 := pmem.NewFromImage(pmem.DefaultConfig(16<<20), img)
-		s2nd, _, err := openStore(dev2)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		v1b, _ := s2nd.Vector("v1")
-		v2b, _ := s2nd.Vector("v2")
-		if v1b.Len() != 1 || v2b.Len() != 1 {
-			t.Fatalf("seed %d: partial pointer tx visible after recovery: v1=%d v2=%d, want 1/1",
-				seed, v1b.Len(), v2b.Len())
-		}
-		if v1b.Get(0) != 1 || v2b.Get(0) != 2 {
-			t.Fatalf("seed %d: recovered values corrupted", seed)
+		for n := 1; n <= 3; n++ {
+			l1, l2 := crashUnrelatedAfterFence(t, n, pmem.CrashEvictRandom, seed)
+			if l1 != l2 || (n >= 2 && l1 != 2) {
+				t.Fatalf("seed %d, crash after fence %d: v1=%d v2=%d, want both roots moved or neither (both from fence B on)", seed, n, l1, l2)
+			}
 		}
 	}
 }
 
 // TestCommitUnrelatedCompletedSurvivesCrash is the other half: once the
-// transaction has committed, a crash must preserve both new versions.
+// commit has returned, a crash must preserve both new versions.
 func TestCommitUnrelatedCompletedSurvivesCrash(t *testing.T) {
 	cfg := pmem.DefaultConfig(64 << 20)
 	cfg.TrackDurable = true
@@ -381,7 +345,7 @@ func TestCommitUnrelatedCompletedSurvivesCrash(t *testing.T) {
 	v1b, _ := s2nd.Vector("v1")
 	v2b, _ := s2nd.Vector("v2")
 	if v1b.Len() != 2 || v2b.Len() != 2 {
-		t.Fatalf("committed tx lost: v1=%d v2=%d, want 2/2", v1b.Len(), v2b.Len())
+		t.Fatalf("completed commit lost: v1=%d v2=%d, want 2/2", v1b.Len(), v2b.Len())
 	}
 }
 

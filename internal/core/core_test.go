@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/mod-ds/mod/internal/alloc"
@@ -342,47 +344,220 @@ func TestCommitUnrelatedAtomic(t *testing.T) {
 	if v1.Get(2) != b || v2.Get(7) != a {
 		t.Fatal("cross-structure swap not applied")
 	}
-	// The uncommon case pays extra ordering points (§5.1).
-	if delta.Fences < 2 {
-		t.Fatalf("CommitUnrelated used %d fences; expected the transaction's extra ordering", delta.Fences)
+	// Two roots publish through the redo record: fences A, B, C.
+	if delta.Fences != 3 {
+		t.Fatalf("CommitUnrelated of two roots used %d fences, want the record's 3", delta.Fences)
 	}
 }
 
-func TestCommitUnrelatedCrashRollsBackPointerTx(t *testing.T) {
-	cfg := pmem.DefaultConfig(64 << 20)
+// crashAfterFence captures a crash image at the first PM write after the
+// nth fence it sees: inside a multi-root publication that is the status
+// write after fence A (n = 1), the first root swap after fence B (2) and
+// the record's retirement after fence C (3).
+type crashAfterFence struct {
+	*pmem.CrashCountdown // its Write is shadowed, so it only supplies the other, empty hooks
+	dev                  *pmem.Device
+	n                    int
+	policy               pmem.CrashPolicy
+	seed                 uint64
+	img                  []byte
+}
+
+func (c *crashAfterFence) Fence(int) { c.n-- }
+
+func (c *crashAfterFence) Write(pmem.Addr, int) {
+	if c.n <= 0 && c.img == nil {
+		c.img = c.dev.CrashImage(c.policy, c.seed)
+	}
+}
+
+// crashUnrelatedAfterFence builds two one-element vectors, pushes onto
+// both through CommitUnrelated, crashes that commit after its nth fence
+// and returns the recovered lengths.
+func crashUnrelatedAfterFence(t *testing.T, n int, policy pmem.CrashPolicy, seed uint64) (len1, len2 uint64) {
+	t.Helper()
+	cfg := pmem.DefaultConfig(16 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, _ := newStore(dev)
+	s, err := newStore(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
 	v1, _ := s.Vector("v1")
 	v2, _ := s.Vector("v2")
 	v1.Push(1)
 	v2.Push(2)
+	s.Sync()
 
-	// Simulate a crash in the middle of the pointer transaction: snapshot
-	// the roots, write one pointer, then crash with everything persisted.
-	s1 := v1.PurePush(10)
-	_ = v2.PurePush(20)
-	dev.Sfence()
-	tx := s.tx
-	tx.Begin()
-	cell1 := s.heap.RootCellAddr(v1.location().slot)
-	cell2 := s.heap.RootCellAddr(v2.location().slot)
-	tx.Add(cell1, 8)
-	tx.Add(cell2, 8)
-	tx.WriteU64(cell1, uint64(s1.Addr()))
-	// crash before writing cell2 / committing
-	dev.FlushRange(cell1, 8)
-	img := dev.CrashImage(pmem.CrashAllInflight, 5)
-
-	dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
-	s2nd, _, err := openStore(dev2)
-	if err != nil {
+	tr := &crashAfterFence{CrashCountdown: pmem.NewCrashCountdown(dev, 0, policy, seed), dev: dev, n: n, policy: policy, seed: seed}
+	dev.SetTracer(tr)
+	if err := s.CommitUnrelated(
+		Update{DS: v1, Shadows: []Version{v1.PurePush(10)}},
+		Update{DS: v2, Shadows: []Version{v2.PurePush(20)}},
+	); err != nil {
 		t.Fatal(err)
 	}
-	v1b, _ := s2nd.Vector("v1")
-	v2b, _ := s2nd.Vector("v2")
-	if v1b.Len() != 1 || v2b.Len() != 1 {
-		t.Fatalf("partial pointer tx visible: v1=%d v2=%d, want 1/1", v1b.Len(), v2b.Len())
+	dev.SetTracer(nil)
+	if tr.img == nil {
+		t.Fatalf("no PM write followed fence %d of the commit", n)
+	}
+	s2, _, err := openStore(pmem.NewFromImage(cfg, tr.img))
+	if err != nil {
+		t.Fatalf("fence %d, seed %d: %v", n, seed, err)
+	}
+	v1b, _ := s2.Vector("v1")
+	v2b, _ := s2.Vector("v2")
+	if v1b.Get(0) != 1 || v2b.Get(0) != 2 {
+		t.Fatalf("fence %d, seed %d: recovered values corrupted", n, seed)
+	}
+	return v1b.Len(), v2b.Len()
+}
+
+// TestCommitUnrelatedCrashBetweenRecordFences crashes a two-root
+// CommitUnrelated in each window of its redo record with every flushed
+// line persisted: before the commit point (the status write issued after
+// fence A but not yet flushed) recovery shows neither new version, at or
+// after it (fences B and C) both.
+func TestCommitUnrelatedCrashBetweenRecordFences(t *testing.T) {
+	for n, want := range map[int]uint64{1: 1, 2: 2, 3: 2} {
+		if l1, l2 := crashUnrelatedAfterFence(t, n, pmem.CrashAllInflight, 5); l1 != want || l2 != want {
+			t.Errorf("crash after fence %d: v1=%d v2=%d, want %d/%d", n, l1, l2, want, want)
+		}
+	}
+}
+
+// TestCommitUnrelatedFenceBudget: one root publishes like CommitSingle
+// (one fence), several through the redo record (three, however many),
+// and never with more fences than a Batch over the same roots.
+func TestCommitUnrelatedFenceBudget(t *testing.T) {
+	for _, tc := range []struct{ roots, fences int }{{1, 1}, {2, 3}, {3, 3}, {8, 3}} {
+		s := newTestStore(t)
+		vecs := make([]*Vector, tc.roots)
+		for i := range vecs {
+			vecs[i], _ = s.Vector(fmt.Sprintf("v%d", i))
+			vecs[i].Push(uint64(i))
+		}
+		s.Sync()
+		fences := func(commit func()) uint64 {
+			before := s.Stats().Fences
+			commit()
+			return s.Stats().Fences - before
+		}
+		unrelated := fences(func() {
+			updates := make([]Update, len(vecs))
+			for i, v := range vecs {
+				updates[i] = Update{DS: v, Shadows: []Version{v.PureUpdate(0, 100)}}
+			}
+			if err := s.CommitUnrelated(updates...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		batch := fences(func() {
+			b := s.NewBatch()
+			for _, v := range vecs {
+				b.VectorUpdate(v, 0, 200)
+			}
+			b.Commit()
+		})
+		if int(unrelated) != tc.fences || unrelated > batch {
+			t.Errorf("%d roots: CommitUnrelated %d fences (want %d), Batch.Commit %d", tc.roots, unrelated, tc.fences, batch)
+		}
+		for i, v := range vecs {
+			if got := v.Get(0); got != 200 {
+				t.Errorf("%d roots: v%d[0] = %d after both commits, want 200", tc.roots, i, got)
+			}
+		}
+	}
+}
+
+// TestCommitUnrelatedRejectsMisuse: an update list no commit could honour
+// panics with a worded message before any lock is taken or fence issued,
+// as CommitSiblings does, and leaves the store usable.
+func TestCommitUnrelatedRejectsMisuse(t *testing.T) {
+	s := newTestStore(t)
+	v, _ := s.Vector("v")
+	w, _ := s.Vector("w")
+	p, _ := s.Parent("p", "f")
+	f, _ := p.Vector("f")
+	v.Push(1)
+	w.Push(2)
+	f.Push(3)
+	s.Sync()
+	for _, tc := range []struct {
+		name    string
+		updates func() []Update
+		want    string
+	}{
+		{"root named twice", func() []Update {
+			return []Update{{DS: w, Shadows: []Version{w.PurePush(7)}}, {DS: v, Shadows: []Version{v.PurePush(8)}}, {DS: v, Shadows: []Version{v.PurePush(9)}}}
+		}, `names root "v" twice`},
+		{"no shadows", func() []Update {
+			return []Update{{DS: w, Shadows: []Version{w.PurePush(7)}}, {DS: v}}
+		}, "update with no shadows"},
+		{"parent-bound", func() []Update {
+			return []Update{{DS: f, Shadows: []Version{f.PurePush(7)}}}
+		}, "requires root-bound"},
+	} {
+		updates := tc.updates()
+		before := s.Stats()
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: panic %q, want one mentioning %q", tc.name, msg, tc.want)
+				}
+			}()
+			t.Errorf("%s: CommitUnrelated returned %v", tc.name, s.CommitUnrelated(updates...))
+		}()
+		if d := s.Stats().Sub(before); d.Fences != 0 || d.Writes != 0 {
+			t.Errorf("%s: rejected after %d fences and %d PM writes", tc.name, d.Fences, d.Writes)
+		}
+		for _, u := range updates { // the caller still owns the shadows it built
+			for _, sh := range u.Shadows {
+				s.heap.Release(sh.Addr())
+			}
+		}
+	}
+	// The root locks were never taken and the allocator's books balance.
+	if err := s.CommitUnrelated(
+		Update{DS: v, Shadows: []Version{v.PurePush(10)}},
+		Update{DS: w, Shadows: []Version{w.PurePush(20)}}); err != nil {
+		t.Fatal(err)
+	}
+	s.Sync()
+	if v.Len() != 2 || w.Len() != 2 || f.Len() != 1 {
+		t.Fatalf("after the rejected commits: v=%d w=%d f=%d elements, want 2/2/1", v.Len(), w.Len(), f.Len())
+	}
+}
+
+// TestVecSwapTakesNoSettle: CommitSingle(v, s1, s2) retires the old
+// version before the intermediate copied from it, so each borrowed path
+// copy hands its children to its borrower (alloc/borrow.go rule a) and
+// no copy has to settle — which it did, once per swap, while the
+// intermediate was released first.
+func TestVecSwapTakesNoSettle(t *testing.T) {
+	s := newTestStore(t)
+	v, _ := s.Vector("v")
+	const n = 3000 // three levels: root, interior, leaf
+	load := s.NewBatch()
+	for i := uint64(0); i < n; i++ {
+		load.VectorPush(v, i)
+	}
+	load.Commit()
+	s.Sync()
+	settled := s.heap.Stats().Settled
+	for i := uint64(0); i < 1000; i++ {
+		a, b := i*7%n, (i*13+1500)%n
+		s1 := v.PureUpdate(a, v.Get(b))
+		s2 := s1.Update(b, v.Get(a))
+		if err := s.CommitSingle(v, s1, s2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Sync()
+	st := s.heap.Stats()
+	if st.Settled != settled || st.Borrows != 0 || st.Quarantine != 0 {
+		t.Fatalf("1,000 vec-swaps settled %d copies, left %d borrow records and %d quarantined blocks; want 0/0/0",
+			st.Settled-settled, st.Borrows, st.Quarantine)
 	}
 }
 
@@ -434,6 +609,10 @@ func TestTraceInvariantsHoldAcrossWorkout(t *testing.T) {
 	s1 := v.PureUpdate(0, 42)
 	s2 := s1.Update(1, 43)
 	s.CommitSingle(v, s1, s2)
+	s.EndFASE()
+	s.BeginFASE() // two roots through the batch record, written in place inside the commit bracket
+	ms, _ := m.PureSet(key64(7), key64(8))
+	s.CommitUnrelated(Update{DS: v, Shadows: []Version{v.PureUpdate(2, 44)}}, Update{DS: m, Shadows: []Version{ms}})
 	s.EndFASE()
 
 	violations := trace.Check(rec.Events(), s.CheckerConfig())

@@ -12,8 +12,9 @@ import (
 
 // Crash-matrix sweep: for every structure (vector, CHAMP map, CHAMP
 // set, stack, queue) × every commit discipline (per-op FASEs, a
-// multi-op edit FASE, a multi-root batch through the batch record, and
-// a cross-shard batch through the shard manifest), inject a power
+// multi-op edit FASE, a multi-root batch and a CommitUnrelated of
+// caller-built shadow chains through the batch record, and a
+// cross-shard batch through the shard manifest), inject a power
 // failure at *every* PM-write index of the probed window under the
 // most adversarial eviction policy, recover, and assert the recovered
 // state equals a committed prefix — and, for the atomic modes, that the
@@ -29,9 +30,10 @@ const (
 
 // matrixOps drives one structure through the sweep.
 type matrixOps struct {
-	basic func(i int)            // apply op i as its own Basic FASE
-	batch func(b Batcher, i int) // queue op i into a (single- or cross-shard) batch
-	dump  func() []string        // canonical full state
+	basic func(i int)               // apply op i as its own Basic FASE
+	batch func(b Batcher, i int)    // queue op i into a (single- or cross-shard) batch
+	chain func(from, to int) Update // shadow chain of ops from..to-1 on the committed version, one shadow per op
+	dump  func() []string           // canonical full state
 }
 
 type matrixStructure struct {
@@ -41,216 +43,158 @@ type matrixStructure struct {
 
 func mxVal(i int) uint64 { return uint64(i*31 + 7) }
 
+func mxUints(els []uint64) []string {
+	out := make([]string, len(els))
+	for i, e := range els {
+		out[i] = fmt.Sprint(e)
+	}
+	return out
+}
+
+func mxVectorOps(v *Vector) matrixOps {
+	return matrixOps{
+		basic: func(i int) { v.Push(mxVal(i)) },
+		batch: func(b Batcher, i int) { b.VectorPush(v, mxVal(i)) },
+		chain: func(from, to int) Update {
+			u, cur := Update{DS: v}, v.Current()
+			for i := from; i < to; i++ {
+				cur = cur.Push(mxVal(i))
+				u.Shadows = append(u.Shadows, cur)
+			}
+			return u
+		},
+		dump: func() []string {
+			els := make([]uint64, v.Len())
+			for i := range els {
+				els[i] = v.Get(uint64(i))
+			}
+			return mxUints(els)
+		},
+	}
+}
+
+func mxMapOps(m *Map) matrixOps {
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
+	val := func(i int) []byte { return []byte(fmt.Sprintf("v%03d", i*3)) }
+	return matrixOps{
+		basic: func(i int) { m.Set(key(i), val(i)) },
+		batch: func(b Batcher, i int) { b.MapSet(m, key(i), val(i)) },
+		chain: func(from, to int) Update {
+			u, cur := Update{DS: m}, m.Current()
+			for i := from; i < to; i++ {
+				cur, _ = cur.Set(key(i), val(i))
+				u.Shadows = append(u.Shadows, cur)
+			}
+			return u
+		},
+		dump: func() []string {
+			var out []string
+			m.Range(func(k, v []byte) bool {
+				out = append(out, string(k)+"="+string(v))
+				return true
+			})
+			sort.Strings(out)
+			return out
+		},
+	}
+}
+
+func mxSetOps(st *Set) matrixOps {
+	key := func(i int) []byte { return []byte(fmt.Sprintf("m%03d", i)) }
+	return matrixOps{
+		basic: func(i int) { st.Insert(key(i)) },
+		batch: func(b Batcher, i int) { b.SetInsert(st, key(i)) },
+		chain: func(from, to int) Update {
+			u, cur := Update{DS: st}, st.Current()
+			for i := from; i < to; i++ {
+				cur, _ = cur.Insert(key(i))
+				u.Shadows = append(u.Shadows, cur)
+			}
+			return u
+		},
+		dump: func() []string {
+			var out []string
+			st.Range(func(k []byte) bool {
+				out = append(out, string(k))
+				return true
+			})
+			sort.Strings(out)
+			return out
+		},
+	}
+}
+
+func mxStackOps(st *Stack) matrixOps {
+	return matrixOps{
+		basic: func(i int) { st.Push(mxVal(i)) },
+		batch: func(b Batcher, i int) { b.StackPush(st, mxVal(i)) },
+		chain: func(from, to int) Update {
+			u, cur := Update{DS: st}, st.Current()
+			for i := from; i < to; i++ {
+				cur = cur.Push(mxVal(i))
+				u.Shadows = append(u.Shadows, cur)
+			}
+			return u
+		},
+		dump: func() []string {
+			snap := st.Snapshot()
+			defer snap.Close()
+			return mxUints(snap.Version().Elements())
+		},
+	}
+}
+
+func mxQueueOps(q *Queue) matrixOps {
+	return matrixOps{
+		basic: func(i int) { q.Enqueue(mxVal(i)) },
+		batch: func(b Batcher, i int) { b.QueueEnqueue(q, mxVal(i)) },
+		chain: func(from, to int) Update {
+			u, cur := Update{DS: q}, q.Current()
+			for i := from; i < to; i++ {
+				cur = cur.Push(mxVal(i))
+				u.Shadows = append(u.Shadows, cur)
+			}
+			return u
+		},
+		dump: func() []string {
+			snap := q.Snapshot()
+			defer snap.Close()
+			return mxUints(snap.Version().Elements())
+		},
+	}
+}
+
+// mxBind adapts one of the store's binders to a matrix row. The
+// selective variants run with volatile navigation nodes, a durable
+// record chain, and (with checkpointEvery forced low by the sweep)
+// checkpoint folds with their volatile-bit clears landing inside the
+// probed injection windows; the DRAM node cache is on so cached reads and
+// invalidation are exercised across the crash too.
+func mxBind[H any](selective bool, bind func(*Store, string) (H, error), ops func(H) matrixOps) func(*testing.T, *Store, string) matrixOps {
+	return func(t *testing.T, s *Store, nm string) matrixOps {
+		if selective {
+			s.EnableNodeCache()
+		}
+		h, err := bind(s, nm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ops(h)
+	}
+}
+
 func matrixStructures() []matrixStructure {
 	return []matrixStructure{
-		{name: "vector", bind: func(t *testing.T, s *Store, nm string) matrixOps {
-			v, err := s.Vector(nm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return matrixOps{
-				basic: func(i int) { v.Push(mxVal(i)) },
-				batch: func(b Batcher, i int) { b.VectorPush(v, mxVal(i)) },
-				dump: func() []string {
-					n := v.Len()
-					out := make([]string, n)
-					for i := uint64(0); i < n; i++ {
-						out[i] = fmt.Sprint(v.Get(i))
-					}
-					return out
-				},
-			}
-		}},
-		{name: "map", bind: func(t *testing.T, s *Store, nm string) matrixOps {
-			m, err := s.Map(nm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
-			val := func(i int) []byte { return []byte(fmt.Sprintf("v%03d", i*3)) }
-			return matrixOps{
-				basic: func(i int) { m.Set(key(i), val(i)) },
-				batch: func(b Batcher, i int) { b.MapSet(m, key(i), val(i)) },
-				dump: func() []string {
-					var out []string
-					m.Range(func(k, v []byte) bool {
-						out = append(out, string(k)+"="+string(v))
-						return true
-					})
-					sort.Strings(out)
-					return out
-				},
-			}
-		}},
-		{name: "set", bind: func(t *testing.T, s *Store, nm string) matrixOps {
-			st, err := s.Set(nm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			key := func(i int) []byte { return []byte(fmt.Sprintf("m%03d", i)) }
-			return matrixOps{
-				basic: func(i int) { st.Insert(key(i)) },
-				batch: func(b Batcher, i int) { b.SetInsert(st, key(i)) },
-				dump: func() []string {
-					var out []string
-					st.Range(func(k []byte) bool {
-						out = append(out, string(k))
-						return true
-					})
-					sort.Strings(out)
-					return out
-				},
-			}
-		}},
-		{name: "stack", bind: func(t *testing.T, s *Store, nm string) matrixOps {
-			st, err := s.Stack(nm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return matrixOps{
-				basic: func(i int) { st.Push(mxVal(i)) },
-				batch: func(b Batcher, i int) { b.StackPush(st, mxVal(i)) },
-				dump: func() []string {
-					snap := st.Snapshot()
-					defer snap.Close()
-					els := snap.Version().Elements()
-					out := make([]string, len(els))
-					for i, e := range els {
-						out[i] = fmt.Sprint(e)
-					}
-					return out
-				},
-			}
-		}},
-		{name: "queue", bind: func(t *testing.T, s *Store, nm string) matrixOps {
-			q, err := s.Queue(nm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return matrixOps{
-				basic: func(i int) { q.Enqueue(mxVal(i)) },
-				batch: func(b Batcher, i int) { b.QueueEnqueue(q, mxVal(i)) },
-				dump: func() []string {
-					snap := q.Snapshot()
-					defer snap.Close()
-					els := snap.Version().Elements()
-					out := make([]string, len(els))
-					for i, e := range els {
-						out[i] = fmt.Sprint(e)
-					}
-					return out
-				},
-			}
-		}},
-		// Selective-persistence variants: volatile navigation nodes, a
-		// durable record chain, and (with checkpointEvery forced low by the
-		// sweep) checkpoint folds with their volatile-bit clears landing
-		// inside the probed injection windows. The DRAM node cache is on so
-		// cached reads and invalidation are exercised across the crash too.
-		{name: "vector-sel", bind: func(t *testing.T, s *Store, nm string) matrixOps {
-			s.EnableNodeCache()
-			v, err := s.SelectiveVector(nm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return matrixOps{
-				basic: func(i int) { v.Push(mxVal(i)) },
-				batch: func(b Batcher, i int) { b.VectorPush(v, mxVal(i)) },
-				dump: func() []string {
-					n := v.Len()
-					out := make([]string, n)
-					for i := uint64(0); i < n; i++ {
-						out[i] = fmt.Sprint(v.Get(i))
-					}
-					return out
-				},
-			}
-		}},
-		{name: "map-sel", bind: func(t *testing.T, s *Store, nm string) matrixOps {
-			s.EnableNodeCache()
-			m, err := s.SelectiveMap(nm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
-			val := func(i int) []byte { return []byte(fmt.Sprintf("v%03d", i*3)) }
-			return matrixOps{
-				basic: func(i int) { m.Set(key(i), val(i)) },
-				batch: func(b Batcher, i int) { b.MapSet(m, key(i), val(i)) },
-				dump: func() []string {
-					var out []string
-					m.Range(func(k, v []byte) bool {
-						out = append(out, string(k)+"="+string(v))
-						return true
-					})
-					sort.Strings(out)
-					return out
-				},
-			}
-		}},
-		{name: "set-sel", bind: func(t *testing.T, s *Store, nm string) matrixOps {
-			s.EnableNodeCache()
-			st, err := s.SelectiveSet(nm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			key := func(i int) []byte { return []byte(fmt.Sprintf("m%03d", i)) }
-			return matrixOps{
-				basic: func(i int) { st.Insert(key(i)) },
-				batch: func(b Batcher, i int) { b.SetInsert(st, key(i)) },
-				dump: func() []string {
-					var out []string
-					st.Range(func(k []byte) bool {
-						out = append(out, string(k))
-						return true
-					})
-					sort.Strings(out)
-					return out
-				},
-			}
-		}},
-		{name: "stack-sel", bind: func(t *testing.T, s *Store, nm string) matrixOps {
-			s.EnableNodeCache()
-			st, err := s.SelectiveStack(nm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return matrixOps{
-				basic: func(i int) { st.Push(mxVal(i)) },
-				batch: func(b Batcher, i int) { b.StackPush(st, mxVal(i)) },
-				dump: func() []string {
-					snap := st.Snapshot()
-					defer snap.Close()
-					els := snap.Version().Elements()
-					out := make([]string, len(els))
-					for i, e := range els {
-						out[i] = fmt.Sprint(e)
-					}
-					return out
-				},
-			}
-		}},
-		{name: "queue-sel", bind: func(t *testing.T, s *Store, nm string) matrixOps {
-			s.EnableNodeCache()
-			q, err := s.SelectiveQueue(nm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return matrixOps{
-				basic: func(i int) { q.Enqueue(mxVal(i)) },
-				batch: func(b Batcher, i int) { b.QueueEnqueue(q, mxVal(i)) },
-				dump: func() []string {
-					snap := q.Snapshot()
-					defer snap.Close()
-					els := snap.Version().Elements()
-					out := make([]string, len(els))
-					for i, e := range els {
-						out[i] = fmt.Sprint(e)
-					}
-					return out
-				},
-			}
-		}},
+		{"vector", mxBind(false, (*Store).Vector, mxVectorOps)},
+		{"map", mxBind(false, (*Store).Map, mxMapOps)},
+		{"set", mxBind(false, (*Store).Set, mxSetOps)},
+		{"stack", mxBind(false, (*Store).Stack, mxStackOps)},
+		{"queue", mxBind(false, (*Store).Queue, mxQueueOps)},
+		{"vector-sel", mxBind(true, (*Store).SelectiveVector, mxVectorOps)},
+		{"map-sel", mxBind(true, (*Store).SelectiveMap, mxMapOps)},
+		{"set-sel", mxBind(true, (*Store).SelectiveSet, mxSetOps)},
+		{"stack-sel", mxBind(true, (*Store).SelectiveStack, mxStackOps)},
+		{"queue-sel", mxBind(true, (*Store).SelectiveQueue, mxQueueOps)},
 	}
 }
 
@@ -267,8 +211,8 @@ func mxInjectionStride() int {
 	return 1
 }
 
-// TestCrashMatrixSingleStore sweeps the per-op, edit-FASE, and
-// multi-root-batch disciplines on a single store.
+// TestCrashMatrixSingleStore sweeps the per-op, edit-FASE,
+// multi-root-batch and CommitUnrelated disciplines on a single store.
 func TestCrashMatrixSingleStore(t *testing.T) {
 	// Checkpoint every 2 records so the selective variants fold a
 	// checkpoint — crown flushes, ext rewrite, volatile-bit clears —
@@ -277,7 +221,7 @@ func TestCrashMatrixSingleStore(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	for _, st := range matrixStructures() {
-		for _, mode := range []string{"perop", "edit", "batch"} {
+		for _, mode := range []string{"perop", "edit", "batch", "unrelated"} {
 			t.Run(st.name+"/"+mode, func(t *testing.T) {
 				build := func() (*Store, matrixOps, *Map, *pmem.Device) {
 					dev := pmem.New(cfg)
@@ -319,6 +263,15 @@ func TestCrashMatrixSingleStore(t *testing.T) {
 						}
 						b.MapSet(marker, mxMarkerKey, []byte("present"))
 						b.Commit()
+					case "unrelated":
+						// The same two roots, moved by CommitUnrelated: the
+						// structure by a chain of one shadow per op (its
+						// intermediates retire with the commit), the marker
+						// by a single shadow.
+						mv, _ := marker.PureSet(mxMarkerKey, []byte("present"))
+						if err := s.CommitUnrelated(ops.chain(mxPrefix, mxPrefix+mxProbe), Update{DS: marker, Shadows: []Version{mv}}); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 
@@ -368,7 +321,7 @@ func TestCrashMatrixSingleStore(t *testing.T) {
 					if !allowed[got] {
 						t.Fatalf("inj %d/%d: recovered state is not a committed prefix:\n%q", inj, totalWrites, got)
 					}
-					if mode == "batch" {
+					if mode == "batch" || mode == "unrelated" {
 						marker2, err := s2.Map("mx-marker")
 						if err != nil {
 							t.Fatal(err)
@@ -376,7 +329,7 @@ func TestCrashMatrixSingleStore(t *testing.T) {
 						_, markerIn := marker2.Get(mxMarkerKey)
 						structIn := got == finalState
 						if markerIn != structIn {
-							t.Fatalf("inj %d: batch torn across roots: struct=%v marker=%v", inj, structIn, markerIn)
+							t.Fatalf("inj %d: %s commit torn across roots: struct=%v marker=%v", inj, mode, structIn, markerIn)
 						}
 					}
 					// The store must stay writable after recovery.

@@ -45,8 +45,8 @@ type (
 // can retire the version under them.
 
 // reservedRootPrefix guards the store's internal anchor roots (the
-// commit log and the batch record): binding a datastructure over one of
-// them would let user commits clobber the recovery machinery.
+// batch record): binding a datastructure over one of them would let
+// user commits clobber the recovery machinery.
 const reservedRootPrefix = "__mod_"
 
 // rootKind names a structure family and the header tags it may bind

@@ -12,14 +12,20 @@ import (
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
-// Heap layout v5 at the store's front door (DESIGN.md §2): the one
+// The heap layout at the store's front door (DESIGN.md §2): the one
 // readable version, the 32 GiB reach of a node reference, and what a
 // reference that decodes to a non-block does — an error or a typed
 // corruption panic, never a wild read.
 
-// TestOpenRefusesV4Heap: an image stamped with the previous layout
-// version fails the open with alloc.ErrHeapVersion and attaches nothing.
-func TestOpenRefusesV4Heap(t *testing.T) {
+// TestOpenRefusesV4Heap: an image stamped with the 8-byte-reference
+// layout fails the open with alloc.ErrHeapVersion and attaches nothing.
+func TestOpenRefusesV4Heap(t *testing.T) { openStampedHeap(t, 4) }
+
+// TestOpenRejectsV5Heap: so does the layout before this one, whose heaps
+// anchor a commit-log block this build would neither replay nor trace.
+func TestOpenRejectsV5Heap(t *testing.T) { openStampedHeap(t, 5) }
+
+func openStampedHeap(t *testing.T, version uint64) {
 	cfg := pmem.DefaultConfig(1 << 20)
 	db, _, err := Open(cfg)
 	if err != nil {
@@ -28,11 +34,11 @@ func TestOpenRefusesV4Heap(t *testing.T) {
 	db.Sync()
 	img := snapshot(db.Store())
 	db.Close()
-	binary.LittleEndian.PutUint64(img[8:], 4) // the superblock's version word
+	binary.LittleEndian.PutUint64(img[8:], version) // the superblock's version word
 
 	db2, info, err := Open(cfg, WithExistingImages([][]byte{img}))
 	if !errors.Is(err, alloc.ErrHeapVersion) {
-		t.Fatalf("open of a v4 image: %v, want alloc.ErrHeapVersion", err)
+		t.Fatalf("open of a v%d image: %v, want alloc.ErrHeapVersion", version, err)
 	}
 	if db2 != nil || info.Recovered {
 		t.Fatalf("refused open still attached something: db %v, info %+v", db2, info)

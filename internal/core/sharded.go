@@ -14,7 +14,7 @@ import (
 // set), and recovery (one reachability scan). A DB with S > 1 partitions
 // the root namespace across S fully independent stores — each with its
 // own pmem.Device region, its own heap, open-run table, epoch reclaimer,
-// commit log, batch record, and background committer — so unrelated
+// batch record, and background committer — so unrelated
 // FASEs on different shards never share a fence, never contend on an
 // allocator lock, and recover in parallel.
 //
@@ -61,24 +61,21 @@ import (
 // shardMagic identifies the metadata region of a sharded store.
 const shardMagic = 0x4d4f442d53484152 // "MOD-SHAR"
 
-// Manifest layout within the metadata region (offsets from
-// manifestBase):
-//
-//	+0   status   (0 idle; a nonzero sequence number = committed)
-//	+8   count    (number of entries)
-//	+16  checksum (fnv1a over the sequence number, count, and entries)
-//	+24  entries: count × {shard u64, root cell addr u64, version u64}
+// The manifest is a redo record (redo.go) at manifestBase in the
+// metadata region, its entries leading with a shard word.
 const (
-	metaRegionBytes    = 4096
-	manifestBase       = pmem.Addr(64)
-	manifestStatusIdle = 0
-	manifestHdrSize    = 24
-	manifestEntrySize  = 24
+	metaRegionBytes = 4096
+	manifestBase    = pmem.Addr(64)
 )
 
 // MaxManifestEntries bounds how many root cells one cross-shard batch
 // can change, by the capacity of the metadata region.
-const MaxManifestEntries = (metaRegionBytes - int(manifestBase) - manifestHdrSize) / manifestEntrySize
+const MaxManifestEntries = (metaRegionBytes - int(manifestBase) - redoHdrSize) / 24
+
+// manifest returns the shard manifest held in the metadata region.
+func manifest(meta pmem.Backend) redoRecord {
+	return redoRecord{dev: meta, base: manifestBase, max: MaxManifestEntries, sharded: true}
+}
 
 // metaConfig derives the metadata region's device configuration.
 func metaConfig(cfg pmem.Config) pmem.Config {
@@ -107,50 +104,6 @@ func formatRegions(devs []pmem.Backend, meta pmem.Backend) ([]*Store, error) {
 		meta.Sfence()
 	}
 	return stores, nil
-}
-
-// manifestEntry is one decoded manifest triple.
-type manifestEntry struct {
-	shard int
-	cell  pmem.Addr
-	final pmem.Addr
-}
-
-// readManifest decodes the metadata region's manifest. It returns the
-// entries to replay (nil unless the status word holds a committed
-// sequence number whose checksum validates the body) and whether the
-// status word needs clearing.
-func readManifest(meta pmem.Backend) (entries []manifestEntry, dirty bool) {
-	seq := meta.ReadU64(manifestBase)
-	if seq == manifestStatusIdle {
-		return nil, false
-	}
-	count := meta.ReadU64(manifestBase + 8)
-	sum := meta.ReadU64(manifestBase + 16)
-	if count < 1 || count > uint64(MaxManifestEntries) {
-		return nil, true
-	}
-	words := make([]uint64, 0, 2+3*count)
-	words = append(words, seq, count)
-	for i := uint64(0); i < count; i++ {
-		e := manifestBase + manifestHdrSize + pmem.Addr(i*manifestEntrySize)
-		words = append(words, meta.ReadU64(e), meta.ReadU64(e+8), meta.ReadU64(e+16))
-	}
-	if batchChecksum(words) != sum {
-		// A stale status torn against a later manifest's partially
-		// durable body: the earlier batch already completed its swaps
-		// (or never reached its commit point); discard.
-		return nil, true
-	}
-	entries = make([]manifestEntry, count)
-	for i := range entries {
-		entries[i] = manifestEntry{
-			shard: int(words[2+3*i]),
-			cell:  pmem.Addr(words[3+3*i]),
-			final: pmem.Addr(words[4+3*i]),
-		}
-	}
-	return entries, true
 }
 
 // guardRegion runs one region's share of an attach and converts any
@@ -190,8 +143,8 @@ func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*
 	shards := len(devs)
 	info := RecoveryInfo{Recovered: true, PerShard: make([]alloc.RecoveryStats, shards)}
 
-	// Phase 0: attach each shard — replay its own batch record and
-	// commit log, cheap work that must precede reachability.
+	// Phase 0: attach each shard — replay its own batch record, cheap
+	// work that must precede reachability.
 	stores := make([]*Store, shards)
 	for i, d := range devs {
 		if err := guardRegion(i, func() (err error) {
@@ -215,8 +168,8 @@ func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*
 			if got := meta.ReadU64(8); got != uint64(shards) {
 				return fmt.Errorf("core: store has %d shards, got %d shard regions", got, shards)
 			}
-			var entries []manifestEntry
-			entries, dirty = readManifest(meta)
+			var entries []redoEntry
+			entries, dirty = manifest(meta).read()
 			touched := make(map[int]bool)
 			for _, e := range entries {
 				if e.shard < 0 || e.shard >= shards {
@@ -282,8 +235,7 @@ func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*
 	}
 	if dirty {
 		if err := guardRegion(shards, func() error {
-			meta.WriteU64(manifestBase, manifestStatusIdle)
-			meta.Clwb(manifestBase)
+			manifest(meta).retire()
 			meta.Sfence()
 			return nil
 		}); err != nil {
@@ -312,11 +264,11 @@ func (db *DB) commitCross(per [][]batchOp) {
 			preps = append(preps, db.shards[si].prepareBatch(ops))
 		}
 	}
-	var entries []manifestEntry
+	var entries []redoEntry
 	changed := make([]bool, len(order))
 	for i, p := range preps {
 		for _, c := range p.changed {
-			entries = append(entries, manifestEntry{
+			entries = append(entries, redoEntry{
 				shard: order[i],
 				cell:  p.s.heap.RootCellAddr(c.slot),
 				final: c.final,
@@ -363,28 +315,16 @@ func (db *DB) commitCross(per [][]batchOp) {
 				p.s.clearCrown(crown)
 			}
 		}
-		meta := db.meta
+		meta, rec := db.meta, manifest(db.meta)
 		db.sh.mu.Lock()
 		db.sh.seq++ // serialized by the manifest lock; 0 is reserved for idle
 		seq := db.sh.seq
-		words := make([]uint64, 0, 2+3*len(entries))
-		words = append(words, seq, uint64(len(entries)))
-		for i, e := range entries {
-			a := manifestBase + manifestHdrSize + pmem.Addr(i*manifestEntrySize)
-			meta.WriteU64(a, uint64(e.shard))
-			meta.WriteU64(a+8, uint64(e.cell))
-			meta.WriteU64(a+16, uint64(e.final))
-			words = append(words, uint64(e.shard), uint64(e.cell), uint64(e.final))
-		}
-		meta.WriteU64(manifestBase+8, uint64(len(entries)))
-		meta.WriteU64(manifestBase+16, batchChecksum(words))
-		meta.FlushRange(manifestBase+8, 16+len(entries)*manifestEntrySize)
+		rec.stage(seq, entries)
 		// Intent fence: the body — and any previous manifest's
 		// retirement — is durable while the status is still idle, so a
 		// crash here recovers none of the batch.
 		meta.Sfence()
-		meta.WriteU64(manifestBase, seq)
-		meta.Clwb(manifestBase)
+		rec.commit(seq)
 		meta.Sfence() // the status write is the batch's atomic commit point
 		// Per-shard redo: overwrite the root cells, fencing each shard so
 		// every swap is durable before the manifest retires.
@@ -406,8 +346,7 @@ func (db *DB) commitCross(per [][]batchOp) {
 		// metadata region is fenced by no ordinary commit: deferring this
 		// fence would let a crash resurrect the manifest after touched
 		// roots had durably moved on, and the replay would roll them back.
-		meta.WriteU64(manifestBase, manifestStatusIdle)
-		meta.Clwb(manifestBase)
+		rec.retire()
 		meta.Sfence()
 		db.sh.mu.Unlock()
 	}

@@ -15,7 +15,10 @@
 //   - The Composition interface: Pure* methods return shadow versions
 //     without committing; CommitSingle, CommitSiblings, and
 //     CommitUnrelated (§5.1, Fig. 8) atomically install one or more
-//     shadows with one fence in the common cases.
+//     shadows with one fence in the common cases. Several unrelated
+//     roots publish through the store's redo record (redo.go, batch.go)
+//     — three fences, the same path a multi-root Batch takes — where
+//     the paper's Fig. 8d runs an undo-logged pointer transaction.
 //
 // Recovery (§5.3) is a reachability pass over the heap from the named
 // roots: interrupted-FASE allocations are swept, reference counts rebuilt.
@@ -60,25 +63,20 @@ import (
 	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/funcds"
 	"github.com/mod-ds/mod/internal/pmem"
-	"github.com/mod-ds/mod/internal/stm"
 	"github.com/mod-ds/mod/internal/trace"
 )
 
-// commitLogRoot names the root slot anchoring the short-transaction log
-// used by CommitUnrelated.
-const commitLogRoot = "__mod_commitlog"
-
 // storeShared is the state common to all handles of one store: one commit
-// mutex per root slot, the transaction/batch-record lock shared by
-// CommitUnrelated and multi-root group commits, the background
+// mutex per root slot, the batch-record lock serializing multi-root
+// publications (Batch and CommitUnrelated alike), the background
 // group committer (batch.go), the per-root flat-combining state and
 // commit-path counters (optimistic.go), and the closed flag every handle
 // observes.
 type storeShared struct {
 	shard    int // index among the DB's shards; labels corruption reports
 	rootMu   [alloc.RootSlots]sync.Mutex
-	txMu     sync.Mutex
-	batchSeq uint64 // last batch-record sequence number; guarded by txMu
+	recMu    sync.Mutex
+	batchSeq uint64 // last batch-record sequence number; guarded by recMu
 	com      committer
 	closed   atomic.Bool
 
@@ -103,8 +101,7 @@ type storeShared struct {
 type Store struct {
 	dev      pmem.Backend
 	heap     *alloc.Heap
-	tx       *stm.TX   // short transactions for CommitUnrelated (Fig. 8d)
-	batchRec pmem.Addr // persistent batch record for group commits (batch.go)
+	batchRec pmem.Addr // persistent redo record for multi-root commits (batch.go)
 	sh       *storeShared
 }
 
@@ -113,74 +110,43 @@ type Store struct {
 func newStore(dev pmem.Backend) (*Store, error) {
 	heap := alloc.Format(dev)
 	registerWalkers(heap)
-	tx := stm.New(dev, heap, stm.ModeV15)
-	slot, err := heap.RootSlot(commitLogRoot)
-	if err != nil {
-		return nil, fmt.Errorf("core: anchoring commit log: %w", err)
-	}
-	heap.SetRoot(slot, tx.LogAddr())
-	rec, err := newBatchRecord(dev, heap)
-	if err != nil {
-		return nil, err
-	}
-	dev.Sfence()
-	return &Store{dev: dev, heap: heap, tx: tx, batchRec: rec, sh: &storeShared{}}, nil
-}
-
-// newBatchRecord allocates the group-commit batch record and anchors it
-// under its named root. The caller fences.
-func newBatchRecord(dev pmem.Backend, heap *alloc.Heap) (pmem.Addr, error) {
 	slot, err := heap.RootSlot(batchLogRoot)
 	if err != nil {
-		return pmem.Nil, fmt.Errorf("core: anchoring batch record: %w", err)
+		return nil, fmt.Errorf("core: anchoring batch record: %w", err)
 	}
-	rec := heap.Alloc(batchRecSize, 0)
-	dev.WriteU64(rec, batchStatusIdle)
-	dev.WriteU64(rec+8, 0)
-	dev.WriteU64(rec+16, 0)
-	dev.FlushRange(rec, batchRecHdrSize)
-	heap.SetRoot(slot, rec)
-	return rec, nil
+	s := &Store{dev: dev, heap: heap, batchRec: heap.Alloc(batchRecSize, 0), sh: &storeShared{}}
+	s.record().retire() // a recycled arena must not read as a committed record
+	heap.SetRoot(slot, s.batchRec)
+	dev.Sfence()
+	return s, nil
 }
 
-// attachStore opens the heap on dev and replays the durable commit
-// machinery: a group commit interrupted mid-publication (all-or-nothing:
-// a committed batch record completes every root swap; an uncommitted one
-// is discarded) and an interrupted CommitUnrelated transaction, both
-// before reachability tracing so recovery sees the final roots. The
-// returned handle is not usable until recoverHeap has rebuilt the heap's
-// volatile state; Open runs a manifest replay between the two. shard is
-// the store's index among the DB's shards.
+// attachStore opens the heap on dev and replays its batch record — a
+// multi-root commit (Batch or CommitUnrelated) interrupted mid-publication
+// recovers all-or-nothing: a committed record completes every root swap,
+// an uncommitted one is discarded — before reachability tracing, so
+// recovery sees the final roots. The returned handle is not usable until
+// recoverHeap has rebuilt the heap's volatile state; Open runs a manifest
+// replay between the two. shard is the store's index among the DB's
+// shards.
 func attachStore(dev pmem.Backend, shard int) (*Store, error) {
 	heap, err := alloc.Open(dev)
 	if err != nil {
 		return nil, err
 	}
 	registerWalkers(heap)
-	// Every attachable heap was formatted with both anchors.
-	anchor := func(name string) (pmem.Addr, error) {
-		slot, err := heap.RootSlot(name)
-		if err != nil {
-			return pmem.Nil, err
-		}
-		addr := heap.Root(slot)
-		if addr == pmem.Nil {
-			return pmem.Nil, fmt.Errorf("core: store has no %s root: %w", name, ErrCorrupted)
-		}
-		return addr, nil
-	}
-	logAddr, err := anchor(commitLogRoot)
+	// Every attachable heap was formatted with the record's anchor.
+	slot, err := heap.RootSlot(batchLogRoot)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := anchor(batchLogRoot)
-	if err != nil {
-		return nil, err
+	rec := heap.Root(slot)
+	if rec == pmem.Nil {
+		return nil, fmt.Errorf("core: store has no %s root: %w", batchLogRoot, ErrCorrupted)
 	}
-	recoverBatchRecord(dev, rec)
-	stm.Recover(dev, logAddr)
-	tx := stm.Attach(dev, heap, stm.ModeV15, logAddr, stm.DefaultLogSize)
-	return &Store{dev: dev, heap: heap, tx: tx, batchRec: rec, sh: &storeShared{shard: shard}}, nil
+	s := &Store{dev: dev, heap: heap, batchRec: rec, sh: &storeShared{shard: shard}}
+	s.replayRecord()
+	return s, nil
 }
 
 // recoverHeap is the expensive half of attaching a store (recovery per
@@ -224,7 +190,7 @@ func registerWalkers(heap *alloc.Heap) {
 // forked store account their simulated time to that goroutine.
 func (s *Store) Fork() *Store {
 	h := s.heap.Fork()
-	return &Store{dev: h.Device(), heap: h, tx: s.tx, batchRec: s.batchRec, sh: s.sh}
+	return &Store{dev: h.Device(), heap: h, batchRec: s.batchRec, sh: s.sh}
 }
 
 // Device returns this handle's underlying persistent memory device handle.
@@ -259,15 +225,13 @@ func (s *Store) Close() error {
 }
 
 // CheckerConfig returns the trace-checker configuration for this store:
-// the allocator superblock and the commit transaction log are updated in
-// place by design and are exempt from the out-of-place invariant.
+// the allocator superblock and the batch record are updated in place by
+// design and are exempt from the out-of-place invariant.
 func (s *Store) CheckerConfig() trace.CheckerConfig {
-	logStart := s.tx.LogAddr() - alloc.HeaderSize // include the block header
 	return trace.CheckerConfig{
 		ExemptRanges: [][2]pmem.Addr{
 			alloc.SuperblockRange(),
-			{logStart, s.tx.LogAddr() + pmem.Addr(stm.DefaultLogSize)},
-			{s.batchRec - alloc.HeaderSize, s.batchRec + pmem.Addr(batchRecSize)},
+			{s.batchRec - alloc.HeaderSize, s.batchRec + pmem.Addr(batchRecSize)}, // block header included
 		},
 		AllowUnflushedTail: true,
 	}
@@ -517,31 +481,30 @@ func (s *Store) commitSingleLocked(ds Datastructure, shadows []Version) error {
 	if err := s.commitRoot(loc.slot, old, final); err != nil {
 		return err
 	}
-	s.releaseIntermediates(shadows, final)
+	// Behind commitRoot's deferred release of old, in chain order: each
+	// version dies after the one it was copied from, so a borrowed path
+	// copy hands its children on (alloc/borrow.go rule a) instead of
+	// settling because its intermediate died first.
+	for _, a := range intermediates(nil, shadows) {
+		s.heap.ReleaseDeferred(a)
+	}
 	ds.adopt(final)
 	return nil
 }
 
-// releaseIntermediates retires the non-final shadows of a chain. Under an
-// edit context successive operations mutate one owned version in place,
-// so the chain repeats a single address: dedupe, and never release the
-// published final version.
-func (s *Store) releaseIntermediates(shadows []Version, final pmem.Addr) {
-	var seen []pmem.Addr
-outer:
+// intermediates appends the distinct non-final shadows of a chain to dst,
+// in chain order. Under an edit context successive operations mutate one
+// owned version in place, so the chain repeats a single address: dedupe,
+// and never list the published final version.
+func intermediates(dst []pmem.Addr, shadows []Version) []pmem.Addr {
+	final := shadows[len(shadows)-1].Addr()
+	first := len(dst)
 	for _, sh := range shadows[:len(shadows)-1] {
-		a := sh.Addr()
-		if a == final {
-			continue
+		if a := sh.Addr(); a != final && !slices.Contains(dst[first:], a) {
+			dst = append(dst, a)
 		}
-		for _, b := range seen {
-			if a == b {
-				continue outer
-			}
-		}
-		seen = append(seen, a)
-		s.heap.Release(a)
 	}
+	return dst
 }
 
 // Update pairs a datastructure with the shadow chain to install, for
@@ -606,7 +569,9 @@ func (s *Store) commitSiblingsLocked(p *Parent, updates []Update) error {
 	// retaining out of the old parent: the eager cascade is safe here.
 	s.heap.Release(oldParent) // cascades into replaced field versions
 	for _, u := range updates {
-		s.releaseIntermediates(u.Shadows, u.final())
+		for _, a := range intermediates(nil, u.Shadows) {
+			s.heap.Release(a)
+		}
 	}
 	p.adopt(shadow)
 	for _, u := range updates {
@@ -616,69 +581,54 @@ func (s *Store) commitSiblingsLocked(p *Parent, updates []Update) error {
 }
 
 // CommitUnrelated atomically installs updates to multiple unrelated
-// root-bound datastructures (Fig. 8d): the shadows are made durable by one
-// fence, then a very short transaction updates the root pointers together.
-// This is the uncommon case and carries the transaction's extra ordering
-// points. The commit locks every target root (in slot order, so
-// overlapping multi-root commits cannot deadlock) plus the shared
-// transaction log. Returns ErrConcurrentWriter (and publishes nothing)
-// if any update's base version is stale.
+// root-bound datastructures (Fig. 8d). The paper swaps the root pointers
+// in a very short undo-logged transaction; here the shadow chains become
+// a prepared batch and publish exactly as a Batch over the same roots
+// does (batch.go): one root is a fence and a swap, several go through the
+// store's redo record — three fences however many roots. Still the
+// uncommon case, and the only Composition commit with more than one
+// ordering point. The commit locks every target root (in slot order, so
+// overlapping multi-root commits cannot deadlock). Returns
+// ErrConcurrentWriter (and publishes nothing) if any update's base
+// version is stale. Naming a root twice, a parent-bound structure, or an
+// update without shadows is a caller bug and panics before anything is
+// locked or fenced.
 func (s *Store) CommitUnrelated(updates ...Update) error {
 	if len(updates) == 0 {
 		return nil
 	}
-	slots := make([]int, 0, len(updates))
+	p := &preparedBatch{s: s, finals: make(map[int]pmem.Addr, len(updates))}
 	for _, u := range updates {
 		loc := u.DS.location()
 		if loc.parent != nil {
 			panic("core: CommitUnrelated requires root-bound datastructures")
 		}
-		slots = append(slots, loc.slot)
+		if len(u.Shadows) == 0 {
+			panic("core: CommitUnrelated update with no shadows")
+		}
+		if _, dup := p.finals[loc.slot]; dup {
+			panic(fmt.Sprintf("core: CommitUnrelated names root %q twice; chain its shadows in one Update", u.DS.Name()))
+		}
+		p.finals[loc.slot] = u.final()
+		p.locked = append(p.locked, loc.slot)
+		p.ops = append(p.ops, batchOp{ds: u.DS})
 	}
-	sort.Ints(slots)
-	slots = slices.Compact(slots)
-	for _, slot := range slots {
+	sort.Ints(p.locked)
+	for _, slot := range p.locked {
 		s.sh.rootMu[slot].Lock()
 	}
-	s.sh.txMu.Lock()
-	defer func() {
-		s.sh.txMu.Unlock()
-		for i := len(slots) - 1; i >= 0; i-- {
-			s.sh.rootMu[slots[i]].Unlock()
-		}
-	}()
 	for _, u := range updates {
-		if err := s.checkCurrent(u.DS.location().slot, u.DS.currentAddr(), "CommitUnrelated"); err != nil {
+		slot, old := u.DS.location().slot, u.DS.currentAddr()
+		if err := s.checkCurrent(slot, old, "CommitUnrelated"); err != nil {
+			p.unlock()
 			return err
 		}
+		if final := u.final(); final != old {
+			p.changed = append(p.changed, rootChange{slot: slot, old: old, final: final})
+		}
+		p.releases = intermediates(p.releases, u.Shadows)
 	}
-	var crown []pmem.Addr
-	for _, u := range updates {
-		crown = append(crown, s.maybeCheckpoint(u.final())...)
-	}
-	s.dev.Sfence() // shadows durable before the pointer tx
-	s.heap.Drain()
-	s.commitBegin()
-	s.clearCrown(crown) // fenced before the tx's commit point
-	s.tx.Begin()
-	for _, u := range updates {
-		cell := s.heap.RootCellAddr(u.DS.location().slot)
-		s.tx.Add(cell, 8)
-	}
-	for _, u := range updates {
-		cell := s.heap.RootCellAddr(u.DS.location().slot)
-		s.tx.WriteU64(cell, uint64(u.final()))
-	}
-	s.tx.Commit()
-	s.commitEnd()
-	for _, u := range updates {
-		// Root-bound versions may have lock-free builders based on them:
-		// defer the replaced versions' cascades past the epoch grace.
-		s.heap.ReleaseDeferred(u.DS.currentAddr())
-		s.releaseIntermediates(u.Shadows, u.final())
-	}
-	for _, u := range updates {
-		u.DS.adopt(u.final())
-	}
+	p.publishLocal()
+	p.finish()
 	return nil
 }

@@ -32,7 +32,9 @@
 // spanning several updates or several datastructures, use the Composition
 // interface (§4.3.2): Pure* methods return shadow versions, and
 // Store.CommitSingle, Store.CommitSiblings (for structures under one
-// Parent), or Store.CommitUnrelated install them atomically.
+// Parent), or Store.CommitUnrelated (for unrelated roots; it publishes
+// through the same checksummed redo record as a multi-root Batch, three
+// fences however many roots) install them atomically.
 //
 // # Concurrency
 //
