@@ -275,7 +275,7 @@ func (b *Batch) CommitAsync() *Ticket {
 		return b.shards[shard].commitAsyncOps(ops)
 	}
 	if b.db.sh.closed.Load() {
-		return failedTicket(ErrStoreClosed)
+		return resolvedTicket(ErrStoreClosed)
 	}
 	per := b.split(ops)
 	b.db.commitCross(per)
@@ -288,15 +288,12 @@ func (b *Batch) CommitAsync() *Ticket {
 			b.shards[si].heap.Fence()
 		}
 	}
-	t := &Ticket{done: make(chan struct{})}
-	close(t.done)
-	return t
+	return resolvedTicket(nil)
 }
 
 // commitAsyncOps routes one shard's deferred ops through its background
 // committer.
 func (s *Store) commitAsyncOps(ops []batchOp) *Ticket {
-	t := &Ticket{done: make(chan struct{})}
 	c := &s.sh.com
 	c.mu.Lock()
 	if s.sh.closed.Load() {
@@ -305,7 +302,7 @@ func (s *Store) commitAsyncOps(ops []batchOp) *Ticket {
 		// before the flag was set is still serviced, and anything after
 		// is refused here rather than stranded on a dead queue.
 		c.mu.Unlock()
-		return failedTicket(ErrStoreClosed)
+		return resolvedTicket(ErrStoreClosed)
 	}
 	if !c.running || c.quit {
 		// Not running, or a Stop is draining the queue: committing here
@@ -313,9 +310,9 @@ func (s *Store) commitAsyncOps(ops []batchOp) *Ticket {
 		c.mu.Unlock()
 		s.commitBatch(ops)
 		s.heap.Fence()
-		close(t.done)
-		return t
+		return resolvedTicket(nil)
 	}
+	t := &Ticket{done: make(chan struct{})}
 	c.queue = append(c.queue, submission{ops: ops, ticket: t})
 	c.cond.Signal()
 	c.mu.Unlock()
@@ -411,12 +408,7 @@ func (p *preparedBatch) publishLocal() {
 		// Nothing to publish or order.
 	case len(p.changed) == 1:
 		c := p.changed[0]
-		crown := s.maybeCheckpoint(c.final)
-		s.commitBegin()
-		s.heap.Fence() // the batch's single ordering point
-		s.clearCrown(crown)
-		s.heap.SetRoot(c.slot, c.final)
-		s.commitEnd()
+		s.publishRoot(c.slot, c.old, c.final, false) // the batch's single ordering point
 	default:
 		var crown []pmem.Addr
 		entries := make([]redoEntry, len(p.changed))
@@ -503,9 +495,10 @@ type Ticket struct {
 	err  error
 }
 
-// failedTicket returns an already-resolved ticket carrying err, for
-// submissions rejected outright (e.g. ErrStoreClosed).
-func failedTicket(err error) *Ticket {
+// resolvedTicket returns an already-resolved ticket: err is nil for a
+// batch made durable before the call returned, or the reason a submission
+// was rejected outright (e.g. ErrStoreClosed).
+func resolvedTicket(err error) *Ticket {
 	t := &Ticket{done: make(chan struct{}), err: err}
 	close(t.done)
 	return t
@@ -514,7 +507,7 @@ func failedTicket(err error) *Ticket {
 // FailedTicket returns an already-resolved ticket carrying err. Serving
 // layers use it from KV fakes to inject commit failures into their
 // retry paths without reaching into the store.
-func FailedTicket(err error) *Ticket { return failedTicket(err) }
+func FailedTicket(err error) *Ticket { return resolvedTicket(err) }
 
 // Wait blocks until the batch is durable or rejected.
 func (t *Ticket) Wait() { <-t.done }
@@ -534,7 +527,8 @@ func (t *Ticket) Done() bool {
 	}
 }
 
-// submission is one queued batch awaiting the background committer.
+// submission is one queued batch awaiting the background committer, or
+// one enrolled Basic update awaiting a flat combiner (optimistic.go).
 type submission struct {
 	ops    []batchOp
 	ticket *Ticket

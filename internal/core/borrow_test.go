@@ -55,7 +55,7 @@ func TestCommitPathsLeaveCountsExact(t *testing.T) {
 	for step := 0; step < 1200; step++ {
 		switch rng.Intn(9) {
 		case 0:
-			s.SetMutexCommit(rng.Intn(2) == 0) // which tier Basic operations take from here on
+			pm.Set(key(), key64(uint64(step))) // parent-bound: the locked tier
 		case 1:
 			m.Set(key(), key64(uint64(step)))
 		case 2:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,15 +22,16 @@ import (
 // Tier 2 — flat combining. A writer that keeps losing the CAS (or that
 // sees a combiner already active) enrolls its pending operation in the
 // root's combining queue. One writer elects itself combiner, drains the
-// queue, applies every pending op on one shared edit context against one
-// base version, and commits the merged version with a single flush+
-// sfence epoch — contention amortizes fences (fences/op = 1/B for a
-// B-op combine) instead of queueing them.
+// queue and commits the drained ops as a one-root batch (commitBatch):
+// every op applied on one shared edit context against one base version,
+// published with a single flush+sfence epoch — contention amortizes
+// fences (fences/op = 1/B for a B-op combine) instead of queueing them.
 //
-// Safety against the lock-based commit paths (Commit*, Batch, binds,
-// sharded manifests): those hold the root's mutex from base-version read
-// to publication, and the CAS here briefly takes the same mutex, so a
-// CAS can never land between a locked path's read and its SetRoot.
+// Safety against the lock-based commit paths (Commit*, Batch, combining
+// rounds, binds, sharded manifests): those hold the root's mutex from
+// base-version read to publication, and the CAS here briefly takes the
+// same mutex, so a CAS can never land between a locked path's read and
+// its SetRoot.
 //
 // Reclamation: a winner releases the version it replaced with
 // Heap.ReleaseDeferred — the decrement-and-cascade runs only after the
@@ -41,8 +43,8 @@ import (
 // rootOp applies one deferred Basic-interface update against a root's
 // then-current version inside the given edit context, returning the new
 // version's address (cur itself for a no-op). It must be replayable: a
-// CAS retry or a flat combiner may apply it several times, each time
-// against a fresh base; only the final application's captured results
+// CAS retry applies it again against a fresh base, and a combiner once
+// more after that; only the final application's captured results
 // survive. This is the same shape as batchOp.apply.
 type rootOp func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr
 
@@ -57,18 +59,12 @@ func (a addrVersion) Addr() pmem.Addr { return pmem.Addr(a) }
 // (root moved before the fence was paid) count as attempts.
 const casAttempts = 2
 
-// fcOp is one enrolled operation awaiting a combiner. Its Ticket resolves
-// once a combiner has applied and published the op.
-type fcOp struct {
-	ds     Datastructure
-	apply  rootOp
-	ticket *Ticket
-}
-
-// fcRoot is one root's flat-combining state.
+// fcRoot is one root's flat-combining state. An enrolled operation is a
+// one-op submission whose ticket resolves once a combiner has applied and
+// published it.
 type fcRoot struct {
 	mu        sync.Mutex
-	pending   []*fcOp
+	pending   []submission
 	combining atomic.Bool
 	busyUntil float64 // combiner sim-time watermark; guarded by combining ownership
 }
@@ -76,13 +72,12 @@ type fcRoot struct {
 // commitCounters tracks which tier commits take, for the fence-accounting
 // tests and the contention sweep's BENCH columns.
 type commitCounters struct {
-	fastWins       atomic.Uint64 // optimistic CAS publications
-	fastAborts     atomic.Uint64 // pre-fence aborts: root moved before the fence was paid
-	fastLosses     atomic.Uint64 // post-fence CAS failures
-	combines       atomic.Uint64 // combining rounds that published (or merged to a no-op)
-	combineRetries atomic.Uint64 // combining rounds that lost their CAS and re-applied
-	combinedOps    atomic.Uint64 // operations drained by combiners
-	lockedCommits  atomic.Uint64 // mutex-path Basic commits (baseline mode, parent-bound)
+	fastWins      atomic.Uint64 // optimistic CAS publications
+	fastAborts    atomic.Uint64 // pre-fence aborts: root moved before the fence was paid
+	fastLosses    atomic.Uint64 // post-fence CAS failures
+	combines      atomic.Uint64 // combining rounds that published (or merged to a no-op)
+	combinedOps   atomic.Uint64 // operations drained by combiners
+	lockedCommits atomic.Uint64 // parent-bound Basic commits
 }
 
 // CommitStats is a snapshot of the two-tier commit path's counters.
@@ -97,15 +92,15 @@ type CommitStats struct {
 	FastLosses uint64
 	// Combines counts flat-combining rounds that committed.
 	Combines uint64
-	// CombineRetries counts combining rounds that lost their publication
-	// CAS to a racing lock-path commit and re-applied.
+	// CombineRetries is always zero: a combining round holds the root's
+	// commit mutex from base read to publication, so it cannot lose to a
+	// lock-path commit. The field stays because benchmark/srv.go names it.
 	CombineRetries uint64
 	// CombinedOps counts operations drained and applied by combiners;
 	// CombinedOps/Combines is the achieved fence amortization.
 	CombinedOps uint64
-	// LockedCommits counts Basic updates committed under the per-root
-	// mutex: every update in mutex-commit (baseline) mode, and all
-	// parent-bound updates.
+	// LockedCommits counts parent-bound Basic updates, which commit under
+	// the parent's root mutex.
 	LockedCommits uint64
 }
 
@@ -114,48 +109,22 @@ type CommitStats struct {
 func (s *Store) CommitStats() CommitStats {
 	c := &s.sh.cstats
 	return CommitStats{
-		FastWins:       c.fastWins.Load(),
-		FastAborts:     c.fastAborts.Load(),
-		FastLosses:     c.fastLosses.Load(),
-		Combines:       c.combines.Load(),
-		CombineRetries: c.combineRetries.Load(),
-		CombinedOps:    c.combinedOps.Load(),
-		LockedCommits:  c.lockedCommits.Load(),
-	}
-}
-
-// SetMutexCommit switches every Basic-interface update onto the legacy
-// per-root-mutex commit path (true) or the two-tier optimistic path
-// (false, the default). The mutex path is kept as the measurable
-// baseline for the contention sweep; both paths are linearizable.
-func (s *Store) SetMutexCommit(on bool) { s.sh.mutexCommit.Store(on) }
-
-// chargeSerial models a mutually exclusive critical section in simulated
-// time. Simulated clocks are per-goroutine and a Go mutex wait costs no
-// simulated nanoseconds, so back-to-back critical sections on different
-// handles would otherwise overlap in simulated time — a serialized
-// baseline would appear to scale. The caller (holding whatever real lock
-// protects until) advances its clock to the watermark left by the
-// previous holder, and the returned closure records its own exit time.
-func (s *Store) chargeSerial(until *float64) func() {
-	if now := s.dev.LocalNs(); now < *until {
-		s.dev.ChargeCompute(*until - now)
-	}
-	return func() {
-		if now := s.dev.LocalNs(); now > *until {
-			*until = now
-		}
+		FastWins:      c.fastWins.Load(),
+		FastAborts:    c.fastAborts.Load(),
+		FastLosses:    c.fastLosses.Load(),
+		Combines:      c.combines.Load(),
+		CombinedOps:   c.combinedOps.Load(),
+		LockedCommits: c.lockedCommits.Load(),
 	}
 }
 
 // update routes one Basic-interface operation through the two-tier
 // commit path: optimistic CAS publication, then flat-combining fallback.
-// Parent-bound structures and mutex-commit (baseline) mode keep the
-// serialized locked path.
+// Parent-bound structures keep the serialized locked path.
 func (s *Store) update(ds Datastructure, apply rootOp) {
 	loc := ds.location()
-	if loc.parent != nil || s.sh.mutexCommit.Load() {
-		s.updateLocked(ds, apply)
+	if loc.parent != nil {
+		s.updateParentBound(ds, apply)
 		return
 	}
 	fc := &s.sh.fc[loc.slot]
@@ -170,35 +139,60 @@ func (s *Store) update(ds Datastructure, apply rootOp) {
 	s.enroll(fc, ds, apply)
 }
 
-// updateLocked is the legacy tier: lock the root, reload the committed
-// version, apply, commit. Kept for parent-bound structures (sibling
-// fields share one committed pointer, so per-field CAS would race the
-// parent shadow build) and as the contention baseline.
-func (s *Store) updateLocked(ds Datastructure, apply rootOp) {
+// updateParentBound is the locked tier: lock the parent's root, reload
+// the field's committed version, apply, commit a parent shadow. Sibling
+// fields share one committed pointer, so a per-field CAS would race the
+// parent shadow build.
+func (s *Store) updateParentBound(ds Datastructure, apply rootOp) {
 	loc := ds.location()
-	mu := s.lockFor(loc)
+	mu := &s.sh.rootMu[loc.parent.slot]
 	mu.Lock()
 	defer mu.Unlock()
-	wslot := loc.slot
-	if loc.parent != nil {
-		wslot = loc.parent.slot
-	}
-	defer s.chargeSerial(&s.sh.serial[wslot])()
-	cur := s.resolveLocked(loc)
+	loc.parent.refreshLocked()
+	cur := loc.parent.fieldAddr(loc.slot)
 	ds.adopt(cur)
 	s.BeginFASE()
 	ed := s.heap.BeginEdit()
 	final := apply(s, ed, cur)
 	ed.Seal()
 	if final != cur {
-		if err := s.commitSingleLocked(ds, []Version{addrVersion(final)}); err != nil {
-			// The root is locked and the base was just reloaded: a stale
-			// base here is a bookkeeping bug, not a user race.
-			panic(err)
+		if err := s.commitSiblingsLocked(loc.parent, []Update{{DS: ds, Shadows: []Version{addrVersion(final)}}}); err != nil {
+			panic(fmt.Sprintf("core: update of %q under parent %q found a stale base with the parent's root locked and its block just reloaded (commit bookkeeping bug, not a caller race): %v", ds.Name(), loc.parent.Name(), err))
 		}
 		s.sh.cstats.lockedCommits.Add(1)
 	}
 	s.EndFASE()
+}
+
+// publishRoot is the single ordering point of a one-root publication
+// (paper §4.1, Fig. 8b): one fence makes every outstanding shadow flush
+// durable, then an 8-byte atomic write to the root cell publishes final.
+// A selective structure whose record chain has grown past the checkpoint
+// threshold folds the chain into a fresh checkpoint here, adding a second
+// fence for that rare commit (DESIGN.md §10).
+//
+// A caller holding the root's commit mutex since it read old passes
+// cas=false and always wins. An optimistic builder passes cas=true: the
+// write becomes a compare-and-swap against old, taken under the mutex for
+// the 8 bytes only — shadow builds stay lock-free — so neither tier can
+// publish inside the other's read-to-publish window. Reports whether final
+// was published; retiring old (or a losing final) is the caller's.
+func (s *Store) publishRoot(slot int, old, final pmem.Addr, cas bool) bool {
+	crown := s.maybeCheckpoint(final)
+	s.commitBegin()
+	s.heap.Fence() // the FASE's single ordering point; reclaims retired blocks
+	s.clearCrown(crown)
+	won := true
+	if cas {
+		mu := &s.sh.rootMu[slot]
+		mu.Lock()
+		won = s.heap.CasRoot(slot, old, final)
+		mu.Unlock()
+	} else {
+		s.heap.SetRoot(slot, final)
+	}
+	s.commitEnd()
+	return won
 }
 
 // tryOptimistic is one tier-1 attempt: build the shadow against an
@@ -229,12 +223,7 @@ func (s *Store) tryOptimistic(slot int, ds Datastructure, apply rootOp) bool {
 		s.sh.cstats.fastAborts.Add(1)
 		return false
 	}
-	crown := s.maybeCheckpoint(final)
-	s.commitBegin()
-	s.heap.Fence() // the FASE's single ordering point
-	s.clearCrown(crown)
-	won := s.casPublish(slot, old, final)
-	s.commitEnd()
+	won := s.publishRoot(slot, old, final, true)
 	s.EndFASE()
 	if !won {
 		s.heap.Release(final) // never published: eager retire is safe
@@ -247,34 +236,21 @@ func (s *Store) tryOptimistic(slot int, ds Datastructure, apply rootOp) bool {
 	return true
 }
 
-// casPublish performs the publication CAS under the root's commit mutex.
-// The lock is held only for the 8-byte compare-and-swap — shadow builds
-// stay lock-free — but it orders the CAS against lock-based commit paths
-// that hold the mutex from base read to SetRoot, so neither tier can
-// publish inside the other's read-to-publish window.
-func (s *Store) casPublish(slot int, old, final pmem.Addr) bool {
-	mu := &s.sh.rootMu[slot]
-	mu.Lock()
-	won := s.heap.CasRoot(slot, old, final)
-	mu.Unlock()
-	return won
-}
-
 // enroll is tier 2: queue the op on the root's flat-combining list, then
 // either become the combiner or wait for one to apply the op.
 func (s *Store) enroll(fc *fcRoot, ds Datastructure, apply rootOp) {
-	op := &fcOp{ds: ds, apply: apply, ticket: &Ticket{done: make(chan struct{})}}
+	t := &Ticket{done: make(chan struct{})}
 	fc.mu.Lock()
-	fc.pending = append(fc.pending, op)
+	fc.pending = append(fc.pending, submission{ops: []batchOp{{ds: ds, apply: apply}}, ticket: t})
 	fc.mu.Unlock()
 	for {
-		if op.ticket.Done() {
+		if t.Done() {
 			return
 		}
 		if fc.combining.CompareAndSwap(false, true) {
 			s.combine(fc)
 			fc.combining.Store(false)
-			if op.ticket.Done() {
+			if t.Done() {
 				return
 			}
 			continue // enqueued after the drain cut: combine again
@@ -283,85 +259,39 @@ func (s *Store) enroll(fc *fcRoot, ds Datastructure, apply rootOp) {
 	}
 }
 
-// combine drains the pending queue and commits every drained op in one
-// merged publication. Exactly one goroutine runs combine per root at a
-// time (the combining flag); its simulated time is serialized through
-// the root's watermark so combining rounds never overlap in sim time.
+// combine drains the pending queue and commits every drained op as one
+// batch on the root — the same fence amortization as a Batch, earned from
+// contention instead of from the caller batching explicitly, and the same
+// publication: commitBatch holds the root's commit mutex from base read to
+// SetRoot, so a racing lock-path commit waits for the round (and the round
+// for it) instead of costing it a fence. Exactly one goroutine runs combine
+// per root at a time (the combining flag).
+//
+// Simulated clocks are per-goroutine and a Go mutex wait costs no
+// simulated nanoseconds, so back-to-back rounds run by different handles
+// would otherwise overlap in simulated time: the combiner advances its
+// clock to the watermark the previous round left and records its own exit
+// time.
 func (s *Store) combine(fc *fcRoot) {
 	fc.mu.Lock()
-	batch := fc.pending
+	subs := fc.pending
 	fc.pending = nil
 	fc.mu.Unlock()
-	if len(batch) == 0 {
+	if len(subs) == 0 {
 		return
 	}
-	defer s.chargeSerial(&fc.busyUntil)()
-	slot := batch[0].ds.location().slot
-	for !s.combineAttempt(slot, batch) {
-		s.sh.cstats.combineRetries.Add(1)
+	if now := s.dev.LocalNs(); now < fc.busyUntil {
+		s.dev.ChargeCompute(fc.busyUntil - now)
 	}
+	ops := make([]batchOp, 0, len(subs))
+	for _, sub := range subs {
+		ops = append(ops, sub.ops...)
+	}
+	s.commitBatch(ops)
+	fc.busyUntil = s.dev.LocalNs() // at or past the old watermark by now
 	s.sh.cstats.combines.Add(1)
-	s.sh.cstats.combinedOps.Add(uint64(len(batch)))
-	for _, op := range batch {
-		close(op.ticket.done)
+	s.sh.cstats.combinedOps.Add(uint64(len(ops)))
+	for _, sub := range subs {
+		close(sub.ticket.done)
 	}
-}
-
-// combineAttempt applies every drained op against one base version on
-// one shared edit context and publishes the merged final with a single
-// flush+sfence epoch — the same fence amortization as a Batch, earned
-// from contention instead of from the caller batching explicitly. A lost
-// CAS (a racing lock-path commit; other optimistic writers are enrolled
-// here while combining is set) retires the merged chain and reports
-// false for a retry against the new base.
-func (s *Store) combineAttempt(slot int, batch []*fcOp) bool {
-	g := s.heap.Enter()
-	defer g.Exit()
-	old := s.heap.Root(slot)
-	s.BeginFASE()
-	ed := s.heap.BeginEdit()
-	cur := old
-	var intermediates []pmem.Addr
-	for _, op := range batch {
-		next := op.apply(s, ed, cur)
-		if next == cur {
-			continue // no-op, or in-place update on the edit-owned shadow
-		}
-		if cur != old {
-			intermediates = append(intermediates, cur)
-		}
-		cur = next
-	}
-	ed.Seal()
-	if cur == old {
-		// Every op merged to a no-op: nothing to publish, no fence.
-		s.EndFASE()
-		for _, op := range batch {
-			op.ds.adopt(old)
-		}
-		return true
-	}
-	crown := s.maybeCheckpoint(cur)
-	s.commitBegin()
-	s.heap.Fence() // one ordering point for the whole combined epoch
-	s.clearCrown(crown)
-	won := s.casPublish(slot, old, cur)
-	s.commitEnd()
-	s.EndFASE()
-	if !won {
-		for _, a := range intermediates {
-			s.heap.Release(a)
-		}
-		s.heap.Release(cur)
-		return false
-	}
-	for _, a := range intermediates {
-		s.heap.Release(a) // never published: eager retire is safe
-	}
-	s.heap.ReleaseDeferred(old)
-	s.dev.NoteBatch(len(batch))
-	for _, op := range batch {
-		op.ds.adopt(cur)
-	}
-	return true
 }

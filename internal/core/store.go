@@ -33,16 +33,20 @@
 //     update snapshots the committed root pointer without locking, builds
 //     its shadow in its own edit run, fences, and CAS-publishes the root.
 //     A writer that keeps losing the CAS enrolls in a per-root flat-
-//     combining queue; one writer drains all pending ops on one edit and
-//     commits the merged version under a single fence. Updates remain
+//     combining queue; one writer drains all pending ops and commits them
+//     as a one-root batch: one edit, one fence. Updates remain
 //     linearizable across handles and goroutines, and same-root writers
 //     scale instead of queueing on a mutex. Composition-interface users
 //     must keep a single logical writer per root between Pure* and
 //     Commit*; the commit step returns ErrConcurrentWriter if it detects
-//     a stale base version. Lock-based paths (Commit*, Batch, binds)
-//     still serialize on per-root mutexes, which the optimistic paths'
-//     publication CAS also briefly takes, so the two tiers interleave
-//     safely.
+//     a stale base version. Lock-based paths (Commit*, Batch, combining
+//     rounds, binds) serialize on per-root mutexes from base read to
+//     publication, which the optimistic publication CAS also briefly
+//     takes, so the two tiers interleave safely.
+//
+//   - Every publication of a single root, locked or optimistic, goes
+//     through one ordering point (publishRoot): fence, then the 8-byte
+//     root write.
 //
 //   - Readers never take root mutexes. Snapshot() pins a reclamation
 //     epoch (alloc/epoch.go), atomically reads the root pointer, and
@@ -81,10 +85,8 @@ type storeShared struct {
 	closed   atomic.Bool
 
 	// Two-tier Basic-interface commit path (optimistic.go).
-	fc          [alloc.RootSlots]fcRoot
-	serial      [alloc.RootSlots]float64 // mutex-path sim-time watermark; guarded by rootMu
-	mutexCommit atomic.Bool              // force the legacy mutex path (baseline mode)
-	cstats      commitCounters
+	fc     [alloc.RootSlots]fcRoot
+	cstats commitCounters
 
 	// Quarantined root slots (corrupt.go): damage found by open-time
 	// verification or a Scrub. quarCount's atomic load keeps the
@@ -258,26 +260,6 @@ func (s *Store) Sync() {
 	s.heap.Drain()
 }
 
-// lockFor returns the commit mutex guarding a datastructure location:
-// the root's own mutex, or the parent's root mutex for parent-bound
-// structures (sibling fields share one committed pointer).
-func (s *Store) lockFor(loc location) *sync.Mutex {
-	if loc.parent != nil {
-		return &s.sh.rootMu[loc.parent.slot]
-	}
-	return &s.sh.rootMu[loc.slot]
-}
-
-// resolveLocked reads a location's current committed version pointer from
-// persistent memory. Caller holds the location's commit mutex.
-func (s *Store) resolveLocked(loc location) pmem.Addr {
-	if loc.parent != nil {
-		loc.parent.refreshLocked()
-		return loc.parent.fieldAddr(loc.slot)
-	}
-	return s.heap.Root(loc.slot)
-}
-
 // resolveForRead reads a location's current committed version pointer
 // without locks, for snapshotting. The caller must have pinned the
 // reclamation epoch first so the version cannot be recycled between the
@@ -362,25 +344,17 @@ func (s *Store) checkCurrent(slot int, old pmem.Addr, what string) error {
 	return nil
 }
 
-// commitRoot is the common-case CommitSingle step (Fig. 8b): one fence to
-// make every outstanding shadow flush durable, then an 8-byte atomic
-// pointer write to publish the new version, then retirement of the old.
-// A selective structure whose record chain has grown past the checkpoint
-// threshold folds the chain into a fresh checkpoint here, adding a second
-// fence for that rare commit (DESIGN.md §10). Caller holds the root's
-// commit mutex. The old version's release is deferred past the epoch
-// grace period: an optimistic writer may have based its shadow on it
-// lock-free and still be retaining children out of it (DESIGN.md §12).
+// commitRoot is the common-case CommitSingle step (Fig. 8b): check the
+// base, publish through the one ordering point (publishRoot), retire the
+// old version. Caller holds the root's commit mutex. The old version's
+// release is deferred past the epoch grace period: an optimistic writer
+// may have based its shadow on it lock-free and still be retaining
+// children out of it (DESIGN.md §12).
 func (s *Store) commitRoot(slot int, old, final pmem.Addr) error {
 	if err := s.checkCurrent(slot, old, "commit"); err != nil {
 		return err
 	}
-	crown := s.maybeCheckpoint(final)
-	s.commitBegin()
-	s.heap.Fence() // the FASE's single ordering point; reclaims retired blocks
-	s.clearCrown(crown)
-	s.heap.SetRoot(slot, final)
-	s.commitEnd()
+	s.publishRoot(slot, old, final, false)
 	s.heap.ReleaseDeferred(old)
 	return nil
 }
@@ -462,20 +436,12 @@ func (s *Store) CommitSingle(ds Datastructure, shadows ...Version) error {
 		return nil
 	}
 	loc := ds.location()
-	mu := s.lockFor(loc)
+	if loc.parent != nil {
+		return s.CommitSiblings(loc.parent, Update{DS: ds, Shadows: shadows})
+	}
+	mu := &s.sh.rootMu[loc.slot]
 	mu.Lock()
 	defer mu.Unlock()
-	return s.commitSingleLocked(ds, shadows)
-}
-
-// commitSingleLocked is CommitSingle with the location's commit mutex
-// already held (the locked Basic path acquires it before building
-// shadows).
-func (s *Store) commitSingleLocked(ds Datastructure, shadows []Version) error {
-	loc := ds.location()
-	if loc.parent != nil {
-		return s.commitSiblingsLocked(loc.parent, []Update{{DS: ds, Shadows: shadows}})
-	}
 	old := ds.currentAddr()
 	final := shadows[len(shadows)-1].Addr()
 	if err := s.commitRoot(loc.slot, old, final); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -97,9 +98,10 @@ func subCommitStats(a, b CommitStats) CommitStats {
 //     FastWins + CombinedOps + LockedCommits == total Basic ops;
 //   - the device fence count equals the sum of paid-for ordering
 //     points: one per CAS win, one per post-fence CAS loss, one per
-//     combining round (a combined commit fences ONCE for all its ops),
-//     one per lost-and-retried combining round, one per locked commit,
-//     and one per batch. Pre-fence aborts are free by construction.
+//     combining round (a combined commit fences ONCE for all its ops,
+//     and holding the root's mutex it never loses and re-applies), one
+//     per locked commit, and one per batch. Pre-fence aborts are free by
+//     construction.
 //
 // Run under -race this is also the data-race certificate for the
 // lock-free publication path.
@@ -172,12 +174,14 @@ func TestConcurrentRootHammerFenceAccounting(t *testing.T) {
 		t.Fatalf("commit tiers account for %d Basic ops (wins %d + combined %d + locked %d), want %d",
 			got, cs.FastWins, cs.CombinedOps, cs.LockedCommits, basicOps)
 	}
-	wantFences := cs.FastWins + cs.FastLosses + cs.Combines + cs.CombineRetries +
-		cs.LockedCommits + uint64(G*B)
+	wantFences := cs.FastWins + cs.FastLosses + cs.Combines + cs.LockedCommits + uint64(G*B)
 	if delta.Fences != wantFences {
-		t.Fatalf("device fences = %d, want %d (wins %d + losses %d + combines %d + combine-retries %d + locked %d + batches %d); aborts %d should be fence-free",
+		t.Fatalf("device fences = %d, want %d (wins %d + losses %d + combines %d + locked %d + batches %d); aborts %d should be fence-free",
 			delta.Fences, wantFences, cs.FastWins, cs.FastLosses, cs.Combines,
-			cs.CombineRetries, cs.LockedCommits, G*B, cs.FastAborts)
+			cs.LockedCommits, G*B, cs.FastAborts)
+	}
+	if cs.CombineRetries != 0 {
+		t.Fatalf("CombineRetries = %d: a combining round holds the root's mutex and cannot lose its publication", cs.CombineRetries)
 	}
 
 	for g := 0; g < G; g++ {
@@ -217,9 +221,10 @@ func tierDump(m *Map) string {
 	return strings.Join(out, ",")
 }
 
-// tierBuild opens a fresh store with mxPrefix committed entries, synced
-// so a tracer installed afterwards indexes only the probed window.
-func tierBuild(t *testing.T) (*pmem.Device, *Store, *Map) {
+// tierBuild opens a fresh store with mxPrefix committed entries in a
+// plain or selective map, synced so a tracer installed afterwards indexes
+// only the probed window.
+func tierBuild(t *testing.T, selective bool) (*pmem.Device, *Store, *Map) {
 	t.Helper()
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
@@ -228,7 +233,7 @@ func tierBuild(t *testing.T) (*pmem.Device, *Store, *Map) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := s.Map("tier")
+	m, err := tierBind(s, selective)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,44 +244,127 @@ func tierBuild(t *testing.T) (*pmem.Device, *Store, *Map) {
 	return dev, s, m
 }
 
+func tierBind(s *Store, selective bool) (*Map, error) {
+	if selective {
+		s.EnableNodeCache()
+		return s.SelectiveMap("tier")
+	}
+	return s.Map("tier")
+}
+
 // probeFast replays the window as mxProbe Basic Sets — uncontended, so
 // every one publishes through the tier-1 optimistic CAS.
-func probeFast(s *Store, m *Map) {
+func probeFast(_ *testing.T, _ *Store, m *Map) {
 	for i := 0; i < mxProbe; i++ {
 		m.Set(tierKey(mxPrefix+i), tierVal(mxPrefix+i))
 	}
 }
 
-// probeCombined replays the window as one flat-combining round: mxProbe
-// ops enrolled in the root's queue and drained by a single combiner, so
-// all of them publish atomically under tier 2's single fence.
-func probeCombined(t *testing.T, s *Store, m *Map) {
-	t.Helper()
+// enrollSets queues Sets of tier keys [from, to) on m's flat-combining
+// list, as enroll would for writers that lost the CAS, without electing a
+// combiner.
+func enrollSets(s *Store, m *Map, from, to int) []*Ticket {
 	fc := &s.sh.fc[m.loc.slot]
-	var ops []*fcOp
-	for i := 0; i < mxProbe; i++ {
-		k, v := tierKey(mxPrefix+i), tierVal(mxPrefix+i)
-		ops = append(ops, &fcOp{
+	var tickets []*Ticket
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	for i := from; i < to; i++ {
+		k, v := tierKey(i), tierVal(i)
+		t := &Ticket{done: make(chan struct{})}
+		fc.pending = append(fc.pending, submission{ticket: t, ops: []batchOp{{
 			ds: m,
 			apply: func(st *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
 				next, _ := funcds.MapAt(st.heap, cur).WithEdit(ed).Set(k, v)
 				return next.Addr()
 			},
-			ticket: &Ticket{done: make(chan struct{})},
-		})
+		}}})
+		tickets = append(tickets, t)
 	}
-	fc.mu.Lock()
-	fc.pending = append(fc.pending, ops...)
-	fc.mu.Unlock()
+	return tickets
+}
+
+// runCombiner takes the root's combining flag and runs one round.
+func runCombiner(t testing.TB, s *Store, m *Map) {
+	fc := &s.sh.fc[m.loc.slot]
 	if !fc.combining.CompareAndSwap(false, true) {
-		t.Fatal("combining flag already set on a fresh store")
+		t.Error("combining flag already set")
+		return
 	}
 	s.combine(fc)
 	fc.combining.Store(false)
-	for _, op := range ops {
-		if !op.ticket.Done() {
+}
+
+// probeCombined replays the window as one flat-combining round: mxProbe
+// ops enrolled in the root's queue and drained by a single combiner, so
+// all of them publish atomically under tier 2's single ordering point.
+func probeCombined(t *testing.T, s *Store, m *Map) {
+	t.Helper()
+	tickets := enrollSets(s, m, mxPrefix, mxPrefix+mxProbe)
+	runCombiner(t, s, m)
+	for _, tk := range tickets {
+		if !tk.Done() {
 			t.Fatal("combine returned with an unresolved ticket")
 		}
+	}
+}
+
+// TestCombinerWaitsForLockPath pins the combiner to the locked
+// publication: a round whose root is held by a lock-path commit builds
+// nothing — not one PM write, let alone a fence it might then waste —
+// until the lock is released, and then publishes every enrolled op under
+// exactly one fence.
+func TestCombinerWaitsForLockPath(t *testing.T) {
+	dev, s, m := tierBuild(t, false)
+	const n = 5
+	tickets := enrollSets(s, m, mxPrefix, mxPrefix+n)
+	base := dev.Stats()
+
+	mu := &s.sh.rootMu[m.loc.slot]
+	mu.Lock()
+	w := s.Fork()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runCombiner(t, w, m)
+	}()
+	// Wait for the round to have drained the queue: from there the parent
+	// commit went straight on to build and fence.
+	fc := &s.sh.fc[m.loc.slot]
+	for drained := false; !drained; runtime.Gosched() {
+		fc.mu.Lock()
+		drained = len(fc.pending) == 0
+		fc.mu.Unlock()
+	}
+	for i := 0; i < 200; i++ {
+		runtime.Gosched()
+	}
+	held := dev.Stats().Sub(base)
+	for _, tk := range tickets {
+		if tk.Done() {
+			t.Error("ticket resolved while the root's commit mutex was held")
+		}
+	}
+	mu.Unlock()
+	<-done
+	if held.Writes != 0 || held.Fences != 0 {
+		t.Fatalf("combining round made %d PM writes and %d fences while a lock-path commit held the root", held.Writes, held.Fences)
+	}
+
+	if d := dev.Stats().Sub(base); d.Fences != 1 {
+		t.Fatalf("combining round of %d ops paid %d fences, want 1", n, d.Fences)
+	}
+	for _, tk := range tickets {
+		if !tk.Done() {
+			t.Fatal("combine returned with an unresolved ticket")
+		}
+	}
+	for i := mxPrefix; i < mxPrefix+n; i++ {
+		if v, ok := m.Get(tierKey(i)); !ok || string(v) != string(tierVal(i)) {
+			t.Fatalf("enrolled op %d not published: %q, %v", i, v, ok)
+		}
+	}
+	if cs := s.CommitStats(); cs.Combines != 1 || cs.CombinedOps != n || cs.CombineRetries != 0 {
+		t.Fatalf("commit stats after one round of %d: %+v", n, cs)
 	}
 }
 
@@ -284,63 +372,68 @@ func probeCombined(t *testing.T, s *Store, m *Map) {
 // inside both commit tiers' publication windows and asserts recovery
 // lands on a committed prefix. The fast-path rows may recover any
 // per-op prefix of the window; the combined rows are all-or-nothing —
-// one CAS publishes the whole merged version, so nothing between the
-// old state and all mxProbe ops may ever be visible.
+// one root write publishes the whole merged version, so nothing between
+// the old state and all mxProbe ops may ever be visible. The -sel rows run
+// a selective map checkpointing every 2 records, so the combined round
+// folds a checkpoint: two fences with the crown's volatile-bit clears
+// between them, every write of which is an injection point.
 func TestCrashMatrixCommitTiers(t *testing.T) {
+	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(2))
+	anyPrefix := func(prefixDump string, opDumps []string) map[string]bool {
+		ok := map[string]bool{prefixDump: true}
+		for _, d := range opDumps {
+			ok[d] = true
+		}
+		return ok
+	}
+	allOrNothing := func(prefixDump string, opDumps []string) map[string]bool {
+		return map[string]bool{prefixDump: true, opDumps[len(opDumps)-1]: true}
+	}
 	tiers := []struct {
-		name    string
-		probe   func(t *testing.T, s *Store, m *Map)
-		allowed func(prefixDump string, opDumps []string) map[string]bool
+		name      string
+		selective bool
+		probe     func(t *testing.T, s *Store, m *Map)
+		fences    uint64 // ordering points the whole window pays
+		allowed   func(prefixDump string, opDumps []string) map[string]bool
 	}{
-		{
-			name:  "fastpath",
-			probe: func(t *testing.T, s *Store, m *Map) { probeFast(s, m) },
-			allowed: func(prefixDump string, opDumps []string) map[string]bool {
-				ok := map[string]bool{prefixDump: true}
-				for _, d := range opDumps {
-					ok[d] = true
-				}
-				return ok
-			},
-		},
-		{
-			name:  "combined",
-			probe: probeCombined,
-			allowed: func(prefixDump string, opDumps []string) map[string]bool {
-				return map[string]bool{
-					prefixDump:              true,
-					opDumps[len(opDumps)-1]: true,
-				}
-			},
-		},
+		{name: "fastpath", probe: probeFast, fences: mxProbe, allowed: anyPrefix},
+		{name: "combined", probe: probeCombined, fences: 1, allowed: allOrNothing},
+		// Prefix of 3 leaves one record on the chain: per-op Sets fold at
+		// the first and third (two fences each), the round folds its three
+		// at once.
+		{name: "fastpath-sel", selective: true, probe: probeFast, fences: mxProbe + 2, allowed: anyPrefix},
+		{name: "combined-sel", selective: true, probe: probeCombined, fences: 2, allowed: allOrNothing},
 	}
 	for _, tier := range tiers {
 		t.Run(tier.name, func(t *testing.T) {
 			// Dry run: count the window's PM writes and collect the
 			// committed state after each op for the allowed set.
-			dev, s, m := tierBuild(t)
+			dev, s, m := tierBuild(t, tier.selective)
 			prefixDump := tierDump(m)
 			var opDumps []string
 			{
 				// Per-op dumps come from a fast-path replay; the combined
 				// tier reuses only the final one (all-or-nothing).
-				_, s2, m2 := tierBuild(t)
+				_, _, m2 := tierBuild(t, tier.selective)
 				for i := 0; i < mxProbe; i++ {
 					m2.Set(tierKey(mxPrefix+i), tierVal(mxPrefix+i))
 					opDumps = append(opDumps, tierDump(m2))
 				}
-				_ = s2
 			}
-			writesBase := dev.Stats().Writes
+			base := dev.Stats()
 			tier.probe(t, s, m)
-			total := int(dev.Stats().Writes - writesBase)
+			window := dev.Stats().Sub(base)
+			total := int(window.Writes)
 			if total == 0 {
 				t.Fatal("probe produced no PM writes")
+			}
+			if window.Fences != tier.fences {
+				t.Fatalf("probe paid %d fences, want %d", window.Fences, tier.fences)
 			}
 			allowed := tier.allowed(prefixDump, opDumps)
 
 			for inj := 1; inj <= total; inj += mxInjectionStride() {
-				dev, s, m := tierBuild(t)
+				dev, s, m := tierBuild(t, tier.selective)
 				tr := pmem.NewCrashCountdown(dev, inj, pmem.CrashEvictRandom, 0xBEEF^uint64(inj))
 				dev.SetTracer(tr)
 				tier.probe(t, s, m)
@@ -351,7 +444,7 @@ func TestCrashMatrixCommitTiers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("inj %d: recovery: %v", inj, err)
 				}
-				m2, err := s2.Map("tier")
+				m2, err := tierBind(s2, tier.selective)
 				if err != nil {
 					t.Fatalf("inj %d: rebind: %v", inj, err)
 				}

@@ -20,7 +20,7 @@ import (
 // rows; version 6 added the server sweep (durability-acked ops over
 // concurrent connections, presence-tracked but not value-gated);
 // version 7 added the contention sweep (same-root writers under the
-// per-root-mutex baseline vs the two-tier CAS/flat-combining path);
+// mutex-serialized baseline vs the two-tier CAS/flat-combining path);
 // version 8 added the mmap-backend sweep (wall-clock rows over a
 // file-backed mmapdev store, presence-tracked like the server sweep,
 // never value-gated).

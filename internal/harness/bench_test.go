@@ -140,7 +140,7 @@ func TestBenchShardedScaling(t *testing.T) {
 // TestBenchContentionScaling pins the acceptance floor of the two-tier
 // commit path (DESIGN.md §12): with 8 writers hammering ONE shared map
 // root, optimistic CAS publication with the flat-combining fallback
-// must beat the per-root-mutex baseline by at least 2x in ops per
+// must beat the mutex-serialized baseline by at least 2x in ops per
 // simulated second, while paying no more fences per op than the
 // uncontended W=1 run — scaling must come from parallel shadow builds
 // and fence amortization, never from skipping ordering points.
@@ -173,9 +173,10 @@ func TestBenchContentionScaling(t *testing.T) {
 		t.Errorf("commit tiers account for %d ops (wins %d + combined %d + locked %d), want %d",
 			got, cs.FastWins, cs.CombinedOps, cs.LockedCommits, c8.Ops)
 	}
-	if m8.Commit.LockedCommits != uint64(m8.Ops) {
-		t.Errorf("mutex baseline committed %d of %d ops through the locked path",
-			m8.Commit.LockedCommits, m8.Ops)
+	// The baseline serializes its writers outside the engine, which then
+	// sees one uncontended writer: every op a first-try CAS win.
+	if ms := m8.Commit; ms.FastWins != uint64(m8.Ops) || ms.FastAborts != 0 || ms.FastLosses != 0 || ms.Combines != 0 {
+		t.Errorf("mutex baseline of %d ops was not serialized: %+v", m8.Ops, ms)
 	}
 }
 

@@ -29,17 +29,17 @@ func ContentionBenchConfig(scale Scale, writers int, mutexBaseline bool) workloa
 }
 
 // Contention measures same-root writer scaling: W goroutines updating
-// one shared map root under the legacy per-root mutex versus the
-// two-tier optimistic CAS / flat-combining commit path (DESIGN.md §12).
-// The mutex baseline's elapsed time grows linearly with W (the root's
-// serialized-section watermark makes Go mutex waits cost simulated
-// time), so its aggregate ops/sec stays flat; the two-tier path builds
-// shadows in parallel and publishes with an 8-byte CAS, so ops/sec
-// scales with W while fences/op stays at or below the W=1 level.
+// one shared map root serialized on a workload-level mutex versus racing
+// on the two-tier optimistic CAS / flat-combining commit path (DESIGN.md
+// §12). The mutex baseline's elapsed time grows linearly with W (the
+// workload's serialized-section watermark makes Go mutex waits cost
+// simulated time), so its aggregate ops/sec stays flat; the two-tier
+// path builds shadows in parallel and publishes with an 8-byte CAS, so
+// ops/sec scales with W while fences/op stays at or below the W=1 level.
 func Contention(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:    "contention",
-		Title: "same-root writer scaling: per-root mutex vs optimistic CAS + flat combining",
+		Title: "same-root writer scaling: mutex-serialized writers vs optimistic CAS + flat combining",
 		Note:  "W writers on one shared map root; elapsed = max per-goroutine simulated time",
 		Header: []string{"writers", "ops", "mutex-ops/s", "cas-ops/s", "speedup",
 			"cas-fences/op", "wins", "aborts", "losses", "combines", "combined"},

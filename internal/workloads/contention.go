@@ -13,10 +13,11 @@ import (
 // every writer its own shard): all scaling must come from the commit
 // protocol itself. Two modes run per writer count:
 //
-//   - mutex: the legacy baseline — every update serializes on the root's
-//     commit mutex, so adding writers adds queueing, not throughput.
-//     Simulated lock-wait time is modeled by the store's serialized-
-//     section watermark (core.Store SetMutexCommit docs).
+//   - mutex: the serialized baseline — every writer takes one workload-
+//     level mutex around its update, so adding writers adds queueing, not
+//     throughput. The engine sees a single uncontended writer (every
+//     commit a first-try CAS win); simulated lock-wait time is modeled by
+//     a watermark the lock holders hand on (see RunContention).
 //   - cas: the two-tier path — optimistic CAS publication while the race
 //     is light, flat combining once it is not. Combining merges the
 //     pending ops of all enrolled writers into one shadow chain published
@@ -36,8 +37,8 @@ type ContentionConfig struct {
 	// Keyspace is the number of distinct keys (preloaded before the
 	// measured phase so map shape stays roughly constant).
 	Keyspace int
-	// MutexBaseline selects the legacy per-root-mutex commit path
-	// instead of the two-tier optimistic path.
+	// MutexBaseline serializes the writers on a workload-level mutex
+	// instead of letting them race on the two-tier commit path.
 	MutexBaseline bool
 	// Seed drives the deterministic per-goroutine operation streams.
 	Seed uint64
@@ -78,20 +79,19 @@ type ContentionResult struct {
 	Fences      uint64  // device fences in the measured phase
 	FencesPerOp float64 // Fences / Ops
 
-	// Commit-tier counters for the measured phase (all zero except
-	// LockedCommits in mutex mode).
+	// Commit-tier counters for the measured phase (FastWins == Ops and
+	// nothing else in mutex mode).
 	Commit core.CommitStats
 }
 
 func subCommitStats(a, b core.CommitStats) core.CommitStats {
 	return core.CommitStats{
-		FastWins:       a.FastWins - b.FastWins,
-		FastAborts:     a.FastAborts - b.FastAborts,
-		FastLosses:     a.FastLosses - b.FastLosses,
-		Combines:       a.Combines - b.Combines,
-		CombineRetries: a.CombineRetries - b.CombineRetries,
-		CombinedOps:    a.CombinedOps - b.CombinedOps,
-		LockedCommits:  a.LockedCommits - b.LockedCommits,
+		FastWins:      a.FastWins - b.FastWins,
+		FastAborts:    a.FastAborts - b.FastAborts,
+		FastLosses:    a.FastLosses - b.FastLosses,
+		Combines:      a.Combines - b.Combines,
+		CombinedOps:   a.CombinedOps - b.CombinedOps,
+		LockedCommits: a.LockedCommits - b.LockedCommits,
 	}
 }
 
@@ -115,9 +115,7 @@ func RunContention(cfg ContentionConfig) (ContentionResult, error) {
 	store := db.Store()
 	dev := store.Device()
 
-	// Preload the shared root serially on the main handle, on the default
-	// (optimistic) path: the mutex path's serialized-time watermark would
-	// otherwise carry the preload's clock into the measured phase.
+	// Preload the shared root serially on the main handle.
 	m, err := store.Map("contended")
 	if err != nil {
 		return ContentionResult{}, err
@@ -129,7 +127,6 @@ func RunContention(cfg ContentionConfig) (ContentionResult, error) {
 		m.Set([]byte(key), []byte(val))
 	}
 	store.Sync()
-	store.SetMutexCommit(cfg.MutexBaseline)
 	statsBase := dev.Stats()
 	commitBase := store.CommitStats()
 
@@ -138,6 +135,15 @@ func RunContention(cfg ContentionConfig) (ContentionResult, error) {
 		mu       sync.Mutex
 		maxNs    float64
 		firstErr error
+
+		// Mutex baseline. Simulated clocks are per-goroutine and a Go
+		// mutex wait costs no simulated nanoseconds, so back-to-back
+		// critical sections on different handles would otherwise overlap
+		// in simulated time and a serialized baseline would appear to
+		// scale. Each holder advances its clock to the watermark left by
+		// the previous one and records its own exit time.
+		serialMu  sync.Mutex
+		busyUntil float64
 	)
 	for w := 0; w < cfg.Writers; w++ {
 		wg.Add(1)
@@ -153,13 +159,24 @@ func RunContention(cfg ContentionConfig) (ContentionResult, error) {
 				mu.Unlock()
 				return
 			}
+			d := st.Device()
 			r := rng{state: cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(w+1))}
 			for i := 0; i < cfg.OpsPerWriter; i++ {
 				key := fmt.Sprintf("key-%06d", r.intn(uint64(cfg.Keyspace)))
 				val := fmt.Sprintf("val-%016x", r.next())
+				if !cfg.MutexBaseline {
+					wm.Set([]byte(key), []byte(val))
+					continue
+				}
+				serialMu.Lock()
+				if now := d.LocalNs(); now < busyUntil {
+					d.ChargeCompute(busyUntil - now)
+				}
 				wm.Set([]byte(key), []byte(val))
+				busyUntil = d.LocalNs() // at or past the old watermark by now
+				serialMu.Unlock()
 			}
-			ns := st.Device().LocalNs()
+			ns := d.LocalNs()
 			mu.Lock()
 			if ns > maxNs {
 				maxNs = ns
