@@ -77,9 +77,10 @@ const (
 	// 3: volatile-node bit; 4: 16-byte header with checksum word;
 	// 5: 4-byte references inside funcds trie nodes; 6: no commit-log
 	// block or root, every multi-root commit rides the batch record
-	// (package core). Every bump so far moved or re-encoded something a
-	// recovery depends on, so no older image is readable.
-	version = 6
+	// (package core); 7: 8-element vector leaves and the 80-byte size
+	// class they live in. Every bump so far moved or re-encoded something
+	// a recovery depends on, so no older image is readable.
+	version = 7
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word
@@ -90,8 +91,12 @@ const (
 	HeaderSize = headerSize
 )
 
-// strides are the size classes (full block size including header).
-var strides = []uint32{24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 2048, 4096}
+// strides are the size classes (full block size including header). 80 is
+// the vector leaf's: 16 + 64 bytes, the most-allocated block of a vector
+// path copy. 192 = 3 lines stays the class of a full trie node (16 + 128
+// or 136): a 160-byte class would save bytes but take consecutive nodes
+// of an edit run off line boundaries, and measured more flushes.
+var strides = []uint32{24, 32, 48, 64, 80, 96, 128, 192, 256, 384, 512, 768, 1024, 2048, 4096}
 
 // Walker enumerates the child pointers of a node so the heap can trace
 // reachability and cascade reference-count releases. It receives the

@@ -46,8 +46,8 @@ func TestOpenRejectsBadMagic(t *testing.T) {
 }
 
 // TestOpenRejectsOtherVersions: exactly one layout is readable. A heap
-// stamped v4 (8-byte node references, the layout before this one) or with
-// a version from the future is refused with ErrHeapVersion and no handle.
+// stamped with the layout before this one, or with a version from the
+// future, is refused with ErrHeapVersion and no handle.
 func TestOpenRejectsOtherVersions(t *testing.T) {
 	for _, v := range []uint64{0, version - 1, version + 1} {
 		dev := pmem.New(pmem.DefaultConfig(1 << 20))
@@ -89,7 +89,7 @@ func TestStrideForClasses(t *testing.T) {
 		payload int
 		stride  uint32
 	}{
-		{0, 24}, {8, 24}, {16, 32}, {24, 48}, {56, 96}, {100, 128},
+		{0, 24}, {8, 24}, {16, 32}, {24, 48}, {56, 80}, {64, 80}, {72, 96}, {100, 128},
 		{4080, 4096}, {4088, 4160}, {5000, 5056},
 	}
 	for _, c := range cases {

@@ -21,9 +21,13 @@ import (
 // layout fails the open with alloc.ErrHeapVersion and attaches nothing.
 func TestOpenRefusesV4Heap(t *testing.T) { openStampedHeap(t, 4) }
 
-// TestOpenRejectsV5Heap: so does the layout before this one, whose heaps
-// anchor a commit-log block this build would neither replay nor trace.
+// TestOpenRejectsV5Heap: so does a layout whose heaps anchor a commit-log
+// block this build would neither replay nor trace.
 func TestOpenRejectsV5Heap(t *testing.T) { openStampedHeap(t, 5) }
+
+// TestOpenRejectsV6Heap: and the layout before this one, whose vector
+// leaves hold 32 elements where this build indexes 8.
+func TestOpenRejectsV6Heap(t *testing.T) { openStampedHeap(t, 6) }
 
 func openStampedHeap(t *testing.T, version uint64) {
 	cfg := pmem.DefaultConfig(1 << 20)
@@ -199,10 +203,14 @@ func TestWildReferenceIsCorruptionNotPanic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vroot := pmem.Addr(s.dev.ReadU64(s.heap.Root(rs) + 16))
+				vhdr := s.heap.Root(rs)
+				vroot := pmem.Addr(s.dev.ReadU64(vhdr + 16))
 				plant(vroot, vroot)
-				for _, i := range []uint64{0, 1023, 1024, vecLen - 100} {
-					under := i < 1024 // slot 0 spans the first 32*32 elements
+				// Slot 0 of the root spans the elements below its index
+				// digit: the header's shift field says how many.
+				span := uint64(1) << s.dev.ReadU32(vhdr+8)
+				for _, i := range []uint64{0, span - 1, span, vecLen - 100} {
+					under := i < span
 					if got := raisesCorruption(func() {
 						if x := v.Get(i); x != i {
 							t.Errorf("vector[%d] = %d beside a damaged subtree", i, x)
@@ -228,7 +236,7 @@ func TestWildReferenceIsCorruptionNotPanic(t *testing.T) {
 
 const (
 	fuzzImageKeys = 200 // two trie levels
-	fuzzImageVec  = 100 // an interior node over three leaves, plus the tail
+	fuzzImageVec  = 100 // an interior node over twelve leaves, plus the tail
 )
 
 func fuzzKey(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }

@@ -180,6 +180,21 @@ func BenchmarkVectorUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkVectorGet is the read side of the vector's geometry: uniform
+// indices, so nearly every Get descends the three interior levels.
+func BenchmarkVectorGet(b *testing.B) {
+	f := newSeqFixture(b)
+	v := VectorAt(f.h, f.vec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.at = (f.at + 7919) % benchVecLen
+		if v.Get(f.at) != f.at {
+			b.Fatal("preloaded element differs")
+		}
+	}
+}
+
 func BenchmarkQueueEnqDeq(b *testing.B) {
 	f := newSeqFixture(b)
 	b.ReportAllocs()

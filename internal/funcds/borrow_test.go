@@ -19,14 +19,14 @@ func pathOf(h *alloc.Heap, m Map, key []byte) []pmem.Addr {
 	var path []pmem.Addr
 	hash := hash64(key)
 	node := m.root()
-	for shift := uint(0); node != pmem.Nil; shift += vecBits {
+	for shift := uint(0); node != pmem.Nil; shift += mapBits {
 		path = append(path, node)
 		if h.Tag(node) == TagMapCollision {
 			break
 		}
 		var n mapNode
 		readMapNode(h, nil, nil, node, &n)
-		bit := uint32(1) << ((hash >> shift) & 31)
+		bit := uint32(1) << ((hash >> shift) & mapMask)
 		if n.nodeMap&bit == 0 {
 			break
 		}

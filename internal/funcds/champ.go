@@ -34,6 +34,9 @@ type Map struct {
 }
 
 const (
+	mapBits        = 5 // hash bits consumed per trie level
+	mapWidth       = 1 << mapBits
+	mapMask        = mapWidth - 1
 	mapHdrSize     = 16
 	mapNodeHdrSize = 8           // the two bitmaps, or a collision bucket's count word
 	mapEntrySize   = 2 * refSize // [keyBlob ref][valBlob ref]
@@ -161,8 +164,8 @@ func (m Map) setHdr(count uint64, newRoot, oldRoot, rec pmem.Addr) Map {
 // decoded copy and encodes it back out, with no slice to allocate.
 type mapNode struct {
 	dataMap, nodeMap uint32
-	eb               [vecWidth]mapEntry
-	cb               [vecWidth]pmem.Addr
+	eb               [mapWidth]mapEntry
+	cb               [mapWidth]pmem.Addr
 }
 
 func (n *mapNode) entries() []mapEntry   { return n.eb[:bits.OnesCount32(n.dataMap)] }
@@ -355,7 +358,7 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 		}
 		maps := dev.ReadU64(node)
 		dataMap, nodeMap := uint32(maps), uint32(maps>>32)
-		bit := uint32(1) << ((hash >> shift) & 31)
+		bit := uint32(1) << ((hash >> shift) & mapMask)
 		switch {
 		case dataMap&bit != 0:
 			di := bits.OnesCount32(dataMap & (bit - 1))
@@ -372,7 +375,7 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 			d := bits.OnesCount32(dataMap)
 			ni := bits.OnesCount32(nodeMap & (bit - 1))
 			node = refAddr(dev.ReadU32(node + childOff(d, ni)))
-			shift += vecBits
+			shift += mapBits
 		default:
 			return nil, false
 		}
@@ -403,7 +406,7 @@ func (m Map) Set(key, val []byte) (Map, bool) {
 	if root == pmem.Nil {
 		hash := hash64(key)
 		keyBlob = newBlob(m.h, m.ed, key)
-		newRoot = buildMapNode(m.h, m.ed, m.sel, uint32(1)<<(hash&31), 0, []mapEntry{{keyBlob, valBlob}}, nil)
+		newRoot = buildMapNode(m.h, m.ed, m.sel, uint32(1)<<(hash&mapMask), 0, []mapEntry{{keyBlob, valBlob}}, nil)
 	} else {
 		newRoot, keyBlob, replaced = m.insertRec(root, 0, hash64(key), key, valBlob)
 	}
@@ -456,7 +459,7 @@ func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, valB
 
 	var n mapNode
 	readMapNode(h, m.ed, sc, node, &n)
-	bit := uint32(1) << ((hash >> shift) & 31)
+	bit := uint32(1) << ((hash >> shift) & mapMask)
 	di := bits.OnesCount32(n.dataMap & (bit - 1))
 	ni := bits.OnesCount32(n.nodeMap & (bit - 1))
 
@@ -482,14 +485,14 @@ func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, valB
 		h.RetainRef(e.key)
 		h.RetainRef(e.val)
 		keyBlob := newBlob(h, m.ed, key)
-		sub := m.mergeTwo(shift+vecBits, e, exHash, mapEntry{keyBlob, valBlob}, hash)
+		sub := m.mergeTwo(shift+mapBits, e, exHash, mapEntry{keyBlob, valBlob}, hash)
 		n.removeEntry(bit, di)
 		n.insertChild(bit, ni, sub)
 		return m.copyOf(node, &n, only{e.key, e.val}, only{sub}), keyBlob, false
 
 	case n.nodeMap&bit != 0:
 		child := n.cb[ni]
-		newChild, keyBlob, replaced := m.insertRec(child, shift+vecBits, hash, key, valBlob)
+		newChild, keyBlob, replaced := m.insertRec(child, shift+mapBits, hash, key, valBlob)
 		if newChild == child {
 			return node, keyBlob, replaced
 		}
@@ -515,10 +518,10 @@ func (m Map) mergeTwo(shift uint, e1 mapEntry, h1 uint64, e2 mapEntry, h2 uint64
 	if shift >= collisionShift {
 		return buildCollision(h, m.ed, m.sel, []mapEntry{e1, e2})
 	}
-	i1 := uint32((h1 >> shift) & 31)
-	i2 := uint32((h2 >> shift) & 31)
+	i1 := uint32((h1 >> shift) & mapMask)
+	i2 := uint32((h2 >> shift) & mapMask)
 	if i1 == i2 {
-		sub := m.mergeTwo(shift+vecBits, e1, h1, e2, h2)
+		sub := m.mergeTwo(shift+mapBits, e1, h1, e2, h2)
 		return buildMapNode(h, m.ed, m.sel, 0, uint32(1)<<i1, nil, []pmem.Addr{sub})
 	}
 	if i1 < i2 {
@@ -574,7 +577,7 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pme
 
 	var n mapNode
 	readMapNode(h, m.ed, sc, node, &n)
-	bit := uint32(1) << ((hash >> shift) & 31)
+	bit := uint32(1) << ((hash >> shift) & mapMask)
 	di := bits.OnesCount32(n.dataMap & (bit - 1))
 	ni := bits.OnesCount32(n.nodeMap & (bit - 1))
 
@@ -592,7 +595,7 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pme
 
 	case n.nodeMap&bit != 0:
 		child := n.cb[ni]
-		newChild, removed := m.deleteRec(child, shift+vecBits, hash, key)
+		newChild, removed := m.deleteRec(child, shift+mapBits, hash, key)
 		if !removed {
 			return pmem.Nil, false
 		}

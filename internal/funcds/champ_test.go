@@ -283,7 +283,7 @@ func TestMapMergeTwoDivergingHashes(t *testing.T) {
 	// Hashes differ only at the second level (bits 5-9).
 	h1 := uint64(0b00001_00001)
 	h2 := uint64(0b00010_00001)
-	sub := m.mergeTwo(vecBits, mapEntry{k1, pmem.Nil}, h1, mapEntry{k2, pmem.Nil}, h2)
+	sub := m.mergeTwo(mapBits, mapEntry{k1, pmem.Nil}, h1, mapEntry{k2, pmem.Nil}, h2)
 	if h.Tag(sub) != TagMapNode {
 		t.Fatalf("mergeTwo built tag %d, want map node", h.Tag(sub))
 	}

@@ -8,11 +8,12 @@ import (
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
-// Heap layout v5 pins (DESIGN.md §2). These tests hold the node geometry
-// and the flush and read budgets of one Map.Set on the deterministic
-// simulator, so a change that widens a node — or walks one it need not —
-// fails here by name and not only in the BENCH_baseline.json diff. CI's
-// bench job runs them next to the micro-benchmarks.
+// Heap layout v7 pins (DESIGN.md §2). These tests hold the node geometry
+// and the flush and read budgets of one Map.Set and one Vector.Update on
+// the deterministic simulator, so a change that widens a node — or walks
+// one it need not — fails here by name and not only in the
+// BENCH_baseline.json diff. CI's bench job runs them next to the
+// micro-benchmarks.
 
 // sealedLen is the byte count a sealed node's checksum covers: exactly
 // what its constructor encoded.
@@ -25,13 +26,13 @@ func sealedLen(t *testing.T, h *alloc.Heap, a pmem.Addr) int {
 	return n
 }
 
-func TestNodeLayoutV5Sizes(t *testing.T) {
+func TestNodeLayoutV7Sizes(t *testing.T) {
 	h := newTestHeap(t)
 	blob := newBlob(h, nil, []byte("k"))
 	leaf := newVecLeaf(h, nil, false, []uint64{1})
 
-	entries := make([]mapEntry, vecWidth)
-	children := make([]pmem.Addr, vecWidth)
+	entries := make([]mapEntry, mapWidth)
+	children := make([]pmem.Addr, mapWidth)
 	var slots [vecWidth]pmem.Addr
 	for i := range entries {
 		entries[i] = mapEntry{blob, blob}
@@ -52,7 +53,7 @@ func TestNodeLayoutV5Sizes(t *testing.T) {
 		{"map node, 32 entries", buildMapNode(h, nil, false, ^uint32(0), 0, entries, nil), 264, 384},
 		{"collision bucket, 2 entries", buildCollision(h, nil, false, entries[:2]), 24, 48},
 		{"vector node", writeNode(h, nil, false, slots), 128, 192},
-		{"vector leaf", leaf, 256, 384},
+		{"vector leaf", leaf, 64, 80},
 		{"map header", NewMap(h).Addr(), 16, 32},
 		{"vector header", NewVector(h).Addr(), 32, 48},
 	}
@@ -98,6 +99,28 @@ func TestRef32RoundTrip(t *testing.T) {
 	}
 }
 
+// faseCounters runs n one-operation FASEs and returns the device counters
+// they moved and the blocks they allocated, having checked what every such
+// FASE promises: one fence each, and — versions die in publication order —
+// every borrow record dissolved when its source did, no copy ever made to
+// count what it shares.
+func faseCounters(t *testing.T, h *alloc.Heap, n int, fase func(i int)) (d pmem.Stats, allocs uint64) {
+	t.Helper()
+	dev := h.Device()
+	base, abase := dev.Stats(), h.Stats()
+	for i := 0; i < n; i++ {
+		fase(i)
+	}
+	d, a := dev.Stats().Sub(base), h.Stats()
+	if d.Fences != uint64(n) {
+		t.Errorf("%d fences for %d FASEs, want exactly one each", d.Fences, n)
+	}
+	if a.Borrows != 0 || a.Settled != abase.Settled {
+		t.Errorf("%d borrow records left and %d copies settled by %d one-operation FASEs, want none", a.Borrows, a.Settled-abase.Settled, n)
+	}
+	return d, a.Allocs - abase.Allocs
+}
+
 // setExistingCounters is the lib-map-write shape in miniature: a
 // 50,000-key map of 12-byte keys and 64-byte values, then 2,000 FASEs of
 // one Set of an existing key each, committed as core commits them. It
@@ -118,10 +141,8 @@ func setExistingCounters(t *testing.T) (d pmem.Stats, sets int) {
 		commit(h, ed, &cur, m.Addr())
 	}
 
-	dev := h.Device()
-	base, settled := dev.Stats(), h.Stats().Settled
 	at := 0
-	for i := 0; i < sets; i++ {
+	d, _ = faseCounters(t, h, sets, func(i int) {
 		at = (at + 7919) % keys
 		val[0] = byte(i)
 		ed := h.BeginEdit()
@@ -130,16 +151,7 @@ func setExistingCounters(t *testing.T) (d pmem.Stats, sets int) {
 			t.Fatalf("key %d was not present", at)
 		}
 		commit(h, ed, &cur, m.Addr())
-	}
-	d = dev.Stats().Sub(base)
-	if d.Fences != uint64(sets) {
-		t.Errorf("%d fences for %d FASEs, want exactly one each", d.Fences, sets)
-	}
-	// Versions die in publication order: every record dissolves when its
-	// source does, and no copy ever has to count what it shares.
-	if st := h.Stats(); st.Borrows != 0 || st.Settled != settled {
-		t.Errorf("%d borrow records left and %d copies settled by %d single-Set FASEs, want none", st.Borrows, st.Settled-settled, sets)
-	}
+	})
 	return d, sets
 }
 
@@ -169,5 +181,34 @@ func TestMapSetReadBudget(t *testing.T) {
 	t.Logf("%.2f PM reads (%.0f bytes) per Set", perOp, float64(d.BytesRead)/float64(sets))
 	if perOp > maxReads {
 		t.Errorf("%.2f PM reads per Set, budget %.1f", perOp, maxReads)
+	}
+}
+
+// TestVectorUpdateFlushBudget: an Update on a 100,000-element vector
+// copies five blocks — the header, three 32-way interior nodes and one
+// 8-element leaf — which at 8-byte-aligned offsets is about
+// 1.6 + 3 × 3.1 + 2.1 ≈ 13 flushed lines and 48 + 3 × 144 + 80 bytes plus
+// the checksum words, under one fence. The 32-element leaf of layout v6
+// (16 + 256 bytes, 5.1 lines) reads 15.7 lines and 792 bytes here.
+func TestVectorUpdateFlushBudget(t *testing.T) {
+	const (
+		updates    = 2_000
+		maxFlushes = 15.0
+		maxBytes   = 640.0
+		nodes      = 5
+	)
+	f := newSeqFixture(t)
+	d, allocs := faseCounters(t, f.h, updates, func(int) { f.vectorUpdate() })
+	flushes := float64(d.Flushes) / updates
+	bytes := float64(d.BytesWritten) / updates
+	t.Logf("%.2f flushes and %.0f PM bytes per Update", flushes, bytes)
+	if flushes > maxFlushes {
+		t.Errorf("%.2f flushes per Update, budget %.1f", flushes, maxFlushes)
+	}
+	if bytes > maxBytes {
+		t.Errorf("%.0f PM bytes per Update, budget %.0f", bytes, maxBytes)
+	}
+	if allocs != nodes*updates {
+		t.Errorf("%d blocks allocated by %d Updates, want exactly %d each", allocs, updates, nodes)
 	}
 }

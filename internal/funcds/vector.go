@@ -9,36 +9,50 @@ import (
 )
 
 // Vector is a purely functional vector of 8-byte elements implemented as a
-// 32-way bit-partitioned trie with a Clojure-style tail buffer, the "broad
-// but not deep" tree of §4.2 that avoids the bubbling-up-of-writes problem
-// of conventional shadow paging. (The paper uses RRB trees; none of the
+// bit-partitioned trie with a Clojure-style tail buffer, the "broad but not
+// deep" tree of §4.2 that avoids the bubbling-up-of-writes problem of
+// conventional shadow paging. (The paper uses RRB trees; none of the
 // evaluated operations — push_back, update, swap — need RRB's relaxed
 // concatenation nodes, so this is the classic radix-balanced structure.
-// See DESIGN.md §1.)
+// See DESIGN.md §2.)
 //
-// The tail buffer holds the last 1–32 elements outside the trie, so an
+// Interior nodes are 32-way; leaves hold 8 elements, one cache line of
+// payload (heap layout v7). The two widths answer different costs: fan-out
+// sets the depth a Get descends and the number of blocks an update copies,
+// leaf width sets how many bytes are rewritten to change 8 of them.
+//
+// The tail buffer holds the last 1–8 elements outside the trie, so an
 // append copies one leaf and one header instead of path-copying the whole
-// spine; the tail is pushed into the trie only when it fills (once per 32
+// spine; the tail is pushed into the trie only when it fills (once per 8
 // appends). Under an edit context (DESIGN.md §8) an append into an
 // edit-owned tail mutates it in place: a run of appends inside one FASE
 // costs one flush per tail fill.
 //
-// An update path-copies the O(log32 n) nodes between root and leaf (or
-// just the tail leaf). This is why the paper's Fig. 9 shows MOD losing to
-// PMDK's flat array on vector workloads: a 256-byte leaf and several
-// 128-byte interior nodes are written and flushed per 8-byte element
-// update.
+// An update path-copies the nodes between root and leaf (or just the tail
+// leaf): at 100,000 elements one 64-byte leaf, three 128-byte interior
+// nodes and the header — about 12 lines where PMDK's flat array logs and
+// writes one element, so MOD still flushes more than PMDK on Fig. 9's
+// vector workloads, under a third of the fences. Which of the two decides
+// the time depends on depth: MOD wins those rows at two interior levels and
+// loses them from three up (DESIGN.md §2). With a 32-slot leaf (layout v6
+// and before, the geometry the paper evaluates) the leaf alone was five
+// lines and MOD lost them at every depth, as the paper reports.
 //
 // Layout (ref = 4-byte node reference, funcds.go):
 //
 //	header (TagVecHdr):  [count u64][shift u32][pad u32][root u64][tail u64]
 //	node   (TagVecNode): 32 × [child ref]
-//	leaf   (TagVecLeaf): 32 × [value u64]
+//	leaf   (TagVecLeaf): 8 × [value u64]
+//
+// shift is the bit position of the index digit that selects among the root's
+// children: 0 when the root is a leaf, leafBits when its children are
+// leaves, and vecBits more for every level above that (shiftAbove and
+// shiftBelow step it).
 //
 // Invariants: elements [0, tailOffset) live in the trie (all leaves
 // full), elements [tailOffset, count) in the tail leaf; count > 0 implies
-// a non-nil tail holding 1–32 elements; root is Nil while tailOffset is
-// 0, and is a single leaf (shift 0) while tailOffset is 32.
+// a non-nil tail holding 1–8 elements; root is Nil while tailOffset is
+// 0, and is a single leaf (shift 0) while tailOffset is 8.
 type Vector struct {
 	h    *alloc.Heap
 	addr pmem.Addr
@@ -48,20 +62,43 @@ type Vector struct {
 
 const (
 	vecBits     = 5
-	vecWidth    = 1 << vecBits // 32
+	vecWidth    = 1 << vecBits // 32 children per interior node
 	vecMask     = vecWidth - 1
+	leafBits    = 3
+	leafWidth   = 1 << leafBits // 8 elements per leaf
+	leafMask    = leafWidth - 1
 	vecHdrSize  = 32
 	vecNodeSize = vecWidth * refSize
-	vecLeafSize = vecWidth * 8
+	vecLeafSize = leafWidth * 8
 )
 
-// tailOffset returns the index of the first tail element: the largest
-// multiple of 32 strictly below count (0 when count <= 32).
-func tailOffset(count uint64) uint64 {
-	if count <= vecWidth {
+// shiftAbove returns the shift of the level above one at shift s.
+func shiftAbove(s uint32) uint32 {
+	if s == 0 {
+		return leafBits
+	}
+	return s + vecBits
+}
+
+// shiftBelow returns the shift of the children of an interior node at
+// shift s (s > 0).
+func shiftBelow(s uint32) uint32 {
+	if s == leafBits {
 		return 0
 	}
-	return ((count - 1) >> vecBits) << vecBits
+	return s - vecBits
+}
+
+// trieCap returns how many elements a full trie rooted at shift s holds.
+func trieCap(s uint32) uint64 { return 1 << shiftAbove(s) }
+
+// tailOffset returns the index of the first tail element: the largest
+// multiple of leafWidth strictly below count (0 when count <= leafWidth).
+func tailOffset(count uint64) uint64 {
+	if count <= leafWidth {
+		return 0
+	}
+	return (count - 1) &^ leafMask
 }
 
 // NewVector allocates an empty durable vector (flushed, not fenced).
@@ -176,7 +213,7 @@ func (v Vector) setHdr(count uint64, shift uint32, root, tail, rec pmem.Addr, re
 // slots are zeroed (they are never read, but zeroing keeps durable images
 // deterministic for crash tests).
 func newVecLeaf(h *alloc.Heap, ed *alloc.Edit, vol bool, vals []uint64) pmem.Addr {
-	var slots [vecWidth]uint64
+	var slots [leafWidth]uint64
 	copy(slots[:], vals)
 	return writeLeaf(h, ed, vol, slots)
 }
@@ -193,10 +230,10 @@ func readNode(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr) [ve
 	return out
 }
 
-// readLeaf is readNode for a leaf: 32 values.
-func readLeaf(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr) [vecWidth]uint64 {
+// readLeaf is readNode for a leaf: 8 values.
+func readLeaf(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr) [leafWidth]uint64 {
 	buf := h.ReadCached(a, vecLeafSize, ed, sc)
-	var out [vecWidth]uint64
+	var out [leafWidth]uint64
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint64(buf[i*8:])
 	}
@@ -217,7 +254,7 @@ func writeNode(h *alloc.Heap, ed *alloc.Edit, vol bool, children [vecWidth]pmem.
 }
 
 // writeLeaf is writeNode for a leaf of values.
-func writeLeaf(h *alloc.Heap, ed *alloc.Edit, vol bool, vals [vecWidth]uint64) pmem.Addr {
+func writeLeaf(h *alloc.Heap, ed *alloc.Edit, vol bool, vals [leafWidth]uint64) pmem.Addr {
 	a := nodeAlloc(h, ed, vecLeafSize, TagVecLeaf, vol)
 	buf := ed.Scratch().Bytes(vecLeafSize)
 	for i, v := range vals {
@@ -281,12 +318,12 @@ func (v Vector) Get(i uint64) uint64 {
 	node := tail
 	if i < tailOffset(count) {
 		node = root
-		for s := shift; s > 0; s -= vecBits {
+		for s := shift; s > 0; s = shiftBelow(s) {
 			node = childOf(v.h, node, int((i>>s)&vecMask))
 		}
 	}
 	v.h.VerifyRef(node) // direct slot read, as in childOf
-	return v.h.Device().ReadU64(node + pmem.Addr((i&vecMask)*8))
+	return v.h.Device().ReadU64(node + pmem.Addr((i&leafMask)*8))
 }
 
 // Update returns a new version with element i replaced by val, copying
@@ -304,15 +341,15 @@ func (v Vector) Update(i uint64, val uint64) Vector {
 	}
 	if i >= tailOffset(count) {
 		if v.ed.Owns(tail) {
-			v.h.Device().WriteU64(tail+pmem.Addr((i&vecMask)*8), val)
-			recordEdit(v.ed, tail+pmem.Addr((i&vecMask)*8), 8, v.sel)
+			v.h.Device().WriteU64(tail+pmem.Addr((i&leafMask)*8), val)
+			recordEdit(v.ed, tail+pmem.Addr((i&leafMask)*8), 8, v.sel)
 			if v.sel {
 				return Vector{h: v.h, addr: selAppendRecord(v.h, v.ed, v.addr, rec), ed: v.ed, sel: true}
 			}
 			return v
 		}
 		slots := readLeaf(v.h, v.ed, v.ed.Scratch(), tail)
-		slots[i&vecMask] = val
+		slots[i&leafMask] = val
 		newTail := writeLeaf(v.h, v.ed, v.sel, slots)
 		if !v.ed.Owns(v.addr) && root != pmem.Nil {
 			v.h.Retain(root)
@@ -335,17 +372,17 @@ func (v Vector) Update(i uint64, val uint64) Vector {
 func (v Vector) assoc(node pmem.Addr, shift uint32, i uint64, val uint64) pmem.Addr {
 	if shift == 0 {
 		if v.ed.Owns(node) {
-			v.h.Device().WriteU64(node+pmem.Addr((i&vecMask)*8), val)
-			recordEdit(v.ed, node+pmem.Addr((i&vecMask)*8), 8, v.sel)
+			v.h.Device().WriteU64(node+pmem.Addr((i&leafMask)*8), val)
+			recordEdit(v.ed, node+pmem.Addr((i&leafMask)*8), 8, v.sel)
 			return node
 		}
 		slots := readLeaf(v.h, v.ed, v.ed.Scratch(), node)
-		slots[i&vecMask] = val
+		slots[i&leafMask] = val
 		return writeLeaf(v.h, v.ed, v.sel, slots)
 	}
 	idx := int((i >> shift) & vecMask)
 	child := childOf(v.h, node, idx)
-	newChild := v.assoc(child, shift-vecBits, i, val)
+	newChild := v.assoc(child, shiftBelow(shift), i, val)
 	if newChild == child {
 		return node
 	}
@@ -355,7 +392,7 @@ func (v Vector) assoc(node pmem.Addr, shift uint32, i uint64, val uint64) pmem.A
 // Push returns a new version with val appended. The tail absorbs the
 // append (one leaf copy, or an in-place slot write when edit-owned); a
 // full tail is first pushed into the trie, which is the only path-copying
-// case — once per 32 appends.
+// case — once per 8 appends.
 func (v Vector) Push(val uint64) Vector {
 	count, shift, root, tail := v.fields()
 	rec := pmem.Nil
@@ -368,7 +405,7 @@ func (v Vector) Push(val uint64) Vector {
 		return v.setHdr(1, 0, pmem.Nil, newTail, rec)
 	}
 	tailLen := count - tailOffset(count)
-	if tailLen < vecWidth {
+	if tailLen < leafWidth {
 		if v.ed.Owns(tail) {
 			dev := v.h.Device()
 			dev.WriteU64(tail+pmem.Addr(tailLen*8), val)
@@ -418,7 +455,7 @@ func (v Vector) Push(val uint64) Vector {
 	case root == pmem.Nil:
 		// First fill: the tail leaf becomes the trie.
 		newRoot = tail
-	case to == uint64(vecWidth)<<shift:
+	case to == trieCap(shift):
 		// Trie is full: grow a level. The old root's reference transfers
 		// into the new node for an owned header (whose root field will be
 		// overwritten); otherwise the node gains a reference and the old
@@ -427,7 +464,7 @@ func (v Vector) Push(val uint64) Vector {
 			v.h.Retain(root)
 		}
 		newRoot = writeNode(v.h, v.ed, v.sel, [vecWidth]pmem.Addr{root, v.wrapLeaf(shift, tail)})
-		newShift = shift + vecBits
+		newShift = shiftAbove(shift)
 	default:
 		newRoot = v.pushLeaf(root, shift, to, tail)
 	}
@@ -447,7 +484,7 @@ func (v Vector) Push(val uint64) Vector {
 			}
 		}
 		recordEdit(v.ed, v.addr, size, false)
-		if root != pmem.Nil && newRoot != root && to != uint64(vecWidth)<<shift {
+		if root != pmem.Nil && newRoot != root && to != trieCap(shift) {
 			// pushLeaf path-copied the root: the header's reference to the
 			// old root is dropped (the grow case transferred it instead).
 			v.h.Release(root)
@@ -466,41 +503,62 @@ func (v Vector) Push(val uint64) Vector {
 // at the given level (0 returns the leaf itself).
 func (v Vector) wrapLeaf(level uint32, leaf pmem.Addr) pmem.Addr {
 	node := leaf
-	for s := uint32(0); s < level; s += vecBits {
+	for s := uint32(0); s < level; s = shiftAbove(s) {
 		node = writeNode(v.h, v.ed, v.sel, [vecWidth]pmem.Addr{node})
 	}
 	return node
 }
 
-// pushLeaf inserts the full tail leaf at trie index to (a multiple of 32),
+// pushLeaf inserts the full tail leaf at trie index to (a multiple of 8),
 // path-copying — or mutating in place where owned — one node per level.
 // The caller guarantees the trie is not full and root is not Nil.
 func (v Vector) pushLeaf(node pmem.Addr, shift uint32, to uint64, leaf pmem.Addr) pmem.Addr {
 	idx := int((to >> shift) & vecMask)
-	if shift == vecBits {
+	if shift == leafBits {
 		// Children of this node are leaves; slot idx is empty.
 		return v.replaceChild(node, idx, leaf, pmem.Nil)
 	}
 	if to&((1<<shift)-1) == 0 {
 		// Whole subtree at idx is missing: graft a singleton path.
-		return v.replaceChild(node, idx, v.wrapLeaf(shift-vecBits, leaf), pmem.Nil)
+		return v.replaceChild(node, idx, v.wrapLeaf(shiftBelow(shift), leaf), pmem.Nil)
 	}
 	child := childOf(v.h, node, idx)
-	newChild := v.pushLeaf(child, shift-vecBits, to, leaf)
+	newChild := v.pushLeaf(child, shiftBelow(shift), to, leaf)
 	if newChild == child {
 		return node
 	}
 	return v.replaceChild(node, idx, newChild, child)
 }
 
-// Elements returns the vector contents (for tests).
+// Elements returns the vector contents, reading each leaf once: the trie
+// left to right, then the tail.
 func (v Vector) Elements() []uint64 {
-	n := v.Len()
-	out := make([]uint64, n)
-	for i := uint64(0); i < n; i++ {
-		out[i] = v.Get(i)
+	count, shift, root, tail := v.fields()
+	out := make([]uint64, 0, count)
+	if count == 0 {
+		return out
 	}
-	return out
+	var sc alloc.Scratch
+	to := tailOffset(count)
+	var walk func(node pmem.Addr, s uint32)
+	walk = func(node pmem.Addr, s uint32) {
+		if s == 0 {
+			leaf := readLeaf(v.h, v.ed, &sc, node)
+			out = append(out, leaf[:]...)
+			return
+		}
+		for _, c := range readNode(v.h, v.ed, &sc, node) {
+			if c == pmem.Nil {
+				break // children fill left to right
+			}
+			walk(c, shiftBelow(s))
+		}
+	}
+	if to > 0 {
+		walk(root, shift)
+	}
+	last := readLeaf(v.h, v.ed, &sc, tail)
+	return append(out, last[:count-to]...)
 }
 
 func walkVecHdr(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {

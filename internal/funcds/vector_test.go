@@ -1,8 +1,12 @@
 package funcds
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"github.com/mod-ds/mod/internal/alloc"
+	"github.com/mod-ds/mod/internal/pmem"
 )
 
 func TestVectorPushGetAcrossBoundaries(t *testing.T) {
@@ -176,5 +180,178 @@ func TestVectorQuickAgainstModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// vecRun drives one vector against a slice model, one FASE at a time, the
+// way one of the three update regimes runs it: pure (every operation a new
+// version, its predecessor released behind a fence), edit-bound (the
+// operations of a FASE share an edit context, so after the first one the
+// header, the tail and the copied spine are written in place) and
+// selective (edit-bound, volatile trie plus record chain).
+type vecRun struct {
+	t     *testing.T
+	h     *alloc.Heap
+	v     Vector
+	model []uint64
+	edit  bool
+}
+
+// fase applies ops to the current version as one FASE and retires the
+// version it replaces.
+func (r *vecRun) fase(ops ...func(Vector) Vector) {
+	r.t.Helper()
+	if !r.edit {
+		for _, op := range ops {
+			base := r.v
+			r.v = op(base)
+			r.h.Fence()
+			if r.v.Addr() != base.Addr() {
+				r.h.Release(base.Addr())
+			}
+		}
+		return
+	}
+	base := r.v.Addr()
+	ed := r.h.BeginEdit()
+	v := r.v.WithEdit(ed)
+	for _, op := range ops {
+		next := op(v)
+		if v.Addr() != base && next.Addr() != v.Addr() {
+			r.t.Fatalf("len %d: an edit-owned header was copied (%#x -> %#x), not written in place", len(r.model), uint64(v.Addr()), uint64(next.Addr()))
+		}
+		v = next
+	}
+	commit(r.h, ed, &base, v.Addr())
+	r.v = VectorAt(r.h, base)
+}
+
+func (r *vecRun) push(val uint64) func(Vector) Vector {
+	r.model = append(r.model, val)
+	return func(v Vector) Vector { return v.Push(val) }
+}
+
+func (r *vecRun) update(i, val uint64) func(Vector) Vector {
+	r.model[i] = val
+	return func(v Vector) Vector { return v.Update(i, val) }
+}
+
+// check compares every read path with the model; it runs inside a FASE as
+// an operation that changes nothing, so the edit-bound regimes read their
+// own in-place writes before they are sealed.
+func (r *vecRun) check() func(Vector) Vector {
+	want := append([]uint64(nil), r.model...)
+	return func(v Vector) Vector {
+		r.t.Helper()
+		if v.Len() != uint64(len(want)) {
+			r.t.Fatalf("Len = %d, want %d", v.Len(), len(want))
+		}
+		if got := v.Elements(); !slices.Equal(got, want) {
+			r.t.Fatalf("len %d: Elements differ from the model", len(want))
+		}
+		for _, i := range boundaryIndices(uint64(len(want))) {
+			if got := v.Get(i); got != want[i] {
+				r.t.Fatalf("len %d: Get(%d) = %d, want %d", len(want), i, got, want[i])
+			}
+		}
+		return v
+	}
+}
+
+// boundaryIndices are the indices whose path changes shape with the count:
+// the ends, the last trie element and the first tail element.
+func boundaryIndices(count uint64) []uint64 {
+	out := []uint64{0, count - 1}
+	if to := tailOffset(count); to > 0 {
+		out = append(out, to-1, to)
+	}
+	return out
+}
+
+// TestVectorGeometryBoundaries walks the counts at which the trie changes
+// shape, every one computed from the geometry constants: around each
+// capacity cap of a trie of one, two and three levels — the first fill or
+// the tail spilled into the last free slot (count cap → cap + 1), then the
+// level grown over the full trie (cap + leafWidth → cap + leafWidth + 1) —
+// and around two full subtrees under a three-level root, where a spill
+// grafts a singleton path into an empty slot. At each count from cap − 1 to
+// cap + leafWidth + 1 it pushes, reads everything back, updates the
+// boundary indices and reads everything back again. Each regime ends by
+// releasing the last version: what is still allocated after a fence must be
+// what a recovery of the same heap finds reachable.
+func TestVectorGeometryBoundaries(t *testing.T) {
+	const oneLevel = leafWidth * vecWidth
+	centers := []uint64{leafWidth, oneLevel, 2 * oneLevel, oneLevel * vecWidth}
+	if trieCap(0) != centers[0] || trieCap(leafBits) != centers[1] || trieCap(leafBits+vecBits) != centers[3] {
+		t.Fatalf("trie capacities %d, %d, %d; want %v", trieCap(0), trieCap(leafBits), trieCap(leafBits+vecBits), centers)
+	}
+
+	for _, regime := range []struct {
+		name      string
+		edit, sel bool
+	}{{"pure", false, false}, {"edit", true, false}, {"selective", true, true}} {
+		t.Run(regime.name, func(t *testing.T) {
+			cfg := pmem.DefaultConfig(64 << 20)
+			cfg.TrackDurable = true
+			dev := pmem.New(cfg)
+			h := allocFormat(dev)
+			r := &vecRun{t: t, h: h, edit: regime.edit}
+			if regime.sel {
+				r.v = NewVectorSelective(h)
+			} else {
+				r.v = NewVector(h)
+			}
+			h.Fence()
+
+			for _, center := range centers {
+				// Bulk-load up to the window (its first push makes the count
+				// center − 1), benchLoad pushes per FASE.
+				for uint64(len(r.model)) < center-2 {
+					var ops []func(Vector) Vector
+					for k := 0; k < benchLoad && uint64(len(r.model)) < center-2; k++ {
+						ops = append(ops, r.push(uint64(len(r.model))*3))
+					}
+					r.fase(ops...)
+				}
+				// The window, count by count. Edit-bound regimes run it as
+				// two FASEs so that the spill and the growth each happen once
+				// with a committed spine and once with an edit-owned one.
+				var ops []func(Vector) Vector
+				for uint64(len(r.model)) < center+leafWidth+1 {
+					n := uint64(len(r.model))
+					ops = append(ops, r.push(n*3), r.check())
+					for _, i := range boundaryIndices(n + 1) {
+						ops = append(ops, r.update(i, i*7+n))
+					}
+					ops = append(ops, r.check())
+					if n == center {
+						r.fase(ops...)
+						ops = nil
+					}
+				}
+				r.fase(ops...)
+			}
+			r.fase(r.check())
+
+			h.Release(r.v.Addr())
+			h.Fence()
+			h.Drain()
+			st := h.Stats()
+			if st.Borrows != 0 || st.Quarantine != 0 {
+				t.Errorf("%d borrow records and %d quarantined blocks after the last version was released", st.Borrows, st.Quarantine)
+			}
+			h2, err := alloc.Open(pmem.NewFromImage(cfg, dev.CrashImage(pmem.CrashFencedOnly, 1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			RegisterWalkers(h2)
+			rs, err := h2.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs.LiveBytes != st.LiveBytes {
+				t.Errorf("%d bytes still allocated with every version released, a recovery of the same heap finds %d reachable", st.LiveBytes, rs.LiveBytes)
+			}
+		})
 	}
 }

@@ -115,15 +115,19 @@ func Fig4() *Table {
 }
 
 // Fig9 reports execution time for every workload and engine, normalized
-// to PMDK v1.5, with the other/flush/log breakdown (paper Fig. 9).
+// to PMDK v1.5, with the other/flush/log breakdown (paper Fig. 9) and the
+// flush and fence counts behind it.
 func Fig9(scale Scale) (*Table, error) {
 	workloads.SetVectorPreload(scale.VectorPreload)
 	t := &Table{
 		ID:    "fig9",
 		Title: "Execution time by engine, normalized to PMDK v1.5 (paper Fig. 9)",
 		Note: "Paper: MOD speeds up map/set/queue/stack by ~43%, applications by ~36%, " +
-			"and slows vector/vec-swap down (tree vs flat array).",
-		Header: []string{"workload", "engine", "sim-ms", "norm", "other", "flush", "log"},
+			"and slows vector/vec-swap down (tree vs flat array). Here a vector leaf is one cache line " +
+			"(8 elements, not the evaluated tree's 32): MOD still flushes more lines than PMDK on both vector rows " +
+			"under a third of the fences, and which way the time goes depends on the trie's depth " +
+			"(MOD wins them at small scale, not at default or full; DESIGN.md §2).",
+		Header: []string{"workload", "engine", "sim-ms", "norm", "other", "flush", "log", "flushes", "fences"},
 	}
 	var geoMicro, geoApp float64
 	var nMicro, nApp int
@@ -140,7 +144,8 @@ func Fig9(scale Scale) (*Table, error) {
 		for _, engine := range workloads.Engines {
 			res := results[engine]
 			t.AddRow(name, res.Engine, ms(res.SimNs), f2(res.SimNs/baseline),
-				pct(res.OtherNs/res.SimNs), pct(res.FlushFrac()), pct(res.LogFrac()))
+				pct(res.OtherNs/res.SimNs), pct(res.FlushFrac()), pct(res.LogFrac()),
+				fmt.Sprint(res.Flushes), fmt.Sprint(res.Fences))
 		}
 		speed := results[workloads.EngineMOD].SimNs / baseline
 		switch name {

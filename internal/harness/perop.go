@@ -19,7 +19,8 @@ func Fig10(scale Scale) (*Table, error) {
 		ID:    "fig10",
 		Title: "Fences and flushes per update operation (paper Fig. 10)",
 		Note: "Paper: MOD always 1 fence/op; PMDK 3-11 fences and 4-23 flushes; " +
-			"MOD queue-pop occasionally reverses a list (flush burst); MOD vector flushes far more lines than PMDK.",
+			"MOD queue-pop occasionally reverses a list (flush burst); MOD vector flushes more lines than PMDK " +
+			"(far more in the paper, whose leaf is 32 elements; twice as many with this repo's one-line leaf).",
 		Header: []string{"operation", "engine", "fences/op", "flushes/op"},
 	}
 	ops := []string{"map-insert", "set-insert", "queue-push", "queue-pop", "stack-push", "stack-pop", "vector-write", "vec-swap"}
