@@ -84,7 +84,7 @@ func benchWorkload(b *testing.B, name string, engine workloads.Engine) {
 		}
 		last = res
 	}
-	b.ReportMetric(last.SimNs/float64(last.Ops), "sim-ns/op")
+	b.ReportMetric(last.ElapsedNs/float64(last.Ops), "sim-ns/op")
 	b.ReportMetric(last.FencesPerOp(), "fences/op")
 	b.ReportMetric(last.FlushesPerOp(), "flushes/op")
 	b.ReportMetric(last.FlushFrac(), "flush-frac")

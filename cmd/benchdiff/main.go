@@ -1,38 +1,46 @@
 // Benchdiff is the CI performance-regression gate. It compares a fresh
 // BENCH.json (written by modbench -bench) against the committed baseline
-// and exits nonzero if any deterministic row's ops/sec dropped — or its
-// fences/op, flushes/op, (transient/selective rows) copies/op, or
-// (recovery rows) recovery_ns rose — by more than the tolerance, naming
-// the offending rows in the failure output. Rows present in the current
-// report but absent from the baseline also fail: a new row carries no
-// gate until the baseline is regenerated. Pass -allow-new to downgrade
-// that failure to a warning (e.g. on the PR that introduces the row).
+// row by row, by key, under each row's gate class
+// (harness.CompareBenchDocs), and exits nonzero naming the offending
+// rows:
+//
+//   - exact and ratio rows fail when ops/sec dropped — or fences/op,
+//     flushes/op, copies/op or recovery_ns rose — by more than the
+//     tolerance. The single-goroutine sweeps (the Table 2 suite on every
+//     engine, group commit, transient, selective and recovery, and the
+//     sequentially executed sharded sweep) are fully deterministic in
+//     simulated time, so any drift is a real code-path change, not
+//     measurement noise.
+//   - floor rows (the contention sweep's cas rows, whose values depend on
+//     how goroutines interleave) are held to absolute floors; nothing is
+//     read from the baseline.
+//   - info rows (server, mmap, concurrent, the async and parallel
+//     variants) are reported and never compared.
+//
+// A baseline row missing from the current report fails. So does a gated
+// row the baseline lacks: a new row carries no gate until the baseline
+// is regenerated. Pass -allow-new to downgrade that failure to a warning
+// (e.g. on the PR that introduces the row).
 //
 // Usage:
 //
 //	benchdiff [-baseline BENCH_baseline.json] [-current BENCH.json] [-tolerance 0.15] [-allow-new] [-exact-ordering]
 //
 // -exact-ordering additionally enforces the DESIGN.md §13 neutrality
-// contract: raw fence and flush counts of every single-threaded
-// deterministic sweep must be bit-identical to the baseline. Node
-// checksums ride inside each FASE's existing flush+fence envelope, so
-// any count drift — even inside the tolerance — is an ordering-path
-// change that must be intentional (and re-baselined).
-//
-// The single-threaded workload suite, the synchronous group-commit,
-// transient, and selective sweeps, and the sharded sweep (sequential
-// execution with a critical-path elapsed metric) are fully deterministic
-// in simulated time, so any drift beyond the tolerance is a real
-// code-path change, not measurement noise. The concurrent reader-scaling
-// rows depend on goroutine interleaving and are reported but never
-// gated; the server sweep runs on the wall clock, so its rows are
-// presence-checked but its values are never gated either.
+// contract: the raw op, fence and flush counts of every exact row must
+// be bit-identical to the baseline. Node checksums ride inside each
+// FASE's existing flush+fence envelope, so any count drift — even inside
+// the tolerance — is an ordering-path change that must be intentional
+// (and re-baselined). go test ./internal/harness runs the same check
+// (TestBaselineExactOrdering).
 //
 // After an intentional performance change, regenerate the baseline with
+// the command CI builds its report with, pointed at the baseline,
 //
-//	go run ./cmd/modbench -scale small -bench BENCH_baseline.json
+//	go run ./cmd/modbench -scale small -backend mmap -bench BENCH_baseline.json
 //
-// and commit it alongside the change.
+// and commit it alongside the change (modbench leaves informational rows
+// out of a file of that name, so -backend does not change its contents).
 package main
 
 import (
@@ -45,12 +53,12 @@ import (
 )
 
 func main() {
-	baseline := flag.String("baseline", "BENCH_baseline.json", "committed baseline report")
+	baseline := flag.String("baseline", harness.BaselineFile, "committed baseline report")
 	current := flag.String("current", "BENCH.json", "freshly generated report")
 	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional regression before failing")
 	allowNew := flag.Bool("allow-new", false, "warn instead of failing on rows missing from the baseline")
 	exactOrdering := flag.Bool("exact-ordering", false,
-		"require bit-identical fence/flush counts on deterministic sweeps (checksum neutrality gate)")
+		"require bit-identical op/fence/flush counts on exact rows (checksum neutrality gate)")
 	flag.Parse()
 
 	base, err := harness.ReadBenchDoc(*baseline)
@@ -69,18 +77,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	regressions := harness.CompareBenchDocs(base, cur, *tolerance)
-	if *exactOrdering {
-		regressions = append(regressions, harness.CompareBenchOrdering(base, cur)...)
-	}
-	fresh := harness.BenchNewRows(base, cur)
+	regressions, fresh := harness.CompareBenchDocs(base, cur, *tolerance, *exactOrdering)
 	if len(fresh) > 0 && *allowNew {
 		fmt.Fprintf(os.Stderr, "benchdiff: warning: %d row(s) not in baseline (ungated until it is regenerated): %s\n",
 			len(fresh), strings.Join(fresh, ", "))
 		fresh = nil
 	}
-	gated := len(base.Workloads) + len(base.GroupCommit) + len(base.Transient) +
-		len(base.Sharded) + len(base.Selective) + len(base.Recovery)
+	gated := len(base.Gated().Rows)
 	if len(regressions) == 0 && len(fresh) == 0 {
 		fmt.Printf("benchdiff: OK — %d gated rows within %.0f%% of baseline\n", gated, *tolerance*100)
 		return

@@ -1,29 +1,22 @@
 // Modbench regenerates the tables and figures of the MOD paper's
-// evaluation (§6) from the simulated system.
+// evaluation (§6) from the simulated system, plus this repo's extension
+// sweeps. Run it with -h for the usage and the experiment names, which
+// are generated from the harness registry.
 //
-// Usage:
+// Without -experiment it runs everything. -shards N restricts the
+// sharded experiment's shard sweep to the single given count (the full
+// sweep is S ∈ {1,2,4,8}).
 //
-//	modbench [-experiment name] [-scale default|full|small] [-ops N] [-shards N] [-csv dir] [-bench file] [-backend sim|mmap]
-//
-// Without -experiment it runs everything. Experiment names: table1,
-// table2, fig2, fig4, fig9, fig10, fig11, table3, spaceoverhead,
-// ablation-conc, ablation-naive, concurrent, groupcommit, transient,
-// sharded, selective, server, contention.
-//
-// -shards N restricts the sharded experiment's shard sweep to the
-// single given count (the full sweep is S ∈ {1,2,4,8}).
-//
-// With -bench FILE, modbench instead runs the Table 2 workload suite on
-// every engine plus the concurrent reader-scaling, group-commit, and
-// transient sweeps and writes a machine-readable JSON report (simulated
-// ns, ops per simulated second, fences and flushes per workload), so the
-// performance trajectory can be tracked across commits; cmd/benchdiff
-// gates CI on it.
-//
-// -backend mmap additionally runs the wall-clock mmapdev sweep (the
-// same structures over a file-backed store) and appends its rows to the
-// report; benchdiff tracks those rows' presence but never gates their
-// values.
+// With -bench FILE, modbench instead runs every sweep of the registry
+// once and writes their measurement rows — the same rows the tables
+// render — as a machine-readable JSON report (key, ops, fences, flushes,
+// elapsed ns per row), so the performance trajectory can be tracked
+// across commits; cmd/benchdiff gates CI on it. -backend mmap adds the
+// wall-clock mmapdev sweep (the same structures over a file-backed
+// store). Informational rows (wall-clock or schedule-dependent: server,
+// mmap, concurrent) are written to the report and never compared; when
+// FILE is named BENCH_baseline.json they are left out, so the committed
+// baseline holds gated rows only.
 package main
 
 import (
@@ -31,18 +24,29 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"github.com/mod-ds/mod/internal/harness"
 )
 
+// usage prints the command line and the experiment names, which come
+// from the harness registry so the list cannot drift from what runs.
+func usage() {
+	fmt.Fprintf(flag.CommandLine.Output(),
+		"usage: modbench [-experiment name] [-scale default|full|small] [-ops N] [-shards N] [-csv dir] [-bench file] [-backend sim|mmap]\n\nexperiments: %s\n\n",
+		strings.Join(harness.Experiments, ", "))
+	flag.PrintDefaults()
+}
+
 func main() {
+	flag.Usage = usage
 	experiment := flag.String("experiment", "", "experiment to run (default: all)")
 	scaleName := flag.String("scale", "default", "default | full (paper scale, minutes) | small")
 	ops := flag.Int("ops", 0, "override operations per workload")
 	shards := flag.Int("shards", 0, "restrict the sharded experiment's sweep to this shard count")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	benchFile := flag.String("bench", "", "write a machine-readable BENCH.json to this path instead of rendering tables")
-	backend := flag.String("backend", "sim", "sim | mmap (with -bench: also run the wall-clock mmapdev sweep; rows are presence-tracked, never value-gated)")
+	backend := flag.String("backend", "sim", "sim | mmap (also run the wall-clock mmapdev sweep; its rows are informational, never gated)")
 	flag.Parse()
 
 	switch *backend {
@@ -87,23 +91,25 @@ func main() {
 		return
 	}
 
-	names := harness.Experiments
-	if *experiment != "" {
-		names = []string{*experiment}
-	}
-	for _, name := range names {
-		tab, err := harness.Run(name, scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "modbench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
+	emit := func(tab *harness.Table) error {
 		tab.Render(os.Stdout)
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, tab); err != nil {
-				fmt.Fprintf(os.Stderr, "modbench: %v\n", err)
-				os.Exit(1)
-			}
+		if *csvDir == "" {
+			return nil
 		}
+		return writeCSV(*csvDir, tab)
+	}
+	var err error
+	if *experiment == "" {
+		err = harness.RunAll(scale, emit)
+	} else {
+		var tab *harness.Table
+		if tab, err = harness.Run(*experiment, scale); err == nil {
+			err = emit(tab)
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "modbench: %v\n", err)
+		os.Exit(1)
 	}
 }
 
@@ -125,11 +131,17 @@ func writeBench(path, scaleName string, scale harness.Scale) error {
 	if err != nil {
 		return err
 	}
+	total := len(doc.Rows)
+	if filepath.Base(path) == harness.BaselineFile {
+		doc = doc.Gated()
+	}
 	if err := harness.WriteBenchDoc(doc, path); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d workload rows, %d concurrent rows, %d transient rows, %d groupcommit rows, %d sharded rows, %d selective rows, %d recovery rows, %d server rows, %d contention rows, %d mmap rows)\n",
-		path, len(doc.Workloads), len(doc.Concurrent), len(doc.Transient), len(doc.GroupCommit), len(doc.Sharded),
-		len(doc.Selective), len(doc.Recovery), len(doc.Server), len(doc.Contention), len(doc.Mmap))
+	fmt.Printf("wrote %s (%d rows", path, len(doc.Rows))
+	if left := total - len(doc.Rows); left > 0 {
+		fmt.Printf("; %d informational rows left out of the baseline", left)
+	}
+	fmt.Println(")")
 	return nil
 }

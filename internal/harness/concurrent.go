@@ -24,14 +24,15 @@ func ConcurrentBenchConfig(scale Scale, readers int) workloads.ConcurrentConfig 
 	}
 }
 
-// Concurrent measures aggregate throughput as reader goroutines are added
+// concurrent measures aggregate throughput as reader goroutines are added
 // alongside a fixed writer pool. Simulated elapsed time is the maximum
 // per-goroutine clock, so scaling shows up as total operations growing
 // while elapsed time stays roughly flat: snapshots are lock-free and
 // never wait on committing writers. There is no paper analogue — MOD's
 // evaluation is single-threaded — but the experiment demonstrates the
-// concurrency its immutable committed versions enable.
-func Concurrent(scale Scale) (*Table, error) {
+// concurrency its immutable committed versions enable. Goroutine
+// interleaving makes the rows nondeterministic: informational.
+func concurrent(scale Scale) (*Table, []workloads.Row, error) {
 	t := &Table{
 		ID:    "concurrent",
 		Title: "reader scaling: snapshot lookups during concurrent commits (MOD engine)",
@@ -39,24 +40,22 @@ func Concurrent(scale Scale) (*Table, error) {
 		Header: []string{"readers", "read-ops", "write-ops", "elapsed-ms", "reads/s", "ops/s",
 			"speedup"},
 	}
-	var base float64
+	var rows []workloads.Row
 	for _, readers := range ConcurrentReaderCounts {
 		res, err := workloads.RunConcurrent(ConcurrentBenchConfig(scale, readers))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if base == 0 {
-			base = res.OpsPerSec
-		}
+		rows = append(rows, res)
 		t.AddRow(
 			fmt.Sprintf("%d", readers),
-			fmt.Sprintf("%d", res.ReadOps),
-			fmt.Sprintf("%d", res.WriteOps),
+			f0(res.Extra["read_ops"]),
+			f0(res.Extra["write_ops"]),
 			ms(res.ElapsedNs),
-			f1(res.ReadsPerSec),
-			f1(res.OpsPerSec),
-			fmt.Sprintf("%.2fx", res.OpsPerSec/base),
+			f1(res.Rate(res.Extra["read_ops"])),
+			f1(res.OpsPerSec()),
+			fmt.Sprintf("%.2fx", res.OpsPerSec()/rows[0].OpsPerSec()),
 		)
 	}
-	return t, nil
+	return t, rows, nil
 }

@@ -61,7 +61,7 @@ func Fig2(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(name, pct(res.OtherNs/res.SimNs), pct(res.FlushFrac()), pct(res.LogFrac()), ms(res.SimNs))
+		t.AddRow(name, pct(res.Frac("other_ns")), pct(res.FlushFrac()), pct(res.LogFrac()), ms(res.ElapsedNs))
 		flushSum += res.FlushFrac()
 		logSum += res.LogFrac()
 	}
@@ -114,10 +114,12 @@ func Fig4() *Table {
 	return t
 }
 
-// Fig9 reports execution time for every workload and engine, normalized
+// fig9 reports execution time for every workload and engine, normalized
 // to PMDK v1.5, with the other/flush/log breakdown (paper Fig. 9) and the
-// flush and fence counts behind it.
-func Fig9(scale Scale) (*Table, error) {
+// flush and fence counts behind it. Its rows — the Table 2 suite run
+// single-threaded on every engine — are the "workload/engine" rows of
+// BENCH.json.
+func fig9(scale Scale) (*Table, []workloads.Row, error) {
 	workloads.SetVectorPreload(scale.VectorPreload)
 	t := &Table{
 		ID:    "fig9",
@@ -129,25 +131,27 @@ func Fig9(scale Scale) (*Table, error) {
 			"(MOD wins them at small scale, not at default or full; DESIGN.md §2).",
 		Header: []string{"workload", "engine", "sim-ms", "norm", "other", "flush", "log", "flushes", "fences"},
 	}
+	var rows []workloads.Row
 	var geoMicro, geoApp float64
 	var nMicro, nApp int
 	for _, name := range workloads.Names {
-		results := map[workloads.Engine]workloads.Result{}
+		results := map[workloads.Engine]workloads.Row{}
 		for _, engine := range workloads.Engines {
 			res, err := workloads.Run(name, engine, workloads.Config{Ops: scale.Ops})
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			results[engine] = res
+			results[engine] = res.Row
+			rows = append(rows, res.Row)
 		}
-		baseline := results[workloads.EnginePMDK15].SimNs
+		baseline := results[workloads.EnginePMDK15].ElapsedNs
 		for _, engine := range workloads.Engines {
 			res := results[engine]
-			t.AddRow(name, res.Engine, ms(res.SimNs), f2(res.SimNs/baseline),
-				pct(res.OtherNs/res.SimNs), pct(res.FlushFrac()), pct(res.LogFrac()),
+			t.AddRow(name, engine.String(), ms(res.ElapsedNs), f2(res.ElapsedNs/baseline),
+				pct(res.Frac("other_ns")), pct(res.Frac("flush_ns")), pct(res.Frac("log_ns")),
 				fmt.Sprint(res.Flushes), fmt.Sprint(res.Fences))
 		}
-		speed := results[workloads.EngineMOD].SimNs / baseline
+		speed := results[workloads.EngineMOD].ElapsedNs / baseline
 		switch name {
 		case "map", "set", "queue", "stack":
 			geoMicro += speed
@@ -161,7 +165,7 @@ func Fig9(scale Scale) (*Table, error) {
 		t.Note += fmt.Sprintf(" Measured: MOD mean %.0f%% faster on pointer microbenchmarks, %.0f%% on applications.",
 			100*(1-geoMicro/float64(nMicro)), 100*(1-geoApp/float64(nApp)))
 	}
-	return t, nil
+	return t, rows, nil
 }
 
 // Fig11 reports L1D miss ratios per workload for PMDK v1.5 and MOD

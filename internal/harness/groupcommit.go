@@ -26,13 +26,13 @@ func GroupCommitBenchConfig(scale Scale, batchSize, shards int) workloads.GroupC
 	}
 }
 
-// GroupCommit measures fences/op and throughput as the batch size grows:
+// groupCommit measures fences/op and throughput as the batch size grows:
 // the whole point of group commit is that one flush+sfence epoch covers
 // B operations, so fences/op falls as 1/B (single root) or 3/B (batch
 // record across roots) while throughput climbs. The final row repeats
 // the largest batch through the async background committer with
 // concurrent producers, for information.
-func GroupCommit(scale Scale) (*Table, error) {
+func groupCommit(scale Scale) (*Table, []workloads.Row, error) {
 	t := &Table{
 		ID:    "groupcommit",
 		Title: "group commit: fence amortization vs batch size (MOD engine)",
@@ -40,44 +40,43 @@ func GroupCommit(scale Scale) (*Table, error) {
 		Header: []string{"batch", "shards", "mode", "ops", "batches", "fences/op", "flushes/op",
 			"ops/s", "speedup"},
 	}
-	var base float64
+	var rows []workloads.Row
+	point := func(cfg workloads.GroupCommitConfig, mode string) error {
+		res, err := workloads.RunGroupCommit(cfg)
+		if err != nil {
+			return err
+		}
+		rows = append(rows, res)
+		speedup := fmt.Sprintf("%.2fx", res.OpsPerSec()/rows[0].OpsPerSec())
+		if cfg.Async {
+			rows[len(rows)-1].Gate = workloads.GateInfo
+			speedup = "-"
+		}
+		t.AddRow(
+			fmt.Sprintf("%d", cfg.BatchSize),
+			fmt.Sprintf("%d", cfg.Shards),
+			mode,
+			fmt.Sprintf("%d", res.Ops),
+			f0(res.Extra["batches"]),
+			f3(res.FencesPerOp()),
+			f2(res.FlushesPerOp()),
+			f1(res.OpsPerSec()),
+			speedup,
+		)
+		return nil
+	}
 	for _, shards := range GroupCommitShardCounts {
 		for _, bsz := range GroupCommitBatchSizes {
-			res, err := workloads.RunGroupCommit(GroupCommitBenchConfig(scale, bsz, shards))
-			if err != nil {
-				return nil, err
+			if err := point(GroupCommitBenchConfig(scale, bsz, shards), "sync"); err != nil {
+				return nil, nil, err
 			}
-			if base == 0 {
-				base = res.OpsPerSec
-			}
-			t.AddRow(
-				fmt.Sprintf("%d", res.BatchSize),
-				fmt.Sprintf("%d", res.Shards),
-				"sync",
-				fmt.Sprintf("%d", res.Ops),
-				fmt.Sprintf("%d", res.Batches),
-				f3(res.FencesPerOp),
-				f2(res.FlushesPerOp),
-				f1(res.OpsPerSec),
-				fmt.Sprintf("%.2fx", res.OpsPerSec/base),
-			)
 		}
 	}
 	cfg := GroupCommitBenchConfig(scale, GroupCommitBatchSizes[len(GroupCommitBatchSizes)-1], 4)
 	cfg.Async = true
 	cfg.Writers = 2
-	res, err := workloads.RunGroupCommit(cfg)
-	if err != nil {
-		return nil, err
+	if err := point(cfg, "async"); err != nil {
+		return nil, nil, err
 	}
-	t.AddRow(
-		fmt.Sprintf("%d", res.BatchSize), "4", "async",
-		fmt.Sprintf("%d", res.Ops),
-		fmt.Sprintf("%d", res.Batches),
-		f3(res.FencesPerOp),
-		f2(res.FlushesPerOp),
-		f1(res.OpsPerSec),
-		"-",
-	)
-	return t, nil
+	return t, rows, nil
 }

@@ -9,14 +9,16 @@
 //
 // Numbers are simulated nanoseconds from the device clock; the paper's
 // absolute Optane numbers are not reproducible, but the shapes — who
-// wins, by what factor, where the crossovers fall — are the target
-// (EXPERIMENTS.md records paper-vs-measured for each artifact).
+// wins, by what factor, where the crossovers fall — are the target (each
+// table's note records the paper's figure beside the measured one).
 package harness
 
 import (
 	"fmt"
 	"io"
 	"strings"
+
+	"github.com/mod-ds/mod/internal/workloads"
 )
 
 // Scale sets experiment sizes. The paper runs 1M operations per workload;
@@ -112,6 +114,7 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
+func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
@@ -122,65 +125,94 @@ func ms(ns float64) string { return fmt.Sprintf("%.3f", ns/1e6) }
 // pct renders a fraction as a percentage.
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 
-// Experiment names accepted by Run and cmd/modbench.
-var Experiments = []string{
-	"table1", "table2", "fig2", "fig4", "fig9", "fig10", "fig11", "table3",
-	"spaceoverhead", "ablation-conc", "ablation-naive", "concurrent",
-	"groupcommit", "transient", "sharded", "selective", "server",
-	"contention",
+// experiment is one registry entry. A paper figure has a table and no
+// rows (gate ""); a sweep's one run returns its measurement rows and the
+// table rendered from them, so modbench -experiment and BENCH.json are
+// two renderings of one execution.
+type experiment struct {
+	name string
+	// gate is the class the sweep's rows are compared under unless a row
+	// names its own (an informational row inside a gated sweep).
+	gate workloads.Gate
+	// backend restricts RunAll and BuildBenchDoc to runs where
+	// BenchBackend matches ("" = always); Run by name ignores it.
+	backend string
+	run     func(Scale) (*Table, []workloads.Row, error)
 }
+
+// figure adapts a paper figure, which measures into its table only.
+func figure(f func(Scale) (*Table, error)) func(Scale) (*Table, []workloads.Row, error) {
+	return func(scale Scale) (*Table, []workloads.Row, error) {
+		t, err := f(scale)
+		return t, nil, err
+	}
+}
+
+// registry lists every experiment in report order. Adding a sweep is one
+// entry here plus its run function.
+var registry = []experiment{
+	{name: "table1", run: figure(func(Scale) (*Table, error) { return Table1(), nil })},
+	{name: "table2", run: figure(func(Scale) (*Table, error) { return Table2(), nil })},
+	{name: "fig2", run: figure(Fig2)},
+	{name: "fig4", run: figure(func(Scale) (*Table, error) { return Fig4(), nil })},
+	{name: "fig9", gate: workloads.GateExact, run: fig9},
+	{name: "fig10", run: figure(Fig10)},
+	{name: "fig11", run: figure(Fig11)},
+	{name: "table3", run: figure(Table3)},
+	{name: "spaceoverhead", run: figure(SpaceOverhead)},
+	{name: "ablation-conc", run: figure(AblationFlushConcurrency)},
+	{name: "ablation-naive", run: figure(AblationNaiveShadow)},
+	{name: "concurrent", gate: workloads.GateInfo, run: concurrent},
+	{name: "groupcommit", gate: workloads.GateExact, run: groupCommit},
+	{name: "transient", gate: workloads.GateExact, run: transient},
+	{name: "sharded", gate: workloads.GateExact, run: sharded},
+	{name: "selective", gate: workloads.GateExact, run: selective},
+	{name: "server", gate: workloads.GateInfo, run: serverSweep},
+	{name: "contention", gate: workloads.GateFloor, run: contention},
+	{name: "mmap", gate: workloads.GateInfo, backend: "mmap", run: mmapSweep},
+}
+
+// Experiments lists the names accepted by Run and cmd/modbench.
+var Experiments = func() []string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
+}()
+
+// BenchBackend selects the backend-specific sweeps RunAll and
+// BuildBenchDoc add to the simulator ones: "sim" (none, the default) or
+// "mmap" (the wall-clock mmapdev sweep, which fails on platforms without
+// the backend). cmd/modbench sets it from -backend.
+var BenchBackend = "sim"
+
+func (e experiment) enabled() bool { return e.backend == "" || e.backend == BenchBackend }
 
 // Run executes one named experiment at the given scale.
 func Run(name string, scale Scale) (*Table, error) {
-	switch name {
-	case "table1":
-		return Table1(), nil
-	case "table2":
-		return Table2(), nil
-	case "fig2":
-		return Fig2(scale)
-	case "fig4":
-		return Fig4(), nil
-	case "fig9":
-		return Fig9(scale)
-	case "fig10":
-		return Fig10(scale)
-	case "fig11":
-		return Fig11(scale)
-	case "table3":
-		return Table3(scale)
-	case "spaceoverhead":
-		return SpaceOverhead(scale)
-	case "ablation-conc":
-		return AblationFlushConcurrency(scale)
-	case "ablation-naive":
-		return AblationNaiveShadow(scale)
-	case "concurrent":
-		return Concurrent(scale)
-	case "groupcommit":
-		return GroupCommit(scale)
-	case "transient":
-		return Transient(scale)
-	case "sharded":
-		return Sharded(scale)
-	case "selective":
-		return Selective(scale)
-	case "server":
-		return ServerExperiment(scale)
-	case "contention":
-		return Contention(scale)
+	for _, e := range registry {
+		if e.name == name {
+			t, _, err := e.run(scale)
+			return t, err
+		}
 	}
 	return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", name, Experiments)
 }
 
-// RunAll executes every experiment and renders them to w.
-func RunAll(w io.Writer, scale Scale) error {
-	for _, name := range Experiments {
-		t, err := Run(name, scale)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+// RunAll executes every enabled experiment, handing each table to emit.
+func RunAll(scale Scale, emit func(*Table) error) error {
+	for _, e := range registry {
+		if !e.enabled() {
+			continue
 		}
-		t.Render(w)
+		t, _, err := e.run(scale)
+		if err == nil {
+			err = emit(t)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
 	}
 	return nil
 }

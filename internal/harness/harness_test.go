@@ -70,7 +70,7 @@ func TestFig2FlushingDominates(t *testing.T) {
 }
 
 func TestFig9MODWinsAndLosesWherePaperSays(t *testing.T) {
-	tab, err := Fig9(SmallScale())
+	tab, err := Run("fig9", SmallScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +216,14 @@ func TestAblations(t *testing.T) {
 
 func TestRunAllAndRendering(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunAll(&buf, SmallScale()); err != nil {
+	render := func(tab *Table) error { tab.Render(&buf); return nil }
+	if err := RunAll(SmallScale(), render); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, id := range Experiments {
-		if !strings.Contains(out, "== "+id) {
-			t.Errorf("RunAll output missing %s", id)
+	for _, e := range registry {
+		if strings.Contains(out, "== "+e.name+":") != e.enabled() {
+			t.Errorf("RunAll rendered %s: %v, want %v", e.name, !e.enabled(), e.enabled())
 		}
 	}
 	// CSV rendering.

@@ -9,6 +9,7 @@ import (
 	"github.com/mod-ds/mod/internal/core"
 	"github.com/mod-ds/mod/internal/pmem"
 	"github.com/mod-ds/mod/internal/pmem/mmapdev"
+	"github.com/mod-ds/mod/internal/workloads"
 )
 
 // The mmap-backend sweep: the five recoverable structures driven
@@ -25,20 +26,11 @@ import (
 // order.
 var MmapWorkloads = []string{"map", "set", "vector", "stack", "queue"}
 
-// MmapBenchResult is one structure's run over the mmap backend.
-type MmapBenchResult struct {
-	Workload  string
-	Ops       int
-	ElapsedNs float64 // wall-clock
-	Fences    uint64
-	Flushes   uint64
-}
-
 // RunMmapBench runs ops operations of the named structure workload over
 // a fresh file-backed store in dir (a temp dir when empty). It returns
 // mmapdev.ErrUnsupported on platforms without the backend.
-func RunMmapBench(workload string, ops int, dir string) (MmapBenchResult, error) {
-	var res MmapBenchResult
+func RunMmapBench(workload string, ops int, dir string) (workloads.Row, error) {
+	var res workloads.Row
 	if dir == "" {
 		d, err := os.MkdirTemp("", "modbench-mmap")
 		if err != nil {
@@ -110,13 +102,27 @@ func RunMmapBench(workload string, ops int, dir string) (MmapBenchResult, error)
 		return res, fmt.Errorf("mmap bench: unknown workload %q", workload)
 	}
 	db.Sync()
-	after := dev.Stats()
-	res = MmapBenchResult{
-		Workload:  workload,
-		Ops:       ops,
-		ElapsedNs: float64(time.Since(start).Nanoseconds()),
-		Fences:    after.Fences - before.Fences,
-		Flushes:   after.Flushes - before.Flushes,
+	return workloads.NewRow("mmap/"+workload, ops, dev.Stats().Sub(before),
+		float64(time.Since(start).Nanoseconds())), nil
+}
+
+// mmapSweep renders the sweep as a table (experiment "mmap").
+func mmapSweep(scale Scale) (*Table, []workloads.Row, error) {
+	t := &Table{
+		ID:     "mmap",
+		Title:  "mmap backend: the five structures over a file-backed mmapdev store",
+		Note:   "Wall-clock time with real msync (nondeterministic); fences/op is the column to compare with the simulator's.",
+		Header: []string{"workload", "ops", "elapsed-ms", "ops/s", "fences/op", "flushes/op"},
 	}
-	return res, nil
+	var rows []workloads.Row
+	for _, workload := range MmapWorkloads {
+		res, err := RunMmapBench(workload, scale.Ops, "")
+		if err != nil {
+			return nil, nil, fmt.Errorf("mmap %s: %w", workload, err)
+		}
+		rows = append(rows, res)
+		t.AddRow(workload, fmt.Sprintf("%d", res.Ops), ms(res.ElapsedNs), f1(res.OpsPerSec()),
+			f3(res.FencesPerOp()), f2(res.FlushesPerOp()))
+	}
+	return t, rows, nil
 }

@@ -43,14 +43,14 @@ func selectivePreload(ops int) int {
 	return max(ops*2, min(ops*20, 32768))
 }
 
-// Selective measures the "Don't Persist All" split (DESIGN.md §10): the
+// selective measures the "Don't Persist All" split (DESIGN.md §10): the
 // same updates-only hot path with navigation nodes persisted (cache off)
 // vs volatile-clean (selective flavor, DRAM node cache on). Selective
 // rows flush only leaf blobs plus one record cell per update, so
 // flushes/op drops and throughput climbs; the price is a recovery-time
-// rebuild, reported in the last two columns. These are the headline
-// columns the BENCH.json regression gate holds.
-func Selective(scale Scale) (*Table, error) {
+// rebuild, reported in the last two columns and as the recovery/ rows.
+// These are the headline columns the BENCH.json regression gate holds.
+func selective(scale Scale) (*Table, []workloads.Row, error) {
 	t := &Table{
 		ID:    "selective",
 		Title: "selective persistence: DRAM navigation over minimal PM cores (MOD engine)",
@@ -58,13 +58,15 @@ func Selective(scale Scale) (*Table, error) {
 		Header: []string{"struct", "mode", "ops/FASE", "ops", "flushes/op", "copies/op",
 			"fences/op", "dram-reads/op", "ops/s", "recovery-ms", "rebuilt"},
 	}
+	var rows []workloads.Row
 	for _, structure := range SelectiveStructures {
 		for _, sel := range []bool{false, true} {
 			for _, b := range SelectiveOpsPerFASE {
-				res, err := workloads.RunSelective(SelectiveBenchConfig(scale, structure, sel, b))
+				res, rec, err := workloads.RunSelective(SelectiveBenchConfig(scale, structure, sel, b))
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
+				rows = append(rows, res, rec)
 				mode := "persist-all"
 				if sel {
 					mode = "selective"
@@ -72,18 +74,18 @@ func Selective(scale Scale) (*Table, error) {
 				t.AddRow(
 					structure,
 					mode,
-					fmt.Sprintf("%d", res.OpsPerFASE),
+					fmt.Sprintf("%d", b),
 					fmt.Sprintf("%d", res.Ops),
-					f2(res.FlushesPerOp),
-					f2(res.CopiesPerOp),
-					f3(res.FencesPerOp),
-					f2(float64(res.DRAMReads)/float64(res.Ops)),
-					f1(res.OpsPerSec),
-					ms(res.RecoveryNs),
-					fmt.Sprintf("%d", res.RebuiltNodes),
+					f2(res.FlushesPerOp()),
+					f2(res.PerOp("copies")),
+					f3(res.FencesPerOp()),
+					f2(res.PerOp("dram_reads")),
+					f1(res.OpsPerSec()),
+					ms(rec.Extra["recovery_ns"]),
+					f0(rec.Extra["rebuilt_nodes"]),
 				)
 			}
 		}
 	}
-	return t, nil
+	return t, rows, nil
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/mod-ds/mod/internal/pmem"
 	"github.com/mod-ds/mod/internal/server"
 	"github.com/mod-ds/mod/internal/server/loadgen"
+	"github.com/mod-ds/mod/internal/workloads"
 )
 
 // ServerClientCounts sweeps the concurrent connection count of the
@@ -18,27 +19,6 @@ import (
 // epochs, so the per-ack fence cost amortizes across clients
 // (cross-client batch amplification).
 var ServerClientCounts = []int{1, 4, 16, 64}
-
-// ServerBenchResult is one point of the server sweep: an in-process
-// modserver (PipeListener transport) under a closed-loop all-write
-// load. Unlike the simulated sweeps these run on the wall clock with
-// real goroutine scheduling, so latency and throughput are
-// nondeterministic — benchdiff tracks row presence but does not gate
-// values. Fences are still counted on the simulated device; their
-// per-op ratio is the amplification curve.
-type ServerBenchResult struct {
-	Clients    int
-	Ops        int
-	Errors     int
-	Elapsed    time.Duration
-	P50        time.Duration
-	P99        time.Duration
-	P999       time.Duration
-	Throughput float64 // acked ops per wall-clock second
-
-	Fences      uint64
-	FencesPerOp float64
-}
 
 // ServerBenchConfig derives the load from a Scale: all SETs (so
 // fences/op is fences per durable ack), a few thousand ops per point,
@@ -65,20 +45,25 @@ func ServerBenchConfig(scale Scale, clients int) loadgen.Config {
 const serverLinger = 50 * time.Microsecond
 
 // RunServerBench serves one sweep point: open a store with a background
-// committer, serve it over an in-process listener, drive the load, and
-// read the fence delta before shutting down.
-func RunServerBench(scale Scale, clients int) (ServerBenchResult, error) {
+// committer, serve it over an in-process listener (PipeListener), drive
+// a closed-loop all-write load, and read the device-counter delta before
+// shutting down. Unlike the simulated sweeps these run on the wall clock
+// with real goroutine scheduling, so elapsed time and the latency
+// percentiles in Extra are nondeterministic: informational rows. Fences
+// are still counted on the simulated device; their per-op ratio is the
+// amplification curve.
+func RunServerBench(scale Scale, clients int) (workloads.Row, error) {
 	cfg := ServerBenchConfig(scale, clients)
 	arena := int64(cfg.Ops)*4096 + (256 << 20)
 	db, _, err := core.Open(pmem.DefaultConfig(arena),
 		core.WithCommitter(0), core.WithCommitterLinger(serverLinger))
 	if err != nil {
-		return ServerBenchResult{}, err
+		return workloads.Row{}, err
 	}
 	srv, err := server.New(server.Config{KV: db})
 	if err != nil {
 		db.Close()
-		return ServerBenchResult{}, err
+		return workloads.Row{}, err
 	}
 	pl := server.NewPipeListener()
 	serveErr := make(chan error, 1)
@@ -86,43 +71,33 @@ func RunServerBench(scale Scale, clients int) (ServerBenchResult, error) {
 
 	statsBase := db.Stats()
 	res, runErr := loadgen.Run(pl.Dial, cfg, nil)
-	fences := db.Stats().Fences - statsBase.Fences
+	delta := db.Stats().Sub(statsBase)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		return ServerBenchResult{}, fmt.Errorf("server shutdown: %w", err)
+		return workloads.Row{}, fmt.Errorf("server shutdown: %w", err)
 	}
 	pl.Close()
 	if err := <-serveErr; err != nil {
-		return ServerBenchResult{}, fmt.Errorf("serve: %w", err)
+		return workloads.Row{}, fmt.Errorf("serve: %w", err)
 	}
 	if runErr != nil {
-		return ServerBenchResult{}, runErr
+		return workloads.Row{}, runErr
 	}
 	if res.Errors > 0 {
-		return ServerBenchResult{}, fmt.Errorf("server bench c=%d: %d errored ops", clients, res.Errors)
+		return workloads.Row{}, fmt.Errorf("server bench c=%d: %d errored ops", clients, res.Errors)
 	}
 
-	out := ServerBenchResult{
-		Clients:    clients,
-		Ops:        res.Ops,
-		Errors:     res.Errors,
-		Elapsed:    res.Elapsed,
-		P50:        res.P50,
-		P99:        res.P99,
-		P999:       res.P999,
-		Throughput: res.Throughput,
-		Fences:     fences,
-	}
-	if res.Ops > 0 {
-		out.FencesPerOp = float64(fences) / float64(res.Ops)
-	}
+	out := workloads.NewRow(fmt.Sprintf("server/c%d", clients), res.Ops, delta, float64(res.Elapsed))
+	out.Extra["p50_ns"] = float64(res.P50)
+	out.Extra["p99_ns"] = float64(res.P99)
+	out.Extra["p999_ns"] = float64(res.P999)
 	return out, nil
 }
 
-// ServerExperiment renders the sweep as a table (experiment "server").
-func ServerExperiment(scale Scale) (*Table, error) {
+// serverSweep renders the sweep as a table (experiment "server").
+func serverSweep(scale Scale) (*Table, []workloads.Row, error) {
 	t := &Table{
 		ID:    "server",
 		Title: "modserver: durability-acked writes vs concurrent clients",
@@ -130,20 +105,22 @@ func ServerExperiment(scale Scale) (*Table, error) {
 			"Wall-clock latency/throughput (nondeterministic); fences/op falls as concurrent tickets share committer epochs.",
 		Header: []string{"clients", "ops", "throughput", "p50-us", "p99-us", "p999-us", "fences/op"},
 	}
+	var rows []workloads.Row
 	for _, clients := range ServerClientCounts {
 		res, err := RunServerBench(scale, clients)
 		if err != nil {
-			return nil, fmt.Errorf("server c=%d: %w", clients, err)
+			return nil, nil, fmt.Errorf("server c=%d: %w", clients, err)
 		}
+		rows = append(rows, res)
 		t.AddRow(
 			fmt.Sprintf("%d", clients),
 			fmt.Sprintf("%d", res.Ops),
-			f1(res.Throughput),
-			f1(float64(res.P50)/1e3),
-			f1(float64(res.P99)/1e3),
-			f1(float64(res.P999)/1e3),
-			f3(res.FencesPerOp),
+			f1(res.OpsPerSec()),
+			f1(res.Extra["p50_ns"]/1e3),
+			f1(res.Extra["p99_ns"]/1e3),
+			f1(res.Extra["p999_ns"]/1e3),
+			f3(res.FencesPerOp()),
 		)
 	}
-	return t, nil
+	return t, rows, nil
 }

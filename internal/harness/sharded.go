@@ -41,7 +41,7 @@ func ShardedCrossBenchConfig(scale Scale, shards, writers int) workloads.Sharded
 	return cfg
 }
 
-// Sharded measures aggregate throughput and fence economy as the root
+// sharded measures aggregate throughput and fence economy as the root
 // namespace spreads over independent heap shards. The per-op rows pin
 // the tentpole's two claims at once: fences/op stays exactly 1 at every
 // shard count (single-shard operations keep their single ordering
@@ -51,7 +51,7 @@ func ShardedCrossBenchConfig(scale Scale, shards, writers int) workloads.Sharded
 // per batch, the explicit price of cross-shard atomicity. A final
 // parallel row reruns the widest point with real goroutines for
 // information.
-func Sharded(scale Scale) (*Table, error) {
+func sharded(scale Scale) (*Table, []workloads.Row, error) {
 	t := &Table{
 		ID:    "sharded",
 		Title: "sharded store: aggregate scaling vs shard count (MOD engine)",
@@ -59,64 +59,56 @@ func Sharded(scale Scale) (*Table, error) {
 		Header: []string{"shards", "writers", "mode", "ops", "fences/op", "flushes/op",
 			"ops/s", "speedup"},
 	}
+	var rows []workloads.Row
 	bases := map[int]float64{} // writers -> S=1 ops/sec
+	point := func(cfg workloads.ShardedConfig, mode string) error {
+		res, err := workloads.RunSharded(cfg)
+		if err != nil {
+			return err
+		}
+		if cfg.Parallel {
+			res.Gate = workloads.GateInfo
+		}
+		rows = append(rows, res)
+		speedup := "-" // per-op rows only, and no S=1 base in a restricted sweep (-shards N)
+		if mode == "per-op" {
+			if cfg.Shards == 1 {
+				bases[cfg.Writers] = res.OpsPerSec()
+			}
+			if base, ok := bases[cfg.Writers]; ok {
+				speedup = fmt.Sprintf("%.2fx", res.OpsPerSec()/base)
+			}
+		}
+		t.AddRow(
+			fmt.Sprintf("%d", cfg.Shards),
+			fmt.Sprintf("%d", cfg.Writers),
+			mode,
+			fmt.Sprintf("%d", res.Ops),
+			f3(res.FencesPerOp()),
+			f2(res.FlushesPerOp()),
+			f1(res.OpsPerSec()),
+			speedup,
+		)
+		return nil
+	}
 	for _, writers := range ShardedWriterCounts {
 		for _, shards := range ShardedShardCounts {
-			res, err := workloads.RunSharded(ShardedBenchConfig(scale, shards, writers))
-			if err != nil {
-				return nil, err
+			if err := point(ShardedBenchConfig(scale, shards, writers), "per-op"); err != nil {
+				return nil, nil, err
 			}
-			if shards == 1 {
-				bases[writers] = res.OpsPerSec
-			}
-			speedup := "-" // no S=1 base in a restricted sweep (-shards N)
-			if base, ok := bases[writers]; ok {
-				speedup = fmt.Sprintf("%.2fx", res.OpsPerSec/base)
-			}
-			t.AddRow(
-				fmt.Sprintf("%d", res.Shards),
-				fmt.Sprintf("%d", res.Writers),
-				"per-op",
-				fmt.Sprintf("%d", res.Ops),
-				f3(res.FencesPerOp),
-				f2(res.FlushesPerOp),
-				f1(res.OpsPerSec),
-				speedup,
-			)
 		}
 	}
 	for _, shards := range ShardedCrossShardCounts {
-		res, err := workloads.RunSharded(ShardedCrossBenchConfig(scale, shards, shards))
-		if err != nil {
-			return nil, err
+		cfg := ShardedCrossBenchConfig(scale, shards, shards)
+		if err := point(cfg, fmt.Sprintf("cross/b%d", cfg.BatchSize)); err != nil {
+			return nil, nil, err
 		}
-		t.AddRow(
-			fmt.Sprintf("%d", res.Shards),
-			fmt.Sprintf("%d", res.Writers),
-			fmt.Sprintf("cross/b%d", res.BatchSize),
-			fmt.Sprintf("%d", res.Ops),
-			f3(res.FencesPerOp),
-			f2(res.FlushesPerOp),
-			f1(res.OpsPerSec),
-			"-",
-		)
 	}
 	widest := ShardedShardCounts[len(ShardedShardCounts)-1]
 	cfg := ShardedBenchConfig(scale, widest, max(widest, 4))
 	cfg.Parallel = true
-	res, err := workloads.RunSharded(cfg)
-	if err != nil {
-		return nil, err
+	if err := point(cfg, "parallel"); err != nil {
+		return nil, nil, err
 	}
-	t.AddRow(
-		fmt.Sprintf("%d", res.Shards),
-		fmt.Sprintf("%d", res.Writers),
-		"parallel",
-		fmt.Sprintf("%d", res.Ops),
-		f3(res.FencesPerOp),
-		f2(res.FlushesPerOp),
-		f1(res.OpsPerSec),
-		"-",
-	)
-	return t, nil
+	return t, rows, nil
 }

@@ -30,7 +30,7 @@ func Table3(scale Scale) (*Table, error) {
 		Title: "Memory consumed at 2N elements relative to N (paper Table 3)",
 		Note: fmt.Sprintf("N = %d (paper: 1M). Paper ratios - MOD: map 1.87x set 2.08x stack 2.25x queue 1.67x vector 131x; PMDK: 1.5-2x. "+
 			"The retained regime (superseded versions kept across the doubling) is the only reading consistent with the paper's vector row; "+
-			"see EXPERIMENTS.md.", scale.Table3N),
+			"see DESIGN.md §3.", scale.Table3N),
 		Header: []string{"structure", "engine", "regime", "bytes@N", "bytes@2N", "ratio"},
 	}
 	n := scale.Table3N

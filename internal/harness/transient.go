@@ -22,13 +22,13 @@ func TransientBenchConfig(scale Scale, opsPerFASE int) workloads.TransientConfig
 	}
 }
 
-// Transient measures copy elision and flush coalescing as the FASE size
+// transient measures copy elision and flush coalescing as the FASE size
 // grows: inside one edit context the first operation on a root copies
 // its path and every later operation mutates the owned shadow in place,
 // so copies/op and flushes/op fall with ops-per-FASE while throughput
 // climbs (DESIGN.md §8). These are the headline columns the BENCH.json
 // regression gate holds.
-func Transient(scale Scale) (*Table, error) {
+func transient(scale Scale) (*Table, []workloads.Row, error) {
 	t := &Table{
 		ID:    "transient",
 		Title: "edit contexts: copy elision and flush coalescing vs ops-per-FASE (MOD engine)",
@@ -36,26 +36,24 @@ func Transient(scale Scale) (*Table, error) {
 		Header: []string{"ops/FASE", "ops", "copies/op", "elided/op", "flushes/op",
 			"saved/op", "fences/op", "ops/s", "speedup"},
 	}
-	var base float64
+	var rows []workloads.Row
 	for _, b := range TransientOpsPerFASE {
 		res, err := workloads.RunTransient(TransientBenchConfig(scale, b))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if base == 0 {
-			base = res.OpsPerSec
-		}
+		rows = append(rows, res)
 		t.AddRow(
-			fmt.Sprintf("%d", res.OpsPerFASE),
+			fmt.Sprintf("%d", b),
 			fmt.Sprintf("%d", res.Ops),
-			f2(res.CopiesPerOp),
-			f2(float64(res.CopiesElided)/float64(res.Ops)),
-			f2(res.FlushesPerOp),
-			f2(float64(res.FlushesSaved)/float64(res.Ops)),
-			f3(res.FencesPerOp),
-			f1(res.OpsPerSec),
-			fmt.Sprintf("%.2fx", res.OpsPerSec/base),
+			f2(res.PerOp("copies")),
+			f2(res.PerOp("copies_elided")),
+			f2(res.FlushesPerOp()),
+			f2(res.PerOp("flushes_saved")),
+			f3(res.FencesPerOp()),
+			f1(res.OpsPerSec()),
+			fmt.Sprintf("%.2fx", res.OpsPerSec()/rows[0].OpsPerSec()),
 		)
 	}
-	return t, nil
+	return t, rows, nil
 }

@@ -84,31 +84,6 @@ func (c *ConcurrentConfig) defaults() {
 	}
 }
 
-// ConcurrentResult reports one concurrent measurement. Times are
-// simulated nanoseconds; throughputs are operations per simulated second.
-type ConcurrentResult struct {
-	Readers, Writers, Shards int
-
-	ReadOps  int // total lookups across readers
-	WriteOps int // total committed FASEs across writers
-
-	ElapsedNs float64 // max per-goroutine simulated time (phase wall clock)
-	ReaderNs  float64 // max reader critical path
-	WriterNs  float64 // max writer critical path
-	BusyNs    float64 // aggregate busy time across all goroutines
-
-	ReadsPerSec  float64 // ReadOps / ElapsedNs
-	WritesPerSec float64 // WriteOps / ElapsedNs
-	OpsPerSec    float64 // (ReadOps + WriteOps) / ElapsedNs
-}
-
-func perSec(ops int, ns float64) float64 {
-	if ns <= 0 {
-		return 0
-	}
-	return float64(ops) / (ns / 1e9)
-}
-
 // paceWindowNs is how far ahead of the slowest running goroutine a
 // goroutine may start its next operation: about one single-Set FASE, so
 // writers still overlap in real time and a reader runs a dozen snapshots
@@ -146,11 +121,16 @@ func shardName(i int) string { return fmt.Sprintf("shard-%02d", i) }
 // RunConcurrent executes the concurrent workload and returns its
 // measurement. The MOD engine only: the PMDK baselines are single-
 // threaded by construction (their undo/redo logs are per-heap).
-func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
+//
+// The row's Ops is lookups plus committed FASEs (Extra read_ops and
+// write_ops); ElapsedNs is the maximum per-goroutine simulated time, the
+// phase's wall clock; Extra busy_ns is the aggregate busy time across all
+// goroutines.
+func RunConcurrent(cfg ConcurrentConfig) (Row, error) {
 	cfg.defaults()
 	db, _, err := core.Open(pmem.DefaultConfig(cfg.ArenaBytes))
 	if err != nil {
-		return ConcurrentResult{}, err
+		return Row{}, err
 	}
 	defer db.Close()
 	store := db.Store()
@@ -161,7 +141,7 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 	for s := 0; s < cfg.Shards; s++ {
 		m, err := store.Map(shardName(s))
 		if err != nil {
-			return ConcurrentResult{}, err
+			return Row{}, err
 		}
 		for k := 0; k < cfg.PreloadKeys; k++ {
 			key := fmt.Sprintf("key-%06d", k)
@@ -170,14 +150,14 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 		}
 	}
 	store.Sync()
+	statsBase := dev.Stats()
 	busyBase := dev.Clock() // exclude preload from the measured phase
 
 	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		readerMax float64
-		writerMax float64
-		firstErr  error
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		maxNs    float64 // slowest goroutine's simulated clock
+		firstErr error
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -224,9 +204,7 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 			}
 			ns := st.Device().LocalNs()
 			mu.Lock()
-			if ns > writerMax {
-				writerMax = ns
-			}
+			maxNs = max(maxNs, ns)
 			mu.Unlock()
 		}(w)
 	}
@@ -270,36 +248,22 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 			}
 			ns := st.Device().LocalNs()
 			mu.Lock()
-			if ns > readerMax {
-				readerMax = ns
-			}
+			maxNs = max(maxNs, ns)
 			mu.Unlock()
 		}(rd)
 	}
 
 	wg.Wait()
 	if firstErr != nil {
-		return ConcurrentResult{}, firstErr
+		return Row{}, firstErr
 	}
-	busy := dev.Clock() - busyBase // before Sync: measured phase only
+	// Before Sync: measured phase only.
+	readOps, writeOps := cfg.Readers*cfg.ReaderOps, cfg.Writers*cfg.WriterOps
+	res := NewRow(fmt.Sprintf("concurrent/r%d", cfg.Readers), readOps+writeOps,
+		dev.Stats().Sub(statsBase), maxNs)
+	res.Extra["read_ops"] = float64(readOps)
+	res.Extra["write_ops"] = float64(writeOps)
+	res.Extra["busy_ns"] = dev.Clock() - busyBase
 	store.Sync()
-
-	res := ConcurrentResult{
-		Readers:  cfg.Readers,
-		Writers:  cfg.Writers,
-		Shards:   cfg.Shards,
-		ReadOps:  cfg.Readers * cfg.ReaderOps,
-		WriteOps: cfg.Writers * cfg.WriterOps,
-		ReaderNs: readerMax,
-		WriterNs: writerMax,
-		BusyNs:   busy,
-	}
-	res.ElapsedNs = readerMax
-	if writerMax > res.ElapsedNs {
-		res.ElapsedNs = writerMax
-	}
-	res.ReadsPerSec = perSec(res.ReadOps, res.ElapsedNs)
-	res.WritesPerSec = perSec(res.WriteOps, res.ElapsedNs)
-	res.OpsPerSec = perSec(res.ReadOps+res.WriteOps, res.ElapsedNs)
 	return res, nil
 }

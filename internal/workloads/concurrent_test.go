@@ -20,13 +20,13 @@ func TestRunConcurrentCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ReadOps != 2*600 || res.WriteOps != 2*150 {
+	if res.Extra["read_ops"] != 2*600 || res.Extra["write_ops"] != 2*150 {
 		t.Fatalf("op counts wrong: %+v", res)
 	}
-	if res.ElapsedNs <= 0 || res.BusyNs < res.ElapsedNs {
-		t.Fatalf("implausible times: elapsed=%v busy=%v", res.ElapsedNs, res.BusyNs)
+	if res.ElapsedNs <= 0 || res.Extra["busy_ns"] < res.ElapsedNs {
+		t.Fatalf("implausible times: elapsed=%v busy=%v", res.ElapsedNs, res.Extra["busy_ns"])
 	}
-	if res.OpsPerSec <= 0 {
+	if res.OpsPerSec() <= 0 {
 		t.Fatal("no throughput reported")
 	}
 }
@@ -44,12 +44,13 @@ func TestRunConcurrentScalesWithReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if four.OpsPerSec <= one.OpsPerSec*1.5 {
+	if four.OpsPerSec() <= one.OpsPerSec()*1.5 {
 		t.Fatalf("throughput did not scale with readers: 1 reader %.0f ops/s, 4 readers %.0f ops/s",
-			one.OpsPerSec, four.OpsPerSec)
+			one.OpsPerSec(), four.OpsPerSec())
 	}
-	if four.ReadsPerSec <= one.ReadsPerSec*2 {
-		t.Fatalf("read throughput did not scale: %.0f -> %.0f", one.ReadsPerSec, four.ReadsPerSec)
+	oneReads, fourReads := one.Rate(one.Extra["read_ops"]), four.Rate(four.Extra["read_ops"])
+	if fourReads <= oneReads*2 {
+		t.Fatalf("read throughput did not scale: %.0f -> %.0f", oneReads, fourReads)
 	}
 }
 
@@ -61,10 +62,10 @@ func TestRunConcurrentWriterOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ReadOps != 0 || res.WriteOps != 300 {
+	if res.Extra["read_ops"] != 0 || res.Extra["write_ops"] != 300 {
 		t.Fatalf("op counts wrong: %+v", res)
 	}
-	if res.WritesPerSec <= 0 {
+	if res.Rate(res.Extra["write_ops"]) <= 0 {
 		t.Fatal("no write throughput")
 	}
 }

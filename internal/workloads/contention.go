@@ -66,39 +66,12 @@ func (c *ContentionConfig) defaults() {
 	}
 }
 
-// ContentionResult reports one contention measurement. Times are
-// simulated nanoseconds; throughput is ops per simulated second.
-type ContentionResult struct {
-	Writers int
-	Mode    string // "mutex" or "cas"
-	Ops     int    // total committed updates across writers
-
-	ElapsedNs float64 // max per-goroutine simulated time
-	OpsPerSec float64 // Ops / ElapsedNs
-
-	Fences      uint64  // device fences in the measured phase
-	FencesPerOp float64 // Fences / Ops
-
-	// Commit-tier counters for the measured phase (FastWins == Ops and
-	// nothing else in mutex mode).
-	Commit core.CommitStats
-}
-
-func subCommitStats(a, b core.CommitStats) core.CommitStats {
-	return core.CommitStats{
-		FastWins:      a.FastWins - b.FastWins,
-		FastAborts:    a.FastAborts - b.FastAborts,
-		FastLosses:    a.FastLosses - b.FastLosses,
-		Combines:      a.Combines - b.Combines,
-		CombinedOps:   a.CombinedOps - b.CombinedOps,
-		LockedCommits: a.LockedCommits - b.LockedCommits,
-	}
-}
-
 // RunContention executes the contention workload and returns its
 // measurement. MOD engine only: the baselines under comparison are the
-// two commit tiers of the same engine.
-func RunContention(cfg ContentionConfig) (ContentionResult, error) {
+// two commit tiers of the same engine. Ops is total committed updates
+// across writers; Extra carries the commit-tier counters of the measured
+// phase (fast_wins == Ops and nothing else in mutex mode).
+func RunContention(cfg ContentionConfig) (Row, error) {
 	cfg.defaults()
 	pcfg := pmem.DefaultConfig(cfg.ArenaBytes)
 	// One cache hierarchy is shared by every handle, so its hit pattern
@@ -109,7 +82,7 @@ func RunContention(cfg ContentionConfig) (ContentionResult, error) {
 	pcfg.DisableCache = true
 	db, _, err := core.Open(pcfg)
 	if err != nil {
-		return ContentionResult{}, err
+		return Row{}, err
 	}
 	defer db.Close()
 	store := db.Store()
@@ -118,7 +91,7 @@ func RunContention(cfg ContentionConfig) (ContentionResult, error) {
 	// Preload the shared root serially on the main handle.
 	m, err := store.Map("contended")
 	if err != nil {
-		return ContentionResult{}, err
+		return Row{}, err
 	}
 	preloadRng := rng{state: cfg.Seed}
 	for k := 0; k < cfg.Keyspace; k++ {
@@ -144,11 +117,22 @@ func RunContention(cfg ContentionConfig) (ContentionResult, error) {
 		// the previous one and records its own exit time.
 		serialMu  sync.Mutex
 		busyUntil float64
+
+		// Cas mode. The writers are paced by simulated clock (pacer,
+		// concurrent.go) so none runs its whole budget before another
+		// starts: unpaced they either never overlap — every op a
+		// first-try win, and per-goroutine clocks report W independent
+		// runs as W-fold scaling — or pile up on however few CPUs there
+		// are, by machine. Pacing bounds how far the clocks drift apart;
+		// which ops interleave inside the window stays the scheduler's
+		// choice, so the row is held to floors (DESIGN.md §12).
+		pace = make(pacer, cfg.Writers)
 	)
 	for w := 0; w < cfg.Writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer pace.done(w)
 			st := store.Fork()
 			wm, err := st.Map("contended")
 			if err != nil {
@@ -165,6 +149,7 @@ func RunContention(cfg ContentionConfig) (ContentionResult, error) {
 				key := fmt.Sprintf("key-%06d", r.intn(uint64(cfg.Keyspace)))
 				val := fmt.Sprintf("val-%016x", r.next())
 				if !cfg.MutexBaseline {
+					pace.wait(w, d.LocalNs())
 					wm.Set([]byte(key), []byte(val))
 					continue
 				}
@@ -178,34 +163,27 @@ func RunContention(cfg ContentionConfig) (ContentionResult, error) {
 			}
 			ns := d.LocalNs()
 			mu.Lock()
-			if ns > maxNs {
-				maxNs = ns
-			}
+			maxNs = max(maxNs, ns)
 			mu.Unlock()
 		}(w)
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return ContentionResult{}, firstErr
+		return Row{}, firstErr
 	}
-	delta := dev.Stats().Sub(statsBase)
-
 	mode := "cas"
 	if cfg.MutexBaseline {
 		mode = "mutex"
 	}
-	res := ContentionResult{
-		Writers:   cfg.Writers,
-		Mode:      mode,
-		Ops:       cfg.Writers * cfg.OpsPerWriter,
-		ElapsedNs: maxNs,
-		Fences:    delta.Fences,
-		Commit:    subCommitStats(store.CommitStats(), commitBase),
-	}
-	res.OpsPerSec = perSec(res.Ops, res.ElapsedNs)
-	if res.Ops > 0 {
-		res.FencesPerOp = float64(res.Fences) / float64(res.Ops)
-	}
+	res := NewRow(fmt.Sprintf("contention/w%d/%s", cfg.Writers, mode),
+		cfg.Writers*cfg.OpsPerWriter, dev.Stats().Sub(statsBase), maxNs)
+	commit := store.CommitStats()
+	res.Extra["fast_wins"] = float64(commit.FastWins - commitBase.FastWins)
+	res.Extra["fast_aborts"] = float64(commit.FastAborts - commitBase.FastAborts)
+	res.Extra["fast_losses"] = float64(commit.FastLosses - commitBase.FastLosses)
+	res.Extra["combines"] = float64(commit.Combines - commitBase.Combines)
+	res.Extra["combined_ops"] = float64(commit.CombinedOps - commitBase.CombinedOps)
+	res.Extra["locked_commits"] = float64(commit.LockedCommits - commitBase.LockedCommits)
 	store.Sync()
 	return res, nil
 }

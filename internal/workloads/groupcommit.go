@@ -69,34 +69,17 @@ func (c *GroupCommitConfig) defaults() {
 	}
 }
 
-// GroupCommitResult reports one group-commit measurement. Times are
-// simulated nanoseconds; throughput is per simulated second.
-type GroupCommitResult struct {
-	BatchSize int
-	Shards    int
-	Ops       int
-	Async     bool
-
-	Batches uint64 // group commits executed
-	Fences  uint64
-	Flushes uint64
-
-	ElapsedNs float64 // committing goroutine's critical path (busy time in async mode)
-	OpsPerSec float64
-
-	FencesPerOp  float64
-	FlushesPerOp float64
-}
-
 func gcShardName(i int) string { return fmt.Sprintf("gc-shard-%02d", i) }
 
 // RunGroupCommit executes the group-commit workload and returns its
-// measurement.
-func RunGroupCommit(cfg GroupCommitConfig) (GroupCommitResult, error) {
+// measurement: ElapsedNs is the committing goroutine's critical path
+// (aggregate busy time in async mode, which is conservative), Extra
+// batches the group commits executed.
+func RunGroupCommit(cfg GroupCommitConfig) (Row, error) {
 	cfg.defaults()
 	db, _, err := core.Open(pmem.DefaultConfig(cfg.ArenaBytes))
 	if err != nil {
-		return GroupCommitResult{}, err
+		return Row{}, err
 	}
 	defer db.Close()
 	store := db.Store()
@@ -107,7 +90,7 @@ func RunGroupCommit(cfg GroupCommitConfig) (GroupCommitResult, error) {
 	for s := range shards {
 		m, err := store.Map(gcShardName(s))
 		if err != nil {
-			return GroupCommitResult{}, err
+			return Row{}, err
 		}
 		for k := 0; k < cfg.PreloadKeys; k++ {
 			m.Set([]byte(fmt.Sprintf("key-%06d", k)), []byte(fmt.Sprintf("val-%016x", r.next())))
@@ -121,7 +104,7 @@ func RunGroupCommit(cfg GroupCommitConfig) (GroupCommitResult, error) {
 
 	if cfg.Async {
 		if err := runGroupCommitAsync(store, shards, cfg); err != nil {
-			return GroupCommitResult{}, err
+			return Row{}, err
 		}
 	} else {
 		b := store.NewBatch()
@@ -137,24 +120,15 @@ func RunGroupCommit(cfg GroupCommitConfig) (GroupCommitResult, error) {
 		b.Commit()
 	}
 
+	key := fmt.Sprintf("groupcommit/b%d/s%d", cfg.BatchSize, cfg.Shards)
 	elapsed := dev.LocalNs() - nsBase
 	if cfg.Async {
-		elapsed = dev.Clock() - busyBase // aggregate busy: conservative
+		key += "/async"
+		elapsed = dev.Clock() - busyBase
 	}
 	d := dev.Stats().Sub(statsBase)
-	res := GroupCommitResult{
-		BatchSize:    cfg.BatchSize,
-		Shards:       cfg.Shards,
-		Ops:          cfg.Ops,
-		Async:        cfg.Async,
-		Batches:      d.Batches,
-		Fences:       d.Fences,
-		Flushes:      d.Flushes,
-		ElapsedNs:    elapsed,
-		OpsPerSec:    perSec(cfg.Ops, elapsed),
-		FencesPerOp:  float64(d.Fences) / float64(cfg.Ops),
-		FlushesPerOp: float64(d.Flushes) / float64(cfg.Ops),
-	}
+	res := NewRow(key, cfg.Ops, d, elapsed)
+	res.Extra["batches"] = float64(d.Batches)
 	store.Sync()
 	return res, nil
 }

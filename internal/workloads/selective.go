@@ -40,7 +40,7 @@ type SelectiveConfig struct {
 	// VectorPreload is the vector length (updates hit existing slots).
 	VectorPreload int
 	// MeasureRecovery crashes the device after the run and reopens it,
-	// filling the Recovery* result fields.
+	// filling the recovery row.
 	MeasureRecovery bool
 	// Seed drives the deterministic operation stream.
 	Seed uint64
@@ -73,45 +73,24 @@ func (c *SelectiveConfig) defaults() {
 	}
 }
 
-// SelectiveResult reports one selective-persistence measurement. Times
-// are simulated nanoseconds; throughput is per simulated second.
-type SelectiveResult struct {
-	Structure  string
-	Selective  bool
-	OpsPerFASE int
-	Ops        int
-
-	Fences    uint64
-	Flushes   uint64
-	Copies    uint64 // node allocations (path copies + headers + blobs + records)
-	DRAMReads uint64 // node lines served from the volatile cache
-
-	ElapsedNs float64
-	OpsPerSec float64
-
-	FencesPerOp  float64
-	FlushesPerOp float64
-	CopiesPerOp  float64
-
-	// Filled when MeasureRecovery is set: cost of reopening the crashed
-	// image, including the selective rebuild (zero nodes for the normal
-	// flavor, which has nothing to rebuild).
-	RecoveryNs   float64
-	RebuiltNodes uint64
-}
-
 // RunSelective executes the selective-persistence workload and returns
-// its measurement.
-func RunSelective(cfg SelectiveConfig) (SelectiveResult, error) {
+// its measurement (Extra: copies — node allocations: path copies +
+// headers + blobs + records — and dram_reads, node lines served from the
+// volatile cache). With MeasureRecovery it also returns the cost of
+// reopening the crashed image under the same key in the recovery/
+// namespace: Extra recovery_ns (simulated root scan, record replay and
+// navigation rebuild) and rebuilt_nodes (zero for the normal flavor,
+// which has nothing to rebuild).
+func RunSelective(cfg SelectiveConfig) (run, recovery Row, err error) {
 	cfg.defaults()
 	if cfg.Structure != "map" && cfg.Structure != "vector" {
-		return SelectiveResult{}, fmt.Errorf("workloads: unknown selective structure %q", cfg.Structure)
+		return Row{}, Row{}, fmt.Errorf("workloads: unknown selective structure %q", cfg.Structure)
 	}
 	dcfg := pmem.DefaultConfig(cfg.ArenaBytes)
 	dcfg.TrackDurable = cfg.MeasureRecovery
 	db, _, err := core.Open(dcfg)
 	if err != nil {
-		return SelectiveResult{}, err
+		return Row{}, Row{}, err
 	}
 	defer db.Close()
 	store := db.Store()
@@ -130,7 +109,7 @@ func RunSelective(cfg SelectiveConfig) (SelectiveResult, error) {
 		}
 	}
 	if err != nil {
-		return SelectiveResult{}, err
+		return Row{}, Row{}, err
 	}
 
 	r := rng{state: cfg.Seed}
@@ -162,24 +141,15 @@ func RunSelective(cfg SelectiveConfig) (SelectiveResult, error) {
 	}
 	b.Commit()
 
-	elapsed := dev.LocalNs() - nsBase
-	d := dev.Stats().Sub(statsBase)
-	copies := store.Heap().Stats().Allocs - allocBase.Allocs
-	res := SelectiveResult{
-		Structure:    cfg.Structure,
-		Selective:    cfg.Selective,
-		OpsPerFASE:   cfg.OpsPerFASE,
-		Ops:          cfg.Ops,
-		Fences:       d.Fences,
-		Flushes:      d.Flushes,
-		Copies:       copies,
-		DRAMReads:    d.DRAMReads,
-		ElapsedNs:    elapsed,
-		OpsPerSec:    perSec(cfg.Ops, elapsed),
-		FencesPerOp:  float64(d.Fences) / float64(cfg.Ops),
-		FlushesPerOp: float64(d.Flushes) / float64(cfg.Ops),
-		CopiesPerOp:  float64(copies) / float64(cfg.Ops),
+	mode := "all"
+	if cfg.Selective {
+		mode = "sel"
 	}
+	point := fmt.Sprintf("%s/%s/b%d", cfg.Structure, mode, cfg.OpsPerFASE)
+	d := dev.Stats().Sub(statsBase)
+	run = NewRow("selective/"+point, cfg.Ops, d, dev.LocalNs()-nsBase)
+	run.Extra["copies"] = float64(store.Heap().Stats().Allocs - allocBase.Allocs)
+	run.Extra["dram_reads"] = float64(d.DRAMReads)
 	store.Sync()
 
 	if cfg.MeasureRecovery {
@@ -187,34 +157,36 @@ func RunSelective(cfg SelectiveConfig) (SelectiveResult, error) {
 		rcfg := pmem.DefaultConfig(cfg.ArenaBytes)
 		db2, _, err := core.Open(rcfg, core.WithExistingImages([][]byte{img}))
 		if err != nil {
-			return SelectiveResult{}, fmt.Errorf("workloads: selective reopen: %w", err)
+			return Row{}, Row{}, fmt.Errorf("workloads: selective reopen: %w", err)
 		}
 		defer db2.Close()
 		store2 := db2.Store()
 		rs := store2.Device().Stats()
-		res.RecoveryNs = rs.RecoveryNs
-		res.RebuiltNodes = rs.RebuiltNodes
+		recovery = Row{Key: "recovery/" + point, Ops: cfg.Ops, Extra: map[string]float64{
+			"recovery_ns":   rs.RecoveryNs,
+			"rebuilt_nodes": float64(rs.RebuiltNodes),
+		}}
 		// Sanity: the recovered structure must answer reads.
 		if cfg.Structure == "map" {
 			m2, err := store2.Map("sel-map")
 			if err != nil {
-				return SelectiveResult{}, err
+				return Row{}, Row{}, err
 			}
 			if m2.Len() == 0 {
-				return SelectiveResult{}, fmt.Errorf("workloads: selective recovery lost the map")
+				return Row{}, Row{}, fmt.Errorf("workloads: selective recovery lost the map")
 			}
 		} else {
 			v2, err := store2.Vector("sel-vec")
 			if err != nil {
-				return SelectiveResult{}, err
+				return Row{}, Row{}, err
 			}
 			if int(v2.Len()) != cfg.VectorPreload {
-				return SelectiveResult{}, fmt.Errorf("workloads: selective recovery lost vector slots: len %d != %d",
+				return Row{}, Row{}, fmt.Errorf("workloads: selective recovery lost vector slots: len %d != %d",
 					v2.Len(), cfg.VectorPreload)
 			}
 		}
 	}
-	return res, nil
+	return run, recovery, nil
 }
 
 // u64le encodes a uint64 as its 8 little-endian bytes — the fixed-width

@@ -33,33 +33,33 @@ func TestSelectiveFlushGate(t *testing.T) {
 		off := base
 		on := base
 		on.Selective = true
-		offRes, err := RunSelective(off)
+		offRes, offRec, err := RunSelective(off)
 		if err != nil {
 			t.Fatalf("%s persist-all: %v", structure, err)
 		}
-		onRes, err := RunSelective(on)
+		onRes, onRec, err := RunSelective(on)
 		if err != nil {
 			t.Fatalf("%s selective: %v", structure, err)
 		}
-		ratio := offRes.FlushesPerOp / onRes.FlushesPerOp
+		ratio := offRes.FlushesPerOp() / onRes.FlushesPerOp()
 		t.Logf("%s: flushes/op %.2f (persist-all) vs %.2f (selective), %.2fx",
-			structure, offRes.FlushesPerOp, onRes.FlushesPerOp, ratio)
-		if onRes.FlushesPerOp > tc.ceiling {
-			t.Errorf("%s: selective flushes/op %.2f above its ceiling %.2f", structure, onRes.FlushesPerOp, tc.ceiling)
+			structure, offRes.FlushesPerOp(), onRes.FlushesPerOp(), ratio)
+		if onRes.FlushesPerOp() > tc.ceiling {
+			t.Errorf("%s: selective flushes/op %.2f above its ceiling %.2f", structure, onRes.FlushesPerOp(), tc.ceiling)
 		}
 		if ratio <= 1 {
 			t.Errorf("%s: selective flushes no fewer lines than persist-all", structure)
 		}
-		if want := uint64(base.PreloadKeys + base.Ops); onRes.RebuiltNodes != want {
-			t.Errorf("%s: selective recovery replayed %d records (want %d)", structure, onRes.RebuiltNodes, want)
+		if want := uint64(base.PreloadKeys + base.Ops); uint64(onRec.Extra["rebuilt_nodes"]) != want {
+			t.Errorf("%s: selective recovery replayed %d records (want %d)", structure, uint64(onRec.Extra["rebuilt_nodes"]), want)
 		}
-		if onRes.RecoveryNs <= 0 {
+		if onRec.Extra["recovery_ns"] <= 0 {
 			t.Errorf("%s: selective recovery reported no simulated time", structure)
 		}
-		if offRes.RebuiltNodes != 0 {
-			t.Errorf("%s: persist-all recovery rebuilt %d nodes (want 0)", structure, offRes.RebuiltNodes)
+		if n := offRec.Extra["rebuilt_nodes"]; n != 0 {
+			t.Errorf("%s: persist-all recovery rebuilt %.0f nodes (want 0)", structure, n)
 		}
-		if structure == "map" && onRes.DRAMReads == 0 {
+		if structure == "map" && onRes.Extra["dram_reads"] == 0 {
 			t.Errorf("map: selective run served no node reads from the DRAM cache")
 		}
 	}

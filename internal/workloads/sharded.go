@@ -90,41 +90,18 @@ func (c *ShardedConfig) defaults() {
 	}
 }
 
-// ShardedResult reports one sharded measurement. Times are simulated
-// nanoseconds; throughput is per simulated second of the critical path.
-type ShardedResult struct {
-	Shards     int
-	Writers    int
-	BatchSize  int
-	CrossShard bool
-	Parallel   bool
-	Ops        int
-
-	Fences  uint64
-	Flushes uint64
-
-	FencesPerOp  float64
-	FlushesPerOp float64
-
-	// ElapsedNs is the critical path: the busiest region's busy time.
-	ElapsedNs float64
-	// BusyNs is the total busy time summed over regions.
-	BusyNs    float64
-	OpsPerSec float64
-	// ShardBusyNs breaks the run down per shard region (metadata region
-	// excluded), for balance inspection.
-	ShardBusyNs []float64
-}
-
 func shardedMapName(w int) string { return fmt.Sprintf("sh-w%02d", w) }
 
-// RunSharded executes the sharded workload and returns its measurement.
-func RunSharded(cfg ShardedConfig) (ShardedResult, error) {
+// RunSharded executes the sharded workload and returns its measurement:
+// ElapsedNs is the critical path (the busiest region's busy time), Extra
+// busy_ns the busy time summed over regions. The key's last segment is
+// the commit discipline: perop, batch/bN, cross/bN, or parallel.
+func RunSharded(cfg ShardedConfig) (Row, error) {
 	cfg.defaults()
 	devCfg := pmem.DefaultConfig(cfg.ArenaBytes)
 	db, _, err := core.Open(devCfg, core.WithShards(cfg.Shards))
 	if err != nil {
-		return ShardedResult{}, err
+		return Row{}, err
 	}
 	defer db.Close()
 
@@ -135,7 +112,7 @@ func RunSharded(cfg ShardedConfig) (ShardedResult, error) {
 	for w := range maps {
 		m, err := db.Shard(w % cfg.Shards).Map(shardedMapName(w))
 		if err != nil {
-			return ShardedResult{}, err
+			return Row{}, err
 		}
 		for k := 0; k < cfg.PreloadKeys; k++ {
 			m.Set([]byte(fmt.Sprintf("key-%06d", k)), []byte(fmt.Sprintf("val-%016x", r.next())))
@@ -211,45 +188,36 @@ func RunSharded(cfg ShardedConfig) (ShardedResult, error) {
 		}
 		for w := 0; w < cfg.Writers; w++ {
 			if err := <-errs; err != nil {
-				return ShardedResult{}, err
+				return Row{}, err
 			}
 		}
 	} else {
 		for w := 0; w < cfg.Writers; w++ {
 			next := maps[(w+1)%cfg.Writers]
 			if err := runWriter(db, w, maps[w], next); err != nil {
-				return ShardedResult{}, err
+				return Row{}, err
 			}
 		}
 	}
 
-	res := ShardedResult{
-		Shards:     cfg.Shards,
-		Writers:    cfg.Writers,
-		BatchSize:  cfg.BatchSize,
-		CrossShard: cfg.CrossShard,
-		Parallel:   cfg.Parallel,
-		Ops:        cfg.Ops,
-	}
 	var elapsed, busy float64
 	for i := 0; i < regions.Len(); i++ {
 		d := regions.Device(i).Clock() - clockBase[i]
 		busy += d
-		if d > elapsed {
-			elapsed = d
-		}
-		if i < cfg.Shards {
-			res.ShardBusyNs = append(res.ShardBusyNs, d)
-		}
+		elapsed = max(elapsed, d)
 	}
-	ds := db.Stats().Sub(statsBase)
-	res.Fences = ds.Fences
-	res.Flushes = ds.Flushes
-	res.FencesPerOp = float64(ds.Fences) / float64(cfg.Ops)
-	res.FlushesPerOp = float64(ds.Flushes) / float64(cfg.Ops)
-	res.ElapsedNs = elapsed
-	res.BusyNs = busy
-	res.OpsPerSec = perSec(cfg.Ops, elapsed)
+	mode := "perop"
+	switch {
+	case cfg.Parallel:
+		mode = "parallel"
+	case cfg.CrossShard:
+		mode = fmt.Sprintf("cross/b%d", cfg.BatchSize)
+	case cfg.BatchSize > 1:
+		mode = fmt.Sprintf("batch/b%d", cfg.BatchSize)
+	}
+	res := NewRow(fmt.Sprintf("sharded/s%d/w%d/%s", cfg.Shards, cfg.Writers, mode),
+		cfg.Ops, db.Stats().Sub(statsBase), elapsed)
+	res.Extra["busy_ns"] = busy
 	db.Sync()
 	return res, nil
 }

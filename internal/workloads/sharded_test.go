@@ -26,8 +26,8 @@ func TestRunShardedFencesPerOp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.FencesPerOp != 1.0 {
-			t.Errorf("S=%d: fences/op = %v, want exactly 1", shards, res.FencesPerOp)
+		if res.FencesPerOp() != 1.0 {
+			t.Errorf("S=%d: fences/op = %v, want exactly 1", shards, res.FencesPerOp())
 		}
 	}
 }
@@ -43,7 +43,7 @@ func TestRunShardedSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if speedup := wide.OpsPerSec / base.OpsPerSec; speedup < 2 {
+	if speedup := wide.OpsPerSec() / base.OpsPerSec(); speedup < 2 {
 		t.Errorf("S=4/W=4 speedup = %.2fx over S=1/W=4, want >= 2x", speedup)
 	}
 	// The op budget spreads over shards, so the critical path shrinks.
@@ -62,10 +62,10 @@ func TestRunShardedCrossShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each 16-op batch spans 2 shards: 2*2+3 = 7 fences per 16 ops.
-	if res.FencesPerOp > 7.0/16.0+0.1 {
-		t.Errorf("cross-shard fences/op = %v, want <= ~%v", res.FencesPerOp, 7.0/16.0)
+	if res.FencesPerOp() > 7.0/16.0+0.1 {
+		t.Errorf("cross-shard fences/op = %v, want <= ~%v", res.FencesPerOp(), 7.0/16.0)
 	}
-	if res.Fences == 0 || res.OpsPerSec <= 0 {
+	if res.Fences == 0 || res.OpsPerSec() <= 0 {
 		t.Fatalf("degenerate result: %+v", res)
 	}
 }
@@ -76,7 +76,7 @@ func TestRunShardedParallelMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ops != 200 || res.OpsPerSec <= 0 {
+	if res.Ops != 200 || res.OpsPerSec() <= 0 {
 		t.Fatalf("degenerate parallel result: %+v", res)
 	}
 }

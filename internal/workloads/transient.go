@@ -57,33 +57,15 @@ func (c *TransientConfig) defaults() {
 	}
 }
 
-// TransientResult reports one transient measurement. Times are simulated
-// nanoseconds; throughput is per simulated second.
-type TransientResult struct {
-	OpsPerFASE int
-	Ops        int
-
-	Fences       uint64
-	Flushes      uint64
-	FlushesSaved uint64 // clwbs avoided by flush-set deduplication
-	Copies       uint64 // node allocations (path copies + headers + blobs)
-	CopiesElided uint64 // in-place mutations that avoided a node copy
-
-	ElapsedNs float64
-	OpsPerSec float64
-
-	FencesPerOp  float64
-	FlushesPerOp float64
-	CopiesPerOp  float64
-}
-
 // RunTransient executes the transient workload and returns its
-// measurement.
-func RunTransient(cfg TransientConfig) (TransientResult, error) {
+// measurement. Extra: copies (node allocations: path copies + headers +
+// blobs), copies_elided (in-place mutations that avoided a node copy),
+// flushes_saved (clwbs avoided by flush-set deduplication).
+func RunTransient(cfg TransientConfig) (Row, error) {
 	cfg.defaults()
 	db, _, err := core.Open(pmem.DefaultConfig(cfg.ArenaBytes))
 	if err != nil {
-		return TransientResult{}, err
+		return Row{}, err
 	}
 	defer db.Close()
 	store := db.Store()
@@ -91,11 +73,11 @@ func RunTransient(cfg TransientConfig) (TransientResult, error) {
 
 	m, err := store.Map("transient-map")
 	if err != nil {
-		return TransientResult{}, err
+		return Row{}, err
 	}
 	v, err := store.Vector("transient-vec")
 	if err != nil {
-		return TransientResult{}, err
+		return Row{}, err
 	}
 	r := rng{state: cfg.Seed}
 	for k := 0; k < cfg.PreloadKeys; k++ {
@@ -124,23 +106,11 @@ func RunTransient(cfg TransientConfig) (TransientResult, error) {
 	}
 	b.Commit()
 
-	elapsed := dev.LocalNs() - nsBase
 	d := dev.Stats().Sub(statsBase)
-	copies := store.Heap().Stats().Allocs - allocBase.Allocs
-	res := TransientResult{
-		OpsPerFASE:   cfg.OpsPerFASE,
-		Ops:          cfg.Ops,
-		Fences:       d.Fences,
-		Flushes:      d.Flushes,
-		FlushesSaved: d.FlushesSaved,
-		Copies:       copies,
-		CopiesElided: d.CopiesElided,
-		ElapsedNs:    elapsed,
-		OpsPerSec:    perSec(cfg.Ops, elapsed),
-		FencesPerOp:  float64(d.Fences) / float64(cfg.Ops),
-		FlushesPerOp: float64(d.Flushes) / float64(cfg.Ops),
-		CopiesPerOp:  float64(copies) / float64(cfg.Ops),
-	}
+	res := NewRow(fmt.Sprintf("transient/b%d", cfg.OpsPerFASE), cfg.Ops, d, dev.LocalNs()-nsBase)
+	res.Extra["copies"] = float64(store.Heap().Stats().Allocs - allocBase.Allocs)
+	res.Extra["copies_elided"] = float64(d.CopiesElided)
+	res.Extra["flushes_saved"] = float64(d.FlushesSaved)
 	store.Sync()
 	return res, nil
 }

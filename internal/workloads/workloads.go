@@ -59,42 +59,28 @@ type Config struct {
 	ArenaBytes int64
 }
 
-// Result is one workload × engine measurement.
+// Result is one workload × engine measurement: its Row (key
+// "workload/engine"; ElapsedNs is the simulated time, whose other_ns /
+// flush_ns / log_ns split and the workload's own outputs, e.g. the bfs
+// visited count, ride in Extra) plus the cache and allocator views the
+// paper's figures read.
 type Result struct {
+	Row
 	Workload string
 	Engine   string
-	Ops      int
-
-	// Simulated time (ns) split by category.
-	SimNs   float64
-	OtherNs float64
-	FlushNs float64
-	LogNs   float64
-
-	Flushes uint64
-	Fences  uint64
 
 	Cache cachesim.Stats
 
 	// Allocator view at the end of the measured region.
 	LiveBytes uint64
 	CumBytes  uint64
-
-	// Extra carries workload-specific outputs (e.g. bfs visited count).
-	Extra map[string]float64
 }
 
-// FlushesPerOp returns average flushes per operation.
-func (r Result) FlushesPerOp() float64 { return float64(r.Flushes) / float64(r.Ops) }
-
-// FencesPerOp returns average fences per operation.
-func (r Result) FencesPerOp() float64 { return float64(r.Fences) / float64(r.Ops) }
-
 // FlushFrac returns the fraction of simulated time spent flushing.
-func (r Result) FlushFrac() float64 { return r.FlushNs / r.SimNs }
+func (r Result) FlushFrac() float64 { return r.Frac("flush_ns") }
 
 // LogFrac returns the fraction of simulated time spent logging.
-func (r Result) LogFrac() float64 { return r.LogNs / r.SimNs }
+func (r Result) LogFrac() float64 { return r.Frac("log_ns") }
 
 // env bundles the engine-specific machinery for one run.
 type env struct {
@@ -185,18 +171,19 @@ func Run(name string, engine Engine, cfg Config) (Result, error) {
 			return Result{}, err
 		}
 	}
-	res := Result{Workload: name, Engine: engine.String(), Ops: cfg.Ops, Extra: map[string]float64{}}
+	// The runner fills Extra and may renormalize Ops (bfs) before the
+	// measured delta is known.
+	res := Result{Workload: name, Engine: engine.String()}
+	res.Row = Row{Key: name + "/" + res.Engine, Ops: cfg.Ops, Extra: map[string]float64{}}
 	before := e.dev.Stats()
 	if err := r.run(e, rnd, cfg.Ops, &res); err != nil {
 		return Result{}, err
 	}
 	delta := e.dev.Stats().Sub(before)
-	res.SimNs = delta.TotalNs
-	res.OtherNs = delta.CatNs[pmem.CatOther]
-	res.FlushNs = delta.CatNs[pmem.CatFlush]
-	res.LogNs = delta.CatNs[pmem.CatLog]
-	res.Flushes = delta.Flushes
-	res.Fences = delta.Fences
+	res.cost(delta, delta.TotalNs)
+	res.Extra["other_ns"] = delta.CatNs[pmem.CatOther]
+	res.Extra["flush_ns"] = delta.CatNs[pmem.CatFlush]
+	res.Extra["log_ns"] = delta.CatNs[pmem.CatLog]
 	res.Cache = delta.Cache
 	hs := e.heap.Stats()
 	res.LiveBytes = hs.LiveBytes

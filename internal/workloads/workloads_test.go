@@ -14,7 +14,7 @@ func TestAllWorkloadsAllEnginesComplete(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, engine, err)
 			}
-			if res.SimNs <= 0 {
+			if res.ElapsedNs <= 0 {
 				t.Fatalf("%s/%s: no simulated time", name, engine)
 			}
 			if res.Fences == 0 {
@@ -23,9 +23,9 @@ func TestAllWorkloadsAllEnginesComplete(t *testing.T) {
 			if res.Workload != name || res.Engine != engine.String() {
 				t.Fatalf("%s/%s: mislabeled result %+v", name, engine, res)
 			}
-			sum := res.OtherNs + res.FlushNs + res.LogNs
-			if diff := sum - res.SimNs; diff > 1e-3 || diff < -1e-3 {
-				t.Fatalf("%s/%s: categories %.1f do not sum to total %.1f", name, engine, sum, res.SimNs)
+			sum := res.Extra["other_ns"] + res.Extra["flush_ns"] + res.Extra["log_ns"]
+			if diff := sum - res.ElapsedNs; diff > 1e-3 || diff < -1e-3 {
+				t.Fatalf("%s/%s: categories %.1f do not sum to total %.1f", name, engine, sum, res.ElapsedNs)
 			}
 		}
 	}
@@ -46,7 +46,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.SimNs != b.SimNs || a.Flushes != b.Flushes || a.Fences != b.Fences {
+	if a.ElapsedNs != b.ElapsedNs || a.Flushes != b.Flushes || a.Fences != b.Fences {
 		t.Fatalf("runs not deterministic: %+v vs %+v", a, b)
 	}
 }
@@ -88,8 +88,8 @@ func TestMODFasterThanPMDKOnPointerStructures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mod.SimNs >= pmdk.SimNs {
-			t.Errorf("%s: MOD (%.0f ns) not faster than PMDK v1.5 (%.0f ns)", name, mod.SimNs, pmdk.SimNs)
+		if mod.ElapsedNs >= pmdk.ElapsedNs {
+			t.Errorf("%s: MOD (%.0f ns) not faster than PMDK v1.5 (%.0f ns)", name, mod.ElapsedNs, pmdk.ElapsedNs)
 		}
 	}
 }
@@ -110,8 +110,8 @@ func TestMODFasterThanPMDKOnVectorWithMoreFlushes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mod.SimNs >= pmdk.SimNs {
-			t.Errorf("%s: MOD (%.0f ns) not faster than PMDK v1.5 (%.0f ns)", name, mod.SimNs, pmdk.SimNs)
+		if mod.ElapsedNs >= pmdk.ElapsedNs {
+			t.Errorf("%s: MOD (%.0f ns) not faster than PMDK v1.5 (%.0f ns)", name, mod.ElapsedNs, pmdk.ElapsedNs)
 		}
 		if mod.Flushes <= pmdk.Flushes || mod.Fences >= pmdk.Fences {
 			t.Errorf("%s: MOD %d flushes / %d fences vs PMDK %d / %d, want more flushes under fewer fences",
@@ -130,8 +130,8 @@ func TestV15FasterThanV14(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mod15.SimNs >= mod14.SimNs {
-		t.Fatalf("v1.5 (%.0f) not faster than v1.4 (%.0f)", mod15.SimNs, mod14.SimNs)
+	if mod15.ElapsedNs >= mod14.ElapsedNs {
+		t.Fatalf("v1.5 (%.0f) not faster than v1.4 (%.0f)", mod15.ElapsedNs, mod14.ElapsedNs)
 	}
 }
 
