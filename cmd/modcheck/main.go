@@ -321,7 +321,7 @@ func runCorrupt(ops, trials int) error {
 	}
 	openOpts := func(imgs [][]byte) []core.Option {
 		return []core.Option{
-			core.WithSelective(4), core.WithNodeCache(),
+			core.WithSelective(4),
 			core.WithExistingImages(imgs), core.WithVerify(), core.WithSalvage(),
 		}
 	}
@@ -330,7 +330,7 @@ func runCorrupt(ops, trials int) error {
 	// image torn stores revert to; img is the committed image each trial
 	// damages a copy of.
 	cfg := pmem.DefaultConfig(16 << 20)
-	db, _, err := core.Open(cfg, core.WithSelective(4), core.WithNodeCache())
+	db, _, err := core.Open(cfg, core.WithSelective(4))
 	if err != nil {
 		return err
 	}

@@ -41,8 +41,7 @@ func main() {
 		roots     = flag.Int("roots", server.DefaultRoots, "map roots keys spread across")
 		committer = flag.Int("committer", core.DefaultCommitterMaxOps, "group committer epoch cap (0 = default)")
 		linger    = flag.Duration("linger", 50*time.Microsecond, "committer settle-fence collection window")
-		selective = flag.Bool("selective", false, "selectively persisted structures")
-		nodecache = flag.Bool("nodecache", false, "DRAM node cache")
+		selective = flag.Bool("selective", false, "selectively persisted structures, DRAM node cache on")
 		verbose   = flag.Bool("v", false, "log every command")
 		opTimeout = flag.Duration("op-timeout", 0, "per-op timeout middleware (0 = off)")
 		maxConns  = flag.Int("max-conns", 0, "connection limit middleware (0 = off)")
@@ -65,9 +64,6 @@ func main() {
 	}
 	if *selective {
 		opts = append(opts, core.WithSelective(0))
-	}
-	if *nodecache {
-		opts = append(opts, core.WithNodeCache())
 	}
 	var (
 		db   *core.DB

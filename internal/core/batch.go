@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/mod-ds/mod/internal/alloc"
-	"github.com/mod-ds/mod/internal/funcds"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -125,7 +123,7 @@ func (b *Batch) Len() int { return len(b.ops) }
 
 // shardOf resolves the index of the store owning a datastructure.
 func (b *Batch) shardOf(ds Datastructure) int {
-	sh := ds.store().sh
+	sh := ds.base().st.sh
 	for i, s := range b.shards {
 		if s.sh == sh {
 			return i
@@ -136,7 +134,7 @@ func (b *Batch) shardOf(ds Datastructure) int {
 
 // addOp queues one deferred update of ds.
 func (b *Batch) addOp(ds Datastructure, apply rootOp) {
-	if ds.location().parent != nil {
+	if ds.base().loc.parent != nil {
 		panic(fmt.Sprintf("core: batched update of parent-bound %q (batches require root-bound datastructures; use CommitSiblings)", ds.Name()))
 	}
 	if si := b.shardOf(ds); len(b.ops) == 0 {
@@ -166,86 +164,41 @@ func (b *Batch) split(ops []batchOp) [][]batchOp {
 	return per
 }
 
-// MapSet queues binding key to val in m. Key and value are copied, so
-// the caller may reuse its buffers immediately.
+// The batched updates are the Basic interface's rootOps (handles.go)
+// with their results discarded; keys and values are copied, so the
+// caller may reuse its buffers immediately.
+
+// MapSet queues binding key to val in m.
 func (b *Batch) MapSet(m *Map, key, val []byte) {
-	k, v := slices.Clone(key), slices.Clone(val)
-	b.addOp(m, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, _ := funcds.MapAt(s.heap, cur).WithEdit(ed).Set(k, v)
-		return next.Addr()
-	})
+	b.addOp(m, mapSet(slices.Clone(key), slices.Clone(val), nil))
 }
 
 // MapDelete queues removing key from m.
-func (b *Batch) MapDelete(m *Map, key []byte) {
-	k := slices.Clone(key)
-	b.addOp(m, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, _ := funcds.MapAt(s.heap, cur).WithEdit(ed).Delete(k)
-		return next.Addr()
-	})
-}
+func (b *Batch) MapDelete(m *Map, key []byte) { b.addOp(m, mapDelete(slices.Clone(key), nil)) }
 
 // SetInsert queues adding key to st.
-func (b *Batch) SetInsert(st *Set, key []byte) {
-	k := slices.Clone(key)
-	b.addOp(st, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, _ := funcds.SetDSAt(s.heap, cur).WithEdit(ed).Insert(k)
-		return next.Addr()
-	})
-}
+func (b *Batch) SetInsert(st *Set, key []byte) { b.addOp(st, setInsert(slices.Clone(key), nil)) }
 
 // SetDelete queues removing key from st.
-func (b *Batch) SetDelete(st *Set, key []byte) {
-	k := slices.Clone(key)
-	b.addOp(st, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, _ := funcds.SetDSAt(s.heap, cur).WithEdit(ed).Delete(k)
-		return next.Addr()
-	})
-}
+func (b *Batch) SetDelete(st *Set, key []byte) { b.addOp(st, setDelete(slices.Clone(key), nil)) }
 
 // VectorPush queues appending val to v.
-func (b *Batch) VectorPush(v *Vector, val uint64) {
-	b.addOp(v, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		return funcds.VectorAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
-	})
-}
+func (b *Batch) VectorPush(v *Vector, val uint64) { b.addOp(v, vectorPush(val)) }
 
 // VectorUpdate queues replacing element i of v with val.
-func (b *Batch) VectorUpdate(v *Vector, i uint64, val uint64) {
-	b.addOp(v, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		return funcds.VectorAt(s.heap, cur).WithEdit(ed).Update(i, val).Addr()
-	})
-}
+func (b *Batch) VectorUpdate(v *Vector, i uint64, val uint64) { b.addOp(v, vectorUpdate(i, val)) }
 
 // StackPush queues pushing val onto st.
-func (b *Batch) StackPush(st *Stack, val uint64) {
-	b.addOp(st, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		return funcds.StackAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
-	})
-}
+func (b *Batch) StackPush(st *Stack, val uint64) { b.addOp(st, stackPush(val)) }
 
 // StackPop queues removing the top element of st (no-op on empty).
-func (b *Batch) StackPop(st *Stack) {
-	b.addOp(st, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, _, _ := funcds.StackAt(s.heap, cur).WithEdit(ed).Pop()
-		return next.Addr()
-	})
-}
+func (b *Batch) StackPop(st *Stack) { b.addOp(st, stackPop(nil)) }
 
 // QueueEnqueue queues appending val at the tail of q.
-func (b *Batch) QueueEnqueue(q *Queue, val uint64) {
-	b.addOp(q, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		return funcds.QueueAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
-	})
-}
+func (b *Batch) QueueEnqueue(q *Queue, val uint64) { b.addOp(q, queueEnqueue(val)) }
 
 // QueueDequeue queues removing the head element of q (no-op on empty).
-func (b *Batch) QueueDequeue(q *Queue) {
-	b.addOp(q, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, _, _ := funcds.QueueAt(s.heap, cur).WithEdit(ed).Pop()
-		return next.Addr()
-	})
-}
+func (b *Batch) QueueDequeue(q *Queue) { b.addOp(q, queueDequeue(nil)) }
 
 // Commit applies every queued operation and publishes the results under
 // one shared fence epoch, leaving the batch empty. Like a Basic-interface
@@ -357,7 +310,7 @@ func (s *Store) prepareBatch(ops []batchOp) *preparedBatch {
 	perSlot := make(map[int][]batchOp)
 	var slots []int
 	for _, op := range ops {
-		slot := op.ds.location().slot
+		slot := op.ds.base().loc.slot
 		if _, ok := perSlot[slot]; !ok {
 			slots = append(slots, slot)
 		}
@@ -459,7 +412,8 @@ func (p *preparedBatch) finish() {
 		s.heap.ReleaseDeferred(a)
 	}
 	for _, op := range p.ops {
-		op.ds.adopt(p.finals[op.ds.location().slot])
+		h := op.ds.base()
+		h.adopt(p.finals[h.loc.slot])
 	}
 	if p.fase {
 		s.EndFASE()

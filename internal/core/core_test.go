@@ -13,8 +13,8 @@ import (
 
 // openStore recovers the single heap already on dev through the front
 // door, for tests that drive one per-heap engine directly.
-func openStore(dev pmem.Backend) (*Store, alloc.RecoveryStats, error) {
-	db, info, err := Open(pmem.Config{}, WithDevices(dev), WithAttach())
+func openStore(dev pmem.Backend, opts ...Option) (*Store, alloc.RecoveryStats, error) {
+	db, info, err := Open(pmem.Config{}, append([]Option{WithDevices(dev), WithAttach()}, opts...)...)
 	if err != nil {
 		return nil, info.Stats, err
 	}

@@ -235,9 +235,8 @@ func TestScrubFindsDamage(t *testing.T) {
 // dropped operations are reported and everything the checkpoint covers
 // still serves.
 func TestOpenSalvageRollsBackSelectiveRoot(t *testing.T) {
-	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(2))
 	cfg := pmem.DefaultConfig(1 << 20)
-	db, _, err := Open(cfg, WithSelective(2), WithNodeCache())
+	db, _, err := Open(cfg, WithSelective(2))
 	if err != nil {
 		t.Fatal(err)
 	}

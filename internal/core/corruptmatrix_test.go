@@ -38,8 +38,8 @@ func cmTrials() int {
 // cmOpen opens a damaged single-heap device with verification and
 // salvage; Open converts recovery panics (scrambled block chains,
 // poisoned lines) into errors.
-func cmOpen(dev *pmem.Device) (*Store, []DamagedRoot, error) {
-	db, info, err := Open(pmem.Config{}, WithDevices(dev), WithAttach(), WithSalvage())
+func cmOpen(dev *pmem.Device, opts ...Option) (*Store, []DamagedRoot, error) {
+	db, info, err := Open(pmem.Config{}, append([]Option{WithDevices(dev), WithAttach(), WithSalvage()}, opts...)...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -99,7 +99,7 @@ type cmExpect struct {
 // is neither committed nor a reported salvage rollback.
 func cmCheckReopen(t *testing.T, st matrixStructure, dev2 *pmem.Device, exp cmExpect, label string) {
 	t.Helper()
-	s2, damaged, err := cmOpen(dev2)
+	s2, damaged, err := cmOpen(dev2, st.opts()...)
 	if err != nil {
 		return // detected: damaged image failed the open cleanly
 	}
@@ -146,7 +146,6 @@ func cmCheckReopen(t *testing.T, st matrixStructure, dev2 *pmem.Device, exp cmEx
 // fault class on a fully committed image: random faults aimed at the
 // heap block area, reopened with verify+salvage.
 func TestCorruptionMatrixSingleStore(t *testing.T) {
-	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(2))
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	for _, st := range matrixStructures() {
@@ -160,11 +159,7 @@ func TestCorruptionMatrixSingleStore(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						ops := st.bind(t, s, "mx")
-						marker, err := s.Map("mx-marker")
-						if err != nil {
-							t.Fatal(err)
-						}
+						ops, marker := mxOpenRow(t, st, s)
 						for i := 0; i < mxPrefix; i++ {
 							ops.basic(i)
 						}
@@ -237,7 +232,6 @@ func TestCorruptionMatrixSingleStore(t *testing.T) {
 // media fault in the captured image. The reopen must detect the damage
 // or serve a committed prefix — never a blend.
 func TestCorruptionAfterCrashImage(t *testing.T) {
-	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(2))
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	for _, st := range matrixStructures() {
@@ -249,10 +243,11 @@ func TestCorruptionAfterCrashImage(t *testing.T) {
 			t.Run(st.name+"/crash+"+fc, func(t *testing.T) {
 				build := func() (*Store, matrixOps, *pmem.Device) {
 					dev := pmem.New(cfg)
-					s, err := newStore(dev)
+					db, _, err := Open(cfg, append([]Option{WithDevices(dev)}, st.opts()...)...)
 					if err != nil {
 						t.Fatal(err)
 					}
+					s := db.Store()
 					ops := st.bind(t, s, "mx")
 					for i := 0; i < mxPrefix; i++ {
 						ops.basic(i)
@@ -312,7 +307,6 @@ func TestCorruptionAfterCrashImage(t *testing.T) {
 // damaged root is either quarantined (plain structure) or salvaged
 // (selective), and the damage report names the right shard.
 func TestCorruptionShardedDegradedOpen(t *testing.T) {
-	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(2))
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	for _, st := range matrixStructures() {
@@ -321,7 +315,7 @@ func TestCorruptionShardedDegradedOpen(t *testing.T) {
 		}
 		st := st
 		t.Run(st.name, func(t *testing.T) {
-			ss := openShards(t, cfg, 2)
+			ss := openShards(t, cfg, 2, st.opts()...)
 			ops := st.bind(t, ss.Shard(0), "mx")
 			marker, err := ss.Shard(1).Map("mx-marker")
 			if err != nil {
@@ -371,7 +365,7 @@ func TestCorruptionShardedDegradedOpen(t *testing.T) {
 			}
 			plan.ApplyToImage(imgs[0], nil)
 
-			ss2, info, err := Open(cfg, WithExistingImages(imgs), WithSalvage())
+			ss2, info, err := Open(cfg, append([]Option{WithExistingImages(imgs), WithSalvage()}, st.opts()...)...)
 			if err != nil {
 				t.Fatalf("degraded open failed entirely: %v", err)
 			}

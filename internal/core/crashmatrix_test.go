@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/mod-ds/mod/internal/funcds"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -37,8 +36,41 @@ type matrixOps struct {
 }
 
 type matrixStructure struct {
-	name string
-	bind func(t *testing.T, s *Store, nm string) matrixOps
+	name      string
+	selective bool // the structure is bound on a store turned selective (mxCheckpointEvery)
+	bind      func(t *testing.T, s *Store, nm string) matrixOps
+}
+
+// mxCheckpointEvery is the selective rows' checkpoint interval: every 2
+// records, so they fold a checkpoint — crown flushes, ext rewrite,
+// volatile-bit clears — inside the probed injection windows.
+const mxCheckpointEvery = 2
+
+// opts are the Open options a row opens or reopens a store with:
+// WithSelective(mxCheckpointEvery) for a selective row. A reopen
+// WithSelective leaves the row's plain marker map plain.
+func (st matrixStructure) opts() []Option {
+	if st.selective {
+		return []Option{WithSelective(mxCheckpointEvery)}
+	}
+	return nil
+}
+
+// mxOpenRow prepares one row's store: the marker map is bound first,
+// plain, and a selective row's store then turns selective — the state a
+// reopen WithSelective of a plain store produces — before the structure
+// under test is bound, so the batch and unrelated modes publish a
+// selective and a plain root in one redo record.
+func mxOpenRow(t *testing.T, st matrixStructure, s *Store) (matrixOps, *Map) {
+	t.Helper()
+	marker, err := s.Map("mx-marker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.selective {
+		s.makeSelective(mxCheckpointEvery)
+	}
+	return st.bind(t, s, "mx"), marker
 }
 
 func mxVal(i int) uint64 { return uint64(i*31 + 7) }
@@ -164,17 +196,13 @@ func mxQueueOps(q *Queue) matrixOps {
 	}
 }
 
-// mxBind adapts one of the store's binders to a matrix row. The
-// selective variants run with volatile navigation nodes, a durable
-// record chain, and (with checkpointEvery forced low by the sweep)
-// checkpoint folds with their volatile-bit clears landing inside the
-// probed injection windows; the DRAM node cache is on so cached reads and
-// invalidation are exercised across the crash too.
-func mxBind[H any](selective bool, bind func(*Store, string) (H, error), ops func(H) matrixOps) func(*testing.T, *Store, string) matrixOps {
+// mxBind adapts one of the store's binders to a matrix row. On a
+// selective store the row runs with volatile navigation nodes, a durable
+// record chain, and checkpoint folds with their volatile-bit clears
+// landing inside the probed injection windows; the DRAM node cache is on
+// so cached reads and invalidation are exercised across the crash too.
+func mxBind[H any](bind func(*Store, string) (H, error), ops func(H) matrixOps) func(*testing.T, *Store, string) matrixOps {
 	return func(t *testing.T, s *Store, nm string) matrixOps {
-		if selective {
-			s.EnableNodeCache()
-		}
 		h, err := bind(s, nm)
 		if err != nil {
 			t.Fatal(err)
@@ -185,16 +213,16 @@ func mxBind[H any](selective bool, bind func(*Store, string) (H, error), ops fun
 
 func matrixStructures() []matrixStructure {
 	return []matrixStructure{
-		{"vector", mxBind(false, (*Store).Vector, mxVectorOps)},
-		{"map", mxBind(false, (*Store).Map, mxMapOps)},
-		{"set", mxBind(false, (*Store).Set, mxSetOps)},
-		{"stack", mxBind(false, (*Store).Stack, mxStackOps)},
-		{"queue", mxBind(false, (*Store).Queue, mxQueueOps)},
-		{"vector-sel", mxBind(true, (*Store).SelectiveVector, mxVectorOps)},
-		{"map-sel", mxBind(true, (*Store).SelectiveMap, mxMapOps)},
-		{"set-sel", mxBind(true, (*Store).SelectiveSet, mxSetOps)},
-		{"stack-sel", mxBind(true, (*Store).SelectiveStack, mxStackOps)},
-		{"queue-sel", mxBind(true, (*Store).SelectiveQueue, mxQueueOps)},
+		{"vector", false, mxBind((*Store).Vector, mxVectorOps)},
+		{"map", false, mxBind((*Store).Map, mxMapOps)},
+		{"set", false, mxBind((*Store).Set, mxSetOps)},
+		{"stack", false, mxBind((*Store).Stack, mxStackOps)},
+		{"queue", false, mxBind((*Store).Queue, mxQueueOps)},
+		{"vector-sel", true, mxBind((*Store).Vector, mxVectorOps)},
+		{"map-sel", true, mxBind((*Store).Map, mxMapOps)},
+		{"set-sel", true, mxBind((*Store).Set, mxSetOps)},
+		{"stack-sel", true, mxBind((*Store).Stack, mxStackOps)},
+		{"queue-sel", true, mxBind((*Store).Queue, mxQueueOps)},
 	}
 }
 
@@ -214,10 +242,6 @@ func mxInjectionStride() int {
 // TestCrashMatrixSingleStore sweeps the per-op, edit-FASE,
 // multi-root-batch and CommitUnrelated disciplines on a single store.
 func TestCrashMatrixSingleStore(t *testing.T) {
-	// Checkpoint every 2 records so the selective variants fold a
-	// checkpoint — crown flushes, ext rewrite, volatile-bit clears —
-	// inside the probed injection windows.
-	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(2))
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	for _, st := range matrixStructures() {
@@ -229,11 +253,7 @@ func TestCrashMatrixSingleStore(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ops := st.bind(t, s, "mx")
-					marker, err := s.Map("mx-marker")
-					if err != nil {
-						t.Fatal(err)
-					}
+					ops, marker := mxOpenRow(t, st, s)
 					for i := 0; i < mxPrefix; i++ {
 						ops.basic(i)
 					}
@@ -312,7 +332,7 @@ func TestCrashMatrixSingleStore(t *testing.T) {
 						t.Fatalf("inj %d/%d: countdown never expired", inj, totalWrites)
 					}
 					dev2 := pmem.NewFromImage(pmem.DefaultConfig(4<<20), img)
-					s2, _, err := openStore(dev2)
+					s2, _, err := openStore(dev2, st.opts()...)
 					if err != nil {
 						t.Fatalf("inj %d: recovery: %v", inj, err)
 					}
@@ -349,18 +369,21 @@ func TestCrashMatrixSingleStore(t *testing.T) {
 // including inside the manifest's intent, commit-point, and redo
 // windows — must recover all of the batch on both shards or none.
 func TestCrashMatrixCrossShard(t *testing.T) {
-	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(2))
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	for _, st := range matrixStructures() {
 		t.Run(st.name+"/cross", func(t *testing.T) {
 			build := func() (*DB, matrixOps, *Map) {
 				ss := openShards(t, cfg, 2)
-				ops := st.bind(t, ss.Shard(0), "mx")
 				marker, err := ss.Shard(1).Map("mx-marker")
 				if err != nil {
 					t.Fatal(err)
 				}
+				if st.selective {
+					ss.Shard(0).makeSelective(mxCheckpointEvery)
+					ss.Shard(1).makeSelective(mxCheckpointEvery)
+				}
+				ops := st.bind(t, ss.Shard(0), "mx")
 				for i := 0; i < mxPrefix; i++ {
 					ops.basic(i)
 				}
@@ -396,7 +419,7 @@ func TestCrashMatrixCrossShard(t *testing.T) {
 				if imgs == nil {
 					t.Fatalf("inj %d/%d: countdown never expired", inj, totalWrites)
 				}
-				ss2, _, err := Open(cfg, WithExistingImages(imgs))
+				ss2, _, err := Open(cfg, append([]Option{WithExistingImages(imgs)}, st.opts()...)...)
 				if err != nil {
 					t.Fatalf("inj %d: recovery: %v", inj, err)
 				}

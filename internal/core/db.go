@@ -81,7 +81,6 @@ type options struct {
 	shardsSet       bool // WithShards was passed (even with a bad count)
 	selective       bool
 	checkpointEvery int
-	nodeCache       bool
 	images          [][]byte
 	devices         []pmem.Backend
 	attach          bool
@@ -106,22 +105,22 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithSelective makes the DB's binders create the selectively persisted
-// flavor of each structure (DESIGN.md §10): DRAM-resident navigation
-// over a minimal persistent core. checkpointEvery sets the record-chain
-// folding interval (0 keeps the current process-wide default). Existing
-// roots keep the flavor they were created with.
+// WithSelective opens the store in the selectively persisted flavor
+// (DESIGN.md §10): DRAM-resident navigation over a minimal persistent
+// core. Every shard's root binders — Store.Map and friends as well as
+// DB.Map — create the selective flavor of each new structure (Parent
+// fields stay plain), the DRAM node cache serves committed navigation
+// nodes at DRAM instead of PM read latency, and record chains fold into
+// a checkpoint every checkpointEvery records (<= 0 uses the default,
+// 32768). Existing roots keep the flavor they were created with. The
+// interval is the store's own; a store opened without WithSelective
+// folds any selective roots it hosts at the default.
 func WithSelective(checkpointEvery int) Option {
 	return func(o *options) {
 		o.selective = true
 		o.checkpointEvery = checkpointEvery
 	}
 }
-
-// WithNodeCache enables the DRAM node cache on every heap: committed
-// navigation nodes are served at DRAM latency instead of PM read
-// latency.
-func WithNodeCache() Option { return func(o *options) { o.nodeCache = true } }
 
 // WithExistingImages reopens a store from post-crash region images
 // instead of formatting a fresh one: a single image reopens a
@@ -219,18 +218,17 @@ type dbShared struct {
 
 // DB is the handle Open returns, and the only store shape: S per-heap
 // engines with root names routed across them by hash (ShardFor), plus
-// the cross-shard manifest's metadata region when S > 1. Its binders are
-// option-aware (WithSelective routes Map/Set/... to the Selective*
-// flavors). Derive one handle per goroutine with Fork; handles share all
-// store state but carry their own clocks. The per-heap API —
+// the cross-shard manifest's metadata region when S > 1. Its binders
+// bind on the shard a name routes to, in the store's flavor. Derive one
+// handle per goroutine with Fork; handles share all store state but
+// carry their own clocks. The per-heap API —
 // Composition-interface commits, parents, trace checking — is reached
 // through Shard (or Store on a single heap).
 type DB struct {
-	shards    []*Store
-	meta      pmem.Backend  // manifest region; nil on a single heap
-	regions   *pmem.Regions // the shard regions in order, then meta
-	sh        *dbShared
-	selective bool
+	shards  []*Store
+	meta    pmem.Backend  // manifest region; nil on a single heap
+	regions *pmem.Regions // the shard regions in order, then meta
+	sh      *dbShared
 }
 
 // Open formats (or, with WithExistingImages or WithAttach, recovers) a
@@ -255,10 +253,6 @@ func Open(cfg pmem.Config, opts ...Option) (*DB, RecoveryInfo, error) {
 	if o.attach && len(o.devices) == 0 {
 		return nil, info, fmt.Errorf("core: WithAttach requires WithDevices")
 	}
-	if o.checkpointEvery > 0 {
-		funcds.SetCheckpointEvery(uint64(o.checkpointEvery))
-	}
-
 	// Resolve the region backends: the caller's, one per image, or fresh
 	// from cfg. Shard regions come first, in order; with two or more
 	// shards the manifest's metadata region follows.
@@ -300,7 +294,7 @@ func Open(cfg pmem.Config, opts ...Option) (*DB, RecoveryInfo, error) {
 		}
 	}
 
-	db := &DB{meta: meta, regions: pmem.NewRegions(regions...), sh: &dbShared{}, selective: o.selective}
+	db := &DB{meta: meta, regions: pmem.NewRegions(regions...), sh: &dbShared{}}
 	var err error
 	if attach {
 		vc := verifyConfig{verify: o.verify, salvage: o.salvage}
@@ -312,8 +306,8 @@ func Open(cfg pmem.Config, opts ...Option) (*DB, RecoveryInfo, error) {
 		return nil, RecoveryInfo{}, err
 	}
 	for _, s := range db.shards {
-		if o.nodeCache {
-			s.EnableNodeCache()
+		if o.selective {
+			s.makeSelective(o.checkpointEvery)
 		}
 		if o.committer {
 			s.StartGroupCommitter(o.committerMaxOps)
@@ -375,54 +369,29 @@ func (db *DB) Fork() *DB {
 // ForkKV derives a per-goroutine handle as a KV.
 func (db *DB) ForkKV() KV { return db.Fork() }
 
+// route returns the store handle of the shard name routes to.
+func (db *DB) route(name string) *Store { return db.shards[db.ShardFor(name)] }
+
 // Map binds (creating on first use) a recoverable map on the shard the
-// name routes to — the selectively persisted flavor when the DB was
-// opened WithSelective.
-func (db *DB) Map(name string) (*Map, error) {
-	s := db.shards[db.ShardFor(name)]
-	if db.selective {
-		return s.SelectiveMap(name)
-	}
-	return s.Map(name)
-}
+// name routes to; Set, Vector, Stack and Queue bind the other structures.
+func (db *DB) Map(name string) (*Map, error) { return bind[Map](db.route(name), nil, name, kindMap) }
 
-// Set binds a recoverable set (selective flavor under WithSelective).
-func (db *DB) Set(name string) (*Set, error) {
-	s := db.shards[db.ShardFor(name)]
-	if db.selective {
-		return s.SelectiveSet(name)
-	}
-	return s.Set(name)
-}
+// Set binds a recoverable set on the shard the name routes to.
+func (db *DB) Set(name string) (*Set, error) { return bind[Set](db.route(name), nil, name, kindSet) }
 
-// Vector binds a recoverable vector (selective flavor under
-// WithSelective).
+// Vector binds a recoverable vector on the shard the name routes to.
 func (db *DB) Vector(name string) (*Vector, error) {
-	s := db.shards[db.ShardFor(name)]
-	if db.selective {
-		return s.SelectiveVector(name)
-	}
-	return s.Vector(name)
+	return bind[Vector](db.route(name), nil, name, kindVector)
 }
 
-// Stack binds a recoverable stack (selective flavor under
-// WithSelective).
+// Stack binds a recoverable stack on the shard the name routes to.
 func (db *DB) Stack(name string) (*Stack, error) {
-	s := db.shards[db.ShardFor(name)]
-	if db.selective {
-		return s.SelectiveStack(name)
-	}
-	return s.Stack(name)
+	return bind[Stack](db.route(name), nil, name, kindStack)
 }
 
-// Queue binds a recoverable queue (selective flavor under
-// WithSelective).
+// Queue binds a recoverable queue on the shard the name routes to.
 func (db *DB) Queue(name string) (*Queue, error) {
-	s := db.shards[db.ShardFor(name)]
-	if db.selective {
-		return s.SelectiveQueue(name)
-	}
-	return s.Queue(name)
+	return bind[Queue](db.route(name), nil, name, kindQueue)
 }
 
 // Batch returns an empty group-commit batch over this handle's shards.

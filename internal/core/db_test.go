@@ -111,11 +111,11 @@ func TestOpenShardedRoundtrip(t *testing.T) {
 	db.Close()
 }
 
-// TestOpenOptionsSmoke exercises WithSelective and WithNodeCache through
-// a crash roundtrip: selective structures must rebuild their volatile
-// navigation on reopen.
+// TestOpenOptionsSmoke exercises WithSelective through a crash
+// roundtrip: selective structures must rebuild their volatile navigation
+// on reopen.
 func TestOpenOptionsSmoke(t *testing.T) {
-	db, _, err := Open(dbConfig(), WithSelective(8), WithNodeCache())
+	db, _, err := Open(dbConfig(), WithSelective(8))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

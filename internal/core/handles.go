@@ -44,26 +44,62 @@ type (
 // required single-writer-per-root discipline means no concurrent commit
 // can retire the version under them.
 
+// handle is the bookkeeping every datastructure handle embeds: the store
+// handle it was bound through, its root or field name, where its
+// committed-version pointer lives, and the version its last commit
+// adopted.
+type handle struct {
+	st   *Store
+	name string
+	loc  location
+	cur  atomic.Uint64 // address of the handle's adopted version
+}
+
+// Name returns the bound root or field name.
+func (h *handle) Name() string { return h.name }
+
+func (h *handle) base() *handle          { return h }
+func (h *handle) currentAddr() pmem.Addr { return pmem.Addr(h.cur.Load()) }
+func (h *handle) adopt(a pmem.Addr)      { h.cur.Store(uint64(a)) }
+
+// committed resolves the location's committed version pointer; read
+// paths pin the reclamation epoch first (Store.resolveForRead).
+func (h *handle) committed() pmem.Addr { return h.st.resolveForRead(h.loc) }
+
 // reservedRootPrefix guards the store's internal anchor roots (the
 // batch record): binding a datastructure over one of them would let
 // user commits clobber the recovery machinery.
 const reservedRootPrefix = "__mod_"
 
-// rootKind names a structure family and the header tags it may bind
-// over, for the ErrWrongRootKind check. Map and Set share the CHAMP
-// header and are one kind; each kind accepts both the plain and the
-// selective flavor of its header.
+// rootKind is one structure family as the binders see it: its name, the
+// header tags a bind may find at an existing root or field (anything
+// else is ErrWrongRootKind), and create, which allocates and flushes an
+// empty header of the plain or the selective flavor. Map and Set are two
+// kinds over the CHAMP header tags, so either binds over the other's
+// root; every kind accepts both flavors of its header.
 type rootKind struct {
-	name string
-	tags []uint8
+	name   string
+	tags   []uint8
+	create func(h *alloc.Heap, selective bool) pmem.Addr
+}
+
+// flavored builds a kind's create from its two funcds constructors.
+func flavored[V Version](plain, sel func(*alloc.Heap) V) func(*alloc.Heap, bool) pmem.Addr {
+	return func(h *alloc.Heap, selective bool) pmem.Addr {
+		if selective {
+			return sel(h).Addr()
+		}
+		return plain(h).Addr()
+	}
 }
 
 var (
-	kindChamp  = rootKind{"map/set", []uint8{funcds.TagMapHdr, funcds.TagMapHdrSel}}
-	kindVector = rootKind{"vector", []uint8{funcds.TagVecHdr, funcds.TagVecHdrSel}}
-	kindStack  = rootKind{"stack", []uint8{funcds.TagStackHdr, funcds.TagStackHdrSel}}
-	kindQueue  = rootKind{"queue", []uint8{funcds.TagQueueHdr, funcds.TagQueueHdrSel}}
-	kindParent = rootKind{"parent", []uint8{funcds.TagParent}}
+	champTags  = []uint8{funcds.TagMapHdr, funcds.TagMapHdrSel}
+	kindMap    = rootKind{"map", champTags, flavored(funcds.NewMap, funcds.NewMapSelective)}
+	kindSet    = rootKind{"set", champTags, flavored(funcds.NewSet, funcds.NewSetSelective)}
+	kindVector = rootKind{"vector", []uint8{funcds.TagVecHdr, funcds.TagVecHdrSel}, flavored(funcds.NewVector, funcds.NewVectorSelective)}
+	kindStack  = rootKind{"stack", []uint8{funcds.TagStackHdr, funcds.TagStackHdrSel}, flavored(funcds.NewStack, funcds.NewStackSelective)}
+	kindQueue  = rootKind{"queue", []uint8{funcds.TagQueueHdr, funcds.TagQueueHdrSel}, flavored(funcds.NewQueue, funcds.NewQueueSelective)}
 )
 
 // checkKind verifies an existing header's tag belongs to the kind a
@@ -78,10 +114,36 @@ func (s *Store) checkKind(name string, addr pmem.Addr, want rootKind) error {
 	return fmt.Errorf("core: binding %q as %s: %w (header tag %d)", name, want.name, ErrWrongRootKind, tag)
 }
 
-// bindRoot resolves a handle's location and current address, creating the
-// structure via create (which must allocate and flush a new empty header)
-// when absent. The root's commit mutex serializes concurrent first binds.
-func bindRoot(s *Store, name string, want rootKind, create func() pmem.Addr) (location, pmem.Addr, error) {
+// bind is every datastructure binder: it binds a T under a named root of
+// s (p nil) or under a field of p, creating an empty structure on first
+// use. Root binds create the flavor of the store (DESIGN.md §10), field
+// binds always the plain one; an existing root or field keeps the flavor
+// it was created with.
+func bind[T any, P interface {
+	*T
+	Datastructure
+}](s *Store, p *Parent, name string, k rootKind) (*T, error) {
+	t := new(T)
+	h := P(t).base()
+	h.st, h.name = s, name
+	var err error
+	if p != nil {
+		err = bindField(p, P(t), k)
+	} else {
+		var addr pmem.Addr
+		h.loc, addr, err = bindRoot(s, name, k)
+		h.adopt(addr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// bindRoot resolves a root's location and current address, creating the
+// structure in the store's flavor when absent. The root's commit mutex
+// serializes concurrent first binds.
+func bindRoot(s *Store, name string, k rootKind) (location, pmem.Addr, error) {
 	if strings.HasPrefix(name, reservedRootPrefix) {
 		return location{}, pmem.Nil, fmt.Errorf("core: root name %q uses the reserved prefix %q: %w", name, reservedRootPrefix, ErrReservedRootName)
 	}
@@ -102,13 +164,13 @@ func bindRoot(s *Store, name string, want rootKind, create func() pmem.Addr) (lo
 		if err := s.verifyBindLazy(name, slot, root); err != nil {
 			return location{}, pmem.Nil, err
 		}
-		if err := s.checkKind(name, root, want); err != nil {
+		if err := s.checkKind(name, root, k); err != nil {
 			return location{}, pmem.Nil, err
 		}
 		return location{slot: slot}, root, nil
 	}
 	s.BeginFASE()
-	addr := create()
+	addr := k.create(s.heap, s.sh.selective)
 	if err := s.commitRoot(slot, pmem.Nil, addr); err != nil {
 		s.EndFASE()
 		return location{}, pmem.Nil, err
@@ -117,75 +179,139 @@ func bindRoot(s *Store, name string, want rootKind, create func() pmem.Addr) (lo
 	return location{slot: slot}, addr, nil
 }
 
-func bindField(p *Parent, field string, want rootKind, create func() pmem.Addr) (location, pmem.Addr, error) {
-	i, err := p.fieldIndex(field)
+// bindField binds ds under the parent field its handle names. A field
+// bound for the first time is created plain — selective structures are
+// root-bound only, because checkpoint folding hooks the root commit
+// paths — and published as a one-update CommitSiblings of ds.
+func bindField(p *Parent, ds Datastructure, k rootKind) error {
+	h := ds.base()
+	i, err := p.fieldIndex(h.name)
 	if err != nil {
-		return location{}, pmem.Nil, err
+		return err
 	}
-	if p.s.sh.closed.Load() {
-		return location{}, pmem.Nil, fmt.Errorf("core: binding field %q: %w", field, ErrStoreClosed)
+	s := p.s
+	if s.sh.closed.Load() {
+		return fmt.Errorf("core: binding field %q: %w", h.name, ErrStoreClosed)
 	}
-	mu := &p.s.sh.rootMu[p.slot]
+	mu := &s.sh.rootMu[p.slot]
 	mu.Lock()
 	defer mu.Unlock()
 	p.refreshLocked()
+	h.loc = location{parent: p, slot: i}
 	if f := p.fieldAddr(i); f != pmem.Nil {
-		if err := p.s.checkKind(field, f, want); err != nil {
-			return location{}, pmem.Nil, err
+		if err := s.checkKind(h.name, f, k); err != nil {
+			return err
 		}
-		return location{parent: p, slot: i}, f, nil
+		h.adopt(f)
+		return nil
 	}
-	p.s.BeginFASE()
-	addr := create()
-	if err := p.installField(i, addr); err != nil {
-		p.s.EndFASE()
-		return location{}, pmem.Nil, err
+	s.BeginFASE()
+	defer s.EndFASE()
+	return s.commitSiblingsLocked(p, []Update{{DS: ds, Shadows: []Version{addrVersion(k.create(s.heap, false))}}})
+}
+
+// Each batchable update is one rootOp constructor, shared by the Basic
+// method (which passes a result sink) and its Batch twin (nil sink,
+// cloned buffers). A sink is written on every application, so a retried
+// op reports its last, published application.
+
+func sink[T any](p *T, v T) {
+	if p != nil {
+		*p = v
 	}
-	p.s.EndFASE()
-	return location{parent: p, slot: i}, addr, nil
+}
+
+// popped receives a Stack.Pop or Queue.Dequeue result.
+type popped struct {
+	val uint64
+	ok  bool
+}
+
+func mapSet(key, val []byte, replaced *bool) rootOp {
+	return func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		next, r := funcds.MapAt(s.heap, cur).WithEdit(ed).Set(key, val)
+		sink(replaced, r)
+		return next.Addr()
+	}
+}
+
+func mapDelete(key []byte, removed *bool) rootOp {
+	return func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		next, r := funcds.MapAt(s.heap, cur).WithEdit(ed).Delete(key) // a miss returns cur
+		sink(removed, r)
+		return next.Addr()
+	}
+}
+
+func setInsert(key []byte, existed *bool) rootOp {
+	return func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		next, e := funcds.SetDSAt(s.heap, cur).WithEdit(ed).Insert(key)
+		sink(existed, e)
+		return next.Addr()
+	}
+}
+
+func setDelete(key []byte, removed *bool) rootOp {
+	return func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		next, r := funcds.SetDSAt(s.heap, cur).WithEdit(ed).Delete(key)
+		sink(removed, r)
+		return next.Addr()
+	}
+}
+
+func vectorPush(val uint64) rootOp {
+	return func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		return funcds.VectorAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
+	}
+}
+
+func vectorUpdate(i, val uint64) rootOp {
+	return func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		return funcds.VectorAt(s.heap, cur).WithEdit(ed).Update(i, val).Addr()
+	}
+}
+
+func stackPush(val uint64) rootOp {
+	return func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		return funcds.StackAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
+	}
+}
+
+func stackPop(out *popped) rootOp {
+	return func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		next, v, ok := funcds.StackAt(s.heap, cur).WithEdit(ed).Pop() // empty returns cur
+		sink(out, popped{v, ok})
+		return next.Addr()
+	}
+}
+
+func queueEnqueue(val uint64) rootOp {
+	return func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		return funcds.QueueAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
+	}
+}
+
+func queueDequeue(out *popped) rootOp {
+	return func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
+		next, v, ok := funcds.QueueAt(s.heap, cur).WithEdit(ed).Pop()
+		sink(out, popped{v, ok})
+		return next.Addr()
+	}
 }
 
 // ---------------------------------------------------------------- Map --
 
 // Map is a recoverable hash map with STL-like failure-atomic operations
 // (Basic interface) and Pure* shadow operations (Composition interface).
-type Map struct {
-	st   *Store
-	name string
-	loc  location
-	cur  atomic.Uint64 // address of the handle's adopted version
-}
+type Map struct{ handle }
 
 // Map binds (creating on first use) a recoverable map under a named root.
-func (s *Store) Map(name string) (*Map, error) {
-	loc, addr, err := bindRoot(s, name, kindChamp, func() pmem.Addr { return funcds.NewMap(s.heap).Addr() })
-	if err != nil {
-		return nil, err
-	}
-	m := &Map{st: s, name: name, loc: loc}
-	m.adopt(addr)
-	return m, nil
-}
+func (s *Store) Map(name string) (*Map, error) { return bind[Map](s, nil, name, kindMap) }
 
 // Map binds (creating on first use) a recoverable map under a parent field.
-func (p *Parent) Map(field string) (*Map, error) {
-	loc, addr, err := bindField(p, field, kindChamp, func() pmem.Addr { return funcds.NewMap(p.s.heap).Addr() })
-	if err != nil {
-		return nil, err
-	}
-	m := &Map{st: p.s, name: field, loc: loc}
-	m.adopt(addr)
-	return m, nil
-}
+func (p *Parent) Map(field string) (*Map, error) { return bind[Map](p.s, p, field, kindMap) }
 
-// Name returns the bound root or field name.
-func (m *Map) Name() string { return m.name }
-
-func (m *Map) latest() funcds.Map     { return funcds.MapAt(m.st.heap, m.st.resolveForRead(m.loc)) }
-func (m *Map) currentAddr() pmem.Addr { return pmem.Addr(m.cur.Load()) }
-func (m *Map) adopt(a pmem.Addr)      { m.cur.Store(uint64(a)) }
-func (m *Map) location() location     { return m.loc }
-func (m *Map) store() *Store          { return m.st }
+func (m *Map) latest() funcds.Map { return funcds.MapAt(m.st.heap, m.committed()) }
 
 // Len returns the number of entries.
 func (m *Map) Len() uint64 {
@@ -208,25 +334,14 @@ func (m *Map) Get(key []byte) ([]byte, bool) {
 // contention.
 func (m *Map) Set(key, val []byte) bool {
 	var replaced bool
-	m.st.update(m, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, r := funcds.MapAt(s.heap, cur).WithEdit(ed).Set(key, val)
-		replaced = r
-		return next.Addr()
-	})
+	m.st.update(m, mapSet(key, val, &replaced))
 	return replaced
 }
 
 // Delete failure-atomically removes key, reporting whether it was present.
 func (m *Map) Delete(key []byte) bool {
 	var removed bool
-	m.st.update(m, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, r := funcds.MapAt(s.heap, cur).WithEdit(ed).Delete(key)
-		removed = r
-		if !r {
-			return cur // miss: nothing to publish
-		}
-		return next.Addr()
-	})
+	m.st.update(m, mapDelete(key, &removed))
 	return removed
 }
 
@@ -249,43 +364,15 @@ func (m *Map) PureDelete(key []byte) (MapVersion, bool) { return m.latest().Dele
 // ---------------------------------------------------------------- Set --
 
 // Set is a recoverable hash set.
-type Set struct {
-	st   *Store
-	name string
-	loc  location
-	cur  atomic.Uint64
-}
+type Set struct{ handle }
 
 // Set binds (creating on first use) a recoverable set under a named root.
-func (s *Store) Set(name string) (*Set, error) {
-	loc, addr, err := bindRoot(s, name, kindChamp, func() pmem.Addr { return funcds.NewSet(s.heap).Addr() })
-	if err != nil {
-		return nil, err
-	}
-	st := &Set{st: s, name: name, loc: loc}
-	st.adopt(addr)
-	return st, nil
-}
+func (s *Store) Set(name string) (*Set, error) { return bind[Set](s, nil, name, kindSet) }
 
 // Set binds (creating on first use) a recoverable set under a parent field.
-func (p *Parent) Set(field string) (*Set, error) {
-	loc, addr, err := bindField(p, field, kindChamp, func() pmem.Addr { return funcds.NewSet(p.s.heap).Addr() })
-	if err != nil {
-		return nil, err
-	}
-	st := &Set{st: p.s, name: field, loc: loc}
-	st.adopt(addr)
-	return st, nil
-}
+func (p *Parent) Set(field string) (*Set, error) { return bind[Set](p.s, p, field, kindSet) }
 
-// Name returns the bound root or field name.
-func (s *Set) Name() string { return s.name }
-
-func (s *Set) latest() funcds.Set     { return funcds.SetDSAt(s.st.heap, s.st.resolveForRead(s.loc)) }
-func (s *Set) currentAddr() pmem.Addr { return pmem.Addr(s.cur.Load()) }
-func (s *Set) adopt(a pmem.Addr)      { s.cur.Store(uint64(a)) }
-func (s *Set) location() location     { return s.loc }
-func (s *Set) store() *Store          { return s.st }
+func (s *Set) latest() funcds.Set { return funcds.SetDSAt(s.st.heap, s.committed()) }
 
 // Len returns the number of members.
 func (s *Set) Len() uint64 {
@@ -304,25 +391,14 @@ func (s *Set) Contains(key []byte) bool {
 // Insert failure-atomically adds key, reporting whether it already existed.
 func (s *Set) Insert(key []byte) bool {
 	var existed bool
-	s.st.update(s, func(st *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, e := funcds.SetDSAt(st.heap, cur).WithEdit(ed).Insert(key)
-		existed = e
-		return next.Addr()
-	})
+	s.st.update(s, setInsert(key, &existed))
 	return existed
 }
 
 // Delete failure-atomically removes key, reporting whether it was present.
 func (s *Set) Delete(key []byte) bool {
 	var removed bool
-	s.st.update(s, func(st *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, r := funcds.SetDSAt(st.heap, cur).WithEdit(ed).Delete(key)
-		removed = r
-		if !r {
-			return cur
-		}
-		return next.Addr()
-	})
+	s.st.update(s, setDelete(key, &removed))
 	return removed
 }
 
@@ -345,45 +421,17 @@ func (s *Set) PureDelete(key []byte) (SetVersion, bool) { return s.latest().Dele
 // ------------------------------------------------------------- Vector --
 
 // Vector is a recoverable vector of 8-byte elements.
-type Vector struct {
-	st   *Store
-	name string
-	loc  location
-	cur  atomic.Uint64
-}
+type Vector struct{ handle }
 
 // Vector binds (creating on first use) a recoverable vector under a root.
-func (s *Store) Vector(name string) (*Vector, error) {
-	loc, addr, err := bindRoot(s, name, kindVector, func() pmem.Addr { return funcds.NewVector(s.heap).Addr() })
-	if err != nil {
-		return nil, err
-	}
-	v := &Vector{st: s, name: name, loc: loc}
-	v.adopt(addr)
-	return v, nil
-}
+func (s *Store) Vector(name string) (*Vector, error) { return bind[Vector](s, nil, name, kindVector) }
 
 // Vector binds (creating on first use) a recoverable vector under a field.
 func (p *Parent) Vector(field string) (*Vector, error) {
-	loc, addr, err := bindField(p, field, kindVector, func() pmem.Addr { return funcds.NewVector(p.s.heap).Addr() })
-	if err != nil {
-		return nil, err
-	}
-	v := &Vector{st: p.s, name: field, loc: loc}
-	v.adopt(addr)
-	return v, nil
+	return bind[Vector](p.s, p, field, kindVector)
 }
 
-// Name returns the bound root or field name.
-func (v *Vector) Name() string { return v.name }
-
-func (v *Vector) latest() funcds.Vector {
-	return funcds.VectorAt(v.st.heap, v.st.resolveForRead(v.loc))
-}
-func (v *Vector) currentAddr() pmem.Addr { return pmem.Addr(v.cur.Load()) }
-func (v *Vector) adopt(a pmem.Addr)      { v.cur.Store(uint64(a)) }
-func (v *Vector) location() location     { return v.loc }
-func (v *Vector) store() *Store          { return v.st }
+func (v *Vector) latest() funcds.Vector { return funcds.VectorAt(v.st.heap, v.committed()) }
 
 // Len returns the number of elements.
 func (v *Vector) Len() uint64 {
@@ -400,18 +448,10 @@ func (v *Vector) Get(i uint64) uint64 {
 }
 
 // Push failure-atomically appends val (push_back).
-func (v *Vector) Push(val uint64) {
-	v.st.update(v, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		return funcds.VectorAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
-	})
-}
+func (v *Vector) Push(val uint64) { v.st.update(v, vectorPush(val)) }
 
 // Update failure-atomically replaces element i with val.
-func (v *Vector) Update(i uint64, val uint64) {
-	v.st.update(v, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		return funcds.VectorAt(s.heap, cur).WithEdit(ed).Update(i, val).Addr()
-	})
-}
+func (v *Vector) Update(i uint64, val uint64) { v.st.update(v, vectorUpdate(i, val)) }
 
 // Swap failure-atomically exchanges elements i and j: two pure updates on
 // successive shadows and one commit (Fig. 7b).
@@ -440,43 +480,15 @@ func (v *Vector) PureUpdate(i uint64, val uint64) VectorVersion { return v.lates
 // -------------------------------------------------------------- Stack --
 
 // Stack is a recoverable LIFO stack of 8-byte elements.
-type Stack struct {
-	st   *Store
-	name string
-	loc  location
-	cur  atomic.Uint64
-}
+type Stack struct{ handle }
 
 // Stack binds (creating on first use) a recoverable stack under a root.
-func (s *Store) Stack(name string) (*Stack, error) {
-	loc, addr, err := bindRoot(s, name, kindStack, func() pmem.Addr { return funcds.NewStack(s.heap).Addr() })
-	if err != nil {
-		return nil, err
-	}
-	st := &Stack{st: s, name: name, loc: loc}
-	st.adopt(addr)
-	return st, nil
-}
+func (s *Store) Stack(name string) (*Stack, error) { return bind[Stack](s, nil, name, kindStack) }
 
 // Stack binds (creating on first use) a recoverable stack under a field.
-func (p *Parent) Stack(field string) (*Stack, error) {
-	loc, addr, err := bindField(p, field, kindStack, func() pmem.Addr { return funcds.NewStack(p.s.heap).Addr() })
-	if err != nil {
-		return nil, err
-	}
-	st := &Stack{st: p.s, name: field, loc: loc}
-	st.adopt(addr)
-	return st, nil
-}
+func (p *Parent) Stack(field string) (*Stack, error) { return bind[Stack](p.s, p, field, kindStack) }
 
-// Name returns the bound root or field name.
-func (s *Stack) Name() string { return s.name }
-
-func (s *Stack) latest() funcds.Stack   { return funcds.StackAt(s.st.heap, s.st.resolveForRead(s.loc)) }
-func (s *Stack) currentAddr() pmem.Addr { return pmem.Addr(s.cur.Load()) }
-func (s *Stack) adopt(a pmem.Addr)      { s.cur.Store(uint64(a)) }
-func (s *Stack) location() location     { return s.loc }
-func (s *Stack) store() *Store          { return s.st }
+func (s *Stack) latest() funcds.Stack { return funcds.StackAt(s.st.heap, s.committed()) }
 
 // Len returns the number of elements.
 func (s *Stack) Len() uint64 {
@@ -493,27 +505,13 @@ func (s *Stack) Peek() (uint64, bool) {
 }
 
 // Push failure-atomically pushes val.
-func (s *Stack) Push(val uint64) {
-	s.st.update(s, func(st *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		return funcds.StackAt(st.heap, cur).WithEdit(ed).Push(val).Addr()
-	})
-}
+func (s *Stack) Push(val uint64) { s.st.update(s, stackPush(val)) }
 
 // Pop failure-atomically removes and returns the top element.
 func (s *Stack) Pop() (uint64, bool) {
-	var (
-		val uint64
-		ok  bool
-	)
-	s.st.update(s, func(st *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, v, o := funcds.StackAt(st.heap, cur).WithEdit(ed).Pop()
-		val, ok = v, o
-		if !o {
-			return cur
-		}
-		return next.Addr()
-	})
-	return val, ok
+	var r popped
+	s.st.update(s, stackPop(&r))
+	return r.val, r.ok
 }
 
 // Current returns the current committed version for composition.
@@ -528,43 +526,15 @@ func (s *Stack) PurePop() (StackVersion, uint64, bool) { return s.latest().Pop()
 // -------------------------------------------------------------- Queue --
 
 // Queue is a recoverable FIFO queue of 8-byte elements.
-type Queue struct {
-	st   *Store
-	name string
-	loc  location
-	cur  atomic.Uint64
-}
+type Queue struct{ handle }
 
 // Queue binds (creating on first use) a recoverable queue under a root.
-func (s *Store) Queue(name string) (*Queue, error) {
-	loc, addr, err := bindRoot(s, name, kindQueue, func() pmem.Addr { return funcds.NewQueue(s.heap).Addr() })
-	if err != nil {
-		return nil, err
-	}
-	q := &Queue{st: s, name: name, loc: loc}
-	q.adopt(addr)
-	return q, nil
-}
+func (s *Store) Queue(name string) (*Queue, error) { return bind[Queue](s, nil, name, kindQueue) }
 
 // Queue binds (creating on first use) a recoverable queue under a field.
-func (p *Parent) Queue(field string) (*Queue, error) {
-	loc, addr, err := bindField(p, field, kindQueue, func() pmem.Addr { return funcds.NewQueue(p.s.heap).Addr() })
-	if err != nil {
-		return nil, err
-	}
-	q := &Queue{st: p.s, name: field, loc: loc}
-	q.adopt(addr)
-	return q, nil
-}
+func (p *Parent) Queue(field string) (*Queue, error) { return bind[Queue](p.s, p, field, kindQueue) }
 
-// Name returns the bound root or field name.
-func (q *Queue) Name() string { return q.name }
-
-func (q *Queue) latest() funcds.Queue   { return funcds.QueueAt(q.st.heap, q.st.resolveForRead(q.loc)) }
-func (q *Queue) currentAddr() pmem.Addr { return pmem.Addr(q.cur.Load()) }
-func (q *Queue) adopt(a pmem.Addr)      { q.cur.Store(uint64(a)) }
-func (q *Queue) location() location     { return q.loc }
-func (q *Queue) store() *Store          { return q.st }
+func (q *Queue) latest() funcds.Queue { return funcds.QueueAt(q.st.heap, q.committed()) }
 
 // Len returns the number of elements.
 func (q *Queue) Len() uint64 {
@@ -581,27 +551,13 @@ func (q *Queue) Peek() (uint64, bool) {
 }
 
 // Enqueue failure-atomically appends val at the tail.
-func (q *Queue) Enqueue(val uint64) {
-	q.st.update(q, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		return funcds.QueueAt(s.heap, cur).WithEdit(ed).Push(val).Addr()
-	})
-}
+func (q *Queue) Enqueue(val uint64) { q.st.update(q, queueEnqueue(val)) }
 
 // Dequeue failure-atomically removes and returns the head element.
 func (q *Queue) Dequeue() (uint64, bool) {
-	var (
-		val uint64
-		ok  bool
-	)
-	q.st.update(q, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-		next, v, o := funcds.QueueAt(s.heap, cur).WithEdit(ed).Pop()
-		val, ok = v, o
-		if !o {
-			return cur
-		}
-		return next.Addr()
-	})
-	return val, ok
+	var r popped
+	q.st.update(q, queueDequeue(&r))
+	return r.val, r.ok
 }
 
 // Current returns the current committed version for composition.

@@ -45,7 +45,8 @@ import (
 // version's address (cur itself for a no-op). It must be replayable: a
 // CAS retry applies it again against a fresh base, and a combiner once
 // more after that; only the final application's captured results
-// survive. This is the same shape as batchOp.apply.
+// survive. Each update is one constructor in handles.go, which the Basic
+// method and its Batch twin (batchOp.apply) share.
 type rootOp func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr
 
 // addrVersion adapts a bare version address to the Version interface for
@@ -122,7 +123,7 @@ func (s *Store) CommitStats() CommitStats {
 // commit path: optimistic CAS publication, then flat-combining fallback.
 // Parent-bound structures keep the serialized locked path.
 func (s *Store) update(ds Datastructure, apply rootOp) {
-	loc := ds.location()
+	loc := ds.base().loc
 	if loc.parent != nil {
 		s.updateParentBound(ds, apply)
 		return
@@ -144,13 +145,14 @@ func (s *Store) update(ds Datastructure, apply rootOp) {
 // fields share one committed pointer, so a per-field CAS would race the
 // parent shadow build.
 func (s *Store) updateParentBound(ds Datastructure, apply rootOp) {
-	loc := ds.location()
+	h := ds.base()
+	loc := h.loc
 	mu := &s.sh.rootMu[loc.parent.slot]
 	mu.Lock()
 	defer mu.Unlock()
 	loc.parent.refreshLocked()
 	cur := loc.parent.fieldAddr(loc.slot)
-	ds.adopt(cur)
+	h.adopt(cur)
 	s.BeginFASE()
 	ed := s.heap.BeginEdit()
 	final := apply(s, ed, cur)
@@ -211,7 +213,7 @@ func (s *Store) tryOptimistic(slot int, ds Datastructure, apply rootOp) bool {
 	ed.Seal()
 	if final == old {
 		s.EndFASE()
-		ds.adopt(old)
+		ds.base().adopt(old)
 		return true // no-op update: nothing to publish, no fence
 	}
 	if s.heap.Root(slot) != old {
@@ -232,7 +234,7 @@ func (s *Store) tryOptimistic(slot int, ds Datastructure, apply rootOp) bool {
 	}
 	s.sh.cstats.fastWins.Add(1)
 	s.heap.ReleaseDeferred(old)
-	ds.adopt(final)
+	ds.base().adopt(final)
 	return true
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"github.com/mod-ds/mod/internal/alloc"
@@ -38,38 +37,21 @@ func (s *Store) Parent(name string, fields ...string) (*Parent, error) {
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("core: parent %q needs at least one field", name)
 	}
-	if strings.HasPrefix(name, reservedRootPrefix) {
-		return nil, fmt.Errorf("core: root name %q uses the reserved prefix %q: %w", name, reservedRootPrefix, ErrReservedRootName)
-	}
-	if s.sh.closed.Load() {
-		return nil, fmt.Errorf("core: binding %q: %w", name, ErrStoreClosed)
-	}
-	slot, err := s.heap.RootSlot(name)
+	created := false
+	kind := rootKind{"parent", []uint8{funcds.TagParent}, func(h *alloc.Heap, _ bool) pmem.Addr {
+		created = true
+		return newParentBlock(h, make([]pmem.Addr, len(fields)))
+	}}
+	loc, addr, err := bindRoot(s, name, kind)
 	if err != nil {
 		return nil, err
 	}
-	p := &Parent{s: s, name: name, slot: slot, fields: fields}
-	mu := &s.sh.rootMu[slot]
-	mu.Lock()
-	defer mu.Unlock()
-	if root := s.heap.Root(slot); root != pmem.Nil {
-		if err := s.checkKind(name, root, kindParent); err != nil {
-			return nil, err
-		}
-		n := s.dev.ReadU64(root)
-		if n != uint64(len(fields)) {
+	if !created {
+		if n := s.dev.ReadU64(addr); n != uint64(len(fields)) {
 			return nil, fmt.Errorf("core: parent %q has %d fields, expected %d", name, n, len(fields))
 		}
-		p.adopt(root)
-		return p, nil
 	}
-	s.BeginFASE()
-	addr := newParentBlock(s.heap, make([]pmem.Addr, len(fields)))
-	if err := s.commitRoot(slot, pmem.Nil, addr); err != nil {
-		s.EndFASE()
-		return nil, err
-	}
-	s.EndFASE()
+	p := &Parent{s: s, name: name, slot: loc.slot, fields: fields}
 	p.adopt(addr)
 	return p, nil
 }
@@ -118,33 +100,6 @@ func (p *Parent) fieldIndex(name string) (int, error) {
 // fieldAddr reads the current pointer of field i.
 func (p *Parent) fieldAddr(i int) pmem.Addr {
 	return pmem.Addr(p.s.dev.ReadU64(p.Addr() + 8 + pmem.Addr(i*8)))
-}
-
-// installField publishes a freshly created datastructure under field i via
-// a single-field CommitSiblings. Caller holds the parent's root mutex.
-func (p *Parent) installField(i int, addr pmem.Addr) error {
-	old := p.Addr()
-	if err := p.s.checkCurrent(p.slot, old, "installField"); err != nil {
-		return err
-	}
-	newFields := make([]pmem.Addr, len(p.fields))
-	for j := range p.fields {
-		newFields[j] = p.fieldAddr(j)
-	}
-	newFields[i] = addr
-	shadow := newParentBlock(p.s.heap, newFields)
-	for j, f := range newFields {
-		if j != i && f != pmem.Nil {
-			p.s.heap.Retain(f)
-		}
-	}
-	p.s.commitBegin()
-	p.s.heap.Fence()
-	p.s.heap.SetRoot(p.slot, shadow)
-	p.s.commitEnd()
-	p.s.heap.Release(old)
-	p.adopt(shadow)
-	return nil
 }
 
 func walkParent(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {

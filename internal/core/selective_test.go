@@ -6,34 +6,33 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/mod-ds/mod/internal/funcds"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
-// newSelTestStore builds a store on a durability-tracked device so the
-// tests can crash it, with the DRAM node cache on.
-func newSelTestStore(t testing.TB) (*Store, *pmem.Device) {
+// newSelTestStore opens a store WithSelective(every) on a durability-
+// tracked device so the tests can crash it: its roots are created
+// selective and the DRAM node cache is on.
+func newSelTestStore(t testing.TB, every int) (*Store, *pmem.Device) {
 	t.Helper()
 	cfg := pmem.DefaultConfig(8 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, err := newStore(dev)
+	db, _, err := Open(cfg, WithDevices(dev), WithSelective(every))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableNodeCache()
-	return s, dev
+	return db.Store(), dev
 }
 
-// selCrashReopen takes an adversarial crash image of dev and reopens it,
-// returning the recovered store and its device.
-func selCrashReopen(t *testing.T, dev *pmem.Device, seed uint64) (*Store, *pmem.Device) {
+// selCrashReopen takes an adversarial crash image of dev and reopens it
+// WithSelective(every), returning the recovered store and its device.
+func selCrashReopen(t *testing.T, dev *pmem.Device, seed uint64, every int) (*Store, *pmem.Device) {
 	t.Helper()
 	img := dev.CrashImage(pmem.CrashEvictRandom, seed)
 	cfg := pmem.DefaultConfig(8 << 20)
 	cfg.TrackDurable = true
 	dev2 := pmem.NewFromImage(cfg, img)
-	s2, _, err := openStore(dev2)
+	s2, _, err := openStore(dev2, WithSelective(every))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -45,9 +44,8 @@ func selCrashReopen(t *testing.T, dev *pmem.Device, seed uint64) (*Store, *pmem.
 // rebuilt state, the recovery-stats counters, and that the store stays
 // writable.
 func TestSelectiveMapRebuild(t *testing.T) {
-	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(8))
-	s, dev := newSelTestStore(t)
-	m, err := s.SelectiveMap("sm")
+	s, dev := newSelTestStore(t, 8)
+	m, err := s.Map("sm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +64,8 @@ func TestSelectiveMapRebuild(t *testing.T) {
 	}
 	s.Sync()
 
-	s2, dev2 := selCrashReopen(t, dev, 42)
-	m2, err := s2.SelectiveMap("sm")
+	s2, dev2 := selCrashReopen(t, dev, 42, 8)
+	m2, err := s2.Map("sm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +88,8 @@ func TestSelectiveMapRebuild(t *testing.T) {
 	// Still writable, and a second crash/reopen holds the new write.
 	m2.Set([]byte("after"), []byte("crash"))
 	s2.Sync()
-	s3, _ := selCrashReopen(t, dev2, 43)
-	m3, err := s3.SelectiveMap("sm")
+	s3, _ := selCrashReopen(t, dev2, 43, 8)
+	m3, err := s3.Map("sm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +102,9 @@ func TestSelectiveMapRebuild(t *testing.T) {
 // end to end across a crash, including pops (whose records carry no
 // operands) and the queue's reversal path.
 func TestSelectiveVectorStackQueueRebuild(t *testing.T) {
-	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(8))
-	s, dev := newSelTestStore(t)
+	s, dev := newSelTestStore(t, 8)
 
-	v, err := s.SelectiveVector("sv")
+	v, err := s.Vector("sv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +115,7 @@ func TestSelectiveVectorStackQueueRebuild(t *testing.T) {
 		v.Update(i, i*1000)
 	}
 
-	st, err := s.SelectiveStack("ss")
+	st, err := s.Stack("ss")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +126,7 @@ func TestSelectiveVectorStackQueueRebuild(t *testing.T) {
 		st.Pop()
 	}
 
-	q, err := s.SelectiveQueue("sq")
+	q, err := s.Queue("sq")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +141,8 @@ func TestSelectiveVectorStackQueueRebuild(t *testing.T) {
 	}
 	s.Sync()
 
-	s2, _ := selCrashReopen(t, dev, 7)
-	v2, err := s2.SelectiveVector("sv")
+	s2, _ := selCrashReopen(t, dev, 7, 8)
+	v2, err := s2.Vector("sv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +158,7 @@ func TestSelectiveVectorStackQueueRebuild(t *testing.T) {
 			t.Fatalf("vector[%d] = %d, want %d", i, got, want)
 		}
 	}
-	st2, err := s2.SelectiveStack("ss")
+	st2, err := s2.Stack("ss")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +168,7 @@ func TestSelectiveVectorStackQueueRebuild(t *testing.T) {
 	if top, ok := st2.Peek(); !ok || top != 29 {
 		t.Fatalf("stack top = %d,%v, want 29", top, ok)
 	}
-	q2, err := s2.SelectiveQueue("sq")
+	q2, err := s2.Queue("sq")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +182,12 @@ func TestSelectiveVectorStackQueueRebuild(t *testing.T) {
 
 // TestSelectiveCheckpointEveryCommit forces a checkpoint fold on every
 // commit (the worst case for the two-fence clear protocol) and checks
-// state across a crash taken right after a fold.
+// state across a crash taken right after a fold. An interval of one
+// record folds on every commit: each selective commit appends at least
+// one.
 func TestSelectiveCheckpointEveryCommit(t *testing.T) {
-	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(0))
-	s, dev := newSelTestStore(t)
-	set, err := s.SelectiveSet("st")
+	s, dev := newSelTestStore(t, 1)
+	set, err := s.Set("st")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +195,8 @@ func TestSelectiveCheckpointEveryCommit(t *testing.T) {
 		set.Insert([]byte(fmt.Sprintf("member-%03d", i)))
 	}
 	s.Sync()
-	s2, _ := selCrashReopen(t, dev, 99)
-	set2, err := s2.SelectiveSet("st")
+	s2, _ := selCrashReopen(t, dev, 99, 1)
+	set2, err := s2.Set("st")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +217,13 @@ func TestSelectiveCheckpointEveryCommit(t *testing.T) {
 // invalidates cache entries). Must be race-clean under -race and never
 // observe a torn or missing preloaded key.
 func TestSelectiveConcurrentSnapshotsNodeCache(t *testing.T) {
-	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(16))
 	const (
 		readers = 4
 		commits = 600
 		preload = 64
 	)
-	s, _ := newSelTestStore(t)
-	m, err := s.SelectiveMap("m")
+	s, _ := newSelTestStore(t, 16)
+	m, err := s.Map("m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,14 +296,12 @@ func TestSelectiveConcurrentSnapshotsNodeCache(t *testing.T) {
 // shard's device reports its own recovery stats, and readers across all
 // shards see the rebuilt state.
 func TestSelectiveShardedParallelRebuild(t *testing.T) {
-	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(8))
 	const shards = 4
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
-	ss := openShards(t, cfg, shards)
+	ss := openShards(t, cfg, shards, WithSelective(8))
 	for i := 0; i < shards; i++ {
-		ss.Shard(i).EnableNodeCache()
-		m, err := ss.Shard(i).SelectiveMap("m")
+		m, err := ss.Shard(i).Map("m")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +312,7 @@ func TestSelectiveShardedParallelRebuild(t *testing.T) {
 	ss.Sync()
 
 	imgs := ss.CrashImages(pmem.CrashEvictRandom, 1234)
-	ss2, rs, err := Open(cfg, WithExistingImages(imgs))
+	ss2, rs, err := Open(cfg, WithExistingImages(imgs), WithSelective(8))
 	if err != nil {
 		t.Fatalf("sharded recovery: %v", err)
 	}
@@ -325,7 +320,7 @@ func TestSelectiveShardedParallelRebuild(t *testing.T) {
 		t.Fatalf("PerShard stats for %d shards, want %d", len(rs.PerShard), shards)
 	}
 	for i := 0; i < shards; i++ {
-		m, err := ss2.Shard(i).SelectiveMap("m")
+		m, err := ss2.Shard(i).Map("m")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,13 +344,12 @@ func TestSelectiveShardedParallelRebuild(t *testing.T) {
 // publication paths whose checkpoint clears ride different fences than
 // the single-root commit.
 func TestSelectiveBatchAndUnrelatedCommits(t *testing.T) {
-	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(0)) // fold on every commit
-	s, dev := newSelTestStore(t)
-	m, err := s.SelectiveMap("bm")
+	s, dev := newSelTestStore(t, 1) // fold on every commit
+	m, err := s.Map("bm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.SelectiveVector("bv")
+	v, err := s.Vector("bv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,12 +367,12 @@ func TestSelectiveBatchAndUnrelatedCommits(t *testing.T) {
 	s.CommitUnrelated(Update{DS: m, Shadows: []Version{mv}}, Update{DS: v, Shadows: []Version{vv}})
 	s.Sync()
 
-	s2, _ := selCrashReopen(t, dev, 5)
-	m2, err := s2.SelectiveMap("bm")
+	s2, _ := selCrashReopen(t, dev, 5, 1)
+	m2, err := s2.Map("bm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := s2.SelectiveVector("bv")
+	v2, err := s2.Vector("bv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,5 +384,40 @@ func TestSelectiveBatchAndUnrelatedCommits(t *testing.T) {
 	}
 	if got := v2.Get(10); got != 999 {
 		t.Fatalf("vector[10] = %d, want 999", got)
+	}
+}
+
+// TestCheckpointIntervalIsPerStore pins the checkpoint interval as a
+// property of the store opened with it: opening B WithSelective(2) must
+// not make an already-open A, opened WithSelective(0), fold every two
+// records. Ten Map.Sets on A are ten one-fence FASEs; each fold would add
+// the fence behind clearCrown, which B pays on every second Set.
+func TestCheckpointIntervalIsPerStore(t *testing.T) {
+	a, _, err := Open(dbConfig(), WithSelective(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, _, err := Open(dbConfig(), WithSelective(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for _, c := range []struct {
+		name   string
+		db     *DB
+		fences uint64
+	}{{"A", a, 10}, {"B", b, 15}} {
+		m, err := c.db.Map("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := c.db.Stats()
+		for i := uint64(0); i < 10; i++ {
+			m.Set(key64(i), []byte("v"))
+		}
+		if got := c.db.Stats().Sub(before).Fences; got != c.fences {
+			t.Errorf("store %s: 10 Map.Sets paid %d fences, want %d", c.name, got, c.fences)
+		}
 	}
 }

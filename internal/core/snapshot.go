@@ -22,29 +22,34 @@ import (
 // load: the 8-byte root swap is atomic, so a snapshot taken mid-commit
 // sees either the old or the new version in full, never a mixture.
 
-// snap pins the epoch and resolves the location's committed pointer, in
-// that order — the pin must cover the pointer load, or the version could
-// be retired and recycled between load and traversal.
-func snap(s *Store, loc location) (pmem.Addr, *alloc.EpochGuard) {
-	g := s.heap.Enter()
-	return s.resolveForRead(loc), g
-}
-
-// MapSnapshot is an immutable view of a map's latest committed version.
-type MapSnapshot struct {
-	v funcds.Map
+// pinned is a committed version held against reclamation: the part every
+// snapshot type shares.
+type pinned[V any] struct {
+	v V
 	g *alloc.EpochGuard
 }
 
-// Snapshot returns the latest committed version of the map, pinned
-// against reclamation until Close.
-func (m *Map) Snapshot() MapSnapshot {
-	addr, g := snap(m.st, m.loc)
-	return MapSnapshot{v: funcds.MapAt(m.st.heap, addr), g: g}
+// pin pins the epoch and resolves h's committed pointer, in that order —
+// the pin must cover the pointer load, or the version could be retired
+// and recycled between load and traversal.
+func pin[V any](h *handle, at func(*alloc.Heap, pmem.Addr) V) pinned[V] {
+	g := h.st.heap.Enter()
+	return pinned[V]{v: at(h.st.heap, h.committed()), g: g}
 }
 
 // Close releases the snapshot's reclamation pin. Idempotent.
-func (s MapSnapshot) Close() { s.g.Exit() }
+func (p pinned[V]) Close() { p.g.Exit() }
+
+// Version returns the underlying immutable version for composition. It
+// is valid only until Close.
+func (p pinned[V]) Version() V { return p.v }
+
+// MapSnapshot is an immutable view of a map's latest committed version.
+type MapSnapshot struct{ pinned[MapVersion] }
+
+// Snapshot returns the latest committed version of the map, pinned
+// against reclamation until Close.
+func (m *Map) Snapshot() MapSnapshot { return MapSnapshot{pin(&m.handle, funcds.MapAt)} }
 
 // Len returns the number of entries.
 func (s MapSnapshot) Len() uint64 { return s.v.Len() }
@@ -58,25 +63,12 @@ func (s MapSnapshot) Contains(key []byte) bool { return s.v.Contains(key) }
 // Range iterates over this version's entries.
 func (s MapSnapshot) Range(f func(key, val []byte) bool) { s.v.Range(f) }
 
-// Version returns the underlying immutable version for composition. It
-// is valid only until Close.
-func (s MapSnapshot) Version() MapVersion { return s.v }
-
 // SetSnapshot is an immutable view of a set's latest committed version.
-type SetSnapshot struct {
-	v funcds.Set
-	g *alloc.EpochGuard
-}
+type SetSnapshot struct{ pinned[SetVersion] }
 
 // Snapshot returns the latest committed version of the set, pinned
 // against reclamation until Close.
-func (s *Set) Snapshot() SetSnapshot {
-	addr, g := snap(s.st, s.loc)
-	return SetSnapshot{v: funcds.SetDSAt(s.st.heap, addr), g: g}
-}
-
-// Close releases the snapshot's reclamation pin. Idempotent.
-func (s SetSnapshot) Close() { s.g.Exit() }
+func (s *Set) Snapshot() SetSnapshot { return SetSnapshot{pin(&s.handle, funcds.SetDSAt)} }
 
 // Len returns the number of members.
 func (s SetSnapshot) Len() uint64 { return s.v.Len() }
@@ -87,26 +79,13 @@ func (s SetSnapshot) Contains(key []byte) bool { return s.v.Contains(key) }
 // Range iterates over this version's members.
 func (s SetSnapshot) Range(f func(key []byte) bool) { s.v.Range(f) }
 
-// Version returns the underlying immutable version for composition. It
-// is valid only until Close.
-func (s SetSnapshot) Version() SetVersion { return s.v }
-
 // VectorSnapshot is an immutable view of a vector's latest committed
 // version.
-type VectorSnapshot struct {
-	v funcds.Vector
-	g *alloc.EpochGuard
-}
+type VectorSnapshot struct{ pinned[VectorVersion] }
 
 // Snapshot returns the latest committed version of the vector, pinned
 // against reclamation until Close.
-func (v *Vector) Snapshot() VectorSnapshot {
-	addr, g := snap(v.st, v.loc)
-	return VectorSnapshot{v: funcds.VectorAt(v.st.heap, addr), g: g}
-}
-
-// Close releases the snapshot's reclamation pin. Idempotent.
-func (s VectorSnapshot) Close() { s.g.Exit() }
+func (v *Vector) Snapshot() VectorSnapshot { return VectorSnapshot{pin(&v.handle, funcds.VectorAt)} }
 
 // Len returns the number of elements.
 func (s VectorSnapshot) Len() uint64 { return s.v.Len() }
@@ -114,26 +93,13 @@ func (s VectorSnapshot) Len() uint64 { return s.v.Len() }
 // Get returns the element at index i in this version.
 func (s VectorSnapshot) Get(i uint64) uint64 { return s.v.Get(i) }
 
-// Version returns the underlying immutable version for composition. It
-// is valid only until Close.
-func (s VectorSnapshot) Version() VectorVersion { return s.v }
-
 // StackSnapshot is an immutable view of a stack's latest committed
 // version.
-type StackSnapshot struct {
-	v funcds.Stack
-	g *alloc.EpochGuard
-}
+type StackSnapshot struct{ pinned[StackVersion] }
 
 // Snapshot returns the latest committed version of the stack, pinned
 // against reclamation until Close.
-func (s *Stack) Snapshot() StackSnapshot {
-	addr, g := snap(s.st, s.loc)
-	return StackSnapshot{v: funcds.StackAt(s.st.heap, addr), g: g}
-}
-
-// Close releases the snapshot's reclamation pin. Idempotent.
-func (s StackSnapshot) Close() { s.g.Exit() }
+func (s *Stack) Snapshot() StackSnapshot { return StackSnapshot{pin(&s.handle, funcds.StackAt)} }
 
 // Len returns the number of elements.
 func (s StackSnapshot) Len() uint64 { return s.v.Len() }
@@ -141,33 +107,16 @@ func (s StackSnapshot) Len() uint64 { return s.v.Len() }
 // Peek returns the top element of this version.
 func (s StackSnapshot) Peek() (uint64, bool) { return s.v.Peek() }
 
-// Version returns the underlying immutable version for composition. It
-// is valid only until Close.
-func (s StackSnapshot) Version() StackVersion { return s.v }
-
 // QueueSnapshot is an immutable view of a queue's latest committed
 // version.
-type QueueSnapshot struct {
-	v funcds.Queue
-	g *alloc.EpochGuard
-}
+type QueueSnapshot struct{ pinned[QueueVersion] }
 
 // Snapshot returns the latest committed version of the queue, pinned
 // against reclamation until Close.
-func (q *Queue) Snapshot() QueueSnapshot {
-	addr, g := snap(q.st, q.loc)
-	return QueueSnapshot{v: funcds.QueueAt(q.st.heap, addr), g: g}
-}
-
-// Close releases the snapshot's reclamation pin. Idempotent.
-func (s QueueSnapshot) Close() { s.g.Exit() }
+func (q *Queue) Snapshot() QueueSnapshot { return QueueSnapshot{pin(&q.handle, funcds.QueueAt)} }
 
 // Len returns the number of elements.
 func (s QueueSnapshot) Len() uint64 { return s.v.Len() }
 
 // Peek returns the head element of this version.
 func (s QueueSnapshot) Peek() (uint64, bool) { return s.v.Peek() }
-
-// Version returns the underlying immutable version for composition. It
-// is valid only until Close.
-func (s QueueSnapshot) Version() QueueVersion { return s.v }

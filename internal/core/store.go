@@ -94,7 +94,24 @@ type storeShared struct {
 	quarMu    sync.Mutex
 	quar      map[int]error
 	quarCount atomic.Int32
+
+	// The store's flavor (DESIGN.md §10), fixed when Open returns: a
+	// selective store creates its new roots selectively persisted and
+	// serves navigation nodes from the DRAM node cache. Every store
+	// folds the record chain of each selective root it hosts once it
+	// reaches checkpointEvery records.
+	selective       bool
+	checkpointEvery uint64
 }
+
+// defaultCheckpointEvery is the record-chain length that triggers a
+// checkpoint fold unless WithSelective sets another. The crown a fold
+// flushes is bounded by the live navigation-node count, so the amortized
+// cost per update is roughly treeLines/checkpointEvery: the interval must
+// be large relative to the structure's interior for selective
+// persistence to keep its flush advantage, and small enough to bound
+// recovery replay (the chain is replayed oldest-first on open).
+const defaultCheckpointEvery = 32768
 
 // Store is a handle onto a persistent heap hosting MOD datastructures,
 // located across process lifetimes by named roots. Derive one handle per
@@ -116,7 +133,7 @@ func newStore(dev pmem.Backend) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: anchoring batch record: %w", err)
 	}
-	s := &Store{dev: dev, heap: heap, batchRec: heap.Alloc(batchRecSize, 0), sh: &storeShared{}}
+	s := &Store{dev: dev, heap: heap, batchRec: heap.Alloc(batchRecSize, 0), sh: &storeShared{checkpointEvery: defaultCheckpointEvery}}
 	s.record().retire() // a recycled arena must not read as a committed record
 	heap.SetRoot(slot, s.batchRec)
 	dev.Sfence()
@@ -146,7 +163,7 @@ func attachStore(dev pmem.Backend, shard int) (*Store, error) {
 	if rec == pmem.Nil {
 		return nil, fmt.Errorf("core: store has no %s root: %w", batchLogRoot, ErrCorrupted)
 	}
-	s := &Store{dev: dev, heap: heap, batchRec: rec, sh: &storeShared{shard: shard}}
+	s := &Store{dev: dev, heap: heap, batchRec: rec, sh: &storeShared{shard: shard, checkpointEvery: defaultCheckpointEvery}}
 	s.replayRecord()
 	return s, nil
 }
@@ -314,15 +331,12 @@ type Version interface {
 	Addr() pmem.Addr
 }
 
-// Datastructure is a MOD handle that can be the target of a Commit. Only
-// types in this package implement it.
+// Datastructure is a MOD handle that can be the target of a Commit: one
+// of the five handle types, each of which embeds handle.
 type Datastructure interface {
 	// Name returns the root or field name the handle is bound to.
 	Name() string
-	currentAddr() pmem.Addr
-	adopt(addr pmem.Addr)
-	location() location
-	store() *Store
+	base() *handle
 }
 
 // location identifies where a datastructure's current-version pointer
@@ -359,15 +373,29 @@ func (s *Store) commitRoot(slot int, old, final pmem.Addr) error {
 	return nil
 }
 
+// makeSelective gives the store the selective flavor (DESIGN.md §10):
+// root binders create selectively persisted structures from now on, the
+// heap's DRAM node cache is on, and record chains fold once they reach
+// every records (every <= 0 keeps defaultCheckpointEvery). Open calls it
+// before the store serves anything; roots that already exist keep their
+// flavor.
+func (s *Store) makeSelective(every int) {
+	s.sh.selective = true
+	if every > 0 {
+		s.sh.checkpointEvery = uint64(every)
+	}
+	s.heap.EnableNodeCache()
+}
+
 // maybeCheckpoint folds a selective structure's record chain into a fresh
-// checkpoint when it has grown past funcds.CheckpointEvery, returning the
+// checkpoint when it has grown to the store's interval, returning the
 // volatile crown of navigation nodes the commit step must then mark
 // durable (clearCrown). It runs before the commit bracket: the crown
 // flushes and the checkpoint clone are ordinary shadow work, made durable
 // by the commit fence. Non-selective finals return nil at the cost of one
 // tag read.
 func (s *Store) maybeCheckpoint(final pmem.Addr) []pmem.Addr {
-	if final == pmem.Nil || !funcds.NeedsCheckpoint(s.heap, final) {
+	if final == pmem.Nil || !funcds.NeedsCheckpoint(s.heap, final, s.sh.checkpointEvery) {
 		return nil
 	}
 	return funcds.PrepareCheckpoint(s.heap, final)
@@ -435,16 +463,16 @@ func (s *Store) CommitSingle(ds Datastructure, shadows ...Version) error {
 	if len(shadows) == 0 {
 		return nil
 	}
-	loc := ds.location()
-	if loc.parent != nil {
-		return s.CommitSiblings(loc.parent, Update{DS: ds, Shadows: shadows})
+	h := ds.base()
+	if h.loc.parent != nil {
+		return s.CommitSiblings(h.loc.parent, Update{DS: ds, Shadows: shadows})
 	}
-	mu := &s.sh.rootMu[loc.slot]
+	mu := &s.sh.rootMu[h.loc.slot]
 	mu.Lock()
 	defer mu.Unlock()
-	old := ds.currentAddr()
+	old := h.currentAddr()
 	final := shadows[len(shadows)-1].Addr()
-	if err := s.commitRoot(loc.slot, old, final); err != nil {
+	if err := s.commitRoot(h.loc.slot, old, final); err != nil {
 		return err
 	}
 	// Behind commitRoot's deferred release of old, in chain order: each
@@ -454,7 +482,7 @@ func (s *Store) CommitSingle(ds Datastructure, shadows ...Version) error {
 	for _, a := range intermediates(nil, shadows) {
 		s.heap.ReleaseDeferred(a)
 	}
-	ds.adopt(final)
+	h.adopt(final)
 	return nil
 }
 
@@ -505,7 +533,7 @@ func (s *Store) commitSiblingsLocked(p *Parent, updates []Update) error {
 		newFields[i] = p.fieldAddr(i)
 	}
 	for _, u := range updates {
-		loc := u.DS.location()
+		loc := u.DS.base().loc
 		if loc.parent != p {
 			panic("core: CommitSiblings update does not belong to this parent")
 		}
@@ -541,7 +569,7 @@ func (s *Store) commitSiblingsLocked(p *Parent, updates []Update) error {
 	}
 	p.adopt(shadow)
 	for _, u := range updates {
-		u.DS.adopt(u.final())
+		u.DS.base().adopt(u.final())
 	}
 	return nil
 }
@@ -565,7 +593,7 @@ func (s *Store) CommitUnrelated(updates ...Update) error {
 	}
 	p := &preparedBatch{s: s, finals: make(map[int]pmem.Addr, len(updates))}
 	for _, u := range updates {
-		loc := u.DS.location()
+		loc := u.DS.base().loc
 		if loc.parent != nil {
 			panic("core: CommitUnrelated requires root-bound datastructures")
 		}
@@ -584,7 +612,8 @@ func (s *Store) CommitUnrelated(updates ...Update) error {
 		s.sh.rootMu[slot].Lock()
 	}
 	for _, u := range updates {
-		slot, old := u.DS.location().slot, u.DS.currentAddr()
+		h := u.DS.base()
+		slot, old := h.loc.slot, h.currentAddr()
 		if err := s.checkCurrent(slot, old, "CommitUnrelated"); err != nil {
 			p.unlock()
 			return err

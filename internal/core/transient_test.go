@@ -14,9 +14,40 @@ import (
 // copy/flush elision the path exists for, and (c) that unpublished edit
 // nodes never leak into recovered state when a crash lands mid-edit.
 
+// TestTransientBatchMatchesModel runs every batchable update — the ten
+// rootOps handles.go shares between the Basic methods and their Batch
+// twins — against a volatile model, both ways (one Basic FASE per op,
+// whose results are checked too, or batches of 1, 3, 17 and 64 ops on
+// the edit path) and on both flavors (a plain store, and one opened
+// WithSelective folding every 16 records).
 func TestTransientBatchMatchesModel(t *testing.T) {
-	_, st := newBatchTestStore(t)
+	for _, flavor := range []string{"plain", "sel"} {
+		for _, way := range []string{"basic", "batch"} {
+			t.Run(flavor+"/"+way, func(t *testing.T) {
+				var opts []Option
+				if flavor == "sel" {
+					opts = append(opts, WithSelective(16))
+				}
+				db, _, err := Open(pmem.DefaultConfig(32<<20), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				runModel(t, db.Store(), way == "basic")
+			})
+		}
+	}
+}
+
+// runModel drives seeded random updates over all five structures of st,
+// as Basic FASEs or as batches, and checks every result and the final
+// states against a volatile model after each batch size.
+func runModel(t *testing.T, st *Store, basic bool) {
 	m, err := st.Map("model-map")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := st.Set("model-set")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,9 +55,18 @@ func TestTransientBatchMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stk, err := st.Stack("model-stack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := st.Queue("model-queue")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	model := map[string]string{}
-	var vec []uint64
+	members := map[string]bool{}
+	var vec, stack, queue []uint64
 	seed := uint64(0xfeed)
 	next := func() uint64 {
 		seed += 0x9e3779b97f4a7c15
@@ -35,23 +75,105 @@ func TestTransientBatchMatchesModel(t *testing.T) {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		return z ^ (z >> 31)
 	}
+	check := func(what string, got, want any) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s returned %v, model says %v", what, got, want)
+		}
+	}
 	for _, batchSize := range []int{1, 3, 17, 64} {
 		b := st.NewBatch()
 		for i := 0; i < 200; i++ {
-			switch next() % 4 {
-			case 0, 1:
-				k := fmt.Sprintf("k%03d", next()%100)
-				val := fmt.Sprintf("v%x", next())
-				b.MapSet(m, []byte(k), []byte(val))
+			k := fmt.Sprintf("k%03d", next()%100)
+			x := next()
+			switch next() % 10 {
+			case 0:
+				val := fmt.Sprintf("v%x", x)
+				_, had := model[k]
+				if basic {
+					check("Map.Set", m.Set([]byte(k), []byte(val)), had)
+				} else {
+					b.MapSet(m, []byte(k), []byte(val))
+				}
 				model[k] = val
-			case 2:
-				k := fmt.Sprintf("k%03d", next()%100)
-				b.MapDelete(m, []byte(k))
+			case 1:
+				_, had := model[k]
+				if basic {
+					check("Map.Delete", m.Delete([]byte(k)), had)
+				} else {
+					b.MapDelete(m, []byte(k))
+				}
 				delete(model, k)
+			case 2:
+				if basic {
+					check("Set.Insert", set.Insert([]byte(k)), members[k])
+				} else {
+					b.SetInsert(set, []byte(k))
+				}
+				members[k] = true
 			case 3:
-				x := next()
-				b.VectorPush(v, x)
+				if basic {
+					check("Set.Delete", set.Delete([]byte(k)), members[k])
+				} else {
+					b.SetDelete(set, []byte(k))
+				}
+				delete(members, k)
+			case 4:
+				if basic {
+					v.Push(x)
+				} else {
+					b.VectorPush(v, x)
+				}
 				vec = append(vec, x)
+			case 5:
+				if len(vec) == 0 {
+					continue
+				}
+				j := x % uint64(len(vec))
+				if basic {
+					v.Update(j, x)
+				} else {
+					b.VectorUpdate(v, j, x)
+				}
+				vec[j] = x
+			case 6:
+				if basic {
+					stk.Push(x)
+				} else {
+					b.StackPush(stk, x)
+				}
+				stack = append([]uint64{x}, stack...)
+			case 7:
+				want := popped{}
+				if len(stack) > 0 {
+					want = popped{stack[0], true}
+					stack = stack[1:]
+				}
+				if basic {
+					val, ok := stk.Pop()
+					check("Stack.Pop", popped{val, ok}, want)
+				} else {
+					b.StackPop(stk)
+				}
+			case 8:
+				if basic {
+					q.Enqueue(x)
+				} else {
+					b.QueueEnqueue(q, x)
+				}
+				queue = append(queue, x)
+			case 9:
+				want := popped{}
+				if len(queue) > 0 {
+					want = popped{queue[0], true}
+					queue = queue[1:]
+				}
+				if basic {
+					val, ok := q.Dequeue()
+					check("Queue.Dequeue", popped{val, ok}, want)
+				} else {
+					b.QueueDequeue(q)
+				}
 			}
 			if b.Len() >= batchSize {
 				b.Commit()
@@ -68,6 +190,14 @@ func TestTransientBatchMatchesModel(t *testing.T) {
 				t.Fatalf("batch=%d: key %q = %q/%v, want %q", batchSize, k, got, ok, want)
 			}
 		}
+		if got := int(set.Len()); got != len(members) {
+			t.Fatalf("batch=%d: set len %d, model %d", batchSize, got, len(members))
+		}
+		for k := range members {
+			if !set.Contains([]byte(k)) {
+				t.Fatalf("batch=%d: set lost %q", batchSize, k)
+			}
+		}
 		if got := int(v.Len()); got != len(vec) {
 			t.Fatalf("batch=%d: vector len %d, model %d", batchSize, got, len(vec))
 		}
@@ -76,6 +206,15 @@ func TestTransientBatchMatchesModel(t *testing.T) {
 				t.Fatalf("batch=%d: vec[%d] = %d, want %d", batchSize, i, got, want)
 			}
 		}
+		ss, qs := stk.Snapshot(), q.Snapshot()
+		if got := fmt.Sprint(ss.Version().Elements()); got != fmt.Sprint(stack) {
+			t.Fatalf("batch=%d: stack %s, model %v", batchSize, got, stack)
+		}
+		if got := fmt.Sprint(qs.Version().Elements()); got != fmt.Sprint(queue) {
+			t.Fatalf("batch=%d: queue %s, model %v", batchSize, got, queue)
+		}
+		ss.Close()
+		qs.Close()
 	}
 }
 

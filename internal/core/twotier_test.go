@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/mod-ds/mod/internal/alloc"
-	"github.com/mod-ds/mod/internal/funcds"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -229,11 +227,12 @@ func tierBuild(t *testing.T, selective bool) (*pmem.Device, *Store, *Map) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, err := newStore(dev)
+	db, _, err := Open(cfg, append([]Option{WithDevices(dev)}, tierOpts(selective)...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := tierBind(s, selective)
+	s := db.Store()
+	m, err := s.Map("tier")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,12 +243,13 @@ func tierBuild(t *testing.T, selective bool) (*pmem.Device, *Store, *Map) {
 	return dev, s, m
 }
 
-func tierBind(s *Store, selective bool) (*Map, error) {
+// tierOpts opens the selective tiers' stores checkpointing every 2
+// records, so a combined round folds a checkpoint.
+func tierOpts(selective bool) []Option {
 	if selective {
-		s.EnableNodeCache()
-		return s.SelectiveMap("tier")
+		return []Option{WithSelective(2)}
 	}
-	return s.Map("tier")
+	return nil
 }
 
 // probeFast replays the window as mxProbe Basic Sets — uncontended, so
@@ -271,13 +271,7 @@ func enrollSets(s *Store, m *Map, from, to int) []*Ticket {
 	for i := from; i < to; i++ {
 		k, v := tierKey(i), tierVal(i)
 		t := &Ticket{done: make(chan struct{})}
-		fc.pending = append(fc.pending, submission{ticket: t, ops: []batchOp{{
-			ds: m,
-			apply: func(st *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
-				next, _ := funcds.MapAt(st.heap, cur).WithEdit(ed).Set(k, v)
-				return next.Addr()
-			},
-		}}})
+		fc.pending = append(fc.pending, submission{ticket: t, ops: []batchOp{{ds: m, apply: mapSet(k, v, nil)}}})
 		tickets = append(tickets, t)
 	}
 	return tickets
@@ -378,7 +372,6 @@ func TestCombinerWaitsForLockPath(t *testing.T) {
 // folds a checkpoint: two fences with the crown's volatile-bit clears
 // between them, every write of which is an injection point.
 func TestCrashMatrixCommitTiers(t *testing.T) {
-	defer funcds.SetCheckpointEvery(funcds.SetCheckpointEvery(2))
 	anyPrefix := func(prefixDump string, opDumps []string) map[string]bool {
 		ok := map[string]bool{prefixDump: true}
 		for _, d := range opDumps {
@@ -440,11 +433,11 @@ func TestCrashMatrixCommitTiers(t *testing.T) {
 				dev.SetTracer(nil)
 
 				dev2 := pmem.NewFromImage(pmem.DefaultConfig(4<<20), tr.Image())
-				s2, _, err := openStore(dev2)
+				s2, _, err := openStore(dev2, tierOpts(tier.selective)...)
 				if err != nil {
 					t.Fatalf("inj %d: recovery: %v", inj, err)
 				}
-				m2, err := tierBind(s2, tier.selective)
+				m2, err := s2.Map("tier")
 				if err != nil {
 					t.Fatalf("inj %d: rebind: %v", inj, err)
 				}

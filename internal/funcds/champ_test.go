@@ -203,7 +203,7 @@ func TestMapReclamationReturnsToBaseline(t *testing.T) {
 
 func TestMapNoFencesAllFlushed(t *testing.T) {
 	h := newTestHeap(t)
-	dev := h.Device()
+	dev := h.Device().(*pmem.Device)
 	before := dev.Stats()
 	m := NewMap(h)
 	for i := uint64(0); i < 300; i++ {

@@ -3,7 +3,6 @@ package funcds
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/pmem"
@@ -22,10 +21,10 @@ import (
 // ckptHdr points at a checkpoint clone: a normal-tagged header snapshot
 // whose entire subtree is durable. Recovered state is rebuilt by replaying
 // the record chain (oldest first) onto the checkpoint — it never depends
-// on the contents of an unflushed navigation node. Every checkpointEvery
-// records, the commit path flushes the live volatile crown, clears the
-// volatile bits inside the commit bracket (PrepareCheckpoint + the store's
-// clear step), and resets the chain.
+// on the contents of an unflushed navigation node. Once the chain reaches
+// the store's checkpoint interval, the commit path flushes the live
+// volatile crown, clears the volatile bits inside the commit bracket
+// (PrepareCheckpoint + the store's clear step), and resets the chain.
 
 // selExtSize is the selective header extension appended after a
 // structure's base fields: [ckptHdr u64][recHead u64][recCount u64].
@@ -54,25 +53,6 @@ const (
 
 	recKindMax = RecQueuePop
 )
-
-// checkpointEvery is the record-chain length that triggers a checkpoint at
-// the next commit. The crown flushed by a checkpoint is bounded by the
-// live navigation-node count, so the amortized cost per update is roughly
-// treeLines/checkpointEvery: the interval must be large relative to the
-// structure's interior for selective persistence to keep its flush
-// advantage, and small enough to bound recovery replay (the chain is
-// replayed oldest-first on open).
-var checkpointEvery atomic.Uint64
-
-func init() { checkpointEvery.Store(32768) }
-
-// CheckpointEvery returns the current checkpoint interval.
-func CheckpointEvery() uint64 { return checkpointEvery.Load() }
-
-// SetCheckpointEvery sets the checkpoint interval (records between crown
-// flushes) and returns the previous value. Tests use small intervals to
-// exercise the checkpoint path; 0 checkpoints on every commit.
-func SetCheckpointEvery(n uint64) uint64 { return checkpointEvery.Swap(n) }
 
 // EncodeRecord renders a record cell's payload bytes.
 func EncodeRecord(prev pmem.Addr, kind, a, b uint64) []byte {
@@ -332,14 +312,15 @@ func volatileCrown(h *alloc.Heap, roots []pmem.Addr) []pmem.Addr {
 }
 
 // NeedsCheckpoint reports whether the selective structure at hdr has
-// accumulated enough records to checkpoint at the next commit.
-func NeedsCheckpoint(h *alloc.Heap, hdr pmem.Addr) bool {
+// accumulated every records — the interval of the store committing it —
+// and must checkpoint at this commit. Plain structures never do.
+func NeedsCheckpoint(h *alloc.Heap, hdr pmem.Addr, every uint64) bool {
 	base := selBaseSize(h.Tag(hdr))
 	if base == 0 {
 		return false
 	}
 	_, _, recCount := readSelExt(h, hdr, base)
-	return recCount >= checkpointEvery.Load()
+	return recCount >= every
 }
 
 // PrepareCheckpoint runs the in-FASE half of a checkpoint on the final

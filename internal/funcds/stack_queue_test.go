@@ -114,7 +114,7 @@ func TestStackReclamationReturnsToBaseline(t *testing.T) {
 
 func TestStackNoFencesDuringUpdates(t *testing.T) {
 	h := newTestHeap(t)
-	dev := h.Device()
+	dev := h.Device().(*pmem.Device)
 	before := dev.Stats()
 	s := NewStack(h)
 	for i := uint64(0); i < 20; i++ {

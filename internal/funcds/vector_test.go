@@ -118,7 +118,7 @@ func TestVectorSwapViaTwoUpdates(t *testing.T) {
 
 func TestVectorNoFencesAndAllFlushed(t *testing.T) {
 	h := newTestHeap(t)
-	dev := h.Device()
+	dev := h.Device().(*pmem.Device)
 	before := dev.Stats()
 	v := NewVector(h)
 	for i := uint64(0); i < 200; i++ {

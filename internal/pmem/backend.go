@@ -12,11 +12,12 @@ package pmem
 //     and the clock is wall time — the deployable engine, a seam for a
 //     future DAX/clwb path.
 //
-// The interface is exactly the surface the data path and recovery use.
-// Simulator-only machinery — crash policies beyond a whole-arena copy,
-// media-fault injection, durable-image views, per-line dirty/inflight
-// introspection with real meaning — stays on *Device; callers that need
-// it consult Caps first or type-assert.
+// The interface is exactly the surface the data path, recovery and the
+// harness call through it. Simulator-only machinery — crash policies
+// beyond a whole-arena copy, media-fault injection, durable-image views,
+// per-line dirty/inflight introspection (InflightLines, DirtyLines,
+// LineDirty) and reading back the accounting category — stays on
+// *Device; callers that need it consult Caps first or type-assert.
 type Backend interface {
 	// Geometry and capability flags.
 	Size() int64
@@ -42,14 +43,6 @@ type Backend interface {
 	Sfence()
 	FenceSeq() uint64
 
-	// Line-state introspection. On backends without a line-state machine
-	// these are best-effort: DirtyLines may report 0 (unflushed writes
-	// are not tracked per line) while InflightLines reports the noted
-	// flush set.
-	InflightLines() int
-	DirtyLines() int
-	LineDirty(addr Addr) bool
-
 	// Accounting. Clock/LocalNs are simulated nanoseconds when
 	// CapSimClock is set, wall-clock nanoseconds since open otherwise —
 	// which is why mmap bench rows are wall-clock-only and never
@@ -58,7 +51,6 @@ type Backend interface {
 	Clock() float64
 	LocalNs() float64
 	ChargeCompute(ns float64)
-	Category() Category
 	SetCategory(c Category) Category
 	NoteBatch(ops int)
 	NoteRecovery(rebuilt uint64, ns float64)

@@ -382,23 +382,6 @@ func lineRuns(order []uint64) [][2]uint64 {
 // FenceSeq returns the number of Sfence calls executed on the device.
 func (d *Device) FenceSeq() uint64 { return d.s.fences.Load() }
 
-// InflightLines returns the size of the noted (unfenced) flush set.
-func (d *Device) InflightLines() int {
-	d.s.mu.Lock()
-	defer d.s.mu.Unlock()
-	return len(d.s.order)
-}
-
-// DirtyLines always reports 0: the mmap backend does not track
-// unflushed writes per line (see Backend's line-state contract).
-func (d *Device) DirtyLines() int { return 0 }
-
-// LineDirty always reports false (no per-line write tracking).
-func (d *Device) LineDirty(addr pmem.Addr) bool {
-	d.checkRange(addr, 1)
-	return false
-}
-
 // Stats returns a snapshot of the counters. Times are wall-clock.
 func (d *Device) Stats() pmem.Stats {
 	var s pmem.Stats
@@ -429,9 +412,6 @@ func (d *Device) LocalNs() float64 { return d.Clock() }
 
 // ChargeCompute is a no-op: time is real here.
 func (d *Device) ChargeCompute(ns float64) {}
-
-// Category returns the handle's accounting category.
-func (d *Device) Category() pmem.Category { return d.cat }
 
 // SetCategory switches the handle's category and returns the previous
 // one. Categories have no latency effect on this backend.

@@ -72,6 +72,13 @@ func TestWordRoundtrip(t *testing.T) {
 	end()
 }
 
+// noted returns the size of d's noted (unfenced) flush set.
+func noted(d *Device) int {
+	d.s.mu.Lock()
+	defer d.s.mu.Unlock()
+	return len(d.s.order)
+}
+
 func TestClwbSfenceNoteSet(t *testing.T) {
 	d, _ := devFor(t, 1<<16)
 	d.WriteU64(0, 1)
@@ -82,8 +89,8 @@ func TestClwbSfenceNoteSet(t *testing.T) {
 	d.Clwb(0)
 	d.Clwb(8) // same line
 	d.Clwb(pmem.LineSize)
-	if got := d.InflightLines(); got != 2 {
-		t.Fatalf("InflightLines = %d, want 2", got)
+	if got := noted(d); got != 2 {
+		t.Fatalf("noted lines = %d, want 2", got)
 	}
 	if got := d.Stats().Flushes; got != 3 {
 		t.Fatalf("Flushes = %d, want 3", got)
@@ -91,8 +98,8 @@ func TestClwbSfenceNoteSet(t *testing.T) {
 
 	seq := d.FenceSeq()
 	d.Sfence()
-	if got := d.InflightLines(); got != 0 {
-		t.Fatalf("InflightLines after Sfence = %d", got)
+	if got := noted(d); got != 0 {
+		t.Fatalf("noted lines after Sfence = %d", got)
 	}
 	if got := d.FenceSeq(); got != seq+1 {
 		t.Fatalf("FenceSeq = %d, want %d", got, seq+1)
@@ -103,7 +110,7 @@ func TestClwbSfenceNoteSet(t *testing.T) {
 
 	// FlushRange notes every overlapping line.
 	d.FlushRange(pmem.LineSize-8, 16)
-	if got := d.InflightLines(); got != 2 {
+	if got := noted(d); got != 2 {
 		t.Fatalf("FlushRange noted %d lines, want 2", got)
 	}
 	d.Sfence()
@@ -242,9 +249,6 @@ func TestCapsAndDegenerateLineState(t *testing.T) {
 		t.Fatalf("Caps = %b, want none", caps)
 	}
 	d.WriteU64(0, 1)
-	if d.DirtyLines() != 0 || d.LineDirty(0) {
-		t.Fatal("mmap backend claims per-line dirty tracking")
-	}
 	if a, dead := d.RangeDead(0, pmem.LineSize); dead || a != pmem.Nil {
 		t.Fatal("mmap backend claims dead lines")
 	}

@@ -27,9 +27,9 @@ type SelectiveConfig struct {
 	// Structure selects the hot path: "map" (sets over preloaded keys)
 	// or "vector" (updates over preloaded slots).
 	Structure string
-	// Selective picks the flavor under test: true binds the selectively
-	// persisted structure and enables the DRAM node cache ("on"); false
-	// binds the normal structure with no cache ("off").
+	// Selective picks the flavor under test: true opens the store
+	// WithSelective, so the structures are selectively persisted and the
+	// DRAM node cache is on ("on"); false opens a plain store ("off").
 	Selective bool
 	// OpsPerFASE is the number of updates per edit/batch.
 	OpsPerFASE int
@@ -88,7 +88,11 @@ func RunSelective(cfg SelectiveConfig) (run, recovery Row, err error) {
 	}
 	dcfg := pmem.DefaultConfig(cfg.ArenaBytes)
 	dcfg.TrackDurable = cfg.MeasureRecovery
-	db, _, err := core.Open(dcfg)
+	var opts []core.Option
+	if cfg.Selective {
+		opts = append(opts, core.WithSelective(0))
+	}
+	db, _, err := core.Open(dcfg, opts...)
 	if err != nil {
 		return Row{}, Row{}, err
 	}
@@ -96,18 +100,11 @@ func RunSelective(cfg SelectiveConfig) (run, recovery Row, err error) {
 	store := db.Store()
 	dev := store.Device()
 
-	var m *core.Map
-	var v *core.Vector
-	if cfg.Selective {
-		store.EnableNodeCache()
-		if m, err = store.SelectiveMap("sel-map"); err == nil {
-			v, err = store.SelectiveVector("sel-vec")
-		}
-	} else {
-		if m, err = store.Map("sel-map"); err == nil {
-			v, err = store.Vector("sel-vec")
-		}
+	m, err := store.Map("sel-map")
+	if err != nil {
+		return Row{}, Row{}, err
 	}
+	v, err := store.Vector("sel-vec")
 	if err != nil {
 		return Row{}, Row{}, err
 	}

@@ -18,9 +18,10 @@
 //
 // Open takes functional options — mod.WithShards(n) partitions the
 // store across independent heaps, mod.WithCommitter(0) starts the
-// background group committer, mod.WithSelective(0) selects the
-// selectively persisted structure flavors, mod.WithNodeCache() caches
-// committed nodes in DRAM. The returned DB is the one store shape: a
+// background group committer, mod.WithSelective(0) makes the store
+// selectively persisted — its new roots keep navigation nodes in DRAM,
+// served from a node cache, over a minimal persistent core. The
+// returned DB is the one store shape: a
 // single heap is its one-shard case (DB.Store reaches the per-heap
 // engine; DB.Shard(i) on a partitioned store), and DB.Batch commits
 // atomically across roots and shards.
@@ -194,12 +195,11 @@ func Open(cfg DeviceConfig, opts ...Option) (*DB, RecoveryInfo, error) {
 // (1, the default, is a single heap).
 func WithShards(n int) Option { return core.WithShards(n) }
 
-// WithSelective selects the selectively persisted structure flavors;
-// checkpointEvery sets the record-chain folding interval (0 = default).
+// WithSelective opens the store selectively persisted: new roots are
+// created in the selective flavor, the DRAM node cache is on, and
+// checkpointEvery sets the store's record-chain folding interval
+// (0 = default).
 func WithSelective(checkpointEvery int) Option { return core.WithSelective(checkpointEvery) }
-
-// WithNodeCache enables the DRAM cache for committed nodes.
-func WithNodeCache() Option { return core.WithNodeCache() }
 
 // WithExistingImages reopens a store from post-crash region images.
 func WithExistingImages(imgs [][]byte) Option { return core.WithExistingImages(imgs) }
