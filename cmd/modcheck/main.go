@@ -9,16 +9,17 @@
 //
 // With -demo it records a fresh trace from a mixed MOD workload and
 // checks it (writing it to the optional file argument). With -durable
-// it runs a durable-linearizability smoke instead: a sequential update
-// history is crash-injected at PM-write granularity, and every
-// recovered image must be an exact committed prefix of the history
-// that contains at least every operation whose commit fence preceded
-// the crash cut. With -corrupt it runs the media-fault smoke: random
-// bit flips, torn stores, and dead lines are injected into a committed
-// image, which is reopened with verify-on-open — every trial must end
-// in typed detection, an exact-prefix salvage, or a byte-exact clean
-// state; a silent wrong read fails the run. Otherwise it reads a
-// binary trace previously written with trace.Recorder.WriteTo.
+// it runs a durable-linearizability smoke instead: a sequential history
+// of one-root and multi-root commits over shared roots is crash-injected
+// at PM-write granularity, and every recovered image must be an exact
+// committed prefix of the history that contains at least every step
+// whose commit a fence covered before the crash cut. With -corrupt it
+// runs the media-fault smoke: random bit flips, torn stores, and dead
+// lines are injected into a committed image, which is reopened with
+// verify-on-open — every trial must end in typed detection, an
+// exact-prefix salvage, or a byte-exact clean state; a silent wrong read
+// fails the run. Otherwise it reads a binary trace previously written
+// with trace.Recorder.WriteTo.
 package main
 
 import (
@@ -160,15 +161,61 @@ func recordDemo(outPath string) ([]trace.Event, trace.CheckerConfig, error) {
 	return rec.Events(), store.CheckerConfig(), nil
 }
 
-// durKey and durVal are the deterministic op-i key/value of the
+// durKey and durVal are the deterministic step-i key/value of the
 // -durable history.
 func durKey(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
 func durVal(i int) []byte { return []byte(fmt.Sprintf("val-%06d", i)) }
 
-// durBuild opens a fresh store, creates (and syncs) the target map, and
-// returns both. PM writes observed by a tracer installed after this
+// durRoots names the -durable history's maps. Roots 0 and 1 are shared
+// by every kind of step; root 2 only by the three-root batches.
+var durRoots = []string{"durable", "durable-b", "durable-c"}
+
+// durStepRoots returns the roots step i writes its key to, which also
+// decides how it commits: one root is a Map.Set (alternating between the
+// two shared roots), two a CommitUnrelated, three a Batch — so every
+// multi-root step's record names roots that one-root steps republish
+// right before and after it.
+func durStepRoots(i int) []int {
+	switch i % 4 {
+	case 1:
+		return []int{0, 1}
+	case 3:
+		return []int{0, 1, 2}
+	default:
+		return []int{i / 2 % 2}
+	}
+}
+
+// durApply runs step i of the history.
+func durApply(db *core.DB, maps []*core.Map, i int) error {
+	roots := durStepRoots(i)
+	switch len(roots) {
+	case 1:
+		maps[roots[0]].Set(durKey(i), durVal(i))
+	case 2:
+		st := db.Store()
+		ups := make([]core.Update, len(roots))
+		for j, r := range roots {
+			v, _ := maps[r].PureSet(durKey(i), durVal(i))
+			ups[j] = core.Update{DS: maps[r], Shadows: []core.Version{v}}
+		}
+		var err error
+		st.FASE(func() { err = st.CommitUnrelated(ups...) })
+		return err
+	default:
+		b := db.Batch()
+		for _, r := range roots {
+			b.MapSet(maps[r], durKey(i), durVal(i))
+		}
+		b.Commit()
+	}
+	return nil
+}
+
+// durBuild opens a fresh store, creates (and syncs) the history's maps,
+// and returns them. PM writes observed by a tracer installed after this
 // point index only the measured history.
-func durBuild() (*pmem.Device, *core.DB, *core.Map, error) {
+func durBuild() (*pmem.Device, *core.DB, []*core.Map, error) {
 	cfg := pmem.DefaultConfig(64 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
@@ -176,26 +223,33 @@ func durBuild() (*pmem.Device, *core.DB, *core.Map, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	m, err := db.Map("durable")
-	if err != nil {
-		return nil, nil, nil, err
+	maps := make([]*core.Map, len(durRoots))
+	for r, nm := range durRoots {
+		if maps[r], err = db.Map(nm); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	db.Sync()
-	return dev, db, m, nil
+	return dev, db, maps, nil
 }
 
 // runDurable is the durable-linearizability smoke: run a sequential
-// history of ops map updates, crash at every stride-th PM-write index,
-// recover, and check two properties against each image:
+// history of steps — Map.Sets on two shared roots, interleaved with
+// CommitUnrelated over both and three-root Batches — crash at every
+// stride-th PM-write index, recover, and check two properties against
+// each image:
 //
-//  1. Safety — the recovered map is an *exact* committed prefix of the
-//     history: keys 0..k-1 present with their final values, nothing
-//     else, for some k. No torn or reordered state is ever visible.
-//  2. Durable linearizability — k covers every operation whose commit
-//     fence preceded the crash cut. Operation i's root swap is made
-//     durable by the next fence, which executes before op i+1's last
-//     PM write; so once op i+1 has fully executed, op i must survive
-//     any crash. The floor is therefore (completed ops at the cut) - 1.
+//  1. Safety — the recovered maps are an *exact* committed prefix of the
+//     history: the keys of steps 0..k-1 present on every root they
+//     wrote, with their values, nothing else, for some k. No torn or
+//     reordered state is ever visible — a multi-root step is on all of
+//     its roots or on none.
+//  2. Durable linearizability — k covers every step whose publication a
+//     fence covered before the crash cut. Step i's root swaps (one, or
+//     several through the batch record) are made durable by the next
+//     fence, which executes before step i+1's last PM write; so once
+//     step i+1 has fully executed, step i must survive any crash. The
+//     floor is therefore (completed steps at the cut) - 1.
 func runDurable(ops, stride int) error {
 	if ops < 2 {
 		ops = 2
@@ -204,15 +258,17 @@ func runDurable(ops, stride int) error {
 		stride = 1
 	}
 
-	// Dry run: record the cumulative PM-write index at the end of each op.
-	dev, _, m, err := durBuild()
+	// Dry run: record the cumulative PM-write index at the end of each step.
+	dev, db, maps, err := durBuild()
 	if err != nil {
 		return err
 	}
 	base := dev.Stats().Writes
 	wEnd := make([]uint64, ops)
 	for i := 0; i < ops; i++ {
-		m.Set(durKey(i), durVal(i))
+		if err := durApply(db, maps, i); err != nil {
+			return err
+		}
 		wEnd[i] = dev.Stats().Writes - base
 	}
 	total := wEnd[ops-1]
@@ -220,14 +276,16 @@ func runDurable(ops, stride int) error {
 	injections := 0
 	for inj := 1; inj <= int(total); inj += stride {
 		injections++
-		dev, _, m, err := durBuild()
+		dev, db, maps, err := durBuild()
 		if err != nil {
 			return err
 		}
 		tr := pmem.NewCrashCountdown(dev, inj, pmem.CrashEvictRandom, 0xD00D^uint64(inj))
 		dev.SetTracer(tr)
 		for i := 0; i < ops; i++ {
-			m.Set(durKey(i), durVal(i))
+			if err := durApply(db, maps, i); err != nil {
+				return err
+			}
 		}
 		dev.SetTracer(nil)
 
@@ -237,28 +295,43 @@ func runDurable(ops, stride int) error {
 		if err != nil {
 			return fmt.Errorf("inj %d: recovery failed: %w", inj, err)
 		}
-		m2, err := st2.Map("durable")
-		if err != nil {
-			return fmt.Errorf("inj %d: rebind failed: %w", inj, err)
-		}
-
-		// Exact-prefix check: presence must be monotone and values final.
-		k := 0
-		for i := 0; i < ops; i++ {
-			got, ok := m2.Get(durKey(i))
-			if ok && i == k {
-				if string(got) != string(durVal(i)) {
-					return fmt.Errorf("inj %d: key %d recovered with value %q, want %q",
-						inj, i, got, durVal(i))
-				}
-				k++
-			} else if ok {
-				return fmt.Errorf("inj %d: non-prefix state: key %d present but key %d missing",
-					inj, i, k)
+		maps2 := make([]*core.Map, len(durRoots))
+		for r, nm := range durRoots {
+			if maps2[r], err = st2.Map(nm); err != nil {
+				return fmt.Errorf("inj %d: rebind of %s failed: %w", inj, nm, err)
 			}
 		}
-		if got := m2.Len(); got != uint64(k) {
-			return fmt.Errorf("inj %d: recovered Len = %d, want prefix length %d", inj, got, k)
+
+		// Exact-prefix check: k is the first step missing from any root
+		// it wrote; every earlier step must read back its value, and
+		// nothing of step k or later may be present.
+		k := 0
+	prefix:
+		for ; k < ops; k++ {
+			for _, r := range durStepRoots(k) {
+				got, ok := maps2[r].Get(durKey(k))
+				if !ok {
+					break prefix
+				}
+				if string(got) != string(durVal(k)) {
+					return fmt.Errorf("inj %d: step %d recovered on %s with value %q, want %q",
+						inj, k, durRoots[r], got, durVal(k))
+				}
+			}
+		}
+		for r, m := range maps2 {
+			want := 0
+			for i := 0; i < k; i++ {
+				for _, sr := range durStepRoots(i) {
+					if sr == r {
+						want++
+					}
+				}
+			}
+			if got := m.Len(); got != uint64(want) {
+				return fmt.Errorf("inj %d: %s holds %d keys, want the %d of the %d-step prefix (a torn or reordered step)",
+					inj, durRoots[r], got, want, k)
+			}
 		}
 
 		// Fence-coverage floor.
@@ -271,18 +344,18 @@ func runDurable(ops, stride int) error {
 			floor = 0
 		}
 		if k < floor {
-			return fmt.Errorf("inj %d: recovered prefix %d ops, but %d ops were fence-covered before the cut",
+			return fmt.Errorf("inj %d: recovered prefix %d steps, but %d steps were fence-covered before the cut",
 				inj, k, floor)
 		}
 
 		// The recovered store must remain writable.
-		m2.Set([]byte("post-crash"), []byte("ok"))
-		if got, ok := m2.Get([]byte("post-crash")); !ok || string(got) != "ok" {
+		maps2[0].Set([]byte("post-crash"), []byte("ok"))
+		if got, ok := maps2[0].Get([]byte("post-crash")); !ok || string(got) != "ok" {
 			return fmt.Errorf("inj %d: recovered store lost a post-crash write", inj)
 		}
 		st2.Sync()
 	}
-	fmt.Printf("modcheck: durable-linearizability smoke: %d ops, %d PM writes, %d injections (stride %d), all recovered states exact fence-covered prefixes\n",
+	fmt.Printf("modcheck: durable-linearizability smoke: %d steps (Map.Set, CommitUnrelated, 3-root Batch), %d PM writes, %d injections (stride %d), all recovered states exact fence-covered prefixes\n",
 		ops, total, injections, stride)
 	return nil
 }

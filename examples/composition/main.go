@@ -68,9 +68,9 @@ func main() {
 		c, s, dev.Stats().Sub(before).Fences)
 
 	// Fig. 7c / 8d — single updates of unrelated datastructures: the
-	// store's redo record installs both root swaps atomically, at the
-	// price of two extra ordering points (the uncommon case; three
-	// fences however many roots).
+	// store's roll-forward redo record installs both root swaps
+	// atomically under the same single ordering point (one fence however
+	// many roots).
 	v1, _ := store.Vector("v1")
 	v2, _ := store.Vector("v2")
 	v1.Push(111)

@@ -78,9 +78,11 @@ const (
 	// 5: 4-byte references inside funcds trie nodes; 6: no commit-log
 	// block or root, every multi-root commit rides the batch record
 	// (package core); 7: 8-element vector leaves and the 80-byte size
-	// class they live in. Every bump so far moved or re-encoded something
-	// a recovery depends on, so no older image is readable.
-	version = 7
+	// class they live in; 8: two roll-forward slots in the batch record,
+	// each carrying its own live status. Every bump so far moved or
+	// re-encoded something a recovery depends on, so no older image is
+	// readable.
+	version = 8
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word

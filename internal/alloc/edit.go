@@ -60,7 +60,9 @@ import (
 // one spanning free-block header and kept as a reserve that a later
 // edit claims as its run. Tails too small to reserve join the free
 // lists under their raw stride — reusable only by an exact-size
-// request, a small bounded leak in the worst case.
+// request, a small bounded leak in the worst case. Either way a tail
+// reaches other edits only after the seal sweep is issued, so whatever
+// they commit inside it is fenced together with this run's headers.
 //
 // An Edit is single-goroutine state, like the FASE it serves.
 //
@@ -111,6 +113,7 @@ type Edit struct {
 	extra   pmem.OrderedSet[pmem.Addr] // owned blocks outside runs (free-list reuse, table-full fallback)
 	nodes   pmem.OrderedSet[pmem.Addr] // payloads awaiting the Seal checksum pass, in registration order (= PM-write order)
 	nodeLen []int                      // nodeLen[i]: initialized bytes of nodes.Keys()[i]
+	tails   []reserveRegion            // capped run tails, published once the sweep is issued
 	elided  uint64
 	sealed  bool
 	scratch Scratch
@@ -414,6 +417,7 @@ func (e *Edit) Seal() {
 	for i := range e.runs {
 		sh.runSlots[e.runs[i].slot] = runSlotState{busy: true, sealed: true, sealedFence: fence}
 	}
+	e.publishTailsLocked()
 	sh.mu.Unlock()
 	h.dev.NoteCopiesElided(e.elided)
 	e.runs = e.runs[:0]
@@ -426,10 +430,9 @@ func (e *Edit) Seal() {
 }
 
 // capRun covers a sealed run's unused tail [cur, end) with one spanning
-// free-block header so the recovery chain walk steps over it, and keeps
-// the region as a reserve for a later edit's run when it is big enough
-// (smaller tails join the free lists; sub-header slack is absorbed into
-// the preceding block).
+// free-block header so the recovery chain walk steps over it, and queues
+// the region for publishTailsLocked (sub-header slack is absorbed into
+// the preceding block instead).
 func (e *Edit) capRun(r *editRun) {
 	if r.cur >= r.end {
 		return
@@ -462,11 +465,26 @@ func (e *Edit) capRun(r *editRun) {
 	}
 	h.dev.WriteU64(r.cur, packHeader(rem, 0, false))
 	e.fs.Add(r.cur, headerSize)
-	sh.mu.Lock()
-	if rem >= reserveMin && len(sh.reserves) < reserveCap {
-		sh.reserves = append(sh.reserves, reserveRegion{start: r.cur, end: r.end})
-	} else {
-		sh.pushFreeLocked(rem, r.cur)
+	e.tails = append(e.tails, reserveRegion{start: r.cur, end: r.end})
+}
+
+// publishTailsLocked hands the capped tails to other edits — as reserves
+// when big enough, else to the free lists. Seal calls it only after its
+// flush sweep: an edit that claims a tail allocates after every clwb of
+// the sweep, so the fence that commits anything it builds there also
+// makes this edit's headers durable. Published before the sweep, a tail
+// could be claimed and committed while the headers in front of it —
+// among them a stale spanning header over the whole tail — were still
+// the durable ones, and recovery's chain walk would step over the
+// committed blocks. Caller holds mu.
+func (e *Edit) publishTailsLocked() {
+	sh := e.h.sh
+	for _, t := range e.tails {
+		if rem := uint32(t.end - t.start); rem >= reserveMin && len(sh.reserves) < reserveCap {
+			sh.reserves = append(sh.reserves, t)
+		} else {
+			sh.pushFreeLocked(rem, t.start)
+		}
 	}
-	sh.mu.Unlock()
+	e.tails = e.tails[:0]
 }

@@ -317,6 +317,85 @@ func TestEditCrashAfterSealBeforeFence(t *testing.T) {
 	}
 }
 
+// sealHook runs once, from the device's Write hook, at the first write to
+// addr — inside Seal, between capping the run's tail and issuing the
+// sweep. The hook runs with no device or allocator lock held, so it can
+// stand in for a concurrent goroutine's whole FASE.
+type sealHook struct {
+	*pmem.CrashCountdown // its Write is shadowed, so it only supplies the other, empty hooks
+	addr                 pmem.Addr
+	run                  func()
+	done                 bool
+}
+
+func (s *sealHook) Write(addr pmem.Addr, _ int) {
+	if addr == s.addr && !s.done {
+		s.done = true
+		s.run()
+	}
+}
+
+// TestEditTailPublishedAfterSweep is the concurrent-seal race: while one
+// edit seals — its tail capped, its sweep not yet issued — another edit
+// commits a block. Had the tail already been published, the second edit
+// would build inside it, and its commit fence would leave the first
+// edit's headers volatile: recovery's walk, finding the first run torn,
+// skips to the run's recorded end and over the committed block. The tail
+// is published only after the sweep, so the second edit claims a run of
+// its own and the committed block survives a fenced-only crash.
+func TestEditTailPublishedAfterSweep(t *testing.T) {
+	cfg := pmem.DefaultConfig(8 << 20)
+	cfg.TrackDurable = true
+	dev := pmem.New(cfg)
+	h := Format(dev)
+	h.RegisterWalker(1, func(*Heap, pmem.Addr, *Scratch, func(pmem.Addr)) {})
+	slot, err := h.RootSlot("committed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Sfence()
+
+	ed := h.BeginEdit()
+	a := ed.Alloc(64, 1)
+	dev.WriteU64(a, 0x11)
+	ed.RecordNode(a, 8)
+	h.Alloc(48, 1) // above the run: its tail is capped, not un-bumped
+
+	var img []byte
+	var committed pmem.Addr
+	other := h.Fork()
+	tr := &sealHook{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), addr: a - headerSize + 8, run: func() { // a's checksum word: after capRun, before the sweep
+		ed2 := other.BeginEdit()
+		committed = ed2.Alloc(64, 1)
+		dev.WriteU64(committed, 0x22)
+		ed2.RecordNode(committed, 8)
+		ed2.Seal()
+		other.Fence()
+		other.SetRoot(slot, committed)
+		other.Fence()
+		img = dev.CrashImage(pmem.CrashFencedOnly, 1)
+	}}
+	dev.SetTracer(tr)
+	ed.Seal()
+	dev.SetTracer(nil)
+	if img == nil {
+		t.Fatal("the seal never wrote a's checksum word")
+	}
+
+	dev2 := pmem.NewFromImage(cfg, img)
+	h2, err := Open(dev2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2.RegisterWalker(1, func(*Heap, pmem.Addr, *Scratch, func(pmem.Addr)) {})
+	if _, err := h2.Recover(); err != nil {
+		t.Fatalf("Recover: %v (committed block %#x, sealing edit's block %#x)", err, uint64(committed), uint64(a))
+	}
+	if got := dev2.ReadU64(h2.Root(slot)); got != 0x22 {
+		t.Fatalf("committed payload = %#x, want 0x22", got)
+	}
+}
+
 // TestEditRunSlotReuseWaitsForFence pins the reuse rule directly: a
 // sealed slot must not be reclaimed (its entry overwritten) until a
 // fence covers the seal sweep.

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -20,8 +21,7 @@ import (
 // new versions are published together, so the per-FASE ordering point of
 // the Basic interface is amortized over the batch:
 //
-//	fences/op = 1/B         (batch touches one root)
-//	fences/op = 3/B         (batch touches many roots)
+//	fences/op = 1/B         (however many roots the batch touches)
 //
 // against 1 fence per operation unbatched.
 //
@@ -35,13 +35,16 @@ import (
 //
 // A batch is all-or-nothing. When one root changed, publication is the
 // usual 8-byte atomic pointer swap. When several changed, the store
-// writes a persistent batch record — the (cell, new version) pairs plus
-// a checksum — makes it durable with the shadows, sets a committed flag
-// (the batch's atomic commit point, one 8-byte write), and only then
-// overwrites the root cells. A recovering Open replays a committed record whose
-// checksum validates, so a crash anywhere inside publication recovers
-// either every root swap or none of them; a crash before the commit
-// point recovers none, and the batch's shadows are swept as leaks.
+// stages a roll-forward redo record — the (cell, new version) pairs, a
+// checksum and a live status — in one of its two record slots, makes it
+// durable with the shadows under the commit's one fence, and only then
+// overwrites the root cells. Every cell holds its old version until that
+// fence completes, so a recovering Open rolls a live record forward
+// exactly when one of its cells already holds its new version and
+// discards it otherwise: a crash anywhere recovers every root swap or
+// none of them, and a discarded batch's shadows are swept as leaks. Like
+// a one-root swap, the cell writes become durable under the store's next
+// fence.
 //
 // # Async durability
 //
@@ -54,39 +57,146 @@ import (
 // durable under the next group's fence — and an idle committer issues
 // one closing fence.
 
-// batchLogRoot names the root slot anchoring the store's redo record
-// (redo.go), through which every multi-root commit on one heap — Batch
-// and CommitUnrelated alike — publishes.
+// batchLogRoot names the root slot anchoring the store's batch record:
+// two redo-record slots (redo.go), through which every multi-root commit
+// on one heap — Batch and CommitUnrelated alike — publishes.
 const batchLogRoot = "__mod_batchlog"
 
 // MaxBatchRoots is the most distinct roots one batch commit can change,
-// bounded by the capacity of the persistent batch record.
+// bounded by the capacity of a batch-record slot.
 const MaxBatchRoots = 62
 
-const batchRecSize = redoHdrSize + MaxBatchRoots*16
+const (
+	recSlotSize  = redoHdrSize + MaxBatchRoots*16
+	batchRecSize = 2 * recSlotSize
+)
 
-// record returns this handle's view of the store's batch record.
-func (s *Store) record() redoRecord {
-	return redoRecord{dev: s.dev, base: s.batchRec, max: MaxBatchRoots}
+// recSlot returns this handle's view of batch-record slot i (0 or 1).
+// Commit seq stages into slot seq&1, so it never overwrites commit seq-1,
+// the one record whose swaps may still await a fence.
+func (s *Store) recSlot(i int) redoRecord {
+	return redoRecord{dev: s.dev, base: s.batchRec + pmem.Addr(i*recSlotSize), max: MaxBatchRoots}
 }
 
-// replayRecord completes the root swaps of a committed batch record left
-// by a crash mid-publication — idempotent 8-byte writes — and retires it.
-// Run before the reachability scan so recovery traces the post-commit
-// roots.
-func (s *Store) replayRecord() {
-	rec := s.record()
-	entries, dirty := rec.read()
-	if !dirty {
-		return
+// liveRecord is the volatile state of a batch-record slot whose durable
+// status may still read live: the commit's sequence number (0 = none),
+// the roots it names as a bitmask of root slots, and tag, the FenceSeq
+// read after its last cell flush — any fence that passes tag has made
+// every swap of the record durable.
+type liveRecord struct {
+	seq, tag uint64
+	roots    uint64
+}
+
+// retireCovered is the retirement step of every ordering point. Called
+// after the caller's fence and before its root write, it marks retired
+// each live record whose swaps a fence has covered (tag < FenceSeq, the
+// allocator's quarantine rule). The retired status is flushed ahead of
+// the caller's root write, so the fence that covers that write covers it
+// too: a record can never roll back a fence-covered later publication of
+// one of its roots. It reports false when a live record naming root has
+// no covering fence yet; only an optimistic CAS whose fence preceded an
+// in-flight multi-root publication can meet one (every other caller holds
+// root's commit mutex since before its fence, and a record naming root
+// finished under that mutex), and it must lose. root < 0 names no root.
+func (s *Store) retireCovered(root int) bool {
+	if s.sh.liveRecs.Load() == 0 {
+		return true
 	}
-	for _, e := range entries {
-		s.dev.WriteAddr(e.cell, e.final)
-		s.dev.Clwb(e.cell)
+	s.sh.recMu.Lock()
+	defer s.sh.recMu.Unlock()
+	return s.retireCoveredLocked(root)
+}
+
+func (s *Store) retireCoveredLocked(root int) bool {
+	ok := true
+	fenced := s.dev.FenceSeq()
+	for i := range s.sh.live {
+		l := &s.sh.live[i]
+		switch {
+		case l.seq == 0:
+		case l.tag < fenced:
+			s.recSlot(i).retire(l.seq)
+			*l = liveRecord{}
+			s.sh.liveRecs.Add(-1)
+		case root >= 0 && l.roots&(1<<root) != 0:
+			ok = false
+		}
 	}
-	s.dev.Sfence() // replayed cells durable before the record is retired
-	rec.retire()
+	return ok
+}
+
+// replayRecord decides the batch record's live slots on the crash image
+// and retires them (DESIGN.md §7). A live slot whose checksum validates
+// is rolled forward if at least one root cell it names already holds its
+// final version — a commit writes no cell before its one fence, which
+// makes the shadows and the record durable — and discarded otherwise.
+// Every slot is decided before any cell is written; roll-forwards are
+// idempotent 8-byte writes applied in sequence order, so the newer
+// record wins a root both name. Runs before the reachability scan so
+// recovery traces the post-commit roots, and numbers the store's next
+// commits past every sequence number found, so a slot's old body can
+// never validate under a new status.
+func (s *Store) replayRecord() error {
+	type decided struct {
+		slot    int
+		seq     uint64
+		entries []redoEntry // nil: discard
+	}
+	var live []decided
+	for i := range s.sh.live {
+		seq, entries, isLive := s.recSlot(i).read()
+		if seq >= redoRetired>>1 { // no store commits 2^62 times; numbering on would reach the flag bit
+			return fmt.Errorf("core: batch-record slot %d holds sequence number %#x: %w", i, seq, ErrCorrupted)
+		}
+		s.sh.batchSeq = max(s.sh.batchSeq, seq)
+		if !isLive {
+			continue
+		}
+		forward := false
+		for _, e := range entries {
+			if !s.isRootCell(e.cell) {
+				return fmt.Errorf("core: batch-record slot %d names %#x, not a root cell: %w", i, uint64(e.cell), ErrCorrupted)
+			}
+			forward = forward || s.dev.ReadAddr(e.cell) == e.final
+		}
+		if !forward {
+			entries = nil
+		}
+		live = append(live, decided{slot: i, seq: seq, entries: entries})
+	}
+	if len(live) == 0 {
+		return nil
+	}
+	sort.Slice(live, func(a, b int) bool { return live[a].seq < live[b].seq })
+	wrote := false
+	for _, d := range live {
+		for _, e := range d.entries {
+			if s.dev.ReadAddr(e.cell) != e.final {
+				s.dev.WriteAddr(e.cell, e.final)
+				s.dev.Clwb(e.cell)
+				wrote = true
+			}
+		}
+	}
+	if wrote {
+		s.dev.Sfence() // rolled-forward cells durable before the records retire
+	}
+	for _, d := range live {
+		s.recSlot(d.slot).retire(d.seq)
+	}
 	s.dev.Sfence()
+	return nil
+}
+
+// isRootCell reports whether addr is the pointer cell of a root slot.
+func (s *Store) isRootCell(addr pmem.Addr) bool {
+	for slot := 0; slot < alloc.RootSlots; slot++ {
+		if s.heap.RootCellAddr(slot) == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // batchOp is one deferred update: applied at commit time against the
@@ -103,8 +213,9 @@ type batchOp struct {
 // roots and — built by DB.Batch — any number of shards. Ops are kept in
 // submission order and routed by their handle's owning store at commit:
 // a batch confined to one shard commits through that shard's 1-fence
-// (one root) or 3-fence (batch record) path, and one spanning shards
-// commits atomically through the shard manifest (sharded.go). A Batch
+// path (a root swap, or the batch record for several roots), and one
+// spanning shards commits atomically through the shard manifest
+// (sharded.go). A Batch
 // is not safe for concurrent use; goroutines build their own batches and
 // the commit layer interleaves them. Commit (or CommitAsync) consumes
 // the batch, leaving it empty for reuse.
@@ -351,9 +462,9 @@ func (s *Store) prepareBatch(ops []batchOp) *preparedBatch {
 }
 
 // publishLocal installs the prepared batch's root changes on its own
-// store: one root changed needs only the atomic pointer swap after the
-// shared fence; several changed go through the persistent batch record
-// so recovery replays all swaps or none.
+// store under one fence, whatever their number: one root changed is the
+// atomic pointer swap of publishRoot; several go through a batch-record
+// slot so recovery rolls all swaps forward or discards them all.
 func (p *preparedBatch) publishLocal() {
 	s := p.s
 	switch {
@@ -363,34 +474,43 @@ func (p *preparedBatch) publishLocal() {
 		c := p.changed[0]
 		s.publishRoot(c.slot, c.old, c.final, false) // the batch's single ordering point
 	default:
-		var crown []pmem.Addr
+		var (
+			crown []pmem.Addr
+			roots uint64
+		)
 		entries := make([]redoEntry, len(p.changed))
 		for i, c := range p.changed {
 			crown = append(crown, s.maybeCheckpoint(c.final)...)
 			entries[i] = redoEntry{cell: s.heap.RootCellAddr(c.slot), final: c.final}
+			roots |= 1 << c.slot
 		}
-		rec := s.record()
 		s.sh.recMu.Lock()
 		s.commitBegin()
-		s.sh.batchSeq++ // serialized by recMu; 0 is reserved for idle
+		s.sh.batchSeq++ // serialized by recMu; 0 marks a never-used slot
 		seq := s.sh.batchSeq
-		rec.stage(seq, entries)
-		// Fence A: shadows, record body, and any previous commit's record
-		// retirement are durable. The status word is still idle, so a
-		// crash here recovers none of the batch.
+		slot := int(seq & 1)
+		// Slot seq&1 last held commit seq-2, which commit seq-1's fence
+		// retired; commit seq-1 stays intact in the other slot.
+		s.recSlot(slot).stage(seq, entries, true)
+		// The commit's one ordering point: shadows, the record with its
+		// live status, and the previous commit's swaps are durable. No
+		// cell named here has been written yet, so until this fence
+		// completes recovery finds every one holding its old version and
+		// discards the record.
 		s.heap.Fence()
-		// Checkpoint crowns clear (and fence) between A and B: the crown
-		// payloads are durable after fence A, and the clears are durable
-		// before the commit point, so a replayed swap can never point at
-		// a structure whose navigation recovery would zero.
+		// Checkpoint crowns clear (and fence) before any swap, so a
+		// rolled-forward swap never points at a structure whose
+		// navigation recovery would zero.
 		s.clearCrown(crown)
-		rec.commit(seq)
-		s.dev.Sfence() // fence B: the status write is the commit point
+		s.retireCoveredLocked(-1)
 		for _, c := range p.changed {
 			s.heap.SetRoot(c.slot, c.final)
 		}
-		s.dev.Sfence() // fence C: swaps durable before the record retires
-		rec.retire()   // durability rides to the next fence
+		// The swaps ride the store's next fence, like a one-root swap;
+		// the first ordering point whose fence passes tag retires the
+		// record.
+		s.sh.live[slot] = liveRecord{seq: seq, tag: s.dev.FenceSeq(), roots: roots}
+		s.sh.liveRecs.Add(1)
 		s.commitEnd()
 		s.sh.recMu.Unlock()
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -65,33 +67,37 @@ func TestBatchSingleRootOneFence(t *testing.T) {
 	}
 }
 
-func TestBatchMultiRootThreeFences(t *testing.T) {
+// TestBatchMultiRootOneFence: a batch over three roots publishes through
+// the batch record under the one fence a one-root batch pays, and so does
+// every later one — the record slots alternate, and each commit's fence
+// retires the previous record instead of fencing it out separately.
+func TestBatchMultiRootOneFence(t *testing.T) {
 	dev, st := newBatchTestStore(t)
 	m, _ := st.Map("m")
 	q, _ := st.Queue("q")
 	v, _ := st.Vector("v")
 	st.Sync()
 
-	base := dev.Stats()
-	b := st.NewBatch()
-	for i := 0; i < 30; i++ {
-		switch i % 3 {
-		case 0:
-			b.MapSet(m, bkey(i), bkey(i))
-		case 1:
-			b.QueueEnqueue(q, uint64(i))
-		case 2:
-			b.VectorPush(v, uint64(i))
+	for round := 0; round < 4; round++ {
+		base := dev.Stats()
+		b := st.NewBatch()
+		for i := 0; i < 30; i++ {
+			switch i % 3 {
+			case 0:
+				b.MapSet(m, bkey(round*30+i), bkey(i))
+			case 1:
+				b.QueueEnqueue(q, uint64(i))
+			case 2:
+				b.VectorPush(v, uint64(i))
+			}
+		}
+		b.Commit()
+		if d := dev.Stats().Sub(base); d.Fences != 1 {
+			t.Errorf("round %d: multi-root batch used %d fences, want 1", round, d.Fences)
 		}
 	}
-	b.Commit()
-	d := dev.Stats().Sub(base)
-
-	if d.Fences != 3 {
-		t.Errorf("multi-root batch used %d fences, want 3", d.Fences)
-	}
-	if m.Len() != 10 || q.Len() != 10 || v.Len() != 10 {
-		t.Fatalf("batch results: map=%d queue=%d vector=%d, want 10 each", m.Len(), q.Len(), v.Len())
+	if want := uint64(40); m.Len() != want || q.Len() != want || v.Len() != want {
+		t.Fatalf("batch results: map=%d queue=%d vector=%d, want %d each", m.Len(), q.Len(), v.Len(), want)
 	}
 }
 
@@ -375,49 +381,99 @@ func runBatchCrashRound(t *testing.T, seed uint64) (batchCommitted bool, err err
 	return mapHas, nil
 }
 
-// TestBatchRecordStaleStatusRejected forges the record-reuse hazard: a
-// stale committed status word durable over a body checksummed for a
-// different sequence number. Recovery must refuse to replay — the body's
-// root swaps belong to a batch that already completed, and replaying
-// them would roll back a later commit onto a released version.
+// TestBatchRecordStaleStatusRejected forges the two ways a stale record
+// could roll a root back. First the stale-record hazard proper: a
+// multi-root batch leaves its record live (its status durable since the
+// commit's fence), and a later one-root publication of one of its roots
+// is covered by a fence. That publication's ordering point must have
+// retired the record behind its fence, so recovery keeps the later value
+// instead of rolling the root back onto the batch's released version —
+// on a fence-covered image, and under every crash policy at every PM
+// write up to and past the covering fence. Second, a durable live status
+// forged over a body checksummed for a different sequence number must not
+// be acted on at all.
 func TestBatchRecordStaleStatusRejected(t *testing.T) {
-	cfg := pmem.DefaultConfig(64 << 20)
+	cfg := pmem.DefaultConfig(16 << 20)
 	cfg.TrackDurable = true
-	dev := pmem.New(cfg)
-	st, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
+	build := func() (*pmem.Device, *Store, *Map, *Queue) {
+		dev := pmem.New(cfg)
+		st, err := newStore(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _ := st.Map("a")
+		q, _ := st.Queue("b")
+		st.Sync()
+		b := st.NewBatch()
+		b.MapSet(m, bkey(1), []byte("v1"))
+		b.QueueEnqueue(q, 1)
+		b.Commit()
+		// Sync fences the batch's swaps durable but is no ordering point:
+		// the record stays live, its status durable since the commit.
+		st.Sync()
+		return dev, st, m, q
 	}
-	m, _ := st.Map("a")
-	q, _ := st.Queue("b")
-	b := st.NewBatch()
-	b.MapSet(m, bkey(1), []byte("v1"))
-	b.QueueEnqueue(q, 1)
-	b.Commit() // multi-root: fills the record body under sequence 1
-	st.Sync()
-	m.Set(bkey(1), []byte("v2")) // supersedes (and releases) the batch's map version
-	st.Sync()
+	check := func(what string, img []byte, allowV1 bool) {
+		t.Helper()
+		st2, _, err := openStore(pmem.NewFromImage(cfg, img))
+		if err != nil {
+			t.Fatalf("%s: recovery: %v", what, err)
+		}
+		m2, _ := st2.Map("a")
+		q2, _ := st2.Queue("b")
+		v, ok := m2.Get(bkey(1))
+		switch {
+		case ok && string(v) == "v2":
+		case ok && string(v) == "v1" && allowV1:
+		default:
+			t.Fatalf("%s: key 1 = %q, %v; want \"v2\" (or the batch's \"v1\" before the covering fence)", what, v, ok)
+		}
+		if q2.Len() != 1 {
+			t.Fatalf("%s: queue has %d entries, want the batch's 1", what, q2.Len())
+		}
+	}
 
-	// Forge a durable committed status that does not match the retired
-	// body's checksummed sequence number.
-	dev.WriteU64(st.batchRec, 4242)
-	dev.Clwb(st.batchRec)
+	dev, st, m, _ := build()
+	m.Set(bkey(1), []byte("v2")) // publishes root "a" again; its fence retires the record
+	st.Sync()                    // and this one covers the publication
+	check("fence-covered later publication", dev.CrashImage(pmem.CrashFencedOnly, 1), false)
+
+	// Every PM write of the later publication and of two unrelated FASEs
+	// after it, under every policy: until a later fence covers the
+	// publication either value is a committed state; the last write
+	// follows two such fences, and there only v2 is.
+	writes := func(st *Store, m *Map) {
+		m.Set(bkey(1), []byte("v2"))
+		other, _ := st.Stack("c")
+		other.Push(1)
+	}
+	dev, st, m, _ = build()
+	base := dev.Stats().Writes
+	writes(st, m)
+	total := int(dev.Stats().Writes - base)
+	for _, policy := range []pmem.CrashPolicy{pmem.CrashFencedOnly, pmem.CrashInflightRandom, pmem.CrashEvictRandom, pmem.CrashAllInflight} {
+		for inj := 1; inj <= total; inj++ {
+			dev, st, m, _ := build()
+			tr := pmem.NewCrashCountdown(dev, inj, policy, uint64(inj)*7919+uint64(policy))
+			dev.SetTracer(tr)
+			writes(st, m)
+			dev.SetTracer(nil)
+			check(fmt.Sprintf("policy %d, write %d/%d", policy, inj, total), tr.Image(), inj < total)
+		}
+	}
+
+	// A durable live status that does not match the body's checksummed
+	// sequence number.
+	dev, st, m, _ = build()
+	m.Set(bkey(1), []byte("v2"))
+	st.Sync()
+	for i := range st.sh.live {
+		rec := st.recSlot(i)
+		dev.WriteU64(rec.base, 4242)
+		dev.Clwb(rec.base)
+	}
 	dev.Sfence()
-
-	img := dev.CrashImage(pmem.CrashFencedOnly, 1)
-	dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
-	st2, _, err := openStore(dev2)
-	if err != nil {
-		t.Fatalf("recovery after stale status: %v", err)
-	}
-	m2, _ := st2.Map("a")
-	if v, ok := m2.Get(bkey(1)); !ok || string(v) != "v2" {
-		t.Fatalf("stale batch record replayed: key 1 = %q, %v; want \"v2\"", v, ok)
-	}
-	q2, _ := st2.Queue("b")
-	if q2.Len() != 1 {
-		t.Fatalf("queue has %d entries after recovery, want 1", q2.Len())
-	}
+	check("forged status", dev.CrashImage(pmem.CrashFencedOnly, 1), false)
 }
 
 // TestBatchSyncBarrier: Sync with an active committer must drain queued
@@ -435,5 +491,91 @@ func TestBatchSyncBarrier(t *testing.T) {
 	st.Sync()
 	if got := m.Len(); got != 100 {
 		t.Fatalf("after Sync map has %d entries, want 100", got)
+	}
+}
+
+// TestBatchRecordLayoutV8 pins heap layout v8's batch record: two slots
+// in one block, alternating by sequence number, both inside the trace
+// checker's exempt range; the retiring write keeps the sequence number;
+// and an image stamped with layout v7 — one slot, a separately fenced
+// commit word — is refused at open with ErrHeapVersion.
+func TestBatchRecordLayoutV8(t *testing.T) {
+	cfg := pmem.DefaultConfig(4 << 20)
+	cfg.TrackDurable = true
+	dev := pmem.New(cfg)
+	st, err := newStore(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.heap.PayloadSize(st.batchRec); batchRecSize != 2*recSlotSize || got < batchRecSize {
+		t.Fatalf("batch record block holds %d bytes for two %d-byte slots", got, recSlotSize)
+	}
+	exempt := st.CheckerConfig().ExemptRanges[1]
+	if exempt[0] != st.batchRec-alloc.HeaderSize || exempt[1] != st.recSlot(1).base+recSlotSize {
+		t.Fatalf("checker exempts [%#x, %#x), want the header and both slots [%#x, %#x)",
+			uint64(exempt[0]), uint64(exempt[1]), uint64(st.batchRec-alloc.HeaderSize), uint64(st.recSlot(1).base+recSlotSize))
+	}
+	m, _ := st.Map("m")
+	q, _ := st.Queue("q")
+	for seq := uint64(1); seq <= 3; seq++ {
+		b := st.NewBatch()
+		b.MapSet(m, bkey(int(seq)), bkey(int(seq)))
+		b.QueueEnqueue(q, seq)
+		b.Commit()
+		live, other := st.recSlot(int(seq&1)), st.recSlot(int(seq&1^1))
+		if got, entries, isLive := live.read(); got != seq || !isLive || len(entries) != 2 {
+			t.Fatalf("commit %d: slot %d reads seq %d live=%v with %d entries", seq, seq&1, got, isLive, len(entries))
+		}
+		if seq > 1 {
+			if got, _, isLive := other.read(); got != seq-1 || isLive {
+				t.Fatalf("commit %d: the previous record reads seq %d live=%v, want %d retired by this commit's fence", seq, got, isLive, seq-1)
+			}
+		}
+	}
+
+	st.Sync()
+	img := dev.CrashImage(pmem.CrashFencedOnly, 1)
+	binary.LittleEndian.PutUint64(img[8:], 7) // the superblock's layout version word
+	if _, _, err := Open(cfg, WithExistingImages([][]byte{img})); !errors.Is(err, alloc.ErrHeapVersion) {
+		t.Fatalf("open of a v7 image: %v, want ErrHeapVersion", err)
+	}
+}
+
+// TestBatchRecordSequenceSurvivesReopen: a retired status keeps its
+// sequence number, and a reopened store numbers its next commits past
+// every one found, so a stage over a slot's old body can never carry the
+// sequence number that body's checksum is bound to.
+func TestBatchRecordSequenceSurvivesReopen(t *testing.T) {
+	cfg := pmem.DefaultConfig(4 << 20)
+	cfg.TrackDurable = true
+	dev := pmem.New(cfg)
+	st, err := newStore(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(st *Store, i int) {
+		m, _ := st.Map("m")
+		q, _ := st.Queue("q")
+		b := st.NewBatch()
+		b.MapSet(m, bkey(i), bkey(i))
+		b.QueueEnqueue(q, uint64(i))
+		b.Commit()
+	}
+	for i := 1; i <= 3; i++ {
+		commit(st, i)
+	}
+	st.Sync()
+	st2, _, err := openStore(pmem.NewFromImage(cfg, dev.CrashImage(pmem.CrashFencedOnly, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range st2.sh.live {
+		if seq, _, live := st2.recSlot(i).read(); live || seq < 2 {
+			t.Fatalf("slot %d after reopen: seq %d live=%v, want a retired 2 or 3", i, seq, live)
+		}
+	}
+	commit(st2, 4)
+	if seq, _, live := st2.recSlot(0).read(); seq != 4 || !live {
+		t.Fatalf("first commit after reopen staged seq %d (live=%v) in slot 0, want 4", seq, live)
 	}
 }

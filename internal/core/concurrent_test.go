@@ -303,29 +303,42 @@ func TestSnapshotSurvivesReclaim(t *testing.T) {
 	}
 }
 
-// TestCommitUnrelatedCrashAtomicAcrossSeeds interrupts CommitUnrelated
-// between its record fences and crashes with adversarial line eviction
-// across many seeds — the write in flight (commit point, first root swap,
-// record retirement) lands or not at the seed's whim. Recovery must show
-// both new versions or neither, and both once the commit point was fenced.
+// TestCommitUnrelatedCrashAtomicAcrossSeeds crashes CommitUnrelated in
+// every window around its one fence with adversarial line eviction across
+// many seeds — the record, the swaps and the shadows land or not at the
+// seed's whim. Recovery must show both new versions or neither, and both
+// once a later fence has run.
 func TestCommitUnrelatedCrashAtomicAcrossSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		for n := 1; n <= 3; n++ {
-			l1, l2 := crashUnrelatedAfterFence(t, n, pmem.CrashEvictRandom, seed)
-			if l1 != l2 || (n >= 2 && l1 != 2) {
-				t.Fatalf("seed %d, crash after fence %d: v1=%d v2=%d, want both roots moved or neither (both from fence B on)", seed, n, l1, l2)
+		for w := beforeFenceA; w <= laterFence; w++ {
+			for n := 1; ; n += 3 {
+				l1, l2, ok := crashUnrelated(t, w, n, pmem.CrashEvictRandom, seed)
+				if !ok {
+					break
+				}
+				if l1 != l2 || (w == laterFence && l1 != 2) {
+					t.Fatalf("seed %d, %v, write %d: v1=%d v2=%d, want both roots moved or neither (both after a later fence)", seed, w, n, l1, l2)
+				}
+				if w != beforeFenceA {
+					break
+				}
 			}
 		}
 	}
 }
 
-// TestCommitUnrelatedCompletedSurvivesCrash is the other half: once the
-// commit has returned, a crash must preserve both new versions.
-func TestCommitUnrelatedCompletedSurvivesCrash(t *testing.T) {
-	cfg := pmem.DefaultConfig(64 << 20)
+// commitUnrelatedPair builds two one-element vectors on a fresh store,
+// pushes onto both through one CommitUnrelated and returns the device and
+// store with the commit published and no fence after it.
+func commitUnrelatedPair(t *testing.T) (*pmem.Device, *Store) {
+	t.Helper()
+	cfg := pmem.DefaultConfig(16 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, _ := newStore(dev)
+	s, err := newStore(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
 	v1, _ := s.Vector("v1")
 	v2, _ := s.Vector("v2")
 	v1.Push(1)
@@ -333,19 +346,193 @@ func TestCommitUnrelatedCompletedSurvivesCrash(t *testing.T) {
 	s.BeginFASE()
 	s1 := v1.PurePush(10)
 	s2 := v2.PurePush(20)
-	s.CommitUnrelated(Update{DS: v1, Shadows: []Version{s1}}, Update{DS: v2, Shadows: []Version{s2}})
+	if err := s.CommitUnrelated(Update{DS: v1, Shadows: []Version{s1}}, Update{DS: v2, Shadows: []Version{s2}}); err != nil {
+		t.Fatal(err)
+	}
 	s.EndFASE()
+	return dev, s
+}
 
-	img := dev.CrashImage(pmem.CrashFencedOnly, 1)
-	dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
-	s2nd, _, err := openStore(dev2)
+// recoverPair reopens a crash image of commitUnrelatedPair's store and
+// returns the two vectors' lengths.
+func recoverPair(t *testing.T, img []byte) (len1, len2 uint64) {
+	t.Helper()
+	s, _, err := openStore(pmem.NewFromImage(pmem.DefaultConfig(16<<20), img))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1b, _ := s2nd.Vector("v1")
-	v2b, _ := s2nd.Vector("v2")
-	if v1b.Len() != 2 || v2b.Len() != 2 {
-		t.Fatalf("completed commit lost: v1=%d v2=%d, want 2/2", v1b.Len(), v2b.Len())
+	v1, _ := s.Vector("v1")
+	v2, _ := s.Vector("v2")
+	return v1.Len(), v2.Len()
+}
+
+// TestCommitUnrelatedCompletedSurvivesCrash is the other half: a
+// multi-root commit has the one-root durability contract — published on
+// return, durable at the store's next fence — so once a later FASE's
+// fence has run (here a one-root push on an unrelated root), a crash
+// that keeps only fenced lines must preserve both new versions.
+func TestCommitUnrelatedCompletedSurvivesCrash(t *testing.T) {
+	dev, s := commitUnrelatedPair(t)
+	other, _ := s.Stack("other")
+	other.Push(1)
+	if l1, l2 := recoverPair(t, dev.CrashImage(pmem.CrashFencedOnly, 1)); l1 != 2 || l2 != 2 {
+		t.Fatalf("fence-covered commit lost: v1=%d v2=%d, want 2/2", l1, l2)
+	}
+}
+
+// TestCommitUnrelatedUnfencedAllOrNothing: before any later fence the
+// commit's swaps are clwb'd but not durable. A crash keeping only fenced
+// lines then loses the commit whole — the record is durable and live but
+// no swap landed, so recovery discards it — and under partial writeback
+// or eviction it is lost whole or kept whole, never torn.
+func TestCommitUnrelatedUnfencedAllOrNothing(t *testing.T) {
+	dev, _ := commitUnrelatedPair(t)
+	if l1, l2 := recoverPair(t, dev.CrashImage(pmem.CrashFencedOnly, 1)); l1 != 1 || l2 != 1 {
+		t.Fatalf("unfenced commit under fenced-only crash: v1=%d v2=%d, want 1/1", l1, l2)
+	}
+	seen := map[uint64]bool{}
+	for seed := uint64(1); seed <= 16; seed++ {
+		for _, policy := range []pmem.CrashPolicy{pmem.CrashInflightRandom, pmem.CrashEvictRandom} {
+			l1, l2 := recoverPair(t, dev.CrashImage(policy, seed))
+			if l1 != l2 {
+				t.Fatalf("policy %d, seed %d: commit torn: v1=%d v2=%d", policy, seed, l1, l2)
+			}
+			seen[l1] = true
+		}
+	}
+	if !seen[1] || !seen[2] {
+		t.Errorf("partial writeback never both kept and lost the commit: %v", seen)
+	}
+}
+
+// fenceImages takes a fenced-only crash image after a pseudorandom subset
+// of fences, each tagged with the FenceSeq read before the image: every
+// fence up to that count is in it. Safe for concurrent hooks.
+type fenceImages struct {
+	*pmem.CrashCountdown // its Write and Fence are shadowed, so it only supplies the other, empty hooks
+	dev                  *pmem.Device
+	mu                   sync.Mutex
+	rng                  uint64
+	every, max           int
+	imgs                 []fencedImage
+}
+
+type fencedImage struct {
+	fences uint64
+	img    []byte
+}
+
+func (f *fenceImages) Write(pmem.Addr, int) {}
+
+func (f *fenceImages) Fence(int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.rng = f.rng*6364136223846793005 + 1442695040888963407
+	if len(f.imgs) >= f.max || int(f.rng>>33)%f.every != 0 {
+		return
+	}
+	fences := f.dev.FenceSeq()
+	f.imgs = append(f.imgs, fencedImage{fences: fences, img: f.dev.CrashImage(pmem.CrashFencedOnly, 0)})
+}
+
+// TestConcurrentBatchAndCASCrashImages races optimistic Basic writers
+// against multi-root Batch writers on overlapping roots — so a CAS can
+// find a live record naming its root, and records retire at other
+// goroutines' ordering points — while fenced-only crash images are taken
+// at random fences. Every op logs the FenceSeq it read after returning:
+// any fence counted past that value started after the op's last flush and
+// covered it. In every image, each op a fence covered must be recovered,
+// and every batch must be whole or absent. Run under -race.
+func TestConcurrentBatchAndCASCrashImages(t *testing.T) {
+	const (
+		roots   = 3
+		writers = 4 // even: optimistic writers, odd: batch writers
+		ops     = 40
+	)
+	cfg := pmem.DefaultConfig(4 << 20)
+	cfg.TrackDurable = true
+	dev := pmem.New(cfg)
+	s, err := newStore(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < roots; r++ {
+		if _, err := s.Map(fmt.Sprintf("r%d", r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Sync()
+
+	type loggedOp struct {
+		roots  []int
+		key    string
+		fences uint64 // FenceSeq read after the op returned
+	}
+	logs := make([][]loggedOp, writers)
+	tr := &fenceImages{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), dev: dev, rng: 7, every: 9, max: 12}
+	dev.SetTracer(tr)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := s.Fork()
+			ms := make([]*Map, roots)
+			for r := range ms {
+				ms[r], _ = h.Map(fmt.Sprintf("r%d", r))
+			}
+			for i := 0; i < ops; i++ {
+				op := loggedOp{key: fmt.Sprintf("w%d-%d", w, i)}
+				if w%2 == 0 {
+					op.roots = []int{(w + i) % roots}
+					ms[op.roots[0]].Set([]byte(op.key), []byte(op.key))
+				} else {
+					op.roots = []int{i % roots, (i + 1 + w/2) % roots}
+					b := h.NewBatch()
+					for _, r := range op.roots {
+						b.MapSet(ms[r], []byte(op.key), []byte(op.key))
+					}
+					b.Commit()
+				}
+				op.fences = h.Device().FenceSeq()
+				logs[w] = append(logs[w], op)
+			}
+		}(w)
+	}
+	wg.Wait()
+	dev.SetTracer(nil)
+	if len(tr.imgs) < 4 {
+		t.Fatalf("only %d crash images taken", len(tr.imgs))
+	}
+
+	for n, fi := range tr.imgs {
+		s2, _, err := openStore(pmem.NewFromImage(cfg, fi.img))
+		if err != nil {
+			t.Fatalf("image %d: recovery: %v", n, err)
+		}
+		ms := make([]*Map, roots)
+		for r := range ms {
+			ms[r], _ = s2.Map(fmt.Sprintf("r%d", r))
+		}
+		for w, log := range logs {
+			for _, op := range log {
+				in := 0
+				for _, r := range op.roots {
+					if v, ok := ms[r].Get([]byte(op.key)); ok {
+						if string(v) != op.key {
+							t.Fatalf("image %d: %s on r%d reads %q", n, op.key, r, v)
+						}
+						in++
+					}
+				}
+				switch {
+				case in != 0 && in != len(op.roots):
+					t.Fatalf("image %d: writer %d's %s torn: on %d of roots %v", n, w, op.key, in, op.roots)
+				case in == 0 && op.fences < fi.fences:
+					t.Fatalf("image %d (fence %d): %s lost although fence %d covered it", n, fi.fences, op.key, op.fences+1)
+				}
+			}
+		}
 	}
 }
 
@@ -444,5 +631,94 @@ func TestConcurrentMixedStructures(t *testing.T) {
 	s.Sync()
 	if m2, _ := s.Map("m"); m2.Len() < ops {
 		t.Fatalf("map lost entries: %d < %d", m2.Len(), ops)
+	}
+}
+
+// casRaceHook parks a multi-root publication between its first and
+// second root swaps, runs an optimistic writer on the first root up to
+// its fence, and lets the publication finish before the writer's CAS.
+type casRaceHook struct {
+	*pmem.CrashCountdown // its Write and Fence are shadowed, so it only supplies the other, empty hooks
+	cell                 pmem.Addr
+	start                func()
+	fenced               chan struct{}
+	armed, fired         atomic.Bool
+}
+
+func (h *casRaceHook) Write(addr pmem.Addr, _ int) {
+	if addr == h.cell && h.fired.CompareAndSwap(false, true) {
+		h.armed.Store(true)
+		h.start()
+		<-h.fenced
+	}
+}
+
+func (h *casRaceHook) Fence(int) {
+	if h.armed.CompareAndSwap(true, false) {
+		close(h.fenced)
+	}
+}
+
+// TestCASLosesToUncoveredRecord replays the one interleaving in which an
+// ordering point meets a live batch record that names its root with no
+// fence covering the record's swaps yet: an optimistic writer snapshots
+// a root the record has just swapped and fences before the record's last
+// swap. Were its CAS to win, nothing would retire the record before the
+// next fence made the CAS durable, and recovery would roll the root back
+// onto the record's version; it must lose, and its retry — fenced after
+// the record — retires the record and publishes. A fence-only crash
+// image after a Sync then holds the writer's key and the batch's.
+func TestCASLosesToUncoveredRecord(t *testing.T) {
+	cfg := pmem.DefaultConfig(4 << 20)
+	cfg.TrackDurable = true
+	dev := pmem.New(cfg)
+	s, err := newStore(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := s.Map("x")
+	y, _ := s.Map("y")
+	s.Sync()
+	slot, _ := s.heap.RootSlot("x")
+
+	w, _ := s.Fork().Map("x") // bound up front: a bind takes the root's commit mutex
+	done := make(chan struct{})
+	hook := &casRaceHook{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), cell: s.heap.RootCellAddr(slot), fenced: make(chan struct{})}
+	hook.start = func() {
+		go func() {
+			defer close(done)
+			w.Set([]byte("cas"), []byte("w"))
+		}()
+	}
+	before := s.CommitStats()
+	dev.SetTracer(hook)
+	b := s.NewBatch()
+	b.MapSet(x, []byte("batch"), []byte("x1"))
+	b.MapSet(y, []byte("batch"), []byte("y1"))
+	b.Commit()
+	<-done
+	dev.SetTracer(nil)
+	if !hook.fired.Load() {
+		t.Fatal("the batch never swapped root x")
+	}
+	if st := s.CommitStats(); st.FastLosses != before.FastLosses+1 || st.FastWins != before.FastWins+1 {
+		t.Errorf("writer: %d wins, %d losses; want its first CAS lost and its retry won", st.FastWins-before.FastWins, st.FastLosses-before.FastLosses)
+	}
+	s.Sync() // covers the writer's publication; Sync is no ordering point and retires nothing
+
+	s2, _, err := openStore(pmem.NewFromImage(cfg, dev.CrashImage(pmem.CrashFencedOnly, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x2, _ := s2.Map("x")
+	y2, _ := s2.Map("y")
+	if _, ok := x2.Get([]byte("cas")); !ok {
+		t.Fatal("the writer's fence-covered publication was rolled back by the batch record")
+	}
+	if _, ok := x2.Get([]byte("batch")); !ok {
+		t.Fatal("x lost the batch under the writer's version")
+	}
+	if _, ok := y2.Get([]byte("batch")); !ok {
+		t.Fatal("y lost the batch")
 	}
 }

@@ -344,37 +344,56 @@ func TestCommitUnrelatedAtomic(t *testing.T) {
 	if v1.Get(2) != b || v2.Get(7) != a {
 		t.Fatal("cross-structure swap not applied")
 	}
-	// Two roots publish through the redo record: fences A, B, C.
-	if delta.Fences != 3 {
-		t.Fatalf("CommitUnrelated of two roots used %d fences, want the record's 3", delta.Fences)
+	// Two roots publish through the redo record under its one fence.
+	if delta.Fences != 1 {
+		t.Fatalf("CommitUnrelated of two roots used %d fences, want 1", delta.Fences)
 	}
 }
 
-// crashAfterFence captures a crash image at the first PM write after the
-// nth fence it sees: inside a multi-root publication that is the status
-// write after fence A (n = 1), the first root swap after fence B (2) and
-// the record's retirement after fence C (3).
-type crashAfterFence struct {
+// The crash windows of a multi-root publication, by where the cut lands
+// relative to the commit's one fence (fence A) and its root-cell swaps.
+type unrelatedWindow int
+
+const (
+	beforeFenceA unrelatedWindow = iota // any PM write before fence A: shadows and record staging
+	noSwaps                             // fence A done, first swap written but not flushed
+	someSwaps                           // first swap flushed, second written but not flushed
+	allSwaps                            // the commit has returned; no later fence yet
+	laterFence                          // a later one-root FASE's fence has run
+)
+
+func (w unrelatedWindow) String() string {
+	return [...]string{"before fence A", "no swaps", "some swaps", "all swaps", "after a later fence"}[w]
+}
+
+// crashAt captures a crash image at the nth PM write between the
+// fences-th fence (or the start, for fences = 0) and the next one; it
+// captures nothing if that interval has fewer than n writes.
+type crashAt struct {
 	*pmem.CrashCountdown // its Write is shadowed, so it only supplies the other, empty hooks
 	dev                  *pmem.Device
-	n                    int
+	fences, n            int
 	policy               pmem.CrashPolicy
 	seed                 uint64
 	img                  []byte
 }
 
-func (c *crashAfterFence) Fence(int) { c.n-- }
+func (c *crashAt) Fence(int) { c.fences-- }
 
-func (c *crashAfterFence) Write(pmem.Addr, int) {
-	if c.n <= 0 && c.img == nil {
+func (c *crashAt) Write(pmem.Addr, int) {
+	if c.fences != 0 || c.img != nil {
+		return
+	}
+	if c.n--; c.n <= 0 {
 		c.img = c.dev.CrashImage(c.policy, c.seed)
 	}
 }
 
-// crashUnrelatedAfterFence builds two one-element vectors, pushes onto
-// both through CommitUnrelated, crashes that commit after its nth fence
-// and returns the recovered lengths.
-func crashUnrelatedAfterFence(t *testing.T, n int, policy pmem.CrashPolicy, seed uint64) (len1, len2 uint64) {
+// crashUnrelated builds two one-element vectors, pushes onto both through
+// CommitUnrelated, cuts the power in window w (at the nth write of the
+// window for beforeFenceA) and returns the recovered lengths, or ok =
+// false if the window has no nth write.
+func crashUnrelated(t *testing.T, w unrelatedWindow, n int, policy pmem.CrashPolicy, seed uint64) (len1, len2 uint64, ok bool) {
 	t.Helper()
 	cfg := pmem.DefaultConfig(16 << 20)
 	cfg.TrackDurable = true
@@ -385,11 +404,20 @@ func crashUnrelatedAfterFence(t *testing.T, n int, policy pmem.CrashPolicy, seed
 	}
 	v1, _ := s.Vector("v1")
 	v2, _ := s.Vector("v2")
+	other, _ := s.Stack("other")
 	v1.Push(1)
 	v2.Push(2)
 	s.Sync()
 
-	tr := &crashAfterFence{CrashCountdown: pmem.NewCrashCountdown(dev, 0, policy, seed), dev: dev, n: n, policy: policy, seed: seed}
+	tr := &crashAt{CrashCountdown: pmem.NewCrashCountdown(dev, 0, policy, seed), dev: dev, policy: policy, seed: seed}
+	switch w {
+	case beforeFenceA:
+		tr.n = n
+	case noSwaps, someSwaps:
+		tr.fences, tr.n = 1, int(w-noSwaps)+1
+	default:
+		tr.fences = 1 << 30
+	}
 	dev.SetTracer(tr)
 	if err := s.CommitUnrelated(
 		Update{DS: v1, Shadows: []Version{v1.PurePush(10)}},
@@ -398,43 +426,89 @@ func crashUnrelatedAfterFence(t *testing.T, n int, policy pmem.CrashPolicy, seed
 		t.Fatal(err)
 	}
 	dev.SetTracer(nil)
+	switch {
+	case w == allSwaps:
+		tr.img = dev.CrashImage(policy, seed)
+	case w == laterFence:
+		other.Push(3)
+		tr.img = dev.CrashImage(policy, seed)
+	}
 	if tr.img == nil {
-		t.Fatalf("no PM write followed fence %d of the commit", n)
+		return 0, 0, false
 	}
 	s2, _, err := openStore(pmem.NewFromImage(cfg, tr.img))
 	if err != nil {
-		t.Fatalf("fence %d, seed %d: %v", n, seed, err)
+		t.Fatalf("%v, write %d, seed %d: %v", w, n, seed, err)
 	}
 	v1b, _ := s2.Vector("v1")
 	v2b, _ := s2.Vector("v2")
 	if v1b.Get(0) != 1 || v2b.Get(0) != 2 {
-		t.Fatalf("fence %d, seed %d: recovered values corrupted", n, seed)
+		t.Fatalf("%v, write %d, seed %d: recovered values corrupted", w, n, seed)
 	}
-	return v1b.Len(), v2b.Len()
+	return v1b.Len(), v2b.Len(), true
 }
 
-// TestCommitUnrelatedCrashBetweenRecordFences crashes a two-root
-// CommitUnrelated in each window of its redo record with every flushed
-// line persisted: before the commit point (the status write issued after
-// fence A but not yet flushed) recovery shows neither new version, at or
-// after it (fences B and C) both.
-func TestCommitUnrelatedCrashBetweenRecordFences(t *testing.T) {
-	for n, want := range map[int]uint64{1: 1, 2: 2, 3: 2} {
-		if l1, l2 := crashUnrelatedAfterFence(t, n, pmem.CrashAllInflight, 5); l1 != want || l2 != want {
-			t.Errorf("crash after fence %d: v1=%d v2=%d, want %d/%d", n, l1, l2, want, want)
+// TestCommitUnrelatedCrashAroundRecordFence crashes a two-root
+// CommitUnrelated in each window around its one fence. Before fence A no
+// cell has been written, so recovery discards the record whatever else
+// reached PM: at every write of that window, with every flushed line
+// persisted, neither new version survives. After fence A the record is
+// durable and live, and recovery rolls it forward exactly when a swap
+// landed: with no swap persisted neither version survives, with the first
+// swap persisted both do — the second from the record. Once the commit
+// has returned, its swaps are durable only under a later fence: fenced
+// lines alone keep neither, every flushed line keeps both, and after a
+// later one-root FASE's fence both survive under every policy.
+func TestCommitUnrelatedCrashAroundRecordFence(t *testing.T) {
+	for n := 1; ; n++ {
+		l1, l2, ok := crashUnrelated(t, beforeFenceA, n, pmem.CrashAllInflight, 5)
+		if !ok {
+			if n < 10 {
+				t.Fatalf("only %d writes before fence A", n-1)
+			}
+			break
+		}
+		if l1 != 1 || l2 != 1 {
+			t.Errorf("%v, write %d: v1=%d v2=%d, want 1/1", beforeFenceA, n, l1, l2)
+		}
+	}
+	for _, tc := range []struct {
+		w      unrelatedWindow
+		policy pmem.CrashPolicy
+		want   uint64
+	}{
+		{noSwaps, pmem.CrashAllInflight, 1},
+		{someSwaps, pmem.CrashAllInflight, 2},
+		{someSwaps, pmem.CrashFencedOnly, 1},
+		{allSwaps, pmem.CrashAllInflight, 2},
+		{allSwaps, pmem.CrashFencedOnly, 1},
+		{laterFence, pmem.CrashFencedOnly, 2},
+		{laterFence, pmem.CrashEvictRandom, 2},
+	} {
+		l1, l2, ok := crashUnrelated(t, tc.w, 1, tc.policy, 5)
+		if !ok {
+			t.Fatalf("%v: no crash image taken", tc.w)
+		}
+		if l1 != tc.want || l2 != tc.want {
+			t.Errorf("%v, policy %d: v1=%d v2=%d, want %d/%d", tc.w, tc.policy, l1, l2, tc.want, tc.want)
 		}
 	}
 }
 
-// TestCommitUnrelatedFenceBudget: one root publishes like CommitSingle
-// (one fence), several through the redo record (three, however many),
-// and never with more fences than a Batch over the same roots.
+// TestCommitUnrelatedFenceBudget: a CommitUnrelated publishes under one
+// fence however many roots it changes — one root like CommitSingle,
+// several through the redo record, up to every root a store can host
+// (RootSlots − 1: the record's anchor takes a slot) — and never with more
+// fences than a Batch over the same roots.
 func TestCommitUnrelatedFenceBudget(t *testing.T) {
-	for _, tc := range []struct{ roots, fences int }{{1, 1}, {2, 3}, {3, 3}, {8, 3}} {
+	for _, tc := range []struct{ roots, fences int }{{1, 1}, {2, 1}, {3, 1}, {8, 1}, {alloc.RootSlots - 1, 1}} {
 		s := newTestStore(t)
 		vecs := make([]*Vector, tc.roots)
 		for i := range vecs {
-			vecs[i], _ = s.Vector(fmt.Sprintf("v%d", i))
+			var err error
+			if vecs[i], err = s.Vector(fmt.Sprintf("v%d", i)); err != nil {
+				t.Fatalf("%d roots: binding v%d: %v", tc.roots, i, err)
+			}
 			vecs[i].Push(uint64(i))
 		}
 		s.Sync()
@@ -459,8 +533,8 @@ func TestCommitUnrelatedFenceBudget(t *testing.T) {
 			}
 			b.Commit()
 		})
-		if int(unrelated) != tc.fences || unrelated > batch {
-			t.Errorf("%d roots: CommitUnrelated %d fences (want %d), Batch.Commit %d", tc.roots, unrelated, tc.fences, batch)
+		if int(unrelated) != tc.fences || int(batch) != tc.fences {
+			t.Errorf("%d roots: CommitUnrelated %d fences, Batch.Commit %d, want %d each", tc.roots, unrelated, batch, tc.fences)
 		}
 		for i, v := range vecs {
 			if got := v.Get(0); got != 200 {

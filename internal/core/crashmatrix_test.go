@@ -363,6 +363,129 @@ func TestCrashMatrixSingleStore(t *testing.T) {
 	}
 }
 
+// TestCrashMatrixRecordSlots sweeps the batch record's slot protocol: a
+// shared root S (the structure under test) and three marker maps move
+// through three back-to-back multi-root commits that all name S — two
+// Batches, then a CommitUnrelated — with a one-root commit on S between
+// the second and the third. The window covers a slot's reuse (the third
+// record overwrites the first's slot while the second may still be
+// live), the stale roll-back hazard (the one-root commit republishes S
+// behind a live record), and a record's retirement written in the same
+// epoch as a root swap. Power fails at every PM write under every crash
+// policy; the recovered state must be one of the five committed prefixes.
+func TestCrashMatrixRecordSlots(t *testing.T) {
+	cfg := pmem.DefaultConfig(1 << 20)
+	cfg.TrackDurable = true
+	markers := []string{"mx-a", "mx-b", "mx-c"}
+	for _, st := range matrixStructures() {
+		if st.name != "map" && st.name != "vector-sel" {
+			continue // one plain and one selective (checkpoint-folding) shape
+		}
+		t.Run(st.name, func(t *testing.T) {
+			build := func() (*Store, matrixOps, []*Map, *pmem.Device) {
+				dev := pmem.New(cfg)
+				s, err := newStore(dev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms := make([]*Map, len(markers))
+				for i, nm := range markers {
+					if ms[i], err = s.Map(nm); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ops, _ := mxOpenRow(t, st, s)
+				for i := 0; i < mxPrefix; i++ {
+					ops.basic(i)
+				}
+				s.Sync()
+				return s, ops, ms, dev
+			}
+			present := []byte("present")
+			steps := []func(s *Store, ops matrixOps, ms []*Map){
+				func(s *Store, ops matrixOps, ms []*Map) {
+					b := s.NewBatch()
+					ops.batch(b, mxPrefix)
+					b.MapSet(ms[0], mxMarkerKey, present)
+					b.Commit()
+				},
+				func(s *Store, ops matrixOps, ms []*Map) {
+					b := s.NewBatch()
+					ops.batch(b, mxPrefix+1)
+					b.MapSet(ms[1], mxMarkerKey, present)
+					b.Commit()
+				},
+				func(s *Store, ops matrixOps, ms []*Map) { ops.basic(mxPrefix + 2) },
+				func(s *Store, ops matrixOps, ms []*Map) {
+					mv, _ := ms[2].PureSet(mxMarkerKey, present)
+					if err := s.CommitUnrelated(ops.chain(mxPrefix+3, mxPrefix+5), Update{DS: ms[2], Shadows: []Version{mv}}); err != nil {
+						t.Fatal(err)
+					}
+				},
+			}
+			state := func(ops matrixOps, ms []*Map) string {
+				out := mxJoin(ops.dump())
+				for _, m := range ms {
+					_, in := m.Get(mxMarkerKey)
+					out += fmt.Sprintf("|%v", in)
+				}
+				return out
+			}
+
+			// Dry run: the five committed prefixes and the window's writes.
+			s, ops, ms, dev := build()
+			allowed := map[string]int{state(ops, ms): 0}
+			writesBase := dev.Stats().Writes
+			for i, step := range steps {
+				step(s, ops, ms)
+				allowed[state(ops, ms)] = i + 1
+			}
+			if len(allowed) != len(steps)+1 {
+				t.Fatalf("degenerate steps: %d distinct prefixes", len(allowed))
+			}
+			totalWrites := int(dev.Stats().Writes - writesBase)
+
+			for _, policy := range []pmem.CrashPolicy{pmem.CrashFencedOnly, pmem.CrashInflightRandom, pmem.CrashEvictRandom, pmem.CrashAllInflight} {
+				for inj := 1; inj <= totalWrites; inj += mxInjectionStride() {
+					s, ops, ms, dev := build()
+					tr := pmem.NewCrashCountdown(dev, inj, policy, uint64(inj)*2862933555777941757+uint64(policy))
+					dev.SetTracer(tr)
+					for _, step := range steps {
+						step(s, ops, ms)
+					}
+					dev.SetTracer(nil)
+					if tr.Image() == nil {
+						t.Fatalf("policy %d, inj %d/%d: countdown never expired", policy, inj, totalWrites)
+					}
+					s2, _, err := openStore(pmem.NewFromImage(cfg, tr.Image()), st.opts()...)
+					if err != nil {
+						t.Fatalf("policy %d, inj %d: recovery: %v", policy, inj, err)
+					}
+					ms2 := make([]*Map, len(markers))
+					for i, nm := range markers {
+						if ms2[i], err = s2.Map(nm); err != nil {
+							t.Fatal(err)
+						}
+					}
+					ops2 := st.bind(t, s2, "mx")
+					got := state(ops2, ms2)
+					if _, ok := allowed[got]; !ok {
+						t.Fatalf("policy %d, inj %d/%d: recovered state is not a committed prefix:\n%q", policy, inj, totalWrites, got)
+					}
+					// The recovered store keeps committing through its record.
+					b := s2.NewBatch()
+					ops2.batch(b, 900+inj)
+					b.MapSet(ms2[0], []byte("post"), present)
+					b.Commit()
+					if after := state(ops2, ms2); after == got {
+						t.Fatalf("policy %d, inj %d: store inert after recovery", policy, inj)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestCrashMatrixCrossShard sweeps the cross-shard-batch discipline:
 // the structure lives on shard 0, a marker map on shard 1, and the
 // batch commits through the shard manifest. Every injection point —

@@ -177,8 +177,10 @@ func (s *Store) updateParentBound(ds Datastructure, apply rootOp) {
 // cas=false and always wins. An optimistic builder passes cas=true: the
 // write becomes a compare-and-swap against old, taken under the mutex for
 // the 8 bytes only — shadow builds stay lock-free — so neither tier can
-// publish inside the other's read-to-publish window. Reports whether final
-// was published; retiring old (or a losing final) is the caller's.
+// publish inside the other's read-to-publish window. It also loses when a
+// multi-root record naming the root is still live with no fence covering
+// it (retireCovered). Reports whether final was published; retiring old
+// (or a losing final) is the caller's.
 func (s *Store) publishRoot(slot int, old, final pmem.Addr, cas bool) bool {
 	crown := s.maybeCheckpoint(final)
 	s.commitBegin()
@@ -188,9 +190,10 @@ func (s *Store) publishRoot(slot int, old, final pmem.Addr, cas bool) bool {
 	if cas {
 		mu := &s.sh.rootMu[slot]
 		mu.Lock()
-		won = s.heap.CasRoot(slot, old, final)
+		won = s.retireCovered(slot) && s.heap.CasRoot(slot, old, final)
 		mu.Unlock()
 	} else {
+		s.retireCovered(-1)
 		s.heap.SetRoot(slot, final)
 	}
 	s.commitEnd()

@@ -4,25 +4,35 @@ import "github.com/mod-ds/mod/internal/pmem"
 
 // A redo record makes several 8-byte root-cell swaps one atomic step
 // (DESIGN.md §7). It is the only multi-root commit mechanism: a store's
-// batch record (batch.go) carries Batch and CommitUnrelated publications
-// within one heap, and the shard manifest (sharded.go) is the same record
-// in the metadata region with a shard index per entry. Layout, from base:
+// two batch-record slots (batch.go) carry Batch and CommitUnrelated
+// publications within one heap, and the shard manifest (sharded.go) is
+// the same record in the metadata region with a shard index per entry.
+// Layout, from base:
 //
-//	+0   status   (0 idle; a nonzero sequence number = committed —
-//	              the 8-byte status write is the atomic commit point)
+//	+0   status   (0 never used; a sequence number = live; the sequence
+//	              number with redoRetired set = retired)
 //	+8   count    (number of entries)
 //	+16  checksum (fnv1a over the sequence number, count, and entries)
 //	+24  entries: count × {[shard u64,] root cell addr u64, version u64}
 //
 // The checksum binds the body to one specific commit: it covers the
-// sequence number that the commit point will write into the status word,
-// so recovery replays only when the durable status, count, and entries
-// all belong to the same commit — independent of how the record's fields
-// straddle cache lines under partial eviction.
+// sequence number the status word carries, so recovery acts on a record
+// only when the durable status, count, and entries all belong to the same
+// commit — independent of how the record's fields straddle cache lines
+// under partial eviction. A retired status keeps its sequence number, so
+// a store reopened over old bodies numbers its next commits past them.
+//
+// The two placements differ in where the commit point is. The manifest
+// stages its body, fences, then writes the status (commit) and fences
+// again: the durable status is its commit point. A batch-record slot
+// stages status and body together under one fence (stage with live set)
+// and has no status-only commit point: recovery decides such a record
+// from the root cells it names (Store.replayRecord).
 //
 // The codec writes, flushes and parses; it never fences. Each placement
-// keeps its own fence schedule: the in-heap record's retirement rides the
-// heap's next commit fence, the manifest's is fenced at once (§9).
+// keeps its own fence schedule: a batch-record slot retires at the next
+// ordering point whose fence covered its swaps, the manifest's retirement
+// is fenced at once (§9).
 type redoRecord struct {
 	dev     pmem.Backend
 	base    pmem.Addr
@@ -39,8 +49,8 @@ type redoEntry struct {
 }
 
 const (
-	redoStatusIdle = 0
-	redoHdrSize    = 24
+	redoRetired = uint64(1) << 63 // status flag: retired, sequence number kept
+	redoHdrSize = 24
 )
 
 func (r redoRecord) entryWords() int {
@@ -51,8 +61,8 @@ func (r redoRecord) entryWords() int {
 }
 
 // redoChecksum hashes the sequence number, the count, and the entry
-// words. The checksum is durable before the committed status, so a
-// record that validates is exactly the one the crashed commit wrote.
+// words. A record validates only if the durable status, count, and
+// entries are exactly what one commit wrote.
 func redoChecksum(words []uint64) uint64 {
 	h := uint64(14695981039346656037)
 	for _, w := range words {
@@ -68,9 +78,11 @@ func redoChecksum(words []uint64) uint64 {
 }
 
 // stage writes the body — entries, count, and the checksum binding them
-// to seq — and flushes it, leaving the status word alone. The caller
-// fences before commit, so a crash in between recovers none of it.
-func (r redoRecord) stage(seq uint64, entries []redoEntry) {
+// to seq — and flushes it. With live set it also writes seq into the
+// status word, inside the same flush (a batch-record slot); otherwise the
+// status is left alone for commit to write behind the caller's fence (the
+// manifest).
+func (r redoRecord) stage(seq uint64, entries []redoEntry, live bool) {
 	words := make([]uint64, 0, 2+3*len(entries))
 	words = append(words, seq, uint64(len(entries)))
 	for _, e := range entries {
@@ -84,35 +96,41 @@ func (r redoRecord) stage(seq uint64, entries []redoEntry) {
 	}
 	r.dev.WriteU64(r.base+8, uint64(len(entries)))
 	r.dev.WriteU64(r.base+16, redoChecksum(words))
-	r.dev.FlushRange(r.base+8, 8*len(words))
+	from := r.base + 8
+	if live {
+		r.dev.WriteU64(r.base, seq)
+		from = r.base
+	}
+	r.dev.FlushRange(from, int(r.base+8-from)+8*len(words))
 }
 
-// commit writes seq into the status word and flushes it: the atomic
-// commit point once the caller's fence makes it durable.
+// commit writes seq into the status word and flushes it: the manifest's
+// atomic commit point once the caller's fence makes it durable.
 func (r redoRecord) commit(seq uint64) {
 	r.dev.WriteU64(r.base, seq)
 	r.dev.Clwb(r.base)
 }
 
-// retire returns the status word to idle and flushes it. The caller must
-// have fenced the redone swaps first, so the idle status can never become
-// durable while a swap is not.
-func (r redoRecord) retire() { r.commit(redoStatusIdle) }
+// retire marks the record of commit seq retired and flushes the status.
+// The caller must have fenced the record's swaps first, so the retired
+// status can never become durable while a swap is not.
+func (r redoRecord) retire(seq uint64) { r.commit(seq | redoRetired) }
 
-// read parses the record after a crash. It returns the entries to redo —
-// nil unless the status holds a committed sequence number whose checksum
-// validates the body — and whether the status word needs retiring. A
-// mismatch means the status is a stale leftover of a commit that already
-// completed its swaps, torn against a later commit's partially durable
-// body: discard it.
-func (r redoRecord) read() (entries []redoEntry, dirty bool) {
-	seq := r.dev.ReadU64(r.base)
-	if seq == redoStatusIdle {
-		return nil, false
+// read parses the record after a crash. It returns the status's sequence
+// number (0 for a never-used record), whether the status still reads live
+// — the record must be acted on and then retired — and, only when the
+// checksum binds the durable body to that live status, the entries. A
+// live status over a body that fails the checksum is a record torn
+// against another commit's write: act on none of it.
+func (r redoRecord) read() (seq uint64, entries []redoEntry, live bool) {
+	status := r.dev.ReadU64(r.base)
+	seq = status &^ redoRetired
+	if status == 0 || status&redoRetired != 0 {
+		return seq, nil, false
 	}
 	count := r.dev.ReadU64(r.base + 8)
 	if count < 1 || count > uint64(r.max) {
-		return nil, true
+		return seq, nil, true
 	}
 	ew := r.entryWords()
 	words := make([]uint64, 2, 2+int(count)*ew)
@@ -121,7 +139,7 @@ func (r redoRecord) read() (entries []redoEntry, dirty bool) {
 		words = append(words, r.dev.ReadU64(r.base+redoHdrSize+pmem.Addr(i*8)))
 	}
 	if redoChecksum(words) != r.dev.ReadU64(r.base+16) {
-		return nil, true
+		return seq, nil, true
 	}
 	entries = make([]redoEntry, count)
 	for i := range entries {
@@ -131,5 +149,5 @@ func (r redoRecord) read() (entries []redoEntry, dirty bool) {
 		}
 		entries[i].cell, entries[i].final = pmem.Addr(w[ew-2]), pmem.Addr(w[ew-1])
 	}
-	return entries, true
+	return seq, entries, true
 }

@@ -22,9 +22,10 @@ import (
 // the DB is an ordinary single-store handle on its shard, so
 // single-shard operations cost exactly what they cost on one heap: a
 // Basic update is one FASE with one fence, a single-shard batch commits
-// through its shard's 1-fence (single root) or 3-fence (batch record)
-// path. This file holds what exists only because there can be more than
-// one heap: formatting and attaching a region set, and the manifest.
+// through its shard's 1-fence path (a root swap, or the batch record for
+// several roots). This file holds what exists only because there can be
+// more than one heap: formatting and attaching a region set, and the
+// manifest.
 //
 // # Cross-shard atomicity: the shard manifest
 //
@@ -43,8 +44,8 @@ import (
 //	         8-byte status write is the batch's atomic commit point.
 //	phase 2  per-shard redo: each shard's root cells are overwritten
 //	         (idempotent 8-byte swaps) and fenced.
-//	phase 3  mark durable: the status word returns to idle and is
-//	         fenced. The idle write is issued only after the redo
+//	phase 3  mark durable: the status word is marked retired and
+//	         fenced. The retired write is issued only after the redo
 //	         fences, so it can never become durable while a swap is
 //	         not; it is fenced eagerly because no later single-shard
 //	         commit ever fences the metadata region, and a manifest
@@ -159,7 +160,10 @@ func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*
 	// so every shard's recovery traces the post-batch roots. The redo
 	// writes are idempotent 8-byte swaps; they are fenced per shard
 	// before the status clears, so a second crash replays again.
-	var dirty bool
+	var (
+		mseq  uint64
+		dirty bool
+	)
 	if meta != nil {
 		if err := guardRegion(shards, func() error {
 			if got := meta.ReadU64(0); got != shardMagic {
@@ -169,7 +173,7 @@ func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*
 				return fmt.Errorf("core: store has %d shards, got %d shard regions", got, shards)
 			}
 			var entries []redoEntry
-			entries, dirty = manifest(meta).read()
+			mseq, entries, dirty = manifest(meta).read()
 			touched := make(map[int]bool)
 			for _, e := range entries {
 				if e.shard < 0 || e.shard >= shards {
@@ -235,7 +239,7 @@ func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*
 	}
 	if dirty {
 		if err := guardRegion(shards, func() error {
-			manifest(meta).retire()
+			manifest(meta).retire(mseq)
 			meta.Sfence()
 			return nil
 		}); err != nil {
@@ -304,7 +308,8 @@ func (db *DB) commitCross(per [][]batchOp) {
 		// fence) and clear their crown durable behind it — program order
 		// puts every clear fence before the manifest's commit point, so
 		// a replayed swap can never publish a structure whose navigation
-		// recovery would zero.
+		// recovery would zero. The fence also covers the shard's live
+		// batch records, which retire behind it, ahead of the redo swaps.
 		for i, p := range preps {
 			if changed[i] {
 				var crown []pmem.Addr
@@ -313,13 +318,14 @@ func (db *DB) commitCross(per [][]batchOp) {
 				}
 				p.s.heap.Fence()
 				p.s.clearCrown(crown)
+				p.s.retireCovered(-1)
 			}
 		}
 		meta, rec := db.meta, manifest(db.meta)
 		db.sh.mu.Lock()
-		db.sh.seq++ // serialized by the manifest lock; 0 is reserved for idle
+		db.sh.seq++ // serialized by the manifest lock; 0 marks a never-used manifest
 		seq := db.sh.seq
-		rec.stage(seq, entries)
+		rec.stage(seq, entries, false)
 		// Intent fence: the body — and any previous manifest's
 		// retirement — is durable while the status is still idle, so a
 		// crash here recovers none of the batch.
@@ -346,7 +352,7 @@ func (db *DB) commitCross(per [][]batchOp) {
 		// metadata region is fenced by no ordinary commit: deferring this
 		// fence would let a crash resurrect the manifest after touched
 		// roots had durably moved on, and the replay would roll them back.
-		rec.retire()
+		rec.retire(seq)
 		meta.Sfence()
 		db.sh.mu.Unlock()
 	}

@@ -433,6 +433,48 @@ func TestShardedManifestRetirementDurable(t *testing.T) {
 	}
 }
 
+// TestShardedManifestRetiresLiveRecord: a shard's multi-root batch leaves
+// its batch record live, and a cross-shard batch then republishes one of
+// that record's roots through the manifest. The manifest's per-shard
+// fence covers the record's swaps, so the shard retires the record behind
+// it before the redo swap; otherwise recovery would roll the root back
+// onto the local batch's version once a fence had made the cross-shard
+// value durable.
+func TestShardedManifestRetiresLiveRecord(t *testing.T) {
+	cfg := pmem.DefaultConfig(4 << 20)
+	cfg.TrackDurable = true
+	ss := openShards(t, cfg, 2)
+	a, _ := ss.Shard(0).Map("a")
+	b, _ := ss.Shard(0).Map("b")
+	c, _ := ss.Shard(1).Map("c")
+	ss.Sync()
+
+	local := ss.Batch() // both roots on shard 0: its batch record
+	local.MapSet(a, []byte("k"), []byte("local"))
+	local.MapSet(b, []byte("k"), []byte("local"))
+	local.Commit()
+	cross := ss.Batch()
+	cross.MapSet(a, []byte("k"), []byte("cross"))
+	cross.MapSet(c, []byte("k"), []byte("cross"))
+	cross.Commit()
+	ss.Sync()
+
+	ss2, _, err := Open(cfg, WithExistingImages(ss.CrashImages(pmem.CrashFencedOnly, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, probe := range []struct {
+		shard int
+		name  string
+		want  string
+	}{{0, "a", "cross"}, {0, "b", "local"}, {1, "c", "cross"}} {
+		m, _ := ss2.Shard(probe.shard).Map(probe.name)
+		if v, ok := m.Get([]byte("k")); !ok || string(v) != probe.want {
+			t.Errorf("%s: k = %q, %v after recovery; want %q", probe.name, v, ok, probe.want)
+		}
+	}
+}
+
 // TestShardedConcurrentWriters drives writers on all shards through
 // forked handles under -race: per-shard Basic ops plus periodic
 // cross-shard batches.

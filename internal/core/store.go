@@ -15,10 +15,10 @@
 //   - The Composition interface: Pure* methods return shadow versions
 //     without committing; CommitSingle, CommitSiblings, and
 //     CommitUnrelated (§5.1, Fig. 8) atomically install one or more
-//     shadows with one fence in the common cases. Several unrelated
-//     roots publish through the store's redo record (redo.go, batch.go)
-//     — three fences, the same path a multi-root Batch takes — where
-//     the paper's Fig. 8d runs an undo-logged pointer transaction.
+//     shadows with one fence each. Several unrelated roots publish
+//     through the store's roll-forward redo record (redo.go, batch.go) —
+//     one fence, the same path a multi-root Batch takes — where the
+//     paper's Fig. 8d runs an undo-logged pointer transaction.
 //
 // Recovery (§5.3) is a reachability pass over the heap from the named
 // roots: interrupted-FASE allocations are swept, reference counts rebuilt.
@@ -72,15 +72,17 @@ import (
 
 // storeShared is the state common to all handles of one store: one commit
 // mutex per root slot, the batch-record lock serializing multi-root
-// publications (Batch and CommitUnrelated alike), the background
-// group committer (batch.go), the per-root flat-combining state and
-// commit-path counters (optimistic.go), and the closed flag every handle
-// observes.
+// publications (Batch and CommitUnrelated alike) and the retirement of
+// their records, the background group committer (batch.go), the per-root
+// flat-combining state and commit-path counters (optimistic.go), and the
+// closed flag every handle observes.
 type storeShared struct {
 	shard    int // index among the DB's shards; labels corruption reports
 	rootMu   [alloc.RootSlots]sync.Mutex
 	recMu    sync.Mutex
-	batchSeq uint64 // last batch-record sequence number; guarded by recMu
+	batchSeq uint64        // last batch-record sequence number; guarded by recMu
+	live     [2]liveRecord // the batch-record slots' live records; guarded by recMu
+	liveRecs atomic.Int32  // live records, so an ordering point with none skips recMu
 	com      committer
 	closed   atomic.Bool
 
@@ -134,7 +136,16 @@ func newStore(dev pmem.Backend) (*Store, error) {
 		return nil, fmt.Errorf("core: anchoring batch record: %w", err)
 	}
 	s := &Store{dev: dev, heap: heap, batchRec: heap.Alloc(batchRecSize, 0), sh: &storeShared{checkpointEvery: defaultCheckpointEvery}}
-	s.record().retire() // a recycled arena must not read as a committed record
+	// A recycled arena must not read as a live record, and its old bodies
+	// must never validate under this heap's sequence numbers, which
+	// restart at 1: a zero status is never used, a zero checksum never
+	// matches.
+	for i := range s.sh.live {
+		rec := s.recSlot(i)
+		dev.WriteU64(rec.base, 0)
+		dev.WriteU64(rec.base+16, 0)
+		dev.FlushRange(rec.base, redoHdrSize)
+	}
 	heap.SetRoot(slot, s.batchRec)
 	dev.Sfence()
 	return s, nil
@@ -142,9 +153,10 @@ func newStore(dev pmem.Backend) (*Store, error) {
 
 // attachStore opens the heap on dev and replays its batch record — a
 // multi-root commit (Batch or CommitUnrelated) interrupted mid-publication
-// recovers all-or-nothing: a committed record completes every root swap,
-// an uncommitted one is discarded — before reachability tracing, so
-// recovery sees the final roots. The returned handle is not usable until
+// recovers all-or-nothing: a live record one of whose swaps landed is
+// rolled forward, one none of whose swaps landed is discarded — before
+// reachability tracing, so recovery sees the final roots. The returned
+// handle is not usable until
 // recoverHeap has rebuilt the heap's volatile state; Open runs a manifest
 // replay between the two. shard is the store's index among the DB's
 // shards.
@@ -164,7 +176,9 @@ func attachStore(dev pmem.Backend, shard int) (*Store, error) {
 		return nil, fmt.Errorf("core: store has no %s root: %w", batchLogRoot, ErrCorrupted)
 	}
 	s := &Store{dev: dev, heap: heap, batchRec: rec, sh: &storeShared{shard: shard, checkpointEvery: defaultCheckpointEvery}}
-	s.replayRecord()
+	if err := s.replayRecord(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -556,6 +570,7 @@ func (s *Store) commitSiblingsLocked(p *Parent, updates []Update) error {
 	}
 	s.commitBegin()
 	s.heap.Fence()
+	s.retireCovered(-1)
 	s.heap.SetRoot(p.slot, shadow)
 	s.commitEnd()
 	// Parent roots never take the optimistic commit path (parent-bound
@@ -579,10 +594,11 @@ func (s *Store) commitSiblingsLocked(p *Parent, updates []Update) error {
 // in a very short undo-logged transaction; here the shadow chains become
 // a prepared batch and publish exactly as a Batch over the same roots
 // does (batch.go): one root is a fence and a swap, several go through the
-// store's redo record — three fences however many roots. Still the
-// uncommon case, and the only Composition commit with more than one
-// ordering point. The commit locks every target root (in slot order, so
-// overlapping multi-root commits cannot deadlock). Returns
+// store's roll-forward redo record — one fence however many roots. Like
+// every Composition commit it is published on return and durable at the
+// store's next fence (Sync forces one); a crash before that fence keeps
+// all of its swaps or none. The commit locks every target root (in slot
+// order, so overlapping multi-root commits cannot deadlock). Returns
 // ErrConcurrentWriter (and publishes nothing) if any update's base
 // version is stale. Naming a root twice, a parent-bound structure, or an
 // update without shadows is a caller bug and panics before anything is

@@ -28,8 +28,8 @@ func GroupCommitBenchConfig(scale Scale, batchSize, shards int) workloads.GroupC
 
 // groupCommit measures fences/op and throughput as the batch size grows:
 // the whole point of group commit is that one flush+sfence epoch covers
-// B operations, so fences/op falls as 1/B (single root) or 3/B (batch
-// record across roots) while throughput climbs. The final row repeats
+// B operations, so fences/op falls as 1/B — on one root and through the
+// batch record across roots alike — while throughput climbs. The final row repeats
 // the largest batch through the async background committer with
 // concurrent producers, for information.
 func groupCommit(scale Scale) (*Table, []workloads.Row, error) {

@@ -6,9 +6,9 @@ package pmem
 // and commit boundaries. A nil Tracer disables tracing.
 //
 // Tracer methods must not call back into the Device. One exception is
-// sanctioned: the Write hook is invoked after the device has released
-// its internal mutex, so a Write implementation may take crash images
-// (CrashCountdown in crash.go relies on this).
+// sanctioned: the Write and Fence hooks are invoked after the device has
+// released its internal mutex, so their implementations may take crash
+// images (CrashCountdown in crash.go relies on this for Write).
 type Tracer interface {
 	// Alloc records that a block [addr, addr+size) was allocated with
 	// the given node type tag.

@@ -9,8 +9,8 @@ import (
 
 // Group-commit throughput workload. A fixed budget of map updates is
 // committed through core.Batch at a swept batch size, so the cost of the
-// ordering point is amortized: fences/op falls as 1/B when a batch stays
-// on one root and 3/B when it spreads across shards (DESIGN.md §7). The
+// ordering point is amortized: fences/op falls as 1/B whether a batch
+// stays on one root or spreads across several (DESIGN.md §7). The
 // sweep is the repo's main evidence that batching multiplies MOD's
 // fewer-fences advantage; BENCH.json carries its fences/op and ops/sec
 // so CI can hold the line.

@@ -34,8 +34,8 @@
 // interface (§4.3.2): Pure* methods return shadow versions, and
 // Store.CommitSingle, Store.CommitSiblings (for structures under one
 // Parent), or Store.CommitUnrelated (for unrelated roots; it publishes
-// through the same checksummed redo record as a multi-root Batch, three
-// fences however many roots) install them atomically.
+// through the same checksummed redo record as a multi-root Batch, one
+// fence however many roots) install them atomically.
 //
 // # Concurrency
 //
