@@ -2,7 +2,8 @@
 // server (GET/SET/DEL/LEN/MGET/MULTI·EXEC/PING/SHUTDOWN). Every write
 // is acknowledged only after its group-commit ticket resolves, so +OK
 // means fenced-durable; concurrent clients share fence epochs through
-// the background committer.
+// the store's commit queue, whose rounds run on the connections' own
+// goroutines.
 //
 // With -loadgen it instead runs an in-process smoke: server on a pipe
 // listener, open-loop Zipfian load against it, latency percentiles and
@@ -39,8 +40,8 @@ func main() {
 		data      = flag.String("data", "", "file-backed store directory (mmapdev backend; empty = simulator)")
 		shards    = flag.Int("shards", 1, "heap shards (1 = single heap)")
 		roots     = flag.Int("roots", server.DefaultRoots, "map roots keys spread across")
-		committer = flag.Int("committer", core.DefaultCommitterMaxOps, "group committer epoch cap (0 = default)")
-		linger    = flag.Duration("linger", 50*time.Microsecond, "committer settle-fence collection window")
+		committer = flag.Int("committer", core.DefaultCommitterMaxOps, "most ops one commit-queue round coalesces into a fence epoch (0 = default)")
+		linger    = flag.Duration("linger", 50*time.Microsecond, "how long a durability wait lingers for other clients' writes before paying its own settling fence")
 		selective = flag.Bool("selective", false, "selectively persisted structures, DRAM node cache on")
 		verbose   = flag.Bool("v", false, "log every command")
 		opTimeout = flag.Duration("op-timeout", 0, "per-op timeout middleware (0 = off)")

@@ -14,8 +14,8 @@ import (
 )
 
 // Group commit (DESIGN.md §7). A Batch coalesces many shadow updates —
-// across datastructures, across roots, and (through the background
-// committer) across goroutines — into a single flush+sfence epoch. Every
+// across datastructures, across roots, and (through the commit queue)
+// across goroutines — into a single flush+sfence epoch. Every
 // operation in the batch builds its shadow with unordered overlapped
 // flushes; one shared fence then makes the whole epoch durable and the
 // new versions are published together, so the per-FASE ordering point of
@@ -49,13 +49,13 @@ import (
 // # Async durability
 //
 // Commit applies and publishes the batch synchronously. CommitAsync
-// hands it to the store's background committer (StartGroupCommitter),
-// which coalesces submissions from any number of goroutines into shared
-// fence epochs and returns a Ticket; Ticket.Wait blocks until the
+// submits it to the store's commit queue, which coalesces submissions
+// from any number of goroutines into shared fence epochs on whichever
+// submitter leads it, and returns a Ticket; Ticket.Wait blocks until the
 // batch's publication is fence-covered, i.e. fully durable. Under load
-// the pipeline needs no extra fences — a group's publication becomes
-// durable under the next group's fence — and an idle committer issues
-// one closing fence.
+// the queue needs no extra fences — a round's publication becomes
+// durable under the next round's fence — and a Wait that finds no round
+// coming pays one settling fence.
 
 // batchLogRoot names the root slot anchoring the store's batch record:
 // two redo-record slots (redo.go), through which every multi-root commit
@@ -326,17 +326,18 @@ func (b *Batch) Commit() {
 }
 
 // CommitAsync publishes the batch and returns a ticket that resolves
-// when it is durable. A batch confined to one shard rides that shard's
-// background committer, coalescing with other goroutines' submissions
-// into shared fence epochs (without a running committer it degrades to a
-// synchronous Commit plus one fence); a cross-shard batch publishes
-// synchronously through the shard manifest and the ticket resolves on
-// return. On a closed store the batch is dropped and the ticket resolves
-// immediately with ErrStoreClosed.
+// when it is durable. A batch confined to one shard joins that shard's
+// commit queue, coalescing with other goroutines' submissions into shared
+// fence epochs: if nobody leads the queue the caller does, and returns
+// once its batch and everything queued behind it are published; otherwise
+// the leader publishes it. A cross-shard batch publishes synchronously
+// through the shard manifest and the ticket resolves on return. On a
+// closed store the batch is dropped and the ticket resolves immediately
+// with ErrStoreClosed.
 func (b *Batch) CommitAsync() *Ticket {
 	ops, shard := b.take()
 	if shard >= 0 {
-		return b.shards[shard].commitAsyncOps(ops)
+		return b.shards[shard].submit(ops, subAsync)
 	}
 	if b.db.sh.closed.Load() {
 		return resolvedTicket(ErrStoreClosed)
@@ -353,34 +354,6 @@ func (b *Batch) CommitAsync() *Ticket {
 		}
 	}
 	return resolvedTicket(nil)
-}
-
-// commitAsyncOps routes one shard's deferred ops through its background
-// committer.
-func (s *Store) commitAsyncOps(ops []batchOp) *Ticket {
-	c := &s.sh.com
-	c.mu.Lock()
-	if s.sh.closed.Load() {
-		// Rejecting under c.mu orders the check against Close: a Close
-		// that won the flag has not yet drained, so anything enqueued
-		// before the flag was set is still serviced, and anything after
-		// is refused here rather than stranded on a dead queue.
-		c.mu.Unlock()
-		return resolvedTicket(ErrStoreClosed)
-	}
-	if !c.running || c.quit {
-		// Not running, or a Stop is draining the queue: committing here
-		// keeps the batch from landing on a queue no worker will service.
-		c.mu.Unlock()
-		s.commitBatch(ops)
-		s.heap.Fence()
-		return resolvedTicket(nil)
-	}
-	t := &Ticket{done: make(chan struct{})}
-	c.queue = append(c.queue, submission{ops: ops, ticket: t})
-	c.cond.Signal()
-	c.mu.Unlock()
-	return t
 }
 
 // rootChange records one root's pending publication: the committed
@@ -561,20 +534,167 @@ func (s *Store) commitBatch(ops []batchOp) {
 	p.finish()
 }
 
+// The commit queue (DESIGN.md §7). Every store has one, and no goroutine
+// of its own: a CommitAsync batch, a Basic update that lost its CAS twice
+// (optimistic.go), and the barrier of Sync or Close are submissions on
+// it. A submitter that finds the queue idle leads it: on its own
+// goroutine it drains the whole queue in rounds of at most maxOps
+// operations, each round one commitBatch. The other submitters return
+// (CommitAsync) or wait for their round's publication. A round stamps its
+// tickets with the FenceSeq read after its publication, so a ticket is
+// durable once any fence passes that tag — under load, the next round's.
+// Every release of leadership drains the queue under q.mu first, so
+// nothing queued is ever left without a leader.
+
+// subKind says what a submission is.
+type subKind uint8
+
+const (
+	subAsync   subKind = iota // a CommitAsync batch, refused once the store is closed
+	subBasic                  // an enrolled Basic update, counted as combined
+	subBarrier                // Sync or Close: no ops, published once everything queued before it is
+)
+
+// submission is one entry of the commit queue.
+type submission struct {
+	ops    []batchOp
+	ticket *Ticket
+	kind   subKind
+}
+
+// commitQueue is a store's commit queue.
+type commitQueue struct {
+	mu      sync.Mutex
+	idle    sync.Cond // broadcast after every round and release of leadership; L is &mu
+	pending []submission
+	leading atomic.Bool   // written under mu; the optimistic tier reads it lock-free
+	maxOps  int           // operations per round (WithCommitter)
+	linger  time.Duration // how long a settling Wait polls for arrivals (WithCommitterLinger)
+	// busyUntil is the simulated time the last combining round (one
+	// carrying enrolled Basic updates) ended; guarded by leadership. A Go
+	// mutex wait costs no simulated nanoseconds, so without it
+	// back-to-back rounds led by different writers would overlap in
+	// simulated time, and a sweep timed by its slowest writer's clock
+	// would read serialized rounds as parallel. A round of CommitAsync
+	// batches alone does not wait for it: charging the wait as compute
+	// would count one submitter's wait for another as busy time in the
+	// device's aggregate simulated time.
+	busyUntil float64
+}
+
+// DefaultCommitterMaxOps caps how many operations one commit-queue round
+// coalesces into a fence epoch unless WithCommitter sets another cap.
+const DefaultCommitterMaxOps = 256
+
+// submit queues ops and returns their ticket. If nobody leads the queue
+// the caller leads until the queue is empty, so its own submission is
+// published by the time submit returns.
+func (s *Store) submit(ops []batchOp, kind subKind) *Ticket {
+	q := &s.sh.queue
+	q.mu.Lock()
+	if kind == subAsync && s.sh.closed.Load() {
+		// Refusing under q.mu orders the check against Close, which queues
+		// its barrier under q.mu after setting the flag: a batch accepted
+		// here is drained before Close fences, and none is accepted after.
+		q.mu.Unlock()
+		return resolvedTicket(ErrStoreClosed)
+	}
+	t := &Ticket{pub: make(chan struct{})}
+	if kind == subAsync {
+		t.s = s
+	}
+	q.pending = append(q.pending, submission{ops: ops, ticket: t, kind: kind})
+	if q.leading.Load() {
+		q.mu.Unlock()
+		return t
+	}
+	q.leading.Store(true)
+	s.release()
+	return t
+}
+
+// release is how every leader steps down: it drains the queue and clears
+// leading under the same hold of q.mu. The caller leads and holds q.mu;
+// release unlocks it.
+func (s *Store) release() {
+	q := &s.sh.queue
+	s.drain()
+	q.leading.Store(false)
+	q.idle.Broadcast()
+	q.mu.Unlock()
+}
+
+// drain runs rounds until the queue is empty. The caller leads and holds
+// q.mu, which each round releases while it commits.
+func (s *Store) drain() {
+	q := &s.sh.queue
+	for len(q.pending) > 0 {
+		n, ops := 1, len(q.pending[0].ops)
+		for n < len(q.pending) && ops+len(q.pending[n].ops) <= q.maxOps {
+			ops += len(q.pending[n].ops)
+			n++
+		}
+		subs := q.pending[:n:n] // later appends land past the cut
+		q.pending = q.pending[n:]
+		q.mu.Unlock()
+		s.round(subs)
+		q.mu.Lock()
+		q.idle.Broadcast() // the round's fence may have covered a settling Wait
+	}
+}
+
+// round commits one cut of the queue as one batch and publishes its
+// tickets. It is Batch.Commit's publication, one fence epoch:
+// commitBatch holds every touched root's commit mutex from base read to
+// SetRoot, so a racing lock-path commit waits for the round (and the
+// round for it) instead of costing it a fence.
+func (s *Store) round(subs []submission) {
+	q := &s.sh.queue
+	var ops []batchOp
+	basic := uint64(0)
+	for _, sub := range subs {
+		ops = append(ops, sub.ops...)
+		if sub.kind == subBasic {
+			basic++
+		}
+	}
+	if basic == 0 {
+		s.commitBatch(ops)
+	} else {
+		if now := s.dev.LocalNs(); now < q.busyUntil {
+			s.dev.ChargeCompute(q.busyUntil - now)
+		}
+		s.commitBatch(ops)
+		q.busyUntil = s.dev.LocalNs() // at or past the old watermark by now
+		s.sh.cstats.combines.Add(1)
+		s.sh.cstats.combinedOps.Add(basic)
+	}
+	tag := s.dev.FenceSeq()
+	for _, sub := range subs {
+		sub.ticket.tag = tag
+		close(sub.ticket.pub)
+	}
+}
+
 // Ticket tracks an asynchronously submitted batch. Wait returns once the
-// batch is published and its publication fence-covered (durable), or the
-// submission was rejected — Err distinguishes the two.
+// batch is published and a fence has covered its publication (durable),
+// or the submission was rejected — Err distinguishes the two.
 type Ticket struct {
-	done chan struct{}
-	err  error
+	// s is the submitting handle, whose store's fences make the batch
+	// durable; nil for a ticket resolved on creation and for an enrolled
+	// Basic update, which waits for publication only.
+	s   *Store
+	pub chan struct{} // closed by the round that published the batch
+	tag uint64        // FenceSeq read after that publication; set before pub closes
+	err error
 }
 
 // resolvedTicket returns an already-resolved ticket: err is nil for a
 // batch made durable before the call returned, or the reason a submission
 // was rejected outright (e.g. ErrStoreClosed).
 func resolvedTicket(err error) *Ticket {
-	t := &Ticket{done: make(chan struct{}), err: err}
-	close(t.done)
+	t := &Ticket{pub: make(chan struct{}), err: err}
+	close(t.pub)
 	return t
 }
 
@@ -583,214 +703,60 @@ func resolvedTicket(err error) *Ticket {
 // retry paths without reaching into the store.
 func FailedTicket(err error) *Ticket { return resolvedTicket(err) }
 
-// Wait blocks until the batch is durable or rejected.
-func (t *Ticket) Wait() { <-t.done }
+// Wait blocks until the batch is durable or rejected. A batch published
+// but not yet fence-covered is settled here, for at most one fence: while
+// another goroutine leads the queue, Wait waits for its rounds, whose
+// fences cover the batch; otherwise it leads, lingers up to the store's
+// linger (WithCommitterLinger) for other submissions, whose round's fence
+// covers it, and fences itself only if no round did. The fence and any
+// round run on the submitting handle, so call Wait from the goroutine
+// that owns it, as any other use of a handle.
+func (t *Ticket) Wait() {
+	<-t.pub
+	if t.Done() {
+		return
+	}
+	s := t.s
+	q := &s.sh.queue
+	q.mu.Lock()
+	for q.leading.Load() && !t.Done() {
+		q.idle.Wait()
+	}
+	if t.Done() {
+		q.mu.Unlock()
+		return
+	}
+	q.leading.Store(true)
+	if q.linger > 0 {
+		// Poll, yielding: time.Sleep rounds a window of tens of µs up to
+		// the timer tick, which would put milliseconds on every settle.
+		for deadline := time.Now().Add(q.linger); len(q.pending) == 0 && !t.Done() && time.Now().Before(deadline); {
+			q.mu.Unlock()
+			runtime.Gosched()
+			q.mu.Lock()
+		}
+	}
+	s.drain()
+	if !t.Done() {
+		q.mu.Unlock()
+		s.heap.Fence()
+		q.mu.Lock()
+	}
+	s.release()
+}
 
 // Err returns nil once Wait has returned and the batch is durable, or
 // the rejection reason (ErrStoreClosed) if the submission was refused.
 // Only valid after Wait (or a true Done).
 func (t *Ticket) Err() error { return t.err }
 
-// Done reports without blocking whether the batch is durable.
+// Done reports without blocking whether the batch is durable: published,
+// and a fence counted past its tag.
 func (t *Ticket) Done() bool {
 	select {
-	case <-t.done:
-		return true
+	case <-t.pub:
+		return t.s == nil || t.s.dev.FenceSeq() > t.tag
 	default:
 		return false
-	}
-}
-
-// submission is one queued batch awaiting the background committer, or
-// one enrolled Basic update awaiting a flat combiner (optimistic.go).
-type submission struct {
-	ops    []batchOp
-	ticket *Ticket
-}
-
-// committer is the background group-commit pipeline shared by all
-// handles of a store.
-type committer struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []submission
-	running bool
-	quit    bool
-	maxOps  int
-	linger  atomic.Int64 // ns to wait for stragglers before a settle fence
-	wg      sync.WaitGroup
-}
-
-// lingerWait polls the queue for up to d, yielding between polls
-// (time.Sleep rounds tens-of-µs windows up to the timer tick, which
-// would put milliseconds on the settle path). Returns true as soon as
-// there is work to fold into the next group.
-func (c *committer) lingerWait(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for {
-		runtime.Gosched()
-		c.mu.Lock()
-		busy := len(c.queue) > 0 || c.quit
-		c.mu.Unlock()
-		if busy {
-			return true
-		}
-		if !time.Now().Before(deadline) {
-			return false
-		}
-	}
-}
-
-// SetCommitterLinger sets a collection window for the background
-// committer: when its queue drains with tickets still awaiting a fence,
-// it waits up to d for new submissions before paying the settling
-// fence. Zero (the default) settles immediately — lowest latency, but
-// under network-paced open-loop load arrivals rarely overlap, so every
-// batch gets a private fence epoch. A linger of a few tens of
-// microseconds lets concurrent clients' submissions pile into shared
-// epochs, which is what makes fences/op fall as client concurrency
-// rises. Takes effect immediately, even on a running committer.
-func (s *Store) SetCommitterLinger(d time.Duration) {
-	s.sh.com.linger.Store(int64(d))
-}
-
-// DefaultCommitterMaxOps caps how many operations the background
-// committer coalesces into one fence epoch.
-const DefaultCommitterMaxOps = 256
-
-// StartGroupCommitter launches the store's background committer, which
-// coalesces CommitAsync submissions from any number of goroutines into
-// shared fence epochs. maxOps caps the operations per epoch (0 uses
-// DefaultCommitterMaxOps). Starting an already-running committer is a
-// no-op.
-func (s *Store) StartGroupCommitter(maxOps int) {
-	if maxOps <= 0 {
-		maxOps = DefaultCommitterMaxOps
-	}
-	c := &s.sh.com
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cond == nil {
-		c.cond = sync.NewCond(&c.mu)
-	}
-	if c.running {
-		return
-	}
-	c.running = true
-	c.quit = false
-	c.maxOps = maxOps
-	c.wg.Add(1)
-	worker := s.Fork() // its own clock: committer time is its own critical path
-	go worker.committerLoop()
-}
-
-// StopGroupCommitter drains the queue, makes every submitted batch
-// durable, and stops the background committer. Safe to call when not
-// running.
-func (s *Store) StopGroupCommitter() {
-	c := &s.sh.com
-	c.mu.Lock()
-	if !c.running {
-		c.mu.Unlock()
-		return
-	}
-	c.quit = true
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.wg.Wait()
-	c.mu.Lock()
-	c.running = false
-	c.mu.Unlock()
-}
-
-// asyncBarrier submits an empty batch and returns its ticket, or nil if
-// the committer is not running. Waiting on the ticket guarantees every
-// batch submitted before it is durable.
-func (s *Store) asyncBarrier() *Ticket {
-	c := &s.sh.com
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.running || c.quit {
-		return nil
-	}
-	t := &Ticket{done: make(chan struct{})}
-	c.queue = append(c.queue, submission{ticket: t})
-	c.cond.Signal()
-	return t
-}
-
-// committerLoop coalesces queued submissions into group commits. A
-// group's root-pointer swaps become durable under the next group's
-// fence, so tickets close one group late while the pipeline is busy;
-// when the queue drains, one closing fence settles the stragglers.
-func (s *Store) committerLoop() {
-	c := &s.sh.com
-	defer c.wg.Done()
-	var pending []*Ticket // published, awaiting a covering fence
-	settle := func() {
-		if len(pending) == 0 {
-			return
-		}
-		s.heap.Fence()
-		for _, t := range pending {
-			close(t.done)
-		}
-		pending = nil
-	}
-	for {
-		c.mu.Lock()
-		for len(c.queue) == 0 && !c.quit {
-			if len(pending) > 0 {
-				// Settle stragglers before sleeping so an idle pipeline
-				// never strands a ticket — but first give imminent
-				// submissions a linger window to ride the next group's
-				// fence instead of forcing a dedicated settle fence.
-				c.mu.Unlock()
-				if d := c.linger.Load(); d > 0 && c.lingerWait(time.Duration(d)) {
-					c.mu.Lock()
-					continue
-				}
-				settle()
-				c.mu.Lock()
-				continue
-			}
-			c.cond.Wait()
-		}
-		if len(c.queue) == 0 && c.quit {
-			c.mu.Unlock()
-			settle()
-			return
-		}
-		take, total := 0, 0
-		for take < len(c.queue) {
-			n := len(c.queue[take].ops)
-			if take > 0 && total+n > c.maxOps {
-				break
-			}
-			take++
-			total += n
-		}
-		subs := slices.Clone(c.queue[:take])
-		c.queue = c.queue[take:]
-		c.mu.Unlock()
-
-		var ops []batchOp
-		for _, sub := range subs {
-			ops = append(ops, sub.ops...)
-		}
-		// The group's fence covers the previous group's root swaps. A
-		// group that never fenced (a bare barrier, or all no-op updates)
-		// leaves the previous tickets pending until a later fence.
-		f0 := s.dev.FenceSeq()
-		s.commitBatch(ops)
-		if s.dev.FenceSeq() > f0 {
-			for _, t := range pending {
-				close(t.done)
-			}
-			pending = pending[:0]
-		}
-		for _, sub := range subs {
-			pending = append(pending, sub.ticket)
-		}
 	}
 }

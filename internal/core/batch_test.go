@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -213,8 +214,10 @@ func TestBatchConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestBatchAsyncCommitter exercises the background pipeline: concurrent
-// producers submit batches, tickets resolve durable, Sync drains.
+// TestBatchAsyncCommitter exercises the commit queue: concurrent
+// producers submit batches, tickets resolve durable, Sync drains; then,
+// on an idle queue, the submitter leads its own round and Wait pays the
+// one settling fence.
 func TestBatchAsyncCommitter(t *testing.T) {
 	dev, st := newBatchTestStore(t)
 	cfgMaps := make([]*Map, 3)
@@ -226,8 +229,7 @@ func TestBatchAsyncCommitter(t *testing.T) {
 		cfgMaps[i] = m
 	}
 	st.Sync()
-	st.StartGroupCommitter(64)
-	defer st.StopGroupCommitter()
+	st.sh.queue.maxOps = 64
 
 	const producers = 3
 	const perProducer = 40
@@ -250,8 +252,8 @@ func TestBatchAsyncCommitter(t *testing.T) {
 				last = b.CommitAsync()
 			}
 			last.Wait()
-			if !last.Done() {
-				t.Error("ticket Wait returned but Done is false")
+			if !last.Done() || h.Device().FenceSeq() <= last.tag {
+				t.Error("ticket Wait returned but no fence covers its publication")
 			}
 		}(p)
 	}
@@ -267,14 +269,25 @@ func TestBatchAsyncCommitter(t *testing.T) {
 		t.Errorf("committer accounting: %d batches / %d ops", s.Batches, s.BatchedOps)
 	}
 
-	// A stopped committer degrades CommitAsync to sync-with-fence.
-	st.StopGroupCommitter()
+	// An idle queue: the submitter leads, so its batch is published (one
+	// fence, the round's) when CommitAsync returns, but not yet durable;
+	// Wait finds no round coming and pays one settling fence.
+	base := dev.Stats()
 	b := st.NewBatch()
 	b.MapSet(cfgMaps[0], bkey(999), bkey(999))
 	tk := b.CommitAsync()
-	tk.Wait()
 	if _, ok := cfgMaps[0].Get(bkey(999)); !ok {
-		t.Error("CommitAsync without committer lost the update")
+		t.Fatal("CommitAsync on an idle queue returned before publishing")
+	}
+	if tk.Done() {
+		t.Fatal("ticket durable before any fence passed its publication")
+	}
+	if f := dev.Stats().Sub(base).Fences; f != 1 {
+		t.Fatalf("leading CommitAsync paid %d fences, want 1", f)
+	}
+	tk.Wait()
+	if f := dev.Stats().Sub(base).Fences; f != 2 || !tk.Done() {
+		t.Fatalf("after Wait: %d fences (want 2), durable %v", f, tk.Done())
 	}
 }
 
@@ -476,19 +489,38 @@ func TestBatchRecordStaleStatusRejected(t *testing.T) {
 	check("forged status", dev.CrashImage(pmem.CrashFencedOnly, 1), false)
 }
 
-// TestBatchSyncBarrier: Sync with an active committer must drain queued
-// batches before returning.
+// TestBatchSyncBarrier: Sync must drain queued batches before returning.
+// The test holds the queue's leadership, so 100 CommitAsync batches queue
+// up unpublished; a Sync from another goroutine must not return until
+// the leader steps down and its drain has published them all.
 func TestBatchSyncBarrier(t *testing.T) {
 	_, st := newBatchTestStore(t)
 	m, _ := st.Map("m")
-	st.StartGroupCommitter(0)
-	defer st.StopGroupCommitter()
+	q := &st.sh.queue
+	q.mu.Lock()
+	q.leading.Store(true)
+	q.mu.Unlock()
 	for i := 0; i < 100; i++ {
 		b := st.NewBatch()
 		b.MapSet(m, bkey(i), bkey(i))
 		b.CommitAsync()
 	}
-	st.Sync()
+	synced := make(chan struct{})
+	go func() {
+		defer close(synced)
+		st.Fork().Sync()
+	}()
+	for i := 0; i < 200; i++ {
+		runtime.Gosched()
+	}
+	select {
+	case <-synced:
+		t.Fatal("Sync returned while the batches queued before it were unpublished")
+	default:
+	}
+	q.mu.Lock()
+	st.release()
+	<-synced
 	if got := m.Len(); got != 100 {
 		t.Fatalf("after Sync map has %d entries, want 100", got)
 	}

@@ -435,18 +435,24 @@ func (f *fenceImages) Fence(int) {
 	f.imgs = append(f.imgs, fencedImage{fences: fences, img: f.dev.CrashImage(pmem.CrashFencedOnly, 0)})
 }
 
-// TestConcurrentBatchAndCASCrashImages races optimistic Basic writers
-// against multi-root Batch writers on overlapping roots — so a CAS can
-// find a live record naming its root, and records retire at other
-// goroutines' ordering points — while fenced-only crash images are taken
-// at random fences. Every op logs the FenceSeq it read after returning:
-// any fence counted past that value started after the op's last flush and
-// covered it. In every image, each op a fence covered must be recovered,
-// and every batch must be whole or absent. Run under -race.
+// TestConcurrentBatchAndCASCrashImages races optimistic Basic writers,
+// multi-root Batch writers and CommitAsync writers on overlapping roots —
+// so a CAS can find a live record naming its root, records retire at
+// other goroutines' ordering points, and queue rounds carry several
+// goroutines' batches — while fenced-only crash images are taken at
+// random fences. Every op logs the FenceSeq it read after returning: any
+// fence counted past that value started after the op's last flush and
+// covered it. An async writer also takes an image right after every
+// fourth Wait returns, with no fence in between, and logs how many images
+// existed when its Wait returned: every image taken after that is after
+// the acknowledgement and must hold the batch (durability before ack). In
+// every image, each op a fence covered must be recovered, every batch
+// must be whole or absent, and async batches one round published (equal
+// ticket tags) all present or all absent. Run under -race.
 func TestConcurrentBatchAndCASCrashImages(t *testing.T) {
 	const (
 		roots   = 3
-		writers = 4 // even: optimistic writers, odd: batch writers
+		writers = 6 // w%3: 0 optimistic, 1 Batch.Commit, 2 CommitAsync + Wait
 		ops     = 40
 	)
 	cfg := pmem.DefaultConfig(4 << 20)
@@ -467,9 +473,11 @@ func TestConcurrentBatchAndCASCrashImages(t *testing.T) {
 		roots  []int
 		key    string
 		fences uint64 // FenceSeq read after the op returned
+		acked  int    // async: images taken before Wait returned; -1 for the other writers
+		tag    uint64 // async: the ticket's tag, shared by the batches of one round
 	}
 	logs := make([][]loggedOp, writers)
-	tr := &fenceImages{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), dev: dev, rng: 7, every: 9, max: 12}
+	tr := &fenceImages{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), dev: dev, rng: 7, every: 9, max: 24}
 	dev.SetTracer(tr)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -482,19 +490,34 @@ func TestConcurrentBatchAndCASCrashImages(t *testing.T) {
 				ms[r], _ = h.Map(fmt.Sprintf("r%d", r))
 			}
 			for i := 0; i < ops; i++ {
-				op := loggedOp{key: fmt.Sprintf("w%d-%d", w, i)}
-				if w%2 == 0 {
+				op := loggedOp{key: fmt.Sprintf("w%d-%d", w, i), acked: -1}
+				if w%3 == 0 {
 					op.roots = []int{(w + i) % roots}
 					ms[op.roots[0]].Set([]byte(op.key), []byte(op.key))
-				} else {
-					op.roots = []int{i % roots, (i + 1 + w/2) % roots}
-					b := h.NewBatch()
-					for _, r := range op.roots {
-						b.MapSet(ms[r], []byte(op.key), []byte(op.key))
-					}
-					b.Commit()
+					op.fences = h.Device().FenceSeq()
+					logs[w] = append(logs[w], op)
+					continue
 				}
-				op.fences = h.Device().FenceSeq()
+				op.roots = []int{i % roots, (i + 1 + w/3) % roots}
+				b := h.NewBatch()
+				for _, r := range op.roots {
+					b.MapSet(ms[r], []byte(op.key), []byte(op.key))
+				}
+				if w%3 == 1 {
+					b.Commit()
+					op.fences = h.Device().FenceSeq()
+					logs[w] = append(logs[w], op)
+					continue
+				}
+				tk := b.CommitAsync()
+				tk.Wait()
+				op.fences, op.tag = h.Device().FenceSeq(), tk.tag
+				tr.mu.Lock()
+				op.acked = len(tr.imgs)
+				if i%4 == 0 && len(tr.imgs) < tr.max {
+					tr.imgs = append(tr.imgs, fencedImage{fences: dev.FenceSeq(), img: dev.CrashImage(pmem.CrashFencedOnly, 0)})
+				}
+				tr.mu.Unlock()
 				logs[w] = append(logs[w], op)
 			}
 		}(w)
@@ -514,6 +537,7 @@ func TestConcurrentBatchAndCASCrashImages(t *testing.T) {
 		for r := range ms {
 			ms[r], _ = s2.Map(fmt.Sprintf("r%d", r))
 		}
+		rounds := map[uint64]bool{} // tag → whether that round's batches are in the image
 		for w, log := range logs {
 			for _, op := range log {
 				in := 0
@@ -530,7 +554,16 @@ func TestConcurrentBatchAndCASCrashImages(t *testing.T) {
 					t.Fatalf("image %d: writer %d's %s torn: on %d of roots %v", n, w, op.key, in, op.roots)
 				case in == 0 && op.fences < fi.fences:
 					t.Fatalf("image %d (fence %d): %s lost although fence %d covered it", n, fi.fences, op.key, op.fences+1)
+				case in == 0 && op.acked >= 0 && n >= op.acked:
+					t.Fatalf("image %d: %s lost although its ticket was acknowledged before the image", n, op.key)
 				}
+				if op.acked < 0 {
+					continue
+				}
+				if had, seen := rounds[op.tag]; seen && had != (in != 0) {
+					t.Fatalf("image %d: the round tagged %d is torn at %s", n, op.tag, op.key)
+				}
+				rounds[op.tag] = in != 0
 			}
 		}
 	}

@@ -32,8 +32,7 @@ type KV interface {
 	Stack(name string) (*Stack, error)
 	Queue(name string) (*Queue, error)
 	// Batch returns an empty group-commit batch; its CommitAsync
-	// submits to the background committer and returns a durability
-	// Ticket.
+	// submits to the commit queue and returns a durability Ticket.
 	Batch() Batcher
 	// Sync drains every outstanding commit and fences: everything
 	// acknowledged so far is durable on return.
@@ -49,8 +48,8 @@ type KV interface {
 
 // Batcher is the batch half of the KV seam, implemented by *Batch:
 // deferred updates accumulated for one group commit, published
-// synchronously (Commit) or through the background committer
-// (CommitAsync). A Batcher is not safe for concurrent use.
+// synchronously (Commit) or through the commit queue (CommitAsync). A
+// Batcher is not safe for concurrent use.
 type Batcher interface {
 	MapSet(m *Map, key, val []byte)
 	MapDelete(m *Map, key []byte)
@@ -64,8 +63,8 @@ type Batcher interface {
 	QueueDequeue(q *Queue)
 	// Len returns the number of operations accumulated.
 	Len() int
-	// Commit publishes synchronously; CommitAsync submits to the
-	// background committer and returns a durability ticket.
+	// Commit publishes synchronously; CommitAsync submits to the commit
+	// queue and returns a durability ticket.
 	Commit()
 	CommitAsync() *Ticket
 }
@@ -84,7 +83,6 @@ type options struct {
 	images          [][]byte
 	devices         []pmem.Backend
 	attach          bool
-	committer       bool
 	committerMaxOps int
 	committerLinger time.Duration
 	verify          bool
@@ -169,21 +167,19 @@ func WithSalvage() Option {
 	}
 }
 
-// WithCommitter starts the background group committer(s) immediately,
-// so CommitAsync submissions from concurrent goroutines coalesce into
-// shared fence epochs. maxOps caps the operations per epoch (0 uses
-// DefaultCommitterMaxOps). Close stops them.
+// WithCommitter caps the operations one round of each shard's commit
+// queue coalesces into a fence epoch (maxOps <= 0 keeps
+// DefaultCommitterMaxOps). Every store has its queue, and it runs on its
+// submitters' goroutines: the option starts nothing.
 func WithCommitter(maxOps int) Option {
-	return func(o *options) {
-		o.committer = true
-		o.committerMaxOps = maxOps
-	}
+	return func(o *options) { o.committerMaxOps = maxOps }
 }
 
-// WithCommitterLinger sets the committers' settle-fence collection
-// window (see Store.SetCommitterLinger): under request/response-paced
-// load a few tens of microseconds of linger is what lets concurrent
-// clients share fence epochs. Implies nothing unless a committer runs.
+// WithCommitterLinger sets how long a Ticket.Wait that would otherwise
+// pay its own settling fence first waits for other submissions, whose
+// round's fence then covers it: under request/response-paced load a few
+// tens of microseconds is what lets concurrent clients share fence
+// epochs. Zero (the default) settles at once.
 func WithCommitterLinger(d time.Duration) Option {
 	return func(o *options) { o.committerLinger = d }
 }
@@ -309,12 +305,10 @@ func Open(cfg pmem.Config, opts ...Option) (*DB, RecoveryInfo, error) {
 		if o.selective {
 			s.makeSelective(o.checkpointEvery)
 		}
-		if o.committer {
-			s.StartGroupCommitter(o.committerMaxOps)
+		if o.committerMaxOps > 0 {
+			s.sh.queue.maxOps = o.committerMaxOps
 		}
-		if o.committerLinger > 0 {
-			s.SetCommitterLinger(o.committerLinger)
-		}
+		s.sh.queue.linger = o.committerLinger
 	}
 	return db, info, nil
 }
@@ -398,7 +392,7 @@ func (db *DB) Queue(name string) (*Queue, error) {
 func (db *DB) Batch() Batcher { return &Batch{shards: db.shards, db: db} }
 
 // Sync makes everything committed so far durable on every shard —
-// draining the background committers first — and reclaims retired
+// draining the commit queues first — and reclaims retired
 // blocks shard by shard. On a closed store Sync is a no-op: Close
 // already fenced everything. Nil-safe, so a deferred Sync after a failed
 // Open is harmless.
@@ -414,8 +408,8 @@ func (db *DB) Sync() {
 	}
 }
 
-// Close drains and stops every shard's background committer, fences each
-// shard (and the metadata region), and marks the store closed:
+// Close drains every shard's commit queue, fences each shard (and the
+// metadata region), and marks the store closed:
 // subsequent binds return ErrStoreClosed, and CommitAsync tickets resolve
 // with ErrStoreClosed instead of hanging. Idempotent and nil-safe, so a
 // deferred Close after a failed Open is harmless.

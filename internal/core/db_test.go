@@ -239,7 +239,7 @@ func TestCloseIdempotent(t *testing.T) {
 			b := db.Batch()
 			b.MapSet(m, []byte("k2"), []byte("v2"))
 			tk := b.CommitAsync()
-			tk.Wait() // must resolve, not hang on a stopped committer
+			tk.Wait() // must resolve, not hang on a closed queue
 			if !errors.Is(tk.Err(), ErrStoreClosed) {
 				t.Fatalf("CommitAsync after close: %v, want ErrStoreClosed", tk.Err())
 			}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"github.com/mod-ds/mod/internal/alloc"
@@ -20,14 +18,15 @@ import (
 // the existing EBR and retries.
 //
 // Tier 2 — flat combining. A writer that keeps losing the CAS (or that
-// sees a combiner already active) enrolls its pending operation in the
-// root's combining queue. One writer elects itself combiner, drains the
-// queue and commits the drained ops as a one-root batch (commitBatch):
-// every op applied on one shared edit context against one base version,
-// published with a single flush+sfence epoch — contention amortizes
-// fences (fences/op = 1/B for a B-op combine) instead of queueing them.
+// finds a round in flight) enrolls its pending operation in the store's
+// commit queue (batch.go), the one CommitAsync uses. Whoever leads the
+// queue — this writer, if it is idle — commits the queued ops as one
+// batch (commitBatch): every op on a root applied on one shared edit
+// context against one base version, published with a single flush+sfence
+// epoch — contention amortizes fences (fences/op = 1/B for a B-op round)
+// instead of queueing them.
 //
-// Safety against the lock-based commit paths (Commit*, Batch, combining
+// Safety against the lock-based commit paths (Commit*, Batch, queue
 // rounds, binds, sharded manifests): those hold the root's mutex from
 // base-version read to publication, and the CAS here briefly takes the
 // same mutex, so a CAS can never land between a locked path's read and
@@ -43,10 +42,10 @@ import (
 // rootOp applies one deferred Basic-interface update against a root's
 // then-current version inside the given edit context, returning the new
 // version's address (cur itself for a no-op). It must be replayable: a
-// CAS retry applies it again against a fresh base, and a combiner once
-// more after that; only the final application's captured results
-// survive. Each update is one constructor in handles.go, which the Basic
-// method and its Batch twin (batchOp.apply) share.
+// CAS retry applies it again against a fresh base, and a commit-queue
+// round once more after that; only the final application's captured
+// results survive. Each update is one constructor in handles.go, which
+// the Basic method and its Batch twin (batchOp.apply) share.
 type rootOp func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr
 
 // addrVersion adapts a bare version address to the Version interface for
@@ -56,28 +55,19 @@ type addrVersion pmem.Addr
 func (a addrVersion) Addr() pmem.Addr { return pmem.Addr(a) }
 
 // casAttempts is K, the number of optimistic publication attempts before
-// a writer enrolls in the root's flat-combining queue. Failed pre-checks
-// (root moved before the fence was paid) count as attempts.
+// a writer enrolls in the store's commit queue. Failed pre-checks (root
+// moved, or a round in flight, before the fence was paid) count as
+// attempts.
 const casAttempts = 2
-
-// fcRoot is one root's flat-combining state. An enrolled operation is a
-// one-op submission whose ticket resolves once a combiner has applied and
-// published it.
-type fcRoot struct {
-	mu        sync.Mutex
-	pending   []submission
-	combining atomic.Bool
-	busyUntil float64 // combiner sim-time watermark; guarded by combining ownership
-}
 
 // commitCounters tracks which tier commits take, for the fence-accounting
 // tests and the contention sweep's BENCH columns.
 type commitCounters struct {
 	fastWins      atomic.Uint64 // optimistic CAS publications
-	fastAborts    atomic.Uint64 // pre-fence aborts: root moved before the fence was paid
+	fastAborts    atomic.Uint64 // pre-fence aborts: root moved, or a round in flight, before the fence was paid
 	fastLosses    atomic.Uint64 // post-fence CAS failures
-	combines      atomic.Uint64 // combining rounds that published (or merged to a no-op)
-	combinedOps   atomic.Uint64 // operations drained by combiners
+	combines      atomic.Uint64 // queue rounds that carried enrolled Basic updates
+	combinedOps   atomic.Uint64 // enrolled Basic updates those rounds published
 	lockedCommits atomic.Uint64 // parent-bound Basic commits
 }
 
@@ -86,19 +76,22 @@ type CommitStats struct {
 	// FastWins counts updates published by a first- or second-try CAS.
 	FastWins uint64
 	// FastAborts counts optimistic attempts abandoned before paying the
-	// commit fence because the root had already moved.
+	// commit fence because the root had already moved or a commit-queue
+	// round was in flight.
 	FastAborts uint64
 	// FastLosses counts optimistic attempts that paid the commit fence
 	// and then lost the CAS.
 	FastLosses uint64
-	// Combines counts flat-combining rounds that committed.
+	// Combines counts commit-queue rounds that carried enrolled Basic
+	// updates (flat combining).
 	Combines uint64
-	// CombineRetries is always zero: a combining round holds the root's
-	// commit mutex from base read to publication, so it cannot lose to a
-	// lock-path commit. The field stays because benchmark/srv.go names it.
+	// CombineRetries is always zero: a queue round holds its roots'
+	// commit mutexes from base read to publication, so it cannot lose to
+	// a lock-path commit. The field stays because benchmark/srv.go names
+	// it.
 	CombineRetries uint64
-	// CombinedOps counts operations drained and applied by combiners;
-	// CombinedOps/Combines is the achieved fence amortization.
+	// CombinedOps counts enrolled Basic updates published by queue
+	// rounds; CombinedOps/Combines is the achieved fence amortization.
 	CombinedOps uint64
 	// LockedCommits counts parent-bound Basic updates, which commit under
 	// the parent's root mutex.
@@ -120,24 +113,22 @@ func (s *Store) CommitStats() CommitStats {
 }
 
 // update routes one Basic-interface operation through the two-tier
-// commit path: optimistic CAS publication, then flat-combining fallback.
-// Parent-bound structures keep the serialized locked path.
+// commit path: optimistic CAS publication, then flat combining on the
+// store's commit queue, where the op returns once a round has published
+// it. A round in flight is joined instead of fought. Parent-bound
+// structures keep the serialized locked path.
 func (s *Store) update(ds Datastructure, apply rootOp) {
 	loc := ds.base().loc
 	if loc.parent != nil {
 		s.updateParentBound(ds, apply)
 		return
 	}
-	fc := &s.sh.fc[loc.slot]
-	for i := 0; i < casAttempts; i++ {
-		if fc.combining.Load() {
-			break // a combiner is active: join it instead of fighting the CAS
-		}
+	for i := 0; i < casAttempts && !s.sh.queue.leading.Load(); i++ {
 		if s.tryOptimistic(loc.slot, ds, apply) {
 			return
 		}
 	}
-	s.enroll(fc, ds, apply)
+	<-s.submit([]batchOp{{ds: ds, apply: apply}}, subBasic).pub
 }
 
 // updateParentBound is the locked tier: lock the parent's root, reload
@@ -219,10 +210,11 @@ func (s *Store) tryOptimistic(slot int, ds Datastructure, apply rootOp) bool {
 		ds.base().adopt(old)
 		return true // no-op update: nothing to publish, no fence
 	}
-	if s.heap.Root(slot) != old {
-		// The root already moved: the CAS is doomed, so abort before
-		// paying the fence. Keeping doomed fences off the device is what
-		// holds fences/op at W>1 to the W=1 level.
+	if s.heap.Root(slot) != old || s.sh.queue.leading.Load() {
+		// The root already moved, so the CAS is doomed, or a queue round
+		// is in flight and likely to move it: abort before paying the
+		// fence. Keeping doomed fences off the device is what holds
+		// fences/op at W>1 near the W=1 level.
 		s.EndFASE()
 		s.heap.Release(final)
 		s.sh.cstats.fastAborts.Add(1)
@@ -239,64 +231,4 @@ func (s *Store) tryOptimistic(slot int, ds Datastructure, apply rootOp) bool {
 	s.heap.ReleaseDeferred(old)
 	ds.base().adopt(final)
 	return true
-}
-
-// enroll is tier 2: queue the op on the root's flat-combining list, then
-// either become the combiner or wait for one to apply the op.
-func (s *Store) enroll(fc *fcRoot, ds Datastructure, apply rootOp) {
-	t := &Ticket{done: make(chan struct{})}
-	fc.mu.Lock()
-	fc.pending = append(fc.pending, submission{ops: []batchOp{{ds: ds, apply: apply}}, ticket: t})
-	fc.mu.Unlock()
-	for {
-		if t.Done() {
-			return
-		}
-		if fc.combining.CompareAndSwap(false, true) {
-			s.combine(fc)
-			fc.combining.Store(false)
-			if t.Done() {
-				return
-			}
-			continue // enqueued after the drain cut: combine again
-		}
-		runtime.Gosched()
-	}
-}
-
-// combine drains the pending queue and commits every drained op as one
-// batch on the root — the same fence amortization as a Batch, earned from
-// contention instead of from the caller batching explicitly, and the same
-// publication: commitBatch holds the root's commit mutex from base read to
-// SetRoot, so a racing lock-path commit waits for the round (and the round
-// for it) instead of costing it a fence. Exactly one goroutine runs combine
-// per root at a time (the combining flag).
-//
-// Simulated clocks are per-goroutine and a Go mutex wait costs no
-// simulated nanoseconds, so back-to-back rounds run by different handles
-// would otherwise overlap in simulated time: the combiner advances its
-// clock to the watermark the previous round left and records its own exit
-// time.
-func (s *Store) combine(fc *fcRoot) {
-	fc.mu.Lock()
-	subs := fc.pending
-	fc.pending = nil
-	fc.mu.Unlock()
-	if len(subs) == 0 {
-		return
-	}
-	if now := s.dev.LocalNs(); now < fc.busyUntil {
-		s.dev.ChargeCompute(fc.busyUntil - now)
-	}
-	ops := make([]batchOp, 0, len(subs))
-	for _, sub := range subs {
-		ops = append(ops, sub.ops...)
-	}
-	s.commitBatch(ops)
-	fc.busyUntil = s.dev.LocalNs() // at or past the old watermark by now
-	s.sh.cstats.combines.Add(1)
-	s.sh.cstats.combinedOps.Add(uint64(len(ops)))
-	for _, sub := range subs {
-		close(sub.ticket.done)
-	}
 }

@@ -14,7 +14,7 @@ import (
 // set), and recovery (one reachability scan). A DB with S > 1 partitions
 // the root namespace across S fully independent stores — each with its
 // own pmem.Device region, its own heap, open-run table, epoch reclaimer,
-// batch record, and background committer — so unrelated
+// batch record, and commit queue — so unrelated
 // FASEs on different shards never share a fence, never contend on an
 // allocator lock, and recover in parallel.
 //

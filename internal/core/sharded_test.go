@@ -481,10 +481,6 @@ func TestShardedManifestRetiresLiveRecord(t *testing.T) {
 func TestShardedConcurrentWriters(t *testing.T) {
 	ss := newTestSharded(t, 4)
 	maps := bindOnShards(t, ss)
-	for i := 0; i < ss.ShardCount(); i++ {
-		ss.Shard(i).StartGroupCommitter(0)
-		defer ss.Shard(i).StopGroupCommitter()
-	}
 
 	const writers = 4
 	const ops = 80

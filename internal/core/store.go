@@ -32,14 +32,15 @@
 //   - Basic-interface writers publish optimistically (optimistic.go): an
 //     update snapshots the committed root pointer without locking, builds
 //     its shadow in its own edit run, fences, and CAS-publishes the root.
-//     A writer that keeps losing the CAS enrolls in a per-root flat-
-//     combining queue; one writer drains all pending ops and commits them
-//     as a one-root batch: one edit, one fence. Updates remain
+//     A writer that keeps losing the CAS enrolls in the store's commit
+//     queue, the one CommitAsync uses; whichever writer leads it commits
+//     all queued ops as one batch: one edit per root, one fence. Updates
+//     remain
 //     linearizable across handles and goroutines, and same-root writers
 //     scale instead of queueing on a mutex. Composition-interface users
 //     must keep a single logical writer per root between Pure* and
 //     Commit*; the commit step returns ErrConcurrentWriter if it detects
-//     a stale base version. Lock-based paths (Commit*, Batch, combining
+//     a stale base version. Lock-based paths (Commit*, Batch, queue
 //     rounds, binds) serialize on per-root mutexes from base read to
 //     publication, which the optimistic publication CAS also briefly
 //     takes, so the two tiers interleave safely.
@@ -73,9 +74,8 @@ import (
 // storeShared is the state common to all handles of one store: one commit
 // mutex per root slot, the batch-record lock serializing multi-root
 // publications (Batch and CommitUnrelated alike) and the retirement of
-// their records, the background group committer (batch.go), the per-root
-// flat-combining state and commit-path counters (optimistic.go), and the
-// closed flag every handle observes.
+// their records, the commit queue (batch.go), the commit-path counters
+// (optimistic.go), and the closed flag every handle observes.
 type storeShared struct {
 	shard    int // index among the DB's shards; labels corruption reports
 	rootMu   [alloc.RootSlots]sync.Mutex
@@ -83,12 +83,9 @@ type storeShared struct {
 	batchSeq uint64        // last batch-record sequence number; guarded by recMu
 	live     [2]liveRecord // the batch-record slots' live records; guarded by recMu
 	liveRecs atomic.Int32  // live records, so an ordering point with none skips recMu
-	com      committer
+	queue    commitQueue
+	cstats   commitCounters
 	closed   atomic.Bool
-
-	// Two-tier Basic-interface commit path (optimistic.go).
-	fc     [alloc.RootSlots]fcRoot
-	cstats commitCounters
 
 	// Quarantined root slots (corrupt.go): damage found by open-time
 	// verification or a Scrub. quarCount's atomic load keeps the
@@ -115,6 +112,15 @@ type storeShared struct {
 // recovery replay (the chain is replayed oldest-first on open).
 const defaultCheckpointEvery = 32768
 
+// newShared returns the shared state of a new handle family for shard
+// number shard of its DB.
+func newShared(shard int) *storeShared {
+	sh := &storeShared{shard: shard, checkpointEvery: defaultCheckpointEvery}
+	sh.queue.idle.L = &sh.queue.mu
+	sh.queue.maxOps = DefaultCommitterMaxOps
+	return sh
+}
+
 // Store is a handle onto a persistent heap hosting MOD datastructures,
 // located across process lifetimes by named roots. Derive one handle per
 // goroutine with Fork; handles share all store state but carry their own
@@ -135,7 +141,7 @@ func newStore(dev pmem.Backend) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: anchoring batch record: %w", err)
 	}
-	s := &Store{dev: dev, heap: heap, batchRec: heap.Alloc(batchRecSize, 0), sh: &storeShared{checkpointEvery: defaultCheckpointEvery}}
+	s := &Store{dev: dev, heap: heap, batchRec: heap.Alloc(batchRecSize, 0), sh: newShared(0)}
 	// A recycled arena must not read as a live record, and its old bodies
 	// must never validate under this heap's sequence numbers, which
 	// restart at 1: a zero status is never used, a zero checksum never
@@ -175,7 +181,7 @@ func attachStore(dev pmem.Backend, shard int) (*Store, error) {
 	if rec == pmem.Nil {
 		return nil, fmt.Errorf("core: store has no %s root: %w", batchLogRoot, ErrCorrupted)
 	}
-	s := &Store{dev: dev, heap: heap, batchRec: rec, sh: &storeShared{shard: shard, checkpointEvery: defaultCheckpointEvery}}
+	s := &Store{dev: dev, heap: heap, batchRec: rec, sh: newShared(shard)}
 	if err := s.replayRecord(); err != nil {
 		return nil, err
 	}
@@ -240,19 +246,19 @@ func (s *Store) Stats() pmem.Stats { return s.dev.Stats() }
 func (s *Store) Closed() bool { return s.sh.closed.Load() }
 
 // Close makes everything committed so far durable and shuts the store
-// down: the background committer (if running) drains and stops, a final
-// fence covers the last publication, and every subsequent bind returns
-// ErrStoreClosed while CommitAsync resolves its ticket with
-// ErrStoreClosed instead of hanging. Close is idempotent — second and
-// later calls (from any handle) return nil without re-running shutdown —
-// and safe on a store whose open failed partway.
+// down: it drains the commit queue, then a final fence covers the last
+// publication, and every subsequent bind returns ErrStoreClosed while
+// CommitAsync resolves its ticket with ErrStoreClosed instead of hanging.
+// Close is idempotent — second and later calls (from any handle) return
+// nil without re-running shutdown — and safe on a store whose open
+// failed partway.
 func (s *Store) Close() error {
 	if s == nil || !s.sh.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	// Marking closed first fails fast for new CommitAsync submissions;
-	// batches already queued are drained durably by the Stop below.
-	s.StopGroupCommitter()
+	// Marking closed first refuses new CommitAsync submissions; the
+	// barrier is published once every batch accepted before is.
+	<-s.submit(nil, subBarrier).pub
 	s.heap.Fence()
 	return nil
 }
@@ -273,18 +279,16 @@ func (s *Store) CheckerConfig() trace.CheckerConfig {
 // Sync orders every outstanding flush — including the most recent
 // commit's root-pointer write, whose durability is otherwise guaranteed
 // only by the next FASE's fence — and reclaims every retired block no
-// pinned reader can reach. With a background group committer running it
-// first drains every batch submitted before the call, so Sync remains
-// the single "everything so far is durable" point. Call it before
-// planned shutdown or when an operation must be durable on return. On a
-// closed store Sync is a no-op: Close already fenced everything.
+// pinned reader can reach. It first drains the commit queue of every
+// batch submitted before the call, so Sync remains the single
+// "everything so far is durable" point. Call it before planned shutdown
+// or when an operation must be durable on return. On a closed store Sync
+// is a no-op: Close already fenced everything.
 func (s *Store) Sync() {
 	if s == nil || s.sh.closed.Load() {
 		return
 	}
-	if t := s.asyncBarrier(); t != nil {
-		t.Wait()
-	}
+	<-s.submit(nil, subBarrier).pub
 	s.heap.Fence()
 	// Fence reclaims deferred releases incrementally; Sync is the
 	// "everything reclaimable is reclaimed" point, so drain the rest.

@@ -260,49 +260,48 @@ func probeFast(_ *testing.T, _ *Store, m *Map) {
 	}
 }
 
-// enrollSets queues Sets of tier keys [from, to) on m's flat-combining
-// list, as enroll would for writers that lost the CAS, without electing a
-// combiner.
+// enrollSets queues Sets of tier keys [from, to) on the store's commit
+// queue, as update would for writers that lost the CAS, and holds the
+// queue's leadership so that nobody drains them until runCombiner.
 func enrollSets(s *Store, m *Map, from, to int) []*Ticket {
-	fc := &s.sh.fc[m.loc.slot]
+	q := &s.sh.queue
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.leading.Swap(true) {
+		panic("enrollSets: the commit queue already has a leader")
+	}
 	var tickets []*Ticket
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
 	for i := from; i < to; i++ {
 		k, v := tierKey(i), tierVal(i)
-		t := &Ticket{done: make(chan struct{})}
-		fc.pending = append(fc.pending, submission{ticket: t, ops: []batchOp{{ds: m, apply: mapSet(k, v, nil)}}})
+		t := &Ticket{pub: make(chan struct{})}
+		q.pending = append(q.pending, submission{ticket: t, kind: subBasic, ops: []batchOp{{ds: m, apply: mapSet(k, v, nil)}}})
 		tickets = append(tickets, t)
 	}
 	return tickets
 }
 
-// runCombiner takes the root's combining flag and runs one round.
-func runCombiner(t testing.TB, s *Store, m *Map) {
-	fc := &s.sh.fc[m.loc.slot]
-	if !fc.combining.CompareAndSwap(false, true) {
-		t.Error("combining flag already set")
-		return
-	}
-	s.combine(fc)
-	fc.combining.Store(false)
+// runCombiner steps down from the leadership enrollSets took, which
+// drains the queue.
+func runCombiner(s *Store) {
+	s.sh.queue.mu.Lock()
+	s.release()
 }
 
 // probeCombined replays the window as one flat-combining round: mxProbe
-// ops enrolled in the root's queue and drained by a single combiner, so
+// ops enrolled in the store's queue and drained by a single leader, so
 // all of them publish atomically under tier 2's single ordering point.
 func probeCombined(t *testing.T, s *Store, m *Map) {
 	t.Helper()
 	tickets := enrollSets(s, m, mxPrefix, mxPrefix+mxProbe)
-	runCombiner(t, s, m)
+	runCombiner(s)
 	for _, tk := range tickets {
 		if !tk.Done() {
-			t.Fatal("combine returned with an unresolved ticket")
+			t.Fatal("the leader stepped down with an unpublished enrolled op")
 		}
 	}
 }
 
-// TestCombinerWaitsForLockPath pins the combiner to the locked
+// TestCombinerWaitsForLockPath pins a combining round to the locked
 // publication: a round whose root is held by a lock-path commit builds
 // nothing — not one PM write, let alone a fence it might then waste —
 // until the lock is released, and then publishes every enrolled op under
@@ -319,15 +318,15 @@ func TestCombinerWaitsForLockPath(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		runCombiner(t, w, m)
+		runCombiner(w)
 	}()
-	// Wait for the round to have drained the queue: from there the parent
+	// Wait for the round to have cut the queue: from there the parent
 	// commit went straight on to build and fence.
-	fc := &s.sh.fc[m.loc.slot]
+	q := &s.sh.queue
 	for drained := false; !drained; runtime.Gosched() {
-		fc.mu.Lock()
-		drained = len(fc.pending) == 0
-		fc.mu.Unlock()
+		q.mu.Lock()
+		drained = len(q.pending) == 0
+		q.mu.Unlock()
 	}
 	for i := 0; i < 200; i++ {
 		runtime.Gosched()
@@ -349,8 +348,11 @@ func TestCombinerWaitsForLockPath(t *testing.T) {
 	}
 	for _, tk := range tickets {
 		if !tk.Done() {
-			t.Fatal("combine returned with an unresolved ticket")
+			t.Fatal("the leader stepped down with an unpublished enrolled op")
 		}
+	}
+	if q.leading.Load() {
+		t.Fatal("the queue still has a leader after the round")
 	}
 	for i := mxPrefix; i < mxPrefix+n; i++ {
 		if v, ok := m.Get(tierKey(i)); !ok || string(v) != string(tierVal(i)) {

@@ -24,8 +24,8 @@
 // with no side effects beyond its own allocations. Package core's
 // optimistic commit path depends on this — a writer that loses its
 // publication CAS retires the losing shadow chain and re-applies the
-// operation against the new committed base, and a flat combiner may apply
-// an enrolled operation against a base the submitter never saw.
+// operation against the new committed base, and a commit-queue round may
+// apply an enrolled operation against a base the submitter never saw.
 package funcds
 
 import (

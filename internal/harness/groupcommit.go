@@ -30,7 +30,7 @@ func GroupCommitBenchConfig(scale Scale, batchSize, shards int) workloads.GroupC
 // the whole point of group commit is that one flush+sfence epoch covers
 // B operations, so fences/op falls as 1/B — on one root and through the
 // batch record across roots alike — while throughput climbs. The final row repeats
-// the largest batch through the async background committer with
+// the largest batch through CommitAsync — the store's commit queue — with
 // concurrent producers, for information.
 func groupCommit(scale Scale) (*Table, []workloads.Row, error) {
 	t := &Table{

@@ -15,8 +15,8 @@ import (
 // ServerClientCounts sweeps the concurrent connection count of the
 // server experiment. The interesting shape is fences/op falling as
 // clients rise: every write is acked only after its durability ticket
-// resolves, and concurrent tickets coalesce into shared committer fence
-// epochs, so the per-ack fence cost amortizes across clients
+// resolves, and concurrent tickets coalesce into shared commit-queue
+// fence epochs, so the per-ack fence cost amortizes across clients
 // (cross-client batch amplification).
 var ServerClientCounts = []int{1, 4, 16, 64}
 
@@ -38,14 +38,15 @@ func ServerBenchConfig(scale Scale, clients int) loadgen.Config {
 	}
 }
 
-// serverLinger is the committer settle-fence collection window used by
+// serverLinger is the settle linger (WithCommitterLinger) used by
 // the sweep (matching cmd/modserver's default): long enough for
 // request/response-paced arrivals to pile into shared epochs, short
 // enough not to dominate single-client latency.
 const serverLinger = 50 * time.Microsecond
 
-// RunServerBench serves one sweep point: open a store with a background
-// committer, serve it over an in-process listener (PipeListener), drive
+// RunServerBench serves one sweep point: open a store as modserver does
+// (default round cap, 50 µs linger), serve it over an in-process
+// listener (PipeListener), drive
 // a closed-loop all-write load, and read the device-counter delta before
 // shutting down. Unlike the simulated sweeps these run on the wall clock
 // with real goroutine scheduling, so elapsed time and the latency
@@ -102,7 +103,7 @@ func serverSweep(scale Scale) (*Table, []workloads.Row, error) {
 		ID:    "server",
 		Title: "modserver: durability-acked writes vs concurrent clients",
 		Note: "Closed-loop all-SET load over an in-process listener; every +OK waits for a durability ticket. " +
-			"Wall-clock latency/throughput (nondeterministic); fences/op falls as concurrent tickets share committer epochs.",
+			"Wall-clock latency/throughput (nondeterministic); fences/op falls as concurrent tickets share commit-queue rounds.",
 		Header: []string{"clients", "ops", "throughput", "p50-us", "p99-us", "p999-us", "fences/op"},
 	}
 	var rows []workloads.Row

@@ -3,7 +3,7 @@
 // durability contract: a client sees +OK for a write only after the
 // write's group-commit ticket has resolved, i.e. after the root swap it
 // rode is fenced (DESIGN.md §11). Because every connection funnels its
-// writes through the store's background committer via CommitAsync,
+// writes through the store's commit queue via CommitAsync,
 // concurrent clients share fence epochs: fences per operation fall as
 // client concurrency rises, which is the server-shaped restatement of
 // the paper's one-fence-per-FASE claim.

@@ -18,8 +18,8 @@ import (
 // The synchronous mode is single-goroutine and fully deterministic —
 // simulated time depends only on the operation stream — which is what
 // lets cmd/benchdiff compare its numbers exactly across commits. The
-// async mode drives the background committer from concurrent producers
-// and is reported for information only.
+// async mode drives the commit queue from concurrent producers and is
+// reported for information only.
 
 // GroupCommitConfig parameterizes one group-commit measurement.
 type GroupCommitConfig struct {
@@ -34,8 +34,9 @@ type GroupCommitConfig struct {
 	Shards int
 	// PreloadKeys preloads each shard so updates hit a populated trie.
 	PreloadKeys int
-	// Async submits batches from Writers goroutines through the
-	// background committer instead of committing inline.
+	// Async submits batches from Writers goroutines through
+	// CommitAsync, the store's commit queue, instead of committing
+	// inline.
 	Async bool
 	// Writers is the producer goroutine count in async mode (default 2).
 	Writers int
@@ -77,7 +78,7 @@ func gcShardName(i int) string { return fmt.Sprintf("gc-shard-%02d", i) }
 // batches the group commits executed.
 func RunGroupCommit(cfg GroupCommitConfig) (Row, error) {
 	cfg.defaults()
-	db, _, err := core.Open(pmem.DefaultConfig(cfg.ArenaBytes))
+	db, _, err := core.Open(pmem.DefaultConfig(cfg.ArenaBytes), core.WithCommitter(cfg.BatchSize*cfg.Writers))
 	if err != nil {
 		return Row{}, err
 	}
@@ -134,11 +135,9 @@ func RunGroupCommit(cfg GroupCommitConfig) (Row, error) {
 }
 
 // runGroupCommitAsync splits the op budget over producer goroutines that
-// submit batches to the background committer, keeping a small pipeline
+// submit batches to the store's commit queue, keeping a small pipeline
 // of unresolved tickets each.
 func runGroupCommitAsync(store *core.Store, shards []*core.Map, cfg GroupCommitConfig) error {
-	store.StartGroupCommitter(cfg.BatchSize * cfg.Writers)
-	defer store.StopGroupCommitter()
 	errs := make(chan error, cfg.Writers)
 	for w := 0; w < cfg.Writers; w++ {
 		go func(w int) {

@@ -17,8 +17,9 @@
 //	db, info, _ := mod.Open(cfg, mod.WithExistingImages(images))
 //
 // Open takes functional options — mod.WithShards(n) partitions the
-// store across independent heaps, mod.WithCommitter(0) starts the
-// background group committer, mod.WithSelective(0) makes the store
+// store across independent heaps, mod.WithCommitterLinger(d) lets
+// concurrent CommitAsync waiters share fence epochs,
+// mod.WithSelective(0) makes the store
 // selectively persisted — its new roots keep navigation nodes in DRAM,
 // served from a node cache, over a minimal persistent core. The
 // returned DB is the one store shape: a
@@ -204,13 +205,15 @@ func WithSelective(checkpointEvery int) Option { return core.WithSelective(check
 // WithExistingImages reopens a store from post-crash region images.
 func WithExistingImages(imgs [][]byte) Option { return core.WithExistingImages(imgs) }
 
-// WithCommitter starts the background group committer(s) (maxOps 0 uses
-// the default epoch cap).
+// WithCommitter caps the operations one round of each shard's commit
+// queue coalesces into a fence epoch (maxOps 0 keeps the default). The
+// queue needs no starting: CommitAsync callers lead it in turn.
 func WithCommitter(maxOps int) Option { return core.WithCommitter(maxOps) }
 
-// WithCommitterLinger sets the committers' settle-fence collection
-// window, letting request/response-paced concurrent clients share
-// fence epochs (DESIGN.md §11).
+// WithCommitterLinger sets how long a Ticket.Wait lingers for other
+// submissions before paying its own settling fence, letting
+// request/response-paced concurrent clients share fence epochs
+// (DESIGN.md §7, §11).
 func WithCommitterLinger(d time.Duration) Option { return core.WithCommitterLinger(d) }
 
 // WithVerify walks every root at open, verifying node checksums, and
