@@ -170,13 +170,16 @@ func durVal(i int) []byte { return []byte(fmt.Sprintf("val-%06d", i)) }
 // by every kind of step; root 2 only by the three-root batches.
 var durRoots = []string{"durable", "durable-b", "durable-c"}
 
-// durStepRoots returns the roots step i writes its key to, which also
-// decides how it commits: one root is a Map.Set (alternating between the
-// two shared roots), two a CommitUnrelated, three a Batch — so every
-// multi-root step's record names roots that one-root steps republish
-// right before and after it.
+// durStepRoots returns the roots step i writes its key to, which with
+// durAsync also decides how it commits. Steps cycle through five kinds:
+// a Map.Set (alternating between the two shared roots), a
+// CommitUnrelated over both, a Map.Set, a three-root Batch, and a
+// one-root CommitAsync + Wait — so every multi-root step's record names
+// roots that one-root steps republish right before and after it, and an
+// async round stages a publication on a root a CAS or a record just
+// moved.
 func durStepRoots(i int) []int {
-	switch i % 4 {
+	switch i % 5 {
 	case 1:
 		return []int{0, 1}
 	case 3:
@@ -186,13 +189,23 @@ func durStepRoots(i int) []int {
 	}
 }
 
+// durAsync reports whether step i is an async one-root submission, which
+// its Wait acknowledges durable.
+func durAsync(i int) bool { return i%5 == 4 }
+
 // durApply runs step i of the history.
 func durApply(db *core.DB, maps []*core.Map, i int) error {
 	roots := durStepRoots(i)
-	switch len(roots) {
-	case 1:
+	switch {
+	case durAsync(i):
+		b := db.Batch()
+		b.MapSet(maps[roots[0]], durKey(i), durVal(i))
+		tk := b.CommitAsync()
+		tk.Wait()
+		return tk.Err()
+	case len(roots) == 1:
 		maps[roots[0]].Set(durKey(i), durVal(i))
-	case 2:
+	case len(roots) == 2:
 		st := db.Store()
 		ups := make([]core.Update, len(roots))
 		for j, r := range roots {
@@ -235,7 +248,8 @@ func durBuild() (*pmem.Device, *core.DB, []*core.Map, error) {
 
 // runDurable is the durable-linearizability smoke: run a sequential
 // history of steps — Map.Sets on two shared roots, interleaved with
-// CommitUnrelated over both and three-root Batches — crash at every
+// CommitUnrelated over both, three-root Batches and one-root
+// CommitAsync submissions — crash at every
 // stride-th PM-write index, recover, and check two properties against
 // each image:
 //
@@ -248,8 +262,12 @@ func durBuild() (*pmem.Device, *core.DB, []*core.Map, error) {
 //     fence covered before the crash cut. Step i's root swaps (one, or
 //     several through the batch record) are made durable by the next
 //     fence, which executes before step i+1's last PM write; so once
-//     step i+1 has fully executed, step i must survive any crash. The
-//     floor is therefore (completed steps at the cut) - 1.
+//     step i+1 has fully executed, step i must survive any crash. An
+//     async step is acknowledged durable when its Wait returns — its
+//     round staged the publication ahead of its own fence — so once it
+//     has fully executed it survives too, with every step before it. The
+//     floor is therefore (completed steps at the cut) - 1, or the last
+//     completed async step's count if that is more.
 func runDurable(ops, stride int) error {
 	if ops < 2 {
 		ops = 2
@@ -339,12 +357,14 @@ func runDurable(ops, stride int) error {
 		for i := 0; i < ops && wEnd[i] <= uint64(inj); i++ {
 			completed++
 		}
-		floor := completed - 1
-		if floor < 0 {
-			floor = 0
+		floor := max(completed-1, 0)
+		for i := 0; i < completed; i++ {
+			if durAsync(i) {
+				floor = i + 1
+			}
 		}
 		if k < floor {
-			return fmt.Errorf("inj %d: recovered prefix %d steps, but %d steps were fence-covered before the cut",
+			return fmt.Errorf("inj %d: recovered prefix %d steps, but %d steps were fence-covered or acknowledged before the cut",
 				inj, k, floor)
 		}
 
@@ -355,7 +375,7 @@ func runDurable(ops, stride int) error {
 		}
 		st2.Sync()
 	}
-	fmt.Printf("modcheck: durable-linearizability smoke: %d steps (Map.Set, CommitUnrelated, 3-root Batch), %d PM writes, %d injections (stride %d), all recovered states exact fence-covered prefixes\n",
+	fmt.Printf("modcheck: durable-linearizability smoke: %d steps (Map.Set, CommitUnrelated, 3-root Batch, one-root CommitAsync), %d PM writes, %d injections (stride %d), all recovered states exact fence-covered prefixes\n",
 		ops, total, injections, stride)
 	return nil
 }

@@ -41,7 +41,7 @@ func main() {
 		shards    = flag.Int("shards", 1, "heap shards (1 = single heap)")
 		roots     = flag.Int("roots", server.DefaultRoots, "map roots keys spread across")
 		committer = flag.Int("committer", core.DefaultCommitterMaxOps, "most ops one commit-queue round coalesces into a fence epoch (0 = default)")
-		linger    = flag.Duration("linger", 50*time.Microsecond, "how long a durability wait lingers for other clients' writes before paying its own settling fence")
+		linger    = flag.Duration("linger", 50*time.Microsecond, "how long a multi-root durability wait (MULTI/EXEC) lingers for other clients' writes before paying its own settling fence; a one-root write is durable at its own round's fence")
 		selective = flag.Bool("selective", false, "selectively persisted structures, DRAM node cache on")
 		verbose   = flag.Bool("v", false, "log every command")
 		opTimeout = flag.Duration("op-timeout", 0, "per-op timeout middleware (0 = off)")

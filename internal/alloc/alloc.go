@@ -50,7 +50,7 @@ const (
 	offMagic   = 0
 	offVersion = 8
 	offBumpTop = 16
-	offRoots   = 64 // root table: RootSlots entries of {nameHash, addr}
+	offRoots   = 64 // root table: RootSlots entries of {nameHash, cell word} (roots.go)
 
 	// RootSlots is the number of named recoverable roots per heap.
 	RootSlots = 62
@@ -71,6 +71,10 @@ const (
 	superblockSize = offRuns + EditRunSlots*runEntrySize // 1184 -> padded
 	heapBase       = (superblockSize + pmem.LineSize - 1) &^ (pmem.LineSize - 1)
 
+	// stageTableSize is the stage table at the top of the arena, above the
+	// bump heap: one line per root holding its two stage slots (roots.go).
+	stageTableSize = RootSlots * pmem.LineSize
+
 	magic = 0x4d4f442d48454150 // "MOD-HEAP"
 
 	// version is the one heap layout Open accepts. 2: open-run table;
@@ -79,10 +83,11 @@ const (
 	// block or root, every multi-root commit rides the batch record
 	// (package core); 7: 8-element vector leaves and the 80-byte size
 	// class they live in; 8: two roll-forward slots in the batch record,
-	// each carrying its own live status. Every bump so far moved or
-	// re-encoded something a recovery depends on, so no older image is
-	// readable.
-	version = 8
+	// each carrying its own live status; 9: a publication counter in every
+	// root cell's high bits and a stage table of two slots per root at the
+	// top of the arena (roots.go). Every bump so far moved or re-encoded
+	// something a recovery depends on, so no older image is readable.
+	version = 9
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word
@@ -132,6 +137,9 @@ type RecoveryStats struct {
 	// trusted, and the selective rebuild pass reconstructs their state
 	// from recovery records (DESIGN.md §10).
 	VolatileBlocks int
+	// StagedRoots counts roots recovery moved to a staged publication
+	// whose cell write had not reached PM (roots.go, DESIGN.md §7).
+	StagedRoots int
 }
 
 // heapShared is the allocator state common to all handles. The mutex
@@ -139,9 +147,21 @@ type RecoveryStats struct {
 // counts are atomic; retirement and epochs have their own lock (epoch.go).
 type heapShared struct {
 	mu   sync.Mutex
-	top  pmem.Addr // volatile mirror of the persistent bump pointer
-	end  pmem.Addr
+	top  pmem.Addr              // volatile mirror of the persistent bump pointer
+	end  pmem.Addr              // the heap's end: the stage table's start
 	free map[uint32][]pmem.Addr // stride -> header addrs (LIFO)
+
+	// cells mirrors each root cell word plus one (0: not yet read), so a
+	// publication computes its counter without reading the cell (roots.go).
+	cells [RootSlots]atomic.Uint64
+	// staged has bit slot set once a stage slot of that root has been
+	// written since the heap was opened (roots.go's wrap guard).
+	staged atomic.Uint64
+	// stageReady says the version word's stage-live flag is durable, so
+	// stage slots may be written; stageArmTag (under mu) is 0 until the
+	// flag is written, then the FenceSeq past which it is durable.
+	stageReady  atomic.Bool
+	stageArmTag uint64
 
 	blocks  blockTable  // reference counts and flag bits by payload address
 	borrows borrowTable // path copies that share their source's references (borrow.go)
@@ -210,22 +230,27 @@ func Format(dev pmem.Backend) *Heap {
 	dev.FlushRange(0, heapBase)
 	dev.Sfence()
 	h.sh.top = heapBase
+	for i := range h.sh.cells {
+		h.sh.cells[i].Store(1) // every cell word is 0
+	}
 	return h
 }
 
 // Open attaches to a previously formatted heap without scanning it. Most
 // callers want Recover, which also rebuilds reachability state.
 func Open(dev pmem.Backend) (*Heap, error) {
-	if dev.Size() < int64(heapBase)+64 {
+	if dev.Size() < int64(heapBase)+64+stageTableSize {
 		return nil, fmt.Errorf("alloc: device too small (%d bytes)", dev.Size())
 	}
 	if dev.ReadU64(offMagic) != magic {
 		return nil, fmt.Errorf("alloc: bad heap magic %#x", dev.ReadU64(offMagic))
 	}
-	if v := dev.ReadU64(offVersion); v != version {
-		return nil, fmt.Errorf("alloc: heap is layout v%d, this build reads v%d: %w", v, version, ErrHeapVersion)
+	v := dev.ReadU64(offVersion)
+	if v&^stageLive != version {
+		return nil, fmt.Errorf("alloc: heap is layout v%d, this build reads v%d: %w", v&^stageLive, version, ErrHeapVersion)
 	}
 	h := newHeap(dev)
+	h.sh.stageReady.Store(v&stageLive != 0)
 	h.sh.top = pmem.Addr(dev.ReadU64(offBumpTop))
 	if h.sh.top < heapBase || h.sh.top > h.sh.end {
 		return nil, fmt.Errorf("alloc: corrupt bump pointer %#x", uint64(h.sh.top))
@@ -234,10 +259,11 @@ func Open(dev pmem.Backend) (*Heap, error) {
 }
 
 func newHeap(dev pmem.Backend) *Heap {
+	end := pmem.Addr(dev.Size()-stageTableSize) &^ (pmem.LineSize - 1)
 	sh := &heapShared{
-		end:    pmem.Addr(dev.Size()),
+		end:    end,
 		free:   make(map[uint32][]pmem.Addr),
-		blocks: newBlockTable(pmem.Addr(dev.Size())),
+		blocks: newBlockTable(end),
 	}
 	sh.borrows.reset()
 	return &Heap{dev: dev, sh: sh}
@@ -270,6 +296,12 @@ func (h *Heap) Stats() Stats {
 // SuperblockRange returns the in-place-updated allocator metadata region,
 // which trace checking exempts from the out-of-place invariant I1.
 func SuperblockRange() [2]pmem.Addr { return [2]pmem.Addr{0, heapBase} }
+
+// StageTableRange returns the stage table (roots.go), the heap's other
+// in-place-updated region.
+func (h *Heap) StageTableRange() [2]pmem.Addr {
+	return [2]pmem.Addr{h.sh.end, h.sh.end + stageTableSize}
+}
 
 // RegisterWalker associates a child-enumeration function with a node type
 // tag. Datastructure packages register their node layouts at init time,

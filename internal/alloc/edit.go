@@ -113,6 +113,7 @@ type Edit struct {
 	extra   pmem.OrderedSet[pmem.Addr] // owned blocks outside runs (free-list reuse, table-full fallback)
 	nodes   pmem.OrderedSet[pmem.Addr] // payloads awaiting the Seal checksum pass, in registration order (= PM-write order)
 	nodeLen []int                      // nodeLen[i]: initialized bytes of nodes.Keys()[i]
+	fresh   pmem.OrderedSet[pmem.Addr] // Fresh's walk state
 	tails   []reserveRegion            // capped run tails, published once the sweep is issued
 	elided  uint64
 	sealed  bool
@@ -331,6 +332,33 @@ func (e *Edit) Owns(payload pmem.Addr) bool {
 	return e.extra.Find(payload) >= 0
 }
 
+// Fresh appends to dst every block reachable from root that this edit
+// allocated — the blocks a publication of root adds to the heap, the rest
+// being shared with the version the edit's operations started from — in
+// walk order, each once. Owned blocks are reachable only through owned
+// parents, so the walk descends through them alone. Call before Seal,
+// which ends ownership.
+func (e *Edit) Fresh(root pmem.Addr, dst []pmem.Addr) []pmem.Addr {
+	if !e.Owns(root) {
+		return dst
+	}
+	h := e.h
+	visit := func(c pmem.Addr) {
+		if e.Owns(c) {
+			e.fresh.Add(c)
+		}
+	}
+	e.fresh.Reset()
+	e.fresh.Add(root)
+	for i := 0; i < e.fresh.Len(); i++ {
+		a := e.fresh.Keys()[i]
+		if w := h.sh.walkers[h.Tag(a)]; w != nil {
+			w(h, a, &e.scratch, visit)
+		}
+	}
+	return append(dst, e.fresh.Keys()...)
+}
+
 // Record defers a flush of every line overlapping [addr, addr+n) to the
 // Seal sweep, deduplicating against everything recorded so far.
 func (e *Edit) Record(addr pmem.Addr, n int) {
@@ -424,6 +452,7 @@ func (e *Edit) Seal() {
 	e.extra.Reset()
 	e.nodes.Reset()
 	e.nodeLen = e.nodeLen[:0]
+	e.fresh.Reset()
 	e.elided = 0
 	e.sealed = true
 	h.spareEdit.Store(e)

@@ -298,7 +298,7 @@ func runTableModel(t *testing.T, seed int64) (absorbed int) {
 
 // TestBlockTableBoundaries pins the address arithmetic at every edge: the
 // first payload above heapBase, both sides of a page boundary, the last
-// block of the arena, and addresses that are no block at all.
+// block of the heap, and addresses that are no block at all.
 func TestBlockTableBoundaries(t *testing.T) {
 	const size = 1 << 20
 	h := Format(pmem.New(pmem.DefaultConfig(size)))
@@ -334,18 +334,23 @@ func TestBlockTableBoundaries(t *testing.T) {
 		t.Fatalf("page-edge slots interfere: a=%d b=%d a+8=%d b-8=%d", h.RefCount(a), h.RefCount(b), h.RefCount(a+8), h.RefCount(b-8))
 	}
 
-	// Last block of the arena: its payload is the last trackable address.
-	h.sh.top = size - 24
+	// Last block of the heap, which ends where the stage table starts: its
+	// payload is the last trackable address.
+	end := h.StageTableRange()[0]
+	if h.StageTableRange()[1] > size || end < size-stageTableSize-pmem.LineSize {
+		t.Fatalf("stage table %#x is not at the top of a %#x-byte arena", h.StageTableRange(), size)
+	}
+	h.sh.top = end - 24
 	last := h.Alloc(8, 0)
-	if last != size-8 || h.RefCount(last) != 1 {
+	if last != end-8 || h.RefCount(last) != 1 {
 		t.Fatalf("last block payload %#x RefCount %d", uint64(last), h.RefCount(last))
 	}
-	if got := len(tb); got != (size-heapBase)>>3>>pageShift+1 {
-		t.Fatalf("directory has %d pages for a %d-byte arena", got, size)
+	if got := len(tb); got != int(uint64(end)-heapBase)>>3>>pageShift+1 {
+		t.Fatalf("directory has %d pages for a heap ending at %#x", got, uint64(end))
 	}
 
 	h.sh.taintCount.Store(1) // push VerifyOnRead past its fast path
-	for _, bad := range []pmem.Addr{0, 8, heapBase - 8, heapBase, first + 4, first + 8, size, size + 8, 1 << 40, ^pmem.Addr(0) &^ 7} {
+	for _, bad := range []pmem.Addr{0, 8, heapBase - 8, heapBase, first + 4, first + 8, end, end + 8, size, size + 8, 1 << 40, ^pmem.Addr(0) &^ 7} {
 		if tb.tracked(bad) != nil || h.RefCount(bad) != 0 {
 			t.Errorf("address %#x reads as tracked", uint64(bad))
 		}

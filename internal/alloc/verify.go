@@ -125,7 +125,7 @@ func (h *Heap) VerifyRoot(slot int) (err error) {
 		return &BlockError{Addr: rootEntryAddr(slot), Reason: fmt.Sprintf("unreadable root cell line %#x", uint64(line))}
 	}
 	endScan := h.dev.BeginRecovery()
-	root := pmem.Addr(leU64(h.dev.Bytes(h.RootCellAddr(slot), 8)))
+	root := cellAddr(leU64(h.dev.Bytes(h.RootCellAddr(slot), 8)))
 	endScan()
 	if root == pmem.Nil {
 		return nil

@@ -52,10 +52,13 @@ import (
 // submits it to the store's commit queue, which coalesces submissions
 // from any number of goroutines into shared fence epochs on whichever
 // submitter leads it, and returns a Ticket; Ticket.Wait blocks until the
-// batch's publication is fence-covered, i.e. fully durable. Under load
-// the queue needs no extra fences — a round's publication becomes
-// durable under the next round's fence — and a Wait that finds no round
-// coming pays one settling fence.
+// batch's publication is fence-covered, i.e. fully durable. A batch on
+// one root is durable at its own round's fence: the round stages the
+// root's publication in the heap's stage table ahead of that fence
+// (alloc's StageRoot), and recovery applies a staged publication whose
+// blocks re-verify. A batch spanning roots publishes through the batch
+// record after the fence, so it becomes durable at a later round's fence,
+// and a Wait that finds no round coming pays one settling fence.
 
 // batchLogRoot names the root slot anchoring the store's batch record:
 // two redo-record slots (redo.go), through which every multi-root commit
@@ -128,20 +131,28 @@ func (s *Store) retireCoveredLocked(root int) bool {
 
 // replayRecord decides the batch record's live slots on the crash image
 // and retires them (DESIGN.md §7). A live slot whose checksum validates
-// is rolled forward if at least one root cell it names already holds its
-// final version — a commit writes no cell before its one fence, which
-// makes the shadows and the record durable — and discarded otherwise.
-// Every slot is decided before any cell is written; roll-forwards are
-// idempotent 8-byte writes applied in sequence order, so the newer
-// record wins a root both name. Runs before the reachability scan so
-// recovery traces the post-commit roots, and numbers the store's next
-// commits past every sequence number found, so a slot's old body can
+// is rolled forward if at least one of its swaps has landed — a root cell
+// it names holds the word the swap wrote, or a later publication's: a
+// commit writes no cell before its one fence, which makes the shadows and
+// the record durable — and discarded otherwise. Rolling forward rewrites
+// only the cells whose swap has not landed: a cell a later publication
+// has already moved past keeps it (that publication may be a staged one,
+// acknowledged at its own fence while the record's retirement still
+// awaited the next). Every slot is decided before any cell is written;
+// roll-forwards are idempotent 8-byte writes applied in sequence order,
+// so the newer record wins a root both name. Runs before the reachability
+// scan so recovery traces the post-commit roots, and numbers the store's
+// next commits past every sequence number found, so a slot's old body can
 // never validate under a new status.
 func (s *Store) replayRecord() error {
+	type swap struct {
+		slot int
+		word uint64
+	}
 	type decided struct {
-		slot    int
-		seq     uint64
-		entries []redoEntry // nil: discard
+		slot  int
+		seq   uint64
+		swaps []swap // nil: discard
 	}
 	var live []decided
 	for i := range s.sh.live {
@@ -154,16 +165,19 @@ func (s *Store) replayRecord() error {
 			continue
 		}
 		forward := false
+		var swaps []swap
 		for _, e := range entries {
-			if !s.isRootCell(e.cell) {
+			slot, ok := alloc.RootSlotOfCell(e.cell)
+			if !ok {
 				return fmt.Errorf("core: batch-record slot %d names %#x, not a root cell: %w", i, uint64(e.cell), ErrCorrupted)
 			}
-			forward = forward || s.dev.ReadAddr(e.cell) == e.final
+			forward = forward || s.heap.SwapLanded(slot, e.word)
+			swaps = append(swaps, swap{slot, e.word})
 		}
 		if !forward {
-			entries = nil
+			swaps = nil
 		}
-		live = append(live, decided{slot: i, seq: seq, entries: entries})
+		live = append(live, decided{slot: i, seq: seq, swaps: swaps})
 	}
 	if len(live) == 0 {
 		return nil
@@ -171,12 +185,8 @@ func (s *Store) replayRecord() error {
 	sort.Slice(live, func(a, b int) bool { return live[a].seq < live[b].seq })
 	wrote := false
 	for _, d := range live {
-		for _, e := range d.entries {
-			if s.dev.ReadAddr(e.cell) != e.final {
-				s.dev.WriteAddr(e.cell, e.final)
-				s.dev.Clwb(e.cell)
-				wrote = true
-			}
+		for _, w := range d.swaps {
+			wrote = s.heap.ReplaySwap(w.slot, w.word) || wrote
 		}
 	}
 	if wrote {
@@ -187,16 +197,6 @@ func (s *Store) replayRecord() error {
 	}
 	s.dev.Sfence()
 	return nil
-}
-
-// isRootCell reports whether addr is the pointer cell of a root slot.
-func (s *Store) isRootCell(addr pmem.Addr) bool {
-	for slot := 0; slot < alloc.RootSlots; slot++ {
-		if s.heap.RootCellAddr(slot) == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // batchOp is one deferred update: applied at commit time against the
@@ -357,10 +357,12 @@ func (b *Batch) CommitAsync() *Ticket {
 }
 
 // rootChange records one root's pending publication: the committed
-// version a batch applied against and the final shadow to install.
+// version a batch applied against and the final shadow to install, and,
+// for a root a commit-queue round stages, the blocks that shadow adds.
 type rootChange struct {
 	slot       int
 	old, final pmem.Addr
+	fresh      []pmem.Addr
 }
 
 // preparedBatch is an applied-but-unpublished multi-root commit on one
@@ -380,6 +382,15 @@ type preparedBatch struct {
 	changed  []rootChange
 	finals   map[int]pmem.Addr
 	releases []pmem.Addr // intermediate shadows, never published; per root in chain order
+
+	// stage is the roots (a bitmask of slots) a commit-queue round may
+	// stage: those only its one-root CommitAsync submissions touch, which
+	// need no atomicity with any other root. Every other changed root
+	// publishes as a Batch.Commit does.
+	stage uint64
+	// fenced is the FenceSeq publishLocal read just before its fence, and
+	// unstaged the changed roots it did not stage.
+	fenced, unstaged uint64
 }
 
 // prepareBatch locks every root the ops touch (ascending slot order, so
@@ -388,8 +399,10 @@ type preparedBatch struct {
 // and seals the edit so every dirtied line is inflight, ready for the
 // publication fence. The first operation on a root copies its path;
 // subsequent operations mutate the edit-owned shadow in place, so an
-// N-op batch copies each path node at most once.
-func (s *Store) prepareBatch(ops []batchOp) *preparedBatch {
+// N-op batch copies each path node at most once. For every changed root
+// in stage it also collects the blocks the root's shadow adds, which
+// publishLocal stages.
+func (s *Store) prepareBatch(ops []batchOp, stage uint64) *preparedBatch {
 	// Group ops by root slot, preserving submission order within a root.
 	perSlot := make(map[int][]batchOp)
 	var slots []int
@@ -411,7 +424,7 @@ func (s *Store) prepareBatch(ops []batchOp) *preparedBatch {
 
 	s.BeginFASE()
 	ed := s.heap.BeginEdit()
-	p := &preparedBatch{s: s, ops: ops, fase: true, locked: locked, finals: make(map[int]pmem.Addr, len(slots))}
+	p := &preparedBatch{s: s, ops: ops, fase: true, locked: locked, finals: make(map[int]pmem.Addr, len(slots)), stage: stage}
 	for _, slot := range slots {
 		old := s.heap.Root(slot)
 		cur := old
@@ -427,7 +440,11 @@ func (s *Store) prepareBatch(ops []batchOp) *preparedBatch {
 		}
 		p.finals[slot] = cur
 		if cur != old {
-			p.changed = append(p.changed, rootChange{slot: slot, old: old, final: cur})
+			c := rootChange{slot: slot, old: old, final: cur}
+			if stage&(1<<slot) != 0 {
+				c.fresh = ed.Fresh(cur, nil) // ownership ends at Seal
+			}
+			p.changed = append(p.changed, c)
 		}
 	}
 	ed.Seal() // coalesced flush sweep, ahead of the publish fence
@@ -435,41 +452,37 @@ func (s *Store) prepareBatch(ops []batchOp) *preparedBatch {
 }
 
 // publishLocal installs the prepared batch's root changes on its own
-// store under one fence, whatever their number: one root changed is the
-// atomic pointer swap of publishRoot; several go through a batch-record
-// slot so recovery rolls all swaps forward or discards them all.
+// store under one fence, whatever their number. The roots in stage are
+// staged ahead of the fence, so the fence makes those publications
+// durable. Of the others, one changed root is the atomic pointer swap of
+// publishRoot, and several go through a batch-record slot so recovery
+// rolls all their swaps forward or discards them all. Every cell is
+// written behind the fence.
 func (p *preparedBatch) publishLocal() {
 	s := p.s
 	switch {
 	case len(p.changed) == 0:
 		// Nothing to publish or order.
-	case len(p.changed) == 1:
+	case len(p.changed) == 1 && p.stage&(1<<p.changed[0].slot) == 0:
 		c := p.changed[0]
+		p.fenced, p.unstaged = s.dev.FenceSeq(), 1<<c.slot
 		s.publishRoot(c.slot, c.old, c.final, false) // the batch's single ordering point
 	default:
-		var (
-			crown []pmem.Addr
-			roots uint64
-		)
-		entries := make([]redoEntry, len(p.changed))
-		for i, c := range p.changed {
+		var crown []pmem.Addr
+		for _, c := range p.changed {
 			crown = append(crown, s.maybeCheckpoint(c.final)...)
-			entries[i] = redoEntry{cell: s.heap.RootCellAddr(c.slot), final: c.final}
-			roots |= 1 << c.slot
 		}
 		s.sh.recMu.Lock()
+		defer s.sh.recMu.Unlock()
 		s.commitBegin()
-		s.sh.batchSeq++ // serialized by recMu; 0 marks a never-used slot
-		seq := s.sh.batchSeq
-		slot := int(seq & 1)
-		// Slot seq&1 last held commit seq-2, which commit seq-1's fence
-		// retired; commit seq-1 stays intact in the other slot.
-		s.recSlot(slot).stage(seq, entries, true)
-		// The commit's one ordering point: shadows, the record with its
-		// live status, and the previous commit's swaps are durable. No
-		// cell named here has been written yet, so until this fence
-		// completes recovery finds every one holding its old version and
-		// discards the record.
+		rec := p.stageRecord() // the batch record's new live slot, if any
+		p.stageRoots()
+		// The commit's one ordering point: shadows, the staged root
+		// publications, the record with its live status, and the previous
+		// commit's swaps are durable. No cell named here has been written
+		// yet, so until this fence completes recovery finds every one
+		// holding its old version, discards the record and applies only
+		// the stage slots whose blocks are all durable.
 		s.heap.Fence()
 		// Checkpoint crowns clear (and fence) before any swap, so a
 		// rolled-forward swap never points at a structure whose
@@ -479,14 +492,64 @@ func (p *preparedBatch) publishLocal() {
 		for _, c := range p.changed {
 			s.heap.SetRoot(c.slot, c.final)
 		}
-		// The swaps ride the store's next fence, like a one-root swap;
-		// the first ordering point whose fence passes tag retires the
-		// record.
-		s.sh.live[slot] = liveRecord{seq: seq, tag: s.dev.FenceSeq(), roots: roots}
-		s.sh.liveRecs.Add(1)
+		if rec.seq != 0 {
+			// The swaps ride the store's next fence, like a one-root swap;
+			// the first ordering point whose fence passes tag retires the
+			// record.
+			rec.tag = s.dev.FenceSeq()
+			s.sh.live[rec.seq&1] = rec
+			s.sh.liveRecs.Add(1)
+		}
 		s.commitEnd()
-		s.sh.recMu.Unlock()
 	}
+}
+
+// stageRecord stages the swaps of the changed roots outside stage, each
+// named by the cell word it will write, in the batch record's next slot,
+// and returns that slot's live state, its tag still to be read. Fewer than
+// two such swaps need no record: a lone one is an atomic pointer swap.
+// The caller holds recMu.
+func (p *preparedBatch) stageRecord() liveRecord {
+	s := p.s
+	entries := make([]redoEntry, 0, len(p.changed))
+	var roots uint64
+	for _, c := range p.changed {
+		if p.stage&(1<<c.slot) == 0 {
+			entries = append(entries, redoEntry{cell: s.heap.RootCellAddr(c.slot), word: s.heap.NextCellWord(c.slot, c.final)})
+			roots |= 1 << c.slot
+		}
+	}
+	p.unstaged = roots
+	if len(entries) < 2 {
+		return liveRecord{}
+	}
+	s.sh.batchSeq++ // serialized by recMu; 0 marks a never-used slot
+	seq := s.sh.batchSeq
+	// Slot seq&1 last held commit seq-2, which commit seq-1's fence
+	// retired; commit seq-1 stays intact in the other slot.
+	s.recSlot(int(seq&1)).stage(seq, entries, true)
+	return liveRecord{seq: seq, roots: roots}
+}
+
+// stageRoots stages the publication of each changed root in stage ahead
+// of the fence where its fresh blocks allow (alloc's StageRoot), notes the
+// ones it could not stage, and reads the FenceSeq the round's tickets
+// carry.
+func (p *preparedBatch) stageRoots() {
+	for _, c := range p.changed {
+		if p.stage&(1<<c.slot) != 0 && !p.s.heap.StageRoot(c.slot, c.old, c.final, c.fresh) {
+			p.unstaged |= 1 << c.slot
+		}
+	}
+	p.fenced = p.s.dev.FenceSeq()
+}
+
+// staged reports whether a one-root submission on root was durable at the
+// publication's own fence: there was a fence, and root either did not
+// change — its version was published before that fence, which covers its
+// cell write — or was staged.
+func (p *preparedBatch) staged(root int) bool {
+	return len(p.changed) > 0 && p.unstaged&(1<<root) == 0
 }
 
 // finish retires every superseded version, adopts the new versions into
@@ -529,7 +592,7 @@ func (s *Store) commitBatch(ops []batchOp) {
 	if len(ops) == 0 {
 		return
 	}
-	p := s.prepareBatch(ops)
+	p := s.prepareBatch(ops, 0)
 	p.publishLocal()
 	p.finish()
 }
@@ -539,10 +602,15 @@ func (s *Store) commitBatch(ops []batchOp) {
 // (optimistic.go), and the barrier of Sync or Close are submissions on
 // it. A submitter that finds the queue idle leads it: on its own
 // goroutine it drains the whole queue in rounds of at most maxOps
-// operations, each round one commitBatch. The other submitters return
-// (CommitAsync) or wait for their round's publication. A round stamps its
-// tickets with the FenceSeq read after its publication, so a ticket is
-// durable once any fence passes that tag — under load, the next round's.
+// operations, each round one fence. One-root CommitAsync submissions need
+// no atomicity with any other root: the round stages their roots ahead of
+// its fence — every root no spanning submission of the round touches —
+// and stamps their tickets with the FenceSeq read before it, so they are
+// durable when the round returns. The round's other roots publish as one
+// Batch.Commit, several through the batch record after the fence, and
+// their tickets carry the FenceSeq read after publication: durable once
+// any later fence passes it — under load, the next round's. The other
+// submitters return (CommitAsync) or wait for their round's publication.
 // Every release of leadership drains the queue under q.mu first, so
 // nothing queued is ever left without a leader.
 
@@ -560,6 +628,23 @@ type submission struct {
 	ops    []batchOp
 	ticket *Ticket
 	kind   subKind
+	root   int  // the root slot every op names; -1 without ops or when they span
+	spans  bool // the ops name more than one root
+}
+
+// newSubmission classifies ops by the roots they name.
+func newSubmission(ops []batchOp, kind subKind, t *Ticket) submission {
+	sub := submission{ops: ops, ticket: t, kind: kind, root: -1}
+	for _, op := range ops {
+		switch slot := op.ds.base().loc.slot; {
+		case sub.root < 0:
+			sub.root = slot
+		case slot != sub.root:
+			sub.root, sub.spans = -1, true
+			return sub
+		}
+	}
+	return sub
 }
 
 // commitQueue is a store's commit queue.
@@ -603,12 +688,22 @@ func (s *Store) submit(ops []batchOp, kind subKind) *Ticket {
 	if kind == subAsync {
 		t.s = s
 	}
-	q.pending = append(q.pending, submission{ops: ops, ticket: t, kind: kind})
+	q.pending = append(q.pending, newSubmission(ops, kind, t))
 	if q.leading.Load() {
 		q.mu.Unlock()
 		return t
 	}
 	q.leading.Store(true)
+	if kind == subAsync {
+		// Yield once before the first round, so submitters that are already
+		// runnable queue behind this leader and share its fence instead of
+		// each leading a round of one. Without it, 16 closed-loop server
+		// clients on a busy 2-vCPU host paid ~1 fence per op (0.25–0.45
+		// before staging); two connections pay 3 % fewer fences with it.
+		q.mu.Unlock()
+		runtime.Gosched()
+		q.mu.Lock()
+	}
 	s.release()
 	return t
 }
@@ -643,35 +738,54 @@ func (s *Store) drain() {
 	}
 }
 
-// round commits one cut of the queue as one batch and publishes its
-// tickets. It is Batch.Commit's publication, one fence epoch:
-// commitBatch holds every touched root's commit mutex from base read to
-// SetRoot, so a racing lock-path commit waits for the round (and the
-// round for it) instead of costing it a fence.
+// round commits one cut of the queue as one fence epoch and publishes its
+// tickets: prepareBatch holds every touched root's commit mutex from base
+// read to SetRoot, so a racing lock-path commit waits for the round (and
+// the round for it) instead of costing it a fence.
 func (s *Store) round(subs []submission) {
 	q := &s.sh.queue
 	var ops []batchOp
-	basic := uint64(0)
+	var basic, one, spanned uint64
 	for _, sub := range subs {
 		ops = append(ops, sub.ops...)
-		if sub.kind == subBasic {
+		switch {
+		case sub.kind == subBasic:
 			basic++
+		case sub.spans:
+			for _, op := range sub.ops {
+				spanned |= 1 << op.ds.base().loc.slot
+			}
+		case sub.root >= 0:
+			one |= 1 << sub.root
 		}
 	}
-	if basic == 0 {
-		s.commitBatch(ops)
-	} else {
+	if s.sh.selective || one != 0 && !s.heap.StageReady() {
+		// A selective root's navigation nodes carry no checksum to validate
+		// a stage slot against; a heap's first staging attempt only arms it.
+		one = 0
+	}
+	if basic > 0 {
 		if now := s.dev.LocalNs(); now < q.busyUntil {
 			s.dev.ChargeCompute(q.busyUntil - now)
 		}
-		s.commitBatch(ops)
+	}
+	var p *preparedBatch
+	if len(ops) > 0 {
+		p = s.prepareBatch(ops, one&^spanned)
+		p.publishLocal()
+		p.finish()
+	}
+	if basic > 0 {
 		q.busyUntil = s.dev.LocalNs() // at or past the old watermark by now
 		s.sh.cstats.combines.Add(1)
 		s.sh.cstats.combinedOps.Add(basic)
 	}
-	tag := s.dev.FenceSeq()
+	after := s.dev.FenceSeq()
 	for _, sub := range subs {
-		sub.ticket.tag = tag
+		sub.ticket.tag = after
+		if p != nil && sub.root >= 0 && p.staged(sub.root) {
+			sub.ticket.tag = p.fenced
+		}
 		close(sub.ticket.pub)
 	}
 }
@@ -685,7 +799,10 @@ type Ticket struct {
 	// Basic update, which waits for publication only.
 	s   *Store
 	pub chan struct{} // closed by the round that published the batch
-	tag uint64        // FenceSeq read after that publication; set before pub closes
+	// tag is set before pub closes: the FenceSeq read just before the
+	// round's fence when that fence made the publication durable (a
+	// staged one-root round), else the FenceSeq read after publication.
+	tag uint64
 	err error
 }
 
@@ -703,19 +820,25 @@ func resolvedTicket(err error) *Ticket {
 // retry paths without reaching into the store.
 func FailedTicket(err error) *Ticket { return resolvedTicket(err) }
 
-// Wait blocks until the batch is durable or rejected. A batch published
-// but not yet fence-covered is settled here, for at most one fence: while
-// another goroutine leads the queue, Wait waits for its rounds, whose
-// fences cover the batch; otherwise it leads, lingers up to the store's
-// linger (WithCommitterLinger) for other submissions, whose round's fence
-// covers it, and fences itself only if no round did. The fence and any
-// round run on the submitting handle, so call Wait from the goroutine
-// that owns it, as any other use of a handle.
+// Wait blocks until the batch is durable or rejected. A batch on one root
+// is durable once its round has published it, at that round's own fence;
+// a batch spanning roots (or on a root its round could not stage: a
+// selective structure) is settled. Any round or fence runs on the
+// submitting handle, so call Wait from the goroutine that owns it, as any
+// other use of a handle.
 func (t *Ticket) Wait() {
 	<-t.pub
-	if t.Done() {
-		return
+	if !t.Done() {
+		t.settle()
 	}
+}
+
+// settle makes a published but not yet fence-covered batch durable, for
+// at most one fence: while another goroutine leads the queue, it waits for
+// its rounds, whose fences cover the batch; otherwise it leads, lingers up
+// to the store's linger (WithCommitterLinger) for other submissions, whose
+// round's fence covers it, and fences itself only if no round did.
+func (t *Ticket) settle() {
 	s := t.s
 	q := &s.sh.queue
 	q.mu.Lock()

@@ -270,24 +270,36 @@ func TestBatchAsyncCommitter(t *testing.T) {
 	}
 
 	// An idle queue: the submitter leads, so its batch is published (one
-	// fence, the round's) when CommitAsync returns, but not yet durable;
-	// Wait finds no round coming and pays one settling fence.
-	base := dev.Stats()
-	b := st.NewBatch()
-	b.MapSet(cfgMaps[0], bkey(999), bkey(999))
-	tk := b.CommitAsync()
-	if _, ok := cfgMaps[0].Get(bkey(999)); !ok {
-		t.Fatal("CommitAsync on an idle queue returned before publishing")
-	}
-	if tk.Done() {
-		t.Fatal("ticket durable before any fence passed its publication")
-	}
-	if f := dev.Stats().Sub(base).Fences; f != 1 {
-		t.Fatalf("leading CommitAsync paid %d fences, want 1", f)
-	}
-	tk.Wait()
-	if f := dev.Stats().Sub(base).Fences; f != 2 || !tk.Done() {
-		t.Fatalf("after Wait: %d fences (want 2), durable %v", f, tk.Done())
+	// fence, the round's) when CommitAsync returns. On one root the round
+	// staged the publication ahead of that fence, so it is already
+	// durable and Wait adds nothing; across two roots it went through the
+	// batch record after the fence, and Wait finds no round coming and
+	// pays one settling fence.
+	for _, spans := range []bool{false, true} {
+		base := dev.Stats()
+		b := st.NewBatch()
+		b.MapSet(cfgMaps[0], bkey(999), bkey(999))
+		if spans {
+			b.MapSet(cfgMaps[1], bkey(999), bkey(999))
+		}
+		tk := b.CommitAsync()
+		if _, ok := cfgMaps[0].Get(bkey(999)); !ok {
+			t.Fatal("CommitAsync on an idle queue returned before publishing")
+		}
+		if tk.Done() == spans {
+			t.Fatalf("spanning %v: ticket durable %v on return, want %v", spans, tk.Done(), !spans)
+		}
+		if f := dev.Stats().Sub(base).Fences; f != 1 {
+			t.Fatalf("spanning %v: leading CommitAsync paid %d fences, want 1", spans, f)
+		}
+		tk.Wait()
+		want := uint64(1)
+		if spans {
+			want = 2
+		}
+		if f := dev.Stats().Sub(base).Fences; f != want || !tk.Done() {
+			t.Fatalf("spanning %v: after Wait %d fences (want %d), durable %v", spans, f, want, tk.Done())
+		}
 	}
 }
 

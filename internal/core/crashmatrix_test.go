@@ -486,6 +486,193 @@ func TestCrashMatrixRecordSlots(t *testing.T) {
 	}
 }
 
+// TestCrashMatrixStagedRounds sweeps the commit queue's staged one-root
+// publication (DESIGN.md §7) on a shared root S and four marker maps: two
+// back-to-back one-root async rounds on S, an optimistic CAS on S, a
+// round carrying two one-root submissions (S and the first marker, no
+// record between them), a multi-root async submission (S and the second
+// marker, through the batch record, settled by Wait), a round carrying a
+// multi-root submission (the third and fourth markers, through the
+// record) beside a one-root one on S (staged), one more one-root round on
+// S and a last CAS on S — slot reuse by counter parity across a CAS,
+// independent roots sharing a fence, a record and a stage slot under one
+// fence, and a staged round after a record its fence covers but whose
+// retirement only the next fence makes durable. Power fails at every PM
+// write under every crash policy. The recovered state must be a committed
+// prefix — or, while a two-submission round is in flight, either of its
+// halves — that contains every submission whose Wait returned before the
+// failure: acknowledged means durable, at the round's own fence.
+func TestCrashMatrixStagedRounds(t *testing.T) {
+	cfg := pmem.DefaultConfig(1 << 20)
+	cfg.TrackDurable = true
+	markers := []string{"mx-a", "mx-b", "mx-c", "mx-d"}
+	present := []byte("present")
+	for _, st := range matrixStructures() {
+		if st.name != "map" && st.name != "queue" && st.name != "vector-sel" {
+			continue // two plain shapes and one selective, whose rounds stage nothing
+		}
+		t.Run(st.name, func(t *testing.T) {
+			build := func() (*Store, matrixOps, []*Map, *pmem.Device) {
+				dev := pmem.New(cfg)
+				s, err := newStore(dev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms := make([]*Map, len(markers))
+				for i, nm := range markers {
+					if ms[i], err = s.Map(nm); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ops, _ := mxOpenRow(t, st, s)
+				for i := 0; i < mxPrefix; i++ {
+					ops.basic(i)
+				}
+				armStaging(s)
+				s.Sync()
+				return s, ops, ms, dev
+			}
+			async := func(b *Batch) {
+				tk := b.CommitAsync()
+				tk.Wait()
+				if tk.Err() != nil {
+					t.Fatal(tk.Err())
+				}
+			}
+			oneRoot := func(i int) func(*Store, matrixOps, []*Map) {
+				return func(s *Store, ops matrixOps, ms []*Map) {
+					b := s.NewBatch()
+					ops.batch(b, i)
+					async(b)
+				}
+			}
+			// oneRound submits both batches into one round — the caller holds
+			// the lead while they queue — and waits on both.
+			oneRound := func(s *Store, b1, b2 *Batch) {
+				q := &s.sh.queue
+				q.mu.Lock()
+				q.leading.Store(true)
+				q.mu.Unlock()
+				t1, t2 := b1.CommitAsync(), b2.CommitAsync()
+				q.mu.Lock()
+				s.release()
+				for _, tk := range []*Ticket{t1, t2} {
+					if tk.Wait(); tk.Err() != nil {
+						t.Fatal(tk.Err())
+					}
+				}
+			}
+			// acked[j] says whether step j's return acknowledges it durable.
+			acked := []bool{true, true, false, true, true, true, true, false}
+			steps := []func(s *Store, ops matrixOps, ms []*Map){
+				oneRoot(mxPrefix),
+				oneRoot(mxPrefix + 1),
+				func(s *Store, ops matrixOps, ms []*Map) { ops.basic(mxPrefix + 2) },
+				func(s *Store, ops matrixOps, ms []*Map) {
+					b1, b2 := s.NewBatch(), s.NewBatch()
+					ops.batch(b1, mxPrefix+3)
+					b2.MapSet(ms[0], mxMarkerKey, present)
+					oneRound(s, b1, b2)
+				},
+				func(s *Store, ops matrixOps, ms []*Map) {
+					b := s.NewBatch()
+					ops.batch(b, mxPrefix+4)
+					b.MapSet(ms[1], mxMarkerKey, present)
+					async(b)
+				},
+				func(s *Store, ops matrixOps, ms []*Map) {
+					b1, b2 := s.NewBatch(), s.NewBatch()
+					b1.MapSet(ms[2], mxMarkerKey, present)
+					b1.MapSet(ms[3], mxMarkerKey, present)
+					ops.batch(b2, mxPrefix+5)
+					oneRound(s, b1, b2)
+				},
+				oneRoot(mxPrefix + 6),
+				func(s *Store, ops matrixOps, ms []*Map) { ops.basic(mxPrefix + 7) }, // writes after the last ack
+			}
+			state := func(ops matrixOps, ms []*Map) (string, string) {
+				out := ""
+				for _, m := range ms {
+					_, in := m.Get(mxMarkerKey)
+					out += fmt.Sprintf("|%v", in)
+				}
+				return mxJoin(ops.dump()), out
+			}
+
+			// Dry run: the committed prefixes, indexed by the steps they
+			// hold, plus the two halves of each two-submission round (which
+			// hold the steps before it and not it), and the window's writes.
+			s, ops, ms, dev := build()
+			allowed := map[string]int{}
+			var structs, marks []string
+			add := func(st, mk string, n int) { allowed[st+mk] = n }
+			sv, mk := state(ops, ms)
+			structs, marks = append(structs, sv), append(marks, mk)
+			add(sv, mk, 0)
+			writesBase := dev.Stats().Writes
+			for i, step := range steps {
+				step(s, ops, ms)
+				sv, mk := state(ops, ms)
+				structs, marks = append(structs, sv), append(marks, mk)
+				add(sv, mk, i+1)
+			}
+			for _, r := range []int{3, 5} { // the two-submission rounds
+				add(structs[r+1], marks[r], r) // S moved, the markers not yet
+				add(structs[r], marks[r+1], r) // the markers moved, S not yet
+			}
+			if len(allowed) != len(steps)+5 {
+				t.Fatalf("degenerate steps: %d distinct states", len(allowed))
+			}
+			totalWrites := int(dev.Stats().Writes - writesBase)
+
+			for _, policy := range []pmem.CrashPolicy{pmem.CrashFencedOnly, pmem.CrashInflightRandom, pmem.CrashEvictRandom, pmem.CrashAllInflight} {
+				for inj := 1; inj <= totalWrites; inj += mxInjectionStride() {
+					s, ops, ms, dev := build()
+					tr := pmem.NewCrashCountdown(dev, inj, policy, uint64(inj)*0x9E3779B97F4A7C15+uint64(policy))
+					dev.SetTracer(tr)
+					floor := 0 // the steps acknowledged before the failure
+					for i, step := range steps {
+						step(s, ops, ms)
+						if tr.Image() == nil && acked[i] {
+							floor = i + 1
+						}
+					}
+					dev.SetTracer(nil)
+					if tr.Image() == nil {
+						t.Fatalf("policy %d, inj %d/%d: countdown never expired", policy, inj, totalWrites)
+					}
+					s2, _, err := openStore(pmem.NewFromImage(cfg, tr.Image()), st.opts()...)
+					if err != nil {
+						t.Fatalf("policy %d, inj %d: recovery: %v", policy, inj, err)
+					}
+					ms2 := make([]*Map, len(markers))
+					for i, nm := range markers {
+						if ms2[i], err = s2.Map(nm); err != nil {
+							t.Fatal(err)
+						}
+					}
+					ops2 := st.bind(t, s2, "mx")
+					sv, mk := state(ops2, ms2)
+					n, ok := allowed[sv+mk]
+					switch {
+					case !ok:
+						t.Fatalf("policy %d, inj %d/%d: recovered state is not a committed prefix:\n%q %s", policy, inj, totalWrites, sv, mk)
+					case n < floor:
+						t.Fatalf("policy %d, inj %d/%d: recovered %d steps, but step %d was acknowledged before the failure", policy, inj, totalWrites, n, floor)
+					}
+					// The recovered store keeps staging.
+					b := s2.NewBatch()
+					ops2.batch(b, 900+inj)
+					async(b)
+					if after, _ := state(ops2, ms2); after == sv {
+						t.Fatalf("policy %d, inj %d: store inert after recovery", policy, inj)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestCrashMatrixCrossShard sweeps the cross-shard-batch discipline:
 // the structure lives on shard 0, a marker map on shard 1, and the
 // batch commits through the shard manifest. Every injection point —

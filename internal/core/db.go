@@ -177,9 +177,12 @@ func WithCommitter(maxOps int) Option {
 
 // WithCommitterLinger sets how long a Ticket.Wait that would otherwise
 // pay its own settling fence first waits for other submissions, whose
-// round's fence then covers it: under request/response-paced load a few
-// tens of microseconds is what lets concurrent clients share fence
-// epochs. Zero (the default) settles at once.
+// round's fence then covers it. Only tickets a round did not stage
+// settle: a batch spanning roots (a server MULTI/EXEC), one on a
+// selective root, or one in a heap's first staging round, which only
+// arms the heap's stage table. Any other one-root batch is durable at its
+// own round's fence and its Wait never lingers. Zero (the default)
+// settles at once.
 func WithCommitterLinger(d time.Duration) Option {
 	return func(o *options) { o.committerLinger = d }
 }

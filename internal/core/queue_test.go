@@ -48,7 +48,9 @@ func (g *fenceGate) Fence(int) {
 // own ticket and is inside its settling fence, leading the queue, when B
 // submits. B's CommitAsync returns at once with its batch queued behind
 // A; A must publish it before it steps down, so B's ticket resolves with
-// no call by anyone but B's own Wait.
+// no call by anyone but B's own Wait. A's batch spans two roots, the
+// submission a round publishes through the batch record and Wait settles;
+// B's is on one root, durable at its own round's fence.
 func TestSettleLeaderDrainsArrivals(t *testing.T) {
 	dev := pmem.New(pmem.DefaultConfig(4 << 20))
 	s, err := newStore(dev)
@@ -56,12 +58,16 @@ func TestSettleLeaderDrainsArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := s.Map("m")
+	s.Map("n")
+	armStaging(s)
 	s.Sync()
 
 	a := s.Fork()
 	am, _ := a.Map("m")
+	an, _ := a.Map("n")
 	ab := a.NewBatch()
 	ab.MapSet(am, []byte("a"), []byte("1"))
+	ab.MapSet(an, []byte("a"), []byte("1"))
 	ta := ab.CommitAsync() // an idle queue: A leads its own round
 	if !published(ta) || ta.Done() {
 		t.Fatalf("A's ticket after leading its round: published %v, durable %v; want published, not durable", published(ta), ta.Done())
@@ -100,6 +106,9 @@ func TestSettleLeaderDrainsArrivals(t *testing.T) {
 	if !published(tb) {
 		t.Fatal("A stepped down without publishing the batch B queued behind it: B's ticket is stranded")
 	}
+	if !tb.Done() {
+		t.Fatal("B's one-root batch is published but its own round's fence did not make it durable")
+	}
 	bDone := make(chan struct{})
 	go func() {
 		defer close(bDone)
@@ -124,9 +133,11 @@ func TestSettleLeaderDrainsArrivals(t *testing.T) {
 // and Close racing them, with and without a settle linger. Every ticket
 // must resolve — ErrStoreClosed only once Close has begun — a ticket
 // whose Wait returns nil must be fence-covered (Done, FenceSeq past its
-// tag), and a fenced-only image taken after Close must hold every
-// acknowledged batch and every Basic write that returned before Close
-// began.
+// tag), a fenced-only image a producer takes right after one Wait
+// returns, with no fence of its own, must hold that producer's batches up
+// to it (a one-root ack is durable at its round's fence), and a
+// fenced-only image taken after Close must hold every acknowledged batch
+// and every Basic write that returned before Close began.
 func TestCommitQueueStress(t *testing.T) {
 	for _, linger := range []time.Duration{0, 20 * time.Microsecond} {
 		t.Run(fmt.Sprintf("linger=%v", linger), func(t *testing.T) { runQueueStress(t, linger) })
@@ -166,6 +177,8 @@ func runQueueStress(t *testing.T, linger time.Duration) {
 		wg          sync.WaitGroup
 		producersWG sync.WaitGroup
 		acked       = make([][][2]string, producers+writers) // (root, key) per goroutine
+		ackImages   = make([][]byte, producers)              // producer p's image right after an ack
+		ackedAt     = make([]int, producers)                 // how many of its batches that image must hold
 	)
 	// Handles are forked and bound up front: a bind racing Close fails.
 	bound := func(root string) (*Store, *Map) {
@@ -201,6 +214,9 @@ func runQueueStress(t *testing.T, linger time.Duration) {
 					return
 				}
 				acked[p] = append(acked[p], [2]string{root, k})
+				if i == perProducer/4 {
+					ackImages[p], ackedAt[p] = dev.CrashImage(pmem.CrashFencedOnly, uint64(p)), len(acked[p])
+				}
 				if acks.Add(1) == producers*perProducer/2 {
 					close(enough)
 				}
@@ -275,5 +291,23 @@ func runQueueStress(t *testing.T, linger time.Duration) {
 	}
 	if acks.Load() == 0 {
 		t.Fatal("no batch was acknowledged before Close")
+	}
+	for p, img := range ackImages {
+		if img == nil {
+			continue // closed before this producer got that far
+		}
+		s3, _, err := openStore(pmem.NewFromImage(cfg, img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := s3.Map(fmt.Sprintf("p%d", p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rk := range acked[p][:ackedAt[p]] {
+			if v, ok := m.Get([]byte(rk[1])); !ok || string(v) != rk[1] {
+				t.Fatalf("%s acknowledged before an image taken right after its Wait, lost in it (%q, %v)", rk[1], v, ok)
+			}
+		}
 	}
 }

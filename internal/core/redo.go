@@ -13,7 +13,13 @@ import "github.com/mod-ds/mod/internal/pmem"
 //	              number with redoRetired set = retired)
 //	+8   count    (number of entries)
 //	+16  checksum (fnv1a over the sequence number, count, and entries)
-//	+24  entries: count × {[shard u64,] root cell addr u64, version u64}
+//	+24  entries: count × {[shard u64,] root cell addr u64, cell word u64}
+//
+// An entry's cell word is what its swap writes: the new version's address
+// under the root's next publication counter (alloc's NextCellWord), so
+// recovery can tell a swap that never reached PM from one a later
+// publication of the root has overwritten, and rolls forward only the
+// first kind (alloc's SwapLanded, ReplaySwap).
 //
 // The checksum binds the body to one specific commit: it covers the
 // sequence number the status word carries, so recovery acts on a record
@@ -40,12 +46,12 @@ type redoRecord struct {
 	sharded bool // entries lead with a shard word (the manifest)
 }
 
-// redoEntry is one root-cell swap: cell on shard's device takes final.
-// An unsharded record neither stores nor reads shard.
+// redoEntry is one root-cell swap: cell on shard's device takes word. An
+// unsharded record neither stores nor reads shard.
 type redoEntry struct {
 	shard int
 	cell  pmem.Addr
-	final pmem.Addr
+	word  uint64
 }
 
 const (
@@ -89,7 +95,7 @@ func (r redoRecord) stage(seq uint64, entries []redoEntry, live bool) {
 		if r.sharded {
 			words = append(words, uint64(e.shard))
 		}
-		words = append(words, uint64(e.cell), uint64(e.final))
+		words = append(words, uint64(e.cell), e.word)
 	}
 	for i, w := range words[2:] {
 		r.dev.WriteU64(r.base+redoHdrSize+pmem.Addr(i*8), w)
@@ -147,7 +153,7 @@ func (r redoRecord) read() (seq uint64, entries []redoEntry, live bool) {
 		if r.sharded {
 			entries[i].shard = int(w[0])
 		}
-		entries[i].cell, entries[i].final = pmem.Addr(w[ew-2]), pmem.Addr(w[ew-1])
+		entries[i].cell, entries[i].word = pmem.Addr(w[ew-2]), w[ew-1]
 	}
 	return seq, entries, true
 }

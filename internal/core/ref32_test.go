@@ -29,6 +29,10 @@ func TestOpenRejectsV5Heap(t *testing.T) { openStampedHeap(t, 5) }
 // leaves hold 32 elements where this build indexes 8.
 func TestOpenRejectsV6Heap(t *testing.T) { openStampedHeap(t, 6) }
 
+// TestOpenRejectsV8Heap: and the layout before this one, whose 16-byte
+// root entries hold a bare address and no stage slots.
+func TestOpenRejectsV8Heap(t *testing.T) { openStampedHeap(t, 8) }
+
 func openStampedHeap(t *testing.T, version uint64) {
 	cfg := pmem.DefaultConfig(1 << 20)
 	db, _, err := Open(cfg)

@@ -179,8 +179,11 @@ func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*
 				if e.shard < 0 || e.shard >= shards {
 					return fmt.Errorf("core: manifest entry names shard %d of %d", e.shard, shards)
 				}
-				devs[e.shard].WriteAddr(e.cell, e.final)
-				devs[e.shard].Clwb(e.cell)
+				slot, ok := alloc.RootSlotOfCell(e.cell)
+				if !ok {
+					return fmt.Errorf("core: manifest entry names %#x, not a root cell: %w", uint64(e.cell), ErrCorrupted)
+				}
+				stores[e.shard].heap.ReplaySwap(slot, e.word)
 				touched[e.shard] = true
 			}
 			for i := range touched {
@@ -227,6 +230,7 @@ func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*
 		info.Stats.LeakedBytes += rs.LeakedBytes
 		info.Stats.Roots += rs.Roots
 		info.Stats.VolatileBlocks += rs.VolatileBlocks
+		info.Stats.StagedRoots += rs.StagedRoots
 		info.Damaged = append(info.Damaged, damage[i]...)
 	}
 
@@ -265,7 +269,7 @@ func (db *DB) commitCross(per [][]batchOp) {
 	for si, ops := range per {
 		if len(ops) > 0 {
 			order = append(order, si)
-			preps = append(preps, db.shards[si].prepareBatch(ops))
+			preps = append(preps, db.shards[si].prepareBatch(ops, 0))
 		}
 	}
 	var entries []redoEntry
@@ -275,7 +279,7 @@ func (db *DB) commitCross(per [][]batchOp) {
 			entries = append(entries, redoEntry{
 				shard: order[i],
 				cell:  p.s.heap.RootCellAddr(c.slot),
-				final: c.final,
+				word:  p.s.heap.NextCellWord(c.slot, c.final),
 			})
 		}
 		changed[i] = len(p.changed) > 0

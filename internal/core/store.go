@@ -264,13 +264,15 @@ func (s *Store) Close() error {
 }
 
 // CheckerConfig returns the trace-checker configuration for this store:
-// the allocator superblock and the batch record are updated in place by
-// design and are exempt from the out-of-place invariant.
+// the allocator superblock, the stage table and the batch record are
+// updated in place by design and are exempt from the out-of-place
+// invariant.
 func (s *Store) CheckerConfig() trace.CheckerConfig {
 	return trace.CheckerConfig{
 		ExemptRanges: [][2]pmem.Addr{
 			alloc.SuperblockRange(),
 			{s.batchRec - alloc.HeaderSize, s.batchRec + pmem.Addr(batchRecSize)}, // block header included
+			s.heap.StageTableRange(),
 		},
 		AllowUnflushedTail: true,
 	}

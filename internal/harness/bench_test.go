@@ -300,12 +300,15 @@ func TestBenchTransientElision(t *testing.T) {
 	}
 }
 
-// TestServerFenceAmortization pins the server sweep's headline shape
-// with a deterministic margin: concurrent clients' durability tickets
-// coalesce into shared committer fence epochs, so fences per acked
-// write at 16 clients must be at most half the single-client cost
-// (measured curves sit far below that — roughly 2.0 at C=1 and under
-// 0.5 at C=16).
+// TestServerFenceAmortization pins the server sweep's fence cost per
+// acked write as absolute ceilings. One client pays exactly its rounds'
+// fences: a one-root SET is durable at its own round's fence, with no
+// settle (1.005 measured: the store's closing fences over 2,000 acks; a
+// settle per ack read 2.0 before). Sixteen clients' submissions coalesce
+// into shared rounds and must stay at or below the 0.4 the settle-linger
+// protocol reached there (0.30–0.39 idle, 0.25–0.45 beside two busy
+// loops; now 0.21–0.24 and 0.13–0.21, which needs the new leader's yield:
+// without it the loaded case read 0.75–1.0).
 func TestServerFenceAmortization(t *testing.T) {
 	scale := Scale{Ops: 4_000}
 	one, err := RunServerBench(scale, 1)
@@ -319,9 +322,12 @@ func TestServerFenceAmortization(t *testing.T) {
 	if one.Fences == 0 || many.Fences == 0 {
 		t.Fatalf("degenerate fence counts: c1=%v c16=%v", one.Fences, many.Fences)
 	}
-	if many.FencesPerOp() > one.FencesPerOp()/2 {
-		t.Errorf("fences/op at 16 clients = %.3f, want <= half of 1 client's %.3f",
-			many.FencesPerOp(), one.FencesPerOp())
+	t.Logf("fences/op: %.3f at 1 client, %.3f at 16", one.FencesPerOp(), many.FencesPerOp())
+	if one.FencesPerOp() > 1.01 {
+		t.Errorf("fences/op at 1 client = %.3f, want <= 1.01 (one round fence per ack, no settle)", one.FencesPerOp())
+	}
+	if many.FencesPerOp() > 0.4 {
+		t.Errorf("fences/op at 16 clients = %.3f, want <= 0.4", many.FencesPerOp())
 	}
 }
 

@@ -38,10 +38,10 @@ func ServerBenchConfig(scale Scale, clients int) loadgen.Config {
 	}
 }
 
-// serverLinger is the settle linger (WithCommitterLinger) used by
-// the sweep (matching cmd/modserver's default): long enough for
-// request/response-paced arrivals to pile into shared epochs, short
-// enough not to dominate single-client latency.
+// serverLinger is the settle linger (WithCommitterLinger) used by the
+// sweep, matching cmd/modserver's default. The sweep's one-key SETs are
+// durable at their own round's fence and never settle, so it only shapes
+// how the store is opened.
 const serverLinger = 50 * time.Microsecond
 
 // RunServerBench serves one sweep point: open a store as modserver does

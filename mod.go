@@ -18,7 +18,7 @@
 //
 // Open takes functional options — mod.WithShards(n) partitions the
 // store across independent heaps, mod.WithCommitterLinger(d) lets
-// concurrent CommitAsync waiters share fence epochs,
+// concurrent waiters on batches spanning roots share fence epochs,
 // mod.WithSelective(0) makes the store
 // selectively persisted — its new roots keep navigation nodes in DRAM,
 // served from a node cache, over a minimal persistent core. The
@@ -210,10 +210,11 @@ func WithExistingImages(imgs [][]byte) Option { return core.WithExistingImages(i
 // queue needs no starting: CommitAsync callers lead it in turn.
 func WithCommitter(maxOps int) Option { return core.WithCommitter(maxOps) }
 
-// WithCommitterLinger sets how long a Ticket.Wait lingers for other
-// submissions before paying its own settling fence, letting
-// request/response-paced concurrent clients share fence epochs
-// (DESIGN.md §7, §11).
+// WithCommitterLinger sets how long a Ticket.Wait on a batch spanning
+// roots lingers for other submissions before paying its own settling
+// fence, letting request/response-paced concurrent clients share fence
+// epochs. A one-root batch is durable at its own round's fence and never
+// lingers (DESIGN.md §7, §11).
 func WithCommitterLinger(d time.Duration) Option { return core.WithCommitterLinger(d) }
 
 // WithVerify walks every root at open, verifying node checksums, and
