@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/pmem"
@@ -57,8 +56,9 @@ import (
 // root's publication in the heap's stage table ahead of that fence
 // (alloc's StageRoot), and recovery applies a staged publication whose
 // blocks re-verify. A batch spanning roots publishes through the batch
-// record after the fence, so it becomes durable at a later round's fence,
-// and a Wait that finds no round coming pays one settling fence.
+// record after the fence, so its ticket is owed: the leader's next
+// fencing round resolves it, or the one fence the leader pays before it
+// steps down.
 
 // batchLogRoot names the root slot anchoring the store's batch record:
 // two redo-record slots (redo.go), through which every multi-root commit
@@ -82,51 +82,39 @@ func (s *Store) recSlot(i int) redoRecord {
 }
 
 // liveRecord is the volatile state of a batch-record slot whose durable
-// status may still read live: the commit's sequence number (0 = none),
-// the roots it names as a bitmask of root slots, and tag, the FenceSeq
-// read after its last cell flush — any fence that passes tag has made
-// every swap of the record durable.
+// status may still read live: the commit's sequence number (0 = none)
+// and tag, the FenceSeq read after its last cell flush — any fence that
+// passes tag has made every swap of the record durable.
 type liveRecord struct {
 	seq, tag uint64
-	roots    uint64
 }
 
 // retireCovered is the retirement step of every ordering point. Called
 // after the caller's fence and before its root write, it marks retired
 // each live record whose swaps a fence has covered (tag < FenceSeq, the
-// allocator's quarantine rule). The retired status is flushed ahead of
-// the caller's root write, so the fence that covers that write covers it
-// too: a record can never roll back a fence-covered later publication of
-// one of its roots. It reports false when a live record naming root has
-// no covering fence yet; only an optimistic CAS whose fence preceded an
-// in-flight multi-root publication can meet one (every other caller holds
-// root's commit mutex since before its fence, and a record naming root
-// finished under that mutex), and it must lose. root < 0 names no root.
-func (s *Store) retireCovered(root int) bool {
+// allocator's quarantine rule). A live record never rolls back a later
+// publication of one of its roots, whether or not a fence covers it:
+// replay skips a cell whose publication counter has passed the record's
+// word (SwapLanded). Retirement frees the slot for reuse and keeps a
+// record from outliving a wrap of that counter.
+func (s *Store) retireCovered() {
 	if s.sh.liveRecs.Load() == 0 {
-		return true
+		return
 	}
 	s.sh.recMu.Lock()
 	defer s.sh.recMu.Unlock()
-	return s.retireCoveredLocked(root)
+	s.retireCoveredLocked()
 }
 
-func (s *Store) retireCoveredLocked(root int) bool {
-	ok := true
+func (s *Store) retireCoveredLocked() {
 	fenced := s.dev.FenceSeq()
 	for i := range s.sh.live {
-		l := &s.sh.live[i]
-		switch {
-		case l.seq == 0:
-		case l.tag < fenced:
+		if l := &s.sh.live[i]; l.seq != 0 && l.tag < fenced {
 			s.recSlot(i).retire(l.seq)
 			*l = liveRecord{}
 			s.sh.liveRecs.Add(-1)
-		case root >= 0 && l.roots&(1<<root) != 0:
-			ok = false
 		}
 	}
-	return ok
 }
 
 // replayRecord decides the batch record's live slots on the crash image
@@ -329,11 +317,11 @@ func (b *Batch) Commit() {
 // when it is durable. A batch confined to one shard joins that shard's
 // commit queue, coalescing with other goroutines' submissions into shared
 // fence epochs: if nobody leads the queue the caller does, and returns
-// once its batch and everything queued behind it are published; otherwise
-// the leader publishes it. A cross-shard batch publishes synchronously
-// through the shard manifest and the ticket resolves on return. On a
-// closed store the batch is dropped and the ticket resolves immediately
-// with ErrStoreClosed.
+// once its batch and everything queued behind it are durable; otherwise
+// the leader publishes it and resolves the ticket. A cross-shard batch
+// publishes synchronously through the shard manifest and the ticket
+// resolves on return. On a closed store the batch is dropped and the
+// ticket resolves immediately with ErrStoreClosed.
 func (b *Batch) CommitAsync() *Ticket {
 	ops, shard := b.take()
 	if shard >= 0 {
@@ -346,7 +334,7 @@ func (b *Batch) CommitAsync() *Ticket {
 	b.db.commitCross(per)
 	// The manifest path fences each involved shard after its redo swaps,
 	// but a batch that collapsed to one shard's local publication leaves
-	// its final swap riding the next fence — settle each involved shard
+	// its final swap riding the next fence — fence each involved shard
 	// so the ticket's durability contract holds in every case.
 	for si, ops := range per {
 		if len(ops) > 0 {
@@ -388,9 +376,8 @@ type preparedBatch struct {
 	// need no atomicity with any other root. Every other changed root
 	// publishes as a Batch.Commit does.
 	stage uint64
-	// fenced is the FenceSeq publishLocal read just before its fence, and
-	// unstaged the changed roots it did not stage.
-	fenced, unstaged uint64
+	// unstaged is the changed roots publishLocal did not stage.
+	unstaged uint64
 }
 
 // prepareBatch locks every root the ops touch (ascending slot order, so
@@ -465,7 +452,7 @@ func (p *preparedBatch) publishLocal() {
 		// Nothing to publish or order.
 	case len(p.changed) == 1 && p.stage&(1<<p.changed[0].slot) == 0:
 		c := p.changed[0]
-		p.fenced, p.unstaged = s.dev.FenceSeq(), 1<<c.slot
+		p.unstaged = 1 << c.slot
 		s.publishRoot(c.slot, c.old, c.final, false) // the batch's single ordering point
 	default:
 		var crown []pmem.Addr
@@ -488,7 +475,7 @@ func (p *preparedBatch) publishLocal() {
 		// rolled-forward swap never points at a structure whose
 		// navigation recovery would zero.
 		s.clearCrown(crown)
-		s.retireCoveredLocked(-1)
+		s.retireCoveredLocked()
 		for _, c := range p.changed {
 			s.heap.SetRoot(c.slot, c.final)
 		}
@@ -512,14 +499,12 @@ func (p *preparedBatch) publishLocal() {
 func (p *preparedBatch) stageRecord() liveRecord {
 	s := p.s
 	entries := make([]redoEntry, 0, len(p.changed))
-	var roots uint64
 	for _, c := range p.changed {
 		if p.stage&(1<<c.slot) == 0 {
 			entries = append(entries, redoEntry{cell: s.heap.RootCellAddr(c.slot), word: s.heap.NextCellWord(c.slot, c.final)})
-			roots |= 1 << c.slot
+			p.unstaged |= 1 << c.slot
 		}
 	}
-	p.unstaged = roots
 	if len(entries) < 2 {
 		return liveRecord{}
 	}
@@ -528,20 +513,18 @@ func (p *preparedBatch) stageRecord() liveRecord {
 	// Slot seq&1 last held commit seq-2, which commit seq-1's fence
 	// retired; commit seq-1 stays intact in the other slot.
 	s.recSlot(int(seq&1)).stage(seq, entries, true)
-	return liveRecord{seq: seq, roots: roots}
+	return liveRecord{seq: seq}
 }
 
 // stageRoots stages the publication of each changed root in stage ahead
-// of the fence where its fresh blocks allow (alloc's StageRoot), notes the
-// ones it could not stage, and reads the FenceSeq the round's tickets
-// carry.
+// of the fence where its fresh blocks allow (alloc's StageRoot) and notes
+// the ones it could not stage.
 func (p *preparedBatch) stageRoots() {
 	for _, c := range p.changed {
 		if p.stage&(1<<c.slot) != 0 && !p.s.heap.StageRoot(c.slot, c.old, c.final, c.fresh) {
 			p.unstaged |= 1 << c.slot
 		}
 	}
-	p.fenced = p.s.dev.FenceSeq()
 }
 
 // staged reports whether a one-root submission on root was durable at the
@@ -604,15 +587,17 @@ func (s *Store) commitBatch(ops []batchOp) {
 // goroutine it drains the whole queue in rounds of at most maxOps
 // operations, each round one fence. One-root CommitAsync submissions need
 // no atomicity with any other root: the round stages their roots ahead of
-// its fence — every root no spanning submission of the round touches —
-// and stamps their tickets with the FenceSeq read before it, so they are
-// durable when the round returns. The round's other roots publish as one
-// Batch.Commit, several through the batch record after the fence, and
-// their tickets carry the FenceSeq read after publication: durable once
-// any later fence passes it — under load, the next round's. The other
-// submitters return (CommitAsync) or wait for their round's publication.
-// Every release of leadership drains the queue under q.mu first, so
-// nothing queued is ever left without a leader.
+// its fence — every root no spanning submission of the round touches — so
+// their tickets resolve when the round returns, as do those of enrolled
+// Basic updates and barriers, which wait for publication only. The
+// round's other roots publish as one Batch.Commit, several through the
+// batch record after the fence, so the tickets of CommitAsync submissions
+// on them are owed: the leader's next round that fences follows their
+// cell writes on the same goroutine and resolves them, and a leader that
+// runs out of rounds pays one fence for them before it steps down. Every
+// release of leadership drains the queue and resolves every owed ticket
+// under q.mu first, so nothing queued is ever left without a leader and
+// no ticket waits on a fence nobody will pay.
 
 // subKind says what a submission is.
 type subKind uint8
@@ -650,11 +635,12 @@ func newSubmission(ops []batchOp, kind subKind, t *Ticket) submission {
 // commitQueue is a store's commit queue.
 type commitQueue struct {
 	mu      sync.Mutex
-	idle    sync.Cond // broadcast after every round and release of leadership; L is &mu
 	pending []submission
-	leading atomic.Bool   // written under mu; the optimistic tier reads it lock-free
-	maxOps  int           // operations per round (WithCommitter)
-	linger  time.Duration // how long a settling Wait polls for arrivals (WithCommitterLinger)
+	leading atomic.Bool // written under mu; the optimistic tier reads it lock-free
+	maxOps  int         // operations per round (WithCommitter)
+	// owed is the tickets of published CommitAsync submissions that no
+	// fence has covered yet; guarded by leadership.
+	owed []*Ticket
 	// busyUntil is the simulated time the last combining round (one
 	// carrying enrolled Basic updates) ended; guarded by leadership. A Go
 	// mutex wait costs no simulated nanoseconds, so without it
@@ -672,8 +658,8 @@ type commitQueue struct {
 const DefaultCommitterMaxOps = 256
 
 // submit queues ops and returns their ticket. If nobody leads the queue
-// the caller leads until the queue is empty, so its own submission is
-// published by the time submit returns.
+// the caller leads until the queue is empty and nothing is owed, so its
+// ticket has resolved by the time submit returns.
 func (s *Store) submit(ops []batchOp, kind subKind) *Ticket {
 	q := &s.sh.queue
 	q.mu.Lock()
@@ -684,10 +670,7 @@ func (s *Store) submit(ops []batchOp, kind subKind) *Ticket {
 		q.mu.Unlock()
 		return resolvedTicket(ErrStoreClosed)
 	}
-	t := &Ticket{pub: make(chan struct{})}
-	if kind == subAsync {
-		t.s = s
-	}
+	t := &Ticket{done: make(chan struct{})}
 	q.pending = append(q.pending, newSubmission(ops, kind, t))
 	if q.leading.Load() {
 		q.mu.Unlock()
@@ -700,23 +683,49 @@ func (s *Store) submit(ops []batchOp, kind subKind) *Ticket {
 		// each leading a round of one. Without it, 16 closed-loop server
 		// clients on a busy 2-vCPU host paid ~1 fence per op (0.25–0.45
 		// before staging); two connections pay 3 % fewer fences with it.
-		q.mu.Unlock()
-		runtime.Gosched()
-		q.mu.Lock()
+		q.yield()
 	}
 	s.release()
 	return t
 }
 
-// release is how every leader steps down: it drains the queue and clears
-// leading under the same hold of q.mu. The caller leads and holds q.mu;
-// release unlocks it.
+// yield lets runnable submitters queue before the leader goes on. The
+// caller leads and holds q.mu.
+func (q *commitQueue) yield() {
+	q.mu.Unlock()
+	runtime.Gosched()
+	q.mu.Lock()
+}
+
+// release is how every leader steps down: it drains the queue, resolves
+// the tickets its rounds owe, and clears leading under the same hold of
+// q.mu. With tickets owed it yields once, so a submitter already runnable
+// queues a round whose fence covers them; only if none did does it pay
+// that fence itself. The caller leads and holds q.mu; release unlocks it.
 func (s *Store) release() {
 	q := &s.sh.queue
 	s.drain()
+	for len(q.owed) > 0 {
+		q.yield()
+		if len(q.pending) == 0 {
+			q.mu.Unlock()
+			s.heap.Fence() // follows every owed publication on this goroutine
+			q.resolveOwed()
+			q.mu.Lock()
+		}
+		s.drain() // whatever arrived meanwhile
+	}
 	q.leading.Store(false)
-	q.idle.Broadcast()
 	q.mu.Unlock()
+}
+
+// resolveOwed resolves every owed ticket. The caller leads and has fenced
+// since the owed submissions were published.
+func (q *commitQueue) resolveOwed() {
+	for _, t := range q.owed {
+		close(t.done)
+	}
+	q.owed = nil
 }
 
 // drain runs rounds until the queue is empty. The caller leads and holds
@@ -734,14 +743,13 @@ func (s *Store) drain() {
 		q.mu.Unlock()
 		s.round(subs)
 		q.mu.Lock()
-		q.idle.Broadcast() // the round's fence may have covered a settling Wait
 	}
 }
 
-// round commits one cut of the queue as one fence epoch and publishes its
-// tickets: prepareBatch holds every touched root's commit mutex from base
-// read to SetRoot, so a racing lock-path commit waits for the round (and
-// the round for it) instead of costing it a fence.
+// round commits one cut of the queue as one fence epoch and resolves or
+// owes its tickets: prepareBatch holds every touched root's commit mutex
+// from base read to SetRoot, so a racing lock-path commit waits for the
+// round (and the round for it) instead of costing it a fence.
 func (s *Store) round(subs []submission) {
 	q := &s.sh.queue
 	var ops []batchOp
@@ -780,38 +788,32 @@ func (s *Store) round(subs []submission) {
 		s.sh.cstats.combines.Add(1)
 		s.sh.cstats.combinedOps.Add(basic)
 	}
-	after := s.dev.FenceSeq()
+	if p != nil && len(p.changed) > 0 {
+		q.resolveOwed() // the round's fence followed the owed cell writes
+	}
 	for _, sub := range subs {
-		sub.ticket.tag = after
-		if p != nil && sub.root >= 0 && p.staged(sub.root) {
-			sub.ticket.tag = p.fenced
+		if sub.kind == subAsync && (sub.root < 0 || !p.staged(sub.root)) {
+			q.owed = append(q.owed, sub.ticket)
+			continue
 		}
-		close(sub.ticket.pub)
+		close(sub.ticket.done)
 	}
 }
 
-// Ticket tracks an asynchronously submitted batch. Wait returns once the
+// Ticket tracks an asynchronously submitted batch. It resolves once the
 // batch is published and a fence has covered its publication (durable),
 // or the submission was rejected — Err distinguishes the two.
 type Ticket struct {
-	// s is the submitting handle, whose store's fences make the batch
-	// durable; nil for a ticket resolved on creation and for an enrolled
-	// Basic update, which waits for publication only.
-	s   *Store
-	pub chan struct{} // closed by the round that published the batch
-	// tag is set before pub closes: the FenceSeq read just before the
-	// round's fence when that fence made the publication durable (a
-	// staged one-root round), else the FenceSeq read after publication.
-	tag uint64
-	err error
+	done chan struct{} // closed when the ticket resolves
+	err  error
 }
 
 // resolvedTicket returns an already-resolved ticket: err is nil for a
 // batch made durable before the call returned, or the reason a submission
 // was rejected outright (e.g. ErrStoreClosed).
 func resolvedTicket(err error) *Ticket {
-	t := &Ticket{pub: make(chan struct{}), err: err}
-	close(t.pub)
+	t := &Ticket{done: make(chan struct{}), err: err}
+	close(t.done)
 	return t
 }
 
@@ -820,65 +822,22 @@ func resolvedTicket(err error) *Ticket {
 // retry paths without reaching into the store.
 func FailedTicket(err error) *Ticket { return resolvedTicket(err) }
 
-// Wait blocks until the batch is durable or rejected. A batch on one root
-// is durable once its round has published it, at that round's own fence;
-// a batch spanning roots (or on a root its round could not stage: a
-// selective structure) is settled. Any round or fence runs on the
-// submitting handle, so call Wait from the goroutine that owns it, as any
-// other use of a handle.
-func (t *Ticket) Wait() {
-	<-t.pub
-	if !t.Done() {
-		t.settle()
-	}
-}
-
-// settle makes a published but not yet fence-covered batch durable, for
-// at most one fence: while another goroutine leads the queue, it waits for
-// its rounds, whose fences cover the batch; otherwise it leads, lingers up
-// to the store's linger (WithCommitterLinger) for other submissions, whose
-// round's fence covers it, and fences itself only if no round did.
-func (t *Ticket) settle() {
-	s := t.s
-	q := &s.sh.queue
-	q.mu.Lock()
-	for q.leading.Load() && !t.Done() {
-		q.idle.Wait()
-	}
-	if t.Done() {
-		q.mu.Unlock()
-		return
-	}
-	q.leading.Store(true)
-	if q.linger > 0 {
-		// Poll, yielding: time.Sleep rounds a window of tens of µs up to
-		// the timer tick, which would put milliseconds on every settle.
-		for deadline := time.Now().Add(q.linger); len(q.pending) == 0 && !t.Done() && time.Now().Before(deadline); {
-			q.mu.Unlock()
-			runtime.Gosched()
-			q.mu.Lock()
-		}
-	}
-	s.drain()
-	if !t.Done() {
-		q.mu.Unlock()
-		s.heap.Fence()
-		q.mu.Lock()
-	}
-	s.release()
-}
+// Wait blocks until the batch is durable or rejected. The queue's leader
+// resolves every ticket before it steps down, so Wait runs no round and
+// no fence, and any goroutine may call it.
+func (t *Ticket) Wait() { <-t.done }
 
 // Err returns nil once Wait has returned and the batch is durable, or
 // the rejection reason (ErrStoreClosed) if the submission was refused.
 // Only valid after Wait (or a true Done).
 func (t *Ticket) Err() error { return t.err }
 
-// Done reports without blocking whether the batch is durable: published,
-// and a fence counted past its tag.
+// Done reports without blocking whether the ticket has resolved: the
+// batch is durable, or was refused.
 func (t *Ticket) Done() bool {
 	select {
-	case <-t.pub:
-		return t.s == nil || t.s.dev.FenceSeq() > t.tag
+	case <-t.done:
+		return true
 	default:
 		return false
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -437,20 +438,21 @@ func (f *fenceImages) Fence(int) {
 
 // TestConcurrentBatchAndCASCrashImages races optimistic Basic writers,
 // multi-root Batch writers and CommitAsync writers on overlapping roots —
-// so a CAS can find a live record naming its root, records retire at
-// other goroutines' ordering points, and queue rounds carry several
+// so a CAS can publish past a live record naming its root, records retire
+// at other goroutines' ordering points, and queue rounds carry several
 // goroutines' batches — while fenced-only crash images are taken at
 // random fences. Every op logs the FenceSeq it read after returning: any
 // fence counted past that value started after the op's last flush and
 // covered it. Async writers alternate one-root batches, durable at their
-// own round's fence, with two-root ones, which Wait settles. An async
-// writer also takes an image right after every fourth Wait returns — a
-// one-root batch's — with no fence in between, and logs how many images
-// existed when its Wait returned: every image taken after that is after
-// the acknowledgement and must hold the batch (durability before ack). In
-// every image, each op a fence covered must be recovered, every batch
-// must be whole or absent, and two-root async batches one round published
-// (equal ticket tags) all present or all absent. Run under -race.
+// own round's fence, with two-root ones, whose tickets the queue's leader
+// resolves after a later fence. An async writer also takes an image right
+// after every fourth Wait returns — a one-root batch's — with no fence in
+// between, and logs how many images existed when its Wait returned: every
+// image taken after that is after the acknowledgement and must hold the
+// batch (durability before ack). In every image, each op a fence covered
+// must be recovered and every batch must be whole or absent; independent
+// submissions that shared a round owe each other nothing. Run under
+// -race.
 func TestConcurrentBatchAndCASCrashImages(t *testing.T) {
 	const (
 		roots   = 3
@@ -476,7 +478,6 @@ func TestConcurrentBatchAndCASCrashImages(t *testing.T) {
 		key    string
 		fences uint64 // FenceSeq read after the op returned
 		acked  int    // async: images taken before Wait returned; -1 for the other writers
-		tag    uint64 // async: the ticket's tag, shared by the batches of one round
 	}
 	logs := make([][]loggedOp, writers)
 	tr := &fenceImages{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), dev: dev, rng: 7, every: 9, max: 24}
@@ -516,7 +517,7 @@ func TestConcurrentBatchAndCASCrashImages(t *testing.T) {
 				}
 				tk := b.CommitAsync()
 				tk.Wait()
-				op.fences, op.tag = h.Device().FenceSeq(), tk.tag
+				op.fences = h.Device().FenceSeq()
 				tr.mu.Lock()
 				op.acked = len(tr.imgs)
 				if i%4 == 0 && len(tr.imgs) < tr.max {
@@ -542,7 +543,6 @@ func TestConcurrentBatchAndCASCrashImages(t *testing.T) {
 		for r := range ms {
 			ms[r], _ = s2.Map(fmt.Sprintf("r%d", r))
 		}
-		rounds := map[uint64]bool{} // tag → whether that round's batches are in the image
 		for w, log := range logs {
 			for _, op := range log {
 				in := 0
@@ -562,13 +562,6 @@ func TestConcurrentBatchAndCASCrashImages(t *testing.T) {
 				case in == 0 && op.acked >= 0 && n >= op.acked:
 					t.Fatalf("image %d: %s lost although its ticket was acknowledged before the image", n, op.key)
 				}
-				if op.acked < 0 || len(op.roots) == 1 {
-					continue // one-root submissions sharing a round are independent
-				}
-				if had, seen := rounds[op.tag]; seen && had != (in != 0) {
-					t.Fatalf("image %d: the round tagged %d is torn at %s", n, op.tag, op.key)
-				}
-				rounds[op.tag] = in != 0
 			}
 		}
 	}
@@ -675,16 +668,28 @@ func TestConcurrentMixedStructures(t *testing.T) {
 // casRaceHook parks a multi-root publication between its first and
 // second root swaps, runs an optimistic writer on the first root up to
 // its fence, and lets the publication finish before the writer's CAS.
+// From the first swap on it captures a crash image under policy at every
+// PM write, whichever goroutine issues it.
 type casRaceHook struct {
 	*pmem.CrashCountdown // its Write and Fence are shadowed, so it only supplies the other, empty hooks
+	dev                  *pmem.Device
+	policy               pmem.CrashPolicy
 	cell                 pmem.Addr
 	start                func()
 	fenced               chan struct{}
 	armed, fired         atomic.Bool
+	mu                   sync.Mutex
+	imgs                 [][]byte
 }
 
 func (h *casRaceHook) Write(addr pmem.Addr, _ int) {
-	if addr == h.cell && h.fired.CompareAndSwap(false, true) {
+	first := addr == h.cell && h.fired.CompareAndSwap(false, true)
+	if h.fired.Load() {
+		h.mu.Lock()
+		h.imgs = append(h.imgs, h.dev.CrashImage(h.policy, uint64(len(h.imgs))*0x9E3779B97F4A7C15+uint64(h.policy)))
+		h.mu.Unlock()
+	}
+	if first {
 		h.armed.Store(true)
 		h.start()
 		<-h.fenced
@@ -697,66 +702,85 @@ func (h *casRaceHook) Fence(int) {
 	}
 }
 
-// TestCASLosesToUncoveredRecord replays the one interleaving in which an
-// ordering point meets a live batch record that names its root with no
-// fence covering the record's swaps yet: an optimistic writer snapshots
-// a root the record has just swapped and fences before the record's last
-// swap. Were its CAS to win, nothing would retire the record before the
-// next fence made the CAS durable, and recovery would roll the root back
-// onto the record's version; it must lose, and its retry — fenced after
-// the record — retires the record and publishes. A fence-only crash
-// image after a Sync then holds the writer's key and the batch's.
-func TestCASLosesToUncoveredRecord(t *testing.T) {
-	cfg := pmem.DefaultConfig(4 << 20)
+// TestCASPublishesPastUncoveredRecord replays the interleaving in which an
+// optimistic CAS publishes past a live batch record that names its root
+// with no fence covering the record's swaps yet: the writer snapshots a
+// root the record has just swapped and fences before the record's last
+// swap. Its first CAS wins. It needs no covering fence for the record:
+// the CAS advances the root's publication counter past the record's word,
+// and replay leaves such a cell alone, so the record cannot roll the
+// writer back. At every PM write from the batch's first swap to the Sync
+// that covers the writer, under every crash policy, the recovered image
+// holds the batch whole or not at all, and wherever the writer's cell
+// write is durable it holds the writer's key over the batch.
+func TestCASPublishesPastUncoveredRecord(t *testing.T) {
+	cfg := pmem.DefaultConfig(1 << 20)
 	cfg.TrackDurable = true
-	dev := pmem.New(cfg)
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, _ := s.Map("x")
-	y, _ := s.Map("y")
-	s.Sync()
-	slot, _ := s.heap.RootSlot("x")
+	for _, policy := range []pmem.CrashPolicy{pmem.CrashFencedOnly, pmem.CrashInflightRandom, pmem.CrashEvictRandom, pmem.CrashAllInflight} {
+		dev := pmem.New(cfg)
+		s, err := newStore(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, _ := s.Map("x")
+		y, _ := s.Map("y")
+		s.Sync()
+		slot, _ := s.heap.RootSlot("x")
+		cell := s.heap.RootCellAddr(slot)
 
-	w, _ := s.Fork().Map("x") // bound up front: a bind takes the root's commit mutex
-	done := make(chan struct{})
-	hook := &casRaceHook{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), cell: s.heap.RootCellAddr(slot), fenced: make(chan struct{})}
-	hook.start = func() {
-		go func() {
-			defer close(done)
-			w.Set([]byte("cas"), []byte("w"))
-		}()
-	}
-	before := s.CommitStats()
-	dev.SetTracer(hook)
-	b := s.NewBatch()
-	b.MapSet(x, []byte("batch"), []byte("x1"))
-	b.MapSet(y, []byte("batch"), []byte("y1"))
-	b.Commit()
-	<-done
-	dev.SetTracer(nil)
-	if !hook.fired.Load() {
-		t.Fatal("the batch never swapped root x")
-	}
-	if st := s.CommitStats(); st.FastLosses != before.FastLosses+1 || st.FastWins != before.FastWins+1 {
-		t.Errorf("writer: %d wins, %d losses; want its first CAS lost and its retry won", st.FastWins-before.FastWins, st.FastLosses-before.FastLosses)
-	}
-	s.Sync() // covers the writer's publication; Sync is no ordering point and retires nothing
+		w, _ := s.Fork().Map("x") // bound up front: a bind takes the root's commit mutex
+		done := make(chan struct{})
+		hook := &casRaceHook{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), dev: dev, policy: policy, cell: cell, fenced: make(chan struct{})}
+		hook.start = func() {
+			go func() {
+				defer close(done)
+				w.Set([]byte("cas"), []byte("w"))
+			}()
+		}
+		before := s.CommitStats()
+		dev.SetTracer(hook)
+		b := s.NewBatch()
+		b.MapSet(x, []byte("batch"), []byte("x1"))
+		b.MapSet(y, []byte("batch"), []byte("y1"))
+		b.Commit()
+		<-done
+		casWord := s.dev.ReadU64(cell)
+		s.Sync() // covers the writer's publication
+		dev.SetTracer(nil)
+		if !hook.fired.Load() {
+			t.Fatal("the batch never swapped root x")
+		}
+		if st := s.CommitStats(); st.FastWins != before.FastWins+1 || st.FastLosses != before.FastLosses {
+			t.Errorf("policy %d: writer: %d wins, %d losses; want its first CAS to win", policy, st.FastWins-before.FastWins, st.FastLosses-before.FastLosses)
+		}
 
-	s2, _, err := openStore(pmem.NewFromImage(cfg, dev.CrashImage(pmem.CrashFencedOnly, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2, _ := s2.Map("x")
-	y2, _ := s2.Map("y")
-	if _, ok := x2.Get([]byte("cas")); !ok {
-		t.Fatal("the writer's fence-covered publication was rolled back by the batch record")
-	}
-	if _, ok := x2.Get([]byte("batch")); !ok {
-		t.Fatal("x lost the batch under the writer's version")
-	}
-	if _, ok := y2.Get([]byte("batch")); !ok {
-		t.Fatal("y lost the batch")
+		imgs := append(hook.imgs, dev.CrashImage(policy, 1)) // the last one after the Sync
+		if binary.LittleEndian.Uint64(imgs[len(imgs)-1][cell:]) != casWord {
+			t.Fatalf("policy %d: the writer's cell write is not durable after Sync", policy)
+		}
+		pending := 0 // images in which the writer's cell write is not durable yet
+		for n, img := range imgs {
+			s2, _, err := openStore(pmem.NewFromImage(cfg, img))
+			if err != nil {
+				t.Fatalf("policy %d, image %d/%d: recovery: %v", policy, n, len(imgs), err)
+			}
+			x2, _ := s2.Map("x")
+			y2, _ := s2.Map("y")
+			_, inX := x2.Get([]byte("batch"))
+			_, inY := y2.Get([]byte("batch"))
+			_, cas := x2.Get([]byte("cas"))
+			casDurable := binary.LittleEndian.Uint64(img[cell:]) == casWord
+			switch {
+			case inX != inY:
+				t.Fatalf("policy %d, image %d/%d: batch torn: x %v, y %v", policy, n, len(imgs), inX, inY)
+			case casDurable && (!cas || !inX):
+				t.Fatalf("policy %d, image %d/%d: the writer's cell is durable, yet it recovered the writer's key %v, the batch %v", policy, n, len(imgs), cas, inX)
+			case !casDurable:
+				pending++
+			}
+		}
+		if pending < 4 {
+			t.Fatalf("policy %d: only %d of %d images precede the writer's durable cell write", policy, pending, len(imgs))
+		}
 	}
 }

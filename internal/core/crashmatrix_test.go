@@ -491,7 +491,8 @@ func TestCrashMatrixRecordSlots(t *testing.T) {
 // back-to-back one-root async rounds on S, an optimistic CAS on S, a
 // round carrying two one-root submissions (S and the first marker, no
 // record between them), a multi-root async submission (S and the second
-// marker, through the batch record, settled by Wait), a round carrying a
+// marker, through the batch record, settled by its leader before it steps
+// down), a round carrying a
 // multi-root submission (the third and fourth markers, through the
 // record) beside a one-root one on S (staged), one more one-root round on
 // S and a last CAS on S — slot reuse by counter parity across a CAS,

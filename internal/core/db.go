@@ -84,7 +84,6 @@ type options struct {
 	devices         []pmem.Backend
 	attach          bool
 	committerMaxOps int
-	committerLinger time.Duration
 	verify          bool
 	salvage         bool
 }
@@ -175,17 +174,12 @@ func WithCommitter(maxOps int) Option {
 	return func(o *options) { o.committerMaxOps = maxOps }
 }
 
-// WithCommitterLinger sets how long a Ticket.Wait that would otherwise
-// pay its own settling fence first waits for other submissions, whose
-// round's fence then covers it. Only tickets a round did not stage
-// settle: a batch spanning roots (a server MULTI/EXEC), one on a
-// selective root, or one in a heap's first staging round, which only
-// arms the heap's stage table. Any other one-root batch is durable at its
-// own round's fence and its Wait never lingers. Zero (the default)
-// settles at once.
-func WithCommitterLinger(d time.Duration) Option {
-	return func(o *options) { o.committerLinger = d }
-}
+// WithCommitterLinger does nothing: the commit-queue leader resolves
+// every ticket before it steps down, so no Ticket.Wait waits for other
+// submissions.
+//
+// Deprecated: drop the option; it is kept only so existing callers build.
+func WithCommitterLinger(time.Duration) Option { return func(*options) {} }
 
 // RecoveryInfo reports what Open recovered. Zero-valued (Recovered
 // false) for a freshly formatted store.
@@ -311,7 +305,6 @@ func Open(cfg pmem.Config, opts ...Option) (*DB, RecoveryInfo, error) {
 		if o.committerMaxOps > 0 {
 			s.sh.queue.maxOps = o.committerMaxOps
 		}
-		s.sh.queue.linger = o.committerLinger
 	}
 	return db, info, nil
 }

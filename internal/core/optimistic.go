@@ -128,7 +128,7 @@ func (s *Store) update(ds Datastructure, apply rootOp) {
 			return
 		}
 	}
-	<-s.submit([]batchOp{{ds: ds, apply: apply}}, subBasic).pub
+	s.submit([]batchOp{{ds: ds, apply: apply}}, subBasic).Wait()
 }
 
 // updateParentBound is the locked tier: lock the parent's root, reload
@@ -168,23 +168,21 @@ func (s *Store) updateParentBound(ds Datastructure, apply rootOp) {
 // cas=false and always wins. An optimistic builder passes cas=true: the
 // write becomes a compare-and-swap against old, taken under the mutex for
 // the 8 bytes only — shadow builds stay lock-free — so neither tier can
-// publish inside the other's read-to-publish window. It also loses when a
-// multi-root record naming the root is still live with no fence covering
-// it (retireCovered). Reports whether final was published; retiring old
-// (or a losing final) is the caller's.
+// publish inside the other's read-to-publish window. Reports whether
+// final was published; retiring old (or a losing final) is the caller's.
 func (s *Store) publishRoot(slot int, old, final pmem.Addr, cas bool) bool {
 	crown := s.maybeCheckpoint(final)
 	s.commitBegin()
 	s.heap.Fence() // the FASE's single ordering point; reclaims retired blocks
 	s.clearCrown(crown)
+	s.retireCovered()
 	won := true
 	if cas {
 		mu := &s.sh.rootMu[slot]
 		mu.Lock()
-		won = s.retireCovered(slot) && s.heap.CasRoot(slot, old, final)
+		won = s.heap.CasRoot(slot, old, final)
 		mu.Unlock()
 	} else {
-		s.retireCovered(-1)
 		s.heap.SetRoot(slot, final)
 	}
 	s.commitEnd()

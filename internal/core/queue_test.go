@@ -12,45 +12,18 @@ import (
 )
 
 // Tests for the commit queue (batch.go): leadership is never released
-// with work queued, and every ticket resolves durable or refused, under
-// every kind of submission at once.
-
-// published reports whether a round has published t's batch.
-func published(t *Ticket) bool {
-	select {
-	case <-t.pub:
-		return true
-	default:
-		return false
-	}
-}
-
-// fenceGate parks the first fence after it is armed inside its tracer
-// hook — the fence done, its caller not yet resumed — until resume is
-// closed.
-type fenceGate struct {
-	*pmem.CrashCountdown // its Write and Fence are shadowed, so it only supplies the other, empty hooks
-	armed                atomic.Bool
-	parked, resume       chan struct{}
-}
-
-func (g *fenceGate) Write(pmem.Addr, int) {}
-
-func (g *fenceGate) Fence(int) {
-	if g.armed.CompareAndSwap(true, false) {
-		close(g.parked)
-		<-g.resume
-	}
-}
+// with work queued or a ticket owed, and every ticket resolves durable or
+// refused, under every kind of submission at once.
 
 // TestSettleLeaderDrainsArrivals replays the interleaving that strands a
-// ticket if a leader steps down without draining: goroutine A settles its
-// own ticket and is inside its settling fence, leading the queue, when B
-// submits. B's CommitAsync returns at once with its batch queued behind
-// A; A must publish it before it steps down, so B's ticket resolves with
-// no call by anyone but B's own Wait. A's batch spans two roots, the
-// submission a round publishes through the batch record and Wait settles;
-// B's is on one root, durable at its own round's fence.
+// ticket if a leader steps down without draining: goroutine A leads the
+// round of its own batch, which spans two roots, so it publishes through
+// the batch record and A's ticket is owed a fence. Finding nothing queued,
+// A pays its step-down settle fence, and is inside it, still leading,
+// when B submits. B's CommitAsync returns at once with its batch queued
+// behind A; A must publish it before it steps down, so B's ticket
+// resolves with no call by anyone but A. B's batch is on one root,
+// durable at its own round's fence.
 func TestSettleLeaderDrainsArrivals(t *testing.T) {
 	dev := pmem.New(pmem.DefaultConfig(4 << 20))
 	s, err := newStore(dev)
@@ -68,59 +41,57 @@ func TestSettleLeaderDrainsArrivals(t *testing.T) {
 	ab := a.NewBatch()
 	ab.MapSet(am, []byte("a"), []byte("1"))
 	ab.MapSet(an, []byte("a"), []byte("1"))
-	ta := ab.CommitAsync() // an idle queue: A leads its own round
-	if !published(ta) || ta.Done() {
-		t.Fatalf("A's ticket after leading its round: published %v, durable %v; want published, not durable", published(ta), ta.Done())
-	}
 
-	gate := &fenceGate{
-		CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0),
-		parked:         make(chan struct{}),
-		resume:         make(chan struct{}),
-	}
-	gate.armed.Store(true)
-	dev.SetTracer(gate)
+	// Park A inside its second fence — its round's, then its settle
+	// fence — until resume is closed.
+	parked, resume := make(chan struct{}), make(chan struct{})
+	dev.SetTracer(&fenceHook{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), at: func(n int) {
+		if n == 2 {
+			close(parked)
+			<-resume
+		}
+	}})
 	defer dev.SetTracer(nil)
+	before := dev.Stats().Fences
+	var ta *Ticket
 	aDone := make(chan struct{})
 	go func() {
 		defer close(aDone)
-		ta.Wait()
+		ta = ab.CommitAsync() // an idle queue: A leads its own round
 	}()
-	<-gate.parked // A leads the queue, inside its settling fence
+	select {
+	case <-parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("A never paid a settle fence")
+	}
+	if !s.sh.queue.leading.Load() {
+		t.Fatal("A paid its settle fence after stepping down")
+	}
 
 	bb := s.NewBatch()
 	bb.MapSet(m, []byte("b"), []byte("2"))
 	tb := bb.CommitAsync()
-	if published(tb) {
-		t.Fatal("B's batch was published while A led the queue from inside its fence")
+	if tb.Done() {
+		t.Fatal("B's batch resolved while A led the queue from inside its fence")
 	}
-	close(gate.resume)
+	close(resume)
 	select {
 	case <-aDone:
 	case <-time.After(30 * time.Second):
-		t.Fatal("A never returned from its settle")
+		t.Fatal("A never stepped down")
 	}
-	if !ta.Done() {
-		t.Fatal("A's Wait returned before a fence covered its batch")
-	}
-	if !published(tb) {
-		t.Fatal("A stepped down without publishing the batch B queued behind it: B's ticket is stranded")
+	if !ta.Done() || ta.Err() != nil {
+		t.Fatalf("A's ticket after its CommitAsync returned: durable %v, err %v", ta.Done(), ta.Err())
 	}
 	if !tb.Done() {
-		t.Fatal("B's one-root batch is published but its own round's fence did not make it durable")
+		t.Fatal("A stepped down without publishing the batch B queued behind it: B's ticket is stranded")
 	}
-	bDone := make(chan struct{})
-	go func() {
-		defer close(bDone)
-		tb.Wait()
-	}()
-	select {
-	case <-bDone:
-	case <-time.After(30 * time.Second):
-		t.Fatal("B's ticket never resolved")
+	if f := dev.Stats().Fences - before; f != 3 {
+		t.Fatalf("%d fences, want 3: A's round, A's settle fence, B's round", f)
 	}
-	if !tb.Done() || tb.Err() != nil {
-		t.Fatalf("B's ticket: durable %v, err %v", tb.Done(), tb.Err())
+	tb.Wait()
+	if tb.Err() != nil {
+		t.Fatalf("B's ticket: %v", tb.Err())
 	}
 	if v, ok := m.Get([]byte("b")); !ok || string(v) != "2" {
 		t.Fatalf("B's batch reads %q, %v", v, ok)
@@ -128,23 +99,18 @@ func TestSettleLeaderDrainsArrivals(t *testing.T) {
 }
 
 // TestCommitQueueStress races every kind of submission on one store, for
-// -race: three CommitAsync+Wait producers on their own roots, two Basic
-// writers contending on one root (so they enroll on the queue), and Sync
-// and Close racing them, with and without a settle linger. Every ticket
-// must resolve — ErrStoreClosed only once Close has begun — a ticket
-// whose Wait returns nil must be fence-covered (Done, FenceSeq past its
-// tag), a fenced-only image a producer takes right after one Wait
+// -race: three CommitAsync producers on their own roots — every fourth
+// batch also writes the shared hot root, so it spans two roots and its
+// ticket is owed a later fence — two Basic writers contending on the hot
+// root (so they enroll on the queue), Sync and Close racing them, and a
+// goroutine that Waits on every producer's tickets too. Every ticket must
+// resolve, for both of its waiters — ErrStoreClosed only once Close has
+// begun — a fenced-only image a producer takes right after one Wait
 // returns, with no fence of its own, must hold that producer's batches up
-// to it (a one-root ack is durable at its round's fence), and a
-// fenced-only image taken after Close must hold every acknowledged batch
-// and every Basic write that returned before Close began.
+// to it, and a fenced-only image taken after Close must hold every
+// acknowledged batch and every Basic write that returned before Close
+// began.
 func TestCommitQueueStress(t *testing.T) {
-	for _, linger := range []time.Duration{0, 20 * time.Microsecond} {
-		t.Run(fmt.Sprintf("linger=%v", linger), func(t *testing.T) { runQueueStress(t, linger) })
-	}
-}
-
-func runQueueStress(t *testing.T, linger time.Duration) {
 	const (
 		producers   = 3
 		writers     = 2
@@ -154,7 +120,7 @@ func runQueueStress(t *testing.T, linger time.Duration) {
 	cfg := pmem.DefaultConfig(16 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	db, _, err := Open(cfg, WithDevices(dev), WithCommitter(8), WithCommitterLinger(linger))
+	db, _, err := Open(cfg, WithDevices(dev), WithCommitter(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +142,10 @@ func runQueueStress(t *testing.T, linger time.Duration) {
 		enough      = make(chan struct{})
 		wg          sync.WaitGroup
 		producersWG sync.WaitGroup
-		acked       = make([][][2]string, producers+writers) // (root, key) per goroutine
-		ackImages   = make([][]byte, producers)              // producer p's image right after an ack
-		ackedAt     = make([]int, producers)                 // how many of its batches that image must hold
+		foreign     = make(chan *Ticket, producers*perProducer) // every producer ticket, for the other waiter
+		acked       = make([][][2]string, producers+writers)    // (root, key) per goroutine
+		ackImages   = make([][]byte, producers)                 // producer p's image right after an ack
+		ackedAt     = make([]int, producers)                    // how many of its writes that image must hold
 	)
 	// Handles are forked and bound up front: a bind racing Close fails.
 	bound := func(root string) (*Store, *Map) {
@@ -192,6 +159,10 @@ func runQueueStress(t *testing.T, linger time.Duration) {
 	for p := 0; p < producers; p++ {
 		root := fmt.Sprintf("p%d", p)
 		h, m := bound(root)
+		hot, err := h.Map("hot")
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
 		producersWG.Add(1)
 		go func(p int) {
@@ -201,7 +172,13 @@ func runQueueStress(t *testing.T, linger time.Duration) {
 				k := fmt.Sprintf("%s-%d", root, i)
 				b := h.NewBatch()
 				b.MapSet(m, []byte(k), []byte(k))
+				writes := [][2]string{{root, k}}
+				if i%4 == 3 {
+					b.MapSet(hot, []byte(k), []byte(k))
+					writes = append(writes, [2]string{"hot", k})
+				}
 				tk := b.CommitAsync()
+				foreign <- tk
 				tk.Wait()
 				if err := tk.Err(); err != nil {
 					if !errors.Is(err, ErrStoreClosed) || !closing.Load() {
@@ -209,11 +186,11 @@ func runQueueStress(t *testing.T, linger time.Duration) {
 					}
 					return
 				}
-				if !tk.Done() || h.Device().FenceSeq() <= tk.tag {
-					t.Errorf("%s: Wait returned with FenceSeq %d, tag %d", k, h.Device().FenceSeq(), tk.tag)
+				if !tk.Done() {
+					t.Errorf("%s: Wait returned before its ticket resolved", k)
 					return
 				}
-				acked[p] = append(acked[p], [2]string{root, k})
+				acked[p] = append(acked[p], writes...)
 				if i == perProducer/4 {
 					ackImages[p], ackedAt[p] = dev.CrashImage(pmem.CrashFencedOnly, uint64(p)), len(acked[p])
 				}
@@ -223,6 +200,16 @@ func runQueueStress(t *testing.T, linger time.Duration) {
 			}
 		}(p)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for tk := range foreign {
+			tk.Wait()
+			if err := tk.Err(); !tk.Done() || err != nil && (!errors.Is(err, ErrStoreClosed) || !closing.Load()) {
+				t.Errorf("a ticket Waited on by another goroutine: done %v, err %v", tk.Done(), err)
+			}
+		}
+	}()
 	for w := 0; w < writers; w++ {
 		_, m := bound("hot")
 		wg.Add(1)
@@ -248,6 +235,7 @@ func runQueueStress(t *testing.T, linger time.Duration) {
 	producersDone := make(chan struct{})
 	go func() {
 		producersWG.Wait()
+		close(foreign)
 		close(producersDone)
 	}()
 	select {
@@ -266,48 +254,41 @@ func runQueueStress(t *testing.T, linger time.Duration) {
 	select {
 	case <-allDone:
 	case <-time.After(2 * time.Minute):
-		t.Fatal("a submitter never returned: a ticket or an enrolled op was stranded")
+		t.Fatal("a submitter or waiter never returned: a ticket or an enrolled op was stranded")
 	}
 	if t.Failed() {
 		return
 	}
 
-	s2, _, err := openStore(pmem.NewFromImage(cfg, dev.CrashImage(pmem.CrashFencedOnly, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	maps := map[string]*Map{}
-	for _, r := range roots {
-		if maps[r], err = s2.Map(r); err != nil {
+	check := func(what string, img []byte, writes [][2]string) {
+		t.Helper()
+		s2, _, err := openStore(pmem.NewFromImage(cfg, img))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, keys := range acked {
-		for _, rk := range keys {
+		maps := map[string]*Map{}
+		for _, r := range roots {
+			if maps[r], err = s2.Map(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, rk := range writes {
 			if v, ok := maps[rk[0]].Get([]byte(rk[1])); !ok || string(v) != rk[1] {
-				t.Fatalf("%s on %s acknowledged before Close, lost after it (%q, %v)", rk[1], rk[0], v, ok)
+				t.Fatalf("%s on %s acknowledged before %s, lost in it (%q, %v)", rk[1], rk[0], what, v, ok)
 			}
 		}
 	}
 	if acks.Load() == 0 {
 		t.Fatal("no batch was acknowledged before Close")
 	}
+	var all [][2]string
+	for _, writes := range acked {
+		all = append(all, writes...)
+	}
+	check("Close", dev.CrashImage(pmem.CrashFencedOnly, 1), all)
 	for p, img := range ackImages {
-		if img == nil {
-			continue // closed before this producer got that far
-		}
-		s3, _, err := openStore(pmem.NewFromImage(cfg, img))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := s3.Map(fmt.Sprintf("p%d", p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rk := range acked[p][:ackedAt[p]] {
-			if v, ok := m.Get([]byte(rk[1])); !ok || string(v) != rk[1] {
-				t.Fatalf("%s acknowledged before an image taken right after its Wait, lost in it (%q, %v)", rk[1], v, ok)
-			}
+		if img != nil { // nil: closed before this producer got that far
+			check("an image taken right after its Wait", img, acked[p][:ackedAt[p]])
 		}
 	}
 }

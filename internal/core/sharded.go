@@ -322,7 +322,7 @@ func (db *DB) commitCross(per [][]batchOp) {
 				}
 				p.s.heap.Fence()
 				p.s.clearCrown(crown)
-				p.s.retireCovered(-1)
+				p.s.retireCovered()
 			}
 		}
 		meta, rec := db.meta, manifest(db.meta)

@@ -360,13 +360,30 @@ func (h *slotReuseHook) Write(addr pmem.Addr, _ int) {
 	}
 }
 
+// fenceHook calls at(n) from inside the device's n-th fence since it was
+// installed, once that fence is done; the fence's caller resumes when at
+// returns. Fences must come from one goroutine at a time.
+type fenceHook struct {
+	*pmem.CrashCountdown // its Write and Fence are shadowed, so it only supplies the other, empty hooks
+	n                    int
+	at                   func(n int)
+}
+
+func (h *fenceHook) Write(pmem.Addr, int) {}
+
+func (h *fenceHook) Fence(int) {
+	h.n++
+	h.at(h.n)
+}
+
 // TestMixedRoundStagesOneRootSubmissions: a round carrying a submission
 // that spans roots and one-root submissions — on a root the spanning one
 // does not touch, and on one it does — takes one fence. The one-root
-// submission on the untouched root is staged and durable when the round
-// returns; the spanning submission goes through the batch record, and the
-// one-root submission that shares its root with it is published beside
-// it, so both wait for a later fence.
+// submission on the untouched root is staged and durable at that fence,
+// and resolved when the round returns; the spanning submission goes
+// through the batch record, and the one-root submission that shares its
+// root with it is published beside it, so both are owed a later fence:
+// the leader's step-down settle fence, the only other one release pays.
 func TestMixedRoundStagesOneRootSubmissions(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
@@ -390,25 +407,44 @@ func TestMixedRoundStagesOneRootSubmissions(t *testing.T) {
 	onC.MapSet(c, []byte("k"), []byte("one"))
 	onA.MapSet(a, []byte("k2"), []byte("one"))
 	tSpan, tC, tA := span.CommitAsync(), onC.CommitAsync(), onA.CommitAsync()
+	var roundImg []byte
+	var atSettle [3]bool
+	dev.SetTracer(&fenceHook{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), at: func(n int) {
+		switch n {
+		case 1: // the round's fence, no cell written yet
+			roundImg = dev.CrashImage(pmem.CrashFencedOnly, 0)
+		case 2: // the settle fence, before the owed tickets resolve
+			atSettle = [3]bool{tC.Done(), tSpan.Done(), tA.Done()}
+		}
+	}})
 	before := dev.Stats().Fences
 	q.mu.Lock()
 	s.release()
-	if got := dev.Stats().Fences - before; got != 1 {
-		t.Fatalf("the mixed round paid %d fences, want 1", got)
+	dev.SetTracer(nil)
+	if got := dev.Stats().Fences - before; got != 2 {
+		t.Fatalf("release paid %d fences, want 2: the mixed round's and one settle fence", got)
 	}
-	if !tC.Done() || tSpan.Done() || tA.Done() {
-		t.Fatalf("after the round: staged one-root ticket done=%v, spanning done=%v, one-root beside it done=%v; want true, false, false",
-			tC.Done(), tSpan.Done(), tA.Done())
+	if atSettle != [3]bool{true, false, false} {
+		t.Fatalf("at the settle fence: staged one-root ticket done=%v, spanning done=%v, one-root beside it done=%v; want true, false, false",
+			atSettle[0], atSettle[1], atSettle[2])
 	}
-	s2, rs := recoverImage(t, cfg, dev.CrashImage(pmem.CrashFencedOnly, 0))
+	if !tC.Done() || !tSpan.Done() || !tA.Done() {
+		t.Fatal("the leader stepped down with a ticket still owed")
+	}
+	s2, rs := recoverImage(t, cfg, roundImg)
 	c2, _ := s2.Map("c")
 	if v, ok := c2.Get([]byte("k")); !ok || string(v) != "one" || rs.StagedRoots != 1 {
 		t.Fatalf("c.k = %q, %v with %d roots moved: the staged submission is not durable at its round's fence", v, ok, rs.StagedRoots)
 	}
-	for _, tk := range []*Ticket{tSpan, tA} {
-		tk.Wait()
-	}
-	if !tSpan.Done() || !tA.Done() {
-		t.Fatal("Wait returned before the record's publication was durable")
+	s3, _ := recoverImage(t, cfg, dev.CrashImage(pmem.CrashFencedOnly, 0))
+	a3, _ := s3.Map("a")
+	b3, _ := s3.Map("b")
+	for _, kv := range []struct {
+		m    *Map
+		k, v string
+	}{{a3, "k", "span"}, {b3, "k", "span"}, {a3, "k2", "one"}} {
+		if v, ok := kv.m.Get([]byte(kv.k)); !ok || string(v) != kv.v {
+			t.Fatalf("%s = %q, %v after release: an owed ticket resolved before its publication was durable", kv.k, v, ok)
+		}
 	}
 }

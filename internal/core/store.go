@@ -116,7 +116,6 @@ const defaultCheckpointEvery = 32768
 // number shard of its DB.
 func newShared(shard int) *storeShared {
 	sh := &storeShared{shard: shard, checkpointEvery: defaultCheckpointEvery}
-	sh.queue.idle.L = &sh.queue.mu
 	sh.queue.maxOps = DefaultCommitterMaxOps
 	return sh
 }
@@ -258,7 +257,7 @@ func (s *Store) Close() error {
 	}
 	// Marking closed first refuses new CommitAsync submissions; the
 	// barrier is published once every batch accepted before is.
-	<-s.submit(nil, subBarrier).pub
+	s.submit(nil, subBarrier).Wait()
 	s.heap.Fence()
 	return nil
 }
@@ -290,7 +289,7 @@ func (s *Store) Sync() {
 	if s == nil || s.sh.closed.Load() {
 		return
 	}
-	<-s.submit(nil, subBarrier).pub
+	s.submit(nil, subBarrier).Wait()
 	s.heap.Fence()
 	// Fence reclaims deferred releases incrementally; Sync is the
 	// "everything reclaimable is reclaimed" point, so drain the rest.
@@ -576,7 +575,7 @@ func (s *Store) commitSiblingsLocked(p *Parent, updates []Update) error {
 	}
 	s.commitBegin()
 	s.heap.Fence()
-	s.retireCovered(-1)
+	s.retireCovered()
 	s.heap.SetRoot(p.slot, shadow)
 	s.commitEnd()
 	// Parent roots never take the optimistic commit path (parent-bound

@@ -273,7 +273,7 @@ func enrollSets(s *Store, m *Map, from, to int) []*Ticket {
 	var tickets []*Ticket
 	for i := from; i < to; i++ {
 		k, v := tierKey(i), tierVal(i)
-		t := &Ticket{pub: make(chan struct{})}
+		t := &Ticket{done: make(chan struct{})}
 		q.pending = append(q.pending, submission{ticket: t, kind: subBasic, ops: []batchOp{{ds: m, apply: mapSet(k, v, nil)}}})
 		tickets = append(tickets, t)
 	}

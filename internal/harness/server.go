@@ -38,14 +38,8 @@ func ServerBenchConfig(scale Scale, clients int) loadgen.Config {
 	}
 }
 
-// serverLinger is the settle linger (WithCommitterLinger) used by the
-// sweep, matching cmd/modserver's default. The sweep's one-key SETs are
-// durable at their own round's fence and never settle, so it only shapes
-// how the store is opened.
-const serverLinger = 50 * time.Microsecond
-
 // RunServerBench serves one sweep point: open a store as modserver does
-// (default round cap, 50 µs linger), serve it over an in-process
+// (default round cap), serve it over an in-process
 // listener (PipeListener), drive
 // a closed-loop all-write load, and read the device-counter delta before
 // shutting down. Unlike the simulated sweeps these run on the wall clock
@@ -56,8 +50,7 @@ const serverLinger = 50 * time.Microsecond
 func RunServerBench(scale Scale, clients int) (workloads.Row, error) {
 	cfg := ServerBenchConfig(scale, clients)
 	arena := int64(cfg.Ops)*4096 + (256 << 20)
-	db, _, err := core.Open(pmem.DefaultConfig(arena),
-		core.WithCommitter(0), core.WithCommitterLinger(serverLinger))
+	db, _, err := core.Open(pmem.DefaultConfig(arena), core.WithCommitter(0))
 	if err != nil {
 		return workloads.Row{}, err
 	}

@@ -246,8 +246,7 @@ func TestTimeoutDiscardsLateReply(t *testing.T) {
 // snapshot must read back byte-exact or be excused by typed detection
 // (open failure or a quarantined root), and MULTIs stay all-or-nothing.
 func TestServerCrashRecoveryBitFlips(t *testing.T) {
-	db, _, err := core.Open(testConfig(), core.WithCommitter(0),
-		core.WithCommitterLinger(20*time.Microsecond))
+	db, _, err := core.Open(testConfig(), core.WithCommitter(0))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

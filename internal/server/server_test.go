@@ -119,7 +119,6 @@ func TestDurabilityBeforeReply(t *testing.T) {
 		opts []core.Option
 	}{
 		{"single", []core.Option{core.WithCommitter(0)}},
-		{"single-linger", []core.Option{core.WithCommitter(0), core.WithCommitterLinger(20 * time.Microsecond)}},
 		{"sharded", []core.Option{core.WithShards(4), core.WithCommitter(0)}},
 	}
 	for _, tc := range cases {
@@ -310,8 +309,7 @@ func TestMiddleware(t *testing.T) {
 // store must end up closed, and every write acknowledged before the
 // shutdown began must be durable in the closed store.
 func TestGracefulShutdownUnderLoad(t *testing.T) {
-	db, _, err := core.Open(testConfig(), core.WithShards(2), core.WithCommitter(0),
-		core.WithCommitterLinger(20*time.Microsecond))
+	db, _, err := core.Open(testConfig(), core.WithShards(2), core.WithCommitter(0))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -405,8 +403,8 @@ func TestServerCrashRecovery(t *testing.T) {
 		name string
 		opts []core.Option
 	}{
-		{"single", []core.Option{core.WithCommitter(0), core.WithCommitterLinger(20 * time.Microsecond)}},
-		{"sharded", []core.Option{core.WithShards(4), core.WithCommitter(0), core.WithCommitterLinger(20 * time.Microsecond)}},
+		{"single", []core.Option{core.WithCommitter(0)}},
+		{"sharded", []core.Option{core.WithShards(4), core.WithCommitter(0)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

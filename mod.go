@@ -17,8 +17,8 @@
 //	db, info, _ := mod.Open(cfg, mod.WithExistingImages(images))
 //
 // Open takes functional options — mod.WithShards(n) partitions the
-// store across independent heaps, mod.WithCommitterLinger(d) lets
-// concurrent waiters on batches spanning roots share fence epochs,
+// store across independent heaps, mod.WithCommitter(n) caps how many
+// operations one commit-queue round coalesces into a fence epoch,
 // mod.WithSelective(0) makes the store
 // selectively persisted — its new roots keep navigation nodes in DRAM,
 // served from a node cache, over a minimal persistent core. The
@@ -53,14 +53,17 @@
 //	defer snap.Close()
 //	v, ok := snap.Get([]byte("ada"))
 //
+// Batch.CommitAsync hands a batch to the store's commit queue, whose
+// rounds share one fence among concurrent submitters, and returns a
+// Ticket. The ticket resolves once the batch is durable; any goroutine
+// may Wait on it, since Wait only receives from a channel.
+//
 // The persistent memory substrate is simulated (see DESIGN.md): Device
 // models Optane DCPMM cacheline-flush semantics with the paper's measured
 // latencies, so all performance figures are in simulated nanoseconds.
 package mod
 
 import (
-	"time"
-
 	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/core"
 	"github.com/mod-ds/mod/internal/pmem"
@@ -209,13 +212,6 @@ func WithExistingImages(imgs [][]byte) Option { return core.WithExistingImages(i
 // queue coalesces into a fence epoch (maxOps 0 keeps the default). The
 // queue needs no starting: CommitAsync callers lead it in turn.
 func WithCommitter(maxOps int) Option { return core.WithCommitter(maxOps) }
-
-// WithCommitterLinger sets how long a Ticket.Wait on a batch spanning
-// roots lingers for other submissions before paying its own settling
-// fence, letting request/response-paced concurrent clients share fence
-// epochs. A one-root batch is durable at its own round's fence and never
-// lingers (DESIGN.md §7, §11).
-func WithCommitterLinger(d time.Duration) Option { return core.WithCommitterLinger(d) }
 
 // WithVerify walks every root at open, verifying node checksums, and
 // quarantines damaged roots: the store opens degraded, with the damage
