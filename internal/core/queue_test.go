@@ -109,8 +109,13 @@ func TestSettleLeaderDrainsArrivals(t *testing.T) {
 // returns, with no fence of its own, must hold that producer's batches up
 // to it, and a fenced-only image taken after Close must hold every
 // acknowledged batch and every Basic write that returned before Close
-// began.
+// began. WithCommitterLinger is a no-op kept for callers; the subtest
+// passes it so the store under test is the one such a caller opens.
 func TestCommitQueueStress(t *testing.T) {
+	t.Run("linger=0s", func(t *testing.T) { commitQueueStress(t, WithCommitterLinger(0)) })
+}
+
+func commitQueueStress(t *testing.T, extra ...Option) {
 	const (
 		producers   = 3
 		writers     = 2
@@ -120,7 +125,7 @@ func TestCommitQueueStress(t *testing.T) {
 	cfg := pmem.DefaultConfig(16 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	db, _, err := Open(cfg, WithDevices(dev), WithCommitter(8))
+	db, _, err := Open(cfg, append([]Option{WithDevices(dev), WithCommitter(8)}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
