@@ -5,21 +5,20 @@
 //
 // Usage:
 //
-//	modcheck [-demo] [-durable] [-corrupt] [trace.bin]
+//	modcheck [-demo] [-corrupt [-ops N] [-trials N]] [trace.bin]
 //
 // With -demo it records a fresh trace from a mixed MOD workload and
-// checks it (writing it to the optional file argument). With -durable
-// it runs a durable-linearizability smoke instead: a sequential history
-// of one-root and multi-root commits over shared roots is crash-injected
-// at PM-write granularity, and every recovered image must be an exact
-// committed prefix of the history that contains at least every step
-// whose commit a fence covered before the crash cut. With -corrupt it
+// checks it (writing it to the optional file argument). With -corrupt it
 // runs the media-fault smoke: random bit flips, torn stores, and dead
-// lines are injected into a committed image, which is reopened with
-// verify-on-open — every trial must end in typed detection, an
-// exact-prefix salvage, or a byte-exact clean state; a silent wrong read
-// fails the run. Otherwise it reads a binary trace previously written
-// with trace.Recorder.WriteTo.
+// lines are injected into a committed image of an -ops-long history,
+// which is reopened with verify-on-open — every trial must end in typed
+// detection, an exact-prefix salvage, or a byte-exact clean state; a
+// silent wrong read fails the run. Otherwise it reads a binary trace
+// previously written with trace.Recorder.WriteTo.
+//
+// Crash consistency — durable linearizability under every commit path,
+// crash policy and PM-write cut — is checked by the crash checker in
+// internal/core's tests (checker_test.go), not here.
 package main
 
 import (
@@ -38,22 +37,13 @@ import (
 
 func main() {
 	demo := flag.Bool("demo", false, "record and check a built-in demo workload trace")
-	durable := flag.Bool("durable", false, "run the durable-linearizability crash-injection smoke")
-	durOps := flag.Int("ops", 32, "operation count for the -durable history")
-	durStride := flag.Int("stride", 7, "inject a crash every Nth PM write in -durable mode")
 	corrupt := flag.Bool("corrupt", false, "run the media-fault corruption smoke")
+	ops := flag.Int("ops", 32, "length of the -corrupt history (Map.Sets before the fault)")
 	trials := flag.Int("trials", 64, "fault-injection trials in -corrupt mode")
 	flag.Parse()
 
-	if *durable {
-		if err := runDurable(*durOps, *durStride); err != nil {
-			fmt.Fprintf(os.Stderr, "modcheck: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *corrupt {
-		if err := runCorrupt(*durOps, *trials); err != nil {
+		if err := runCorrupt(*ops, *trials); err != nil {
 			fmt.Fprintf(os.Stderr, "modcheck: %v\n", err)
 			os.Exit(1)
 		}
@@ -161,224 +151,10 @@ func recordDemo(outPath string) ([]trace.Event, trace.CheckerConfig, error) {
 	return rec.Events(), store.CheckerConfig(), nil
 }
 
-// durKey and durVal are the deterministic step-i key/value of the
-// -durable history.
-func durKey(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
-func durVal(i int) []byte { return []byte(fmt.Sprintf("val-%06d", i)) }
-
-// durRoots names the -durable history's maps. Roots 0 and 1 are shared
-// by every kind of step; root 2 only by the three-root batches.
-var durRoots = []string{"durable", "durable-b", "durable-c"}
-
-// durStepRoots returns the roots step i writes its key to, which with
-// durAsync also decides how it commits. Steps cycle through five kinds:
-// a Map.Set (alternating between the two shared roots), a
-// CommitUnrelated over both, a Map.Set, a three-root Batch, and a
-// one-root CommitAsync + Wait — so every multi-root step's record names
-// roots that one-root steps republish right before and after it, and an
-// async round stages a publication on a root a CAS or a record just
-// moved.
-func durStepRoots(i int) []int {
-	switch i % 5 {
-	case 1:
-		return []int{0, 1}
-	case 3:
-		return []int{0, 1, 2}
-	default:
-		return []int{i / 2 % 2}
-	}
-}
-
-// durAsync reports whether step i is an async one-root submission, which
-// its Wait acknowledges durable.
-func durAsync(i int) bool { return i%5 == 4 }
-
-// durApply runs step i of the history.
-func durApply(db *core.DB, maps []*core.Map, i int) error {
-	roots := durStepRoots(i)
-	switch {
-	case durAsync(i):
-		b := db.Batch()
-		b.MapSet(maps[roots[0]], durKey(i), durVal(i))
-		tk := b.CommitAsync()
-		tk.Wait()
-		return tk.Err()
-	case len(roots) == 1:
-		maps[roots[0]].Set(durKey(i), durVal(i))
-	case len(roots) == 2:
-		st := db.Store()
-		ups := make([]core.Update, len(roots))
-		for j, r := range roots {
-			v, _ := maps[r].PureSet(durKey(i), durVal(i))
-			ups[j] = core.Update{DS: maps[r], Shadows: []core.Version{v}}
-		}
-		var err error
-		st.FASE(func() { err = st.CommitUnrelated(ups...) })
-		return err
-	default:
-		b := db.Batch()
-		for _, r := range roots {
-			b.MapSet(maps[r], durKey(i), durVal(i))
-		}
-		b.Commit()
-	}
-	return nil
-}
-
-// durBuild opens a fresh store, creates (and syncs) the history's maps,
-// and returns them. PM writes observed by a tracer installed after this
-// point index only the measured history.
-func durBuild() (*pmem.Device, *core.DB, []*core.Map, error) {
-	cfg := pmem.DefaultConfig(64 << 20)
-	cfg.TrackDurable = true
-	dev := pmem.New(cfg)
-	db, _, err := core.Open(cfg, core.WithDevices(dev))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	maps := make([]*core.Map, len(durRoots))
-	for r, nm := range durRoots {
-		if maps[r], err = db.Map(nm); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	db.Sync()
-	return dev, db, maps, nil
-}
-
-// runDurable is the durable-linearizability smoke: run a sequential
-// history of steps — Map.Sets on two shared roots, interleaved with
-// CommitUnrelated over both, three-root Batches and one-root
-// CommitAsync submissions — crash at every
-// stride-th PM-write index, recover, and check two properties against
-// each image:
-//
-//  1. Safety — the recovered maps are an *exact* committed prefix of the
-//     history: the keys of steps 0..k-1 present on every root they
-//     wrote, with their values, nothing else, for some k. No torn or
-//     reordered state is ever visible — a multi-root step is on all of
-//     its roots or on none.
-//  2. Durable linearizability — k covers every step whose publication a
-//     fence covered before the crash cut. Step i's root swaps (one, or
-//     several through the batch record) are made durable by the next
-//     fence, which executes before step i+1's last PM write; so once
-//     step i+1 has fully executed, step i must survive any crash. An
-//     async step is acknowledged durable when its Wait returns — its
-//     round staged the publication ahead of its own fence — so once it
-//     has fully executed it survives too, with every step before it. The
-//     floor is therefore (completed steps at the cut) - 1, or the last
-//     completed async step's count if that is more.
-func runDurable(ops, stride int) error {
-	if ops < 2 {
-		ops = 2
-	}
-	if stride < 1 {
-		stride = 1
-	}
-
-	// Dry run: record the cumulative PM-write index at the end of each step.
-	dev, db, maps, err := durBuild()
-	if err != nil {
-		return err
-	}
-	base := dev.Stats().Writes
-	wEnd := make([]uint64, ops)
-	for i := 0; i < ops; i++ {
-		if err := durApply(db, maps, i); err != nil {
-			return err
-		}
-		wEnd[i] = dev.Stats().Writes - base
-	}
-	total := wEnd[ops-1]
-
-	injections := 0
-	for inj := 1; inj <= int(total); inj += stride {
-		injections++
-		dev, db, maps, err := durBuild()
-		if err != nil {
-			return err
-		}
-		tr := pmem.NewCrashCountdown(dev, inj, pmem.CrashEvictRandom, 0xD00D^uint64(inj))
-		dev.SetTracer(tr)
-		for i := 0; i < ops; i++ {
-			if err := durApply(db, maps, i); err != nil {
-				return err
-			}
-		}
-		dev.SetTracer(nil)
-
-		cfg2 := pmem.DefaultConfig(64 << 20)
-		dev2 := pmem.NewFromImage(cfg2, tr.Image())
-		st2, _, err := core.Open(cfg2, core.WithDevices(dev2), core.WithAttach())
-		if err != nil {
-			return fmt.Errorf("inj %d: recovery failed: %w", inj, err)
-		}
-		maps2 := make([]*core.Map, len(durRoots))
-		for r, nm := range durRoots {
-			if maps2[r], err = st2.Map(nm); err != nil {
-				return fmt.Errorf("inj %d: rebind of %s failed: %w", inj, nm, err)
-			}
-		}
-
-		// Exact-prefix check: k is the first step missing from any root
-		// it wrote; every earlier step must read back its value, and
-		// nothing of step k or later may be present.
-		k := 0
-	prefix:
-		for ; k < ops; k++ {
-			for _, r := range durStepRoots(k) {
-				got, ok := maps2[r].Get(durKey(k))
-				if !ok {
-					break prefix
-				}
-				if string(got) != string(durVal(k)) {
-					return fmt.Errorf("inj %d: step %d recovered on %s with value %q, want %q",
-						inj, k, durRoots[r], got, durVal(k))
-				}
-			}
-		}
-		for r, m := range maps2 {
-			want := 0
-			for i := 0; i < k; i++ {
-				for _, sr := range durStepRoots(i) {
-					if sr == r {
-						want++
-					}
-				}
-			}
-			if got := m.Len(); got != uint64(want) {
-				return fmt.Errorf("inj %d: %s holds %d keys, want the %d of the %d-step prefix (a torn or reordered step)",
-					inj, durRoots[r], got, want, k)
-			}
-		}
-
-		// Fence-coverage floor.
-		completed := 0
-		for i := 0; i < ops && wEnd[i] <= uint64(inj); i++ {
-			completed++
-		}
-		floor := max(completed-1, 0)
-		for i := 0; i < completed; i++ {
-			if durAsync(i) {
-				floor = i + 1
-			}
-		}
-		if k < floor {
-			return fmt.Errorf("inj %d: recovered prefix %d steps, but %d steps were fence-covered or acknowledged before the cut",
-				inj, k, floor)
-		}
-
-		// The recovered store must remain writable.
-		maps2[0].Set([]byte("post-crash"), []byte("ok"))
-		if got, ok := maps2[0].Get([]byte("post-crash")); !ok || string(got) != "ok" {
-			return fmt.Errorf("inj %d: recovered store lost a post-crash write", inj)
-		}
-		st2.Sync()
-	}
-	fmt.Printf("modcheck: durable-linearizability smoke: %d steps (Map.Set, CommitUnrelated, 3-root Batch, one-root CommitAsync), %d PM writes, %d injections (stride %d), all recovered states exact fence-covered prefixes\n",
-		ops, total, injections, stride)
-	return nil
-}
+// corruptKey and corruptVal are the -corrupt history's step-i key and
+// value.
+func corruptKey(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
+func corruptVal(i int) []byte { return []byte(fmt.Sprintf("val-%06d", i)) }
 
 // runCorrupt is the media-fault smoke (DESIGN.md §13): build a
 // committed selective-map history, snapshot the durable image, and for
@@ -438,7 +214,7 @@ func runCorrupt(ops, trials int) error {
 		ops++ // leave a pending record past the last checkpoint fold
 	}
 	for i := 0; i < ops; i++ {
-		m.Set(durKey(i), durVal(i))
+		m.Set(corruptKey(i), corruptVal(i))
 	}
 	db.Sync()
 	img := snap()
@@ -559,10 +335,10 @@ func corruptProbe(db *core.DB, ops int, info core.RecoveryInfo) (outcome string,
 	// Presence must be an exact value-correct prefix of the history.
 	k := 0
 	for i := 0; i < ops; i++ {
-		got, ok := m.Get(durKey(i))
+		got, ok := m.Get(corruptKey(i))
 		if ok && i == k {
-			if string(got) != string(durVal(i)) {
-				return "", fmt.Errorf("silent wrong read: key %d = %q, want %q", i, got, durVal(i))
+			if string(got) != string(corruptVal(i)) {
+				return "", fmt.Errorf("silent wrong read: key %d = %q, want %q", i, got, corruptVal(i))
 			}
 			k++
 		} else if ok {

@@ -222,6 +222,15 @@ func (e *Edit) alloc(size int, tag uint8, volatile bool) pmem.Addr {
 			return e.finishAlloc(hdr, stride, tag, volatile)
 		}
 	}
+	// A reserve — another edit's capped run tail — serves as the run
+	// instead of a fresh bump, under the open-run slot of the run it was
+	// cut from, whose durable entry already covers it.
+	if rv, ok := sh.takeReserveLocked(stride); ok {
+		e.runs = append(e.runs, editRun{start: rv.start, end: rv.end, cur: rv.start + pmem.Addr(stride), lastHdr: rv.start, slot: rv.slot})
+		sh.noteAllocLocked(stride)
+		sh.mu.Unlock()
+		return e.finishAlloc(rv.start, stride, tag, volatile)
+	}
 	slot := -1
 	fenceNow := h.dev.FenceSeq()
 	for i := range sh.runSlots {
@@ -240,18 +249,11 @@ func (e *Edit) alloc(size int, tag uint8, volatile bool) pmem.Addr {
 		e.extra.Add(payload)
 		return payload
 	}
-	// A free block large enough to host several allocations can serve as
-	// the run instead of bumping: sealed-run tail caps recirculate this
-	// way, so steady-state edits stop growing the heap even when the
-	// rewind path (run still at top) is unavailable.
-	start, runSize := sh.takeReserveLocked(stride)
-	if start == pmem.Nil {
-		runSize = uint32(editRunBytes)
-		if stride > runSize {
-			runSize = stride
-		}
-		start = h.bumpLocked(runSize)
+	runSize := uint32(editRunBytes)
+	if stride > runSize {
+		runSize = stride
 	}
+	start := h.bumpLocked(runSize)
 	sh.runSlots[slot] = runSlotState{busy: true}
 	entry := runEntryAddr(slot)
 	h.dev.WriteU64(entry, uint64(start))
@@ -276,26 +278,41 @@ func (e *Edit) alloc(size int, tag uint8, volatile bool) pmem.Addr {
 // there. That keeps recovery's run-skip and boundary-crossing checks
 // sound: no durable block can ever straddle a recorded (even stale)
 // entry end.
+//
+// A reserve keeps the open-run slot of the run it was cut from, held
+// (not reusable) until the edit that claims it seals with the tail used
+// up and a fence covers that sweep. The slot's durable entry is what
+// covers the claimer's writes: a reserve lies below blocks committed
+// before it was claimed, so a header the claimer writes there that
+// reaches PM early (an evicted line) in front of one that has not must
+// land inside a recorded run, or recovery's chain walk would truncate
+// the heap at the torn one and lose every block above it. A fresh entry
+// written at the claim could still be in flight then; the cut-from run's
+// entry is durable, since any committed block above the reserve was
+// claimed — and fenced — after that run.
 
 // reserveMin is the smallest tail worth keeping as a reserve;
-// reserveCap bounds the volatile reserve list.
+// reserveCap bounds the reserves, each of which holds a slot.
 const (
 	reserveMin = 512
-	reserveCap = 16
+	reserveCap = EditRunSlots / 2
 )
 
-type reserveRegion struct{ start, end pmem.Addr }
+type reserveRegion struct {
+	start, end pmem.Addr
+	slot       int // the open-run slot of the run the tail was cut from
+}
 
 // takeReserveLocked pops the first reserve able to hold minStride.
-// Caller holds mu. Returns Nil when none fits.
-func (sh *heapShared) takeReserveLocked(minStride uint32) (pmem.Addr, uint32) {
+// Caller holds mu.
+func (sh *heapShared) takeReserveLocked(minStride uint32) (reserveRegion, bool) {
 	for i, r := range sh.reserves {
 		if uint32(r.end-r.start) >= minStride {
 			sh.reserves = append(sh.reserves[:i], sh.reserves[i+1:]...)
-			return r.start, uint32(r.end - r.start)
+			return r, true
 		}
 	}
-	return pmem.Nil, 0
+	return reserveRegion{}, false
 }
 
 // finishAlloc announces, writes (deferred-flush), and registers a block.
@@ -494,7 +511,7 @@ func (e *Edit) capRun(r *editRun) {
 	}
 	h.dev.WriteU64(r.cur, packHeader(rem, 0, false))
 	e.fs.Add(r.cur, headerSize)
-	e.tails = append(e.tails, reserveRegion{start: r.cur, end: r.end})
+	e.tails = append(e.tails, reserveRegion{start: r.cur, end: r.end, slot: r.slot})
 }
 
 // publishTailsLocked hands the capped tails to other edits — as reserves
@@ -511,6 +528,7 @@ func (e *Edit) publishTailsLocked() {
 	for _, t := range e.tails {
 		if rem := uint32(t.end - t.start); rem >= reserveMin && len(sh.reserves) < reserveCap {
 			sh.reserves = append(sh.reserves, t)
+			sh.runSlots[t.slot] = runSlotState{busy: true} // held for the reserve
 		} else {
 			sh.pushFreeLocked(rem, t.start)
 		}

@@ -491,3 +491,64 @@ func TestEditArenaReuseAcrossFASEs(t *testing.T) {
 		t.Errorf("HeapUsed grew %d bytes over 50 interleaved rounds — capped tails not reusable", grown)
 	}
 }
+
+// TestEditReserveClaimCoveredByItsRunEntry: a reserve — a sealed run's
+// capped tail, below a block committed since — is claimed by a later
+// edit after its run's table slot could have been reused (here a large
+// allocation that the reserve cannot hold comes first), and the line of
+// the first header the claimer writes reaches PM (an evicted line) while
+// the header after it has not. The reserve's writes lie inside the
+// durable entry of the run it was cut from, so recovery skips the torn
+// remainder instead of truncating the heap under the committed block.
+func TestEditReserveClaimCoveredByItsRunEntry(t *testing.T) {
+	cfg := pmem.DefaultConfig(8 << 20)
+	cfg.TrackDurable = true
+	dev := pmem.New(cfg)
+	h := Format(dev)
+	h.RegisterWalker(1, func(*Heap, pmem.Addr, *Scratch, func(pmem.Addr)) {})
+	slot, err := h.RootSlot("committed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Sfence()
+
+	ed := h.BeginEdit()
+	ed.Alloc(64, 1)
+	other := h.Fork()
+	ed2 := other.BeginEdit()
+	committed := ed2.Alloc(64, 1) // a run above ed's: ed's tail becomes a reserve
+	dev.WriteU64(committed, 0x22)
+	ed2.RecordNode(committed, 8)
+	ed.Seal()
+	ed2.Seal()
+	other.Fence()
+	other.SetRoot(slot, committed)
+	other.Fence()
+
+	big := h.BeginEdit()
+	big.Alloc(8000, 1) // a dedicated run the reserve cannot hold
+	big.Seal()
+	h.Fence()
+
+	ed3 := h.BeginEdit()
+	a := ed3.Alloc(64, 1) // the reserve
+	if a > committed {
+		t.Fatalf("the claim at %#x is not the reserve below the committed block %#x", uint64(a), uint64(committed))
+	}
+	img := dev.CrashImage(pmem.CrashFencedOnly, 1)
+	line := (a - headerSize) &^ (pmem.LineSize - 1)
+	copy(img[line:line+pmem.LineSize], dev.Snapshot()[line:line+pmem.LineSize]) // the claimer's first header, evicted
+	ed3.Seal()
+
+	h2, err := Open(pmem.NewFromImage(cfg, img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2.RegisterWalker(1, func(*Heap, pmem.Addr, *Scratch, func(pmem.Addr)) {})
+	if _, err := h2.Recover(); err != nil {
+		t.Fatalf("Recover: %v (committed block %#x, reserve claim %#x)", err, uint64(committed), uint64(a))
+	}
+	if got := h2.Device().ReadU64(h2.Root(slot)); got != 0x22 {
+		t.Fatalf("committed payload = %#x, want 0x22", got)
+	}
+}

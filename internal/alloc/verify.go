@@ -252,32 +252,34 @@ func nonBlockRef(payload pmem.Addr) *CorruptionPanic {
 }
 
 // VerifyOnRead checks the block at payload if it is tainted (recovered
-// but not yet re-verified), clearing the taint on success and panicking
-// with a *CorruptionPanic on mismatch. The fast path — no tainted blocks
-// remain, the steady state — is one atomic load; while some remain, an
-// untainted block costs one more, and the CAS that clears the bit elects
-// exactly one of any racing readers to verify. Hooked into the shared
-// node-read and blob-read funnels.
+// but not yet re-verified) and panics with a *CorruptionPanic on mismatch.
+// The taint clears only after a successful verification, so a damaged
+// block stays tainted and every read of it — by any reader, through any
+// snapshot or root that shares it — panics, and a reader racing the first
+// verification verifies too rather than return before it is done. The
+// fast path — no tainted blocks remain, the steady state — is one atomic
+// load; while some remain, an untainted block costs one more. Hooked into
+// the shared node-read and blob-read funnels.
 func (h *Heap) VerifyOnRead(payload pmem.Addr) {
 	sh := h.sh
 	if sh.taintCount.Load() == 0 {
 		return
 	}
 	s := sh.blocks.slot(payload)
-	if s == nil {
+	if s == nil || s.Load()&slotTaint == 0 {
 		return
+	}
+	if _, _, _, berr := h.verifyNode(payload); berr != nil {
+		panic(&CorruptionPanic{Block: *berr})
 	}
 	for {
 		v := s.Load()
 		if v&slotTaint == 0 {
-			return
+			return // a racing reader's verification cleared it
 		}
 		if s.CompareAndSwap(v, v&^slotTaint) {
-			break
+			sh.taintCount.Add(-1)
+			return
 		}
-	}
-	sh.taintCount.Add(-1)
-	if _, _, _, berr := h.verifyNode(payload); berr != nil {
-		panic(&CorruptionPanic{Block: *berr})
 	}
 }

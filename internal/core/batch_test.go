@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/mod-ds/mod/internal/alloc"
+	"github.com/mod-ds/mod/internal/durcheck"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -298,107 +299,36 @@ func TestBatchAsyncCommitter(t *testing.T) {
 	}
 }
 
-// TestBatchCrashAllOrNothing injects power failures at every stage of a
-// multi-root batch commit — while shadows build, between the record
-// fences, mid root-swap — across many seeds, and checks recovery sees
-// the batch atomically: the map and queue both have it, or neither does.
+// TestBatchCrashAllOrNothing crashes a multi-root batch — two map keys
+// and a queue element — at every PM write, while its shadows build,
+// around the record's fence and mid root-swap, under every crash policy,
+// after prefixes of 0 to 16 committed batches: recovery sees the batch
+// atomically, in the map and the queue or in neither.
 func TestBatchCrashAllOrNothing(t *testing.T) {
-	sawCommitted, sawDropped := false, false
-	for seed := uint64(1); seed <= 60; seed++ {
-		committed, err := runBatchCrashRound(t, seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+	for pre := 0; pre < 20; pre += 4 {
+		h := &crashHist{roots: []histRoot{
+			{name: "m", bind: mxBind((*Store).Map, mxMapOps)},
+			{name: "q", bind: mxBind((*Store).Queue, mxQueueOps)},
+		}}
+		h.setup = func(e *histEnv) {
+			for i := 0; i < pre; i++ {
+				b := e.db.Store().NewBatch()
+				e.ops[0].batch(b, i)
+				e.ops[1].batch(b, i)
+				b.Commit()
+			}
 		}
-		if committed {
-			sawCommitted = true
-		} else {
-			sawDropped = true
+		h.window = func(e *histEnv, r *histRec) {
+			r.do("batch", []durcheck.Effect{e.eff(0, 100), e.eff(1, 100), e.eff(0, 101)}, func() {
+				b := e.db.Store().NewBatch()
+				e.ops[0].batch(b, 100)
+				e.ops[1].batch(b, 100)
+				e.ops[0].batch(b, 101)
+				b.Commit()
+			})
 		}
+		h.run(t)
 	}
-	if !sawCommitted || !sawDropped {
-		t.Errorf("crash points not diverse: committed=%v dropped=%v", sawCommitted, sawDropped)
-	}
-}
-
-func runBatchCrashRound(t *testing.T, seed uint64) (batchCommitted bool, err error) {
-	cfg := pmem.DefaultConfig(64 << 20)
-	cfg.TrackDurable = true
-	dev := pmem.New(cfg)
-	st, err := newStore(dev)
-	if err != nil {
-		return false, err
-	}
-	m, _ := st.Map("m")
-	q, _ := st.Queue("q")
-
-	pre := int(seed % 20)
-	for i := 0; i < pre; i++ {
-		b := st.NewBatch()
-		b.MapSet(m, bkey(i), bkey(i*3))
-		b.QueueEnqueue(q, uint64(i))
-		b.Commit()
-	}
-	st.Sync()
-
-	// Inject the crash a pseudorandom number of PM writes into the final
-	// batch (shadow building + publication together are a few hundred
-	// writes; the modulus spreads crash points across all stages).
-	tr := pmem.NewCrashCountdown(dev, 1+int(seed*37%240), pmem.CrashEvictRandom, seed)
-	dev.SetTracer(tr)
-	b := st.NewBatch()
-	b.MapSet(m, bkey(7777), []byte("batched"))
-	b.QueueEnqueue(q, 7777)
-	b.MapSet(m, bkey(7778), []byte("batched2"))
-	b.Commit()
-	dev.SetTracer(nil)
-	img := tr.Image()
-	if img == nil {
-		// Commit finished before the countdown: crash right after.
-		img = dev.CrashImage(pmem.CrashEvictRandom, seed)
-	}
-
-	dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
-	st2, _, err := openStore(dev2)
-	if err != nil {
-		return false, fmt.Errorf("recovery: %w", err)
-	}
-	m2, _ := st2.Map("m")
-	q2, _ := st2.Queue("q")
-
-	_, mapHas := m2.Get(bkey(7777))
-	_, mapHas2 := m2.Get(bkey(7778))
-	if mapHas != mapHas2 {
-		return false, fmt.Errorf("batch torn within map root: key 7777=%v 7778=%v", mapHas, mapHas2)
-	}
-	queueHas := int(q2.Len()) == pre+1
-	if !queueHas && int(q2.Len()) != pre {
-		return false, fmt.Errorf("queue has %d entries, want %d or %d", q2.Len(), pre, pre+1)
-	}
-	if mapHas != queueHas {
-		return false, fmt.Errorf("batch torn across roots: map committed=%v queue committed=%v", mapHas, queueHas)
-	}
-	wantMap := uint64(pre)
-	if mapHas {
-		wantMap += 2
-	}
-	if got := m2.Len(); got != wantMap {
-		return false, fmt.Errorf("map has %d entries, want %d", got, wantMap)
-	}
-	for i := 0; i < pre; i++ {
-		v, ok := m2.Get(bkey(i))
-		if !ok || binary.LittleEndian.Uint64(v) != uint64(i*3) {
-			return false, fmt.Errorf("pre-batch key %d lost or corrupt", i)
-		}
-	}
-	// The recovered store must stay fully usable, including batching.
-	nb := st2.NewBatch()
-	nb.MapSet(m2, bkey(424242), []byte("post"))
-	nb.QueueEnqueue(q2, 424242)
-	nb.Commit()
-	if _, ok := m2.Get(bkey(424242)); !ok {
-		return false, fmt.Errorf("store unusable after recovery")
-	}
-	return mapHas, nil
 }
 
 // TestBatchRecordStaleStatusRejected forges the two ways a stale record

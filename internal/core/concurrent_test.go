@@ -1,12 +1,12 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/mod-ds/mod/internal/durcheck"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -304,27 +304,15 @@ func TestSnapshotSurvivesReclaim(t *testing.T) {
 	}
 }
 
-// TestCommitUnrelatedCrashAtomicAcrossSeeds crashes CommitUnrelated in
-// every window around its one fence with adversarial line eviction across
-// many seeds — the record, the swaps and the shadows land or not at the
-// seed's whim. Recovery must show both new versions or neither, and both
-// once a later fence has run.
+// TestCommitUnrelatedCrashAtomicAcrossSeeds runs the CommitUnrelated
+// history of TestCommitUnrelatedCrashAroundRecordFence under eight more
+// seeds of line eviction — the record, the swaps and the shadows land or
+// not at the seed's whim — at every third PM write.
 func TestCommitUnrelatedCrashAtomicAcrossSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		for w := beforeFenceA; w <= laterFence; w++ {
-			for n := 1; ; n += 3 {
-				l1, l2, ok := crashUnrelated(t, w, n, pmem.CrashEvictRandom, seed)
-				if !ok {
-					break
-				}
-				if l1 != l2 || (w == laterFence && l1 != 2) {
-					t.Fatalf("seed %d, %v, write %d: v1=%d v2=%d, want both roots moved or neither (both after a later fence)", seed, w, n, l1, l2)
-				}
-				if w != beforeFenceA {
-					break
-				}
-			}
-		}
+		h := unrelatedPairHist(seed, true)
+		h.stride = 3
+		h.run(t)
 	}
 }
 
@@ -382,189 +370,82 @@ func TestCommitUnrelatedCompletedSurvivesCrash(t *testing.T) {
 }
 
 // TestCommitUnrelatedUnfencedAllOrNothing: before any later fence the
-// commit's swaps are clwb'd but not durable. A crash keeping only fenced
-// lines then loses the commit whole — the record is durable and live but
-// no swap landed, so recovery discards it — and under partial writeback
-// or eviction it is lost whole or kept whole, never torn.
+// commit's swaps are clwb'd but not durable. A crash right after it
+// returns, under every policy and sixteen seeds, loses the commit whole or
+// keeps it whole, never torn.
 func TestCommitUnrelatedUnfencedAllOrNothing(t *testing.T) {
-	dev, _ := commitUnrelatedPair(t)
-	if l1, l2 := recoverPair(t, dev.CrashImage(pmem.CrashFencedOnly, 1)); l1 != 1 || l2 != 1 {
-		t.Fatalf("unfenced commit under fenced-only crash: v1=%d v2=%d, want 1/1", l1, l2)
-	}
-	seen := map[uint64]bool{}
 	for seed := uint64(1); seed <= 16; seed++ {
-		for _, policy := range []pmem.CrashPolicy{pmem.CrashInflightRandom, pmem.CrashEvictRandom} {
-			l1, l2 := recoverPair(t, dev.CrashImage(policy, seed))
-			if l1 != l2 {
-				t.Fatalf("policy %d, seed %d: commit torn: v1=%d v2=%d", policy, seed, l1, l2)
-			}
-			seen[l1] = true
-		}
-	}
-	if !seen[1] || !seen[2] {
-		t.Errorf("partial writeback never both kept and lost the commit: %v", seen)
+		h := unrelatedPairHist(seed, false)
+		h.stride = 1 << 30 // the crash after the return only
+		h.run(t)
 	}
 }
 
-// fenceImages takes a fenced-only crash image after a pseudorandom subset
-// of fences, each tagged with the FenceSeq read before the image: every
-// fence up to that count is in it. Safe for concurrent hooks.
-type fenceImages struct {
-	*pmem.CrashCountdown // its Write and Fence are shadowed, so it only supplies the other, empty hooks
-	dev                  *pmem.Device
-	mu                   sync.Mutex
-	rng                  uint64
-	every, max           int
-	imgs                 []fencedImage
-}
-
-type fencedImage struct {
-	fences uint64
-	img    []byte
-}
-
-func (f *fenceImages) Write(pmem.Addr, int) {}
-
-func (f *fenceImages) Fence(int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.rng = f.rng*6364136223846793005 + 1442695040888963407
-	if len(f.imgs) >= f.max || int(f.rng>>33)%f.every != 0 {
-		return
-	}
-	fences := f.dev.FenceSeq()
-	f.imgs = append(f.imgs, fencedImage{fences: fences, img: f.dev.CrashImage(pmem.CrashFencedOnly, 0)})
-}
-
-// TestConcurrentBatchAndCASCrashImages races optimistic Basic writers,
-// multi-root Batch writers and CommitAsync writers on overlapping roots —
-// so a CAS can publish past a live record naming its root, records retire
-// at other goroutines' ordering points, and queue rounds carry several
-// goroutines' batches — while fenced-only crash images are taken at
-// random fences. Every op logs the FenceSeq it read after returning: any
-// fence counted past that value started after the op's last flush and
-// covered it. Async writers alternate one-root batches, durable at their
-// own round's fence, with two-root ones, whose tickets the queue's leader
-// resolves after a later fence. An async writer also takes an image right
-// after every fourth Wait returns — a one-root batch's — with no fence in
-// between, and logs how many images existed when its Wait returned: every
-// image taken after that is after the acknowledgement and must hold the
-// batch (durability before ack). In every image, each op a fence covered
-// must be recovered and every batch must be whole or absent; independent
-// submissions that shared a round owe each other nothing. Run under
-// -race.
+// TestConcurrentBatchAndCASCrashImages is a concurrent history: five
+// writers on three shared roots — two Basic writers (which race their
+// CASes, or enroll on the commit queue while it is led), one of multi-root
+// Batch.Commits, and two of CommitAsync + Wait alternating one-root
+// batches, staged and durable at their own round's fence, with two-root
+// ones the leader owes a later fence — so a CAS can publish past a live
+// record naming its root, records retire at other goroutines' ordering
+// points, and queue rounds carry several goroutines' batches. The async
+// writers also cut right after every fourth Wait returns (durability
+// before ack). Run under -race.
 func TestConcurrentBatchAndCASCrashImages(t *testing.T) {
-	const (
-		roots   = 3
-		writers = 6 // w%3: 0 optimistic, 1 Batch.Commit, 2 CommitAsync + Wait
-		ops     = 40
-	)
-	cfg := pmem.DefaultConfig(4 << 20)
-	cfg.TrackDurable = true
-	dev := pmem.New(cfg)
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const roots, writers, ops = 3, 5, 8 // writers 0 and 3 Basic, 1 Batch.Commit, 2 and 4 CommitAsync + Wait
+	h := &crashHist{staging: true, stride: 5}
 	for r := 0; r < roots; r++ {
-		if _, err := s.Map(fmt.Sprintf("r%d", r)); err != nil {
-			t.Fatal(err)
-		}
+		h.roots = append(h.roots, histRoot{name: fmt.Sprintf("r%d", r), bind: mxBind((*Store).Map, mxMapOps)})
 	}
-	s.Sync()
-
-	type loggedOp struct {
-		roots  []int
-		key    string
-		fences uint64 // FenceSeq read after the op returned
-		acked  int    // async: images taken before Wait returned; -1 for the other writers
-	}
-	logs := make([][]loggedOp, writers)
-	tr := &fenceImages{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), dev: dev, rng: 7, every: 9, max: 24}
-	dev.SetTracer(tr)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := s.Fork()
-			ms := make([]*Map, roots)
-			for r := range ms {
-				ms[r], _ = h.Map(fmt.Sprintf("r%d", r))
-			}
-			for i := 0; i < ops; i++ {
-				op := loggedOp{key: fmt.Sprintf("w%d-%d", w, i), acked: -1}
-				if w%3 == 0 {
-					op.roots = []int{(w + i) % roots}
-					ms[op.roots[0]].Set([]byte(op.key), []byte(op.key))
-					op.fences = h.Device().FenceSeq()
-					logs[w] = append(logs[w], op)
-					continue
+	h.window = func(e *histEnv, r *histRec) {
+		before := e.db.Store().CommitStats()
+		defer func() {
+			st := e.db.Store().CommitStats()
+			e.t.Logf("%d CAS wins, %d losses, %d enrolled Basic updates", st.FastWins-before.FastWins, st.FastLosses-before.FastLosses, st.CombinedOps-before.CombinedOps)
+		}()
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				s := e.db.Store().Fork()
+				ms := make([]*Map, roots)
+				for i := range ms {
+					ms[i], _ = s.Map(fmt.Sprintf("r%d", i))
 				}
-				op.roots = []int{i % roots, (i + 1 + w/3) % roots}
-				if w%3 == 2 && i%2 == 0 {
-					op.roots = op.roots[:1] // a one-root async batch: durable at its own round's fence
-				}
-				b := h.NewBatch()
-				for _, r := range op.roots {
-					b.MapSet(ms[r], []byte(op.key), []byte(op.key))
-				}
-				if w%3 == 1 {
-					b.Commit()
-					op.fences = h.Device().FenceSeq()
-					logs[w] = append(logs[w], op)
-					continue
-				}
-				tk := b.CommitAsync()
-				tk.Wait()
-				op.fences = h.Device().FenceSeq()
-				tr.mu.Lock()
-				op.acked = len(tr.imgs)
-				if i%4 == 0 && len(tr.imgs) < tr.max {
-					tr.imgs = append(tr.imgs, fencedImage{fences: dev.FenceSeq(), img: dev.CrashImage(pmem.CrashFencedOnly, 0)})
-				}
-				tr.mu.Unlock()
-				logs[w] = append(logs[w], op)
-			}
-		}(w)
-	}
-	wg.Wait()
-	dev.SetTracer(nil)
-	if len(tr.imgs) < 4 {
-		t.Fatalf("only %d crash images taken", len(tr.imgs))
-	}
-
-	for n, fi := range tr.imgs {
-		s2, _, err := openStore(pmem.NewFromImage(cfg, fi.img))
-		if err != nil {
-			t.Fatalf("image %d: recovery: %v", n, err)
-		}
-		ms := make([]*Map, roots)
-		for r := range ms {
-			ms[r], _ = s2.Map(fmt.Sprintf("r%d", r))
-		}
-		for w, log := range logs {
-			for _, op := range log {
-				in := 0
-				for _, r := range op.roots {
-					if v, ok := ms[r].Get([]byte(op.key)); ok {
-						if string(v) != op.key {
-							t.Fatalf("image %d: %s on r%d reads %q", n, op.key, r, v)
+				for i := 0; i < ops; i++ {
+					key := fmt.Sprintf("w%d-%d", w, i)
+					on := []int{(w + i) % roots}
+					if w == 1 || (w%3 != 0 && i%2 == 1) {
+						on = append(on, (w+i+1)%roots) // spans two roots
+					}
+					var effs []durcheck.Effect
+					for _, root := range on {
+						effs = append(effs, durcheck.Effect{Root: root, Key: key, Val: key})
+					}
+					if w%3 == 0 {
+						r.do(key, effs, func() { ms[on[0]].Set([]byte(key), []byte(key)) })
+						continue
+					}
+					b := s.NewBatch()
+					for _, root := range on {
+						b.MapSet(ms[root], []byte(key), []byte(key))
+					}
+					switch w {
+					case 1:
+						r.do(key, effs, b.Commit)
+					default:
+						r.durable(key, effs, func() { mxWait(e.t, b.CommitAsync()) })
+						if i%4 == 0 {
+							r.crash()
 						}
-						in++
 					}
 				}
-				switch {
-				case in != 0 && in != len(op.roots):
-					t.Fatalf("image %d: writer %d's %s torn: on %d of roots %v", n, w, op.key, in, op.roots)
-				case in == 0 && op.fences < fi.fences:
-					t.Fatalf("image %d (fence %d): %s lost although fence %d covered it", n, fi.fences, op.key, op.fences+1)
-				case in == 0 && op.acked >= 0 && n >= op.acked:
-					t.Fatalf("image %d: %s lost although its ticket was acknowledged before the image", n, op.key)
-				}
-			}
+			}(w)
 		}
+		wg.Wait()
 	}
+	h.run(t)
 }
 
 // TestConcurrentMixedStructures runs writers over all five structure
@@ -665,122 +546,91 @@ func TestConcurrentMixedStructures(t *testing.T) {
 	}
 }
 
-// casRaceHook parks a multi-root publication between its first and
-// second root swaps, runs an optimistic writer on the first root up to
-// its fence, and lets the publication finish before the writer's CAS.
-// From the first swap on it captures a crash image under policy at every
-// PM write, whichever goroutine issues it.
-type casRaceHook struct {
-	*pmem.CrashCountdown // its Write and Fence are shadowed, so it only supplies the other, empty hooks
-	dev                  *pmem.Device
-	policy               pmem.CrashPolicy
-	cell                 pmem.Addr
-	start                func()
-	fenced               chan struct{}
-	armed, fired         atomic.Bool
-	mu                   sync.Mutex
-	imgs                 [][]byte
-}
-
-func (h *casRaceHook) Write(addr pmem.Addr, _ int) {
-	first := addr == h.cell && h.fired.CompareAndSwap(false, true)
-	if h.fired.Load() {
-		h.mu.Lock()
-		h.imgs = append(h.imgs, h.dev.CrashImage(h.policy, uint64(len(h.imgs))*0x9E3779B97F4A7C15+uint64(h.policy)))
-		h.mu.Unlock()
-	}
-	if first {
-		h.armed.Store(true)
-		h.start()
-		<-h.fenced
-	}
-}
-
-func (h *casRaceHook) Fence(int) {
-	if h.armed.CompareAndSwap(true, false) {
-		close(h.fenced)
-	}
-}
-
-// TestCASPublishesPastUncoveredRecord replays the interleaving in which an
+// TestCASPublishesPastUncoveredRecord pins the interleaving in which an
 // optimistic CAS publishes past a live batch record that names its root
-// with no fence covering the record's swaps yet: the writer snapshots a
-// root the record has just swapped and fences before the record's last
-// swap. Its first CAS wins. It needs no covering fence for the record:
-// the CAS advances the root's publication counter past the record's word,
-// and replay leaves such a cell alone, so the record cannot roll the
-// writer back. At every PM write from the batch's first swap to the Sync
-// that covers the writer, under every crash policy, the recovered image
-// holds the batch whole or not at all, and wherever the writer's cell
-// write is durable it holds the writer's key over the batch.
+// with no fence covering the record's swaps yet: a two-root batch parks
+// at its first root swap while a writer on that root builds its update
+// and fences, then finishes its swaps before the writer's CAS. The
+// writer's first CAS wins. It needs no covering fence for the record: the
+// CAS advances the root's publication counter past the record's word, and
+// replay leaves such a cell alone, so the record cannot roll the writer
+// back — at every PM write, under every crash policy.
 func TestCASPublishesPastUncoveredRecord(t *testing.T) {
-	cfg := pmem.DefaultConfig(1 << 20)
-	cfg.TrackDurable = true
-	for _, policy := range []pmem.CrashPolicy{pmem.CrashFencedOnly, pmem.CrashInflightRandom, pmem.CrashEvictRandom, pmem.CrashAllInflight} {
-		dev := pmem.New(cfg)
-		s, err := newStore(dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, _ := s.Map("x")
-		y, _ := s.Map("y")
-		s.Sync()
+	h := &crashHist{roots: []histRoot{
+		{name: "x", bind: mxBind((*Store).Map, mxMapOps)},
+		{name: "y", bind: mxBind((*Store).Map, mxMapOps)},
+	}}
+	h.window = func(e *histEnv, r *histRec) {
+		s := e.db.Store()
 		slot, _ := s.heap.RootSlot("x")
 		cell := s.heap.RootCellAddr(slot)
-
 		w, _ := s.Fork().Map("x") // bound up front: a bind takes the root's commit mutex
-		done := make(chan struct{})
-		hook := &casRaceHook{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), dev: dev, policy: policy, cell: cell, fenced: make(chan struct{})}
-		hook.start = func() {
-			go func() {
-				defer close(done)
-				w.Set([]byte("cas"), []byte("w"))
-			}()
+		var armed, fired atomic.Bool
+		fenced, done := make(chan struct{}), make(chan struct{})
+		r.p.onWrite = func(addr pmem.Addr) {
+			if addr == cell && fired.CompareAndSwap(false, true) {
+				armed.Store(true)
+				go func() {
+					defer close(done)
+					r.do("cas", []durcheck.Effect{{Root: 0, Key: "cas", Val: "w"}}, func() { w.Set([]byte("cas"), []byte("w")) })
+				}()
+				<-fenced
+			}
+		}
+		r.p.onFence = func(int) {
+			if armed.CompareAndSwap(true, false) {
+				close(fenced)
+			}
 		}
 		before := s.CommitStats()
-		dev.SetTracer(hook)
-		b := s.NewBatch()
-		b.MapSet(x, []byte("batch"), []byte("x1"))
-		b.MapSet(y, []byte("batch"), []byte("y1"))
-		b.Commit()
+		mxBatch(e, r, "batch", 0, 0, 1)
 		<-done
-		casWord := s.dev.ReadU64(cell)
-		s.Sync() // covers the writer's publication
-		dev.SetTracer(nil)
-		if !hook.fired.Load() {
-			t.Fatal("the batch never swapped root x")
+		if !fired.Load() {
+			e.t.Fatal("the batch never swapped root x")
 		}
 		if st := s.CommitStats(); st.FastWins != before.FastWins+1 || st.FastLosses != before.FastLosses {
-			t.Errorf("policy %d: writer: %d wins, %d losses; want its first CAS to win", policy, st.FastWins-before.FastWins, st.FastLosses-before.FastLosses)
-		}
-
-		imgs := append(hook.imgs, dev.CrashImage(policy, 1)) // the last one after the Sync
-		if binary.LittleEndian.Uint64(imgs[len(imgs)-1][cell:]) != casWord {
-			t.Fatalf("policy %d: the writer's cell write is not durable after Sync", policy)
-		}
-		pending := 0 // images in which the writer's cell write is not durable yet
-		for n, img := range imgs {
-			s2, _, err := openStore(pmem.NewFromImage(cfg, img))
-			if err != nil {
-				t.Fatalf("policy %d, image %d/%d: recovery: %v", policy, n, len(imgs), err)
-			}
-			x2, _ := s2.Map("x")
-			y2, _ := s2.Map("y")
-			_, inX := x2.Get([]byte("batch"))
-			_, inY := y2.Get([]byte("batch"))
-			_, cas := x2.Get([]byte("cas"))
-			casDurable := binary.LittleEndian.Uint64(img[cell:]) == casWord
-			switch {
-			case inX != inY:
-				t.Fatalf("policy %d, image %d/%d: batch torn: x %v, y %v", policy, n, len(imgs), inX, inY)
-			case casDurable && (!cas || !inX):
-				t.Fatalf("policy %d, image %d/%d: the writer's cell is durable, yet it recovered the writer's key %v, the batch %v", policy, n, len(imgs), cas, inX)
-			case !casDurable:
-				pending++
-			}
-		}
-		if pending < 4 {
-			t.Fatalf("policy %d: only %d of %d images precede the writer's durable cell write", policy, pending, len(imgs))
+			e.t.Errorf("writer: %d wins, %d losses; want its first CAS to win", st.FastWins-before.FastWins, st.FastLosses-before.FastLosses)
 		}
 	}
+	h.run(t)
+}
+
+// TestCASLossRetriesThenEnrolls is a checker history with a named
+// schedule: writer A's optimistic Set parks after its commit fence, before
+// its CAS, while B publishes on the same root — twice, so A's CAS loses,
+// it retries, loses again and enrolls on the commit queue, whose round
+// publishes it. Every PM write is a cut.
+func TestCASLossRetriesThenEnrolls(t *testing.T) {
+	h := &crashHist{roots: []histRoot{{name: "m", bind: mxBind((*Store).Map, mxMapOps)}}}
+	h.window = func(e *histEnv, r *histRec) {
+		s := e.db.Store()
+		a, _ := mxBind((*Store).Map, mxMapOps)(s.Fork(), "m")
+		var armed atomic.Bool
+		parked, resume, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		r.p.onFence = func(int) {
+			if armed.CompareAndSwap(true, false) {
+				parked <- struct{}{}
+				<-resume
+			}
+		}
+		before := s.CommitStats()
+		armed.Store(true)
+		go func() {
+			defer close(done)
+			r.do("a", e.effs(0, 0, 1), func() { a.basic(0) })
+		}()
+		for i := 1; i <= 2; i++ {
+			<-parked
+			r.do(fmt.Sprint("b", i), e.effs(0, i, i+1), func() { e.ops[0].basic(i) })
+			armed.Store(i == 1)
+			resume <- struct{}{}
+		}
+		<-done
+		st := s.CommitStats()
+		if st.FastWins-before.FastWins != 2 || st.FastLosses-before.FastLosses != 2 || st.CombinedOps-before.CombinedOps != 1 {
+			e.t.Errorf("%d CAS wins, %d losses, %d enrolled; want B's 2 wins, A's 2 losses, then A enrolled",
+				st.FastWins-before.FastWins, st.FastLosses-before.FastLosses, st.CombinedOps-before.CombinedOps)
+		}
+	}
+	h.run(t)
 }

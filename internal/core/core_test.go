@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/mod-ds/mod/internal/alloc"
+	"github.com/mod-ds/mod/internal/durcheck"
 	"github.com/mod-ds/mod/internal/pmem"
 	"github.com/mod-ds/mod/internal/trace"
 )
@@ -191,45 +192,27 @@ func TestCrashMidFASEKeepsOldVersionAndReclaimsLeaks(t *testing.T) {
 	}
 }
 
+// TestCrashAtEveryPointMapIsAtomic: N committed Sets, then an interrupted
+// FASE — its pure update built and flushed, never committed. At every PM
+// write of it, under every crash policy, recovery holds exactly the N
+// committed ops and stays writable.
 func TestCrashAtEveryPointMapIsAtomic(t *testing.T) {
-	// Failure injection: run N committed ops, then start op N+1 and crash
-	// under the most adversarial eviction policy. Recovery must observe
-	// either all of ops 1..N (commit durable) — never a partial op.
-	for seed := uint64(1); seed <= 20; seed++ {
-		cfg := pmem.DefaultConfig(32 << 20)
-		cfg.TrackDurable = true
-		dev := pmem.New(cfg)
-		s, _ := newStore(dev)
-		m, _ := s.Map("m")
-		committed := int(seed % 7)
-		for i := 0; i < committed; i++ {
-			m.Set(key64(uint64(i)), key64(uint64(i)))
-		}
-		s.Sync()
-		// Interrupted operation: pure update flushed but not committed,
-		// with a random subset of lines evicted.
-		m.PureSet(key64(999), key64(999))
-		img := dev.CrashImage(pmem.CrashEvictRandom, seed)
-
-		dev2 := pmem.NewFromImage(pmem.DefaultConfig(32<<20), img)
-		s2, _, err := openStore(dev2)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		m2, _ := s2.Map("m")
-		if got := int(m2.Len()); got != committed {
-			t.Fatalf("seed %d: recovered %d entries, want %d", seed, got, committed)
-		}
-		for i := 0; i < committed; i++ {
-			if _, ok := m2.Get(key64(uint64(i))); !ok {
-				t.Fatalf("seed %d: committed key %d lost", seed, i)
+	for committed := 0; committed < 7; committed++ {
+		t.Run(fmt.Sprint(committed), func(t *testing.T) {
+			h := &crashHist{roots: []histRoot{{name: "m", bind: mxBind((*Store).Map, mxMapOps)}}}
+			h.setup = func(e *histEnv) {
+				for i := 0; i < committed; i++ {
+					e.ops[0].basic(i)
+				}
 			}
-		}
-		// The recovered store must remain fully usable.
-		m2.Set(key64(12345), []byte("post-recovery"))
-		if _, ok := m2.Get(key64(12345)); !ok {
-			t.Fatalf("seed %d: store unusable after recovery", seed)
-		}
+			h.window = func(e *histEnv, r *histRec) {
+				s := e.db.Store()
+				m, _ := s.Map("m")
+				v, _ := m.PureSet(key64(999), key64(999)) // no op: never published
+				s.heap.Release(v.Addr())
+			}
+			h.run(t)
+		})
 	}
 }
 
@@ -288,36 +271,42 @@ func TestCommitSiblingsAtomicAcrossMaps(t *testing.T) {
 	}
 }
 
+// TestCommitSiblingsCrashAtomicity checks the parent-bound paths: a
+// CommitSiblings of two fields of one parent, then a Basic update of one
+// field, which commits under the parent's root. Both fields change
+// together or not at all.
 func TestCommitSiblingsCrashAtomicity(t *testing.T) {
-	cfg := pmem.DefaultConfig(64 << 20)
-	cfg.TrackDurable = true
-	dev := pmem.New(cfg)
-	s, _ := newStore(dev)
-	p, _ := s.Parent("mgr", "a", "b")
-	ma, _ := p.Map("a")
-	mb, _ := p.Map("b")
-	ma.Set([]byte("k"), []byte("old-a"))
-	mb.Set([]byte("k"), []byte("old-b"))
-	s.Sync()
-
-	// Crash after building both shadows but before the sibling commit.
-	sa, _ := ma.PureSet([]byte("k"), []byte("new-a"))
-	sb, _ := mb.PureSet([]byte("k"), []byte("new-b"))
-	_, _ = sa, sb
-	img := dev.CrashImage(pmem.CrashEvictRandom, 3)
-	dev2 := pmem.NewFromImage(pmem.DefaultConfig(64<<20), img)
-	s2, _, err := openStore(dev2)
-	if err != nil {
-		t.Fatal(err)
+	parents := map[*Store]*Parent{} // the fields of one store share a parent handle
+	field := func(s *Store, nm string) (matrixOps, error) {
+		if parents[s] == nil {
+			p, err := s.Parent("mgr", "a", "b")
+			if err != nil {
+				return matrixOps{}, err
+			}
+			parents[s] = p
+		}
+		m, err := parents[s].Map(nm)
+		if err != nil {
+			return matrixOps{}, err
+		}
+		return mxMapOps(m), nil
 	}
-	p2, _ := s2.Parent("mgr", "a", "b")
-	ma2, _ := p2.Map("a")
-	mb2, _ := p2.Map("b")
-	va, _ := ma2.Get([]byte("k"))
-	vb, _ := mb2.Get([]byte("k"))
-	if string(va) != "old-a" || string(vb) != "old-b" {
-		t.Fatalf("uncommitted sibling update visible: a=%q b=%q", va, vb)
+	h := &crashHist{roots: []histRoot{{name: "a", bind: field}, {name: "b", bind: field}}}
+	h.setup = func(e *histEnv) {
+		e.ops[0].basic(0)
+		e.ops[1].basic(0)
 	}
+	h.window = func(e *histEnv, r *histRec) {
+		s := e.db.Store()
+		p := parents[s]
+		r.do("siblings", []durcheck.Effect{e.eff(0, 1), e.eff(1, 1)}, func() {
+			if err := s.CommitSiblings(p, e.ops[0].chain(1, 2), e.ops[1].chain(1, 2)); err != nil {
+				e.t.Error(err)
+			}
+		})
+		r.do("parent-bound", e.effs(0, 2, 3), func() { e.ops[0].basic(2) })
+	}
+	h.run(t)
 }
 
 func TestCommitUnrelatedAtomic(t *testing.T) {
@@ -350,149 +339,44 @@ func TestCommitUnrelatedAtomic(t *testing.T) {
 	}
 }
 
-// The crash windows of a multi-root publication, by where the cut lands
-// relative to the commit's one fence (fence A) and its root-cell swaps.
-type unrelatedWindow int
-
-const (
-	beforeFenceA unrelatedWindow = iota // any PM write before fence A: shadows and record staging
-	noSwaps                             // fence A done, first swap written but not flushed
-	someSwaps                           // first swap flushed, second written but not flushed
-	allSwaps                            // the commit has returned; no later fence yet
-	laterFence                          // a later one-root FASE's fence has run
-)
-
-func (w unrelatedWindow) String() string {
-	return [...]string{"before fence A", "no swaps", "some swaps", "all swaps", "after a later fence"}[w]
-}
-
-// crashAt captures a crash image at the nth PM write between the
-// fences-th fence (or the start, for fences = 0) and the next one; it
-// captures nothing if that interval has fewer than n writes.
-type crashAt struct {
-	*pmem.CrashCountdown // its Write is shadowed, so it only supplies the other, empty hooks
-	dev                  *pmem.Device
-	fences, n            int
-	policy               pmem.CrashPolicy
-	seed                 uint64
-	img                  []byte
-}
-
-func (c *crashAt) Fence(int) { c.fences-- }
-
-func (c *crashAt) Write(pmem.Addr, int) {
-	if c.fences != 0 || c.img != nil {
-		return
+// unrelatedPairHist pushes onto two one-element vectors through one
+// CommitUnrelated, then — when later — twice onto an unrelated stack
+// through a CommitSingle of two shadows, whose fence makes the commit's
+// swaps durable.
+func unrelatedPairHist(seed uint64, later bool) *crashHist {
+	h := &crashHist{seed: seed, roots: []histRoot{
+		{name: "v1", bind: mxBind((*Store).Vector, mxVectorOps)},
+		{name: "v2", bind: mxBind((*Store).Vector, mxVectorOps)},
+		{name: "other", bind: mxBind((*Store).Stack, mxStackOps)},
+	}}
+	h.setup = func(e *histEnv) {
+		e.ops[0].basic(0)
+		e.ops[1].basic(0)
 	}
-	if c.n--; c.n <= 0 {
-		c.img = c.dev.CrashImage(c.policy, c.seed)
+	h.window = func(e *histEnv, r *histRec) {
+		mxUnrelated(e, r, 0, 1, 1, 2)
+		r.crash() // returned, no fence since
+		if later {
+			r.do("later", e.effs(2, 1, 3), func() {
+				u := e.ops[2].chain(1, 3)
+				if err := e.db.Store().CommitSingle(u.DS, u.Shadows...); err != nil {
+					e.t.Error(err)
+				}
+			})
+		}
 	}
-}
-
-// crashUnrelated builds two one-element vectors, pushes onto both through
-// CommitUnrelated, cuts the power in window w (at the nth write of the
-// window for beforeFenceA) and returns the recovered lengths, or ok =
-// false if the window has no nth write.
-func crashUnrelated(t *testing.T, w unrelatedWindow, n int, policy pmem.CrashPolicy, seed uint64) (len1, len2 uint64, ok bool) {
-	t.Helper()
-	cfg := pmem.DefaultConfig(16 << 20)
-	cfg.TrackDurable = true
-	dev := pmem.New(cfg)
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, _ := s.Vector("v1")
-	v2, _ := s.Vector("v2")
-	other, _ := s.Stack("other")
-	v1.Push(1)
-	v2.Push(2)
-	s.Sync()
-
-	tr := &crashAt{CrashCountdown: pmem.NewCrashCountdown(dev, 0, policy, seed), dev: dev, policy: policy, seed: seed}
-	switch w {
-	case beforeFenceA:
-		tr.n = n
-	case noSwaps, someSwaps:
-		tr.fences, tr.n = 1, int(w-noSwaps)+1
-	default:
-		tr.fences = 1 << 30
-	}
-	dev.SetTracer(tr)
-	if err := s.CommitUnrelated(
-		Update{DS: v1, Shadows: []Version{v1.PurePush(10)}},
-		Update{DS: v2, Shadows: []Version{v2.PurePush(20)}},
-	); err != nil {
-		t.Fatal(err)
-	}
-	dev.SetTracer(nil)
-	switch {
-	case w == allSwaps:
-		tr.img = dev.CrashImage(policy, seed)
-	case w == laterFence:
-		other.Push(3)
-		tr.img = dev.CrashImage(policy, seed)
-	}
-	if tr.img == nil {
-		return 0, 0, false
-	}
-	s2, _, err := openStore(pmem.NewFromImage(cfg, tr.img))
-	if err != nil {
-		t.Fatalf("%v, write %d, seed %d: %v", w, n, seed, err)
-	}
-	v1b, _ := s2.Vector("v1")
-	v2b, _ := s2.Vector("v2")
-	if v1b.Get(0) != 1 || v2b.Get(0) != 2 {
-		t.Fatalf("%v, write %d, seed %d: recovered values corrupted", w, n, seed)
-	}
-	return v1b.Len(), v2b.Len(), true
+	return h
 }
 
 // TestCommitUnrelatedCrashAroundRecordFence crashes a two-root
-// CommitUnrelated in each window around its one fence. Before fence A no
-// cell has been written, so recovery discards the record whatever else
-// reached PM: at every write of that window, with every flushed line
-// persisted, neither new version survives. After fence A the record is
-// durable and live, and recovery rolls it forward exactly when a swap
-// landed: with no swap persisted neither version survives, with the first
-// swap persisted both do — the second from the record. Once the commit
-// has returned, its swaps are durable only under a later fence: fenced
-// lines alone keep neither, every flushed line keeps both, and after a
-// later one-root FASE's fence both survive under every policy.
+// CommitUnrelated at every PM write around its one fence — staging the
+// shadows and the record before it, each root swap after it — right after
+// it returns, and through a later one-root FASE whose fence makes the
+// swaps durable, under every crash policy: recovery discards the record
+// before any swap landed, rolls it forward once one did, and keeps it
+// once the later fence ran.
 func TestCommitUnrelatedCrashAroundRecordFence(t *testing.T) {
-	for n := 1; ; n++ {
-		l1, l2, ok := crashUnrelated(t, beforeFenceA, n, pmem.CrashAllInflight, 5)
-		if !ok {
-			if n < 10 {
-				t.Fatalf("only %d writes before fence A", n-1)
-			}
-			break
-		}
-		if l1 != 1 || l2 != 1 {
-			t.Errorf("%v, write %d: v1=%d v2=%d, want 1/1", beforeFenceA, n, l1, l2)
-		}
-	}
-	for _, tc := range []struct {
-		w      unrelatedWindow
-		policy pmem.CrashPolicy
-		want   uint64
-	}{
-		{noSwaps, pmem.CrashAllInflight, 1},
-		{someSwaps, pmem.CrashAllInflight, 2},
-		{someSwaps, pmem.CrashFencedOnly, 1},
-		{allSwaps, pmem.CrashAllInflight, 2},
-		{allSwaps, pmem.CrashFencedOnly, 1},
-		{laterFence, pmem.CrashFencedOnly, 2},
-		{laterFence, pmem.CrashEvictRandom, 2},
-	} {
-		l1, l2, ok := crashUnrelated(t, tc.w, 1, tc.policy, 5)
-		if !ok {
-			t.Fatalf("%v: no crash image taken", tc.w)
-		}
-		if l1 != tc.want || l2 != tc.want {
-			t.Errorf("%v, policy %d: v1=%d v2=%d, want %d/%d", tc.w, tc.policy, l1, l2, tc.want, tc.want)
-		}
-	}
+	unrelatedPairHist(0, true).run(t)
 }
 
 // TestCommitUnrelatedFenceBudget: a CommitUnrelated publishes under one

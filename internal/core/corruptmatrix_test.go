@@ -112,7 +112,7 @@ func cmCheckReopen(t *testing.T, st matrixStructure, dev2 *pmem.Device, exp cmEx
 		salvaged = true
 		dropped += d.DroppedOps
 	}
-	ops2 := st.bind(t, s2, "mx")
+	ops2 := st.mustBind(t, s2, "mx")
 	got := mxJoin(ops2.dump())
 	if salvaged {
 		if !exp.intermediates[got] {
@@ -248,7 +248,7 @@ func TestCorruptionAfterCrashImage(t *testing.T) {
 						t.Fatal(err)
 					}
 					s := db.Store()
-					ops := st.bind(t, s, "mx")
+					ops := st.mustBind(t, s, "mx")
 					for i := 0; i < mxPrefix; i++ {
 						ops.basic(i)
 					}
@@ -316,7 +316,7 @@ func TestCorruptionShardedDegradedOpen(t *testing.T) {
 		st := st
 		t.Run(st.name, func(t *testing.T) {
 			ss := openShards(t, cfg, 2, st.opts()...)
-			ops := st.bind(t, ss.Shard(0), "mx")
+			ops := st.mustBind(t, ss.Shard(0), "mx")
 			marker, err := ss.Shard(1).Map("mx-marker")
 			if err != nil {
 				t.Fatal(err)
@@ -394,7 +394,7 @@ func TestCorruptionShardedDegradedOpen(t *testing.T) {
 				if damaged[0].DroppedOps == 0 {
 					t.Fatal("rollback salvage reported zero dropped ops")
 				}
-				ops2 := st.bind(t, ss2.Shard(0), "mx")
+				ops2 := st.mustBind(t, ss2.Shard(0), "mx")
 				if got := mxJoin(ops2.dump()); !exp[got] {
 					t.Fatalf("salvaged root serves uncommitted state:\n%q", got)
 				}

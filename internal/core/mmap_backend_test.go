@@ -209,111 +209,37 @@ func TestMmapBackendSharded(t *testing.T) {
 	}
 }
 
-// TestMmapBackendCrashSmoke is the crash-matrix smoke over the mmap
-// backend: cut the write stream at several points with a countdown
-// tracer (the image is a full copy — the backend's most permissive
-// crash view), dump each image to a file, attach, and require an exact
-// committed prefix plus writability. Mirrors cmd/crashtest semantics
-// without the policy sweep the backend cannot express.
+// TestMmapBackendCrashSmoke is a checker history over the mmap backend:
+// 24 Map.Sets on a file-backed store, cut at every 25th PM write (the
+// image is a full copy whatever the policy — the backend's most
+// permissive crash view). Each image is dumped to a file of its own and
+// attached through the backend.
 func TestMmapBackendCrashSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash smoke is not short")
 	}
-	const ops = 24
-	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d", i)) }
-	val := func(i int) []byte { return []byte(fmt.Sprintf("val-%03d", i)) }
-
-	// Dry run to learn the total write count.
-	dev, _ := mmapDevFor(t, "dry.pm", 16<<20)
-	db, _, err := Open(pmem.Config{}, WithDevices(dev))
-	if err != nil {
-		t.Fatal(err)
+	h := &crashHist{roots: []histRoot{{name: "crash", bind: mxBind((*Store).Map, mxMapOps)}}, stride: 25}
+	h.open = func() []pmem.Backend {
+		dev, _ := mmapDevFor(t, "crash.pm", 1<<20)
+		t.Cleanup(func() { dev.Close() })
+		return []pmem.Backend{dev}
 	}
-	m, err := db.Map("crash")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.Sync()
-	base := dev.Stats().Writes
-	for i := 0; i < ops; i++ {
-		m.Set(key(i), val(i))
-	}
-	total := int(dev.Stats().Writes - base)
-	db.Close()
-	dev.Close()
-	if total < ops {
-		t.Fatalf("dry run recorded only %d writes", total)
-	}
-
-	stride := total / 16
-	if stride < 1 {
-		stride = 1
-	}
-	for inj := 1; inj <= total; inj += stride {
-		dev, _ := mmapDevFor(t, fmt.Sprintf("run%d.pm", inj), 16<<20)
-		db, _, err := Open(pmem.Config{}, WithDevices(dev))
+	h.recoverOn = func(imgs [][]byte) []pmem.Backend {
+		path := filepath.Join(t.TempDir(), "crashed.pm")
+		if err := os.WriteFile(path, imgs[0], 0o644); err != nil {
+			panic(err)
+		}
+		dev, err := mmapdev.Open(path)
 		if err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
-		m, err := db.Map("crash")
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.Sync()
-		tr := pmem.NewCrashCountdown(dev, inj, pmem.CrashEvictRandom, 7)
-		dev.SetTracer(tr)
-		for i := 0; i < ops; i++ {
-			m.Set(key(i), val(i))
-		}
-		dev.SetTracer(nil)
-		img := tr.Image()
-		db.Close()
-		dev.Close()
-		if img == nil {
-			t.Fatalf("inj %d: countdown never expired", inj)
-		}
-
-		// The crash image becomes a file of its own; attach to it.
-		imgPath := filepath.Join(t.TempDir(), "crashed.pm")
-		if err := os.WriteFile(imgPath, img, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		dev2, err := mmapdev.Open(imgPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db2, info, err := Open(pmem.Config{}, WithDevices(dev2), WithAttach())
-		if err != nil {
-			t.Fatalf("inj %d: attach to crash image: %v", inj, err)
-		}
-		if !info.Recovered {
-			t.Fatalf("inj %d: no recovery reported", inj)
-		}
-		m2, err := db2.Map("crash")
-		if err != nil {
-			t.Fatalf("inj %d: rebind: %v", inj, err)
-		}
-		// Exact-prefix check: presence monotone, values final.
-		k := 0
-		for i := 0; i < ops; i++ {
-			got, ok := m2.Get(key(i))
-			switch {
-			case ok && i == k:
-				if string(got) != string(val(i)) {
-					t.Fatalf("inj %d: key %d = %q, want %q", inj, i, got, val(i))
-				}
-				k++
-			case ok:
-				t.Fatalf("inj %d: non-prefix state: key %d present, key %d missing", inj, i, k)
-			}
-		}
-		// Recovered store stays writable.
-		m2.Set([]byte("post"), []byte("ok"))
-		db2.Sync()
-		if got, ok := m2.Get([]byte("post")); !ok || string(got) != "ok" {
-			t.Fatalf("inj %d: post-crash write lost", inj)
-		}
-		db2.Close()
-		dev2.Close()
+		t.Cleanup(func() { dev.Close() })
+		return []pmem.Backend{dev}
 	}
+	h.window = func(e *histEnv, r *histRec) {
+		for i := 0; i < 24; i++ {
+			r.do(fmt.Sprint("set", i), e.effs(0, i, i+1), func() { e.ops[0].basic(i) })
+		}
+	}
+	h.run(t)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mod-ds/mod/internal/durcheck"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -24,78 +25,79 @@ import (
 // behind A; A must publish it before it steps down, so B's ticket
 // resolves with no call by anyone but A. B's batch is on one root,
 // durable at its own round's fence.
+//
+// It is a checker history with a named schedule: the fence hook parks A,
+// and every PM write of both rounds and the settle fence is a cut.
 func TestSettleLeaderDrainsArrivals(t *testing.T) {
-	dev := pmem.New(pmem.DefaultConfig(4 << 20))
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := s.Map("m")
-	s.Map("n")
-	armStaging(s)
-	s.Sync()
+	h := &crashHist{staging: true, roots: []histRoot{
+		{name: "m", bind: mxBind((*Store).Map, mxMapOps)},
+		{name: "n", bind: mxBind((*Store).Map, mxMapOps)},
+	}}
+	h.window = func(e *histEnv, r *histRec) {
+		s := e.db.Store()
+		dev := s.Device()
+		a := s.Fork()
+		am, _ := a.Map("m")
+		an, _ := a.Map("n")
+		ab := a.NewBatch()
+		ab.MapSet(am, []byte("a"), []byte("1"))
+		ab.MapSet(an, []byte("a"), []byte("1"))
 
-	a := s.Fork()
-	am, _ := a.Map("m")
-	an, _ := a.Map("n")
-	ab := a.NewBatch()
-	ab.MapSet(am, []byte("a"), []byte("1"))
-	ab.MapSet(an, []byte("a"), []byte("1"))
-
-	// Park A inside its second fence — its round's, then its settle
-	// fence — until resume is closed.
-	parked, resume := make(chan struct{}), make(chan struct{})
-	dev.SetTracer(&fenceHook{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), at: func(n int) {
-		if n == 2 {
-			close(parked)
-			<-resume
+		// Park A inside its second fence — its round's, then its settle
+		// fence — until resume is closed.
+		parked, resume := make(chan struct{}), make(chan struct{})
+		fences := 0
+		r.p.onFence = func(int) {
+			if fences++; fences == 2 {
+				close(parked)
+				<-resume
+			}
 		}
-	}})
-	defer dev.SetTracer(nil)
-	before := dev.Stats().Fences
-	var ta *Ticket
-	aDone := make(chan struct{})
-	go func() {
-		defer close(aDone)
-		ta = ab.CommitAsync() // an idle queue: A leads its own round
-	}()
-	select {
-	case <-parked:
-	case <-time.After(30 * time.Second):
-		t.Fatal("A never paid a settle fence")
-	}
-	if !s.sh.queue.leading.Load() {
-		t.Fatal("A paid its settle fence after stepping down")
-	}
+		before := dev.Stats().Fences
+		var ta *Ticket
+		aDone := make(chan struct{})
+		ia := r.invoke("a", durcheck.Effect{Root: 0, Key: "a", Val: "1"}, durcheck.Effect{Root: 1, Key: "a", Val: "1"})
+		go func() {
+			defer close(aDone)
+			ta = ab.CommitAsync() // an idle queue: A leads its own round
+		}()
+		select {
+		case <-parked:
+		case <-time.After(30 * time.Second):
+			e.t.Fatal("A never paid a settle fence")
+		}
+		if !s.sh.queue.leading.Load() {
+			e.t.Fatal("A paid its settle fence after stepping down")
+		}
 
-	bb := s.NewBatch()
-	bb.MapSet(m, []byte("b"), []byte("2"))
-	tb := bb.CommitAsync()
-	if tb.Done() {
-		t.Fatal("B's batch resolved while A led the queue from inside its fence")
+		m, _ := s.Map("m")
+		bb := s.NewBatch()
+		bb.MapSet(m, []byte("b"), []byte("2"))
+		ib := r.invoke("b", durcheck.Effect{Root: 0, Key: "b", Val: "2"})
+		tb := bb.CommitAsync()
+		if tb.Done() {
+			e.t.Fatal("B's batch resolved while A led the queue from inside its fence")
+		}
+		close(resume)
+		select {
+		case <-aDone:
+		case <-time.After(30 * time.Second):
+			e.t.Fatal("A never stepped down")
+		}
+		if !ta.Done() || ta.Err() != nil {
+			e.t.Fatalf("A's ticket after its CommitAsync returned: durable %v, err %v", ta.Done(), ta.Err())
+		}
+		r.respond(ia, true)
+		if !tb.Done() {
+			e.t.Fatal("A stepped down without publishing the batch B queued behind it: B's ticket is stranded")
+		}
+		if f := dev.Stats().Fences - before; f != 3 {
+			e.t.Fatalf("%d fences, want 3: A's round, A's settle fence, B's round", f)
+		}
+		mxWait(e.t, tb)
+		r.respond(ib, true)
 	}
-	close(resume)
-	select {
-	case <-aDone:
-	case <-time.After(30 * time.Second):
-		t.Fatal("A never stepped down")
-	}
-	if !ta.Done() || ta.Err() != nil {
-		t.Fatalf("A's ticket after its CommitAsync returned: durable %v, err %v", ta.Done(), ta.Err())
-	}
-	if !tb.Done() {
-		t.Fatal("A stepped down without publishing the batch B queued behind it: B's ticket is stranded")
-	}
-	if f := dev.Stats().Fences - before; f != 3 {
-		t.Fatalf("%d fences, want 3: A's round, A's settle fence, B's round", f)
-	}
-	tb.Wait()
-	if tb.Err() != nil {
-		t.Fatalf("B's ticket: %v", tb.Err())
-	}
-	if v, ok := m.Get([]byte("b")); !ok || string(v) != "2" {
-		t.Fatalf("B's batch reads %q, %v", v, ok)
-	}
+	h.run(t)
 }
 
 // TestCommitQueueStress races every kind of submission on one store, for

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/mod-ds/mod/internal/durcheck"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -305,90 +306,37 @@ func TestShardedCleanReopen(t *testing.T) {
 	}
 }
 
-// TestShardedMidManifestCrashSweep injects a power failure at every PM
-// write of one cross-shard commit — while shadows build, inside the
+// TestShardedMidManifestCrashSweep crashes one cross-shard commit over
+// three shards at every PM write — while shadows build, inside the
 // manifest's intent and commit-point windows, and between the per-shard
-// redo swaps — and checks recovery is all-or-nothing across shards.
+// redo swaps — under every crash policy: recovery is all-or-nothing
+// across shards, and some cut exercises manifest replay.
 func TestShardedMidManifestCrashSweep(t *testing.T) {
 	const shards = 3
-	cfg := pmem.DefaultConfig(4 << 20)
-	cfg.TrackDurable = true
-
-	// Dry run: count the PM writes one cross-shard commit performs.
-	prep := func() (*DB, []*Map) {
-		ss := openShards(t, cfg, shards)
-		maps := bindOnShards(t, ss)
+	h := &crashHist{shards: shards}
+	for i := 0; i < shards; i++ {
+		h.roots = append(h.roots, histRoot{name: fmt.Sprintf("xmap-%d", i), shard: i, bind: mxBind((*Store).Map, mxMapOps)})
+	}
+	h.setup = func(e *histEnv) {
 		for i := 0; i < 6; i++ {
-			maps[i%shards].Set(sKey(i), sKey(i*3))
+			e.ops[i%shards].basic(i)
 		}
-		ss.Sync()
-		return ss, maps
 	}
-	commit := func(ss *DB, maps []*Map) {
-		b := ss.Batch()
-		for si, m := range maps {
-			b.MapSet(m, sKey(500+si), sKey(si*11))
+	h.window = func(e *histEnv, r *histRec) {
+		var effs []durcheck.Effect
+		for si := 0; si < shards; si++ {
+			effs = append(effs, e.eff(si, 500))
 		}
-		b.Commit()
-	}
-	ss, maps := prep()
-	counter := pmem.NewMultiCrashCountdown(ss.Regions().Devices(), 1<<30, pmem.CrashFencedOnly, 0)
-	counter.Install()
-	base := ss.Stats().Writes
-	commit(ss, maps)
-	counter.Uninstall()
-	totalWrites := int(ss.Stats().Writes - base)
-	if totalWrites < 10 {
-		t.Fatalf("implausibly few writes in a cross-shard commit: %d", totalWrites)
-	}
-
-	sawReplay := false
-	for inj := 1; inj <= totalWrites; inj++ {
-		ss, maps := prep()
-		tr := pmem.NewMultiCrashCountdown(ss.Regions().Devices(), inj, pmem.CrashEvictRandom, uint64(inj)*77+1)
-		tr.Install()
-		commit(ss, maps)
-		tr.Uninstall()
-		imgs := tr.Images()
-		if imgs == nil {
-			t.Fatalf("inj %d: countdown never expired (%d writes)", inj, totalWrites)
-		}
-		ss2, rs, err := Open(cfg, WithExistingImages(imgs))
-		if err != nil {
-			t.Fatalf("inj %d: recovery: %v", inj, err)
-		}
-		sawReplay = sawReplay || rs.ManifestReplayed
-		maps2 := bindOnShards(t, ss2)
-		inShard := make([]bool, shards)
-		for si, m := range maps2 {
-			_, inShard[si] = m.Get(sKey(500 + si))
-		}
-		for si := 1; si < shards; si++ {
-			if inShard[si] != inShard[0] {
-				t.Fatalf("inj %d: batch torn across shards: %v", inj, inShard)
+		r.durable("cross", effs, func() {
+			b := e.db.Batch()
+			for si := 0; si < shards; si++ {
+				e.ops[si].batch(b, 500)
 			}
-		}
-		// The committed prefix must always survive.
-		for i := 0; i < 6; i++ {
-			v, ok := maps2[i%shards].Get(sKey(i))
-			if !ok || binary.LittleEndian.Uint64(v) != uint64(i*3) {
-				t.Fatalf("inj %d: committed key %d lost", inj, i)
-			}
-		}
-		// And the recovered store must still commit cross-shard batches.
-		b := ss2.Batch()
-		for si, m := range maps2 {
-			b.MapSet(m, sKey(900+si), sKey(si))
-		}
-		b.Commit()
-		for si, m := range maps2 {
-			if _, ok := m.Get(sKey(900 + si)); !ok {
-				t.Fatalf("inj %d: store unusable after recovery (shard %d)", inj, si)
-			}
-		}
+			b.Commit()
+		})
 	}
-	if !sawReplay {
-		t.Error("no injection point exercised manifest replay")
+	if r := h.run(t); r.replays == 0 {
+		t.Error("no cut exercised manifest replay")
 	}
 }
 

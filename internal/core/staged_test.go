@@ -111,29 +111,6 @@ func TestAsyncOneRootOneFence(t *testing.T) {
 	}
 }
 
-// stageFlushHook captures, at the first flush of one root's stage line,
-// the crash image in which that line — just staged — is the only unfenced
-// line that reached PM (fenced), or in which every inflight line did
-// (inflight).
-type stageFlushHook struct {
-	*pmem.CrashCountdown // its Write and Flush are shadowed, so it only supplies the other, empty hooks
-	dev                  *pmem.Device
-	line                 uint64
-	fenced, inflight     []byte
-}
-
-func (h *stageFlushHook) Write(pmem.Addr, int) {}
-
-func (h *stageFlushHook) Flush(line uint64) {
-	if line != h.line || h.fenced != nil {
-		return
-	}
-	h.inflight = h.dev.CrashImage(pmem.CrashAllInflight, 0)
-	h.fenced = h.dev.CrashImage(pmem.CrashFencedOnly, 0)
-	at := line << 6
-	copy(h.fenced[at:at+pmem.LineSize], h.dev.Snapshot()[at:at+pmem.LineSize])
-}
-
 // TestStagedGhostBlockRejected is hazard (a) as a live round leaves it. A
 // round's fresh blocks come off the free lists, so before its fence their
 // durable content is the freed nodes they replaced — each with a checksum
@@ -157,15 +134,23 @@ func TestStagedGhostBlockRejected(t *testing.T) {
 	armStaging(s)
 	s.Sync() // the replaced paths are on the free lists, their durable bytes intact
 	slot, _ := s.heap.RootSlot("m")
-	hook := &stageFlushHook{
-		CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0),
-		dev:            dev,
-		line:           uint64(s.heap.StageSlotAddr(slot, 0)) >> 6,
-	}
-	dev.SetTracer(hook)
+	// At the first flush of the root's stage line, capture the image in
+	// which that line — just staged — is the only unfenced line that
+	// reached PM (fenced), and the one in which every inflight line did.
+	line := uint64(s.heap.StageSlotAddr(slot, 0)) >> 6
+	var fenced, inflight []byte
+	dev.SetTracer(&crashProbe{onFlush: func(ln uint64) {
+		if ln != line || fenced != nil {
+			return
+		}
+		inflight = dev.CrashImage(pmem.CrashAllInflight, 0)
+		fenced = dev.CrashImage(pmem.CrashFencedOnly, 0)
+		at := ln << 6
+		copy(fenced[at:at+pmem.LineSize], dev.Snapshot()[at:at+pmem.LineSize])
+	}})
 	asyncSet(t, s, m, "new", "v")
 	dev.SetTracer(nil)
-	if hook.fenced == nil {
+	if fenced == nil {
 		t.Fatal("the round never flushed the root's stage line")
 	}
 
@@ -173,12 +158,12 @@ func TestStagedGhostBlockRejected(t *testing.T) {
 	// node's valid checksum word.
 	final := m.Current().Addr()
 	ckAt := final - alloc.HeaderSize + 8
-	durable := binary.LittleEndian.Uint64(hook.fenced[ckAt:])
+	durable := binary.LittleEndian.Uint64(fenced[ckAt:])
 	if live := dev.ReadU64(ckAt); durable == live || durable>>63 == 0 {
 		t.Fatalf("the final's header block was not recycled from a checksummed node (durable %#x, live %#x)", durable, live)
 	}
 
-	s2, rs := recoverImage(t, cfg, hook.fenced)
+	s2, rs := recoverImage(t, cfg, fenced)
 	m2, _ := s2.Map("m")
 	if _, ok := m2.Get([]byte("new")); ok || rs.StagedRoots != 0 {
 		t.Fatalf("a stage slot over ghost blocks was applied (%d roots moved)", rs.StagedRoots)
@@ -189,7 +174,7 @@ func TestStagedGhostBlockRejected(t *testing.T) {
 		}
 	}
 
-	s3, rs := recoverImage(t, cfg, hook.inflight)
+	s3, rs := recoverImage(t, cfg, inflight)
 	m3, _ := s3.Map("m")
 	if v, ok := m3.Get([]byte("new")); !ok || string(v) != "v" || rs.StagedRoots != 1 {
 		t.Fatalf("with its blocks persisted the stage slot must apply: %q, %v, %d roots moved", v, ok, rs.StagedRoots)
@@ -303,13 +288,29 @@ func TestStagedSlotReuseWaitsForFence(t *testing.T) {
 	armStaging(s)
 	s.Sync()
 	slot, _ := s.heap.RootSlot("m")
-	hook := &slotReuseHook{
-		CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0),
-		dev:            dev,
-		cell:           s.heap.RootCellAddr(slot),
-		slots:          [2]pmem.Addr{s.heap.StageSlotAddr(slot, 0), s.heap.StageSlotAddr(slot, 1)},
-	}
-	dev.SetTracer(hook)
+	// At the first write into a stage slot that already holds a
+	// publication (its final word is a slot's first write), the durable
+	// cell must be at or past it.
+	cell := s.heap.RootCellAddr(slot)
+	slots := [2]pmem.Addr{s.heap.StageSlotAddr(slot, 0), s.heap.StageSlotAddr(slot, 1)}
+	var prevs [2]uint64 // each slot's final word, as of its last completed write
+	checked := 0
+	var reuseErr error
+	dev.SetTracer(&crashProbe{onWrite: func(addr pmem.Addr) {
+		for i, at := range slots {
+			if addr != at {
+				continue
+			}
+			if prev := prevs[i]; prev != 0 {
+				durable := binary.LittleEndian.Uint64(dev.DurableBytes(cell, 8))
+				if durable>>35 < prev>>35 && reuseErr == nil {
+					reuseErr = fmt.Errorf("stage slot %d overwritten while the durable cell (counter %d) is behind its previous final (counter %d)", i, durable>>35, prev>>35)
+				}
+				checked++
+			}
+			prevs[i] = dev.ReadU64(at)
+		}
+	}})
 	for i := 0; i < 24; i++ {
 		k := fmt.Sprintf("k%02d", i)
 		switch i % 4 {
@@ -324,56 +325,12 @@ func TestStagedSlotReuseWaitsForFence(t *testing.T) {
 		}
 	}
 	dev.SetTracer(nil)
-	if hook.err != nil {
-		t.Fatal(hook.err)
+	if reuseErr != nil {
+		t.Fatal(reuseErr)
 	}
-	if hook.checked < 10 {
-		t.Fatalf("only %d stage-slot overwrites checked", hook.checked)
+	if checked < 10 {
+		t.Fatalf("only %d stage-slot overwrites checked", checked)
 	}
-}
-
-// slotReuseHook checks, at the first write into a stage slot that already
-// holds a publication, that the durable cell is at or past it.
-type slotReuseHook struct {
-	*pmem.CrashCountdown // its Write is shadowed, so it only supplies the other, empty hooks
-	dev                  *pmem.Device
-	cell                 pmem.Addr
-	slots                [2]pmem.Addr
-	prev                 [2]uint64 // each slot's final word, as of its last completed write
-	checked              int
-	err                  error
-}
-
-func (h *slotReuseHook) Write(addr pmem.Addr, _ int) {
-	for i, at := range h.slots {
-		if addr != at {
-			continue // the final word is a slot's first write
-		}
-		if prev := h.prev[i]; prev != 0 {
-			durable := binary.LittleEndian.Uint64(h.dev.DurableBytes(h.cell, 8))
-			if durable>>35 < prev>>35 && h.err == nil {
-				h.err = fmt.Errorf("stage slot %d overwritten while the durable cell (counter %d) is behind its previous final (counter %d)", i, durable>>35, prev>>35)
-			}
-			h.checked++
-		}
-		h.prev[i] = h.dev.ReadU64(at)
-	}
-}
-
-// fenceHook calls at(n) from inside the device's n-th fence since it was
-// installed, once that fence is done; the fence's caller resumes when at
-// returns. Fences must come from one goroutine at a time.
-type fenceHook struct {
-	*pmem.CrashCountdown // its Write and Fence are shadowed, so it only supplies the other, empty hooks
-	n                    int
-	at                   func(n int)
-}
-
-func (h *fenceHook) Write(pmem.Addr, int) {}
-
-func (h *fenceHook) Fence(int) {
-	h.n++
-	h.at(h.n)
 }
 
 // TestMixedRoundStagesOneRootSubmissions: a round carrying a submission
@@ -409,8 +366,9 @@ func TestMixedRoundStagesOneRootSubmissions(t *testing.T) {
 	tSpan, tC, tA := span.CommitAsync(), onC.CommitAsync(), onA.CommitAsync()
 	var roundImg []byte
 	var atSettle [3]bool
-	dev.SetTracer(&fenceHook{CrashCountdown: pmem.NewCrashCountdown(dev, 0, pmem.CrashFencedOnly, 0), at: func(n int) {
-		switch n {
+	fences := 0
+	dev.SetTracer(&crashProbe{onFence: func(int) {
+		switch fences++; fences {
 		case 1: // the round's fence, no cell written yet
 			roundImg = dev.CrashImage(pmem.CrashFencedOnly, 0)
 		case 2: // the settle fence, before the owed tickets resolve
