@@ -103,14 +103,13 @@ func (p *crashProbe) install(devs []pmem.Backend) func() {
 
 // crashHist is one checker history.
 type crashHist struct {
-	shards    int  // a DB of this many shards; 0: one store
-	selective bool // reopen WithSelective(mxCheckpointEvery); roots marked sel turn their stores selective first
-	staging   bool // arm the stores' stage tables before the window
-	roots     []histRoot
-	setup     func(e *histEnv) // committed and synced before the window
-	window    func(e *histEnv, r *histRec)
-	stride    int    // cut every stride-th PM write; 0: mxInjectionStride()
-	seed      uint64 // varies the crash images' random line choices
+	shards  int  // a DB of this many shards; 0: one store
+	staging bool // arm the stores' stage tables before the window
+	roots   []histRoot
+	setup   func(e *histEnv) // committed and synced before the window
+	window  func(e *histEnv, r *histRec)
+	stride  int    // cut every stride-th PM write; 0: mxInjectionStride()
+	seed    uint64 // varies the crash images' random line choices
 
 	// On another backend: the devices the history runs on and the
 	// devices a recovery reads its images from. Nil: simulator devices.
@@ -119,7 +118,9 @@ type crashHist struct {
 }
 
 // histRoot is one root of a history, bound by the matrixOps adapter of
-// its structure.
+// its structure. A sel root is bound once the stores turn selective
+// (checkpointing every mxCheckpointEvery records), and its history
+// reopens WithSelective.
 type histRoot struct {
 	name  string
 	shard int
@@ -160,7 +161,7 @@ func (e *histEnv) state() durcheck.State {
 }
 
 func (h *crashHist) opts() []Option {
-	if h.selective {
+	if slices.ContainsFunc(h.roots, func(r histRoot) bool { return r.sel }) {
 		return []Option{WithSelective(mxCheckpointEvery)}
 	}
 	return nil

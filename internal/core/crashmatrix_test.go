@@ -263,7 +263,7 @@ func mxInjectionStride() int {
 // structure under test (root index markers), selective on a -sel row,
 // holding mxPrefix committed ops before the window.
 func mxHist(st matrixStructure, markers int) *crashHist {
-	h := &crashHist{selective: st.selective}
+	h := &crashHist{}
 	for i := 0; i < markers; i++ {
 		h.roots = append(h.roots, histRoot{name: fmt.Sprintf("mx-%c", 'a'+i), bind: mxBind((*Store).Map, mxMapOps)})
 	}
