@@ -27,7 +27,7 @@ import (
 // durable at its own round's fence.
 //
 // It is a checker history with a named schedule: the fence hook parks A,
-// and every PM write of both rounds and the settle fence is a cut.
+// and every PM write of both rounds is a cut.
 func TestSettleLeaderDrainsArrivals(t *testing.T) {
 	h := &crashHist{staging: true, roots: []histRoot{
 		{name: "m", bind: mxBind((*Store).Map, mxMapOps)},
