@@ -84,6 +84,70 @@ func TestCheckerRejects(t *testing.T) {
 	}
 }
 
+// seqModel is a map (root 0) and a queue (root 1), both empty.
+var seqModel = Model{Kinds: []Kind{Map, Queue}, Init: State{nil, nil}}
+
+// sequentialHistory: one writer sets a=1 then b=2, then enqueues 1, 2, 3;
+// each op is acknowledged before the next begins.
+func sequentialHistory() []Op {
+	var ops []Op
+	for i, e := range []Effect{set("a", "1"), set("b", "2"), enq("1"), enq("2"), enq("3")} {
+		t := int64(10 * i)
+		ops = append(ops, op(e.Key+e.Val, t, t+1, t+2, e))
+	}
+	return ops
+}
+
+// checkRejects requires the state each case recovered at cut to fail the
+// case's named assertion.
+func checkRejects(t *testing.T, m Model, ops []Op, cut int64, cases map[string]struct {
+	want string
+	got  State
+}) {
+	t.Helper()
+	for name, tc := range cases {
+		err := m.Check(ops, cut, tc.got)
+		var v *Violation
+		if !errors.As(err, &v) || v.Assertion != tc.want {
+			t.Errorf("%s: Check = %v, want a %s violation", name, err, tc.want)
+		}
+	}
+}
+
+// TestCheckerRejectsMapDivergence: with every op acknowledged, a map is
+// accepted only with exactly its written keys and their last values.
+func TestCheckerRejectsMapDivergence(t *testing.T) {
+	ops := sequentialHistory()
+	if err := seqModel.Check(ops, 50, State{{"a=1", "b=2"}, {"1", "2", "3"}}); err != nil {
+		t.Fatalf("matching map rejected: %v", err)
+	}
+	checkRejects(t, seqModel, ops, 50, map[string]struct {
+		want string
+		got  State
+	}{
+		"wrong value": {LinearizablePrefix, State{{"a=1", "b=wrong"}, {"1", "2", "3"}}},
+		"extra key":   {LinearizablePrefix, State{{"a=1", "b=2", "c=3"}, {"1", "2", "3"}}},
+		"missing key": {AckedSurvives, State{{"a=1"}, nil}}, // the prefix before b=2
+	})
+}
+
+// TestCheckerRejectsQueueWrongValues: with every op acknowledged, a queue
+// is accepted only with exactly its enqueued values in order.
+func TestCheckerRejectsQueueWrongValues(t *testing.T) {
+	ops := sequentialHistory()
+	if err := seqModel.Check(ops, 50, State{{"a=1", "b=2"}, {"1", "2", "3"}}); err != nil {
+		t.Fatalf("matching queue rejected: %v", err)
+	}
+	checkRejects(t, seqModel, ops, 50, map[string]struct {
+		want string
+		got  State
+	}{
+		"wrong value": {LinearizablePrefix, State{{"a=1", "b=2"}, {"1", "2", "999"}}},
+		"wrong order": {LinearizablePrefix, State{{"a=1", "b=2"}, {"3", "2", "1"}}},
+		"too short":   {AckedSurvives, State{{"a=1", "b=2"}, {"1", "2"}}},
+	})
+}
+
 // TestCheckerSequenceKinds: a stack reads top first, a vector in order.
 func TestCheckerSequenceKinds(t *testing.T) {
 	m := Model{Kinds: []Kind{Stack, Vector}, Init: State{{"0"}, {"0"}}}
