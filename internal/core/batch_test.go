@@ -303,8 +303,10 @@ func TestBatchAsyncCommitter(t *testing.T) {
 // and a queue element — at every PM write, while its shadows build,
 // around the record's fence and mid root-swap, under every crash policy,
 // after prefixes of 0 to 16 committed batches: recovery sees the batch
-// atomically, in the map and the queue or in neither.
+// atomically, in the map and the queue or in neither, and line eviction
+// both keeps it and drops it across the cuts.
 func TestBatchCrashAllOrNothing(t *testing.T) {
+	seen := map[bool]bool{} // under eviction: the batch recovered
 	for pre := 0; pre < 20; pre += 4 {
 		h := &crashHist{roots: []histRoot{
 			{name: "m", bind: mxBind((*Store).Map, mxMapOps)},
@@ -327,94 +329,64 @@ func TestBatchCrashAllOrNothing(t *testing.T) {
 				b.Commit()
 			})
 		}
+		h.expect = func(c histCut) error {
+			if c.policy == pmem.CrashEvictRandom && !c.end {
+				seen[len(c.got[1]) == pre+1] = true
+			}
+			return nil
+		}
 		h.run(t)
+	}
+	if !seen[true] || !seen[false] {
+		t.Errorf("crash points not diverse: committed=%v dropped=%v", seen[true], seen[false])
 	}
 }
 
 // TestBatchRecordStaleStatusRejected forges the two ways a stale record
-// could roll a root back. First the stale-record hazard proper: a
-// multi-root batch leaves its record live (its status durable since the
-// commit's fence), and a later one-root publication of one of its roots
-// is covered by a fence. That publication's ordering point must have
-// retired the record behind its fence, so recovery keeps the later value
-// instead of rolling the root back onto the batch's released version —
-// on a fence-covered image, and under every crash policy at every PM
-// write up to and past the covering fence. Second, a durable live status
-// forged over a body checksummed for a different sequence number must not
-// be acted on at all.
+// could roll a root back. First the stale-record hazard proper, as a
+// checker history: a multi-root batch leaves its record live (its status
+// durable since the commit's fence; the Sync that ends the setup fences
+// its swaps but is no ordering point), and a later one-root publication
+// of one of its roots is covered by the fence of an unrelated FASE after
+// it. Recovery must keep the later value instead of rolling the root back
+// onto the batch's released version — at every PM write of both, under
+// every crash policy. Second, a durable live status forged over a body
+// checksummed for a different sequence number must not be acted on at
+// all.
 func TestBatchRecordStaleStatusRejected(t *testing.T) {
-	cfg := pmem.DefaultConfig(16 << 20)
-	cfg.TrackDurable = true
-	build := func() (*pmem.Device, *Store, *Map, *Queue) {
-		dev := pmem.New(cfg)
-		st, err := newStore(dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, _ := st.Map("a")
-		q, _ := st.Queue("b")
-		st.Sync()
-		b := st.NewBatch()
-		b.MapSet(m, bkey(1), []byte("v1"))
-		b.QueueEnqueue(q, 1)
+	h := &crashHist{roots: []histRoot{
+		{name: "a", bind: mxBind((*Store).Map, mxMapOps)},
+		{name: "b", bind: mxBind((*Store).Queue, mxQueueOps)},
+		{name: "c", bind: mxBind((*Store).Stack, mxStackOps)},
+	}}
+	h.setup = func(e *histEnv) {
+		b := e.db.Store().NewBatch()
+		e.ops[0].batch(b, 1)
+		e.ops[1].batch(b, 1)
 		b.Commit()
-		// Sync fences the batch's swaps durable but is no ordering point:
-		// the record stays live, its status durable since the commit.
-		st.Sync()
-		return dev, st, m, q
 	}
-	check := func(what string, img []byte, allowV1 bool) {
-		t.Helper()
-		st2, _, err := openStore(pmem.NewFromImage(cfg, img))
-		if err != nil {
-			t.Fatalf("%s: recovery: %v", what, err)
-		}
-		m2, _ := st2.Map("a")
-		q2, _ := st2.Queue("b")
-		v, ok := m2.Get(bkey(1))
-		switch {
-		case ok && string(v) == "v2":
-		case ok && string(v) == "v1" && allowV1:
-		default:
-			t.Fatalf("%s: key 1 = %q, %v; want \"v2\" (or the batch's \"v1\" before the covering fence)", what, v, ok)
-		}
-		if q2.Len() != 1 {
-			t.Fatalf("%s: queue has %d entries, want the batch's 1", what, q2.Len())
-		}
+	h.window = func(e *histEnv, r *histRec) {
+		r.do("later", e.effs(0, 2, 3), func() { e.ops[0].basic(2) })
+		r.do("other", e.effs(2, 1, 2), func() { e.ops[2].basic(1) })
 	}
-
-	dev, st, m, _ := build()
-	m.Set(bkey(1), []byte("v2")) // publishes root "a" again; its fence retires the record
-	st.Sync()                    // and this one covers the publication
-	check("fence-covered later publication", dev.CrashImage(pmem.CrashFencedOnly, 1), false)
-
-	// Every PM write of the later publication and of two unrelated FASEs
-	// after it, under every policy: until a later fence covers the
-	// publication either value is a committed state; the last write
-	// follows two such fences, and there only v2 is.
-	writes := func(st *Store, m *Map) {
-		m.Set(bkey(1), []byte("v2"))
-		other, _ := st.Stack("c")
-		other.Push(1)
-	}
-	dev, st, m, _ = build()
-	base := dev.Stats().Writes
-	writes(st, m)
-	total := int(dev.Stats().Writes - base)
-	for _, policy := range []pmem.CrashPolicy{pmem.CrashFencedOnly, pmem.CrashInflightRandom, pmem.CrashEvictRandom, pmem.CrashAllInflight} {
-		for inj := 1; inj <= total; inj++ {
-			dev, st, m, _ := build()
-			tr := pmem.NewCrashCountdown(dev, inj, policy, uint64(inj)*7919+uint64(policy))
-			dev.SetTracer(tr)
-			writes(st, m)
-			dev.SetTracer(nil)
-			check(fmt.Sprintf("policy %d, write %d/%d", policy, inj, total), tr.Image(), inj < total)
-		}
-	}
+	h.run(t)
 
 	// A durable live status that does not match the body's checksummed
 	// sequence number.
-	dev, st, m, _ = build()
+	cfg := pmem.DefaultConfig(16 << 20)
+	cfg.TrackDurable = true
+	dev := pmem.New(cfg)
+	st, err := newStore(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := st.Map("a")
+	q, _ := st.Queue("b")
+	b := st.NewBatch()
+	b.MapSet(m, bkey(1), []byte("v1"))
+	b.QueueEnqueue(q, 1)
+	b.Commit()
+	st.Sync()
 	m.Set(bkey(1), []byte("v2"))
 	st.Sync()
 	for i := range st.sh.live {
@@ -423,7 +395,18 @@ func TestBatchRecordStaleStatusRejected(t *testing.T) {
 		dev.Clwb(rec.base)
 	}
 	dev.Sfence()
-	check("forged status", dev.CrashImage(pmem.CrashFencedOnly, 1), false)
+	st2, _, err := openStore(pmem.NewFromImage(cfg, dev.CrashImage(pmem.CrashFencedOnly, 1)))
+	if err != nil {
+		t.Fatalf("forged status: recovery: %v", err)
+	}
+	m2, _ := st2.Map("a")
+	q2, _ := st2.Queue("b")
+	if v, ok := m2.Get(bkey(1)); !ok || string(v) != "v2" {
+		t.Fatalf("forged status: key 1 = %q, %v; want \"v2\"", v, ok)
+	}
+	if q2.Len() != 1 {
+		t.Fatalf("forged status: queue has %d entries, want the batch's 1", q2.Len())
+	}
 }
 
 // TestBatchSyncBarrier: Sync must drain queued batches before returning.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -27,7 +28,8 @@ import (
 // After the window the history ends with Sync: every op must then be
 // acknowledged and recovered, and no-leak requires the live bytes to
 // equal a fresh recovery's. A crash image is taken while the writers'
-// stores run, so concurrent histories are checked in the one run.
+// stores run, so concurrent histories are checked in the one run. A
+// history may also pin, per image, what the spec leaves open (expect).
 
 // crashPolicies is every CrashPolicy, each checked at every cut.
 var crashPolicies = []pmem.CrashPolicy{pmem.CrashFencedOnly, pmem.CrashInflightRandom, pmem.CrashEvictRandom, pmem.CrashAllInflight}
@@ -111,10 +113,28 @@ type crashHist struct {
 	stride  int    // cut every stride-th PM write; 0: mxInjectionStride()
 	seed    uint64 // varies the crash images' random line choices
 
+	// expect, if set, is the history's own verdict on every image the
+	// spec accepts: what it pins beyond the spec — which way an
+	// unacknowledged op went — from the images and the window's progress.
+	expect func(c histCut) error
+
 	// On another backend: the devices the history runs on and the
 	// devices a recovery reads its images from. Nil: simulator devices.
 	open      func() []pmem.Backend
 	recoverOn func(imgs [][]byte) []pmem.Backend
+}
+
+// histCut is one checked crash image, for a history's expect.
+type histCut struct {
+	policy pmem.CrashPolicy
+	imgs   [][]byte       // the region images, by shard
+	got    durcheck.State // what they recovered, by root
+	end    bool           // the image after the history's closing Sync
+}
+
+// word reads the 8-byte word at addr of shard d's image.
+func (c histCut) word(d int, addr pmem.Addr) uint64 {
+	return binary.LittleEndian.Uint64(c.imgs[d][addr:])
 }
 
 // histRoot is one root of a history, bound by the matrixOps adapter of
@@ -296,7 +316,8 @@ type histRec struct {
 	ops     []durcheck.Op
 	fences  [][]uint64 // per op: every device's FenceSeq when it returned; nil until then, or if acknowledged at its return
 	cuts    int
-	replays int // recoveries that replayed a cross-shard manifest
+	replays int  // recoveries that replayed a cross-shard manifest
+	ended   bool // the window is over and synced: checking the last image
 	err     error
 }
 
@@ -382,15 +403,16 @@ func (r *histRec) cut() {
 	for _, policy := range crashPolicies {
 		imgs := regions.CrashImages(policy, (uint64(cut)+r.h.seed<<32)*0x9E3779B97F4A7C15+uint64(policy))
 		idem := policy == pmem.CrashEvictRandom && r.cuts%idemEvery == 0
-		if err := r.check(imgs, ops, cut, idem); err != nil {
+		if err := r.check(imgs, policy, ops, cut, idem); err != nil {
 			r.err = fmt.Errorf("cut at write %d, policy %d: %w", r.p.writes, policy, err)
 			return
 		}
 	}
 }
 
-// check recovers one image set and checks it against ops at cut.
-func (r *histRec) check(imgs [][]byte, ops []durcheck.Op, cut int64, idem bool) (err error) {
+// check recovers one image set, taken under policy, and checks it
+// against ops at cut.
+func (r *histRec) check(imgs [][]byte, policy pmem.CrashPolicy, ops []durcheck.Op, cut int64, idem bool) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("recovered store panicked: %v", p)
@@ -404,6 +426,7 @@ func (r *histRec) check(imgs [][]byte, ops []durcheck.Op, cut int64, idem bool) 
 	}
 	var again []durcheck.State
 	var againErr error
+	undo := func() {}
 	if idem {
 		inner := &crashProbe{every: idemStride}
 		inner.cut = func() {
@@ -413,9 +436,10 @@ func (r *histRec) check(imgs [][]byte, ops []durcheck.Op, cut int64, idem bool) 
 			}
 			again = append(again, s)
 		}
-		defer inner.install(devs)()
+		undo = inner.install(devs) // cuts recovery's own writes only
 	}
 	db, info, err := r.h.attach(devs)
+	undo()
 	if err != nil {
 		return fmt.Errorf("recovery: %w", err)
 	}
@@ -432,6 +456,11 @@ func (r *histRec) check(imgs [][]byte, ops []durcheck.Op, cut int64, idem bool) 
 	got := e.state()
 	if err := r.model.Check(ops, cut, got); err != nil {
 		return err
+	}
+	if r.h.expect != nil {
+		if err := r.h.expect(histCut{policy: policy, imgs: imgs, got: got, end: r.ended}); err != nil {
+			return err
+		}
 	}
 	for _, s := range again {
 		if s.String() != got.String() {
@@ -462,7 +491,8 @@ func (r *histRec) end() error {
 		live += r.e.db.Shard(i).Heap().Stats().LiveBytes
 	}
 	imgs := pmem.NewRegions(r.devs...).CrashImages(pmem.CrashFencedOnly, 0)
-	if err := r.check(imgs, r.ops, r.p.tick(), true); err != nil {
+	r.ended = true
+	if err := r.check(imgs, pmem.CrashFencedOnly, r.ops, r.p.tick(), true); err != nil {
 		return fmt.Errorf("after Sync: %w", err)
 	}
 	_, info, err := r.h.attach(r.h.devices(imgs, false))

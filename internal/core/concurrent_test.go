@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -372,12 +373,25 @@ func TestCommitUnrelatedCompletedSurvivesCrash(t *testing.T) {
 // TestCommitUnrelatedUnfencedAllOrNothing: before any later fence the
 // commit's swaps are clwb'd but not durable. A crash right after it
 // returns, under every policy and sixteen seeds, loses the commit whole or
-// keeps it whole, never torn.
+// keeps it whole, never torn: whole whenever every flushed line
+// persisted, lost whenever only fenced lines did, and partial writeback
+// or eviction both keeps it and loses it across the seeds.
 func TestCommitUnrelatedUnfencedAllOrNothing(t *testing.T) {
+	seen := map[bool]bool{}
 	for seed := uint64(1); seed <= 16; seed++ {
 		h := unrelatedPairHist(seed, false)
 		h.stride = 1 << 30 // the crash after the return only
+		pinned := h.expect
+		h.expect = func(c histCut) error {
+			if !c.end && (c.policy == pmem.CrashInflightRandom || c.policy == pmem.CrashEvictRandom) {
+				seen[len(c.got[0]) == 2] = true
+			}
+			return pinned(c)
+		}
 		h.run(t)
+	}
+	if !seen[false] || !seen[true] {
+		t.Errorf("partial writeback never both kept and lost the commit: %v", seen)
 	}
 }
 
@@ -554,18 +568,31 @@ func TestConcurrentMixedStructures(t *testing.T) {
 // writer's first CAS wins. It needs no covering fence for the record: the
 // CAS advances the root's publication counter past the record's word, and
 // replay leaves such a cell alone, so the record cannot roll the writer
-// back — at every PM write, under every crash policy.
+// back — at every PM write, under every crash policy: wherever the
+// writer's cell write reached the image, before any fence acknowledges
+// it, the image recovers the writer's key over the batch. At least four
+// images per policy from the batch's first swap on precede that.
 func TestCASPublishesPastUncoveredRecord(t *testing.T) {
 	h := &crashHist{roots: []histRoot{
 		{name: "x", bind: mxBind((*Store).Map, mxMapOps)},
 		{name: "y", bind: mxBind((*Store).Map, mxMapOps)},
 	}}
+	type casCut struct {
+		policy     pmem.CrashPolicy
+		word       uint64 // root x's cell in the image
+		cas, batch bool   // recovered: the writer's key, the batch's key in x
+		end        bool
+	}
+	var cuts []casCut
+	var cell pmem.Addr
+	var casWord uint64
+	var fired atomic.Bool
 	h.window = func(e *histEnv, r *histRec) {
 		s := e.db.Store()
 		slot, _ := s.heap.RootSlot("x")
-		cell := s.heap.RootCellAddr(slot)
+		cell = s.heap.RootCellAddr(slot)
 		w, _ := s.Fork().Map("x") // bound up front: a bind takes the root's commit mutex
-		var armed, fired atomic.Bool
+		var armed atomic.Bool
 		fenced, done := make(chan struct{}), make(chan struct{})
 		r.p.onWrite = func(addr pmem.Addr) {
 			if addr == cell && fired.CompareAndSwap(false, true) {
@@ -585,6 +612,7 @@ func TestCASPublishesPastUncoveredRecord(t *testing.T) {
 		before := s.CommitStats()
 		mxBatch(e, r, "batch", 0, 0, 1)
 		<-done
+		casWord = s.dev.ReadU64(cell)
 		if !fired.Load() {
 			e.t.Fatal("the batch never swapped root x")
 		}
@@ -592,7 +620,29 @@ func TestCASPublishesPastUncoveredRecord(t *testing.T) {
 			e.t.Errorf("writer: %d wins, %d losses; want its first CAS to win", st.FastWins-before.FastWins, st.FastLosses-before.FastLosses)
 		}
 	}
+	h.expect = func(c histCut) error { // under the probe's lock, from either writer
+		if fired.Load() {
+			cuts = append(cuts, casCut{c.policy, c.word(0, cell), slices.Contains(c.got[0], "cas=w"), slices.Contains(c.got[0], "k000=v000"), c.end})
+		}
+		return nil
+	}
 	h.run(t)
+	pending := map[pmem.CrashPolicy]int{} // images in which the writer's cell write is not there yet
+	for n, c := range cuts {
+		switch {
+		case c.word == casWord && (!c.cas || !c.batch):
+			t.Fatalf("policy %d, image %d/%d: the writer's cell is in the image, yet it recovered the writer's key %v, the batch %v", c.policy, n, len(cuts), c.cas, c.batch)
+		case c.end && c.word != casWord:
+			t.Fatal("the writer's cell write is not durable after Sync")
+		case c.word != casWord:
+			pending[c.policy]++
+		}
+	}
+	for _, policy := range crashPolicies {
+		if pending[policy] < 4 {
+			t.Errorf("policy %d: only %d images precede the writer's cell write", policy, pending[policy])
+		}
+	}
 }
 
 // TestCASLossRetriesThenEnrolls is a checker history with a named

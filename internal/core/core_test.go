@@ -342,28 +342,58 @@ func TestCommitUnrelatedAtomic(t *testing.T) {
 // unrelatedPairHist pushes onto two one-element vectors through one
 // CommitUnrelated, then — when later — twice onto an unrelated stack
 // through a CommitSingle of two shadows, whose fence makes the commit's
-// swaps durable.
+// swaps durable. Where the spec lets an unacknowledged commit go either
+// way, the history pins which: recovery rolls the record forward iff a
+// root swap reached the image, so both pushes survive when either cell
+// holds its new word and neither survives otherwise — at every write
+// before the commit's fence, whatever of the record reached PM. Right
+// after the commit returns, fenced lines alone hold neither swap and
+// every flushed line holds both.
 func unrelatedPairHist(seed uint64, later bool) *crashHist {
 	h := &crashHist{seed: seed, roots: []histRoot{
 		{name: "v1", bind: mxBind((*Store).Vector, mxVectorOps)},
 		{name: "v2", bind: mxBind((*Store).Vector, mxVectorOps)},
 		{name: "other", bind: mxBind((*Store).Stack, mxStackOps)},
 	}}
+	var cells [2]pmem.Addr
+	var old [2]uint64
+	returned := false
 	h.setup = func(e *histEnv) {
 		e.ops[0].basic(0)
 		e.ops[1].basic(0)
 	}
 	h.window = func(e *histEnv, r *histRec) {
+		s := e.db.Store()
+		for i, name := range []string{"v1", "v2"} {
+			slot, _ := s.heap.RootSlot(name)
+			cells[i] = s.heap.RootCellAddr(slot)
+			old[i] = s.dev.ReadU64(cells[i])
+		}
 		mxUnrelated(e, r, 0, 1, 1, 2)
-		r.crash() // returned, no fence since
+		returned = true
+		r.crash() // no fence since the return
+		returned = false
 		if later {
 			r.do("later", e.effs(2, 1, 3), func() {
 				u := e.ops[2].chain(1, 3)
-				if err := e.db.Store().CommitSingle(u.DS, u.Shadows...); err != nil {
+				if err := s.CommitSingle(u.DS, u.Shadows...); err != nil {
 					e.t.Error(err)
 				}
 			})
 		}
+	}
+	h.expect = func(c histCut) error {
+		swapped := c.word(0, cells[0]) != old[0] || c.word(0, cells[1]) != old[1]
+		pushed := len(c.got[0]) == 2
+		switch {
+		case swapped != pushed:
+			return fmt.Errorf("a root swap in the image: %v, the commit recovered: %v", swapped, pushed)
+		case returned && c.policy == pmem.CrashFencedOnly && pushed:
+			return fmt.Errorf("fenced lines alone kept the returned commit's unfenced swaps")
+		case returned && c.policy == pmem.CrashAllInflight && !pushed:
+			return fmt.Errorf("every flushed line lost the returned commit")
+		}
+		return nil
 	}
 	return h
 }

@@ -117,9 +117,12 @@ func mxVectorOps(v *Vector) matrixOps {
 	}
 }
 
+// mxMapKey and mxMapVal are a map row's op i.
+func mxMapKey(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
+func mxMapVal(i int) []byte { return []byte(fmt.Sprintf("v%03d", i*3)) }
+
 func mxMapOps(m *Map) matrixOps {
-	key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
-	val := func(i int) []byte { return []byte(fmt.Sprintf("v%03d", i*3)) }
+	key, val := mxMapKey, mxMapVal
 	return matrixOps{
 		kind:  durcheck.Map,
 		eff:   func(i int) durcheck.Effect { return durcheck.Effect{Key: string(key(i)), Val: string(val(i))} },

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -14,8 +12,8 @@ import (
 
 // Tests for the two-tier commit path (optimistic.go): the typed
 // concurrent-writer error, race-detector coverage of mixed Basic/Batch
-// traffic on one root with exact fence accounting, and a crash-matrix
-// sweep over both commit tiers' publication windows.
+// traffic on one root with exact fence accounting, and a checker history
+// over both commit tiers' publication windows.
 
 // TestErrConcurrentWriterTyped pins the Composition-interface contract:
 // a commit whose base version went stale returns a wrapped
@@ -203,64 +201,29 @@ func TestConcurrentRootHammerFenceAccounting(t *testing.T) {
 	s.Sync()
 }
 
-// ---------------------------------------------------------------------
-// Crash matrix over the two commit tiers.
-
-func tierKey(i int) []byte { return []byte(fmt.Sprintf("tier-%03d", i)) }
-func tierVal(i int) []byte { return []byte(fmt.Sprintf("val-%03d", i)) }
-
-func tierDump(m *Map) string {
-	var out []string
-	m.Range(func(k, v []byte) bool {
-		out = append(out, string(k)+"="+string(v))
-		return true
-	})
-	sort.Strings(out)
-	return strings.Join(out, ",")
-}
-
 // tierBuild opens a fresh store with mxPrefix committed entries in a
-// plain or selective map, synced so a tracer installed afterwards indexes
-// only the probed window.
-func tierBuild(t *testing.T, selective bool) (*pmem.Device, *Store, *Map) {
+// map, synced, so device stats taken afterwards count only what follows.
+func tierBuild(t *testing.T) (*pmem.Device, *Store, *Map) {
 	t.Helper()
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	db, _, err := Open(cfg, append([]Option{WithDevices(dev)}, tierOpts(selective)...)...)
+	s, err := newStore(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := db.Store()
 	m, err := s.Map("tier")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < mxPrefix; i++ {
-		m.Set(tierKey(i), tierVal(i))
+		m.Set(mxMapKey(i), mxMapVal(i))
 	}
 	s.Sync()
 	return dev, s, m
 }
 
-// tierOpts opens the selective tiers' stores checkpointing every 2
-// records, so a combined round folds a checkpoint.
-func tierOpts(selective bool) []Option {
-	if selective {
-		return []Option{WithSelective(2)}
-	}
-	return nil
-}
-
-// probeFast replays the window as mxProbe Basic Sets — uncontended, so
-// every one publishes through the tier-1 optimistic CAS.
-func probeFast(_ *testing.T, _ *Store, m *Map) {
-	for i := 0; i < mxProbe; i++ {
-		m.Set(tierKey(mxPrefix+i), tierVal(mxPrefix+i))
-	}
-}
-
-// enrollSets queues Sets of tier keys [from, to) on the store's commit
+// enrollSets queues Sets of map-row ops [from, to) on the store's commit
 // queue, as update would for writers that lost the CAS, and holds the
 // queue's leadership so that nobody drains them until runCombiner.
 func enrollSets(s *Store, m *Map, from, to int) []*Ticket {
@@ -272,7 +235,7 @@ func enrollSets(s *Store, m *Map, from, to int) []*Ticket {
 	}
 	var tickets []*Ticket
 	for i := from; i < to; i++ {
-		k, v := tierKey(i), tierVal(i)
+		k, v := mxMapKey(i), mxMapVal(i)
 		t := &Ticket{done: make(chan struct{})}
 		q.pending = append(q.pending, submission{ticket: t, kind: subBasic, ops: []batchOp{{ds: m, apply: mapSet(k, v, nil)}}})
 		tickets = append(tickets, t)
@@ -287,27 +250,13 @@ func runCombiner(s *Store) {
 	s.release()
 }
 
-// probeCombined replays the window as one flat-combining round: mxProbe
-// ops enrolled in the store's queue and drained by a single leader, so
-// all of them publish atomically under tier 2's single ordering point.
-func probeCombined(t *testing.T, s *Store, m *Map) {
-	t.Helper()
-	tickets := enrollSets(s, m, mxPrefix, mxPrefix+mxProbe)
-	runCombiner(s)
-	for _, tk := range tickets {
-		if !tk.Done() {
-			t.Fatal("the leader stepped down with an unpublished enrolled op")
-		}
-	}
-}
-
 // TestCombinerWaitsForLockPath pins a combining round to the locked
 // publication: a round whose root is held by a lock-path commit builds
 // nothing — not one PM write, let alone a fence it might then waste —
 // until the lock is released, and then publishes every enrolled op under
 // exactly one fence.
 func TestCombinerWaitsForLockPath(t *testing.T) {
-	dev, s, m := tierBuild(t, false)
+	dev, s, m := tierBuild(t)
 	const n = 5
 	tickets := enrollSets(s, m, mxPrefix, mxPrefix+n)
 	base := dev.Stats()
@@ -355,7 +304,7 @@ func TestCombinerWaitsForLockPath(t *testing.T) {
 		t.Fatal("the queue still has a leader after the round")
 	}
 	for i := mxPrefix; i < mxPrefix+n; i++ {
-		if v, ok := m.Get(tierKey(i)); !ok || string(v) != string(tierVal(i)) {
+		if v, ok := m.Get(mxMapKey(i)); !ok || string(v) != string(mxMapVal(i)) {
 			t.Fatalf("enrolled op %d not published: %q, %v", i, v, ok)
 		}
 	}
@@ -364,96 +313,62 @@ func TestCombinerWaitsForLockPath(t *testing.T) {
 	}
 }
 
-// TestCrashMatrixCommitTiers injects a crash at every PM-write index
-// inside both commit tiers' publication windows and asserts recovery
-// lands on a committed prefix. The fast-path rows may recover any
-// per-op prefix of the window; the combined rows are all-or-nothing —
-// one root write publishes the whole merged version, so nothing between
-// the old state and all mxProbe ops may ever be visible. The -sel rows run
-// a selective map checkpointing every 2 records, so the combined round
-// folds a checkpoint: two fences with the crown's volatile-bit clears
-// between them, every write of which is an injection point.
+// TestCrashMatrixCommitTiers is a checker history over both commit
+// tiers' publication windows, crashed at every PM write under every
+// crash policy: mxProbe uncontended Basic Sets, each its own tier-1 CAS
+// and its own op, which may recover as any per-op prefix; or the same
+// Sets enrolled on the commit queue and drained by one leader, one op
+// whose single root write publishes the whole merged version, so it is
+// all or nothing. The -sel rows run a selective map checkpointing every
+// 2 records, so the combined round folds a checkpoint: two fences with
+// the crown's volatile-bit clears between them, every write of which is
+// a cut. Each window pays its tier's ordering points.
 func TestCrashMatrixCommitTiers(t *testing.T) {
-	anyPrefix := func(prefixDump string, opDumps []string) map[string]bool {
-		ok := map[string]bool{prefixDump: true}
-		for _, d := range opDumps {
-			ok[d] = true
-		}
-		return ok
-	}
-	allOrNothing := func(prefixDump string, opDumps []string) map[string]bool {
-		return map[string]bool{prefixDump: true, opDumps[len(opDumps)-1]: true}
-	}
-	tiers := []struct {
-		name      string
-		selective bool
-		probe     func(t *testing.T, s *Store, m *Map)
-		fences    uint64 // ordering points the whole window pays
-		allowed   func(prefixDump string, opDumps []string) map[string]bool
+	for _, tier := range []struct {
+		name                string
+		selective, combined bool
+		fences              uint64
 	}{
-		{name: "fastpath", probe: probeFast, fences: mxProbe, allowed: anyPrefix},
-		{name: "combined", probe: probeCombined, fences: 1, allowed: allOrNothing},
+		{"fastpath", false, false, mxProbe},
+		{"combined", false, true, 1},
 		// Prefix of 3 leaves one record on the chain: per-op Sets fold at
 		// the first and third (two fences each), the round folds its three
 		// at once.
-		{name: "fastpath-sel", selective: true, probe: probeFast, fences: mxProbe + 2, allowed: anyPrefix},
-		{name: "combined-sel", selective: true, probe: probeCombined, fences: 2, allowed: allOrNothing},
-	}
-	for _, tier := range tiers {
+		{"fastpath-sel", true, false, mxProbe + 2},
+		{"combined-sel", true, true, 2},
+	} {
 		t.Run(tier.name, func(t *testing.T) {
-			// Dry run: count the window's PM writes and collect the
-			// committed state after each op for the allowed set.
-			dev, s, m := tierBuild(t, tier.selective)
-			prefixDump := tierDump(m)
-			var opDumps []string
-			{
-				// Per-op dumps come from a fast-path replay; the combined
-				// tier reuses only the final one (all-or-nothing).
-				_, _, m2 := tierBuild(t, tier.selective)
-				for i := 0; i < mxProbe; i++ {
-					m2.Set(tierKey(mxPrefix+i), tierVal(mxPrefix+i))
-					opDumps = append(opDumps, tierDump(m2))
+			h := &crashHist{roots: []histRoot{{name: "tier", sel: tier.selective, bind: mxBind((*Store).Map, mxMapOps)}}}
+			var m *Map
+			h.setup = func(e *histEnv) {
+				for i := 0; i < mxPrefix; i++ {
+					e.ops[0].basic(i)
+				}
+				m, _ = e.db.Store().Map("tier")
+			}
+			h.window = func(e *histEnv, r *histRec) {
+				s := e.db.Store()
+				base := s.Device().Stats()
+				if tier.combined {
+					r.do("round", e.effs(0, mxPrefix, mxPrefix+mxProbe), func() {
+						tickets := enrollSets(s, m, mxPrefix, mxPrefix+mxProbe)
+						runCombiner(s)
+						for _, tk := range tickets {
+							if !tk.Done() {
+								e.t.Error("the leader stepped down with an unpublished enrolled op")
+							}
+						}
+					})
+				} else {
+					for i := mxPrefix; i < mxPrefix+mxProbe; i++ {
+						r.do(fmt.Sprint("set", i), e.effs(0, i, i+1), func() { e.ops[0].basic(i) })
+					}
+				}
+				if f := s.Device().Stats().Sub(base).Fences; f != tier.fences {
+					e.t.Errorf("the window paid %d fences, want %d", f, tier.fences)
 				}
 			}
-			base := dev.Stats()
-			tier.probe(t, s, m)
-			window := dev.Stats().Sub(base)
-			total := int(window.Writes)
-			if total == 0 {
-				t.Fatal("probe produced no PM writes")
-			}
-			if window.Fences != tier.fences {
-				t.Fatalf("probe paid %d fences, want %d", window.Fences, tier.fences)
-			}
-			allowed := tier.allowed(prefixDump, opDumps)
-
-			for inj := 1; inj <= total; inj += mxInjectionStride() {
-				dev, s, m := tierBuild(t, tier.selective)
-				tr := pmem.NewCrashCountdown(dev, inj, pmem.CrashEvictRandom, 0xBEEF^uint64(inj))
-				dev.SetTracer(tr)
-				tier.probe(t, s, m)
-				dev.SetTracer(nil)
-
-				dev2 := pmem.NewFromImage(pmem.DefaultConfig(4<<20), tr.Image())
-				s2, _, err := openStore(dev2, tierOpts(tier.selective)...)
-				if err != nil {
-					t.Fatalf("inj %d: recovery: %v", inj, err)
-				}
-				m2, err := s2.Map("tier")
-				if err != nil {
-					t.Fatalf("inj %d: rebind: %v", inj, err)
-				}
-				got := tierDump(m2)
-				if !allowed[got] {
-					t.Fatalf("inj %d/%d: recovered state is not a committed prefix:\n  got %q", inj, total, got)
-				}
-				// The recovered store must keep accepting both tiers.
-				m2.Set([]byte("post"), []byte("ok"))
-				if v, ok := m2.Get([]byte("post")); !ok || string(v) != "ok" {
-					t.Fatalf("inj %d: recovered store lost a post-crash write", inj)
-				}
-				s2.Sync()
-			}
+			h.run(t)
 		})
 	}
 }
