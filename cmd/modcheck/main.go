@@ -122,7 +122,7 @@ func recordDemo(outPath string) ([]trace.Event, trace.CheckerConfig, error) {
 		m.Delete([]byte(fmt.Sprintf("key-%d", i)))
 	}
 	// Group commits: single-root batches (one fence per epoch) and
-	// multi-root batches (publication through the batch record).
+	// multi-root batches (publication as a staged group).
 	for i := 0; i < 50; i++ {
 		b := store.NewBatch()
 		for j := 0; j < 8; j++ {

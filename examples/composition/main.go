@@ -67,10 +67,10 @@ func main() {
 	fmt.Printf("transfer: checking=%s savings=%s, fences used: %d\n",
 		c, s, dev.Stats().Sub(before).Fences)
 
-	// Fig. 7c / 8d — single updates of unrelated datastructures: the
-	// store's roll-forward redo record installs both root swaps
-	// atomically under the same single ordering point (one fence however
-	// many roots).
+	// Fig. 7c / 8d — single updates of unrelated datastructures: both
+	// root swaps are staged as one group in the heap's stage table and
+	// installed atomically under the same single ordering point (one
+	// fence however many roots).
 	v1, _ := store.Vector("v1")
 	v2, _ := store.Vector("v2")
 	v1.Push(111)

@@ -85,9 +85,12 @@ const (
 	// class they live in; 8: two roll-forward slots in the batch record,
 	// each carrying its own live status; 9: a publication counter in every
 	// root cell's high bits and a stage table of two slots per root at the
-	// top of the arena (roots.go). Every bump so far moved or re-encoded
-	// something a recovery depends on, so no older image is readable.
-	version = 9
+	// top of the arena (roots.go); 10: 32-byte stage slots carrying a
+	// group word, which carry every multi-root publication in place of the
+	// batch record, and a stage table armed at Format. Every bump so far
+	// moved or re-encoded something a recovery depends on, so no older
+	// image is readable.
+	version = 10
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word
@@ -157,11 +160,14 @@ type heapShared struct {
 	// staged has bit slot set once a stage slot of that root has been
 	// written since the heap was opened (roots.go's wrap guard).
 	staged atomic.Uint64
-	// stageReady says the version word's stage-live flag is durable, so
-	// stage slots may be written; stageArmTag (under mu) is 0 until the
-	// flag is written, then the FenceSeq past which it is durable.
-	stageReady  atomic.Bool
-	stageArmTag uint64
+	// groups is the last group sequence number StageGroup handed out.
+	// Every recovery consumes every stage slot, so numbering restarts at
+	// each open.
+	groups atomic.Uint64
+	// holds is, per stage slot, the FenceSeq a fence must pass before the
+	// slot may be overwritten: set when the slot holds a member of a
+	// multi-root publication (GroupSwapped), 0 otherwise.
+	holds [RootSlots][stageSlots]atomic.Uint64
 
 	blocks  blockTable  // reference counts and flag bits by payload address
 	borrows borrowTable // path copies that share their source's references (borrow.go)
@@ -220,7 +226,10 @@ type Heap struct {
 var ErrHeapVersion = errors.New("unsupported heap layout version")
 
 // Format initializes a fresh heap on dev, overwriting any prior content,
-// and returns it. The superblock is made durable before Format returns.
+// and returns it. The superblock and the zeroed stage table are made
+// durable before Format returns: a recovery reads the table of every heap,
+// and an arena formatted over an older heap must not show it that heap's
+// stage slots.
 func Format(dev pmem.Backend) *Heap {
 	h := newHeap(dev)
 	dev.WriteU64(offMagic, magic)
@@ -228,6 +237,8 @@ func Format(dev pmem.Backend) *Heap {
 	dev.WriteU64(offBumpTop, uint64(heapBase))
 	dev.Zero(offRoots, superblockSize-offRoots) // root table + run table
 	dev.FlushRange(0, heapBase)
+	dev.Zero(h.sh.end, stageTableSize)
+	dev.FlushRange(h.sh.end, stageTableSize)
 	dev.Sfence()
 	h.sh.top = heapBase
 	for i := range h.sh.cells {
@@ -245,12 +256,10 @@ func Open(dev pmem.Backend) (*Heap, error) {
 	if dev.ReadU64(offMagic) != magic {
 		return nil, fmt.Errorf("alloc: bad heap magic %#x", dev.ReadU64(offMagic))
 	}
-	v := dev.ReadU64(offVersion)
-	if v&^stageLive != version {
-		return nil, fmt.Errorf("alloc: heap is layout v%d, this build reads v%d: %w", v&^stageLive, version, ErrHeapVersion)
+	if v := dev.ReadU64(offVersion); v != version {
+		return nil, fmt.Errorf("alloc: heap is layout v%d, this build reads v%d: %w", v, version, ErrHeapVersion)
 	}
 	h := newHeap(dev)
-	h.sh.stageReady.Store(v&stageLive != 0)
 	h.sh.top = pmem.Addr(dev.ReadU64(offBumpTop))
 	if h.sh.top < heapBase || h.sh.top > h.sh.end {
 		return nil, fmt.Errorf("alloc: corrupt bump pointer %#x", uint64(h.sh.top))

@@ -2,6 +2,8 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"github.com/mod-ds/mod/internal/pmem"
 )
@@ -167,6 +169,11 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 		h.dev.Sfence()
 	}
 
+	// Pass 2a: stage slots. A group one of whose swaps landed rolls its
+	// other members forward now, so pass 2 marks from the final roots.
+	groups, consume := r.readGroups()
+	rs.StagedRoots = r.rollForward(groups)
+
 	// Pass 2: mark from roots, rebuilding reference counts as the number
 	// of reachable parents (plus one per root-table reference).
 	//
@@ -228,11 +235,9 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 		}
 	}
 
-	// Pass 2b: staged publications, decided against the marks. A heap
-	// whose stage-live flag is clear has never written a stage slot.
-	if sh.stageReady.Load() {
-		rs.StagedRoots = r.applyStaged(named)
-	}
+	// Pass 2b: the groups none of whose swaps landed, decided against
+	// the marks; then every stage slot is consumed.
+	rs.StagedRoots += r.applyStaged(groups, named, consume)
 
 	// Pass 3: sweep. Unmarked blocks — whether leaked by an interrupted
 	// FASE, freed before the crash, or superseded by a staged publication
@@ -257,60 +262,138 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 	return rs, nil
 }
 
-// applyStaged is recovery's half of the staged one-root publication
-// (roots.go, DESIGN.md §7). For each root it applies, oldest first, every
-// stage slot whose old cell word is the root's current one and whose
-// publication re-verifies: every block reachable from its final version
-// and not already marked — the blocks that publication added — carries a
-// checksum that verifies, and those blocks, as many as the slot names,
-// fold with the root slot, the slot index and both cell words to the
-// slot's checksum. An applied slot's version replaces the old one in the
-// marks (its blocks join them, the old version's own blocks leave them)
-// and in the cell. Then every slot is consumed, an unnamed root's too (a
-// root whose claim never became durable may have staged): after a fence
-// covering the cell writes, each nonzero meta word is zeroed and fenced,
-// so no slot outlives the recovery that decided it. named holds every
-// named root's cell word as pass 2 read it, in slot order. Returns the
-// roots it moved.
-func (r *recovery) applyStaged(named []rootWord) int {
+// foundGroup is one staged publication as recovery found it: every
+// intact stage slot carrying its group word, and whether one of their
+// swaps has reached its cell (landed).
+type foundGroup struct {
+	members []stagedPub
+	landed  bool
+}
+
+// readGroups reads the stage table (roots.go, DESIGN.md §7): the intact
+// slots gathered into groups in staging order — a group's sequence number
+// orders it after every publication its roots had before — and the meta
+// word of every nonzero slot, intact or not, an unnamed root's too, for
+// applyStaged to consume.
+func (r *recovery) readGroups() ([]*foundGroup, []pmem.Addr) {
 	h := r.h
-	var moved []rootWord
+	byWord := make(map[uint64]*foundGroup)
+	var groups []*foundGroup
 	var consume []pmem.Addr
 	for slot := 0; slot < RootSlots; slot++ {
-		var ps [stageSlots]stagedPub
-		for i := range ps {
-			if ps[i] = h.readStage(slot, i); ps[i].meta != 0 {
-				consume = append(consume, h.stageSlotAddr(slot, i)+16)
+		for i := 0; i < stageSlots; i++ {
+			p := h.readStage(slot, i)
+			if p.meta == 0 {
+				continue
 			}
+			consume = append(consume, h.stageSlotAddr(slot, i)+24)
+			if !p.intact() {
+				continue
+			}
+			g := byWord[p.group]
+			if g == nil {
+				g = &foundGroup{}
+				byWord[p.group] = g
+				groups = append(groups, g)
+			}
+			g.members = append(g.members, p)
+			g.landed = g.landed || h.swapLanded(slot, p.final)
 		}
-		if len(named) == 0 || named[0].slot != slot {
+	}
+	sort.Slice(groups, func(a, b int) bool {
+		return groups[a].members[0].group>>groupSizeBits < groups[b].members[0].group>>groupSizeBits
+	})
+	return groups, consume
+}
+
+// rollForward writes, for every group one of whose swaps landed, in
+// staging order, each member's final into its named root's cell where the
+// cell still holds the publication just before it. A landed swap means
+// the group's fence completed, so every member's slot and blocks are
+// durable: they need no verification, and the roll-forward runs before
+// the marks. A cell already past its member's final keeps its later
+// publication. Returns the cells it wrote, which applyStaged fences.
+func (r *recovery) rollForward(groups []*foundGroup) int {
+	h := r.h
+	moved := 0
+	for _, g := range groups {
+		if !g.landed {
 			continue
 		}
-		rw := named[0]
-		named = named[1:]
-		cur := rw.word
-		for range ps {
-			i := stageIndex(nextCellWord(cur, pmem.Nil))
-			p := ps[i]
-			if p.meta == 0 || p.old != cur || !r.verifyStaged(rw.slot, i, p) {
+		for _, p := range g.members {
+			cell := h.RootCellAddr(p.slot)
+			if h.dev.ReadU64(rootEntryAddr(p.slot)) == 0 || !follows(p.final, h.dev.ReadU64(cell)) {
+				continue
+			}
+			h.dev.WriteU64(cell, p.final)
+			h.dev.Clwb(cell)
+			moved++
+		}
+	}
+	return moved
+}
+
+// applyStaged is recovery's decision on the groups none of whose swaps
+// landed: their fences may not have completed. In staging order it applies
+// a group iff all r of its members were found, each on a named root whose
+// current cell word is the one just before its final, and each re-verifies
+// (verifyStaged) — so a publication of one root or several applies whole
+// or not at all, and a member without a digest (Batch.Commit,
+// CommitUnrelated) never applies this way. An applied member's version
+// replaces the old one in the marks (its blocks join them, the old
+// version's own blocks leave them) and in the cell. Then, after a fence
+// covering every cell recovery wrote, each slot in consume is zeroed and
+// fenced, so no slot outlives the recovery that decided it. named holds
+// every named root's cell word as pass 2 read it, in slot order. Returns
+// the roots it moved.
+func (r *recovery) applyStaged(groups []*foundGroup, named []rootWord, consume []pmem.Addr) int {
+	h := r.h
+	var cur [RootSlots]uint64
+	var isNamed [RootSlots]bool
+	for _, rw := range named {
+		cur[rw.slot], isNamed[rw.slot] = rw.word, true
+	}
+	var moved []int
+	for _, g := range groups {
+		if g.landed || len(g.members) != g.members[0].size() {
+			continue
+		}
+		ok := true
+		for _, p := range g.members {
+			ok = ok && isNamed[p.slot] && p.count() > 0 && follows(p.final, cur[p.slot])
+		}
+		var marks []pubMarks
+		for _, p := range g.members {
+			if !ok {
 				break
 			}
-			if old := cellAddr(cur); old != pmem.Nil {
+			var m pubMarks
+			m, ok = r.verifyStaged(p)
+			marks = append(marks, m)
+		}
+		for _, m := range marks {
+			m.settle(ok)
+		}
+		if !ok {
+			continue
+		}
+		for _, p := range g.members {
+			if old := cellAddr(cur[p.slot]); old != pmem.Nil {
 				r.release(old)
 			}
-			cur = p.final
-		}
-		if cur != rw.word {
-			moved = append(moved, rootWord{rw.slot, cur})
+			cur[p.slot] = p.final
+			if !slices.Contains(moved, p.slot) {
+				moved = append(moved, p.slot)
+			}
 		}
 	}
-	for _, m := range moved {
-		h.dev.WriteU64(h.RootCellAddr(m.slot), m.word)
-		h.dev.Clwb(h.RootCellAddr(m.slot))
-		h.noteCell(m.slot, m.word)
+	for _, slot := range moved {
+		h.dev.WriteU64(h.RootCellAddr(slot), cur[slot])
+		h.dev.Clwb(h.RootCellAddr(slot))
+		h.noteCell(slot, cur[slot])
 	}
-	if len(moved) > 0 {
-		h.dev.Sfence()
+	if len(moved) > 0 || len(consume) > 0 {
+		h.dev.Sfence() // every cell recovery wrote, before the slots that moved them go
 	}
 	for _, at := range consume {
 		h.dev.WriteU64(at, 0)
@@ -322,16 +405,37 @@ func (r *recovery) applyStaged(named []rootWord) int {
 	return len(moved)
 }
 
-// verifyStaged decides stage slot i of slot against the marks, and on
-// success marks the publication's blocks: the fresh ones (unmarked, now
-// counted by their parents inside the publication and the root
-// reference) and the marked ones it shares (one more parent each).
-func (r *recovery) verifyStaged(slot, i int, p stagedPub) (ok bool) {
+// pubMarks is what verifying one staged publication marked tentatively:
+// the blocks it adds and the marked blocks it shares.
+type pubMarks struct{ fresh, shared []*recBlock }
+
+// settle keeps the tentative marks — each fresh block counted by its
+// parents inside the publication and the root reference, each shared one
+// by one more parent — or drops them.
+func (m pubMarks) settle(keep bool) {
+	for _, b := range m.fresh {
+		if keep {
+			b.refs = b.tent
+		}
+		b.tent = 0
+	}
+	if keep {
+		for _, b := range m.shared {
+			b.refs++
+		}
+	}
+}
+
+// verifyStaged decides one member against the marks: every block
+// reachable from its final version and not already marked — the blocks
+// that publication added — carries a checksum that verifies, and those
+// blocks, as many as the slot counts, fold to its digest. The marks it
+// returns are tentative until the caller settles them.
+func (r *recovery) verifyStaged(p stagedPub) (m pubMarks, ok bool) {
 	h := r.h
 	var (
-		fresh, shared []*recBlock
-		fold          uint64
-		failed        bool
+		fold   uint64
+		failed bool
 	)
 	defer func() {
 		if v := recover(); v != nil {
@@ -340,17 +444,6 @@ func (r *recovery) verifyStaged(slot, i int, p stagedPub) (ok bool) {
 				ok = false
 			default:
 				panic(v)
-			}
-		}
-		for _, b := range fresh {
-			if ok {
-				b.refs = b.tent
-			}
-			b.tent = 0
-		}
-		if ok {
-			for _, b := range shared {
-				b.refs++
 			}
 		}
 	}()
@@ -363,10 +456,10 @@ func (r *recovery) verifyStaged(slot, i int, p stagedPub) (ok bool) {
 		case b == nil:
 			failed = true
 		case b.refs > 0:
-			shared = append(shared, b)
+			m.shared = append(m.shared, b)
 		case b.tent > 0:
 			b.tent++
-		case len(fresh) == p.count():
+		case len(m.fresh) == p.count():
 			failed = true // more blocks than the slot names
 		default:
 			crc, good := h.freshCRC(a)
@@ -375,15 +468,15 @@ func (r *recovery) verifyStaged(slot, i int, p stagedPub) (ok bool) {
 				return
 			}
 			b.tent = 1
-			fresh = append(fresh, b)
+			m.fresh = append(m.fresh, b)
 			fold += stageMix(a, crc)
 		}
 	}
 	visit(cellAddr(p.final))
-	for j := 0; j < len(fresh) && !failed; j++ {
-		r.walk(fresh[j], visit)
+	for j := 0; j < len(m.fresh) && !failed; j++ {
+		r.walk(m.fresh[j], visit)
 	}
-	return !failed && len(fresh) == p.count() && p.binds(slot, i, fold)
+	return m, !failed && len(m.fresh) == p.count() && fold == p.digest
 }
 
 // release drops the root reference of the marked version at payload,

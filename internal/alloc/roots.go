@@ -13,7 +13,7 @@ import (
 // A root's address cell is the target of the 8-byte atomic pointer write
 // performed by CommitSingle.
 //
-// Layout v9 (DESIGN.md §2, §7). The root table in the superblock keeps
+// Layout v10 (DESIGN.md §2, §7). The root table in the superblock keeps
 // four 16-byte entries to a line:
 //
 //	+0   fnv1a(name)   0 = empty slot
@@ -21,20 +21,31 @@ import (
 //	                   bits 35-63 the root's publication counter
 //
 // The counter advances with every write of the cell, so a cell word names
-// one publication, never just an address: a stage slot bound to the word
-// it replaces can never match the cell again once anything else has been
-// published there, even a version that reuses the old address. The heap
-// mirrors every cell word in DRAM, so a publication computes its counter
-// without reading the cell.
+// one publication, never just an address: a stage slot naming the word
+// its publication writes can never match the cell again once anything else
+// has been published there, even a version that reuses an old address.
+// The heap mirrors every cell word in DRAM, so a publication computes its
+// counter without reading the cell.
 //
-// The stage table sits at the top of the arena, above the heap: one line
-// per root holding two stage slots of {final cell word, old cell word,
-// meta}. A stage slot is a one-root publication written ahead of its
-// commit fence (StageRoot); recovery applies it when its old word is still
-// the durable cell and the blocks it adds re-verify (recover.go). Bit 63
-// of the superblock's version word says the table may hold slots: it is
-// durable before a heap's first stage slot is written, so recovering a
-// heap that never staged reads nothing of the table.
+// The stage table sits at the top of the arena, above the heap, zeroed and
+// made durable by Format: one line per root holding two 32-byte stage
+// slots,
+//
+//	+0   final   the cell word the publication writes
+//	+8   group   the publication's group: the heap's group sequence
+//	             number (bits 8-63) over its member count r (bits 0-7)
+//	+16  digest  the fold of the blocks the publication adds (0 without)
+//	+24  meta    the folded block count (bits 48-63, 0 without a digest)
+//	             over a 48-bit checksum of the root slot, the slot index,
+//	             final, group, count and digest; 0 = empty
+//
+// A stage slot is one member of a publication of r roots written ahead of
+// its commit fence (StageGroup). It replaces the root's publication just
+// before it, so its old cell word is implied: the one whose counter is one
+// behind final's. Recovery decides every group from its own slots and the
+// cells they name (recover.go): a group one of whose swaps landed rolls
+// every member forward, a group none of whose swaps landed applies only
+// if all r members are found and every one re-verifies its digest.
 
 const (
 	cellAddrBits = 35 // a cell's address field: funcds' 4-byte references reach 2^35 bytes
@@ -42,12 +53,12 @@ const (
 	cellCtrMask  = uint64(1)<<(64-cellAddrBits) - 1
 
 	stageSlots    = 2
-	stageSlotSize = 24
+	stageSlotSize = 32
 
-	// stageLive is the version word's flag: the stage table may hold slots.
-	stageLive = uint64(1) << 63
+	// groupSizeBits is the width of a group word's member count.
+	groupSizeBits = 8
 
-	// maxStagedBlocks bounds the fresh set a stage slot can name (its
+	// maxStagedBlocks bounds the fresh set a stage slot can fold (its
 	// meta word's count field).
 	maxStagedBlocks = 1<<16 - 1
 
@@ -85,8 +96,14 @@ func ctrAhead(a, b uint64) uint64 { return (a>>cellAddrBits - b>>cellAddrBits) &
 // stageIndex is the stage slot a publication writing word uses: the
 // counter's parity, so the slot it overwrites belongs to the publication
 // before the previous one, whose cell write that previous publication's
-// fence has made durable.
+// fence has made durable — unless a sibling of that publication on another
+// root may still be unfenced (awaitCover).
 func stageIndex(word uint64) int { return int(word >> cellAddrBits & 1) }
+
+// follows reports whether cell word next is the publication right after
+// cell word cur on one root: a stage slot's final over its implied old
+// word.
+func follows(next, cur uint64) bool { return ctrAhead(next, cur) == 1 }
 
 // cellWordOf returns slot's current cell word from the heap's mirror,
 // reading the cell only the first time this heap touches a root it did not
@@ -227,31 +244,33 @@ func (h *Heap) CasRoot(slot int, old, v pmem.Addr) bool {
 
 // published records cell word w as slot's latest, and on a root that has
 // staged clears, once every wrapGuard publications, the stage slot of the
-// parity w does not use: its publication is at least two back, so the
+// parity w does not use: its publication is at least one back, so the
 // fence ahead of w's write has made its cell durable.
 func (h *Heap) published(slot int, w uint64) {
 	h.noteCell(slot, w)
 	if ctr := w >> cellAddrBits; ctr >= 2 && ctr%wrapGuard < 2 && h.sh.staged.Load()&(1<<slot) != 0 {
-		at := h.stageSlotAddr(slot, 1-stageIndex(w)) + 16
+		i := 1 - stageIndex(w)
+		h.awaitCover(slot, i)
+		at := h.stageSlotAddr(slot, i) + 24
 		h.dev.WriteU64(at, 0)
 		h.dev.Clwb(at)
 	}
 }
 
 // NextCellWord returns the cell word the next write of slot's cell will
-// store for version v: v under the root's next publication counter. A
-// multi-root record names its swaps by it, so recovery can tell a swap
-// that never landed from one a later publication has overwritten
-// (SwapLanded). The caller must hold off every other writer of the cell
-// until that write, as for SetRoot.
+// store for version v: v under the root's next publication counter. The
+// shard manifest names its swaps by it, so recovery can tell a swap that
+// never landed from one a later publication has overwritten (swapLanded).
+// The caller must hold off every other writer of the cell until that
+// write, as for SetRoot.
 func (h *Heap) NextCellWord(slot int, v pmem.Addr) uint64 {
 	return nextCellWord(h.cellWordOf(slot), v)
 }
 
-// SwapLanded reports whether the write of cell word w (a NextCellWord
+// swapLanded reports whether the write of cell word w (a NextCellWord
 // value) to slot's cell has reached the cell: the cell holds w, or a later
 // publication, whose counter has passed w's.
-func (h *Heap) SwapLanded(slot int, w uint64) bool {
+func (h *Heap) swapLanded(slot int, w uint64) bool {
 	return ctrAhead(h.dev.ReadU64(h.RootCellAddr(slot)), w) < cellCtrMask/2
 }
 
@@ -259,7 +278,7 @@ func (h *Heap) SwapLanded(slot int, w uint64) bool {
 // has landed, it writes cell word w to slot's cell and flushes it. It
 // reports whether it wrote.
 func (h *Heap) ReplaySwap(slot int, w uint64) bool {
-	if h.SwapLanded(slot, w) {
+	if h.swapLanded(slot, w) {
 		return false
 	}
 	cell := h.RootCellAddr(slot)
@@ -269,75 +288,107 @@ func (h *Heap) ReplaySwap(slot int, w uint64) bool {
 	return true
 }
 
-// StageRoot stages the next publication of slot — final replacing old, the
-// root's current version — ahead of the commit fence that will make it
-// durable, so that fence alone acknowledges it (DESIGN.md §7). fresh lists
-// the blocks final adds to the heap (Edit.Fresh), sealed: the slot binds
-// their addresses and stored checksums, as an order-independent fold, to
-// the cell words it names, and recovery applies it only if the same blocks
-// re-verify and fold to the same value. It writes 24 bytes in the root's
-// stage line and flushes it; the caller then fences and publishes final
-// with SetRoot, which must be this root's next cell write. It stages
-// nothing and returns false when the publication cannot be validated that
-// way — a fresh block without a checksum (a volatile navigation node, a
-// legacy allocation), an empty or oversized fresh set, an address past the
-// cell's reach — and while the heap's stage-live flag is not yet durable.
-func (h *Heap) StageRoot(slot int, old, final pmem.Addr, fresh []pmem.Addr) bool {
-	cur := h.cellWordOf(slot)
-	if len(fresh) == 0 || len(fresh) > maxStagedBlocks || uint64(final) > cellAddrMask || cellAddr(cur) != old || !h.StageReady() {
-		return false
+// StagedRoot is one member of a staged publication: a root slot, the
+// version its next publication installs, and the blocks that version adds
+// to the heap (Edit.Fresh, sealed) — nil where the publisher does not hold
+// them.
+type StagedRoot struct {
+	Slot  int
+	Final pmem.Addr
+	Fresh []pmem.Addr
+}
+
+// StageGroup stages one publication of len(ms) roots ahead of the commit
+// fence that will make it durable (DESIGN.md §7): one stage slot per
+// member, in the root's stage line, flushed. Every slot carries the
+// group's word — the heap's next group sequence number over the member
+// count — and a member whose fresh blocks all carry checksums also carries
+// their digest: an order-independent fold of their addresses and stored
+// checksums, which recovery recomputes from the blocks it finds. The
+// caller then fences and publishes each Final with SetRoot, which must be
+// that root's next cell write, and reports the writes with GroupSwapped.
+//
+// It reports whether every member carries a digest: only then can
+// recovery apply the group when none of its swaps landed, so only then
+// does the caller's fence alone make the publication durable. A group of
+// one without a digest is not staged at all — it could never apply, and
+// its swap is atomic on its own.
+func (h *Heap) StageGroup(ms []StagedRoot) (digested bool) {
+	digested = true
+	var g uint64
+	for k, m := range ms {
+		fold, ok := h.digest(m.Fresh)
+		count := len(m.Fresh)
+		if !ok {
+			if len(ms) == 1 {
+				return false
+			}
+			fold, count, digested = 0, 0, false
+		}
+		if k == 0 {
+			g = h.sh.groups.Add(1)<<groupSizeBits | uint64(len(ms))
+		}
+		final := nextCellWord(h.cellWordOf(m.Slot), m.Final)
+		i := stageIndex(final)
+		h.awaitCover(m.Slot, i)
+		at := h.stageSlotAddr(m.Slot, i)
+		h.dev.WriteU64(at, final)
+		h.dev.WriteU64(at+8, g)
+		h.dev.WriteU64(at+16, fold)
+		h.dev.WriteU64(at+24, stageMeta(m.Slot, i, final, g, count, fold))
+		h.dev.Clwb(at)
+		h.sh.staged.Or(1 << m.Slot)
+	}
+	return digested
+}
+
+// digest folds a publication's fresh blocks, or reports false when they
+// cannot validate it: an empty or oversized set, or a block without a
+// checksum (a volatile navigation node, a legacy allocation).
+func (h *Heap) digest(fresh []pmem.Addr) (uint64, bool) {
+	if len(fresh) == 0 || len(fresh) > maxStagedBlocks {
+		return 0, false
 	}
 	var fold uint64
 	for _, a := range fresh {
 		_, crc, has := unpackCheck(h.dev.ReadU64(a - headerSize + 8))
 		if !has {
-			return false
+			return 0, false
 		}
 		fold += stageMix(a, crc)
 	}
-	next := nextCellWord(cur, final)
-	i := stageIndex(next)
-	at := h.stageSlotAddr(slot, i)
-	h.dev.WriteU64(at, next)
-	h.dev.WriteU64(at+8, cur)
-	h.dev.WriteU64(at+16, stageMeta(slot, i, next, cur, len(fresh), fold))
-	h.dev.Clwb(at)
-	h.sh.staged.Or(1 << slot)
-	return true
+	return fold, true
 }
 
-// StageReady reports whether the heap may write stage slots: the version
-// word's stage-live flag is durable. On a heap that has never staged, the
-// first call sets the flag and reports false; a fence after it makes the
-// flag durable and the calls after that fence report true. So a stage slot
-// can only reach PM on a heap whose recovery will read the table. Before
-// it writes the flag, the first call zeroes the table and fences: an
-// arena formatted over an older heap must not show that heap's slots to a
-// recovery that reads the flag.
-func (h *Heap) StageReady() bool {
-	sh := h.sh
-	if sh.stageReady.Load() {
-		return true
+// GroupSwapped reports that the cell writes of the multi-root publication
+// StageGroup staged on ms are all issued. Until a fence covers them, no
+// member's stage slot may be overwritten (awaitCover): an optimistic CAS
+// fences before it takes its root's mutex, so it can publish on one
+// member's root behind a fence that came before the other members' writes,
+// and the member slots are then recovery's only record that those writes
+// belong with the landed one. The caller still holds every member's root.
+func (h *Heap) GroupSwapped(ms []StagedRoot) {
+	if len(ms) < 2 {
+		return
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	switch {
-	case sh.stageArmTag == 0:
-		h.dev.Zero(sh.end, stageTableSize)
-		h.dev.FlushRange(sh.end, stageTableSize)
+	tag := h.dev.FenceSeq()
+	for _, m := range ms {
+		h.sh.holds[m.Slot][stageIndex(h.cellWordOf(m.Slot))].Store(tag)
+	}
+}
+
+// awaitCover fences before stage slot i of slot is overwritten while it
+// holds a member of a multi-root publication some of whose cell writes no
+// fence has covered yet (GroupSwapped). The caller holds the root.
+func (h *Heap) awaitCover(slot, i int) {
+	if tag := h.sh.holds[slot][i].Load(); tag != 0 && h.dev.FenceSeq() <= tag {
 		h.dev.Sfence()
-		h.dev.WriteU64(offVersion, version|stageLive)
-		h.dev.Clwb(offVersion)
-		sh.stageArmTag = h.dev.FenceSeq() + 1
-	case h.dev.FenceSeq() >= sh.stageArmTag:
-		sh.stageReady.Store(true)
 	}
-	return sh.stageReady.Load()
 }
 
 // StageSlotAddr returns the address of stage slot i (0 or 1) of a root:
-// three words — the final cell word, the old cell word, the meta word.
-// Fault-injection harnesses use it to aim damage at staged publications.
+// four words — final cell word, group, digest, meta. Fault-injection
+// harnesses use it to aim damage at staged publications.
 func (h *Heap) StageSlotAddr(slot, i int) pmem.Addr {
 	h.RootCellAddr(slot) // range check
 	return h.stageSlotAddr(slot, i)
@@ -345,32 +396,38 @@ func (h *Heap) StageSlotAddr(slot, i int) pmem.Addr {
 
 // stagedPub is one stage slot as read back.
 type stagedPub struct {
-	final, old uint64 // cell words
-	meta       uint64 // 0: empty or consumed
+	slot, i int
+	final   uint64 // the cell word its publication writes
+	group   uint64
+	digest  uint64
+	meta    uint64 // 0: empty or consumed
 }
 
-// readStage reads stage slot i of slot, its cell words only if its meta
+// readStage reads stage slot i of slot, its other words only if its meta
 // word says it holds a publication.
 func (h *Heap) readStage(slot, i int) stagedPub {
 	at := h.stageSlotAddr(slot, i)
-	p := stagedPub{meta: h.dev.ReadU64(at + 16)}
+	p := stagedPub{slot: slot, i: i, meta: h.dev.ReadU64(at + 24)}
 	if p.meta != 0 {
-		p.final, p.old = h.dev.ReadU64(at), h.dev.ReadU64(at+8)
+		p.final, p.group, p.digest = h.dev.ReadU64(at), h.dev.ReadU64(at+8), h.dev.ReadU64(at+16)
 	}
 	return p
 }
 
-// count is the fresh-block count the slot claims.
+// count is the fresh-block count the slot's digest folds; 0: no digest.
 func (p stagedPub) count() int { return int(p.meta >> 48) }
 
-// binds reports whether fold and the slot's fields are exactly what one
-// StageRoot of slot i wrote.
-func (p stagedPub) binds(slot, i int, fold uint64) bool {
-	return p.meta != 0 && p.meta == stageMeta(slot, i, p.final, p.old, p.count(), fold)
+// size is the member count of the slot's group.
+func (p stagedPub) size() int { return int(p.group & (1<<groupSizeBits - 1)) }
+
+// intact reports whether the slot's words are exactly what one StageGroup
+// wrote.
+func (p stagedPub) intact() bool {
+	return p.meta != 0 && p.meta == stageMeta(p.slot, p.i, p.final, p.group, p.count(), p.digest)
 }
 
 // stageMix hashes one fresh block — its address and stored checksum — for
-// the order-independent fold (a sum) a stage slot binds.
+// the order-independent fold (a sum) a stage slot's digest is.
 func stageMix(a pmem.Addr, crc uint32) uint64 {
 	x := uint64(a)>>3 | uint64(crc)<<32
 	x ^= x >> 30
@@ -380,13 +437,13 @@ func stageMix(a pmem.Addr, crc uint32) uint64 {
 	return x ^ x>>31
 }
 
-// stageMeta is a stage slot's third word: the fresh-block count (16 bits)
-// over a 48-bit checksum binding the root slot, the stage slot index, both
-// cell words, the count and the fold. It is never 0, which marks an empty
-// slot.
-func stageMeta(slot, i int, final, old uint64, count int, fold uint64) uint64 {
+// stageMeta is a stage slot's fourth word: the digest's block count (16
+// bits) over a 48-bit checksum binding the root slot, the stage slot
+// index, the final cell word, the group word, the count and the digest.
+// It is never 0, which marks an empty slot.
+func stageMeta(slot, i int, final, group uint64, count int, digest uint64) uint64 {
 	h := uint64(14695981039346656037)
-	for _, w := range [...]uint64{uint64(slot)<<1 | uint64(i), final, old, uint64(count), fold} {
+	for _, w := range [...]uint64{uint64(slot)<<1 | uint64(i), final, group, uint64(count), digest} {
 		for b := 0; b < 8; b++ {
 			h ^= w >> (8 * b) & 0xff
 			h *= 1099511628211

@@ -7,9 +7,9 @@ import (
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
-// Stage slots and cell words (roots.go): the allocator half of the staged
-// one-root publication. Package core drives the protocol end to end; these
-// tests pin what recovery decides from a slot on images built by hand.
+// Stage slots and cell words (roots.go): the allocator half of staged
+// publication. Package core drives the protocol end to end; these tests
+// pin what recovery decides from the slots of images built by hand.
 
 const tagLeaf = 3 // a test leaf: no walker, 8 payload bytes
 
@@ -30,15 +30,10 @@ func stagedVersion(h *Heap, val uint64) (pmem.Addr, []pmem.Addr) {
 	return node, fresh
 }
 
-// armStaging makes h's stage-live flag durable, as the fence after a
-// store's first staging attempt does.
-func armStaging(t *testing.T, h *Heap) {
-	t.Helper()
-	h.StageReady()
-	h.Fence()
-	if !h.StageReady() {
-		t.Fatal("the stage-live flag is not durable after a fence")
-	}
+// stageOne stages the next publication of slot, final with its fresh
+// blocks, as a group of one.
+func stageOne(h *Heap, slot int, final pmem.Addr, fresh []pmem.Addr) bool {
+	return h.StageGroup([]StagedRoot{{Slot: slot, Final: final, Fresh: fresh}})
 }
 
 // reopen recovers a crash image of h's device.
@@ -69,7 +64,6 @@ func TestStagedGhostBlockFailsDigest(t *testing.T) {
 	registerPairWalker(h)
 	dev := h.dev.(*pmem.Device)
 	slot, _ := h.RootSlot("r")
-	armStaging(t, h)
 	a, _ := stagedVersion(h, 1)
 	h.Fence()
 	h.SetRoot(slot, a)
@@ -78,8 +72,8 @@ func TestStagedGhostBlockFailsDigest(t *testing.T) {
 	if len(fresh) != 2 || fresh[0] != b {
 		t.Fatalf("fresh set %#x, want B's node then its leaf", fresh)
 	}
-	if !h.StageRoot(slot, a, b, fresh) {
-		t.Fatal("StageRoot refused a checksummed publication")
+	if !stageOne(h, slot, b, fresh) {
+		t.Fatal("StageGroup refused a checksummed publication")
 	}
 	h.Fence() // the publication's fence; its SetRoot never reaches PM
 	img := dev.CrashImage(pmem.CrashFencedOnly, 0)
@@ -108,23 +102,24 @@ func TestStagedGhostBlockFailsDigest(t *testing.T) {
 // final, and the root ends on the newer version with exact counts.
 // Damaging the newer slot's meta keeps the root on the older version; a
 // cell word naming the same address with another counter applies nothing.
+// A slot's old word is implied by its final's counter, so the second slot
+// binds the first's publication without naming it.
 func TestStagedSlotsChainOldestFirst(t *testing.T) {
 	h := newTestHeap(t)
 	registerPairWalker(h)
 	dev := h.dev.(*pmem.Device)
 	slot, _ := h.RootSlot("r")
-	armStaging(t, h)
 	a, _ := stagedVersion(h, 1)
 	h.Fence()
 	h.SetRoot(slot, a)
 	h.Fence()
 	cellA := dev.ReadU64(h.RootCellAddr(slot))
 	b, fb := stagedVersion(h, 2)
-	h.StageRoot(slot, a, b, fb)
+	stageOne(h, slot, b, fb)
 	h.Fence()
 	h.SetRoot(slot, b)
 	c, fc := stagedVersion(h, 3)
-	h.StageRoot(slot, b, c, fc)
+	stageOne(h, slot, c, fc)
 	h.Fence()
 	img := dev.CrashImage(pmem.CrashFencedOnly, 0)
 	binary.LittleEndian.PutUint64(img[h.RootCellAddr(slot):], cellA) // both cell writes lost
@@ -145,7 +140,7 @@ func TestStagedSlotsChainOldestFirst(t *testing.T) {
 	}
 
 	torn := append([]byte(nil), img...)
-	at := h.stageSlotAddr(slot, stageIndex(nextCellWord(nextCellWord(cellA, b), c))) + 16
+	at := h.stageSlotAddr(slot, stageIndex(nextCellWord(nextCellWord(cellA, b), c))) + 24
 	binary.LittleEndian.PutUint64(torn[at:], binary.LittleEndian.Uint64(torn[at:])^1<<40)
 	if h3, _ := reopen(t, h, torn); h3.Root(slot) != b {
 		t.Fatalf("newer slot torn: root %#x, want B %#x", uint64(h3.Root(slot)), uint64(b))
@@ -208,67 +203,44 @@ func TestCellWordCounter(t *testing.T) {
 	}
 }
 
-// TestStageLiveFlag: a heap's first StageRoot stages nothing and sets the
-// version word's stage-live flag; only once a fence has made the flag
-// durable do stage slots get written. A heap whose flag is clear recovers
-// without reading its stage table (here every line of it is dead media),
-// and one whose flag is set reads it.
-func TestStageLiveFlag(t *testing.T) {
-	h := newTestHeap(t)
+// TestStageTableArmedAtFormat: Format zeroes the stage table under its
+// own fence, so recovery reads the table of every heap and a heap stages
+// from its first publication on. Over an arena whose table is full of an
+// older heap's slots, a fenced-only image taken right after Format holds
+// a zero table and the plain version word; the first StageGroup writes its
+// slot and pays no fence of its own.
+func TestStageTableArmedAtFormat(t *testing.T) {
+	cfg := pmem.DefaultConfig(1 << 20)
+	cfg.TrackDurable = true
+	dev := pmem.New(cfg)
+	tb := Format(dev).StageTableRange()
+	for at := tb[0]; at < tb[1]; at += 8 {
+		dev.WriteU64(at, 0xdead)
+	}
+	dev.FlushRange(tb[0], int(tb[1]-tb[0]))
+	dev.Sfence()
+
+	h := Format(dev)
 	registerPairWalker(h)
-	dev := h.dev.(*pmem.Device)
-	slot, _ := h.RootSlot("r")
-	a, _ := stagedVersion(h, 1)
-	h.Fence()
-	h.SetRoot(slot, a)
-	h.Fence()
-
-	deadTable := func(img []byte) *pmem.Device {
-		d := pmem.NewFromImage(pmem.DefaultConfig(int64(len(img))), img)
-		tb := h.StageTableRange()
-		for at := tb[0]; at < tb[1]; at += pmem.LineSize {
-			d.MarkLineDead(at)
-		}
-		return d
-	}
-	if h2, err := Open(deadTable(dev.CrashImage(pmem.CrashFencedOnly, 0))); err != nil {
-		t.Fatal(err)
-	} else {
-		registerPairWalker(h2)
-		if _, err := h2.Recover(); err != nil {
-			t.Fatalf("a heap that never staged read its stage table: %v", err)
-		}
-	}
-
-	b, fb := stagedVersion(h, 2)
-	if h.StageRoot(slot, a, b, fb) {
-		t.Fatal("the first StageRoot staged before the stage-live flag was durable")
-	}
-	if dev.ReadU64(offVersion) != version|stageLive || dev.ReadU64(h.stageSlotAddr(slot, 1)+16) != 0 {
-		t.Fatalf("version word %#x after the first StageRoot, or a slot was written", dev.ReadU64(offVersion))
-	}
-	if h.StageRoot(slot, a, b, fb) {
-		t.Fatal("StageRoot staged before a fence made the flag durable")
-	}
-	h.Fence()
-	if !h.StageRoot(slot, a, b, fb) {
-		t.Fatal("StageRoot refused after the flag's fence")
-	}
-	h.Fence()
 	img := dev.CrashImage(pmem.CrashFencedOnly, 0)
-	if h2, rs := reopen(t, h, img); h2.Root(slot) != b || rs.StagedRoots != 1 {
+	if v := binary.LittleEndian.Uint64(img[offVersion:]); v != version {
+		t.Fatalf("version word %#x after Format, want %d", v, version)
+	}
+	for at := tb[0]; at < tb[1]; at += 8 {
+		if w := binary.LittleEndian.Uint64(img[at:]); w != 0 {
+			t.Fatalf("stage table word %#x = %#x in the image right after Format", uint64(at), w)
+		}
+	}
+	slot, _ := h.RootSlot("r")
+	b, fb := stagedVersion(h, 1)
+	fences := dev.Stats().Fences
+	if !stageOne(h, slot, b, fb) || dev.Stats().Fences != fences {
+		t.Fatalf("the first StageGroup after Format refused or fenced (%d fences)", dev.Stats().Fences-fences)
+	}
+	h.Fence()
+	if h2, rs := reopen(t, h, dev.CrashImage(pmem.CrashFencedOnly, 0)); h2.Root(slot) != b || rs.StagedRoots != 1 {
 		t.Fatalf("root %#x, %d moved; want the staged B", uint64(h2.Root(slot)), rs.StagedRoots)
 	}
-	h3, err := Open(deadTable(img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	registerPairWalker(h3)
-	func() {
-		defer func() { recover() }()
-		h3.Recover()
-		t.Fatal("a heap whose flag is set recovered without reading its stage table")
-	}()
 }
 
 // TestStageWrapGuard: a root that staged has its stage slots cleared as its
@@ -280,20 +252,19 @@ func TestStageWrapGuard(t *testing.T) {
 	h := newTestHeap(t)
 	registerPairWalker(h)
 	slot, _ := h.RootSlot("r")
-	armStaging(t, h)
 	a, _ := stagedVersion(h, 1)
 	h.Fence()
 	h.SetRoot(slot, a)
 	h.Fence()
 	for n := 0; n < 2; n++ {
 		b, fb := stagedVersion(h, uint64(n+2))
-		if !h.StageRoot(slot, h.Root(slot), b, fb) {
-			t.Fatal("StageRoot refused")
+		if !stageOne(h, slot, b, fb) {
+			t.Fatal("StageGroup refused")
 		}
 		h.Fence()
 		h.SetRoot(slot, b)
 	}
-	meta := func(i int) uint64 { return h.dev.ReadU64(h.stageSlotAddr(slot, i) + 16) }
+	meta := func(i int) uint64 { return h.dev.ReadU64(h.stageSlotAddr(slot, i) + 24) }
 	if meta(0) == 0 || meta(1) == 0 {
 		t.Fatal("two staged publications left an empty slot")
 	}
@@ -322,10 +293,9 @@ func TestStagedSlotOfUnnamedRootConsumed(t *testing.T) {
 	registerPairWalker(h)
 	dev := h.dev.(*pmem.Device)
 	slot, _ := h.RootSlot("r")
-	armStaging(t, h)
 	b, fb := stagedVersion(h, 1)
-	if !h.StageRoot(slot, pmem.Nil, b, fb) {
-		t.Fatal("StageRoot refused")
+	if !stageOne(h, slot, b, fb) {
+		t.Fatal("StageGroup refused")
 	}
 	h.Fence()
 	img := dev.CrashImage(pmem.CrashFencedOnly, 0)
@@ -341,20 +311,20 @@ func TestStagedSlotOfUnnamedRootConsumed(t *testing.T) {
 	}
 }
 
-// TestStageTableZeroedWhenArmed: a heap formatted over an arena keeps the
-// older heap's stage table bytes until its own first staging attempt
-// zeroes them. Here the older heap staged a first publication and the new
-// one builds the very same blocks at the same addresses but never
-// publishes them: recovery must not find the older heap's slot.
+// TestStageTableZeroedWhenArmed: the stage table is armed — zeroed and
+// fenced — when the heap is formatted, so a heap formatted over an arena
+// never shows recovery the older heap's slots. Here the older heap staged
+// a first publication and the new one builds the very same blocks at the
+// same addresses but never publishes them: recovery must not find the
+// older heap's slot.
 func TestStageTableZeroedWhenArmed(t *testing.T) {
 	h := newTestHeap(t)
 	registerPairWalker(h)
 	dev := h.dev.(*pmem.Device)
 	slot, _ := h.RootSlot("r")
-	armStaging(t, h)
 	b, fb := stagedVersion(h, 1)
-	if !h.StageRoot(slot, pmem.Nil, b, fb) {
-		t.Fatal("StageRoot refused")
+	if !stageOne(h, slot, b, fb) {
+		t.Fatal("StageGroup refused")
 	}
 	h.Fence()
 
@@ -363,7 +333,6 @@ func TestStageTableZeroedWhenArmed(t *testing.T) {
 	if s2, _ := h2.RootSlot("r"); s2 != slot {
 		t.Fatalf("root slot %d, want %d", s2, slot)
 	}
-	armStaging(t, h2)
 	if b2, _ := stagedVersion(h2, 1); b2 != b {
 		t.Fatalf("the new heap's version is at %#x, want the older one's %#x", uint64(b2), uint64(b))
 	}
@@ -371,5 +340,110 @@ func TestStageTableZeroedWhenArmed(t *testing.T) {
 	h3, rs := reopen(t, h2, dev.CrashImage(pmem.CrashFencedOnly, 0))
 	if h3.Root(slot) != pmem.Nil || rs.StagedRoots != 0 {
 		t.Fatalf("root %#x, %d moved: an older heap's stage slot was applied", uint64(h3.Root(slot)), rs.StagedRoots)
+	}
+}
+
+// TestStagedGroupDecidedWhole stages a two-root publication and decides it
+// on images built by hand. While no swap has landed the group applies iff
+// both members are found and both re-verify: a torn member or a damaged
+// block keeps both roots, and without digests (a Batch.Commit's members)
+// it never applies. Once one member's swap landed, the group's fence had
+// completed, and the other member rolls forward unverified, digest or not.
+func TestStagedGroupDecidedWhole(t *testing.T) {
+	for _, digests := range []bool{true, false} {
+		h := newTestHeap(t)
+		registerPairWalker(h)
+		dev := h.dev.(*pmem.Device)
+		s1, _ := h.RootSlot("r1")
+		s2, _ := h.RootSlot("r2")
+		a1, _ := stagedVersion(h, 1)
+		a2, _ := stagedVersion(h, 2)
+		h.Fence()
+		h.SetRoot(s1, a1)
+		h.SetRoot(s2, a2)
+		h.Fence()
+		b1, f1 := stagedVersion(h, 3)
+		b2, f2 := stagedVersion(h, 4)
+		ms := []StagedRoot{{Slot: s1, Final: b1, Fresh: f1}, {Slot: s2, Final: b2, Fresh: f2}}
+		if !digests {
+			ms[0].Fresh, ms[1].Fresh = nil, nil
+		}
+		if got := h.StageGroup(ms); got != digests {
+			t.Fatalf("digests=%v: StageGroup reported %v", digests, got)
+		}
+		h.Fence()
+		img := dev.CrashImage(pmem.CrashFencedOnly, 0)
+		check := func(what string, img []byte, want1, want2 pmem.Addr) {
+			t.Helper()
+			h2, _ := reopen(t, h, img)
+			if h2.Root(s1) != want1 || h2.Root(s2) != want2 {
+				t.Fatalf("digests=%v, %s: roots %#x %#x, want %#x %#x", digests, what, uint64(h2.Root(s1)), uint64(h2.Root(s2)), uint64(want1), uint64(want2))
+			}
+		}
+		if digests {
+			check("no swap landed", img, b1, b2)
+		} else {
+			check("no swap landed", img, a1, a2)
+		}
+		torn := append([]byte(nil), img...)
+		at := h.stageSlotAddr(s2, stageIndex(h.cellWordOf(s2)+1<<cellAddrBits)) + 24
+		binary.LittleEndian.PutUint64(torn[at:], binary.LittleEndian.Uint64(torn[at:])^1)
+		check("a member torn", torn, a1, a2)
+		damaged := append([]byte(nil), img...)
+		binary.LittleEndian.PutUint64(damaged[f2[1]:], 99) // b2's leaf no longer matches its checksum
+		check("a member's block damaged", damaged, a1, a2)
+
+		h.SetRoot(s1, b1) // the first swap reaches PM, the second does not
+		landed := append([]byte(nil), img...)
+		cell := h.RootCellAddr(s1) &^ (pmem.LineSize - 1)
+		copy(landed[cell:cell+pmem.LineSize], dev.Snapshot()[cell:cell+pmem.LineSize])
+		c2 := h.RootCellAddr(s2)
+		copy(landed[c2:c2+8], img[c2:c2+8]) // the cells may share a line
+		check("one swap landed", landed, b1, b2)
+		if _, rs := reopen(t, h, landed); rs.StagedRoots != 1 || rs.LeakedBlocks != 4 {
+			t.Fatalf("digests=%v, one swap landed: %d roots moved, %d blocks leaked; want 1 rolled forward, A1's and A2's 4 swept", digests, rs.StagedRoots, rs.LeakedBlocks)
+		}
+	}
+}
+
+// TestGroupMemberSlotHeldUntilCovered: once a two-root group's cells are
+// written, its member slots are held until a fence passes the last write.
+// A publication on one member's root that reuses the member's slot before
+// then — possible when the publication in between was an optimistic CAS
+// fenced ahead of the group's last write — fences first, so the other
+// member's write is durable before the slot that ties it to the landed
+// one is gone. Once a fence has passed, the slot is reused without one.
+func TestGroupMemberSlotHeldUntilCovered(t *testing.T) {
+	h := newTestHeap(t)
+	registerPairWalker(h)
+	dev := h.dev.(*pmem.Device)
+	s1, _ := h.RootSlot("r1")
+	s2, _ := h.RootSlot("r2")
+	b1, f1 := stagedVersion(h, 1)
+	b2, f2 := stagedVersion(h, 2)
+	ms := []StagedRoot{{Slot: s1, Final: b1, Fresh: f1}, {Slot: s2, Final: b2, Fresh: f2}}
+	h.StageGroup(ms)
+	h.Fence()
+	h.SetRoot(s1, b1)
+	h.SetRoot(s2, b2)
+	h.GroupSwapped(ms)
+	c1, _ := stagedVersion(h, 3)
+	h.SetRoot(s1, c1) // a CAS whose fence came before the group's writes
+	d1, fd := stagedVersion(h, 4)
+	fences := dev.Stats().Fences
+	if !stageOne(h, s1, d1, fd) || dev.Stats().Fences != fences+1 {
+		t.Fatalf("reusing a held member slot paid %d fences, want 1", dev.Stats().Fences-fences)
+	}
+	if w := binary.LittleEndian.Uint64(dev.DurableBytes(h.RootCellAddr(s2), 8)); cellAddr(w) != b2 {
+		t.Fatalf("r2's durable cell names %#x when r1's member slot is reused, want the group's %#x", uint64(cellAddr(w)), uint64(b2))
+	}
+	h.Fence()
+	h.SetRoot(s1, d1)
+	e1, _ := stagedVersion(h, 5)
+	h.SetRoot(s1, e1)
+	f, ff := stagedVersion(h, 6)
+	fences = dev.Stats().Fences
+	if !stageOne(h, s1, f, ff) || dev.Stats().Fences != fences {
+		t.Fatalf("reusing a slot no group holds paid %d fences", dev.Stats().Fences-fences)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -34,16 +35,16 @@ import (
 //
 // A batch is all-or-nothing. When one root changed, publication is the
 // usual 8-byte atomic pointer swap. When several changed, the store
-// stages a roll-forward redo record — the (cell, new version) pairs, a
-// checksum and a live status — in one of its two record slots, makes it
-// durable with the shadows under the commit's one fence, and only then
-// overwrites the root cells. Every cell holds its old version until that
-// fence completes, so a recovering Open rolls a live record forward
-// exactly when one of its cells already holds its new version and
-// discards it otherwise: a crash anywhere recovers every root swap or
-// none of them, and a discarded batch's shadows are swept as leaks. Like
-// a one-root swap, the cell writes become durable under the store's next
-// fence.
+// stages every changed root's publication as one group in the heap's
+// stage table (alloc's StageGroup) — one slot per root naming the cell
+// word its swap writes, the group's sequence number and member count —
+// makes the slots durable with the shadows under the commit's one fence,
+// and only then overwrites the root cells. Every cell holds its old
+// version until that fence completes, so a recovering Open rolls a group
+// forward exactly when one of its swaps already landed and discards it
+// otherwise: a crash anywhere recovers every root swap or none of them,
+// and a discarded batch's shadows are swept as leaks. Like a one-root
+// swap, the cell writes become durable under the store's next fence.
 //
 // # Async durability
 //
@@ -51,141 +52,14 @@ import (
 // submits it to the store's commit queue, which coalesces submissions
 // from any number of goroutines into shared fence epochs on whichever
 // submitter leads it, and returns a Ticket; Ticket.Wait blocks until the
-// batch's publication is fence-covered, i.e. fully durable. A batch on
-// one root is durable at its own round's fence: the round stages the
-// root's publication in the heap's stage table ahead of that fence
-// (alloc's StageRoot), and recovery applies a staged publication whose
-// blocks re-verify. A batch spanning roots publishes through the batch
-// record after the fence, so its ticket is owed: the leader's next
-// fencing round resolves it, or the one fence the leader pays before it
-// steps down.
-
-// batchLogRoot names the root slot anchoring the store's batch record:
-// two redo-record slots (redo.go), through which every multi-root commit
-// on one heap — Batch and CommitUnrelated alike — publishes.
-const batchLogRoot = "__mod_batchlog"
-
-// MaxBatchRoots is the most distinct roots one batch commit can change,
-// bounded by the capacity of a batch-record slot.
-const MaxBatchRoots = 62
-
-const (
-	recSlotSize  = redoHdrSize + MaxBatchRoots*16
-	batchRecSize = 2 * recSlotSize
-)
-
-// recSlot returns this handle's view of batch-record slot i (0 or 1).
-// Commit seq stages into slot seq&1, so it never overwrites commit seq-1,
-// the one record whose swaps may still await a fence.
-func (s *Store) recSlot(i int) redoRecord {
-	return redoRecord{dev: s.dev, base: s.batchRec + pmem.Addr(i*recSlotSize), max: MaxBatchRoots}
-}
-
-// liveRecord is the volatile state of a batch-record slot whose durable
-// status may still read live: the commit's sequence number (0 = none)
-// and tag, the FenceSeq read after its last cell flush — any fence that
-// passes tag has made every swap of the record durable.
-type liveRecord struct {
-	seq, tag uint64
-}
-
-// retireCovered is the retirement step of every ordering point. Called
-// after the caller's fence and before its root write, it marks retired
-// each live record whose swaps a fence has covered (tag < FenceSeq, the
-// allocator's quarantine rule). A live record never rolls back a later
-// publication of one of its roots, whether or not a fence covers it:
-// replay skips a cell whose publication counter has passed the record's
-// word (SwapLanded). Retirement frees the slot for reuse and keeps a
-// record from outliving a wrap of that counter.
-func (s *Store) retireCovered() {
-	if s.sh.liveRecs.Load() == 0 {
-		return
-	}
-	s.sh.recMu.Lock()
-	defer s.sh.recMu.Unlock()
-	s.retireCoveredLocked()
-}
-
-func (s *Store) retireCoveredLocked() {
-	fenced := s.dev.FenceSeq()
-	for i := range s.sh.live {
-		if l := &s.sh.live[i]; l.seq != 0 && l.tag < fenced {
-			s.recSlot(i).retire(l.seq)
-			*l = liveRecord{}
-			s.sh.liveRecs.Add(-1)
-		}
-	}
-}
-
-// replayRecord decides the batch record's live slots on the crash image
-// and retires them (DESIGN.md §7). A live slot whose checksum validates
-// is rolled forward if at least one of its swaps has landed — a root cell
-// it names holds the word the swap wrote, or a later publication's: a
-// commit writes no cell before its one fence, which makes the shadows and
-// the record durable — and discarded otherwise. Rolling forward rewrites
-// only the cells whose swap has not landed: a cell a later publication
-// has already moved past keeps it (that publication may be a staged one,
-// acknowledged at its own fence while the record's retirement still
-// awaited the next). Every slot is decided before any cell is written;
-// roll-forwards are idempotent 8-byte writes applied in sequence order,
-// so the newer record wins a root both name. Runs before the reachability
-// scan so recovery traces the post-commit roots, and numbers the store's
-// next commits past every sequence number found, so a slot's old body can
-// never validate under a new status.
-func (s *Store) replayRecord() error {
-	type swap struct {
-		slot int
-		word uint64
-	}
-	type decided struct {
-		slot  int
-		seq   uint64
-		swaps []swap // nil: discard
-	}
-	var live []decided
-	for i := range s.sh.live {
-		seq, entries, isLive := s.recSlot(i).read()
-		if seq >= redoRetired>>1 { // no store commits 2^62 times; numbering on would reach the flag bit
-			return fmt.Errorf("core: batch-record slot %d holds sequence number %#x: %w", i, seq, ErrCorrupted)
-		}
-		s.sh.batchSeq = max(s.sh.batchSeq, seq)
-		if !isLive {
-			continue
-		}
-		forward := false
-		var swaps []swap
-		for _, e := range entries {
-			slot, ok := alloc.RootSlotOfCell(e.cell)
-			if !ok {
-				return fmt.Errorf("core: batch-record slot %d names %#x, not a root cell: %w", i, uint64(e.cell), ErrCorrupted)
-			}
-			forward = forward || s.heap.SwapLanded(slot, e.word)
-			swaps = append(swaps, swap{slot, e.word})
-		}
-		if !forward {
-			swaps = nil
-		}
-		live = append(live, decided{slot: i, seq: seq, swaps: swaps})
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	sort.Slice(live, func(a, b int) bool { return live[a].seq < live[b].seq })
-	wrote := false
-	for _, d := range live {
-		for _, w := range d.swaps {
-			wrote = s.heap.ReplaySwap(w.slot, w.word) || wrote
-		}
-	}
-	if wrote {
-		s.dev.Sfence() // rolled-forward cells durable before the records retire
-	}
-	for _, d := range live {
-		s.recSlot(d.slot).retire(d.seq)
-	}
-	s.dev.Sfence()
-	return nil
-}
+// batch's publication is fence-covered, i.e. fully durable. A round's
+// group members also carry a digest of the blocks they add, and recovery
+// applies a group none of whose swaps landed when every member is found
+// and re-verifies: so on a plain store a CommitAsync batch, on one root
+// or several, is durable at its own round's fence. A selective store's
+// navigation nodes carry no checksum to digest, so its tickets are owed:
+// the leader's next fencing round resolves them, or the one fence the
+// leader pays before it steps down.
 
 // batchOp is one deferred update: applied at commit time against the
 // root's then-current version inside the batch's shared edit context,
@@ -201,7 +75,7 @@ type batchOp struct {
 // roots and — built by DB.Batch — any number of shards. Ops are kept in
 // submission order and routed by their handle's owning store at commit:
 // a batch confined to one shard commits through that shard's 1-fence
-// path (a root swap, or the batch record for several roots), and one
+// path (a root swap, or a staged group for several roots), and one
 // spanning shards commits atomically through the shard manifest
 // (sharded.go). A Batch
 // is not safe for concurrent use; goroutines build their own batches and
@@ -346,7 +220,7 @@ func (b *Batch) CommitAsync() *Ticket {
 
 // rootChange records one root's pending publication: the committed
 // version a batch applied against and the final shadow to install, and,
-// for a root a commit-queue round stages, the blocks that shadow adds.
+// for a root a commit-queue round digests, the blocks that shadow adds.
 type rootChange struct {
 	slot       int
 	old, final pmem.Addr
@@ -371,13 +245,15 @@ type preparedBatch struct {
 	finals   map[int]pmem.Addr
 	releases []pmem.Addr // intermediate shadows, never published; per root in chain order
 
-	// stage is the roots (a bitmask of slots) a commit-queue round may
-	// stage: those only its one-root CommitAsync submissions touch, which
-	// need no atomicity with any other root. Every other changed root
-	// publishes as a Batch.Commit does.
-	stage uint64
-	// unstaged is the changed roots publishLocal did not stage.
-	unstaged uint64
+	// alone is the roots (a bitmask of slots) a commit-queue round
+	// publishes each on its own: those only its one-root CommitAsync
+	// submissions touch, which need no atomicity with any other root.
+	// The other changed roots publish as one group.
+	alone uint64
+	// pending is the changed roots whose publication publishLocal could
+	// not make durable at its own fence: their staged publications carry
+	// no digest, or they are not staged at all.
+	pending uint64
 }
 
 // prepareBatch locks every root the ops touch (ascending slot order, so
@@ -387,9 +263,9 @@ type preparedBatch struct {
 // publication fence. The first operation on a root copies its path;
 // subsequent operations mutate the edit-owned shadow in place, so an
 // N-op batch copies each path node at most once. For every changed root
-// in stage it also collects the blocks the root's shadow adds, which
-// publishLocal stages.
-func (s *Store) prepareBatch(ops []batchOp, stage uint64) *preparedBatch {
+// in digest it also collects the blocks the root's shadow adds, which
+// publishLocal stages as the publication's digest.
+func (s *Store) prepareBatch(ops []batchOp, digest uint64) *preparedBatch {
 	// Group ops by root slot, preserving submission order within a root.
 	perSlot := make(map[int][]batchOp)
 	var slots []int
@@ -400,9 +276,6 @@ func (s *Store) prepareBatch(ops []batchOp, stage uint64) *preparedBatch {
 		}
 		perSlot[slot] = append(perSlot[slot], op)
 	}
-	if len(slots) > MaxBatchRoots {
-		panic(fmt.Sprintf("core: batch touches %d roots (max %d)", len(slots), MaxBatchRoots))
-	}
 	locked := slices.Clone(slots)
 	sort.Ints(locked)
 	for _, slot := range locked {
@@ -411,7 +284,7 @@ func (s *Store) prepareBatch(ops []batchOp, stage uint64) *preparedBatch {
 
 	s.BeginFASE()
 	ed := s.heap.BeginEdit()
-	p := &preparedBatch{s: s, ops: ops, fase: true, locked: locked, finals: make(map[int]pmem.Addr, len(slots)), stage: stage}
+	p := &preparedBatch{s: s, ops: ops, fase: true, locked: locked, finals: make(map[int]pmem.Addr, len(slots))}
 	for _, slot := range slots {
 		old := s.heap.Root(slot)
 		cur := old
@@ -428,7 +301,7 @@ func (s *Store) prepareBatch(ops []batchOp, stage uint64) *preparedBatch {
 		p.finals[slot] = cur
 		if cur != old {
 			c := rootChange{slot: slot, old: old, final: cur}
-			if stage&(1<<slot) != 0 {
+			if digest&(1<<slot) != 0 {
 				c.fresh = ed.Fresh(cur, nil) // ownership ends at Seal
 			}
 			p.changed = append(p.changed, c)
@@ -439,100 +312,60 @@ func (s *Store) prepareBatch(ops []batchOp, stage uint64) *preparedBatch {
 }
 
 // publishLocal installs the prepared batch's root changes on its own
-// store under one fence, whatever their number. The roots in stage are
-// staged ahead of the fence, so the fence makes those publications
-// durable. Of the others, one changed root is the atomic pointer swap of
-// publishRoot, and several go through a batch-record slot so recovery
-// rolls all their swaps forward or discards them all. Every cell is
-// written behind the fence.
+// store under one fence, whatever their number (DESIGN.md §7). Each
+// changed root in alone is staged as a publication of its own, and the
+// others as one group; a group of one without a digest is not staged,
+// its swap being atomic alone. The fence makes the stage slots durable
+// with the shadows, and every cell is written behind it.
 func (p *preparedBatch) publishLocal() {
 	s := p.s
-	switch {
-	case len(p.changed) == 0:
-		// Nothing to publish or order.
-	case len(p.changed) == 1 && p.stage&(1<<p.changed[0].slot) == 0:
-		c := p.changed[0]
-		p.unstaged = 1 << c.slot
-		s.publishRoot(c.slot, c.old, c.final, false) // the batch's single ordering point
-	default:
-		var crown []pmem.Addr
-		for _, c := range p.changed {
-			crown = append(crown, s.maybeCheckpoint(c.final)...)
-		}
-		s.sh.recMu.Lock()
-		defer s.sh.recMu.Unlock()
-		s.commitBegin()
-		rec := p.stageRecord() // the batch record's new live slot, if any
-		p.stageRoots()
-		// The commit's one ordering point: shadows, the staged root
-		// publications, the record with its live status, and the previous
-		// commit's swaps are durable. No cell named here has been written
-		// yet, so until this fence completes recovery finds every one
-		// holding its old version, discards the record and applies only
-		// the stage slots whose blocks are all durable.
-		s.heap.Fence()
-		// Checkpoint crowns clear (and fence) before any swap, so a
-		// rolled-forward swap never points at a structure whose
-		// navigation recovery would zero.
-		s.clearCrown(crown)
-		s.retireCoveredLocked()
-		for _, c := range p.changed {
-			s.heap.SetRoot(c.slot, c.final)
-		}
-		if rec.seq != 0 {
-			// The swaps ride the store's next fence, like a one-root swap;
-			// the first ordering point whose fence passes tag retires the
-			// record.
-			rec.tag = s.dev.FenceSeq()
-			s.sh.live[rec.seq&1] = rec
-			s.sh.liveRecs.Add(1)
-		}
-		s.commitEnd()
+	if len(p.changed) == 0 {
+		return // nothing to publish or order
 	}
-}
-
-// stageRecord stages the swaps of the changed roots outside stage, each
-// named by the cell word it will write, in the batch record's next slot,
-// and returns that slot's live state, its tag still to be read. Fewer than
-// two such swaps need no record: a lone one is an atomic pointer swap.
-// The caller holds recMu.
-func (p *preparedBatch) stageRecord() liveRecord {
-	s := p.s
-	entries := make([]redoEntry, 0, len(p.changed))
+	var crown []pmem.Addr
 	for _, c := range p.changed {
-		if p.stage&(1<<c.slot) == 0 {
-			entries = append(entries, redoEntry{cell: s.heap.RootCellAddr(c.slot), word: s.heap.NextCellWord(c.slot, c.final)})
-			p.unstaged |= 1 << c.slot
-		}
+		crown = append(crown, s.maybeCheckpoint(c.final)...)
 	}
-	if len(entries) < 2 {
-		return liveRecord{}
-	}
-	s.sh.batchSeq++ // serialized by recMu; 0 marks a never-used slot
-	seq := s.sh.batchSeq
-	// Slot seq&1 last held commit seq-2, which commit seq-1's fence
-	// retired; commit seq-1 stays intact in the other slot.
-	s.recSlot(int(seq&1)).stage(seq, entries, true)
-	return liveRecord{seq: seq}
-}
-
-// stageRoots stages the publication of each changed root in stage ahead
-// of the fence where its fresh blocks allow (alloc's StageRoot) and notes
-// the ones it could not stage.
-func (p *preparedBatch) stageRoots() {
+	var buf [4]alloc.StagedRoot // a group of up to four roots stays on the stack
+	group := buf[:0]
+	s.commitBegin()
 	for _, c := range p.changed {
-		if p.stage&(1<<c.slot) != 0 && !p.s.heap.StageRoot(c.slot, c.old, c.final, c.fresh) {
-			p.unstaged |= 1 << c.slot
+		m := alloc.StagedRoot{Slot: c.slot, Final: c.final, Fresh: c.fresh}
+		switch {
+		case p.alone&(1<<c.slot) == 0:
+			group = append(group, m)
+		case !s.heap.StageGroup([]alloc.StagedRoot{m}):
+			p.pending |= 1 << c.slot
 		}
 	}
+	if !s.heap.StageGroup(group) {
+		for _, m := range group {
+			p.pending |= 1 << m.Slot
+		}
+	}
+	// The commit's one ordering point: shadows and stage slots are
+	// durable. No cell named here has been written yet, so until this
+	// fence completes recovery finds every one holding its old version
+	// and applies only the groups whose members are all found and all
+	// re-verify.
+	s.heap.Fence()
+	// Checkpoint crowns clear (and fence) before any swap, so a
+	// rolled-forward swap never points at a structure whose navigation
+	// recovery would zero.
+	s.clearCrown(crown)
+	for _, c := range p.changed {
+		s.heap.SetRoot(c.slot, c.final)
+	}
+	s.heap.GroupSwapped(group)
+	s.commitEnd()
 }
 
-// staged reports whether a one-root submission on root was durable at the
-// publication's own fence: there was a fence, and root either did not
-// change — its version was published before that fence, which covers its
-// cell write — or was staged.
-func (p *preparedBatch) staged(root int) bool {
-	return len(p.changed) > 0 && p.unstaged&(1<<root) == 0
+// durable reports whether the publication of roots (a bitmask of slots)
+// was durable at publishLocal's own fence: there was a fence, and each of
+// roots either did not change — its version was published before that
+// fence, which covers its cell write — or was staged with digests.
+func (p *preparedBatch) durable(roots uint64) bool {
+	return len(p.changed) > 0 && p.pending&roots == 0
 }
 
 // finish retires every superseded version, adopts the new versions into
@@ -586,18 +419,21 @@ func (s *Store) commitBatch(ops []batchOp) {
 // it. A submitter that finds the queue idle leads it: on its own
 // goroutine it drains the whole queue in rounds of at most maxOps
 // operations, each round one fence. One-root CommitAsync submissions need
-// no atomicity with any other root: the round stages their roots ahead of
-// its fence — every root no spanning submission of the round touches — so
-// their tickets resolve when the round returns, as do those of enrolled
-// Basic updates and barriers, which wait for publication only. The
-// round's other roots publish as one Batch.Commit, several through the
-// batch record after the fence, so the tickets of CommitAsync submissions
-// on them are owed: the leader's next round that fences follows their
-// cell writes on the same goroutine and resolves them, and a leader that
-// runs out of rounds pays one fence for them before it steps down. Every
-// release of leadership drains the queue and resolves every owed ticket
-// under q.mu first, so nothing queued is ever left without a leader and
-// no ticket waits on a fence nobody will pay.
+// no atomicity with any other root: the round stages each of their roots
+// — every root no spanning submission of the round touches — as a
+// publication of its own, with a digest of the blocks it adds. The
+// round's other roots publish as one group, whose members carry digests
+// too when a spanning CommitAsync is among them. So on a plain store the
+// round's fence makes every CommitAsync in it durable, and its ticket
+// resolves when the round returns, as do those of enrolled Basic updates
+// and barriers, which wait for publication only. A ticket whose
+// publication carries no digest — every one on a selective store — is
+// owed: the leader's next round that fences follows its cell writes on
+// the same goroutine and resolves it, and a leader that runs out of
+// rounds pays one fence for it before it steps down. Every release of
+// leadership drains the queue and resolves every owed ticket under q.mu
+// first, so nothing queued is ever left without a leader and no ticket
+// waits on a fence nobody will pay.
 
 // subKind says what a submission is.
 type subKind uint8
@@ -613,21 +449,14 @@ type submission struct {
 	ops    []batchOp
 	ticket *Ticket
 	kind   subKind
-	root   int  // the root slot every op names; -1 without ops or when they span
-	spans  bool // the ops name more than one root
+	roots  uint64 // the root slots the ops name, a bitmask
 }
 
-// newSubmission classifies ops by the roots they name.
+// newSubmission notes the roots ops name.
 func newSubmission(ops []batchOp, kind subKind, t *Ticket) submission {
-	sub := submission{ops: ops, ticket: t, kind: kind, root: -1}
+	sub := submission{ops: ops, ticket: t, kind: kind}
 	for _, op := range ops {
-		switch slot := op.ds.base().loc.slot; {
-		case sub.root < 0:
-			sub.root = slot
-		case slot != sub.root:
-			sub.root, sub.spans = -1, true
-			return sub
-		}
+		sub.roots |= 1 << op.ds.base().loc.slot
 	}
 	return sub
 }
@@ -759,18 +588,21 @@ func (s *Store) round(subs []submission) {
 		switch {
 		case sub.kind == subBasic:
 			basic++
-		case sub.spans:
-			for _, op := range sub.ops {
-				spanned |= 1 << op.ds.base().loc.slot
-			}
-		case sub.root >= 0:
-			one |= 1 << sub.root
+		case bits.OnesCount64(sub.roots) > 1:
+			spanned |= sub.roots
+		default:
+			one |= sub.roots
 		}
 	}
-	if s.sh.selective || one != 0 && !s.heap.StageReady() {
-		// A selective root's navigation nodes carry no checksum to validate
-		// a stage slot against; a heap's first staging attempt only arms it.
-		one = 0
+	// Every root a CommitAsync names is digested, and when one spans
+	// roots, every root of the round's group is.
+	digest := one | spanned
+	if spanned != 0 {
+		digest = ^uint64(0)
+	}
+	if s.sh.selective {
+		// A selective root's navigation nodes carry no checksum to digest.
+		digest, one = 0, 0
 	}
 	if basic > 0 {
 		if now := s.dev.LocalNs(); now < q.busyUntil {
@@ -779,7 +611,8 @@ func (s *Store) round(subs []submission) {
 	}
 	var p *preparedBatch
 	if len(ops) > 0 {
-		p = s.prepareBatch(ops, one&^spanned)
+		p = s.prepareBatch(ops, digest)
+		p.alone = one &^ spanned
 		p.publishLocal()
 		p.finish()
 	}
@@ -792,7 +625,7 @@ func (s *Store) round(subs []submission) {
 		q.resolveOwed() // the round's fence followed the owed cell writes
 	}
 	for _, sub := range subs {
-		if sub.kind == subAsync && (sub.root < 0 || !p.staged(sub.root)) {
+		if sub.kind == subAsync && (p == nil || !p.durable(sub.roots)) {
 			q.owed = append(q.owed, sub.ticket)
 			continue
 		}

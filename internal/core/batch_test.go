@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -16,10 +15,7 @@ import (
 func newBatchTestStore(t *testing.T) (*pmem.Device, *Store) {
 	t.Helper()
 	dev := pmem.New(pmem.DefaultConfig(64 << 20))
-	st, err := newStore(dev)
-	if err != nil {
-		t.Fatalf("NewStore: %v", err)
-	}
+	st := newStore(dev)
 	return dev, st
 }
 
@@ -69,10 +65,10 @@ func TestBatchSingleRootOneFence(t *testing.T) {
 	}
 }
 
-// TestBatchMultiRootOneFence: a batch over three roots publishes through
-// the batch record under the one fence a one-root batch pays, and so does
-// every later one — the record slots alternate, and each commit's fence
-// retires the previous record instead of fencing it out separately.
+// TestBatchMultiRootOneFence: a batch over three roots publishes as one
+// staged group under the one fence a one-root batch pays, and so does
+// every later one; so does a batch over every root a store can host, which
+// recovers whole.
 func TestBatchMultiRootOneFence(t *testing.T) {
 	dev, st := newBatchTestStore(t)
 	m, _ := st.Map("m")
@@ -100,6 +96,82 @@ func TestBatchMultiRootOneFence(t *testing.T) {
 	}
 	if want := uint64(40); m.Len() != want || q.Len() != want || v.Len() != want {
 		t.Fatalf("batch results: map=%d queue=%d vector=%d, want %d each", m.Len(), q.Len(), v.Len(), want)
+	}
+
+	// Every root a store can host: still one fence, and recovered whole.
+	st = newTestStore(t)
+	vecs := bindEveryRoot(t, st)
+	st.Sync()
+	base := st.Stats()
+	b := st.NewBatch()
+	for _, v := range vecs {
+		b.VectorUpdate(v, 0, 200)
+	}
+	b.Commit()
+	if d := st.Stats().Sub(base); d.Fences != 1 {
+		t.Errorf("a batch over all %d roots used %d fences, want 1", len(vecs), d.Fences)
+	}
+	crashAcrossRoots(t, st, len(vecs), func(r *Store) int { return vectorsAt(t, r, len(vecs), 200) })
+}
+
+// bindEveryRoot binds a vector on every root slot s has, each holding its
+// index, and checks that the root table then refuses one more name.
+func bindEveryRoot(t *testing.T, s *Store) []*Vector {
+	t.Helper()
+	vecs := make([]*Vector, alloc.RootSlots)
+	for i := range vecs {
+		var err error
+		if vecs[i], err = s.Vector(fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatalf("binding root %d of %d: %v", i, alloc.RootSlots, err)
+		}
+		vecs[i].Push(uint64(i))
+	}
+	if _, err := s.Vector("one-too-many"); err == nil {
+		t.Fatalf("a store bound a root past its %d slots", alloc.RootSlots)
+	}
+	return vecs
+}
+
+// vectorsAt counts the vectors v0..v(n-1) of a recovered store whose
+// element 0 is val.
+func vectorsAt(t *testing.T, s *Store, n int, val uint64) int {
+	t.Helper()
+	got := 0
+	for i := 0; i < n; i++ {
+		v, err := s.Vector(fmt.Sprintf("v%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Get(0) == val {
+			got++
+		}
+	}
+	return got
+}
+
+// crashAcrossRoots crashes s right after a commit that moved n roots, the
+// first in slot 0, and recovers three images: no swap durable, the first
+// line of root cells alone, and every swap. changed counts the roots a
+// recovered store holds at the commit's version: none, then all — the
+// group rolled forward behind its landed members — then all.
+func crashAcrossRoots(t *testing.T, s *Store, n int, changed func(r *Store) int) {
+	t.Helper()
+	dev := s.dev.(*pmem.Device)
+	none := dev.CrashImage(pmem.CrashFencedOnly, 0)
+	first := append([]byte(nil), none...)
+	line := s.heap.RootCellAddr(0) &^ (pmem.LineSize - 1)
+	copy(first[line:line+pmem.LineSize], dev.Snapshot()[line:line+pmem.LineSize])
+	for k, tc := range []struct {
+		img  []byte
+		want int
+	}{{none, 0}, {first, n}, {dev.CrashImage(pmem.CrashAllInflight, 0), n}} {
+		r, _, err := openStore(pmem.NewFromImage(pmem.DefaultConfig(int64(len(tc.img))), tc.img))
+		if err != nil {
+			t.Fatalf("image %d: recovery: %v", k, err)
+		}
+		if got := changed(r); got != tc.want {
+			t.Errorf("image %d: %d of %d roots recovered the commit, want %d", k, got, n, tc.want)
+		}
 	}
 }
 
@@ -217,8 +289,8 @@ func TestBatchConcurrentWriters(t *testing.T) {
 
 // TestBatchAsyncCommitter exercises the commit queue: concurrent
 // producers submit batches, tickets resolve durable, Sync drains; then,
-// on an idle queue, the submitter leads its own round, and a spanning
-// batch's leader pays the one settle fence before it returns.
+// on an idle queue, the submitter leads its own round, whose one fence
+// makes its batch durable whether it spans roots or not.
 func TestBatchAsyncCommitter(t *testing.T) {
 	dev, st := newBatchTestStore(t)
 	cfgMaps := make([]*Map, 3)
@@ -273,9 +345,8 @@ func TestBatchAsyncCommitter(t *testing.T) {
 	// An idle queue: the submitter leads, so its batch is durable when
 	// CommitAsync returns and Wait adds nothing. On one root the round
 	// staged the publication ahead of its fence, the only one paid; across
-	// two roots it went through the batch record after the fence, so the
-	// leader found no round coming and paid one settle fence before it
-	// stepped down.
+	// two roots it staged them as one group with digests, and that fence
+	// is again the only one.
 	for _, spans := range []bool{false, true} {
 		base := dev.Stats()
 		b := st.NewBatch()
@@ -283,7 +354,6 @@ func TestBatchAsyncCommitter(t *testing.T) {
 		want := uint64(1)
 		if spans {
 			b.MapSet(cfgMaps[1], bkey(999), bkey(999))
-			want = 2
 		}
 		tk := b.CommitAsync()
 		if _, ok := cfgMaps[0].Get(bkey(999)); !ok {
@@ -301,7 +371,7 @@ func TestBatchAsyncCommitter(t *testing.T) {
 
 // TestBatchCrashAllOrNothing crashes a multi-root batch — two map keys
 // and a queue element — at every PM write, while its shadows build,
-// around the record's fence and mid root-swap, under every crash policy,
+// around its one fence and mid root-swap, under every crash policy,
 // after prefixes of 0 to 16 committed batches: recovery sees the batch
 // atomically, in the map and the queue or in neither, and line eviction
 // both keeps it and drops it across the cuts.
@@ -342,17 +412,17 @@ func TestBatchCrashAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestBatchRecordStaleStatusRejected forges the two ways a stale record
-// could roll a root back. First the stale-record hazard proper, as a
-// checker history: a multi-root batch leaves its record live (its status
-// durable since the commit's fence; the Sync that ends the setup fences
-// its swaps but is no ordering point), and a later one-root publication
-// of one of its roots is covered by the fence of an unrelated FASE after
-// it. Recovery must keep the later value instead of rolling the root back
-// onto the batch's released version — at every PM write of both, under
-// every crash policy. Second, a durable live status forged over a body
-// checksummed for a different sequence number must not be acted on at
-// all.
+// TestBatchRecordStaleStatusRejected: a stale group member never rolls a
+// later publication back. First as a checker history: a multi-root batch
+// leaves its member slots in the stage table (the Sync that ends the setup
+// fences its swaps), and a later one-root publication of one of its roots
+// is covered by the fence of an unrelated FASE after it. Recovery must
+// keep the later value instead of rolling the root back onto the batch's
+// released version — at every PM write of both, under every crash policy.
+// Then on a forged image: the later publication durable and the batch's
+// other swap lost, so the group is landed — the other root rolls forward,
+// the republished one keeps its later version; and with both member slots
+// torn, nothing of them is acted on at all.
 func TestBatchRecordStaleStatusRejected(t *testing.T) {
 	h := &crashHist{roots: []histRoot{
 		{name: "a", bind: mxBind((*Store).Map, mxMapOps)},
@@ -371,17 +441,16 @@ func TestBatchRecordStaleStatusRejected(t *testing.T) {
 	}
 	h.run(t)
 
-	// A durable live status that does not match the body's checksummed
-	// sequence number.
 	cfg := pmem.DefaultConfig(16 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	st, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newStore(dev)
 	m, _ := st.Map("a")
 	q, _ := st.Queue("b")
+	st.Sync()
+	qSlot, _ := st.heap.RootSlot("b")
+	qCell := st.heap.RootCellAddr(qSlot)
+	emptyQ := dev.ReadU64(qCell)
 	b := st.NewBatch()
 	b.MapSet(m, bkey(1), []byte("v1"))
 	b.QueueEnqueue(q, 1)
@@ -389,23 +458,33 @@ func TestBatchRecordStaleStatusRejected(t *testing.T) {
 	st.Sync()
 	m.Set(bkey(1), []byte("v2"))
 	st.Sync()
-	for i := range st.sh.live {
-		rec := st.recSlot(i)
-		dev.WriteU64(rec.base, 4242)
-		dev.Clwb(rec.base)
+	img := dev.CrashImage(pmem.CrashFencedOnly, 1)
+	binary.LittleEndian.PutUint64(img[qCell:], emptyQ) // the batch's swap on b lost
+	torn := append([]byte(nil), img...)
+	for _, name := range []string{"a", "b"} {
+		slot, _ := st.heap.RootSlot(name)
+		for i := 0; i < 2; i++ {
+			at := st.heap.StageSlotAddr(slot, i) + 8 // the group word
+			binary.LittleEndian.PutUint64(torn[at:], binary.LittleEndian.Uint64(torn[at:])^0x100)
+		}
 	}
-	dev.Sfence()
-	st2, _, err := openStore(pmem.NewFromImage(cfg, dev.CrashImage(pmem.CrashFencedOnly, 1)))
-	if err != nil {
-		t.Fatalf("forged status: recovery: %v", err)
-	}
-	m2, _ := st2.Map("a")
-	q2, _ := st2.Queue("b")
-	if v, ok := m2.Get(bkey(1)); !ok || string(v) != "v2" {
-		t.Fatalf("forged status: key 1 = %q, %v; want \"v2\"", v, ok)
-	}
-	if q2.Len() != 1 {
-		t.Fatalf("forged status: queue has %d entries, want the batch's 1", q2.Len())
+	for _, tc := range []struct {
+		what  string
+		img   []byte
+		queue uint64
+	}{{"landed group", img, 1}, {"torn member slots", torn, 0}} {
+		st2, _, err := openStore(pmem.NewFromImage(cfg, tc.img))
+		if err != nil {
+			t.Fatalf("%s: recovery: %v", tc.what, err)
+		}
+		m2, _ := st2.Map("a")
+		q2, _ := st2.Queue("b")
+		if v, ok := m2.Get(bkey(1)); !ok || string(v) != "v2" {
+			t.Fatalf("%s: key 1 = %q, %v; want the later \"v2\"", tc.what, v, ok)
+		}
+		if q2.Len() != tc.queue {
+			t.Fatalf("%s: queue has %d entries, want %d", tc.what, q2.Len(), tc.queue)
+		}
 	}
 }
 
@@ -446,65 +525,75 @@ func TestBatchSyncBarrier(t *testing.T) {
 	}
 }
 
-// TestBatchRecordLayoutV8 pins heap layout v8's batch record: two slots
-// in one block, alternating by sequence number, both inside the trace
-// checker's exempt range; the retiring write keeps the sequence number;
-// and an image stamped with layout v7 — one slot, a separately fenced
-// commit word — is refused at open with ErrHeapVersion.
-func TestBatchRecordLayoutV8(t *testing.T) {
+// TestStageSlotLayoutV10 pins heap layout v10's stage slots as multi-root
+// commits write them: one 32-byte slot per changed root, two to a line in
+// the root's stage line inside the trace checker's exempt range, at the
+// parity of the cell word it names; every member of one commit carries
+// the same group word — a sequence number over the member count — and
+// the next commit the next sequence number. A Batch.Commit's members
+// carry no digest, a round's spanning members do.
+func TestStageSlotLayoutV10(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	st, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
+	st := newStore(dev)
+	tb := st.heap.StageTableRange()
+	if exempt := st.CheckerConfig().ExemptRanges; len(exempt) != 2 || exempt[1] != tb {
+		t.Fatalf("checker exempts %#x, want the superblock and the stage table %#x", exempt, tb)
 	}
-	if got := st.heap.PayloadSize(st.batchRec); batchRecSize != 2*recSlotSize || got < batchRecSize {
-		t.Fatalf("batch record block holds %d bytes for two %d-byte slots", got, recSlotSize)
-	}
-	exempt := st.CheckerConfig().ExemptRanges[1]
-	if exempt[0] != st.batchRec-alloc.HeaderSize || exempt[1] != st.recSlot(1).base+recSlotSize {
-		t.Fatalf("checker exempts [%#x, %#x), want the header and both slots [%#x, %#x)",
-			uint64(exempt[0]), uint64(exempt[1]), uint64(st.batchRec-alloc.HeaderSize), uint64(st.recSlot(1).base+recSlotSize))
+	if tb[1]-tb[0] != alloc.RootSlots*pmem.LineSize {
+		t.Fatalf("stage table spans %d bytes, want a line for each of %d roots", tb[1]-tb[0], alloc.RootSlots)
 	}
 	m, _ := st.Map("m")
 	q, _ := st.Queue("q")
+	v, _ := st.Vector("v")
+	type slotWords struct{ final, group, digest, meta uint64 }
+	member := func(s *Store, name string) slotWords {
+		slot, _ := s.heap.RootSlot(name)
+		w := s.dev.ReadU64(s.heap.RootCellAddr(slot))
+		at := s.heap.StageSlotAddr(slot, int(w>>35&1))
+		if at < tb[0] || at+32 > tb[1] || at/pmem.LineSize != s.heap.StageSlotAddr(slot, 1-int(w>>35&1))/pmem.LineSize {
+			t.Fatalf("%s: stage slot %#x is not in the root's stage line inside the table", name, uint64(at))
+		}
+		return slotWords{s.dev.ReadU64(at), s.dev.ReadU64(at + 8), s.dev.ReadU64(at + 16), s.dev.ReadU64(at + 24)}
+	}
 	for seq := uint64(1); seq <= 3; seq++ {
 		b := st.NewBatch()
 		b.MapSet(m, bkey(int(seq)), bkey(int(seq)))
 		b.QueueEnqueue(q, seq)
 		b.Commit()
-		live, other := st.recSlot(int(seq&1)), st.recSlot(int(seq&1^1))
-		if got, entries, isLive := live.read(); got != seq || !isLive || len(entries) != 2 {
-			t.Fatalf("commit %d: slot %d reads seq %d live=%v with %d entries", seq, seq&1, got, isLive, len(entries))
-		}
-		if seq > 1 {
-			if got, _, isLive := other.read(); got != seq-1 || isLive {
-				t.Fatalf("commit %d: the previous record reads seq %d live=%v, want %d retired by this commit's fence", seq, got, isLive, seq-1)
+		for _, name := range []string{"m", "q"} {
+			slot, _ := st.heap.RootSlot(name)
+			got := member(st, name)
+			if got.final != st.dev.ReadU64(st.heap.RootCellAddr(slot)) || got.group != seq<<8|2 || got.digest != 0 || got.meta == 0 || got.meta>>48 != 0 {
+				t.Fatalf("commit %d: %s's member slot %+v, want its cell word, group %#x, no digest", seq, name, got, seq<<8|2)
 			}
 		}
 	}
-
-	st.Sync()
-	img := dev.CrashImage(pmem.CrashFencedOnly, 1)
-	binary.LittleEndian.PutUint64(img[8:], 7) // the superblock's layout version word
-	if _, _, err := Open(cfg, WithExistingImages([][]byte{img})); !errors.Is(err, alloc.ErrHeapVersion) {
-		t.Fatalf("open of a v7 image: %v, want ErrHeapVersion", err)
+	async := st.NewBatch()
+	async.MapSet(m, bkey(9), bkey(9))
+	async.VectorPush(v, 9)
+	tk := async.CommitAsync()
+	if tk.Wait(); tk.Err() != nil {
+		t.Fatal(tk.Err())
+	}
+	for _, name := range []string{"m", "v"} {
+		if got := member(st, name); got.group != 4<<8|2 || got.meta>>48 == 0 {
+			t.Fatalf("spanning round: %s's member slot %+v, want group %#x with a digest", name, got, 4<<8|2)
+		}
 	}
 }
 
-// TestBatchRecordSequenceSurvivesReopen: a retired status keeps its
-// sequence number, and a reopened store numbers its next commits past
-// every one found, so a stage over a slot's old body can never carry the
-// sequence number that body's checksum is bound to.
-func TestBatchRecordSequenceSurvivesReopen(t *testing.T) {
+// TestStageSlotsConsumedAtReopen: group numbering is volatile. Recovery
+// consumes every stage slot it finds, so a reopened store may number its
+// groups from 1 again without a new group ever matching a stale member
+// left over from before the crash.
+func TestStageSlotsConsumedAtReopen(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	st, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newStore(dev)
+	tb := st.heap.StageTableRange()
 	commit := func(st *Store, i int) {
 		m, _ := st.Map("m")
 		q, _ := st.Queue("q")
@@ -513,21 +602,30 @@ func TestBatchRecordSequenceSurvivesReopen(t *testing.T) {
 		b.QueueEnqueue(q, uint64(i))
 		b.Commit()
 	}
+	group := func(s *Store, name string) uint64 {
+		slot, _ := s.heap.RootSlot(name)
+		w := s.dev.ReadU64(s.heap.RootCellAddr(slot))
+		return s.dev.ReadU64(s.heap.StageSlotAddr(slot, int(w>>35&1)) + 8)
+	}
 	for i := 1; i <= 3; i++ {
 		commit(st, i)
 	}
+	if got := group(st, "m"); got != 3<<8|2 {
+		t.Fatalf("third commit: group word %#x, want %#x", got, 3<<8|2)
+	}
+
 	st.Sync()
 	st2, _, err := openStore(pmem.NewFromImage(cfg, dev.CrashImage(pmem.CrashFencedOnly, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range st2.sh.live {
-		if seq, _, live := st2.recSlot(i).read(); live || seq < 2 {
-			t.Fatalf("slot %d after reopen: seq %d live=%v, want a retired 2 or 3", i, seq, live)
+	for at := tb[0]; at < tb[1]; at += 32 {
+		if meta := st2.dev.ReadU64(at + 24); meta != 0 {
+			t.Fatalf("stage slot %#x survived the recovery that decided it", uint64(at))
 		}
 	}
 	commit(st2, 4)
-	if seq, _, live := st2.recSlot(0).read(); seq != 4 || !live {
-		t.Fatalf("first commit after reopen staged seq %d (live=%v) in slot 0, want 4", seq, live)
+	if got := group(st2, "m"); got != 1<<8|2 {
+		t.Fatalf("first commit after reopen: group word %#x, want %#x", got, 1<<8|2)
 	}
 }

@@ -21,10 +21,7 @@ func TestCommitPathsLeaveCountsExact(t *testing.T) {
 	cfg := pmem.DefaultConfig(64 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(dev)
 	m, _ := s.Map("m")
 	v, _ := s.Vector("v")
 	q, _ := s.Queue("q")

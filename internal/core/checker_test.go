@@ -105,13 +105,12 @@ func (p *crashProbe) install(devs []pmem.Backend) func() {
 
 // crashHist is one checker history.
 type crashHist struct {
-	shards  int  // a DB of this many shards; 0: one store
-	staging bool // arm the stores' stage tables before the window
-	roots   []histRoot
-	setup   func(e *histEnv) // committed and synced before the window
-	window  func(e *histEnv, r *histRec)
-	stride  int    // cut every stride-th PM write; 0: mxInjectionStride()
-	seed    uint64 // varies the crash images' random line choices
+	shards int // a DB of this many shards; 0: one store
+	roots  []histRoot
+	setup  func(e *histEnv) // committed and synced before the window
+	window func(e *histEnv, r *histRec)
+	stride int    // cut every stride-th PM write; 0: mxInjectionStride()
+	seed   uint64 // varies the crash images' random line choices
 
 	// expect, if set, is the history's own verdict on every image the
 	// spec accepts: what it pins beyond the spec — which way an
@@ -271,11 +270,6 @@ func (h *crashHist) run(t *testing.T) *histRec {
 	e.t = t
 	if h.setup != nil {
 		h.setup(e)
-	}
-	if h.staging {
-		for i := 0; i < db.ShardCount(); i++ {
-			armStaging(db.Shard(i))
-		}
 	}
 	db.Sync()
 	r := &histRec{h: h, e: e, devs: db.Regions().Devices(), model: durcheck.Model{Init: e.state()}}

@@ -307,7 +307,7 @@ func TestSnapshotSurvivesReclaim(t *testing.T) {
 
 // TestCommitUnrelatedCrashAtomicAcrossSeeds runs the CommitUnrelated
 // history of TestCommitUnrelatedCrashAroundRecordFence under eight more
-// seeds of line eviction — the record, the swaps and the shadows land or
+// seeds of line eviction — the member slots, the swaps and the shadows land or
 // not at the seed's whim — at every third PM write.
 func TestCommitUnrelatedCrashAtomicAcrossSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -325,10 +325,7 @@ func commitUnrelatedPair(t *testing.T) (*pmem.Device, *Store) {
 	cfg := pmem.DefaultConfig(16 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(dev)
 	v1, _ := s.Vector("v1")
 	v2, _ := s.Vector("v2")
 	v1.Push(1)
@@ -407,7 +404,7 @@ func TestCommitUnrelatedUnfencedAllOrNothing(t *testing.T) {
 // before ack). Run under -race.
 func TestConcurrentBatchAndCASCrashImages(t *testing.T) {
 	const roots, writers, ops = 3, 5, 8 // writers 0 and 3 Basic, 1 Batch.Commit, 2 and 4 CommitAsync + Wait
-	h := &crashHist{staging: true, stride: 5}
+	h := &crashHist{stride: 5}
 	for r := 0; r < roots; r++ {
 		h.roots = append(h.roots, histRoot{name: fmt.Sprintf("r%d", r), bind: mxBind((*Store).Map, mxMapOps)})
 	}
@@ -561,14 +558,14 @@ func TestConcurrentMixedStructures(t *testing.T) {
 }
 
 // TestCASPublishesPastUncoveredRecord pins the interleaving in which an
-// optimistic CAS publishes past a live batch record that names its root
-// with no fence covering the record's swaps yet: a two-root batch parks
-// at its first root swap while a writer on that root builds its update
-// and fences, then finishes its swaps before the writer's CAS. The
-// writer's first CAS wins. It needs no covering fence for the record: the
-// CAS advances the root's publication counter past the record's word, and
-// replay leaves such a cell alone, so the record cannot roll the writer
-// back — at every PM write, under every crash policy: wherever the
+// optimistic CAS publishes past a multi-root group's member slot on its
+// root with no fence covering the group's swaps yet: a two-root batch
+// parks at its first root swap while a writer on that root builds its
+// update and fences, then finishes its swaps before the writer's CAS. The
+// writer's first CAS wins. It needs no covering fence for the group: the
+// CAS advances the root's publication counter past the member's final,
+// and recovery leaves such a cell alone, so the group cannot roll the
+// writer back — at every PM write, under every crash policy: wherever the
 // writer's cell write reached the image, before any fence acknowledges
 // it, the image recovers the writer's key over the batch. At least four
 // images per policy from the batch's first swap on precede that.

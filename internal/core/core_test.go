@@ -26,10 +26,7 @@ func newTestStore(t testing.TB) *Store {
 	t.Helper()
 	cfg := pmem.DefaultConfig(64 << 20)
 	cfg.TrackDurable = true
-	s, err := newStore(pmem.New(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(pmem.New(cfg))
 	return s
 }
 
@@ -129,10 +126,7 @@ func TestHandleRebindAfterReopen(t *testing.T) {
 	cfg := pmem.DefaultConfig(64 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(dev)
 	m, _ := s.Map("m")
 	for i := uint64(0); i < 500; i++ {
 		m.Set(key64(i), key64(i*2))
@@ -164,7 +158,7 @@ func TestCrashMidFASEKeepsOldVersionAndReclaimsLeaks(t *testing.T) {
 	cfg := pmem.DefaultConfig(64 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, _ := newStore(dev)
+	s := newStore(dev)
 	m, _ := s.Map("m")
 	for i := uint64(0); i < 100; i++ {
 		m.Set(key64(i), []byte("stable"))
@@ -333,7 +327,7 @@ func TestCommitUnrelatedAtomic(t *testing.T) {
 	if v1.Get(2) != b || v2.Get(7) != a {
 		t.Fatal("cross-structure swap not applied")
 	}
-	// Two roots publish through the redo record under its one fence.
+	// Two roots publish as one staged group under its one fence.
 	if delta.Fences != 1 {
 		t.Fatalf("CommitUnrelated of two roots used %d fences, want 1", delta.Fences)
 	}
@@ -343,10 +337,10 @@ func TestCommitUnrelatedAtomic(t *testing.T) {
 // CommitUnrelated, then — when later — twice onto an unrelated stack
 // through a CommitSingle of two shadows, whose fence makes the commit's
 // swaps durable. Where the spec lets an unacknowledged commit go either
-// way, the history pins which: recovery rolls the record forward iff a
+// way, the history pins which: recovery rolls the group forward iff a
 // root swap reached the image, so both pushes survive when either cell
 // holds its new word and neither survives otherwise — at every write
-// before the commit's fence, whatever of the record reached PM. Right
+// before the commit's fence, whatever of its member slots reached PM. Right
 // after the commit returns, fenced lines alone hold neither swap and
 // every flushed line holds both.
 func unrelatedPairHist(seed uint64, later bool) *crashHist {
@@ -400,9 +394,9 @@ func unrelatedPairHist(seed uint64, later bool) *crashHist {
 
 // TestCommitUnrelatedCrashAroundRecordFence crashes a two-root
 // CommitUnrelated at every PM write around its one fence — staging the
-// shadows and the record before it, each root swap after it — right after
+// shadows and the member slots before it, each root swap after it — right after
 // it returns, and through a later one-root FASE whose fence makes the
-// swaps durable, under every crash policy: recovery discards the record
+// swaps durable, under every crash policy: recovery discards the group
 // before any swap landed, rolls it forward once one did, and keeps it
 // once the later fence ran.
 func TestCommitUnrelatedCrashAroundRecordFence(t *testing.T) {
@@ -411,20 +405,14 @@ func TestCommitUnrelatedCrashAroundRecordFence(t *testing.T) {
 
 // TestCommitUnrelatedFenceBudget: a CommitUnrelated publishes under one
 // fence however many roots it changes — one root like CommitSingle,
-// several through the redo record, up to every root a store can host
-// (RootSlots − 1: the record's anchor takes a slot) — and never with more
-// fences than a Batch over the same roots.
+// several as one staged group, up to every root a store can host
+// (RootSlots) — and never with more fences than a Batch over the same
+// roots. Over every root it is also recovered whole: none of it before
+// any swap is durable, all of it once one swap is.
 func TestCommitUnrelatedFenceBudget(t *testing.T) {
-	for _, tc := range []struct{ roots, fences int }{{1, 1}, {2, 1}, {3, 1}, {8, 1}, {alloc.RootSlots - 1, 1}} {
+	for _, tc := range []struct{ roots, fences int }{{1, 1}, {2, 1}, {3, 1}, {8, 1}, {alloc.RootSlots, 1}} {
 		s := newTestStore(t)
-		vecs := make([]*Vector, tc.roots)
-		for i := range vecs {
-			var err error
-			if vecs[i], err = s.Vector(fmt.Sprintf("v%d", i)); err != nil {
-				t.Fatalf("%d roots: binding v%d: %v", tc.roots, i, err)
-			}
-			vecs[i].Push(uint64(i))
-		}
+		vecs := bindEveryRoot(t, s)[:tc.roots]
 		s.Sync()
 		fences := func(commit func()) uint64 {
 			before := s.Stats().Fences
@@ -454,6 +442,17 @@ func TestCommitUnrelatedFenceBudget(t *testing.T) {
 			if got := v.Get(0); got != 200 {
 				t.Errorf("%d roots: v%d[0] = %d after both commits, want 200", tc.roots, i, got)
 			}
+		}
+		if tc.roots == alloc.RootSlots {
+			s.Sync()
+			updates := make([]Update, len(vecs))
+			for i, v := range vecs {
+				updates[i] = Update{DS: v, Shadows: []Version{v.PureUpdate(0, 300)}}
+			}
+			if err := s.CommitUnrelated(updates...); err != nil {
+				t.Fatal(err)
+			}
+			crashAcrossRoots(t, s, len(vecs), func(r *Store) int { return vectorsAt(t, r, len(vecs), 300) })
 		}
 	}
 }
@@ -573,10 +572,7 @@ func TestTraceInvariantsHoldAcrossWorkout(t *testing.T) {
 	cfg := pmem.DefaultConfig(64 << 20)
 	cfg.Tracer = rec
 	dev := pmem.New(cfg)
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(dev)
 	m, _ := s.Map("m")
 	v, _ := s.Vector("v")
 	q, _ := s.Queue("q")
@@ -598,7 +594,7 @@ func TestTraceInvariantsHoldAcrossWorkout(t *testing.T) {
 	s2 := s1.Update(1, 43)
 	s.CommitSingle(v, s1, s2)
 	s.EndFASE()
-	s.BeginFASE() // two roots through the batch record, written in place inside the commit bracket
+	s.BeginFASE() // two roots as a staged group, its slots written in place inside the commit bracket
 	ms, _ := m.PureSet(key64(7), key64(8))
 	s.CommitUnrelated(Update{DS: v, Shadows: []Version{v.PureUpdate(2, 44)}}, Update{DS: m, Shadows: []Version{ms}})
 	s.EndFASE()
@@ -621,7 +617,7 @@ func TestRecoveryReclaimsAllLeaksToZeroWaste(t *testing.T) {
 	cfg := pmem.DefaultConfig(64 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, _ := newStore(dev)
+	s := newStore(dev)
 	m, _ := s.Map("m")
 	for i := uint64(0); i < 300; i++ {
 		m.Set(key64(i), key64(i))

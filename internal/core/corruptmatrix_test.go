@@ -155,10 +155,7 @@ func TestCorruptionMatrixSingleStore(t *testing.T) {
 				t.Run(st.name+"/"+mode+"/"+fc, func(t *testing.T) {
 					build := func() (*Store, matrixOps, *Map, *pmem.Device) {
 						dev := pmem.New(cfg)
-						s, err := newStore(dev)
-						if err != nil {
-							t.Fatal(err)
-						}
+						s := newStore(dev)
 						ops, marker := mxOpenRow(t, st, s)
 						for i := 0; i < mxPrefix; i++ {
 							ops.basic(i)

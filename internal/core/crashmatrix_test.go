@@ -13,8 +13,8 @@ import (
 // structure (vector, CHAMP map, CHAMP set, stack, queue; plain and
 // selective) under every commit discipline — per-op FASEs, a multi-op
 // edit FASE, a multi-root batch and a CommitUnrelated of caller-built
-// shadow chains through the batch record, back-to-back records sharing a
-// root, staged queue rounds, and a cross-shard batch through the shard
+// shadow chains as staged groups, back-to-back groups sharing a root,
+// staged queue rounds, and a cross-shard batch through the shard
 // manifest — crashed at every PM write of the window under every crash
 // policy. matrixOps is each structure's driver and its model adapter.
 
@@ -67,7 +67,7 @@ func (st matrixStructure) opts() []Option {
 // plain, and a selective row's store then turns selective — the state a
 // reopen WithSelective of a plain store produces — before the structure
 // under test is bound, so the batch and unrelated modes publish a
-// selective and a plain root in one redo record.
+// selective and a plain root in one staged group.
 func mxOpenRow(t *testing.T, st matrixStructure, s *Store) (matrixOps, *Map) {
 	t.Helper()
 	marker, err := s.Map("mx-marker")
@@ -330,8 +330,8 @@ func TestCrashMatrixSingleStore(t *testing.T) {
 							b.Commit()
 						})
 					case "batch":
-						// Structure and marker change together through the
-						// batch record.
+						// Structure and marker change together as one
+						// staged group.
 						r.do("batch", append(e.effs(s, mxPrefix, mxPrefix+mxProbe), e.eff(m, mxPrefix)), func() {
 							b := e.db.Store().NewBatch()
 							for i := mxPrefix; i < mxPrefix+mxProbe; i++ {
@@ -353,15 +353,15 @@ func TestCrashMatrixSingleStore(t *testing.T) {
 	}
 }
 
-// TestCrashMatrixRecordSlots checks the batch record's slot protocol: a
+// TestCrashMatrixRecordSlots checks the member slots of staged groups: a
 // shared root S (the structure under test) and three marker maps move
 // through three back-to-back multi-root commits that all name S — two
 // Batches, then a CommitUnrelated — with a one-root commit on S between
-// the second and the third. The window covers a slot's reuse (the third
-// record overwrites the first's slot while the second may still be
-// live), the stale roll-back hazard (the one-root commit republishes S
-// behind a live record), and a record's retirement written in the same
-// epoch as a root swap.
+// the second and the third. The window covers member-slot reuse on S (the
+// third group's member overwrites the first's slot, by counter parity,
+// while the second's member may still hold its unfenced siblings) and the
+// stale roll-back hazard (the one-root commit republishes S past the
+// second group's member).
 func TestCrashMatrixRecordSlots(t *testing.T) {
 	const s = 3
 	for _, st := range matrixStructures() {
@@ -381,19 +381,20 @@ func TestCrashMatrixRecordSlots(t *testing.T) {
 	}
 }
 
-// TestCrashMatrixStagedRounds checks the commit queue's staged one-root
-// publication (DESIGN.md §7) on a shared root S and four marker maps: two
+// TestCrashMatrixStagedRounds checks the commit queue's staged
+// publications (DESIGN.md §7) on a shared root S and four marker maps: two
 // back-to-back one-root async rounds on S, an optimistic CAS on S, a
-// round carrying two one-root submissions (S and the first marker, no
-// record between them), a multi-root async submission (S and the second
-// marker, through the batch record, settled by its leader before it steps
-// down), a round carrying a multi-root submission (the third and fourth
-// markers, through the record) beside a one-root one on S (staged), one
-// more one-root round on S and a last CAS on S — slot reuse by counter
-// parity across a CAS, independent roots sharing a fence, a record and a
-// stage slot under one fence, and a staged round after a record its fence
-// covers but whose retirement only the next fence makes durable. Every
-// submission is acknowledged when its Wait returns.
+// round carrying two one-root submissions (S and the first marker, each
+// staged on its own), a multi-root async submission (S and the second
+// marker, a group with digests, durable at its own fence), a round
+// carrying a multi-root submission (the third and fourth markers, one
+// group) beside a one-root one on S (staged on its own), one more
+// one-root round on S and a last CAS on S — slot reuse by counter parity
+// across a CAS, independent roots sharing a fence, a group and a group of
+// one under one fence, and a staged round on a root a group just swapped.
+// On the selective row nothing carries a digest and the leader settles
+// the owed tickets before it steps down. Every submission is acknowledged
+// when its Wait returns.
 func TestCrashMatrixStagedRounds(t *testing.T) {
 	const s = 4
 	for _, st := range matrixStructures() {
@@ -402,7 +403,6 @@ func TestCrashMatrixStagedRounds(t *testing.T) {
 		}
 		t.Run(st.name, func(t *testing.T) {
 			h := mxHist(st, 4)
-			h.staging = true
 			h.window = func(e *histEnv, r *histRec) {
 				store := e.db.Store()
 				async := func(name string, i int, roots ...int) {

@@ -293,7 +293,7 @@ func Open(cfg pmem.Config, opts ...Option) (*DB, RecoveryInfo, error) {
 		vc := verifyConfig{verify: o.verify, salvage: o.salvage}
 		db.shards, info, err = attachRegions(shardRegions, meta, vc)
 	} else {
-		db.shards, err = formatRegions(shardRegions, meta)
+		db.shards = formatRegions(shardRegions, meta)
 	}
 	if err != nil {
 		return nil, RecoveryInfo{}, err

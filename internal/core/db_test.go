@@ -426,7 +426,7 @@ func TestOpenShardedAttachDeadLine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := 0; k < 2000; k++ { // enough to push the commit log and batch record into the lower half
+		for k := 0; k < 2000; k++ { // enough to push the heap's blocks into the lower half
 			m.Set(sKey(k), sKey(k*3))
 		}
 	}
@@ -441,27 +441,5 @@ func TestOpenShardedAttachDeadLine(t *testing.T) {
 	var cerr *CorruptionError
 	if !errors.Is(err, ErrCorrupted) || !errors.As(err, &cerr) || cerr.Shard != 1 {
 		t.Fatalf("attach over a dead line in shard 1: %v, want ErrCorrupted with Shard == 1", err)
-	}
-}
-
-// TestOpenMissingBatchRecord pins that every attachable heap carries a
-// batch record (heap layout v4 formats one): an image whose record root
-// is gone is damaged, not an older layout to upgrade in place.
-func TestOpenMissingBatchRecord(t *testing.T) {
-	cfg := dbConfig()
-	dev := pmem.New(cfg)
-	db, _, err := Open(cfg, WithDevices(dev))
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap := db.Store().Heap()
-	slot, err := heap.RootSlot(batchLogRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap.SetRoot(slot, pmem.Nil)
-	db.Close()
-	if _, _, err := Open(cfg, WithDevices(dev), WithAttach()); !errors.Is(err, ErrCorrupted) {
-		t.Fatalf("attach without a batch record: %v, want ErrCorrupted", err)
 	}
 }

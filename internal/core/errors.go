@@ -8,8 +8,8 @@ import "errors"
 // without string matching.
 var (
 	// ErrReservedRootName is returned when binding a datastructure under
-	// a root name with the reserved "__mod_" prefix, which anchors the
-	// store's own recovery machinery.
+	// a root name with the "__mod_" prefix, which is reserved for the
+	// store's own roots.
 	ErrReservedRootName = errors.New("reserved root name")
 
 	// ErrWrongRootKind is returned when binding a datastructure over a

@@ -66,9 +66,10 @@ func (h *handle) adopt(a pmem.Addr)      { h.cur.Store(uint64(a)) }
 // paths pin the reclamation epoch first (Store.resolveForRead).
 func (h *handle) committed() pmem.Addr { return h.st.resolveForRead(h.loc) }
 
-// reservedRootPrefix guards the store's internal anchor roots (the
-// batch record): binding a datastructure over one of them would let
-// user commits clobber the recovery machinery.
+// reservedRootPrefix is the root-name prefix reserved for the store's own
+// roots. Since heap layout v10 the store anchors none — every root slot
+// is the caller's — and the prefix stays reserved so a later layout can
+// anchor one without taking a name a caller already bound.
 const reservedRootPrefix = "__mod_"
 
 // rootKind is one structure family as the binders see it: its name, the

@@ -175,7 +175,6 @@ func (s *Store) publishRoot(slot int, old, final pmem.Addr, cas bool) bool {
 	s.commitBegin()
 	s.heap.Fence() // the FASE's single ordering point; reclaims retired blocks
 	s.clearCrown(crown)
-	s.retireCovered()
 	won := true
 	if cas {
 		mu := &s.sh.rootMu[slot]

@@ -18,20 +18,22 @@ import (
 
 // TestSettleLeaderDrainsArrivals replays the interleaving that strands a
 // ticket if a leader steps down without draining: goroutine A leads the
-// round of its own batch, which spans two roots, so it publishes through
-// the batch record and A's ticket is owed a fence. Finding nothing queued,
+// round of its own batch, which spans two roots of a selective store, so
+// its group carries no digest and A's ticket is owed a fence (a selective
+// root's navigation nodes carry no checksum). Finding nothing queued,
 // A pays its step-down settle fence, and is inside it, still leading,
 // when B submits. B's CommitAsync returns at once with its batch queued
 // behind A; A must publish it before it steps down, so B's ticket
-// resolves with no call by anyone but A. B's batch is on one root,
-// durable at its own round's fence.
+// resolves with no call by anyone but A. B's batch, on one root of the
+// same selective store, is owed too, and A settles it before it steps
+// down as well.
 //
 // It is a checker history with a named schedule: the fence hook parks A,
 // and every PM write of both rounds is a cut.
 func TestSettleLeaderDrainsArrivals(t *testing.T) {
-	h := &crashHist{staging: true, roots: []histRoot{
-		{name: "m", bind: mxBind((*Store).Map, mxMapOps)},
-		{name: "n", bind: mxBind((*Store).Map, mxMapOps)},
+	h := &crashHist{roots: []histRoot{
+		{name: "m", sel: true, bind: mxBind((*Store).Map, mxMapOps)},
+		{name: "n", sel: true, bind: mxBind((*Store).Map, mxMapOps)},
 	}}
 	h.window = func(e *histEnv, r *histRec) {
 		s := e.db.Store()
@@ -91,8 +93,8 @@ func TestSettleLeaderDrainsArrivals(t *testing.T) {
 		if !tb.Done() {
 			e.t.Fatal("A stepped down without publishing the batch B queued behind it: B's ticket is stranded")
 		}
-		if f := dev.Stats().Fences - before; f != 3 {
-			e.t.Fatalf("%d fences, want 3: A's round, A's settle fence, B's round", f)
+		if f := dev.Stats().Fences - before; f != 5 {
+			e.t.Fatalf("%d fences, want 5: A's round, A's settle fence, B's round and the crown fence of the checkpoint it folds, B's settle fence", f)
 		}
 		mxWait(e.t, tb)
 		r.respond(ib, true)

@@ -29,9 +29,17 @@ func TestOpenRejectsV5Heap(t *testing.T) { openStampedHeap(t, 5) }
 // leaves hold 32 elements where this build indexes 8.
 func TestOpenRejectsV6Heap(t *testing.T) { openStampedHeap(t, 6) }
 
-// TestOpenRejectsV8Heap: and the layout before this one, whose 16-byte
-// root entries hold a bare address and no stage slots.
+// TestOpenRejectsV8Heap: and a layout whose 16-byte root entries hold a
+// bare address and no stage slots.
 func TestOpenRejectsV8Heap(t *testing.T) { openStampedHeap(t, 8) }
+
+// TestOpenRejectsV9Heap: and the layout before this one, whose multi-root
+// commits live in a batch record this build would neither replay nor
+// retire, and whose 24-byte stage slots carry no group word.
+func TestOpenRejectsV9Heap(t *testing.T) {
+	openStampedHeap(t, 9)
+	openStampedHeap(t, 9|1<<63) // with its stage-live flag set
+}
 
 func openStampedHeap(t *testing.T, version uint64) {
 	cfg := pmem.DefaultConfig(1 << 20)

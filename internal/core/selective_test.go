@@ -340,7 +340,7 @@ func TestSelectiveShardedParallelRebuild(t *testing.T) {
 }
 
 // TestSelectiveBatchAndUnrelatedCommits routes selective updates through
-// the group-commit batch record and CommitUnrelated, the two multi-root
+// a multi-root Batch and CommitUnrelated, the two multi-root
 // publication paths whose checkpoint clears ride different fences than
 // the single-root commit.
 func TestSelectiveBatchAndUnrelatedCommits(t *testing.T) {
@@ -353,8 +353,8 @@ func TestSelectiveBatchAndUnrelatedCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Multi-root batch: both selective roots change through the batch
-	// record's 3-fence path, folding checkpoints each commit.
+	// Multi-root batch: both selective roots change as one staged group,
+	// folding checkpoints each commit.
 	for i := 0; i < 10; i++ {
 		b := s.NewBatch()
 		b.MapSet(m, []byte(fmt.Sprintf("k%02d", i)), []byte("batched"))

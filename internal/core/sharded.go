@@ -14,7 +14,7 @@ import (
 // set), and recovery (one reachability scan). A DB with S > 1 partitions
 // the root namespace across S fully independent stores — each with its
 // own pmem.Device region, its own heap, open-run table, epoch reclaimer,
-// batch record, and commit queue — so unrelated
+// stage table, and commit queue — so unrelated
 // FASEs on different shards never share a fence, never contend on an
 // allocator lock, and recover in parallel.
 //
@@ -22,15 +22,15 @@ import (
 // the DB is an ordinary single-store handle on its shard, so
 // single-shard operations cost exactly what they cost on one heap: a
 // Basic update is one FASE with one fence, a single-shard batch commits
-// through its shard's 1-fence path (a root swap, or the batch record for
+// through its shard's 1-fence path (a root swap, or a staged group for
 // several roots). This file holds what exists only because there can be
 // more than one heap: formatting and attaching a region set, and the
 // manifest.
 //
 // # Cross-shard atomicity: the shard manifest
 //
-// A Batch whose updates span shards cannot ride any one shard's batch
-// record — each record orders only its own device. Instead the store
+// A Batch whose updates span shards cannot ride any one shard's stage
+// table — each orders only its own device. Instead the store
 // commits through a two-phase checksummed manifest in a small dedicated
 // metadata region (present only when S > 1):
 //
@@ -75,7 +75,7 @@ const MaxManifestEntries = (metaRegionBytes - int(manifestBase) - redoHdrSize) /
 
 // manifest returns the shard manifest held in the metadata region.
 func manifest(meta pmem.Backend) redoRecord {
-	return redoRecord{dev: meta, base: manifestBase, max: MaxManifestEntries, sharded: true}
+	return redoRecord{dev: meta, base: manifestBase, max: MaxManifestEntries}
 }
 
 // metaConfig derives the metadata region's device configuration.
@@ -88,15 +88,11 @@ func metaConfig(cfg pmem.Config) pmem.Config {
 // formatRegions formats one fresh store per shard region and, when there
 // is a metadata region, stamps it (fenced) with the magic and shard
 // count.
-func formatRegions(devs []pmem.Backend, meta pmem.Backend) ([]*Store, error) {
+func formatRegions(devs []pmem.Backend, meta pmem.Backend) []*Store {
 	stores := make([]*Store, len(devs))
 	for i, d := range devs {
-		s, err := newStore(d)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		s.sh.shard = i
-		stores[i] = s
+		stores[i] = newStore(d)
+		stores[i].sh.shard = i
 	}
 	if meta != nil {
 		meta.WriteU64(0, shardMagic)
@@ -104,7 +100,7 @@ func formatRegions(devs []pmem.Backend, meta pmem.Backend) ([]*Store, error) {
 		meta.FlushRange(0, 16)
 		meta.Sfence()
 	}
-	return stores, nil
+	return stores
 }
 
 // guardRegion runs one region's share of an attach and converts any
@@ -134,18 +130,18 @@ func guardRegion(region int, step func() error) (err error) {
 // attachRegions recovers the store already present on a region set —
 // crash images on the simulator, mmap'd files on mmapdev. It replays a
 // committed cross-shard manifest all-or-nothing, then recovers the
-// shards in parallel, each on the goroutine guarding it — reachability
-// scan, verification (eager when asked, else lazy on-read checks are
-// armed), selective rebuild — so total recovery time is the slowest
-// shard's, not the sum, degraded opens included. A single heap is the
-// same pipeline with one shard, no manifest phase and no goroutine. Damage is reported per shard; unsalvaged roots are
+// shards in parallel, each on the goroutine guarding it — staged groups
+// and reachability scan, verification (eager when asked, else lazy
+// on-read checks are armed), selective rebuild — so total recovery time
+// is the slowest shard's, not the sum, degraded opens included. A single
+// heap is the same pipeline with one shard, no manifest phase and no
+// goroutine. Damage is reported per shard; unsalvaged roots are
 // quarantined on their shard's store.
 func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*Store, RecoveryInfo, error) {
 	shards := len(devs)
 	info := RecoveryInfo{Recovered: true, PerShard: make([]alloc.RecoveryStats, shards)}
 
-	// Phase 0: attach each shard — replay its own batch record, cheap
-	// work that must precede reachability.
+	// Phase 0: attach each shard's heap.
 	stores := make([]*Store, shards)
 	for i, d := range devs {
 		if err := guardRegion(i, func() (err error) {
@@ -312,8 +308,7 @@ func (db *DB) commitCross(per [][]batchOp) {
 		// fence) and clear their crown durable behind it — program order
 		// puts every clear fence before the manifest's commit point, so
 		// a replayed swap can never publish a structure whose navigation
-		// recovery would zero. The fence also covers the shard's live
-		// batch records, which retire behind it, ahead of the redo swaps.
+		// recovery would zero.
 		for i, p := range preps {
 			if changed[i] {
 				var crown []pmem.Addr
@@ -322,14 +317,13 @@ func (db *DB) commitCross(per [][]batchOp) {
 				}
 				p.s.heap.Fence()
 				p.s.clearCrown(crown)
-				p.s.retireCovered()
 			}
 		}
 		meta, rec := db.meta, manifest(db.meta)
 		db.sh.mu.Lock()
 		db.sh.seq++ // serialized by the manifest lock; 0 marks a never-used manifest
 		seq := db.sh.seq
-		rec.stage(seq, entries, false)
+		rec.stage(seq, entries)
 		// Intent fence: the body — and any previous manifest's
 		// retirement — is durable while the status is still idle, so a
 		// crash here recovers none of the batch.
@@ -351,9 +345,8 @@ func (db *DB) commitCross(per [][]batchOp) {
 		}
 		// Mark durable: idle status issued only now, after the redo
 		// fences, so it can never become durable while a swap is not —
-		// and fenced immediately. Unlike the single-device batch record,
-		// whose retirement rides its own device's next commit fence, the
-		// metadata region is fenced by no ordinary commit: deferring this
+		// and fenced immediately. The metadata region is fenced by no
+		// ordinary commit: deferring this
 		// fence would let a crash resurrect the manifest after touched
 		// roots had durably moved on, and the replay would roll them back.
 		rec.retire(seq)

@@ -27,7 +27,7 @@ func FuzzShardRouting(f *testing.F) {
 	f.Add("fuzz-q", uint8(8))
 	f.Add("", uint8(2))
 	f.Add("key-000042", uint8(3))
-	f.Add("__mod_batchlog", uint8(5))
+	f.Add("__mod_reserved", uint8(5))
 	f.Fuzz(func(t *testing.T, name string, shards uint8) {
 		s := int(shards)%8 + 1
 		cfg := pmem.DefaultConfig(1 << 20)
@@ -41,8 +41,8 @@ func FuzzShardRouting(f *testing.F) {
 		}
 		m, err := ss.Map(name)
 		if strings.HasPrefix(name, "__mod_") {
-			// Reserved names guard the internal anchor roots; binding
-			// them must fail rather than clobber the recovery machinery.
+			// The reserved prefix is the store's own: binding under it
+			// must fail.
 			if err == nil {
 				t.Fatalf("Map(%q) bound a reserved root", name)
 			}

@@ -382,12 +382,11 @@ func TestShardedManifestRetirementDurable(t *testing.T) {
 }
 
 // TestShardedManifestRetiresLiveRecord: a shard's multi-root batch leaves
-// its batch record live, and a cross-shard batch then republishes one of
-// that record's roots through the manifest. The manifest's per-shard
-// fence covers the record's swaps, so the shard retires the record behind
-// it before the redo swap; otherwise recovery would roll the root back
-// onto the local batch's version once a fence had made the cross-shard
-// value durable.
+// its group's member slots in the stage table, and a cross-shard batch
+// then republishes one of that group's roots through the manifest, past
+// the member's final. Recovery must not roll the root back onto the local
+// batch's version once a fence has made the cross-shard value durable,
+// nor lose the batch's other root.
 func TestShardedManifestRetiresLiveRecord(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true

@@ -3,26 +3,22 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
-// Staged one-root publications (DESIGN.md §7): a commit-queue round
-// writes the publication of each root only one-root submissions changed
-// into the heap's stage table ahead of its one fence, so that fence
-// acknowledges those submissions, and recovery applies a stage slot whose
-// old cell word is still the durable cell and whose fresh blocks
-// re-verify. These tests pin the fence budget and each hazard the
+// Staged publications (DESIGN.md §7): a commit-queue round writes the
+// publication of each root it changes into the heap's stage table ahead
+// of its one fence — each root only one-root submissions changed on its
+// own, the others as one group — with a digest of the blocks it adds, so
+// that fence acknowledges the round's submissions, and recovery applies a
+// group none of whose swaps landed when all its members are found, each
+// the publication right after its root's durable cell, and each
+// re-verifies. These tests pin the fence budget and each hazard the
 // protocol must close.
-
-// armStaging makes s's heap ready to stage, as a store's first staging
-// attempt and the fence after it do; the rounds after it stage.
-func armStaging(s *Store) {
-	s.heap.StageReady()
-	s.heap.Fence()
-}
 
 // asyncSet submits one Map.Set as a one-root CommitAsync and waits on it.
 func asyncSet(t *testing.T, s *Store, m *Map, k, v string) *Ticket {
@@ -50,7 +46,7 @@ func recoverImage(t *testing.T, cfg pmem.Config, img []byte) (*Store, alloc.Reco
 // TestAsyncOneRootOneFence is the budget of a durable one-root ack: N
 // one-root CommitAsync + Wait from one goroutine cost exactly N fences —
 // the rounds' own, no settle — and at most one flush (the root's stage line,
-// staged) and 24 PM bytes (the stage slot) per op more than the same N
+// staged) and 32 PM bytes (the stage slot) per op more than the same N
 // updates through Batch.Commit, which pays the same round minus the
 // staging. Each Wait is an acknowledgement: a fenced-only crash image
 // taken right after it, with no later fence, holds the op (hazard d).
@@ -60,15 +56,11 @@ func TestAsyncOneRootOneFence(t *testing.T) {
 	cfg.TrackDurable = true
 	build := func() (*pmem.Device, *Store, *Map) {
 		dev := pmem.New(cfg)
-		s, err := newStore(dev)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newStore(dev)
 		m, _ := s.Map("m")
 		for i := 0; i < 200; i++ {
 			m.Set([]byte(fmt.Sprintf("pre%03d", i)), []byte("x"))
 		}
-		armStaging(s)
 		s.Sync()
 		return dev, s, m
 	}
@@ -96,9 +88,9 @@ func TestAsyncOneRootOneFence(t *testing.T) {
 	if got.Fences != n {
 		t.Errorf("%d one-root CommitAsync+Wait paid %d fences, want exactly %d", n, got.Fences, n)
 	}
-	if got.Flushes > ref.Flushes+n || got.BytesWritten > ref.BytesWritten+24*n {
+	if got.Flushes > ref.Flushes+n || got.BytesWritten > ref.BytesWritten+32*n {
 		t.Errorf("%d acks flushed %d lines and wrote %d B; Batch.Commit of the same ops %d / %d: budget +%d lines, +%d B",
-			n, got.Flushes, got.BytesWritten, ref.Flushes, ref.BytesWritten, n, 24*n)
+			n, got.Flushes, got.BytesWritten, ref.Flushes, ref.BytesWritten, n, 32*n)
 	}
 	for j, img := range images {
 		s2, _ := recoverImage(t, cfg, img)
@@ -123,15 +115,11 @@ func TestStagedGhostBlockRejected(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(dev)
 	m, _ := s.Map("m")
 	for i := 0; i < 40; i++ {
 		m.Set([]byte(fmt.Sprintf("k%02d", i)), []byte("old"))
 	}
-	armStaging(s)
 	s.Sync() // the replaced paths are on the free lists, their durable bytes intact
 	slot, _ := s.heap.RootSlot("m")
 	// At the first flush of the root's stage line, capture the image in
@@ -191,14 +179,10 @@ func TestStagedSlotIgnoresCASAddressReuse(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(dev)
 	s.heap.DisableReclaim = true
 	m, _ := s.Map("m")
 	m.Set([]byte("k"), []byte("A"))
-	armStaging(s)
 	s.Sync()
 	slot, _ := s.heap.RootSlot("m")
 	a := s.heap.Root(slot)
@@ -221,47 +205,40 @@ func TestStagedSlotIgnoresCASAddressReuse(t *testing.T) {
 }
 
 // TestStagedRoundOutlivesLiveRecord: a staged round on a root a
-// multi-root record just swapped is acknowledged at its own fence, which
-// covers the record's swaps — but the record's retirement, written after
-// that fence, waits for the next. A crash in between can find the record
-// live and the root's cell line evicted with the round's swap in it. Recovery
-// must not roll that root back onto the record's version: the record's
-// swap there has landed (a later publication overwrote it), and the
-// acknowledged round must survive.
+// multi-root group just swapped is acknowledged at its own fence, which
+// covers the group's swaps; the group's member slots stay in the stage
+// table after it. A crash can find them there and the root's cell line
+// evicted with the round's swap in it. Recovery must not roll that root
+// back onto the group's version: the group's swap there has landed (a
+// later publication overwrote it), and the acknowledged round must
+// survive.
 func TestStagedRoundOutlivesLiveRecord(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(dev)
 	a, _ := s.Map("a")
 	b, _ := s.Map("b")
-	armStaging(s)
 	s.Sync()
 	bt := s.NewBatch()
 	bt.MapSet(a, []byte("k"), []byte("batch"))
 	bt.MapSet(b, []byte("k"), []byte("batch"))
 	bt.Commit()
-	asyncSet(t, s, a, "k", "acked")
 	slot, _ := s.heap.RootSlot("a")
+	member := s.heap.StageSlotAddr(slot, int(s.dev.ReadU64(s.heap.RootCellAddr(slot))>>35&1))
+	group := s.dev.ReadU64(member + 8)
+	asyncSet(t, s, a, "k", "acked")
 	img := dev.CrashImage(pmem.CrashFencedOnly, 0)
 	at := s.heap.RootCellAddr(slot) &^ (pmem.LineSize - 1)
 	copy(img[at:at+pmem.LineSize], dev.Snapshot()[at:at+pmem.LineSize]) // root a's cell line evicted
-	live := false
-	for i := range s.sh.live {
-		_, _, isLive := redoRecord{dev: pmem.NewFromImage(cfg, img), base: s.recSlot(i).base, max: MaxBatchRoots}.read()
-		live = live || isLive
-	}
-	if !live {
-		t.Fatal("the image holds no live record: the round's retirement was already durable")
+	if binary.LittleEndian.Uint64(img[member+8:]) != group || group&0xff != 2 {
+		t.Fatalf("the image lost the group's member slot on a (group word %#x)", binary.LittleEndian.Uint64(img[member+8:]))
 	}
 	s2, _ := recoverImage(t, cfg, img)
 	a2, _ := s2.Map("a")
 	b2, _ := s2.Map("b")
 	if v, ok := a2.Get([]byte("k")); !ok || string(v) != "acked" {
-		t.Fatalf("a.k = %q, %v: the record's roll-forward undid an acknowledged round", v, ok)
+		t.Fatalf("a.k = %q, %v: the group's roll-forward undid an acknowledged round", v, ok)
 	}
 	if v, ok := b2.Get([]byte("k")); !ok || string(v) != "batch" {
 		t.Fatalf("b.k = %q, %v: the batch lost its other root", v, ok)
@@ -280,12 +257,8 @@ func TestStagedSlotReuseWaitsForFence(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(dev)
 	m, _ := s.Map("m")
-	armStaging(s)
 	s.Sync()
 	slot, _ := s.heap.RootSlot("m")
 	// At the first write into a stage slot that already holds a
@@ -335,24 +308,20 @@ func TestStagedSlotReuseWaitsForFence(t *testing.T) {
 
 // TestMixedRoundStagesOneRootSubmissions: a round carrying a submission
 // that spans roots and one-root submissions — on a root the spanning one
-// does not touch, and on one it does — takes one fence. The one-root
-// submission on the untouched root is staged and durable at that fence,
-// and resolved when the round returns; the spanning submission goes
-// through the batch record, and the one-root submission that shares its
-// root with it is published beside it, so both are owed a later fence:
-// the leader's step-down settle fence, the only other one release pays.
+// does not touch, and on one it does — takes one fence, and every ticket
+// resolves when the round returns: the one-root submission on the
+// untouched root is staged on its own, the spanning submission and the
+// one-root submission sharing its root are staged as one group whose
+// members carry digests. All three are durable at that fence, so the
+// leader steps down without a settle fence.
 func TestMixedRoundStagesOneRootSubmissions(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(dev)
 	a, _ := s.Map("a")
 	b, _ := s.Map("b")
 	c, _ := s.Map("c")
-	armStaging(s)
 	s.Sync()
 	q := &s.sh.queue
 	q.mu.Lock()
@@ -365,44 +334,103 @@ func TestMixedRoundStagesOneRootSubmissions(t *testing.T) {
 	onA.MapSet(a, []byte("k2"), []byte("one"))
 	tSpan, tC, tA := span.CommitAsync(), onC.CommitAsync(), onA.CommitAsync()
 	var roundImg []byte
-	var atSettle [3]bool
-	fences := 0
 	dev.SetTracer(&crashProbe{onFence: func(int) {
-		switch fences++; fences {
-		case 1: // the round's fence, no cell written yet
+		if roundImg == nil { // the round's fence, no cell written yet
 			roundImg = dev.CrashImage(pmem.CrashFencedOnly, 0)
-		case 2: // the settle fence, before the owed tickets resolve
-			atSettle = [3]bool{tC.Done(), tSpan.Done(), tA.Done()}
 		}
 	}})
 	before := dev.Stats().Fences
 	q.mu.Lock()
 	s.release()
 	dev.SetTracer(nil)
-	if got := dev.Stats().Fences - before; got != 2 {
-		t.Fatalf("release paid %d fences, want 2: the mixed round's and one settle fence", got)
-	}
-	if atSettle != [3]bool{true, false, false} {
-		t.Fatalf("at the settle fence: staged one-root ticket done=%v, spanning done=%v, one-root beside it done=%v; want true, false, false",
-			atSettle[0], atSettle[1], atSettle[2])
+	if got := dev.Stats().Fences - before; got != 1 {
+		t.Fatalf("release paid %d fences, want 1: the mixed round's, no settle fence", got)
 	}
 	if !tC.Done() || !tSpan.Done() || !tA.Done() {
-		t.Fatal("the leader stepped down with a ticket still owed")
+		t.Fatal("the leader stepped down with a ticket unresolved")
 	}
 	s2, rs := recoverImage(t, cfg, roundImg)
+	a2, _ := s2.Map("a")
+	b2, _ := s2.Map("b")
 	c2, _ := s2.Map("c")
-	if v, ok := c2.Get([]byte("k")); !ok || string(v) != "one" || rs.StagedRoots != 1 {
-		t.Fatalf("c.k = %q, %v with %d roots moved: the staged submission is not durable at its round's fence", v, ok, rs.StagedRoots)
-	}
-	s3, _ := recoverImage(t, cfg, dev.CrashImage(pmem.CrashFencedOnly, 0))
-	a3, _ := s3.Map("a")
-	b3, _ := s3.Map("b")
 	for _, kv := range []struct {
 		m    *Map
 		k, v string
-	}{{a3, "k", "span"}, {b3, "k", "span"}, {a3, "k2", "one"}} {
+	}{{c2, "k", "one"}, {a2, "k", "span"}, {b2, "k", "span"}, {a2, "k2", "one"}} {
 		if v, ok := kv.m.Get([]byte(kv.k)); !ok || string(v) != kv.v {
-			t.Fatalf("%s = %q, %v after release: an owed ticket resolved before its publication was durable", kv.k, v, ok)
+			t.Fatalf("%s = %q, %v from the round's fence alone: a resolved submission is not durable", kv.k, v, ok)
 		}
 	}
+	if rs.StagedRoots != 3 {
+		t.Fatalf("recovery moved %d roots, want 3", rs.StagedRoots)
+	}
+}
+
+// TestCASBetweenGroupSwapsThenStagedRound pins the member-slot overwrite
+// hazard with a schedule. A two-root group on A and B is parked at the
+// flush of its swap of A, before it writes B's cell (the two cells share
+// a line); an optimistic CAS on A, based on the
+// group's version, pays its fence there — it fences before it takes A's
+// mutex — and publishes once the group has swapped B and unlocked. A
+// staged round on A then reuses the stage slot of the group's member on A
+// (same counter parity). Until a fence covers B's swap, that slot is
+// recovery's only record that B's swap belongs with A's landed one: the
+// round must fence before it overwrites it (alloc's awaitCover). Every PM
+// write of the window is a cut under every crash policy.
+func TestCASBetweenGroupSwapsThenStagedRound(t *testing.T) {
+	h := &crashHist{roots: []histRoot{
+		{name: "a", bind: mxBind((*Store).Map, mxMapOps)},
+		{name: "b", bind: mxBind((*Store).Map, mxMapOps)},
+	}}
+	h.setup = func(e *histEnv) {
+		e.ops[0].basic(0)
+		e.ops[1].basic(0)
+	}
+	h.window = func(e *histEnv, r *histRec) {
+		s := e.db.Store()
+		slot, _ := s.heap.RootSlot("a")
+		aLine := uint64(s.heap.RootCellAddr(slot)) / pmem.LineSize
+		parked, resume, fenced := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		var parkOnce, fenceOnce sync.Once
+		r.p.onFlush = func(ln uint64) {
+			if ln == aLine {
+				parkOnce.Do(func() {
+					close(parked)
+					<-resume
+				})
+			}
+		}
+		wins := s.CommitStats().FastWins
+		gDone, cDone := make(chan struct{}), make(chan struct{})
+		ig := r.invoke("group", e.eff(0, 1), e.eff(1, 1))
+		go func() {
+			defer close(gDone)
+			b := s.NewBatch()
+			e.ops[0].batch(b, 1)
+			e.ops[1].batch(b, 1)
+			b.Commit()
+		}()
+		<-parked // the group swapped A and has not written B's cell
+		r.p.onFence = func(int) { fenceOnce.Do(func() { close(fenced) }) }
+		ic := r.invoke("cas", e.eff(0, 2))
+		go func() {
+			defer close(cDone)
+			e.ops[0].basic(2)
+		}()
+		<-fenced // the CAS paid its fence, ahead of B's swap
+		close(resume)
+		<-gDone
+		r.respond(ig, false)
+		<-cDone
+		r.respond(ic, false)
+		if got := s.CommitStats().FastWins - wins; got != 1 {
+			e.t.Fatalf("the CAS took %d optimistic wins, want 1: the schedule did not run", got)
+		}
+		r.durable("round", e.effs(0, 3, 4), func() {
+			b := s.NewBatch()
+			e.ops[0].batch(b, 3)
+			mxWait(e.t, b.CommitAsync())
+		})
+	}
+	h.run(t)
 }

@@ -15,13 +15,15 @@
 //   - The Composition interface: Pure* methods return shadow versions
 //     without committing; CommitSingle, CommitSiblings, and
 //     CommitUnrelated (§5.1, Fig. 8) atomically install one or more
-//     shadows with one fence each. Several unrelated roots publish
-//     through the store's roll-forward redo record (redo.go, batch.go) —
-//     one fence, the same path a multi-root Batch takes — where the
-//     paper's Fig. 8d runs an undo-logged pointer transaction.
+//     shadows with one fence each. Several unrelated roots publish as
+//     one group staged in the heap's stage table (batch.go, alloc's
+//     StageGroup) — one fence, the same path a multi-root Batch takes —
+//     where the paper's Fig. 8d runs an undo-logged pointer transaction.
 //
-// Recovery (§5.3) is a reachability pass over the heap from the named
-// roots: interrupted-FASE allocations are swept, reference counts rebuilt.
+// Recovery (§5.3) decides the staged groups from their own slots and the
+// root cells they name, then runs a reachability pass over the heap from
+// the named roots: interrupted-FASE allocations are swept, reference
+// counts rebuilt.
 //
 // # Concurrency
 //
@@ -72,20 +74,14 @@ import (
 )
 
 // storeShared is the state common to all handles of one store: one commit
-// mutex per root slot, the batch-record lock serializing multi-root
-// publications (Batch and CommitUnrelated alike) and the retirement of
-// their records, the commit queue (batch.go), the commit-path counters
-// (optimistic.go), and the closed flag every handle observes.
+// mutex per root slot, the commit queue (batch.go), the commit-path
+// counters (optimistic.go), and the closed flag every handle observes.
 type storeShared struct {
-	shard    int // index among the DB's shards; labels corruption reports
-	rootMu   [alloc.RootSlots]sync.Mutex
-	recMu    sync.Mutex
-	batchSeq uint64        // last batch-record sequence number; guarded by recMu
-	live     [2]liveRecord // the batch-record slots' live records; guarded by recMu
-	liveRecs atomic.Int32  // live records, so an ordering point with none skips recMu
-	queue    commitQueue
-	cstats   commitCounters
-	closed   atomic.Bool
+	shard  int // index among the DB's shards; labels corruption reports
+	rootMu [alloc.RootSlots]sync.Mutex
+	queue  commitQueue
+	cstats commitCounters
+	closed atomic.Bool
 
 	// Quarantined root slots (corrupt.go): damage found by open-time
 	// verification or a Scrub. quarCount's atomic load keeps the
@@ -125,75 +121,40 @@ func newShared(shard int) *storeShared {
 // goroutine with Fork; handles share all store state but carry their own
 // simulated clock.
 type Store struct {
-	dev      pmem.Backend
-	heap     *alloc.Heap
-	batchRec pmem.Addr // persistent redo record for multi-root commits (batch.go)
-	sh       *storeShared
+	dev  pmem.Backend
+	heap *alloc.Heap
+	sh   *storeShared
 }
 
 // newStore formats dev and returns an empty store. Callers outside the
 // package go through Open, which formats one store per shard region.
-func newStore(dev pmem.Backend) (*Store, error) {
+func newStore(dev pmem.Backend) *Store {
 	heap := alloc.Format(dev)
 	registerWalkers(heap)
-	slot, err := heap.RootSlot(batchLogRoot)
-	if err != nil {
-		return nil, fmt.Errorf("core: anchoring batch record: %w", err)
-	}
-	s := &Store{dev: dev, heap: heap, batchRec: heap.Alloc(batchRecSize, 0), sh: newShared(0)}
-	// A recycled arena must not read as a live record, and its old bodies
-	// must never validate under this heap's sequence numbers, which
-	// restart at 1: a zero status is never used, a zero checksum never
-	// matches.
-	for i := range s.sh.live {
-		rec := s.recSlot(i)
-		dev.WriteU64(rec.base, 0)
-		dev.WriteU64(rec.base+16, 0)
-		dev.FlushRange(rec.base, redoHdrSize)
-	}
-	heap.SetRoot(slot, s.batchRec)
-	dev.Sfence()
-	return s, nil
+	return &Store{dev: dev, heap: heap, sh: newShared(0)}
 }
 
-// attachStore opens the heap on dev and replays its batch record — a
-// multi-root commit (Batch or CommitUnrelated) interrupted mid-publication
-// recovers all-or-nothing: a live record one of whose swaps landed is
-// rolled forward, one none of whose swaps landed is discarded — before
-// reachability tracing, so recovery sees the final roots. The returned
-// handle is not usable until
-// recoverHeap has rebuilt the heap's volatile state; Open runs a manifest
-// replay between the two. shard is the store's index among the DB's
-// shards.
+// attachStore opens the heap on dev. The returned handle is not usable
+// until recoverHeap has decided the heap's staged groups and rebuilt its
+// volatile state; Open runs a manifest replay between the two. shard is
+// the store's index among the DB's shards.
 func attachStore(dev pmem.Backend, shard int) (*Store, error) {
 	heap, err := alloc.Open(dev)
 	if err != nil {
 		return nil, err
 	}
 	registerWalkers(heap)
-	// Every attachable heap was formatted with the record's anchor.
-	slot, err := heap.RootSlot(batchLogRoot)
-	if err != nil {
-		return nil, err
-	}
-	rec := heap.Root(slot)
-	if rec == pmem.Nil {
-		return nil, fmt.Errorf("core: store has no %s root: %w", batchLogRoot, ErrCorrupted)
-	}
-	s := &Store{dev: dev, heap: heap, batchRec: rec, sh: newShared(shard)}
-	if err := s.replayRecord(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &Store{dev: dev, heap: heap, sh: newShared(shard)}, nil
 }
 
 // recoverHeap is the expensive half of attaching a store (recovery per
-// §5.3): the reachability scan that rolls the heap back to its roots and
-// garbage-collects unreachable blocks, then the corruption-resilience
-// phases (corrupt.go) — verification runs after the scan and before
-// selective navigation is rebuilt, so replay never runs over a record
-// chain that no longer verifies; without eager verification the heap
-// arms lazy on-read checks instead.
+// §5.3): the heap's staged groups are decided — rolled forward, applied
+// or discarded whole — around the reachability scan that rolls the heap
+// back to its roots and garbage-collects unreachable blocks, then the
+// corruption-resilience phases (corrupt.go) — verification runs after
+// the scan and before selective navigation is rebuilt, so replay never
+// runs over a record chain that no longer verifies; without eager
+// verification the heap arms lazy on-read checks instead.
 func (s *Store) recoverHeap(vc verifyConfig) (alloc.RecoveryStats, []DamagedRoot, error) {
 	start := s.dev.LocalNs()
 	rs, err := s.heap.Recover()
@@ -228,7 +189,7 @@ func registerWalkers(heap *alloc.Heap) {
 // forked store account their simulated time to that goroutine.
 func (s *Store) Fork() *Store {
 	h := s.heap.Fork()
-	return &Store{dev: h.Device(), heap: h, batchRec: s.batchRec, sh: s.sh}
+	return &Store{dev: h.Device(), heap: h, sh: s.sh}
 }
 
 // Device returns this handle's underlying persistent memory device handle.
@@ -263,14 +224,12 @@ func (s *Store) Close() error {
 }
 
 // CheckerConfig returns the trace-checker configuration for this store:
-// the allocator superblock, the stage table and the batch record are
-// updated in place by design and are exempt from the out-of-place
-// invariant.
+// the allocator superblock and the stage table are updated in place by
+// design and are exempt from the out-of-place invariant.
 func (s *Store) CheckerConfig() trace.CheckerConfig {
 	return trace.CheckerConfig{
 		ExemptRanges: [][2]pmem.Addr{
 			alloc.SuperblockRange(),
-			{s.batchRec - alloc.HeaderSize, s.batchRec + pmem.Addr(batchRecSize)}, // block header included
 			s.heap.StageTableRange(),
 		},
 		AllowUnflushedTail: true,
@@ -575,7 +534,6 @@ func (s *Store) commitSiblingsLocked(p *Parent, updates []Update) error {
 	}
 	s.commitBegin()
 	s.heap.Fence()
-	s.retireCovered()
 	s.heap.SetRoot(p.slot, shadow)
 	s.commitEnd()
 	// Parent roots never take the optimistic commit path (parent-bound
@@ -598,8 +556,8 @@ func (s *Store) commitSiblingsLocked(p *Parent, updates []Update) error {
 // root-bound datastructures (Fig. 8d). The paper swaps the root pointers
 // in a very short undo-logged transaction; here the shadow chains become
 // a prepared batch and publish exactly as a Batch over the same roots
-// does (batch.go): one root is a fence and a swap, several go through the
-// store's roll-forward redo record — one fence however many roots. Like
+// does (batch.go): one root is a fence and a swap, several are staged as
+// one group ahead of the fence — one fence however many roots. Like
 // every Composition commit it is published on return and durable at the
 // store's next fence (Sync forces one); a crash before that fence keeps
 // all of its swaps or none. The commit locks every target root (in slot

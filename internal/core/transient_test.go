@@ -278,10 +278,7 @@ func TestTransientCrashMidEditNeverLeaks(t *testing.T) {
 		cfg := pmem.DefaultConfig(64 << 20)
 		cfg.TrackDurable = true
 		dev := pmem.New(cfg)
-		st, err := newStore(dev)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := newStore(dev)
 		m, _ := st.Map("m")
 		v, _ := st.Vector("v")
 		for i := 0; i < 10; i++ {

@@ -208,10 +208,7 @@ func tierBuild(t *testing.T) (*pmem.Device, *Store, *Map) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	dev := pmem.New(cfg)
-	s, err := newStore(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newStore(dev)
 	m, err := s.Map("tier")
 	if err != nil {
 		t.Fatal(err)

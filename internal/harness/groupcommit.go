@@ -11,7 +11,7 @@ import (
 var GroupCommitBatchSizes = []int{1, 4, 16, 64, 256}
 
 // GroupCommitShardCounts sweeps publication paths: 1 root exercises the
-// single atomic-swap publish, 4 roots the multi-root batch record.
+// single atomic-swap publish, 4 roots the multi-root staged group.
 var GroupCommitShardCounts = []int{1, 4}
 
 // GroupCommitBenchConfig derives a deterministic group-commit workload
@@ -28,8 +28,8 @@ func GroupCommitBenchConfig(scale Scale, batchSize, shards int) workloads.GroupC
 
 // groupCommit measures fences/op and throughput as the batch size grows:
 // the whole point of group commit is that one flush+sfence epoch covers
-// B operations, so fences/op falls as 1/B — on one root and through the
-// batch record across roots alike — while throughput climbs. The final row repeats
+// B operations, so fences/op falls as 1/B — on one root and as a staged
+// group across roots alike — while throughput climbs. The final row repeats
 // the largest batch through CommitAsync — the store's commit queue — with
 // concurrent producers, for information.
 func groupCommit(scale Scale) (*Table, []workloads.Row, error) {

@@ -66,7 +66,7 @@ func modDoubling(structure string, n int, retainVersions bool) (atN, at2N uint64
 	}
 	store := db.Store()
 	heap := store.Heap()
-	base := heap.Stats().LiveBytes // store metadata (batch record), not structure
+	base := heap.Stats().LiveBytes // store metadata, not structure
 	insert, err := modInserter(store, structure)
 	if err != nil {
 		return 0, 0, err

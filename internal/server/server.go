@@ -468,9 +468,9 @@ func (s *Server) dispatch(c *Conn, cmd Command) Reply {
 
 // execMulti commits the queued transaction as one batch: all its
 // updates ride a single group-commit submission, so they become durable
-// atomically (one root swap per touched root under one fence epoch, or
-// a redo batch record / cross-shard manifest when several roots are
-// touched — either way all-or-nothing after a crash).
+// atomically (one root swap under one fence epoch, a staged group when
+// several roots of one shard are touched, or the cross-shard manifest —
+// either way all-or-nothing after a crash).
 func (s *Server) execMulti(c *Conn) Reply {
 	queued := c.queued
 	c.inMulti = false

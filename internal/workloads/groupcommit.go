@@ -30,7 +30,7 @@ type GroupCommitConfig struct {
 	Ops int
 	// Shards is the number of map roots the updates round-robin over.
 	// 1 keeps every batch on the single-root publish path; more shards
-	// exercise the multi-root batch record.
+	// exercise the multi-root staged group.
 	Shards int
 	// PreloadKeys preloads each shard so updates hit a populated trie.
 	PreloadKeys int

@@ -34,8 +34,8 @@
 // spanning several updates or several datastructures, use the Composition
 // interface (§4.3.2): Pure* methods return shadow versions, and
 // Store.CommitSingle, Store.CommitSiblings (for structures under one
-// Parent), or Store.CommitUnrelated (for unrelated roots; it publishes
-// through the same checksummed redo record as a multi-root Batch, one
+// Parent), or Store.CommitUnrelated (for unrelated roots; it stages them
+// as one group in the heap's stage table, as a multi-root Batch does, one
 // fence however many roots) install them atomically.
 //
 // # Concurrency
@@ -81,6 +81,8 @@ type Addr = pmem.Addr
 
 // Store is one persistent heap hosting MOD datastructures — a DB's
 // per-shard engine — located across process lifetimes by named roots.
+// A store hosts up to 62 named roots, every one of them the caller's: a
+// multi-root commit over all of them still takes one fence.
 type Store = core.Store
 
 // DB is the handle Open returns: one or more Store shards behind one
