@@ -340,6 +340,57 @@ func TestShardedMidManifestCrashSweep(t *testing.T) {
 	}
 }
 
+// TestCrossShardInterleavedHistory interleaves cross-shard publications
+// with the local ones on their roots, on a 2-shard DB: a cross-shard
+// batch over A (shard 0) and B (shard 1), a Basic update on A, a local
+// two-root batch on shard 1 over B and C, and a second cross-shard batch
+// over A and B. Every PM write on either device is a cut, under every
+// crash policy: each cross-shard batch is recovered whole on both
+// shards, durable once it returned, and never rolls back the local
+// publications after it; some cut's recovery rolls a cross-shard
+// publication forward.
+func TestCrossShardInterleavedHistory(t *testing.T) {
+	h := &crashHist{shards: 2, roots: []histRoot{
+		{name: "xa", shard: 0, bind: mxBind((*Store).Map, mxMapOps)},
+		{name: "xb", shard: 1, bind: mxBind((*Store).Map, mxMapOps)},
+		{name: "xc", shard: 1, bind: mxBind((*Store).Map, mxMapOps)},
+	}}
+	const a, b, c = 0, 1, 2
+	h.setup = func(e *histEnv) {
+		for root := range e.ops {
+			e.ops[root].basic(0)
+		}
+	}
+	h.window = func(e *histEnv, r *histRec) {
+		cross := func(name string, i int) {
+			r.durable(name, []durcheck.Effect{e.eff(a, i), e.eff(b, i)}, func() {
+				bt := e.db.Batch()
+				e.ops[a].batch(bt, i)
+				e.ops[b].batch(bt, i)
+				bt.Commit()
+			})
+		}
+		cross("cross-1", 1)
+		// The Basic update and the local batch publish on different
+		// devices, and each swap is durable only at its own device's next
+		// fence: no fence orders one's durability before the other's, so
+		// they are recorded as concurrent.
+		basic := r.invoke("basic-a", e.eff(a, 2))
+		local := r.invoke("local-bc", e.eff(b, 3), e.eff(c, 3))
+		e.ops[a].basic(2)
+		r.respond(basic, false)
+		bt := e.db.Batch()
+		e.ops[b].batch(bt, 3)
+		e.ops[c].batch(bt, 3)
+		bt.Commit()
+		r.respond(local, false)
+		cross("cross-2", 4)
+	}
+	if r := h.run(t); r.replays == 0 {
+		t.Error("no cut rolled a cross-shard publication forward")
+	}
+}
+
 // TestShardedManifestRetirementDurable is the regression test for a
 // stale-manifest rollback: the manifest's idle mark must be durable
 // before the cross-shard commit returns, because no later single-shard
