@@ -131,11 +131,12 @@ func main() {
 	<-srv.Done()
 }
 
-// openFileBacked opens the store over mmapdev files under dir:
-// store.pm for a single heap, or shard0.pm..shardN-1.pm plus meta.pm
-// when sharded. If the first file already exists the store attaches
-// (runs recovery) instead of formatting, so data survives restarts.
-// The layout is fixed per directory — reopen with the same -shards.
+// openFileBacked opens the store over mmapdev files under dir, one per
+// shard: store.pm for a single heap, or shard0.pm..shardN-1.pm when
+// sharded. If the first file already exists the store attaches (runs
+// recovery) instead of formatting, so data survives restarts. The layout
+// is fixed per directory — reopen with the same -shards; each heap records
+// its place in the set, so a mismatch is refused at open.
 func openFileBacked(dir string, size int64, shards int, opts []core.Option) (*core.DB, core.RecoveryInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, core.RecoveryInfo{}, err
@@ -147,7 +148,6 @@ func openFileBacked(dir string, size int64, shards int, opts []core.Option) (*co
 		for i := 0; i < shards; i++ {
 			paths = append(paths, filepath.Join(dir, fmt.Sprintf("shard%d.pm", i)))
 		}
-		paths = append(paths, filepath.Join(dir, "meta.pm"))
 	}
 	_, statErr := os.Stat(paths[0])
 	attach := statErr == nil
@@ -161,11 +161,7 @@ func openFileBacked(dir string, size int64, shards int, opts []core.Option) (*co
 		if attach {
 			d, err = mmapdev.Open(p)
 		} else {
-			sz := size
-			if shards > 1 && i == len(paths)-1 {
-				sz = 1 << 20 // shard metadata: magic + shard count
-			}
-			d, err = mmapdev.Create(p, sz)
+			d, err = mmapdev.Create(p, size)
 		}
 		if err != nil {
 			return nil, core.RecoveryInfo{}, fmt.Errorf("%s: %w", p, err)

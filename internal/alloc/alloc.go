@@ -50,6 +50,8 @@ const (
 	offMagic   = 0
 	offVersion = 8
 	offBumpTop = 16
+	offShard   = 24 // the heap's index among the regions of its store
+	offShards  = 32 // the number of regions of its store (1: a single heap)
 	offRoots   = 64 // root table: RootSlots entries of {nameHash, cell word} (roots.go)
 
 	// RootSlots is the number of named recoverable roots per heap.
@@ -87,10 +89,12 @@ const (
 	// root cell's high bits and a stage table of two slots per root at the
 	// top of the arena (roots.go); 10: 32-byte stage slots carrying a
 	// group word, which carry every multi-root publication in place of the
-	// batch record, and a stage table armed at Format. Every bump so far
-	// moved or re-encoded something a recovery depends on, so no older
+	// batch record, and a stage table armed at Format; 11: the heap's
+	// shard identity in the superblock, and a 16-bit member count in the
+	// group word, whose sequence number a DB's shards share. Every bump so
+	// far moved or re-encoded something a recovery depends on, so no older
 	// image is readable.
-	version = 10
+	version = 11
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word
@@ -160,10 +164,11 @@ type heapShared struct {
 	// staged has bit slot set once a stage slot of that root has been
 	// written since the heap was opened (roots.go's wrap guard).
 	staged atomic.Uint64
-	// groups is the last group sequence number StageGroup handed out.
-	// Every recovery consumes every stage slot, so numbering restarts at
-	// each open.
-	groups atomic.Uint64
+	// groups is the last group sequence number NewGroup handed out,
+	// shared by every heap of one store (ShareGroups), so a group word
+	// names one publication across all of them. Every recovery consumes
+	// every stage slot, so numbering restarts at each open.
+	groups *atomic.Uint64
 	// holds is, per stage slot, the FenceSeq a fence must pass before the
 	// slot may be overwritten: set when the slot holds a member of a
 	// multi-root publication (GroupSwapped), 0 otherwise.
@@ -225,16 +230,23 @@ type Heap struct {
 // layout version other than this build's.
 var ErrHeapVersion = errors.New("unsupported heap layout version")
 
-// Format initializes a fresh heap on dev, overwriting any prior content,
-// and returns it. The superblock and the zeroed stage table are made
-// durable before Format returns: a recovery reads the table of every heap,
-// and an arena formatted over an older heap must not show it that heap's
-// stage slots.
-func Format(dev pmem.Backend) *Heap {
+// Format initializes a fresh single heap on dev, overwriting any prior
+// content, and returns it.
+func Format(dev pmem.Backend) *Heap { return FormatShard(dev, 0, 1) }
+
+// FormatShard initializes a fresh heap on dev as region shard of a store
+// of shards regions, overwriting any prior content, and returns it. The
+// superblock — the identity included — and the zeroed stage table are
+// made durable before FormatShard returns: a recovery reads the table of
+// every heap, and an arena formatted over an older heap must not show it
+// that heap's stage slots.
+func FormatShard(dev pmem.Backend, shard, shards int) *Heap {
 	h := newHeap(dev)
 	dev.WriteU64(offMagic, magic)
 	dev.WriteU64(offVersion, version)
 	dev.WriteU64(offBumpTop, uint64(heapBase))
+	dev.WriteU64(offShard, uint64(shard))
+	dev.WriteU64(offShards, uint64(shards))
 	dev.Zero(offRoots, superblockSize-offRoots) // root table + run table
 	dev.FlushRange(0, heapBase)
 	dev.Zero(h.sh.end, stageTableSize)
@@ -272,11 +284,23 @@ func newHeap(dev pmem.Backend) *Heap {
 	sh := &heapShared{
 		end:    end,
 		free:   make(map[uint32][]pmem.Addr),
+		groups: new(atomic.Uint64),
 		blocks: newBlockTable(end),
 	}
 	sh.borrows.reset()
 	return &Heap{dev: dev, sh: sh}
 }
+
+// Shard returns the identity FormatShard wrote: the heap's index among
+// its store's regions and their number.
+func (h *Heap) Shard() (shard, shards int) {
+	return int(h.dev.ReadU64(offShard)), int(h.dev.ReadU64(offShards))
+}
+
+// ShareGroups makes h number its groups from o's counter, so the two
+// heaps never stage two publications under one group word. Call it
+// before either heap stages anything.
+func (h *Heap) ShareGroups(o *Heap) { h.sh.groups = o.sh.groups }
 
 // Fork returns a new handle onto the same heap whose device handle has a
 // fresh per-goroutine clock (see pmem.Device.Fork).

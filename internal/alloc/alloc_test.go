@@ -60,6 +60,29 @@ func TestOpenRejectsOtherVersions(t *testing.T) {
 	}
 }
 
+// TestFormatShardIdentity: a heap records its place in its store's
+// region set under Format's fence — a fenced-only image right after
+// FormatShard holds it — and a plain Format is shard 0 of 1.
+func TestFormatShardIdentity(t *testing.T) {
+	cfg := pmem.DefaultConfig(1 << 20)
+	cfg.TrackDurable = true
+	for _, want := range [][2]int{{0, 1}, {2, 3}} {
+		dev := pmem.New(cfg)
+		if want[1] == 1 {
+			Format(dev)
+		} else {
+			FormatShard(dev, want[0], want[1])
+		}
+		h, err := Open(pmem.NewFromImage(cfg, dev.CrashImage(pmem.CrashFencedOnly, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shard, shards := h.Shard(); shard != want[0] || shards != want[1] {
+			t.Errorf("heap formatted as shard %d of %d reads back %d of %d", want[0], want[1], shard, shards)
+		}
+	}
+}
+
 func TestAllocDistinctAlignedTagged(t *testing.T) {
 	h := newTestHeap(t)
 	seen := map[pmem.Addr]bool{}

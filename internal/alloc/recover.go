@@ -171,7 +171,7 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 
 	// Pass 2a: stage slots. A group one of whose swaps landed rolls its
 	// other members forward now, so pass 2 marks from the final roots.
-	groups, consume := r.readGroups()
+	groups, consume := h.readGroups()
 	rs.StagedRoots = r.rollForward(groups)
 
 	// Pass 2: mark from roots, rebuilding reference counts as the number
@@ -275,8 +275,7 @@ type foundGroup struct {
 // orders it after every publication its roots had before — and the meta
 // word of every nonzero slot, intact or not, an unnamed root's too, for
 // applyStaged to consume.
-func (r *recovery) readGroups() ([]*foundGroup, []pmem.Addr) {
-	h := r.h
+func (h *Heap) readGroups() ([]*foundGroup, []pmem.Addr) {
 	byWord := make(map[uint64]*foundGroup)
 	var groups []*foundGroup
 	var consume []pmem.Addr
@@ -304,6 +303,37 @@ func (r *recovery) readGroups() ([]*foundGroup, []pmem.Addr) {
 		return groups[a].members[0].group>>groupSizeBits < groups[b].members[0].group>>groupSizeBits
 	})
 	return groups, consume
+}
+
+// StagedSwap is one intact stage slot of a group spanning heaps: the root
+// slot, the cell word its publication writes, and whether that write (or
+// a later publication) has reached the cell.
+type StagedSwap struct {
+	Slot   int
+	Final  uint64
+	Landed bool
+}
+
+// PartialGroups returns, by group word, the intact members of every group
+// this heap holds fewer of than the group's size: publications spanning
+// the heaps that share its group counter (ShareGroups), and torn ones. A
+// store gathers them from all of its heaps before any recovers, and rolls
+// every member of a group forward (ReplaySwap) once one of its swaps has
+// landed on any heap: the group's fences on every heap came before its
+// first swap. A group none of whose swaps landed is left to each heap's
+// Recover, which discards it, finding fewer than its size.
+func (h *Heap) PartialGroups() map[uint64][]StagedSwap {
+	groups, _ := h.readGroups()
+	out := make(map[uint64][]StagedSwap)
+	for _, g := range groups {
+		if len(g.members) >= g.members[0].size() {
+			continue
+		}
+		for _, p := range g.members {
+			out[p.group] = append(out[p.group], StagedSwap{Slot: p.slot, Final: p.final, Landed: h.swapLanded(p.slot, p.final)})
+		}
+	}
+	return out
 }
 
 // rollForward writes, for every group one of whose swaps landed, in

@@ -13,7 +13,7 @@ import (
 // A root's address cell is the target of the 8-byte atomic pointer write
 // performed by CommitSingle.
 //
-// Layout v10 (DESIGN.md §2, §7). The root table in the superblock keeps
+// Layout v11 (DESIGN.md §2, §7). The root table in the superblock keeps
 // four 16-byte entries to a line:
 //
 //	+0   fnv1a(name)   0 = empty slot
@@ -32,8 +32,9 @@ import (
 // slots,
 //
 //	+0   final   the cell word the publication writes
-//	+8   group   the publication's group: the heap's group sequence
-//	             number (bits 8-63) over its member count r (bits 0-7)
+//	+8   group   the publication's group: a sequence number unique
+//	             across the heaps sharing the counter (bits 16-63) over
+//	             its member count r on all of them (bits 0-15)
 //	+16  digest  the fold of the blocks the publication adds (0 without)
 //	+24  meta    the folded block count (bits 48-63, 0 without a digest)
 //	             over a 48-bit checksum of the root slot, the slot index,
@@ -45,7 +46,9 @@ import (
 // behind final's. Recovery decides every group from its own slots and the
 // cells they name (recover.go): a group one of whose swaps landed rolls
 // every member forward, a group none of whose swaps landed applies only
-// if all r members are found and every one re-verifies its digest.
+// if all r members are found and every one re-verifies its digest. A group
+// spanning heaps (a DB's shards) holds fewer than r members on each; its
+// store gathers them from every heap before any recovers (PartialGroups).
 
 const (
 	cellAddrBits = 35 // a cell's address field: funcds' 4-byte references reach 2^35 bytes
@@ -56,7 +59,11 @@ const (
 	stageSlotSize = 32
 
 	// groupSizeBits is the width of a group word's member count.
-	groupSizeBits = 8
+	groupSizeBits = 16
+
+	// MaxGroupSize is the most roots one publication can stage, across
+	// every heap sharing its group counter.
+	MaxGroupSize = 1<<groupSizeBits - 1
 
 	// maxStagedBlocks bounds the fresh set a stage slot can fold (its
 	// meta word's count field).
@@ -191,16 +198,6 @@ func (h *Heap) RootCellAddr(slot int) pmem.Addr {
 	return rootEntryAddr(slot) + 8
 }
 
-// RootSlotOfCell returns the root slot whose cell is at addr, for
-// recovery code replaying a record that names cells by address.
-func RootSlotOfCell(addr pmem.Addr) (int, bool) {
-	off := int64(addr) - int64(rootEntryAddr(0)) - 8
-	if off < 0 || off%rootEntrySize != 0 || off/rootEntrySize >= RootSlots {
-		return 0, false
-	}
-	return int(off / rootEntrySize), true
-}
-
 // Root returns the payload address stored in the slot (Nil if unset).
 func (h *Heap) Root(slot int) pmem.Addr {
 	return cellAddr(h.dev.ReadU64(h.RootCellAddr(slot)))
@@ -257,26 +254,16 @@ func (h *Heap) published(slot int, w uint64) {
 	}
 }
 
-// NextCellWord returns the cell word the next write of slot's cell will
-// store for version v: v under the root's next publication counter. The
-// shard manifest names its swaps by it, so recovery can tell a swap that
-// never landed from one a later publication has overwritten (swapLanded).
-// The caller must hold off every other writer of the cell until that
-// write, as for SetRoot.
-func (h *Heap) NextCellWord(slot int, v pmem.Addr) uint64 {
-	return nextCellWord(h.cellWordOf(slot), v)
-}
-
-// swapLanded reports whether the write of cell word w (a NextCellWord
-// value) to slot's cell has reached the cell: the cell holds w, or a later
+// swapLanded reports whether the write of cell word w (a stage slot's
+// final) to slot's cell has reached the cell: the cell holds w, or a later
 // publication, whose counter has passed w's.
 func (h *Heap) swapLanded(slot int, w uint64) bool {
 	return ctrAhead(h.dev.ReadU64(h.RootCellAddr(slot)), w) < cellCtrMask/2
 }
 
-// ReplaySwap is a recovery replay's roll-forward of one swap: unless it
-// has landed, it writes cell word w to slot's cell and flushes it. It
-// reports whether it wrote.
+// ReplaySwap is a recovery's roll-forward of one member of a group
+// spanning heaps (PartialGroups): unless it has landed, it writes cell
+// word w to slot's cell and flushes it. It reports whether it wrote.
 func (h *Heap) ReplaySwap(slot int, w uint64) bool {
 	if h.swapLanded(slot, w) {
 		return false
@@ -298,35 +285,43 @@ type StagedRoot struct {
 	Fresh []pmem.Addr
 }
 
-// StageGroup stages one publication of len(ms) roots ahead of the commit
-// fence that will make it durable (DESIGN.md §7): one stage slot per
-// member, in the root's stage line, flushed. Every slot carries the
-// group's word — the heap's next group sequence number over the member
-// count — and a member whose fresh blocks all carry checksums also carries
-// their digest: an order-independent fold of their addresses and stored
-// checksums, which recovery recomputes from the blocks it finds. The
-// caller then fences and publishes each Final with SetRoot, which must be
-// that root's next cell write, and reports the writes with GroupSwapped.
+// NewGroup returns the group word of a new publication of r roots: the
+// next sequence number of the counter this heap shares (ShareGroups) over
+// r, at most MaxGroupSize.
+func (h *Heap) NewGroup(r int) uint64 {
+	return h.sh.groups.Add(1)<<groupSizeBits | uint64(r)
+}
+
+// StageGroup stages a publication ahead of the commit fence that will make
+// it durable (DESIGN.md §7): one stage slot per member of ms, in the
+// root's stage line, flushed. Every slot carries the group word g — with
+// g 0, a new group of len(ms) roots, all on this heap; otherwise a word
+// from NewGroup, whose other members other heaps sharing the counter
+// stage — and a member whose fresh blocks all carry checksums also
+// carries their digest: an order-independent fold of their addresses and
+// stored checksums, which recovery recomputes from the blocks it finds.
+// The caller then fences and publishes each Final with SetRoot, which
+// must be that root's next cell write, and reports the writes with
+// GroupSwapped.
 //
 // It reports whether every member carries a digest: only then can
 // recovery apply the group when none of its swaps landed, so only then
 // does the caller's fence alone make the publication durable. A group of
-// one without a digest is not staged at all — it could never apply, and
-// its swap is atomic on its own.
-func (h *Heap) StageGroup(ms []StagedRoot) (digested bool) {
+// its own of one root without a digest is not staged at all — it could
+// never apply, and its swap is atomic on its own.
+func (h *Heap) StageGroup(ms []StagedRoot, g uint64) (digested bool) {
 	digested = true
-	var g uint64
-	for k, m := range ms {
+	for _, m := range ms {
 		fold, ok := h.digest(m.Fresh)
 		count := len(m.Fresh)
 		if !ok {
-			if len(ms) == 1 {
+			if g == 0 && len(ms) == 1 {
 				return false
 			}
 			fold, count, digested = 0, 0, false
 		}
-		if k == 0 {
-			g = h.sh.groups.Add(1)<<groupSizeBits | uint64(len(ms))
+		if g == 0 {
+			g = h.NewGroup(len(ms))
 		}
 		final := nextCellWord(h.cellWordOf(m.Slot), m.Final)
 		i := stageIndex(final)

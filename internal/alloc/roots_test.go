@@ -33,7 +33,7 @@ func stagedVersion(h *Heap, val uint64) (pmem.Addr, []pmem.Addr) {
 // stageOne stages the next publication of slot, final with its fresh
 // blocks, as a group of one.
 func stageOne(h *Heap, slot int, final pmem.Addr, fresh []pmem.Addr) bool {
-	return h.StageGroup([]StagedRoot{{Slot: slot, Final: final, Fresh: fresh}})
+	return h.StageGroup([]StagedRoot{{Slot: slot, Final: final, Fresh: fresh}}, 0)
 }
 
 // reopen recovers a crash image of h's device.
@@ -192,14 +192,6 @@ func TestCellWordCounter(t *testing.T) {
 	h2.SetRoot(slot, pmem.Nil)
 	if h2.dev.Stats().Reads != before || h2.dev.ReadU64(cell)>>cellAddrBits != prev>>cellAddrBits+3 {
 		t.Fatalf("after recovery: cell word %#x, %d reads", h2.dev.ReadU64(cell), h2.dev.Stats().Reads-before)
-	}
-	if got, ok := RootSlotOfCell(cell); !ok || got != slot {
-		t.Fatalf("RootSlotOfCell(%#x) = %d, %v", uint64(cell), got, ok)
-	}
-	for _, bad := range []pmem.Addr{cell + 8, cell - 8, rootEntryAddr(RootSlots) + 8, 0} {
-		if _, ok := RootSlotOfCell(bad); ok {
-			t.Errorf("RootSlotOfCell(%#x) accepted a non-cell", uint64(bad))
-		}
 	}
 }
 
@@ -368,7 +360,7 @@ func TestStagedGroupDecidedWhole(t *testing.T) {
 		if !digests {
 			ms[0].Fresh, ms[1].Fresh = nil, nil
 		}
-		if got := h.StageGroup(ms); got != digests {
+		if got := h.StageGroup(ms, 0); got != digests {
 			t.Fatalf("digests=%v: StageGroup reported %v", digests, got)
 		}
 		h.Fence()
@@ -422,7 +414,7 @@ func TestGroupMemberSlotHeldUntilCovered(t *testing.T) {
 	b1, f1 := stagedVersion(h, 1)
 	b2, f2 := stagedVersion(h, 2)
 	ms := []StagedRoot{{Slot: s1, Final: b1, Fresh: f1}, {Slot: s2, Final: b2, Fresh: f2}}
-	h.StageGroup(ms)
+	h.StageGroup(ms, 0)
 	h.Fence()
 	h.SetRoot(s1, b1)
 	h.SetRoot(s2, b2)

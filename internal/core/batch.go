@@ -76,14 +76,14 @@ type batchOp struct {
 // submission order and routed by their handle's owning store at commit:
 // a batch confined to one shard commits through that shard's 1-fence
 // path (a root swap, or a staged group for several roots), and one
-// spanning shards commits atomically through the shard manifest
-// (sharded.go). A Batch
+// spanning shards commits atomically as one group over every changed
+// shard's stage table (sharded.go). A Batch
 // is not safe for concurrent use; goroutines build their own batches and
 // the commit layer interleaves them. Commit (or CommitAsync) consumes
 // the batch, leaving it empty for reuse.
 type Batch struct {
 	shards []*Store // the stores an op may land on
-	db     *DB      // the manifest path; nil for a Store.NewBatch batch
+	db     *DB      // the cross-shard path; nil for a Store.NewBatch batch
 	ops    []batchOp
 	shard  int // the one shard every queued op landed on, or -1 once they span
 }
@@ -193,8 +193,7 @@ func (b *Batch) Commit() {
 // fence epochs: if nobody leads the queue the caller does, and returns
 // once its batch and everything queued behind it are durable; otherwise
 // the leader publishes it and resolves the ticket. A cross-shard batch
-// publishes synchronously through the shard manifest and the ticket
-// resolves on return. On a closed store the batch is dropped and the
+// publishes synchronously and the ticket resolves on return. On a closed store the batch is dropped and the
 // ticket resolves immediately with ErrStoreClosed.
 func (b *Batch) CommitAsync() *Ticket {
 	ops, shard := b.take()
@@ -204,16 +203,11 @@ func (b *Batch) CommitAsync() *Ticket {
 	if b.db.sh.closed.Load() {
 		return resolvedTicket(ErrStoreClosed)
 	}
-	per := b.split(ops)
-	b.db.commitCross(per)
-	// The manifest path fences each involved shard after its redo swaps,
-	// but a batch that collapsed to one shard's local publication leaves
-	// its final swap riding the next fence — fence each involved shard
-	// so the ticket's durability contract holds in every case.
-	for si, ops := range per {
-		if len(ops) > 0 {
-			b.shards[si].heap.Fence()
-		}
+	// A batch that changed roots on one shard only leaves its swaps riding
+	// that shard's next fence: pay it, so the ticket's durability contract
+	// holds in every case.
+	if s := b.db.commitCross(b.split(ops)); s != nil {
+		s.heap.Fence()
 	}
 	return resolvedTicket(nil)
 }
@@ -232,8 +226,8 @@ type rootChange struct {
 // publication pending. prepareBatch builds one from a Batch's deferred
 // ops, CommitUnrelated (store.go) from the caller's own shadow chains.
 // The single-shard commit path publishes locally (publishLocal); the
-// cross-shard path (sharded.go) publishes several prepared batches
-// through one shard manifest. Either way the caller must call finish
+// cross-shard path (sharded.go) publishes several prepared batches as
+// one group (publishCross). Either way the caller must call finish
 // afterwards to retire superseded versions, adopt the new ones, and
 // release the locks.
 type preparedBatch struct {
@@ -334,11 +328,11 @@ func (p *preparedBatch) publishLocal() {
 		switch {
 		case p.alone&(1<<c.slot) == 0:
 			group = append(group, m)
-		case !s.heap.StageGroup([]alloc.StagedRoot{m}):
+		case !s.heap.StageGroup([]alloc.StagedRoot{m}, 0):
 			p.pending |= 1 << c.slot
 		}
 	}
-	if !s.heap.StageGroup(group) {
+	if !s.heap.StageGroup(group, 0) {
 		for _, m := range group {
 			p.pending |= 1 << m.Slot
 		}

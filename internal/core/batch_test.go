@@ -565,8 +565,8 @@ func TestStageSlotLayoutV10(t *testing.T) {
 		for _, name := range []string{"m", "q"} {
 			slot, _ := st.heap.RootSlot(name)
 			got := member(st, name)
-			if got.final != st.dev.ReadU64(st.heap.RootCellAddr(slot)) || got.group != seq<<8|2 || got.digest != 0 || got.meta == 0 || got.meta>>48 != 0 {
-				t.Fatalf("commit %d: %s's member slot %+v, want its cell word, group %#x, no digest", seq, name, got, seq<<8|2)
+			if got.final != st.dev.ReadU64(st.heap.RootCellAddr(slot)) || got.group != seq<<16|2 || got.digest != 0 || got.meta == 0 || got.meta>>48 != 0 {
+				t.Fatalf("commit %d: %s's member slot %+v, want its cell word, group %#x, no digest", seq, name, got, seq<<16|2)
 			}
 		}
 	}
@@ -578,8 +578,8 @@ func TestStageSlotLayoutV10(t *testing.T) {
 		t.Fatal(tk.Err())
 	}
 	for _, name := range []string{"m", "v"} {
-		if got := member(st, name); got.group != 4<<8|2 || got.meta>>48 == 0 {
-			t.Fatalf("spanning round: %s's member slot %+v, want group %#x with a digest", name, got, 4<<8|2)
+		if got := member(st, name); got.group != 4<<16|2 || got.meta>>48 == 0 {
+			t.Fatalf("spanning round: %s's member slot %+v, want group %#x with a digest", name, got, 4<<16|2)
 		}
 	}
 }
@@ -610,8 +610,8 @@ func TestStageSlotsConsumedAtReopen(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		commit(st, i)
 	}
-	if got := group(st, "m"); got != 3<<8|2 {
-		t.Fatalf("third commit: group word %#x, want %#x", got, 3<<8|2)
+	if got := group(st, "m"); got != 3<<16|2 {
+		t.Fatalf("third commit: group word %#x, want %#x", got, 3<<16|2)
 	}
 
 	st.Sync()
@@ -625,7 +625,7 @@ func TestStageSlotsConsumedAtReopen(t *testing.T) {
 		}
 	}
 	commit(st2, 4)
-	if got := group(st2, "m"); got != 1<<8|2 {
-		t.Fatalf("first commit after reopen: group word %#x, want %#x", got, 1<<8|2)
+	if got := group(st2, "m"); got != 1<<16|2 {
+		t.Fatalf("first commit after reopen: group word %#x, want %#x", got, 1<<16|2)
 	}
 }

@@ -231,6 +231,34 @@ func (h *crashHist) attach(devs []pmem.Backend) (*DB, RecoveryInfo, error) {
 	return Open(pmem.Config{}, append([]Option{WithDevices(devs...), WithAttach()}, h.opts()...)...)
 }
 
+// crossRolls counts the groups spanning shards that a recovery of imgs
+// rolls forward: one member's swap is in the images and another's is not.
+func (h *crashHist) crossRolls(imgs [][]byte) int {
+	if len(imgs) < 2 {
+		return 0
+	}
+	stores := make([]*Store, len(imgs))
+	for i, d := range h.devices(imgs, false) {
+		s, err := attachStore(d, i)
+		if err != nil {
+			return 0
+		}
+		stores[i] = s
+	}
+	groups, err := crossGroups(stores)
+	if err != nil {
+		return 0
+	}
+	n := 0
+	for _, g := range groups {
+		spans := slices.ContainsFunc(g, func(m crossMember) bool { return m.shard != g[0].shard })
+		if spans && landed(g) && slices.ContainsFunc(g, func(m crossMember) bool { return !m.Landed }) {
+			n++
+		}
+	}
+	return n
+}
+
 // recoverState recovers a set of region images and reads its roots.
 func (h *crashHist) recoverState(imgs [][]byte) (s durcheck.State, err error) {
 	defer func() {
@@ -302,17 +330,17 @@ func (h *crashHist) run(t *testing.T) *histRec {
 
 // histRec records a history's ops and checks its cuts.
 type histRec struct {
-	h       *crashHist
-	e       *histEnv
-	p       *crashProbe
-	devs    []pmem.Backend
-	model   durcheck.Model
-	ops     []durcheck.Op
-	fences  [][]uint64 // per op: every device's FenceSeq when it returned; nil until then, or if acknowledged at its return
-	cuts    int
-	replays int  // recoveries that replayed a cross-shard manifest
-	ended   bool // the window is over and synced: checking the last image
-	err     error
+	h      *crashHist
+	e      *histEnv
+	p      *crashProbe
+	devs   []pmem.Backend
+	model  durcheck.Model
+	ops    []durcheck.Op
+	fences [][]uint64 // per op: every device's FenceSeq when it returned; nil until then, or if acknowledged at its return
+	cuts   int
+	rolls  int  // images whose recovery rolls a group spanning shards forward
+	ended  bool // the window is over and synced: checking the last image
+	err    error
 }
 
 // invoke records the invocation of an op with the given effects.
@@ -432,13 +460,11 @@ func (r *histRec) check(imgs [][]byte, policy pmem.CrashPolicy, ops []durcheck.O
 		}
 		undo = inner.install(devs) // cuts recovery's own writes only
 	}
-	db, info, err := r.h.attach(devs)
+	r.rolls += r.h.crossRolls(imgs)
+	db, _, err := r.h.attach(devs)
 	undo()
 	if err != nil {
 		return fmt.Errorf("recovery: %w", err)
-	}
-	if info.ManifestReplayed {
-		r.replays++
 	}
 	if againErr != nil {
 		return fmt.Errorf("recovery-idempotent: recovering a crash during recovery: %w", againErr)

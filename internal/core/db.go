@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,11 +11,11 @@ import (
 )
 
 // The front door (DESIGN.md §11). Open is the only constructor and DB
-// the only store shape: S independent per-heap engines (*Store) plus,
-// when S > 1, the metadata region of the cross-shard manifest
-// (sharded.go). A single heap is simply S = 1 — no manifest phase, no
-// metadata region — so WithShards(1) and no option build the same store
-// through the same code.
+// the only store shape: S independent per-heap engines (*Store) over S
+// regions, whose heaps share one group counter so a batch spanning
+// shards publishes as one group over their stage tables (sharded.go). A
+// single heap is simply S = 1 — one region, no group spanning shards — so
+// WithShards(1) and no option build the same store through the same code.
 
 // KV is the seam internal/server is written against, so its tests can
 // interpose a fake (flakyKV) between the server and the store: named-root
@@ -92,9 +91,9 @@ type options struct {
 type Option func(*options)
 
 // WithShards partitions the store across n fully independent heap
-// regions, plus — when n > 1 — a small metadata region for the
-// cross-shard manifest. WithShards(1) is the default single heap: a
-// manifest needs two shards, so one shard carries no metadata region.
+// regions; WithShards(1) is the default single heap. Open refuses n < 1,
+// and n past 1,057, where one cross-shard batch could change more roots
+// than a group word counts.
 func WithShards(n int) Option {
 	return func(o *options) {
 		o.shards = n
@@ -121,16 +120,14 @@ func WithSelective(checkpointEvery int) Option {
 
 // WithExistingImages reopens a store from post-crash region images
 // instead of formatting a fresh one: a single image reopens a
-// single-heap store, and S+1 images (S >= 2 shards in order, metadata
-// last — the layout DB.CrashImages produces) reopen a sharded store.
+// single-heap store, and S images (the shards in order — the layout
+// DB.CrashImages produces) reopen a store of S shards.
 func WithExistingImages(imgs [][]byte) Option { return func(o *options) { o.images = imgs } }
 
 // WithDevices builds the store over caller-supplied backends instead of
-// fresh simulator devices from cfg: one backend gives a single-heap
-// store, and N+1 backends give N >= 2 shards plus the cross-shard
-// metadata region (last, matching the WithExistingImages layout); two
-// backends are no valid layout (ErrShardCount). This is how a
-// store lands on a real medium — pass mmapdev devices and the identical
+// fresh simulator devices from cfg: one backend per shard, in shard
+// order (the WithExistingImages layout), so one backend gives a
+// single-heap store. This is how a store lands on a real medium — pass mmapdev devices and the identical
 // stack runs over a file. The devices are formatted; combine with
 // WithAttach to recover what is already on them instead. Mutually
 // exclusive with WithExistingImages.
@@ -139,8 +136,8 @@ func WithDevices(devs ...pmem.Backend) Option {
 }
 
 // WithAttach makes Open recover the store already present on the
-// WithDevices backends — reachability scan, manifest replay, optional
-// verification — instead of formatting them. It is the device-handle
+// WithDevices backends — cross-shard roll-forward, reachability scan,
+// optional verification — instead of formatting them. It is the device-handle
 // analog of WithExistingImages and requires WithDevices.
 func WithAttach() Option { return func(o *options) { o.attach = true } }
 
@@ -191,27 +188,25 @@ type RecoveryInfo struct {
 	// PerShard holds each shard's recovery stats in shard order (one
 	// entry for a single-heap store).
 	PerShard []alloc.RecoveryStats
-	// ManifestReplayed reports whether a committed cross-shard manifest
-	// was found and its root swaps re-executed.
-	ManifestReplayed bool
 	// Damaged lists the roots that failed verification when the store
 	// was opened WithVerify/WithSalvage: salvaged roots serve normally
 	// (minus any DroppedOps), unsalvaged ones are quarantined.
 	Damaged []DamagedRoot
 }
 
-// dbShared is the cross-shard state common to all handles of one DB:
-// the manifest lock serializing cross-shard commits, the manifest
-// sequence counter, and the closed flag.
+// dbShared is the state common to all handles of one DB: the closed
+// flag.
 type dbShared struct {
-	mu     sync.Mutex
-	seq    uint64 // last manifest sequence number; guarded by mu
 	closed atomic.Bool
 }
 
+// maxShards is the most shards Open accepts: a group word's member count
+// (alloc.MaxGroupSize) must hold every root of every shard, the most one
+// cross-shard batch can change.
+const maxShards = alloc.MaxGroupSize / alloc.RootSlots
+
 // DB is the handle Open returns, and the only store shape: S per-heap
-// engines with root names routed across them by hash (ShardFor), plus
-// the cross-shard manifest's metadata region when S > 1. Its binders
+// engines with root names routed across them by hash (ShardFor). Its binders
 // bind on the shard a name routes to, in the store's flavor. Derive one
 // handle per goroutine with Fork; handles share all store state but
 // carry their own clocks. The per-heap API —
@@ -219,8 +214,7 @@ type dbShared struct {
 // through Shard (or Store on a single heap).
 type DB struct {
 	shards  []*Store
-	meta    pmem.Backend  // manifest region; nil on a single heap
-	regions *pmem.Regions // the shard regions in order, then meta
+	regions *pmem.Regions // the shard regions in order
 	sh      *dbShared
 }
 
@@ -237,8 +231,8 @@ func Open(cfg pmem.Config, opts ...Option) (*DB, RecoveryInfo, error) {
 		opt(&o)
 	}
 	var info RecoveryInfo
-	if o.shardsSet && o.shards < 1 {
-		return nil, info, fmt.Errorf("core: open with %d shards: %w", o.shards, ErrShardCount)
+	if o.shardsSet && (o.shards < 1 || o.shards > maxShards) {
+		return nil, info, fmt.Errorf("core: open with %d shards (want 1 to %d): %w", o.shards, maxShards, ErrShardCount)
 	}
 	if len(o.devices) > 0 && o.images != nil {
 		return nil, info, fmt.Errorf("core: WithDevices and WithExistingImages are mutually exclusive")
@@ -246,54 +240,39 @@ func Open(cfg pmem.Config, opts ...Option) (*DB, RecoveryInfo, error) {
 	if o.attach && len(o.devices) == 0 {
 		return nil, info, fmt.Errorf("core: WithAttach requires WithDevices")
 	}
-	// Resolve the region backends: the caller's, one per image, or fresh
-	// from cfg. Shard regions come first, in order; with two or more
-	// shards the manifest's metadata region follows.
+	// Resolve the region backends, one per shard in order: the caller's,
+	// one per image, or fresh from cfg.
 	regions, attach := o.devices, o.attach
 	switch {
 	case len(regions) > 0:
 	case o.images != nil:
 		attach = true
-		for i, img := range o.images {
-			rc := cfg
-			if i > 0 && i == len(o.images)-1 {
-				rc = metaConfig(cfg)
-			}
-			regions = append(regions, pmem.NewFromImage(rc, img))
+		for _, img := range o.images {
+			regions = append(regions, pmem.NewFromImage(cfg, img))
 		}
 	default:
 		for i := 0; i < max(o.shards, 1); i++ {
 			regions = append(regions, pmem.New(cfg))
 		}
-		if o.shards > 1 {
-			regions = append(regions, pmem.New(metaConfig(cfg)))
-		}
 	}
-	// One region is a single heap; S >= 2 shards take S+1, the last
-	// being the manifest's. Two regions are no layout at all: a manifest
-	// needs two shards.
-	shardRegions, meta := regions, pmem.Backend(nil)
-	if n := len(regions); n > 2 {
-		shardRegions, meta = regions[:n-1], regions[n-1]
-	}
-	if len(regions) == 0 || len(regions) == 2 || (o.shards != 0 && o.shards != len(shardRegions)) {
-		return nil, info, fmt.Errorf("core: open with %d shards over %d regions (want 1 region, or S >= 2 shard regions plus metadata): %w",
-			o.shards, len(regions), ErrShardCount)
+	if len(regions) == 0 || len(regions) > maxShards || (o.shards != 0 && o.shards != len(regions)) {
+		return nil, info, fmt.Errorf("core: open with %d shards over %d regions (want one region per shard, at most %d): %w",
+			o.shards, len(regions), maxShards, ErrShardCount)
 	}
 
-	for i, r := range shardRegions {
+	for i, r := range regions {
 		if r.Size() > funcds.MaxHeapBytes {
 			return nil, info, fmt.Errorf("core: shard region %d is %d bytes: %w", i, r.Size(), ErrRegionTooLarge)
 		}
 	}
 
-	db := &DB{meta: meta, regions: pmem.NewRegions(regions...), sh: &dbShared{}}
+	db := &DB{regions: pmem.NewRegions(regions...), sh: &dbShared{}}
 	var err error
 	if attach {
 		vc := verifyConfig{verify: o.verify, salvage: o.salvage}
-		db.shards, info, err = attachRegions(shardRegions, meta, vc)
+		db.shards, info, err = attachRegions(regions, vc)
 	} else {
-		db.shards = formatRegions(shardRegions, meta)
+		db.shards = formatRegions(regions)
 	}
 	if err != nil {
 		return nil, RecoveryInfo{}, err
@@ -338,8 +317,7 @@ func (db *DB) ShardFor(name string) int {
 	return int(h % uint64(len(db.shards)))
 }
 
-// Regions returns the store's device regions: the shard regions in
-// shard order, then (with two or more shards) the metadata region.
+// Regions returns the store's device regions, in shard order.
 func (db *DB) Regions() *pmem.Regions { return db.regions }
 
 // Fork derives a DB handle whose per-shard device and heap handles
@@ -349,9 +327,6 @@ func (db *DB) Fork() *DB {
 	out.shards = make([]*Store, len(db.shards))
 	for i, s := range db.shards {
 		out.shards[i] = s.Fork()
-	}
-	if db.meta != nil {
-		out.meta = db.meta.Fork()
 	}
 	return &out
 }
@@ -399,13 +374,10 @@ func (db *DB) Sync() {
 	for _, s := range db.shards {
 		s.Sync()
 	}
-	if db.meta != nil {
-		db.meta.Sfence() // defense in depth; manifest retirement is fenced inline
-	}
 }
 
-// Close drains every shard's commit queue, fences each shard (and the
-// metadata region), and marks the store closed:
+// Close drains every shard's commit queue, fences each shard, and marks
+// the store closed:
 // subsequent binds return ErrStoreClosed, and CommitAsync tickets resolve
 // with ErrStoreClosed instead of hanging. Idempotent and nil-safe, so a
 // deferred Close after a failed Open is harmless.
@@ -416,9 +388,6 @@ func (db *DB) Close() error {
 	for _, s := range db.shards {
 		s.Close()
 	}
-	if db.meta != nil {
-		db.meta.Sfence()
-	}
 	return nil
 }
 
@@ -428,8 +397,8 @@ func (db *DB) Close() error {
 func (db *DB) Stats() pmem.Stats { return db.regions.Stats() }
 
 // CrashImages returns post-power-failure images of every region, in the
-// layout WithExistingImages expects: one image for a single heap, shard
-// images in order plus the metadata region otherwise. Requires
+// layout WithExistingImages expects: one image per shard, in order.
+// Requires
 // Config.TrackDurable.
 func (db *DB) CrashImages(policy pmem.CrashPolicy, seed uint64) [][]byte {
 	return db.regions.CrashImages(policy, seed)

@@ -66,8 +66,8 @@ func TestOpenShardedRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if db.Store() != nil || db.ShardCount() != 4 || db.Regions().Len() != 5 {
-		t.Fatal("sharded open is not a 4-shard DB with a metadata region")
+	if db.Store() != nil || db.ShardCount() != 4 || db.Regions().Len() != 4 {
+		t.Fatal("sharded open is not a 4-shard DB over 4 regions")
 	}
 	maps := make([]*Map, 8)
 	for i := range maps {
@@ -87,8 +87,8 @@ func TestOpenShardedRoundtrip(t *testing.T) {
 		t.Fatalf("commit: %v", err)
 	}
 	imgs := db.CrashImages(pmem.CrashFencedOnly, 1)
-	if len(imgs) != 5 {
-		t.Fatalf("sharded CrashImages returned %d images, want 5", len(imgs))
+	if len(imgs) != 4 {
+		t.Fatalf("sharded CrashImages returned %d images, want 4", len(imgs))
 	}
 
 	db2, info, err := Open(dbConfig(), WithExistingImages(imgs))
@@ -365,7 +365,7 @@ func TestSingleShardEquivalence(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer db2.Close()
-	if !info.Recovered || len(info.PerShard) != 1 || info.ManifestReplayed {
+	if !info.Recovered || len(info.PerShard) != 1 {
 		t.Fatalf("reopen info = %+v", info)
 	}
 	q2, err := db2.Queue("q")
@@ -416,7 +416,7 @@ func TestBatchForeignHandlePanics(t *testing.T) {
 // error the single-heap attach always returned.
 func TestOpenShardedAttachDeadLine(t *testing.T) {
 	cfg := dbConfig()
-	devs := []pmem.Backend{pmem.New(cfg), pmem.New(cfg), pmem.New(metaConfig(cfg))}
+	devs := []pmem.Backend{pmem.New(cfg), pmem.New(cfg)}
 	db, _, err := Open(cfg, WithDevices(devs...))
 	if err != nil {
 		t.Fatal(err)

@@ -23,10 +23,12 @@ var (
 	// with it instead of hanging.
 	ErrStoreClosed = errors.New("store is closed")
 
-	// ErrShardCount is returned for an invalid shard count (< 1), for a
-	// region set that is no layout (none, or one shard plus metadata: a
-	// single heap is 1 region, S >= 2 shards are S+1), and when the
-	// region count contradicts the requested shard count.
+	// ErrShardCount is returned for an invalid shard count (< 1, or more
+	// than one group word can count every root of), for an empty region
+	// set, when the region count contradicts the requested shard count,
+	// and when a region's heap records another place in its store's
+	// region set than the one it was opened at (a missing, swapped or
+	// duplicated shard, or a single heap among shards).
 	ErrShardCount = errors.New("invalid shard count")
 
 	// ErrRegionTooLarge is returned by Open for a heap region beyond the

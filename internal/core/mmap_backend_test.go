@@ -135,18 +135,14 @@ func TestMmapBackendStructures(t *testing.T) {
 }
 
 // TestMmapBackendSharded formats a sharded store over one file per
-// shard plus a metadata file, then reattaches the whole set.
+// shard, then reattaches the whole set.
 func TestMmapBackendSharded(t *testing.T) {
 	const shards = 2
 	dir := t.TempDir()
 	var devs []pmem.Backend
 	var paths []string
-	for i := 0; i <= shards; i++ {
-		name := fmt.Sprintf("shard%d.pm", i)
-		if i == shards {
-			name = "meta.pm"
-		}
-		path := filepath.Join(dir, name)
+	for i := 0; i < shards; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("shard%d.pm", i))
 		d, err := mmapdev.Create(path, 8<<20)
 		if errors.Is(err, mmapdev.ErrUnsupported) {
 			t.Skip("mmap backend unsupported on this platform")

@@ -12,56 +12,6 @@ import (
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
-// TestRedoRecordCodec runs the shard manifest's record codec through
-// everything a recovery can find: a never-used record, a staged body
-// before its commit point, a committed record (read twice, replayed
-// twice), a stale status over a later commit's half-written and fully
-// written body, a count past the capacity, and a retired record, which
-// keeps its sequence number.
-func TestRedoRecordCodec(t *testing.T) {
-	dev := pmem.New(pmem.DefaultConfig(1 << 16))
-	rec := redoRecord{dev: dev, base: 128, max: 4}
-	entries := []redoEntry{{shard: 2, cell: 4096, word: 0x1110}, {shard: 0, cell: 4104, word: 0x2220}, {shard: 1, cell: 4112, word: 0x3330}}
-	later := []redoEntry{{shard: 1, cell: 4096, word: 0x9990}, {shard: 3, cell: 4120, word: 0x8880}}
-	expect := func(when string, wantSeq uint64, want []redoEntry, wantLive bool) {
-		t.Helper()
-		seq, got, live := rec.read()
-		if seq != wantSeq || !slices.Equal(got, want) || live != wantLive {
-			t.Fatalf("%s: read seq %d %v live=%v, want seq %d %v live=%v", when, seq, got, live, wantSeq, want, wantLive)
-		}
-	}
-
-	expect("fresh", 0, nil, false)
-	rec.stage(7, entries)
-	expect("staged, commit point not written", 0, nil, false)
-	rec.commit(7)
-	for pass := 1; pass <= 2; pass++ { // a crash inside recovery replays again
-		expect("committed", 7, entries, true)
-		for _, e := range entries {
-			dev.WriteU64(e.cell, e.word)
-		}
-	}
-	for _, e := range entries {
-		if got := dev.ReadU64(e.cell); got != e.word {
-			t.Fatalf("cell %#x = %#x after two replays, want %#x", uint64(e.cell), got, e.word)
-		}
-	}
-
-	// The retirement of commit 7 never became durable and commit 8
-	// began refilling the body: first one entry word, then all of it.
-	dev.WriteU64(rec.base+redoHdrSize, 0xdead)
-	expect("stale status over a half-written later body", 7, nil, true)
-	rec.stage(8, later)
-	expect("stale status over a complete later body", 7, nil, true)
-	rec.commit(8)
-	expect("later commit", 8, later, true)
-
-	dev.WriteU64(rec.base+8, uint64(rec.max)+1)
-	expect("count past capacity", 8, nil, true)
-	rec.retire(8)
-	expect("retired", 8, nil, false)
-}
-
 // TestRecordSlotStagesStatusInOneFlush pins a group member's staging cost:
 // each member slot is 32 bytes inside its root's stage line, so a
 // CommitUnrelated of r roots writes exactly 4r words into the stage table
@@ -122,19 +72,27 @@ func TestRecordSlotStagesStatusInOneFlush(t *testing.T) {
 
 // Native fuzz target for the stage table (ROADMAP 1c): the member slots
 // of staged publications of one root and of several, with and without
-// digests, and the root cells they name. Run in CI (non-blocking) with:
+// digests, on one shard and across two, and the root cells they name. Run
+// in CI (non-blocking) with:
 //
 //	go test -run='^$' -fuzz=FuzzRedoSlots -fuzztime=30s ./internal/core
 //
 // The seed corpus doubles as an ordinary regression test.
 
-// redoRoots names the fuzzed image's maps.
-var redoRoots = []string{"a", "b", "c", "d"}
+// redoRoot is one of the fuzzed image's maps and the shard it lives on.
+type redoRoot struct {
+	name  string
+	shard int
+}
+
+// redoRoots names the fuzzed image's maps: a to e on shard 0, x and y on
+// shard 1.
+var redoRoots = []redoRoot{{"a", 0}, {"b", 0}, {"c", 0}, {"d", 0}, {"e", 0}, {"x", 1}, {"y", 1}}
 
 // redoImage is the fuzzed image and what its roots published.
 type redoImage struct {
-	img   []byte
-	s     *Store
+	imgs  [][]byte // by shard
+	db    *DB
 	slots []int                  // root slot of each of redoRoots
 	words map[string][]uint64    // every cell word the root held, in order
 	addrs map[string][]pmem.Addr // the versions those words name
@@ -144,40 +102,45 @@ type redoImage struct {
 // reach of a 4-byte node reference).
 func cellVersion(w uint64) pmem.Addr { return pmem.Addr(w & uint64(funcds.MaxHeapBytes-1)) }
 
-// redoSlotsImage builds a store that ran two async one-root rounds on d
-// and one on c (groups of one, with digests), a Batch over a and b and a
-// CommitUnrelated over b and c (groups of two without digests), and a
-// spanning async round over a and d (a group of two with digests), with
-// every root cell holding its last version, as a crash after all of it
-// can leave them. Reclamation is off, so every version any root ever
-// published stays intact in the image.
+// redoSlotsImage builds a 2-shard DB whose shard 0 ran two async one-root
+// rounds on d and one on c (groups of one, with digests), a Batch over a
+// and b and a CommitUnrelated over b and c (groups of two without
+// digests), and a spanning async round over a and d (a group of two with
+// digests); then a cross-shard batch over e, x and y (one group of three,
+// one member on shard 0 and two on shard 1, without digests) and one over
+// e and x (a group of two, one member on each shard). Every root cell
+// holds its last version, as a crash after all of it can leave them.
+// Reclamation is off, so every version any root ever published stays
+// intact in the image.
 func redoSlotsImage(tb testing.TB, cfg pmem.Config) *redoImage {
 	tb.Helper()
-	db, _, err := Open(cfg)
+	db, _, err := Open(cfg, WithShards(2))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := db.Store()
-	s.heap.DisableReclaim = true
-	r := &redoImage{s: s, words: map[string][]uint64{}, addrs: map[string][]pmem.Addr{}}
+	r := &redoImage{db: db, words: map[string][]uint64{}, addrs: map[string][]pmem.Addr{}}
 	maps := map[string]*Map{}
 	note := func() {
-		for i, nm := range redoRoots {
-			if w := s.dev.ReadU64(s.heap.RootCellAddr(r.slots[i])); !slices.Contains(r.words[nm], w) {
-				r.words[nm] = append(r.words[nm], w)
-				r.addrs[nm] = append(r.addrs[nm], cellVersion(w))
+		for i, rt := range redoRoots {
+			st := db.Shard(rt.shard)
+			if w := st.dev.ReadU64(st.heap.RootCellAddr(r.slots[i])); !slices.Contains(r.words[rt.name], w) {
+				r.words[rt.name] = append(r.words[rt.name], w)
+				r.addrs[rt.name] = append(r.addrs[rt.name], cellVersion(w))
 			}
 		}
 	}
-	for _, nm := range redoRoots {
-		if maps[nm], err = s.Map(nm); err != nil {
+	for _, rt := range redoRoots {
+		st := db.Shard(rt.shard)
+		st.heap.DisableReclaim = true
+		if maps[rt.name], err = st.Map(rt.name); err != nil {
 			tb.Fatal(err)
 		}
-		maps[nm].Set([]byte("k0"), []byte(nm+"0"))
-		slot, _ := s.heap.RootSlot(nm)
+		maps[rt.name].Set([]byte("k0"), []byte(rt.name+"0"))
+		slot, _ := st.heap.RootSlot(rt.name)
 		r.slots = append(r.slots, slot)
 	}
 	note()
+	s := db.Shard(0)
 	async := func(names ...string) {
 		b := s.NewBatch()
 		for _, nm := range names {
@@ -204,36 +167,53 @@ func redoSlotsImage(tb testing.TB, cfg pmem.Config) *redoImage {
 	}
 	note()
 	async("a", "d")
-	r.img = snapshot(s)
+	cross := func(names ...string) {
+		b := db.Batch()
+		for _, nm := range names {
+			b.MapSet(maps[nm], []byte(fmt.Sprintf("x%d", len(r.words[nm]))), []byte(nm))
+		}
+		b.Commit()
+		note()
+	}
+	cross("e", "x", "y")
+	cross("e", "x")
+	for i := 0; i < db.ShardCount(); i++ {
+		r.imgs = append(r.imgs, snapshot(db.Shard(i)))
+	}
 	return r
 }
 
-// FuzzRedoSlots mutates the words of every stage slot of a, b, c and d —
-// final, group, digest, meta — and the stored checksum of each staged
+// FuzzRedoSlots mutates the words of every stage slot of every root —
+// final, group, digest, meta — and the stored checksum of each digested
 // final's header block, with fuzzer-chosen XOR masks, and sets the root
 // cells to fuzzer-chosen cell words those roots once held, then reopens
-// the image. Allowed: the open fails with ErrCorrupted, or it succeeds and
-// every root holds a version it once published — the one its cell named
-// in the image, or the final of a stage slot none of whose words was
-// mutated. A mutated slot fails its checksum and must never apply, a
+// the images. Allowed: the open fails with ErrCorrupted, or it succeeds
+// and every root holds a version it once published — the one its cell
+// named in the image, or the final of a stage slot none of whose words
+// was mutated. A mutated slot fails its checksum and must never apply, a
 // group whose blocks no longer fold to its digests must not apply unless
-// one of its swaps landed, and nothing may panic.
+// one of its swaps landed, a cross-shard group rolls forward only behind
+// a landed swap, and nothing may panic.
 func FuzzRedoSlots(f *testing.F) {
 	cfg := pmem.DefaultConfig(1 << 20)
 	r := redoSlotsImage(f, cfg)
-	s := r.s
-	cells := make([]pmem.Addr, len(redoRoots))
-	for i, slot := range r.slots {
-		cells[i] = s.heap.RootCellAddr(slot)
+	db := r.db
+	type word struct {
+		shard int
+		addr  pmem.Addr
 	}
-	// Targets 0..31: root k's stage slot i's word w at 8*k+4*i+w; 32..35:
-	// the root cells of a, b, c and d; then the checksum word of the header
-	// of every digested final in the image.
-	var words []pmem.Addr
-	for _, slot := range r.slots {
+	cells := make([]word, len(redoRoots))
+	for i, rt := range redoRoots {
+		cells[i] = word{rt.shard, db.Shard(rt.shard).heap.RootCellAddr(r.slots[i])}
+	}
+	// Targets 0..8n-1: root k's stage slot i's word w at 8*k+4*i+w; then
+	// the root cells of every root, in order; then the checksum word of the
+	// header of every digested final in the images.
+	var words []word
+	for k, slot := range r.slots {
 		for i := 0; i < 2; i++ {
 			for w := 0; w < 4; w++ {
-				words = append(words, s.heap.StageSlotAddr(slot, i)+pmem.Addr(8*w))
+				words = append(words, word{redoRoots[k].shard, db.Shard(redoRoots[k].shard).heap.StageSlotAddr(slot, i) + pmem.Addr(8*w)})
 			}
 		}
 	}
@@ -242,26 +222,27 @@ func FuzzRedoSlots(f *testing.F) {
 	var finals []pmem.Addr // each nonempty slot's final version
 	var finalOf []slotRef
 	for k, slot := range r.slots {
+		d := redoRoots[k].shard
 		for i := 0; i < 2; i++ {
-			at := s.heap.StageSlotAddr(slot, i)
-			if binary.LittleEndian.Uint64(r.img[at+24:]) == 0 {
+			at := db.Shard(d).heap.StageSlotAddr(slot, i)
+			if binary.LittleEndian.Uint64(r.imgs[d][at+24:]) == 0 {
 				continue
 			}
-			finals = append(finals, cellVersion(binary.LittleEndian.Uint64(r.img[at:])))
+			finals = append(finals, cellVersion(binary.LittleEndian.Uint64(r.imgs[d][at:])))
 			finalOf = append(finalOf, slotRef{k, i})
-			if binary.LittleEndian.Uint64(r.img[at+24:])>>48 != 0 {
-				words = append(words, finals[len(finals)-1]-alloc.HeaderSize+8)
+			if binary.LittleEndian.Uint64(r.imgs[d][at+24:])>>48 != 0 {
+				words = append(words, word{d, finals[len(finals)-1] - alloc.HeaderSize + 8})
 			}
 		}
 	}
 	targets := len(words) + len(cells)
-	// target maps a target number to its word address, or reports a cell.
-	target := func(t int) (addr pmem.Addr, cell int) {
+	// target maps a target number to its word, or reports a cell.
+	target := func(t int) (w word, cell int) {
 		switch {
 		case t < slotTargets:
 			return words[t], -1
 		case t < slotTargets+len(cells):
-			return 0, t - slotTargets
+			return word{}, t - slotTargets
 		default:
 			return words[t-len(cells)], -1
 		}
@@ -277,50 +258,67 @@ func FuzzRedoSlots(f *testing.F) {
 		}
 		return b
 	}
-	const cellA, cellB, cellC, cellD = 32, 33, 34, 35
+	// The roots' slot words and cells: slot word w of root k's stage slot
+	// i is 8*k+4*i+w; the first digested final's checksum word follows the
+	// cells.
+	const (
+		slotA, slotB, slotD, slotE, slotX = 0, 8, 24, 32, 40
+		cellA, cellB, cellC, cellD        = 56, 57, 58, 59
+		cellE, cellX, cellY, crc0         = 60, 61, 62, 63
+	)
 	f.Add([]byte(nil))
-	f.Add(seed(cellD, 1))                      // d's last cell write lost: the spanning group rolls forward behind a
-	f.Add(seed(cellA, 2, cellD, 2))            // both of the spanning group's swaps lost: it applies, verified
-	f.Add(seed(cellA, 2, cellD, 2, 36, 1))     // and one member's final header lost its checksum
-	f.Add(seed(cellA, 2, cellD, 2, 3, 1))      // and a's newest member slot torn (meta)
-	f.Add(seed(cellA, 2, cellD, 2, 1, 0x100))  // and its group word moved
-	f.Add(seed(cellB, 1))                      // b back before the CommitUnrelated: c's landed swap rolls it forward
-	f.Add(seed(cellB, 1, cellC, 2))            // b and c both back: no digest, nothing applies
-	f.Add(seed(cellB, 0, cellA, 0))            // a and b back at their first versions
-	f.Add(seed(cellD, 0))                      // d back before its rounds: a stale member never rolls it
-	f.Add(seed(cellD, 1, cellA, 2))            // the spanning group with d's swap landed, a's lost
-	f.Add(seed(cellC, 1))                      // c back past its round, before the CommitUnrelated
-	f.Add(seed(cellC, 0))                      // c back before its round
-	f.Add(seed(cellC, 0, cellB, 1))            // and b before the CommitUnrelated
-	f.Add(seed(9, 1<<40))                      // b's slot final moved
-	f.Add(seed(26, 0xff, cellD, 2))            // d's group word damaged
-	f.Add(seed(cellA, 2, cellD, 2, 28, 1<<50)) // a digest count moved
-	f.Add(seed(0, 8, 4, 8, cellA, 1))          // a's slots retargeted at other cell words
+	f.Add(seed(cellD, 1))                                 // d's last cell write lost: the spanning group rolls forward behind a
+	f.Add(seed(cellA, 2, cellD, 2))                       // both of the spanning group's swaps lost: it applies, verified
+	f.Add(seed(cellA, 2, cellD, 2, crc0, 1))              // and one member's final header lost its checksum
+	f.Add(seed(cellA, 2, cellD, 2, slotA+7, 1))           // and a's newest member slot torn (meta)
+	f.Add(seed(cellA, 2, cellD, 2, slotA+5, 0x10000))     // and its group word moved
+	f.Add(seed(cellB, 1))                                 // b back before the CommitUnrelated: c's landed swap rolls it forward
+	f.Add(seed(cellB, 1, cellC, 2))                       // b and c both back: no digest, nothing applies
+	f.Add(seed(cellB, 0, cellA, 0))                       // a and b back at their first versions
+	f.Add(seed(cellD, 0))                                 // d back before its rounds: a stale member never rolls it
+	f.Add(seed(cellD, 1, cellA, 2))                       // the spanning group with d's swap landed, a's lost
+	f.Add(seed(cellC, 1))                                 // c back past its round, before the CommitUnrelated
+	f.Add(seed(cellC, 0))                                 // c back before its round
+	f.Add(seed(cellC, 0, cellB, 1))                       // and b before the CommitUnrelated
+	f.Add(seed(slotB, 1<<40))                             // b's slot final moved
+	f.Add(seed(slotD+1, 0xff, cellD, 2))                  // d's group word damaged
+	f.Add(seed(cellA, 2, cellD, 2, slotA+7, 1<<50))       // a digest count moved
+	f.Add(seed(slotA, 8, slotA+4, 8, cellA, 1))           // a's slots retargeted at other cell words
+	f.Add(seed(cellX, 1))                                 // x's last swap lost: e's, on the other shard, rolls it forward
+	f.Add(seed(cellE, 1))                                 // e's last swap lost: x's rolls it forward
+	f.Add(seed(cellE, 0, cellX, 0, cellY, 0))             // every cross-shard swap lost: nothing carries a digest, nothing applies
+	f.Add(seed(cellE, 0, cellX, 2, cellY, 0))             // only x's last swap landed: both groups roll e forward, and y
+	f.Add(seed(cellE, 0, cellX, 0, cellY, 1))             // only y's swap landed: e and x roll forward to the three-root group
+	f.Add(seed(cellX, 1, slotE+7, 1))                     // x's last swap lost and e's member of it torn: no intact member landed
+	f.Add(seed(cellE, 1, slotX+7, 1, slotX+3, 1))         // e's swap lost and both of x's members torn: nothing left to roll e
+	f.Add(seed(cellE, 0, cellX, 0, cellY, 1, slotE+3, 1)) // y landed, e's older member torn: x rolls forward, e keeps its cell
 
 	f.Fuzz(func(t *testing.T, muts []byte) {
-		dmg := append([]byte(nil), r.img...)
+		dmg := make([][]byte, len(r.imgs))
+		for d, img := range r.imgs {
+			dmg[d] = append([]byte(nil), img...)
+		}
 		var touched []slotRef
 		crcTouched := false
 		for i := 0; i+9 <= len(muts) && i < 9*16; i += 9 {
 			tgt, mask := int(muts[i])%targets, binary.LittleEndian.Uint64(muts[i+1:])
-			if a, cell := target(tgt); cell < 0 {
+			if w, cell := target(tgt); cell < 0 {
 				if mask != 0 && tgt < slotTargets {
 					touched = append(touched, slotRef{tgt / 8, tgt / 4 % 2})
 				}
 				crcTouched = crcTouched || mask != 0 && tgt >= slotTargets
-				binary.LittleEndian.PutUint64(dmg[a:], binary.LittleEndian.Uint64(dmg[a:])^mask)
+				binary.LittleEndian.PutUint64(dmg[w.shard][w.addr:], binary.LittleEndian.Uint64(dmg[w.shard][w.addr:])^mask)
 			} else {
-				ws := r.words[redoRoots[cell]]
-				binary.LittleEndian.PutUint64(dmg[cells[cell]:], ws[mask%uint64(len(ws))])
+				ws := r.words[redoRoots[cell].name]
+				binary.LittleEndian.PutUint64(dmg[cells[cell].shard][cells[cell].addr:], ws[mask%uint64(len(ws))])
 			}
 		}
 
 		// What recovery may leave in each cell: the version it named in the
 		// image, or the final of a stage slot none of whose words changed.
-		view := pmem.NewFromImage(cfg, dmg)
 		allowed := make([][]pmem.Addr, len(cells))
 		for i, c := range cells {
-			allowed[i] = []pmem.Addr{cellVersion(view.ReadU64(c))}
+			allowed[i] = []pmem.Addr{cellVersion(binary.LittleEndian.Uint64(dmg[c.shard][c.addr:]))}
 		}
 		for k, ref := range finalOf {
 			if !slices.Contains(touched, ref) {
@@ -328,7 +326,7 @@ func FuzzRedoSlots(f *testing.F) {
 			}
 		}
 
-		db, _, err := Open(cfg, WithExistingImages([][]byte{dmg}))
+		db, _, err := Open(cfg, WithExistingImages(dmg))
 		if err != nil {
 			if !errors.Is(err, ErrCorrupted) {
 				t.Fatalf("open failed untyped: %v", err)
@@ -336,31 +334,32 @@ func FuzzRedoSlots(f *testing.F) {
 			return
 		}
 		defer db.Close()
-		st := db.Store()
 		var healthy []*Map
-		for i, nm := range redoRoots {
+		for i, rt := range redoRoots {
+			st := db.Shard(rt.shard)
 			got := st.heap.Root(r.slots[i])
 			if !slices.Contains(allowed[i], got) {
-				t.Fatalf("root %s holds %#x: neither its image value nor an intact stage slot's final (%#x)", nm, uint64(got), allowed[i])
+				t.Fatalf("root %s holds %#x: neither its image value nor an intact stage slot's final (%#x)", rt.name, uint64(got), allowed[i])
 			}
-			if !slices.Contains(r.addrs[nm], got) {
-				t.Fatalf("root %s holds %#x, a version it never published (%#x)", nm, uint64(got), r.addrs[nm])
+			if !slices.Contains(r.addrs[rt.name], got) {
+				t.Fatalf("root %s holds %#x, a version it never published (%#x)", rt.name, uint64(got), r.addrs[rt.name])
 			}
-			m, err := db.Map(nm)
+			m, err := st.Map(rt.name)
 			if err != nil {
 				// Only a damaged checksum word of a staged final can make a
 				// bind find corruption: that block may be live in the image.
 				if !errors.Is(err, ErrCorrupted) || !crcTouched {
-					t.Fatalf("bind %s: %v", nm, err)
+					t.Fatalf("bind %s: %v", rt.name, err)
 				}
 				continue
 			}
-			if v, ok := m.Get([]byte("k0")); !ok || string(v) != nm+"0" {
-				t.Fatalf("root %s lost its first key: %q, %v", nm, v, ok)
+			if v, ok := m.Get([]byte("k0")); !ok || string(v) != rt.name+"0" {
+				t.Fatalf("root %s lost its first key: %q, %v", rt.name, v, ok)
 			}
 			healthy = append(healthy, m)
 		}
-		// The reopened store keeps committing through its stage slots.
+		// The reopened store keeps committing through its stage slots, on
+		// one shard and across both.
 		b := db.Batch()
 		for _, m := range healthy {
 			b.MapSet(m, []byte("post"), []byte("x"))

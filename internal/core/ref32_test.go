@@ -41,6 +41,14 @@ func TestOpenRejectsV9Heap(t *testing.T) {
 	openStampedHeap(t, 9|1<<63) // with its stage-live flag set
 }
 
+// TestOpenRejectsV10Heap: and the layout before this one, whose
+// superblock records no shard identity and whose group words count their
+// members in 8 bits — a sharded store kept its cross-shard batches in a
+// manifest on a metadata region this build no longer reads.
+func TestOpenRejectsV10Heap(t *testing.T) {
+	openStampedHeap(t, 10)
+}
+
 func openStampedHeap(t *testing.T, version uint64) {
 	cfg := pmem.DefaultConfig(1 << 20)
 	db, _, err := Open(cfg)
@@ -80,7 +88,7 @@ func TestOpenRefusesOversizedRegion(t *testing.T) {
 		}
 	}
 	// Shards are checked one by one: only the oversized one is named.
-	devs := []pmem.Backend{pmem.New(cfg), oversized{pmem.New(cfg)}, pmem.New(metaConfig(cfg))}
+	devs := []pmem.Backend{pmem.New(cfg), oversized{pmem.New(cfg)}}
 	if _, _, err := Open(cfg, WithDevices(devs...)); !errors.Is(err, ErrRegionTooLarge) {
 		t.Errorf("oversized shard 1 of 2: %v, want ErrRegionTooLarge", err)
 	}

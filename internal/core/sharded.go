@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"github.com/mod-ds/mod/internal/alloc"
@@ -25,80 +27,44 @@ import (
 // through its shard's 1-fence path (a root swap, or a staged group for
 // several roots). This file holds what exists only because there can be
 // more than one heap: formatting and attaching a region set, and the
-// manifest.
+// publication of a batch that changed roots on several shards.
 //
-// # Cross-shard atomicity: the shard manifest
+// # Cross-shard atomicity: one group over every shard's stage table
 //
-// A Batch whose updates span shards cannot ride any one shard's stage
-// table — each orders only its own device. Instead the store
-// commits through a two-phase checksummed manifest in a small dedicated
-// metadata region (present only when S > 1):
+// S shards take S regions, each heap's superblock naming its place
+// {shard, S}, and their heaps share one group counter, so a group word
+// names one publication across the DB. A Batch whose updates change roots
+// on k >= 2 shards publishes them as one group of r roots, r counted
+// across all k shards (publishCross):
 //
-//	phase 0  apply: each involved shard prepares its updates (shadow
-//	         chains built and sealed under its root locks) and fences,
-//	         so every shadow is durable; nothing is published.
-//	phase 1  intent: the manifest body — (shard, root cell, new
-//	         version) triples plus a checksum binding them to this
-//	         commit's sequence number — is written and fenced, then the
-//	         status word is set to the sequence number and fenced. That
-//	         8-byte status write is the batch's atomic commit point.
-//	phase 2  per-shard redo: each shard's root cells are overwritten
-//	         (idempotent 8-byte swaps) and fenced.
-//	phase 3  mark durable: the status word is marked retired and
-//	         fenced. The retired write is issued only after the redo
-//	         fences, so it can never become durable while a swap is
-//	         not; it is fenced eagerly because no later single-shard
-//	         commit ever fences the metadata region, and a manifest
-//	         left committed-but-retired could otherwise be replayed
-//	         after its roots had durably moved on, rolling them back.
+//	stage    each changed shard, in ascending order, is prepared (shadow
+//	         chains built and sealed under its root locks) and stages
+//	         its changed roots under the one group word (alloc's
+//	         StageGroup), with no digest;
+//	fence    each changed shard fences: every shadow and every member
+//	         slot is durable before any swap is issued;
+//	swap     checkpoint crowns clear, then every root cell is swapped;
+//	fence    each changed shard fences again, so the batch is durable
+//	         when the commit returns.
 //
-// A recovering Open replays a committed manifest before any shard's
-// reachability scan: a crash before the commit point recovers none of
-// the batch (the shadows are swept as leaks), a crash at or after it
-// recovers all of it. A cross-shard commit touching k shards costs
-// 2k+3 fences — the uncommon, explicitly cross-shard case; everything
-// else keeps its single ordering point.
+// 2k fences, and nothing serializes cross-shard commits on disjoint
+// shards. A recovering Open gathers, before any shard recovers, the
+// groups each shard holds fewer members of than their size: one of whose
+// swaps landed on any shard had all its first-round fences completed, so
+// every other member is rolled forward (alloc's ReplaySwap) and the
+// touched shards fenced. A group none of whose swaps landed is left to
+// each shard's recovery, which discards it: its members carry no digest
+// and no shard holds all r. A crash anywhere recovers every swap of the
+// batch or none of them.
 
-// shardMagic identifies the metadata region of a sharded store.
-const shardMagic = 0x4d4f442d53484152 // "MOD-SHAR"
-
-// The manifest is a redo record (redo.go) at manifestBase in the
-// metadata region, its entries leading with a shard word.
-const (
-	metaRegionBytes = 4096
-	manifestBase    = pmem.Addr(64)
-)
-
-// MaxManifestEntries bounds how many root cells one cross-shard batch
-// can change, by the capacity of the metadata region.
-const MaxManifestEntries = (metaRegionBytes - int(manifestBase) - redoHdrSize) / 24
-
-// manifest returns the shard manifest held in the metadata region.
-func manifest(meta pmem.Backend) redoRecord {
-	return redoRecord{dev: meta, base: manifestBase, max: MaxManifestEntries}
-}
-
-// metaConfig derives the metadata region's device configuration.
-func metaConfig(cfg pmem.Config) pmem.Config {
-	cfg.Size = metaRegionBytes
-	cfg.Tracer = nil
-	return cfg
-}
-
-// formatRegions formats one fresh store per shard region and, when there
-// is a metadata region, stamps it (fenced) with the magic and shard
-// count.
-func formatRegions(devs []pmem.Backend, meta pmem.Backend) []*Store {
+// formatRegions formats one fresh store per shard region, each heap
+// stamped with its place in the set and numbering its groups from shard
+// 0's counter.
+func formatRegions(devs []pmem.Backend) []*Store {
 	stores := make([]*Store, len(devs))
 	for i, d := range devs {
-		stores[i] = newStore(d)
-		stores[i].sh.shard = i
-	}
-	if meta != nil {
-		meta.WriteU64(0, shardMagic)
-		meta.WriteU64(8, uint64(len(devs)))
-		meta.FlushRange(0, 16)
-		meta.Sfence()
+		stores[i] = storeOn(d, alloc.FormatShard(d, i, len(devs)), i)
+		stores[i].heap.ShareGroups(stores[0].heap)
 	}
 	return stores
 }
@@ -107,9 +73,8 @@ func formatRegions(devs []pmem.Backend, meta pmem.Backend) []*Store {
 // failure — a panic from recovery walking a truncated or scrambled
 // image into out-of-range addresses, malformed block headers, or dead
 // lines, or a clean recovery error on such an image — into a
-// *CorruptionError naming the region (a shard index, or the shard count
-// for the metadata region), so a damaged region fails the Open with a
-// typed error instead of crashing the process. It must run on the
+// *CorruptionError naming the region's shard index, so a damaged region
+// fails the Open with a typed error instead of crashing the process. It must run on the
 // goroutine doing the work: a recover cannot see another goroutine's
 // panic. The original cause stays reachable through errors.Is/As.
 func guardRegion(region int, step func() error) (err error) {
@@ -128,16 +93,17 @@ func guardRegion(region int, step func() error) (err error) {
 }
 
 // attachRegions recovers the store already present on a region set —
-// crash images on the simulator, mmap'd files on mmapdev. It replays a
-// committed cross-shard manifest all-or-nothing, then recovers the
-// shards in parallel, each on the goroutine guarding it — staged groups
-// and reachability scan, verification (eager when asked, else lazy
-// on-read checks are armed), selective rebuild — so total recovery time
-// is the slowest shard's, not the sum, degraded opens included. A single
-// heap is the same pipeline with one shard, no manifest phase and no
-// goroutine. Damage is reported per shard; unsalvaged roots are
-// quarantined on their shard's store.
-func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*Store, RecoveryInfo, error) {
+// crash images on the simulator, mmap'd files on mmapdev. It attaches
+// every shard's heap, refusing a region whose identity is not its place
+// in the set, rolls the groups spanning shards forward all-or-nothing,
+// then recovers the shards in parallel, each on the goroutine guarding
+// it — staged groups and reachability scan, verification (eager when
+// asked, else lazy on-read checks are armed), selective rebuild — so
+// total recovery time is the slowest shard's, not the sum, degraded opens
+// included. A single heap is the same pipeline with one shard, no
+// cross-shard groups and no goroutine. Damage is reported per shard;
+// unsalvaged roots are quarantined on their shard's store.
+func attachRegions(devs []pmem.Backend, vc verifyConfig) ([]*Store, RecoveryInfo, error) {
 	shards := len(devs)
 	info := RecoveryInfo{Recovered: true, PerShard: make([]alloc.RecoveryStats, shards)}
 
@@ -150,44 +116,17 @@ func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*
 		}); err != nil {
 			return nil, info, err
 		}
+		if got, of := stores[i].heap.Shard(); got != i || of != shards {
+			return nil, info, fmt.Errorf("core: region %d holds shard %d of %d, not %d of %d: %w", i, got, of, i, shards, ErrShardCount)
+		}
+		stores[i].heap.ShareGroups(stores[0].heap)
 	}
 
-	// Phase 1: replay a committed manifest before any reachability scan,
-	// so every shard's recovery traces the post-batch roots. The redo
-	// writes are idempotent 8-byte swaps; they are fenced per shard
-	// before the status clears, so a second crash replays again.
-	var (
-		mseq  uint64
-		dirty bool
-	)
-	if meta != nil {
-		if err := guardRegion(shards, func() error {
-			if got := meta.ReadU64(0); got != shardMagic {
-				return fmt.Errorf("core: bad shard metadata magic %#x", got)
-			}
-			if got := meta.ReadU64(8); got != uint64(shards) {
-				return fmt.Errorf("core: store has %d shards, got %d shard regions", got, shards)
-			}
-			var entries []redoEntry
-			mseq, entries, dirty = manifest(meta).read()
-			touched := make(map[int]bool)
-			for _, e := range entries {
-				if e.shard < 0 || e.shard >= shards {
-					return fmt.Errorf("core: manifest entry names shard %d of %d", e.shard, shards)
-				}
-				slot, ok := alloc.RootSlotOfCell(e.cell)
-				if !ok {
-					return fmt.Errorf("core: manifest entry names %#x, not a root cell: %w", uint64(e.cell), ErrCorrupted)
-				}
-				stores[e.shard].heap.ReplaySwap(slot, e.word)
-				touched[e.shard] = true
-			}
-			for i := range touched {
-				devs[i].Sfence()
-			}
-			info.ManifestReplayed = len(entries) > 0
-			return nil
-		}); err != nil {
+	// Phase 1: roll the groups spanning shards forward before any
+	// reachability scan, so every shard's recovery traces the final roots.
+	moved := make([]int, shards)
+	if shards > 1 {
+		if err := rollCrossForward(stores, moved); err != nil {
 			return nil, info, err
 		}
 	}
@@ -219,7 +158,9 @@ func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*
 			return nil, info, err
 		}
 	}
-	for i, rs := range info.PerShard {
+	for i := range info.PerShard {
+		info.PerShard[i].StagedRoots += moved[i]
+		rs := info.PerShard[i]
 		info.Stats.LiveBlocks += rs.LiveBlocks
 		info.Stats.LiveBytes += rs.LiveBytes
 		info.Stats.LeakedBlocks += rs.LeakedBlocks
@@ -230,131 +171,158 @@ func attachRegions(devs []pmem.Backend, meta pmem.Backend, vc verifyConfig) ([]*
 		info.Damaged = append(info.Damaged, damage[i]...)
 	}
 
-	// Phase 3: quarantine what verification could not salvage and
-	// retire the manifest.
+	// Quarantine what verification could not salvage.
 	for _, d := range info.Damaged {
 		if !d.Salvaged {
 			stores[d.Shard].quarantine(d.Slot, d.Err)
 		}
 	}
-	if dirty {
-		if err := guardRegion(shards, func() error {
-			manifest(meta).retire(mseq)
-			meta.Sfence()
+	return stores, info, nil
+}
+
+// crossMember is one member of a group spanning shards: a stage slot on
+// a shard.
+type crossMember struct {
+	shard int
+	alloc.StagedSwap
+}
+
+// crossGroups gathers every group some shard holds fewer members of than
+// its size (alloc's PartialGroups) from all the shards, in staging order.
+func crossGroups(stores []*Store) ([][]crossMember, error) {
+	byWord := make(map[uint64][]crossMember)
+	for i, s := range stores {
+		if err := guardRegion(i, func() error {
+			for g, ms := range s.heap.PartialGroups() {
+				for _, m := range ms {
+					byWord[g] = append(byWord[g], crossMember{i, m})
+				}
+			}
 			return nil
 		}); err != nil {
-			return nil, info, err
+			return nil, err
 		}
 	}
-	return stores, info, nil
+	var groups [][]crossMember
+	for _, g := range slices.Sorted(maps.Keys(byWord)) {
+		groups = append(groups, byWord[g])
+	}
+	return groups, nil
+}
+
+// landed reports whether one of a group's swaps has reached its cell.
+func landed(g []crossMember) bool {
+	return slices.ContainsFunc(g, func(m crossMember) bool { return m.Landed })
+}
+
+// rollCrossForward writes, for every group spanning shards one of whose
+// swaps landed, every other member's final into its cell, counting the
+// cells it wrote per shard in moved, then fences each shard it wrote:
+// recovery runs on the rolled-forward cells, and a crash before the fence
+// rolls forward again.
+func rollCrossForward(stores []*Store, moved []int) error {
+	groups, err := crossGroups(stores)
+	if err != nil {
+		return err
+	}
+	for _, g := range groups {
+		if !landed(g) {
+			continue
+		}
+		for _, m := range g {
+			if err := guardRegion(m.shard, func() error {
+				if stores[m.shard].heap.ReplaySwap(m.Slot, m.Final) {
+					moved[m.shard]++
+				}
+				return nil
+			}); err != nil {
+				return err
+			}
+		}
+	}
+	for i, n := range moved {
+		if n > 0 {
+			stores[i].dev.Sfence()
+		}
+	}
+	return nil
 }
 
 // commitCross is the cross-shard group-commit step: per holds each
 // shard's ops in submission order, at least two shards non-empty. Shards
 // are prepared in ascending index order (and each shard locks its roots
 // in ascending slot order), so overlapping cross-shard commits cannot
-// deadlock; the manifest lock then serializes publication.
-func (db *DB) commitCross(per [][]batchOp) {
-	// Phase 0: apply on every involved shard. Each prepare holds its
-	// shard's root locks until finish, and seals its edit so all shadow
-	// lines are inflight on the shard's device.
-	var (
-		order []int
-		preps []*preparedBatch
-	)
+// deadlock. It returns the store whose publication rides its next fence:
+// the one changed shard's, when the batch changed roots on one shard
+// only; otherwise nil — a publication over several shards is durable at
+// return.
+func (db *DB) commitCross(per [][]batchOp) *Store {
+	var preps, changed []*preparedBatch
 	for si, ops := range per {
 		if len(ops) > 0 {
-			order = append(order, si)
-			preps = append(preps, db.shards[si].prepareBatch(ops, 0))
-		}
-	}
-	var entries []redoEntry
-	changed := make([]bool, len(order))
-	for i, p := range preps {
-		for _, c := range p.changed {
-			entries = append(entries, redoEntry{
-				shard: order[i],
-				cell:  p.s.heap.RootCellAddr(c.slot),
-				word:  p.s.heap.NextCellWord(c.slot, c.final),
-			})
-		}
-		changed[i] = len(p.changed) > 0
-	}
-	if len(entries) > MaxManifestEntries {
-		panic(fmt.Sprintf("core: cross-shard batch changes %d roots (max %d)", len(entries), MaxManifestEntries))
-	}
-
-	single := -1
-	for i := range preps {
-		if changed[i] {
-			if single >= 0 {
-				single = -2 // two or more shards changed
-				break
+			p := db.shards[si].prepareBatch(ops, 0)
+			preps = append(preps, p)
+			if len(p.changed) > 0 {
+				changed = append(changed, p)
 			}
-			single = i
 		}
 	}
-	switch {
-	case single == -1:
+	var pending *Store
+	switch len(changed) {
+	case 0:
 		// No root changed anywhere: nothing to publish or order.
-	case single >= 0:
-		// Only one shard actually changed: its local publication paths
-		// are already all-or-nothing, skip the manifest.
-		preps[single].publishLocal()
+	case 1:
+		// Only one shard actually changed: its local publication is
+		// already all-or-nothing.
+		changed[0].publishLocal()
+		pending = changed[0].s
 	default:
-		// Shadow durability: one fence per changed shard, before the
-		// commit point can be written. Selective structures due for a
-		// checkpoint prepare it first (crown flushes ride the shard's
-		// fence) and clear their crown durable behind it — program order
-		// puts every clear fence before the manifest's commit point, so
-		// a replayed swap can never publish a structure whose navigation
-		// recovery would zero.
-		for i, p := range preps {
-			if changed[i] {
-				var crown []pmem.Addr
-				for _, c := range p.changed {
-					crown = append(crown, p.s.maybeCheckpoint(c.final)...)
-				}
-				p.s.heap.Fence()
-				p.s.clearCrown(crown)
-			}
-		}
-		meta, rec := db.meta, manifest(db.meta)
-		db.sh.mu.Lock()
-		db.sh.seq++ // serialized by the manifest lock; 0 marks a never-used manifest
-		seq := db.sh.seq
-		rec.stage(seq, entries)
-		// Intent fence: the body — and any previous manifest's
-		// retirement — is durable while the status is still idle, so a
-		// crash here recovers none of the batch.
-		meta.Sfence()
-		rec.commit(seq)
-		meta.Sfence() // the status write is the batch's atomic commit point
-		// Per-shard redo: overwrite the root cells, fencing each shard so
-		// every swap is durable before the manifest retires.
-		for i, p := range preps {
-			if !changed[i] {
-				continue
-			}
-			p.s.commitBegin()
-			for _, c := range p.changed {
-				p.s.heap.SetRoot(c.slot, c.final)
-			}
-			p.s.commitEnd()
-			p.s.heap.Fence()
-		}
-		// Mark durable: idle status issued only now, after the redo
-		// fences, so it can never become durable while a swap is not —
-		// and fenced immediately. The metadata region is fenced by no
-		// ordinary commit: deferring this
-		// fence would let a crash resurrect the manifest after touched
-		// roots had durably moved on, and the replay would roll them back.
-		rec.retire(seq)
-		meta.Sfence()
-		db.sh.mu.Unlock()
+		publishCross(changed)
 	}
-
 	for _, p := range preps {
 		p.finish()
+	}
+	return pending
+}
+
+// publishCross publishes the changed roots of prepared batches on two or
+// more shards as one group, in 2k fences for k shards (the file comment).
+func publishCross(ps []*preparedBatch) {
+	r := 0
+	for _, p := range ps {
+		r += len(p.changed)
+	}
+	g := ps[0].s.heap.NewGroup(r)
+	members := make([][]alloc.StagedRoot, len(ps))
+	crowns := make([][]pmem.Addr, len(ps))
+	for i, p := range ps {
+		for _, c := range p.changed {
+			crowns[i] = append(crowns[i], p.s.maybeCheckpoint(c.final)...)
+			members[i] = append(members[i], alloc.StagedRoot{Slot: c.slot, Final: c.final})
+		}
+		p.s.commitBegin()
+		p.s.heap.StageGroup(members[i], g)
+	}
+	// Every shard's shadows and member slots are durable before any swap
+	// is issued: a swap that reaches PM on one shard implies them all.
+	for _, p := range ps {
+		p.s.heap.Fence()
+	}
+	// Checkpoint crowns clear (and fence) before any swap, so a
+	// rolled-forward swap never points at a structure whose navigation
+	// recovery would zero.
+	for i, p := range ps {
+		p.s.clearCrown(crowns[i])
+	}
+	for i, p := range ps {
+		for _, c := range p.changed {
+			p.s.heap.SetRoot(c.slot, c.final)
+		}
+		p.s.heap.GroupSwapped(members[i])
+		p.s.commitEnd()
+	}
+	// Every swap durable: the commit is durable at return.
+	for _, p := range ps {
+		p.s.heap.Fence()
 	}
 }

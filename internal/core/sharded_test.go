@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/durcheck"
 	"github.com/mod-ds/mod/internal/pmem"
 )
@@ -27,9 +28,6 @@ func openShards(t testing.TB, cfg pmem.Config, shards int, opts ...Option) *DB {
 	}
 	return db
 }
-
-// metaStats returns the metadata region's device counters.
-func metaStats(db *DB) pmem.Stats { return db.Regions().Device(db.ShardCount()).Stats() }
 
 func sKey(i int) []byte {
 	b := make([]byte, 8)
@@ -90,7 +88,6 @@ func TestShardedSingleShardFences(t *testing.T) {
 	for i := range base {
 		base[i] = ss.Shard(i).Stats()
 	}
-	metaBase := metaStats(ss)
 
 	const ops = 50
 	for i := 0; i < ops; i++ {
@@ -105,14 +102,15 @@ func TestShardedSingleShardFences(t *testing.T) {
 		if d.Fences != want {
 			t.Errorf("shard %d: %d fences for %d ops, want %d", i, d.Fences, ops, want)
 		}
-	}
-	if d := metaStats(ss).Sub(metaBase); d.Fences != 0 || d.Writes != 0 {
-		t.Errorf("metadata region touched by single-shard ops: %+v", d)
+		if i != owner && d.Writes != 0 {
+			t.Errorf("shard %d written by another shard's ops: %+v", i, d)
+		}
 	}
 }
 
 // TestShardedSingleShardBatchDelegates checks a DB batch whose ops land
-// on one shard uses that shard's 1-fence publication, not the manifest.
+// on one shard uses that shard's 1-fence publication and touches no
+// other shard.
 func TestShardedSingleShardBatchDelegates(t *testing.T) {
 	ss := newTestSharded(t, 2)
 	m, err := ss.Map("one-shard")
@@ -120,8 +118,9 @@ func TestShardedSingleShardBatchDelegates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss.Sync()
-	metaBase := metaStats(ss)
-	ownerBase := ss.Shard(ss.ShardFor("one-shard")).Stats()
+	owner := ss.ShardFor("one-shard")
+	otherBase := ss.Shard(1 - owner).Stats()
+	ownerBase := ss.Shard(owner).Stats()
 
 	b := ss.Batch()
 	for i := 0; i < 16; i++ {
@@ -129,10 +128,10 @@ func TestShardedSingleShardBatchDelegates(t *testing.T) {
 	}
 	b.Commit()
 
-	if d := metaStats(ss).Sub(metaBase); d.Writes != 0 {
-		t.Errorf("single-shard batch wrote the manifest: %+v", d)
+	if d := ss.Shard(1 - owner).Stats().Sub(otherBase); d.Writes != 0 || d.Fences != 0 {
+		t.Errorf("single-shard batch touched the other shard: %+v", d)
 	}
-	if d := ss.Shard(ss.ShardFor("one-shard")).Stats().Sub(ownerBase); d.Fences != 1 {
+	if d := ss.Shard(owner).Stats().Sub(ownerBase); d.Fences != 1 {
 		t.Errorf("single-shard 16-op batch used %d fences, want 1", d.Fences)
 	}
 	if got := int(m.Len()); got != 16 {
@@ -155,12 +154,17 @@ func bindOnShards(t testing.TB, ss *DB) []*Map {
 }
 
 // TestShardedCrossShardBatch commits batches spanning every shard and
-// checks contents plus the manifest fence economy (2k+3 for k shards).
+// checks contents plus the cross-shard group's fence economy: 2k for k
+// shards, and one stage slot per changed root.
 func TestShardedCrossShardBatch(t *testing.T) {
 	ss := newTestSharded(t, 4)
 	maps := bindOnShards(t, ss)
 	ss.Sync()
 	statsBase := ss.Stats()
+	var shardBase []pmem.Stats
+	for i := range maps {
+		shardBase = append(shardBase, ss.Shard(i).Stats())
+	}
 
 	const rounds = 10
 	for r := 0; r < rounds; r++ {
@@ -181,19 +185,23 @@ func TestShardedCrossShardBatch(t *testing.T) {
 			}
 		}
 	}
-	// k = 4 changed shards: 2k+3 = 11 fences per cross-shard commit
-	// (k shadow + 2 manifest + k redo + 1 manifest retirement).
+	// k = 4 changed shards: 2k = 8 fences per cross-shard commit (k
+	// before the swaps, k after), each shard's own.
 	d := ss.Stats().Sub(statsBase)
-	if want := uint64(rounds * (2*len(maps) + 3)); d.Fences != want {
-		t.Errorf("cross-shard commits used %d fences, want %d (2k+3 per round)", d.Fences, want)
+	if want := uint64(rounds * 2 * len(maps)); d.Fences != want {
+		t.Errorf("cross-shard commits used %d fences, want %d (2k per round)", d.Fences, want)
+	}
+	for i := range maps {
+		if f := ss.Shard(i).Stats().Fences - shardBase[i].Fences; f != 2*rounds {
+			t.Errorf("shard %d paid %d fences for %d cross-shard commits, want %d", i, f, rounds, 2*rounds)
+		}
 	}
 }
 
 // TestShardedStatsSumProperty is the per-region accounting property:
 // the aggregate Stats must equal the counter-wise sum of every shard's
-// stats plus the metadata region's — no region dropped, none counted
-// twice — across a workload that exercises per-op, single-shard batch,
-// and cross-shard manifest paths.
+// stats — no region dropped, none counted twice — across a workload that
+// exercises per-op, single-shard batch, and cross-shard group paths.
 func TestShardedStatsSumProperty(t *testing.T) {
 	ss := newTestSharded(t, 3)
 	maps := bindOnShards(t, ss)
@@ -212,7 +220,7 @@ func TestShardedStatsSumProperty(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		cross.MapSet(maps[i%3], sKey(200+i), sKey(i))
 	}
-	cross.Commit() // manifest path
+	cross.Commit() // one group over three shards
 	ss.Sync()
 
 	agg := ss.Stats()
@@ -220,7 +228,6 @@ func TestShardedStatsSumProperty(t *testing.T) {
 	for i := 0; i < ss.ShardCount(); i++ {
 		sum = sum.Add(ss.Shard(i).Stats())
 	}
-	sum = sum.Add(metaStats(ss))
 
 	type pair struct {
 		name     string
@@ -247,14 +254,13 @@ func TestShardedStatsSumProperty(t *testing.T) {
 	}
 	// Independent cross-check against the known op mix since the
 	// baseline: 40 basic ops at 1 fence each + 1 single-shard batch
-	// (1 fence) + 1 cross-shard batch over 3 shards (2*3+3) + the final
+	// (1 fence) + 1 cross-shard batch over 3 shards (2*3) + the final
 	// Sync. Sync is two fences per shard here — Fence, then the Drain
 	// fence that frees the cascade-stamped deferred backlog every
-	// commit's superseded root left behind — plus one on the metadata
-	// region, whose heap has no deferred releases. A double-counted
-	// region would break this exact count.
-	sync := uint64(2*ss.ShardCount() + 1)
-	if d, want := agg.Sub(aggBase), 40+1+uint64(2*ss.ShardCount()+3)+sync; d.Fences != want {
+	// commit's superseded root left behind. A double-counted region would
+	// break this exact count.
+	sync := uint64(2 * ss.ShardCount())
+	if d, want := agg.Sub(aggBase), 40+1+uint64(2*ss.ShardCount())+sync; d.Fences != want {
 		t.Errorf("aggregate fence delta = %d, want %d", d.Fences, want)
 	}
 }
@@ -280,8 +286,8 @@ func TestShardedCleanReopen(t *testing.T) {
 	if len(rs.PerShard) != 4 {
 		t.Fatalf("got %d per-shard stats, want 4", len(rs.PerShard))
 	}
-	if rs.ManifestReplayed {
-		t.Error("clean image replayed a manifest")
+	if rs.Stats.StagedRoots != 0 {
+		t.Errorf("clean image moved %d roots to staged publications", rs.Stats.StagedRoots)
 	}
 	if rs.Stats.Roots == 0 {
 		t.Error("recovery found no roots")
@@ -306,12 +312,13 @@ func TestShardedCleanReopen(t *testing.T) {
 	}
 }
 
-// TestShardedMidManifestCrashSweep crashes one cross-shard commit over
-// three shards at every PM write — while shadows build, inside the
-// manifest's intent and commit-point windows, and between the per-shard
-// redo swaps — under every crash policy: recovery is all-or-nothing
-// across shards, and some cut exercises manifest replay.
-func TestShardedMidManifestCrashSweep(t *testing.T) {
+// TestShardedCrossGroupCrashSweep crashes one cross-shard commit over
+// three shards at every PM write — while shadows build and members stage,
+// between the first round's per-shard fences, between the per-shard swaps
+// and inside the second round — under every crash policy: recovery is
+// all-or-nothing across shards, and some cut rolls the group forward from
+// a swap that landed on another shard.
+func TestShardedCrossGroupCrashSweep(t *testing.T) {
 	const shards = 3
 	h := &crashHist{shards: shards}
 	for i := 0; i < shards; i++ {
@@ -335,8 +342,8 @@ func TestShardedMidManifestCrashSweep(t *testing.T) {
 			b.Commit()
 		})
 	}
-	if r := h.run(t); r.replays == 0 {
-		t.Error("no cut exercised manifest replay")
+	if r := h.run(t); r.rolls == 0 {
+		t.Error("no cut rolled the cross-shard group forward")
 	}
 }
 
@@ -386,19 +393,17 @@ func TestCrossShardInterleavedHistory(t *testing.T) {
 		r.respond(local, false)
 		cross("cross-2", 4)
 	}
-	if r := h.run(t); r.replays == 0 {
+	if r := h.run(t); r.rolls == 0 {
 		t.Error("no cut rolled a cross-shard publication forward")
 	}
 }
 
-// TestShardedManifestRetirementDurable is the regression test for a
-// stale-manifest rollback: the manifest's idle mark must be durable
-// before the cross-shard commit returns, because no later single-shard
-// commit ever fences the metadata region. Without the retirement fence,
-// a later durably-committed single-shard update followed by a crash
-// would find the old manifest still committed and replay it, rolling
-// the root back to the batch's version.
-func TestShardedManifestRetirementDurable(t *testing.T) {
+// TestShardedCrossGroupLaterCommitKept: a cross-shard group's member
+// slots outlive it in the stage tables — a Basic update stages nothing —
+// so recovery finds the group's slots after a later durable single-shard
+// commit moved one of its roots on. It must not roll that root back to
+// the group's version.
+func TestShardedCrossGroupLaterCommitKept(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	ss := openShards(t, cfg, 2)
@@ -410,20 +415,24 @@ func TestShardedManifestRetirementDurable(t *testing.T) {
 	b.MapSet(maps[0], []byte("a"), []byte("old"))
 	b.MapSet(maps[1], []byte("b"), []byte("old"))
 	b.Commit()
+	slot, _ := ss.Shard(0).heap.RootSlot("xmap-0")
+	cell := ss.Shard(0).heap.RootCellAddr(slot)
+	member := ss.Shard(0).heap.StageSlotAddr(slot, int(ss.Shard(0).dev.ReadU64(cell)>>35&1))
 
-	// A later durable single-shard commit supersedes it — note no
-	// cross-shard commit and no ss.Sync() ever fences the meta region
-	// between here and the crash.
+	// A later durable single-shard commit supersedes it.
 	maps[0].Set([]byte("a"), []byte("new"))
 	ss.Shard(0).Sync()
 
 	imgs := ss.CrashImages(pmem.CrashFencedOnly, 1)
+	if binary.LittleEndian.Uint64(imgs[0][member+24:]) == 0 {
+		t.Fatal("the cross-shard group's member slot is gone from the image: nothing to test")
+	}
 	ss2, rs, err := Open(cfg, WithExistingImages(imgs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.ManifestReplayed {
-		t.Error("retired manifest replayed after a later commit")
+	if rs.Stats.StagedRoots != 0 {
+		t.Errorf("recovery moved %d roots to staged publications", rs.Stats.StagedRoots)
 	}
 	maps2 := bindOnShards(t, ss2)
 	v, ok := maps2[0].Get([]byte("a"))
@@ -432,22 +441,23 @@ func TestShardedManifestRetirementDurable(t *testing.T) {
 	}
 }
 
-// TestShardedManifestRetiresLiveRecord: a shard's multi-root batch leaves
-// its group's member slots in the stage table, and a cross-shard batch
-// then republishes one of that group's roots through the manifest, past
-// the member's final. Recovery must not roll the root back onto the local
-// batch's version once a fence has made the cross-shard value durable,
-// nor lose the batch's other root.
-func TestShardedManifestRetiresLiveRecord(t *testing.T) {
+// TestShardedCrossGroupOverLocalGroup: a shard's multi-root batch leaves
+// its group's member slots in the stage table, a cross-shard batch then
+// republishes one of that group's roots past the member's final, and a
+// second local batch republishes it again. Recovery must roll back none
+// of those publications — neither onto the first local batch's version
+// nor onto the cross-shard group's — nor lose the batches' other roots.
+func TestShardedCrossGroupOverLocalGroup(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	ss := openShards(t, cfg, 2)
 	a, _ := ss.Shard(0).Map("a")
 	b, _ := ss.Shard(0).Map("b")
 	c, _ := ss.Shard(1).Map("c")
+	d, _ := ss.Shard(0).Map("d")
 	ss.Sync()
 
-	local := ss.Batch() // both roots on shard 0: its batch record
+	local := ss.Batch() // both roots on shard 0: a local group
 	local.MapSet(a, []byte("k"), []byte("local"))
 	local.MapSet(b, []byte("k"), []byte("local"))
 	local.Commit()
@@ -455,6 +465,10 @@ func TestShardedManifestRetiresLiveRecord(t *testing.T) {
 	cross.MapSet(a, []byte("k"), []byte("cross"))
 	cross.MapSet(c, []byte("k"), []byte("cross"))
 	cross.Commit()
+	later := ss.Batch()
+	later.MapSet(a, []byte("k2"), []byte("later"))
+	later.MapSet(d, []byte("k"), []byte("later"))
+	later.Commit()
 	ss.Sync()
 
 	ss2, _, err := Open(cfg, WithExistingImages(ss.CrashImages(pmem.CrashFencedOnly, 1)))
@@ -462,13 +476,13 @@ func TestShardedManifestRetiresLiveRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, probe := range []struct {
-		shard int
-		name  string
-		want  string
-	}{{0, "a", "cross"}, {0, "b", "local"}, {1, "c", "cross"}} {
+		shard     int
+		name, key string
+		want      string
+	}{{0, "a", "k", "cross"}, {0, "a", "k2", "later"}, {0, "b", "k", "local"}, {1, "c", "k", "cross"}, {0, "d", "k", "later"}} {
 		m, _ := ss2.Shard(probe.shard).Map(probe.name)
-		if v, ok := m.Get([]byte("k")); !ok || string(v) != probe.want {
-			t.Errorf("%s: k = %q, %v after recovery; want %q", probe.name, v, ok, probe.want)
+		if v, ok := m.Get([]byte(probe.key)); !ok || string(v) != probe.want {
+			t.Errorf("%s: %s = %q, %v after recovery; want %q", probe.name, probe.key, v, ok, probe.want)
 		}
 	}
 }
@@ -522,24 +536,96 @@ func TestShardedConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestOpenShardedRejectsBadInput checks shape validation.
+// TestShardedDisjointCrossCommitsConcurrent: cross-shard batches on
+// disjoint shard pairs share no lock and run at once, each goroutine
+// interleaving them with local two-root batches, all numbering their
+// groups from the DB's one counter. Every batch is recovered from a
+// crash image taken after Sync.
+func TestShardedDisjointCrossCommitsConcurrent(t *testing.T) {
+	cfg := pmem.DefaultConfig(4 << 20)
+	cfg.TrackDurable = true
+	ss := openShards(t, cfg, 4)
+	const rounds = 40
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := ss.Fork()
+			var maps []*Map
+			for _, nm := range []string{"p", "q"} {
+				for si := 2 * g; si < 2*g+2; si++ {
+					m, err := h.Shard(si).Map(fmt.Sprintf("%s-%d", nm, si))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					maps = append(maps, m) // p on both shards, then q on both
+				}
+			}
+			for i := 0; i < rounds; i++ {
+				cross := h.Batch()
+				cross.MapSet(maps[0], sKey(i), sKey(i))
+				cross.MapSet(maps[1], sKey(i), sKey(i))
+				cross.Commit()
+				local := h.Batch()
+				local.MapSet(maps[0], sKey(1000+i), sKey(i))
+				local.MapSet(maps[2], sKey(1000+i), sKey(i))
+				local.Commit()
+			}
+		}()
+	}
+	wg.Wait()
+	ss.Sync()
+	ss2, _, err := Open(cfg, WithExistingImages(ss.CrashImages(pmem.CrashFencedOnly, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si := 0; si < 4; si++ {
+		p, _ := ss2.Shard(si).Map(fmt.Sprintf("p-%d", si))
+		if got := int(p.Len()); got != rounds*(1+1-si%2) {
+			t.Errorf("p-%d holds %d keys after recovery, want %d", si, got, rounds*(1+1-si%2))
+		}
+	}
+}
+
+// TestOpenShardedRejectsBadInput checks the region set's shape: each
+// heap records its place {shard, count}, so too few images, swapped
+// shards, a duplicated shard and a single-heap image among shards are
+// each refused with ErrShardCount, as is a shard count a group word
+// cannot hold every root of.
 func TestOpenShardedRejectsBadInput(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
 	ss := openShards(t, cfg, 2)
 	ss.Sync()
 	imgs := ss.CrashImages(pmem.CrashFencedOnly, 1)
-	if _, _, err := Open(cfg, WithExistingImages(imgs[:1]), WithShards(2)); !errors.Is(err, ErrShardCount) {
-		t.Errorf("open with too few images: %v, want ErrShardCount", err)
+	single, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := Open(cfg, WithExistingImages([][]byte{imgs[0], imgs[1], imgs[0], imgs[2]})); err == nil {
-		t.Error("open with wrong shard count must fail")
+	lone := single.CrashImages(pmem.CrashFencedOnly, 1)[0]
+	for _, c := range []struct {
+		name string
+		imgs [][]byte
+		opts []Option
+	}{
+		{"too few images for WithShards(2)", imgs[:1], []Option{WithShards(2)}},
+		{"too few images", imgs[:1], nil},
+		{"swapped shards", [][]byte{imgs[1], imgs[0]}, nil},
+		{"a duplicated shard", [][]byte{imgs[0], imgs[0]}, nil},
+		{"a single heap among shards", [][]byte{imgs[0], lone}, nil},
+		{"a shard as a single heap", [][]byte{imgs[1]}, nil},
+		{"too many images", [][]byte{imgs[0], imgs[1], imgs[0]}, nil},
+	} {
+		if _, _, err := Open(cfg, append([]Option{WithExistingImages(c.imgs)}, c.opts...)...); !errors.Is(err, ErrShardCount) {
+			t.Errorf("open with %s: %v, want ErrShardCount", c.name, err)
+		}
 	}
-	if _, _, err := Open(cfg, WithExistingImages([][]byte{imgs[0], imgs[1], imgs[0]})); err == nil {
-		t.Error("open with a shard image as metadata must fail")
+	if _, _, err := Open(cfg, WithShards(maxShards+1)); !errors.Is(err, ErrShardCount) {
+		t.Errorf("open with %d shards: %v, want ErrShardCount", maxShards+1, err)
 	}
-	// One shard plus metadata is no layout: a manifest needs two shards.
-	if _, _, err := Open(cfg, WithExistingImages([][]byte{imgs[0], imgs[2]})); !errors.Is(err, ErrShardCount) {
-		t.Errorf("open with 1 shard + metadata: %v, want ErrShardCount", err)
+	if maxShards*alloc.RootSlots > alloc.MaxGroupSize {
+		t.Errorf("%d shards of %d roots overflow a group word's member count (%d)", maxShards, alloc.RootSlots, alloc.MaxGroupSize)
 	}
 }

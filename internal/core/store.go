@@ -126,25 +126,28 @@ type Store struct {
 	sh   *storeShared
 }
 
-// newStore formats dev and returns an empty store. Callers outside the
-// package go through Open, which formats one store per shard region.
-func newStore(dev pmem.Backend) *Store {
-	heap := alloc.Format(dev)
+// newStore formats dev as a single heap and returns an empty store.
+// Callers outside the package go through Open, which formats one store
+// per shard region.
+func newStore(dev pmem.Backend) *Store { return storeOn(dev, alloc.Format(dev), 0) }
+
+// storeOn returns a store handle over heap on dev, shard number shard of
+// its DB.
+func storeOn(dev pmem.Backend, heap *alloc.Heap, shard int) *Store {
 	registerWalkers(heap)
-	return &Store{dev: dev, heap: heap, sh: newShared(0)}
+	return &Store{dev: dev, heap: heap, sh: newShared(shard)}
 }
 
 // attachStore opens the heap on dev. The returned handle is not usable
 // until recoverHeap has decided the heap's staged groups and rebuilt its
-// volatile state; Open runs a manifest replay between the two. shard is
-// the store's index among the DB's shards.
+// volatile state; Open rolls groups spanning shards forward between the
+// two. shard is the store's index among the DB's shards.
 func attachStore(dev pmem.Backend, shard int) (*Store, error) {
 	heap, err := alloc.Open(dev)
 	if err != nil {
 		return nil, err
 	}
-	registerWalkers(heap)
-	return &Store{dev: dev, heap: heap, sh: newShared(shard)}, nil
+	return storeOn(dev, heap, shard), nil
 }
 
 // recoverHeap is the expensive half of attaching a store (recovery per

@@ -15,7 +15,7 @@ var ShardedShardCounts = []int{1, 2, 4, 8}
 var ShardedWriterCounts = []int{1, 4}
 
 // ShardedCrossShardCounts are the shard counts of the cross-shard
-// (manifest path) rows.
+// (group over every changed shard) rows.
 var ShardedCrossShardCounts = []int{2, 4}
 
 // shardedCrossBatch is the batch size of the cross-shard rows.
@@ -33,7 +33,7 @@ func ShardedBenchConfig(scale Scale, shards, writers int) workloads.ShardedConfi
 	}
 }
 
-// ShardedCrossBenchConfig derives the cross-shard (manifest) variant.
+// ShardedCrossBenchConfig derives the cross-shard variant.
 func ShardedCrossBenchConfig(scale Scale, shards, writers int) workloads.ShardedConfig {
 	cfg := ShardedBenchConfig(scale, shards, writers)
 	cfg.BatchSize = shardedCrossBatch
@@ -47,8 +47,9 @@ func ShardedCrossBenchConfig(scale Scale, shards, writers int) workloads.Sharded
 // shard count (single-shard operations keep their single ordering
 // point), while aggregate ops/sec scales with shards because each shard
 // is its own device region — no shared fence, no shared allocator, no
-// shared commit mutex. The cross rows pay the manifest's 2k+2 fences
-// per batch, the explicit price of cross-shard atomicity. A final
+// shared commit mutex. The cross rows pay 2k fences per batch over k
+// shards — each shard fences before the group's swaps and after them —
+// the explicit price of cross-shard atomicity. A final
 // parallel row reruns the widest point with real goroutines for
 // information.
 func sharded(scale Scale) (*Table, []workloads.Row, error) {

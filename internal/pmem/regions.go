@@ -1,8 +1,8 @@
 package pmem
 
 // Region-split devices. A sharded store partitions its persistent arena
-// into independent regions — one backend per shard plus, typically, a
-// small metadata region — so that allocation, flushing, and above all
+// into independent regions — one backend per shard — so that
+// allocation, flushing, and above all
 // fencing on one shard never order or stall another: each backend owns
 // its inflight set and fence sequence, which is exactly what lets
 // unrelated FASEs on different shards commit without sharing an
@@ -124,7 +124,7 @@ func (r *Regions) CrashImages(policy CrashPolicy, seed uint64) [][]byte {
 // set: a shared countdown of PM write events, decremented by a
 // per-region tracer, that on expiry captures a crash image of every
 // region at the same instant. This is how failure injection reaches the
-// middle of a cross-shard commit — between the manifest's fences, after
+// middle of a cross-shard commit — between its per-shard fences, after
 // some shards' root swaps but not others'.
 //
 // Like CrashCountdown it is driven from the device Write hook (invoked

@@ -22,7 +22,7 @@ import (
 // Config.Roots is zero. Spreading matters twice: root-level writer
 // locks stop being a single hot point, and on a sharded store the
 // roots land on different shards, so MULTI batches exercise the
-// cross-shard manifest.
+// cross-shard group commit.
 const DefaultRoots = 8
 
 // RootName returns the reserved-for-the-server root name of key root i.
@@ -469,8 +469,8 @@ func (s *Server) dispatch(c *Conn, cmd Command) Reply {
 // execMulti commits the queued transaction as one batch: all its
 // updates ride a single group-commit submission, so they become durable
 // atomically (one root swap under one fence epoch, a staged group when
-// several roots of one shard are touched, or the cross-shard manifest —
-// either way all-or-nothing after a crash).
+// several roots of one shard are touched, or one group over every shard
+// touched — either way all-or-nothing after a crash).
 func (s *Server) execMulti(c *Conn) Reply {
 	queued := c.queued
 	c.inMulti = false

@@ -48,8 +48,9 @@ type ShardedConfig struct {
 	// BatchSize groups each writer's updates into group commits of this
 	// size (<=1 = one Basic FASE per update).
 	BatchSize int
-	// CrossShard commits every batch through the cross-shard manifest:
-	// each writer's batch updates its own root and the next shard's.
+	// CrossShard commits every batch as a cross-shard group: each
+	// writer's batch updates its own root and the next shard's, so it is
+	// staged on both shards and costs 2 fences per shard.
 	// Requires BatchSize > 1 to be meaningful and Shards > 1 to actually
 	// cross shards.
 	CrossShard bool

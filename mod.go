@@ -225,8 +225,8 @@ func WithVerify() Option { return core.WithVerify() }
 // quarantining it, reporting the dropped operations.
 func WithSalvage() Option { return core.WithSalvage() }
 
-// WithDevices builds the store over caller-supplied backends (one for a
-// single-heap store, N+1 for N >= 2 shards plus metadata) instead of fresh
+// WithDevices builds the store over caller-supplied backends — one per
+// shard, in shard order, so one for a single-heap store — instead of fresh
 // simulator devices — e.g. mmapdev devices over a real file.
 func WithDevices(devs ...pmem.Backend) Option { return core.WithDevices(devs...) }
 
