@@ -74,9 +74,10 @@ func formatRegions(devs []pmem.Backend) []*Store {
 // image into out-of-range addresses, malformed block headers, or dead
 // lines, or a clean recovery error on such an image — into a
 // *CorruptionError naming the region's shard index, so a damaged region
-// fails the Open with a typed error instead of crashing the process. It must run on the
-// goroutine doing the work: a recover cannot see another goroutine's
-// panic. The original cause stays reachable through errors.Is/As.
+// fails the Open with a typed error instead of crashing the process. It
+// must run on the goroutine doing the work: a recover cannot see another
+// goroutine's panic. The original cause stays reachable through
+// errors.Is/As.
 func guardRegion(region int, step func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
