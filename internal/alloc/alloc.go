@@ -91,10 +91,12 @@ const (
 	// group word, which carry every multi-root publication in place of the
 	// batch record, and a stage table armed at Format; 11: the heap's
 	// shard identity in the superblock, and a 16-bit member count in the
-	// group word, whose sequence number a DB's shards share. Every bump so
+	// group word, whose sequence number a DB's shards share; 12: a plain
+	// map's version is its CHAMP root node, which carries the count, in
+	// place of a [count][root] header block (package funcds). Every bump so
 	// far moved or re-encoded something a recovery depends on, so no older
 	// image is readable.
-	version = 11
+	version = 12
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word

@@ -409,11 +409,11 @@ func TestDisableReclaimSettlesEveryCopy(t *testing.T) {
 		t.Fatalf("%d versions settled %d copies, want at least one each", versions, got)
 	}
 	// Every version is still whole, and the counts say so without any
-	// record. Release was a no-op, so each version's header still carries
+	// record. Release was a no-op, so each version's root still carries
 	// its birth reference: the audit is told the test holds those.
 	held := map[pmem.Addr]int{}
 	for a, n := range alloc.TableSnapshot(w.h) {
-		if n > 0 && w.h.Tag(a) == funcds.TagMapHdr && a != w.cur[0] && a != w.cur[1] {
+		if n > 0 && w.h.Tag(a) == funcds.TagMapRoot && a != w.cur[0] && a != w.cur[1] {
 			held[a] = 1
 		}
 	}

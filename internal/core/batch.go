@@ -256,7 +256,10 @@ type preparedBatch struct {
 // and seals the edit so every dirtied line is inflight, ready for the
 // publication fence. The first operation on a root copies its path;
 // subsequent operations mutate the edit-owned shadow in place, so an
-// N-op batch copies each path node at most once. For every changed root
+// N-op batch copies each path node at most once. An operation that must
+// rebuild the owned shadow instead (a map whose root changes shape)
+// releases it itself, so the chain leaves no intermediate to retire here
+// (funcds.Map.Set). For every changed root
 // in digest it also collects the blocks the root's shadow adds, which
 // publishLocal stages as the publication's digest.
 func (s *Store) prepareBatch(ops []batchOp, digest uint64) *preparedBatch {
@@ -283,14 +286,7 @@ func (s *Store) prepareBatch(ops []batchOp, digest uint64) *preparedBatch {
 		old := s.heap.Root(slot)
 		cur := old
 		for _, op := range perSlot[slot] {
-			next := op.apply(s, ed, cur)
-			if next == cur {
-				continue // no-op or in-place update on the owned shadow
-			}
-			if cur != old {
-				p.releases = append(p.releases, cur) // intermediate shadow
-			}
-			cur = next
+			cur = op.apply(s, ed, cur)
 		}
 		p.finals[slot] = cur
 		if cur != old {

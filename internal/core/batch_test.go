@@ -451,6 +451,10 @@ func TestBatchRecordStaleStatusRejected(t *testing.T) {
 	qSlot, _ := st.heap.RootSlot("b")
 	qCell := st.heap.RootCellAddr(qSlot)
 	emptyQ := dev.ReadU64(qCell)
+	// The forged image below names the empty queue again after the batch
+	// replaced it: a snapshot pins it, so its block is not reclaimed and
+	// reused (by the later map version, whose root shares its size class).
+	pinQ := q.Snapshot()
 	b := st.NewBatch()
 	b.MapSet(m, bkey(1), []byte("v1"))
 	b.QueueEnqueue(q, 1)
@@ -459,6 +463,7 @@ func TestBatchRecordStaleStatusRejected(t *testing.T) {
 	m.Set(bkey(1), []byte("v2"))
 	st.Sync()
 	img := dev.CrashImage(pmem.CrashFencedOnly, 1)
+	pinQ.Close()
 	binary.LittleEndian.PutUint64(img[qCell:], emptyQ) // the batch's swap on b lost
 	torn := append([]byte(nil), img...)
 	for _, name := range []string{"a", "b"} {
@@ -478,7 +483,10 @@ func TestBatchRecordStaleStatusRejected(t *testing.T) {
 			t.Fatalf("%s: recovery: %v", tc.what, err)
 		}
 		m2, _ := st2.Map("a")
-		q2, _ := st2.Queue("b")
+		q2, qerr := st2.Queue("b")
+		if qerr != nil {
+			t.Fatalf("%s: %v", tc.what, qerr)
+		}
 		if v, ok := m2.Get(bkey(1)); !ok || string(v) != "v2" {
 			t.Fatalf("%s: key 1 = %q, %v; want the later \"v2\"", tc.what, v, ok)
 		}

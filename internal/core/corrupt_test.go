@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -114,6 +115,49 @@ func TestOpenVerifyQuarantinesDamagedRoot(t *testing.T) {
 	g2.Set([]byte("k2"), []byte("more"))
 	if v, ok := g2.Get([]byte("k2")); !ok || string(v) != "more" {
 		t.Fatal("write to healthy root lost on a degraded store")
+	}
+}
+
+// TestOpenVerifyRefusesFlippedMapCount: since heap layout v12 a map's
+// count is the first word of its root node, not of a header block, and it
+// stays under the node's checksum: one flipped bit in it (or in the
+// root's bitmap word beside it) quarantines the root under WithVerify,
+// and its binds answer ErrCorrupted, where an unchecked count would make
+// Len lie.
+func TestOpenVerifyRefusesFlippedMapCount(t *testing.T) {
+	cfg := pmem.DefaultConfig(1 << 20)
+	db, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := db.Map("mx")
+	for i := 0; i < 40; i++ {
+		m.Set([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
+	}
+	db.Sync()
+	img := snapshot(db.Store())
+	root := m.currentAddr()
+	if got := binary.LittleEndian.Uint64(img[root:]); got != 40 {
+		t.Fatalf("root %#x opens with count word %d, want 40", uint64(root), got)
+	}
+	for _, tc := range []struct {
+		what string
+		at   pmem.Addr
+		mask byte
+	}{{"count word", root, 0x02}, {"count word, top byte", root + 7, 0x80}, {"bitmap word", root + 8, 0x01}} {
+		dmg := append([]byte(nil), img...)
+		dmg[tc.at] ^= tc.mask
+		db2, info, err := Open(cfg, WithExistingImages([][]byte{dmg}), WithVerify())
+		if err != nil {
+			t.Fatalf("%s: open failed entirely: %v", tc.what, err)
+		}
+		if len(info.Damaged) != 1 || !errors.Is(info.Damaged[0].Err, ErrCorrupted) {
+			t.Fatalf("%s: Damaged = %+v, want the map's root refused with ErrCorrupted", tc.what, info.Damaged)
+		}
+		if _, err := db2.Map("mx"); !errors.Is(err, ErrCorrupted) {
+			t.Fatalf("%s: bind to the damaged root: %v, want ErrCorrupted", tc.what, err)
+		}
+		db2.Close()
 	}
 }
 

@@ -73,11 +73,11 @@ func (h *handle) committed() pmem.Addr { return h.st.resolveForRead(h.loc) }
 const reservedRootPrefix = "__mod_"
 
 // rootKind is one structure family as the binders see it: its name, the
-// header tags a bind may find at an existing root or field (anything
+// version tags a bind may find at an existing root or field (anything
 // else is ErrWrongRootKind), and create, which allocates and flushes an
-// empty header of the plain or the selective flavor. Map and Set are two
-// kinds over the CHAMP header tags, so either binds over the other's
-// root; every kind accepts both flavors of its header.
+// empty version of the plain or the selective flavor: a header, or a
+// plain map's root node. Map and Set are two kinds over the CHAMP tags,
+// so either binds over the other's root; every kind accepts both flavors.
 type rootKind struct {
 	name   string
 	tags   []uint8
@@ -95,7 +95,7 @@ func flavored[V Version](plain, sel func(*alloc.Heap) V) func(*alloc.Heap, bool)
 }
 
 var (
-	champTags  = []uint8{funcds.TagMapHdr, funcds.TagMapHdrSel}
+	champTags  = []uint8{funcds.TagMapRoot, funcds.TagMapHdrSel}
 	kindMap    = rootKind{"map", champTags, flavored(funcds.NewMap, funcds.NewMapSelective)}
 	kindSet    = rootKind{"set", champTags, flavored(funcds.NewSet, funcds.NewSetSelective)}
 	kindVector = rootKind{"vector", []uint8{funcds.TagVecHdr, funcds.TagVecHdrSel}, flavored(funcds.NewVector, funcds.NewVectorSelective)}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"github.com/mod-ds/mod/internal/alloc"
@@ -41,12 +42,19 @@ func TestOpenRejectsV9Heap(t *testing.T) {
 	openStampedHeap(t, 9|1<<63) // with its stage-live flag set
 }
 
-// TestOpenRejectsV10Heap: and the layout before this one, whose
-// superblock records no shard identity and whose group words count their
-// members in 8 bits — a sharded store kept its cross-shard batches in a
-// manifest on a metadata region this build no longer reads.
+// TestOpenRejectsV10Heap: and a layout whose superblock records no shard
+// identity and whose group words count their members in 8 bits — a
+// sharded store kept its cross-shard batches in a manifest on a metadata
+// region this build no longer reads.
 func TestOpenRejectsV10Heap(t *testing.T) {
 	openStampedHeap(t, 10)
+}
+
+// TestOpenRejectsV11Heap: and the layout before this one, whose root
+// cells name a map by a [count][root] header block where this build reads
+// a root node with the count in its first word.
+func TestOpenRejectsV11Heap(t *testing.T) {
+	openStampedHeap(t, 11)
 }
 
 func openStampedHeap(t *testing.T, version uint64) {
@@ -95,19 +103,20 @@ func TestOpenRefusesOversizedRegion(t *testing.T) {
 }
 
 // firstChildSlot returns the address of the first child reference in the
-// root trie node of the map bound to name, and that node's address.
+// root node of the map bound to name — [count] then the trie node body —
+// and that node's address.
 func firstChildSlot(t *testing.T, s *Store, name string) (slot, node pmem.Addr) {
 	t.Helper()
 	rs, err := s.heap.RootSlot(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node = pmem.Addr(s.dev.ReadU64(s.heap.Root(rs) + 8))
-	dataMap, nodeMap := s.dev.ReadU32(node), s.dev.ReadU32(node+4)
+	node = s.heap.Root(rs)
+	dataMap, nodeMap := s.dev.ReadU32(node+8), s.dev.ReadU32(node+12)
 	if nodeMap == 0 {
 		t.Fatal("root trie node has no children; load more keys")
 	}
-	return node + 8 + pmem.Addr(bits.OnesCount32(dataMap)*8), node
+	return node + 16 + pmem.Addr(bits.OnesCount32(dataMap)*8), node
 }
 
 // raisesCorruption runs f and reports whether it raised the typed
@@ -264,8 +273,8 @@ func fuzzVal(i int) []byte { return []byte(fmt.Sprintf("val-%08d-%032d", i, i)) 
 
 // fuzzImage builds a small committed store — one map, one vector — and
 // returns its image with the address of every payload byte of every
-// allocated funcds node in it.
-func fuzzImage(tb testing.TB, cfg pmem.Config) (img []byte, payload []pmem.Addr) {
+// allocated funcds node in it, and the map's root node.
+func fuzzImage(tb testing.TB, cfg pmem.Config) (img []byte, payload []pmem.Addr, mapRoot pmem.Addr) {
 	tb.Helper()
 	db, _, err := Open(cfg)
 	if err != nil {
@@ -282,6 +291,7 @@ func fuzzImage(tb testing.TB, cfg pmem.Config) (img []byte, payload []pmem.Addr)
 	}
 	db.Sync()
 	img = snapshot(db.Store())
+	mapRoot = m.currentAddr()
 	lo, hi := db.Store().heap.DataBounds()
 	for hdr := lo; hdr < hi; {
 		w := binary.LittleEndian.Uint64(img[hdr:])
@@ -293,7 +303,7 @@ func fuzzImage(tb testing.TB, cfg pmem.Config) (img []byte, payload []pmem.Addr)
 		}
 		hdr += stride
 	}
-	return img, payload
+	return img, payload, mapRoot
 }
 
 // FuzzAttachMutatedImage flips fuzzer-chosen bytes inside node payloads
@@ -303,7 +313,7 @@ func fuzzImage(tb testing.TB, cfg pmem.Config) (img []byte, payload []pmem.Addr)
 // Anything else — above all an untyped panic — fails.
 func FuzzAttachMutatedImage(f *testing.F) {
 	cfg := pmem.DefaultConfig(1 << 20)
-	img, payload := fuzzImage(f, cfg)
+	img, payload, mapRoot := fuzzImage(f, cfg)
 
 	// A flip is five input bytes: a little-endian index into payload, then
 	// the mask XORed into that byte.
@@ -324,6 +334,21 @@ func FuzzAttachMutatedImage(f *testing.F) {
 	f.Add(seed(n-9, 0xff, n-10, 0xff, n-11, 0xff, n-12, 0xff), false)
 	for i := uint32(0); i < 16; i++ {
 		f.Add(seed(i*n/16+i, 1<<(i%8)), i%2 == 0)
+	}
+	// The map's root node: its count word (heap layout v12) and its
+	// bitmap word, each under both verification modes.
+	at := slices.Index(payload, mapRoot)
+	if at < 0 {
+		f.Fatalf("map root %#x is not a node payload of the image", uint64(mapRoot))
+	}
+	root := uint32(at)
+	for _, verify := range []bool{true, false} {
+		f.Add(seed(root, 0x01), verify)    // count, low bit
+		f.Add(seed(root+7, 0x80), verify)  // count, top bit
+		f.Add(seed(root+8, 0x01), verify)  // dataMap
+		f.Add(seed(root+12, 0x01), verify) // nodeMap
+		f.Add(seed(root+15, 0x80), verify) // nodeMap, top bit
+		f.Add(seed(root+2, 0x01, root+9, 0x01), verify)
 	}
 
 	f.Fuzz(func(t *testing.T, flips []byte, verify bool) {

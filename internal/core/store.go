@@ -308,7 +308,8 @@ func (s *Store) commitEnd() {
 // Version is one shadow version of a MOD datastructure, produced by the
 // Pure* update operations.
 type Version interface {
-	// Addr returns the persistent address of the version's header.
+	// Addr returns the persistent address of the version's header (a
+	// plain map's or set's root node).
 	Addr() pmem.Addr
 }
 

@@ -25,7 +25,7 @@ func pathOf(h *alloc.Heap, m Map, key []byte) []pmem.Addr {
 			break
 		}
 		var n mapNode
-		readMapNode(h, nil, nil, node, &n)
+		readMapNode(h, nil, nil, node, nodePrefix(shift), &n)
 		bit := uint32(1) << ((hash >> shift) & mapMask)
 		if n.nodeMap&bit == 0 {
 			break
@@ -39,7 +39,10 @@ func pathOf(h *alloc.Heap, m Map, key []byte) []pmem.Addr {
 func refsOf(h *alloc.Heap, a pmem.Addr) []pmem.Addr {
 	var out []pmem.Addr
 	w := walkMapNode
-	if h.Tag(a) == TagMapCollision {
+	switch h.Tag(a) {
+	case TagMapRoot:
+		w = walkMapRoot
+	case TagMapCollision:
 		w = walkMapCollision
 	}
 	w(h, a, nil, func(c pmem.Addr) { out = append(out, c) })

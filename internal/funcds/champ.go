@@ -17,15 +17,24 @@ import (
 //
 // Layouts (ref = 4-byte node reference, funcds.go):
 //
-//	header    (TagMapHdr):       [count u64][root u64]
+//	root      (TagMapRoot):      [count u64][dataMap u32][nodeMap u32]
+//	                             d × [keyBlob ref][valBlob ref]
+//	                             c × [child ref]
 //	node      (TagMapNode):      [dataMap u32][nodeMap u32]
 //	                             d × [keyBlob ref][valBlob ref]
 //	                             c × [child ref]
 //	collision (TagMapCollision): [n u32][pad u32] n × [keyBlob ref][valBlob ref]
 //
+// A plain map's version is its root node (heap layout v12): root cells,
+// parent fields, snapshots and stage-slot digests name it, and an update
+// writes the new count into the root it copies anyway, so a version costs
+// no block of its own. The empty map is a 16-byte root. A selective map's
+// version is its header (record.go), whose first word names its root.
+//
 // A bitmap position is an entry or a child, never both, so d+c <= 32: a
-// full 32-child node is 136 bytes and the widest node (32 entries) 264.
-// Keys and values are boxed in Blob blocks; a set stores Nil value slots.
+// full 32-child node is 136 bytes (a full root 144) and the widest node
+// (32 entries) 264. Keys and values are boxed in Blob blocks; a set
+// stores Nil value slots.
 type Map struct {
 	h    *alloc.Heap
 	addr pmem.Addr
@@ -37,9 +46,12 @@ const (
 	mapBits        = 5 // hash bits consumed per trie level
 	mapWidth       = 1 << mapBits
 	mapMask        = mapWidth - 1
-	mapHdrSize     = 16
 	mapNodeHdrSize = 8           // the two bitmaps, or a collision bucket's count word
 	mapEntrySize   = 2 * refSize // [keyBlob ref][valBlob ref]
+	// rootPrefix is the count word ahead of a root node's bitmaps.
+	rootPrefix = 8
+	// mapSelBase is a selective map header's base field: its live root.
+	mapSelBase = 8
 	// collisionShift is the trie depth at which the 64-bit hash is
 	// exhausted and equal-hash keys fall into a collision bucket.
 	collisionShift = 60
@@ -48,40 +60,51 @@ const (
 type mapEntry struct{ key, val pmem.Addr }
 
 // entryOff and childOff locate the i-th entry, and the i-th child of a
-// node holding d entries, from the node's payload address.
+// node holding d entries, from the start of the node's bitmaps.
 func entryOff(i int) pmem.Addr    { return mapNodeHdrSize + pmem.Addr(i*mapEntrySize) }
 func childOff(d, i int) pmem.Addr { return entryOff(d) + pmem.Addr(i*refSize) }
 
-// mapNodeSize is the encoded size of a node with d entries and c children
-// (c = 0 for a collision bucket).
+// mapNodeSize is the encoded size of a node body with d entries and c
+// children (c = 0 for a collision bucket); a root adds rootPrefix.
 func mapNodeSize(d, c int) int { return int(childOff(d, c)) }
+
+// nodePrefix is the prefix ahead of the bitmaps of a trie node at shift:
+// the root's count word, nothing below it.
+func nodePrefix(shift uint) pmem.Addr {
+	if shift == 0 {
+		return rootPrefix
+	}
+	return 0
+}
+
+// tagPrefix is nodePrefix by a node's tag.
+func tagPrefix(tag uint8) pmem.Addr {
+	if tag == TagMapRoot {
+		return rootPrefix
+	}
+	return 0
+}
 
 func getEntry(b []byte) mapEntry {
 	return mapEntry{refAddr(binary.LittleEndian.Uint32(b)), refAddr(binary.LittleEndian.Uint32(b[refSize:]))}
 }
 
-// NewMap allocates an empty durable map (flushed, not fenced).
+// NewMap allocates an empty durable map, a root node with no entries
+// (flushed, not fenced).
 func NewMap(h *alloc.Heap) Map {
-	a := h.AllocNode(mapHdrSize, TagMapHdr)
-	h.Device().Zero(a, mapHdrSize)
-	h.SealNode(a, mapHdrSize)
-	return Map{h: h, addr: a}
+	return Map{h: h, addr: buildMapNode(h, nil, false, rootPrefix, 0, 0, 0, nil, nil)}
 }
 
 // NewMapSelective allocates an empty selectively persisted map: trie nodes
 // stay volatile-clean, every update appends a durable record cell, and the
-// checkpoint clone starts as an empty normal map (flushed, not fenced).
+// empty root is both the live state and the checkpoint (flushed, not
+// fenced).
 func NewMapSelective(h *alloc.Heap) Map {
-	ckpt := NewMap(h).Addr()
-	a := h.AllocNode(mapHdrSize+selExtSize, TagMapHdrSel)
-	h.Device().Zero(a, mapHdrSize)
-	writeSelExt(h, a, mapHdrSize, ckpt, pmem.Nil, 0)
-	h.SealNode(a, mapHdrSize+selExtSize)
-	return Map{h: h, addr: a, sel: true}
+	return Map{h: h, addr: selHdrOver(h, NewMap(h).Addr(), TagMapHdrSel, mapSelBase), sel: true}
 }
 
-// MapAt adopts an existing map header, e.g. after recovery. The selective
-// variant is recognized by its tag.
+// MapAt adopts an existing map version, e.g. after recovery: a root node,
+// or a selective header, recognized by its tag.
 func MapAt(h *alloc.Heap, addr pmem.Addr) Map {
 	return Map{h: h, addr: addr, sel: h.Tag(addr) == TagMapHdrSel}
 }
@@ -91,71 +114,67 @@ func (m Map) WithEdit(ed *alloc.Edit) Map {
 	return Map{h: m.h, addr: m.addr, ed: ed, sel: m.sel}
 }
 
-// Addr returns the header address of this version.
+// Addr returns the address of this version: its root node, or its
+// selective header.
 func (m Map) Addr() pmem.Addr { return m.addr }
 
 // Heap returns the owning heap.
 func (m Map) Heap() *alloc.Heap { return m.h }
 
-// Len returns the number of entries.
-func (m Map) Len() uint64 { return m.h.Device().ReadU64(m.addr) }
+// Len returns the number of entries: the root's count word.
+func (m Map) Len() uint64 { return m.h.Device().ReadU64(m.root()) }
 
-func (m Map) root() pmem.Addr { return pmem.Addr(m.h.Device().ReadU64(m.addr + 8)) }
-
-func newMapHdr(h *alloc.Heap, ed *alloc.Edit, count uint64, root pmem.Addr) pmem.Addr {
-	a := nodeAlloc(h, ed, mapHdrSize, TagMapHdr, false)
-	dev := h.Device()
-	dev.WriteU64(a, count)
-	dev.WriteU64(a+8, uint64(root))
-	flushNode(h, ed, a, mapHdrSize, false)
-	return a
+// root returns the version's root node: the version itself, or the live
+// root its selective header names.
+func (m Map) root() pmem.Addr {
+	if m.sel {
+		return pmem.Addr(m.h.Device().ReadU64(m.addr))
+	}
+	return m.addr
 }
 
-// setHdr produces a map header with the given count and root: an in-place
-// rewrite when the receiver's header is edit-owned (releasing its
-// reference to a displaced old root), a fresh header otherwise. The new
-// root's reference transfers in. Selective maps additionally install rec
-// at the head of the record chain (rec already holds a reference on the
-// previous head, so the old header's own reference is dropped in the
-// in-place case).
-func (m Map) setHdr(count uint64, newRoot, oldRoot, rec pmem.Addr) Map {
+// advance returns the plain version whose root is next. An edit-owned
+// receiver is the edit's running version, which nothing else references:
+// when next supersedes it, it is released here, so a chain of updates
+// under one edit leaves its caller no intermediate version to retire.
+func (m Map) advance(next pmem.Addr) Map {
+	if next != m.addr && m.ed.Owns(m.addr) {
+		m.h.Release(m.addr)
+	}
+	return Map{h: m.h, addr: next, ed: m.ed}
+}
+
+// setSel produces a selective header naming newRoot, with rec installed
+// at the head of its record chain: an in-place rewrite when the receiver's
+// header is edit-owned (releasing its references to a displaced old root
+// and to the old chain head, which rec now holds), a fresh header
+// otherwise. The references on newRoot and rec transfer in.
+func (m Map) setSel(newRoot, oldRoot, rec pmem.Addr) Map {
+	dev := m.h.Device()
+	ckpt, oldRec, recCount := readSelExt(m.h, m.addr, mapSelBase)
 	if m.ed.Owns(m.addr) {
-		dev := m.h.Device()
-		dev.WriteU64(m.addr, count)
-		dev.WriteU64(m.addr+8, uint64(newRoot))
-		size := mapHdrSize
-		if m.sel {
-			ckpt, oldRec, recCount := readSelExt(m.h, m.addr, mapHdrSize)
-			writeSelExt(m.h, m.addr, mapHdrSize, ckpt, rec, recCount+1)
-			size += selExtSize
-			if oldRec != pmem.Nil {
-				m.h.Release(oldRec)
-			}
+		dev.WriteU64(m.addr, uint64(newRoot))
+		writeSelExt(m.h, m.addr, mapSelBase, ckpt, rec, recCount+1)
+		recordEdit(m.ed, m.addr, mapSelBase+selExtSize, false)
+		if oldRec != pmem.Nil {
+			m.h.Release(oldRec)
 		}
-		recordEdit(m.ed, m.addr, size, false)
 		if newRoot != oldRoot {
 			m.h.Release(oldRoot)
 		}
 		return m
 	}
-	if newRoot == oldRoot && newRoot != pmem.Nil {
-		// Deep in-place update left the root pointer unchanged; the new
-		// header is a second parent.
+	if newRoot == oldRoot {
+		// Deep in-place update left the root unchanged; the new header is
+		// a second parent.
 		m.h.Retain(newRoot)
 	}
-	if m.sel {
-		ckpt, _, recCount := readSelExt(m.h, m.addr, mapHdrSize)
-		hdr := nodeAlloc(m.h, m.ed, mapHdrSize+selExtSize, TagMapHdrSel, false)
-		dev := m.h.Device()
-		dev.WriteU64(hdr, count)
-		dev.WriteU64(hdr+8, uint64(newRoot))
-		writeSelExt(m.h, hdr, mapHdrSize, ckpt, rec, recCount+1)
-		flushNode(m.h, m.ed, hdr, mapHdrSize+selExtSize, false)
-		m.h.Retain(ckpt)
-		return Map{h: m.h, addr: hdr, ed: m.ed, sel: true}
-	}
-	hdr := newMapHdr(m.h, m.ed, count, newRoot)
-	return Map{h: m.h, addr: hdr, ed: m.ed}
+	hdr := nodeAlloc(m.h, m.ed, mapSelBase+selExtSize, TagMapHdrSel, false)
+	dev.WriteU64(hdr, uint64(newRoot))
+	writeSelExt(m.h, hdr, mapSelBase, ckpt, rec, recCount+1)
+	flushNode(m.h, m.ed, hdr, mapSelBase+selExtSize, false)
+	m.h.Retain(ckpt)
+	return Map{h: m.h, addr: hdr, ed: m.ed, sel: true}
 }
 
 // mapNode is a trie node decoded into volatile form. The arrays are
@@ -163,6 +182,8 @@ func (m Map) setHdr(count uint64, newRoot, oldRoot, rec pmem.Addr) Map {
 // node is a plain value in its reader's frame: an update mutates the
 // decoded copy and encodes it back out, with no slice to allocate.
 type mapNode struct {
+	pre              pmem.Addr // rootPrefix for a root, 0 below it
+	count            uint64    // a root's entry count; unused below it
 	dataMap, nodeMap uint32
 	eb               [mapWidth]mapEntry
 	cb               [mapWidth]pmem.Addr
@@ -199,13 +220,18 @@ func (n *mapNode) removeChild(bit uint32, ni int) {
 	n.nodeMap &^= bit
 }
 
-// readMapNode loads a trie node into n with bulk accesses, served from
-// the DRAM node cache when it is enabled (edit-owned nodes — still
-// mutable this FASE — bypass it).
-func readMapNode(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr, n *mapNode) {
-	hdr := h.ReadCached(a, mapNodeHdrSize, ed, sc)
-	n.dataMap = binary.LittleEndian.Uint32(hdr)
-	n.nodeMap = binary.LittleEndian.Uint32(hdr[4:])
+// readMapNode loads the trie node at a, whose bitmaps follow pre bytes (a
+// root's count word), into n with bulk accesses, served from the DRAM node
+// cache when it is enabled (edit-owned nodes — still mutable this FASE —
+// bypass it).
+func readMapNode(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a, pre pmem.Addr, n *mapNode) {
+	n.pre = pre
+	hdr := h.ReadCached(a, int(pre)+mapNodeHdrSize, ed, sc)
+	if pre != 0 {
+		n.count = binary.LittleEndian.Uint64(hdr)
+	}
+	n.dataMap = binary.LittleEndian.Uint32(hdr[pre:])
+	n.nodeMap = binary.LittleEndian.Uint32(hdr[pre+4:])
 	d := bits.OnesCount32(n.dataMap)
 	c := bits.OnesCount32(n.nodeMap)
 	if d+c == 0 {
@@ -215,7 +241,7 @@ func readMapNode(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr, 
 	// invalidated by payload address on free, so a separate entry keyed
 	// mid-block would survive free-and-reallocate and serve stale bytes.
 	// (The fixed arrays bound a damaged node's bitmaps: d, c <= 32.)
-	node := h.ReadCached(a, mapNodeSize(d, c), ed, sc)
+	node := h.ReadCached(a, int(pre)+mapNodeSize(d, c), ed, sc)[pre:]
 	for i := 0; i < d; i++ {
 		n.eb[i] = getEntry(node[entryOff(i):])
 	}
@@ -233,17 +259,26 @@ func putEntries(node []byte, entries []mapEntry) {
 }
 
 // buildMapNode allocates, writes, and flushes a trie node (volatile under
-// selective persistence). Reference transfers are the caller's
+// selective persistence): a root carrying count when pre is rootPrefix,
+// an interior node when it is 0. Reference transfers are the caller's
 // responsibility.
-func buildMapNode(h *alloc.Heap, ed *alloc.Edit, vol bool, dataMap, nodeMap uint32, entries []mapEntry, children []pmem.Addr) pmem.Addr {
-	size := mapNodeSize(len(entries), len(children))
-	a := nodeAlloc(h, ed, size, TagMapNode, vol)
+func buildMapNode(h *alloc.Heap, ed *alloc.Edit, vol bool, pre pmem.Addr, count uint64, dataMap, nodeMap uint32, entries []mapEntry, children []pmem.Addr) pmem.Addr {
+	size := int(pre) + mapNodeSize(len(entries), len(children))
+	tag := TagMapNode
+	if pre != 0 {
+		tag = TagMapRoot
+	}
+	a := nodeAlloc(h, ed, size, tag, vol)
 	buf := ed.Scratch().Bytes(size)
-	binary.LittleEndian.PutUint32(buf, dataMap)
-	binary.LittleEndian.PutUint32(buf[4:], nodeMap)
-	putEntries(buf, entries)
+	if pre != 0 {
+		binary.LittleEndian.PutUint64(buf, count)
+	}
+	body := buf[pre:]
+	binary.LittleEndian.PutUint32(body, dataMap)
+	binary.LittleEndian.PutUint32(body[4:], nodeMap)
+	putEntries(body, entries)
 	for i, c := range children {
-		binary.LittleEndian.PutUint32(buf[childOff(len(entries), i):], ref32(c))
+		binary.LittleEndian.PutUint32(body[childOff(len(entries), i):], ref32(c))
 	}
 	h.Device().Write(a, buf)
 	flushNode(h, ed, a, size, vol)
@@ -252,7 +287,7 @@ func buildMapNode(h *alloc.Heap, ed *alloc.Edit, vol bool, dataMap, nodeMap uint
 
 // build encodes the decoded (and possibly mutated) node as a new block.
 func (n *mapNode) build(h *alloc.Heap, ed *alloc.Edit, vol bool) pmem.Addr {
-	return buildMapNode(h, ed, vol, n.dataMap, n.nodeMap, n.entries(), n.children())
+	return buildMapNode(h, ed, vol, n.pre, n.count, n.dataMap, n.nodeMap, n.entries(), n.children())
 }
 
 // buildCollision allocates, writes, and flushes a collision bucket
@@ -329,22 +364,20 @@ func (m Map) collisionCopyOf(src pmem.Addr, entries []mapEntry, srcOnly, dstOnly
 // node bitmaps (one 8-byte word) and the one relevant slot per level — a
 // 4-byte child reference, or an entry's key and value references as one
 // 8-byte word — not the whole node, matching how a real CHAMP lookup
-// touches memory.
+// touches memory. It starts at the root node, which holds no collision
+// bucket, so the root's tag is not read.
 func (m Map) Get(key []byte) ([]byte, bool) {
-	node := m.root()
-	if node == pmem.Nil {
-		return nil, false
-	}
 	dev := m.h.Device()
 	sc := m.ed.Scratch()
 	hash := hash64(key)
+	node, pre := m.root(), pmem.Addr(rootPrefix)
 	shift := uint(0)
 	for {
 		// The slot reads below bypass the verified node-read funnel
 		// (ReadCached), so the reference that led here and the node
 		// behind it are checked before anything in it is followed.
 		m.h.VerifyRef(node)
-		if m.h.Tag(node) == TagMapCollision {
+		if pre == 0 && m.h.Tag(node) == TagMapCollision {
 			var cbuf [collisionInline]mapEntry
 			for _, e := range readCollision(m.h, m.ed, sc, node, cbuf[:0]) {
 				if blobEqual(m.h, sc, e.key, key) {
@@ -356,13 +389,13 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 			}
 			return nil, false
 		}
-		maps := dev.ReadU64(node)
+		maps := dev.ReadU64(node + pre)
 		dataMap, nodeMap := uint32(maps), uint32(maps>>32)
 		bit := uint32(1) << ((hash >> shift) & mapMask)
 		switch {
 		case dataMap&bit != 0:
 			di := bits.OnesCount32(dataMap & (bit - 1))
-			e := dev.ReadU64(node + entryOff(di))
+			e := dev.ReadU64(node + pre + entryOff(di))
 			if !blobEqual(m.h, sc, refAddr(uint32(e)), key) {
 				return nil, false
 			}
@@ -374,7 +407,8 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 		case nodeMap&bit != 0:
 			d := bits.OnesCount32(dataMap)
 			ni := bits.OnesCount32(nodeMap & (bit - 1))
-			node = refAddr(dev.ReadU32(node + childOff(d, ni)))
+			node = refAddr(dev.ReadU32(node + pre + childOff(d, ni)))
+			pre = 0
 			shift += mapBits
 		default:
 			return nil, false
@@ -401,25 +435,13 @@ func (m Map) Set(key, val []byte) (Map, bool) {
 		valBlob = newBlob(m.h, m.ed, val)
 	}
 	root := m.root()
-	var newRoot, keyBlob pmem.Addr
-	var replaced bool
-	if root == pmem.Nil {
-		hash := hash64(key)
-		keyBlob = newBlob(m.h, m.ed, key)
-		newRoot = buildMapNode(m.h, m.ed, m.sel, uint32(1)<<(hash&mapMask), 0, []mapEntry{{keyBlob, valBlob}}, nil)
-	} else {
-		newRoot, keyBlob, replaced = m.insertRec(root, 0, hash64(key), key, valBlob)
+	newRoot, keyBlob, replaced := m.insertRec(root, 0, hash64(key), key, valBlob)
+	if !m.sel {
+		return m.advance(newRoot), replaced
 	}
-	rec := pmem.Nil
-	if m.sel {
-		_, oldRec, _ := readSelExt(m.h, m.addr, mapHdrSize)
-		rec = newRecord(m.h, m.ed, oldRec, RecMapSet, uint64(keyBlob), uint64(valBlob))
-	}
-	count := m.Len()
-	if !replaced {
-		count++
-	}
-	return m.setHdr(count, newRoot, root, rec), replaced
+	_, oldRec, _ := readSelExt(m.h, m.addr, mapSelBase)
+	rec := newRecord(m.h, m.ed, oldRec, RecMapSet, uint64(keyBlob), uint64(valBlob))
+	return m.setSel(newRoot, root, rec), replaced
 }
 
 // setSlot overwrites the reference slot at node+off of an edit-owned node
@@ -433,13 +455,46 @@ func (m Map) setSlot(node, off pmem.Addr, v, displaced pmem.Addr) {
 	m.h.Release(displaced)
 }
 
+// replaceChild produces the node at node, decoded as n, with its ni-th
+// child replaced by newChild — child itself when the update went in place
+// below — and, for a root whose count the update changed (counted), the
+// count n carries: the node unchanged when neither changed, rewritten in
+// place when the edit owns it, a path copy otherwise. The reference on
+// newChild transfers in.
+func (m Map) replaceChild(node pmem.Addr, n *mapNode, ni int, child, newChild pmem.Addr, counted bool) pmem.Addr {
+	counted = counted && n.pre != 0
+	if newChild == child && !counted {
+		return node
+	}
+	if m.ed.Owns(node) {
+		if counted {
+			m.h.Device().WriteU64(node, n.count)
+		}
+		if newChild == child {
+			recordEdit(m.ed, node, rootPrefix, m.sel)
+			return node
+		}
+		m.setSlot(node, n.pre+childOff(len(n.entries()), ni), newChild, child)
+		if counted && !m.sel {
+			m.ed.Record(node, rootPrefix)
+		}
+		return node
+	}
+	if newChild == child {
+		return m.copyOf(node, n, only{}, only{})
+	}
+	n.cb[ni] = newChild
+	return m.copyOf(node, n, only{child}, only{newChild})
+}
+
 // insertRec returns a new node with the binding applied, the key blob the
 // binding uses — the existing one when replaced is true, otherwise a fresh
 // box now linked in the new trie — and whether a binding was replaced. The
-// valBlob reference transfers into the new trie.
+// valBlob reference transfers into the new trie. At shift 0 node is the
+// root, and the result carries the new count.
 func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, valBlob pmem.Addr) (pmem.Addr, pmem.Addr, bool) {
 	h, sc := m.h, m.ed.Scratch()
-	if h.Tag(node) == TagMapCollision {
+	if shift != 0 && h.Tag(node) == TagMapCollision {
 		var cbuf [collisionInline]mapEntry
 		entries := readCollision(h, m.ed, sc, node, cbuf[:0])
 		for i, e := range entries {
@@ -458,7 +513,7 @@ func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, valB
 	}
 
 	var n mapNode
-	readMapNode(h, m.ed, sc, node, &n)
+	readMapNode(h, m.ed, sc, node, nodePrefix(shift), &n)
 	bit := uint32(1) << ((hash >> shift) & mapMask)
 	di := bits.OnesCount32(n.dataMap & (bit - 1))
 	ni := bits.OnesCount32(n.nodeMap & (bit - 1))
@@ -469,7 +524,7 @@ func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, valB
 		if blobEqual(h, sc, e.key, key) {
 			if m.ed.Owns(node) {
 				// Same shape: a single in-place value-slot write.
-				m.setSlot(node, entryOff(di)+refSize, valBlob, e.val)
+				m.setSlot(node, n.pre+entryOff(di)+refSize, valBlob, e.val)
 				return node, e.key, true
 			}
 			// Replace the value (new node, same shape).
@@ -488,24 +543,21 @@ func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, valB
 		sub := m.mergeTwo(shift+mapBits, e, exHash, mapEntry{keyBlob, valBlob}, hash)
 		n.removeEntry(bit, di)
 		n.insertChild(bit, ni, sub)
+		n.count++
 		return m.copyOf(node, &n, only{e.key, e.val}, only{sub}), keyBlob, false
 
 	case n.nodeMap&bit != 0:
 		child := n.cb[ni]
 		newChild, keyBlob, replaced := m.insertRec(child, shift+mapBits, hash, key, valBlob)
-		if newChild == child {
-			return node, keyBlob, replaced
+		if !replaced {
+			n.count++
 		}
-		if m.ed.Owns(node) {
-			m.setSlot(node, childOff(len(n.entries()), ni), newChild, child)
-			return node, keyBlob, replaced
-		}
-		n.cb[ni] = newChild
-		return m.copyOf(node, &n, only{child}, only{newChild}), keyBlob, replaced
+		return m.replaceChild(node, &n, ni, child, newChild, !replaced), keyBlob, replaced
 
 	default:
 		keyBlob := newBlob(h, m.ed, key)
 		n.insertEntry(bit, di, mapEntry{keyBlob, valBlob})
+		n.count++
 		return m.copyOf(node, &n, only{}, only{keyBlob, valBlob}), keyBlob, false
 	}
 }
@@ -522,12 +574,12 @@ func (m Map) mergeTwo(shift uint, e1 mapEntry, h1 uint64, e2 mapEntry, h2 uint64
 	i2 := uint32((h2 >> shift) & mapMask)
 	if i1 == i2 {
 		sub := m.mergeTwo(shift+mapBits, e1, h1, e2, h2)
-		return buildMapNode(h, m.ed, m.sel, 0, uint32(1)<<i1, nil, []pmem.Addr{sub})
+		return buildMapNode(h, m.ed, m.sel, 0, 0, 0, uint32(1)<<i1, nil, []pmem.Addr{sub})
 	}
 	if i1 < i2 {
-		return buildMapNode(h, m.ed, m.sel, uint32(1)<<i1|uint32(1)<<i2, 0, []mapEntry{e1, e2}, nil)
+		return buildMapNode(h, m.ed, m.sel, 0, 0, uint32(1)<<i1|uint32(1)<<i2, 0, []mapEntry{e1, e2}, nil)
 	}
-	return buildMapNode(h, m.ed, m.sel, uint32(1)<<i1|uint32(1)<<i2, 0, []mapEntry{e2, e1}, nil)
+	return buildMapNode(h, m.ed, m.sel, 0, 0, uint32(1)<<i1|uint32(1)<<i2, 0, []mapEntry{e2, e1}, nil)
 }
 
 // Delete returns a new version without key, and whether the key was
@@ -535,32 +587,30 @@ func (m Map) mergeTwo(shift uint, e1 mapEntry, h1 uint64, e2 mapEntry, h2 uint64
 // new version allocated.
 func (m Map) Delete(key []byte) (Map, bool) {
 	root := m.root()
-	if root == pmem.Nil {
-		return m, false
-	}
 	newRoot, removed := m.deleteRec(root, 0, hash64(key), key)
 	if !removed {
 		return m, false
 	}
-	rec := pmem.Nil
-	if m.sel {
-		// The record operand is a fresh key blob owned by the record alone:
-		// newRecord retains it, so the temporary reference is dropped here.
-		kb := newBlob(m.h, m.ed, key)
-		_, oldRec, _ := readSelExt(m.h, m.addr, mapHdrSize)
-		rec = newRecord(m.h, m.ed, oldRec, RecMapDelete, uint64(kb), 0)
-		m.h.Release(kb)
+	if !m.sel {
+		return m.advance(newRoot), true
 	}
-	return m.setHdr(m.Len()-1, newRoot, root, rec), true
+	// The record operand is a fresh key blob owned by the record alone:
+	// newRecord retains it, so the temporary reference is dropped here.
+	kb := newBlob(m.h, m.ed, key)
+	_, oldRec, _ := readSelExt(m.h, m.addr, mapSelBase)
+	rec := newRecord(m.h, m.ed, oldRec, RecMapDelete, uint64(kb), 0)
+	m.h.Release(kb)
+	return m.setSel(newRoot, root, rec), true
 }
 
-// deleteRec returns the replacement node (Nil if the subtree became empty)
-// and whether the key was found. For simplicity nodes are not re-inlined
-// into their parents on deletion (lookup correctness is unaffected; the
-// trie is merely non-canonical afterwards).
+// deleteRec returns the replacement node (Nil if a subtree below the root
+// became empty; the root itself only empties) and whether the key was
+// found. For simplicity nodes are not re-inlined into their parents on
+// deletion (lookup correctness is unaffected; the trie is merely
+// non-canonical afterwards).
 func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pmem.Addr, bool) {
 	h, sc := m.h, m.ed.Scratch()
-	if h.Tag(node) == TagMapCollision {
+	if shift != 0 && h.Tag(node) == TagMapCollision {
 		var cbuf [collisionInline]mapEntry
 		entries := readCollision(h, m.ed, sc, node, cbuf[:0])
 		for i, e := range entries {
@@ -576,7 +626,7 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pme
 	}
 
 	var n mapNode
-	readMapNode(h, m.ed, sc, node, &n)
+	readMapNode(h, m.ed, sc, node, nodePrefix(shift), &n)
 	bit := uint32(1) << ((hash >> shift) & mapMask)
 	di := bits.OnesCount32(n.dataMap & (bit - 1))
 	ni := bits.OnesCount32(n.nodeMap & (bit - 1))
@@ -586,11 +636,12 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pme
 		if !blobEqual(h, sc, n.eb[di].key, key) {
 			return pmem.Nil, false
 		}
-		if len(n.entries()) == 1 && n.nodeMap == 0 {
+		if n.pre == 0 && len(n.entries()) == 1 && n.nodeMap == 0 {
 			return pmem.Nil, true
 		}
 		e := n.eb[di]
 		n.removeEntry(bit, di)
+		n.count--
 		return m.copyOf(node, &n, only{e.key, e.val}, only{}), true
 
 	case n.nodeMap&bit != 0:
@@ -599,22 +650,15 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pme
 		if !removed {
 			return pmem.Nil, false
 		}
+		n.count--
 		if newChild == pmem.Nil {
-			if n.dataMap == 0 && len(n.children()) == 1 {
+			if n.pre == 0 && n.dataMap == 0 && len(n.children()) == 1 {
 				return pmem.Nil, true
 			}
 			n.removeChild(bit, ni)
 			return m.copyOf(node, &n, only{child}, only{}), true
 		}
-		if newChild == child {
-			return node, true
-		}
-		if m.ed.Owns(node) {
-			m.setSlot(node, childOff(len(n.entries()), ni), newChild, child)
-			return node, true
-		}
-		n.cb[ni] = newChild
-		return m.copyOf(node, &n, only{child}, only{newChild}), true
+		return m.replaceChild(node, &n, ni, child, newChild, true), true
 
 	default:
 		return pmem.Nil, false
@@ -624,16 +668,12 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pme
 // Range calls f for every entry until f returns false. Iteration order is
 // trie order (effectively hash order). Values are nil for set members.
 func (m Map) Range(f func(key, val []byte) bool) {
-	root := m.root()
-	if root == pmem.Nil {
-		return
-	}
-	m.rangeRec(root, f)
+	m.rangeRec(m.root(), rootPrefix, f)
 }
 
-func (m Map) rangeRec(node pmem.Addr, f func(key, val []byte) bool) bool {
+func (m Map) rangeRec(node, pre pmem.Addr, f func(key, val []byte) bool) bool {
 	h := m.h
-	if h.Tag(node) == TagMapCollision {
+	if pre == 0 && h.Tag(node) == TagMapCollision {
 		var cbuf [collisionInline]mapEntry
 		for _, e := range readCollision(h, m.ed, m.ed.Scratch(), node, cbuf[:0]) {
 			if !emitEntry(h, e, f) {
@@ -643,14 +683,14 @@ func (m Map) rangeRec(node pmem.Addr, f func(key, val []byte) bool) bool {
 		return true
 	}
 	var n mapNode
-	readMapNode(h, m.ed, m.ed.Scratch(), node, &n)
+	readMapNode(h, m.ed, m.ed.Scratch(), node, pre, &n)
 	for _, e := range n.entries() {
 		if !emitEntry(h, e, f) {
 			return false
 		}
 	}
 	for _, c := range n.children() {
-		if !m.rangeRec(c, f) {
+		if !m.rangeRec(c, 0, f) {
 			return false
 		}
 	}
@@ -665,15 +705,17 @@ func emitEntry(h *alloc.Heap, e mapEntry, f func(key, val []byte) bool) bool {
 	return f(blobBytes(h, e.key), val)
 }
 
-func walkMapHdr(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
-	if root := pmem.Addr(h.Device().ReadU64(a + 8)); root != pmem.Nil {
-		visit(root)
-	}
+func walkMapRoot(h *alloc.Heap, a pmem.Addr, sc *alloc.Scratch, visit func(pmem.Addr)) {
+	walkTrieNode(h, a, rootPrefix, sc, visit)
 }
 
 func walkMapNode(h *alloc.Heap, a pmem.Addr, sc *alloc.Scratch, visit func(pmem.Addr)) {
+	walkTrieNode(h, a, 0, sc, visit)
+}
+
+func walkTrieNode(h *alloc.Heap, a, pre pmem.Addr, sc *alloc.Scratch, visit func(pmem.Addr)) {
 	var n mapNode
-	readMapNode(h, nil, sc, a, &n)
+	readMapNode(h, nil, sc, a, pre, &n)
 	for _, e := range n.entries() {
 		visit(e.key)
 		if e.val != pmem.Nil {
@@ -682,6 +724,13 @@ func walkMapNode(h *alloc.Heap, a pmem.Addr, sc *alloc.Scratch, visit func(pmem.
 	}
 	for _, c := range n.children() {
 		visit(c)
+	}
+}
+
+// walkMapSelRoot visits a selective map header's base field, its live root.
+func walkMapSelRoot(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
+	if root := pmem.Addr(h.Device().ReadU64(a)); root != pmem.Nil {
+		visit(root)
 	}
 }
 
@@ -705,13 +754,13 @@ func NewSet(h *alloc.Heap) Set { return Set{m: NewMap(h)} }
 // NewSetSelective allocates an empty selectively persisted set.
 func NewSetSelective(h *alloc.Heap) Set { return Set{m: NewMapSelective(h)} }
 
-// SetDSAt adopts an existing set header, e.g. after recovery.
+// SetDSAt adopts an existing set version, e.g. after recovery.
 func SetDSAt(h *alloc.Heap, addr pmem.Addr) Set { return Set{m: MapAt(h, addr)} }
 
 // WithEdit binds the version to a per-FASE edit context (DESIGN.md §8).
 func (s Set) WithEdit(ed *alloc.Edit) Set { return Set{m: s.m.WithEdit(ed)} }
 
-// Addr returns the header address of this version.
+// Addr returns the address of this version (see Map.Addr).
 func (s Set) Addr() pmem.Addr { return s.m.Addr() }
 
 // Heap returns the owning heap.

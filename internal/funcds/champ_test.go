@@ -288,7 +288,7 @@ func TestMapMergeTwoDivergingHashes(t *testing.T) {
 		t.Fatalf("mergeTwo built tag %d, want map node", h.Tag(sub))
 	}
 	var n mapNode
-	readMapNode(h, nil, nil, sub, &n)
+	readMapNode(h, nil, nil, sub, 0, &n)
 	if n.nodeMap != 0 || n.dataMap != 0b110 {
 		t.Fatalf("merged node dataMap=%b nodeMap=%b", n.dataMap, n.nodeMap)
 	}

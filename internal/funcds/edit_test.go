@@ -283,3 +283,41 @@ func TestEditRefcountsSurviveReclaim(t *testing.T) {
 		t.Errorf("Range saw %d entries, Len says %d", n, m.Len())
 	}
 }
+
+// TestMapEditReleasesRebuiltRoot: a map's version is its root node (heap
+// layout v12), so an edit-bound update that must rebuild an edit-owned
+// root — a new entry at the root changes its shape — returns a new
+// version and releases the one it superseded itself: the edit's running
+// version was its only reference. An update that fits in place keeps the
+// version's address, and a committed root is never released.
+func TestMapEditReleasesRebuiltRoot(t *testing.T) {
+	h := newEditHeap(t)
+	base := NewMap(h)
+	ed := h.BeginEdit()
+	m1, _ := base.WithEdit(ed).Set([]byte("a"), []byte("1"))
+	if m1.Addr() == base.Addr() || h.RefCount(base.Addr()) != 1 {
+		t.Fatalf("first Set: version %#x from %#x, committed root count %d; want a copy and the base untouched",
+			uint64(m1.Addr()), uint64(base.Addr()), h.RefCount(base.Addr()))
+	}
+	m2, _ := m1.Set([]byte("b"), []byte("2")) // a second root entry: new shape
+	if m2.Addr() == m1.Addr() {
+		t.Fatal("a new root entry left the root's shape unchanged")
+	}
+	if h.RefCount(m1.Addr()) != 0 {
+		t.Errorf("superseded owned root %#x still has count %d", uint64(m1.Addr()), h.RefCount(m1.Addr()))
+	}
+	m3, _ := m2.Set([]byte("b"), []byte("3")) // same shape: in place
+	if m3.Addr() != m2.Addr() || m3.Len() != 2 {
+		t.Errorf("in-place replace moved the version (%#x -> %#x) or its count (%d)", uint64(m2.Addr()), uint64(m3.Addr()), m3.Len())
+	}
+	ed.Seal()
+	h.Fence()
+	h.Release(base.Addr())
+	h.Drain()
+	if got, ok := m3.Get([]byte("b")); !ok || string(got) != "3" || !m3.Contains([]byte("a")) {
+		t.Errorf("final version reads b=%q,%v", got, ok)
+	}
+	if h.RefCount(base.Addr()) != 0 || h.Stats().Borrows != 0 {
+		t.Errorf("after the commit: base root count %d, %d borrow records; want both gone", h.RefCount(base.Addr()), h.Stats().Borrows)
+	}
+}

@@ -45,7 +45,7 @@ const (
 	TagVecHdr
 	TagVecNode
 	TagVecLeaf
-	TagMapHdr
+	TagMapRoot // a plain map's version: [count] then a trie node (champ.go)
 	TagMapNode
 	TagMapCollision
 
@@ -75,11 +75,11 @@ func RegisterWalkers(h *alloc.Heap) {
 	h.RegisterWalker(TagVecHdr, walkVecHdr)
 	h.RegisterWalker(TagVecNode, walkVecNode)
 	h.RegisterWalker(TagVecLeaf, walkNone)
-	h.RegisterWalker(TagMapHdr, walkMapHdr)
+	h.RegisterWalker(TagMapRoot, walkMapRoot)
 	h.RegisterWalker(TagMapNode, walkMapNode)
 	h.RegisterWalker(TagMapCollision, walkMapCollision)
 	h.RegisterWalker(TagRecord, walkRecord)
-	h.RegisterWalker(TagMapHdrSel, walkSelHdr(walkMapHdr, mapHdrSize))
+	h.RegisterWalker(TagMapHdrSel, walkSelHdr(walkMapSelRoot, mapSelBase))
 	h.RegisterWalker(TagVecHdrSel, walkSelHdr(walkVecHdr, vecHdrSize))
 	h.RegisterWalker(TagStackHdrSel, walkSelHdr(walkStackHdr, stackHdrSize))
 	h.RegisterWalker(TagQueueHdrSel, walkSelHdr(walkQueueHdr, queueHdrSize))

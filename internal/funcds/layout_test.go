@@ -47,14 +47,15 @@ func TestNodeLayoutV7Sizes(t *testing.T) {
 		node            pmem.Addr
 		payload, stride int
 	}{
-		{"map node, 32 children", buildMapNode(h, nil, false, 0, ^uint32(0), nil, children), 136, 192},
-		{"map node, 2 entries", buildMapNode(h, nil, false, 3, 0, entries[:2], nil), 24, 48},
-		{"map node, 1 entry + 1 child", buildMapNode(h, nil, false, 1, 2, entries[:1], children[:1]), 20, 48},
-		{"map node, 32 entries", buildMapNode(h, nil, false, ^uint32(0), 0, entries, nil), 264, 384},
+		{"map node, 32 children", buildMapNode(h, nil, false, 0, 0, 0, ^uint32(0), nil, children), 136, 192},
+		{"map node, 2 entries", buildMapNode(h, nil, false, 0, 0, 3, 0, entries[:2], nil), 24, 48},
+		{"map node, 1 entry + 1 child", buildMapNode(h, nil, false, 0, 0, 1, 2, entries[:1], children[:1]), 20, 48},
+		{"map node, 32 entries", buildMapNode(h, nil, false, 0, 0, ^uint32(0), 0, entries, nil), 264, 384},
 		{"collision bucket, 2 entries", buildCollision(h, nil, false, entries[:2]), 24, 48},
 		{"vector node", writeNode(h, nil, false, slots), 128, 192},
 		{"vector leaf", leaf, 64, 80},
-		{"map header", NewMap(h).Addr(), 16, 32},
+		{"map root, empty", NewMap(h).Addr(), 16, 32},
+		{"map root, 32 children", buildMapNode(h, nil, false, rootPrefix, 32, 0, ^uint32(0), nil, children), 144, 192},
 		{"vector header", NewVector(h).Addr(), 32, 48},
 	}
 	for _, c := range cases {
@@ -66,11 +67,16 @@ func TestNodeLayoutV7Sizes(t *testing.T) {
 		}
 	}
 
-	// What was encoded decodes to the same references.
+	// What was encoded decodes to the same references, and a root to its
+	// count as well.
 	var n mapNode
-	readMapNode(h, nil, nil, cases[2].node, &n)
+	readMapNode(h, nil, nil, cases[2].node, 0, &n)
 	if n.dataMap != 1 || n.nodeMap != 2 || n.eb[0] != entries[0] || n.cb[0] != leaf {
 		t.Errorf("mixed map node decodes to %+v / %#x", n.eb[0], uint64(n.cb[0]))
+	}
+	readMapNode(h, nil, nil, cases[8].node, rootPrefix, &n)
+	if n.count != 32 || n.dataMap != 0 || n.nodeMap != ^uint32(0) || n.cb[31] != leaf {
+		t.Errorf("full map root decodes to count %d, maps %#x/%#x", n.count, n.dataMap, n.nodeMap)
 	}
 	if got := readNode(h, nil, nil, cases[5].node); got != slots {
 		t.Errorf("vector node decodes to %v", got)
@@ -124,8 +130,9 @@ func faseCounters(t *testing.T, h *alloc.Heap, n int, fase func(i int)) (d pmem.
 // setExistingCounters is the lib-map-write shape in miniature: a
 // 50,000-key map of 12-byte keys and 64-byte values, then 2,000 FASEs of
 // one Set of an existing key each, committed as core commits them. It
-// returns the device counters of the 2,000 FASEs.
-func setExistingCounters(t *testing.T) (d pmem.Stats, sets int) {
+// returns the device counters of the 2,000 FASEs and the blocks they
+// allocated.
+func setExistingCounters(t *testing.T) (d pmem.Stats, sets int, allocs uint64) {
 	const keys = 50_000
 	sets = 2_000
 	h := benchHeap(t)
@@ -142,7 +149,7 @@ func setExistingCounters(t *testing.T) (d pmem.Stats, sets int) {
 	}
 
 	at := 0
-	d, _ = faseCounters(t, h, sets, func(i int) {
+	d, allocs = faseCounters(t, h, sets, func(i int) {
 		at = (at + 7919) % keys
 		val[0] = byte(i)
 		ed := h.BeginEdit()
@@ -152,31 +159,47 @@ func setExistingCounters(t *testing.T) (d pmem.Stats, sets int) {
 		}
 		commit(h, ed, &cur, m.Addr())
 	})
-	return d, sets
+	return d, sets, allocs
 }
 
-// TestMapSetFlushBudget: the path copy is three interior nodes of up to
-// 32 children; at 4 bytes a reference that is ≈ 14.8 flushed lines per Set
-// here (15.7 through core on lib-map-write, where 8-byte references cost
-// 22.3), under exactly one fence.
+// TestMapSetFlushBudget: the path copy is the root and two or three
+// nodes below it of up to 32 children, plus the value blob (4.8 blocks per
+// Set); at 4 bytes a reference that is ≈ 13.4 flushed lines and 645 PM
+// bytes per Set here (≈ 14.5–14.7 through core on lib-map-write, where
+// 8-byte references cost 22.3), under exactly one fence. Since heap layout v12 the root carries the count, so a Set
+// allocates one block fewer than the 11,605 the same 2,000 Sets took with
+// a [count][root] header block (14.74 flushes, 677 bytes).
 func TestMapSetFlushBudget(t *testing.T) {
-	const maxFlushes = 17.0
-	d, sets := setExistingCounters(t)
+	const (
+		maxFlushes  = 13.8 // measured 13.39, + 3 %
+		maxBytes    = 665  // measured 645, + 3 %
+		headerAlloc = 11_605
+	)
+	d, sets, allocs := setExistingCounters(t)
 	perOp := float64(d.Flushes) / float64(sets)
-	t.Logf("%.2f flushes and %.0f PM bytes per Set", perOp, float64(d.BytesWritten)/float64(sets))
+	bytes := float64(d.BytesWritten) / float64(sets)
+	t.Logf("%.2f flushes, %.0f PM bytes and %.3f blocks per Set", perOp, bytes, float64(allocs)/float64(sets))
 	if perOp > maxFlushes {
 		t.Errorf("%.2f flushes per Set, budget %.1f", perOp, maxFlushes)
+	}
+	if bytes > maxBytes {
+		t.Errorf("%.0f PM bytes per Set, budget %d", bytes, maxBytes)
+	}
+	if want := uint64(headerAlloc - sets); allocs != want {
+		t.Errorf("%d blocks allocated by %d Sets, want %d: one fewer each than with a header block", allocs, sets, want)
 	}
 }
 
 // TestMapSetReadBudget: PM read calls per Set on the same run. The
 // descent, the node images the copy is built from and one header word per
-// block the old version frees are ≈ 23; walking the superseded nodes to
-// uncount their children, and re-reading each freed block's header for
-// its stride, made it ≈ 37 before path copies borrowed (alloc/borrow.go).
+// block the old version frees are ≈ 18 (≈ 23 with a map header block,
+// whose root pointer and the root's tag the descent read first, and which
+// the old version freed too); walking the superseded nodes to uncount
+// their children, and re-reading each freed block's header for its
+// stride, made it ≈ 37 before path copies borrowed (alloc/borrow.go).
 func TestMapSetReadBudget(t *testing.T) {
 	const maxReads = 30.0
-	d, sets := setExistingCounters(t)
+	d, sets, _ := setExistingCounters(t)
 	perOp := float64(d.Reads) / float64(sets)
 	t.Logf("%.2f PM reads (%.0f bytes) per Set", perOp, float64(d.BytesRead)/float64(sets))
 	if perOp > maxReads {

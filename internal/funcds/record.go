@@ -13,15 +13,19 @@ import (
 // headers durable, payloads unflushed — and persists only a minimal core:
 //
 //   - the structure header itself (always fully flushed), extended with
-//     [ckptHdr u64][recHead u64][recCount u64] after the base fields;
+//     [ckptHdr u64][recHead u64][recCount u64] after the base fields (a
+//     map's one base field names its root node, volatile like the rest
+//     of its trie);
 //   - leaf payloads (key/value blobs), which record cells reference;
 //   - a cons-list of fixed-size operation records, newest first, that
 //     logically replays every update since the last checkpoint.
 //
-// ckptHdr points at a checkpoint clone: a normal-tagged header snapshot
-// whose entire subtree is durable. Recovered state is rebuilt by replaying
-// the record chain (oldest first) onto the checkpoint — it never depends
-// on the contents of an unflushed navigation node. Once the chain reaches
+// ckptHdr points at a checkpoint clone: a durable plain version — a
+// sealed copy of a map's root node, a normal-tagged copy of any other
+// structure's header — whose entire subtree is durable. Recovered state
+// is rebuilt by replaying the record chain (oldest first) onto the
+// checkpoint — it never depends on the contents of an unflushed
+// navigation node. Once the chain reaches
 // the store's checkpoint interval, the commit path flushes the live
 // volatile crown, clears the volatile bits inside the commit bracket
 // (PrepareCheckpoint + the store's clear step), and resets the chain.
@@ -153,7 +157,7 @@ func walkRecord(h *alloc.Heap, r pmem.Addr, _ *alloc.Scratch, visit func(pmem.Ad
 func selBaseSize(tag uint8) int {
 	switch tag {
 	case TagMapHdrSel:
-		return mapHdrSize
+		return mapSelBase
 	case TagVecHdrSel:
 		return vecHdrSize
 	case TagStackHdrSel:
@@ -224,7 +228,7 @@ func livePointers(h *alloc.Heap, hdr pmem.Addr) []pmem.Addr {
 	dev := h.Device()
 	switch h.Tag(hdr) {
 	case TagMapHdrSel:
-		return []pmem.Addr{pmem.Addr(dev.ReadU64(hdr + 8))}
+		return []pmem.Addr{pmem.Addr(dev.ReadU64(hdr))}
 	case TagVecHdrSel:
 		return []pmem.Addr{pmem.Addr(dev.ReadU64(hdr + 16)), pmem.Addr(dev.ReadU64(hdr + 24))}
 	case TagStackHdrSel:
@@ -288,10 +292,10 @@ func volatileCrown(h *alloc.Heap, roots []pmem.Addr) []pmem.Addr {
 		}
 		seen[a] = struct{}{}
 		out = append(out, a)
-		switch h.Tag(a) {
-		case TagMapNode:
+		switch tag := h.Tag(a); tag {
+		case TagMapRoot, TagMapNode:
 			var n mapNode
-			readMapNode(h, nil, &sc, a, &n)
+			readMapNode(h, nil, &sc, a, tagPrefix(tag), &n)
 			for _, c := range n.children() {
 				rec(c)
 			}
@@ -326,7 +330,7 @@ func NeedsCheckpoint(h *alloc.Heap, hdr pmem.Addr, every uint64) bool {
 // PrepareCheckpoint runs the in-FASE half of a checkpoint on the final
 // shadow header of the committing FASE (which therefore was allocated
 // within it): it flushes the payload of every crown node, snapshots the
-// live state into a fresh normal-tagged checkpoint clone, and resets the
+// live state into a fresh durable checkpoint clone, and resets the
 // record chain. It returns the crown, whose volatile bits the commit step
 // must clear — after a fence has made the payload flushes durable and
 // before the publish fence (Store.commitRoot). Until those bits clear
@@ -343,26 +347,33 @@ func PrepareCheckpoint(h *alloc.Heap, hdr pmem.Addr) []pmem.Addr {
 		dev.FlushRange(a, h.PayloadSize(a))
 	}
 
-	// Clone the base fields into a normal-tagged durable header; the clone
-	// gains a reference on each live pointer.
+	// Clone the live state into a durable plain version: a map's is its
+	// root node, copied and sealed; any other structure's is its header's
+	// base fields under the normal tag. The clone gains a reference on
+	// everything it names.
 	var clone pmem.Addr
-	switch tag {
-	case TagMapHdrSel:
-		clone = h.AllocNode(mapHdrSize, TagMapHdr)
-	case TagVecHdrSel:
-		clone = h.AllocNode(vecHdrSize, TagVecHdr)
-	case TagStackHdrSel:
-		clone = h.AllocNode(stackHdrSize, TagStackHdr)
-	case TagQueueHdrSel:
-		clone = h.AllocNode(queueHdrSize, TagQueueHdr)
-	}
-	buf := make([]byte, base)
-	dev.Read(hdr, buf)
-	dev.Write(clone, buf)
-	h.SealNode(clone, base)
-	for _, p := range livePointers(h, hdr) {
-		if p != pmem.Nil {
-			h.Retain(p)
+	if tag == TagMapHdrSel {
+		var n mapNode
+		readMapNode(h, nil, nil, livePointers(h, hdr)[0], rootPrefix, &n)
+		clone = n.build(h, nil, false)
+		walkMapRoot(h, clone, nil, h.Retain)
+	} else {
+		switch tag {
+		case TagVecHdrSel:
+			clone = h.AllocNode(vecHdrSize, TagVecHdr)
+		case TagStackHdrSel:
+			clone = h.AllocNode(stackHdrSize, TagStackHdr)
+		case TagQueueHdrSel:
+			clone = h.AllocNode(queueHdrSize, TagQueueHdr)
+		}
+		buf := make([]byte, base)
+		dev.Read(hdr, buf)
+		dev.Write(clone, buf)
+		h.SealNode(clone, base)
+		for _, p := range livePointers(h, hdr) {
+			if p != pmem.Nil {
+				h.Retain(p)
+			}
 		}
 	}
 
@@ -509,14 +520,19 @@ func RebuildSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed 
 }
 
 // selHdrOver builds a fresh sealed selective header of the given tag
-// whose base fields copy the (fully durable) structure at state and whose
-// checkpoint is state itself, with an empty record chain. The state
-// reference transfers in; live pointers gain a reference each.
+// whose base fields copy the (fully durable) structure at state — or, for
+// a map, name state's root node — and whose checkpoint is state itself,
+// with an empty record chain. The state reference transfers in; live
+// pointers gain a reference each.
 func selHdrOver(h *alloc.Heap, state pmem.Addr, tag uint8, base int) pmem.Addr {
 	hdr := h.AllocNode(base+selExtSize, tag)
 	dev := h.Device()
 	buf := make([]byte, base)
-	dev.Read(state, buf)
+	if tag == TagMapHdrSel {
+		binary.LittleEndian.PutUint64(buf, uint64(state))
+	} else {
+		dev.Read(state, buf)
+	}
 	dev.Write(hdr, buf)
 	writeSelExt(h, hdr, base, state, pmem.Nil, 0)
 	h.SealNode(hdr, base+selExtSize)
