@@ -110,9 +110,32 @@ const (
 // strides are the size classes (full block size including header). 80 is
 // the vector leaf's: 16 + 64 bytes, the most-allocated block of a vector
 // path copy. 192 = 3 lines stays the class of a full trie node (16 + 128
-// or 136): a 160-byte class would save bytes but take consecutive nodes
-// of an edit run off line boundaries, and measured more flushes.
+// or 136): a block of a whole-line stride is carved on a line boundary
+// (placeAt), so it spans exactly stride/64 lines, where a 160-byte block
+// would straddle one line more than it fills.
 var strides = []uint32{24, 32, 48, 64, 80, 96, 128, 192, 256, 384, 512, 768, 1024, 2048, 4096}
+
+// fillerMin is the smallest free block: a header and one payload word.
+const fillerMin = headerSize + 8
+
+// placeAt returns the header address of a block of stride bytes carved
+// from free space starting at cur. A durable block whose stride is a whole
+// number of lines starts on a line, so it spans stride/64 lines and not
+// one more; the gap left in front of it, if any, is at least fillerMin
+// (a smaller one grows by a line) and becomes a free filler block (see
+// carveFillerLocked and Edit.carveFiller). Sub-line strides and volatile
+// blocks, whose payloads are never flushed, are carved at cur. Free lists
+// are per stride, so a block carved on a line is reused on one.
+func placeAt(cur pmem.Addr, stride uint32, volatile bool) pmem.Addr {
+	if volatile || stride%pmem.LineSize != 0 {
+		return cur
+	}
+	gap := (pmem.LineSize - cur%pmem.LineSize) % pmem.LineSize
+	if gap != 0 && gap < fillerMin {
+		gap += pmem.LineSize
+	}
+	return cur + gap
+}
 
 // Walker enumerates the child pointers of a node so the heap can trace
 // reachability and cascade reference-count releases. It receives the
@@ -456,7 +479,12 @@ func (h *Heap) alloc(size int, tag uint8, volatile, flushHdr bool) pmem.Addr {
 	sh.mu.Lock()
 	hdr, ok := sh.popFreeLocked(stride)
 	if !ok {
-		hdr = h.bumpLocked(stride)
+		start := sh.top
+		hdr = placeAt(start, stride, volatile)
+		h.bumpLocked(uint32(hdr-start) + stride)
+		if hdr > start {
+			h.carveFillerLocked(start, hdr)
+		}
 	}
 	sh.noteAllocLocked(stride)
 	sh.mu.Unlock()
@@ -515,21 +543,45 @@ func (sh *heapShared) noteAllocLocked(stride uint32) {
 	}
 }
 
-// bumpLocked claims stride bytes at the top of the heap and persists the
-// new bump pointer. Caller holds sh.mu: the persistent top write must
-// stay inside the critical section, or two racing bumps could persist
-// their tops out of order and a crash would recover a regressed bump
-// pointer below committed allocations.
-func (h *Heap) bumpLocked(stride uint32) pmem.Addr {
+// bumpLocked claims n bytes at the top of the heap and persists the new
+// bump pointer. Caller holds sh.mu: the persistent top write must stay
+// inside the critical section, or two racing bumps could persist their
+// tops out of order and a crash would recover a regressed bump pointer
+// below committed allocations.
+func (h *Heap) bumpLocked(n uint32) pmem.Addr {
 	sh := h.sh
-	if sh.top+pmem.Addr(stride) > sh.end {
-		panic(fmt.Sprintf("alloc: out of persistent memory (top=%#x, need %d, end=%#x)", uint64(sh.top), stride, uint64(sh.end)))
+	if sh.top+pmem.Addr(n) > sh.end {
+		panic(fmt.Sprintf("alloc: out of persistent memory (top=%#x, need %d, end=%#x)", uint64(sh.top), n, uint64(sh.end)))
 	}
 	hdr := sh.top
-	sh.top += pmem.Addr(stride)
+	sh.top += pmem.Addr(n)
 	h.dev.WriteU64(offBumpTop, uint64(sh.top))
 	h.dev.Clwb(offBumpTop)
 	return hdr
+}
+
+// carveFillerLocked covers the placement gap [start, end) that a bump
+// outside every edit run left in front of a line-aligned block with a
+// free header, clwb'd before the gap joins the free lists. Anything a
+// later FASE commits there or above is ordered after that clwb by its own
+// fence, so the chain walk never meets the filler torn under a committed
+// block. Caller holds sh.mu.
+func (h *Heap) carveFillerLocked(start, end pmem.Addr) {
+	n := h.writeFreeHeader(start, end)
+	h.dev.Clwb(start)
+	h.sh.pushFreeLocked(n, start)
+}
+
+// writeFreeHeader writes the header of a free block spanning [start,
+// end), unflushed, and returns its stride. The carve is announced so
+// trace checking attributes the header write to a block of this FASE.
+func (h *Heap) writeFreeHeader(start, end pmem.Addr) uint32 {
+	n := uint32(end - start)
+	if t := h.dev.Tracer(); t != nil {
+		t.Alloc(start, uint64(n), 0)
+	}
+	h.dev.WriteU64(start, packHeader(n, 0, false))
+	return n
 }
 
 // header returns the parsed header of the block owning payload addr. A

@@ -19,9 +19,10 @@ import (
 //
 //   - Alloc hands out blocks the edit owns. Ownership is decided by
 //     address: bump allocations come from contiguous edit-scoped runs
-//     (claimed 4 KB at a time, so the check is a range test and the bump
-//     pointer is persisted once per run instead of once per block), and
-//     free-list reuse is tracked in a per-edit set.
+//     (claimed 4 KB at first and twice as much each time after, so the
+//     check is a range test and the bump pointer is persisted once per
+//     run instead of once per block), and free-list reuse is tracked in a
+//     per-edit set.
 //   - Owns answers "was this node allocated inside the current FASE?",
 //     the precondition for mutating it in place instead of path-copying.
 //   - Record defers a dirty range into the edit's pmem.FlushSet, which
@@ -60,9 +61,11 @@ import (
 // one spanning free-block header and kept as a reserve that a later
 // edit claims as its run. Tails too small to reserve join the free
 // lists under their raw stride — reusable only by an exact-size
-// request, a small bounded leak in the worst case. Either way a tail
-// reaches other edits only after the seal sweep is issued, so whatever
-// they commit inside it is fenced together with this run's headers.
+// request, a leak bounded by the run size in the worst case. The fillers
+// that line-aligned placement leaves in front of whole-line blocks
+// (placeAt) take the same road. Either way a tail or a filler reaches
+// other edits only after the seal sweep is issued, so whatever they
+// commit inside it is fenced together with this run's headers.
 //
 // An Edit is single-goroutine state, like the FASE it serves.
 //
@@ -77,9 +80,13 @@ import (
 // *Edit a caller still holds after Seal is dead: the handle's next
 // BeginEdit may be the same object, serving another FASE.
 
-// editRunBytes is the default bump-run claim; larger single allocations
-// claim a dedicated run of their own size.
-const editRunBytes = 4096
+// editRunBytes is an edit's first bump-run claim; each later one doubles,
+// up to editRunBytes<<maxRunGrowth. A single allocation larger than the
+// claim takes a run of its own size (and its placement gap).
+const (
+	editRunBytes = 4096
+	maxRunGrowth = 4
+)
 
 // editRun is one contiguous bump region claimed by an edit. Sub-allocation
 // state is volatile; [start, end) is mirrored in the open-run table.
@@ -212,24 +219,17 @@ func (e *Edit) alloc(size int, tag uint8, volatile bool) pmem.Addr {
 	// Bump path: sub-allocate from this edit's current run, claiming a
 	// fresh one (recorded in the open-run table) when needed.
 	for i := range e.runs {
-		r := &e.runs[i]
-		if r.cur+pmem.Addr(stride) <= r.end {
-			hdr := r.cur
-			r.cur += pmem.Addr(stride)
-			r.lastHdr = hdr
-			sh.noteAllocLocked(stride)
-			sh.mu.Unlock()
-			return e.finishAlloc(hdr, stride, tag, volatile)
+		if from, hdr, ok := e.runs[i].carve(stride, volatile); ok {
+			return e.finishCarve(from, hdr, stride, tag, volatile, e.runs[i].slot)
 		}
 	}
 	// A reserve — another edit's capped run tail — serves as the run
 	// instead of a fresh bump, under the open-run slot of the run it was
 	// cut from, whose durable entry already covers it.
-	if rv, ok := sh.takeReserveLocked(stride); ok {
-		e.runs = append(e.runs, editRun{start: rv.start, end: rv.end, cur: rv.start + pmem.Addr(stride), lastHdr: rv.start, slot: rv.slot})
-		sh.noteAllocLocked(stride)
-		sh.mu.Unlock()
-		return e.finishAlloc(rv.start, stride, tag, volatile)
+	if rv, ok := sh.takeReserveLocked(stride, volatile); ok {
+		e.runs = append(e.runs, editRun{start: rv.start, end: rv.end, cur: rv.start, slot: rv.slot})
+		from, hdr, _ := e.runs[len(e.runs)-1].carve(stride, volatile)
+		return e.finishCarve(from, hdr, stride, tag, volatile, rv.slot)
 	}
 	slot := -1
 	fenceNow := h.dev.FenceSeq()
@@ -249,29 +249,63 @@ func (e *Edit) alloc(size int, tag uint8, volatile bool) pmem.Addr {
 		e.extra.Add(payload)
 		return payload
 	}
-	runSize := uint32(editRunBytes)
-	if stride > runSize {
-		runSize = stride
-	}
+	// An edit's runs grow — its n-th (reserves counted) is editRunBytes <<
+	// min(n, maxRunGrowth) — so a large batch holds a handful of open-run
+	// slots instead of exhausting the table (DESIGN.md §8, "Run growth").
+	runSize := uint32(editRunBytes) << min(len(e.runs), maxRunGrowth)
+	runSize = max(runSize, uint32(placeAt(sh.top, stride, volatile)-sh.top)+stride)
 	start := h.bumpLocked(runSize)
 	sh.runSlots[slot] = runSlotState{busy: true}
 	entry := runEntryAddr(slot)
 	h.dev.WriteU64(entry, uint64(start))
 	h.dev.WriteU64(entry+8, uint64(start)+uint64(runSize))
 	h.dev.Clwb(entry)
-	e.runs = append(e.runs, editRun{
-		start: start, end: start + pmem.Addr(runSize),
-		cur: start + pmem.Addr(stride), lastHdr: start, slot: slot,
-	})
-	sh.noteAllocLocked(stride)
-	sh.mu.Unlock()
-	return e.finishAlloc(start, stride, tag, volatile)
+	e.runs = append(e.runs, editRun{start: start, end: start + pmem.Addr(runSize), cur: start, slot: slot})
+	from, hdr, _ := e.runs[len(e.runs)-1].carve(stride, volatile)
+	return e.finishCarve(from, hdr, stride, tag, volatile, slot)
+}
+
+// carve places a block of stride bytes at the run's watermark (placeAt)
+// if it fits, and returns where the free space began and the block's
+// header. Caller holds mu.
+func (r *editRun) carve(stride uint32, volatile bool) (from, hdr pmem.Addr, ok bool) {
+	hdr = placeAt(r.cur, stride, volatile)
+	if hdr+pmem.Addr(stride) > r.end {
+		return 0, 0, false
+	}
+	from = r.cur
+	r.cur, r.lastHdr = hdr+pmem.Addr(stride), hdr
+	return from, hdr, true
+}
+
+// finishCarve counts a block carve returned, releases mu, covers the
+// placement gap [from, hdr) with a filler, and finishes the block.
+func (e *Edit) finishCarve(from, hdr pmem.Addr, stride uint32, tag uint8, volatile bool, slot int) pmem.Addr {
+	e.h.sh.noteAllocLocked(stride)
+	e.h.sh.mu.Unlock()
+	if hdr > from {
+		e.carveFiller(from, hdr, slot)
+	}
+	return e.finishAlloc(hdr, stride, tag, volatile)
+}
+
+// carveFiller covers a placement gap [start, end) inside one of the
+// edit's runs with a free header, deferred to the Seal sweep like every
+// header of the run, and queues the gap with the run tails: it reaches
+// the free lists only in publishTailsLocked, after the sweep has issued
+// the header's clwb, exactly as a capped tail does. Only the header's
+// first word is recorded; the checksum word is never read on a free block
+// and may sit on a line the filler otherwise leaves untouched.
+func (e *Edit) carveFiller(start, end pmem.Addr, slot int) {
+	e.h.writeFreeHeader(start, end)
+	e.fs.Add(start, 8)
+	e.tails = append(e.tails, reserveRegion{start: start, end: end, slot: slot})
 }
 
 // Reserve tails. When an edit seals while other allocations sit above
 // its run (so the bump pointer cannot rewind), the run's unused tail is
 // kept as a reserve: a later edit claims it as its run instead of
-// bumping a fresh 4 KB, so concurrent-writer workloads reach an arena
+// bumping a fresh run, so concurrent-writer workloads reach an arena
 // steady state too. Only run tails recirculate this way — never ordinary
 // freed data blocks — so every recorded run boundary is an original
 // bump-run end, and every subsequent tiling of the region ends exactly
@@ -303,11 +337,11 @@ type reserveRegion struct {
 	slot       int // the open-run slot of the run the tail was cut from
 }
 
-// takeReserveLocked pops the first reserve able to hold minStride.
-// Caller holds mu.
-func (sh *heapShared) takeReserveLocked(minStride uint32) (reserveRegion, bool) {
+// takeReserveLocked pops the first reserve able to hold a block of stride
+// bytes placed by placeAt. Caller holds mu.
+func (sh *heapShared) takeReserveLocked(stride uint32, volatile bool) (reserveRegion, bool) {
 	for i, r := range sh.reserves {
-		if uint32(r.end-r.start) >= minStride {
+		if placeAt(r.start, stride, volatile)+pmem.Addr(stride) <= r.end {
 			sh.reserves = append(sh.reserves[:i], sh.reserves[i+1:]...)
 			return r, true
 		}
@@ -504,12 +538,7 @@ func (e *Edit) capRun(r *editRun) {
 		sh.mu.Unlock()
 		return
 	}
-	// The carve is announced so trace checking attributes the header
-	// write to a block of this FASE.
-	if t := h.dev.Tracer(); t != nil {
-		t.Alloc(r.cur, uint64(rem), 0)
-	}
-	h.dev.WriteU64(r.cur, packHeader(rem, 0, false))
+	h.writeFreeHeader(r.cur, r.end)
 	e.fs.Add(r.cur, headerSize)
 	e.tails = append(e.tails, reserveRegion{start: r.cur, end: r.end, slot: r.slot})
 }

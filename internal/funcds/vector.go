@@ -30,7 +30,8 @@ import (
 //
 // An update path-copies the nodes between root and leaf (or just the tail
 // leaf): at 100,000 elements one 64-byte leaf, three 128-byte interior
-// nodes and the header — about 12 lines where PMDK's flat array logs and
+// nodes and the header — 12 lines, each node's block starting on a line
+// (DESIGN.md §2, "Size classes") — where PMDK's flat array logs and
 // writes one element, so MOD still flushes more than PMDK on Fig. 9's
 // vector workloads, under a third of the fences. Which of the two decides
 // the time depends on depth: MOD wins those rows at two interior levels and
