@@ -93,10 +93,14 @@ const (
 	// shard identity in the superblock, and a 16-bit member count in the
 	// group word, whose sequence number a DB's shards share; 12: a plain
 	// map's version is its CHAMP root node, which carries the count, in
-	// place of a [count][root] header block (package funcds). Every bump so
-	// far moved or re-encoded something a recovery depends on, so no older
-	// image is readable.
-	version = 12
+	// place of a [count][root] header block (package funcds); 13: a
+	// selective structure's staged publication carries a digest of its
+	// durable blocks, and recovery applies it over its volatile navigation
+	// nodes, where a v12 recovery refuses the member and would drop an
+	// acknowledged write. Every bump so far moved or re-encoded something
+	// a recovery depends on, or changed what a recovery decides, so no
+	// older image is readable.
+	version = 13
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word

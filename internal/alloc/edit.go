@@ -1,10 +1,6 @@
 package alloc
 
-import (
-	"fmt"
-
-	"github.com/mod-ds/mod/internal/pmem"
-)
+import "github.com/mod-ds/mod/internal/pmem"
 
 // Edit contexts ("transients", DESIGN.md §8). A MOD FASE that performs N
 // operations pays for each one as if it were alone: every path node is
@@ -94,6 +90,7 @@ type editRun struct {
 	start, end pmem.Addr
 	cur        pmem.Addr // sub-allocation watermark
 	lastHdr    pmem.Addr // most recent sub-block header (for tail absorption)
+	lastStride uint32    // its stride
 	slot       int       // open-run table slot
 }
 
@@ -118,9 +115,8 @@ type Edit struct {
 	fs      *pmem.FlushSet
 	runs    []editRun
 	extra   pmem.OrderedSet[pmem.Addr] // owned blocks outside runs (free-list reuse, table-full fallback)
-	nodes   pmem.OrderedSet[pmem.Addr] // payloads awaiting the Seal checksum pass, in registration order (= PM-write order)
+	nodes   pmem.OrderedSet[pmem.Addr] // the ledger: payloads awaiting the Seal checksum pass, in registration order (= PM-write order)
 	nodeLen []int                      // nodeLen[i]: initialized bytes of nodes.Keys()[i]
-	fresh   pmem.OrderedSet[pmem.Addr] // Fresh's walk state
 	tails   []reserveRegion            // capped run tails, published once the sweep is issued
 	elided  uint64
 	sealed  bool
@@ -274,7 +270,7 @@ func (r *editRun) carve(stride uint32, volatile bool) (from, hdr pmem.Addr, ok b
 		return 0, 0, false
 	}
 	from = r.cur
-	r.cur, r.lastHdr = hdr+pmem.Addr(stride), hdr
+	r.cur, r.lastHdr, r.lastStride = hdr+pmem.Addr(stride), hdr, stride
 	return from, hdr, true
 }
 
@@ -383,31 +379,27 @@ func (e *Edit) Owns(payload pmem.Addr) bool {
 	return e.extra.Find(payload) >= 0
 }
 
-// Fresh appends to dst every block reachable from root that this edit
-// allocated — the blocks a publication of root adds to the heap, the rest
-// being shared with the version the edit's operations started from — in
-// walk order, each once. Owned blocks are reachable only through owned
-// parents, so the walk descends through them alone. Call before Seal,
-// which ends ownership.
-func (e *Edit) Fresh(root pmem.Addr, dst []pmem.Addr) []pmem.Addr {
-	if !e.Owns(root) {
-		return dst
-	}
-	h := e.h
-	visit := func(c pmem.Addr) {
-		if e.Owns(c) {
-			e.fresh.Add(c)
+// Mark returns the edit's ledger position: the number of durable nodes
+// RecordNode has registered so far. Fresh(mark, dst) lists the ones
+// registered after it.
+func (e *Edit) Mark() int { return e.nodes.Len() }
+
+// Fresh appends to dst the ledger from mark on: the durable nodes that
+// RecordNode registered since Mark returned mark, in registration order,
+// less those released inside the edit (a rebuilt map root, a superseded
+// owned record cell), whose reference count is 0. When the ops applied
+// since mark built one root's next version, these are exactly the durable
+// blocks a publication of that version adds to the heap: an owned block
+// is reachable only through owned parents, and volatile navigation nodes
+// are never registered. It reads no PM. Call before Seal, which empties
+// the ledger.
+func (e *Edit) Fresh(mark int, dst []pmem.Addr) []pmem.Addr {
+	for _, a := range e.nodes.Keys()[mark:] {
+		if e.h.RefCount(a) > 0 {
+			dst = append(dst, a)
 		}
 	}
-	e.fresh.Reset()
-	e.fresh.Add(root)
-	for i := 0; i < e.fresh.Len(); i++ {
-		a := e.fresh.Keys()[i]
-		if w := h.sh.walkers[h.Tag(a)]; w != nil {
-			w(h, a, &e.scratch, visit)
-		}
-	}
-	return append(dst, e.fresh.Keys()...)
+	return dst
 }
 
 // Record defers a flush of every line overlapping [addr, addr+n) to the
@@ -503,7 +495,6 @@ func (e *Edit) Seal() {
 	e.extra.Reset()
 	e.nodes.Reset()
 	e.nodeLen = e.nodeLen[:0]
-	e.fresh.Reset()
 	e.elided = 0
 	e.sealed = true
 	h.spareEdit.Store(e)
@@ -521,13 +512,11 @@ func (e *Edit) capRun(r *editRun) {
 	rem := uint32(r.end - r.cur)
 	if rem <= headerSize {
 		// Too small to carry a header: absorb into the preceding block
-		// (strides are multiples of 8, so rem is 8 or 16).
-		raw := h.dev.ReadU64(r.lastHdr)
-		stride, tag, allocated, ok := unpackHeader(raw)
-		if !ok {
-			panic(fmt.Sprintf("alloc: corrupt edit-run header at %#x", uint64(r.lastHdr)))
-		}
-		h.dev.WriteU64(r.lastHdr, packHeader(stride+rem, tag, allocated)|(raw&hdrVolatileBit))
+		// (strides are multiples of 8, so rem is 8 or 16). The edit
+		// carved that block, so it knows the stride; the rewrite widens
+		// the header's stride field (its low 32 bits) and keeps the rest.
+		stride := r.lastStride
+		h.dev.WriteU64(r.lastHdr, h.dev.ReadU64(r.lastHdr)&^uint64(1<<32-1)|uint64(stride+rem))
 		e.fs.Add(r.lastHdr, headerSize)
 		if last := r.lastHdr + headerSize; h.RefCount(last) == 0 {
 			sh.ebr.widenRetired(last, stride+rem) // released inside this FASE

@@ -122,3 +122,28 @@ func AuditCounts(h *Heap, held map[pmem.Addr]int) error {
 	}
 	return nil
 }
+
+// WalkFresh is the reference Edit.Fresh is checked against: every block
+// reachable from root that the edit owns, found by walking owned blocks'
+// children through the device, each once. An owned block is reachable
+// only through owned parents, so the walk descends through them alone;
+// with durableOnly it neither keeps nor descends through a volatile block,
+// as recovery's verification of a staged publication does. Call before
+// Seal, which ends ownership.
+func WalkFresh(e *Edit, root pmem.Addr, durableOnly bool) []pmem.Addr {
+	h := e.h
+	var seen pmem.OrderedSet[pmem.Addr]
+	add := func(c pmem.Addr) {
+		if e.Owns(c) && !(durableOnly && h.IsVolatile(c)) {
+			seen.Add(c)
+		}
+	}
+	add(root)
+	for i := 0; i < seen.Len(); i++ {
+		a := seen.Keys()[i]
+		if w := h.sh.walkers[h.Tag(a)]; w != nil {
+			w(h, a, nil, add)
+		}
+	}
+	return append([]pmem.Addr(nil), seen.Keys()...)
+}

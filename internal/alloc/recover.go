@@ -237,7 +237,7 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 
 	// Pass 2b: the groups none of whose swaps landed, decided against
 	// the marks; then every stage slot is consumed.
-	rs.StagedRoots += r.applyStaged(groups, named, consume)
+	rs.StagedRoots += r.applyStaged(groups, named, consume, &rs)
 
 	// Pass 3: sweep. Unmarked blocks — whether leaked by an interrupted
 	// FASE, freed before the crash, or superseded by a staged publication
@@ -369,14 +369,15 @@ func (r *recovery) rollForward(groups []*foundGroup) int {
 // current cell word is the one just before its final, and each re-verifies
 // (verifyStaged) — so a publication of one root or several applies whole
 // or not at all, and a member without a digest (Batch.Commit,
-// CommitUnrelated) never applies this way. An applied member's version
-// replaces the old one in the marks (its blocks join them, the old
-// version's own blocks leave them) and in the cell. Then, after a fence
-// covering every cell recovery wrote, each slot in consume is zeroed and
-// fenced, so no slot outlives the recovery that decided it. named holds
-// every named root's cell word as pass 2 read it, in slot order. Returns
-// the roots it moved.
-func (r *recovery) applyStaged(groups []*foundGroup, named []rootWord, consume []pmem.Addr) int {
+// CommitUnrelated, a checkpoint fold) never applies this way. An applied
+// member's version replaces the old one in the marks (its blocks join
+// them, the old version's own blocks leave them) and in the cell; the
+// volatile blocks it adds are zeroed and counted in rs. Then, after a
+// fence covering every cell recovery wrote, each slot in consume is
+// zeroed and fenced, so no slot outlives the recovery that decided it.
+// named holds every named root's cell word as pass 2 read it, in slot
+// order. Returns the roots it moved.
+func (r *recovery) applyStaged(groups []*foundGroup, named []rootWord, consume []pmem.Addr, rs *RecoveryStats) int {
 	h := r.h
 	var cur [RootSlots]uint64
 	var isNamed [RootSlots]bool
@@ -402,7 +403,7 @@ func (r *recovery) applyStaged(groups []*foundGroup, named []rootWord, consume [
 			marks = append(marks, m)
 		}
 		for _, m := range marks {
-			m.settle(ok)
+			r.settle(m, ok, rs)
 		}
 		if !ok {
 			continue
@@ -436,31 +437,42 @@ func (r *recovery) applyStaged(groups []*foundGroup, named []rootWord, consume [
 }
 
 // pubMarks is what verifying one staged publication marked tentatively:
-// the blocks it adds and the marked blocks it shares.
-type pubMarks struct{ fresh, shared []*recBlock }
+// the durable blocks it adds, the volatile ones (navigation nodes of a
+// selective structure) and the marked blocks it shares.
+type pubMarks struct{ fresh, vol, shared []*recBlock }
 
 // settle keeps the tentative marks — each fresh block counted by its
 // parents inside the publication and the root reference, each shared one
-// by one more parent — or drops them.
-func (m pubMarks) settle(keep bool) {
-	for _, b := range m.fresh {
-		if keep {
-			b.refs = b.tent
+// by one more parent, each volatile one's payload zeroed as pass 2 zeroes
+// a reachable volatile block — or drops them.
+func (r *recovery) settle(m pubMarks, keep bool, rs *RecoveryStats) {
+	for _, bs := range [][]*recBlock{m.fresh, m.vol} {
+		for _, b := range bs {
+			if keep {
+				b.refs = b.tent
+			}
+			b.tent = 0
 		}
-		b.tent = 0
 	}
-	if keep {
-		for _, b := range m.shared {
-			b.refs++
-		}
+	if !keep {
+		return
+	}
+	for _, b := range m.shared {
+		b.refs++
+	}
+	for _, b := range m.vol {
+		rs.VolatileBlocks++
+		r.h.dev.Zero(b.hdr+headerSize, int(b.stride)-headerSize)
 	}
 }
 
-// verifyStaged decides one member against the marks: every block
-// reachable from its final version and not already marked — the blocks
-// that publication added — carries a checksum that verifies, and those
-// blocks, as many as the slot counts, fold to its digest. The marks it
-// returns are tentative until the caller settles them.
+// verifyStaged decides one member against the marks: every durable block
+// reachable from its final version through durable blocks and not already
+// marked — the blocks that publication added — carries a checksum that
+// verifies, and those blocks, as many as the slot counts, fold to its
+// digest. A volatile block it reaches is a leaf, as in pass 2: marked, but
+// neither walked, folded nor counted. The marks it returns are tentative
+// until the caller settles them.
 func (r *recovery) verifyStaged(p stagedPub) (m pubMarks, ok bool) {
 	h := r.h
 	var (
@@ -489,6 +501,9 @@ func (r *recovery) verifyStaged(p stagedPub) (m pubMarks, ok bool) {
 			m.shared = append(m.shared, b)
 		case b.tent > 0:
 			b.tent++
+		case b.vol:
+			b.tent = 1
+			m.vol = append(m.vol, b)
 		case len(m.fresh) == p.count():
 			failed = true // more blocks than the slot names
 		default:

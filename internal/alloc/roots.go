@@ -276,9 +276,9 @@ func (h *Heap) ReplaySwap(slot int, w uint64) bool {
 }
 
 // StagedRoot is one member of a staged publication: a root slot, the
-// version its next publication installs, and the blocks that version adds
-// to the heap (Edit.Fresh, sealed) — nil where the publisher does not hold
-// them.
+// version its next publication installs, and the durable blocks that
+// version adds to the heap (Edit.Fresh, sealed since) — nil where the
+// publisher does not hold them.
 type StagedRoot struct {
 	Slot  int
 	Final pmem.Addr
@@ -339,7 +339,7 @@ func (h *Heap) StageGroup(ms []StagedRoot, g uint64) (digested bool) {
 
 // digest folds a publication's fresh blocks, or reports false when they
 // cannot validate it: an empty or oversized set, or a block without a
-// checksum (a volatile navigation node, a legacy allocation).
+// checksum.
 func (h *Heap) digest(fresh []pmem.Addr) (uint64, bool) {
 	if len(fresh) == 0 || len(fresh) > maxStagedBlocks {
 		return 0, false

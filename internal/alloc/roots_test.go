@@ -15,9 +15,10 @@ const tagLeaf = 3 // a test leaf: no walker, 8 payload bytes
 
 // stagedVersion builds a two-block version in a sealed edit — a pair node
 // whose first child is a leaf holding val — and returns the node and its
-// fresh blocks.
+// fresh blocks, the edit's ledger.
 func stagedVersion(h *Heap, val uint64) (pmem.Addr, []pmem.Addr) {
 	ed := h.BeginEdit()
+	mark := ed.Mark()
 	leaf := ed.Alloc(8, tagLeaf)
 	h.dev.WriteU64(leaf, val)
 	ed.RecordNode(leaf, 8)
@@ -25,7 +26,7 @@ func stagedVersion(h *Heap, val uint64) (pmem.Addr, []pmem.Addr) {
 	h.dev.WriteU64(node, uint64(leaf))
 	h.dev.WriteU64(node+8, 0)
 	ed.RecordNode(node, 16)
-	fresh := ed.Fresh(node, nil)
+	fresh := ed.Fresh(mark, nil)
 	ed.Seal()
 	return node, fresh
 }
@@ -69,8 +70,8 @@ func TestStagedGhostBlockFailsDigest(t *testing.T) {
 	h.SetRoot(slot, a)
 	h.Fence()
 	b, fresh := stagedVersion(h, 2)
-	if len(fresh) != 2 || fresh[0] != b {
-		t.Fatalf("fresh set %#x, want B's node then its leaf", fresh)
+	if len(fresh) != 2 || fresh[1] != b {
+		t.Fatalf("fresh set %#x, want B's leaf then its node (registration order)", fresh)
 	}
 	if !stageOne(h, slot, b, fresh) {
 		t.Fatal("StageGroup refused a checksummed publication")
@@ -84,7 +85,7 @@ func TestStagedGhostBlockFailsDigest(t *testing.T) {
 	}
 
 	aLeaf := pmem.Addr(binary.LittleEndian.Uint64(img[a:]))
-	bLeaf := fresh[1]
+	bLeaf := fresh[0]
 	ghost := append([]byte(nil), img...)
 	copy(ghost[bLeaf-headerSize:bLeaf+8], img[aLeaf-headerSize:aLeaf+8])
 	h3, rs := reopen(t, h, ghost)
@@ -382,7 +383,7 @@ func TestStagedGroupDecidedWhole(t *testing.T) {
 		binary.LittleEndian.PutUint64(torn[at:], binary.LittleEndian.Uint64(torn[at:])^1)
 		check("a member torn", torn, a1, a2)
 		damaged := append([]byte(nil), img...)
-		binary.LittleEndian.PutUint64(damaged[f2[1]:], 99) // b2's leaf no longer matches its checksum
+		binary.LittleEndian.PutUint64(damaged[f2[0]:], 99) // b2's leaf no longer matches its checksum
 		check("a member's block damaged", damaged, a1, a2)
 
 		h.SetRoot(s1, b1) // the first swap reaches PM, the second does not

@@ -53,13 +53,11 @@ import (
 // from any number of goroutines into shared fence epochs on whichever
 // submitter leads it, and returns a Ticket; Ticket.Wait blocks until the
 // batch's publication is fence-covered, i.e. fully durable. A round's
-// group members also carry a digest of the blocks they add, and recovery
-// applies a group none of whose swaps landed when every member is found
-// and re-verifies: so on a plain store a CommitAsync batch, on one root
-// or several, is durable at its own round's fence. A selective store's
-// navigation nodes carry no checksum to digest, so its tickets are owed:
-// the leader's next fencing round resolves them, or the one fence the
-// leader pays before it steps down.
+// group members also carry a digest of the durable blocks they add (the
+// edit's ledger, Edit.Fresh), and recovery applies a group none of whose
+// swaps landed when every member is found and re-verifies: so a
+// CommitAsync batch, on one root or several, on a plain or a selective
+// store, is durable at its own round's fence.
 
 // batchOp is one deferred update: applied at commit time against the
 // root's then-current version inside the batch's shared edit context,
@@ -214,7 +212,8 @@ func (b *Batch) CommitAsync() *Ticket {
 
 // rootChange records one root's pending publication: the committed
 // version a batch applied against and the final shadow to install, and,
-// for a root a commit-queue round digests, the blocks that shadow adds.
+// for a root a commit-queue round digests, the durable blocks that shadow
+// adds.
 type rootChange struct {
 	slot       int
 	old, final pmem.Addr
@@ -239,15 +238,16 @@ type preparedBatch struct {
 	finals   map[int]pmem.Addr
 	releases []pmem.Addr // intermediate shadows, never published; per root in chain order
 
-	// alone is the roots (a bitmask of slots) a commit-queue round
-	// publishes each on its own: those only its one-root CommitAsync
-	// submissions touch, which need no atomicity with any other root.
-	// The other changed roots publish as one group.
-	alone uint64
-	// pending is the changed roots whose publication publishLocal could
-	// not make durable at its own fence: their staged publications carry
-	// no digest, or they are not staged at all.
-	pending uint64
+	// digest is the roots (a bitmask of slots) whose publication a
+	// commit-queue round stages with digests, so that its fence makes them
+	// durable. alone is the roots it publishes each on its own: those
+	// only its one-root CommitAsync submissions touch, which need no
+	// atomicity with any other root. The other changed roots publish as
+	// one group.
+	digest, alone uint64
+	// fenceAfter: publishLocal staged a root of digest without one, so
+	// the round fences once more after the swaps (DESIGN.md §7).
+	fenceAfter bool
 }
 
 // prepareBatch locks every root the ops touch (ascending slot order, so
@@ -260,8 +260,9 @@ type preparedBatch struct {
 // rebuild the owned shadow instead (a map whose root changes shape)
 // releases it itself, so the chain leaves no intermediate to retire here
 // (funcds.Map.Set). For every changed root
-// in digest it also collects the blocks the root's shadow adds, which
-// publishLocal stages as the publication's digest.
+// in digest it also takes the durable blocks the root's shadow adds —
+// its range of the edit's ledger — which publishLocal folds into the
+// publication's digest.
 func (s *Store) prepareBatch(ops []batchOp, digest uint64) *preparedBatch {
 	// Group ops by root slot, preserving submission order within a root.
 	perSlot := make(map[int][]batchOp)
@@ -281,10 +282,11 @@ func (s *Store) prepareBatch(ops []batchOp, digest uint64) *preparedBatch {
 
 	s.BeginFASE()
 	ed := s.heap.BeginEdit()
-	p := &preparedBatch{s: s, ops: ops, fase: true, locked: locked, finals: make(map[int]pmem.Addr, len(slots))}
+	p := &preparedBatch{s: s, ops: ops, fase: true, locked: locked, finals: make(map[int]pmem.Addr, len(slots)), digest: digest}
 	for _, slot := range slots {
 		old := s.heap.Root(slot)
 		cur := old
+		mark := ed.Mark()
 		for _, op := range perSlot[slot] {
 			cur = op.apply(s, ed, cur)
 		}
@@ -292,7 +294,7 @@ func (s *Store) prepareBatch(ops []batchOp, digest uint64) *preparedBatch {
 		if cur != old {
 			c := rootChange{slot: slot, old: old, final: cur}
 			if digest&(1<<slot) != 0 {
-				c.fresh = ed.Fresh(cur, nil) // ownership ends at Seal
+				c.fresh = ed.Fresh(mark, nil) // Seal empties the ledger
 			}
 			p.changed = append(p.changed, c)
 		}
@@ -306,18 +308,26 @@ func (s *Store) prepareBatch(ops []batchOp, digest uint64) *preparedBatch {
 // changed root in alone is staged as a publication of its own, and the
 // others as one group; a group of one without a digest is not staged,
 // its swap being atomic alone. The fence makes the stage slots durable
-// with the shadows, and every cell is written behind it.
+// with the shadows, and every cell is written behind it. A root in digest
+// whose publication cannot carry one — it folds a checkpoint, whose clone
+// is not in the ledger and whose header is resealed after Seal, or it
+// adds more blocks than a slot counts — sets fenceAfter.
 func (p *preparedBatch) publishLocal() {
 	s := p.s
 	if len(p.changed) == 0 {
 		return // nothing to publish or order
 	}
 	var crown []pmem.Addr
-	for _, c := range p.changed {
-		crown = append(crown, s.maybeCheckpoint(c.final)...)
+	for i, c := range p.changed {
+		cr, folded := s.maybeCheckpoint(c.final)
+		crown = append(crown, cr...)
+		if folded {
+			p.changed[i].fresh = nil
+		}
 	}
 	var buf [4]alloc.StagedRoot // a group of up to four roots stays on the stack
 	group := buf[:0]
+	var undigested uint64 // roots staged without a digest, or not staged
 	s.commitBegin()
 	for _, c := range p.changed {
 		m := alloc.StagedRoot{Slot: c.slot, Final: c.final, Fresh: c.fresh}
@@ -325,12 +335,12 @@ func (p *preparedBatch) publishLocal() {
 		case p.alone&(1<<c.slot) == 0:
 			group = append(group, m)
 		case !s.heap.StageGroup([]alloc.StagedRoot{m}, 0):
-			p.pending |= 1 << c.slot
+			undigested |= 1 << c.slot
 		}
 	}
 	if !s.heap.StageGroup(group, 0) {
 		for _, m := range group {
-			p.pending |= 1 << m.Slot
+			undigested |= 1 << m.Slot
 		}
 	}
 	// The commit's one ordering point: shadows and stage slots are
@@ -348,14 +358,7 @@ func (p *preparedBatch) publishLocal() {
 	}
 	s.heap.GroupSwapped(group)
 	s.commitEnd()
-}
-
-// durable reports whether the publication of roots (a bitmask of slots)
-// was durable at publishLocal's own fence: there was a fence, and each of
-// roots either did not change — its version was published before that
-// fence, which covers its cell write — or was staged with digests.
-func (p *preparedBatch) durable(roots uint64) bool {
-	return len(p.changed) > 0 && p.pending&roots == 0
+	p.fenceAfter = undigested&p.digest != 0
 }
 
 // finish retires every superseded version, adopts the new versions into
@@ -411,19 +414,15 @@ func (s *Store) commitBatch(ops []batchOp) {
 // operations, each round one fence. One-root CommitAsync submissions need
 // no atomicity with any other root: the round stages each of their roots
 // — every root no spanning submission of the round touches — as a
-// publication of its own, with a digest of the blocks it adds. The
-// round's other roots publish as one group, whose members carry digests
-// too when a spanning CommitAsync is among them. So on a plain store the
-// round's fence makes every CommitAsync in it durable, and its ticket
-// resolves when the round returns, as do those of enrolled Basic updates
-// and barriers, which wait for publication only. A ticket whose
-// publication carries no digest — every one on a selective store — is
-// owed: the leader's next round that fences follows its cell writes on
-// the same goroutine and resolves it, and a leader that runs out of
-// rounds pays one fence for it before it steps down. Every release of
-// leadership drains the queue and resolves every owed ticket under q.mu
-// first, so nothing queued is ever left without a leader and no ticket
-// waits on a fence nobody will pay.
+// publication of its own, with a digest of the durable blocks it adds.
+// The round's other roots publish as one group, whose members carry
+// digests too when a spanning CommitAsync is among them. So the round's
+// fence makes every CommitAsync in it durable — after a publication that
+// cannot carry a digest the round fences once more — and
+// every ticket resolves when its round returns, those of enrolled Basic
+// updates and barriers too, which wait for publication only. Every
+// release of leadership drains the queue under q.mu first, so nothing
+// queued is ever left without a leader.
 
 // subKind says what a submission is.
 type subKind uint8
@@ -457,9 +456,6 @@ type commitQueue struct {
 	pending []submission
 	leading atomic.Bool // written under mu; the optimistic tier reads it lock-free
 	maxOps  int         // operations per round (WithCommitter)
-	// owed is the tickets of published CommitAsync submissions that no
-	// fence has covered yet; guarded by leadership.
-	owed []*Ticket
 	// busyUntil is the simulated time the last combining round (one
 	// carrying enrolled Basic updates) ended; guarded by leadership. A Go
 	// mutex wait costs no simulated nanoseconds, so without it
@@ -477,8 +473,8 @@ type commitQueue struct {
 const DefaultCommitterMaxOps = 256
 
 // submit queues ops and returns their ticket. If nobody leads the queue
-// the caller leads until the queue is empty and nothing is owed, so its
-// ticket has resolved by the time submit returns.
+// the caller leads until the queue is empty, so its ticket has resolved
+// by the time submit returns.
 func (s *Store) submit(ops []batchOp, kind subKind) *Ticket {
 	q := &s.sh.queue
 	q.mu.Lock()
@@ -502,49 +498,22 @@ func (s *Store) submit(ops []batchOp, kind subKind) *Ticket {
 		// each leading a round of one. Without it, 16 closed-loop server
 		// clients on a busy 2-vCPU host paid ~1 fence per op (0.25–0.45
 		// before staging); two connections pay 3 % fewer fences with it.
-		q.yield()
+		q.mu.Unlock()
+		runtime.Gosched()
+		q.mu.Lock()
 	}
 	s.release()
 	return t
 }
 
-// yield lets runnable submitters queue before the leader goes on. The
-// caller leads and holds q.mu.
-func (q *commitQueue) yield() {
-	q.mu.Unlock()
-	runtime.Gosched()
-	q.mu.Lock()
-}
-
-// release is how every leader steps down: it drains the queue, resolves
-// the tickets its rounds owe, and clears leading under the same hold of
-// q.mu. With tickets owed it yields once, so a submitter already runnable
-// queues a round whose fence covers them; only if none did does it pay
-// that fence itself. The caller leads and holds q.mu; release unlocks it.
+// release is how every leader steps down: it drains the queue and clears
+// leading under the same hold of q.mu. The caller leads and holds q.mu;
+// release unlocks it.
 func (s *Store) release() {
 	q := &s.sh.queue
 	s.drain()
-	for len(q.owed) > 0 {
-		q.yield()
-		if len(q.pending) == 0 {
-			q.mu.Unlock()
-			s.heap.Fence() // follows every owed publication on this goroutine
-			q.resolveOwed()
-			q.mu.Lock()
-		}
-		s.drain() // whatever arrived meanwhile
-	}
 	q.leading.Store(false)
 	q.mu.Unlock()
-}
-
-// resolveOwed resolves every owed ticket. The caller leads and has fenced
-// since the owed submissions were published.
-func (q *commitQueue) resolveOwed() {
-	for _, t := range q.owed {
-		close(t.done)
-	}
-	q.owed = nil
 }
 
 // drain runs rounds until the queue is empty. The caller leads and holds
@@ -565,16 +534,18 @@ func (s *Store) drain() {
 	}
 }
 
-// round commits one cut of the queue as one fence epoch and resolves or
-// owes its tickets: prepareBatch holds every touched root's commit mutex
-// from base read to SetRoot, so a racing lock-path commit waits for the
-// round (and the round for it) instead of costing it a fence.
+// round commits one cut of the queue as one fence epoch and resolves its
+// tickets: prepareBatch holds every touched root's commit mutex from base
+// read to SetRoot, so a racing lock-path commit waits for the round (and
+// the round for it) instead of costing it a fence.
 func (s *Store) round(subs []submission) {
 	q := &s.sh.queue
 	var ops []batchOp
 	var basic, one, spanned uint64
+	async := false
 	for _, sub := range subs {
 		ops = append(ops, sub.ops...)
+		async = async || sub.kind == subAsync
 		switch {
 		case sub.kind == subBasic:
 			basic++
@@ -590,35 +561,32 @@ func (s *Store) round(subs []submission) {
 	if spanned != 0 {
 		digest = ^uint64(0)
 	}
-	if s.sh.selective {
-		// A selective root's navigation nodes carry no checksum to digest.
-		digest, one = 0, 0
-	}
 	if basic > 0 {
 		if now := s.dev.LocalNs(); now < q.busyUntil {
 			s.dev.ChargeCompute(q.busyUntil - now)
 		}
 	}
-	var p *preparedBatch
+	// A CommitAsync is durable at the round's fence unless a publication
+	// could not carry a digest, or the round changed nothing and so
+	// fenced nothing — its ack must still follow a fence, which covers
+	// the publications its ops read: then the round fences once more.
+	fence := async
 	if len(ops) > 0 {
-		p = s.prepareBatch(ops, digest)
+		p := s.prepareBatch(ops, digest)
 		p.alone = one &^ spanned
 		p.publishLocal()
 		p.finish()
+		fence = p.fenceAfter || async && len(p.changed) == 0
+	}
+	if fence {
+		s.heap.Fence()
 	}
 	if basic > 0 {
 		q.busyUntil = s.dev.LocalNs() // at or past the old watermark by now
 		s.sh.cstats.combines.Add(1)
 		s.sh.cstats.combinedOps.Add(basic)
 	}
-	if p != nil && len(p.changed) > 0 {
-		q.resolveOwed() // the round's fence followed the owed cell writes
-	}
 	for _, sub := range subs {
-		if sub.kind == subAsync && (p == nil || !p.durable(sub.roots)) {
-			q.owed = append(q.owed, sub.ticket)
-			continue
-		}
 		close(sub.ticket.done)
 	}
 }

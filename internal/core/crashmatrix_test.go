@@ -389,17 +389,23 @@ func TestCrashMatrixRecordSlots(t *testing.T) {
 // marker, a group with digests, durable at its own fence), a round
 // carrying a multi-root submission (the third and fourth markers, one
 // group) beside a one-root one on S (staged on its own), one more
-// one-root round on S and a last CAS on S — slot reuse by counter parity
+// one-root round on S, a round of two one-root submissions on S — one
+// publication whose second op rebuilds nodes the first added (a map root
+// changing shape) — and a last CAS on S: slot reuse by counter parity
 // across a CAS, independent roots sharing a fence, a group and a group of
-// one under one fence, and a staged round on a root a group just swapped.
-// On the selective row nothing carries a digest and the leader settles
-// the owed tickets before it steps down. Every submission is acknowledged
-// when its Wait returns.
+// one under one fence, a staged round on a root a group just swapped, and
+// a digest over a ledger range with released nodes left out.
+// On the selective rows the digests cover each publication's durable
+// blocks (header, record cells, blobs) and recovery treats its volatile
+// navigation nodes as leaves; every second record folds a checkpoint
+// (mxCheckpointEvery), whose member carries no digest, and its round
+// fences once more after the swaps. Every submission is acknowledged when
+// its Wait returns.
 func TestCrashMatrixStagedRounds(t *testing.T) {
 	const s = 4
 	for _, st := range matrixStructures() {
-		if st.name != "map" && st.name != "queue" && st.name != "vector-sel" {
-			continue // two plain shapes and one selective, whose rounds stage nothing
+		if st.name != "map" && st.name != "queue" && st.name != "vector-sel" && st.name != "map-sel" {
+			continue // two plain shapes and two selective ones
 		}
 		t.Run(st.name, func(t *testing.T) {
 			h := mxHist(st, 4)
@@ -415,20 +421,21 @@ func TestCrashMatrixStagedRounds(t *testing.T) {
 					r.durable(name, effs, func() { mxWait(e.t, b.CommitAsync()) })
 				}
 				// round submits two batches into one round — the caller
-				// holds the lead while they queue — and waits on both.
-				round := func(i int, first []int, second int) {
+				// holds the lead while they queue — and waits on both:
+				// op i on each of first, then op j on second.
+				round := func(i int, first []int, second, j int) {
 					b1, b2 := store.NewBatch(), store.NewBatch()
 					var effs []durcheck.Effect
 					for _, root := range first {
 						e.ops[root].batch(b1, i)
 						effs = append(effs, e.eff(root, i))
 					}
-					e.ops[second].batch(b2, i)
+					e.ops[second].batch(b2, j)
 					q := &store.sh.queue
 					q.mu.Lock()
 					q.leading.Store(true)
 					q.mu.Unlock()
-					i1, i2 := r.invoke(fmt.Sprint("round", i, "a"), effs...), r.invoke(fmt.Sprint("round", i, "b"), e.eff(second, i))
+					i1, i2 := r.invoke(fmt.Sprint("round", i, "a"), effs...), r.invoke(fmt.Sprint("round", i, "b"), e.eff(second, j))
 					t1, t2 := b1.CommitAsync(), b2.CommitAsync()
 					q.mu.Lock()
 					store.release()
@@ -440,11 +447,12 @@ func TestCrashMatrixStagedRounds(t *testing.T) {
 				async("async-1", mxPrefix, s)
 				async("async-2", mxPrefix+1, s)
 				r.do("cas-1", e.effs(s, mxPrefix+2, mxPrefix+3), func() { e.ops[s].basic(mxPrefix + 2) })
-				round(mxPrefix+3, []int{s}, 0)
+				round(mxPrefix+3, []int{s}, 0, mxPrefix+3)
 				async("spanning", mxPrefix+4, s, 1)
-				round(mxPrefix+5, []int{2, 3}, s)
+				round(mxPrefix+5, []int{2, 3}, s, mxPrefix+5)
 				async("async-3", mxPrefix+6, s)
-				r.do("cas-2", e.effs(s, mxPrefix+7, mxPrefix+8), func() { e.ops[s].basic(mxPrefix + 7) })
+				round(mxPrefix+7, []int{s}, s, mxPrefix+8)
+				r.do("cas-2", e.effs(s, mxPrefix+9, mxPrefix+10), func() { e.ops[s].basic(mxPrefix + 9) })
 			}
 			h.run(t)
 		})

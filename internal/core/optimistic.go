@@ -171,7 +171,7 @@ func (s *Store) updateParentBound(ds Datastructure, apply rootOp) {
 // publish inside the other's read-to-publish window. Reports whether
 // final was published; retiring old (or a losing final) is the caller's.
 func (s *Store) publishRoot(slot int, old, final pmem.Addr, cas bool) bool {
-	crown := s.maybeCheckpoint(final)
+	crown, _ := s.maybeCheckpoint(final)
 	s.commitBegin()
 	s.heap.Fence() // the FASE's single ordering point; reclaims retired blocks
 	s.clearCrown(crown)

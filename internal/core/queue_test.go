@@ -13,24 +13,24 @@ import (
 )
 
 // Tests for the commit queue (batch.go): leadership is never released
-// with work queued or a ticket owed, and every ticket resolves durable or
-// refused, under every kind of submission at once.
+// with work queued, and every ticket resolves durable or refused, under
+// every kind of submission at once.
 
-// TestSettleLeaderDrainsArrivals replays the interleaving that strands a
-// ticket if a leader steps down without draining: goroutine A leads the
-// round of its own batch, which spans two roots of a selective store, so
-// its group carries no digest and A's ticket is owed a fence (a selective
-// root's navigation nodes carry no checksum). Finding nothing queued,
-// A pays its step-down settle fence, and is inside it, still leading,
-// when B submits. B's CommitAsync returns at once with its batch queued
-// behind A; A must publish it before it steps down, so B's ticket
-// resolves with no call by anyone but A. B's batch, on one root of the
-// same selective store, is owed too, and A settles it before it steps
-// down as well.
+// TestLeaderDrainsArrivalsBeforeSteppingDown replays the interleaving that
+// strands a ticket if a leader steps down without draining: goroutine A
+// leads the round of its own batch, which spans two roots of a selective
+// store and stages them as one group with digests, and is inside that
+// round's fence, still leading, when B submits. B's CommitAsync returns at
+// once with its batch queued behind A; A must publish it before it steps
+// down, so B's ticket resolves with no call by anyone but A. B's batch,
+// on one root of the same store, is that root's second record, so its
+// round folds a checkpoint: it fences the crown, and its member carries
+// no digest, so the round fences once more after its swap before the
+// ticket resolves.
 //
 // It is a checker history with a named schedule: the fence hook parks A,
 // and every PM write of both rounds is a cut.
-func TestSettleLeaderDrainsArrivals(t *testing.T) {
+func TestLeaderDrainsArrivalsBeforeSteppingDown(t *testing.T) {
 	h := &crashHist{roots: []histRoot{
 		{name: "m", sel: true, bind: mxBind((*Store).Map, mxMapOps)},
 		{name: "n", sel: true, bind: mxBind((*Store).Map, mxMapOps)},
@@ -44,13 +44,13 @@ func TestSettleLeaderDrainsArrivals(t *testing.T) {
 		ab := a.NewBatch()
 		ab.MapSet(am, []byte("a"), []byte("1"))
 		ab.MapSet(an, []byte("a"), []byte("1"))
+		m, _ := s.Map("m") // bound before A's round holds the root
 
-		// Park A inside its second fence — its round's, then its settle
-		// fence — until resume is closed.
+		// Park A inside its round's fence until resume is closed.
 		parked, resume := make(chan struct{}), make(chan struct{})
 		fences := 0
 		r.p.onFence = func(int) {
-			if fences++; fences == 2 {
+			if fences++; fences == 1 {
 				close(parked)
 				<-resume
 			}
@@ -66,13 +66,12 @@ func TestSettleLeaderDrainsArrivals(t *testing.T) {
 		select {
 		case <-parked:
 		case <-time.After(30 * time.Second):
-			e.t.Fatal("A never paid a settle fence")
+			e.t.Fatal("A's round never fenced")
 		}
 		if !s.sh.queue.leading.Load() {
-			e.t.Fatal("A paid its settle fence after stepping down")
+			e.t.Fatal("A fenced its round after stepping down")
 		}
 
-		m, _ := s.Map("m")
 		bb := s.NewBatch()
 		bb.MapSet(m, []byte("b"), []byte("2"))
 		ib := r.invoke("b", durcheck.Effect{Root: 0, Key: "b", Val: "2"})
@@ -93,8 +92,8 @@ func TestSettleLeaderDrainsArrivals(t *testing.T) {
 		if !tb.Done() {
 			e.t.Fatal("A stepped down without publishing the batch B queued behind it: B's ticket is stranded")
 		}
-		if f := dev.Stats().Fences - before; f != 5 {
-			e.t.Fatalf("%d fences, want 5: A's round, A's settle fence, B's round and the crown fence of the checkpoint it folds, B's settle fence", f)
+		if f := dev.Stats().Fences - before; f != 4 {
+			e.t.Fatalf("%d fences, want 4: A's round; B's round, the crown fence of the checkpoint it folds and the fence after its swap", f)
 		}
 		mxWait(e.t, tb)
 		r.respond(ib, true)
@@ -105,8 +104,8 @@ func TestSettleLeaderDrainsArrivals(t *testing.T) {
 // TestCommitQueueStress races every kind of submission on one store, for
 // -race: three CommitAsync producers on their own roots — every fourth
 // batch also writes the shared hot root, so it spans two roots and its
-// ticket is owed a later fence — two Basic writers contending on the hot
-// root (so they enroll on the queue), Sync and Close racing them, and a
+// round stages a group with digests — two Basic writers contending on the
+// hot root (so they enroll on the queue), Sync and Close racing them, and a
 // goroutine that Waits on every producer's tickets too. Every ticket must
 // resolve, for both of its waiters — ErrStoreClosed only once Close has
 // begun — a fenced-only image a producer takes right after one Wait

@@ -57,6 +57,15 @@ func TestOpenRejectsV11Heap(t *testing.T) {
 	openStampedHeap(t, 11)
 }
 
+// TestOpenRejectsV12Heap: and the layout before this one, whose recovery
+// never applies a selective structure's staged publication unlanded: it
+// refuses the volatile navigation nodes it reaches, where this build's
+// rounds digest only the durable blocks and acknowledge at the round's
+// fence.
+func TestOpenRejectsV12Heap(t *testing.T) {
+	openStampedHeap(t, 12)
+}
+
 func openStampedHeap(t *testing.T, version uint64) {
 	cfg := pmem.DefaultConfig(1 << 20)
 	db, _, err := Open(cfg)

@@ -298,7 +298,8 @@ func publishCross(ps []*preparedBatch) {
 	crowns := make([][]pmem.Addr, len(ps))
 	for i, p := range ps {
 		for _, c := range p.changed {
-			crowns[i] = append(crowns[i], p.s.maybeCheckpoint(c.final)...)
+			crown, _ := p.s.maybeCheckpoint(c.final)
+			crowns[i] = append(crowns[i], crown...)
 			members[i] = append(members[i], alloc.StagedRoot{Slot: c.slot, Final: c.final})
 		}
 		p.s.commitBegin()

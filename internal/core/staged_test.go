@@ -45,18 +45,31 @@ func recoverImage(t *testing.T, cfg pmem.Config, img []byte) (*Store, alloc.Reco
 
 // TestAsyncOneRootOneFence is the budget of a durable one-root ack: N
 // one-root CommitAsync + Wait from one goroutine cost exactly N fences —
-// the rounds' own, no settle — and at most one flush (the root's stage line,
-// staged) and 32 PM bytes (the stage slot) per op more than the same N
-// updates through Batch.Commit, which pays the same round minus the
-// staging. Each Wait is an acknowledgement: a fenced-only crash image
-// taken right after it, with no later fence, holds the op (hazard d).
-func TestAsyncOneRootOneFence(t *testing.T) {
+// the rounds' own, none after a swap — and at most one flush (the root's
+// stage line, staged) and 32 PM bytes (the stage slot) per op more than
+// the same N updates through Batch.Commit, which pays the same round
+// minus the staging. Each Wait is an acknowledgement: a fenced-only crash
+// image taken right after it, with no later fence, holds the op (hazard
+// d).
+func TestAsyncOneRootOneFence(t *testing.T) { asyncOneRootOneFence(t, false) }
+
+// TestAsyncOneRootOneFenceSelective is the same budget on a selective
+// map, whose publications digest their durable blocks — the header, the
+// record cell and the blobs — and leave the volatile trie out: a lone
+// one-root CommitAsync costs one fence, as on a plain map. The interval
+// is the default, so no op folds a checkpoint.
+func TestAsyncOneRootOneFenceSelective(t *testing.T) { asyncOneRootOneFence(t, true) }
+
+func asyncOneRootOneFence(t *testing.T, sel bool) {
 	const n = 64
 	cfg := pmem.DefaultConfig(16 << 20)
 	cfg.TrackDurable = true
 	build := func() (*pmem.Device, *Store, *Map) {
 		dev := pmem.New(cfg)
 		s := newStore(dev)
+		if sel {
+			s.makeSelective(0)
+		}
 		m, _ := s.Map("m")
 		for i := 0; i < 200; i++ {
 			m.Set([]byte(fmt.Sprintf("pre%03d", i)), []byte("x"))
@@ -93,7 +106,7 @@ func TestAsyncOneRootOneFence(t *testing.T) {
 			n, got.Flushes, got.BytesWritten, ref.Flushes, ref.BytesWritten, n, 32*n)
 	}
 	for j, img := range images {
-		s2, _ := recoverImage(t, cfg, img)
+		s2, _ := recoverImage(t, cfg, img) // the map keeps its flavor
 		m2, _ := s2.Map("m")
 		for i := 0; i <= 8*j; i++ {
 			if v, ok := m2.Get([]byte(key(i))); !ok || string(v) != key(i) {
@@ -313,7 +326,7 @@ func TestStagedSlotReuseWaitsForFence(t *testing.T) {
 // untouched root is staged on its own, the spanning submission and the
 // one-root submission sharing its root are staged as one group whose
 // members carry digests. All three are durable at that fence, so the
-// leader steps down without a settle fence.
+// round fences nothing after its swaps.
 func TestMixedRoundStagesOneRootSubmissions(t *testing.T) {
 	cfg := pmem.DefaultConfig(4 << 20)
 	cfg.TrackDurable = true
@@ -344,7 +357,7 @@ func TestMixedRoundStagesOneRootSubmissions(t *testing.T) {
 	s.release()
 	dev.SetTracer(nil)
 	if got := dev.Stats().Fences - before; got != 1 {
-		t.Fatalf("release paid %d fences, want 1: the mixed round's, no settle fence", got)
+		t.Fatalf("release paid %d fences, want 1: the mixed round's, none after its swaps", got)
 	}
 	if !tC.Done() || !tSpan.Done() || !tA.Done() {
 		t.Fatal("the leader stepped down with a ticket unresolved")

@@ -372,15 +372,16 @@ func (s *Store) makeSelective(every int) {
 // maybeCheckpoint folds a selective structure's record chain into a fresh
 // checkpoint when it has grown to the store's interval, returning the
 // volatile crown of navigation nodes the commit step must then mark
-// durable (clearCrown). It runs before the commit bracket: the crown
-// flushes and the checkpoint clone are ordinary shadow work, made durable
-// by the commit fence. Non-selective finals return nil at the cost of one
-// tag read.
-func (s *Store) maybeCheckpoint(final pmem.Addr) []pmem.Addr {
+// durable (clearCrown), and whether it folded — a fold can have an empty
+// crown. It runs before the commit bracket: the crown flushes and the
+// checkpoint clone are ordinary shadow work, made durable by the commit
+// fence. Non-selective finals return (nil, false) at the cost of one tag
+// read.
+func (s *Store) maybeCheckpoint(final pmem.Addr) (crown []pmem.Addr, folded bool) {
 	if final == pmem.Nil || !funcds.NeedsCheckpoint(s.heap, final, s.sh.checkpointEvery) {
-		return nil
+		return nil, false
 	}
-	return funcds.PrepareCheckpoint(s.heap, final)
+	return funcds.PrepareCheckpoint(s.heap, final), true
 }
 
 // clearCrown marks a checkpoint's crown of navigation nodes durable: each
