@@ -72,13 +72,13 @@ type batchOp struct {
 // Batch accumulates updates for one group commit, across any number of
 // roots and — built by DB.Batch — any number of shards. Ops are kept in
 // submission order and routed by their handle's owning store at commit:
-// a batch confined to one shard commits through that shard's 1-fence
-// path (a root swap, or a staged group for several roots), and one
-// spanning shards commits atomically as one group over every changed
-// shard's stage table (sharded.go). A Batch
-// is not safe for concurrent use; goroutines build their own batches and
-// the commit layer interleaves them. Commit (or CommitAsync) consumes
-// the batch, leaving it empty for reuse.
+// a batch confined to one shard publishes on that shard under one fence
+// (a root swap, or a staged group for several roots), and one spanning
+// shards atomically as one group over every changed shard's stage table
+// (publish; sharded.go). A Batch is not safe for concurrent use;
+// goroutines build their own batches and the commit layer interleaves
+// them. Commit (or CommitAsync) consumes the batch, leaving it empty for
+// reuse.
 type Batch struct {
 	shards []*Store // the stores an op may land on
 	db     *DB      // the cross-shard path; nil for a Store.NewBatch batch
@@ -125,9 +125,14 @@ func (b *Batch) take() ([]batchOp, int) {
 	return ops, shard
 }
 
-// split partitions ops by owning shard, keeping submission order.
-func (b *Batch) split(ops []batchOp) [][]batchOp {
+// split partitions ops by owning shard, keeping submission order; the
+// ops of a batch confined to one shard are not copied.
+func (b *Batch) split(ops []batchOp, shard int) [][]batchOp {
 	per := make([][]batchOp, len(b.shards))
+	if shard >= 0 {
+		per[shard] = ops
+		return per
+	}
 	for _, op := range ops {
 		si := b.shardOf(op.ds)
 		per[si] = append(per[si], op)
@@ -174,15 +179,12 @@ func (b *Batch) QueueDequeue(q *Queue) { b.addOp(q, queueDequeue(nil)) }
 // Commit applies every queued operation and publishes the results under
 // one shared fence epoch, leaving the batch empty. Like a Basic-interface
 // FASE, the final root-pointer swap's durability rides on the next fence
-// (Sync forces it); the batch is nonetheless crash-atomic — recovery sees
-// all of it or none of it, on every shard it touched.
+// (Sync forces it) — unless the batch changed roots on several shards,
+// which is durable at return; the batch is crash-atomic either way —
+// recovery sees all of it or none of it, on every shard it touched.
 func (b *Batch) Commit() {
 	ops, shard := b.take()
-	if shard >= 0 {
-		b.shards[shard].commitBatch(ops)
-		return
-	}
-	b.db.commitCross(b.split(ops))
+	b.commit(ops, shard, false)
 }
 
 // CommitAsync publishes the batch and returns a ticket that resolves
@@ -190,9 +192,10 @@ func (b *Batch) Commit() {
 // commit queue, coalescing with other goroutines' submissions into shared
 // fence epochs: if nobody leads the queue the caller does, and returns
 // once its batch and everything queued behind it are durable; otherwise
-// the leader publishes it and resolves the ticket. A cross-shard batch
-// publishes synchronously and the ticket resolves on return. On a closed store the batch is dropped and the
-// ticket resolves immediately with ErrStoreClosed.
+// the leader publishes it and resolves the ticket. A batch spanning
+// shards publishes synchronously and the ticket resolves on return. On
+// a closed store the batch is dropped and the ticket resolves
+// immediately with ErrStoreClosed.
 func (b *Batch) CommitAsync() *Ticket {
 	ops, shard := b.take()
 	if shard >= 0 {
@@ -201,13 +204,41 @@ func (b *Batch) CommitAsync() *Ticket {
 	if b.db.sh.closed.Load() {
 		return resolvedTicket(ErrStoreClosed)
 	}
-	// A batch that changed roots on one shard only leaves its swaps riding
-	// that shard's next fence: pay it, so the ticket's durability contract
-	// holds in every case.
-	if s := b.db.commitCross(b.split(ops)); s != nil {
-		s.heap.Fence()
-	}
+	b.commit(ops, shard, true)
 	return resolvedTicket(nil)
+}
+
+// commit applies ops on their shards and publishes every root they
+// changed as one publication (publish). Shards are prepared in ascending
+// index order, and each locks its roots in ascending slot order, so
+// overlapping commits cannot deadlock. A publication over several shards
+// is durable once their fenceAfter fences are paid, ahead of retiring
+// the superseded versions; one on a single shard rides that shard's next
+// fence, which a durable commit pays after retiring them, as a
+// commit-queue round does.
+func (b *Batch) commit(ops []batchOp, shard int, durable bool) {
+	var preps, changed []*preparedBatch
+	for si, ops := range b.split(ops, shard) {
+		if len(ops) > 0 {
+			p := b.shards[si].prepareBatch(ops, 0)
+			preps = append(preps, p)
+			if len(p.changed) > 0 {
+				changed = append(changed, p)
+			}
+		}
+	}
+	publish(changed)
+	for _, p := range changed {
+		if p.fenceAfter {
+			p.s.heap.Fence()
+		}
+	}
+	for _, p := range preps {
+		p.finish()
+	}
+	if durable && len(changed) == 1 {
+		changed[0].s.heap.Fence()
+	}
 }
 
 // rootChange records one root's pending publication: the committed
@@ -220,22 +251,19 @@ type rootChange struct {
 	fresh      []pmem.Addr
 }
 
-// preparedBatch is an applied-but-unpublished multi-root commit on one
-// store: root commit mutexes held, shadow chains built and durable-ready,
-// publication pending. prepareBatch builds one from a Batch's deferred
-// ops, CommitUnrelated (store.go) from the caller's own shadow chains.
-// The single-shard commit path publishes locally (publishLocal); the
-// cross-shard path (sharded.go) publishes several prepared batches as
-// one group (publishCross). Either way the caller must call finish
-// afterwards to retire superseded versions, adopt the new ones, and
-// release the locks.
+// preparedBatch is an applied-but-unpublished commit on one store: root
+// commit mutexes held, shadow chains built and durable-ready, handles
+// holding their final versions, publication pending. prepareBatch builds
+// one from a Batch's deferred ops, CommitUnrelated (store.go) from the
+// caller's own shadow chains, bindRoot (handles.go) from a new root.
+// publish installs one, or one per shard of a batch spanning shards; the
+// caller must then call finish to retire superseded versions and release
+// the locks.
 type preparedBatch struct {
 	s        *Store
-	ops      []batchOp // their handles adopt the final versions at finish; caller-built ones carry no apply
-	fase     bool      // prepareBatch opened a FASE around the ops; CommitUnrelated runs inside its caller's
-	locked   []int     // ascending
+	batched  int   // ops prepareBatch applied in the FASE it opened, which finish closes; 0 for a caller-built batch
+	locked   []int // ascending
 	changed  []rootChange
-	finals   map[int]pmem.Addr
 	releases []pmem.Addr // intermediate shadows, never published; per root in chain order
 
 	// digest is the roots (a bitmask of slots) whose publication a
@@ -245,9 +273,17 @@ type preparedBatch struct {
 	// atomicity with any other root. The other changed roots publish as
 	// one group.
 	digest, alone uint64
-	// fenceAfter: publishLocal staged a root of digest without one, so
-	// the round fences once more after the swaps (DESIGN.md §7).
+	// fenceAfter: publish left a swap that its fence does not make
+	// durable where the caller needs it to be — a publication over
+	// several shards, or a root of digest staged without one — so the
+	// caller fences once more after the swaps (DESIGN.md §7, §9).
 	fenceAfter bool
+
+	// What publish stages and clears: the changed roots it stages as one
+	// group, and the checkpoint crowns it clears ahead of the swaps.
+	group []alloc.StagedRoot
+	crown []pmem.Addr
+	buf   [4]alloc.StagedRoot // a group of up to four roots allocates nothing
 }
 
 // prepareBatch locks every root the ops touch (ascending slot order, so
@@ -259,10 +295,11 @@ type preparedBatch struct {
 // N-op batch copies each path node at most once. An operation that must
 // rebuild the owned shadow instead (a map whose root changes shape)
 // releases it itself, so the chain leaves no intermediate to retire here
-// (funcds.Map.Set). For every changed root
-// in digest it also takes the durable blocks the root's shadow adds —
-// its range of the edit's ledger — which publishLocal folds into the
-// publication's digest.
+// (funcds.Map.Set). Each op's handle adopts its root's final version —
+// under the root's lock, which finish releases only after publication.
+// For every changed root in digest it also takes the durable blocks the
+// root's shadow adds — its range of the edit's ledger — which publish
+// folds into the publication's digest.
 func (s *Store) prepareBatch(ops []batchOp, digest uint64) *preparedBatch {
 	// Group ops by root slot, preserving submission order within a root.
 	perSlot := make(map[int][]batchOp)
@@ -282,7 +319,7 @@ func (s *Store) prepareBatch(ops []batchOp, digest uint64) *preparedBatch {
 
 	s.BeginFASE()
 	ed := s.heap.BeginEdit()
-	p := &preparedBatch{s: s, ops: ops, fase: true, locked: locked, finals: make(map[int]pmem.Addr, len(slots)), digest: digest}
+	p := &preparedBatch{s: s, batched: len(ops), locked: locked, digest: digest}
 	for _, slot := range slots {
 		old := s.heap.Root(slot)
 		cur := old
@@ -290,7 +327,9 @@ func (s *Store) prepareBatch(ops []batchOp, digest uint64) *preparedBatch {
 		for _, op := range perSlot[slot] {
 			cur = op.apply(s, ed, cur)
 		}
-		p.finals[slot] = cur
+		for _, op := range perSlot[slot] {
+			op.ds.base().adopt(cur)
+		}
 		if cur != old {
 			c := rootChange{slot: slot, old: old, final: cur}
 			if digest&(1<<slot) != 0 {
@@ -303,71 +342,97 @@ func (s *Store) prepareBatch(ops []batchOp, digest uint64) *preparedBatch {
 	return p
 }
 
-// publishLocal installs the prepared batch's root changes on its own
-// store under one fence, whatever their number (DESIGN.md §7). Each
-// changed root in alone is staged as a publication of its own, and the
-// others as one group; a group of one without a digest is not staged,
-// its swap being atomic alone. The fence makes the stage slots durable
-// with the shadows, and every cell is written behind it. A root in digest
-// whose publication cannot carry one — it folds a checkpoint, whose clone
-// is not in the ledger and whose header is resealed after Seal, or it
-// adds more blocks than a slot counts — sets fenceAfter.
-func (p *preparedBatch) publishLocal() {
-	s := p.s
-	if len(p.changed) == 0 {
+// publish is every locked publication of root pointers but
+// CommitSiblings' parent swap (DESIGN.md §5): it installs the changes of
+// prepared batches, one per shard, under one fence on each shard,
+// whatever their number. ps holds the batches that changed a root, or
+// one batch that may have changed none, which publishes nothing.
+//
+// On one shard each changed root in alone is staged as a publication of
+// its own and the others as one group; a group of one without a digest
+// is not staged, its swap being atomic alone (DESIGN.md §7). Over k >= 2
+// shards every changed root is a member of one group of r roots, r
+// counted over all k, under one word from the shards' shared counter and
+// with no digest (DESIGN.md §9). The fences make the stage slots durable
+// with the shadows, and every cell is written behind them.
+//
+// A batch's fenceAfter is set when its swaps need one more fence for the
+// commit to be durable at return: on every shard of a group over several,
+// whose members carry no digest, and on one shard when a root in digest
+// could not carry one — it folds a checkpoint, whose clone is not in the
+// ledger and whose header is resealed after Seal, or it adds more blocks
+// than a slot counts.
+func publish(ps []*preparedBatch) {
+	r := 0
+	for _, p := range ps {
+		r += len(p.changed)
+	}
+	if r == 0 {
 		return // nothing to publish or order
 	}
-	var crown []pmem.Addr
-	for i, c := range p.changed {
-		cr, folded := s.maybeCheckpoint(c.final)
-		crown = append(crown, cr...)
-		if folded {
-			p.changed[i].fresh = nil
-		}
+	var g uint64 // on one shard, StageGroup numbers each group itself
+	if len(ps) > 1 {
+		g = ps[0].s.heap.NewGroup(r)
 	}
-	var buf [4]alloc.StagedRoot // a group of up to four roots stays on the stack
-	group := buf[:0]
-	var undigested uint64 // roots staged without a digest, or not staged
-	s.commitBegin()
-	for _, c := range p.changed {
-		m := alloc.StagedRoot{Slot: c.slot, Final: c.final, Fresh: c.fresh}
-		switch {
-		case p.alone&(1<<c.slot) == 0:
-			group = append(group, m)
-		case !s.heap.StageGroup([]alloc.StagedRoot{m}, 0):
-			undigested |= 1 << c.slot
+	for _, p := range ps {
+		s := p.s
+		for i, c := range p.changed {
+			cr, folded := s.maybeCheckpoint(c.final)
+			p.crown = append(p.crown, cr...)
+			if folded {
+				p.changed[i].fresh = nil
+			}
 		}
-	}
-	if !s.heap.StageGroup(group, 0) {
-		for _, m := range group {
-			undigested |= 1 << m.Slot
+		p.group = p.buf[:0]
+		var undigested uint64 // roots staged without a digest, or not staged
+		s.commitBegin()
+		for _, c := range p.changed {
+			m := alloc.StagedRoot{Slot: c.slot, Final: c.final, Fresh: c.fresh}
+			switch {
+			case p.alone&(1<<c.slot) == 0:
+				p.group = append(p.group, m)
+			case !s.heap.StageGroup([]alloc.StagedRoot{m}, 0):
+				undigested |= 1 << c.slot
+			}
 		}
+		if !s.heap.StageGroup(p.group, g) {
+			for _, m := range p.group {
+				undigested |= 1 << m.Slot
+			}
+		}
+		p.fenceAfter = len(ps) > 1 || undigested&p.digest != 0
 	}
-	// The commit's one ordering point: shadows and stage slots are
-	// durable. No cell named here has been written yet, so until this
-	// fence completes recovery finds every one holding its old version
-	// and applies only the groups whose members are all found and all
-	// re-verify.
-	s.heap.Fence()
+	// The commit's one ordering point on each shard: shadows and stage
+	// slots are durable before any swap is issued, so a swap that reaches
+	// PM on one shard implies them all. No cell named here has been
+	// written yet, so until these fences complete recovery finds every one
+	// holding its old version and applies only the groups whose members
+	// are all found and all re-verify.
+	for _, p := range ps {
+		p.s.heap.Fence()
+	}
 	// Checkpoint crowns clear (and fence) before any swap, so a
 	// rolled-forward swap never points at a structure whose navigation
 	// recovery would zero.
-	s.clearCrown(crown)
-	for _, c := range p.changed {
-		s.heap.SetRoot(c.slot, c.final)
+	for _, p := range ps {
+		p.s.clearCrown(p.crown)
 	}
-	s.heap.GroupSwapped(group)
-	s.commitEnd()
-	p.fenceAfter = undigested&p.digest != 0
+	for _, p := range ps {
+		for _, c := range p.changed {
+			p.s.heap.SetRoot(c.slot, c.final)
+		}
+		p.s.heap.GroupSwapped(p.group)
+		p.s.commitEnd()
+	}
 }
 
-// finish retires every superseded version, adopts the new versions into
-// the handles, closes the FASE prepareBatch opened, and releases the root
-// locks. Must run after publication. Every release is deferred — a
-// replaced root version because an optimistic builder may still be
-// retaining out of it, the intermediates behind it in chain order so that
-// each version dies after the one it was copied from (alloc/borrow.go
-// rule a; dying first would settle the published copy).
+// finish retires every superseded version, closes the FASE prepareBatch
+// opened, and releases the root locks. Must run after publication. Every
+// release is deferred — a replaced root version because an optimistic
+// builder may still be retaining out of it, the intermediates behind it
+// in chain order so that each version dies after the one it was copied
+// from (alloc/borrow.go rule a; dying first would settle the published
+// copy).
 func (p *preparedBatch) finish() {
 	s := p.s
 	for _, c := range p.changed {
@@ -376,13 +441,9 @@ func (p *preparedBatch) finish() {
 	for _, a := range p.releases {
 		s.heap.ReleaseDeferred(a)
 	}
-	for _, op := range p.ops {
-		h := op.ds.base()
-		h.adopt(p.finals[h.loc.slot])
-	}
-	if p.fase {
+	if p.batched > 0 {
 		s.EndFASE()
-		s.dev.NoteBatch(len(p.ops))
+		s.dev.NoteBatch(p.batched)
 	}
 	p.unlock()
 }
@@ -391,19 +452,6 @@ func (p *preparedBatch) unlock() {
 	for i := len(p.locked) - 1; i >= 0; i-- {
 		p.s.sh.rootMu[p.locked[i]].Unlock()
 	}
-}
-
-// commitBatch is the group-commit step: apply every op against the
-// current committed versions under the root locks, fence once for the
-// whole epoch, publish all changed roots, and retire every superseded
-// version in one batch.
-func (s *Store) commitBatch(ops []batchOp) {
-	if len(ops) == 0 {
-		return
-	}
-	p := s.prepareBatch(ops, 0)
-	p.publishLocal()
-	p.finish()
 }
 
 // The commit queue (DESIGN.md §7). Every store has one, and no goroutine
@@ -574,7 +622,7 @@ func (s *Store) round(subs []submission) {
 	if len(ops) > 0 {
 		p := s.prepareBatch(ops, digest)
 		p.alone = one &^ spanned
-		p.publishLocal()
+		publish([]*preparedBatch{p})
 		p.finish()
 		fence = p.fenceAfter || async && len(p.changed) == 0
 	}

@@ -642,3 +642,112 @@ func TestRecoveryReclaimsAllLeaksToZeroWaste(t *testing.T) {
 		t.Fatalf("recovered live bytes %d != pre-crash committed live bytes %d", liveAfter, liveBefore)
 	}
 }
+
+// noOpTarget is one structure of TestNoOpShadowCommitKeepsVersionLive:
+// a shadow that is its committed version, a later Basic update, and a
+// read of that update.
+type noOpTarget struct {
+	ds       Datastructure
+	noop     func() Version
+	update   func()
+	readBack func() bool
+}
+
+// bindRootOrField binds name under p's field when p is set, else as a
+// root of s.
+func bindRootOrField[H any](s *Store, p *Parent, root func(*Store, string) (H, error), field func(*Parent, string) (H, error)) (H, error) {
+	if p != nil {
+		return field(p, "f")
+	}
+	return root(s, "f")
+}
+
+// TestNoOpShadowCommitKeepsVersionLive commits a shadow that is the
+// committed version itself — a PureDelete of an absent key, a PurePop of
+// an empty stack, a PureDequeue of an empty queue — through CommitSingle
+// of a root-bound and of a parent-bound structure and through
+// CommitSiblings. Such a commit changes nothing: it must not fence, the
+// committed version must keep its reference once every deferred release
+// has run, and the structure must take a later update and read it back.
+func TestNoOpShadowCommitKeepsVersionLive(t *testing.T) {
+	targets := []struct {
+		name string
+		bind func(s *Store, p *Parent) (noOpTarget, error)
+	}{
+		{"map-delete-absent", func(s *Store, p *Parent) (noOpTarget, error) {
+			m, err := bindRootOrField(s, p, (*Store).Map, (*Parent).Map)
+			if err != nil {
+				return noOpTarget{}, err
+			}
+			m.Set([]byte("k"), []byte("v"))
+			return noOpTarget{m,
+				func() Version { v, _ := m.PureDelete([]byte("absent")); return v },
+				func() { m.Set([]byte("k2"), []byte("v2")) },
+				func() bool { v, ok := m.Get([]byte("k2")); return ok && string(v) == "v2" }}, nil
+		}},
+		{"stack-pop-empty", func(s *Store, p *Parent) (noOpTarget, error) {
+			st, err := bindRootOrField(s, p, (*Store).Stack, (*Parent).Stack)
+			if err != nil {
+				return noOpTarget{}, err
+			}
+			return noOpTarget{st,
+				func() Version { v, _, _ := st.PurePop(); return v },
+				func() { st.Push(7) },
+				func() bool { v, ok := st.Peek(); return ok && v == 7 }}, nil
+		}},
+		{"queue-dequeue-empty", func(s *Store, p *Parent) (noOpTarget, error) {
+			q, err := bindRootOrField(s, p, (*Store).Queue, (*Parent).Queue)
+			if err != nil {
+				return noOpTarget{}, err
+			}
+			return noOpTarget{q,
+				func() Version { v, _, _ := q.PureDequeue(); return v },
+				func() { q.Enqueue(7) },
+				func() bool { v, ok := q.Peek(); return ok && v == 7 }}, nil
+		}},
+	}
+	modes := []struct {
+		name   string
+		parent bool
+		commit func(s *Store, p *Parent, ds Datastructure, v Version) error
+	}{
+		{"CommitSingle-root", false, func(s *Store, _ *Parent, ds Datastructure, v Version) error { return s.CommitSingle(ds, v) }},
+		{"CommitSingle-parent", true, func(s *Store, _ *Parent, ds Datastructure, v Version) error { return s.CommitSingle(ds, v) }},
+		{"CommitSiblings", true, func(s *Store, p *Parent, ds Datastructure, v Version) error {
+			return s.CommitSiblings(p, Update{DS: ds, Shadows: []Version{v}})
+		}},
+	}
+	for _, mode := range modes {
+		for _, tg := range targets {
+			t.Run(mode.name+"/"+tg.name, func(t *testing.T) {
+				s := newTestStore(t)
+				var p *Parent
+				if mode.parent {
+					var err error
+					if p, err = s.Parent("p", "f"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c, err := tg.bind(s, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := s.Stats()
+				if err := mode.commit(s, p, c.ds, c.noop()); err != nil {
+					t.Fatal(err)
+				}
+				if f := s.Stats().Sub(before).Fences; f != 0 {
+					t.Errorf("a commit that changes nothing fenced %d times, want 0", f)
+				}
+				s.Sync() // runs every deferred release
+				if rc := s.heap.RefCount(c.ds.base().committed()); rc < 1 {
+					t.Fatalf("committed version's refcount is %d after the no-op commit, want >= 1", rc)
+				}
+				c.update()
+				if !c.readBack() {
+					t.Fatal("the update after the no-op commit does not read back")
+				}
+			})
+		}
+	}
+}

@@ -305,12 +305,12 @@ func mxUnrelated(e *histEnv, r *histRec, s, m, from, to int) {
 }
 
 // TestCrashMatrixSingleStore checks the per-op, edit-FASE, multi-root
-// batch and CommitUnrelated disciplines on a single store: the structure
-// and a marker map, mxProbe ops in the window.
+// batch, CommitUnrelated and CommitSingle disciplines on a single store:
+// the structure and a marker map, mxProbe ops in the window.
 func TestCrashMatrixSingleStore(t *testing.T) {
 	const m, s = 0, 1 // the marker and the structure
 	for _, st := range matrixStructures() {
-		for _, mode := range []string{"perop", "edit", "batch", "unrelated"} {
+		for _, mode := range []string{"perop", "edit", "batch", "unrelated", "single"} {
 			t.Run(st.name+"/"+mode, func(t *testing.T) {
 				h := mxHist(st, 1)
 				h.window = func(e *histEnv, r *histRec) {
@@ -345,6 +345,15 @@ func TestCrashMatrixSingleStore(t *testing.T) {
 						// structure by a chain of one shadow per op (its
 						// intermediates retire with the commit).
 						mxUnrelated(e, r, s, m, mxPrefix, mxPrefix+mxProbe)
+					case "single":
+						// The structure alone, moved by CommitSingle of a
+						// chain of one shadow per op.
+						r.do("single", e.effs(s, mxPrefix, mxPrefix+mxProbe), func() {
+							u := e.ops[s].chain(mxPrefix, mxPrefix+mxProbe)
+							if err := e.db.Store().CommitSingle(u.DS, u.Shadows...); err != nil {
+								e.t.Error(err)
+							}
+						})
 					}
 				}
 				h.run(t)

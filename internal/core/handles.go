@@ -170,12 +170,12 @@ func bindRoot(s *Store, name string, k rootKind) (location, pmem.Addr, error) {
 		}
 		return location{slot: slot}, root, nil
 	}
+	// The new root publishes as any locked commit does, under the lock
+	// held since the cell was read empty: nothing to retire, no handle
+	// yet to adopt it.
 	s.BeginFASE()
 	addr := k.create(s.heap, s.sh.selective)
-	if err := s.commitRoot(slot, pmem.Nil, addr); err != nil {
-		s.EndFASE()
-		return location{}, pmem.Nil, err
-	}
+	publish([]*preparedBatch{{s: s, changed: []rootChange{{slot: slot, final: addr}}}})
 	s.EndFASE()
 	return location{slot: slot}, addr, nil
 }

@@ -21,16 +21,16 @@ import (
 // finds a round in flight) enrolls its pending operation in the store's
 // commit queue (batch.go), the one CommitAsync uses. Whoever leads the
 // queue — this writer, if it is idle — commits the queued ops as one
-// batch (commitBatch): every op on a root applied on one shared edit
+// round (Store.round): every op on a root applied on one shared edit
 // context against one base version, published with a single flush+sfence
 // epoch — contention amortizes fences (fences/op = 1/B for a B-op round)
 // instead of queueing them.
 //
-// Safety against the lock-based commit paths (Commit*, Batch, queue
-// rounds, binds, sharded manifests): those hold the root's mutex from
-// base-version read to publication, and the CAS here briefly takes the
-// same mutex, so a CAS can never land between a locked path's read and
-// its SetRoot.
+// Safety against the lock-based commit paths (Commit*, Batch on one
+// shard or several, queue rounds, binds): those hold the root's mutex
+// from base-version read to publication, and the CAS here briefly takes
+// the same mutex, so a CAS can never land between a locked path's read
+// and its SetRoot.
 //
 // Reclamation: a winner releases the version it replaced with
 // Heap.ReleaseDeferred — the decrement-and-cascade runs only after the
@@ -157,33 +157,26 @@ func (s *Store) updateParentBound(ds Datastructure, apply rootOp) {
 	s.EndFASE()
 }
 
-// publishRoot is the single ordering point of a one-root publication
-// (paper §4.1, Fig. 8b): one fence makes every outstanding shadow flush
-// durable, then an 8-byte atomic write to the root cell publishes final.
-// A selective structure whose record chain has grown past the checkpoint
-// threshold folds the chain into a fresh checkpoint here, adding a second
-// fence for that rare commit (DESIGN.md §10).
-//
-// A caller holding the root's commit mutex since it read old passes
-// cas=false and always wins. An optimistic builder passes cas=true: the
-// write becomes a compare-and-swap against old, taken under the mutex for
-// the 8 bytes only — shadow builds stay lock-free — so neither tier can
-// publish inside the other's read-to-publish window. Reports whether
-// final was published; retiring old (or a losing final) is the caller's.
-func (s *Store) publishRoot(slot int, old, final pmem.Addr, cas bool) bool {
+// publishRoot is the ordering point of an optimistic one-root
+// publication (paper §4.1, Fig. 8b): one fence makes every outstanding
+// shadow flush durable, then an 8-byte compare-and-swap against old on
+// the root cell publishes final. A selective structure whose record
+// chain has grown past the checkpoint threshold folds the chain into a
+// fresh checkpoint here, adding a second fence for that rare commit
+// (DESIGN.md §10). The CAS is taken under the root's commit mutex for
+// the 8 bytes only — shadow builds stay lock-free — so it can never land
+// inside a locked path's read-to-publish window (publish, batch.go).
+// Reports whether final was published; retiring old (or a losing final)
+// is the caller's.
+func (s *Store) publishRoot(slot int, old, final pmem.Addr) bool {
 	crown, _ := s.maybeCheckpoint(final)
 	s.commitBegin()
 	s.heap.Fence() // the FASE's single ordering point; reclaims retired blocks
 	s.clearCrown(crown)
-	won := true
-	if cas {
-		mu := &s.sh.rootMu[slot]
-		mu.Lock()
-		won = s.heap.CasRoot(slot, old, final)
-		mu.Unlock()
-	} else {
-		s.heap.SetRoot(slot, final)
-	}
+	mu := &s.sh.rootMu[slot]
+	mu.Lock()
+	won := s.heap.CasRoot(slot, old, final)
+	mu.Unlock()
 	s.commitEnd()
 	return won
 }
@@ -217,7 +210,7 @@ func (s *Store) tryOptimistic(slot int, ds Datastructure, apply rootOp) bool {
 		s.sh.cstats.fastAborts.Add(1)
 		return false
 	}
-	won := s.publishRoot(slot, old, final, true)
+	won := s.publishRoot(slot, old, final)
 	s.EndFASE()
 	if !won {
 		s.heap.Release(final) // never published: eager retire is safe

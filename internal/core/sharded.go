@@ -24,10 +24,11 @@ import (
 // the DB is an ordinary single-store handle on its shard, so
 // single-shard operations cost exactly what they cost on one heap: a
 // Basic update is one FASE with one fence, a single-shard batch commits
-// through its shard's 1-fence path (a root swap, or a staged group for
-// several roots). This file holds what exists only because there can be
-// more than one heap: formatting and attaching a region set, and the
-// publication of a batch that changed roots on several shards.
+// through its shard's 1-fence publication (a root swap, or a staged
+// group for several roots). This file holds what exists only because
+// there can be more than one heap: formatting and attaching a region
+// set, and rolling forward the groups that span shards. Publishing them
+// is the same publish every locked commit takes (batch.go).
 //
 // # Cross-shard atomicity: one group over every shard's stage table
 //
@@ -35,7 +36,7 @@ import (
 // {shard, S}, and their heaps share one group counter, so a group word
 // names one publication across the DB. A Batch whose updates change roots
 // on k >= 2 shards publishes them as one group of r roots, r counted
-// across all k shards (publishCross):
+// across all k shards (Batch.commit, publish):
 //
 //	stage    each changed shard, in ascending order, is prepared (shadow
 //	         chains built and sealed under its root locks) and stages
@@ -44,8 +45,8 @@ import (
 //	fence    each changed shard fences: every shadow and every member
 //	         slot is durable before any swap is issued;
 //	swap     checkpoint crowns clear, then every root cell is swapped;
-//	fence    each changed shard fences again, so the batch is durable
-//	         when the commit returns.
+//	fence    each changed shard fences again (publish's fenceAfter),
+//	         so the batch is durable when the commit returns.
 //
 // 2k fences, and nothing serializes cross-shard commits on disjoint
 // shards. A recovering Open gathers, before any shard recovers, the
@@ -247,84 +248,4 @@ func rollCrossForward(stores []*Store, moved []int) error {
 		}
 	}
 	return nil
-}
-
-// commitCross is the cross-shard group-commit step: per holds each
-// shard's ops in submission order, at least two shards non-empty. Shards
-// are prepared in ascending index order (and each shard locks its roots
-// in ascending slot order), so overlapping cross-shard commits cannot
-// deadlock. It returns the store whose publication rides its next fence:
-// the one changed shard's, when the batch changed roots on one shard
-// only; otherwise nil — a publication over several shards is durable at
-// return.
-func (db *DB) commitCross(per [][]batchOp) *Store {
-	var preps, changed []*preparedBatch
-	for si, ops := range per {
-		if len(ops) > 0 {
-			p := db.shards[si].prepareBatch(ops, 0)
-			preps = append(preps, p)
-			if len(p.changed) > 0 {
-				changed = append(changed, p)
-			}
-		}
-	}
-	var pending *Store
-	switch len(changed) {
-	case 0:
-		// No root changed anywhere: nothing to publish or order.
-	case 1:
-		// Only one shard actually changed: its local publication is
-		// already all-or-nothing.
-		changed[0].publishLocal()
-		pending = changed[0].s
-	default:
-		publishCross(changed)
-	}
-	for _, p := range preps {
-		p.finish()
-	}
-	return pending
-}
-
-// publishCross publishes the changed roots of prepared batches on two or
-// more shards as one group, in 2k fences for k shards (the file comment).
-func publishCross(ps []*preparedBatch) {
-	r := 0
-	for _, p := range ps {
-		r += len(p.changed)
-	}
-	g := ps[0].s.heap.NewGroup(r)
-	members := make([][]alloc.StagedRoot, len(ps))
-	crowns := make([][]pmem.Addr, len(ps))
-	for i, p := range ps {
-		for _, c := range p.changed {
-			crown, _ := p.s.maybeCheckpoint(c.final)
-			crowns[i] = append(crowns[i], crown...)
-			members[i] = append(members[i], alloc.StagedRoot{Slot: c.slot, Final: c.final})
-		}
-		p.s.commitBegin()
-		p.s.heap.StageGroup(members[i], g)
-	}
-	// Every shard's shadows and member slots are durable before any swap
-	// is issued: a swap that reaches PM on one shard implies them all.
-	for _, p := range ps {
-		p.s.heap.Fence()
-	}
-	// Checkpoint crowns clear (and fence) before any swap, so a
-	// rolled-forward swap never points at a structure whose navigation
-	// recovery would zero.
-	for i, p := range ps {
-		p.s.clearCrown(crowns[i])
-	}
-	for i, p := range ps {
-		for _, c := range p.changed {
-			p.s.heap.SetRoot(c.slot, c.final)
-		}
-		p.s.heap.GroupSwapped(members[i])
-		p.s.commitEnd()
-	}
-	// Every swap durable: the commit is durable at return.
-	for _, p := range ps {
-		p.s.heap.Fence()
-	}
 }

@@ -201,7 +201,7 @@ func TestStagedSlotIgnoresCASAddressReuse(t *testing.T) {
 	a := s.heap.Root(slot)
 	asyncSet(t, s, m, "k", "B")
 	b := s.heap.Root(slot)
-	if !s.publishRoot(slot, b, a, true) {
+	if !s.publishRoot(slot, b, a) {
 		t.Fatal("the CAS republishing A's address lost")
 	}
 	if s.heap.Root(slot) != a {

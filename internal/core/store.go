@@ -47,9 +47,13 @@
 //     publication, which the optimistic publication CAS also briefly
 //     takes, so the two tiers interleave safely.
 //
-//   - Every publication of a single root, locked or optimistic, goes
-//     through one ordering point (publishRoot): fence, then the 8-byte
-//     root write.
+//   - A publication has one ordering point, written twice: an
+//     optimistic publication of one root fences, then CASes the root
+//     cell (publishRoot); every locked one — CommitSingle,
+//     CommitUnrelated, a Batch on one shard or several, a queue round,
+//     a root's first bind — stages its roots if it must, fences, then
+//     writes the cells (publish, batch.go). CommitSiblings' parent swap
+//     is a one-root locked publication of its own.
 //
 //   - Readers never take root mutexes. Snapshot() pins a reclamation
 //     epoch (alloc/epoch.go), atomically reads the root pointer, and
@@ -340,21 +344,6 @@ func (s *Store) checkCurrent(slot int, old pmem.Addr, what string) error {
 	return nil
 }
 
-// commitRoot is the common-case CommitSingle step (Fig. 8b): check the
-// base, publish through the one ordering point (publishRoot), retire the
-// old version. Caller holds the root's commit mutex. The old version's
-// release is deferred past the epoch grace period: an optimistic writer
-// may have based its shadow on it lock-free and still be retaining
-// children out of it (DESIGN.md §12).
-func (s *Store) commitRoot(slot int, old, final pmem.Addr) error {
-	if err := s.checkCurrent(slot, old, "commit"); err != nil {
-		return err
-	}
-	s.publishRoot(slot, old, final, false)
-	s.heap.ReleaseDeferred(old)
-	return nil
-}
-
 // makeSelective gives the store the selective flavor (DESIGN.md §10):
 // root binders create selectively persisted structures from now on, the
 // heap's DRAM node cache is on, and record chains fold once they reach
@@ -437,36 +426,21 @@ func rebuildSelectiveRoots(heap *alloc.Heap, skip map[int]bool) (uint64, error) 
 
 // CommitSingle atomically replaces ds's current version with the last
 // shadow in the chain, reclaiming the original and all intermediate
-// shadows (Fig. 7a/b, Fig. 8b). The datastructure must be root-bound;
-// parent-bound structures commit through CommitSiblings. Returns
-// ErrConcurrentWriter (and publishes nothing) if ds's base version is no
-// longer the committed one — two uncoordinated writers raced on the
-// root; the caller should rebuild from Current and retry.
+// shadows (Fig. 7a/b, Fig. 8b): a root-bound structure commits as a
+// one-update CommitUnrelated, a parent-bound one as a one-update
+// CommitSiblings. Returns ErrConcurrentWriter (and publishes nothing) if
+// ds's base version is no longer the committed one — two uncoordinated
+// writers raced on the root; the caller should rebuild from Current and
+// retry.
 func (s *Store) CommitSingle(ds Datastructure, shadows ...Version) error {
 	if len(shadows) == 0 {
 		return nil
 	}
-	h := ds.base()
-	if h.loc.parent != nil {
-		return s.CommitSiblings(h.loc.parent, Update{DS: ds, Shadows: shadows})
+	u := Update{DS: ds, Shadows: shadows}
+	if p := ds.base().loc.parent; p != nil {
+		return s.CommitSiblings(p, u)
 	}
-	mu := &s.sh.rootMu[h.loc.slot]
-	mu.Lock()
-	defer mu.Unlock()
-	old := h.currentAddr()
-	final := shadows[len(shadows)-1].Addr()
-	if err := s.commitRoot(h.loc.slot, old, final); err != nil {
-		return err
-	}
-	// Behind commitRoot's deferred release of old, in chain order: each
-	// version dies after the one it was copied from, so a borrowed path
-	// copy hands its children on (alloc/borrow.go rule a) instead of
-	// settling because its intermediate died first.
-	for _, a := range intermediates(nil, shadows) {
-		s.heap.ReleaseDeferred(a)
-	}
-	h.adopt(final)
-	return nil
+	return s.CommitUnrelated(u)
 }
 
 // intermediates appends the distinct non-final shadows of a chain to dst,
@@ -497,8 +471,10 @@ func (u Update) final() pmem.Addr { return u.Shadows[len(u.Shadows)-1].Addr() }
 // fields of one parent object (Fig. 8c): a shadow of the parent pointing
 // at the new versions is built and flushed, one fence orders everything,
 // and the parent's root pointer is swapped. Reclaiming the old parent
-// cascades to the replaced versions. Returns ErrConcurrentWriter (and
-// publishes nothing) if the parent moved under the caller.
+// cascades to the replaced versions. Updates whose final is the field's
+// current version change nothing; when none changes a field, nothing is
+// published or fenced. Returns ErrConcurrentWriter (and publishes
+// nothing) if the parent moved under the caller.
 func (s *Store) CommitSiblings(p *Parent, updates ...Update) error {
 	if len(updates) == 0 {
 		return nil
@@ -523,34 +499,38 @@ func (s *Store) commitSiblingsLocked(p *Parent, updates []Update) error {
 		if len(u.Shadows) == 0 {
 			panic("core: CommitSiblings update with no shadows")
 		}
-		newFields[loc.slot] = u.final()
-		changed[loc.slot] = true
+		if f := u.final(); f != newFields[loc.slot] {
+			newFields[loc.slot] = f
+			changed[loc.slot] = true
+		}
 	}
 	oldParent := p.Addr()
 	if err := s.checkCurrent(p.slot, oldParent, "CommitSiblings"); err != nil {
 		return err
 	}
-	// Build and flush the parent shadow; unchanged fields gain a parent.
-	shadow := newParentBlock(s.heap, newFields)
-	for i, f := range newFields {
-		if !changed[i] && f != pmem.Nil {
-			s.heap.Retain(f)
+	if slices.Contains(changed, true) {
+		// Build and flush the parent shadow; unchanged fields gain a parent.
+		shadow := newParentBlock(s.heap, newFields)
+		for i, f := range newFields {
+			if !changed[i] && f != pmem.Nil {
+				s.heap.Retain(f)
+			}
 		}
+		s.commitBegin()
+		s.heap.Fence()
+		s.heap.SetRoot(p.slot, shadow)
+		s.commitEnd()
+		// Parent roots never take the optimistic commit path (parent-bound
+		// updates stay mutex-serialized), so no lock-free builder can be
+		// retaining out of the old parent: the eager cascade is safe here.
+		s.heap.Release(oldParent) // cascades into replaced field versions
+		p.adopt(shadow)
 	}
-	s.commitBegin()
-	s.heap.Fence()
-	s.heap.SetRoot(p.slot, shadow)
-	s.commitEnd()
-	// Parent roots never take the optimistic commit path (parent-bound
-	// updates stay mutex-serialized), so no lock-free builder can be
-	// retaining out of the old parent: the eager cascade is safe here.
-	s.heap.Release(oldParent) // cascades into replaced field versions
 	for _, u := range updates {
 		for _, a := range intermediates(nil, u.Shadows) {
 			s.heap.Release(a)
 		}
 	}
-	p.adopt(shadow)
 	for _, u := range updates {
 		u.DS.base().adopt(u.final())
 	}
@@ -562,20 +542,22 @@ func (s *Store) commitSiblingsLocked(p *Parent, updates []Update) error {
 // in a very short undo-logged transaction; here the shadow chains become
 // a prepared batch and publish exactly as a Batch over the same roots
 // does (batch.go): one root is a fence and a swap, several are staged as
-// one group ahead of the fence — one fence however many roots. Like
-// every Composition commit it is published on return and durable at the
-// store's next fence (Sync forces one); a crash before that fence keeps
-// all of its swaps or none. The commit locks every target root (in slot
-// order, so overlapping multi-root commits cannot deadlock). Returns
-// ErrConcurrentWriter (and publishes nothing) if any update's base
-// version is stale. Naming a root twice, a parent-bound structure, or an
-// update without shadows is a caller bug and panics before anything is
-// locked or fenced.
+// one group ahead of the fence — one fence however many roots. An update
+// whose final is the committed version changes nothing, and a commit
+// that changes no root publishes nothing. Like every Composition commit
+// it is published on return and durable at the store's next fence (Sync
+// forces one); a crash before that fence keeps all of its swaps or none.
+// The commit locks every target root (in slot order, so overlapping
+// multi-root commits cannot deadlock). Returns ErrConcurrentWriter (and
+// publishes nothing) if any update's base version is stale. Naming a
+// root twice, a parent-bound structure, or an update without shadows is
+// a caller bug and panics before anything is locked or fenced.
 func (s *Store) CommitUnrelated(updates ...Update) error {
 	if len(updates) == 0 {
 		return nil
 	}
-	p := &preparedBatch{s: s, finals: make(map[int]pmem.Addr, len(updates))}
+	p := &preparedBatch{s: s}
+	var named uint64 // the root slots named so far, a bitmask
 	for _, u := range updates {
 		loc := u.DS.base().loc
 		if loc.parent != nil {
@@ -584,12 +566,11 @@ func (s *Store) CommitUnrelated(updates ...Update) error {
 		if len(u.Shadows) == 0 {
 			panic("core: CommitUnrelated update with no shadows")
 		}
-		if _, dup := p.finals[loc.slot]; dup {
+		if named&(1<<loc.slot) != 0 {
 			panic(fmt.Sprintf("core: CommitUnrelated names root %q twice; chain its shadows in one Update", u.DS.Name()))
 		}
-		p.finals[loc.slot] = u.final()
+		named |= 1 << loc.slot
 		p.locked = append(p.locked, loc.slot)
-		p.ops = append(p.ops, batchOp{ds: u.DS})
 	}
 	sort.Ints(p.locked)
 	for _, slot := range p.locked {
@@ -607,7 +588,10 @@ func (s *Store) CommitUnrelated(updates ...Update) error {
 		}
 		p.releases = intermediates(p.releases, u.Shadows)
 	}
-	p.publishLocal()
+	for _, u := range updates {
+		u.DS.base().adopt(u.final())
+	}
+	publish([]*preparedBatch{p})
 	p.finish()
 	return nil
 }

@@ -333,7 +333,7 @@ func NeedsCheckpoint(h *alloc.Heap, hdr pmem.Addr, every uint64) bool {
 // live state into a fresh durable checkpoint clone, and resets the
 // record chain. It returns the crown, whose volatile bits the commit step
 // must clear — after a fence has made the payload flushes durable and
-// before the publish fence (Store.commitRoot). Until those bits clear
+// before the root swap (core's Store.clearCrown). Until those bits clear
 // durably, recovery still rebuilds from the previous checkpoint + chain.
 func PrepareCheckpoint(h *alloc.Heap, hdr pmem.Addr) []pmem.Addr {
 	tag := h.Tag(hdr)
