@@ -206,6 +206,7 @@ type heapShared struct {
 	blocks  blockTable  // reference counts and flag bits by payload address
 	borrows borrowTable // path copies that share their source's references (borrow.go)
 	walkers [256]Walker
+	volTags [256]bool // the tags AllocVolatile may carry (RegisterVolatile)
 
 	// runSlots mirrors the open-run table. A sealed slot's persistent
 	// entry is NOT cleared at seal time — clearing is a plain clwb'd
@@ -370,6 +371,16 @@ func (h *Heap) StageTableRange() [2]pmem.Addr {
 // before any concurrent use of the heap.
 func (h *Heap) RegisterWalker(tag uint8, w Walker) { h.sh.walkers[tag] = w }
 
+// RegisterVolatile names the tags AllocVolatile is called with. Like
+// RegisterWalker it must run before Recover: recovery and verification
+// trust the volatile-node bit only on a block of such a tag
+// (volatileOK).
+func (h *Heap) RegisterVolatile(tags ...uint8) {
+	for _, t := range tags {
+		h.sh.volTags[t] = true
+	}
+}
+
 // strideFor returns the smallest size class holding payload bytes.
 func strideFor(payload int) uint32 {
 	need := uint32(payload + headerSize)
@@ -386,6 +397,17 @@ func strideFor(payload int) uint32 {
 // durable so recovery can still walk the block chain, but the payload is
 // navigation-only state that recovery must zero and rebuild, never trust.
 const hdrVolatileBit = uint64(1) << 41
+
+// volatileOK reports whether a block of tag whose header word 1 reads
+// check may carry the volatile-node bit: AllocVolatile writes word 1 as
+// zero and nothing seals a volatile block, and only registered tags are
+// ever allocated volatile. The bit on any other block is a flipped bit
+// of a durable one, which recovery and verification then treat as
+// durable — walked, not zeroed — so its checksum, which covers header
+// word 0, reports the flip (DESIGN.md §13).
+func (sh *heapShared) volatileOK(tag uint8, check uint64) bool {
+	return check == 0 && sh.volTags[tag]
+}
 
 func packHeader(stride uint32, tag uint8, allocated bool) uint64 {
 	v := uint64(headerMark)<<48 | uint64(tag)<<32 | uint64(stride)

@@ -152,7 +152,8 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 			h.dev.Sfence()
 			break
 		}
-		r.blocks = append(r.blocks, recBlock{hdr: addr, stride: stride, tag: tag, wasAll: allocated, vol: raw&hdrVolatileBit != 0})
+		vol := raw&hdrVolatileBit != 0 && sh.volatileOK(tag, h.dev.ReadU64(addr+8))
+		r.blocks = append(r.blocks, recBlock{hdr: addr, stride: stride, tag: tag, wasAll: allocated, vol: vol})
 		sh.blocks.install(addr + headerSize).Store(int32(len(r.blocks)))
 		addr += pmem.Addr(stride)
 	}
@@ -183,7 +184,9 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 	// header still references them until the selective rebuild replaces
 	// it — but their payloads are zeroed so every later walker sees an
 	// empty node, and their children are left unmarked for the sweep
-	// (DESIGN.md §10).
+	// (DESIGN.md §10). Pass 1 took the bit only where volatileOK finds it
+	// plausible: on any other block it is a flip, and the block is marked
+	// and walked as the durable block it is.
 	var stack []*recBlock
 	visit := func(payload pmem.Addr) error {
 		if payload == pmem.Nil {

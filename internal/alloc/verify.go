@@ -57,7 +57,8 @@ func (p *CorruptionPanic) Error() string { return p.Block.Error() }
 // parsed stride/tag/volatile state for the caller's walk. A nil error
 // with vol=true means the node is volatile navigation state whose
 // payload recovery zeroes and rebuilds: there is nothing to checksum and
-// its children must not be walked.
+// its children must not be walked. A volatile-node bit volatileOK
+// refuses is a flip on a durable node, which is checked as one.
 func (h *Heap) verifyNode(payload pmem.Addr) (stride uint32, tag uint8, vol bool, err *BlockError) {
 	defer h.dev.BeginRecovery()()
 	hdr := payload - headerSize
@@ -78,8 +79,7 @@ func (h *Heap) verifyNode(payload pmem.Addr) (stride uint32, tag uint8, vol bool
 	case stride < headerSize+8 || hdr+pmem.Addr(stride) > h.sh.top:
 		return 0, 0, false, &BlockError{Addr: payload, Tag: tag, Reason: fmt.Sprintf("implausible stride %d", stride)}
 	}
-	vol = w0&hdrVolatileBit != 0
-	if vol {
+	if w0&hdrVolatileBit != 0 && h.sh.volatileOK(tag, leU64(raw[8:])) {
 		return stride, tag, true, nil
 	}
 	n, crc, has := unpackCheck(leU64(raw[8:]))

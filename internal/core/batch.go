@@ -255,7 +255,8 @@ type rootChange struct {
 // commit mutexes held, shadow chains built and durable-ready, handles
 // holding their final versions, publication pending. prepareBatch builds
 // one from a Batch's deferred ops, CommitUnrelated (store.go) from the
-// caller's own shadow chains, bindRoot (handles.go) from a new root.
+// caller's own shadow chains, CommitSiblings from a parent shadow,
+// bindRoot (handles.go) from a new root.
 // publish installs one, or one per shard of a batch spanning shards; the
 // caller must then call finish to retire superseded versions and release
 // the locks.
@@ -342,11 +343,11 @@ func (s *Store) prepareBatch(ops []batchOp, digest uint64) *preparedBatch {
 	return p
 }
 
-// publish is every locked publication of root pointers but
-// CommitSiblings' parent swap (DESIGN.md §5): it installs the changes of
-// prepared batches, one per shard, under one fence on each shard,
-// whatever their number. ps holds the batches that changed a root, or
-// one batch that may have changed none, which publishes nothing.
+// publish is every locked publication of root pointers, a parent's
+// included (DESIGN.md §5): it installs the changes of prepared batches,
+// one per shard, under one fence on each shard, whatever their number.
+// ps holds the batches that changed a root, or one batch that may have
+// changed none, which publishes nothing.
 //
 // On one shard each changed root in alone is staged as a publication of
 // its own and the others as one group; a group of one without a digest

@@ -378,10 +378,12 @@ func TestBatchAsyncCommitter(t *testing.T) {
 func TestBatchCrashAllOrNothing(t *testing.T) {
 	seen := map[bool]bool{} // under eviction: the batch recovered
 	for pre := 0; pre < 20; pre += 4 {
+		// Every write is cut, -short too: the diversity check below needs
+		// an evicted image on each side of the batch's swap.
 		h := &crashHist{roots: []histRoot{
 			{name: "m", bind: mxBind((*Store).Map, mxMapOps)},
 			{name: "q", bind: mxBind((*Store).Queue, mxQueueOps)},
-		}}
+		}, stride: 1}
 		h.setup = func(e *histEnv) {
 			for i := 0; i < pre; i++ {
 				b := e.db.Store().NewBatch()

@@ -267,13 +267,15 @@ func TestCommitSiblingsAtomicAcrossMaps(t *testing.T) {
 
 // TestCommitSiblingsCrashAtomicity checks the parent-bound paths: a
 // CommitSiblings of two fields of one parent, then a Basic update of one
-// field, which commits under the parent's root. Both fields change
-// together or not at all.
+// field, which commits under the parent's root, a CommitSingle of a
+// two-shadow chain on the other, and the first bind of a third field.
+// Both fields change together or not at all, and each parent swap keeps
+// the fields it does not change.
 func TestCommitSiblingsCrashAtomicity(t *testing.T) {
 	parents := map[*Store]*Parent{} // the fields of one store share a parent handle
 	field := func(s *Store, nm string) (matrixOps, error) {
 		if parents[s] == nil {
-			p, err := s.Parent("mgr", "a", "b")
+			p, err := s.Parent("mgr", "a", "b", "c")
 			if err != nil {
 				return matrixOps{}, err
 			}
@@ -299,6 +301,17 @@ func TestCommitSiblingsCrashAtomicity(t *testing.T) {
 			}
 		})
 		r.do("parent-bound", e.effs(0, 2, 3), func() { e.ops[0].basic(2) })
+		r.do("parent-bound single", e.effs(1, 3, 5), func() {
+			u := e.ops[1].chain(3, 5)
+			if err := s.CommitSingle(u.DS, u.Shadows...); err != nil {
+				e.t.Error(err)
+			}
+		})
+		r.do("first bind", nil, func() {
+			if _, err := p.Stack("c"); err != nil {
+				e.t.Error(err)
+			}
+		})
 	}
 	h.run(t)
 }
@@ -597,6 +610,19 @@ func TestTraceInvariantsHoldAcrossWorkout(t *testing.T) {
 	s.BeginFASE() // two roots as a staged group, its slots written in place inside the commit bracket
 	ms, _ := m.PureSet(key64(7), key64(8))
 	s.CommitUnrelated(Update{DS: v, Shadows: []Version{v.PureUpdate(2, 44)}}, Update{DS: m, Shadows: []Version{ms}})
+	s.EndFASE()
+	// The parent-bound paths: two fields' first binds, parent-bound Basic
+	// updates and a CommitSiblings, each a parent swap through publish.
+	p, _ := s.Parent("mgr", "pm", "pv")
+	pm, _ := p.Map("pm")
+	pv, _ := p.Vector("pv")
+	for i := uint64(0); i < 20; i++ {
+		pm.Set(key64(i), key64(i))
+		pv.Push(i)
+	}
+	s.BeginFASE()
+	pms, _ := pm.PureSet(key64(50), key64(51))
+	s.CommitSiblings(p, Update{DS: pm, Shadows: []Version{pms}}, Update{DS: pv, Shadows: []Version{pv.PureUpdate(3, 45)}})
 	s.EndFASE()
 
 	violations := trace.Check(rec.Events(), s.CheckerConfig())

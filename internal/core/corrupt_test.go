@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"github.com/mod-ds/mod/internal/alloc"
@@ -331,4 +333,121 @@ func TestOpenSalvageRollsBackSelectiveRoot(t *testing.T) {
 	if v, ok := m2.Get([]byte("d")); !ok || string(v) != "4" {
 		t.Fatalf("post-salvage write lost: %q %v", v, ok)
 	}
+}
+
+// TestOpenVerifyCatchesFlippedVolatileBit flips the volatile-node bit
+// (bit 41 of header word 0) of a durable block — the first and the last
+// live one of every tag class of an image holding each structure plain
+// and selective, and a parent — and reopens with verify and salvage.
+// Every root must be reported damaged or read back every acknowledged
+// value. Recovery used to take the bit at its word: it zeroed the block
+// as volatile navigation state, verification passed it unchecked, and a
+// plain map whose root node took the flip came back empty with no error.
+func TestOpenVerifyCatchesFlippedVolatileBit(t *testing.T) {
+	const ops = 64
+	cfg := pmem.DefaultConfig(1 << 20)
+	db, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.Store()
+	field := func(s *Store, nm string) (matrixOps, error) {
+		p, err := s.Parent(nm, "f")
+		if err != nil {
+			return matrixOps{}, err
+		}
+		m, err := p.Map("f")
+		if err != nil {
+			return matrixOps{}, err
+		}
+		return mxMapOps(m), nil
+	}
+	// The plain roots come first; the store turns selective before the
+	// first selective one, with no fold due, so every selective
+	// navigation node stays volatile.
+	roots := append([]matrixStructure{{"parent", false, field}}, matrixStructures()...)
+	slots := make([]int, len(roots))
+	want := make([][]string, len(roots))
+	for i, r := range roots {
+		if r.selective && !s.sh.selective {
+			s.makeSelective(0)
+		}
+		o := r.mustBind(t, s, r.name)
+		for j := 0; j < ops; j++ {
+			o.basic(j)
+		}
+		want[i] = o.dump()
+		if slots[i], err = s.heap.RootSlot(r.name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Sync()
+	img := snapshot(s)
+
+	// The live durable blocks of the image, by tag, in chain order.
+	const volatileBit = uint64(1) << 41
+	byTag := map[uint8][]pmem.Addr{}
+	lo, hi := s.heap.DataBounds()
+	for a := lo; a+alloc.HeaderSize <= hi; {
+		w0 := binary.LittleEndian.Uint64(img[a:])
+		if uint32(w0) == 0 {
+			t.Fatalf("unparsable header word %#x at %#x", w0, uint64(a))
+		}
+		if tag := uint8(w0 >> 32); w0&volatileBit == 0 && s.heap.RefCount(a+alloc.HeaderSize) > 0 {
+			byTag[tag] = append(byTag[tag], a)
+		}
+		a += pmem.Addr(uint32(w0))
+	}
+	for _, tag := range []uint8{funcds.TagBlob, funcds.TagStackHdr, funcds.TagListNode, funcds.TagQueueHdr,
+		funcds.TagVecHdr, funcds.TagVecNode, funcds.TagVecLeaf, funcds.TagMapRoot, funcds.TagMapNode,
+		funcds.TagParent, funcds.TagRecord, funcds.TagMapHdrSel, funcds.TagVecHdrSel, funcds.TagStackHdrSel,
+		funcds.TagQueueHdrSel} {
+		if len(byTag[tag]) == 0 {
+			t.Fatalf("the image holds no live durable block of tag %d", tag)
+		}
+	}
+
+	for _, tag := range slices.Sorted(maps.Keys(byTag)) {
+		hdrs := byTag[tag]
+		for _, hdr := range []pmem.Addr{hdrs[0], hdrs[len(hdrs)-1]} {
+			what := fmt.Sprintf("tag %d block %#x", tag, uint64(hdr))
+			dmg := slices.Clone(img)
+			binary.LittleEndian.PutUint64(dmg[hdr:], binary.LittleEndian.Uint64(dmg[hdr:])|volatileBit)
+			db2, info, err := Open(cfg, WithExistingImages([][]byte{dmg}), WithVerify(), WithSalvage())
+			if err != nil {
+				t.Errorf("%s: open failed entirely: %v", what, err)
+				continue
+			}
+			reported := map[int]bool{}
+			for _, d := range info.Damaged {
+				reported[d.Slot] = true
+			}
+			for i, r := range roots {
+				if reported[slots[i]] {
+					continue
+				}
+				if err := flipReadBack(db2.Store(), r, want[i]); err != nil {
+					t.Errorf("%s: root %s is not reported damaged and %v", what, r.name, err)
+				}
+			}
+			db2.Close()
+		}
+	}
+}
+
+// flipReadBack binds r on s and compares its contents with want.
+func flipReadBack(s *Store, r matrixStructure, want []string) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panicked: %v", p)
+		}
+	}()
+	o, err := r.bind(s, r.name)
+	if err != nil {
+		return fmt.Errorf("does not bind: %w", err)
+	}
+	if got := o.dump(); !slices.Equal(got, want) {
+		return fmt.Errorf("reads back another state (%d entries of %d)", len(got), len(want))
+	}
+	return nil
 }

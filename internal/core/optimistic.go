@@ -26,11 +26,12 @@ import (
 // epoch — contention amortizes fences (fences/op = 1/B for a B-op round)
 // instead of queueing them.
 //
-// Safety against the lock-based commit paths (Commit*, Batch on one
-// shard or several, queue rounds, binds): those hold the root's mutex
-// from base-version read to publication, and the CAS here briefly takes
-// the same mutex, so a CAS can never land between a locked path's read
-// and its SetRoot.
+// Safety against the lock-based commit paths — every publication through
+// publish (batch.go): CommitSingle, CommitSiblings and parent-bound
+// updates, CommitUnrelated, a Batch on one shard or several, queue
+// rounds, binds: those hold the root's mutex from base-version read to
+// publication, and the CAS here briefly takes the same mutex, so a CAS
+// can never land between a locked path's read and its SetRoot.
 //
 // Reclamation: a winner releases the version it replaced with
 // Heap.ReleaseDeferred — the decrement-and-cascade runs only after the
@@ -132,7 +133,8 @@ func (s *Store) update(ds Datastructure, apply rootOp) {
 }
 
 // updateParentBound is the locked tier: lock the parent's root, reload
-// the field's committed version, apply, commit a parent shadow. Sibling
+// the field's committed version, apply, commit a parent shadow as a
+// one-update CommitSiblings, which publishes through publish. Sibling
 // fields share one committed pointer, so a per-field CAS would race the
 // parent shadow build.
 func (s *Store) updateParentBound(ds Datastructure, apply rootOp) {

@@ -50,10 +50,10 @@
 //   - A publication has one ordering point, written twice: an
 //     optimistic publication of one root fences, then CASes the root
 //     cell (publishRoot); every locked one — CommitSingle,
-//     CommitUnrelated, a Batch on one shard or several, a queue round,
-//     a root's first bind — stages its roots if it must, fences, then
-//     writes the cells (publish, batch.go). CommitSiblings' parent swap
-//     is a one-root locked publication of its own.
+//     CommitSiblings and every parent-bound update, CommitUnrelated, a
+//     Batch on one shard or several, a queue round, a root's or a
+//     field's first bind — stages its roots if it must, fences, then
+//     writes the cells (publish, batch.go).
 //
 //   - Readers never take root mutexes. Snapshot() pins a reclamation
 //     epoch (alloc/epoch.go), atomically reads the root pointer, and
@@ -467,14 +467,24 @@ type Update struct {
 
 func (u Update) final() pmem.Addr { return u.Shadows[len(u.Shadows)-1].Addr() }
 
+// adopt notes each update's intermediate shadows for finish to retire
+// and points its handle at its final version.
+func (p *preparedBatch) adopt(updates []Update) {
+	for _, u := range updates {
+		p.releases = intermediates(p.releases, u.Shadows)
+		u.DS.base().adopt(u.final())
+	}
+}
+
 // CommitSiblings atomically installs updates to datastructures that are
 // fields of one parent object (Fig. 8c): a shadow of the parent pointing
-// at the new versions is built and flushed, one fence orders everything,
-// and the parent's root pointer is swapped. Reclaiming the old parent
-// cascades to the replaced versions. Updates whose final is the field's
-// current version change nothing; when none changes a field, nothing is
-// published or fenced. Returns ErrConcurrentWriter (and publishes
-// nothing) if the parent moved under the caller.
+// at the new versions is built and flushed, and it publishes as a
+// one-root commit through publish (batch.go): one fence orders
+// everything, then the parent's root pointer is swapped. Reclaiming the
+// old parent cascades to the replaced versions. Updates whose final is
+// the field's current version change nothing; when none changes a
+// field, nothing is published or fenced. Returns ErrConcurrentWriter
+// (and publishes nothing) if the parent moved under the caller.
 func (s *Store) CommitSiblings(p *Parent, updates ...Update) error {
 	if len(updates) == 0 {
 		return nil
@@ -508,6 +518,7 @@ func (s *Store) commitSiblingsLocked(p *Parent, updates []Update) error {
 	if err := s.checkCurrent(p.slot, oldParent, "CommitSiblings"); err != nil {
 		return err
 	}
+	b := &preparedBatch{s: s}
 	if slices.Contains(changed, true) {
 		// Build and flush the parent shadow; unchanged fields gain a parent.
 		shadow := newParentBlock(s.heap, newFields)
@@ -516,24 +527,12 @@ func (s *Store) commitSiblingsLocked(p *Parent, updates []Update) error {
 				s.heap.Retain(f)
 			}
 		}
-		s.commitBegin()
-		s.heap.Fence()
-		s.heap.SetRoot(p.slot, shadow)
-		s.commitEnd()
-		// Parent roots never take the optimistic commit path (parent-bound
-		// updates stay mutex-serialized), so no lock-free builder can be
-		// retaining out of the old parent: the eager cascade is safe here.
-		s.heap.Release(oldParent) // cascades into replaced field versions
+		b.changed = []rootChange{{slot: p.slot, old: oldParent, final: shadow}}
 		p.adopt(shadow)
 	}
-	for _, u := range updates {
-		for _, a := range intermediates(nil, u.Shadows) {
-			s.heap.Release(a)
-		}
-	}
-	for _, u := range updates {
-		u.DS.base().adopt(u.final())
-	}
+	b.adopt(updates)
+	publish([]*preparedBatch{b})
+	b.finish()
 	return nil
 }
 
@@ -586,11 +585,8 @@ func (s *Store) CommitUnrelated(updates ...Update) error {
 		if final := u.final(); final != old {
 			p.changed = append(p.changed, rootChange{slot: slot, old: old, final: final})
 		}
-		p.releases = intermediates(p.releases, u.Shadows)
 	}
-	for _, u := range updates {
-		u.DS.base().adopt(u.final())
-	}
+	p.adopt(updates)
 	publish([]*preparedBatch{p})
 	p.finish()
 	return nil

@@ -65,8 +65,8 @@ const (
 )
 
 // RegisterWalkers installs the child-enumeration functions for every node
-// type in this package on the heap. It must be called after Format or
-// before Recover.
+// type in this package on the heap, and names the types it allocates
+// volatile. It must be called after Format or before Recover.
 func RegisterWalkers(h *alloc.Heap) {
 	h.RegisterWalker(TagBlob, walkNone)
 	h.RegisterWalker(TagStackHdr, walkStackHdr)
@@ -83,6 +83,9 @@ func RegisterWalkers(h *alloc.Heap) {
 	h.RegisterWalker(TagVecHdrSel, walkSelHdr(walkVecHdr, vecHdrSize))
 	h.RegisterWalker(TagStackHdrSel, walkSelHdr(walkStackHdr, stackHdrSize))
 	h.RegisterWalker(TagQueueHdrSel, walkSelHdr(walkQueueHdr, queueHdrSize))
+	// The navigation nodes selective persistence keeps volatile
+	// (nodeAlloc's vol callers); blobs, records and headers never are.
+	h.RegisterVolatile(TagListNode, TagVecNode, TagVecLeaf, TagMapRoot, TagMapNode, TagMapCollision)
 }
 
 func walkNone(*alloc.Heap, pmem.Addr, *alloc.Scratch, func(pmem.Addr)) {}
