@@ -97,10 +97,12 @@ const (
 	// selective structure's staged publication carries a digest of its
 	// durable blocks, and recovery applies it over its volatile navigation
 	// nodes, where a v12 recovery refuses the member and would drop an
-	// acknowledged write. Every bump so far moved or re-encoded something
-	// a recovery depends on, or changed what a recovery decides, so no
-	// older image is readable.
-	version = 13
+	// acknowledged write; 14: a map entry is one 4-byte reference to a
+	// binding block holding key and value, in place of a key blob and a
+	// value blob (package funcds). Every bump so far moved or re-encoded
+	// something a recovery depends on, or changed what a recovery
+	// decides, so no older image is readable.
+	version = 14
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word
@@ -701,6 +703,28 @@ func (h *Heap) Checksum(payload pmem.Addr) (n int, ok, has bool) {
 		return n, false, true
 	}
 	return n, h.nodeCRC(hdr, n) == crc, true
+}
+
+// Extent returns how many payload bytes of the block at payload a reader
+// may take a length stored in it to reach: the checksum-covered length of
+// a sealed block, the payload size of any other, and never past the
+// block or the heap. Both header words come in one read through sc. A
+// malformed header raises the typed corruption panic, as Tag's does.
+func (h *Heap) Extent(payload pmem.Addr, sc *Scratch) int {
+	if payload < heapBase+headerSize || payload >= h.sh.end {
+		panic(&CorruptionPanic{Block: BlockError{Addr: payload, Reason: "pointer outside heap"}})
+	}
+	hdr := sc.Bytes(headerSize)
+	h.dev.Read(payload-headerSize, hdr)
+	stride, tag, _, ok := unpackHeader(leU64(hdr))
+	size := int(stride) - headerSize
+	if !ok || size < 0 || uint64(payload)+uint64(size) > uint64(h.sh.end) {
+		panic(&CorruptionPanic{Block: BlockError{Addr: payload, Tag: tag, Reason: fmt.Sprintf("bad header word %#x", leU64(hdr))}})
+	}
+	if n, _, has := unpackCheck(leU64(hdr[8:])); has && n < size {
+		return n
+	}
+	return size
 }
 
 // strideOf returns the stride of the block at payload (panics on a

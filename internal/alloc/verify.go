@@ -259,7 +259,7 @@ func nonBlockRef(payload pmem.Addr) *CorruptionPanic {
 // verification verifies too rather than return before it is done. The
 // fast path — no tainted blocks remain, the steady state — is one atomic
 // load; while some remain, an untainted block costs one more. Hooked into
-// the shared node-read and blob-read funnels.
+// the shared node-read and binding-read funnels.
 func (h *Heap) VerifyOnRead(payload pmem.Addr) {
 	sh := h.sh
 	if sh.taintCount.Load() == 0 {

@@ -344,12 +344,77 @@ func TestOpenSalvageRollsBackSelectiveRoot(t *testing.T) {
 // as volatile navigation state, verification passed it unchecked, and a
 // plain map whose root node took the flip came back empty with no error.
 func TestOpenVerifyCatchesFlippedVolatileBit(t *testing.T) {
+	f := newFlipFixture(t)
+	for _, tag := range []uint8{funcds.TagBlob, funcds.TagStackHdr, funcds.TagListNode, funcds.TagQueueHdr,
+		funcds.TagVecHdr, funcds.TagVecNode, funcds.TagVecLeaf, funcds.TagMapRoot, funcds.TagMapNode,
+		funcds.TagParent, funcds.TagRecord, funcds.TagMapHdrSel, funcds.TagVecHdrSel, funcds.TagStackHdrSel,
+		funcds.TagQueueHdrSel} {
+		if len(f.live[tag]) == 0 {
+			t.Fatalf("the image holds no live durable block of tag %d", tag)
+		}
+	}
+
+	const volatileBit = uint64(1) << 41
+	for _, tag := range slices.Sorted(maps.Keys(f.live)) {
+		hdrs := f.live[tag]
+		for _, hdr := range []pmem.Addr{hdrs[0], hdrs[len(hdrs)-1]} {
+			dmg := slices.Clone(f.img)
+			binary.LittleEndian.PutUint64(dmg[hdr:], binary.LittleEndian.Uint64(dmg[hdr:])|volatileBit)
+			f.reopen(t, fmt.Sprintf("tag %d block %#x", tag, uint64(hdr)), dmg)
+		}
+	}
+}
+
+// TestOpenVerifyCatchesFlippedBindingLengths flips bits of the two length
+// bytes — [klen][vtag], uvarints — at the front of binding blocks (heap
+// layout v14), the lengths a reader takes to slice key and value out of
+// the block, on the same image, and reopens with verification and
+// salvage: every root is reported damaged or reads back whole, never a
+// key or value cut from a neighbouring block. A selective root's record
+// cells name bindings too, so the flip can land on the chain a salvage
+// replays.
+func TestOpenVerifyCatchesFlippedBindingLengths(t *testing.T) {
+	f := newFlipFixture(t)
+	bindings := f.live[funcds.TagBlob]
+	if len(bindings) < 8 {
+		t.Fatalf("the image holds %d live bindings, want at least 8", len(bindings))
+	}
+	for _, hdr := range append(bindings[:4:4], bindings[len(bindings)-4:]...) {
+		p := hdr + alloc.HeaderSize
+		for _, at := range []pmem.Addr{p, p + 1} {
+			for _, mask := range []byte{0x01, 0x10, 0x40, 0x80} {
+				dmg := slices.Clone(f.img)
+				dmg[at] ^= mask
+				if f.reopen(t, fmt.Sprintf("binding %#x byte %d ^ %#x", uint64(p), at-p, mask), dmg) == 0 {
+					t.Errorf("binding %#x byte %d ^ %#x: no root reported damaged", uint64(p), at-p, mask)
+				}
+			}
+		}
+	}
+}
+
+// flipFixture is a sealed 1 MiB image holding every structure plain and
+// selective and a parent-bound map, 64 operations each, for the tests
+// that flip bits in it and reopen. The plain roots come first; the store
+// turns selective before the first selective one, with no fold due, so
+// every selective navigation node stays volatile.
+type flipFixture struct {
+	cfg   pmem.Config
+	img   []byte
+	roots []matrixStructure
+	slots []int
+	want  [][]string
+	live  map[uint8][]pmem.Addr // the live durable blocks' headers by tag, in chain order
+}
+
+func newFlipFixture(t *testing.T) *flipFixture {
 	const ops = 64
-	cfg := pmem.DefaultConfig(1 << 20)
-	db, _, err := Open(cfg)
+	f := &flipFixture{cfg: pmem.DefaultConfig(1 << 20), live: map[uint8][]pmem.Addr{}}
+	db, _, err := Open(f.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db.Close()
 	s := db.Store()
 	field := func(s *Store, nm string) (matrixOps, error) {
 		p, err := s.Parent(nm, "f")
@@ -362,13 +427,10 @@ func TestOpenVerifyCatchesFlippedVolatileBit(t *testing.T) {
 		}
 		return mxMapOps(m), nil
 	}
-	// The plain roots come first; the store turns selective before the
-	// first selective one, with no fold due, so every selective
-	// navigation node stays volatile.
-	roots := append([]matrixStructure{{"parent", false, field}}, matrixStructures()...)
-	slots := make([]int, len(roots))
-	want := make([][]string, len(roots))
-	for i, r := range roots {
+	f.roots = append([]matrixStructure{{"parent", false, field}}, matrixStructures()...)
+	f.slots = make([]int, len(f.roots))
+	f.want = make([][]string, len(f.roots))
+	for i, r := range f.roots {
 		if r.selective && !s.sh.selective {
 			s.makeSelective(0)
 		}
@@ -376,63 +438,53 @@ func TestOpenVerifyCatchesFlippedVolatileBit(t *testing.T) {
 		for j := 0; j < ops; j++ {
 			o.basic(j)
 		}
-		want[i] = o.dump()
-		if slots[i], err = s.heap.RootSlot(r.name); err != nil {
+		f.want[i] = o.dump()
+		if f.slots[i], err = s.heap.RootSlot(r.name); err != nil {
 			t.Fatal(err)
 		}
 	}
 	db.Sync()
-	img := snapshot(s)
+	f.img = snapshot(s)
 
-	// The live durable blocks of the image, by tag, in chain order.
 	const volatileBit = uint64(1) << 41
-	byTag := map[uint8][]pmem.Addr{}
 	lo, hi := s.heap.DataBounds()
 	for a := lo; a+alloc.HeaderSize <= hi; {
-		w0 := binary.LittleEndian.Uint64(img[a:])
+		w0 := binary.LittleEndian.Uint64(f.img[a:])
 		if uint32(w0) == 0 {
 			t.Fatalf("unparsable header word %#x at %#x", w0, uint64(a))
 		}
 		if tag := uint8(w0 >> 32); w0&volatileBit == 0 && s.heap.RefCount(a+alloc.HeaderSize) > 0 {
-			byTag[tag] = append(byTag[tag], a)
+			f.live[tag] = append(f.live[tag], a)
 		}
 		a += pmem.Addr(uint32(w0))
 	}
-	for _, tag := range []uint8{funcds.TagBlob, funcds.TagStackHdr, funcds.TagListNode, funcds.TagQueueHdr,
-		funcds.TagVecHdr, funcds.TagVecNode, funcds.TagVecLeaf, funcds.TagMapRoot, funcds.TagMapNode,
-		funcds.TagParent, funcds.TagRecord, funcds.TagMapHdrSel, funcds.TagVecHdrSel, funcds.TagStackHdrSel,
-		funcds.TagQueueHdrSel} {
-		if len(byTag[tag]) == 0 {
-			t.Fatalf("the image holds no live durable block of tag %d", tag)
-		}
-	}
+	return f
+}
 
-	for _, tag := range slices.Sorted(maps.Keys(byTag)) {
-		hdrs := byTag[tag]
-		for _, hdr := range []pmem.Addr{hdrs[0], hdrs[len(hdrs)-1]} {
-			what := fmt.Sprintf("tag %d block %#x", tag, uint64(hdr))
-			dmg := slices.Clone(img)
-			binary.LittleEndian.PutUint64(dmg[hdr:], binary.LittleEndian.Uint64(dmg[hdr:])|volatileBit)
-			db2, info, err := Open(cfg, WithExistingImages([][]byte{dmg}), WithVerify(), WithSalvage())
-			if err != nil {
-				t.Errorf("%s: open failed entirely: %v", what, err)
-				continue
-			}
-			reported := map[int]bool{}
-			for _, d := range info.Damaged {
-				reported[d.Slot] = true
-			}
-			for i, r := range roots {
-				if reported[slots[i]] {
-					continue
-				}
-				if err := flipReadBack(db2.Store(), r, want[i]); err != nil {
-					t.Errorf("%s: root %s is not reported damaged and %v", what, r.name, err)
-				}
-			}
-			db2.Close()
+// reopen opens dmg with verification and salvage, requires every root to
+// be reported damaged or to read back whole, and returns how many roots
+// were reported.
+func (f *flipFixture) reopen(t *testing.T, what string, dmg []byte) int {
+	t.Helper()
+	db, info, err := Open(f.cfg, WithExistingImages([][]byte{dmg}), WithVerify(), WithSalvage())
+	if err != nil {
+		t.Errorf("%s: open failed entirely: %v", what, err)
+		return 0
+	}
+	defer db.Close()
+	reported := map[int]bool{}
+	for _, d := range info.Damaged {
+		reported[d.Slot] = true
+	}
+	for i, r := range f.roots {
+		if reported[f.slots[i]] {
+			continue
+		}
+		if err := flipReadBack(db.Store(), r, f.want[i]); err != nil {
+			t.Errorf("%s: root %s is not reported damaged and %v", what, r.name, err)
 		}
 	}
+	return len(reported)
 }
 
 // flipReadBack binds r on s and compares its contents with want.

@@ -405,7 +405,7 @@ func TestCrashMatrixRecordSlots(t *testing.T) {
 // one under one fence, a staged round on a root a group just swapped, and
 // a digest over a ledger range with released nodes left out.
 // On the selective rows the digests cover each publication's durable
-// blocks (header, record cells, blobs) and recovery treats its volatile
+// blocks (header, record cells, bindings) and recovery treats its volatile
 // navigation nodes as leaves; every second record folds a checkpoint
 // (mxCheckpointEvery), whose member carries no digest, and its round
 // fences once more after the swaps. Every submission is acknowledged when

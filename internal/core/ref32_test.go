@@ -66,6 +66,13 @@ func TestOpenRejectsV12Heap(t *testing.T) {
 	openStampedHeap(t, 12)
 }
 
+// TestOpenRejectsV13Heap: and the layout before this one, whose map
+// entries are two references, a key blob's and a value blob's, where this
+// build reads one reference to a binding block.
+func TestOpenRejectsV13Heap(t *testing.T) {
+	openStampedHeap(t, 13)
+}
+
 func openStampedHeap(t *testing.T, version uint64) {
 	cfg := pmem.DefaultConfig(1 << 20)
 	db, _, err := Open(cfg)
@@ -358,6 +365,22 @@ func FuzzAttachMutatedImage(f *testing.F) {
 		f.Add(seed(root+12, 0x01), verify) // nodeMap
 		f.Add(seed(root+15, 0x80), verify) // nodeMap, top bit
 		f.Add(seed(root+2, 0x01, root+9, 0x01), verify)
+	}
+	// A binding block's two length bytes, [klen][vtag] (heap layout v14):
+	// the first binding down the trie's first branch.
+	node, pre := mapRoot, pmem.Addr(8)
+	for binary.LittleEndian.Uint32(img[node+pre:]) == 0 {
+		node, pre = pmem.Addr(binary.LittleEndian.Uint32(img[node+pre+8:]))<<3, 0
+	}
+	at = slices.Index(payload, pmem.Addr(binary.LittleEndian.Uint32(img[node+pre+8:]))<<3)
+	if at < 0 {
+		f.Fatalf("no binding block found under the map root %#x", uint64(mapRoot))
+	}
+	pair := uint32(at)
+	for _, verify := range []bool{true, false} {
+		f.Add(seed(pair, 0x08), verify)   // klen
+		f.Add(seed(pair+1, 0x40), verify) // vtag
+		f.Add(seed(pair, 0x80, pair+1, 0x80), verify)
 	}
 
 	f.Fuzz(func(t *testing.T, flips []byte, verify bool) {

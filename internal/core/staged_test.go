@@ -55,7 +55,7 @@ func TestAsyncOneRootOneFence(t *testing.T) { asyncOneRootOneFence(t, false) }
 
 // TestAsyncOneRootOneFenceSelective is the same budget on a selective
 // map, whose publications digest their durable blocks — the header, the
-// record cell and the blobs — and leave the volatile trie out: a lone
+// record cell and the binding — and leave the volatile trie out: a lone
 // one-root CommitAsync costs one fence, as on a plain map. The interval
 // is the default, so no op folds a checkpoint.
 func TestAsyncOneRootOneFenceSelective(t *testing.T) { asyncOneRootOneFence(t, true) }

@@ -1,6 +1,7 @@
 package funcds
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
 
@@ -18,12 +19,10 @@ import (
 // Layouts (ref = 4-byte node reference, funcds.go):
 //
 //	root      (TagMapRoot):      [count u64][dataMap u32][nodeMap u32]
-//	                             d × [keyBlob ref][valBlob ref]
-//	                             c × [child ref]
+//	                             d × [binding ref] c × [child ref]
 //	node      (TagMapNode):      [dataMap u32][nodeMap u32]
-//	                             d × [keyBlob ref][valBlob ref]
-//	                             c × [child ref]
-//	collision (TagMapCollision): [n u32][pad u32] n × [keyBlob ref][valBlob ref]
+//	                             d × [binding ref] c × [child ref]
+//	collision (TagMapCollision): [n u32][pad u32] n × [binding ref]
 //
 // A plain map's version is its root node (heap layout v12): root cells,
 // parent fields, snapshots and stage-slot digests name it, and an update
@@ -32,9 +31,13 @@ import (
 // version is its header (record.go), whose first word names its root.
 //
 // A bitmap position is an entry or a child, never both, so d+c <= 32: a
-// full 32-child node is 136 bytes (a full root 144) and the widest node
-// (32 entries) 264. Keys and values are boxed in Blob blocks; a set
-// stores Nil value slots.
+// full node is 136 bytes (a full root 144) whatever its mix. An entry
+// names one binding block holding key and value (heap layout v14,
+// newPair); a set's bindings hold no value.
+//
+// The trie is canonical: a node below the root never holds a single
+// binding and nothing else — its parent holds that binding inline — so
+// after any sequence of updates the trie is the one its keys would build.
 type Map struct {
 	h    *alloc.Heap
 	addr pmem.Addr
@@ -46,8 +49,7 @@ const (
 	mapBits        = 5 // hash bits consumed per trie level
 	mapWidth       = 1 << mapBits
 	mapMask        = mapWidth - 1
-	mapNodeHdrSize = 8           // the two bitmaps, or a collision bucket's count word
-	mapEntrySize   = 2 * refSize // [keyBlob ref][valBlob ref]
+	mapNodeHdrSize = 8 // the two bitmaps, or a collision bucket's count word
 	// rootPrefix is the count word ahead of a root node's bitmaps.
 	rootPrefix = 8
 	// mapSelBase is a selective map header's base field: its live root.
@@ -57,11 +59,9 @@ const (
 	collisionShift = 60
 )
 
-type mapEntry struct{ key, val pmem.Addr }
-
 // entryOff and childOff locate the i-th entry, and the i-th child of a
 // node holding d entries, from the start of the node's bitmaps.
-func entryOff(i int) pmem.Addr    { return mapNodeHdrSize + pmem.Addr(i*mapEntrySize) }
+func entryOff(i int) pmem.Addr    { return mapNodeHdrSize + pmem.Addr(i*refSize) }
 func childOff(d, i int) pmem.Addr { return entryOff(d) + pmem.Addr(i*refSize) }
 
 // mapNodeSize is the encoded size of a node body with d entries and c
@@ -85,9 +85,7 @@ func tagPrefix(tag uint8) pmem.Addr {
 	return 0
 }
 
-func getEntry(b []byte) mapEntry {
-	return mapEntry{refAddr(binary.LittleEndian.Uint32(b)), refAddr(binary.LittleEndian.Uint32(b[refSize:]))}
-}
+func getRef(b []byte) pmem.Addr { return refAddr(binary.LittleEndian.Uint32(b)) }
 
 // NewMap allocates an empty durable map, a root node with no entries
 // (flushed, not fenced).
@@ -185,15 +183,14 @@ type mapNode struct {
 	pre              pmem.Addr // rootPrefix for a root, 0 below it
 	count            uint64    // a root's entry count; unused below it
 	dataMap, nodeMap uint32
-	eb               [mapWidth]mapEntry
-	cb               [mapWidth]pmem.Addr
+	eb, cb           [mapWidth]pmem.Addr // bindings, children
 }
 
-func (n *mapNode) entries() []mapEntry   { return n.eb[:bits.OnesCount32(n.dataMap)] }
+func (n *mapNode) entries() []pmem.Addr  { return n.eb[:bits.OnesCount32(n.dataMap)] }
 func (n *mapNode) children() []pmem.Addr { return n.cb[:bits.OnesCount32(n.nodeMap)] }
 
 // insertEntry adds e as the di-th entry, under bitmap position bit.
-func (n *mapNode) insertEntry(bit uint32, di int, e mapEntry) {
+func (n *mapNode) insertEntry(bit uint32, di int, e pmem.Addr) {
 	d := len(n.entries())
 	copy(n.eb[di+1:d+1], n.eb[di:d])
 	n.eb[di] = e
@@ -243,18 +240,17 @@ func readMapNode(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a, pre pmem.A
 	// (The fixed arrays bound a damaged node's bitmaps: d, c <= 32.)
 	node := h.ReadCached(a, int(pre)+mapNodeSize(d, c), ed, sc)[pre:]
 	for i := 0; i < d; i++ {
-		n.eb[i] = getEntry(node[entryOff(i):])
+		n.eb[i] = getRef(node[entryOff(i):])
 	}
 	for i := 0; i < c; i++ {
-		n.cb[i] = refAddr(binary.LittleEndian.Uint32(node[childOff(d, i):]))
+		n.cb[i] = getRef(node[childOff(d, i):])
 	}
 }
 
 // putEntries encodes entries into a node image.
-func putEntries(node []byte, entries []mapEntry) {
+func putEntries(node []byte, entries []pmem.Addr) {
 	for i, e := range entries {
-		binary.LittleEndian.PutUint32(node[entryOff(i):], ref32(e.key))
-		binary.LittleEndian.PutUint32(node[entryOff(i)+refSize:], ref32(e.val))
+		binary.LittleEndian.PutUint32(node[entryOff(i):], ref32(e))
 	}
 }
 
@@ -262,7 +258,7 @@ func putEntries(node []byte, entries []mapEntry) {
 // selective persistence): a root carrying count when pre is rootPrefix,
 // an interior node when it is 0. Reference transfers are the caller's
 // responsibility.
-func buildMapNode(h *alloc.Heap, ed *alloc.Edit, vol bool, pre pmem.Addr, count uint64, dataMap, nodeMap uint32, entries []mapEntry, children []pmem.Addr) pmem.Addr {
+func buildMapNode(h *alloc.Heap, ed *alloc.Edit, vol bool, pre pmem.Addr, count uint64, dataMap, nodeMap uint32, entries, children []pmem.Addr) pmem.Addr {
 	size := int(pre) + mapNodeSize(len(entries), len(children))
 	tag := TagMapNode
 	if pre != 0 {
@@ -292,7 +288,7 @@ func (n *mapNode) build(h *alloc.Heap, ed *alloc.Edit, vol bool) pmem.Addr {
 
 // buildCollision allocates, writes, and flushes a collision bucket
 // (volatile under selective persistence).
-func buildCollision(h *alloc.Heap, ed *alloc.Edit, vol bool, entries []mapEntry) pmem.Addr {
+func buildCollision(h *alloc.Heap, ed *alloc.Edit, vol bool, entries []pmem.Addr) pmem.Addr {
 	size := mapNodeSize(len(entries), 0)
 	a := nodeAlloc(h, ed, size, TagMapCollision, vol)
 	buf := ed.Scratch().Bytes(size)
@@ -310,7 +306,7 @@ func buildCollision(h *alloc.Heap, ed *alloc.Edit, vol bool, entries []mapEntry)
 const collisionInline = 4
 
 // readCollision appends the bucket's entries to dst and returns it.
-func readCollision(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr, dst []mapEntry) []mapEntry {
+func readCollision(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr, dst []pmem.Addr) []pmem.Addr {
 	hdr := h.ReadCached(a, mapNodeHdrSize, ed, sc)
 	n := int(binary.LittleEndian.Uint32(hdr))
 	if n == 0 {
@@ -319,21 +315,18 @@ func readCollision(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr
 	// Whole-node read under the block-start key; see readMapNode.
 	node := h.ReadCached(a, mapNodeSize(n, 0), ed, sc)
 	for i := 0; i < n; i++ {
-		dst = append(dst, getEntry(node[entryOff(i):]))
+		dst = append(dst, getRef(node[entryOff(i):]))
 	}
 	return dst
 }
 
-// checkEntries requires every reference in entries to name a block, as a
-// read through it would (alloc.Heap.CheckRef): a path copy carries the
+// checkRefs requires every reference in refs to name a block, as a read
+// through it would (alloc.Heap.CheckRef): a path copy carries the
 // references it does not change into a new node without following them,
 // and a damaged one must not be published a second time.
-func checkEntries(h *alloc.Heap, entries []mapEntry) {
-	for _, e := range entries {
-		h.CheckRef(e.key)
-		if e.val != pmem.Nil {
-			h.CheckRef(e.val)
-		}
+func checkRefs(h *alloc.Heap, refs []pmem.Addr) {
+	for _, r := range refs {
+		h.CheckRef(r)
 	}
 }
 
@@ -343,18 +336,16 @@ func checkEntries(h *alloc.Heap, entries []mapEntry) {
 // dstOnly the ones it gained, each in node layout order; the caller's
 // references on dstOnly transfer into the copy.
 func (m Map) copyOf(src pmem.Addr, n *mapNode, srcOnly, dstOnly only) pmem.Addr {
-	checkEntries(m.h, n.entries())
-	for _, c := range n.children() {
-		m.h.CheckRef(c)
-	}
+	checkRefs(m.h, n.entries())
+	checkRefs(m.h, n.children())
 	dst := n.build(m.h, m.ed, m.sel)
 	m.h.Borrow(src, dst, srcOnly, dstOnly)
 	return dst
 }
 
 // collisionCopyOf is copyOf for a collision bucket.
-func (m Map) collisionCopyOf(src pmem.Addr, entries []mapEntry, srcOnly, dstOnly only) pmem.Addr {
-	checkEntries(m.h, entries)
+func (m Map) collisionCopyOf(src pmem.Addr, entries []pmem.Addr, srcOnly, dstOnly only) pmem.Addr {
+	checkRefs(m.h, entries)
 	dst := buildCollision(m.h, m.ed, m.sel, entries)
 	m.h.Borrow(src, dst, srcOnly, dstOnly)
 	return dst
@@ -362,10 +353,10 @@ func (m Map) collisionCopyOf(src pmem.Addr, entries []mapEntry, srcOnly, dstOnly
 
 // Get returns the value stored under key. The descent reads only the
 // node bitmaps (one 8-byte word) and the one relevant slot per level — a
-// 4-byte child reference, or an entry's key and value references as one
-// 8-byte word — not the whole node, matching how a real CHAMP lookup
-// touches memory. It starts at the root node, which holds no collision
-// bucket, so the root's tag is not read.
+// 4-byte child or binding reference — not the whole node, matching how a
+// real CHAMP lookup touches memory, and then the one binding block. It
+// starts at the root node, which holds no collision bucket, so the root's
+// tag is not read.
 func (m Map) Get(key []byte) ([]byte, bool) {
 	dev := m.h.Device()
 	sc := m.ed.Scratch()
@@ -378,13 +369,10 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 		// behind it are checked before anything in it is followed.
 		m.h.VerifyRef(node)
 		if pre == 0 && m.h.Tag(node) == TagMapCollision {
-			var cbuf [collisionInline]mapEntry
+			var cbuf [collisionInline]pmem.Addr
 			for _, e := range readCollision(m.h, m.ed, sc, node, cbuf[:0]) {
-				if blobEqual(m.h, sc, e.key, key) {
-					if e.val == pmem.Nil {
-						return nil, true
-					}
-					return blobBytes(m.h, e.val), true
+				if k, v := pairAt(m.h, sc, e); bytes.Equal(k, key) {
+					return bytes.Clone(v), true
 				}
 			}
 			return nil, false
@@ -395,15 +383,11 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 		switch {
 		case dataMap&bit != 0:
 			di := bits.OnesCount32(dataMap & (bit - 1))
-			e := dev.ReadU64(node + pre + entryOff(di))
-			if !blobEqual(m.h, sc, refAddr(uint32(e)), key) {
+			k, v := pairAt(m.h, sc, refAddr(dev.ReadU32(node+pre+entryOff(di))))
+			if !bytes.Equal(k, key) {
 				return nil, false
 			}
-			valBlob := refAddr(uint32(e >> 32))
-			if valBlob == pmem.Nil {
-				return nil, true
-			}
-			return blobBytes(m.h, valBlob), true
+			return bytes.Clone(v), true
 		case nodeMap&bit != 0:
 			d := bits.OnesCount32(dataMap)
 			ni := bits.OnesCount32(nodeMap & (bit - 1))
@@ -423,24 +407,23 @@ func (m Map) Contains(key []byte) bool {
 }
 
 // Set returns a new version with key bound to val, and whether an existing
-// binding was replaced. Pass a nil val for set semantics (no value blob).
+// binding was replaced. Pass a nil val for set semantics (no value). Either
+// way the binding is one new block, which a replaced binding's slot takes
+// over.
 func (m Map) Set(key, val []byte) (Map, bool) {
-	// The key is boxed only where the trie installs a new entry: replacing
-	// a binding reuses the blob already there, so boxing up front would
-	// allocate, write, checksum, flush and free a blob that is never
-	// linked. A selective map's record cell references whichever key blob
-	// the binding ends up with, so it is created after the insert.
-	valBlob := pmem.Nil
-	if val != nil {
-		valBlob = newBlob(m.h, m.ed, val)
-	}
+	return m.setPair(key, newPair(m.h, m.ed, key, val))
+}
+
+// setPair is Set of the binding block p of key, whose reference transfers
+// into the new version. A selective map's record cell names p too.
+func (m Map) setPair(key []byte, p pmem.Addr) (Map, bool) {
 	root := m.root()
-	newRoot, keyBlob, replaced := m.insertRec(root, 0, hash64(key), key, valBlob)
+	newRoot, replaced := m.insertRec(root, 0, hash64(key), key, p)
 	if !m.sel {
 		return m.advance(newRoot), replaced
 	}
 	_, oldRec, _ := readSelExt(m.h, m.addr, mapSelBase)
-	rec := newRecord(m.h, m.ed, oldRec, RecMapSet, uint64(keyBlob), uint64(valBlob))
+	rec := newRecord(m.h, m.ed, oldRec, RecMapSet, uint64(p), 0)
 	return m.setSel(newRoot, root, rec), replaced
 }
 
@@ -487,29 +470,27 @@ func (m Map) replaceChild(node pmem.Addr, n *mapNode, ni int, child, newChild pm
 	return m.copyOf(node, n, only{child}, only{newChild})
 }
 
-// insertRec returns a new node with the binding applied, the key blob the
-// binding uses — the existing one when replaced is true, otherwise a fresh
-// box now linked in the new trie — and whether a binding was replaced. The
-// valBlob reference transfers into the new trie. At shift 0 node is the
-// root, and the result carries the new count.
-func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, valBlob pmem.Addr) (pmem.Addr, pmem.Addr, bool) {
+// insertRec returns a new node with the binding block p of key installed,
+// and whether it replaced a binding of key. The reference on p transfers
+// into the new trie. At shift 0 node is the root, and the result carries
+// the new count.
+func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, p pmem.Addr) (pmem.Addr, bool) {
 	h, sc := m.h, m.ed.Scratch()
 	if shift != 0 && h.Tag(node) == TagMapCollision {
-		var cbuf [collisionInline]mapEntry
+		var cbuf [collisionInline]pmem.Addr
 		entries := readCollision(h, m.ed, sc, node, cbuf[:0])
 		for i, e := range entries {
-			if blobEqual(h, sc, e.key, key) {
+			if k, _ := pairAt(h, sc, e); bytes.Equal(k, key) {
 				if m.ed.Owns(node) {
-					m.setSlot(node, entryOff(i)+refSize, valBlob, e.val)
-					return node, e.key, true
+					m.setSlot(node, entryOff(i), p, e)
+					return node, true
 				}
-				entries[i].val = valBlob
-				return m.collisionCopyOf(node, entries, only{e.val}, only{valBlob}), e.key, true
+				entries[i] = p
+				return m.collisionCopyOf(node, entries, only{e}, only{p}), true
 			}
 		}
-		keyBlob := newBlob(h, m.ed, key)
-		entries = append(entries, mapEntry{keyBlob, valBlob})
-		return m.collisionCopyOf(node, entries, only{}, only{keyBlob, valBlob}), keyBlob, false
+		entries = append(entries, p)
+		return m.collisionCopyOf(node, entries, only{}, only{p}), false
 	}
 
 	var n mapNode
@@ -521,54 +502,52 @@ func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, valB
 	switch {
 	case n.dataMap&bit != 0:
 		e := n.eb[di]
-		if blobEqual(h, sc, e.key, key) {
+		k, _ := pairAt(h, sc, e)
+		if bytes.Equal(k, key) {
 			if m.ed.Owns(node) {
-				// Same shape: a single in-place value-slot write.
-				m.setSlot(node, n.pre+entryOff(di)+refSize, valBlob, e.val)
-				return node, e.key, true
+				// Same shape: a single in-place slot write.
+				m.setSlot(node, n.pre+entryOff(di), p, e)
+				return node, true
 			}
-			// Replace the value (new node, same shape).
-			n.eb[di].val = valBlob
-			return m.copyOf(node, &n, only{e.val}, only{valBlob}), e.key, true
+			// Replace the binding (new node, same shape).
+			n.eb[di] = p
+			return m.copyOf(node, &n, only{e}, only{p}), true
 		}
 		// Hash conflict at this level: push both entries one level down.
 		// The node's shape changes, so an owned node is rebuilt too (its
 		// replacement transfers in via the parent's in-place slot write).
-		// The subtree is a new parent of the displaced entry's blobs; the
-		// copy of this node no longer holds them itself.
-		exHash := hash64(blobInto(h, sc, e.key))
-		h.RetainRef(e.key)
-		h.RetainRef(e.val)
-		keyBlob := newBlob(h, m.ed, key)
-		sub := m.mergeTwo(shift+mapBits, e, exHash, mapEntry{keyBlob, valBlob}, hash)
+		// The subtree is a new parent of the displaced binding; the copy
+		// of this node no longer holds it itself.
+		exHash := hash64(k)
+		h.RetainRef(e)
+		sub := m.mergeTwo(shift+mapBits, e, exHash, p, hash)
 		n.removeEntry(bit, di)
 		n.insertChild(bit, ni, sub)
 		n.count++
-		return m.copyOf(node, &n, only{e.key, e.val}, only{sub}), keyBlob, false
+		return m.copyOf(node, &n, only{e}, only{sub}), false
 
 	case n.nodeMap&bit != 0:
 		child := n.cb[ni]
-		newChild, keyBlob, replaced := m.insertRec(child, shift+mapBits, hash, key, valBlob)
+		newChild, replaced := m.insertRec(child, shift+mapBits, hash, key, p)
 		if !replaced {
 			n.count++
 		}
-		return m.replaceChild(node, &n, ni, child, newChild, !replaced), keyBlob, replaced
+		return m.replaceChild(node, &n, ni, child, newChild, !replaced), replaced
 
 	default:
-		keyBlob := newBlob(h, m.ed, key)
-		n.insertEntry(bit, di, mapEntry{keyBlob, valBlob})
+		n.insertEntry(bit, di, p)
 		n.count++
-		return m.copyOf(node, &n, only{}, only{keyBlob, valBlob}), keyBlob, false
+		return m.copyOf(node, &n, only{}, only{p}), false
 	}
 }
 
 // mergeTwo builds the smallest subtree separating two distinct keys whose
-// hashes collide at the parent level. Both entries' references transfer
-// into the result (the caller retains the pre-existing entry beforehand).
-func (m Map) mergeTwo(shift uint, e1 mapEntry, h1 uint64, e2 mapEntry, h2 uint64) pmem.Addr {
+// hashes collide at the parent level. Both bindings' references transfer
+// into the result (the caller retains the pre-existing one beforehand).
+func (m Map) mergeTwo(shift uint, e1 pmem.Addr, h1 uint64, e2 pmem.Addr, h2 uint64) pmem.Addr {
 	h := m.h
 	if shift >= collisionShift {
-		return buildCollision(h, m.ed, m.sel, []mapEntry{e1, e2})
+		return buildCollision(h, m.ed, m.sel, []pmem.Addr{e1, e2})
 	}
 	i1 := uint32((h1 >> shift) & mapMask)
 	i2 := uint32((h2 >> shift) & mapMask)
@@ -577,9 +556,9 @@ func (m Map) mergeTwo(shift uint, e1 mapEntry, h1 uint64, e2 mapEntry, h2 uint64
 		return buildMapNode(h, m.ed, m.sel, 0, 0, 0, uint32(1)<<i1, nil, []pmem.Addr{sub})
 	}
 	if i1 < i2 {
-		return buildMapNode(h, m.ed, m.sel, 0, 0, uint32(1)<<i1|uint32(1)<<i2, 0, []mapEntry{e1, e2}, nil)
+		return buildMapNode(h, m.ed, m.sel, 0, 0, uint32(1)<<i1|uint32(1)<<i2, 0, []pmem.Addr{e1, e2}, nil)
 	}
-	return buildMapNode(h, m.ed, m.sel, 0, 0, uint32(1)<<i1|uint32(1)<<i2, 0, []mapEntry{e2, e1}, nil)
+	return buildMapNode(h, m.ed, m.sel, 0, 0, uint32(1)<<i1|uint32(1)<<i2, 0, []pmem.Addr{e2, e1}, nil)
 }
 
 // Delete returns a new version without key, and whether the key was
@@ -587,42 +566,43 @@ func (m Map) mergeTwo(shift uint, e1 mapEntry, h1 uint64, e2 mapEntry, h2 uint64
 // new version allocated.
 func (m Map) Delete(key []byte) (Map, bool) {
 	root := m.root()
-	newRoot, removed := m.deleteRec(root, 0, hash64(key), key)
-	if !removed {
+	newRoot, _, gone := m.deleteRec(root, 0, hash64(key), key)
+	if gone == pmem.Nil {
 		return m, false
 	}
 	if !m.sel {
 		return m.advance(newRoot), true
 	}
-	// The record operand is a fresh key blob owned by the record alone:
-	// newRecord retains it, so the temporary reference is dropped here.
-	kb := newBlob(m.h, m.ed, key)
+	// The record names the removed binding, which deleteRec kept alive for
+	// it: newRecord takes its own reference, so that one is dropped here.
 	_, oldRec, _ := readSelExt(m.h, m.addr, mapSelBase)
-	rec := newRecord(m.h, m.ed, oldRec, RecMapDelete, uint64(kb), 0)
-	m.h.Release(kb)
+	rec := newRecord(m.h, m.ed, oldRec, RecMapDelete, uint64(gone), 0)
+	m.h.Release(gone)
 	return m.setSel(newRoot, root, rec), true
 }
 
-// deleteRec returns the replacement node (Nil if a subtree below the root
-// became empty; the root itself only empties) and whether the key was
-// found. For simplicity nodes are not re-inlined into their parents on
-// deletion (lookup correctness is unaffected; the trie is merely
-// non-canonical afterwards).
-func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pmem.Addr, bool) {
+// deleteRec removes key below node. It returns what takes node's place in
+// its parent — a node or, with lone set, the one binding left in a
+// subtree below the root, which an ancestor holds inline — and the removed
+// binding, Nil when key is absent. A selective map's removed binding
+// carries a reference for its record. In a canonical trie no node below
+// the root holds fewer than two bindings, so none empties.
+func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (res pmem.Addr, lone bool, gone pmem.Addr) {
 	h, sc := m.h, m.ed.Scratch()
 	if shift != 0 && h.Tag(node) == TagMapCollision {
-		var cbuf [collisionInline]mapEntry
+		var cbuf [collisionInline]pmem.Addr
 		entries := readCollision(h, m.ed, sc, node, cbuf[:0])
 		for i, e := range entries {
-			if blobEqual(h, sc, e.key, key) {
-				if len(entries) == 1 {
-					return pmem.Nil, true
-				}
+			if k, _ := pairAt(h, sc, e); bytes.Equal(k, key) {
+				m.keepRemoved(e)
 				entries = append(entries[:i], entries[i+1:]...)
-				return m.collisionCopyOf(node, entries, only{e.key, e.val}, only{}), true
+				if len(entries) == 1 {
+					return entries[0], true, e
+				}
+				return m.collisionCopyOf(node, entries, only{e}, only{}), false, e
 			}
 		}
-		return pmem.Nil, false
+		return pmem.Nil, false, pmem.Nil
 	}
 
 	var n mapNode
@@ -633,36 +613,59 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (pme
 
 	switch {
 	case n.dataMap&bit != 0:
-		if !blobEqual(h, sc, n.eb[di].key, key) {
-			return pmem.Nil, false
-		}
-		if n.pre == 0 && len(n.entries()) == 1 && n.nodeMap == 0 {
-			return pmem.Nil, true
-		}
 		e := n.eb[di]
+		if k, _ := pairAt(h, sc, e); !bytes.Equal(k, key) {
+			return pmem.Nil, false, pmem.Nil
+		}
+		m.keepRemoved(e)
 		n.removeEntry(bit, di)
 		n.count--
-		return m.copyOf(node, &n, only{e.key, e.val}, only{}), true
+		return m.shrunk(node, &n, only{e}, pmem.Nil), n.lone(), e
 
 	case n.nodeMap&bit != 0:
 		child := n.cb[ni]
-		newChild, removed := m.deleteRec(child, shift+mapBits, hash, key)
-		if !removed {
-			return pmem.Nil, false
+		res, lone, gone := m.deleteRec(child, shift+mapBits, hash, key)
+		if gone == pmem.Nil {
+			return pmem.Nil, false, pmem.Nil
 		}
 		n.count--
-		if newChild == pmem.Nil {
-			if n.pre == 0 && n.dataMap == 0 && len(n.children()) == 1 {
-				return pmem.Nil, true
-			}
-			n.removeChild(bit, ni)
-			return m.copyOf(node, &n, only{child}, only{}), true
+		if !lone {
+			return m.replaceChild(node, &n, ni, child, res, true), false, gone
 		}
-		return m.replaceChild(node, &n, ni, child, newChild, true), true
+		n.removeChild(bit, ni)
+		n.insertEntry(bit, di, res)
+		return m.shrunk(node, &n, only{child}, res), n.lone(), gone
 
 	default:
-		return pmem.Nil, false
+		return pmem.Nil, false, pmem.Nil
 	}
+}
+
+// keepRemoved gives a selective map's record a reference on the binding a
+// delete removes, before the path copy can drop the last one.
+func (m Map) keepRemoved(e pmem.Addr) {
+	if m.sel {
+		m.h.RetainRef(e)
+	}
+}
+
+// lone reports whether n, a node below the root, holds one binding and
+// nothing else: its parent holds that binding inline instead.
+func (n *mapNode) lone() bool {
+	return n.pre == 0 && n.nodeMap == 0 && len(n.entries()) == 1
+}
+
+// shrunk ends a delete at node, decoded as n after the delete took dropped
+// out of it and put the inlined binding added (or Nil) in: n's one binding
+// when it is lone (passed up; no node is built), a path copy otherwise.
+func (m Map) shrunk(node pmem.Addr, n *mapNode, dropped only, added pmem.Addr) pmem.Addr {
+	if n.lone() {
+		return n.eb[0]
+	}
+	if added != pmem.Nil {
+		m.h.RetainRef(added)
+	}
+	return m.copyOf(node, n, dropped, only{added})
 }
 
 // Range calls f for every entry until f returns false. Iteration order is
@@ -672,22 +675,24 @@ func (m Map) Range(f func(key, val []byte) bool) {
 }
 
 func (m Map) rangeRec(node, pre pmem.Addr, f func(key, val []byte) bool) bool {
-	h := m.h
-	if pre == 0 && h.Tag(node) == TagMapCollision {
-		var cbuf [collisionInline]mapEntry
-		for _, e := range readCollision(h, m.ed, m.ed.Scratch(), node, cbuf[:0]) {
-			if !emitEntry(h, e, f) {
+	h, sc := m.h, m.ed.Scratch()
+	entries := func(es []pmem.Addr) bool {
+		for _, e := range es {
+			k, v := pairAt(h, sc, e)
+			if !f(bytes.Clone(k), bytes.Clone(v)) {
 				return false
 			}
 		}
 		return true
 	}
+	if pre == 0 && h.Tag(node) == TagMapCollision {
+		var cbuf [collisionInline]pmem.Addr
+		return entries(readCollision(h, m.ed, sc, node, cbuf[:0]))
+	}
 	var n mapNode
-	readMapNode(h, m.ed, m.ed.Scratch(), node, pre, &n)
-	for _, e := range n.entries() {
-		if !emitEntry(h, e, f) {
-			return false
-		}
+	readMapNode(h, m.ed, sc, node, pre, &n)
+	if !entries(n.entries()) {
+		return false
 	}
 	for _, c := range n.children() {
 		if !m.rangeRec(c, 0, f) {
@@ -695,14 +700,6 @@ func (m Map) rangeRec(node, pre pmem.Addr, f func(key, val []byte) bool) bool {
 		}
 	}
 	return true
-}
-
-func emitEntry(h *alloc.Heap, e mapEntry, f func(key, val []byte) bool) bool {
-	var val []byte
-	if e.val != pmem.Nil {
-		val = blobBytes(h, e.val)
-	}
-	return f(blobBytes(h, e.key), val)
 }
 
 func walkMapRoot(h *alloc.Heap, a pmem.Addr, sc *alloc.Scratch, visit func(pmem.Addr)) {
@@ -717,10 +714,7 @@ func walkTrieNode(h *alloc.Heap, a, pre pmem.Addr, sc *alloc.Scratch, visit func
 	var n mapNode
 	readMapNode(h, nil, sc, a, pre, &n)
 	for _, e := range n.entries() {
-		visit(e.key)
-		if e.val != pmem.Nil {
-			visit(e.val)
-		}
+		visit(e)
 	}
 	for _, c := range n.children() {
 		visit(c)
@@ -735,12 +729,9 @@ func walkMapSelRoot(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pme
 }
 
 func walkMapCollision(h *alloc.Heap, a pmem.Addr, sc *alloc.Scratch, visit func(pmem.Addr)) {
-	var cbuf [collisionInline]mapEntry
+	var cbuf [collisionInline]pmem.Addr
 	for _, e := range readCollision(h, nil, sc, a, cbuf[:0]) {
-		visit(e.key)
-		if e.val != pmem.Nil {
-			visit(e.val)
-		}
+		visit(e)
 	}
 }
 

@@ -3,9 +3,11 @@ package funcds
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -223,67 +225,59 @@ func TestMapCollisionBuckets(t *testing.T) {
 	// whose hashes agree on all trie levels (shift >= collisionShift).
 	h := newTestHeap(t)
 	m := NewMap(h)
-	k1 := newBlob(h, nil, []byte("alpha"))
-	k2 := newBlob(h, nil, []byte("beta"))
-	v1 := newBlob(h, nil, []byte("1"))
-	v2 := newBlob(h, nil, []byte("2"))
-	col := m.mergeTwo(collisionShift, mapEntry{k1, v1}, 0x1234, mapEntry{k2, v2}, 0x1234)
+	p1 := newPair(h, nil, []byte("alpha"), []byte("1"))
+	p2 := newPair(h, nil, []byte("beta"), []byte("2"))
+	col := m.mergeTwo(collisionShift, p1, 0x1234, p2, 0x1234)
 	if h.Tag(col) != TagMapCollision {
 		t.Fatalf("mergeTwo at max depth built tag %d, want collision", h.Tag(col))
 	}
 	// Insert a third colliding key through insertRec.
-	v3 := newBlob(h, nil, []byte("3"))
-	col2, k3, replaced := m.insertRec(col, collisionShift, 0x1234, []byte("gamma"), v3)
+	p3 := newPair(h, nil, []byte("gamma"), []byte("3"))
+	col2, replaced := m.insertRec(col, collisionShift, 0x1234, []byte("gamma"), p3)
 	if replaced {
 		t.Fatal("new key reported replaced")
 	}
-	if !blobEqual(h, nil, k3, []byte("gamma")) {
-		t.Fatal("new key's blob does not hold the key")
-	}
 	entries := readCollision(h, nil, nil, col2, nil)
-	if len(entries) != 3 {
-		t.Fatalf("collision bucket has %d entries, want 3", len(entries))
+	if len(entries) != 3 || entries[2] != p3 {
+		t.Fatalf("collision bucket holds %#x, want 3 bindings ending in %#x", entries, uint64(p3))
 	}
-	// Replace within the bucket.
-	v4 := newBlob(h, nil, []byte("4"))
-	col3, kb, replaced := m.insertRec(col2, collisionShift, 0x1234, []byte("beta"), v4)
+	// Replace within the bucket: the new binding takes the old one's slot.
+	p4 := newPair(h, nil, []byte("beta"), []byte("4"))
+	col3, replaced := m.insertRec(col2, collisionShift, 0x1234, []byte("beta"), p4)
 	if !replaced {
 		t.Fatal("existing key not reported replaced")
 	}
-	if kb != k2 {
-		t.Fatalf("replace linked key blob %#x, want the existing %#x", uint64(kb), uint64(k2))
+	if got := readCollision(h, nil, nil, col3, nil); got[1] != p4 {
+		t.Fatalf("replace left slot 1 at %#x, want the new binding %#x", uint64(got[1]), uint64(p4))
 	}
-	found := false
-	for _, e := range readCollision(h, nil, nil, col3, nil) {
-		if blobEqual(h, nil, e.key, []byte("beta")) {
-			found = true
-			if string(blobBytes(h, e.val)) != "4" {
-				t.Fatalf("beta value = %q, want 4", blobBytes(h, e.val))
-			}
-		}
-	}
-	if !found {
-		t.Fatal("beta missing from collision bucket")
+	if k, v := pairAt(h, nil, p4); string(k) != "beta" || string(v) != "4" {
+		t.Fatalf("binding reads %q=%q, want beta=4", k, v)
 	}
 	// Delete from the bucket.
-	col4, removed := m.deleteRec(col3, collisionShift, 0x1234, []byte("alpha"))
-	if !removed || col4 == pmem.Nil {
-		t.Fatalf("delete from bucket: removed=%v node=%#x", removed, uint64(col4))
+	col4, lone, gone := m.deleteRec(col3, collisionShift, 0x1234, []byte("alpha"))
+	if gone != p1 || lone || col4 == pmem.Nil {
+		t.Fatalf("delete from bucket: removed=%#x lone=%v node=%#x", uint64(gone), lone, uint64(col4))
 	}
 	if got := len(readCollision(h, nil, nil, col4, nil)); got != 2 {
 		t.Fatalf("bucket has %d entries after delete, want 2", got)
+	}
+	// A bucket left with one binding hands it to its parent (canonical
+	// shape): no bucket is built.
+	res, lone, gone := m.deleteRec(col4, collisionShift, 0x1234, []byte("gamma"))
+	if gone != p3 || !lone || res != p4 {
+		t.Fatalf("delete to one binding: res=%#x lone=%v removed=%#x, want %#x lone", uint64(res), lone, uint64(gone), uint64(p4))
 	}
 }
 
 func TestMapMergeTwoDivergingHashes(t *testing.T) {
 	h := newTestHeap(t)
 	m := NewMap(h)
-	k1 := newBlob(h, nil, []byte("a"))
-	k2 := newBlob(h, nil, []byte("b"))
+	p1 := newPair(h, nil, []byte("a"), nil)
+	p2 := newPair(h, nil, []byte("b"), nil)
 	// Hashes differ only at the second level (bits 5-9).
 	h1 := uint64(0b00001_00001)
 	h2 := uint64(0b00010_00001)
-	sub := m.mergeTwo(mapBits, mapEntry{k1, pmem.Nil}, h1, mapEntry{k2, pmem.Nil}, h2)
+	sub := m.mergeTwo(mapBits, p1, h1, p2, h2)
 	if h.Tag(sub) != TagMapNode {
 		t.Fatalf("mergeTwo built tag %d, want map node", h.Tag(sub))
 	}
@@ -292,7 +286,7 @@ func TestMapMergeTwoDivergingHashes(t *testing.T) {
 	if n.nodeMap != 0 || n.dataMap != 0b110 {
 		t.Fatalf("merged node dataMap=%b nodeMap=%b", n.dataMap, n.nodeMap)
 	}
-	if !blobEqual(h, nil, n.eb[0].key, []byte("a")) {
+	if n.eb[0] != p1 {
 		t.Fatal("entries not index-ordered")
 	}
 }
@@ -419,5 +413,124 @@ func TestMapRecoveryRoundTrip(t *testing.T) {
 		if !ok || binary.LittleEndian.Uint64(got) != i {
 			t.Fatalf("recovered key %d wrong (ok=%v)", i, ok)
 		}
+	}
+}
+
+// footprint is what a walk of one map version finds: its trie nodes, its
+// blocks (bindings included), the bytes their blocks span, headers
+// included, and the bytes their contents encode; lone counts the nodes
+// below the root holding one binding and nothing else, of which a
+// canonical trie has none.
+type footprint struct{ nodes, blocks, spanned, encoded, lone int }
+
+// trieFootprint walks the map version at v, a root node or a selective
+// header naming one. Bindings are sealed, so their checksum words give
+// their encoded length; a node's comes from its bitmaps, since a
+// selective map's nodes are volatile and carry no checksum.
+func trieFootprint(h *alloc.Heap, v pmem.Addr) footprint {
+	var f footprint
+	block := func(a pmem.Addr, encoded int) {
+		f.blocks++
+		f.spanned += h.PayloadSize(a) + alloc.HeaderSize
+		f.encoded += encoded
+	}
+	binding := func(a pmem.Addr) {
+		n, _, _ := h.Checksum(a)
+		block(a, n)
+	}
+	var walk func(a, pre pmem.Addr)
+	walk = func(a, pre pmem.Addr) {
+		f.nodes++
+		if h.Tag(a) == TagMapCollision {
+			es := readCollision(h, nil, nil, a, nil)
+			block(a, mapNodeSize(len(es), 0))
+			for _, e := range es {
+				binding(e)
+			}
+			return
+		}
+		var n mapNode
+		readMapNode(h, nil, nil, a, pre, &n)
+		block(a, int(pre)+mapNodeSize(len(n.entries()), len(n.children())))
+		if n.lone() {
+			f.lone++
+		}
+		for _, e := range n.entries() {
+			binding(e)
+		}
+		for _, c := range n.children() {
+			walk(c, 0)
+		}
+	}
+	walk(MapAt(h, v).root(), rootPrefix)
+	return f
+}
+
+// TestMapDeleteCanonical: after any mix of inserts and deletes a map is
+// the trie its surviving keys build fresh — the same nodes, blocks and
+// encoded bytes — because a delete that leaves a node below the root with
+// one binding and nothing else hands the binding to the parent (ROADMAP
+// 9c). Plain and selective, edit-bound FASEs of 24 operations over a pool
+// of 400 keys. On the plain heaps the trie is all that is live: LiveBytes
+// is the bytes its blocks span, on the heap that deleted and on the one
+// built fresh alike. (The two can still differ by a few bytes: a seal
+// widens the last block of a run by a tail too small to carry a header.)
+func TestMapDeleteCanonical(t *testing.T) {
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
+	for _, sel := range []bool{false, true} {
+		t.Run(fmt.Sprintf("selective=%v", sel), func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				h := newTestHeap(t)
+				base := h.Stats().LiveBytes
+				m := NewMap(h)
+				if sel {
+					m = NewMapSelective(h)
+				}
+				cur := m.Addr()
+				live := map[int][]byte{}
+				for f := 0; f < 80; f++ {
+					ed := h.BeginEdit()
+					m := MapAt(h, cur).WithEdit(ed)
+					for op := 0; op < 24; op++ {
+						k := rng.Intn(400)
+						if rng.Intn(5) < 2 {
+							m, _ = m.Delete(key(k))
+							delete(live, k)
+							continue
+						}
+						v := []byte(fmt.Sprintf("v%d", rng.Intn(1000)))
+						m, _ = m.Set(key(k), v)
+						live[k] = v
+					}
+					commit(h, ed, &cur, m.Addr())
+				}
+
+				h2 := newTestHeap(t)
+				base2 := h2.Stats().LiveBytes
+				fresh := NewMap(h2).Addr()
+				ed := h2.BeginEdit()
+				f := MapAt(h2, fresh).WithEdit(ed)
+				for k, v := range live {
+					f, _ = f.Set(key(k), v)
+				}
+				commit(h2, ed, &fresh, f.Addr())
+
+				got, want := trieFootprint(h, cur), trieFootprint(h2, fresh)
+				if got.nodes != want.nodes || got.blocks != want.blocks || got.encoded != want.encoded || got.lone != 0 {
+					t.Errorf("seed %d: %d keys: %+v, built fresh %+v", seed, len(live), got, want)
+				}
+				if n := MapAt(h, cur).Len(); n != uint64(len(live)) {
+					t.Errorf("seed %d: Len %d, want %d", seed, n, len(live))
+				}
+				if !sel {
+					h.Drain()
+					h2.Drain()
+					if lb, lb2 := h.Stats().LiveBytes-base, h2.Stats().LiveBytes-base2; lb != uint64(got.spanned) || lb2 != uint64(want.spanned) {
+						t.Errorf("seed %d: %d live bytes for a trie spanning %d; built fresh %d for %d", seed, lb, got.spanned, lb2, want.spanned)
+					}
+				}
+			}
+		})
 	}
 }

@@ -29,8 +29,9 @@
 package funcds
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/pmem"
@@ -38,7 +39,7 @@ import (
 
 // Node type tags, used by the allocator's reachability walkers.
 const (
-	TagBlob uint8 = 1 + iota
+	TagBlob uint8 = 1 + iota // a map binding, key and value in one block (newPair)
 	TagStackHdr
 	TagListNode
 	TagQueueHdr
@@ -84,13 +85,13 @@ func RegisterWalkers(h *alloc.Heap) {
 	h.RegisterWalker(TagStackHdrSel, walkSelHdr(walkStackHdr, stackHdrSize))
 	h.RegisterWalker(TagQueueHdrSel, walkSelHdr(walkQueueHdr, queueHdrSize))
 	// The navigation nodes selective persistence keeps volatile
-	// (nodeAlloc's vol callers); blobs, records and headers never are.
+	// (nodeAlloc's vol callers); bindings, records and headers never are.
 	h.RegisterVolatile(TagListNode, TagVecNode, TagVecLeaf, TagMapRoot, TagMapNode, TagMapCollision)
 }
 
 func walkNone(*alloc.Heap, pmem.Addr, *alloc.Scratch, func(pmem.Addr)) {}
 
-// References stored inside trie nodes — CHAMP children and [key,val]
+// References stored inside trie nodes — CHAMP children and binding
 // entries, collision entries, vector interior children — are 4 bytes
 // (heap layout v5, DESIGN.md §2): the payload address shifted right by
 // three, every payload being 8-aligned, with 0 for Nil. A path copy
@@ -121,15 +122,15 @@ func ref32(a pmem.Addr) uint32 {
 // 8-aligned address below MaxHeapBytes; whether a block lives there is
 // established where the address is used: alloc.Heap.VerifyRef before
 // every node read (inside ReadCached, and explicitly before a direct slot
-// or blob read), Heap.CheckRef where a path copy carries the reference
+// or binding read), Heap.CheckRef where a path copy carries the reference
 // into a new node, the bounds test behind Heap.Tag, and the recovery and
 // verification walks all refuse an address that is outside the heap or
 // not a block payload.
 func refAddr(r uint32) pmem.Addr { return pmem.Addr(r) << 3 }
 
 // only lists the references one side of a path copy holds and the other
-// does not, for alloc.Heap.Borrow: at most an entry's key and value blob,
-// or one child, in node layout order; Nil entries are padding.
+// does not, for alloc.Heap.Borrow: at most one, an entry's binding or a
+// child; Nil entries are padding.
 type only = [2]pmem.Addr
 
 // Edit-context plumbing. Every structure value optionally carries an
@@ -198,59 +199,56 @@ func recordEdit(ed *alloc.Edit, a pmem.Addr, size int, vol bool) {
 	ed.NoteCopyElided()
 }
 
-// Blob layout: [len u32][pad u32][bytes...]. Blobs box variable-length
-// keys and values; they are immutable once flushed.
-const blobHdrSize = 8
-
-// newBlob allocates, writes, and flushes a byte-string box. Blobs are the
-// leaf payloads of selective persistence and are always durable: record
-// cells reference them, so recovered state never re-reads a volatile node
-// to find user data.
-func newBlob(h *alloc.Heap, ed *alloc.Edit, b []byte) pmem.Addr {
-	a := nodeAlloc(h, ed, blobHdrSize+len(b), TagBlob, false)
-	dev := h.Device()
-	dev.WriteU32(a, uint32(len(b)))
-	dev.WriteU32(a+4, 0)
-	if len(b) > 0 {
-		dev.Write(a+blobHdrSize, b)
+// Binding blocks (TagBlob, heap layout v14): one block per map binding,
+// [klen uvarint][vtag uvarint][key][value], where vtag is 0 for a set
+// member, which has no value, and len(value)+1 otherwise, so an empty
+// value is not a missing one. A 12-byte key and a 64-byte value take
+// 2 + 76 bytes, inside the 96-byte class. A binding is immutable once
+// flushed: replacing a value builds a new block.
+//
+// newPair allocates, writes, and flushes the binding of key to val (a set
+// member when val is nil). Bindings are the leaf payloads of selective
+// persistence and are always durable: record cells reference them, so
+// recovered state never re-reads a volatile node to find user data.
+func newPair(h *alloc.Heap, ed *alloc.Edit, key, val []byte) pmem.Addr {
+	vtag := uint64(0)
+	if val != nil {
+		vtag = uint64(len(val)) + 1
 	}
-	flushNode(h, ed, a, blobHdrSize+len(b), false)
+	lens := uvarintLen(uint64(len(key))) + uvarintLen(vtag)
+	size := lens + len(key) + len(val)
+	a := nodeAlloc(h, ed, size, TagBlob, false)
+	buf := ed.Scratch().Bytes(size)
+	i := binary.PutUvarint(buf, uint64(len(key)))
+	binary.PutUvarint(buf[i:], vtag)
+	copy(buf[lens:], key)
+	copy(buf[lens+len(key):], val)
+	h.Device().Write(a, buf)
+	flushNode(h, ed, a, size, false)
 	return a
 }
 
-// blobLen returns the length of the blob at a.
-func blobLen(h *alloc.Heap, a pmem.Addr) int {
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// pairAt reads the binding block at a through sc — the slices are valid
+// until sc's next use — and returns its key and its value, nil for a set
+// member. The lengths are data a reader trusts, so they are checked: one
+// that runs past what the block's checksum covers (alloc.Heap.Extent)
+// raises the typed corruption panic instead of reading a neighbour.
+func pairAt(h *alloc.Heap, sc *alloc.Scratch, a pmem.Addr) (key, val []byte) {
 	h.VerifyRef(a)
-	return int(h.Device().ReadU32(a))
-}
-
-// blobBytes reads the blob's contents.
-func blobBytes(h *alloc.Heap, a pmem.Addr) []byte {
-	n := blobLen(h, a)
-	b := make([]byte, n)
-	h.Device().Read(a+blobHdrSize, b)
-	return b
-}
-
-// blobInto reads the blob's contents into sc; the result is valid until
-// sc's next use.
-func blobInto(h *alloc.Heap, sc *alloc.Scratch, a pmem.Addr) []byte {
-	b := sc.Bytes(blobLen(h, a))
-	h.Device().Read(a+blobHdrSize, b)
-	return b
-}
-
-// blobEqual compares the blob at a with b, reading through sc.
-func blobEqual(h *alloc.Heap, sc *alloc.Scratch, a pmem.Addr, b []byte) bool {
-	if blobLen(h, a) != len(b) {
-		return false
+	b := sc.Bytes(h.Extent(a, sc))
+	h.Device().Read(a, b)
+	klen, i := binary.Uvarint(b)
+	vtag, j := binary.Uvarint(b[max(i, 0):])
+	rest := b[max(i, 0)+max(j, 0):]
+	if i <= 0 || j <= 0 || klen > uint64(len(rest)) || vtag > uint64(len(rest))-klen+1 {
+		panic(&alloc.CorruptionPanic{Block: alloc.BlockError{Addr: a, Tag: TagBlob, Reason: "binding lengths run past the block"}})
 	}
-	if len(b) == 0 {
-		return true
+	if vtag != 0 {
+		val = rest[klen : klen+vtag-1]
 	}
-	got := sc.Bytes(len(b))
-	h.Device().Read(a+blobHdrSize, got)
-	return bytes.Equal(got, b)
+	return rest[:klen], val
 }
 
 // hash64 is FNV-1a, the hash used to place keys in the CHAMP trie.

@@ -16,7 +16,7 @@ import (
 //     [ckptHdr u64][recHead u64][recCount u64] after the base fields (a
 //     map's one base field names its root node, volatile like the rest
 //     of its trie);
-//   - leaf payloads (key/value blobs), which record cells reference;
+//   - leaf payloads (a map's binding blocks), which record cells reference;
 //   - a cons-list of fixed-size operation records, newest first, that
 //     logically replays every update since the last checkpoint.
 //
@@ -43,11 +43,12 @@ const (
 	recOffB    = 24
 )
 
-// Record kinds. Operands a/b are blob addresses for the map kinds (the
-// record cell holds a reference on each) and raw values otherwise.
+// Record kinds. Operand a of the map kinds is a binding block (the record
+// cell holds a reference on it), and b is zero; the other kinds' operands
+// are raw values.
 const (
-	RecMapSet    uint64 = 1 + iota // a=key blob, b=value blob or Nil (set member)
-	RecMapDelete                   // a=key blob
+	RecMapSet    uint64 = 1 + iota // a=the binding the set installed
+	RecMapDelete                   // a=the binding the delete removed
 	RecVecPush                     // a=value
 	RecVecUpdate                   // a=index, b=value
 	RecStackPush                   // a=value
@@ -88,8 +89,8 @@ func DecodeRecord(buf []byte) (prev pmem.Addr, kind, a, b uint64, err error) {
 	}
 	switch kind {
 	case RecMapSet, RecMapDelete:
-		if a == uint64(pmem.Nil) {
-			return 0, 0, 0, 0, fmt.Errorf("funcds: map record without key blob")
+		if a == uint64(pmem.Nil) || b != 0 {
+			return 0, 0, 0, 0, fmt.Errorf("funcds: map record operands %#x/%#x, want a binding and zero", a, b)
 		}
 	case RecStackPop, RecQueuePop:
 		if a != 0 || b != 0 {
@@ -100,8 +101,7 @@ func DecodeRecord(buf []byte) (prev pmem.Addr, kind, a, b uint64, err error) {
 }
 
 // newRecord allocates, links, and flushes one durable record cell. The
-// cell takes its own references: prev, and the blob operands of the map
-// kinds. The caller owns the returned cell's initial reference (normally
+// cell takes its own references: prev, and the binding of the map kinds. The caller owns the returned cell's initial reference (normally
 // transferred into the header's recHead field).
 func newRecord(h *alloc.Heap, ed *alloc.Edit, prev pmem.Addr, kind, a, b uint64) pmem.Addr {
 	r := nodeAlloc(h, ed, recordSize, TagRecord, false)
@@ -112,13 +112,7 @@ func newRecord(h *alloc.Heap, ed *alloc.Edit, prev pmem.Addr, kind, a, b uint64)
 	if prev != pmem.Nil {
 		h.Retain(prev)
 	}
-	switch kind {
-	case RecMapSet:
-		h.Retain(pmem.Addr(a))
-		if pmem.Addr(b) != pmem.Nil {
-			h.Retain(pmem.Addr(b))
-		}
-	case RecMapDelete:
+	if kind == RecMapSet || kind == RecMapDelete {
 		h.Retain(pmem.Addr(a))
 	}
 	return r
@@ -141,13 +135,7 @@ func walkRecord(h *alloc.Heap, r pmem.Addr, _ *alloc.Scratch, visit func(pmem.Ad
 	if prev := pmem.Addr(dev.ReadU64(r + recOffPrev)); prev != pmem.Nil {
 		visit(prev)
 	}
-	switch dev.ReadU64(r + recOffKind) {
-	case RecMapSet:
-		visit(pmem.Addr(dev.ReadU64(r + recOffA)))
-		if b := pmem.Addr(dev.ReadU64(r + recOffB)); b != pmem.Nil {
-			visit(b)
-		}
-	case RecMapDelete:
+	if kind := dev.ReadU64(r + recOffKind); kind == RecMapSet || kind == RecMapDelete {
 		visit(pmem.Addr(dev.ReadU64(r + recOffA)))
 	}
 }
@@ -306,7 +294,7 @@ func volatileCrown(h *alloc.Heap, roots []pmem.Addr) []pmem.Addr {
 		case TagListNode:
 			rec(pmem.Addr(h.Device().ReadU64(a)))
 			// TagVecLeaf and TagMapCollision carry no volatile children
-			// (their pointers, if any, are always-durable blobs).
+			// (their pointers, if any, are always-durable bindings).
 		}
 	}
 	for _, r := range roots {
@@ -446,16 +434,16 @@ func RebuildSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed 
 	case TagMapHdrSel:
 		m := MapAt(h, ckpt).WithEdit(ed)
 		for _, r := range chain {
-			_, kind, a, b := readRecord(h, r)
+			_, kind, a, _ := readRecord(h, r)
+			// A nil scratch reads the key into a slice of its own.
+			key, _ := pairAt(h, nil, pmem.Addr(a))
 			switch kind {
 			case RecMapSet:
-				var val []byte
-				if pmem.Addr(b) != pmem.Nil {
-					val = blobBytes(h, pmem.Addr(b))
-				}
-				m, _ = m.Set(blobBytes(h, pmem.Addr(a)), val)
+				// The replayed trie shares the record's binding.
+				h.Retain(pmem.Addr(a))
+				m, _ = m.setPair(key, pmem.Addr(a))
 			case RecMapDelete:
-				m, _ = m.Delete(blobBytes(h, pmem.Addr(a)))
+				m, _ = m.Delete(key)
 			default:
 				return hdr, 0, false, fmt.Errorf("funcds: record kind %d in map chain", kind)
 			}
@@ -545,7 +533,7 @@ func selHdrOver(h *alloc.Heap, state pmem.Addr, tag uint8, base int) pmem.Addr {
 }
 
 // chainDamage walks the record chain from recHead, verifying every cell's
-// block checksum, decoded shape, and (for map kinds) operand blobs. It
+// block checksum, decoded shape, and (for map kinds) binding block. It
 // returns nil when the chain verifies end to end with exactly recCount
 // cells, and the damage description otherwise. All reads go through
 // verification-safe paths, so a poisoned line classifies as damage
@@ -561,19 +549,13 @@ func chainDamage(h *alloc.Heap, recHead pmem.Addr, recCount uint64) error {
 		}
 		buf := make([]byte, recordSize)
 		h.Device().Read(r, buf)
-		prev, kind, a, b, err := DecodeRecord(buf)
+		prev, kind, a, _, err := DecodeRecord(buf)
 		if err != nil {
 			return err
 		}
-		switch kind {
-		case RecMapSet, RecMapDelete:
+		if kind == RecMapSet || kind == RecMapDelete {
 			if err := h.VerifyBlock(pmem.Addr(a)); err != nil {
 				return err
-			}
-			if kind == RecMapSet && pmem.Addr(b) != pmem.Nil {
-				if err := h.VerifyBlock(pmem.Addr(b)); err != nil {
-					return err
-				}
 			}
 		}
 		n++
@@ -586,7 +568,7 @@ func chainDamage(h *alloc.Heap, recHead pmem.Addr, recCount uint64) error {
 }
 
 // SalvageSelective rebuilds the selective structure at hdr tolerating a
-// damaged record chain: when every record cell (and its blob operands)
+// damaged record chain: when every record cell (and its binding)
 // verifies, it replays the chain exactly like RebuildSelective; when the
 // chain is damaged, it discards all of it and rolls the structure back to
 // its last checkpoint — the committed-prefix guarantee shrinks to the

@@ -12,8 +12,7 @@ func TestRecordEncodeDecodeRoundtrip(t *testing.T) {
 		prev       pmem.Addr
 		kind, a, b uint64
 	}{
-		{pmem.Nil, RecMapSet, 0x1000, 0x2000},
-		{pmem.Nil, RecMapSet, 0x1000, uint64(pmem.Nil)}, // set with nil value blob
+		{pmem.Nil, RecMapSet, 0x1000, 0},
 		{0x40, RecMapDelete, 0x1000, 0},
 		{0x40, RecVecPush, 12345, 0},
 		{0x40, RecVecUpdate, 7, 99},
@@ -37,14 +36,16 @@ func TestRecordEncodeDecodeRoundtrip(t *testing.T) {
 
 func TestRecordDecodeRejectsInvalid(t *testing.T) {
 	reject := [][]byte{
-		EncodeRecord(pmem.Nil, 0, 0, 0),              // kind 0 reserved
-		EncodeRecord(pmem.Nil, RecQueuePop+1, 0, 0),  // kind out of range
-		EncodeRecord(pmem.Nil, ^uint64(0), 1, 2),     // absurd kind
-		EncodeRecord(pmem.Nil, RecMapSet, 0, 0x20),   // map set without key blob
-		EncodeRecord(pmem.Nil, RecMapDelete, 0, 0),   // map delete without key blob
-		EncodeRecord(pmem.Nil, RecStackPop, 1, 0),    // pop with operand
-		EncodeRecord(pmem.Nil, RecQueuePop, 0, 2),    // pop with operand
-		EncodeRecord(pmem.Nil, RecVecPush, 0, 0)[:8], // truncated
+		EncodeRecord(pmem.Nil, 0, 0, 0),                 // kind 0 reserved
+		EncodeRecord(pmem.Nil, RecQueuePop+1, 0, 0),     // kind out of range
+		EncodeRecord(pmem.Nil, ^uint64(0), 1, 2),        // absurd kind
+		EncodeRecord(pmem.Nil, RecMapSet, 0, 0),         // map set without binding
+		EncodeRecord(pmem.Nil, RecMapDelete, 0, 0),      // map delete without binding
+		EncodeRecord(pmem.Nil, RecMapSet, 0x1000, 0x20), // second operand (a v13 value blob)
+		EncodeRecord(pmem.Nil, RecMapDelete, 0x1000, 8), // second operand
+		EncodeRecord(pmem.Nil, RecStackPop, 1, 0),       // pop with operand
+		EncodeRecord(pmem.Nil, RecQueuePop, 0, 2),       // pop with operand
+		EncodeRecord(pmem.Nil, RecVecPush, 0, 0)[:8],    // truncated
 		nil, // empty
 	}
 	for i, buf := range reject {
@@ -58,7 +59,7 @@ func TestRecordDecodeRejectsInvalid(t *testing.T) {
 // bytes must never panic and must either be rejected or re-encode to the
 // same canonical bytes; valid encodings must roundtrip.
 func FuzzRecoveryRecord(f *testing.F) {
-	f.Add(EncodeRecord(pmem.Nil, RecMapSet, 0x1000, 0x2000))
+	f.Add(EncodeRecord(pmem.Nil, RecMapSet, 0x1000, 0))
 	f.Add(EncodeRecord(0x40, RecVecUpdate, 7, 99))
 	f.Add(EncodeRecord(0x40, RecStackPop, 0, 0))
 	f.Add(make([]byte, recordSize))

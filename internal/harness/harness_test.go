@@ -171,13 +171,17 @@ func TestTable3VectorBlowsUp(t *testing.T) {
 	// push at one leaf copy plus a header, and that leaf is one line (8
 	// elements, heap layout v7; a 32-element leaf read 37x), so the blowup
 	// is an order of magnitude, not two — but the vector must still dwarf
-	// the map.
+	// the map. The map's ratio divides its retained path copies by its
+	// compact size, and one binding block a key (heap layout v14) took
+	// that from 176,880 to 118,880 bytes at N = 1,500 while the retained
+	// map fell from 987,264 to 854,912: the ratio rose from 5.6 to 7.2
+	// with every byte count lower, so the margin is 2x (it was 2.5x).
 	vecRetained := ratio("vector", "mod", "retained")
 	if vecRetained < 10 {
 		t.Errorf("mod vector retained ratio %.1f, want an order of magnitude (paper 131x)", vecRetained)
 	}
 	mapRetained := ratio("map", "mod", "retained")
-	if vecRetained < 2.5*mapRetained {
+	if vecRetained < 2*mapRetained {
 		t.Errorf("vector retained ratio %.1f should dwarf map's %.1f (paper: 131x vs 1.87x)", vecRetained, mapRetained)
 	}
 }

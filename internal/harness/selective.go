@@ -46,7 +46,7 @@ func selectivePreload(ops int) int {
 // selective measures the "Don't Persist All" split (DESIGN.md §10): the
 // same updates-only hot path with navigation nodes persisted (cache off)
 // vs volatile-clean (selective flavor, DRAM node cache on). Selective
-// rows flush only leaf blobs plus one record cell per update, so
+// rows flush only leaf bindings plus one record cell per update, so
 // flushes/op drops and throughput climbs; the price is a recovery-time
 // rebuild, reported in the last two columns and as the recovery/ rows.
 // These are the headline columns the BENCH.json regression gate holds.

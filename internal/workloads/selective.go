@@ -12,7 +12,7 @@ import (
 // updates over preloaded slots — runs against either the selectively
 // persisted flavor of the structure with the DRAM node cache on, or the
 // normal fully persisted flavor with the cache off. Selective updates
-// flush only leaf blobs plus one compact record cell per op; interior
+// flush only leaf bindings plus one compact record cell per op; interior
 // navigation nodes stay volatile-clean and are rebuilt from the record
 // chain on recovery, which is the flushes/op reduction BENCH.json tracks.
 //
@@ -75,7 +75,7 @@ func (c *SelectiveConfig) defaults() {
 
 // RunSelective executes the selective-persistence workload and returns
 // its measurement (Extra: copies — node allocations: path copies +
-// headers + blobs + records — and dram_reads, node lines served from the
+// headers + bindings + records — and dram_reads, node lines served from the
 // volatile cache). With MeasureRecovery it also returns the cost of
 // reopening the crashed image under the same key in the recovery/
 // namespace: Extra recovery_ns (simulated root scan, record replay and

@@ -59,7 +59,7 @@ func (c *TransientConfig) defaults() {
 
 // RunTransient executes the transient workload and returns its
 // measurement. Extra: copies (node allocations: path copies + headers +
-// blobs), copies_elided (in-place mutations that avoided a node copy),
+// bindings), copies_elided (in-place mutations that avoided a node copy),
 // flushes_saved (clwbs avoided by flush-set deduplication).
 func RunTransient(cfg TransientConfig) (Row, error) {
 	cfg.defaults()
