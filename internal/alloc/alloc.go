@@ -708,20 +708,28 @@ func (h *Heap) Checksum(payload pmem.Addr) (n int, ok, has bool) {
 // Extent returns how many payload bytes of the block at payload a reader
 // may take a length stored in it to reach: the checksum-covered length of
 // a sealed block, the payload size of any other, and never past the
-// block or the heap. Both header words come in one read through sc. A
-// malformed header raises the typed corruption panic, as Tag's does.
+// block or the heap. Both header words come in one read through sc, or
+// in two word reads without one (a fresh buffer would cost the caller a
+// Go allocation). A malformed header raises the typed corruption panic,
+// as Tag's does.
 func (h *Heap) Extent(payload pmem.Addr, sc *Scratch) int {
 	if payload < heapBase+headerSize || payload >= h.sh.end {
 		panic(&CorruptionPanic{Block: BlockError{Addr: payload, Reason: "pointer outside heap"}})
 	}
-	hdr := sc.Bytes(headerSize)
-	h.dev.Read(payload-headerSize, hdr)
-	stride, tag, _, ok := unpackHeader(leU64(hdr))
+	var word, check uint64
+	if sc == nil {
+		word, check = h.dev.ReadU64(payload-headerSize), h.dev.ReadU64(payload-headerSize+8)
+	} else {
+		hdr := sc.Bytes(headerSize)
+		h.dev.Read(payload-headerSize, hdr)
+		word, check = leU64(hdr), leU64(hdr[8:])
+	}
+	stride, tag, _, ok := unpackHeader(word)
 	size := int(stride) - headerSize
 	if !ok || size < 0 || uint64(payload)+uint64(size) > uint64(h.sh.end) {
-		panic(&CorruptionPanic{Block: BlockError{Addr: payload, Tag: tag, Reason: fmt.Sprintf("bad header word %#x", leU64(hdr))}})
+		panic(&CorruptionPanic{Block: BlockError{Addr: payload, Tag: tag, Reason: fmt.Sprintf("bad header word %#x", word)}})
 	}
-	if n, _, has := unpackCheck(leU64(hdr[8:])); has && n < size {
+	if n, _, has := unpackCheck(check); has && n < size {
 		return n
 	}
 	return size
@@ -862,7 +870,7 @@ type cascade struct {
 	stack []pmem.Addr
 	dead  []deadBlock
 	sc    Scratch
-	own   [2]pmem.Addr // retainShared: children keep passes over, once each
+	own   pmem.Addr // retainShared: the child keep passes over, once
 	// The walkers' visit functions, bound once: drop releases a dead
 	// node's child, keep retains a settled copy's.
 	drop, keep func(child pmem.Addr)
@@ -888,11 +896,9 @@ func (h *Heap) takeCascade() *cascade {
 		}
 	}
 	c.keep = func(child pmem.Addr) {
-		for i, o := range c.own {
-			if o == child {
-				c.own[i] = pmem.Nil
-				return
-			}
+		if child == c.own {
+			c.own = pmem.Nil
+			return
 		}
 		h.RetainRef(child)
 	}

@@ -46,9 +46,10 @@ import (
 // old versions the application keeps.
 type borrow struct {
 	dst pmem.Addr // the borrower; the source is the record's key
-	// The children only one side holds, in node layout order, Nil-padded:
-	// what the source alone releases in (a), the borrower alone in (b).
-	srcOnly, dstOnly [2]pmem.Addr
+	// The child only one side holds, or Nil: what the source alone
+	// releases in (a), the borrower alone in (b). A path copy changes one
+	// reference, so each side holds at most one the other does not.
+	srcOnly, dstOnly pmem.Addr
 }
 
 type borrowTable struct {
@@ -70,11 +71,11 @@ func (bt *borrowTable) reset() {
 
 // Borrow records that dst — a node just built, not yet visible to anyone
 // else — is a copy of src that holds src's children except srcOnly and
-// additionally holds dstOnly (each in node layout order, Nil-padded). The
-// caller has taken no reference on the shared children and transfers its
-// references on dstOnly into dst, as for any new node. If src is already
+// additionally holds dstOnly (either Nil when the copy drops or gains
+// none). The caller has taken no reference on the shared children and
+// transfers its reference on dstOnly into dst, as for any new node. If src is already
 // lent, or the handle retains every version, dst is settled on the spot.
-func (h *Heap) Borrow(src, dst pmem.Addr, srcOnly, dstOnly [2]pmem.Addr) {
+func (h *Heap) Borrow(src, dst, srcOnly, dstOnly pmem.Addr) {
 	sh := h.sh
 	ss := sh.blocks.tracked(src)
 	if ss == nil {
@@ -148,7 +149,7 @@ func (bt *borrowTable) dissolveLocked(h *Heap, src, dst pmem.Addr) {
 // through its walker; dst may be an edit-owned node that is about to be
 // written in place, so the image the read may have left in the node cache
 // is dropped again.
-func (c *cascade) retainShared(dst pmem.Addr, dstOnly [2]pmem.Addr) {
+func (c *cascade) retainShared(dst, dstOnly pmem.Addr) {
 	h := c.h
 	h.sh.borrows.settled.Add(1)
 	_, tag := h.header(dst)
@@ -168,7 +169,7 @@ func (c *cascade) releaseOwn(a pmem.Addr, s *atomic.Int32) bool {
 	bt := &h.sh.borrows
 	bt.mu.Lock()
 	v := s.Load()
-	var own [2]pmem.Addr
+	var own pmem.Addr
 	switch {
 	case v&slotBorrowFlags == 0:
 		bt.mu.Unlock()
@@ -186,8 +187,6 @@ func (c *cascade) releaseOwn(a pmem.Addr, s *atomic.Int32) bool {
 		bt.dissolveLocked(h, a, b.dst)
 	}
 	bt.mu.Unlock()
-	for _, child := range own {
-		c.drop(child)
-	}
+	c.drop(own)
 	return true
 }

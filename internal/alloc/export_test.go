@@ -13,16 +13,13 @@ import (
 // tracked block, retired ones (count 0) included.
 func TableSnapshot(h *Heap) map[pmem.Addr]int32 { return tableSnapshot(h) }
 
-// strike removes one occurrence of c from own and reports whether it was
-// there.
-func strike(own *[2]pmem.Addr, c pmem.Addr) bool {
-	for i, o := range own {
-		if o == c {
-			own[i] = pmem.Nil
-			return true
-		}
+// strike clears own if it is c and reports whether it was.
+func strike(own *pmem.Addr, c pmem.Addr) bool {
+	if *own != c {
+		return false
 	}
-	return false
+	*own = pmem.Nil
+	return true
 }
 
 // AuditCounts recomputes every reference count from first principles and
@@ -88,16 +85,16 @@ func AuditCounts(h *Heap, held map[pmem.Addr]int) error {
 				want[c]-- // shared: counted through the source
 			}
 		}
-		if own != [2]pmem.Addr{} {
-			return fmt.Errorf("record %#x -> %#x: borrower does not hold its own children %#x", uint64(src), uint64(b.dst), own)
+		if own != pmem.Nil {
+			return fmt.Errorf("record %#x -> %#x: borrower does not hold its own child %#x", uint64(src), uint64(b.dst), uint64(own))
 		}
 		// What the source alone holds must be children of the source.
 		own = b.srcOnly
 		for _, c := range children(src) {
 			strike(&own, c)
 		}
-		if own != [2]pmem.Addr{} {
-			return fmt.Errorf("record %#x -> %#x: source does not hold its own children %#x", uint64(src), uint64(b.dst), own)
+		if own != pmem.Nil {
+			return fmt.Errorf("record %#x -> %#x: source does not hold its own child %#x", uint64(src), uint64(b.dst), uint64(own))
 		}
 	}
 	for a := range got {

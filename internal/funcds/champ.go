@@ -332,10 +332,10 @@ func checkRefs(h *alloc.Heap, refs []pmem.Addr) {
 
 // copyOf builds the decoded and since mutated node n as a path copy of
 // the node at src. The copy borrows what it shares with src instead of
-// counting it (alloc/borrow.go): srcOnly are the references n dropped,
-// dstOnly the ones it gained, each in node layout order; the caller's
-// references on dstOnly transfer into the copy.
-func (m Map) copyOf(src pmem.Addr, n *mapNode, srcOnly, dstOnly only) pmem.Addr {
+// counting it (alloc/borrow.go): srcOnly is the reference n dropped,
+// dstOnly the one it gained, either Nil for none; the caller's reference
+// on dstOnly transfers into the copy.
+func (m Map) copyOf(src pmem.Addr, n *mapNode, srcOnly, dstOnly pmem.Addr) pmem.Addr {
 	checkRefs(m.h, n.entries())
 	checkRefs(m.h, n.children())
 	dst := n.build(m.h, m.ed, m.sel)
@@ -344,7 +344,7 @@ func (m Map) copyOf(src pmem.Addr, n *mapNode, srcOnly, dstOnly only) pmem.Addr 
 }
 
 // collisionCopyOf is copyOf for a collision bucket.
-func (m Map) collisionCopyOf(src pmem.Addr, entries []pmem.Addr, srcOnly, dstOnly only) pmem.Addr {
+func (m Map) collisionCopyOf(src pmem.Addr, entries []pmem.Addr, srcOnly, dstOnly pmem.Addr) pmem.Addr {
 	checkRefs(m.h, entries)
 	dst := buildCollision(m.h, m.ed, m.sel, entries)
 	m.h.Borrow(src, dst, srcOnly, dstOnly)
@@ -372,7 +372,7 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 			var cbuf [collisionInline]pmem.Addr
 			for _, e := range readCollision(m.h, m.ed, sc, node, cbuf[:0]) {
 				if k, v := pairAt(m.h, sc, e); bytes.Equal(k, key) {
-					return bytes.Clone(v), true
+					return detached(sc, v), true
 				}
 			}
 			return nil, false
@@ -387,7 +387,7 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 			if !bytes.Equal(k, key) {
 				return nil, false
 			}
-			return bytes.Clone(v), true
+			return detached(sc, v), true
 		case nodeMap&bit != 0:
 			d := bits.OnesCount32(dataMap)
 			ni := bits.OnesCount32(nodeMap & (bit - 1))
@@ -400,6 +400,15 @@ func (m Map) Get(key []byte) ([]byte, bool) {
 	}
 }
 
+// detached returns a value pairAt read through sc as a slice of the
+// caller's own: a copy, unless sc is nil and the read made one already.
+func detached(sc *alloc.Scratch, v []byte) []byte {
+	if sc == nil {
+		return v[:len(v):len(v)]
+	}
+	return bytes.Clone(v)
+}
+
 // Contains reports whether key is present.
 func (m Map) Contains(key []byte) bool {
 	_, ok := m.Get(key)
@@ -407,18 +416,19 @@ func (m Map) Contains(key []byte) bool {
 }
 
 // Set returns a new version with key bound to val, and whether an existing
-// binding was replaced. Pass a nil val for set semantics (no value). Either
-// way the binding is one new block, which a replaced binding's slot takes
-// over.
+// binding was replaced. Pass a nil val for set semantics (no value). The
+// binding is one new block, which a replaced binding's slot takes over —
+// except that a set member set again keeps the block it has.
 func (m Map) Set(key, val []byte) (Map, bool) {
-	return m.setPair(key, newPair(m.h, m.ed, key, val))
+	return m.setPair(key, val, pmem.Nil)
 }
 
-// setPair is Set of the binding block p of key, whose reference transfers
-// into the new version. A selective map's record cell names p too.
-func (m Map) setPair(key []byte, p pmem.Addr) (Map, bool) {
+// setPair is Set of key to val, or, when p is not Nil, of key to the
+// binding block p, whose reference transfers into the new version. A
+// selective map's record cell names the binding the trie ends up holding.
+func (m Map) setPair(key, val []byte, p pmem.Addr) (Map, bool) {
 	root := m.root()
-	newRoot, replaced := m.insertRec(root, 0, hash64(key), key, p)
+	newRoot, p, replaced := m.insertRec(root, 0, hash64(key), key, val, p)
 	if !m.sel {
 		return m.advance(newRoot), replaced
 	}
@@ -464,33 +474,43 @@ func (m Map) replaceChild(node pmem.Addr, n *mapNode, ni int, child, newChild pm
 		return node
 	}
 	if newChild == child {
-		return m.copyOf(node, n, only{}, only{})
+		return m.copyOf(node, n, pmem.Nil, pmem.Nil)
 	}
 	n.cb[ni] = newChild
-	return m.copyOf(node, n, only{child}, only{newChild})
+	return m.copyOf(node, n, child, newChild)
 }
 
-// insertRec returns a new node with the binding block p of key installed,
-// and whether it replaced a binding of key. The reference on p transfers
-// into the new trie. At shift 0 node is the root, and the result carries
-// the new count.
-func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, p pmem.Addr) (pmem.Addr, bool) {
+// insertRec returns a new node with key bound, the binding block it holds
+// for key, and whether that replaced a binding of key. The binding is p
+// when p is not Nil, else one built from val where the trie takes it in:
+// a set member set again keeps its block, and only the path is copied, as
+// for any Set. A new binding's reference transfers into the new trie. At
+// shift 0 node is the root, and the result carries the new count.
+func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key, val []byte, p pmem.Addr) (pmem.Addr, pmem.Addr, bool) {
 	h, sc := m.h, m.ed.Scratch()
 	if shift != 0 && h.Tag(node) == TagMapCollision {
 		var cbuf [collisionInline]pmem.Addr
 		entries := readCollision(h, m.ed, sc, node, cbuf[:0])
 		for i, e := range entries {
-			if k, _ := pairAt(h, sc, e); bytes.Equal(k, key) {
+			if k, v := pairAt(h, sc, e); bytes.Equal(k, key) {
+				if p == pmem.Nil && val == nil && v == nil { // a member kept
+					if m.ed.Owns(node) {
+						return node, e, true
+					}
+					return m.collisionCopyOf(node, entries, pmem.Nil, pmem.Nil), e, true
+				}
+				p = m.pair(key, val, p)
 				if m.ed.Owns(node) {
 					m.setSlot(node, entryOff(i), p, e)
-					return node, true
+					return node, p, true
 				}
 				entries[i] = p
-				return m.collisionCopyOf(node, entries, only{e}, only{p}), true
+				return m.collisionCopyOf(node, entries, e, p), p, true
 			}
 		}
+		p = m.pair(key, val, p)
 		entries = append(entries, p)
-		return m.collisionCopyOf(node, entries, only{}, only{p}), false
+		return m.collisionCopyOf(node, entries, pmem.Nil, p), p, false
 	}
 
 	var n mapNode
@@ -502,43 +522,61 @@ func (m Map) insertRec(node pmem.Addr, shift uint, hash uint64, key []byte, p pm
 	switch {
 	case n.dataMap&bit != 0:
 		e := n.eb[di]
-		k, _ := pairAt(h, sc, e)
+		k, v := pairAt(h, sc, e)
 		if bytes.Equal(k, key) {
+			if p == pmem.Nil && val == nil && v == nil { // a member kept
+				if m.ed.Owns(node) {
+					return node, e, true
+				}
+				return m.copyOf(node, &n, pmem.Nil, pmem.Nil), e, true
+			}
+			p = m.pair(key, val, p)
 			if m.ed.Owns(node) {
 				// Same shape: a single in-place slot write.
 				m.setSlot(node, n.pre+entryOff(di), p, e)
-				return node, true
+				return node, p, true
 			}
 			// Replace the binding (new node, same shape).
 			n.eb[di] = p
-			return m.copyOf(node, &n, only{e}, only{p}), true
+			return m.copyOf(node, &n, e, p), p, true
 		}
 		// Hash conflict at this level: push both entries one level down.
 		// The node's shape changes, so an owned node is rebuilt too (its
 		// replacement transfers in via the parent's in-place slot write).
 		// The subtree is a new parent of the displaced binding; the copy
-		// of this node no longer holds it itself.
+		// of this node no longer holds it itself. (k lives in sc, which
+		// the new binding's write reuses: hash it first.)
 		exHash := hash64(k)
+		p = m.pair(key, val, p)
 		h.RetainRef(e)
 		sub := m.mergeTwo(shift+mapBits, e, exHash, p, hash)
 		n.removeEntry(bit, di)
 		n.insertChild(bit, ni, sub)
 		n.count++
-		return m.copyOf(node, &n, only{e}, only{sub}), false
+		return m.copyOf(node, &n, e, sub), p, false
 
 	case n.nodeMap&bit != 0:
 		child := n.cb[ni]
-		newChild, replaced := m.insertRec(child, shift+mapBits, hash, key, p)
+		newChild, p, replaced := m.insertRec(child, shift+mapBits, hash, key, val, p)
 		if !replaced {
 			n.count++
 		}
-		return m.replaceChild(node, &n, ni, child, newChild, !replaced), replaced
+		return m.replaceChild(node, &n, ni, child, newChild, !replaced), p, replaced
 
 	default:
+		p = m.pair(key, val, p)
 		n.insertEntry(bit, di, p)
 		n.count++
-		return m.copyOf(node, &n, only{}, only{p}), false
+		return m.copyOf(node, &n, pmem.Nil, p), p, false
 	}
+}
+
+// pair returns p, or when it is Nil the new binding of key to val.
+func (m Map) pair(key, val []byte, p pmem.Addr) pmem.Addr {
+	if p == pmem.Nil {
+		p = newPair(m.h, m.ed, key, val)
+	}
+	return p
 }
 
 // mergeTwo builds the smallest subtree separating two distinct keys whose
@@ -599,7 +637,7 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (res
 				if len(entries) == 1 {
 					return entries[0], true, e
 				}
-				return m.collisionCopyOf(node, entries, only{e}, only{}), false, e
+				return m.collisionCopyOf(node, entries, e, pmem.Nil), false, e
 			}
 		}
 		return pmem.Nil, false, pmem.Nil
@@ -620,7 +658,7 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (res
 		m.keepRemoved(e)
 		n.removeEntry(bit, di)
 		n.count--
-		return m.shrunk(node, &n, only{e}, pmem.Nil), n.lone(), e
+		return m.shrunk(node, &n, e, pmem.Nil), n.lone(), e
 
 	case n.nodeMap&bit != 0:
 		child := n.cb[ni]
@@ -634,7 +672,7 @@ func (m Map) deleteRec(node pmem.Addr, shift uint, hash uint64, key []byte) (res
 		}
 		n.removeChild(bit, ni)
 		n.insertEntry(bit, di, res)
-		return m.shrunk(node, &n, only{child}, res), n.lone(), gone
+		return m.shrunk(node, &n, child, res), n.lone(), gone
 
 	default:
 		return pmem.Nil, false, pmem.Nil
@@ -658,14 +696,14 @@ func (n *mapNode) lone() bool {
 // shrunk ends a delete at node, decoded as n after the delete took dropped
 // out of it and put the inlined binding added (or Nil) in: n's one binding
 // when it is lone (passed up; no node is built), a path copy otherwise.
-func (m Map) shrunk(node pmem.Addr, n *mapNode, dropped only, added pmem.Addr) pmem.Addr {
+func (m Map) shrunk(node pmem.Addr, n *mapNode, dropped, added pmem.Addr) pmem.Addr {
 	if n.lone() {
 		return n.eb[0]
 	}
 	if added != pmem.Nil {
 		m.h.RetainRef(added)
 	}
-	return m.copyOf(node, n, dropped, only{added})
+	return m.copyOf(node, n, dropped, added)
 }
 
 // Range calls f for every entry until f returns false. Iteration order is

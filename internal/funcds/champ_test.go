@@ -233,7 +233,7 @@ func TestMapCollisionBuckets(t *testing.T) {
 	}
 	// Insert a third colliding key through insertRec.
 	p3 := newPair(h, nil, []byte("gamma"), []byte("3"))
-	col2, replaced := m.insertRec(col, collisionShift, 0x1234, []byte("gamma"), p3)
+	col2, _, replaced := m.insertRec(col, collisionShift, 0x1234, []byte("gamma"), nil, p3)
 	if replaced {
 		t.Fatal("new key reported replaced")
 	}
@@ -243,7 +243,7 @@ func TestMapCollisionBuckets(t *testing.T) {
 	}
 	// Replace within the bucket: the new binding takes the old one's slot.
 	p4 := newPair(h, nil, []byte("beta"), []byte("4"))
-	col3, replaced := m.insertRec(col2, collisionShift, 0x1234, []byte("beta"), p4)
+	col3, _, replaced := m.insertRec(col2, collisionShift, 0x1234, []byte("beta"), nil, p4)
 	if !replaced {
 		t.Fatal("existing key not reported replaced")
 	}

@@ -128,11 +128,6 @@ func ref32(a pmem.Addr) uint32 {
 // not a block payload.
 func refAddr(r uint32) pmem.Addr { return pmem.Addr(r) << 3 }
 
-// only lists the references one side of a path copy holds and the other
-// does not, for alloc.Heap.Borrow: at most one, an entry's binding or a
-// child; Nil entries are padding.
-type only = [2]pmem.Addr
-
 // Edit-context plumbing. Every structure value optionally carries an
 // *alloc.Edit (WithEdit); node constructors allocate through it so the
 // node is edit-owned — mutable in place for the rest of the FASE — and

@@ -2,6 +2,7 @@ package funcds
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"github.com/mod-ds/mod/internal/alloc"
@@ -319,6 +320,77 @@ func TestMapSpaceBudget(t *testing.T) {
 	if got, want := h.Stats().Allocs-before, uint64(path+1); replaced || got != want {
 		t.Errorf("an insert along a %d-node path allocated %d blocks (replaced=%v), want %d: the copies and one binding", path, got, replaced, want)
 	}
+}
+
+// TestSetReinsertKeepsBinding: inserting a member a set already holds
+// builds no binding. Without an edit it copies the member's path and
+// nothing else — as with a key blob and a Nil value slot a key, before
+// heap layout v14 — plus a selective set's record and header, the record
+// naming the binding the member has; under an edit that owns the path it
+// allocates nothing but that record.
+func TestSetReinsertKeepsBinding(t *testing.T) {
+	for _, sel := range []bool{false, true} {
+		t.Run(fmt.Sprintf("selective=%v", sel), func(t *testing.T) {
+			h := newTestHeap(t)
+			s := NewSet(h)
+			if sel {
+				s = NewSetSelective(h)
+			}
+			for i := 0; i < 2000; i++ {
+				s, _ = s.Insert(benchKey(i))
+			}
+			key := benchKey(7)
+			path := pathOf(h, s.m, key)
+			b := bindingOf(h, path, key)
+			extra := uint64(0)
+			if sel {
+				extra = 2 // the record and a new header
+			}
+			before := h.Stats().Allocs
+			s2, existed := s.Insert(key)
+			if got, want := h.Stats().Allocs-before, uint64(len(path))+extra; !existed || got != want {
+				t.Errorf("re-inserting a member along a %d-node path allocated %d blocks (existed=%v), want %d", len(path), got, existed, want)
+			}
+			if got := bindingOf(h, pathOf(h, s2.m, key), key); got != b {
+				t.Errorf("member's binding %#x after re-insert, want %#x kept", uint64(got), uint64(b))
+			}
+			if sel {
+				_, rec, _ := readSelExt(h, s2.Addr(), mapSelBase)
+				if _, kind, a, _ := readRecord(h, rec); kind != RecMapSet || pmem.Addr(a) != b {
+					t.Errorf("record kind %d names %#x, want a set of the kept binding %#x", kind, a, uint64(b))
+				}
+			}
+
+			ed := h.BeginEdit()
+			s3, _ := s2.WithEdit(ed).Insert(benchKey(5000))
+			before = h.Stats().Allocs
+			if _, existed := s3.Insert(benchKey(5000)); !existed || h.Stats().Allocs-before != extra/2 {
+				t.Errorf("re-inserting a member on an edit-owned path allocated %d blocks (existed=%v), want %d", h.Stats().Allocs-before, existed, extra/2)
+			}
+			ed.Seal()
+		})
+	}
+}
+
+// bindingOf returns the binding of key on the last node of its path.
+func bindingOf(h *alloc.Heap, path []pmem.Addr, key []byte) pmem.Addr {
+	last := path[len(path)-1]
+	if h.Tag(last) == TagMapCollision {
+		for _, e := range readCollision(h, nil, nil, last, nil) {
+			if k, _ := pairAt(h, nil, e); string(k) == string(key) {
+				return e
+			}
+		}
+		return pmem.Nil
+	}
+	shift := uint(len(path)-1) * mapBits
+	var n mapNode
+	readMapNode(h, nil, nil, last, nodePrefix(shift), &n)
+	bit := uint32(1) << ((hash64(key) >> shift) & mapMask)
+	if n.dataMap&bit == 0 {
+		return pmem.Nil
+	}
+	return n.eb[bits.OnesCount32(n.dataMap&(bit-1))]
 }
 
 // slotTaken reports whether key's slot on the last node of its path holds

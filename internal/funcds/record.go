@@ -441,7 +441,7 @@ func RebuildSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed 
 			case RecMapSet:
 				// The replayed trie shares the record's binding.
 				h.Retain(pmem.Addr(a))
-				m, _ = m.setPair(key, pmem.Addr(a))
+				m, _ = m.setPair(key, nil, pmem.Addr(a))
 			case RecMapDelete:
 				m, _ = m.Delete(key)
 			default:

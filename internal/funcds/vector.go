@@ -288,7 +288,7 @@ func copyNodeReplace(h *alloc.Heap, ed *alloc.Edit, vol bool, node pmem.Addr, id
 		}
 	}
 	clone := writeNode(h, ed, vol, children)
-	h.Borrow(node, clone, only{old}, only{child})
+	h.Borrow(node, clone, old, child)
 	return clone
 }
 
