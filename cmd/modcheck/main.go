@@ -174,14 +174,8 @@ func corruptVal(i int) []byte { return []byte(fmt.Sprintf("val-%06d", i)) }
 // A recovered store serving a wrong value without any of the above is a
 // silent wrong read and fails the run.
 //
-// Faults are aimed at the heap's block area and at freeAim bytes of free
-// space above it: the span the 64 KiB commit-log block of heap layouts up
-// to v5 used to take at the bottom of the heap, so a trial number damages
-// the block it always did. Aimed at the block area alone, 64 trials hit
-// the hole DESIGN.md §13 records — a selective structure's checkpoint
-// nodes carry no checksum (ROADMAP item 1b); drop the slack with it.
+// Faults are aimed at the heap's block area.
 func runCorrupt(ops, trials int) error {
-	const freeAim = 64<<10 + pmem.LineSize
 	if ops < 4 {
 		ops = 4
 	}
@@ -252,13 +246,7 @@ func runCorrupt(ops, trials int) error {
 	detected, salvaged, clean := 0, 1, 0
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*1_000_003 + 0xC0FFEE))
-		addr := func() pmem.Addr {
-			x := rng.Int63n(freeAim + int64(hi-lo))
-			if x < freeAim {
-				return hi + pmem.Addr(x)
-			}
-			return lo + pmem.Addr(x-freeAim)
-		}
+		addr := func() pmem.Addr { return lo + pmem.Addr(rng.Int63n(int64(hi-lo))) }
 		var plan pmem.FaultPlan
 		var class string
 		switch trial % 3 {

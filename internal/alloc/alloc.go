@@ -99,10 +99,14 @@ const (
 	// nodes, where a v12 recovery refuses the member and would drop an
 	// acknowledged write; 14: a map entry is one 4-byte reference to a
 	// binding block holding key and value, in place of a key blob and a
-	// value blob (package funcds). Every bump so far moved or re-encoded
-	// something a recovery depends on, or changed what a recovery
-	// decides, so no older image is readable.
-	version = 14
+	// value blob (package funcds); 15: no volatile-node bit (bit 41 is
+	// reserved, written 0): recovery and verification never follow a
+	// selective header's navigation words (RegisterNavigation), where a
+	// v14 recovery follows them into any block whose bit reads clear.
+	// Every bump so far moved or re-encoded something a recovery depends
+	// on, or changed what a recovery decides, so no older image is
+	// readable.
+	version = 15
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word
@@ -130,7 +134,8 @@ const fillerMin = headerSize + 8
 // one more; the gap left in front of it, if any, is at least fillerMin
 // (a smaller one grows by a line) and becomes a free filler block (see
 // carveFillerLocked and Edit.carveFiller). Sub-line strides and volatile
-// blocks, whose payloads are never flushed, are carved at cur. Free lists
+// blocks, whose payloads are flushed only if a fold seals them, are
+// carved at cur. Free lists
 // are per stride, so a block carved on a line is reused on one.
 func placeAt(cur pmem.Addr, stride uint32, volatile bool) pmem.Addr {
 	if volatile || stride%pmem.LineSize != 0 {
@@ -170,11 +175,6 @@ type RecoveryStats struct {
 	LeakedBlocks int    // unreachable blocks reclaimed
 	LeakedBytes  uint64 // bytes reclaimed from interrupted FASEs
 	Roots        int    // non-nil roots found
-	// VolatileBlocks counts root-referenced navigation blocks whose
-	// volatile-node bit was set: their payloads were zeroed rather than
-	// trusted, and the selective rebuild pass reconstructs their state
-	// from recovery records (DESIGN.md §10).
-	VolatileBlocks int
 	// StagedRoots counts roots recovery moved to a staged publication
 	// whose cell write had not reached PM (roots.go, DESIGN.md §7).
 	StagedRoots int
@@ -208,7 +208,7 @@ type heapShared struct {
 	blocks  blockTable  // reference counts and flag bits by payload address
 	borrows borrowTable // path copies that share their source's references (borrow.go)
 	walkers [256]Walker
-	volTags [256]bool // the tags AllocVolatile may carry (RegisterVolatile)
+	navs    [256]Walker // navigation words (RegisterNavigation)
 
 	// runSlots mirrors the open-run table. A sealed slot's persistent
 	// entry is NOT cleared at seal time — clearing is a plain clwb'd
@@ -373,13 +373,23 @@ func (h *Heap) StageTableRange() [2]pmem.Addr {
 // before any concurrent use of the heap.
 func (h *Heap) RegisterWalker(tag uint8, w Walker) { h.sh.walkers[tag] = w }
 
-// RegisterVolatile names the tags AllocVolatile is called with. Like
-// RegisterWalker it must run before Recover: recovery and verification
-// trust the volatile-node bit only on a block of such a tag
-// (volatileOK).
-func (h *Heap) RegisterVolatile(tags ...uint8) {
-	for _, t := range tags {
-		h.sh.volTags[t] = true
+// RegisterNavigation names the navigation words of a block of tag: the
+// children nav visits are held by reference like the walker's, so a
+// release cascades through both, but recovery and verification follow
+// only the walker's (DESIGN.md §10). A selective structure's header names
+// its navigation this way, so after a crash every navigation node is
+// unreachable and recovery sweeps it; the structure is rebuilt from the
+// checkpoint and record chain the walker names.
+func (h *Heap) RegisterNavigation(tag uint8, nav Walker) { h.sh.navs[tag] = nav }
+
+// walkRefs visits every child a block of tag holds a reference on: its
+// navigation words, then its walker's children.
+func (h *Heap) walkRefs(tag uint8, a pmem.Addr, sc *Scratch, visit func(pmem.Addr)) {
+	if nav := h.sh.navs[tag]; nav != nil {
+		nav(h, a, sc, visit)
+	}
+	if w := h.sh.walkers[tag]; w != nil {
+		w(h, a, sc, visit)
 	}
 }
 
@@ -392,23 +402,6 @@ func strideFor(payload int) uint32 {
 		}
 	}
 	return (need + pmem.LineSize - 1) &^ (pmem.LineSize - 1)
-}
-
-// hdrVolatileBit marks a block whose payload is intentionally NOT flushed
-// on the hot path (selective persistence, DESIGN.md §10): the header is
-// durable so recovery can still walk the block chain, but the payload is
-// navigation-only state that recovery must zero and rebuild, never trust.
-const hdrVolatileBit = uint64(1) << 41
-
-// volatileOK reports whether a block of tag whose header word 1 reads
-// check may carry the volatile-node bit: AllocVolatile writes word 1 as
-// zero and nothing seals a volatile block, and only registered tags are
-// ever allocated volatile. The bit on any other block is a flipped bit
-// of a durable one, which recovery and verification then treat as
-// durable — walked, not zeroed — so its checksum, which covers header
-// word 0, reports the flip (DESIGN.md §13).
-func (sh *heapShared) volatileOK(tag uint8, check uint64) bool {
-	return check == 0 && sh.volTags[tag]
 }
 
 func packHeader(stride uint32, tag uint8, allocated bool) uint64 {
@@ -439,8 +432,8 @@ func unpackHeader(v uint64) (stride uint32, tag uint8, allocated, ok bool) {
 // combined header+payload flush, so verification costs no extra ordering:
 // the FASE's single fence covers payload, header, and checksum together.
 // A zero word means "no checksum" — legacy allocation paths (Alloc) and
-// volatile navigation nodes durably zero it so recovery never mistakes a
-// recycled block's stale checksum for a live one.
+// navigation nodes not yet sealed by a checkpoint zero it so verification
+// never mistakes a recycled block's stale checksum for a live one.
 const hdrHasCRC = uint64(1) << 63
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -480,11 +473,12 @@ func (h *Heap) Alloc(size int, tag uint8) pmem.Addr {
 	return h.alloc(size, tag, false, true)
 }
 
-// AllocVolatile allocates like Alloc but marks the block's header with the
-// volatile-node bit: the header is still flushed (recovery must be able to
-// walk the block chain), but the caller will not flush the payload — it is
-// DRAM-resident navigation state that recovery zeroes and rebuilds from
-// recovery records instead of trusting (DESIGN.md §10).
+// AllocVolatile allocates a navigation node: like Alloc, header flushed
+// (recovery must be able to walk the block chain), but the caller will
+// not flush the payload. The block table marks it not yet durable
+// (IsVolatile) until a checkpoint fold seals it (SealNode); nothing marks
+// it in PM, because recovery never follows navigation words to reach it
+// (RegisterNavigation, DESIGN.md §10).
 func (h *Heap) AllocVolatile(size int, tag uint8) pmem.Addr {
 	return h.alloc(size, tag, true, true)
 }
@@ -521,11 +515,7 @@ func (h *Heap) alloc(size int, tag uint8, volatile, flushHdr bool) pmem.Addr {
 	if t := h.dev.Tracer(); t != nil {
 		t.Alloc(hdr, uint64(stride), tag)
 	}
-	v := packHeader(stride, tag, true)
-	if volatile {
-		v |= hdrVolatileBit
-	}
-	h.dev.WriteU64(hdr, v)
+	h.dev.WriteU64(hdr, packHeader(stride, tag, true))
 	// Zero the checksum word: a recycled block's stale checksum must never
 	// survive into a reachable header, or verification would flag a
 	// perfectly healthy node. SealNode overwrites it on checksummed paths.
@@ -533,13 +523,18 @@ func (h *Heap) alloc(size int, tag uint8, volatile, flushHdr bool) pmem.Addr {
 	if flushHdr {
 		h.dev.FlushRange(hdr, headerSize)
 	}
-	return h.registerBlock(hdr)
+	return h.registerBlock(hdr, volatile)
 }
 
 // registerBlock starts tracking a freshly allocated block at reference
-// count 1 and returns its payload address.
-func (h *Heap) registerBlock(hdr pmem.Addr) pmem.Addr {
-	h.sh.blocks.install(hdr + headerSize).Store(slotFresh)
+// count 1, a navigation node marked volatile, and returns its payload
+// address.
+func (h *Heap) registerBlock(hdr pmem.Addr, volatile bool) pmem.Addr {
+	v := int32(slotFresh)
+	if volatile {
+		v |= slotVolatile
+	}
+	h.sh.blocks.install(hdr + headerSize).Store(v)
 	return hdr + headerSize
 }
 
@@ -634,23 +629,12 @@ func (h *Heap) PayloadSize(payload pmem.Addr) int {
 	return int(stride) - headerSize
 }
 
-// IsVolatile reports whether the block at payload addr carries the
-// volatile-node bit (its payload is not flushed on the hot path).
+// IsVolatile reports whether the block at payload is a navigation node
+// whose payload no checkpoint has sealed yet. It reads the block table,
+// not PM.
 func (h *Heap) IsVolatile(payload pmem.Addr) bool {
-	return h.dev.ReadU64(payload-headerSize)&hdrVolatileBit != 0
-}
-
-// ClearVolatile rewrites the block's header without the volatile-node bit
-// and issues a clwb, leaving the write inflight for the caller's fence.
-// It is the checkpoint step of selective persistence: the caller must
-// have made the payload durable (flushed and fenced) BEFORE clearing, and
-// must run inside a commit bracket — the 8-byte aligned header rewrite is
-// the only in-place mutation of an already-published block the trace
-// invariants permit there (DESIGN.md §10).
-func (h *Heap) ClearVolatile(payload pmem.Addr) {
-	hdr := payload - headerSize
-	h.dev.WriteU64(hdr, h.dev.ReadU64(hdr)&^hdrVolatileBit)
-	h.dev.Clwb(hdr)
+	s := h.sh.blocks.slot(payload)
+	return s != nil && s.Load()&slotVolatile != 0
 }
 
 // SealNode computes the checksum of the node at payload over its first n
@@ -661,11 +645,16 @@ func (h *Heap) ClearVolatile(payload pmem.Addr) {
 // steady-state flushes/op is unchanged by checksumming. n must cover
 // every byte the caller wrote: in-place mutations after publication are
 // only legal on edit-owned nodes (resealed by Edit.Seal) or via
-// ResealNode.
+// ResealNode. A navigation node it seals is no longer volatile: the mark
+// clears after the flush is issued, so a fold that finds it clear orders
+// that flush with its own commit fence (DESIGN.md §10).
 func (h *Heap) SealNode(payload pmem.Addr, n int) {
 	hdr := payload - headerSize
 	h.dev.WriteU64(hdr+8, packCheck(n, h.nodeCRC(hdr, n)))
 	h.dev.FlushRange(hdr, headerSize+n)
+	if s := h.sh.blocks.slot(payload); s != nil && s.Load()&slotVolatile != 0 {
+		s.And(^slotVolatile)
+	}
 }
 
 // ResealNode recomputes the checksum of an already-sealed node after an
@@ -931,9 +920,7 @@ func (c *cascade) collect(payload pmem.Addr) {
 		if s := h.sh.blocks.slot(a); s.Load()&slotBorrowFlags != 0 && c.releaseOwn(a, s) {
 			continue
 		}
-		if w := h.sh.walkers[tag]; w != nil {
-			w(h, a, &c.sc, c.drop)
-		}
+		h.walkRefs(tag, a, &c.sc, c.drop)
 	}
 }
 

@@ -154,9 +154,7 @@ func (c *cascade) retainShared(dst, dstOnly pmem.Addr) {
 	h.sh.borrows.settled.Add(1)
 	_, tag := h.header(dst)
 	c.own = dstOnly
-	if w := h.sh.walkers[tag]; w != nil {
-		w(h, dst, &c.sc, c.keep)
-	}
+	h.walkRefs(tag, dst, &c.sc, c.keep)
 	h.invalidateCached(dst)
 }
 

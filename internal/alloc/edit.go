@@ -182,10 +182,9 @@ func (e *Edit) Alloc(size int, tag uint8) pmem.Addr {
 	return e.alloc(size, tag, false)
 }
 
-// AllocVolatile allocates an edit-owned block carrying the volatile-node
-// bit (see Heap.AllocVolatile): the header still enters the flush set,
-// but the payload is DRAM-resident navigation state the caller will not
-// flush.
+// AllocVolatile allocates an edit-owned navigation node (see
+// Heap.AllocVolatile): the header still enters the flush set, but the
+// payload is DRAM-resident navigation state the caller will not flush.
 func (e *Edit) AllocVolatile(size int, tag uint8) pmem.Addr {
 	return e.alloc(size, tag, true)
 }
@@ -351,16 +350,12 @@ func (e *Edit) finishAlloc(hdr pmem.Addr, stride uint32, tag uint8, volatile boo
 	if t := h.dev.Tracer(); t != nil {
 		t.Alloc(hdr, uint64(stride), tag)
 	}
-	v := packHeader(stride, tag, true)
-	if volatile {
-		v |= hdrVolatileBit
-	}
-	h.dev.WriteU64(hdr, v)
+	h.dev.WriteU64(hdr, packHeader(stride, tag, true))
 	// Zero a recycled block's stale checksum word; the Seal checksum pass
 	// rewrites it for every durable node registered via RecordNode.
 	h.dev.WriteU64(hdr+8, 0)
 	e.fs.Add(hdr, headerSize)
-	return h.registerBlock(hdr)
+	return h.registerBlock(hdr, volatile)
 }
 
 // Owns reports whether the block at payload was allocated inside this

@@ -49,13 +49,11 @@ func AuditCounts(h *Heap, held map[pmem.Addr]int) error {
 	var sc Scratch
 	children := func(a pmem.Addr) (out []pmem.Addr) {
 		_, tag := h.header(a)
-		if w := sh.walkers[tag]; w != nil {
-			w(h, a, &sc, func(c pmem.Addr) {
-				if c != pmem.Nil {
-					out = append(out, c)
-				}
-			})
-		}
+		h.walkRefs(tag, a, &sc, func(c pmem.Addr) {
+			if c != pmem.Nil {
+				out = append(out, c)
+			}
+		})
 		return out
 	}
 	for a, n := range got {
@@ -122,23 +120,25 @@ func AuditCounts(h *Heap, held map[pmem.Addr]int) error {
 
 // WalkFresh is the reference Edit.Fresh is checked against: every block
 // reachable from root that the edit owns, found by walking owned blocks'
-// children through the device, each once. An owned block is reachable
-// only through owned parents, so the walk descends through them alone;
-// with durableOnly it neither keeps nor descends through a volatile block,
-// as recovery's verification of a staged publication does. Call before
-// Seal, which ends ownership.
+// children through the device, each once, navigation words included. An
+// owned block is reachable only through owned parents, so the walk
+// descends through them alone. With durableOnly it follows no navigation
+// word (RegisterNavigation), as recovery's verification of a staged
+// publication does. Call before Seal, which ends ownership.
 func WalkFresh(e *Edit, root pmem.Addr, durableOnly bool) []pmem.Addr {
 	h := e.h
 	var seen pmem.OrderedSet[pmem.Addr]
 	add := func(c pmem.Addr) {
-		if e.Owns(c) && !(durableOnly && h.IsVolatile(c)) {
+		if e.Owns(c) {
 			seen.Add(c)
 		}
 	}
 	add(root)
 	for i := 0; i < seen.Len(); i++ {
 		a := seen.Keys()[i]
-		if w := h.sh.walkers[h.Tag(a)]; w != nil {
+		if tag := h.Tag(a); !durableOnly {
+			h.walkRefs(tag, a, nil, add)
+		} else if w := h.sh.walkers[tag]; w != nil {
 			w(h, a, nil, add)
 		}
 	}

@@ -235,7 +235,7 @@ func TestFreshLedgerMatchesWalk(t *testing.T) {
 						t.Errorf("%s: ledger %#x\nwalk %#x", c.name, got, want)
 					}
 					if !slices.Equal(want, durable) {
-						t.Errorf("%s: durable blocks reached only through volatile ones: walk %#x, through durable blocks %#x", c.name, want, durable)
+						t.Errorf("%s: durable blocks reached only through navigation: walk %#x, as recovery walks %#x", c.name, want, durable)
 					}
 					if !shared {
 						ed.Seal()

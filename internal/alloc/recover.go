@@ -28,7 +28,6 @@ type recBlock struct {
 	tent   int32 // parents inside a staged publication being validated
 	tag    uint8
 	wasAll bool
-	vol    bool
 }
 
 // rootWord is a named root's slot and a cell word for it.
@@ -55,7 +54,8 @@ func (r *recovery) block(payload pmem.Addr) *recBlock {
 	return &r.blocks[s.Load()-1]
 }
 
-// walk runs b's walker, if its tag has one.
+// walk runs b's walker, if its tag has one. It never visits navigation
+// words (RegisterNavigation): recovered state does not depend on them.
 func (r *recovery) walk(b *recBlock, visit func(pmem.Addr)) {
 	if w := r.h.sh.walkers[b.tag]; w != nil {
 		w(r.h, b.hdr+headerSize, &r.sc, visit)
@@ -133,11 +133,7 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 					// block (at most 8 bytes; strides are multiples of 8).
 					last := &r.blocks[n-1]
 					last.stride += rem
-					hv := packHeader(last.stride, last.tag, last.wasAll)
-					if last.vol {
-						hv |= hdrVolatileBit
-					}
-					h.dev.WriteU64(last.hdr, hv)
+					h.dev.WriteU64(last.hdr, packHeader(last.stride, last.tag, last.wasAll))
 					h.dev.Clwb(last.hdr)
 				}
 				addr = run.end
@@ -152,8 +148,7 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 			h.dev.Sfence()
 			break
 		}
-		vol := raw&hdrVolatileBit != 0 && sh.volatileOK(tag, h.dev.ReadU64(addr+8))
-		r.blocks = append(r.blocks, recBlock{hdr: addr, stride: stride, tag: tag, wasAll: allocated, vol: vol})
+		r.blocks = append(r.blocks, recBlock{hdr: addr, stride: stride, tag: tag, wasAll: allocated})
 		sh.blocks.install(addr + headerSize).Store(int32(len(r.blocks)))
 		addr += pmem.Addr(stride)
 	}
@@ -176,17 +171,10 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 	rs.StagedRoots = r.rollForward(groups)
 
 	// Pass 2: mark from roots, rebuilding reference counts as the number
-	// of reachable parents (plus one per root-table reference).
-	//
-	// Blocks carrying the volatile-node bit are navigation state whose
-	// payload was never flushed: recovery must not trust (or recurse
-	// into) their contents. They are kept live — the committed structure
-	// header still references them until the selective rebuild replaces
-	// it — but their payloads are zeroed so every later walker sees an
-	// empty node, and their children are left unmarked for the sweep
-	// (DESIGN.md §10). Pass 1 took the bit only where volatileOK finds it
-	// plausible: on any other block it is a flip, and the block is marked
-	// and walked as the durable block it is.
+	// of reachable parents (plus one per root-table reference). The walk
+	// never follows a navigation word, so a navigation node no checkpoint
+	// names is left unmarked for the sweep, whatever its payload holds
+	// (DESIGN.md §10).
 	var stack []*recBlock
 	visit := func(payload pmem.Addr) error {
 		if payload == pmem.Nil {
@@ -197,12 +185,7 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 			return fmt.Errorf("alloc: recovery found pointer to non-block address %#x", uint64(payload))
 		}
 		if b.refs++; b.refs == 1 {
-			if b.vol {
-				rs.VolatileBlocks++
-				h.dev.Zero(payload, int(b.stride)-headerSize)
-			} else {
-				stack = append(stack, b)
-			}
+			stack = append(stack, b)
 		}
 		return nil
 	}
@@ -240,7 +223,7 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 
 	// Pass 2b: the groups none of whose swaps landed, decided against
 	// the marks; then every stage slot is consumed.
-	rs.StagedRoots += r.applyStaged(groups, named, consume, &rs)
+	rs.StagedRoots += r.applyStaged(groups, named, consume)
 
 	// Pass 3: sweep. Unmarked blocks — whether leaked by an interrupted
 	// FASE, freed before the crash, or superseded by a staged publication
@@ -374,13 +357,12 @@ func (r *recovery) rollForward(groups []*foundGroup) int {
 // or not at all, and a member without a digest (Batch.Commit,
 // CommitUnrelated, a checkpoint fold) never applies this way. An applied
 // member's version replaces the old one in the marks (its blocks join
-// them, the old version's own blocks leave them) and in the cell; the
-// volatile blocks it adds are zeroed and counted in rs. Then, after a
-// fence covering every cell recovery wrote, each slot in consume is
+// them, the old version's own blocks leave them) and in the cell. Then,
+// after a fence covering every cell recovery wrote, each slot in consume is
 // zeroed and fenced, so no slot outlives the recovery that decided it.
 // named holds every named root's cell word as pass 2 read it, in slot
 // order. Returns the roots it moved.
-func (r *recovery) applyStaged(groups []*foundGroup, named []rootWord, consume []pmem.Addr, rs *RecoveryStats) int {
+func (r *recovery) applyStaged(groups []*foundGroup, named []rootWord, consume []pmem.Addr) int {
 	h := r.h
 	var cur [RootSlots]uint64
 	var isNamed [RootSlots]bool
@@ -406,7 +388,7 @@ func (r *recovery) applyStaged(groups []*foundGroup, named []rootWord, consume [
 			marks = append(marks, m)
 		}
 		for _, m := range marks {
-			r.settle(m, ok, rs)
+			r.settle(m, ok)
 		}
 		if !ok {
 			continue
@@ -440,42 +422,32 @@ func (r *recovery) applyStaged(groups []*foundGroup, named []rootWord, consume [
 }
 
 // pubMarks is what verifying one staged publication marked tentatively:
-// the durable blocks it adds, the volatile ones (navigation nodes of a
-// selective structure) and the marked blocks it shares.
-type pubMarks struct{ fresh, vol, shared []*recBlock }
+// the blocks it adds and the marked blocks it shares.
+type pubMarks struct{ fresh, shared []*recBlock }
 
 // settle keeps the tentative marks — each fresh block counted by its
 // parents inside the publication and the root reference, each shared one
-// by one more parent, each volatile one's payload zeroed as pass 2 zeroes
-// a reachable volatile block — or drops them.
-func (r *recovery) settle(m pubMarks, keep bool, rs *RecoveryStats) {
-	for _, bs := range [][]*recBlock{m.fresh, m.vol} {
-		for _, b := range bs {
-			if keep {
-				b.refs = b.tent
-			}
-			b.tent = 0
+// by one more parent — or drops them.
+func (r *recovery) settle(m pubMarks, keep bool) {
+	for _, b := range m.fresh {
+		if keep {
+			b.refs = b.tent
 		}
+		b.tent = 0
 	}
-	if !keep {
-		return
-	}
-	for _, b := range m.shared {
-		b.refs++
-	}
-	for _, b := range m.vol {
-		rs.VolatileBlocks++
-		r.h.dev.Zero(b.hdr+headerSize, int(b.stride)-headerSize)
+	if keep {
+		for _, b := range m.shared {
+			b.refs++
+		}
 	}
 }
 
-// verifyStaged decides one member against the marks: every durable block
-// reachable from its final version through durable blocks and not already
-// marked — the blocks that publication added — carries a checksum that
-// verifies, and those blocks, as many as the slot counts, fold to its
-// digest. A volatile block it reaches is a leaf, as in pass 2: marked, but
-// neither walked, folded nor counted. The marks it returns are tentative
-// until the caller settles them.
+// verifyStaged decides one member against the marks: every block
+// reachable from its final version and not already marked — the blocks
+// that publication added, reached as pass 2 reaches them, never through a
+// navigation word — carries a checksum that verifies, and those blocks, as
+// many as the slot counts, fold to its digest. The marks it returns are
+// tentative until the caller settles them.
 func (r *recovery) verifyStaged(p stagedPub) (m pubMarks, ok bool) {
 	h := r.h
 	var (
@@ -504,9 +476,6 @@ func (r *recovery) verifyStaged(p stagedPub) (m pubMarks, ok bool) {
 			m.shared = append(m.shared, b)
 		case b.tent > 0:
 			b.tent++
-		case b.vol:
-			b.tent = 1
-			m.vol = append(m.vol, b)
 		case len(m.fresh) == p.count():
 			failed = true // more blocks than the slot names
 		default:
@@ -549,16 +518,14 @@ func (r *recovery) release(payload pmem.Addr) {
 	for len(dead) > 0 {
 		b := dead[len(dead)-1]
 		dead = dead[:len(dead)-1]
-		if !b.vol { // a volatile node's children were never counted
-			r.walk(b, drop)
-		}
+		r.walk(b, drop)
 	}
 }
 
 // freshCRC returns the stored checksum of the block at payload if it is an
-// allocated, checksummed, durable node whose checksum verifies.
+// allocated, checksummed node whose checksum verifies.
 func (h *Heap) freshCRC(payload pmem.Addr) (uint32, bool) {
-	if _, _, vol, err := h.verifyNode(payload); err != nil || vol {
+	if _, err := h.verifyNode(payload); err != nil {
 		return 0, false
 	}
 	_, crc, has := unpackCheck(h.dev.ReadU64(payload - headerSize + 8))

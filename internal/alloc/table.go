@@ -14,12 +14,14 @@ import (
 // for the untouched remainder of a large arena.
 //
 // A slot is 0 while no block starts at its address. A tracked block holds
-// its reference count plus one in the low 28 bits — so "tracked, count 0"
+// its reference count plus one in the low 27 bits — so "tracked, count 0"
 // (retired, awaiting reclamation) stays distinct from "untracked" — and
-// three flags above them: slotTaint marks a recovered block that lazy
+// four flags above them: slotTaint marks a recovered block that lazy
 // verification has yet to check (verify.go); slotLent and slotBorrowing
 // mark the source and the copy of a borrowed path copy (borrow.go), so a
-// block that takes part in none never looks the borrow table up. While
+// block that takes part in none never looks the borrow table up;
+// slotVolatile marks a navigation node whose payload is not yet durable
+// (AllocVolatile), which the next checkpoint fold seals (SealNode). While
 // Recover runs, slots hold block-list indices.
 const (
 	pageShift = 13 // 8192 slots: a 32 KiB page covers 64 KiB of heap
@@ -28,8 +30,9 @@ const (
 	slotTaint     = int32(1) << 30
 	slotLent      = int32(1) << 29
 	slotBorrowing = int32(1) << 28
-	slotCount     = slotBorrowing - 1 // reference count + 1; 0 = untracked
-	slotFresh     = 2                 // a new block: tracked, reference count 1
+	slotVolatile  = int32(1) << 27
+	slotCount     = slotVolatile - 1 // reference count + 1; 0 = untracked
+	slotFresh     = 2                // a new block: tracked, reference count 1
 )
 
 type tablePage [pageSlots]atomic.Int32

@@ -54,57 +54,51 @@ func (p *CorruptionPanic) Error() string { return p.Block.Error() }
 // verifyNode checks the block at payload without descending: bounds, a
 // readable and well-formed header, and — when the checksum word is
 // present — a matching CRC over the covered payload. It returns the
-// parsed stride/tag/volatile state for the caller's walk. A nil error
-// with vol=true means the node is volatile navigation state whose
-// payload recovery zeroes and rebuilds: there is nothing to checksum and
-// its children must not be walked. A volatile-node bit volatileOK
-// refuses is a flip on a durable node, which is checked as one.
-func (h *Heap) verifyNode(payload pmem.Addr) (stride uint32, tag uint8, vol bool, err *BlockError) {
+// parsed tag for the caller's walk.
+func (h *Heap) verifyNode(payload pmem.Addr) (tag uint8, err *BlockError) {
 	defer h.dev.BeginRecovery()()
 	hdr := payload - headerSize
 	if payload < heapBase+headerSize || hdr >= h.sh.top {
-		return 0, 0, false, &BlockError{Addr: payload, Reason: "pointer outside heap"}
+		return 0, &BlockError{Addr: payload, Reason: "pointer outside heap"}
 	}
 	if line, dead := h.dev.RangeDead(hdr, headerSize); dead {
-		return 0, 0, false, &BlockError{Addr: payload, Reason: fmt.Sprintf("unreadable header line %#x", uint64(line))}
+		return 0, &BlockError{Addr: payload, Reason: fmt.Sprintf("unreadable header line %#x", uint64(line))}
 	}
 	raw := h.dev.Bytes(hdr, headerSize)
 	w0 := leU64(raw[:8])
 	stride, tag, allocated, ok := unpackHeader(w0)
 	switch {
 	case !ok:
-		return 0, 0, false, &BlockError{Addr: payload, Reason: fmt.Sprintf("bad header word %#x", w0)}
+		return 0, &BlockError{Addr: payload, Reason: fmt.Sprintf("bad header word %#x", w0)}
 	case !allocated:
-		return 0, 0, false, &BlockError{Addr: payload, Tag: tag, Reason: "pointer into free block"}
+		return 0, &BlockError{Addr: payload, Tag: tag, Reason: "pointer into free block"}
 	case stride < headerSize+8 || hdr+pmem.Addr(stride) > h.sh.top:
-		return 0, 0, false, &BlockError{Addr: payload, Tag: tag, Reason: fmt.Sprintf("implausible stride %d", stride)}
-	}
-	if w0&hdrVolatileBit != 0 && h.sh.volatileOK(tag, leU64(raw[8:])) {
-		return stride, tag, true, nil
+		return 0, &BlockError{Addr: payload, Tag: tag, Reason: fmt.Sprintf("implausible stride %d", stride)}
 	}
 	n, crc, has := unpackCheck(leU64(raw[8:]))
 	if !has {
-		// Legacy allocation path (no checksum): the header parse above is
-		// the only structural check available.
-		return stride, tag, false, nil
+		// No checksum (a legacy allocation, or a navigation node no fold
+		// has sealed): the header parse above is the only structural check
+		// available.
+		return tag, nil
 	}
 	if n < 0 || n > int(stride)-headerSize {
-		return 0, 0, false, &BlockError{Addr: payload, Tag: tag, Reason: fmt.Sprintf("checksum covers %d bytes of a %d-byte block", n, stride)}
+		return 0, &BlockError{Addr: payload, Tag: tag, Reason: fmt.Sprintf("checksum covers %d bytes of a %d-byte block", n, stride)}
 	}
 	if line, dead := h.dev.RangeDead(hdr, headerSize+n); dead {
-		return 0, 0, false, &BlockError{Addr: payload, Tag: tag, Reason: fmt.Sprintf("unreadable line %#x", uint64(line))}
+		return 0, &BlockError{Addr: payload, Tag: tag, Reason: fmt.Sprintf("unreadable line %#x", uint64(line))}
 	}
 	if got := h.nodeCRC(hdr, n); got != crc {
-		return 0, 0, false, &BlockError{Addr: payload, Tag: tag, Reason: fmt.Sprintf("checksum mismatch (stored %#x, computed %#x)", crc, got)}
+		return 0, &BlockError{Addr: payload, Tag: tag, Reason: fmt.Sprintf("checksum mismatch (stored %#x, computed %#x)", crc, got)}
 	}
-	return stride, tag, false, nil
+	return tag, nil
 }
 
 // VerifyBlock checks the single block at payload — bounds, readable
 // well-formed header, checksum when present — without descending through
 // its pointers. It never panics: poisoned lines classify as errors.
 func (h *Heap) VerifyBlock(payload pmem.Addr) error {
-	if _, _, _, berr := h.verifyNode(payload); berr != nil {
+	if _, berr := h.verifyNode(payload); berr != nil {
 		return berr
 	}
 	return nil
@@ -127,6 +121,14 @@ func (h *Heap) VerifyRoot(slot int) (err error) {
 	endScan := h.dev.BeginRecovery()
 	root := cellAddr(leU64(h.dev.Bytes(h.RootCellAddr(slot), 8)))
 	endScan()
+	return h.VerifyTree(root)
+}
+
+// VerifyTree eagerly verifies every node reachable from root as VerifyRoot
+// does, for a version no root cell names: a selective structure's
+// checkpoint, which salvage must trust before it replays or rolls back
+// onto it. Nil is an empty, healthy tree.
+func (h *Heap) VerifyTree(root pmem.Addr) (err error) {
 	if root == pmem.Nil {
 		return nil
 	}
@@ -155,19 +157,15 @@ func (h *Heap) VerifyRoot(slot int) (err error) {
 			continue
 		}
 		visited[a] = struct{}{}
-		_, tag, vol, berr := h.verifyNode(a)
+		tag, berr := h.verifyNode(a)
 		if berr != nil {
 			return berr
-		}
-		if vol {
-			// Volatile navigation state: zeroed and rebuilt by recovery,
-			// never descended (its children were swept).
-			continue
 		}
 		// Tags without a registered walker are opaque leaf blocks (raw
 		// blobs, the store's anchor records): recovery's mark pass treats
 		// them the same way. verifyNode above already checked their
-		// header and checksum; there is nothing to descend into.
+		// header and checksum; there is nothing to descend into. Nor is
+		// there through navigation words, which recovery never follows.
 		w := h.sh.walkers[tag]
 		if w == nil {
 			continue
@@ -228,8 +226,8 @@ func (h *Heap) ArmLazyVerify() {
 // VerifyRef is VerifyOnRead for an address decoded from a node's bytes —
 // a 4-byte reference (funcds) — rather than handed out by the heap: it
 // first requires that a block start there. A damaged node that carries no
-// checksum (a checkpointed navigation node, DESIGN.md §10) can decode to
-// any 8-aligned address; reading through one that is outside the heap or
+// checksum (an eager Alloc, or a navigation node no fold has sealed yet,
+// DESIGN.md §10) can decode to any 8-aligned address; reading through one that is outside the heap or
 // inside another block would serve that memory as a key or a length, so
 // it raises the same typed panic a checksum mismatch does. The lookup is
 // the block table's arithmetic (table.go), no device access.
@@ -269,7 +267,7 @@ func (h *Heap) VerifyOnRead(payload pmem.Addr) {
 	if s == nil || s.Load()&slotTaint == 0 {
 		return
 	}
-	if _, _, _, berr := h.verifyNode(payload); berr != nil {
+	if _, berr := h.verifyNode(payload); berr != nil {
 		panic(&CorruptionPanic{Block: *berr})
 	}
 	for {

@@ -280,10 +280,8 @@ type preparedBatch struct {
 	// caller fences once more after the swaps (DESIGN.md §7, §9).
 	fenceAfter bool
 
-	// What publish stages and clears: the changed roots it stages as one
-	// group, and the checkpoint crowns it clears ahead of the swaps.
+	// The changed roots publish stages as one group.
 	group []alloc.StagedRoot
-	crown []pmem.Addr
 	buf   [4]alloc.StagedRoot // a group of up to four roots allocates nothing
 }
 
@@ -378,9 +376,7 @@ func publish(ps []*preparedBatch) {
 	for _, p := range ps {
 		s := p.s
 		for i, c := range p.changed {
-			cr, folded := s.maybeCheckpoint(c.final)
-			p.crown = append(p.crown, cr...)
-			if folded {
+			if s.maybeCheckpoint(c.final) {
 				p.changed[i].fresh = nil
 			}
 		}
@@ -403,20 +399,14 @@ func publish(ps []*preparedBatch) {
 		}
 		p.fenceAfter = len(ps) > 1 || undigested&p.digest != 0
 	}
-	// The commit's one ordering point on each shard: shadows and stage
-	// slots are durable before any swap is issued, so a swap that reaches
-	// PM on one shard implies them all. No cell named here has been
-	// written yet, so until these fences complete recovery finds every one
-	// holding its old version and applies only the groups whose members
-	// are all found and all re-verify.
+	// The commit's one ordering point on each shard: shadows, sealed
+	// checkpoint crowns and stage slots are durable before any swap is
+	// issued, so a swap that reaches PM on one shard implies them all. No
+	// cell named here has been written yet, so until these fences complete
+	// recovery finds every one holding its old version and applies only
+	// the groups whose members are all found and all re-verify.
 	for _, p := range ps {
 		p.s.heap.Fence()
-	}
-	// Checkpoint crowns clear (and fence) before any swap, so a
-	// rolled-forward swap never points at a structure whose navigation
-	// recovery would zero.
-	for _, p := range ps {
-		p.s.clearCrown(p.crown)
 	}
 	for _, p := range ps {
 		for _, c := range p.changed {

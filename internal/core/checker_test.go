@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/durcheck"
 	"github.com/mod-ds/mod/internal/pmem"
 )
@@ -26,8 +27,9 @@ import (
 //   - writable-after-recovery: every recovered root takes an update.
 //
 // After the window the history ends with Sync: every op must then be
-// acknowledged and recovered, and no-leak requires the live bytes to
-// equal a fresh recovery's. A crash image is taken while the writers'
+// acknowledged and recovered, and no-leak requires the live bytes, less
+// the navigation nodes recovery sweeps by design, to equal a fresh
+// recovery's. A crash image is taken while the writers'
 // stores run, so concurrent histories are checked in the one run. A
 // history may also pin, per image, what the spec leaves open (expect).
 
@@ -497,8 +499,9 @@ func (r *histRec) check(imgs [][]byte, policy pmem.CrashPolicy, ops []durcheck.O
 }
 
 // end checks the history's end, after its closing Sync: every op is
-// acknowledged and recovered, and the store's live bytes are a fresh
-// recovery's (no-leak).
+// acknowledged and recovered, and the store's live bytes, less the
+// navigation nodes no fold has sealed (navBytes), are a fresh recovery's
+// (no-leak).
 func (r *histRec) end() error {
 	r.ackCovered()
 	for _, op := range r.ops {
@@ -508,7 +511,8 @@ func (r *histRec) end() error {
 	}
 	var live uint64
 	for i := 0; i < r.e.db.ShardCount(); i++ {
-		live += r.e.db.Shard(i).Heap().Stats().LiveBytes
+		h := r.e.db.Shard(i).Heap()
+		live += h.Stats().LiveBytes - navBytes(h)
 	}
 	imgs := pmem.NewRegions(r.devs...).CrashImages(pmem.CrashFencedOnly, 0)
 	r.ended = true
@@ -523,4 +527,21 @@ func (r *histRec) end() error {
 		return fmt.Errorf("no-leak: %d live bytes after Sync, a fresh recovery finds %d", live, info.Stats.LiveBytes)
 	}
 	return nil
+}
+
+// navBytes sums the blocks of h that hold navigation no fold has sealed
+// (alloc.Heap.IsVolatile, a block-table mark). Recovery never follows a
+// navigation word, so a fresh recovery sweeps them: they are the one
+// difference between a selective store's live bytes and a recovery's.
+func navBytes(h *alloc.Heap) uint64 {
+	lo, hi := h.DataBounds()
+	var n uint64
+	for a := lo; a+alloc.HeaderSize <= hi; {
+		stride := uint32(h.Device().ReadU64(a))
+		if h.IsVolatile(a + alloc.HeaderSize) {
+			n += uint64(stride)
+		}
+		a += pmem.Addr(stride)
+	}
+	return n
 }

@@ -343,6 +343,8 @@ func TestOpenSalvageRollsBackSelectiveRoot(t *testing.T) {
 // value. Recovery used to take the bit at its word: it zeroed the block
 // as volatile navigation state, verification passed it unchecked, and a
 // plain map whose root node took the flip came back empty with no error.
+// Since heap layout v15 the bit is reserved and nothing reads it; the
+// checksum, which covers header word 0, still reports the flip.
 func TestOpenVerifyCatchesFlippedVolatileBit(t *testing.T) {
 	f := newFlipFixture(t)
 	for _, tag := range []uint8{funcds.TagBlob, funcds.TagStackHdr, funcds.TagListNode, funcds.TagQueueHdr,
@@ -397,7 +399,8 @@ func TestOpenVerifyCatchesFlippedBindingLengths(t *testing.T) {
 // selective and a parent-bound map, 64 operations each, for the tests
 // that flip bits in it and reopen. The plain roots come first; the store
 // turns selective before the first selective one, with no fold due, so
-// every selective navigation node stays volatile.
+// every selective navigation node stays volatile (Heap.IsVolatile) and
+// out of the fixture's live durable blocks.
 type flipFixture struct {
 	cfg   pmem.Config
 	img   []byte
@@ -446,14 +449,13 @@ func newFlipFixture(t *testing.T) *flipFixture {
 	db.Sync()
 	f.img = snapshot(s)
 
-	const volatileBit = uint64(1) << 41
 	lo, hi := s.heap.DataBounds()
 	for a := lo; a+alloc.HeaderSize <= hi; {
 		w0 := binary.LittleEndian.Uint64(f.img[a:])
 		if uint32(w0) == 0 {
 			t.Fatalf("unparsable header word %#x at %#x", w0, uint64(a))
 		}
-		if tag := uint8(w0 >> 32); w0&volatileBit == 0 && s.heap.RefCount(a+alloc.HeaderSize) > 0 {
+		if tag := uint8(w0 >> 32); !s.heap.IsVolatile(a+alloc.HeaderSize) && s.heap.RefCount(a+alloc.HeaderSize) > 0 {
 			f.live[tag] = append(f.live[tag], a)
 		}
 		a += pmem.Addr(uint32(w0))

@@ -46,28 +46,11 @@ func cmOpen(dev *pmem.Device, opts ...Option) (*Store, []DamagedRoot, error) {
 	return db.Store(), info.Damaged, nil
 }
 
-// cmFreeAim is how much free space past the bump top the sweeps aim at
-// besides the block area. Up to heap layout v5 a 64 KiB commit-log block
-// sat at the bottom of every heap and took most random faults; it is
-// gone, and the same draws now land in free space instead, so each seed
-// damages the blocks it always did. Aimed at the block area alone the
-// sweep hits the one hole DESIGN.md §13 records often enough to fail —
-// a selective structure's checkpoint nodes carry no checksum (ROADMAP
-// item 1b); drop the slack when that is closed.
-const cmFreeAim = 64<<10 + pmem.LineSize
-
 // cmPlan builds one deterministic fault plan of the given class aimed at
-// the heap block area [lo, hi) and cmFreeAim bytes of free space above it.
+// the heap block area [lo, hi).
 func cmPlan(fc string, rng *rand.Rand, lo, hi pmem.Addr) *pmem.FaultPlan {
 	plan := &pmem.FaultPlan{}
-	span := int64(hi - lo)
-	pick := func() pmem.Addr {
-		x := rng.Int63n(cmFreeAim + span)
-		if x < cmFreeAim {
-			return hi + pmem.Addr(x)
-		}
-		return lo + pmem.Addr(x-cmFreeAim)
-	}
+	pick := func() pmem.Addr { return lo + pmem.Addr(rng.Int63n(int64(hi-lo))) }
 	switch fc {
 	case "bitflip":
 		for k, n := 0, 1+rng.Intn(3); k < n; k++ {

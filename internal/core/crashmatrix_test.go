@@ -49,8 +49,8 @@ func (st matrixStructure) mustBind(t *testing.T, s *Store, nm string) matrixOps 
 }
 
 // mxCheckpointEvery is the selective rows' checkpoint interval: every 2
-// records, so they fold a checkpoint — crown flushes, ext rewrite,
-// volatile-bit clears — inside the probed injection windows.
+// records, so they fold a checkpoint — crown seals, ext rewrite, reseal —
+// inside the probed injection windows.
 const mxCheckpointEvery = 2
 
 // opts are the Open options a row opens or reopens a store with:
@@ -221,8 +221,8 @@ func mxQueueOps(q *Queue) matrixOps {
 
 // mxBind adapts one of the store's binders to a matrix row. On a
 // selective store the row runs with volatile navigation nodes, a durable
-// record chain, and checkpoint folds with their volatile-bit clears
-// landing inside the probed injection windows; the DRAM node cache is on
+// record chain, and checkpoint folds with their crown seals landing inside
+// the probed injection windows; the DRAM node cache is on
 // so cached reads and invalidation are exercised across the crash too.
 func mxBind[H any](bind func(*Store, string) (H, error), ops func(H) matrixOps) func(*Store, string) (matrixOps, error) {
 	return func(s *Store, nm string) (matrixOps, error) {
@@ -405,8 +405,8 @@ func TestCrashMatrixRecordSlots(t *testing.T) {
 // one under one fence, a staged round on a root a group just swapped, and
 // a digest over a ledger range with released nodes left out.
 // On the selective rows the digests cover each publication's durable
-// blocks (header, record cells, bindings) and recovery treats its volatile
-// navigation nodes as leaves; every second record folds a checkpoint
+// blocks (header, record cells, bindings) and recovery never reaches its
+// navigation nodes; every second record folds a checkpoint
 // (mxCheckpointEvery), whose member carries no digest, and its round
 // fences once more after the swaps. Every submission is acknowledged when
 // its Wait returns.

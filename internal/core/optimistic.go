@@ -164,17 +164,15 @@ func (s *Store) updateParentBound(ds Datastructure, apply rootOp) {
 // shadow flush durable, then an 8-byte compare-and-swap against old on
 // the root cell publishes final. A selective structure whose record
 // chain has grown past the checkpoint threshold folds the chain into a
-// fresh checkpoint here, adding a second fence for that rare commit
-// (DESIGN.md §10). The CAS is taken under the root's commit mutex for
+// fresh checkpoint here, ahead of the same fence (DESIGN.md §10). The CAS is taken under the root's commit mutex for
 // the 8 bytes only — shadow builds stay lock-free — so it can never land
 // inside a locked path's read-to-publish window (publish, batch.go).
 // Reports whether final was published; retiring old (or a losing final)
 // is the caller's.
 func (s *Store) publishRoot(slot int, old, final pmem.Addr) bool {
-	crown, _ := s.maybeCheckpoint(final)
+	s.maybeCheckpoint(final)
 	s.commitBegin()
 	s.heap.Fence() // the FASE's single ordering point; reclaims retired blocks
-	s.clearCrown(crown)
 	mu := &s.sh.rootMu[slot]
 	mu.Lock()
 	won := s.heap.CasRoot(slot, old, final)

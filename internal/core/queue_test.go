@@ -24,9 +24,9 @@ import (
 // once with its batch queued behind A; A must publish it before it steps
 // down, so B's ticket resolves with no call by anyone but A. B's batch,
 // on one root of the same store, is that root's second record, so its
-// round folds a checkpoint: it fences the crown, and its member carries
-// no digest, so the round fences once more after its swap before the
-// ticket resolves.
+// round folds a checkpoint, whose sealed crown rides the round's fence;
+// its member carries no digest, so the round fences once more after its
+// swap before the ticket resolves.
 //
 // It is a checker history with a named schedule: the fence hook parks A,
 // and every PM write of both rounds is a cut.
@@ -92,8 +92,8 @@ func TestLeaderDrainsArrivalsBeforeSteppingDown(t *testing.T) {
 		if !tb.Done() {
 			e.t.Fatal("A stepped down without publishing the batch B queued behind it: B's ticket is stranded")
 		}
-		if f := dev.Stats().Fences - before; f != 4 {
-			e.t.Fatalf("%d fences, want 4: A's round; B's round, the crown fence of the checkpoint it folds and the fence after its swap", f)
+		if f := dev.Stats().Fences - before; f != 3 {
+			e.t.Fatalf("%d fences, want 3: A's round; B's round, which folds a checkpoint, and the fence after its swap", f)
 		}
 		mxWait(e.t, tb)
 		r.respond(ib, true)

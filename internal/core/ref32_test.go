@@ -73,6 +73,14 @@ func TestOpenRejectsV13Heap(t *testing.T) {
 	openStampedHeap(t, 13)
 }
 
+// TestOpenRejectsV14Heap: and the layout before this one, whose recovery
+// follows a selective header's navigation words into every block whose
+// volatile-node bit (header bit 41) reads clear, where this build follows
+// only the checkpoint and the record chain and sweeps the navigation.
+func TestOpenRejectsV14Heap(t *testing.T) {
+	openStampedHeap(t, 14)
+}
+
 func openStampedHeap(t *testing.T, version uint64) {
 	cfg := pmem.DefaultConfig(1 << 20)
 	db, _, err := Open(cfg)

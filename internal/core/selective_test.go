@@ -1,11 +1,15 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/mod-ds/mod/internal/alloc"
+	"github.com/mod-ds/mod/internal/funcds"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -290,6 +294,67 @@ func TestSelectiveConcurrentSnapshotsNodeCache(t *testing.T) {
 	}
 }
 
+// TestSelectiveConcurrentWritersFold races Basic writers on one
+// selective map that folds every two records, so folds from builders on
+// the same base overlap: each seals the crown nodes the block table still
+// marks volatile, and a node another fold sealed first must already be
+// flushed when the mark reads clear. Every write must be read back, and
+// recovered from a fenced-only image of the synced store (run with -race).
+func TestSelectiveConcurrentWritersFold(t *testing.T) {
+	const (
+		writers = 4
+		each    = 150
+	)
+	s, dev := newSelTestStore(t, 2)
+	m, err := s.Map("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			wm, err := s.Fork().Map("m")
+			if err != nil {
+				errs <- err
+				return
+			}
+			for i := uint64(0); i < each; i++ {
+				wm.Set(key64(uint64(w)*each+i), key64(i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	s.Sync()
+
+	cfg := pmem.DefaultConfig(8 << 20)
+	db2, _, err := Open(cfg, WithExistingImages([][]byte{dev.CrashImage(pmem.CrashFencedOnly, 0)}), WithVerify(), WithSelective(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	m2, err := db2.Map("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mm := range []*Map{m, m2} {
+		if mm.Len() != writers*each {
+			t.Fatalf("%d keys, want %d", mm.Len(), writers*each)
+		}
+		for k := uint64(0); k < writers*each; k++ {
+			if v, ok := mm.Get(key64(k)); !ok || string(v) != string(key64(k%each)) {
+				t.Fatalf("key %d = %x, %v; want %x", k, v, ok, key64(k%each))
+			}
+		}
+	}
+}
+
 // TestSelectiveShardedParallelRebuild puts a selective root on every
 // shard, crashes the sharded store, and reopens it: the per-shard record
 // chains replay in parallel goroutines (race-clean under -race), each
@@ -390,8 +455,10 @@ func TestSelectiveBatchAndUnrelatedCommits(t *testing.T) {
 // TestCheckpointIntervalIsPerStore pins the checkpoint interval as a
 // property of the store opened with it: opening B WithSelective(2) must
 // not make an already-open A, opened WithSelective(0), fold every two
-// records. Ten Map.Sets on A are ten one-fence FASEs; each fold would add
-// the fence behind clearCrown, which B pays on every second Set.
+// records. A fold installs a fresh checkpoint in the map's selective
+// header (funcds.SelectiveExt), so ten Map.Sets fold five times on B and
+// never on A. Each Set is one fence, whether it folds or not: the sealed
+// crown and the clone ride the Set's own fence.
 func TestCheckpointIntervalIsPerStore(t *testing.T) {
 	a, _, err := Open(dbConfig(), WithSelective(0))
 	if err != nil {
@@ -404,20 +471,186 @@ func TestCheckpointIntervalIsPerStore(t *testing.T) {
 	}
 	defer b.Close()
 	for _, c := range []struct {
-		name   string
-		db     *DB
-		fences uint64
-	}{{"A", a, 10}, {"B", b, 15}} {
+		name  string
+		db    *DB
+		folds int
+	}{{"A", a, 0}, {"B", b, 5}} {
 		m, err := c.db.Map("m")
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := c.db.Stats()
+		s := c.db.Store()
+		slot, err := s.heap.RootSlot("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpt := func() pmem.Addr {
+			at, _, _ := funcds.SelectiveExt(s.heap, s.heap.Root(slot))
+			return at
+		}
+		folds, last := 0, ckpt()
 		for i := uint64(0); i < 10; i++ {
+			before := c.db.Stats()
 			m.Set(key64(i), []byte("v"))
+			if got := c.db.Stats().Sub(before).Fences; got != 1 {
+				t.Errorf("store %s: Map.Set %d paid %d fences, want 1", c.name, i, got)
+			}
+			if now := ckpt(); now != last {
+				folds, last = folds+1, now
+			}
 		}
-		if got := c.db.Stats().Sub(before).Fences; got != c.fences {
-			t.Errorf("store %s: 10 Map.Sets paid %d fences, want %d", c.name, got, c.fences)
+		if folds != c.folds {
+			t.Errorf("store %s: 10 Map.Sets folded %d times, want %d", c.name, folds, c.folds)
 		}
+	}
+}
+
+// TestRecoveryIgnoresNavigationBlocks pins the recovery rule of selective
+// persistence (DESIGN.md §10): recovered state never depends on a
+// navigation node. An image holds all four selective structures, each
+// past a fold and with records pending, so it holds navigation nodes no
+// fold has sealed. Every one of them is damaged: header bit 41 — the
+// volatile-node bit of layouts up to v14 — cleared on half and set on the
+// rest, and every payload byte overwritten. A verified reopen must read
+// every root back whole, with nothing reported damaged: recovery and
+// verification follow a selective header's checkpoint and record chain,
+// never its navigation words.
+func TestRecoveryIgnoresNavigationBlocks(t *testing.T) {
+	const every = 8
+	cfg := pmem.DefaultConfig(8 << 20)
+	cfg.TrackDurable = true
+	dev := pmem.New(cfg)
+	db, _, err := Open(cfg, WithDevices(dev), WithSelective(every))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.Store()
+	m, err := s.Map("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.Vector("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Stack("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := s.Queue("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 3*every-1 records a structure: two folds, then every-1 pending.
+	wantMap := map[string]string{}
+	var wantVec, wantStack, wantQueue []uint64
+	for i := uint64(0); i < 3*every-1; i++ {
+		k, val := fmt.Sprintf("k%d", i%19), fmt.Sprintf("v%d", i)
+		m.Set([]byte(k), []byte(val))
+		wantMap[k] = val
+		if i%3 == 2 {
+			v.Update(i/3, i*100)
+			wantVec[i/3] = i * 100
+		} else {
+			v.Push(i)
+			wantVec = append(wantVec, i)
+		}
+		if i%4 == 3 {
+			st.Pop()
+			wantStack = wantStack[:len(wantStack)-1]
+			q.Dequeue()
+			wantQueue = wantQueue[1:]
+		} else {
+			st.Push(i)
+			wantStack = append(wantStack, i)
+			q.Enqueue(i)
+			wantQueue = append(wantQueue, i)
+		}
+	}
+	db.Sync()
+	for _, name := range []string{"m", "v", "s", "q"} {
+		slot, _ := s.heap.RootSlot(name)
+		if ckpt, _, n := funcds.SelectiveExt(s.heap, s.heap.Root(slot)); ckpt == pmem.Nil || n == 0 {
+			t.Fatalf("root %s: checkpoint %#x and %d records pending, want a fold and records", name, uint64(ckpt), n)
+		}
+	}
+
+	img := dev.CrashImage(pmem.CrashFencedOnly, 0)
+	rng := rand.New(rand.NewSource(1))
+	const bit41 = uint64(1) << 41
+	nav := 0
+	lo, hi := s.heap.DataBounds()
+	for a := lo; a+alloc.HeaderSize <= hi; {
+		w0 := binary.LittleEndian.Uint64(img[a:])
+		stride := pmem.Addr(uint32(w0))
+		if s.heap.IsVolatile(a + alloc.HeaderSize) {
+			if nav%2 == 0 {
+				w0 &^= bit41
+			} else {
+				w0 |= bit41
+			}
+			binary.LittleEndian.PutUint64(img[a:], w0)
+			rng.Read(img[a+alloc.HeaderSize : a+stride])
+			nav++
+		}
+		a += stride
+	}
+	if nav < 12 {
+		t.Fatalf("%d navigation blocks in the image, want at least 12", nav)
+	}
+
+	db2, info, err := Open(cfg, WithExistingImages([][]byte{img}), WithVerify(), WithSelective(every))
+	if err != nil {
+		t.Fatalf("reopen with %d damaged navigation blocks: %v", nav, err)
+	}
+	defer db2.Close()
+	if len(info.Damaged) != 0 {
+		t.Fatalf("reopen reports damage in navigation it must ignore: %+v", info.Damaged)
+	}
+	s2 := db2.Store()
+	m2, err := s2.Map("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2.Len() != uint64(len(wantMap)) {
+		t.Errorf("map: %d keys, want %d", m2.Len(), len(wantMap))
+	}
+	for k, want := range wantMap {
+		if got, ok := m2.Get([]byte(k)); !ok || string(got) != want {
+			t.Errorf("map[%s] = %q, %v; want %q", k, got, ok, want)
+		}
+	}
+	v2, err := s2.Vector("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v2.Len() != uint64(len(wantVec)) {
+		t.Fatalf("vector: %d elements, want %d", v2.Len(), len(wantVec))
+	}
+	for i, want := range wantVec {
+		if got := v2.Get(uint64(i)); got != want {
+			t.Errorf("vector[%d] = %d, want %d", i, got, want)
+		}
+	}
+	st2, err := s2.Stack("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(wantStack) - 1; i >= 0; i-- {
+		if got, ok := st2.Pop(); !ok || got != wantStack[i] {
+			t.Errorf("stack pop = %d, %v; want %d", got, ok, wantStack[i])
+		}
+	}
+	q2, err := s2.Queue("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range wantQueue {
+		if got, ok := q2.Dequeue(); !ok || got != want {
+			t.Errorf("queue dequeue = %d, %v; want %d", got, ok, want)
+		}
+	}
+	if st2.Len() != 0 || q2.Len() != 0 {
+		t.Errorf("stack and queue hold %d and %d more elements than were committed", st2.Len(), q2.Len())
 	}
 }

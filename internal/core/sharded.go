@@ -44,7 +44,7 @@ import (
 //	         StageGroup), with no digest;
 //	fence    each changed shard fences: every shadow and every member
 //	         slot is durable before any swap is issued;
-//	swap     checkpoint crowns clear, then every root cell is swapped;
+//	swap     every root cell is swapped;
 //	fence    each changed shard fences again (publish's fenceAfter),
 //	         so the batch is durable when the commit returns.
 //
@@ -168,7 +168,6 @@ func attachRegions(devs []pmem.Backend, vc verifyConfig) ([]*Store, RecoveryInfo
 		info.Stats.LeakedBlocks += rs.LeakedBlocks
 		info.Stats.LeakedBytes += rs.LeakedBytes
 		info.Stats.Roots += rs.Roots
-		info.Stats.VolatileBlocks += rs.VolatileBlocks
 		info.Stats.StagedRoots += rs.StagedRoots
 		info.Damaged = append(info.Damaged, damage[i]...)
 	}

@@ -105,7 +105,7 @@ type storeShared struct {
 
 // defaultCheckpointEvery is the record-chain length that triggers a
 // checkpoint fold unless WithSelective sets another. The crown a fold
-// flushes is bounded by the live navigation-node count, so the amortized
+// seals is bounded by the live navigation-node count, so the amortized
 // cost per update is roughly treeLines/checkpointEvery: the interval must
 // be large relative to the structure's interior for selective
 // persistence to keep its flush advantage, and small enough to bound
@@ -359,45 +359,28 @@ func (s *Store) makeSelective(every int) {
 }
 
 // maybeCheckpoint folds a selective structure's record chain into a fresh
-// checkpoint when it has grown to the store's interval, returning the
-// volatile crown of navigation nodes the commit step must then mark
-// durable (clearCrown), and whether it folded — a fold can have an empty
-// crown. It runs before the commit bracket: the crown flushes and the
-// checkpoint clone are ordinary shadow work, made durable by the commit
-// fence. Non-selective finals return (nil, false) at the cost of one tag
-// read.
-func (s *Store) maybeCheckpoint(final pmem.Addr) (crown []pmem.Addr, folded bool) {
+// checkpoint when it has grown to the store's interval, and reports
+// whether it folded. It runs before the commit bracket: the sealed crown
+// and the checkpoint clone are ordinary shadow work, made durable by the
+// commit fence ahead of the swap (DESIGN.md §10). A non-selective final
+// costs one tag read.
+func (s *Store) maybeCheckpoint(final pmem.Addr) bool {
 	if final == pmem.Nil || !funcds.NeedsCheckpoint(s.heap, final, s.sh.checkpointEvery) {
-		return nil, false
+		return false
 	}
-	return funcds.PrepareCheckpoint(s.heap, final), true
-}
-
-// clearCrown marks a checkpoint's crown of navigation nodes durable: each
-// header rewrite is an 8-byte commit-legal write, fenced as a group before
-// the publication write can become durable. Both orderings matter
-// (DESIGN.md §10): the crown payloads were made durable by the commit
-// fence before any clear is issued — a durable clear over a not-yet-
-// durable payload would let recovery trace garbage — and the clears are
-// fenced before the publication write, so recovery can never zero
-// navigation nodes a durably published root depends on.
-func (s *Store) clearCrown(crown []pmem.Addr) {
-	if len(crown) == 0 {
-		return
-	}
-	for _, a := range crown {
-		s.heap.ClearVolatile(a)
-	}
-	s.dev.Sfence()
+	funcds.PrepareCheckpoint(s.heap, final)
+	return true
 }
 
 // rebuildSelectiveRoots reconstructs the DRAM-resident navigation of every
 // selective structure root after a crash: each root's record chain is
 // replayed on top of its durable checkpoint (funcds.RebuildSelective) and
 // the rebuilt header republished. The swap is fenced on both sides so the
-// old header retires only once the replacement is durably published.
-// Slots in skip — quarantined or already salvaged by verifyHeap — are
-// left untouched. Returns the number of record operations replayed.
+// old header retires only once the replacement is durably published; its
+// navigation words, which recovery neither followed nor counted, are
+// dropped first. Slots in skip — quarantined or already salvaged by
+// verifyHeap — are left untouched. Returns the number of record
+// operations replayed.
 func rebuildSelectiveRoots(heap *alloc.Heap, skip map[int]bool) (uint64, error) {
 	var total uint64
 	for slot := 0; slot < alloc.RootSlots; slot++ {
@@ -408,17 +391,15 @@ func rebuildSelectiveRoots(heap *alloc.Heap, skip map[int]bool) (uint64, error) 
 		if !funcds.IsSelective(heap, root) {
 			continue
 		}
-		newHdr, replayed, rebuilt, err := funcds.RebuildSelective(heap, root)
+		newHdr, replayed, err := funcds.RebuildSelective(heap, root)
 		if err != nil {
 			return total, fmt.Errorf("core: rebuilding selective root (slot %d): %w", slot, err)
 		}
 		total += uint64(replayed)
-		if !rebuilt {
-			continue
-		}
 		heap.Fence()
 		heap.SetRoot(slot, newHdr)
 		heap.Fence()
+		funcds.DropNavigation(heap, root)
 		heap.Release(root)
 	}
 	return total, nil

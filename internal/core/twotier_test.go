@@ -317,9 +317,9 @@ func TestCombinerWaitsForLockPath(t *testing.T) {
 // Sets enrolled on the commit queue and drained by one leader, one op
 // whose single root write publishes the whole merged version, so it is
 // all or nothing. The -sel rows run a selective map checkpointing every
-// 2 records, so the combined round folds a checkpoint: two fences with
-// the crown's volatile-bit clears between them, every write of which is
-// a cut. Each window pays its tier's ordering points.
+// 2 records, so the combined round folds a checkpoint: its sealed crown
+// and clone ride the round's one fence, every write of which is a cut.
+// Each window pays its tier's ordering points, a fold none more.
 func TestCrashMatrixCommitTiers(t *testing.T) {
 	for _, tier := range []struct {
 		name                string
@@ -329,10 +329,10 @@ func TestCrashMatrixCommitTiers(t *testing.T) {
 		{"fastpath", false, false, mxProbe},
 		{"combined", false, true, 1},
 		// Prefix of 3 leaves one record on the chain: per-op Sets fold at
-		// the first and third (two fences each), the round folds its three
-		// at once.
-		{"fastpath-sel", true, false, mxProbe + 2},
-		{"combined-sel", true, true, 2},
+		// the first and third (one fence each, as every Set), the round
+		// folds its three at once.
+		{"fastpath-sel", true, false, mxProbe},
+		{"combined-sel", true, true, 1},
 	} {
 		t.Run(tier.name, func(t *testing.T) {
 			h := &crashHist{roots: []histRoot{{name: "tier", sel: tier.selective, bind: mxBind((*Store).Map, mxMapOps)}}}

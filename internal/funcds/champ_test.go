@@ -426,7 +426,7 @@ type footprint struct{ nodes, blocks, spanned, encoded, lone int }
 // trieFootprint walks the map version at v, a root node or a selective
 // header naming one. Bindings are sealed, so their checksum words give
 // their encoded length; a node's comes from its bitmaps, since a
-// selective map's nodes are volatile and carry no checksum.
+// selective map's nodes carry no checksum until a fold seals them.
 func trieFootprint(h *alloc.Heap, v pmem.Addr) footprint {
 	var f footprint
 	block := func(a pmem.Addr, encoded int) {

@@ -66,8 +66,9 @@ const (
 )
 
 // RegisterWalkers installs the child-enumeration functions for every node
-// type in this package on the heap, and names the types it allocates
-// volatile. It must be called after Format or before Recover.
+// type in this package on the heap, and names a selective header's
+// navigation words apart from the checkpoint and record chain recovery
+// follows. It must be called after Format or before Recover.
 func RegisterWalkers(h *alloc.Heap) {
 	h.RegisterWalker(TagBlob, walkNone)
 	h.RegisterWalker(TagStackHdr, walkStackHdr)
@@ -80,13 +81,14 @@ func RegisterWalkers(h *alloc.Heap) {
 	h.RegisterWalker(TagMapNode, walkMapNode)
 	h.RegisterWalker(TagMapCollision, walkMapCollision)
 	h.RegisterWalker(TagRecord, walkRecord)
-	h.RegisterWalker(TagMapHdrSel, walkSelHdr(walkMapSelRoot, mapSelBase))
-	h.RegisterWalker(TagVecHdrSel, walkSelHdr(walkVecHdr, vecHdrSize))
-	h.RegisterWalker(TagStackHdrSel, walkSelHdr(walkStackHdr, stackHdrSize))
-	h.RegisterWalker(TagQueueHdrSel, walkSelHdr(walkQueueHdr, queueHdrSize))
-	// The navigation nodes selective persistence keeps volatile
-	// (nodeAlloc's vol callers); bindings, records and headers never are.
-	h.RegisterVolatile(TagListNode, TagVecNode, TagVecLeaf, TagMapRoot, TagMapNode, TagMapCollision)
+	h.RegisterWalker(TagMapHdrSel, walkSelExt(mapSelBase))
+	h.RegisterWalker(TagVecHdrSel, walkSelExt(vecHdrSize))
+	h.RegisterWalker(TagStackHdrSel, walkSelExt(stackHdrSize))
+	h.RegisterWalker(TagQueueHdrSel, walkSelExt(queueHdrSize))
+	h.RegisterNavigation(TagMapHdrSel, walkMapSelRoot)
+	h.RegisterNavigation(TagVecHdrSel, walkVecHdr)
+	h.RegisterNavigation(TagStackHdrSel, walkStackHdr)
+	h.RegisterNavigation(TagQueueHdrSel, walkQueueHdr)
 }
 
 func walkNone(*alloc.Heap, pmem.Addr, *alloc.Scratch, func(pmem.Addr)) {}
@@ -143,9 +145,9 @@ func refAddr(r uint32) pmem.Addr { return pmem.Addr(r) << 3 }
 // use. With a nil edit the buffer is nil and each image is a fresh slice.
 
 // nodeAlloc allocates a node through the edit when one is active. A
-// volatile node (selective persistence, record.go) carries the heap's
-// volatile-node bit: its header is flush-pending as usual, but its payload
-// stays DRAM-resident until a checkpoint flushes the crown.
+// volatile node (selective persistence, record.go) is a navigation node:
+// its header is flush-pending as usual, but its payload stays
+// DRAM-resident until a checkpoint seals the crown.
 func nodeAlloc(h *alloc.Heap, ed *alloc.Edit, size int, tag uint8, vol bool) pmem.Addr {
 	if ed != nil {
 		if vol {
@@ -168,7 +170,7 @@ func nodeAlloc(h *alloc.Heap, ed *alloc.Edit, size int, tag uint8, vol bool) pme
 // flushes header plus payload as one range — never more clwbs than the
 // old eager-header-flush-plus-payload-flush pairing. Volatile node
 // payloads are never flushed here — that is the point of selective
-// persistence; the checkpoint flushes them in bulk.
+// persistence; the checkpoint seals them in bulk.
 //
 // size must cover every payload byte the caller initialized: it is the
 // node's checksum coverage, and any byte outside it is neither flushed

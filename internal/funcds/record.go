@@ -21,14 +21,15 @@ import (
 //     logically replays every update since the last checkpoint.
 //
 // ckptHdr points at a checkpoint clone: a durable plain version — a
-// sealed copy of a map's root node, a normal-tagged copy of any other
-// structure's header — whose entire subtree is durable. Recovered state
-// is rebuilt by replaying the record chain (oldest first) onto the
-// checkpoint — it never depends on the contents of an unflushed
-// navigation node. Once the chain reaches
-// the store's checkpoint interval, the commit path flushes the live
-// volatile crown, clears the volatile bits inside the commit bracket
-// (PrepareCheckpoint + the store's clear step), and resets the chain.
+// map's root node itself, a normal-tagged copy of any other structure's
+// header — whose entire subtree is durable and sealed. The
+// base fields are navigation words (alloc.Heap.RegisterNavigation):
+// recovery and verification follow only the checkpoint and the record
+// chain, so recovered state is rebuilt by replaying the chain (oldest
+// first) onto the checkpoint and never depends on a navigation node. Once
+// the chain reaches the store's checkpoint interval, the commit path
+// seals the live volatile crown into a fresh checkpoint and resets the
+// chain (PrepareCheckpoint), all ordered by the commit's one fence.
 
 // selExtSize is the selective header extension appended after a
 // structure's base fields: [ckptHdr u64][recHead u64][recCount u64].
@@ -195,11 +196,11 @@ func writeSelExt(h *alloc.Heap, hdr pmem.Addr, base int, ckpt, recHead pmem.Addr
 	dev.WriteU64(a+16, recCount)
 }
 
-// walkSelHdr visits a selective header's children: the live pointers of
-// the base layout plus the checkpoint clone and the record chain head.
-func walkSelHdr(baseWalk alloc.Walker, base int) alloc.Walker {
-	return func(h *alloc.Heap, a pmem.Addr, sc *alloc.Scratch, visit func(pmem.Addr)) {
-		baseWalk(h, a, sc, visit)
+// walkSelExt visits what recovery follows from a selective header: the
+// checkpoint clone and the record chain head. The base layout's live
+// pointers are its navigation words, registered apart.
+func walkSelExt(base int) alloc.Walker {
+	return func(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
 		ckpt, recHead, _ := readSelExt(h, a, base)
 		if ckpt != pmem.Nil {
 			visit(ckpt)
@@ -211,7 +212,7 @@ func walkSelHdr(baseWalk alloc.Walker, base int) alloc.Walker {
 }
 
 // livePointers returns the base-layout child pointers of a selective
-// header (the roots of the possibly-volatile navigation crown).
+// header: its navigation words, the roots of the volatile crown.
 func livePointers(h *alloc.Heap, hdr pmem.Addr) []pmem.Addr {
 	dev := h.Device()
 	switch h.Tag(hdr) {
@@ -265,7 +266,8 @@ func selAppendRecord(h *alloc.Heap, ed *alloc.Edit, hdr, rec pmem.Addr) pmem.Add
 // through volatile blocks only. Descent prunes at durable children: a
 // durable node never points at a volatile one (newer shadows reference
 // older state, never the reverse), so the crown is exactly the volatile
-// set reachable from the header.
+// set reachable from the header. Whether a node is volatile is the block
+// table's mark (alloc.Heap.IsVolatile), not a PM read.
 func volatileCrown(h *alloc.Heap, roots []pmem.Addr) []pmem.Addr {
 	var out []pmem.Addr
 	var sc alloc.Scratch
@@ -317,34 +319,33 @@ func NeedsCheckpoint(h *alloc.Heap, hdr pmem.Addr, every uint64) bool {
 
 // PrepareCheckpoint runs the in-FASE half of a checkpoint on the final
 // shadow header of the committing FASE (which therefore was allocated
-// within it): it flushes the payload of every crown node, snapshots the
-// live state into a fresh durable checkpoint clone, and resets the
-// record chain. It returns the crown, whose volatile bits the commit step
-// must clear — after a fence has made the payload flushes durable and
-// before the root swap (core's Store.clearCrown). Until those bits clear
-// durably, recovery still rebuilds from the previous checkpoint + chain.
-func PrepareCheckpoint(h *alloc.Heap, hdr pmem.Addr) []pmem.Addr {
+// within it): it seals every crown node (checksum stamped, header and
+// payload flushed; the block table stops marking it volatile), snapshots
+// the live state into a fresh durable checkpoint clone, and resets the
+// record chain. The commit's one fence, which every caller issues before
+// its root swap, makes all of it durable together: until that swap lands,
+// recovery rebuilds from the previous checkpoint and chain and sweeps the
+// sealed crown with every other navigation node.
+func PrepareCheckpoint(h *alloc.Heap, hdr pmem.Addr) {
 	tag := h.Tag(hdr)
 	base := selBaseSize(tag)
 	if base == 0 {
-		return nil
+		return
 	}
 	dev := h.Device()
-	crown := volatileCrown(h, livePointers(h, hdr))
-	for _, a := range crown {
-		dev.FlushRange(a, h.PayloadSize(a))
+	for _, a := range volatileCrown(h, livePointers(h, hdr)) {
+		h.SealNode(a, h.PayloadSize(a))
 	}
 
-	// Clone the live state into a durable plain version: a map's is its
-	// root node, copied and sealed; any other structure's is its header's
-	// base fields under the normal tag. The clone gains a reference on
-	// everything it names.
+	// The checkpoint is the live state as a durable plain version: a map's
+	// is its root node itself, now sealed, which gains a reference; any
+	// other structure's is a copy of its header's base fields under the
+	// normal tag, which gains a reference on everything it names. Either
+	// way every navigation node live now is in the checkpoint's subtree.
 	var clone pmem.Addr
 	if tag == TagMapHdrSel {
-		var n mapNode
-		readMapNode(h, nil, nil, livePointers(h, hdr)[0], rootPrefix, &n)
-		clone = n.build(h, nil, false)
-		walkMapRoot(h, clone, nil, h.Retain)
+		clone = livePointers(h, hdr)[0]
+		h.Retain(clone)
 	} else {
 		switch tag {
 		case TagVecHdrSel:
@@ -379,38 +380,24 @@ func PrepareCheckpoint(h *alloc.Heap, hdr pmem.Addr) []pmem.Addr {
 	if oldRec != pmem.Nil {
 		h.Release(oldRec)
 	}
-	return crown
 }
 
 // RebuildSelective reconstructs the selective structure at hdr after
-// recovery zeroed its volatile crown: it replays the record chain (oldest
-// first) onto the checkpoint clone and returns a fresh selective header
-// whose checkpoint is the replayed state. The caller publishes the new
-// header (root swap + fence) and then releases the old one. replayed is
-// the number of records applied; rebuilt reports whether any work was
-// needed (false when the crown was fully durable and the chain empty —
-// the header may be returned unchanged).
-func RebuildSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed int, rebuilt bool, err error) {
+// recovery, which swept every navigation node no checkpoint names: it
+// replays the record chain (oldest first) onto the checkpoint clone and
+// returns a fresh selective header whose checkpoint is the replayed state.
+// The caller publishes the new header (root swap + fence), then drops the
+// old one's navigation (DropNavigation) and releases it. replayed is the
+// number of records applied.
+func RebuildSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed int, err error) {
 	tag := h.Tag(hdr)
 	base := selBaseSize(tag)
 	if base == 0 {
-		return hdr, 0, false, fmt.Errorf("funcds: rebuild of non-selective header %#x (tag %d)", uint64(hdr), tag)
+		return hdr, 0, fmt.Errorf("funcds: rebuild of non-selective header %#x (tag %d)", uint64(hdr), tag)
 	}
 	ckpt, recHead, recCount := readSelExt(h, hdr, base)
 	if ckpt == pmem.Nil {
-		return hdr, 0, false, fmt.Errorf("funcds: selective header %#x has no checkpoint", uint64(hdr))
-	}
-	if recCount == 0 {
-		clean := true
-		for _, p := range livePointers(h, hdr) {
-			if p != pmem.Nil && h.IsVolatile(p) {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			return hdr, 0, false, nil
-		}
+		return hdr, 0, fmt.Errorf("funcds: selective header %#x has no checkpoint", uint64(hdr))
 	}
 
 	// Collect the chain newest-first and reverse into replay order. A
@@ -422,7 +409,7 @@ func RebuildSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed 
 		r = prev
 	}
 	if uint64(len(chain)) != recCount {
-		return hdr, 0, false, fmt.Errorf("funcds: record chain of %#x has %d cells, header says %d", uint64(hdr), len(chain), recCount)
+		return hdr, 0, fmt.Errorf("funcds: record chain of %#x has %d cells, header says %d", uint64(hdr), len(chain), recCount)
 	}
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
 		chain[i], chain[j] = chain[j], chain[i]
@@ -445,7 +432,7 @@ func RebuildSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed 
 			case RecMapDelete:
 				m, _ = m.Delete(key)
 			default:
-				return hdr, 0, false, fmt.Errorf("funcds: record kind %d in map chain", kind)
+				return hdr, 0, fmt.Errorf("funcds: record kind %d in map chain", kind)
 			}
 		}
 		final = m.Addr()
@@ -459,7 +446,7 @@ func RebuildSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed 
 			case RecVecUpdate:
 				v = v.Update(a, b)
 			default:
-				return hdr, 0, false, fmt.Errorf("funcds: record kind %d in vector chain", kind)
+				return hdr, 0, fmt.Errorf("funcds: record kind %d in vector chain", kind)
 			}
 		}
 		final = v.Addr()
@@ -473,7 +460,7 @@ func RebuildSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed 
 			case RecStackPop:
 				s, _, _ = s.Pop()
 			default:
-				return hdr, 0, false, fmt.Errorf("funcds: record kind %d in stack chain", kind)
+				return hdr, 0, fmt.Errorf("funcds: record kind %d in stack chain", kind)
 			}
 		}
 		final = s.Addr()
@@ -487,24 +474,30 @@ func RebuildSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed 
 			case RecQueuePop:
 				q, _, _ = q.Pop()
 			default:
-				return hdr, 0, false, fmt.Errorf("funcds: record kind %d in queue chain", kind)
+				return hdr, 0, fmt.Errorf("funcds: record kind %d in queue chain", kind)
 			}
 		}
 		final = q.Addr()
 	}
 	ed.Seal()
 	if final == ckpt {
-		// No records and nothing replayed (volatile crown with an empty
-		// chain cannot reference the checkpoint's own state, so final only
-		// equals ckpt when the chain was empty): the replayed state IS the
-		// checkpoint — it gains a reference as the new header's clone.
+		// No records replayed: the replayed state IS the checkpoint — it
+		// gains a reference as the new header's clone.
 		h.Retain(final)
 	}
 
 	// Fresh selective header over the replayed state, which doubles as its
 	// checkpoint (entirely durable, empty chain).
-	newHdr = selHdrOver(h, final, tag, base)
-	return newHdr, len(chain), true, nil
+	return selHdrOver(h, final, tag, base), len(chain), nil
+}
+
+// DropNavigation writes Nil into the navigation words of the selective
+// header at hdr, which recovery did not follow and may have swept, so
+// that releasing the header cascades only through what recovery counted.
+// The header must be unreachable from every durable root: the bytes are
+// neither flushed nor resealed.
+func DropNavigation(h *alloc.Heap, hdr pmem.Addr) {
+	h.Device().Zero(hdr, selBaseSize(h.Tag(hdr)))
 }
 
 // selHdrOver builds a fresh sealed selective header of the given tag
@@ -574,8 +567,9 @@ func chainDamage(h *alloc.Heap, recHead pmem.Addr, recCount uint64) error {
 // its last checkpoint — the committed-prefix guarantee shrinks to the
 // checkpoint boundary, but nothing corrupt is ever replayed. dropped
 // reports how many records the rollback discarded (per the header's
-// count). The checkpoint subtree itself is not walked here; callers
-// verify the returned header with VerifyRoot-style checks.
+// count). Either way the checkpoint's whole subtree must verify first: a
+// replay copies the nodes on its paths into fresh, freshly sealed ones, so
+// damage there would pass any check of the result.
 func SalvageSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed int, dropped uint64, err error) {
 	tag := h.Tag(hdr)
 	base := selBaseSize(tag)
@@ -586,16 +580,16 @@ func SalvageSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed 
 	if ckpt == pmem.Nil {
 		return hdr, 0, 0, fmt.Errorf("funcds: selective header %#x has no checkpoint", uint64(hdr))
 	}
+	if err := h.VerifyTree(ckpt); err != nil {
+		return hdr, 0, 0, err
+	}
 	if damage := chainDamage(h, recHead, recCount); damage == nil {
-		newHdr, replayed, _, err = RebuildSelective(h, hdr)
+		newHdr, replayed, err = RebuildSelective(h, hdr)
 		return newHdr, replayed, 0, err
 	}
 	// Damaged chain: roll back to the checkpoint. The clone keeps its
 	// reference through the new header's ckpt field plus one for serving
 	// as the live state.
-	if err := h.VerifyBlock(ckpt); err != nil {
-		return hdr, 0, 0, err
-	}
 	h.Retain(ckpt)
 	return selHdrOver(h, ckpt, tag, base), 0, recCount, nil
 }

@@ -240,11 +240,14 @@ func TestTimeoutDiscardsLateReply(t *testing.T) {
 }
 
 // TestServerCrashRecoveryBitFlips is the e2e crash test's fault-
-// injection phase: concurrent audited clients load the server, a crash
-// image is snapped mid-load, random bit flips are injected into it, and
-// the verify+salvage reopen is audited — every write acked before the
-// snapshot must read back byte-exact or be excused by typed detection
-// (open failure or a quarantined root), and MULTIs stay all-or-nothing.
+// injection phase: an audited client runs a fixed number of operations
+// against the server, a crash image is snapped after the last reply, eight
+// seeds each inject three random bit flips into a copy of it, and every
+// verify+salvage reopen is audited — every acked write must read back
+// byte-exact or be excused by typed detection (open failure or a
+// quarantined root), and MULTIs stay all-or-nothing. One connection and a
+// fixed op count make the image, and so every seed's outcome, the same on
+// every run.
 func TestServerCrashRecoveryBitFlips(t *testing.T) {
 	db, _, err := core.Open(testConfig(), core.WithCommitter(0))
 	if err != nil {
@@ -258,29 +261,20 @@ func TestServerCrashRecoveryBitFlips(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(pl) }()
 
-	stop := make(chan struct{})
-	resCh := make(chan loadgen.Result, 1)
-	go func() {
-		res, err := loadgen.Run(pl.Dial, loadgen.Config{
-			Clients:      4,
-			Duration:     30 * time.Second, // stop channel ends it sooner
-			RecordWrites: true,
-			MultiEvery:   5,
-			MultiSize:    3,
-			Seed:         11,
-		}, stop)
-		if err != nil {
-			t.Errorf("loadgen: %v", err)
-		}
-		resCh <- res
-	}()
-
-	time.Sleep(250 * time.Millisecond)
+	res, err := loadgen.Run(pl.Dial, loadgen.Config{
+		Clients:      1,
+		Ops:          2000,
+		RecordWrites: true,
+		MultiEvery:   5,
+		MultiSize:    3,
+		Seed:         11,
+	}, nil)
+	if err != nil {
+		t.Fatalf("loadgen: %v", err)
+	}
 	tCrash := time.Now()
 	imgs := db.CrashImages(pmem.CrashFencedOnly, 4321)
 
-	close(stop)
-	res := <-resCh
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	srv.Shutdown(ctx)
@@ -299,8 +293,8 @@ func TestServerCrashRecoveryBitFlips(t *testing.T) {
 	lo, hi := probe.Store().Heap().DataBounds()
 	probe.Close()
 
-	detectedOpens, audited := 0, 0
-	for seed := 0; seed < 4; seed++ {
+	audited := 0
+	for seed := 0; seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)*9176 + 5))
 		var plan pmem.FaultPlan
 		for i := 0; i < 3; i++ {
@@ -315,7 +309,6 @@ func TestServerCrashRecoveryBitFlips(t *testing.T) {
 			if !errors.Is(err, core.ErrCorrupted) {
 				t.Fatalf("seed %d: damaged reopen failed untyped: %v", seed, err)
 			}
-			detectedOpens++
 			continue
 		}
 		roots := make(map[int]*core.Map)
@@ -343,10 +336,7 @@ func TestServerCrashRecoveryBitFlips(t *testing.T) {
 			audited++
 		}
 	}
-	if detectedOpens == 4 {
-		t.Skip("all flip seeds failed the open outright; audit phase not reached")
-	}
 	if audited == 0 {
-		t.Fatal("no reopen audited any acked-before writes; test too short")
+		t.Fatal("no reopen audited any acked write")
 	}
 }
