@@ -646,8 +646,8 @@ func (h *Heap) IsVolatile(payload pmem.Addr) bool {
 // every byte the caller wrote: in-place mutations after publication are
 // only legal on edit-owned nodes (resealed by Edit.Seal) or via
 // ResealNode. A navigation node it seals is no longer volatile: the mark
-// clears after the flush is issued, so a fold that finds it clear orders
-// that flush with its own commit fence (DESIGN.md §10).
+// clears after the flush is issued, and a fold seals children first, so a
+// fold's fence orders every flush below a cleared mark (DESIGN.md §10).
 func (h *Heap) SealNode(payload pmem.Addr, n int) {
 	hdr := payload - headerSize
 	h.dev.WriteU64(hdr+8, packCheck(n, h.nodeCRC(hdr, n)))

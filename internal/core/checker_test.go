@@ -9,6 +9,7 @@ import (
 
 	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/durcheck"
+	"github.com/mod-ds/mod/internal/funcds"
 	"github.com/mod-ds/mod/internal/pmem"
 )
 
@@ -28,8 +29,8 @@ import (
 //
 // After the window the history ends with Sync: every op must then be
 // acknowledged and recovered, and no-leak requires the live bytes, less
-// the navigation nodes recovery sweeps by design, to equal a fresh
-// recovery's. A crash image is taken while the writers'
+// the unsealed navigation nodes its roots name (which recovery sweeps by
+// design), to equal a fresh recovery's. A crash image is taken while the writers'
 // stores run, so concurrent histories are checked in the one run. A
 // history may also pin, per image, what the spec leaves open (expect).
 
@@ -500,8 +501,8 @@ func (r *histRec) check(imgs [][]byte, policy pmem.CrashPolicy, ops []durcheck.O
 
 // end checks the history's end, after its closing Sync: every op is
 // acknowledged and recovered, and the store's live bytes, less the
-// navigation nodes no fold has sealed (navBytes), are a fresh recovery's
-// (no-leak).
+// navigation nodes no fold has sealed that its roots name (navBytes), are
+// a fresh recovery's (no-leak).
 func (r *histRec) end() error {
 	r.ackCovered()
 	for _, op := range r.ops {
@@ -511,8 +512,7 @@ func (r *histRec) end() error {
 	}
 	var live uint64
 	for i := 0; i < r.e.db.ShardCount(); i++ {
-		h := r.e.db.Shard(i).Heap()
-		live += h.Stats().LiveBytes - navBytes(h)
+		live += r.e.db.Shard(i).Heap().Stats().LiveBytes - r.navBytes(i)
 	}
 	imgs := pmem.NewRegions(r.devs...).CrashImages(pmem.CrashFencedOnly, 0)
 	r.ended = true
@@ -529,19 +529,30 @@ func (r *histRec) end() error {
 	return nil
 }
 
-// navBytes sums the blocks of h that hold navigation no fold has sealed
-// (alloc.Heap.IsVolatile, a block-table mark). Recovery never follows a
+// navBytes sums the navigation nodes no fold has sealed that the live
+// roots of shard d name (funcds.Crown). Recovery never follows a
 // navigation word, so a fresh recovery sweeps them: they are the one
-// difference between a selective store's live bytes and a recovery's.
-func navBytes(h *alloc.Heap) uint64 {
-	lo, hi := h.DataBounds()
+// difference between a selective store's live bytes and a recovery's. A
+// navigation node no root reaches is not among them, so a leaked one
+// still fails no-leak.
+func (r *histRec) navBytes(d int) uint64 {
+	h := r.e.db.Shard(d).Heap()
+	seen := map[pmem.Addr]bool{}
 	var n uint64
-	for a := lo; a+alloc.HeaderSize <= hi; {
-		stride := uint32(h.Device().ReadU64(a))
-		if h.IsVolatile(a + alloc.HeaderSize) {
-			n += uint64(stride)
+	for _, root := range r.h.roots {
+		if root.shard != d {
+			continue
 		}
-		a += pmem.Addr(stride)
+		slot, err := h.RootSlot(root.name)
+		if err != nil || h.Root(slot) == pmem.Nil {
+			continue
+		}
+		for _, a := range funcds.Crown(h, h.Root(slot)) {
+			if !seen[a] {
+				seen[a] = true
+				n += uint64(h.PayloadSize(a) + alloc.HeaderSize)
+			}
+		}
 	}
 	return n
 }

@@ -3,12 +3,14 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/mod-ds/mod/internal/alloc"
+	"github.com/mod-ds/mod/internal/durcheck"
 	"github.com/mod-ds/mod/internal/funcds"
 	"github.com/mod-ds/mod/internal/pmem"
 )
@@ -652,5 +654,113 @@ func TestRecoveryIgnoresNavigationBlocks(t *testing.T) {
 	}
 	if st2.Len() != 0 || q2.Len() != 0 {
 		t.Errorf("stack and queue hold %d and %d more elements than were committed", st2.Len(), q2.Len())
+	}
+}
+
+// TestSelectiveConcurrentFoldsSealWholeCrown is a checker history of two
+// optimistic writers that fold the same selective map from the same
+// version. The version's last update left navigation nodes on one path,
+// root → X → Y, which neither writer's key copies, so both folds must
+// seal X and Y. Writer A's Set parks just before the k-th seal of its
+// fold; B's Set then folds, fences and publishes by CAS, and the history
+// crashes before A resumes. A node's volatile mark must not clear
+// while a node below it is unsealed: B's crown walk stops at a cleared
+// mark, and B's checkpoint would then name a node whose payload is in no
+// image. Every PM write is a cut, and the history runs once for every k.
+func TestSelectiveConcurrentFoldsSealWholeCrown(t *testing.T) {
+	slot := func(k string, level uint) uint64 {
+		f := fnv.New64a() // the map's key hash
+		f.Write([]byte(k))
+		return f.Sum64() >> (5 * level) & 31
+	}
+	// Y holds yKeys keys that share their first two levels' slots, kv
+	// the last inserted, so kv's insert copies root → X → Y. Y spans
+	// lines that neither its header's flush nor a neighbour's covers:
+	// only a seal makes them durable. The filler and both writers' keys
+	// each take a root slot of their own.
+	const yKeys = 48
+	byPrefix := map[uint64][]string{}
+	var group []string
+	for i := 0; group == nil; i++ {
+		k := fmt.Sprintf("f%05d", i)
+		p := slot(k, 0) | slot(k, 1)<<5
+		if byPrefix[p] = append(byPrefix[p], k); len(byPrefix[p]) == yKeys {
+			group = byPrefix[p]
+		}
+	}
+	kv := group[yKeys-1]
+	used := map[uint64]bool{slot(kv, 0): true}
+	var others []string // filler, A's key, B's key
+	for i := 0; len(others) < 3; i++ {
+		if k := fmt.Sprintf("g%03d", i); !used[slot(k, 0)] {
+			used[slot(k, 0)] = true
+			others = append(others, k)
+		}
+	}
+	filler, ka, kb := others[0], others[1], others[2]
+
+	for k := 1; ; k++ {
+		var parkedAt atomic.Bool
+		h := &crashHist{stride: 1, roots: []histRoot{{name: "m", sel: true, bind: mxBind((*Store).Map, mxMapOps)}}}
+		h.setup = func(e *histEnv) {
+			m, _ := e.db.Store().Map("m")
+			for _, g := range append(group[:yKeys-1:yKeys-1], filler) {
+				m.Set([]byte(g), []byte("y")) // an even count: the last folds
+			}
+			m.Set([]byte(kv), []byte("v")) // one record pending: the next Set folds
+			heap := e.db.Store().heap
+			rs, _ := heap.RootSlot("m")
+			if _, _, n := funcds.SelectiveExt(heap, heap.Root(rs)); n != 1 {
+				e.t.Fatalf("%d records pending after setup, want 1", n)
+			}
+			if c := funcds.Crown(heap, heap.Root(rs)); len(c) < 3 {
+				e.t.Fatalf("crown of %d nodes after setup, want root, X, Y and any node below", len(c))
+			}
+		}
+		h.window = func(e *histEnv, r *histRec) {
+			s := e.db.Store()
+			a, _ := s.Fork().Map("m") // bound up front: a bind takes the root's commit mutex
+			b, _ := s.Fork().Map("m")
+			rs, _ := s.heap.RootSlot("m")
+			ckpt, _, _ := funcds.SelectiveExt(s.heap, s.heap.Root(rs))
+			// A checksum write into a volatile block is a fold's seal:
+			// nothing else writes the word of a live navigation node.
+			var seals atomic.Int32
+			parked, resume, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			r.p.onWrite = func(addr pmem.Addr) {
+				if s.heap.IsVolatile(addr+alloc.HeaderSize-8) && seals.Add(1) == int32(k) {
+					parked <- struct{}{}
+					<-resume
+				}
+			}
+			before := s.CommitStats()
+			go func() {
+				defer close(done)
+				r.do("a", []durcheck.Effect{{Key: ka, Val: "a"}}, func() { a.Set([]byte(ka), []byte("a")) })
+			}()
+			select {
+			case <-done: // A's crown has fewer than k nodes
+				return
+			case <-parked:
+			}
+			parkedAt.Store(true)
+			r.do("b", []durcheck.Effect{{Key: kb, Val: "b"}}, func() { b.Set([]byte(kb), []byte("b")) })
+			if c, _, n := funcds.SelectiveExt(s.heap, s.heap.Root(rs)); c == ckpt || n != 0 {
+				e.t.Errorf("B's Set left checkpoint %#x (was %#x) and %d records; want it to fold", uint64(c), uint64(ckpt), n)
+			}
+			r.crash()
+			close(resume)
+			<-done
+			if st := s.CommitStats(); st.FastWins == before.FastWins || st.FastLosses == before.FastLosses {
+				e.t.Errorf("%d CAS wins, %d losses; want B's CAS to win and A's to lose", st.FastWins-before.FastWins, st.FastLosses-before.FastLosses)
+			}
+		}
+		t.Run(fmt.Sprint("park-at-seal-", k), func(t *testing.T) { h.run(t) })
+		if !parkedAt.Load() {
+			if k < 4 {
+				t.Fatalf("A's fold sealed only %d nodes, want its root, X and Y", k-1)
+			}
+			return
+		}
 	}
 }

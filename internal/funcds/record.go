@@ -262,13 +262,13 @@ func selAppendRecord(h *alloc.Heap, ed *alloc.Edit, hdr, rec pmem.Addr) pmem.Add
 	return a
 }
 
-// volatileCrown collects every volatile block reachable from roots
-// through volatile blocks only. Descent prunes at durable children: a
-// durable node never points at a volatile one (newer shadows reference
-// older state, never the reverse), so the crown is exactly the volatile
-// set reachable from the header. Whether a node is volatile is the block
-// table's mark (alloc.Heap.IsVolatile), not a PM read.
-func volatileCrown(h *alloc.Heap, roots []pmem.Addr) []pmem.Addr {
+// Crown lists the navigation nodes of the selective structure at hdr
+// that no fold has sealed (alloc.Heap.IsVolatile, a DRAM mark), children
+// before parents: what its next fold seals, in that order. Descent prunes
+// at sealed nodes: a mark clears only after the node's seal, which comes
+// after its subtree's, so a concurrent fold's fence orders every flush
+// below a cleared mark (DESIGN.md §10).
+func Crown(h *alloc.Heap, hdr pmem.Addr) []pmem.Addr {
 	var out []pmem.Addr
 	var sc alloc.Scratch
 	seen := make(map[pmem.Addr]struct{})
@@ -281,7 +281,6 @@ func volatileCrown(h *alloc.Heap, roots []pmem.Addr) []pmem.Addr {
 			return
 		}
 		seen[a] = struct{}{}
-		out = append(out, a)
 		switch tag := h.Tag(a); tag {
 		case TagMapRoot, TagMapNode:
 			var n mapNode
@@ -298,8 +297,9 @@ func volatileCrown(h *alloc.Heap, roots []pmem.Addr) []pmem.Addr {
 			// TagVecLeaf and TagMapCollision carry no volatile children
 			// (their pointers, if any, are always-durable bindings).
 		}
+		out = append(out, a)
 	}
-	for _, r := range roots {
+	for _, r := range livePointers(h, hdr) {
 		rec(r)
 	}
 	return out
@@ -319,8 +319,8 @@ func NeedsCheckpoint(h *alloc.Heap, hdr pmem.Addr, every uint64) bool {
 
 // PrepareCheckpoint runs the in-FASE half of a checkpoint on the final
 // shadow header of the committing FASE (which therefore was allocated
-// within it): it seals every crown node (checksum stamped, header and
-// payload flushed; the block table stops marking it volatile), snapshots
+// within it): it seals every crown node, children first (checksum
+// stamped, header and payload flushed, volatile mark cleared), snapshots
 // the live state into a fresh durable checkpoint clone, and resets the
 // record chain. The commit's one fence, which every caller issues before
 // its root swap, makes all of it durable together: until that swap lands,
@@ -333,7 +333,7 @@ func PrepareCheckpoint(h *alloc.Heap, hdr pmem.Addr) {
 		return
 	}
 	dev := h.Device()
-	for _, a := range volatileCrown(h, livePointers(h, hdr)) {
+	for _, a := range Crown(h, hdr) {
 		h.SealNode(a, h.PayloadSize(a))
 	}
 
