@@ -102,11 +102,15 @@ const (
 	// value blob (package funcds); 15: no volatile-node bit (bit 41 is
 	// reserved, written 0): recovery and verification never follow a
 	// selective header's navigation words (RegisterNavigation), where a
-	// v14 recovery follows them into any block whose bit reads clear.
+	// v14 recovery follows them into any block whose bit reads clear;
+	// 16: a plain vector's version is its root, [count][shift][tail ref]
+	// then one reference per child, in place of a [count][shift][root]
+	// [tail] header block over a 32-slot root node, and a selective
+	// vector's header names that root (package funcds).
 	// Every bump so far moved or re-encoded something a recovery depends
 	// on, or changed what a recovery decides, so no older image is
 	// readable.
-	version = 15
+	version = 16
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word

@@ -10,6 +10,8 @@ import (
 
 // Borrowed path copies (DESIGN.md §4). A path copy N′ of a trie node N
 // differs from it in a slot or two and shares up to 31 other children.
+// Children are what the node's walker visits, so a vector root's tail
+// is one more: a root copy that replaces the tail borrows every child.
 // Counting N′ as a second parent of each — and uncounting N when the old
 // version dies a few commits later — is +1 then −1 on blocks the update
 // never touched. Instead the copy borrows: N′ takes no reference on what

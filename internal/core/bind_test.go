@@ -36,7 +36,7 @@ func bk[H Datastructure](name string, plain, sel uint8, root func(*Store, string
 var binderKinds = []binderKind{
 	bk("map", funcds.TagMapRoot, funcds.TagMapHdrSel, (*Store).Map, (*Parent).Map, (*DB).Map),
 	bk("set", funcds.TagMapRoot, funcds.TagMapHdrSel, (*Store).Set, (*Parent).Set, (*DB).Set),
-	bk("vector", funcds.TagVecHdr, funcds.TagVecHdrSel, (*Store).Vector, (*Parent).Vector, (*DB).Vector),
+	bk("vector", funcds.TagVecRoot, funcds.TagVecHdrSel, (*Store).Vector, (*Parent).Vector, (*DB).Vector),
 	bk("stack", funcds.TagStackHdr, funcds.TagStackHdrSel, (*Store).Stack, (*Parent).Stack, (*DB).Stack),
 	bk("queue", funcds.TagQueueHdr, funcds.TagQueueHdrSel, (*Store).Queue, (*Parent).Queue, (*DB).Queue),
 }

@@ -163,6 +163,64 @@ func TestOpenVerifyRefusesFlippedMapCount(t *testing.T) {
 	}
 }
 
+// TestOpenVerifyRefusesFlippedVectorCount: since heap layout v16 a
+// vector's count, shift and tail reference are the first words of its
+// root, not of a header block, and they stay under the root's checksum as
+// the map's count does: one flipped bit in the count or the shift
+// quarantines the root under WithVerify, and its binds answer
+// ErrCorrupted — recovery's walk reads no child slot past what the
+// checksum covers, whatever the count says. A flipped reference, the
+// tail's or a child's, may instead name no block at all, which fails the
+// open with a *CorruptionError as any wild reference does
+// (TestWildReferenceIsCorruptionNotPanic); it is never served.
+func TestOpenVerifyRefusesFlippedVectorCount(t *testing.T) {
+	cfg := pmem.DefaultConfig(1 << 20)
+	db, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := db.Vector("vx")
+	for i := 0; i < 40; i++ {
+		v.Push(uint64(i))
+	}
+	db.Sync()
+	img := snapshot(db.Store())
+	root := v.currentAddr()
+	if got := binary.LittleEndian.Uint64(img[root:]); got != 40 {
+		t.Fatalf("root %#x opens with count word %d, want 40", uint64(root), got)
+	}
+	for _, tc := range []struct {
+		what string
+		at   pmem.Addr
+		mask byte
+		ref  bool
+	}{
+		{"count word", root, 0x02, false}, {"count word, up a leaf", root, 0x08, false},
+		{"count word, top byte", root + 7, 0x80, false}, {"shift", root + 8, 0x20, false},
+		{"shift, another level", root + 8, 0x08, false},
+		{"tail reference", root + 12, 0x01, true}, {"tail reference, high bit", root + 15, 0x80, true},
+		{"child reference", root + 16, 0x01, true},
+	} {
+		dmg := append([]byte(nil), img...)
+		dmg[tc.at] ^= tc.mask
+		db2, info, err := Open(cfg, WithExistingImages([][]byte{dmg}), WithVerify())
+		var cerr *CorruptionError
+		if tc.ref && errors.As(err, &cerr) && errors.Is(err, ErrCorrupted) && db2 == nil {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: open failed entirely: %v", tc.what, err)
+		}
+		if len(info.Damaged) != 1 || !errors.Is(info.Damaged[0].Err, ErrCorrupted) {
+			t.Fatalf("%s: Damaged = %+v, want the vector's root refused with ErrCorrupted", tc.what, info.Damaged)
+		}
+		if _, err := db2.Vector("vx"); !errors.Is(err, ErrCorrupted) {
+			t.Fatalf("%s: bind to the damaged root: %v, want ErrCorrupted", tc.what, err)
+		}
+		db2.Close()
+	}
+}
+
 // TestOpenLazyVerifyDetectsHeaderDamage: without WithVerify the open
 // stays cheap; damage to a structure header surfaces typed at first
 // bind (the bind-time lazy check), quarantining the root instead of
@@ -348,7 +406,7 @@ func TestOpenSalvageRollsBackSelectiveRoot(t *testing.T) {
 func TestOpenVerifyCatchesFlippedVolatileBit(t *testing.T) {
 	f := newFlipFixture(t)
 	for _, tag := range []uint8{funcds.TagBlob, funcds.TagStackHdr, funcds.TagListNode, funcds.TagQueueHdr,
-		funcds.TagVecHdr, funcds.TagVecNode, funcds.TagVecLeaf, funcds.TagMapRoot, funcds.TagMapNode,
+		funcds.TagVecRoot, funcds.TagVecNode, funcds.TagVecLeaf, funcds.TagMapRoot, funcds.TagMapNode,
 		funcds.TagParent, funcds.TagRecord, funcds.TagMapHdrSel, funcds.TagVecHdrSel, funcds.TagStackHdrSel,
 		funcds.TagQueueHdrSel} {
 		if len(f.live[tag]) == 0 {
@@ -396,7 +454,8 @@ func TestOpenVerifyCatchesFlippedBindingLengths(t *testing.T) {
 }
 
 // flipFixture is a sealed 1 MiB image holding every structure plain and
-// selective and a parent-bound map, 64 operations each, for the tests
+// selective and a parent-bound map, 64 operations each (the plain
+// vector 300), for the tests
 // that flip bits in it and reopen. The plain roots come first; the store
 // turns selective before the first selective one, with no fold due, so
 // every selective navigation node stays volatile (Heap.IsVolatile) and
@@ -411,7 +470,9 @@ type flipFixture struct {
 }
 
 func newFlipFixture(t *testing.T) *flipFixture {
-	const ops = 64
+	// The plain vector takes more: below 264 elements its root holds its
+	// leaves and there is no interior node to flip.
+	const ops, vecOps = 64, 300
 	f := &flipFixture{cfg: pmem.DefaultConfig(1 << 20), live: map[uint8][]pmem.Addr{}}
 	db, _, err := Open(f.cfg)
 	if err != nil {
@@ -438,7 +499,11 @@ func newFlipFixture(t *testing.T) *flipFixture {
 			s.makeSelective(0)
 		}
 		o := r.mustBind(t, s, r.name)
-		for j := 0; j < ops; j++ {
+		n := ops
+		if r.name == "vector" {
+			n = vecOps
+		}
+		for j := 0; j < n; j++ {
 			o.basic(j)
 		}
 		f.want[i] = o.dump()

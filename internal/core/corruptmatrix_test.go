@@ -69,12 +69,27 @@ type cmExpect struct {
 	// allowed holds the committed-prefix states: the only states a clean,
 	// undamaged reopen may serve.
 	allowed map[string]bool
-	// intermediates additionally holds every per-op state inside the
-	// probed window: a salvage rollback lands on a fold checkpoint, which
-	// is a consistent per-op state but (in edit/batch modes) not
-	// necessarily a committed one.
+	// intermediates additionally holds every per-op state since the
+	// structure was bound, the committed prefix's included: a salvage
+	// rollback lands on a fold checkpoint, which is a consistent per-op
+	// state but (in edit/batch modes) not necessarily a committed one, and
+	// may have been taken before the probed window.
 	intermediates map[string]bool
 	final         string
+}
+
+// cmPrefix applies the committed prefix's ops, recording in seen — when
+// it is not nil — the state before the first and after each.
+func cmPrefix(ops matrixOps, seen map[string]bool) {
+	if seen != nil {
+		seen[mxJoin(ops.dump())] = true
+	}
+	for i := 0; i < mxPrefix; i++ {
+		ops.basic(i)
+		if seen != nil {
+			seen[mxJoin(ops.dump())] = true
+		}
+	}
 }
 
 // cmCheckReopen reopens the damaged device and classifies the outcome.
@@ -136,21 +151,21 @@ func TestCorruptionMatrixSingleStore(t *testing.T) {
 			for _, fc := range cmFaultClasses {
 				st, mode, fc := st, mode, fc
 				t.Run(st.name+"/"+mode+"/"+fc, func(t *testing.T) {
-					build := func() (*Store, matrixOps, *Map, *pmem.Device) {
+					// build records the states the prefix passes through
+					// in seen, when it is not nil.
+					build := func(seen map[string]bool) (*Store, matrixOps, *Map, *pmem.Device) {
 						dev := pmem.New(cfg)
 						s := newStore(dev)
 						ops, marker := mxOpenRow(t, st, s)
-						for i := 0; i < mxPrefix; i++ {
-							ops.basic(i)
-						}
+						cmPrefix(ops, seen)
 						s.Sync()
 						return s, ops, marker, dev
 					}
 
 					// Dry run 1, always per-op: collects every intermediate
 					// state a salvage rollback may legally land on.
-					s, ops, _, _ := build()
-					intermediates := map[string]bool{mxJoin(ops.dump()): true}
+					intermediates := map[string]bool{}
+					s, ops, _, _ := build(intermediates)
 					for i := mxPrefix; i < mxPrefix+mxProbe; i++ {
 						ops.basic(i)
 						intermediates[mxJoin(ops.dump())] = true
@@ -160,7 +175,7 @@ func TestCorruptionMatrixSingleStore(t *testing.T) {
 					// Dry run 2, in the actual mode: produces the committed
 					// image the faults are injected into and the committed-
 					// prefix states a clean reopen may serve.
-					s, ops, marker, dev := build()
+					s, ops, marker, dev := build(nil)
 					allowed := map[string]bool{mxJoin(ops.dump()): true}
 					switch mode {
 					case "perop":
@@ -221,7 +236,9 @@ func TestCorruptionAfterCrashImage(t *testing.T) {
 		for _, fc := range cmFaultClasses {
 			st, fc := st, fc
 			t.Run(st.name+"/crash+"+fc, func(t *testing.T) {
-				build := func() (*Store, matrixOps, *pmem.Device) {
+				// build records the states the prefix passes through in
+				// seen, when it is not nil.
+				build := func(seen map[string]bool) (*Store, matrixOps, *pmem.Device) {
 					dev := pmem.New(cfg)
 					db, _, err := Open(cfg, append([]Option{WithDevices(dev)}, st.opts()...)...)
 					if err != nil {
@@ -229,9 +246,7 @@ func TestCorruptionAfterCrashImage(t *testing.T) {
 					}
 					s := db.Store()
 					ops := st.mustBind(t, s, "mx")
-					for i := 0; i < mxPrefix; i++ {
-						ops.basic(i)
-					}
+					cmPrefix(ops, seen)
 					s.Sync()
 					return s, ops, dev
 				}
@@ -242,11 +257,9 @@ func TestCorruptionAfterCrashImage(t *testing.T) {
 				}
 
 				// Dry run: committed per-op states and the window's write count.
-				s, ops, dev := build()
-				exp := cmExpect{
-					allowed:       map[string]bool{mxJoin(ops.dump()): true},
-					intermediates: map[string]bool{mxJoin(ops.dump()): true},
-				}
+				exp := cmExpect{intermediates: map[string]bool{}}
+				s, ops, dev := build(exp.intermediates)
+				exp.allowed = map[string]bool{mxJoin(ops.dump()): true}
 				writesBase := dev.Stats().Writes
 				for i := mxPrefix; i < mxPrefix+mxProbe; i++ {
 					ops.basic(i)
@@ -259,7 +272,7 @@ func TestCorruptionAfterCrashImage(t *testing.T) {
 
 				for trial := 0; trial < cmTrials(); trial++ {
 					inj := 1 + (trial*totalWrites)/cmTrials() // spread through the window
-					s, ops, dev := build()
+					s, ops, dev := build(nil)
 					_ = s
 					tr := pmem.NewCrashCountdown(dev, inj, pmem.CrashEvictRandom, uint64(inj)*1048573+11)
 					dev.SetTracer(tr)

@@ -98,7 +98,7 @@ var (
 	champTags  = []uint8{funcds.TagMapRoot, funcds.TagMapHdrSel}
 	kindMap    = rootKind{"map", champTags, flavored(funcds.NewMap, funcds.NewMapSelective)}
 	kindSet    = rootKind{"set", champTags, flavored(funcds.NewSet, funcds.NewSetSelective)}
-	kindVector = rootKind{"vector", []uint8{funcds.TagVecHdr, funcds.TagVecHdrSel}, flavored(funcds.NewVector, funcds.NewVectorSelective)}
+	kindVector = rootKind{"vector", []uint8{funcds.TagVecRoot, funcds.TagVecHdrSel}, flavored(funcds.NewVector, funcds.NewVectorSelective)}
 	kindStack  = rootKind{"stack", []uint8{funcds.TagStackHdr, funcds.TagStackHdrSel}, flavored(funcds.NewStack, funcds.NewStackSelective)}
 	kindQueue  = rootKind{"queue", []uint8{funcds.TagQueueHdr, funcds.TagQueueHdrSel}, flavored(funcds.NewQueue, funcds.NewQueueSelective)}
 )
@@ -460,12 +460,9 @@ func (v *Vector) Swap(i, j uint64) {
 	v.st.update(v, func(s *Store, ed *alloc.Edit, cur pmem.Addr) pmem.Addr {
 		c := funcds.VectorAt(s.heap, cur).WithEdit(ed)
 		a, b := c.Get(i), c.Get(j)
-		s1 := c.Update(i, b)
-		s2 := s1.Update(j, a) // mutates s1's owned nodes in place
-		if s1.Addr() != s2.Addr() && s1.Addr() != cur {
-			s.heap.Release(s1.Addr()) // intermediate shadow off the edit run
-		}
-		return s2.Addr()
+		// The second update writes the first one's owned nodes in place,
+		// and would itself release an owned version it superseded.
+		return c.Update(i, b).Update(j, a).Addr()
 	})
 }
 

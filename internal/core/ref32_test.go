@@ -81,6 +81,14 @@ func TestOpenRejectsV14Heap(t *testing.T) {
 	openStampedHeap(t, 14)
 }
 
+// TestOpenRejectsV15Heap: and the layout before this one, whose root
+// cells name a vector by a [count][shift][root][tail] header block over
+// a full 32-slot root node, where this build reads a root carrying count,
+// shift and tail ahead of its children.
+func TestOpenRejectsV15Heap(t *testing.T) {
+	openStampedHeap(t, 15)
+}
+
 func openStampedHeap(t *testing.T, version uint64) {
 	cfg := pmem.DefaultConfig(1 << 20)
 	db, _, err := Open(cfg)
@@ -250,18 +258,17 @@ func TestWildReferenceIsCorruptionNotPanic(t *testing.T) {
 				}
 				lookups()
 
-				// The vector's descents and node copy, same reference in
-				// slot 0 of its root node.
+				// The vector's descents and root copy, same reference in
+				// the root's first child slot, behind count, shift and tail.
 				rs, err := s.heap.RootSlot("vx")
 				if err != nil {
 					t.Fatal(err)
 				}
-				vhdr := s.heap.Root(rs)
-				vroot := pmem.Addr(s.dev.ReadU64(vhdr + 16))
-				plant(vroot, vroot)
-				// Slot 0 of the root spans the elements below its index
-				// digit: the header's shift field says how many.
-				span := uint64(1) << s.dev.ReadU32(vhdr+8)
+				vroot := s.heap.Root(rs)
+				plant(vroot+16, vroot)
+				// Child 0 of the root spans the elements below its index
+				// digit: the root's shift field says how many.
+				span := uint64(1) << s.dev.ReadU32(vroot+8)
 				for _, i := range []uint64{0, span - 1, span, vecLen - 100} {
 					under := i < span
 					if got := raisesCorruption(func() {

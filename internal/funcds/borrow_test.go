@@ -167,8 +167,9 @@ func TestVectorCopyBorrowsSiblings(t *testing.T) {
 	}
 	h.Drain()
 	base := VectorAt(h, cur)
-	_, _, root, _ := base.fields()
-	rootKids := readNode(h, nil, nil, root)
+	var root vecRoot
+	readRoot(h, nil, nil, base.Addr(), &root)
+	rootKids := root.kids()
 
 	s1 := base.Update(5, 55)
 	if got := h.Stats().Borrows; got != 3 {
@@ -191,8 +192,8 @@ func TestVectorCopyBorrowsSiblings(t *testing.T) {
 	if got := h.Stats().Borrows; got != 0 {
 		t.Errorf("%d borrow records after both older versions were reclaimed", got)
 	}
-	_, _, root2, _ := s2.fields()
-	for i, c := range readNode(h, nil, nil, root2) {
+	readRoot(h, nil, nil, s2.Addr(), &root)
+	for i, c := range root.kids() {
 		if c != pmem.Nil && h.RefCount(c) != 1 {
 			t.Errorf("root child %d has count %d once only the last version is left, want 1", i, h.RefCount(c))
 		}

@@ -52,8 +52,6 @@ const (
 	mapNodeHdrSize = 8 // the two bitmaps, or a collision bucket's count word
 	// rootPrefix is the count word ahead of a root node's bitmaps.
 	rootPrefix = 8
-	// mapSelBase is a selective map header's base field: its live root.
-	mapSelBase = 8
 	// collisionShift is the trie depth at which the 64-bit hash is
 	// exhausted and equal-hash keys fall into a collision bucket.
 	collisionShift = 60
@@ -98,7 +96,7 @@ func NewMap(h *alloc.Heap) Map {
 // empty root is both the live state and the checkpoint (flushed, not
 // fenced).
 func NewMapSelective(h *alloc.Heap) Map {
-	return Map{h: h, addr: selHdrOver(h, NewMap(h).Addr(), TagMapHdrSel, mapSelBase), sel: true}
+	return Map{h: h, addr: selHdrOver(h, NewMap(h).Addr(), TagMapHdrSel, selRootBase), sel: true}
 }
 
 // MapAt adopts an existing map version, e.g. after recovery: a root node,
@@ -142,37 +140,10 @@ func (m Map) advance(next pmem.Addr) Map {
 	return Map{h: m.h, addr: next, ed: m.ed}
 }
 
-// setSel produces a selective header naming newRoot, with rec installed
-// at the head of its record chain: an in-place rewrite when the receiver's
-// header is edit-owned (releasing its references to a displaced old root
-// and to the old chain head, which rec now holds), a fresh header
-// otherwise. The references on newRoot and rec transfer in.
+// setSel produces the selective header naming newRoot, with rec at the
+// head of its record chain (setSelRoot).
 func (m Map) setSel(newRoot, oldRoot, rec pmem.Addr) Map {
-	dev := m.h.Device()
-	ckpt, oldRec, recCount := readSelExt(m.h, m.addr, mapSelBase)
-	if m.ed.Owns(m.addr) {
-		dev.WriteU64(m.addr, uint64(newRoot))
-		writeSelExt(m.h, m.addr, mapSelBase, ckpt, rec, recCount+1)
-		recordEdit(m.ed, m.addr, mapSelBase+selExtSize, false)
-		if oldRec != pmem.Nil {
-			m.h.Release(oldRec)
-		}
-		if newRoot != oldRoot {
-			m.h.Release(oldRoot)
-		}
-		return m
-	}
-	if newRoot == oldRoot {
-		// Deep in-place update left the root unchanged; the new header is
-		// a second parent.
-		m.h.Retain(newRoot)
-	}
-	hdr := nodeAlloc(m.h, m.ed, mapSelBase+selExtSize, TagMapHdrSel, false)
-	dev.WriteU64(hdr, uint64(newRoot))
-	writeSelExt(m.h, hdr, mapSelBase, ckpt, rec, recCount+1)
-	flushNode(m.h, m.ed, hdr, mapSelBase+selExtSize, false)
-	m.h.Retain(ckpt)
-	return Map{h: m.h, addr: hdr, ed: m.ed, sel: true}
+	return Map{h: m.h, addr: setSelRoot(m.h, m.ed, m.addr, TagMapHdrSel, newRoot, oldRoot, rec), ed: m.ed, sel: true}
 }
 
 // mapNode is a trie node decoded into volatile form. The arrays are
@@ -432,7 +403,7 @@ func (m Map) setPair(key, val []byte, p pmem.Addr) (Map, bool) {
 	if !m.sel {
 		return m.advance(newRoot), replaced
 	}
-	_, oldRec, _ := readSelExt(m.h, m.addr, mapSelBase)
+	_, oldRec, _ := readSelExt(m.h, m.addr, selRootBase)
 	rec := newRecord(m.h, m.ed, oldRec, RecMapSet, uint64(p), 0)
 	return m.setSel(newRoot, root, rec), replaced
 }
@@ -613,7 +584,7 @@ func (m Map) Delete(key []byte) (Map, bool) {
 	}
 	// The record names the removed binding, which deleteRec kept alive for
 	// it: newRecord takes its own reference, so that one is dropped here.
-	_, oldRec, _ := readSelExt(m.h, m.addr, mapSelBase)
+	_, oldRec, _ := readSelExt(m.h, m.addr, selRootBase)
 	rec := newRecord(m.h, m.ed, oldRec, RecMapDelete, uint64(gone), 0)
 	m.h.Release(gone)
 	return m.setSel(newRoot, root, rec), true
@@ -756,13 +727,6 @@ func walkTrieNode(h *alloc.Heap, a, pre pmem.Addr, sc *alloc.Scratch, visit func
 	}
 	for _, c := range n.children() {
 		visit(c)
-	}
-}
-
-// walkMapSelRoot visits a selective map header's base field, its live root.
-func walkMapSelRoot(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
-	if root := pmem.Addr(h.Device().ReadU64(a)); root != pmem.Nil {
-		visit(root)
 	}
 }
 

@@ -43,7 +43,7 @@ const (
 	TagStackHdr
 	TagListNode
 	TagQueueHdr
-	TagVecHdr
+	TagVecRoot // a plain vector's version: [count][shift][tail] then its children (vector.go)
 	TagVecNode
 	TagVecLeaf
 	TagMapRoot // a plain map's version: [count] then a trie node (champ.go)
@@ -74,19 +74,19 @@ func RegisterWalkers(h *alloc.Heap) {
 	h.RegisterWalker(TagStackHdr, walkStackHdr)
 	h.RegisterWalker(TagListNode, walkListNode)
 	h.RegisterWalker(TagQueueHdr, walkQueueHdr)
-	h.RegisterWalker(TagVecHdr, walkVecHdr)
+	h.RegisterWalker(TagVecRoot, walkVecRoot)
 	h.RegisterWalker(TagVecNode, walkVecNode)
 	h.RegisterWalker(TagVecLeaf, walkNone)
 	h.RegisterWalker(TagMapRoot, walkMapRoot)
 	h.RegisterWalker(TagMapNode, walkMapNode)
 	h.RegisterWalker(TagMapCollision, walkMapCollision)
 	h.RegisterWalker(TagRecord, walkRecord)
-	h.RegisterWalker(TagMapHdrSel, walkSelExt(mapSelBase))
-	h.RegisterWalker(TagVecHdrSel, walkSelExt(vecHdrSize))
+	h.RegisterWalker(TagMapHdrSel, walkSelExt(selRootBase))
+	h.RegisterWalker(TagVecHdrSel, walkSelExt(selRootBase))
 	h.RegisterWalker(TagStackHdrSel, walkSelExt(stackHdrSize))
 	h.RegisterWalker(TagQueueHdrSel, walkSelExt(queueHdrSize))
-	h.RegisterNavigation(TagMapHdrSel, walkMapSelRoot)
-	h.RegisterNavigation(TagVecHdrSel, walkVecHdr)
+	h.RegisterNavigation(TagMapHdrSel, walkSelRoot)
+	h.RegisterNavigation(TagVecHdrSel, walkSelRoot)
 	h.RegisterNavigation(TagStackHdrSel, walkStackHdr)
 	h.RegisterNavigation(TagQueueHdrSel, walkQueueHdr)
 }

@@ -14,15 +14,15 @@ import (
 //
 //   - the structure header itself (always fully flushed), extended with
 //     [ckptHdr u64][recHead u64][recCount u64] after the base fields (a
-//     map's one base field names its root node, volatile like the rest
-//     of its trie);
+//     map's or a vector's one base field names its root, volatile like the
+//     rest of its trie);
 //   - leaf payloads (a map's binding blocks), which record cells reference;
 //   - a cons-list of fixed-size operation records, newest first, that
 //     logically replays every update since the last checkpoint.
 //
 // ckptHdr points at a checkpoint clone: a durable plain version — a
-// map's root node itself, a normal-tagged copy of any other structure's
-// header — whose entire subtree is durable and sealed. The
+// map's or a vector's root itself, a normal-tagged copy of a stack's or a
+// queue's header — whose entire subtree is durable and sealed. The
 // base fields are navigation words (alloc.Heap.RegisterNavigation):
 // recovery and verification follow only the checkpoint and the record
 // chain, so recovered state is rebuilt by replaying the chain (oldest
@@ -33,7 +33,12 @@ import (
 
 // selExtSize is the selective header extension appended after a
 // structure's base fields: [ckptHdr u64][recHead u64][recCount u64].
-const selExtSize = 24
+// selRootBase is the base field of a selective map's or vector's header:
+// its live root.
+const (
+	selExtSize  = 24
+	selRootBase = 8
+)
 
 // Record cell layout (TagRecord, durable): [prev u64][kind u64][a u64][b u64].
 const (
@@ -145,10 +150,8 @@ func walkRecord(h *alloc.Heap, r pmem.Addr, _ *alloc.Scratch, visit func(pmem.Ad
 // extension for a selective header tag, or 0 for any other tag.
 func selBaseSize(tag uint8) int {
 	switch tag {
-	case TagMapHdrSel:
-		return mapSelBase
-	case TagVecHdrSel:
-		return vecHdrSize
+	case TagMapHdrSel, TagVecHdrSel:
+		return selRootBase
 	case TagStackHdrSel:
 		return stackHdrSize
 	case TagQueueHdrSel:
@@ -216,10 +219,8 @@ func walkSelExt(base int) alloc.Walker {
 func livePointers(h *alloc.Heap, hdr pmem.Addr) []pmem.Addr {
 	dev := h.Device()
 	switch h.Tag(hdr) {
-	case TagMapHdrSel:
+	case TagMapHdrSel, TagVecHdrSel:
 		return []pmem.Addr{pmem.Addr(dev.ReadU64(hdr))}
-	case TagVecHdrSel:
-		return []pmem.Addr{pmem.Addr(dev.ReadU64(hdr + 16)), pmem.Addr(dev.ReadU64(hdr + 24))}
 	case TagStackHdrSel:
 		return []pmem.Addr{pmem.Addr(dev.ReadU64(hdr))}
 	case TagQueueHdrSel:
@@ -228,36 +229,43 @@ func livePointers(h *alloc.Heap, hdr pmem.Addr) []pmem.Addr {
 	return nil
 }
 
-// selAppendRecord installs rec at the head of the record chain of the
-// selective header at hdr when the operation changed no base fields (an
-// in-place deep mutation): an ext rewrite when the header is edit-owned,
-// otherwise a fresh selective header copying the base fields, which
-// becomes a second parent of the live pointers and the checkpoint. The
-// rec reference transfers in; returns the resulting header address.
-func selAppendRecord(h *alloc.Heap, ed *alloc.Edit, hdr, rec pmem.Addr) pmem.Addr {
-	tag := h.Tag(hdr)
-	base := selBaseSize(tag)
-	ckpt, oldRec, recCount := readSelExt(h, hdr, base)
+// walkSelRoot visits a selective map's or vector's base field, its live
+// root.
+func walkSelRoot(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
+	if root := pmem.Addr(h.Device().ReadU64(a)); root != pmem.Nil {
+		visit(root)
+	}
+}
+
+// setSelRoot produces a selective header of tag — a map's or a vector's —
+// naming newRoot, with rec installed at the head of its record chain: an
+// in-place rewrite when hdr is edit-owned (releasing its references to a
+// displaced old root and to the old chain head, which rec now holds), a
+// fresh header otherwise, which becomes a second parent of the checkpoint
+// and, when the update went in place below it, of the root. The
+// references on newRoot and rec transfer in; it returns the header.
+func setSelRoot(h *alloc.Heap, ed *alloc.Edit, hdr pmem.Addr, tag uint8, newRoot, oldRoot, rec pmem.Addr) pmem.Addr {
+	dev := h.Device()
+	ckpt, oldRec, recCount := readSelExt(h, hdr, selRootBase)
 	if ed.Owns(hdr) {
-		writeSelExt(h, hdr, base, ckpt, rec, recCount+1)
-		recordEdit(ed, hdr+pmem.Addr(base), selExtSize, false)
+		dev.WriteU64(hdr, uint64(newRoot))
+		writeSelExt(h, hdr, selRootBase, ckpt, rec, recCount+1)
+		recordEdit(ed, hdr, selRootBase+selExtSize, false)
 		if oldRec != pmem.Nil {
 			h.Release(oldRec)
 		}
+		if newRoot != oldRoot {
+			h.Release(oldRoot)
+		}
 		return hdr
 	}
-	a := nodeAlloc(h, ed, base+selExtSize, tag, false)
-	dev := h.Device()
-	buf := ed.Scratch().Bytes(base)
-	dev.Read(hdr, buf)
-	dev.Write(a, buf)
-	writeSelExt(h, a, base, ckpt, rec, recCount+1)
-	flushNode(h, ed, a, base+selExtSize, false)
-	for _, p := range livePointers(h, a) {
-		if p != pmem.Nil {
-			h.Retain(p)
-		}
+	if newRoot == oldRoot {
+		h.Retain(newRoot)
 	}
+	a := nodeAlloc(h, ed, selRootBase+selExtSize, tag, false)
+	dev.WriteU64(a, uint64(newRoot))
+	writeSelExt(h, a, selRootBase, ckpt, rec, recCount+1)
+	flushNode(h, ed, a, selRootBase+selExtSize, false)
 	h.Retain(ckpt)
 	return a
 }
@@ -286,6 +294,12 @@ func Crown(h *alloc.Heap, hdr pmem.Addr) []pmem.Addr {
 			var n mapNode
 			readMapNode(h, nil, &sc, a, tagPrefix(tag), &n)
 			for _, c := range n.children() {
+				rec(c)
+			}
+		case TagVecRoot:
+			var r vecRoot
+			readRoot(h, nil, &sc, a, &r)
+			for _, c := range r.refs[:1+r.k] { // the tail and the children
 				rec(c)
 			}
 		case TagVecNode:
@@ -338,18 +352,17 @@ func PrepareCheckpoint(h *alloc.Heap, hdr pmem.Addr) {
 	}
 
 	// The checkpoint is the live state as a durable plain version: a map's
-	// is its root node itself, now sealed, which gains a reference; any
-	// other structure's is a copy of its header's base fields under the
-	// normal tag, which gains a reference on everything it names. Either
-	// way every navigation node live now is in the checkpoint's subtree.
+	// or a vector's is its root itself, now sealed, which gains a
+	// reference; a stack's or a queue's is a copy of its header's base
+	// fields under the normal tag, which gains a reference on everything it
+	// names. Either way every navigation node live now is in the
+	// checkpoint's subtree.
 	var clone pmem.Addr
-	if tag == TagMapHdrSel {
+	if tag == TagMapHdrSel || tag == TagVecHdrSel {
 		clone = livePointers(h, hdr)[0]
 		h.Retain(clone)
 	} else {
 		switch tag {
-		case TagVecHdrSel:
-			clone = h.AllocNode(vecHdrSize, TagVecHdr)
 		case TagStackHdrSel:
 			clone = h.AllocNode(stackHdrSize, TagStackHdr)
 		case TagQueueHdrSel:
@@ -502,14 +515,14 @@ func DropNavigation(h *alloc.Heap, hdr pmem.Addr) {
 
 // selHdrOver builds a fresh sealed selective header of the given tag
 // whose base fields copy the (fully durable) structure at state — or, for
-// a map, name state's root node — and whose checkpoint is state itself,
+// a map or a vector, name state's root — and whose checkpoint is state itself,
 // with an empty record chain. The state reference transfers in; live
 // pointers gain a reference each.
 func selHdrOver(h *alloc.Heap, state pmem.Addr, tag uint8, base int) pmem.Addr {
 	hdr := h.AllocNode(base+selExtSize, tag)
 	dev := h.Device()
 	buf := make([]byte, base)
-	if tag == TagMapHdrSel {
+	if tag == TagMapHdrSel || tag == TagVecHdrSel {
 		binary.LittleEndian.PutUint64(buf, uint64(state))
 	} else {
 		dev.Read(state, buf)

@@ -22,38 +22,46 @@ import (
 // leaf width sets how many bytes are rewritten to change 8 of them.
 //
 // The tail buffer holds the last 1–8 elements outside the trie, so an
-// append copies one leaf and one header instead of path-copying the whole
+// append copies one leaf and the root instead of path-copying the whole
 // spine; the tail is pushed into the trie only when it fills (once per 8
 // appends). Under an edit context (DESIGN.md §8) an append into an
 // edit-owned tail mutates it in place: a run of appends inside one FASE
 // costs one flush per tail fill.
 //
+// A plain vector's version is its root (heap layout v16): root cells,
+// parent fields, snapshots and stage-slot digests name it. The root
+// carries the count, the shift and the tail reference ahead of one
+// reference per child it has — the trie is packed to the left, so that
+// number follows from count and shift (rootKids) and is not stored. A
+// selective vector's version is its header (record.go), whose first word
+// names its root.
+//
 // An update path-copies the nodes between root and leaf (or just the tail
-// leaf): at 100,000 elements one 64-byte leaf, three 128-byte interior
-// nodes and the header — 12 lines, each node's block starting on a line
-// (DESIGN.md §2, "Size classes") — where PMDK's flat array logs and
-// writes one element, so MOD still flushes more than PMDK on Fig. 9's
-// vector workloads, under a third of the fences. Which of the two decides
-// the time depends on depth: MOD wins those rows at two interior levels and
-// loses them from three up (DESIGN.md §2). With a 32-slot leaf (layout v6
-// and before, the geometry the paper evaluates) the leaf alone was five
-// lines and MOD lost them at every depth, as the paper reports.
+// leaf) and the root: at 100,000 elements one 64-byte leaf, two 128-byte
+// interior nodes and a 68-byte root of 13 children in the 96-byte class —
+// about 10 lines, each whole-line block starting on a line (DESIGN.md §2,
+// "Size classes") — where PMDK's flat array logs and writes one element,
+// so MOD still flushes more than PMDK on Fig. 9's vector workloads, under
+// a third of the fences. Which of the two decides the time depends on
+// depth: MOD wins those rows up to three interior levels and loses them
+// at four, the paper's million elements (DESIGN.md §2). With a 32-slot leaf (layout v6 and before, the
+// geometry the paper evaluates) the leaf alone was five lines and MOD lost
+// them at every depth, as the paper reports.
 //
 // Layout (ref = 4-byte node reference, funcds.go):
 //
-//	header (TagVecHdr):  [count u64][shift u32][pad u32][root u64][tail u64]
-//	node   (TagVecNode): 32 × [child ref]
-//	leaf   (TagVecLeaf): 8 × [value u64]
+//	root (TagVecRoot): [count u64][shift u32][tail ref u32] k × [child ref]
+//	node (TagVecNode): 32 × [child ref]
+//	leaf (TagVecLeaf): 8 × [value u64]
 //
-// shift is the bit position of the index digit that selects among the root's
-// children: 0 when the root is a leaf, leafBits when its children are
-// leaves, and vecBits more for every level above that (shiftAbove and
-// shiftBelow step it).
+// shift is the bit position of the index digit that selects among the
+// root's children: leafBits when its children are leaves, and vecBits more
+// for every level above that (shiftAbove and shiftBelow step it).
 //
 // Invariants: elements [0, tailOffset) live in the trie (all leaves
 // full), elements [tailOffset, count) in the tail leaf; count > 0 implies
-// a non-nil tail holding 1–8 elements; root is Nil while tailOffset is
-// 0, and is a single leaf (shift 0) while tailOffset is 8.
+// a non-nil tail holding 1–8 elements; the root has no child while
+// tailOffset is 0.
 type Vector struct {
 	h    *alloc.Heap
 	addr pmem.Addr
@@ -68,9 +76,13 @@ const (
 	leafBits    = 3
 	leafWidth   = 1 << leafBits // 8 elements per leaf
 	leafMask    = leafWidth - 1
-	vecHdrSize  = 32
 	vecNodeSize = vecWidth * refSize
 	vecLeafSize = leafWidth * 8
+	// vecRootPrefix is the [count][shift] ahead of a root's references.
+	vecRootPrefix = 12
+	// maxShift is the largest root shift whose trie capacity a count word
+	// can express.
+	maxShift = leafBits + 11*vecBits
 )
 
 // shiftAbove returns the shift of the level above one at shift s.
@@ -102,29 +114,94 @@ func tailOffset(count uint64) uint64 {
 	return (count - 1) &^ leafMask
 }
 
-// NewVector allocates an empty durable vector (flushed, not fenced).
+// rootKids returns how many children a root at shift holds for count
+// elements: one per 1<<shift trie elements, the last possibly partial.
+func rootKids(count uint64, shift uint32) int {
+	return int((tailOffset(count) + 1<<shift - 1) >> shift)
+}
+
+// rootRef is the offset of a root's reference i: the tail's is 0, child
+// j's is 1 + j.
+func rootRef(i int) pmem.Addr { return vecRootPrefix + pmem.Addr(i*refSize) }
+
+// vecRoot is a root decoded into volatile form: a plain value in its
+// reader's frame, like mapNode. refs[0] is the tail, refs[1:1+k] the
+// children.
+type vecRoot struct {
+	count uint64
+	shift uint32
+	k     int // children
+	refs  [1 + vecWidth]pmem.Addr
+}
+
+func (r *vecRoot) kids() []pmem.Addr { return r.refs[1 : 1+r.k] }
+
+// rootShape returns the child count of a root at a with the given count
+// and shift. A shift no root can have, or a trie past its capacity, is
+// damage to the root: the typed corruption panic, before a reader
+// follows a child slot past the block.
+func rootShape(a pmem.Addr, count uint64, shift uint32) int {
+	if !validShift(shift) || tailOffset(count) > trieCap(shift) {
+		panic(&alloc.CorruptionPanic{Block: alloc.BlockError{Addr: a, Tag: TagVecRoot, Reason: fmt.Sprintf("vector root shape out of range (count %d, shift %d)", count, shift)}})
+	}
+	return rootKids(count, shift)
+}
+
+// validShift reports whether a root can have shift.
+func validShift(shift uint32) bool {
+	return shift >= leafBits && shift <= maxShift && (shift-leafBits)%vecBits == 0
+}
+
+// readRoot loads the root at a into r with bulk accesses, served from the
+// DRAM node cache when it is enabled (edit-owned roots bypass it).
+func readRoot(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr, r *vecRoot) {
+	pre := h.ReadCached(a, int(rootRef(1)), ed, sc)
+	r.count = binary.LittleEndian.Uint64(pre)
+	r.shift = binary.LittleEndian.Uint32(pre[8:])
+	r.refs[0] = getRef(pre[rootRef(0):])
+	r.k = rootShape(a, r.count, r.shift)
+	if r.k == 0 {
+		return
+	}
+	// Whole-root read under the block-start key, as readMapNode does.
+	body := h.ReadCached(a, int(rootRef(1+r.k)), ed, sc)
+	for i := 1; i <= r.k; i++ {
+		r.refs[i] = getRef(body[rootRef(i):])
+	}
+}
+
+// writeRoot allocates, writes, and flushes a root holding r (volatile
+// under selective persistence). Reference transfers are the caller's.
+func writeRoot(h *alloc.Heap, ed *alloc.Edit, vol bool, r *vecRoot) pmem.Addr {
+	size := int(rootRef(1 + r.k))
+	a := nodeAlloc(h, ed, size, TagVecRoot, vol)
+	buf := ed.Scratch().Bytes(size)
+	binary.LittleEndian.PutUint64(buf, r.count)
+	binary.LittleEndian.PutUint32(buf[8:], r.shift)
+	for i, c := range r.refs[:1+r.k] {
+		binary.LittleEndian.PutUint32(buf[rootRef(i):], ref32(c))
+	}
+	h.Device().Write(a, buf)
+	flushNode(h, ed, a, size, vol)
+	return a
+}
+
+// NewVector allocates an empty durable vector, a root with no tail and no
+// children (flushed, not fenced).
 func NewVector(h *alloc.Heap) Vector {
-	a := h.AllocNode(vecHdrSize, TagVecHdr)
-	h.Device().Zero(a, vecHdrSize)
-	h.SealNode(a, vecHdrSize)
-	return Vector{h: h, addr: a}
+	return Vector{h: h, addr: writeRoot(h, nil, false, &vecRoot{shift: leafBits})}
 }
 
 // NewVectorSelective allocates an empty selectively persisted vector:
-// trie nodes and leaves stay volatile-clean, every update appends a
-// durable record cell, and the checkpoint clone starts as an empty normal
-// vector (flushed, not fenced).
+// trie nodes stay volatile-clean, every update appends a durable record
+// cell, and the empty root is both the live state and the checkpoint
+// (flushed, not fenced).
 func NewVectorSelective(h *alloc.Heap) Vector {
-	ckpt := NewVector(h).Addr()
-	a := h.AllocNode(vecHdrSize+selExtSize, TagVecHdrSel)
-	h.Device().Zero(a, vecHdrSize)
-	writeSelExt(h, a, vecHdrSize, ckpt, pmem.Nil, 0)
-	h.SealNode(a, vecHdrSize+selExtSize)
-	return Vector{h: h, addr: a, sel: true}
+	return Vector{h: h, addr: selHdrOver(h, NewVector(h).Addr(), TagVecHdrSel, selRootBase), sel: true}
 }
 
-// VectorAt adopts an existing vector header, e.g. after recovery. The
-// selective variant is recognized by its tag.
+// VectorAt adopts an existing vector version, e.g. after recovery: a
+// root, or a selective header, recognized by its tag.
 func VectorAt(h *alloc.Heap, addr pmem.Addr) Vector {
 	return Vector{h: h, addr: addr, sel: h.Tag(addr) == TagVecHdrSel}
 }
@@ -136,78 +213,84 @@ func (v Vector) WithEdit(ed *alloc.Edit) Vector {
 	return Vector{h: v.h, addr: v.addr, ed: ed, sel: v.sel}
 }
 
-// Addr returns the header address of this version.
+// Addr returns the address of this version: its root, or its selective
+// header.
 func (v Vector) Addr() pmem.Addr { return v.addr }
 
 // Heap returns the owning heap.
 func (v Vector) Heap() *alloc.Heap { return v.h }
 
-func (v Vector) fields() (count uint64, shift uint32, root, tail pmem.Addr) {
-	dev := v.h.Device()
-	return dev.ReadU64(v.addr), dev.ReadU32(v.addr + 8),
-		pmem.Addr(dev.ReadU64(v.addr + 16)), pmem.Addr(dev.ReadU64(v.addr + 24))
-}
-
-// Len returns the number of elements.
-func (v Vector) Len() uint64 { return v.h.Device().ReadU64(v.addr) }
-
-// newVecHdr allocates a header; root and tail references transfer in.
-func newVecHdr(h *alloc.Heap, ed *alloc.Edit, count uint64, shift uint32, root, tail pmem.Addr) pmem.Addr {
-	a := nodeAlloc(h, ed, vecHdrSize, TagVecHdr, false)
-	dev := h.Device()
-	dev.WriteU64(a, count)
-	dev.WriteU32(a+8, shift)
-	dev.WriteU32(a+12, 0)
-	dev.WriteU64(a+16, uint64(root))
-	dev.WriteU64(a+24, uint64(tail))
-	flushNode(h, ed, a, vecHdrSize, false)
-	return a
-}
-
-// setHdr produces a header with the given fields: in place when the
-// receiver's header is edit-owned, otherwise as a fresh allocation whose
-// unchanged children the caller has retained. Changed-child references
-// transfer in; in the in-place case the header's references to replaced
-// children are released via the release list. Selective vectors
-// additionally install rec at the head of the record chain.
-func (v Vector) setHdr(count uint64, shift uint32, root, tail, rec pmem.Addr, release ...pmem.Addr) Vector {
-	if v.ed.Owns(v.addr) {
-		dev := v.h.Device()
-		dev.WriteU64(v.addr, count)
-		dev.WriteU32(v.addr+8, shift)
-		dev.WriteU64(v.addr+16, uint64(root))
-		dev.WriteU64(v.addr+24, uint64(tail))
-		size := vecHdrSize
-		if v.sel {
-			ckpt, oldRec, recCount := readSelExt(v.h, v.addr, vecHdrSize)
-			writeSelExt(v.h, v.addr, vecHdrSize, ckpt, rec, recCount+1)
-			size += selExtSize
-			if oldRec != pmem.Nil {
-				v.h.Release(oldRec)
-			}
-		}
-		recordEdit(v.ed, v.addr, size, false)
-		for _, r := range release {
-			v.h.Release(r)
-		}
-		return v
-	}
+// root returns the version's root: the version itself, or the live root
+// its selective header names.
+func (v Vector) root() pmem.Addr {
 	if v.sel {
-		ckpt, _, recCount := readSelExt(v.h, v.addr, vecHdrSize)
-		hdr := nodeAlloc(v.h, v.ed, vecHdrSize+selExtSize, TagVecHdrSel, false)
-		dev := v.h.Device()
-		dev.WriteU64(hdr, count)
-		dev.WriteU32(hdr+8, shift)
-		dev.WriteU32(hdr+12, 0)
-		dev.WriteU64(hdr+16, uint64(root))
-		dev.WriteU64(hdr+24, uint64(tail))
-		writeSelExt(v.h, hdr, vecHdrSize, ckpt, rec, recCount+1)
-		flushNode(v.h, v.ed, hdr, vecHdrSize+selExtSize, false)
-		v.h.Retain(ckpt)
-		return Vector{h: v.h, addr: hdr, ed: v.ed, sel: true}
+		return pmem.Addr(v.h.Device().ReadU64(v.addr))
 	}
-	hdr := newVecHdr(v.h, v.ed, count, shift, root, tail)
-	return Vector{h: v.h, addr: hdr, ed: v.ed}
+	return v.addr
+}
+
+// Len returns the number of elements: the root's count word.
+func (v Vector) Len() uint64 { return v.h.Device().ReadU64(v.root()) }
+
+// advance returns the version whose root is next, with rec installed at
+// the head of a selective vector's record chain. A plain edit-owned root
+// that next supersedes is the edit's running version, which nothing else
+// references, and is released here (Map.advance).
+func (v Vector) advance(next, root, rec pmem.Addr) Vector {
+	if v.sel {
+		return Vector{h: v.h, addr: setSelRoot(v.h, v.ed, v.addr, TagVecHdrSel, next, root, rec), ed: v.ed, sel: true}
+	}
+	if next != root && v.ed.Owns(root) {
+		v.h.Release(root)
+	}
+	return Vector{h: v.h, addr: next, ed: v.ed}
+}
+
+// record appends a selective vector's record cell of kind; Nil for a
+// plain vector.
+func (v Vector) record(kind, a, b uint64) pmem.Addr {
+	if !v.sel {
+		return pmem.Nil
+	}
+	_, oldRec, _ := readSelExt(v.h, v.addr, selRootBase)
+	return newRecord(v.h, v.ed, oldRec, kind, a, b)
+}
+
+// setRootRef produces the root replacing root, decoded as r: its
+// reference i (rootRef) changed to c, whose reference
+// transfers in — c may be the slot's reference already — and its count
+// changed to count. It is root itself when nothing changed, rewritten in
+// place when the edit owns it (a root that still borrows settles first,
+// as replaceChild's node does, and drops its reference to what it
+// displaced), and otherwise a copy that borrows everything else from root
+// (alloc/borrow.go); each reference it carries must name a block.
+func (v Vector) setRootRef(root pmem.Addr, r *vecRoot, i int, c pmem.Addr, count uint64) pmem.Addr {
+	old := r.refs[i]
+	if c == old && count == r.count {
+		return root
+	}
+	if v.ed.Owns(root) {
+		dev := v.h.Device()
+		if c != old {
+			v.h.Settle(root) // before the count moves what its walker reads
+			dev.WriteU32(root+rootRef(i), ref32(c))
+			v.h.Release(old)
+		}
+		if count != r.count {
+			dev.WriteU64(root, count)
+		}
+		recordEdit(v.ed, root, int(rootRef(1+r.k)), v.sel)
+		return root
+	}
+	r.count = count
+	r.refs[i] = c
+	checkRefs(v.h, r.refs[:1+r.k]) // the tail is Nil only in an empty root, which a copy fills
+	copied := writeRoot(v.h, v.ed, v.sel, r)
+	if c == old {
+		old, c = pmem.Nil, pmem.Nil
+	}
+	v.h.Borrow(root, copied, old, c)
+	return copied
 }
 
 // newVecLeaf allocates a leaf containing the values in vals; the remaining
@@ -293,7 +376,7 @@ func copyNodeReplace(h *alloc.Heap, ed *alloc.Edit, vol bool, node pmem.Addr, id
 }
 
 // replaceChild installs child at slot idx of node: a single in-place slot
-// write when node is edit-owned (releasing the header-held reference to
+// write when node is edit-owned (releasing the node-held reference to
 // the displaced old child, if any), a path copy otherwise. A node that
 // still borrows from the one it was cloned from settles first: the child
 // it displaces may be one of the shared ones.
@@ -310,64 +393,46 @@ func (v Vector) replaceChild(node pmem.Addr, idx int, child, old pmem.Addr) pmem
 	return copyNodeReplace(v.h, v.ed, v.sel, node, idx, child)
 }
 
-// Get returns the element at index i.
+// Get returns the element at index i. Like Map.Get it reads the root's
+// prefix and the one child slot it descends through, not the whole root.
 func (v Vector) Get(i uint64) uint64 {
-	count, shift, root, tail := v.fields()
+	root := v.root()
+	v.h.VerifyRef(root) // direct slot reads, as in childOf
+	dev := v.h.Device()
+	count, word := dev.ReadU64(root), dev.ReadU64(root+8)
 	if i >= count {
 		panic(fmt.Sprintf("funcds: vector index %d out of range (len %d)", i, count))
 	}
-	node := tail
+	node := refAddr(uint32(word >> 32)) // the tail
 	if i < tailOffset(count) {
-		node = root
-		for s := shift; s > 0; s = shiftBelow(s) {
+		shift := uint32(word)
+		rootShape(root, count, shift)
+		node = refAddr(dev.ReadU32(root + rootRef(1+int(i>>shift))))
+		for s := shiftBelow(shift); s > 0; s = shiftBelow(s) {
 			node = childOf(v.h, node, int((i>>s)&vecMask))
 		}
 	}
 	v.h.VerifyRef(node) // direct slot read, as in childOf
-	return v.h.Device().ReadU64(node + pmem.Addr((i&leafMask)*8))
+	return dev.ReadU64(node + pmem.Addr((i&leafMask)*8))
 }
 
 // Update returns a new version with element i replaced by val, copying
-// the tail leaf or path-copying one trie node per level — or mutating in
-// place where the edit context owns the nodes.
+// the tail leaf or path-copying one trie node per level, and the root —
+// or mutating in place where the edit context owns the nodes.
 func (v Vector) Update(i uint64, val uint64) Vector {
-	count, shift, root, tail := v.fields()
-	if i >= count {
-		panic(fmt.Sprintf("funcds: vector update index %d out of range (len %d)", i, count))
+	root := v.root()
+	var r vecRoot
+	readRoot(v.h, v.ed, v.ed.Scratch(), root, &r)
+	if i >= r.count {
+		panic(fmt.Sprintf("funcds: vector update index %d out of range (len %d)", i, r.count))
 	}
-	rec := pmem.Nil
-	if v.sel {
-		_, oldRec, _ := readSelExt(v.h, v.addr, vecHdrSize)
-		rec = newRecord(v.h, v.ed, oldRec, RecVecUpdate, i, val)
+	rec := v.record(RecVecUpdate, i, val)
+	ref, shift := 0, uint32(0) // the tail, a leaf
+	if i < tailOffset(r.count) {
+		ref, shift = 1+int(i>>r.shift), shiftBelow(r.shift)
 	}
-	if i >= tailOffset(count) {
-		if v.ed.Owns(tail) {
-			v.h.Device().WriteU64(tail+pmem.Addr((i&leafMask)*8), val)
-			recordEdit(v.ed, tail+pmem.Addr((i&leafMask)*8), 8, v.sel)
-			if v.sel {
-				return Vector{h: v.h, addr: selAppendRecord(v.h, v.ed, v.addr, rec), ed: v.ed, sel: true}
-			}
-			return v
-		}
-		slots := readLeaf(v.h, v.ed, v.ed.Scratch(), tail)
-		slots[i&leafMask] = val
-		newTail := writeLeaf(v.h, v.ed, v.sel, slots)
-		if !v.ed.Owns(v.addr) && root != pmem.Nil {
-			v.h.Retain(root)
-		}
-		return v.setHdr(count, shift, root, newTail, rec, tail)
-	}
-	newRoot := v.assoc(root, shift, i, val)
-	if newRoot == root {
-		if v.sel {
-			return Vector{h: v.h, addr: selAppendRecord(v.h, v.ed, v.addr, rec), ed: v.ed, sel: true}
-		}
-		return v
-	}
-	if !v.ed.Owns(v.addr) {
-		v.h.Retain(tail)
-	}
-	return v.setHdr(count, shift, newRoot, tail, rec, root)
+	next := v.setRootRef(root, &r, ref, v.assoc(r.refs[ref], shift, i, val), r.count)
+	return v.advance(next, root, rec)
 }
 
 func (v Vector) assoc(node pmem.Addr, shift uint32, i uint64, val uint64) pmem.Addr {
@@ -395,109 +460,94 @@ func (v Vector) assoc(node pmem.Addr, shift uint32, i uint64, val uint64) pmem.A
 // full tail is first pushed into the trie, which is the only path-copying
 // case — once per 8 appends.
 func (v Vector) Push(val uint64) Vector {
-	count, shift, root, tail := v.fields()
-	rec := pmem.Nil
-	if v.sel {
-		_, oldRec, _ := readSelExt(v.h, v.addr, vecHdrSize)
-		rec = newRecord(v.h, v.ed, oldRec, RecVecPush, val, 0)
+	root := v.root()
+	var r vecRoot
+	readRoot(v.h, v.ed, v.ed.Scratch(), root, &r)
+	rec := v.record(RecVecPush, val, 0)
+	if r.count == 0 {
+		next := v.setRootRef(root, &r, 0, newVecLeaf(v.h, v.ed, v.sel, []uint64{val}), 1)
+		return v.advance(next, root, rec)
 	}
-	if count == 0 {
-		newTail := newVecLeaf(v.h, v.ed, v.sel, []uint64{val})
-		return v.setHdr(1, 0, pmem.Nil, newTail, rec)
-	}
-	tailLen := count - tailOffset(count)
-	if tailLen < leafWidth {
+	if tailLen := r.count - tailOffset(r.count); tailLen < leafWidth {
+		tail := r.refs[0]
 		if v.ed.Owns(tail) {
-			dev := v.h.Device()
-			dev.WriteU64(tail+pmem.Addr(tailLen*8), val)
+			v.h.Device().WriteU64(tail+pmem.Addr(tailLen*8), val)
 			recordEdit(v.ed, tail+pmem.Addr(tailLen*8), 8, v.sel)
-			if v.ed.Owns(v.addr) {
-				dev.WriteU64(v.addr, count+1)
-				size := 8
-				if v.sel {
-					ckpt, oldRec, recCount := readSelExt(v.h, v.addr, vecHdrSize)
-					writeSelExt(v.h, v.addr, vecHdrSize, ckpt, rec, recCount+1)
-					size = vecHdrSize + selExtSize
-					if oldRec != pmem.Nil {
-						v.h.Release(oldRec)
-					}
-				}
-				recordEdit(v.ed, v.addr, size, false)
-				return v
-			}
-			if root != pmem.Nil {
-				v.h.Retain(root)
-			}
-			v.h.Retain(tail)
-			return v.setHdr(count+1, shift, root, tail, rec)
+		} else {
+			slots := readLeaf(v.h, v.ed, v.ed.Scratch(), tail)
+			slots[tailLen] = val
+			tail = writeLeaf(v.h, v.ed, v.sel, slots)
 		}
-		slots := readLeaf(v.h, v.ed, v.ed.Scratch(), tail)
-		slots[tailLen] = val
-		newTail := writeLeaf(v.h, v.ed, v.sel, slots)
-		if !v.ed.Owns(v.addr) && root != pmem.Nil {
-			v.h.Retain(root)
+		return v.advance(v.setRootRef(root, &r, 0, tail, r.count+1), root, rec)
+	}
+	return v.advance(v.spill(root, &r, val), root, rec)
+}
+
+// spill appends val to the vector whose root, decoded as r, has a full
+// tail: the tail joins the trie and a fresh leaf holding val becomes the
+// tail. The trie takes a reference of its own on the old tail. An
+// edit-owned root whose shift stays and whose block has room for its
+// children is rewritten in place and drops its tail reference; otherwise
+// spill builds a new root, which counts every reference it shares with
+// root — a spill changes two references, more than a borrow records — and
+// leaves root as it was.
+func (v Vector) spill(root pmem.Addr, r *vecRoot, val uint64) pmem.Addr {
+	old := *r
+	to := tailOffset(r.count) // index the full tail's elements start at
+	tail := old.refs[0]
+	v.h.RetainRef(tail)
+	r.count++
+	r.refs[0] = newVecLeaf(v.h, v.ed, v.sel, []uint64{val})
+	fresh := 0 // the child reference spill built, if any
+	switch i := 1 + int(to>>r.shift); {
+	case to == trieCap(r.shift):
+		// The trie is full: grow a level over a node holding the root's
+		// children, which counts a reference on each.
+		var kids [vecWidth]pmem.Addr
+		for j, c := range old.kids() {
+			v.h.RetainRef(c)
+			kids[j] = c
 		}
-		return v.setHdr(count+1, shift, root, newTail, rec, tail)
+		r.refs[1], r.refs[2] = writeNode(v.h, v.ed, v.sel, kids), v.wrapLeaf(r.shift, tail)
+		r.shift = shiftAbove(r.shift)
+		r.k = 2
+		return writeRoot(v.h, v.ed, v.sel, r)
+	case i == 1+r.k:
+		// Whole subtree at i is missing: graft a singleton path.
+		r.refs[i] = v.wrapLeaf(shiftBelow(r.shift), tail)
+		r.k++
+		fresh = i
+	default:
+		if c := v.pushLeaf(r.refs[i], shiftBelow(r.shift), to, tail); c != r.refs[i] {
+			r.refs[i] = c
+			fresh = i
+		}
 	}
 
-	// Tail is full: push it into the trie and start a fresh tail. For an
-	// owned header the tail reference transfers from the tail field into
-	// the trie; otherwise the old header keeps its reference and the trie
-	// becomes a second parent.
-	to := tailOffset(count) // index the full tail's elements start at
-	newTail := newVecLeaf(v.h, v.ed, v.sel, []uint64{val})
-	hdrOwned := v.ed.Owns(v.addr)
-	if !hdrOwned {
-		v.h.Retain(tail)
-	}
-	var newRoot pmem.Addr
-	newShift := shift
-	switch {
-	case root == pmem.Nil:
-		// First fill: the tail leaf becomes the trie.
-		newRoot = tail
-	case to == trieCap(shift):
-		// Trie is full: grow a level. The old root's reference transfers
-		// into the new node for an owned header (whose root field will be
-		// overwritten); otherwise the node gains a reference and the old
-		// header keeps its own.
-		if !hdrOwned {
-			v.h.Retain(root)
-		}
-		newRoot = writeNode(v.h, v.ed, v.sel, [vecWidth]pmem.Addr{root, v.wrapLeaf(shift, tail)})
-		newShift = shiftAbove(shift)
-	default:
-		newRoot = v.pushLeaf(root, shift, to, tail)
-	}
-	if hdrOwned {
+	if v.ed.Owns(root) && int(rootRef(1+r.k)) <= v.h.PayloadSize(root) {
+		v.h.Settle(root)
 		dev := v.h.Device()
-		dev.WriteU64(v.addr, count+1)
-		dev.WriteU32(v.addr+8, newShift)
-		dev.WriteU64(v.addr+16, uint64(newRoot))
-		dev.WriteU64(v.addr+24, uint64(newTail))
-		size := vecHdrSize
-		if v.sel {
-			ckpt, oldRec, recCount := readSelExt(v.h, v.addr, vecHdrSize)
-			writeSelExt(v.h, v.addr, vecHdrSize, ckpt, rec, recCount+1)
-			size += selExtSize
-			if oldRec != pmem.Nil {
-				v.h.Release(oldRec)
-			}
+		dev.WriteU64(root, r.count)
+		dev.WriteU32(root+rootRef(0), ref32(r.refs[0]))
+		if fresh > 0 {
+			dev.WriteU32(root+rootRef(fresh), ref32(r.refs[fresh]))
 		}
-		recordEdit(v.ed, v.addr, size, false)
-		if root != pmem.Nil && newRoot != root && to != trieCap(shift) {
-			// pushLeaf path-copied the root: the header's reference to the
-			// old root is dropped (the grow case transferred it instead).
-			v.h.Release(root)
+		if !v.sel {
+			v.ed.RecordNode(root, int(rootRef(1+r.k))) // a new child widens what the checksum covers
 		}
-		return v
+		v.ed.NoteCopyElided()
+		v.h.Release(tail)
+		if fresh > 0 && fresh <= old.k {
+			v.h.Release(old.refs[fresh])
+		}
+		return root
 	}
-	if root != pmem.Nil && newRoot == root {
-		// In-place pushLeaf deep in the trie left the root pointer
-		// unchanged; the new header is a second parent.
-		v.h.Retain(root)
+	for i, c := range r.refs[1 : 1+r.k] {
+		if 1+i != fresh {
+			v.h.RetainRef(c)
+		}
 	}
-	return v.setHdr(count+1, newShift, newRoot, newTail, rec)
+	return writeRoot(v.h, v.ed, v.sel, r)
 }
 
 // wrapLeaf wraps a leaf in singleton interior nodes so it roots a subtree
@@ -510,9 +560,10 @@ func (v Vector) wrapLeaf(level uint32, leaf pmem.Addr) pmem.Addr {
 	return node
 }
 
-// pushLeaf inserts the full tail leaf at trie index to (a multiple of 8),
+// pushLeaf inserts the full tail leaf at trie index to (a multiple of 8)
+// below node, an interior node at shift > 0 whose subtree is not full,
 // path-copying — or mutating in place where owned — one node per level.
-// The caller guarantees the trie is not full and root is not Nil.
+// The leaf's reference transfers in.
 func (v Vector) pushLeaf(node pmem.Addr, shift uint32, to uint64, leaf pmem.Addr) pmem.Addr {
 	idx := int((to >> shift) & vecMask)
 	if shift == leafBits {
@@ -534,13 +585,13 @@ func (v Vector) pushLeaf(node pmem.Addr, shift uint32, to uint64, leaf pmem.Addr
 // Elements returns the vector contents, reading each leaf once: the trie
 // left to right, then the tail.
 func (v Vector) Elements() []uint64 {
-	count, shift, root, tail := v.fields()
-	out := make([]uint64, 0, count)
-	if count == 0 {
+	var sc alloc.Scratch
+	var r vecRoot
+	readRoot(v.h, v.ed, &sc, v.root(), &r)
+	out := make([]uint64, 0, r.count)
+	if r.count == 0 {
 		return out
 	}
-	var sc alloc.Scratch
-	to := tailOffset(count)
 	var walk func(node pmem.Addr, s uint32)
 	walk = func(node pmem.Addr, s uint32) {
 		if s == 0 {
@@ -555,19 +606,29 @@ func (v Vector) Elements() []uint64 {
 			walk(c, shiftBelow(s))
 		}
 	}
-	if to > 0 {
-		walk(root, shift)
+	for _, c := range r.kids() {
+		walk(c, shiftBelow(r.shift))
 	}
-	last := readLeaf(v.h, v.ed, &sc, tail)
-	return append(out, last[:count-to]...)
+	last := readLeaf(v.h, v.ed, &sc, r.refs[0])
+	return append(out, last[:r.count-tailOffset(r.count)]...)
 }
 
-func walkVecHdr(h *alloc.Heap, a pmem.Addr, _ *alloc.Scratch, visit func(pmem.Addr)) {
-	if root := pmem.Addr(h.Device().ReadU64(a + 16)); root != pmem.Nil {
-		visit(root)
+// walkVecRoot visits a root's children and tail. Recovery's mark pass
+// walks a root before verification checks it, so the walk reads no
+// child slot past what the block's checksum covers: a damaged count or
+// shift must leave the root for verification to report, not send the
+// walk into the block behind it.
+func walkVecRoot(h *alloc.Heap, a pmem.Addr, sc *alloc.Scratch, visit func(pmem.Addr)) {
+	k := min((h.Extent(a, sc)-int(rootRef(1)))/refSize, vecWidth)
+	pre := h.ReadCached(a, int(rootRef(1)), nil, sc)
+	if count, shift := binary.LittleEndian.Uint64(pre), binary.LittleEndian.Uint32(pre[8:]); validShift(shift) {
+		k = min(k, rootKids(count, shift))
 	}
-	if tail := pmem.Addr(h.Device().ReadU64(a + 24)); tail != pmem.Nil {
-		visit(tail)
+	refs := h.ReadCached(a, int(rootRef(1+max(k, 0))), nil, sc)
+	for i := 0; i <= k; i++ {
+		if c := getRef(refs[rootRef(i):]); c != pmem.Nil {
+			visit(c)
+		}
 	}
 }
 

@@ -188,7 +188,8 @@ func TestVectorQuickAgainstModel(t *testing.T) {
 // version, its predecessor released behind a fence), edit-bound (the
 // operations of a FASE share an edit context, so after the first one the
 // header, the tail and the copied spine are written in place) and
-// selective (edit-bound, volatile trie plus record chain).
+// selective (edit-bound, volatile trie plus record chain). An edit-bound
+// root is rebuilt only when its shape leaves its block.
 type vecRun struct {
 	t     *testing.T
 	h     *alloc.Heap
@@ -216,9 +217,20 @@ func (r *vecRun) fase(ops ...func(Vector) Vector) {
 	ed := r.h.BeginEdit()
 	v := r.v.WithEdit(ed)
 	for _, op := range ops {
+		// An edit-owned root is rebuilt only when its shape leaves its
+		// block: a new level, or a child past the block's room.
+		root := v.root()
+		owned, room, shift := ed.Owns(root), (r.h.PayloadSize(root)-int(rootRef(1)))/refSize, r.h.Device().ReadU32(root+8)
 		next := op(v)
-		if v.Addr() != base && next.Addr() != v.Addr() {
+		if v.sel && v.Addr() != base && next.Addr() != v.Addr() {
 			r.t.Fatalf("len %d: an edit-owned header was copied (%#x -> %#x), not written in place", len(r.model), uint64(v.Addr()), uint64(next.Addr()))
+		}
+		if nr := next.root(); owned && nr != root {
+			var n vecRoot
+			readRoot(r.h, ed, nil, nr, &n)
+			if n.shift == shift && n.k <= room {
+				r.t.Fatalf("len %d: an edit-owned root was copied (%#x -> %#x) though its %d children fit its room for %d", len(r.model), uint64(root), uint64(nr), n.k, room)
+			}
 		}
 		v = next
 	}

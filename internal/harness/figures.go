@@ -128,7 +128,7 @@ func fig9(scale Scale) (*Table, []workloads.Row, error) {
 			"and slows vector/vec-swap down (tree vs flat array). Here a vector leaf is one cache line " +
 			"(8 elements, not the evaluated tree's 32): MOD still flushes more lines than PMDK on both vector rows " +
 			"under a third of the fences, and which way the time goes depends on the trie's depth " +
-			"(MOD wins them at small scale, not at default or full; DESIGN.md §2).",
+			"(MOD wins them at small and default scale, not at full; DESIGN.md §2).",
 		Header: []string{"workload", "engine", "sim-ms", "norm", "other", "flush", "log", "flushes", "fences"},
 	}
 	var rows []workloads.Row
