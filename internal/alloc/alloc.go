@@ -106,11 +106,15 @@ const (
 	// 16: a plain vector's version is its root, [count][shift][tail ref]
 	// then one reference per child, in place of a [count][shift][root]
 	// [tail] header block over a 32-slot root node, and a selective
-	// vector's header names that root (package funcds).
+	// vector's header names that root (package funcds); 17: a vector's
+	// interior nodes are 28-way, 28 references in a two-line block where
+	// v16 had 32 in three, and its root's second word is the trie's
+	// height where v16 stored the bit shift of the root's index digit
+	// (package funcds).
 	// Every bump so far moved or re-encoded something a recovery depends
 	// on, or changed what a recovery decides, so no older image is
 	// readable.
-	version = 16
+	version = 17
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word
@@ -123,10 +127,11 @@ const (
 
 // strides are the size classes (full block size including header). 80 is
 // the vector leaf's: 16 + 64 bytes, the most-allocated block of a vector
-// path copy. 192 = 3 lines stays the class of a full trie node (16 + 128
-// or 136): a block of a whole-line stride is carved on a line boundary
-// (placeAt), so it spans exactly stride/64 lines, where a 160-byte block
-// would straddle one line more than it fills.
+// path copy. 128 = 2 lines is a vector interior node's (16 + 28 × 4); 192
+// = 3 lines stays the class of a full map node (16 + 136): a block of a
+// whole-line stride is carved on a line boundary (placeAt), so it spans
+// exactly stride/64 lines, where a 160-byte block would straddle one line
+// more than it fills.
 var strides = []uint32{24, 32, 48, 64, 80, 96, 128, 192, 256, 384, 512, 768, 1024, 2048, 4096}
 
 // fillerMin is the smallest free block: a header and one payload word.

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/mod-ds/mod/internal/pmem"
 )
@@ -210,11 +211,30 @@ func (h *Heap) Root(slot int) pmem.Addr {
 // be serialized by the caller (package core holds the root's commit
 // mutex, CasRoot included).
 func (h *Heap) SetRoot(slot int, v pmem.Addr) {
-	w := nextCellWord(h.cellWordOf(slot), v)
-	cell := h.RootCellAddr(slot)
-	h.dev.WriteU64(cell, w)
-	h.dev.Clwb(cell)
-	h.published(slot, w)
+	h.SetRoots([]StagedRoot{{Slot: slot, Final: v}})
+}
+
+// The root table ends inside the heap's first 64 lines, so a bitmask of
+// line indices names every line it spans.
+var _ [64*pmem.LineSize - (offRoots + RootSlots*rootEntrySize)]struct{}
+
+// SetRoots is SetRoot for every root of one publication, each pointed at
+// its Final: it writes every cell, then flushes each root-table line it
+// wrote once — four roots' cells share a line — so a publication pays one
+// flush per line it touches, not one per root.
+func (h *Heap) SetRoots(ms []StagedRoot) {
+	var lines uint64 // the root-table lines written, by line index
+	for _, m := range ms {
+		cell := h.RootCellAddr(m.Slot)
+		h.dev.WriteU64(cell, nextCellWord(h.cellWordOf(m.Slot), m.Final))
+		lines |= 1 << (cell >> pmem.LineShift)
+	}
+	for ; lines != 0; lines &= lines - 1 {
+		h.dev.Clwb(pmem.Addr(bits.TrailingZeros64(lines)) << pmem.LineShift)
+	}
+	for _, m := range ms {
+		h.published(m.Slot, nextCellWord(h.cellWordOf(m.Slot), m.Final))
+	}
 }
 
 // CasRoot atomically points the slot at v only if it still holds old,
@@ -300,8 +320,8 @@ func (h *Heap) NewGroup(r int) uint64 {
 // stage — and a member whose fresh blocks all carry checksums also
 // carries their digest: an order-independent fold of their addresses and
 // stored checksums, which recovery recomputes from the blocks it finds.
-// The caller then fences and publishes each Final with SetRoot, which
-// must be that root's next cell write, and reports the writes with
+// The caller then fences and publishes the Finals with SetRoots, whose
+// write must be each root's next cell write, and reports the writes with
 // GroupSwapped.
 //
 // It reports whether every member carries a digest: only then can

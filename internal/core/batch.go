@@ -280,9 +280,10 @@ type preparedBatch struct {
 	// caller fences once more after the swaps (DESIGN.md §7, §9).
 	fenceAfter bool
 
-	// The changed roots publish stages as one group.
-	group []alloc.StagedRoot
-	buf   [4]alloc.StagedRoot // a group of up to four roots allocates nothing
+	// The changed roots publish swaps, those it stages as one group
+	// first: group is their prefix.
+	swaps, group []alloc.StagedRoot
+	buf          [4]alloc.StagedRoot // up to four changed roots allocate nothing
 }
 
 // prepareBatch locks every root the ops touch (ascending slot order, so
@@ -380,16 +381,23 @@ func publish(ps []*preparedBatch) {
 				p.changed[i].fresh = nil
 			}
 		}
-		p.group = p.buf[:0]
+		// Every changed root swaps; the group's members come first.
+		p.swaps = p.buf[:0]
+		for _, c := range p.changed {
+			if p.alone&(1<<c.slot) == 0 {
+				p.swaps = append(p.swaps, alloc.StagedRoot{Slot: c.slot, Final: c.final, Fresh: c.fresh})
+			}
+		}
+		p.group = p.swaps
 		var undigested uint64 // roots staged without a digest, or not staged
 		s.commitBegin()
 		for _, c := range p.changed {
-			m := alloc.StagedRoot{Slot: c.slot, Final: c.final, Fresh: c.fresh}
-			switch {
-			case p.alone&(1<<c.slot) == 0:
-				p.group = append(p.group, m)
-			case !s.heap.StageGroup([]alloc.StagedRoot{m}, 0):
-				undigested |= 1 << c.slot
+			if p.alone&(1<<c.slot) != 0 {
+				m := alloc.StagedRoot{Slot: c.slot, Final: c.final, Fresh: c.fresh}
+				if !s.heap.StageGroup([]alloc.StagedRoot{m}, 0) {
+					undigested |= 1 << c.slot
+				}
+				p.swaps = append(p.swaps, m)
 			}
 		}
 		if !s.heap.StageGroup(p.group, g) {
@@ -409,9 +417,7 @@ func publish(ps []*preparedBatch) {
 		p.s.heap.Fence()
 	}
 	for _, p := range ps {
-		for _, c := range p.changed {
-			p.s.heap.SetRoot(c.slot, c.final)
-		}
+		p.s.heap.SetRoots(p.swaps)
 		p.s.heap.GroupSwapped(p.group)
 		p.s.commitEnd()
 	}

@@ -470,6 +470,66 @@ func TestCommitUnrelatedFenceBudget(t *testing.T) {
 	}
 }
 
+// TestMultiRootPublicationFlushesRootLineOnce: the cells of roots in
+// slots 0–2 share one root-table line, and a publication of all three —
+// CommitUnrelated or Batch.Commit — writes the three cells and then
+// flushes that line once (alloc.Heap.SetRoots), where a flush per cell
+// paid three. The commits still read back whole.
+func TestMultiRootPublicationFlushesRootLineOnce(t *testing.T) {
+	cfg := pmem.DefaultConfig(64 << 20)
+	dev := pmem.New(cfg)
+	s := newStore(dev)
+	vecs := make([]*Vector, 3)
+	line := uint64(0)
+	for i := range vecs {
+		name := fmt.Sprintf("v%d", i)
+		vecs[i], _ = s.Vector(name)
+		vecs[i].Push(uint64(i))
+		slot, _ := s.heap.RootSlot(name)
+		if ln := uint64(s.heap.RootCellAddr(slot)) >> pmem.LineShift; i == 0 {
+			line = ln
+		} else if ln != line {
+			t.Fatalf("root %s's cell is on line %d, root v0's on %d", name, ln, line)
+		}
+	}
+	s.Sync()
+	flushes := func(commit func()) int {
+		n := 0
+		dev.SetTracer(&crashProbe{onFlush: func(ln uint64) {
+			if ln == line {
+				n++
+			}
+		}})
+		commit()
+		dev.SetTracer(nil)
+		return n
+	}
+	unrelated := flushes(func() {
+		updates := make([]Update, len(vecs))
+		for i, v := range vecs {
+			updates[i] = Update{DS: v, Shadows: []Version{v.PureUpdate(0, 100)}}
+		}
+		if err := s.CommitUnrelated(updates...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	batch := flushes(func() {
+		b := s.NewBatch()
+		for _, v := range vecs {
+			b.VectorUpdate(v, 0, 200)
+		}
+		b.Commit()
+	})
+	if unrelated != 1 || batch != 1 {
+		t.Errorf("root-table line flushed %d times by a 3-root CommitUnrelated and %d by a 3-root Batch.Commit, want once each", unrelated, batch)
+	}
+	for i, v := range vecs {
+		if got := v.Get(0); got != 200 {
+			t.Errorf("v%d[0] = %d after both commits, want 200", i, got)
+		}
+	}
+}
+
 // TestCommitUnrelatedRejectsMisuse: an update list no commit could honour
 // panics with a worded message before any lock is taken or fence issued,
 // as CommitSiblings does, and leaves the store usable.

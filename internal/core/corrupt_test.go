@@ -7,6 +7,7 @@ import (
 	"maps"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/mod-ds/mod/internal/alloc"
 	"github.com/mod-ds/mod/internal/funcds"
@@ -164,10 +165,11 @@ func TestOpenVerifyRefusesFlippedMapCount(t *testing.T) {
 }
 
 // TestOpenVerifyRefusesFlippedVectorCount: since heap layout v16 a
-// vector's count, shift and tail reference are the first words of its
-// root, not of a header block, and they stay under the root's checksum as
-// the map's count does: one flipped bit in the count or the shift
-// quarantines the root under WithVerify, and its binds answer
+// vector's count, height (a bit shift before v17) and tail reference are
+// the first words of its root, not of a header block, and they stay under
+// the root's checksum as the map's count does: one flipped bit in the
+// count or the height — to a height no root has, to one two levels up,
+// or to zero — quarantines the root under WithVerify, and its binds answer
 // ErrCorrupted — recovery's walk reads no child slot past what the
 // checksum covers, whatever the count says. A flipped reference, the
 // tail's or a child's, may instead name no block at all, which fails the
@@ -196,8 +198,8 @@ func TestOpenVerifyRefusesFlippedVectorCount(t *testing.T) {
 		ref  bool
 	}{
 		{"count word", root, 0x02, false}, {"count word, up a leaf", root, 0x08, false},
-		{"count word, top byte", root + 7, 0x80, false}, {"shift", root + 8, 0x20, false},
-		{"shift, another level", root + 8, 0x08, false},
+		{"count word, top byte", root + 7, 0x80, false}, {"height", root + 8, 0x20, false},
+		{"height, two levels up", root + 8, 0x02, false}, {"height, zero", root + 8, 0x01, false},
 		{"tail reference", root + 12, 0x01, true}, {"tail reference, high bit", root + 15, 0x80, true},
 		{"child reference", root + 16, 0x01, true},
 	} {
@@ -569,4 +571,64 @@ func flipReadBack(s *Store, r matrixStructure, want []string) (err error) {
 		return fmt.Errorf("reads back another state (%d entries of %d)", len(got), len(want))
 	}
 	return nil
+}
+
+// TestOutOfRangeAccessLeavesDeviceUsable: an access outside the arena
+// panics, and a caller that recovers the panic finds the device as it
+// was — its mutex free, so the next fence and the store's Close return —
+// for every access that checks its range.
+func TestOutOfRangeAccessLeavesDeviceUsable(t *testing.T) {
+	db, _, err := Open(pmem.DefaultConfig(1 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := db.Vector("v")
+	v.Push(1)
+	dev := db.Store().dev.(*pmem.Device)
+	past := pmem.Addr(1 << 20)
+	for _, access := range []struct {
+		name string
+		do   func()
+	}{
+		{"ReadU64", func() { dev.ReadU64(past) }},
+		{"WriteU64", func() { dev.WriteU64(past, 1) }},
+		{"ReadU32", func() { dev.ReadU32(past) }},
+		{"WriteU32", func() { dev.WriteU32(past, 1) }},
+		{"Read", func() { dev.Read(past-4, make([]byte, 8)) }},
+		{"Write", func() { dev.Write(past-4, make([]byte, 8)) }},
+		{"Zero", func() { dev.Zero(past, 8) }},
+		{"CasAddr", func() { dev.CasAddr(past, 0, 8) }},
+		{"Clwb", func() { dev.Clwb(past) }},
+		{"FlushRange", func() { dev.FlushRange(past-8, 16) }},
+		{"ReadDRAM", func() { dev.ReadDRAM(past, 8) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s past the arena did not panic", access.name)
+				}
+			}()
+			access.do()
+		}()
+		fenced := make(chan struct{})
+		go func() {
+			dev.Sfence()
+			close(fenced)
+		}()
+		select {
+		case <-fenced:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Sfence after a recovered out-of-range %s did not return: the device mutex is held", access.name)
+		}
+	}
+	closed := make(chan error)
+	go func() { closed <- db.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close after recovered out-of-range accesses did not return")
+	}
 }

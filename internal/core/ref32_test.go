@@ -89,6 +89,14 @@ func TestOpenRejectsV15Heap(t *testing.T) {
 	openStampedHeap(t, 15)
 }
 
+// TestOpenRejectsV16Heap: and the layout before this one, whose vector
+// interior nodes are 32-way and whose roots store the bit shift of their
+// index digit, where this build reads 28-way nodes under a root that
+// stores its height.
+func TestOpenRejectsV16Heap(t *testing.T) {
+	openStampedHeap(t, 16)
+}
+
 func openStampedHeap(t *testing.T, version uint64) {
 	cfg := pmem.DefaultConfig(1 << 20)
 	db, _, err := Open(cfg)
@@ -259,7 +267,7 @@ func TestWildReferenceIsCorruptionNotPanic(t *testing.T) {
 				lookups()
 
 				// The vector's descents and root copy, same reference in
-				// the root's first child slot, behind count, shift and tail.
+				// the root's first child slot, behind count, height and tail.
 				rs, err := s.heap.RootSlot("vx")
 				if err != nil {
 					t.Fatal(err)
@@ -267,8 +275,11 @@ func TestWildReferenceIsCorruptionNotPanic(t *testing.T) {
 				vroot := s.heap.Root(rs)
 				plant(vroot+16, vroot)
 				// Child 0 of the root spans the elements below its index
-				// digit: the root's shift field says how many.
-				span := uint64(1) << s.dev.ReadU32(vroot+8)
+				// digit: 8·28^(height−1), the root's height field says.
+				span := uint64(8)
+				for h := s.dev.ReadU32(vroot + 8); h > 1; h-- {
+					span *= 28
+				}
 				for _, i := range []uint64{0, span - 1, span, vecLen - 100} {
 					under := i < span
 					if got := raisesCorruption(func() {

@@ -9,17 +9,21 @@ import (
 )
 
 // Vector is a purely functional vector of 8-byte elements implemented as a
-// bit-partitioned trie with a Clojure-style tail buffer, the "broad but not
+// radix-balanced trie with a Clojure-style tail buffer, the "broad but not
 // deep" tree of §4.2 that avoids the bubbling-up-of-writes problem of
 // conventional shadow paging. (The paper uses RRB trees; none of the
 // evaluated operations — push_back, update, swap — need RRB's relaxed
 // concatenation nodes, so this is the classic radix-balanced structure.
 // See DESIGN.md §2.)
 //
-// Interior nodes are 32-way; leaves hold 8 elements, one cache line of
-// payload (heap layout v7). The two widths answer different costs: fan-out
-// sets the depth a Get descends and the number of blocks an update copies,
-// leaf width sets how many bytes are rewritten to change 8 of them.
+// Interior nodes are 28-way (heap layout v17); leaves hold 8 elements, one
+// cache line of payload (heap layout v7). The two widths answer different
+// costs: fan-out sets the depth a Get descends and the number of blocks an
+// update copies, leaf width sets how many bytes are rewritten to change 8
+// of them. 28 references and the 16-byte block header are exactly the
+// line-aligned 128-byte class, two lines, where 32 took three lines of a
+// 192-byte block for 16 bytes more; up to 100,000 elements the depth is
+// the same (DESIGN.md §2, "Vector geometry").
 //
 // The tail buffer holds the last 1–8 elements outside the trie, so an
 // append copies one leaf and the root instead of path-copying the whole
@@ -30,16 +34,16 @@ import (
 //
 // A plain vector's version is its root (heap layout v16): root cells,
 // parent fields, snapshots and stage-slot digests name it. The root
-// carries the count, the shift and the tail reference ahead of one
+// carries the count, the height and the tail reference ahead of one
 // reference per child it has — the trie is packed to the left, so that
-// number follows from count and shift (rootKids) and is not stored. A
+// number follows from count and height (rootKids) and is not stored. A
 // selective vector's version is its header (record.go), whose first word
 // names its root.
 //
 // An update path-copies the nodes between root and leaf (or just the tail
-// leaf) and the root: at 100,000 elements one 64-byte leaf, two 128-byte
-// interior nodes and a 68-byte root of 13 children in the 96-byte class —
-// about 10 lines, each whole-line block starting on a line (DESIGN.md §2,
+// leaf) and the root: at 100,000 elements one 64-byte leaf, two 112-byte
+// interior nodes and an 80-byte root of 16 children in the 96-byte class —
+// about 8 lines, each whole-line block starting on a line (DESIGN.md §2,
 // "Size classes") — where PMDK's flat array logs and writes one element,
 // so MOD still flushes more than PMDK on Fig. 9's vector workloads, under
 // a third of the fences. Which of the two decides the time depends on
@@ -50,13 +54,16 @@ import (
 //
 // Layout (ref = 4-byte node reference, funcds.go):
 //
-//	root (TagVecRoot): [count u64][shift u32][tail ref u32] k × [child ref]
-//	node (TagVecNode): 32 × [child ref]
+//	root (TagVecRoot): [count u64][height u32][tail ref u32] k × [child ref]
+//	node (TagVecNode): 28 × [child ref]
 //	leaf (TagVecLeaf): 8 × [value u64]
 //
-// shift is the bit position of the index digit that selects among the
-// root's children: leafBits when its children are leaves, and vecBits more
-// for every level above that (shiftAbove and shiftBelow step it).
+// height counts the root's levels above the leaves: 1 when its children
+// are leaves. A subtree of height h holds vecSpan[h] = 8·28^h elements, so
+// the index digit that selects among a height-h node's children is a
+// quotient by vecSpan[h-1], not a shift: indexPath computes an index's digits
+// bottom-up by the constant radix, which the compiler turns into
+// multiplications.
 //
 // Invariants: elements [0, tailOffset) live in the trie (all leaves
 // full), elements [tailOffset, count) in the tail leaf; count > 0 implies
@@ -70,40 +77,47 @@ type Vector struct {
 }
 
 const (
-	vecBits     = 5
-	vecWidth    = 1 << vecBits // 32 children per interior node
-	vecMask     = vecWidth - 1
+	vecWidth    = 28 // children per interior node
 	leafBits    = 3
 	leafWidth   = 1 << leafBits // 8 elements per leaf
 	leafMask    = leafWidth - 1
 	vecNodeSize = vecWidth * refSize
 	vecLeafSize = leafWidth * 8
-	// vecRootPrefix is the [count][shift] ahead of a root's references.
+	// vecRootPrefix is the [count][height] ahead of a root's references.
 	vecRootPrefix = 12
-	// maxShift is the largest root shift whose trie capacity a count word
-	// can express.
-	maxShift = leafBits + 11*vecBits
+	// maxHeight is the tallest root whose trie capacity a count word can
+	// express.
+	maxHeight = 12
 )
 
-// shiftAbove returns the shift of the level above one at shift s.
-func shiftAbove(s uint32) uint32 {
-	if s == 0 {
-		return leafBits
+// vecSpan[h] is how many elements a full subtree of height h holds — a
+// leaf's 8 at height 0, vecWidth times its children's above — and so the
+// capacity of a trie whose root has height h.
+var vecSpan = func() (s [maxHeight + 1]uint64) {
+	s[0] = leafWidth
+	for h := 1; h <= maxHeight; h++ {
+		s[h] = s[h-1] * vecWidth
 	}
-	return s + vecBits
-}
+	return s
+}()
 
-// shiftBelow returns the shift of the children of an interior node at
-// shift s (s > 0).
-func shiftBelow(s uint32) uint32 {
-	if s == leafBits {
-		return 0
+// vecPath is an index's path through a trie: p[h] is the slot it descends
+// through in the node of height h on its way, p at the root's height the
+// root's child.
+type vecPath [maxHeight + 1]int
+
+// indexPath returns index i's path below a root of the given height. Every
+// division is by the constant radix, which the compiler turns into a
+// multiplication, so no hardware divide is on the read path.
+func indexPath(i uint64, height uint32) (p vecPath) {
+	q := i >> leafBits
+	for h := uint32(1); h < height; h++ {
+		p[h] = int(q % vecWidth)
+		q /= vecWidth
 	}
-	return s - vecBits
+	p[height] = int(q)
+	return p
 }
-
-// trieCap returns how many elements a full trie rooted at shift s holds.
-func trieCap(s uint32) uint64 { return 1 << shiftAbove(s) }
 
 // tailOffset returns the index of the first tail element: the largest
 // multiple of leafWidth strictly below count (0 when count <= leafWidth).
@@ -114,10 +128,15 @@ func tailOffset(count uint64) uint64 {
 	return (count - 1) &^ leafMask
 }
 
-// rootKids returns how many children a root at shift holds for count
-// elements: one per 1<<shift trie elements, the last possibly partial.
-func rootKids(count uint64, shift uint32) int {
-	return int((tailOffset(count) + 1<<shift - 1) >> shift)
+// rootKids returns how many children a root of height holds for count
+// elements: one per vecSpan[height-1] trie elements, the last possibly
+// partial — a ceiling quotient taken a level at a time by the radix.
+func rootKids(count uint64, height uint32) int {
+	q := tailOffset(count) >> leafBits // full leaves
+	for h := uint32(1); h < height; h++ {
+		q = (q + vecWidth - 1) / vecWidth
+	}
+	return int(q)
 }
 
 // rootRef is the offset of a root's reference i: the tail's is 0, child
@@ -128,38 +147,36 @@ func rootRef(i int) pmem.Addr { return vecRootPrefix + pmem.Addr(i*refSize) }
 // reader's frame, like mapNode. refs[0] is the tail, refs[1:1+k] the
 // children.
 type vecRoot struct {
-	count uint64
-	shift uint32
-	k     int // children
-	refs  [1 + vecWidth]pmem.Addr
+	count  uint64
+	height uint32
+	k      int // children
+	refs   [1 + vecWidth]pmem.Addr
 }
 
 func (r *vecRoot) kids() []pmem.Addr { return r.refs[1 : 1+r.k] }
 
 // rootShape returns the child count of a root at a with the given count
-// and shift. A shift no root can have, or a trie past its capacity, is
+// and height. A height no root can have, or a trie past its capacity, is
 // damage to the root: the typed corruption panic, before a reader
 // follows a child slot past the block.
-func rootShape(a pmem.Addr, count uint64, shift uint32) int {
-	if !validShift(shift) || tailOffset(count) > trieCap(shift) {
-		panic(&alloc.CorruptionPanic{Block: alloc.BlockError{Addr: a, Tag: TagVecRoot, Reason: fmt.Sprintf("vector root shape out of range (count %d, shift %d)", count, shift)}})
+func rootShape(a pmem.Addr, count uint64, height uint32) int {
+	if !validHeight(height) || tailOffset(count) > vecSpan[height] {
+		panic(&alloc.CorruptionPanic{Block: alloc.BlockError{Addr: a, Tag: TagVecRoot, Reason: fmt.Sprintf("vector root shape out of range (count %d, height %d)", count, height)}})
 	}
-	return rootKids(count, shift)
+	return rootKids(count, height)
 }
 
-// validShift reports whether a root can have shift.
-func validShift(shift uint32) bool {
-	return shift >= leafBits && shift <= maxShift && (shift-leafBits)%vecBits == 0
-}
+// validHeight reports whether a root can have height.
+func validHeight(height uint32) bool { return height >= 1 && height <= maxHeight }
 
 // readRoot loads the root at a into r with bulk accesses, served from the
 // DRAM node cache when it is enabled (edit-owned roots bypass it).
 func readRoot(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr, r *vecRoot) {
 	pre := h.ReadCached(a, int(rootRef(1)), ed, sc)
 	r.count = binary.LittleEndian.Uint64(pre)
-	r.shift = binary.LittleEndian.Uint32(pre[8:])
+	r.height = binary.LittleEndian.Uint32(pre[8:])
 	r.refs[0] = getRef(pre[rootRef(0):])
-	r.k = rootShape(a, r.count, r.shift)
+	r.k = rootShape(a, r.count, r.height)
 	if r.k == 0 {
 		return
 	}
@@ -177,7 +194,7 @@ func writeRoot(h *alloc.Heap, ed *alloc.Edit, vol bool, r *vecRoot) pmem.Addr {
 	a := nodeAlloc(h, ed, size, TagVecRoot, vol)
 	buf := ed.Scratch().Bytes(size)
 	binary.LittleEndian.PutUint64(buf, r.count)
-	binary.LittleEndian.PutUint32(buf[8:], r.shift)
+	binary.LittleEndian.PutUint32(buf[8:], r.height)
 	for i, c := range r.refs[:1+r.k] {
 		binary.LittleEndian.PutUint32(buf[rootRef(i):], ref32(c))
 	}
@@ -189,7 +206,7 @@ func writeRoot(h *alloc.Heap, ed *alloc.Edit, vol bool, r *vecRoot) pmem.Addr {
 // NewVector allocates an empty durable vector, a root with no tail and no
 // children (flushed, not fenced).
 func NewVector(h *alloc.Heap) Vector {
-	return Vector{h: h, addr: writeRoot(h, nil, false, &vecRoot{shift: leafBits})}
+	return Vector{h: h, addr: writeRoot(h, nil, false, &vecRoot{height: 1})}
 }
 
 // NewVectorSelective allocates an empty selectively persisted vector:
@@ -302,7 +319,7 @@ func newVecLeaf(h *alloc.Heap, ed *alloc.Edit, vol bool, vals []uint64) pmem.Add
 	return writeLeaf(h, ed, vol, slots)
 }
 
-// readNode decodes the 32 child references of the interior node at a with
+// readNode decodes the 28 child references of the interior node at a with
 // one bulk access, served from the DRAM node cache when enabled (edit-owned
 // nodes bypass).
 func readNode(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr) [vecWidth]pmem.Addr {
@@ -405,11 +422,12 @@ func (v Vector) Get(i uint64) uint64 {
 	}
 	node := refAddr(uint32(word >> 32)) // the tail
 	if i < tailOffset(count) {
-		shift := uint32(word)
-		rootShape(root, count, shift)
-		node = refAddr(dev.ReadU32(root + rootRef(1+int(i>>shift))))
-		for s := shiftBelow(shift); s > 0; s = shiftBelow(s) {
-			node = childOf(v.h, node, int((i>>s)&vecMask))
+		height := uint32(word)
+		rootShape(root, count, height)
+		p := indexPath(i, height)
+		node = refAddr(dev.ReadU32(root + rootRef(1+p[height])))
+		for h := height - 1; h > 0; h-- {
+			node = childOf(v.h, node, p[h])
 		}
 	}
 	v.h.VerifyRef(node) // direct slot read, as in childOf
@@ -427,16 +445,20 @@ func (v Vector) Update(i uint64, val uint64) Vector {
 		panic(fmt.Sprintf("funcds: vector update index %d out of range (len %d)", i, r.count))
 	}
 	rec := v.record(RecVecUpdate, i, val)
-	ref, shift := 0, uint32(0) // the tail, a leaf
+	ref, height := 0, uint32(0) // the tail, a leaf
+	var p vecPath
 	if i < tailOffset(r.count) {
-		ref, shift = 1+int(i>>r.shift), shiftBelow(r.shift)
+		p = indexPath(i, r.height)
+		ref, height = 1+p[r.height], r.height-1
 	}
-	next := v.setRootRef(root, &r, ref, v.assoc(r.refs[ref], shift, i, val), r.count)
+	next := v.setRootRef(root, &r, ref, v.assoc(r.refs[ref], height, &p, i, val), r.count)
 	return v.advance(next, root, rec)
 }
 
-func (v Vector) assoc(node pmem.Addr, shift uint32, i uint64, val uint64) pmem.Addr {
-	if shift == 0 {
+// assoc sets element i, whose path is p, below node, a subtree of the
+// given height.
+func (v Vector) assoc(node pmem.Addr, height uint32, p *vecPath, i uint64, val uint64) pmem.Addr {
+	if height == 0 {
 		if v.ed.Owns(node) {
 			v.h.Device().WriteU64(node+pmem.Addr((i&leafMask)*8), val)
 			recordEdit(v.ed, node+pmem.Addr((i&leafMask)*8), 8, v.sel)
@@ -446,9 +468,9 @@ func (v Vector) assoc(node pmem.Addr, shift uint32, i uint64, val uint64) pmem.A
 		slots[i&leafMask] = val
 		return writeLeaf(v.h, v.ed, v.sel, slots)
 	}
-	idx := int((i >> shift) & vecMask)
+	idx := p[height]
 	child := childOf(v.h, node, idx)
-	newChild := v.assoc(child, shiftBelow(shift), i, val)
+	newChild := v.assoc(child, height-1, p, i, val)
 	if newChild == child {
 		return node
 	}
@@ -486,7 +508,7 @@ func (v Vector) Push(val uint64) Vector {
 // spill appends val to the vector whose root, decoded as r, has a full
 // tail: the tail joins the trie and a fresh leaf holding val becomes the
 // tail. The trie takes a reference of its own on the old tail. An
-// edit-owned root whose shift stays and whose block has room for its
+// edit-owned root whose height stays and whose block has room for its
 // children is rewritten in place and drops its tail reference; otherwise
 // spill builds a new root, which counts every reference it shares with
 // root — a spill changes two references, more than a borrow records — and
@@ -499,8 +521,9 @@ func (v Vector) spill(root pmem.Addr, r *vecRoot, val uint64) pmem.Addr {
 	r.count++
 	r.refs[0] = newVecLeaf(v.h, v.ed, v.sel, []uint64{val})
 	fresh := 0 // the child reference spill built, if any
-	switch i := 1 + int(to>>r.shift); {
-	case to == trieCap(r.shift):
+	p := indexPath(to, r.height)
+	switch i := 1 + p[r.height]; {
+	case to == vecSpan[r.height]:
 		// The trie is full: grow a level over a node holding the root's
 		// children, which counts a reference on each.
 		var kids [vecWidth]pmem.Addr
@@ -508,17 +531,17 @@ func (v Vector) spill(root pmem.Addr, r *vecRoot, val uint64) pmem.Addr {
 			v.h.RetainRef(c)
 			kids[j] = c
 		}
-		r.refs[1], r.refs[2] = writeNode(v.h, v.ed, v.sel, kids), v.wrapLeaf(r.shift, tail)
-		r.shift = shiftAbove(r.shift)
+		r.refs[1], r.refs[2] = writeNode(v.h, v.ed, v.sel, kids), v.wrapLeaf(r.height, tail)
+		r.height++
 		r.k = 2
 		return writeRoot(v.h, v.ed, v.sel, r)
 	case i == 1+r.k:
 		// Whole subtree at i is missing: graft a singleton path.
-		r.refs[i] = v.wrapLeaf(shiftBelow(r.shift), tail)
+		r.refs[i] = v.wrapLeaf(r.height-1, tail)
 		r.k++
 		fresh = i
 	default:
-		if c := v.pushLeaf(r.refs[i], shiftBelow(r.shift), to, tail); c != r.refs[i] {
+		if c := v.pushLeaf(r.refs[i], r.height-1, &p, to, tail); c != r.refs[i] {
 			r.refs[i] = c
 			fresh = i
 		}
@@ -551,31 +574,31 @@ func (v Vector) spill(root pmem.Addr, r *vecRoot, val uint64) pmem.Addr {
 }
 
 // wrapLeaf wraps a leaf in singleton interior nodes so it roots a subtree
-// at the given level (0 returns the leaf itself).
-func (v Vector) wrapLeaf(level uint32, leaf pmem.Addr) pmem.Addr {
+// of the given height (0 returns the leaf itself).
+func (v Vector) wrapLeaf(height uint32, leaf pmem.Addr) pmem.Addr {
 	node := leaf
-	for s := uint32(0); s < level; s = shiftAbove(s) {
+	for ; height > 0; height-- {
 		node = writeNode(v.h, v.ed, v.sel, [vecWidth]pmem.Addr{node})
 	}
 	return node
 }
 
-// pushLeaf inserts the full tail leaf at trie index to (a multiple of 8)
-// below node, an interior node at shift > 0 whose subtree is not full,
-// path-copying — or mutating in place where owned — one node per level.
-// The leaf's reference transfers in.
-func (v Vector) pushLeaf(node pmem.Addr, shift uint32, to uint64, leaf pmem.Addr) pmem.Addr {
-	idx := int((to >> shift) & vecMask)
-	if shift == leafBits {
+// pushLeaf inserts the full tail leaf at trie index to (a multiple of 8),
+// whose path is p, below node, an interior node of height > 0 whose
+// subtree is not full, path-copying — or mutating in place where owned —
+// one node per level. The leaf's reference transfers in.
+func (v Vector) pushLeaf(node pmem.Addr, height uint32, p *vecPath, to uint64, leaf pmem.Addr) pmem.Addr {
+	idx := p[height]
+	if height == 1 {
 		// Children of this node are leaves; slot idx is empty.
 		return v.replaceChild(node, idx, leaf, pmem.Nil)
 	}
-	if to&((1<<shift)-1) == 0 {
+	if to%vecSpan[height-1] == 0 {
 		// Whole subtree at idx is missing: graft a singleton path.
-		return v.replaceChild(node, idx, v.wrapLeaf(shiftBelow(shift), leaf), pmem.Nil)
+		return v.replaceChild(node, idx, v.wrapLeaf(height-1, leaf), pmem.Nil)
 	}
 	child := childOf(v.h, node, idx)
-	newChild := v.pushLeaf(child, shiftBelow(shift), to, leaf)
+	newChild := v.pushLeaf(child, height-1, p, to, leaf)
 	if newChild == child {
 		return node
 	}
@@ -592,9 +615,9 @@ func (v Vector) Elements() []uint64 {
 	if r.count == 0 {
 		return out
 	}
-	var walk func(node pmem.Addr, s uint32)
-	walk = func(node pmem.Addr, s uint32) {
-		if s == 0 {
+	var walk func(node pmem.Addr, height uint32)
+	walk = func(node pmem.Addr, height uint32) {
+		if height == 0 {
 			leaf := readLeaf(v.h, v.ed, &sc, node)
 			out = append(out, leaf[:]...)
 			return
@@ -603,11 +626,11 @@ func (v Vector) Elements() []uint64 {
 			if c == pmem.Nil {
 				break // children fill left to right
 			}
-			walk(c, shiftBelow(s))
+			walk(c, height-1)
 		}
 	}
 	for _, c := range r.kids() {
-		walk(c, shiftBelow(r.shift))
+		walk(c, r.height-1)
 	}
 	last := readLeaf(v.h, v.ed, &sc, r.refs[0])
 	return append(out, last[:r.count-tailOffset(r.count)]...)
@@ -616,13 +639,13 @@ func (v Vector) Elements() []uint64 {
 // walkVecRoot visits a root's children and tail. Recovery's mark pass
 // walks a root before verification checks it, so the walk reads no
 // child slot past what the block's checksum covers: a damaged count or
-// shift must leave the root for verification to report, not send the
+// height must leave the root for verification to report, not send the
 // walk into the block behind it.
 func walkVecRoot(h *alloc.Heap, a pmem.Addr, sc *alloc.Scratch, visit func(pmem.Addr)) {
 	k := min((h.Extent(a, sc)-int(rootRef(1)))/refSize, vecWidth)
 	pre := h.ReadCached(a, int(rootRef(1)), nil, sc)
-	if count, shift := binary.LittleEndian.Uint64(pre), binary.LittleEndian.Uint32(pre[8:]); validShift(shift) {
-		k = min(k, rootKids(count, shift))
+	if count, height := binary.LittleEndian.Uint64(pre), binary.LittleEndian.Uint32(pre[8:]); validHeight(height) {
+		k = min(k, rootKids(count, height))
 	}
 	refs := h.ReadCached(a, int(rootRef(1+max(k, 0))), nil, sc)
 	for i := 0; i <= k; i++ {

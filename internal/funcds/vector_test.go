@@ -220,7 +220,7 @@ func (r *vecRun) fase(ops ...func(Vector) Vector) {
 		// An edit-owned root is rebuilt only when its shape leaves its
 		// block: a new level, or a child past the block's room.
 		root := v.root()
-		owned, room, shift := ed.Owns(root), (r.h.PayloadSize(root)-int(rootRef(1)))/refSize, r.h.Device().ReadU32(root+8)
+		owned, room, height := ed.Owns(root), (r.h.PayloadSize(root)-int(rootRef(1)))/refSize, r.h.Device().ReadU32(root+8)
 		next := op(v)
 		if v.sel && v.Addr() != base && next.Addr() != v.Addr() {
 			r.t.Fatalf("len %d: an edit-owned header was copied (%#x -> %#x), not written in place", len(r.model), uint64(v.Addr()), uint64(next.Addr()))
@@ -228,7 +228,7 @@ func (r *vecRun) fase(ops ...func(Vector) Vector) {
 		if nr := next.root(); owned && nr != root {
 			var n vecRoot
 			readRoot(r.h, ed, nil, nr, &n)
-			if n.shift == shift && n.k <= room {
+			if n.height == height && n.k <= room {
 				r.t.Fatalf("len %d: an edit-owned root was copied (%#x -> %#x) though its %d children fit its room for %d", len(r.model), uint64(root), uint64(nr), n.k, room)
 			}
 		}
@@ -282,21 +282,22 @@ func boundaryIndices(count uint64) []uint64 {
 
 // TestVectorGeometryBoundaries walks the counts at which the trie changes
 // shape, every one computed from the geometry constants: around each
-// capacity cap of a trie of one, two and three levels — the first fill or
-// the tail spilled into the last free slot (count cap → cap + 1), then the
-// level grown over the full trie (cap + leafWidth → cap + leafWidth + 1) —
-// and around two full subtrees under a three-level root, where a spill
-// grafts a singleton path into an empty slot. At each count from cap − 1 to
-// cap + leafWidth + 1 it pushes, reads everything back, updates the
-// boundary indices and reads everything back again. Each regime ends by
-// releasing the last version: what is still allocated after a fence must be
-// what a recovery of the same heap finds reachable.
+// capacity cap of a trie of one, two, three and four levels (8, 224, 6,272
+// and 175,616 elements) — the first fill or the tail spilled into the last
+// free slot (count cap → cap + 1), then the level grown over the full trie
+// (cap + leafWidth → cap + leafWidth + 1) — around two full subtrees under
+// a root of height 2, where a spill grafts a singleton path into an empty
+// slot, and around 256 and 8,192, the capacities of the 32-way trie of
+// layouts up to v16, now a spill into a partial subtree. At each count
+// from cap − 1 to cap + leafWidth + 1 it pushes, reads everything back,
+// updates the boundary indices and reads everything back again. Each
+// regime ends by releasing the last version: what is still allocated after
+// a fence must be what a recovery of the same heap finds reachable.
 func TestVectorGeometryBoundaries(t *testing.T) {
-	const oneLevel = leafWidth * vecWidth
-	centers := []uint64{leafWidth, oneLevel, 2 * oneLevel, oneLevel * vecWidth}
-	if trieCap(0) != centers[0] || trieCap(leafBits) != centers[1] || trieCap(leafBits+vecBits) != centers[3] {
-		t.Fatalf("trie capacities %d, %d, %d; want %v", trieCap(0), trieCap(leafBits), trieCap(leafBits+vecBits), centers)
+	if vecSpan[0] != 8 || vecSpan[1] != 224 || vecSpan[2] != 6_272 || vecSpan[3] != 175_616 {
+		t.Fatalf("trie capacities %d, %d, %d, %d; want 8, 224, 6,272 and 175,616", vecSpan[0], vecSpan[1], vecSpan[2], vecSpan[3])
 	}
+	centers := []uint64{vecSpan[0], vecSpan[1], 256, 2 * vecSpan[1], vecSpan[2], 8_192, vecSpan[3]}
 
 	for _, regime := range []struct {
 		name      string

@@ -46,10 +46,16 @@ func selectivePreload(ops int) int {
 // selective measures the "Don't Persist All" split (DESIGN.md §10): the
 // same updates-only hot path with navigation nodes persisted (cache off)
 // vs volatile-clean (selective flavor, DRAM node cache on). Selective
-// rows flush only leaf bindings plus one record cell per update, so
-// flushes/op drops and throughput climbs; the price is a recovery-time
-// rebuild, reported in the last two columns and as the recovery/ rows.
-// These are the headline columns the BENCH.json regression gate holds.
+// rows flush leaf bindings, one record cell per update and, at each
+// checkpoint fold, the navigation nodes it seals. Whether that is fewer
+// flushes depends on the batch. At small scale (BENCH_baseline.json,
+// heap layout v17) 64 updates a FASE flush 5,755 lines against 8,502
+// on the map and 4,142 against 5,604 on the vector; one update a FASE
+// flushes more, 18,770 against 17,326 and 17,989 against 12,000. The
+// simulated time of every selective row is longer than its persist-all
+// row's. A further price is a recovery-time rebuild, reported in the
+// last two columns and as the recovery/ rows. These are the headline
+// columns the BENCH.json regression gate holds.
 func selective(scale Scale) (*Table, []workloads.Row, error) {
 	t := &Table{
 		ID:    "selective",

@@ -436,8 +436,8 @@ func (d *Device) ReadDRAM(addr Addr, n int) {
 		return
 	}
 	s := d.s
-	s.mu.Lock()
 	s.checkRange(addr, n)
+	s.mu.Lock()
 	first := uint64(addr) >> LineShift
 	last := (uint64(addr) + uint64(n) - 1) >> LineShift
 	var ns float64
@@ -472,6 +472,9 @@ func (d *Device) NoteRecovery(rebuilt uint64, ns float64) {
 	d.s.mu.Unlock()
 }
 
+// checkRange panics on an access outside the arena. It reads only the
+// arena's length, fixed at New, so callers check before they take s.mu:
+// a caller that recovers the panic finds the device usable, not locked.
 func (s *devState) checkRange(addr Addr, n int) {
 	if n < 0 || uint64(addr) >= uint64(len(s.mem)) || uint64(addr)+uint64(n) > uint64(len(s.mem)) {
 		panic(fmt.Sprintf("pmem: access [%#x, %#x) outside arena of %d bytes", uint64(addr), uint64(addr)+uint64(n), len(s.mem)))
@@ -520,8 +523,8 @@ func (d *Device) Read(addr Addr, p []byte) {
 		return
 	}
 	s := d.s
-	s.mu.Lock()
 	s.checkRange(addr, len(p))
+	s.mu.Lock()
 	s.checkDeadLocked(addr, len(p))
 	ns := d.accessLocked(addr, len(p), false)
 	copy(p, s.mem[addr:])
@@ -537,8 +540,8 @@ func (d *Device) Write(addr Addr, p []byte) {
 		return
 	}
 	s := d.s
-	s.mu.Lock()
 	s.checkRange(addr, len(p))
+	s.mu.Lock()
 	ns := d.accessLocked(addr, len(p), true)
 	copy(s.mem[addr:], p)
 	s.stats.Writes++
@@ -556,8 +559,8 @@ func (d *Device) Zero(addr Addr, n int) {
 		return
 	}
 	s := d.s
-	s.mu.Lock()
 	s.checkRange(addr, n)
+	s.mu.Lock()
 	ns := d.accessLocked(addr, n, true)
 	clear(s.mem[addr : addr+Addr(n)])
 	s.stats.Writes++
@@ -572,8 +575,8 @@ func (d *Device) Zero(addr Addr, n int) {
 // ReadU64 reads a little-endian uint64 at addr.
 func (d *Device) ReadU64(addr Addr) uint64 {
 	s := d.s
-	s.mu.Lock()
 	s.checkRange(addr, 8)
+	s.mu.Lock()
 	s.checkDeadLocked(addr, 8)
 	ns := d.accessLocked(addr, 8, false)
 	v := binary.LittleEndian.Uint64(s.mem[addr:])
@@ -587,8 +590,8 @@ func (d *Device) ReadU64(addr Addr) uint64 {
 // WriteU64 stores a little-endian uint64 at addr.
 func (d *Device) WriteU64(addr Addr, v uint64) {
 	s := d.s
-	s.mu.Lock()
 	s.checkRange(addr, 8)
+	s.mu.Lock()
 	ns := d.accessLocked(addr, 8, true)
 	binary.LittleEndian.PutUint64(s.mem[addr:], v)
 	s.stats.Writes++
@@ -627,8 +630,8 @@ func (d *Device) CasAddr(addr, old, v Addr) bool {
 		panic(fmt.Sprintf("pmem: unaligned pointer CAS at %#x", uint64(addr)))
 	}
 	s := d.s
-	s.mu.Lock()
 	s.checkRange(addr, 8)
+	s.mu.Lock()
 	s.checkDeadLocked(addr, 8)
 	ns := d.accessLocked(addr, 8, false)
 	cur := Addr(binary.LittleEndian.Uint64(s.mem[addr:]))
@@ -654,8 +657,8 @@ func (d *Device) CasAddr(addr, old, v Addr) bool {
 // ReadU32 reads a little-endian uint32 at addr.
 func (d *Device) ReadU32(addr Addr) uint32 {
 	s := d.s
-	s.mu.Lock()
 	s.checkRange(addr, 4)
+	s.mu.Lock()
 	s.checkDeadLocked(addr, 4)
 	ns := d.accessLocked(addr, 4, false)
 	v := binary.LittleEndian.Uint32(s.mem[addr:])
@@ -669,8 +672,8 @@ func (d *Device) ReadU32(addr Addr) uint32 {
 // WriteU32 stores a little-endian uint32 at addr.
 func (d *Device) WriteU32(addr Addr, v uint32) {
 	s := d.s
-	s.mu.Lock()
 	s.checkRange(addr, 4)
+	s.mu.Lock()
 	ns := d.accessLocked(addr, 4, true)
 	binary.LittleEndian.PutUint32(s.mem[addr:], v)
 	s.stats.Writes++
@@ -727,8 +730,8 @@ func (d *Device) Snapshot() []byte {
 // twice.
 func (d *Device) Clwb(addr Addr) {
 	s := d.s
-	s.mu.Lock()
 	s.checkRange(addr, 1)
+	s.mu.Lock()
 	ln := uint64(addr) >> LineShift
 	s.stats.Flushes++
 	s.dirty.clear(ln)
@@ -748,9 +751,7 @@ func (d *Device) FlushRange(addr Addr, n int) {
 	if n <= 0 {
 		return
 	}
-	d.s.mu.Lock()
 	d.s.checkRange(addr, n)
-	d.s.mu.Unlock()
 	first := uint64(addr) &^ (LineSize - 1)
 	last := (uint64(addr) + uint64(n) - 1) &^ (LineSize - 1)
 	for ln := first; ln <= last; ln += LineSize {

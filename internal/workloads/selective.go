@@ -12,9 +12,13 @@ import (
 // updates over preloaded slots — runs against either the selectively
 // persisted flavor of the structure with the DRAM node cache on, or the
 // normal fully persisted flavor with the cache off. Selective updates
-// flush only leaf bindings plus one compact record cell per op; interior
-// navigation nodes stay volatile-clean and are rebuilt from the record
-// chain on recovery, which is the flushes/op reduction BENCH.json tracks.
+// flush leaf bindings plus one compact record cell per op; interior
+// navigation nodes stay volatile-clean until a checkpoint fold seals them,
+// and are rebuilt from the record chain on recovery. That saves flushes
+// only when a FASE batches updates: at small scale (BENCH_baseline.json,
+// heap layout v17) 64 updates a FASE flush 5,755 lines against 8,502 on
+// the map and 4,142 against 5,604 on the vector, and one update a FASE
+// flushes more, 18,770 against 17,326 and 17,989 against 12,000.
 //
 // Each run optionally ends in a simulated crash + reopen so the rebuild
 // cost (recovery ns, nodes rebuilt) is measured on the same images the
