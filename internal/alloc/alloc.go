@@ -110,11 +110,13 @@ const (
 	// interior nodes are 28-way, 28 references in a two-line block where
 	// v16 had 32 in three, and its root's second word is the trie's
 	// height where v16 stored the bit shift of the root's index digit
+	// (package funcds); 18: a vector's interior nodes are 12-way, one
+	// line each, and every vector root is at least a 64-byte block
 	// (package funcds).
 	// Every bump so far moved or re-encoded something a recovery depends
 	// on, or changed what a recovery decides, so no older image is
 	// readable.
-	version = 17
+	version = 18
 
 	headerSize = 16
 	headerMark = 0x4d4f // "MO", stored in the top 16 bits of a header's first word
@@ -127,11 +129,11 @@ const (
 
 // strides are the size classes (full block size including header). 80 is
 // the vector leaf's: 16 + 64 bytes, the most-allocated block of a vector
-// path copy. 128 = 2 lines is a vector interior node's (16 + 28 × 4); 192
-// = 3 lines stays the class of a full map node (16 + 136): a block of a
-// whole-line stride is carved on a line boundary (placeAt), so it spans
-// exactly stride/64 lines, where a 160-byte block would straddle one line
-// more than it fills.
+// path copy. 64 = 1 line is a vector interior node's (16 + 12 × 4) and a
+// small vector root's; 192 = 3 lines stays the class of a full map node
+// (16 + 136): a block of a whole-line stride is carved on a line boundary
+// (placeAt), so it spans exactly stride/64 lines, where a 160-byte block
+// would straddle one line more than it fills.
 var strides = []uint32{24, 32, 48, 64, 80, 96, 128, 192, 256, 384, 512, 768, 1024, 2048, 4096}
 
 // fillerMin is the smallest free block: a header and one payload word.
@@ -142,12 +144,14 @@ const fillerMin = headerSize + 8
 // number of lines starts on a line, so it spans stride/64 lines and not
 // one more; the gap left in front of it, if any, is at least fillerMin
 // (a smaller one grows by a line) and becomes a free filler block (see
-// carveFillerLocked and Edit.carveFiller). Sub-line strides and volatile
-// blocks, whose payloads are flushed only if a fold seals them, are
-// carved at cur. Free lists
-// are per stride, so a block carved on a line is reused on one.
-func placeAt(cur pmem.Addr, stride uint32, volatile bool) pmem.Addr {
-	if volatile || stride%pmem.LineSize != 0 {
+// carveFillerLocked and Edit.carveFiller). Sub-line strides are carved at
+// cur. Volatile blocks are placed like durable ones: a fold that seals a
+// navigation node flushes its stride/64 lines, and free lists are per
+// stride, so a volatile block freed at a fold or swept at recovery is
+// reused by a durable allocation of its stride. A block carved on a line
+// is reused on one.
+func placeAt(cur pmem.Addr, stride uint32) pmem.Addr {
+	if stride%pmem.LineSize != 0 {
 		return cur
 	}
 	gap := (pmem.LineSize - cur%pmem.LineSize) % pmem.LineSize
@@ -511,7 +515,7 @@ func (h *Heap) alloc(size int, tag uint8, volatile, flushHdr bool) pmem.Addr {
 	hdr, ok := sh.popFreeLocked(stride)
 	if !ok {
 		start := sh.top
-		hdr = placeAt(start, stride, volatile)
+		hdr = placeAt(start, stride)
 		h.bumpLocked(uint32(hdr-start) + stride)
 		if hdr > start {
 			h.carveFillerLocked(start, hdr)

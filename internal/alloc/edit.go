@@ -214,16 +214,16 @@ func (e *Edit) alloc(size int, tag uint8, volatile bool) pmem.Addr {
 	// Bump path: sub-allocate from this edit's current run, claiming a
 	// fresh one (recorded in the open-run table) when needed.
 	for i := range e.runs {
-		if from, hdr, ok := e.runs[i].carve(stride, volatile); ok {
+		if from, hdr, ok := e.runs[i].carve(stride); ok {
 			return e.finishCarve(from, hdr, stride, tag, volatile, e.runs[i].slot)
 		}
 	}
 	// A reserve — another edit's capped run tail — serves as the run
 	// instead of a fresh bump, under the open-run slot of the run it was
 	// cut from, whose durable entry already covers it.
-	if rv, ok := sh.takeReserveLocked(stride, volatile); ok {
+	if rv, ok := sh.takeReserveLocked(stride); ok {
 		e.runs = append(e.runs, editRun{start: rv.start, end: rv.end, cur: rv.start, slot: rv.slot})
-		from, hdr, _ := e.runs[len(e.runs)-1].carve(stride, volatile)
+		from, hdr, _ := e.runs[len(e.runs)-1].carve(stride)
 		return e.finishCarve(from, hdr, stride, tag, volatile, rv.slot)
 	}
 	slot := -1
@@ -248,7 +248,7 @@ func (e *Edit) alloc(size int, tag uint8, volatile bool) pmem.Addr {
 	// min(n, maxRunGrowth) — so a large batch holds a handful of open-run
 	// slots instead of exhausting the table (DESIGN.md §8, "Run growth").
 	runSize := uint32(editRunBytes) << min(len(e.runs), maxRunGrowth)
-	runSize = max(runSize, uint32(placeAt(sh.top, stride, volatile)-sh.top)+stride)
+	runSize = max(runSize, uint32(placeAt(sh.top, stride)-sh.top)+stride)
 	start := h.bumpLocked(runSize)
 	sh.runSlots[slot] = runSlotState{busy: true}
 	entry := runEntryAddr(slot)
@@ -256,15 +256,15 @@ func (e *Edit) alloc(size int, tag uint8, volatile bool) pmem.Addr {
 	h.dev.WriteU64(entry+8, uint64(start)+uint64(runSize))
 	h.dev.Clwb(entry)
 	e.runs = append(e.runs, editRun{start: start, end: start + pmem.Addr(runSize), cur: start, slot: slot})
-	from, hdr, _ := e.runs[len(e.runs)-1].carve(stride, volatile)
+	from, hdr, _ := e.runs[len(e.runs)-1].carve(stride)
 	return e.finishCarve(from, hdr, stride, tag, volatile, slot)
 }
 
 // carve places a block of stride bytes at the run's watermark (placeAt)
 // if it fits, and returns where the free space began and the block's
 // header. Caller holds mu.
-func (r *editRun) carve(stride uint32, volatile bool) (from, hdr pmem.Addr, ok bool) {
-	hdr = placeAt(r.cur, stride, volatile)
+func (r *editRun) carve(stride uint32) (from, hdr pmem.Addr, ok bool) {
+	hdr = placeAt(r.cur, stride)
 	if hdr+pmem.Addr(stride) > r.end {
 		return 0, 0, false
 	}
@@ -334,9 +334,9 @@ type reserveRegion struct {
 
 // takeReserveLocked pops the first reserve able to hold a block of stride
 // bytes placed by placeAt. Caller holds mu.
-func (sh *heapShared) takeReserveLocked(stride uint32, volatile bool) (reserveRegion, bool) {
+func (sh *heapShared) takeReserveLocked(stride uint32) (reserveRegion, bool) {
 	for i, r := range sh.reserves {
-		if placeAt(r.start, stride, volatile)+pmem.Addr(stride) <= r.end {
+		if placeAt(r.start, stride)+pmem.Addr(stride) <= r.end {
 			sh.reserves = append(sh.reserves[:i], sh.reserves[i+1:]...)
 			return r, true
 		}

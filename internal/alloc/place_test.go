@@ -17,10 +17,12 @@ func unalignTop(h *Heap, want pmem.Addr) {
 }
 
 // TestWholeLineBlocksStartOnALine: every block whose stride is a whole
-// number of lines is carved on a line boundary, on each carve path, with
-// a free filler block covering the gap; sub-line strides and volatile
-// blocks are carved where the free space starts; fillers never count as
-// live bytes.
+// number of lines — durable or volatile — is carved on a line boundary,
+// on each carve path, with a free filler block covering the gap; sub-line
+// strides are carved where the free space starts; a navigation node freed
+// as a selective store frees it, at a fold or by recovery's sweep, is
+// reused on a line by a durable block of its stride; fillers never count
+// as live bytes.
 func TestWholeLineBlocksStartOnALine(t *testing.T) {
 	dev := pmem.New(pmem.DefaultConfig(4 << 20))
 	h := Format(dev)
@@ -61,20 +63,24 @@ func TestWholeLineBlocksStartOnALine(t *testing.T) {
 		filler("Heap.alloc", at, p)
 	}
 
-	// Sub-line strides and volatile blocks take no filler. (Stride 96 is
-	// the sub-line class no filler has: fillers are 24–56, 72 or 80 bytes,
-	// and a free filler of the asked stride would be reused instead.)
+	// Sub-line strides take no filler. (Stride 96 is the sub-line class no
+	// filler has: fillers are 24–56, 72 or 80 bytes, and a free filler of
+	// the asked stride would be reused instead.) Volatile blocks are placed
+	// like durable ones: a fold that seals one flushes its lines.
 	unalignTop(h, 8)
 	at := h.sh.top
 	unaligned("Heap.alloc of stride 96", at, h.Alloc(80, 1))
+	unalignTop(h, 40)
 	at = h.sh.top
-	unaligned("Heap.AllocVolatile of stride 192", at, h.AllocVolatile(150, 1))
+	p := h.AllocVolatile(150, 1)
+	onLine("Heap.AllocVolatile of stride 192", p)
+	filler("Heap.AllocVolatile", at, p)
 
 	// A fresh run's first block, and blocks inside the run.
 	unalignTop(h, 24)
 	at = h.sh.top
 	ed := h.BeginEdit()
-	p := ed.Alloc(150, 1)
+	p = ed.Alloc(150, 1)
 	onLine("fresh run", p)
 	filler("fresh run", at, p)
 	at = p - headerSize + 192
@@ -86,13 +92,68 @@ func TestWholeLineBlocksStartOnALine(t *testing.T) {
 	at = p - headerSize + 192
 	unaligned("in-run stride 96", at, ed.Alloc(80, 1))
 	at += 96
-	unaligned("in-run volatile stride 192", at, ed.AllocVolatile(150, 1))
-	at += 192
+	p = ed.AllocVolatile(150, 1)
+	onLine("in-run volatile stride 192", p)
+	filler("in-run volatile", at, p)
+	at = p - headerSize + 192
+	unaligned("in-run stride 96", at, ed.Alloc(80, 1))
+	at += 96
 	p = ed.Alloc(100, 1)
 	onLine("in run, stride 128", p)
 	filler("in run", at, p)
+	at = p - headerSize + 128
+	unaligned("in-run volatile stride 96", at, ed.AllocVolatile(80, 1))
+	at += 96
+	p = ed.AllocVolatile(40, 1)
+	onLine("in-run volatile stride 64", p)
+	filler("in-run volatile", at, p)
 	ed.Seal()
 	h.Fence()
+
+	// Free-list reuse in a selective store: navigation nodes carved in
+	// FASEs between sub-line blocks, some sealed by a fold, then freed —
+	// superseded, or unsealed at a crash and swept — go to the free list
+	// of their stride, from which durable blocks of that stride are
+	// taken.
+	var navs []pmem.Addr
+	for i := 0; i < 6; i++ {
+		ed := h.BeginEdit()
+		// Stride 24 first: the next block would start off a line.
+		ed.Alloc(8, 1)
+		for _, size := range []int{40, 100} { // strides 64 and 128
+			n := ed.AllocVolatile(size, 1)
+			if i%2 == 0 {
+				h.SealNode(n, size) // a fold seals it
+			}
+			onLine(fmt.Sprintf("navigation node of %d bytes", size), n)
+			navs = append(navs, n)
+		}
+		ed.Seal()
+		h.Fence()
+	}
+	for _, n := range navs {
+		h.Release(n)
+	}
+	h.Fence()
+	h.Drain()
+	reused := map[pmem.Addr]bool{}
+	for _, n := range navs {
+		reused[n] = true
+	}
+	ed = h.BeginEdit()
+	for range navs {
+		for _, size := range []int{40, 100} {
+			if p := ed.Alloc(size, 1); reused[p] {
+				onLine(fmt.Sprintf("durable block of %d bytes on a freed navigation node", size), p)
+				delete(reused, p)
+			}
+		}
+	}
+	ed.Seal()
+	h.Fence()
+	if len(reused) != 0 {
+		t.Errorf("%d of %d freed navigation nodes not reused by durable blocks of their stride", len(reused), len(navs))
+	}
 
 	// A reserve's first block: an edit's tail below another edit's run.
 	ed = h.BeginEdit()

@@ -89,12 +89,20 @@ func TestOpenRejectsV15Heap(t *testing.T) {
 	openStampedHeap(t, 15)
 }
 
-// TestOpenRejectsV16Heap: and the layout before this one, whose vector
-// interior nodes are 32-way and whose roots store the bit shift of their
-// index digit, where this build reads 28-way nodes under a root that
-// stores its height.
+// TestOpenRejectsV16Heap: and the layout before, whose vector interior
+// nodes are 32-way and whose roots store the bit shift of their index
+// digit, where this build reads 12-way nodes under a root that stores its
+// height.
 func TestOpenRejectsV16Heap(t *testing.T) {
 	openStampedHeap(t, 16)
+}
+
+// TestOpenRejectsV17Heap: and the layout before this one, whose vector
+// interior nodes are 28-way, two lines each, where this build reads
+// 12-way nodes of one line: the same root names a different element
+// behind every index digit.
+func TestOpenRejectsV17Heap(t *testing.T) {
+	openStampedHeap(t, 17)
 }
 
 func openStampedHeap(t *testing.T, version uint64) {
@@ -186,7 +194,7 @@ func raisesCorruption(f func()) (raised bool) {
 func TestWildReferenceIsCorruptionNotPanic(t *testing.T) {
 	cfg := pmem.DefaultConfig(1 << 20)
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
-	const vecLen = 2000 // two interior levels
+	const vecLen = 2000 // a root of height 3
 	for _, verify := range []bool{false, true} {
 		for _, wild := range []struct {
 			name string
@@ -275,11 +283,8 @@ func TestWildReferenceIsCorruptionNotPanic(t *testing.T) {
 				vroot := s.heap.Root(rs)
 				plant(vroot+16, vroot)
 				// Child 0 of the root spans the elements below its index
-				// digit: 8·28^(height−1), the root's height field says.
-				span := uint64(8)
-				for h := s.dev.ReadU32(vroot + 8); h > 1; h-- {
-					span *= 28
-				}
+				// digit: a full subtree one level below the root's height.
+				span := funcds.VectorSpan(s.dev.ReadU32(vroot+8) - 1)
 				for _, i := range []uint64{0, span - 1, span, vecLen - 100} {
 					under := i < span
 					if got := raisesCorruption(func() {

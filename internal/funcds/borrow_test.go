@@ -156,11 +156,11 @@ func TestPathCopyBorrowsSiblings(t *testing.T) {
 func TestVectorCopyBorrowsSiblings(t *testing.T) {
 	h := newTestHeap(t)
 	cur := NewVector(h).Addr()
-	const n = 40_000 // three interior levels
-	for i := 0; i < n; i += benchLoad {
+	n := 3 * vecSpan[2] // a root of height 3 over three full subtrees
+	for i := 0; i < int(n); i += benchLoad {
 		ed := h.BeginEdit()
 		v := VectorAt(h, cur).WithEdit(ed)
-		for k := 0; k < min(benchLoad, n-i); k++ {
+		for k := 0; k < min(benchLoad, int(n)-i); k++ {
 			v = v.Push(uint64(i + k))
 		}
 		commit(h, ed, &cur, v.Addr())
@@ -170,10 +170,13 @@ func TestVectorCopyBorrowsSiblings(t *testing.T) {
 	var root vecRoot
 	readRoot(h, nil, nil, base.Addr(), &root)
 	rootKids := root.kids()
+	if root.height != 3 {
+		t.Fatalf("a %d-element vector has height %d, want 3", n, root.height)
+	}
 
 	s1 := base.Update(5, 55)
-	if got := h.Stats().Borrows; got != 3 {
-		t.Fatalf("%d borrow records after one update under three interior levels", got)
+	if got := h.Stats().Borrows; got != int(root.height) {
+		t.Fatalf("%d borrow records after one update, want %d: the root and one node per interior level", got, root.height)
 	}
 	for i, c := range rootKids[1:] {
 		if c != pmem.Nil && h.RefCount(c) != 1 {
@@ -181,7 +184,8 @@ func TestVectorCopyBorrowsSiblings(t *testing.T) {
 		}
 	}
 	settled := h.Stats().Settled
-	s2 := s1.Update(35_000, 77) // the root's other subtree: only the root is copied twice
+	other := 2*vecSpan[2] + 5 // the root's last subtree: only the root is copied twice
+	s2 := s1.Update(other, 77)
 	h.Fence()
 	h.Release(s1.Addr()) // the middle version first
 	if got := h.Stats().Settled - settled; got != 1 {
@@ -198,7 +202,7 @@ func TestVectorCopyBorrowsSiblings(t *testing.T) {
 			t.Errorf("root child %d has count %d once only the last version is left, want 1", i, h.RefCount(c))
 		}
 	}
-	if s2.Get(5) != 55 || s2.Get(35_000) != 77 || s2.Get(6) != 6 {
-		t.Errorf("vector reads %d, %d, %d", s2.Get(5), s2.Get(35_000), s2.Get(6))
+	if s2.Get(5) != 55 || s2.Get(other) != 77 || s2.Get(6) != 6 {
+		t.Errorf("vector reads %d, %d, %d", s2.Get(5), s2.Get(other), s2.Get(6))
 	}
 }

@@ -16,14 +16,15 @@ import (
 // concatenation nodes, so this is the classic radix-balanced structure.
 // See DESIGN.md §2.)
 //
-// Interior nodes are 28-way (heap layout v17); leaves hold 8 elements, one
+// Interior nodes are 12-way (heap layout v18); leaves hold 8 elements, one
 // cache line of payload (heap layout v7). The two widths answer different
 // costs: fan-out sets the depth a Get descends and the number of blocks an
 // update copies, leaf width sets how many bytes are rewritten to change 8
-// of them. 28 references and the 16-byte block header are exactly the
-// line-aligned 128-byte class, two lines, where 32 took three lines of a
-// 192-byte block for 16 bytes more; up to 100,000 elements the depth is
-// the same (DESIGN.md §2, "Vector geometry").
+// of them. 12 references and the 16-byte block header are exactly the
+// line-aligned 64-byte class, one line: a path copy writes one line per
+// level. 28-way nodes (layout v17) took two lines each; at 100,000
+// elements the 12-way trie is a level deeper and still writes fewer lines
+// (DESIGN.md §2, "Vector geometry").
 //
 // The tail buffer holds the last 1–8 elements outside the trie, so an
 // append copies one leaf and the root instead of path-copying the whole
@@ -41,25 +42,26 @@ import (
 // names its root.
 //
 // An update path-copies the nodes between root and leaf (or just the tail
-// leaf) and the root: at 100,000 elements one 64-byte leaf, two 112-byte
-// interior nodes and an 80-byte root of 16 children in the 96-byte class —
-// about 8 lines, each whole-line block starting on a line (DESIGN.md §2,
-// "Size classes") — where PMDK's flat array logs and writes one element,
-// so MOD still flushes more than PMDK on Fig. 9's vector workloads, under
-// a third of the fences. Which of the two decides the time depends on
-// depth: MOD wins those rows up to three interior levels and loses them
-// at four, the paper's million elements (DESIGN.md §2). With a 32-slot leaf (layout v6 and before, the
-// geometry the paper evaluates) the leaf alone was five lines and MOD lost
-// them at every depth, as the paper reports.
+// leaf) and the root: at 100,000 elements one 64-byte leaf, three one-line
+// interior nodes and a root of 8 children — 6 lines for 5 blocks. Every
+// root takes at least the 64-byte class, so a root of up to 8 children is
+// one line-aligned block (DESIGN.md §2, "Size classes"), where a 40-byte
+// root in the 48-byte class would straddle two lines. PMDK's flat array
+// logs and writes one element, so MOD still flushes more than PMDK on
+// Fig. 9's vector workloads, under a third of the fences; with one-line
+// nodes it wins them at every scale, the paper's million elements too
+// (DESIGN.md §2). With a 32-slot leaf (layout v6 and before, the geometry
+// the paper evaluates) the leaf alone was five lines and MOD lost them at
+// every depth, as the paper reports.
 //
 // Layout (ref = 4-byte node reference, funcds.go):
 //
 //	root (TagVecRoot): [count u64][height u32][tail ref u32] k × [child ref]
-//	node (TagVecNode): 28 × [child ref]
+//	node (TagVecNode): 12 × [child ref]
 //	leaf (TagVecLeaf): 8 × [value u64]
 //
 // height counts the root's levels above the leaves: 1 when its children
-// are leaves. A subtree of height h holds vecSpan[h] = 8·28^h elements, so
+// are leaves. A subtree of height h holds vecSpan[h] = 8·12^h elements, so
 // the index digit that selects among a height-h node's children is a
 // quotient by vecSpan[h-1], not a shift: indexPath computes an index's digits
 // bottom-up by the constant radix, which the compiler turns into
@@ -77,7 +79,7 @@ type Vector struct {
 }
 
 const (
-	vecWidth    = 28 // children per interior node
+	vecWidth    = 12 // children per interior node
 	leafBits    = 3
 	leafWidth   = 1 << leafBits // 8 elements per leaf
 	leafMask    = leafWidth - 1
@@ -85,9 +87,12 @@ const (
 	vecLeafSize = leafWidth * 8
 	// vecRootPrefix is the [count][height] ahead of a root's references.
 	vecRootPrefix = 12
+	// vecRootMin is the smallest payload a root is allocated with: the
+	// 64-byte class, one line-aligned line, which holds up to 8 children.
+	vecRootMin = 64 - alloc.HeaderSize
 	// maxHeight is the tallest root whose trie capacity a count word can
-	// express.
-	maxHeight = 12
+	// express: 8·12^17 < 2^64.
+	maxHeight = 17
 )
 
 // vecSpan[h] is how many elements a full subtree of height h holds — a
@@ -100,6 +105,10 @@ var vecSpan = func() (s [maxHeight + 1]uint64) {
 	}
 	return s
 }()
+
+// VectorSpan returns how many elements a full subtree of the given height
+// holds (vecSpan): 8 for a leaf, 12 times its children's above.
+func VectorSpan(height uint32) uint64 { return vecSpan[height] }
 
 // vecPath is an index's path through a trie: p[h] is the slot it descends
 // through in the node of height h on its way, p at the root's height the
@@ -188,10 +197,12 @@ func readRoot(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr, r *
 }
 
 // writeRoot allocates, writes, and flushes a root holding r (volatile
-// under selective persistence). Reference transfers are the caller's.
+// under selective persistence). Reference transfers are the caller's. The
+// block is at least vecRootMin bytes; what it holds past r's references is
+// neither written nor under the checksum.
 func writeRoot(h *alloc.Heap, ed *alloc.Edit, vol bool, r *vecRoot) pmem.Addr {
 	size := int(rootRef(1 + r.k))
-	a := nodeAlloc(h, ed, size, TagVecRoot, vol)
+	a := nodeAlloc(h, ed, max(size, vecRootMin), TagVecRoot, vol)
 	buf := ed.Scratch().Bytes(size)
 	binary.LittleEndian.PutUint64(buf, r.count)
 	binary.LittleEndian.PutUint32(buf[8:], r.height)
@@ -319,7 +330,7 @@ func newVecLeaf(h *alloc.Heap, ed *alloc.Edit, vol bool, vals []uint64) pmem.Add
 	return writeLeaf(h, ed, vol, slots)
 }
 
-// readNode decodes the 28 child references of the interior node at a with
+// readNode decodes the 12 child references of the interior node at a with
 // one bulk access, served from the DRAM node cache when enabled (edit-owned
 // nodes bypass).
 func readNode(h *alloc.Heap, ed *alloc.Edit, sc *alloc.Scratch, a pmem.Addr) [vecWidth]pmem.Addr {

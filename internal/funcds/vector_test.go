@@ -1,6 +1,7 @@
 package funcds
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -270,6 +271,24 @@ func (r *vecRun) check() func(Vector) Vector {
 	}
 }
 
+// TestVecSpanFitsCountWord: every capacity up to maxHeight is exact —
+// vecSpan[maxHeight] = 8·12^17 does not wrap a uint64, which a count word
+// holds — and maxHeight is the tallest such height, since one level more
+// would. A root claiming a height past it is refused as damage.
+func TestVecSpanFitsCountWord(t *testing.T) {
+	for h := 1; h <= maxHeight; h++ {
+		if hi, lo := bits.Mul64(vecSpan[h-1], vecWidth); hi != 0 || lo != vecSpan[h] {
+			t.Fatalf("vecSpan[%d] = %d, not %d × vecSpan[%d] = %d without overflow", h, vecSpan[h], vecWidth, h-1, vecSpan[h-1])
+		}
+	}
+	if hi, _ := bits.Mul64(vecSpan[maxHeight], vecWidth); hi == 0 {
+		t.Errorf("vecSpan[maxHeight] × %d fits a uint64: maxHeight %d is not the tallest height a count word can express", vecWidth, maxHeight)
+	}
+	if validHeight(maxHeight+1) || !validHeight(maxHeight) {
+		t.Errorf("validHeight(%d) = %v, validHeight(%d) = %v", maxHeight, validHeight(maxHeight), maxHeight+1, validHeight(maxHeight+1))
+	}
+}
+
 // boundaryIndices are the indices whose path changes shape with the count:
 // the ends, the last trie element and the first tail element.
 func boundaryIndices(count uint64) []uint64 {
@@ -282,22 +301,23 @@ func boundaryIndices(count uint64) []uint64 {
 
 // TestVectorGeometryBoundaries walks the counts at which the trie changes
 // shape, every one computed from the geometry constants: around each
-// capacity cap of a trie of one, two, three and four levels (8, 224, 6,272
-// and 175,616 elements) — the first fill or the tail spilled into the last
+// capacity cap of a trie of one to five levels (8, 96, 1,152, 13,824 and
+// 165,888 elements) — the first fill or the tail spilled into the last
 // free slot (count cap → cap + 1), then the level grown over the full trie
 // (cap + leafWidth → cap + leafWidth + 1) — around two full subtrees under
 // a root of height 2, where a spill grafts a singleton path into an empty
-// slot, and around 256 and 8,192, the capacities of the 32-way trie of
-// layouts up to v16, now a spill into a partial subtree. At each count
-// from cap − 1 to cap + leafWidth + 1 it pushes, reads everything back,
-// updates the boundary indices and reads everything back again. Each
-// regime ends by releasing the last version: what is still allocated after
-// a fence must be what a recovery of the same heap finds reachable.
+// slot, and around 224 and 6,272, the capacities of the 28-way trie of
+// layout v17, and 8,192, the 32-way trie's of layouts up to v16, now
+// spills into partial subtrees. At each count from cap − 1 to
+// cap + leafWidth + 1 it pushes, reads everything back, updates the
+// boundary indices and reads everything back again. Each regime ends by
+// releasing the last version: what is still allocated after a fence must
+// be what a recovery of the same heap finds reachable.
 func TestVectorGeometryBoundaries(t *testing.T) {
-	if vecSpan[0] != 8 || vecSpan[1] != 224 || vecSpan[2] != 6_272 || vecSpan[3] != 175_616 {
-		t.Fatalf("trie capacities %d, %d, %d, %d; want 8, 224, 6,272 and 175,616", vecSpan[0], vecSpan[1], vecSpan[2], vecSpan[3])
+	if vecSpan[0] != 8 || vecSpan[1] != 96 || vecSpan[2] != 1_152 || vecSpan[3] != 13_824 || vecSpan[4] != 165_888 {
+		t.Fatalf("trie capacities %v; want 8, 96, 1,152, 13,824 and 165,888", vecSpan[:5])
 	}
-	centers := []uint64{vecSpan[0], vecSpan[1], 256, 2 * vecSpan[1], vecSpan[2], 8_192, vecSpan[3]}
+	centers := []uint64{vecSpan[0], vecSpan[1], 2 * vecSpan[1], 224, vecSpan[2], 6_272, 8_192, vecSpan[3], vecSpan[4]}
 
 	for _, regime := range []struct {
 		name      string

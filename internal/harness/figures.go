@@ -127,8 +127,8 @@ func fig9(scale Scale) (*Table, []workloads.Row, error) {
 		Note: "Paper: MOD speeds up map/set/queue/stack by ~43%, applications by ~36%, " +
 			"and slows vector/vec-swap down (tree vs flat array). Here a vector leaf is one cache line " +
 			"(8 elements, not the evaluated tree's 32): MOD still flushes more lines than PMDK on both vector rows " +
-			"under a third of the fences, and which way the time goes depends on the trie's depth " +
-			"(MOD wins them at small and default scale, not at full; DESIGN.md §2).",
+			"under a third of the fences; with one-line 12-way interior nodes (heap layout v18) " +
+			"MOD wins them at every scale, the paper's million elements too (DESIGN.md §2).",
 		Header: []string{"workload", "engine", "sim-ms", "norm", "other", "flush", "log", "flushes", "fences"},
 	}
 	var rows []workloads.Row

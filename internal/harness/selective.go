@@ -49,9 +49,9 @@ func selectivePreload(ops int) int {
 // rows flush leaf bindings, one record cell per update and, at each
 // checkpoint fold, the navigation nodes it seals. Whether that is fewer
 // flushes depends on the batch. At small scale (BENCH_baseline.json,
-// heap layout v17) 64 updates a FASE flush 5,755 lines against 8,502
-// on the map and 4,142 against 5,604 on the vector; one update a FASE
-// flushes more, 18,770 against 17,326 and 17,989 against 12,000. The
+// heap layout v18) 64 updates a FASE flush 5,836 lines against 8,518
+// on the map and 4,681 against 5,011 on the vector; one update a FASE
+// flushes more, 18,753 against 17,316 and 19,483 against 10,498. The
 // simulated time of every selective row is longer than its persist-all
 // row's. A further price is a recovery-time rebuild, reported in the
 // last two columns and as the recovery/ rows. These are the headline

@@ -16,9 +16,9 @@ import (
 // navigation nodes stay volatile-clean until a checkpoint fold seals them,
 // and are rebuilt from the record chain on recovery. That saves flushes
 // only when a FASE batches updates: at small scale (BENCH_baseline.json,
-// heap layout v17) 64 updates a FASE flush 5,755 lines against 8,502 on
-// the map and 4,142 against 5,604 on the vector, and one update a FASE
-// flushes more, 18,770 against 17,326 and 17,989 against 12,000.
+// heap layout v18) 64 updates a FASE flush 5,836 lines against 8,518 on
+// the map and 4,681 against 5,011 on the vector, and one update a FASE
+// flushes more, 18,753 against 17,316 and 19,483 against 10,498.
 //
 // Each run optionally ends in a simulated crash + reopen so the rebuild
 // cost (recovery ns, nodes rebuilt) is measured on the same images the
