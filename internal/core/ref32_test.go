@@ -18,94 +18,36 @@ import (
 // reference that decodes to a non-block does — an error or a typed
 // corruption panic, never a wild read.
 
-// TestOpenRefusesV4Heap: an image stamped with the 8-byte-reference
-// layout fails the open with alloc.ErrHeapVersion and attaches nothing.
-func TestOpenRefusesV4Heap(t *testing.T) { openStampedHeap(t, 4) }
+// TestOpenRejectsOlderLayouts: an image stamped with any layout older
+// than this build's fails the open with alloc.ErrHeapVersion and attaches
+// nothing. Each row says what that layout holds that this build would
+// misread. A version below the current one without a row fails the test,
+// so a layout bump adds the row of the version it retires.
+func TestOpenRejectsOlderLayouts(t *testing.T) {
+	refused := []struct {
+		version   uint64
+		why       string
+		stageLive bool // also refused with the version word's stage-live flag set
+	}{
+		{1, "no open-run table, and 8-byte block headers with no checksum word, where this build reads 16-byte headers whose second word is the checksum", false},
+		{2, "8-byte block headers with neither a volatile-node bit nor a checksum word", false},
+		{3, "8-byte block headers carrying a volatile-node bit and no checksum word", false},
+		{4, "8-byte node references inside trie nodes, where this build reads 4-byte ones", false},
+		{5, "a commit-log block this build would neither replay nor trace", false},
+		{6, "32-element vector leaves, where this build indexes 8", false},
+		{7, "multi-root commits in a one-slot batch record under a reserved root, which this build would neither replay nor retire, and root entries with no stage slots", false},
+		{8, "16-byte root entries holding a bare address and no stage slots", false},
+		{9, "multi-root commits in a batch record this build would neither replay nor retire, and 24-byte stage slots with no group word", true},
+		{10, "no shard identity in the superblock and group words that count their members in 8 bits; a sharded store kept its cross-shard batches in a manifest on a metadata region this build no longer reads", false},
+		{11, "a map named by a [count][root] header block, where this build reads a root node with the count in its first word", false},
+		{12, "a recovery that never applies a selective structure's staged publication unlanded: it refuses the volatile navigation nodes it reaches, where this build's rounds digest only the durable blocks and acknowledge at the round's fence", false},
+		{13, "map entries of two references, a key blob's and a value blob's, where this build reads one reference to a binding block", false},
+		{14, "a recovery that follows a selective header's navigation words into every block whose volatile-node bit (header bit 41) reads clear, where this build follows only the checkpoint and the record chain and sweeps the navigation", false},
+		{15, "a vector named by a [count][shift][root][tail] header block over a full 32-slot root node, where this build reads a root carrying count, height and tail ahead of its children", false},
+		{16, "32-way vector interior nodes under roots that store the bit shift of their index digit, where this build reads 12-way nodes under a root that stores its height", false},
+		{17, "28-way vector interior nodes of two lines, where this build reads 12-way nodes of one line: the same root names a different element behind every index digit", false},
+	}
 
-// TestOpenRejectsV5Heap: so does a layout whose heaps anchor a commit-log
-// block this build would neither replay nor trace.
-func TestOpenRejectsV5Heap(t *testing.T) { openStampedHeap(t, 5) }
-
-// TestOpenRejectsV6Heap: and the layout before this one, whose vector
-// leaves hold 32 elements where this build indexes 8.
-func TestOpenRejectsV6Heap(t *testing.T) { openStampedHeap(t, 6) }
-
-// TestOpenRejectsV8Heap: and a layout whose 16-byte root entries hold a
-// bare address and no stage slots.
-func TestOpenRejectsV8Heap(t *testing.T) { openStampedHeap(t, 8) }
-
-// TestOpenRejectsV9Heap: and the layout before this one, whose multi-root
-// commits live in a batch record this build would neither replay nor
-// retire, and whose 24-byte stage slots carry no group word.
-func TestOpenRejectsV9Heap(t *testing.T) {
-	openStampedHeap(t, 9)
-	openStampedHeap(t, 9|1<<63) // with its stage-live flag set
-}
-
-// TestOpenRejectsV10Heap: and a layout whose superblock records no shard
-// identity and whose group words count their members in 8 bits — a
-// sharded store kept its cross-shard batches in a manifest on a metadata
-// region this build no longer reads.
-func TestOpenRejectsV10Heap(t *testing.T) {
-	openStampedHeap(t, 10)
-}
-
-// TestOpenRejectsV11Heap: and the layout before this one, whose root
-// cells name a map by a [count][root] header block where this build reads
-// a root node with the count in its first word.
-func TestOpenRejectsV11Heap(t *testing.T) {
-	openStampedHeap(t, 11)
-}
-
-// TestOpenRejectsV12Heap: and the layout before this one, whose recovery
-// never applies a selective structure's staged publication unlanded: it
-// refuses the volatile navigation nodes it reaches, where this build's
-// rounds digest only the durable blocks and acknowledge at the round's
-// fence.
-func TestOpenRejectsV12Heap(t *testing.T) {
-	openStampedHeap(t, 12)
-}
-
-// TestOpenRejectsV13Heap: and the layout before this one, whose map
-// entries are two references, a key blob's and a value blob's, where this
-// build reads one reference to a binding block.
-func TestOpenRejectsV13Heap(t *testing.T) {
-	openStampedHeap(t, 13)
-}
-
-// TestOpenRejectsV14Heap: and the layout before this one, whose recovery
-// follows a selective header's navigation words into every block whose
-// volatile-node bit (header bit 41) reads clear, where this build follows
-// only the checkpoint and the record chain and sweeps the navigation.
-func TestOpenRejectsV14Heap(t *testing.T) {
-	openStampedHeap(t, 14)
-}
-
-// TestOpenRejectsV15Heap: and the layout before this one, whose root
-// cells name a vector by a [count][shift][root][tail] header block over
-// a full 32-slot root node, where this build reads a root carrying count,
-// shift and tail ahead of its children.
-func TestOpenRejectsV15Heap(t *testing.T) {
-	openStampedHeap(t, 15)
-}
-
-// TestOpenRejectsV16Heap: and the layout before, whose vector interior
-// nodes are 32-way and whose roots store the bit shift of their index
-// digit, where this build reads 12-way nodes under a root that stores its
-// height.
-func TestOpenRejectsV16Heap(t *testing.T) {
-	openStampedHeap(t, 16)
-}
-
-// TestOpenRejectsV17Heap: and the layout before this one, whose vector
-// interior nodes are 28-way, two lines each, where this build reads
-// 12-way nodes of one line: the same root names a different element
-// behind every index digit.
-func TestOpenRejectsV17Heap(t *testing.T) {
-	openStampedHeap(t, 17)
-}
-
-func openStampedHeap(t *testing.T, version uint64) {
 	cfg := pmem.DefaultConfig(1 << 20)
 	db, _, err := Open(cfg)
 	if err != nil {
@@ -114,14 +56,32 @@ func openStampedHeap(t *testing.T, version uint64) {
 	db.Sync()
 	img := snapshot(db.Store())
 	db.Close()
-	binary.LittleEndian.PutUint64(img[8:], version) // the superblock's version word
-
-	db2, info, err := Open(cfg, WithExistingImages([][]byte{img}))
-	if !errors.Is(err, alloc.ErrHeapVersion) {
-		t.Fatalf("open of a v%d image: %v, want alloc.ErrHeapVersion", version, err)
+	current := binary.LittleEndian.Uint64(img[8:]) // the superblock's version word
+	if n := uint64(len(refused)); n != current-1 {
+		t.Fatalf("rows cover v1 to v%d, want every layout below v%d", n, current)
 	}
-	if db2 != nil || info.Recovered {
-		t.Fatalf("refused open still attached something: db %v, info %+v", db2, info)
+
+	open := func(t *testing.T, version uint64, why string) {
+		stamped := slices.Clone(img)
+		binary.LittleEndian.PutUint64(stamped[8:], version)
+		db, info, err := Open(cfg, WithExistingImages([][]byte{stamped}))
+		if !errors.Is(err, alloc.ErrHeapVersion) {
+			t.Fatalf("open of a v%d image (version word %#x): %v, want alloc.ErrHeapVersion; that layout has %s", version&^(1<<63), version, err, why)
+		}
+		if db != nil || info.Recovered {
+			t.Fatalf("refused open still attached something: db %v, info %+v", db, info)
+		}
+	}
+	for i, r := range refused {
+		if r.version != uint64(i+1) {
+			t.Fatalf("row %d is v%d: one row per version, oldest first", i, r.version)
+		}
+		t.Run(fmt.Sprintf("v%d", r.version), func(t *testing.T) {
+			open(t, r.version, r.why)
+			if r.stageLive {
+				open(t, r.version|1<<63, r.why)
+			}
+		})
 	}
 }
 

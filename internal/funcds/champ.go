@@ -96,7 +96,7 @@ func NewMap(h *alloc.Heap) Map {
 // empty root is both the live state and the checkpoint (flushed, not
 // fenced).
 func NewMapSelective(h *alloc.Heap) Map {
-	return Map{h: h, addr: selHdrOver(h, NewMap(h).Addr(), TagMapHdrSel, selRootBase), sel: true}
+	return Map{h: h, addr: selHdrOver(h, NewMap(h).Addr(), TagMapHdrSel), sel: true}
 }
 
 // MapAt adopts an existing map version, e.g. after recovery: a root node,

@@ -43,7 +43,7 @@ const (
 	TagStackHdr
 	TagListNode
 	TagQueueHdr
-	TagVecRoot // a plain vector's version: [count][shift][tail] then its children (vector.go)
+	TagVecRoot // a plain vector's version: [count][height][tail] then its children (vector.go)
 	TagVecNode
 	TagVecLeaf
 	TagMapRoot // a plain map's version: [count] then a trie node (champ.go)
@@ -65,30 +65,58 @@ const (
 	TagQueueHdrSel
 )
 
-// RegisterWalkers installs the child-enumeration functions for every node
-// type in this package on the heap, and names a selective header's
-// navigation words apart from the checkpoint and record chain recovery
-// follows. It must be called after Format or before Recover.
+// layoutRow is one node type of the heap layout (DESIGN.md §2, whose
+// node block names every row). walk lists the children recovery follows;
+// a selective header also names its navigation words apart (nav), the
+// size of the base fields its extension follows (base) and, for a stack
+// or a queue, the plain tag its checkpoint clone takes (plain; a map's or
+// a vector's clone is its root itself).
+type layoutRow struct {
+	name  string
+	walk  alloc.Walker // nil for TagParent, whose walker package core registers
+	nav   alloc.Walker
+	base  int
+	plain uint8
+}
+
+// layout is the heap layout, indexed by tag.
+var layout = [256]layoutRow{
+	TagBlob:         {name: "binding", walk: walkNone},
+	TagStackHdr:     {name: "stack hdr", walk: walkStackHdr},
+	TagListNode:     {name: "list cell", walk: walkListNode},
+	TagQueueHdr:     {name: "queue hdr", walk: walkQueueHdr},
+	TagVecRoot:      {name: "vec root", walk: walkVecRoot},
+	TagVecNode:      {name: "vec node", walk: walkVecNode},
+	TagVecLeaf:      {name: "vec leaf", walk: walkNone},
+	TagMapRoot:      {name: "map root", walk: walkMapRoot},
+	TagMapNode:      {name: "map node", walk: walkMapNode},
+	TagMapCollision: {name: "collision", walk: walkMapCollision},
+	TagParent:       {name: "parent"},
+	TagRecord:       {name: "record", walk: walkRecord},
+	TagMapHdrSel:    selRow("map sel hdr", selRootBase, walkSelRoot, 0),
+	TagVecHdrSel:    selRow("vec sel hdr", selRootBase, walkSelRoot, 0),
+	TagStackHdrSel:  selRow("stack sel hdr", stackHdrSize, walkStackHdr, TagStackHdr),
+	TagQueueHdrSel:  selRow("queue sel hdr", queueHdrSize, walkQueueHdr, TagQueueHdr),
+}
+
+// selRow is a selective header's row: recovery follows its checkpoint and
+// record chain, and nav names the base fields' navigation words.
+func selRow(name string, base int, nav alloc.Walker, plain uint8) layoutRow {
+	return layoutRow{name: name, walk: walkSelExt(base), nav: nav, base: base, plain: plain}
+}
+
+// RegisterWalkers installs every walker and navigation walker of the
+// layout table on the heap. It must be called after Format or before
+// Recover.
 func RegisterWalkers(h *alloc.Heap) {
-	h.RegisterWalker(TagBlob, walkNone)
-	h.RegisterWalker(TagStackHdr, walkStackHdr)
-	h.RegisterWalker(TagListNode, walkListNode)
-	h.RegisterWalker(TagQueueHdr, walkQueueHdr)
-	h.RegisterWalker(TagVecRoot, walkVecRoot)
-	h.RegisterWalker(TagVecNode, walkVecNode)
-	h.RegisterWalker(TagVecLeaf, walkNone)
-	h.RegisterWalker(TagMapRoot, walkMapRoot)
-	h.RegisterWalker(TagMapNode, walkMapNode)
-	h.RegisterWalker(TagMapCollision, walkMapCollision)
-	h.RegisterWalker(TagRecord, walkRecord)
-	h.RegisterWalker(TagMapHdrSel, walkSelExt(selRootBase))
-	h.RegisterWalker(TagVecHdrSel, walkSelExt(selRootBase))
-	h.RegisterWalker(TagStackHdrSel, walkSelExt(stackHdrSize))
-	h.RegisterWalker(TagQueueHdrSel, walkSelExt(queueHdrSize))
-	h.RegisterNavigation(TagMapHdrSel, walkSelRoot)
-	h.RegisterNavigation(TagVecHdrSel, walkSelRoot)
-	h.RegisterNavigation(TagStackHdrSel, walkStackHdr)
-	h.RegisterNavigation(TagQueueHdrSel, walkQueueHdr)
+	for tag, r := range layout {
+		if r.walk != nil {
+			h.RegisterWalker(uint8(tag), r.walk)
+		}
+		if r.nav != nil {
+			h.RegisterNavigation(uint8(tag), r.nav)
+		}
+	}
 }
 
 func walkNone(*alloc.Heap, pmem.Addr, *alloc.Scratch, func(pmem.Addr)) {}

@@ -3,6 +3,9 @@ package funcds
 import (
 	"fmt"
 	"math/bits"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/mod-ds/mod/internal/alloc"
@@ -555,5 +558,47 @@ func TestVectorNodesSpanOneLine(t *testing.T) {
 	}
 	if r.height != 4 || nodes != want {
 		t.Errorf("a %d-element trie of height %d has %d interior nodes, want height 4 and %d", r.count, r.height, nodes, want)
+	}
+}
+
+// TestDesignNodeBlockMatchesLayout reads DESIGN.md §2's node block, one
+// row per tag in tag order, and fails when a layout table row has no
+// block row or a block row names no table row.
+func TestDesignNodeBlockMatchesLayout(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(doc), "\n### Node layouts")
+	if !ok {
+		t.Fatal("DESIGN.md has no node-layouts section")
+	}
+	_, sec, _ = strings.Cut(sec, "\n```\n")
+	block, _, ok := strings.Cut(sec, "\n```")
+	if !ok {
+		t.Fatal("DESIGN.md's node-layouts section has no fenced block")
+	}
+	var design, table []string
+	for _, line := range strings.Split(block, "\n") {
+		name, _, _ := strings.Cut(line, "  ")
+		design = append(design, name)
+	}
+	for _, r := range layout {
+		if r.name != "" {
+			table = append(table, r.name)
+		}
+	}
+	for _, n := range table {
+		if !slices.Contains(design, n) {
+			t.Errorf("layout row %q has no row in DESIGN.md §2's node block", n)
+		}
+	}
+	for _, n := range design {
+		if !slices.Contains(table, n) {
+			t.Errorf("DESIGN.md §2's node block names %q, which no layout row has", n)
+		}
+	}
+	if !t.Failed() && !slices.Equal(design, table) {
+		t.Errorf("DESIGN.md §2's node block lists %q, want tag order %q", design, table)
 	}
 }

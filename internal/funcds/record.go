@@ -146,24 +146,10 @@ func walkRecord(h *alloc.Heap, r pmem.Addr, _ *alloc.Scratch, visit func(pmem.Ad
 	}
 }
 
-// selBaseSize returns the base-field size preceding the selective
-// extension for a selective header tag, or 0 for any other tag.
-func selBaseSize(tag uint8) int {
-	switch tag {
-	case TagMapHdrSel, TagVecHdrSel:
-		return selRootBase
-	case TagStackHdrSel:
-		return stackHdrSize
-	case TagQueueHdrSel:
-		return queueHdrSize
-	}
-	return 0
-}
-
 // IsSelective reports whether the header at hdr is a selectively
 // persisted structure.
 func IsSelective(h *alloc.Heap, hdr pmem.Addr) bool {
-	return hdr != pmem.Nil && selBaseSize(h.Tag(hdr)) != 0
+	return hdr != pmem.Nil && layout[h.Tag(hdr)].base != 0
 }
 
 // SelectiveExt returns the checkpoint clone, record chain head, and
@@ -174,7 +160,7 @@ func SelectiveExt(h *alloc.Heap, hdr pmem.Addr) (ckpt, recHead pmem.Addr, recCou
 	if hdr == pmem.Nil {
 		return pmem.Nil, pmem.Nil, 0
 	}
-	base := selBaseSize(h.Tag(hdr))
+	base := layout[h.Tag(hdr)].base
 	if base == 0 {
 		return pmem.Nil, pmem.Nil, 0
 	}
@@ -212,21 +198,6 @@ func walkSelExt(base int) alloc.Walker {
 			visit(recHead)
 		}
 	}
-}
-
-// livePointers returns the base-layout child pointers of a selective
-// header: its navigation words, the roots of the volatile crown.
-func livePointers(h *alloc.Heap, hdr pmem.Addr) []pmem.Addr {
-	dev := h.Device()
-	switch h.Tag(hdr) {
-	case TagMapHdrSel, TagVecHdrSel:
-		return []pmem.Addr{pmem.Addr(dev.ReadU64(hdr))}
-	case TagStackHdrSel:
-		return []pmem.Addr{pmem.Addr(dev.ReadU64(hdr))}
-	case TagQueueHdrSel:
-		return []pmem.Addr{pmem.Addr(dev.ReadU64(hdr)), pmem.Addr(dev.ReadU64(hdr + 8))}
-	}
-	return nil
 }
 
 // walkSelRoot visits a selective map's or vector's base field, its live
@@ -275,47 +246,35 @@ func setSelRoot(h *alloc.Heap, ed *alloc.Edit, hdr pmem.Addr, tag uint8, newRoot
 // before parents: what its next fold seals, in that order. Descent prunes
 // at sealed nodes: a mark clears only after the node's seal, which comes
 // after its subtree's, so a concurrent fold's fence orders every flush
-// below a cleared mark (DESIGN.md §10).
+// below a cleared mark (DESIGN.md §10). The descent follows the layout
+// table's walkers from the header's navigation words, and a binding is
+// never volatile, so it prunes there too.
 func Crown(h *alloc.Heap, hdr pmem.Addr) []pmem.Addr {
+	nav := layout[h.Tag(hdr)].nav
+	if nav == nil {
+		return nil
+	}
 	var out []pmem.Addr
 	var sc alloc.Scratch
 	seen := make(map[pmem.Addr]struct{})
 	var rec func(a pmem.Addr)
 	rec = func(a pmem.Addr) {
-		if a == pmem.Nil {
-			return
-		}
 		if _, ok := seen[a]; ok || !h.IsVolatile(a) {
 			return
 		}
 		seen[a] = struct{}{}
-		switch tag := h.Tag(a); tag {
-		case TagMapRoot, TagMapNode:
-			var n mapNode
-			readMapNode(h, nil, &sc, a, tagPrefix(tag), &n)
-			for _, c := range n.children() {
+		if walk := layout[h.Tag(a)].walk; walk != nil {
+			// A walker reads through sc, which the descent reuses: take
+			// the children before descending.
+			var kids []pmem.Addr
+			walk(h, a, &sc, func(c pmem.Addr) { kids = append(kids, c) })
+			for _, c := range kids {
 				rec(c)
 			}
-		case TagVecRoot:
-			var r vecRoot
-			readRoot(h, nil, &sc, a, &r)
-			for _, c := range r.refs[:1+r.k] { // the tail and the children
-				rec(c)
-			}
-		case TagVecNode:
-			for _, c := range readNode(h, nil, &sc, a) {
-				rec(c)
-			}
-		case TagListNode:
-			rec(pmem.Addr(h.Device().ReadU64(a)))
-			// TagVecLeaf and TagMapCollision carry no volatile children
-			// (their pointers, if any, are always-durable bindings).
 		}
 		out = append(out, a)
 	}
-	for _, r := range livePointers(h, hdr) {
-		rec(r)
-	}
+	nav(h, hdr, &sc, rec)
 	return out
 }
 
@@ -323,7 +282,7 @@ func Crown(h *alloc.Heap, hdr pmem.Addr) []pmem.Addr {
 // accumulated every records — the interval of the store committing it —
 // and must checkpoint at this commit. Plain structures never do.
 func NeedsCheckpoint(h *alloc.Heap, hdr pmem.Addr, every uint64) bool {
-	base := selBaseSize(h.Tag(hdr))
+	base := layout[h.Tag(hdr)].base
 	if base == 0 {
 		return false
 	}
@@ -341,8 +300,8 @@ func NeedsCheckpoint(h *alloc.Heap, hdr pmem.Addr, every uint64) bool {
 // recovery rebuilds from the previous checkpoint and chain and sweeps the
 // sealed crown with every other navigation node.
 func PrepareCheckpoint(h *alloc.Heap, hdr pmem.Addr) {
-	tag := h.Tag(hdr)
-	base := selBaseSize(tag)
+	row := layout[h.Tag(hdr)]
+	base := row.base
 	if base == 0 {
 		return
 	}
@@ -358,25 +317,16 @@ func PrepareCheckpoint(h *alloc.Heap, hdr pmem.Addr) {
 	// names. Either way every navigation node live now is in the
 	// checkpoint's subtree.
 	var clone pmem.Addr
-	if tag == TagMapHdrSel || tag == TagVecHdrSel {
-		clone = livePointers(h, hdr)[0]
+	if row.plain == 0 {
+		clone = pmem.Addr(dev.ReadU64(hdr))
 		h.Retain(clone)
 	} else {
-		switch tag {
-		case TagStackHdrSel:
-			clone = h.AllocNode(stackHdrSize, TagStackHdr)
-		case TagQueueHdrSel:
-			clone = h.AllocNode(queueHdrSize, TagQueueHdr)
-		}
+		clone = h.AllocNode(base, row.plain)
 		buf := make([]byte, base)
 		dev.Read(hdr, buf)
 		dev.Write(clone, buf)
 		h.SealNode(clone, base)
-		for _, p := range livePointers(h, hdr) {
-			if p != pmem.Nil {
-				h.Retain(p)
-			}
-		}
+		row.nav(h, hdr, new(alloc.Scratch), h.Retain)
 	}
 
 	oldCkpt, oldRec, _ := readSelExt(h, hdr, base)
@@ -404,7 +354,7 @@ func PrepareCheckpoint(h *alloc.Heap, hdr pmem.Addr) {
 // number of records applied.
 func RebuildSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed int, err error) {
 	tag := h.Tag(hdr)
-	base := selBaseSize(tag)
+	base := layout[tag].base
 	if base == 0 {
 		return hdr, 0, fmt.Errorf("funcds: rebuild of non-selective header %#x (tag %d)", uint64(hdr), tag)
 	}
@@ -501,7 +451,7 @@ func RebuildSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed 
 
 	// Fresh selective header over the replayed state, which doubles as its
 	// checkpoint (entirely durable, empty chain).
-	return selHdrOver(h, final, tag, base), len(chain), nil
+	return selHdrOver(h, final, tag), len(chain), nil
 }
 
 // DropNavigation writes Nil into the navigation words of the selective
@@ -510,7 +460,7 @@ func RebuildSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed 
 // The header must be unreachable from every durable root: the bytes are
 // neither flushed nor resealed.
 func DropNavigation(h *alloc.Heap, hdr pmem.Addr) {
-	h.Device().Zero(hdr, selBaseSize(h.Tag(hdr)))
+	h.Device().Zero(hdr, layout[h.Tag(hdr)].base)
 }
 
 // selHdrOver builds a fresh sealed selective header of the given tag
@@ -518,11 +468,13 @@ func DropNavigation(h *alloc.Heap, hdr pmem.Addr) {
 // a map or a vector, name state's root — and whose checkpoint is state itself,
 // with an empty record chain. The state reference transfers in; live
 // pointers gain a reference each.
-func selHdrOver(h *alloc.Heap, state pmem.Addr, tag uint8, base int) pmem.Addr {
+func selHdrOver(h *alloc.Heap, state pmem.Addr, tag uint8) pmem.Addr {
+	row := layout[tag]
+	base := row.base
 	hdr := h.AllocNode(base+selExtSize, tag)
 	dev := h.Device()
 	buf := make([]byte, base)
-	if tag == TagMapHdrSel || tag == TagVecHdrSel {
+	if row.plain == 0 {
 		binary.LittleEndian.PutUint64(buf, uint64(state))
 	} else {
 		dev.Read(state, buf)
@@ -530,11 +482,7 @@ func selHdrOver(h *alloc.Heap, state pmem.Addr, tag uint8, base int) pmem.Addr {
 	dev.Write(hdr, buf)
 	writeSelExt(h, hdr, base, state, pmem.Nil, 0)
 	h.SealNode(hdr, base+selExtSize)
-	for _, p := range livePointers(h, hdr) {
-		if p != pmem.Nil {
-			h.Retain(p)
-		}
-	}
+	row.nav(h, hdr, new(alloc.Scratch), h.Retain)
 	return hdr
 }
 
@@ -585,7 +533,7 @@ func chainDamage(h *alloc.Heap, recHead pmem.Addr, recCount uint64) error {
 // damage there would pass any check of the result.
 func SalvageSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed int, dropped uint64, err error) {
 	tag := h.Tag(hdr)
-	base := selBaseSize(tag)
+	base := layout[tag].base
 	if base == 0 {
 		return hdr, 0, 0, fmt.Errorf("funcds: salvage of non-selective header %#x (tag %d)", uint64(hdr), tag)
 	}
@@ -604,5 +552,5 @@ func SalvageSelective(h *alloc.Heap, hdr pmem.Addr) (newHdr pmem.Addr, replayed 
 	// reference through the new header's ckpt field plus one for serving
 	// as the live state.
 	h.Retain(ckpt)
-	return selHdrOver(h, ckpt, tag, base), 0, recCount, nil
+	return selHdrOver(h, ckpt, tag), 0, recCount, nil
 }

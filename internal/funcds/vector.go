@@ -225,7 +225,7 @@ func NewVector(h *alloc.Heap) Vector {
 // cell, and the empty root is both the live state and the checkpoint
 // (flushed, not fenced).
 func NewVectorSelective(h *alloc.Heap) Vector {
-	return Vector{h: h, addr: selHdrOver(h, NewVector(h).Addr(), TagVecHdrSel, selRootBase), sel: true}
+	return Vector{h: h, addr: selHdrOver(h, NewVector(h).Addr(), TagVecHdrSel), sel: true}
 }
 
 // VectorAt adopts an existing vector version, e.g. after recovery: a
