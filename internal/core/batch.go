@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -68,6 +67,9 @@ type batchOp struct {
 	ds    Datastructure
 	apply rootOp
 }
+
+// slot is the root slot op updates.
+func (op batchOp) slot() int { return op.ds.base().loc.slot }
 
 // Batch accumulates updates for one group commit, across any number of
 // roots and — built by DB.Batch — any number of shards. Ops are kept in
@@ -220,7 +222,7 @@ func (b *Batch) commit(ops []batchOp, shard int, durable bool) {
 	var preps, changed []*preparedBatch
 	for si, ops := range b.split(ops, shard) {
 		if len(ops) > 0 {
-			p := b.shards[si].prepareBatch(ops, 0)
+			p := b.shards[si].prepareBatch(ops)
 			preps = append(preps, p)
 			if len(p.changed) > 0 {
 				changed = append(changed, p)
@@ -253,17 +255,17 @@ type rootChange struct {
 
 // preparedBatch is an applied-but-unpublished commit on one store: root
 // commit mutexes held, shadow chains built and durable-ready, handles
-// holding their final versions, publication pending. prepareBatch builds
-// one from a Batch's deferred ops, CommitUnrelated (store.go) from the
-// caller's own shadow chains, CommitSiblings from a parent shadow,
-// bindRoot (handles.go) from a new root.
+// holding their final versions, publication pending. prepare builds one
+// from deferred ops (a Batch, a commit-queue round), CommitUnrelated
+// (store.go) from the caller's own shadow chains, CommitSiblings from a
+// parent shadow, bindRoot (handles.go) from a new root.
 // publish installs one, or one per shard of a batch spanning shards; the
 // caller must then call finish to retire superseded versions and release
 // the locks.
 type preparedBatch struct {
 	s        *Store
-	batched  int   // ops prepareBatch applied in the FASE it opened, which finish closes; 0 for a caller-built batch
-	locked   []int // ascending
+	batched  int   // ops apply applied in the FASE prepare opened, which finish closes; 0 for a caller-built batch
+	locked   []int // ascending, then the roots a round absorbed
 	changed  []rootChange
 	releases []pmem.Addr // intermediate shadows, never published; per root in chain order
 
@@ -284,62 +286,103 @@ type preparedBatch struct {
 	// first: group is their prefix.
 	swaps, group []alloc.StagedRoot
 	buf          [4]alloc.StagedRoot // up to four changed roots allocate nothing
+
+	// The open edit, between prepare (or absorb) and seal, and the root
+	// apply is applying ops to (-1 between roots).
+	ed *alloc.Edit
+	at int
+	// Scratch whose storage a reused batch (a commit queue's) keeps from
+	// round to round: apply's roots in the order ops first name them, and
+	// the digested roots' ledgers back to back.
+	slots []int
+	fresh []pmem.Addr
 }
 
-// prepareBatch locks every root the ops touch (ascending slot order, so
-// overlapping batches cannot deadlock), applies each op against the
-// root's then-current committed version inside one shared edit context,
-// and seals the edit so every dirtied line is inflight, ready for the
-// publication fence. The first operation on a root copies its path;
-// subsequent operations mutate the edit-owned shadow in place, so an
-// N-op batch copies each path node at most once. An operation that must
-// rebuild the owned shadow instead (a map whose root changes shape)
-// releases it itself, so the chain leaves no intermediate to retire here
-// (funcds.Map.Set). Each op's handle adopts its root's final version —
-// under the root's lock, which finish releases only after publication.
-// For every changed root in digest it also takes the durable blocks the
-// root's shadow adds — its range of the edit's ledger — which publish
-// folds into the publication's digest.
-func (s *Store) prepareBatch(ops []batchOp, digest uint64) *preparedBatch {
-	// Group ops by root slot, preserving submission order within a root.
-	perSlot := make(map[int][]batchOp)
-	var slots []int
+// prepareBatch prepares ops as one sealed FASE for a synchronous commit.
+func (s *Store) prepareBatch(ops []batchOp) *preparedBatch {
+	p := new(preparedBatch)
+	p.prepare(s, ops, 0)
+	p.seal()
+	return p
+}
+
+// prepare opens a FASE on s in p, keeping p's storage: it locks every
+// root the ops touch (ascending slot order, so overlapping batches cannot
+// deadlock), opens one edit context and applies the ops in it. After
+// seal and ahead of publication, a commit-queue round may apply more ops,
+// on roots it locked itself, in a second edit of the same FASE (absorb).
+func (p *preparedBatch) prepare(s *Store, ops []batchOp, digest uint64) {
+	*p = preparedBatch{s: s, digest: digest, at: -1,
+		locked: p.locked[:0], changed: p.changed[:0], slots: p.slots[:0], fresh: p.fresh[:0]}
 	for _, op := range ops {
-		slot := op.ds.base().loc.slot
-		if _, ok := perSlot[slot]; !ok {
-			slots = append(slots, slot)
+		if slot := op.slot(); !slices.Contains(p.locked, slot) {
+			p.locked = append(p.locked, slot)
 		}
-		perSlot[slot] = append(perSlot[slot], op)
 	}
-	locked := slices.Clone(slots)
-	sort.Ints(locked)
-	for _, slot := range locked {
+	slices.Sort(p.locked)
+	for _, slot := range p.locked {
 		s.sh.rootMu[slot].Lock()
 	}
-
 	s.BeginFASE()
-	ed := s.heap.BeginEdit()
-	p := &preparedBatch{s: s, batched: len(ops), locked: locked, digest: digest}
-	for _, slot := range slots {
+	p.ed = s.heap.BeginEdit()
+	p.apply(ops)
+}
+
+// apply applies ops, whose roots p holds, against each root's
+// then-current committed version inside p's edit: root by root in the
+// order the ops first name them, each root's ops in submission order. The
+// first operation on a root copies its path; subsequent operations mutate
+// the edit-owned shadow in place, so an N-op batch copies each path node
+// at most once. An operation that must rebuild the owned shadow instead
+// (a map whose root changes shape) releases it itself, so the chain
+// leaves no intermediate to retire here (funcds.Map.Set). Each op's
+// handle adopts its root's final version — under the root's lock, which
+// finish releases only after publication. For every changed root in
+// digest it also takes the durable blocks the root's shadow adds — its
+// range of the edit's ledger — which publish folds into the
+// publication's digest.
+func (p *preparedBatch) apply(ops []batchOp) {
+	s, ed := p.s, p.ed
+	from := len(p.slots)
+	for _, op := range ops {
+		if slot := op.slot(); !slices.Contains(p.slots[from:], slot) {
+			p.slots = append(p.slots, slot)
+		}
+	}
+	for _, slot := range p.slots[from:] {
+		p.at = slot
 		old := s.heap.Root(slot)
 		cur := old
 		mark := ed.Mark()
-		for _, op := range perSlot[slot] {
-			cur = op.apply(s, ed, cur)
+		for _, op := range ops {
+			if op.slot() == slot {
+				cur = op.apply(s, ed, cur)
+			}
 		}
-		for _, op := range perSlot[slot] {
-			op.ds.base().adopt(cur)
+		for _, op := range ops {
+			if op.slot() == slot {
+				op.ds.base().adopt(cur)
+			}
 		}
 		if cur != old {
 			c := rootChange{slot: slot, old: old, final: cur}
-			if digest&(1<<slot) != 0 {
-				c.fresh = ed.Fresh(mark, nil) // Seal empties the ledger
+			if p.digest&(1<<slot) != 0 {
+				n := len(p.fresh)
+				p.fresh = ed.Fresh(mark, p.fresh) // Seal empties the ledger
+				c.fresh = p.fresh[n:len(p.fresh):len(p.fresh)]
 			}
 			p.changed = append(p.changed, c)
 		}
 	}
-	ed.Seal() // coalesced flush sweep, ahead of the publish fence
-	return p
+	p.at = -1
+	p.batched += len(ops)
+}
+
+// seal closes p's edit: the coalesced flush sweep, ahead of the
+// publication fence.
+func (p *preparedBatch) seal() {
+	p.ed.Seal()
+	p.ed = nil
 }
 
 // publish is every locked publication of root pointers, a parent's
@@ -449,6 +492,7 @@ func (p *preparedBatch) unlock() {
 	for i := len(p.locked) - 1; i >= 0; i-- {
 		p.s.sh.rootMu[p.locked[i]].Unlock()
 	}
+	p.locked = p.locked[:0]
 }
 
 // The commit queue (DESIGN.md §7). Every store has one, and no goroutine
@@ -461,13 +505,16 @@ func (p *preparedBatch) unlock() {
 // — every root no spanning submission of the round touches — as a
 // publication of its own, with a digest of the durable blocks it adds.
 // The round's other roots publish as one group, whose members carry
-// digests too when a spanning CommitAsync is among them. So the round's
-// fence makes every CommitAsync in it durable — after a publication that
-// cannot carry a digest the round fences once more — and
-// every ticket resolves when its round returns, those of enrolled Basic
-// updates and barriers too, which wait for publication only. Every
-// release of leadership drains the queue under q.mu first, so nothing
-// queued is ever left without a leader.
+// digests too when a spanning CommitAsync is among them. Before its fence,
+// a round absorbs the one-root CommitAsync submissions queued since its
+// cut whose roots it can take without overtaking anything queued on them
+// (absorb), staged the same way. So the round's fence makes every
+// CommitAsync in it durable — after a publication that cannot carry a
+// digest the round fences once more — and every ticket resolves when its
+// round returns, those of enrolled Basic updates and barriers too, which
+// wait for publication only. Every release of leadership drains the
+// queue under q.mu first, so nothing queued is ever left without a
+// leader, not even after a round panicked (abortRound).
 
 // subKind says what a submission is.
 type subKind uint8
@@ -490,7 +537,7 @@ type submission struct {
 func newSubmission(ops []batchOp, kind subKind, t *Ticket) submission {
 	sub := submission{ops: ops, ticket: t, kind: kind}
 	for _, op := range ops {
-		sub.roots |= 1 << op.ds.base().loc.slot
+		sub.roots |= 1 << op.slot()
 	}
 	return sub
 }
@@ -511,6 +558,13 @@ type commitQueue struct {
 	// would count one submitter's wait for another as busy time in the
 	// device's aggregate simulated time.
 	busyUntil float64
+
+	// The round in flight, guarded by leadership, its storage kept from
+	// round to round: its submissions (the cut, then what it absorbed),
+	// their ops in the same order, and its prepared batch.
+	subs []submission
+	ops  []batchOp
+	prep preparedBatch
 }
 
 // DefaultCommitterMaxOps caps how many operations one commit-queue round
@@ -542,7 +596,9 @@ func (s *Store) submit(ops []batchOp, kind subKind) *Ticket {
 		// runnable queue behind this leader and share its fence instead of
 		// each leading a round of one. Without it, 16 closed-loop server
 		// clients on a busy 2-vCPU host paid ~1 fence per op (0.25–0.45
-		// before staging); two connections pay 3 % fewer fences with it.
+		// before staging). Absorption does not replace it: a round absorbs
+		// only one submission per root, and without the yield 16 clients
+		// on 8 roots read 0.45–0.55 fences/op where it reads 0.24.
 		q.mu.Unlock()
 		runtime.Gosched()
 		q.mu.Lock()
@@ -553,17 +609,23 @@ func (s *Store) submit(ops []batchOp, kind subKind) *Ticket {
 
 // release is how every leader steps down: it drains the queue and clears
 // leading under the same hold of q.mu. The caller leads and holds q.mu;
-// release unlocks it.
+// release unlocks it. A panic that was not a corruption report, raised
+// by a round and answered on its tickets, is raised again once the queue
+// has a leader no more.
 func (s *Store) release() {
 	q := &s.sh.queue
-	s.drain()
+	bug := s.drain()
 	q.leading.Store(false)
 	q.mu.Unlock()
+	if bug != nil {
+		panic(bug)
+	}
 }
 
-// drain runs rounds until the queue is empty. The caller leads and holds
-// q.mu, which each round releases while it commits.
-func (s *Store) drain() {
+// drain runs rounds until the queue is empty, and returns the first
+// panic a round raised that was not a corruption report. The caller leads
+// and holds q.mu, which each round releases while it commits.
+func (s *Store) drain() (bug any) {
 	q := &s.sh.queue
 	for len(q.pending) > 0 {
 		n, ops := 1, len(q.pending[0].ops)
@@ -571,26 +633,29 @@ func (s *Store) drain() {
 			ops += len(q.pending[n].ops)
 			n++
 		}
-		subs := q.pending[:n:n] // later appends land past the cut
-		q.pending = q.pending[n:]
+		q.subs = append(q.subs, q.pending[:n]...)
+		q.pending = slices.Delete(q.pending, 0, n)
 		q.mu.Unlock()
-		s.round(subs)
+		if b := s.round(); bug == nil {
+			bug = b
+		}
 		q.mu.Lock()
 	}
+	return bug
 }
 
-// round commits one cut of the queue as one fence epoch and resolves its
-// tickets: prepareBatch holds every touched root's commit mutex from base
+// round commits the queue's cut (q.subs) as one fence epoch and resolves
+// its tickets: prepare holds every touched root's commit mutex from base
 // read to SetRoot, so a racing lock-path commit waits for the round (and
-// the round for it) instead of costing it a fence.
-func (s *Store) round(subs []submission) {
+// the round for it) instead of costing it a fence. A panic is answered on
+// the round's tickets (abortRound) and returned when it is not a
+// corruption report.
+func (s *Store) round() (bug any) {
 	q := &s.sh.queue
-	var ops []batchOp
+	p := &q.prep
 	var basic, one, spanned uint64
-	async := false
-	for _, sub := range subs {
-		ops = append(ops, sub.ops...)
-		async = async || sub.kind == subAsync
+	for _, sub := range q.subs {
+		q.ops = append(q.ops, sub.ops...)
 		switch {
 		case sub.kind == subBasic:
 			basic++
@@ -600,6 +665,16 @@ func (s *Store) round(subs []submission) {
 			one |= sub.roots
 		}
 	}
+	var held, published bool
+	defer func() {
+		if r := recover(); r != nil {
+			bug = s.abortRound(r, held, published)
+		}
+		clear(q.subs)
+		q.subs = q.subs[:0]
+		clear(q.ops)
+		q.ops = q.ops[:0]
+	}()
 	// Every root a CommitAsync names is digested, and when one spans
 	// roots, every root of the round's group is.
 	digest := one | spanned
@@ -615,15 +690,24 @@ func (s *Store) round(subs []submission) {
 	// could not carry a digest, or the round changed nothing and so
 	// fenced nothing — its ack must still follow a fence, which covers
 	// the publications its ops read: then the round fences once more.
-	fence := async
-	if len(ops) > 0 {
-		p := s.prepareBatch(ops, digest)
+	changed, fence := false, false
+	if len(q.ops) > 0 {
+		held = true
+		p.prepare(s, q.ops, digest)
 		p.alone = one &^ spanned
+		p.seal()
+		s.absorb(p)
+		published = true
 		publish([]*preparedBatch{p})
 		p.finish()
-		fence = p.fenceAfter || async && len(p.changed) == 0
+		held = false
+		changed, fence = len(p.changed) > 0, p.fenceAfter
 	}
-	if fence {
+	async := false
+	for _, sub := range q.subs {
+		async = async || sub.kind == subAsync
+	}
+	if fence || async && !changed {
 		s.heap.Fence()
 	}
 	if basic > 0 {
@@ -631,14 +715,124 @@ func (s *Store) round(subs []submission) {
 		s.sh.cstats.combines.Add(1)
 		s.sh.cstats.combinedOps.Add(basic)
 	}
-	for _, sub := range subs {
+	for _, sub := range q.subs {
 		close(sub.ticket.done)
 	}
+	return nil
+}
+
+// absorb takes into p, a round's sealed and unpublished batch, the
+// one-root CommitAsync submissions queued after the round's cut, which
+// its fence can make durable as well, and applies their ops in a second
+// edit of p's FASE, sealed here. It looks as late as it can, after the
+// cut's seal sweep, for the later it looks the more it finds. A
+// submission is taken only if the round does not hold its root, no
+// earlier submission still queued names that root — a spanning batch, an
+// enrolled Basic update, and a barrier, which names every root — its
+// root's commit mutex is free (TryLock: a round never waits here), and
+// the round stays within maxOps. Each taken root is staged on its own
+// with its digest, as the cut's one-root submissions are, and its ticket
+// resolves at this round's end.
+func (s *Store) absorb(p *preparedBatch) {
+	q := &s.sh.queue
+	first, from := len(q.ops), len(q.subs)
+	nops := first
+	var blocked uint64
+	for _, slot := range p.locked {
+		blocked |= 1 << slot
+	}
+	q.mu.Lock()
+	kept := 0
+	for _, sub := range q.pending {
+		if sub.kind == subBarrier {
+			blocked = ^uint64(0)
+		}
+		slot := bits.TrailingZeros64(sub.roots)
+		if sub.kind == subAsync && sub.roots&blocked == 0 && bits.OnesCount64(sub.roots) == 1 &&
+			nops+len(sub.ops) <= q.maxOps && s.sh.rootMu[slot].TryLock() {
+			p.locked = append(p.locked, slot)
+			p.digest |= sub.roots
+			p.alone |= sub.roots
+			q.subs = append(q.subs, sub)
+			q.ops = append(q.ops, sub.ops...)
+			nops += len(sub.ops)
+		} else {
+			q.pending[kept] = sub
+			kept++
+		}
+		blocked |= sub.roots
+	}
+	clear(q.pending[kept:])
+	q.pending = q.pending[:kept]
+	q.mu.Unlock()
+	if len(q.subs) > from {
+		p.ed = s.heap.BeginEdit()
+		p.apply(q.ops[first:])
+		p.seal()
+	}
+}
+
+// abortRound answers a round that panicked — an op met a damaged node
+// (*alloc.CorruptionPanic, *pmem.MediaError), or a bug — so that the
+// queue keeps its leader's drain invariant: the round seals its edit,
+// retires the shadows it built if it published none (their handles adopt
+// the committed versions again), closes its FASE and unlocks its roots.
+// A panic while applying the ops of one root resolves the tickets of the
+// submissions naming that root with it — a *CorruptionError for a
+// damaged node, which Is ErrCorrupted — and queues the round's other
+// submissions again at the head of the queue, in order, for the next
+// round. One raised anywhere else resolves every ticket of the round with
+// it. Returns the panic unless it was a corruption report.
+func (s *Store) abortRound(r any, held, published bool) (bug any) {
+	q := &s.sh.queue
+	p := &q.prep
+	at := -1
+	if held {
+		at = p.at
+		if p.ed != nil {
+			p.ed.Seal()
+			p.ed = nil
+		}
+		if !published {
+			for _, c := range p.changed {
+				for _, op := range q.ops {
+					if op.slot() == c.slot {
+						op.ds.base().adopt(c.old)
+					}
+				}
+				s.heap.Release(c.final) // never published: eager retire is safe
+			}
+		}
+		s.EndFASE()
+		p.unlock()
+	}
+	var err error
+	switch e := r.(type) {
+	case *alloc.CorruptionPanic:
+		err = &CorruptionError{Shard: s.sh.shard, Slot: at, Err: e}
+	case *pmem.MediaError:
+		err = &CorruptionError{Shard: s.sh.shard, Slot: at, Err: e}
+	default:
+		bug, err = r, fmt.Errorf("core: commit round panicked: %v", r)
+	}
+	var again []submission
+	for _, sub := range q.subs {
+		if at >= 0 && sub.roots&(1<<at) == 0 {
+			again = append(again, sub)
+			continue
+		}
+		sub.ticket.err = err
+		close(sub.ticket.done)
+	}
+	q.mu.Lock()
+	q.pending = slices.Insert(q.pending, 0, again...)
+	q.mu.Unlock()
+	return bug
 }
 
 // Ticket tracks an asynchronously submitted batch. It resolves once the
 // batch is published and a fence has covered its publication (durable),
-// or the submission was rejected — Err distinguishes the two.
+// or the submission was rejected or failed — Err distinguishes them.
 type Ticket struct {
 	done chan struct{} // closed when the ticket resolves
 	err  error
@@ -663,9 +857,11 @@ func FailedTicket(err error) *Ticket { return resolvedTicket(err) }
 // no fence, and any goroutine may call it.
 func (t *Ticket) Wait() { <-t.done }
 
-// Err returns nil once Wait has returned and the batch is durable, or
-// the rejection reason (ErrStoreClosed) if the submission was refused.
-// Only valid after Wait (or a true Done).
+// Err returns nil once Wait has returned and the batch is durable, the
+// rejection reason (ErrStoreClosed) if the submission was refused, or,
+// if its round panicked applying it, why: a *CorruptionError (Is
+// ErrCorrupted) when an op met a damaged node. Only valid after Wait (or
+// a true Done).
 func (t *Ticket) Err() error { return t.err }
 
 // Done reports without blocking whether the ticket has resolved: the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -129,7 +130,17 @@ func (s *Store) update(ds Datastructure, apply rootOp) {
 			return
 		}
 	}
-	s.submit([]batchOp{{ds: ds, apply: apply}}, subBasic).Wait()
+	t := s.submit([]batchOp{{ds: ds, apply: apply}}, subBasic)
+	t.Wait()
+	if err := t.Err(); err != nil {
+		// The round panicked applying this op: raise it here, where the
+		// CAS tier would have, the damaged node's own panic included.
+		var ce *CorruptionError
+		if errors.As(err, &ce) {
+			panic(ce.Err)
+		}
+		panic(err)
+	}
 }
 
 // updateParentBound is the locked tier: lock the parent's root, reload

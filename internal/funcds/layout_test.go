@@ -30,7 +30,7 @@ func sealedLen(t *testing.T, h *alloc.Heap, a pmem.Addr) int {
 	return n
 }
 
-func TestNodeLayoutV7Sizes(t *testing.T) {
+func TestNodeLayoutSizes(t *testing.T) {
 	h := newTestHeap(t)
 	pair := newPair(h, nil, []byte("k"), nil)
 	leaf := newVecLeaf(h, nil, false, []uint64{1})

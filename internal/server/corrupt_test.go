@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -117,6 +118,93 @@ func TestServerHandleRecoversCorruptionPanics(t *testing.T) {
 				t.Fatalf("PING after recovered panic: %+v %v", r, err)
 			}
 		})
+	}
+}
+
+// TestServerSetAfterCorruptSet: a SET whose commit-queue round meets a
+// damaged node — a wild child reference planted in its root's trie node,
+// checksum re-stamped so only the reference is wrong — gets an error
+// reply, and a later SET to a healthy root on the same store gets +OK: the
+// round that panicked left the queue serving instead of holding its lead.
+func TestServerSetAfterCorruptSet(t *testing.T) {
+	db, _, err := core.Open(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	badIdx := RootIndex([]byte("probe"), DefaultRoots)
+	healthy := []byte("probe")
+	for n := 0; RootIndex(healthy, DefaultRoots) == badIdx; n++ {
+		healthy = []byte(fmt.Sprintf("healthy-%d", n))
+	}
+	m, err := db.Map(RootName(badIdx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		m.Set([]byte(fmt.Sprintf("key-%08d", i)), []byte("v"))
+	}
+	db.Sync()
+	s := db.Store()
+	slot, err := s.Heap().RootSlot(RootName(badIdx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The root trie node is [count][dataMap][nodeMap], then 8 bytes per
+	// entry, then the child references.
+	node := s.Heap().Root(slot)
+	dataMap, nodeMap := s.Device().ReadU32(node+8), s.Device().ReadU32(node+12)
+	if nodeMap == 0 {
+		t.Fatal("root trie node has no children; load more keys")
+	}
+	sum, _, _ := s.Heap().Checksum(node)
+	s.Device().WriteU32(node+16+pmem.Addr(bits.OnesCount32(dataMap)*8), ^uint32(0))
+	s.Heap().SetChecksum(node, sum)
+
+	srv, err := New(Config{KV: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPipeListener()
+	go srv.Serve(pl)
+	t.Cleanup(func() {
+		if t.Failed() {
+			return // a wedged queue would hold Shutdown's Sync forever
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		pl.Close()
+	})
+	cl := dialClient(t, pl)
+	do := func(args ...[]byte) loadgen.Resp {
+		t.Helper()
+		type result struct {
+			r   loadgen.Resp
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			r, err := cl.Do(args...)
+			done <- result{r, err}
+		}()
+		select {
+		case res := <-done:
+			if res.err != nil {
+				t.Fatalf("%s: %v", args[0], res.err)
+			}
+			return res.r
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%s %s: no reply within 3 s", args[0], args[1])
+		}
+		return loadgen.Resp{}
+	}
+	if r := do([]byte("SET"), []byte("probe"), []byte("x")); r.Kind != loadgen.RespError {
+		t.Fatalf("SET through a damaged node: %+v, want an error reply", r)
+	}
+	if r := do([]byte("SET"), healthy, []byte("x")); r.Str != "OK" {
+		t.Fatalf("SET to a healthy root after a damaged one: %+v, want +OK", r)
 	}
 }
 
